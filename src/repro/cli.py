@@ -106,12 +106,42 @@ def parse_event_line(line: str, separator: str = ",") -> Optional[Tuple]:
     return Tuple(relation, tuple(values))
 
 
-def read_events(lines: Iterable[str], separator: str = ",") -> Iterator[Tuple]:
-    """Yield events from an iterable of CSV lines, skipping blanks and comments."""
-    for line in lines:
-        event = parse_event_line(line, separator)
-        if event is not None:
-            yield event
+class read_events:  # noqa: N801 - called like the generator function it replaced
+    """The events of an iterable of CSV lines, skipping blanks and comments.
+
+    The one reader behind every subcommand.  A malformed line (no relation
+    name) is skipped and counted in ``parse_errors`` — which the summary line
+    reports — and the first one is named on stderr with its line number.
+    """
+
+    def __init__(self, lines: Iterable[str], separator: str = ",") -> None:
+        self._events = self._parse(lines, separator)
+        self.parse_errors = 0
+
+    def _parse(self, lines: Iterable[str], separator: str) -> Iterator[Tuple]:
+        for number, line in enumerate(lines, start=1):
+            try:
+                event = parse_event_line(line, separator)
+            except ValueError as exc:
+                if not self.parse_errors:
+                    print(f"warning: line {number}: {exc}; skipping such lines", file=sys.stderr)
+                self.parse_errors += 1
+                continue
+            if event is not None:
+                yield event
+
+    def load(self) -> "read_events":
+        """Parse every line now (the source is about to be closed)."""
+        self._events = iter(list(self._events))
+        return self
+
+    def __iter__(self) -> Iterator[Tuple]:
+        return self._events
+
+
+def _parse_errors(events: Iterable[Tuple]) -> str:
+    """The summary line's ``parse_errors=`` field (0 for events not read from text)."""
+    return f" parse_errors={getattr(events, 'parse_errors', 0)}"
 
 
 def format_match(position: int, valuation: Valuation) -> str:
@@ -557,7 +587,8 @@ def run(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO) -> in
     batched = f" batch_size={batch_size}" if batch_size > 0 else ""
     print(
         f"# events={events_seen} matches={matches} seconds={elapsed:.3f} events/s={rate:.0f} "
-        f"hash_entries={engine.hash_table_size()} evicted={engine.evicted}{batched}",
+        f"hash_entries={engine.hash_table_size()} evicted={engine.evicted}{batched}"
+        f"{_parse_errors(events)}",
         file=output,
     )
     if args.stats:
@@ -792,7 +823,8 @@ def _run_multi_engine(
     print(
         f"# events={events_seen} queries={len(names)} matches={total} ({per_query}) "
         f"seconds={elapsed:.3f} events/s={rate:.0f} "
-        f"hash_entries={engine.hash_table_size()} evicted={engine.evicted}{batched}",
+        f"hash_entries={engine.hash_table_size()} evicted={engine.evicted}{batched}"
+        f"{_parse_errors(events)}",
         file=output,
     )
     if args.stats:
@@ -1183,7 +1215,7 @@ def run_net_client(args: argparse.Namespace, events: Iterable[Tuple], output: Te
     rate = events_seen / elapsed if elapsed > 0 else float("inf")
     print(
         f"# events={events_seen} queries={len(names)} matches={total} "
-        f"seconds={elapsed:.3f} events/s={rate:.0f}",
+        f"seconds={elapsed:.3f} events/s={rate:.0f}{_parse_errors(events)}",
         file=output,
     )
     return 0
@@ -1206,7 +1238,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.stream:
         with open(args.stream, "r", encoding="utf-8") as handle:
-            events = list(read_events(handle, args.separator))
+            events = read_events(handle, args.separator).load()
     else:
         events = read_events(sys.stdin, args.separator)
     return runner(args, events, sys.stdout)

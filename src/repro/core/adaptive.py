@@ -144,11 +144,11 @@ class EvalGroup:
     reorder tie-break, so equal-hit groups keep a deterministic order.
     """
 
-    __slots__ = ("pred_key", "unary", "members", "rep", "order")
+    __slots__ = ("pred_key", "accepts", "members", "rep", "order")
 
-    def __init__(self, pred_key: Any, unary: Any, members: Tup[Any, ...], order: int) -> None:
+    def __init__(self, pred_key: Any, accepts: Any, members: Tup[Any, ...], order: int) -> None:
         self.pred_key = pred_key
-        self.unary = unary
+        self.accepts = accepts
         self.members = members
         self.rep = members[0]
         self.order = order
@@ -180,7 +180,7 @@ def _build_plan(members: List[Any], order_key: Callable[[Any], int]) -> EvalPlan
         else:
             bucket.append(member)
     groups = [
-        EvalGroup(pred_key, bucket[0].unary, tuple(bucket), order_key(bucket[0]))
+        EvalGroup(pred_key, bucket[0].accepts, tuple(bucket), order_key(bucket[0]))
         for pred_key, bucket in grouped.items()
     ]
     total = len(members)

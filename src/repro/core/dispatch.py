@@ -35,6 +35,8 @@ from __future__ import annotations
 import re
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple as Tup, TYPE_CHECKING
 
+from repro.core.predicates import compile_acceptor, compile_key_extractors
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pcea builds the index lazily)
     from repro.core.pcea import PCEATransition
 
@@ -121,14 +123,20 @@ class CompiledTransition:
     ``joins`` fixes an iteration order over ``(source state, source id, binary
     predicate)`` triples so FireTransitions does not re-derive it from the
     transition's mapping on every tuple; ``relations`` is the dispatch key
-    (``None`` for wildcards).
+    (``None`` for wildcards).  ``accepts`` and ``probes`` are what the fire
+    loops call: the unary predicate compiled to a flat ``tup -> bool`` and, in
+    ``joins`` order, ``(source id, right-key extractor)`` pairs (see "compiled
+    plans" in :mod:`repro.core.predicates`; the extractor is ``None`` for a
+    join outside ``B_eq``, which only the general evaluator runs).
     """
 
     __slots__ = (
         "index",
         "transition",
         "unary",
+        "accepts",
         "joins",
+        "probes",
         "labels",
         "target",
         "target_id",
@@ -143,6 +151,7 @@ class CompiledTransition:
         self.index = index
         self.transition = transition
         self.unary = transition.unary
+        self.accepts = compile_acceptor(transition.unary)
         self.labels = transition.labels
         self.target = transition.target
         self.relations: Optional[frozenset] = transition.unary.dispatch_relations()
@@ -161,6 +170,7 @@ class CompiledTransition:
         self.target_id = -1
         self.is_final = False
         self.joins: Tup[Tup[State, int, object], ...] = ()
+        self.probes: Tup[Tup[int, object], ...] = ()
         # Adaptive-dispatch hit counter (repro.core.adaptive): bumped when
         # this transition leads a predicate group whose unary held, halved at
         # every flush.  Pure feedback — never read on a correctness path and
@@ -211,6 +221,7 @@ class TransitionDispatchIndex:
         self.final = frozenset(final)
         self.state_ids: Dict[State, int] = {}
         compiled: List[CompiledTransition] = []
+        consumers: Dict[int, List[Tup[CompiledTransition, int, object]]] = {}
         for i, transition in enumerate(transitions):
             c = CompiledTransition(i, transition)
             c.target_id = self._intern(transition.target)
@@ -219,6 +230,12 @@ class TransitionDispatchIndex:
                 (source, self._intern(source), transition.binaries[source])
                 for source in sorted(transition.sources, key=str)
             )
+            probes = []
+            for _, source_id, predicate in c.joins:
+                left, right = compile_key_extractors(predicate)
+                probes.append((source_id, right))
+                consumers.setdefault(source_id, []).append((c, source_id, left))
+            c.probes = tuple(probes)
             compiled.append(c)
         self._all: Tup[CompiledTransition, ...] = tuple(compiled)
         self._wildcard: Tup[CompiledTransition, ...] = tuple(
@@ -256,13 +273,15 @@ class TransitionDispatchIndex:
                 buckets = build_guard_buckets(members)
                 if buckets is not None:
                     self._guarded[relation] = buckets
-        consumers: Dict[int, List[Tup[CompiledTransition, int, object]]] = {}
-        for c in compiled:
-            for _, source_id, predicate in c.joins:
-                consumers.setdefault(source_id, []).append((c, source_id, predicate))
         self._consumers: Dict[int, Tup[Tup[CompiledTransition, int, object], ...]] = {
             source_id: tuple(entries) for source_id, entries in consumers.items()
         }
+
+    def __reduce__(self):
+        # Pickled as its constructor arguments: compiled closures do not
+        # pickle, and a compiled automaton must still cross process boundaries.
+        transitions = tuple(c.transition for c in self._all)
+        return (type(self), (transitions, self.indexed, self.final, self.guards))
 
     def _intern(self, state: State) -> int:
         state_id = self.state_ids.get(state)
@@ -293,7 +312,7 @@ class TransitionDispatchIndex:
         return probe_guard_buckets(entry, tup, _transition_order)
 
     def consumers_by_id(self, state_id: int) -> Tup[Tup[CompiledTransition, int, object], ...]:
-        """``(compiled transition, source id, binary predicate)`` triples reading the state."""
+        """``(compiled transition, source id, left-key extractor)`` triples reading the state."""
         return self._consumers.get(state_id, ())
 
     def consumers(self, state: State) -> Tup[Tup[CompiledTransition, int, object], ...]:

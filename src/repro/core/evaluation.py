@@ -342,8 +342,11 @@ class StreamingEvaluator(RuntimeBackedEngine):
         # always candidates).
         adaptive = self._adaptive
         plan = adaptive.plan_for(tup) if adaptive is not None else None
+        # Extractors are interned by key plan (repro.core.predicates): joins
+        # projecting this tuple alike share one, and ``key`` is its cached result.
+        keyed_by = key = None
         if plan is not None:
-            # Plan mode (repro.core.adaptive): one ``unary.holds`` per
+            # Plan mode (repro.core.adaptive): one acceptor call per
             # predicate group — a miss skips every member, sound because
             # equal canonical keys accept exactly the same tuples — then the
             # fired transitions applied in canonical transition order.  The
@@ -357,15 +360,17 @@ class StreamingEvaluator(RuntimeBackedEngine):
                 stats.predicate_evaluations += plan.total
             fired: List[Tup[object, List[NodeRef], int]] = []
             for group in plan.groups:
-                if not group.unary.holds(tup):
+                if not group.accepts(tup):
                     continue
                 group.rep.hits += 1
                 for compiled in group.members:
                     children = []
                     node_ms = position
                     feasible = True
-                    for _, source_id, predicate in compiled.joins:
-                        key = predicate.right_key(tup)
+                    for source_id, extract in compiled.probes:
+                        if extract is not keyed_by:
+                            keyed_by = extract
+                            key = extract(tup)
                         if stats is not None:
                             stats.hash_lookups += 1
                         if key is None:
@@ -399,13 +404,15 @@ class StreamingEvaluator(RuntimeBackedEngine):
                 if stats is not None:
                     stats.transitions_scanned += 1
                     stats.predicate_evaluations += 1
-                if not compiled.unary.holds(tup):
+                if not compiled.accepts(tup):
                     continue
                 children = []
                 node_ms = position
                 feasible = True
-                for _, source_id, predicate in compiled.joins:
-                    key = predicate.right_key(tup)  # the current tuple is the later one
+                for source_id, extract in compiled.probes:
+                    if extract is not keyed_by:
+                        keyed_by = extract
+                        key = extract(tup)  # the current tuple is the later one
                     if stats is not None:
                         stats.hash_lookups += 1
                     if key is None:
@@ -446,8 +453,10 @@ class StreamingEvaluator(RuntimeBackedEngine):
             add_ref = lane.add_ref
             lane_id = lane.lane_id
             for state_id, nodes in new_nodes.items():
-                for compiled, source_id, predicate in dispatch.consumers_by_id(state_id):
-                    key = predicate.left_key(tup)  # the current tuple will be the earlier one
+                for compiled, source_id, extract in dispatch.consumers_by_id(state_id):
+                    if extract is not keyed_by:
+                        keyed_by = extract
+                        key = extract(tup)  # the current tuple will be the earlier one
                     if key is None:
                         continue
                     entry_key = (compiled.index, source_id, key)

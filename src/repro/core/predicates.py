@@ -20,7 +20,9 @@ variables, and the self-join variants of Lemmas B.3/B.4.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Sequence, Tuple as Tup
 
 from repro.cq.query import Atom, Variable, is_variable
@@ -28,6 +30,117 @@ from repro.cq.schema import DataValue, Tuple
 
 
 Key = Hashable
+
+
+# ------------------------------------------------------------ compiled plans
+# The dispatch index resolves every predicate once into a flat closure, so the
+# per-tuple loops never re-interpret a query atom.  A *key plan* is one side of
+# an equality predicate as data: one entry ``(relation, arity, exact, slots,
+# checks)`` per tuple shape the side accepts.  ``slots`` are the value
+# positions forming the key (``None``: the ``("*",)`` component of a shared
+# variable the atom lacks), ``checks`` the atom's residual tests (see
+# ``Atom.__post_init__``); without ``exact`` longer tuples pass too.  Plans are
+# plain tuples: predicates stay picklable, and structurally identical sides
+# compile to one interned extractor (``is``-comparable by the fire loops).
+_WILDCARD = ("*",)
+_PLAN_CACHE = 4096
+_COMPARISONS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}  # fmt: skip
+
+
+def _atom_entry(atom: Atom, shared: Sequence[Variable]):
+    """The key-plan entry projecting tuples matched by ``atom`` onto ``shared``."""
+    slots = tuple([atom._first.get(variable) for variable in shared])
+    return (atom.relation, len(atom.terms), True, slots, atom._checks)
+
+
+def _entry_extractor(arity: int, exact: bool, slots, checks):
+    """``values -> key | None`` for one key-plan entry (relation already matched)."""
+
+    def extract(values):
+        if len(values) != arity and (exact or len(values) < arity):
+            return None
+        for position, other, positional in checks:
+            if values[position] != (values[other] if positional else other):
+                return None
+        return tuple([_WILDCARD if slot is None else values[slot] for slot in slots])
+
+    return extract
+
+
+@lru_cache(maxsize=_PLAN_CACHE)
+def compile_key_plan(plan) -> Callable[[Tuple], Optional[Key]]:
+    """The interned flat extractor ``tup -> key | None`` of one side's key plan."""
+    if len(plan) == 1:
+        relation, arity, exact, slots, checks = plan[0]
+        if not checks and len(slots) == 1 and slots[0] is not None:
+            # One shape, one key attribute, nothing to re-check: the joins of
+            # the Theorem 4.1 construction over distinct-variable atoms.
+            slot = slots[0]
+
+            def single(tup):
+                values = tup.values
+                if tup.relation != relation or (
+                    len(values) != arity and (exact or len(values) < arity)
+                ):
+                    return None
+                return (values[slot],)
+
+            return single
+    table: Dict[str, list] = {}
+    for relation, *entry in plan:
+        table.setdefault(relation, []).append(_entry_extractor(*entry))
+
+    def extract(tup):
+        values = tup.values
+        for entry in table.get(tup.relation, ()):
+            key = entry(values)
+            if key is not None:
+                return key
+        return None
+
+    return extract
+
+
+@lru_cache(maxsize=_PLAN_CACHE)
+def _atom_acceptor(relation: str, arity: int, checks) -> Callable[[Tuple], bool]:
+    """The flat acceptor ``tup -> bool`` of ``U_{R(x̄)}``."""
+    if not checks:
+        return lambda tup: tup.relation == relation and len(tup.values) == arity
+    matched = _entry_extractor(arity, True, (), checks)
+    return lambda tup: tup.relation == relation and matched(tup.values) is not None
+
+
+@lru_cache(maxsize=_PLAN_CACHE)
+def _filter_acceptor(relation: str, position: int, comparison: str, constant) -> Callable[[Tuple], bool]:
+    """The flat acceptor of an :class:`AttributeFilter`, its operator bound directly."""
+    compare = _COMPARISONS[comparison]
+
+    def accept(tup):
+        values = tup.values
+        if tup.relation != relation or position >= len(values):
+            return False
+        try:
+            return compare(values[position], constant)
+        except TypeError:
+            return False
+
+    return accept
+
+
+def compile_acceptor(unary) -> Callable[[Tuple], bool]:
+    """``unary`` as a flat ``tup -> bool``; objects predating the protocol keep ``holds``."""
+    compile_plan = getattr(unary, "acceptor", None)
+    return compile_plan() if compile_plan is not None else unary.holds
+
+
+def compile_key_extractors(predicate):
+    """``(left, right)`` flat key extractors of a join predicate: the key methods of
+    an object predating the protocol, ``None`` outside ``B_eq`` (no keys)."""
+    compile_plans = getattr(predicate, "key_extractors", None)
+    if compile_plans is not None:
+        return compile_plans()
+    return getattr(predicate, "left_key", None), getattr(predicate, "right_key", None)
 
 
 # --------------------------------------------------------------------------- unary
@@ -73,6 +186,12 @@ class UnaryPredicate:
         known; returning ``None`` is always sound.
         """
         return None
+
+    def acceptor(self) -> Callable[[Tuple], bool]:
+        """The flat ``tup -> bool`` form of :meth:`holds`, resolved once per
+        dispatch index.  Structural subclasses compile it from their plan and
+        define ``holds`` through it; the default is ``holds`` itself."""
+        return self.holds
 
     def __call__(self, tup: Tuple) -> bool:
         return self.holds(tup)
@@ -150,8 +269,11 @@ class AtomUnaryPredicate(UnaryPredicate):
 
     atom: Atom
 
+    def acceptor(self) -> Callable[[Tuple], bool]:
+        return _atom_acceptor(self.atom.relation, len(self.atom.terms), self.atom._checks)
+
     def holds(self, tup: Tuple) -> bool:
-        return self.atom.matches(tup)
+        return self.acceptor()(tup)
 
     def dispatch_relations(self) -> Optional[FrozenSet[str]]:
         return frozenset((self.atom.relation,))
@@ -182,8 +304,12 @@ class SelfJoinUnaryPredicate(UnaryPredicate):
         object.__setattr__(self, "atoms", tuple(atoms))
         object.__setattr__(self, "unified", unify_self_join_atoms(atoms))
 
+    def acceptor(self) -> Callable[[Tuple], bool]:
+        unified = self.unified
+        return _atom_acceptor(unified.relation, len(unified.terms), unified._checks)
+
     def holds(self, tup: Tuple) -> bool:
-        return self.unified.matches(tup)
+        return self.acceptor()(tup)
 
     def dispatch_relations(self) -> Optional[FrozenSet[str]]:
         # ``unified`` carries an impossible relation name for unsatisfiable
@@ -249,22 +375,11 @@ class AttributeFilter(UnaryPredicate):
     operator: str
     constant: DataValue
 
-    _OPS = {
-        "==": lambda a, b: a == b,
-        "!=": lambda a, b: a != b,
-        "<": lambda a, b: a < b,
-        "<=": lambda a, b: a <= b,
-        ">": lambda a, b: a > b,
-        ">=": lambda a, b: a >= b,
-    }
+    def acceptor(self) -> Callable[[Tuple], bool]:
+        return _filter_acceptor(self.relation, self.position, self.operator, self.constant)
 
     def holds(self, tup: Tuple) -> bool:
-        if tup.relation != self.relation or self.position >= tup.arity:
-            return False
-        try:
-            return self._OPS[self.operator](tup.value(self.position), self.constant)
-        except TypeError:
-            return False
+        return self.acceptor()(tup)
 
     def dispatch_relations(self) -> Optional[FrozenSet[str]]:
         return frozenset((self.relation,))
@@ -287,8 +402,8 @@ def _atom_constant_guard(atom: Atom) -> Optional[Tup[int, DataValue]]:
     Any tuple matched by the atom carries the constant at that position, so the
     pair satisfies the :meth:`UnaryPredicate.constant_guard` contract.
     """
-    for position, term in enumerate(atom.terms):
-        if not is_variable(term):
+    for position, term, positional in atom._checks:
+        if not positional:
             return (position, term)
     return None
 
@@ -333,17 +448,31 @@ class LambdaBinaryPredicate(BinaryPredicate):
 class EqualityPredicate(BinaryPredicate):
     """An equality predicate of the class ``B_eq``.
 
-    Subclasses implement :meth:`left_key` (the paper's ``⃗B`` on the earlier
-    tuple) and :meth:`right_key` (on the later tuple); ``(t1, t2) ∈ B`` iff both
-    keys are defined (not ``None``) and equal.  Keys must be hashable — the
-    streaming algorithm indexes its hash table on them.
+    :meth:`left_key` is the paper's ``⃗B`` on the earlier tuple, :meth:`right_key`
+    the key of the later one; ``(t1, t2) ∈ B`` iff both keys are defined (not
+    ``None``) and equal.  Keys must be hashable — the streaming algorithm
+    indexes its hash table on them.  Subclasses either set the two sides' key
+    plans (see "compiled plans" above) or implement both key methods.
     """
 
+    _left_plan = _right_plan = None
+
+    def key_extractors(self):
+        """The flat ``(left, right)`` extractors ``tup -> key | None``, resolved
+        once per dispatch index; the key methods call the same extractors."""
+        if self._left_plan is None:
+            return self.left_key, self.right_key
+        return compile_key_plan(self._left_plan), compile_key_plan(self._right_plan)
+
     def left_key(self, tup: Tuple) -> Optional[Key]:
-        raise NotImplementedError
+        if self._left_plan is None:
+            raise NotImplementedError
+        return compile_key_plan(self._left_plan)(tup)
 
     def right_key(self, tup: Tuple) -> Optional[Key]:
-        raise NotImplementedError
+        if self._right_plan is None:
+            raise NotImplementedError
+        return compile_key_plan(self._right_plan)(tup)
 
     def holds(self, first: Tuple, second: Tuple) -> bool:
         left = self.left_key(first)
@@ -405,39 +534,12 @@ class ProjectionEquality(EqualityPredicate):
         object.__setattr__(
             self, "right_spec", {rel: tuple(pos) for rel, pos in right_spec.items()}
         )
-        # Key extraction runs once per hash operation in the evaluator's
-        # per-tuple loop, so the per-relation arity requirement and the
-        # single-position fast path (the overwhelmingly common key shape) are
-        # precomputed instead of re-derived with generator expressions.
-        object.__setattr__(self, "_left_fast", _projection_fast_table(self.left_spec))
-        object.__setattr__(self, "_right_fast", _projection_fast_table(self.right_spec))
-
-    # left_key/right_key are deliberately twin bodies over the two fast
-    # tables (a shared helper would put one more call on the evaluator's
-    # hottest path); edit both together.
-    def left_key(self, tup: Tuple) -> Optional[Key]:
-        entry = self._left_fast.get(tup.relation)
-        if entry is None:
-            return None
-        max_position, single, positions = entry
-        values = tup.values
-        if max_position >= len(values):
-            return None
-        if single is not None:
-            return (values[single],)
-        return tuple(values[i] for i in positions)
-
-    def right_key(self, tup: Tuple) -> Optional[Key]:
-        entry = self._right_fast.get(tup.relation)
-        if entry is None:
-            return None
-        max_position, single, positions = entry
-        values = tup.values
-        if max_position >= len(values):
-            return None
-        if single is not None:
-            return (values[single],)
-        return tuple(values[i] for i in positions)
+        for side, spec in (("_left_plan", self.left_spec), ("_right_plan", self.right_spec)):
+            plan = tuple(
+                (relation, max(positions, default=-1) + 1, False, positions, ())
+                for relation, positions in sorted(spec.items())
+            )
+            object.__setattr__(self, side, plan)
 
     def __str__(self) -> str:
         def fmt(spec: Mapping[str, Tup[int, ...]]) -> str:
@@ -462,37 +564,6 @@ class ProjectionEquality(EqualityPredicate):
         return NotImplemented
 
 
-def _projection_fast_table(spec: Mapping[str, Tup[int, ...]]):
-    """Per-relation ``(max position, single position or None, positions)``.
-
-    ``max position`` turns the per-call arity scan into one comparison;
-    ``single`` marks one-attribute keys so they are built with a tuple display
-    instead of a generator expression.
-    """
-    table = {}
-    for relation, positions in spec.items():
-        max_position = max(positions) if positions else -1
-        single = positions[0] if len(positions) == 1 else None
-        table[relation] = (max_position, single, positions)
-    return table
-
-
-def _shared_variable_key(atom: Atom, shared: Sequence[Variable], tup: Tuple) -> Optional[Key]:
-    """Project ``tup`` (matched against ``atom``) onto the shared variables."""
-    if not atom.matches(tup):
-        return None
-    values = []
-    for variable in shared:
-        positions = atom.positions_of(variable)
-        if not positions:
-            # The variable does not occur in this atom: the predicate places
-            # no constraint through it; encode with a wildcard component.
-            values.append(("*",))
-        else:
-            values.append(tup.value(positions[0]))
-    return tuple(values)
-
-
 @dataclass(frozen=True)
 class AtomJoinEquality(EqualityPredicate):
     """``B_{S(ȳ), T(z̄)}``: pairs of tuples consistent with a single homomorphism.
@@ -511,12 +582,8 @@ class AtomJoinEquality(EqualityPredicate):
         object.__setattr__(self, "right_atom", right_atom)
         shared = sorted(left_atom.variables() & right_atom.variables(), key=lambda v: v.name)
         object.__setattr__(self, "shared", tuple(shared))
-
-    def left_key(self, tup: Tuple) -> Optional[Key]:
-        return _shared_variable_key(self.left_atom, self.shared, tup)
-
-    def right_key(self, tup: Tuple) -> Optional[Key]:
-        return _shared_variable_key(self.right_atom, self.shared, tup)
+        object.__setattr__(self, "_left_plan", (_atom_entry(left_atom, shared),))
+        object.__setattr__(self, "_right_plan", (_atom_entry(right_atom, shared),))
 
     def __str__(self) -> str:
         return f"B[{self.left_atom} ~ {self.right_atom}]"
@@ -552,16 +619,10 @@ class VariableAtomEquality(EqualityPredicate):
             )
         shared = sorted(next(iter(shared_sets)), key=lambda v: v.name)
         object.__setattr__(self, "shared", tuple(shared))
-
-    def left_key(self, tup: Tuple) -> Optional[Key]:
-        for atom in self.left_atoms:
-            key = _shared_variable_key(atom, self.shared, tup)
-            if key is not None:
-                return key
-        return None
-
-    def right_key(self, tup: Tuple) -> Optional[Key]:
-        return _shared_variable_key(self.right_atom, self.shared, tup)
+        # A tuple takes the key of the first left atom it matches.
+        left_plan = tuple(_atom_entry(atom, shared) for atom in left_atoms)
+        object.__setattr__(self, "_left_plan", left_plan)
+        object.__setattr__(self, "_right_plan", (_atom_entry(right_atom, shared),))
 
     def __str__(self) -> str:
         left = "|".join(str(a) for a in self.left_atoms)
@@ -586,22 +647,13 @@ class OrderPredicate(BinaryPredicate):
     right_relation: str
     right_position: int
 
-    _OPS = {
-        "<": lambda a, b: a < b,
-        "<=": lambda a, b: a <= b,
-        ">": lambda a, b: a > b,
-        ">=": lambda a, b: a >= b,
-        "!=": lambda a, b: a != b,
-        "==": lambda a, b: a == b,
-    }
-
     def holds(self, first: Tuple, second: Tuple) -> bool:
         if first.relation != self.left_relation or second.relation != self.right_relation:
             return False
         if self.left_position >= first.arity or self.right_position >= second.arity:
             return False
         try:
-            return self._OPS[self.operator](
+            return _COMPARISONS[self.operator](
                 first.value(self.left_position), second.value(self.right_position)
             )
         except TypeError:
@@ -702,20 +754,6 @@ def _group_variables(atoms: Sequence[Atom]) -> FrozenSet[Variable]:
     return frozenset(result)
 
 
-def _first_position_of(atoms: Sequence[Atom], variable: Variable) -> Optional[int]:
-    """First attribute position where ``variable`` occurs in any atom of the group.
-
-    When the group's tuples match the unified atom, every occurrence of the
-    variable carries the same value, so any position works as the projection
-    target.
-    """
-    for atom in atoms:
-        positions = atom.positions_of(variable)
-        if positions:
-            return positions[0]
-    return None
-
-
 @dataclass(frozen=True)
 class SelfJoinEquality(EqualityPredicate):
     """``B_{A1, A2}`` of Lemma B.4: consistency of two (self-join) atom groups.
@@ -743,23 +781,17 @@ class SelfJoinEquality(EqualityPredicate):
             key=lambda v: v.name,
         )
         object.__setattr__(self, "shared", tuple(shared))
+        object.__setattr__(self, "_left_plan", self._plan(left_atoms, self.left_unified))
+        object.__setattr__(self, "_right_plan", self._plan(right_atoms, self.right_unified))
 
-    def _key(self, atoms: Tup[Atom, ...], unified: Atom, tup: Tuple) -> Optional[Key]:
-        if not unified.matches(tup):
-            return None
-        values = []
-        for variable in self.shared:
-            position = _first_position_of(atoms, variable)
-            if position is None or position >= tup.arity:
-                return None
-            values.append(tup.value(position))
-        return tuple(values)
-
-    def left_key(self, tup: Tuple) -> Optional[Key]:
-        return self._key(self.left_atoms, self.left_unified, tup)
-
-    def right_key(self, tup: Tuple) -> Optional[Key]:
-        return self._key(self.right_atoms, self.right_unified, tup)
+    def _plan(self, atoms: Sequence[Atom], unified: Atom):
+        # A tuple matching the unified atom carries one value at every occurrence
+        # of a variable, so the first atom holding it gives the slot.
+        slots = tuple(
+            next(atom._first[variable] for atom in atoms if variable in atom._first)
+            for variable in self.shared
+        )
+        return ((unified.relation, len(unified.terms), True, slots, unified._checks),)
 
     def __str__(self) -> str:
         left = "&".join(str(a) for a in self.left_atoms)

@@ -60,13 +60,21 @@ class Atom:
     def __post_init__(self) -> None:
         if not isinstance(self.terms, tuple):
             object.__setattr__(self, "terms", tuple(self.terms))
-        # Precomputed fast-path flag for ``matches``: with pairwise-distinct
-        # variables and no constants, any tuple of the right relation and
-        # arity is a homomorphic image — no per-call assignment dict needed.
-        trivially_matched = len(set(self.terms)) == len(self.terms) and all(
-            isinstance(term, Variable) for term in self.terms
-        )
-        object.__setattr__(self, "_trivially_matched", trivially_matched)
+        # The atom's shape, computed once for the predicate compiler
+        # (repro.core.predicates): each variable's first position, and the
+        # residual checks a tuple of the right relation and arity must pass —
+        # ``(i, j, True)`` for ``values[i] == values[j]`` (repeated variable),
+        # ``(i, c, False)`` for ``values[i] == c`` (constant term).  Without
+        # checks any such tuple is a homomorphic image (``matches`` fast path).
+        first: Dict[Variable, int] = {}
+        checks = []
+        for position, term in enumerate(self.terms):
+            if not isinstance(term, Variable):
+                checks.append((position, term, False))
+            elif first.setdefault(term, position) != position:
+                checks.append((position, first[term], True))
+        object.__setattr__(self, "_first", first)
+        object.__setattr__(self, "_checks", tuple(checks))
 
     @property
     def arity(self) -> int:
@@ -93,17 +101,11 @@ class Atom:
         """
         if tup.relation != self.relation or tup.arity != self.arity:
             return False
-        if self._trivially_matched:
-            return True
-        assignment: Dict[Variable, DataValue] = {}
-        for term, value in zip(self.terms, tup.values):
-            if isinstance(term, Variable):
-                if term in assignment and assignment[term] != value:
-                    return False
-                assignment[term] = value
-            elif term != value:
-                return False
-        return True
+        values = tup.values
+        return all(
+            values[position] == (values[other] if positional else other)
+            for position, other, positional in self._checks
+        )
 
     def instantiate(self, assignment: Dict[Variable, DataValue]) -> Tuple:
         """Apply a homomorphism (variable assignment) producing a concrete tuple."""

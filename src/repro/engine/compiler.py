@@ -34,6 +34,7 @@ from repro.core.predicates import (
     ProjectionEquality,
     TrueEquality,
     UnaryPredicate,
+    compile_acceptor,
 )
 from repro.cq.query import ConjunctiveQuery, Variable
 from repro.cq.schema import Tuple
@@ -51,10 +52,19 @@ class _FilteredUnary(UnaryPredicate):
     base: UnaryPredicate
     filters: Tup[AttributeFilter, ...]
 
+    def acceptor(self):
+        parts = (compile_acceptor(self.base), *(flt.acceptor() for flt in self.filters))
+
+        def accept(tup):
+            for part in parts:
+                if not part(tup):
+                    return False
+            return True
+
+        return accept
+
     def holds(self, tup: Tuple) -> bool:
-        if not self.base.holds(tup):
-            return False
-        return all(flt.holds(tup) for flt in self.filters)
+        return self.acceptor()(tup)
 
     def dispatch_relations(self):
         # The conjunction only accepts tuples accepted by every conjunct, so

@@ -337,7 +337,7 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
                 stats.predicate_evaluations += plan.total
             held: List = []
             for group in plan.groups:
-                if group.unary.holds(tup):
+                if group.accepts(tup):
                     group.rep.hits += 1
                     held.extend(group.members)
             if len(held) > 1:
@@ -350,7 +350,7 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
                 if stats is not None:
                     stats.transitions_scanned += 1
                     stats.predicate_evaluations += 1
-                if not compiled.unary.holds(tup):
+                if not compiled.accepts(tup):
                     continue
             if not compiled.joins:  # initial transition: no sources to join
                 node = ds.extend(compiled.labels, position, [])

@@ -334,6 +334,9 @@ class MultiQueryEngine(RuntimeBackedEngine):
         final_by_lane: Optional[Dict[_QueryLane, List[NodeRef]]] = None
         adaptive = self._adaptive
         plan = adaptive.plan_for(tup) if adaptive is not None else None
+        # Extractors are interned by key plan (repro.core.predicates): lanes
+        # projecting this tuple alike share one, and ``key`` is its cached result.
+        keyed_by = key = None
         if plan is not None:
             # Plan mode: one predicate evaluation per group (the memoised
             # path would reach the same count — every group member shares the
@@ -350,7 +353,7 @@ class MultiQueryEngine(RuntimeBackedEngine):
                 stats.predicate_cache_hits += plan.total - groups_n
             fired: List[Tup] = []
             for group in plan.groups:
-                if not group.unary.holds(tup):
+                if not group.accepts(tup):
                     continue
                 group.rep.hits += 1
                 for entry in group.members:
@@ -361,8 +364,10 @@ class MultiQueryEngine(RuntimeBackedEngine):
                     children: List[NodeRef] = []
                     node_ms = position
                     feasible = True
-                    for _, source_id, predicate in compiled.joins:
-                        key = predicate.right_key(tup)
+                    for source_id, extract in compiled.probes:
+                        if extract is not keyed_by:
+                            keyed_by = extract
+                            key = extract(tup)
                         if stats is not None:
                             stats.hash_lookups += 1
                         if key is None:
@@ -413,14 +418,14 @@ class MultiQueryEngine(RuntimeBackedEngine):
                 if memoise:
                     held = verdicts_get(entry.pred_key, _MISS)
                     if held is _MISS:
-                        held = entry.unary.holds(tup)
+                        held = entry.accepts(tup)
                         verdicts[entry.pred_key] = held
                         if stats is not None:
                             stats.predicate_evaluations += 1
                     elif stats is not None:
                         stats.predicate_cache_hits += 1
                 else:
-                    held = entry.unary.holds(tup)
+                    held = entry.accepts(tup)
                     if stats is not None:
                         stats.predicate_evaluations += 1
                 if not held:
@@ -432,8 +437,10 @@ class MultiQueryEngine(RuntimeBackedEngine):
                 children = []
                 node_ms = position
                 feasible = True
-                for _, source_id, predicate in compiled.joins:
-                    key = predicate.right_key(tup)  # the current tuple is the later one
+                for source_id, extract in compiled.probes:
+                    if extract is not keyed_by:
+                        keyed_by = extract
+                        key = extract(tup)  # the current tuple is the later one
                     if stats is not None:
                         stats.hash_lookups += 1
                     if key is None:
@@ -486,8 +493,10 @@ class MultiQueryEngine(RuntimeBackedEngine):
                 lane_id = lane.lane_id
                 consumers_by_id = lane.dispatch.consumers_by_id
                 for state_id, nodes in lane_nodes.items():
-                    for compiled, source_id, predicate in consumers_by_id(state_id):
-                        key = predicate.left_key(tup)  # this tuple will be the earlier one
+                    for compiled, source_id, extract in consumers_by_id(state_id):
+                        if extract is not keyed_by:
+                            keyed_by = extract
+                            key = extract(tup)  # this tuple will be the earlier one
                         if key is None:
                             continue
                         entry_key = (compiled.index, source_id, key)

@@ -72,14 +72,14 @@ class MergedEntry:
     order within a query).
     """
 
-    __slots__ = ("owner", "compiled", "unary", "pred_key", "guard", "order", "hits")
+    __slots__ = ("owner", "compiled", "accepts", "pred_key", "guard", "order", "hits")
 
     def __init__(
         self, owner: object, compiled: CompiledTransition, pred_key: int, order: int
     ) -> None:
         self.owner = owner
         self.compiled = compiled
-        self.unary = compiled.unary
+        self.accepts = compiled.accepts
         self.pred_key = pred_key
         self.guard: Optional[Tup[int, object]] = compiled.guard
         self.order = order

@@ -27,6 +27,7 @@ Five layers of protection:
 import io
 import os
 import sys
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,7 @@ from repro.multi.engine import MultiQueryEngine
 from repro.obs import Observer
 from repro.runtime import snapshot as snapshot_codec
 from repro.shard import ShardedEngine
+from repro.streams.generators import HCQWorkloadGenerator
 
 from helpers import SIGMA0, star_query, star_schema, streams_strategy
 from workloads import (
@@ -292,6 +294,60 @@ class TestSingleEngineDifferential:
         for tup in stream:
             assert engine.process(tup) == static.process(tup)
         assert engine.stats == static.stats
+
+    #: Counters whose per-tuple cost Theorem 5.1 makes independent of how much
+    #: stream has gone by (ROADMAP item 4a).
+    PER_TUPLE = ("hash_lookups", "hash_updates", "predicate_evaluations", "transitions_fired")
+
+    @pytest.mark.parametrize("window", [16, 64])
+    def test_star_counters_flat_in_stream_length_and_equal_across_engines(self, window):
+        generator = HCQWorkloadGenerator(arms=3, key_domain=16, seed=5)
+        pcea = hcq_to_pcea(generator.query())
+        per_tuple, worst = [], []
+        for length in (1000, 2000, 4000):
+            stream = list(generator.tuples(length))
+            static = StreamingEvaluator(pcea, window=window, adaptive=False, collect_stats=True)
+            plan = StreamingEvaluator(pcea, window=window, adaptive=True, collect_stats=True)
+            scan = StreamingEvaluator(pcea, window=window, indexed=False, collect_stats=True)
+            multi = MultiQueryEngine(collect_stats=True)
+            handle = multi.register(pcea, window=window)
+            assert plan.adaptive_info() is not None  # the star shares predicate groups
+            largest = dict.fromkeys(self.PER_TUPLE, 0)
+            for tup in stream:
+                before = asdict(static.stats)
+                outputs = static.process(tup)
+                assert plan.process(tup) == outputs
+                assert scan.process(tup) == outputs
+                assert multi.process(tup).get(handle.id, []) == outputs
+                for name in self.PER_TUPLE:
+                    step = getattr(static.stats, name) - before[name]
+                    largest[name] = max(largest[name], step)
+            reference = asdict(static.stats)
+            # Plan mode emulates the static counters exactly; a full scan only
+            # widens the two scan-width counters to |Δ| per tuple; the K=1
+            # multi engine only splits evaluations into evaluated + memoised.
+            assert asdict(plan.stats) == reference
+            assert asdict(scan.stats) == {
+                **reference,
+                "transitions_scanned": length * len(pcea.transitions),
+                "predicate_evaluations": length * len(pcea.transitions),
+            }
+            memoised = asdict(multi.stats)
+            assert (
+                memoised.pop("predicate_evaluations") + memoised.pop("predicate_cache_hits")
+                == reference["predicate_evaluations"]
+            )
+            assert memoised.items() <= reference.items()
+            per_tuple.append({name: reference[name] / length for name in self.PER_TUPLE})
+            worst.append(largest)
+        # No tuple ever costs more than the query's shape allows, however long
+        # the stream: the worst step is the same at every length ...
+        assert worst[0] == worst[1] == worst[2]
+        assert all(step <= len(pcea.transitions) for step in worst[0].values())
+        # ... and the averages do not drift with it (same seeded distribution).
+        for name in self.PER_TUPLE:
+            values = [row[name] for row in per_tuple]
+            assert max(values) <= 1.05 * min(values), (name, values)
 
 
 class TestGeneralEngineDifferential:

@@ -95,6 +95,38 @@ class TestRun:
         code, _ = self._run(["--query", "Q(x, y) <- A(x), B(y), C(x, y)"], [])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "subcommand",
+        [[], ["multi"], ["multi", "--workers", "2", "--start-method", "inline"]],
+        ids=["single", "multi", "sharded"],
+    )
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_malformed_lines_are_skipped_counted_and_reported(
+        self, subcommand, source, tmp_path, capsys, monkeypatch
+    ):
+        text = "T,1\n,,\nS,1,2\n,x\nR,1,2\n"
+        argv = [*subcommand, "--query", "Q(x, y) <- T(x), S(x, y), R(x, y)", "--window", "100"]
+        if source == "file":
+            path = tmp_path / "events.csv"
+            path.write_text(text)
+            argv.append(str(path))
+        else:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "events=3 " in captured.out and "matches=1 " in captured.out
+        assert captured.out.rstrip().endswith("parse_errors=2")
+        # only the first malformed line is named, with its line number
+        assert captured.err.count("\n") == 1
+        assert "line 2" in captured.err and "without a relation name" in captured.err
+
+    def test_clean_input_reports_zero_parse_errors(self, tmp_path, capsys):
+        path = tmp_path / "events.csv"
+        path.write_text(EVENTS_CSV)
+        assert main(["--query", "Q(x, y) <- T(x), S(x, y), R(x, y)", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "parse_errors=0" in captured.out and captured.err == ""
+
     def test_main_with_file(self, tmp_path, capsys):
         path = tmp_path / "events.csv"
         path.write_text(EVENTS_CSV)

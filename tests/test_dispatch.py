@@ -109,10 +109,11 @@ class TestTransitionDispatchIndex:
         index = TransitionDispatchIndex(pcea.transitions, final=pcea.final)
         consumers = index.consumers("a")
         assert len(consumers) == 1
-        compiled, source_id, predicate = consumers[0]
+        compiled, source_id, left_key = consumers[0]
         assert compiled.index == 1
         assert source_id == index.state_ids["a"]
-        assert isinstance(predicate, TrueEquality)
+        assert isinstance(compiled.joins[0][2], TrueEquality)
+        assert left_key(Tuple("T", (1,))) == ()  # the join's compiled left extractor
         assert index.consumers("b") == ()
         assert index.consumers("missing") == ()
 
