@@ -43,8 +43,8 @@ from repro.multi import MultiQueryEngine
 from workloads import guarded_disjunction_workload, shared_star_queries
 
 
-def build_shared_engine(queries, window: int, memoise: bool = True) -> MultiQueryEngine:
-    engine = MultiQueryEngine(memoise=memoise)
+def build_shared_engine(queries, window: int) -> MultiQueryEngine:
+    engine = MultiQueryEngine()
     for pcea in queries:
         engine.register(pcea, window=window)
     return engine

@@ -392,7 +392,7 @@ def build_multi_parser() -> argparse.ArgumentParser:
         prog="repro-cer multi",
         description="Evaluate several hierarchical conjunctive queries over one CSV "
         "event stream with the shared multi-query engine (merged dispatch index, "
-        "memoised predicates, per-query windows).",
+        "one predicate evaluation per shared group, per-query windows).",
     )
     parser.add_argument(
         "stream",
@@ -426,11 +426,6 @@ def build_multi_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="feed events through the batched process_many path, N events per batch "
         "(0 = per-event processing)",
-    )
-    parser.add_argument(
-        "--no-memoise",
-        action="store_true",
-        help="disable shared unary-predicate memoisation (evaluate once per query)",
     )
     parser.add_argument(
         "--no-arena",
@@ -722,7 +717,6 @@ def run_multi(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO)
             engine = ShardedEngine(
                 workers,
                 start_method=args.start_method,
-                memoise=not args.no_memoise,
                 collect_stats=args.stats,
                 arena=not args.no_arena,
                 columnar=not args.no_columnar,
@@ -731,7 +725,6 @@ def run_multi(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO)
             )
         else:
             engine = MultiQueryEngine(
-                memoise=not args.no_memoise,
                 collect_stats=args.stats,
                 arena=not args.no_arena,
                 columnar=not args.no_columnar,
@@ -948,7 +941,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default="spawn",
         help="how --workers processes start (default spawn)",
     )
-    parser.add_argument("--no-memoise", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--no-arena", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--no-columnar", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument(
@@ -1017,7 +1009,6 @@ def run_serve(args: argparse.Namespace, output: TextIO) -> int:
             engine = ShardedEngine(
                 workers,
                 start_method=args.start_method,
-                memoise=not args.no_memoise,
                 collect_stats=args.stats,
                 arena=not args.no_arena,
                 columnar=not args.no_columnar,
@@ -1028,7 +1019,6 @@ def run_serve(args: argparse.Namespace, output: TextIO) -> int:
             from repro.multi import MultiQueryEngine
 
             engine = MultiQueryEngine(
-                memoise=not args.no_memoise,
                 collect_stats=args.stats,
                 arena=not args.no_arena,
                 columnar=not args.no_columnar,

@@ -1,51 +1,47 @@
 """Adaptive selectivity-driven dispatch (ROADMAP item 3).
 
-The dispatch indexes fix candidate order at compile time; this module
+The dispatch indexes store every relation's candidates as a standing
+:class:`~repro.core.dispatch.EvalPlan` in canonical order; this module
 closes the feedback loop.  An engine that opts in owns one
-:class:`AdaptiveState` built over its dispatch index.  Per tuple the
-state hands the fire loop an :class:`EvalPlan` — the relation's
-candidates pre-grouped by canonical predicate key — or ``None``, in
-which case the engine runs its classic candidate loop unchanged.
+:class:`AdaptiveState` built over its dispatch index and asks *it* for
+each tuple's plan: the state answers with a reordered or promoted plan
+where it has learned one, and with the index's standing plan everywhere
+else.
 
 What adaptation can and cannot do
 ---------------------------------
-Everything here is a **pure evaluation-order optimisation**.  A plan
-contains exactly the member set the static path would have scanned for
-the same tuple; the fire loops evaluate each predicate group's unary
-once (sound: equal canonical keys mean identical extensions — the same
-argument that justifies the multi engine's verdict memo) and apply the
-fired effects in canonical candidate order, so node ids, match output
-and operation counters are bit-identical to static dispatch.  Runtime
-observations steer *which sound structure is used when*; an observed
-verdict is never generalised into pruning — only declared
-``constant_guard()`` structure may prune, exactly as in the static
-guard buckets.
+Everything here is a **pure evaluation-order optimisation**.  A learned
+plan contains exactly the groups of the standing plan for the same
+tuple; the fire loop (:func:`repro.runtime.fire`) applies the fired
+effects in canonical candidate order whatever order the groups were
+evaluated in, so node ids, match output and operation counters are
+bit-identical to static dispatch.  Runtime observations steer *which
+sound structure is used when*; an observed verdict is never generalised
+into pruning — only declared ``constant_guard()`` structure may prune,
+exactly as in the index's guard buckets.
 
-The three mechanisms:
+The two mechanisms:
 
-* **Group sharing** — relations where several candidates share a
-  predicate key get a standing plan; one unary evaluation covers the
-  whole group and a miss skips every member.
-* **Reordering** — at each flush, groups inside a plan are re-sorted
+* **Reordering** — relations where several candidates share a predicate
+  key are tracked; at each flush the groups of their plan are re-sorted
   most-selective-first (fewest observed hits first, canonical order as
   the tie-break).  Order never changes what fires, only the scan order.
 * **Hot-guard promotion** — for relations with constant-guard buckets,
-  the fallback path counts observed guard values; when a value's share
+  the standing path counts observed guard values; when a value's share
   of the traffic concentrates past ``promote_threshold`` the flush
-  synthesizes the per-value plan PR 2 would have built statically
-  (unguarded members + that value's bucket, canonical order,
-  pre-grouped).  Promoted values bypass the per-tuple bucket probe
-  (list build + sort) entirely; values that go cold are demoted, which
-  is what tracks mid-stream drift.
+  builds that value's plan once (unguarded groups + the value's bucket).
+  Promoted values skip the per-tuple bucket probe and concatenation and
+  are reordered like any tracked plan; values that go cold are demoted,
+  which is what tracks mid-stream drift.
 
 Cost model
 ----------
 The per-tuple path gains one dict probe plus at most one counter
-increment: ``plan.probes`` on the plan path, one ``value_counts``
-bump on the guarded fallback path.  Per-group hit counters ride on the
-``hits`` slot of the group's first member (:class:`CompiledTransition`
-/ :class:`MergedEntry`) and are only touched when a group actually
-holds.  Counters saturate by decay: every flush halves them, so they
+increment: ``plan.probes`` on a learned plan, one ``value_counts``
+bump on a tracked guarded relation's standing path.  Per-group hit
+counters ride on the ``hits`` slot of the group's first member
+(:class:`CompiledTransition` / :class:`MergedEntry`) and are only
+touched when a group actually holds.  Counters saturate by decay: every flush halves them, so they
 stay bounded by a couple of flush intervals (an explicit cap is applied
 at flush as a backstop).  Flushes run on the eviction-sweep cadence —
 the steady-state sweep pays one integer compare, mirroring the slab
@@ -56,7 +52,7 @@ Snapshot policy
 Learned state is **deterministically reset on restore** (plans back to
 canonical order, all promotions dropped, counters cleared).  This is
 observable only through the adaptive activity counters: plans never
-change outputs, and the fire loops emulate static operation counting,
+change outputs or operation counts,
 so a restored engine's matches and ``EngineStatistics`` are
 bit-identical to an uninterrupted run — and snapshots stay fully
 interchangeable between adaptive and static engines.
@@ -64,14 +60,14 @@ interchangeable between adaptive and static engines.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple as Tup
+from typing import Any, Dict, List, Optional, Tuple as Tup
+
+from repro.core.dispatch import EvalGroup, EvalPlan
 
 __all__ = [
     "AdaptiveConfig",
     "AdaptiveState",
     "DEFAULT_ADAPTIVE_CONFIG",
-    "EvalGroup",
-    "EvalPlan",
     "resolve_config",
 ]
 
@@ -135,58 +131,6 @@ def resolve_config(adaptive: Any) -> Optional[AdaptiveConfig]:
     return DEFAULT_ADAPTIVE_CONFIG if adaptive else None
 
 
-class EvalGroup:
-    """One predicate group of a plan: members sharing a canonical key.
-
-    ``rep`` is the first member in canonical order; its ``hits`` slot is
-    the group's hit counter (incremented by the fire loop only when the
-    group's unary holds).  ``order`` is the canonical rank used as the
-    reorder tie-break, so equal-hit groups keep a deterministic order.
-    """
-
-    __slots__ = ("pred_key", "accepts", "members", "rep", "order")
-
-    def __init__(self, pred_key: Any, accepts: Any, members: Tup[Any, ...], order: int) -> None:
-        self.pred_key = pred_key
-        self.accepts = accepts
-        self.members = members
-        self.rep = members[0]
-        self.order = order
-
-
-class EvalPlan:
-    """A relation's (or promoted value's) pre-grouped candidate list.
-
-    ``groups`` is mutated in place by flush reordering; ``total`` is the
-    member count across groups (the static path's scan count, used to
-    emulate static operation counters in one bulk add).
-    """
-
-    __slots__ = ("groups", "probes", "total")
-
-    def __init__(self, groups: List[EvalGroup], total: int) -> None:
-        self.groups = groups
-        self.probes = 0
-        self.total = total
-
-
-def _build_plan(members: List[Any], order_key: Callable[[Any], int]) -> EvalPlan:
-    """Group canonically-ordered members by predicate key."""
-    grouped: Dict[Any, List[Any]] = {}
-    for member in members:
-        bucket = grouped.get(member.pred_key)
-        if bucket is None:
-            grouped[member.pred_key] = [member]
-        else:
-            bucket.append(member)
-    groups = [
-        EvalGroup(pred_key, bucket[0].accepts, tuple(bucket), order_key(bucket[0]))
-        for pred_key, bucket in grouped.items()
-    ]
-    total = len(members)
-    return EvalPlan(groups, total)
-
-
 def _group_rank(group: EvalGroup) -> Tup[int, int]:
     # Most-selective-first: fewest observed hits, canonical order tie-break.
     return (group.rep.hits, group.order)
@@ -198,17 +142,15 @@ class _RelationAdapter:
     Two shapes share the class (one attribute test on the hot path):
 
     * ``guard_position is None`` — plain tracked relation with one
-      standing ``plan`` (built only when some group has >= 2 members,
-      so singleton-group relations stay on the zero-overhead classic
-      path).
+      reorderable ``plan`` (a private copy of the index's standing plan,
+      tracked only when some group has >= 2 members).
     * ``guard_position`` set — guarded relation; ``hot`` maps promoted
-      guard values to standing plans, ``value_counts`` tallies the
-      fallback traffic the promotion pass ranks.
+      guard values to their plans, ``value_counts`` tallies the
+      standing-path traffic the promotion pass ranks.
     """
 
     __slots__ = (
         "relation",
-        "order_key",
         "plan",
         "guard_position",
         "by_value",
@@ -219,13 +161,12 @@ class _RelationAdapter:
         "hopeless",
     )
 
-    def __init__(self, relation: str, order_key: Callable[[Any], int]) -> None:
+    def __init__(self, relation: str) -> None:
         self.relation = relation
-        self.order_key = order_key
         self.plan: Optional[EvalPlan] = None
         self.guard_position: Optional[int] = None
-        self.by_value: Dict[Any, Tup[Any, ...]] = {}
-        self.unguarded: Tup[Any, ...] = ()
+        self.by_value: Dict[Any, EvalPlan] = {}
+        self.unguarded: Optional[EvalPlan] = None
         self.hot: Dict[Any, EvalPlan] = {}
         self.value_counts: Dict[Any, int] = {}
         # Consecutive fruitless promotion passes / the resulting sleep
@@ -301,12 +242,13 @@ class _RelationAdapter:
         return self._flush_guarded(config, reps)
 
     def _value_plan(self, value: Any) -> EvalPlan:
-        members = list(self.unguarded)
+        groups = list(self.unguarded.groups)
+        total = self.unguarded.total
         bucket = self.by_value.get(value)
-        if bucket:
-            members.extend(bucket)
-        members.sort(key=self.order_key)
-        return _build_plan(members, self.order_key)
+        if bucket is not None:
+            groups.extend(bucket.groups)
+            total += bucket.total
+        return EvalPlan(groups, total)
 
     # ---------------------------------------------------------- introspection
     def promoted(self) -> int:
@@ -335,10 +277,9 @@ class _RelationAdapter:
 class AdaptiveState:
     """Engine-owned feedback state over one dispatch index.
 
-    Built by ``TransitionDispatchIndex.build_adaptive`` /
-    ``MergedDispatchIndex.build_adaptive``; the index stays the source
-    of truth for structure (plans are derived views), so a structural
-    patch only needs :meth:`rebuild_relation` for the touched relations
+    Built by :meth:`~repro.core.dispatch.PlanIndex.build_adaptive`; the
+    index stays the source of truth for structure (learned plans are
+    derived copies), so a structural patch only needs :meth:`rebuild_relation` for the touched relations
     — the merged index calls it from its per-relation refresh, which
     keeps adaptation rebuilds as localized as PR 4's bucket patches.
     Learning for a refreshed relation restarts from the canonical
@@ -347,7 +288,6 @@ class AdaptiveState:
 
     __slots__ = (
         "config",
-        "order_key",
         "_index",
         "_relations",
         "_dormant",
@@ -360,9 +300,8 @@ class AdaptiveState:
     #: Longest dormancy, in flush intervals (the back-off doubles up to this).
     MAX_DORMANT_FLUSHES = 64
 
-    def __init__(self, index: Any, order_key: Callable[[Any], int], config: Optional[AdaptiveConfig] = None) -> None:
+    def __init__(self, index: Any, config: Optional[AdaptiveConfig] = None) -> None:
         self.config = config if config is not None else DEFAULT_ADAPTIVE_CONFIG
-        self.order_key = order_key
         self._index = index
         self._relations: Dict[str, _RelationAdapter] = {}
         # relation -> (sleeping adapter, flush count to wake at).  Dormant
@@ -381,41 +320,34 @@ class AdaptiveState:
 
     # ------------------------------------------------------------- structure
     def _build_adapter(self, relation: str) -> Optional[_RelationAdapter]:
-        members = self._index._by_relation.get(relation)
-        if not members:
+        standing = self._index.plans.get(relation)
+        if standing is None:
             return None
-        adapter = _RelationAdapter(relation, self.order_key)
-        guard = self._index._guarded.get(relation)
+        adapter = _RelationAdapter(relation)
+        guard = self._index.guarded.get(relation)
         if guard is not None:
-            unguarded, groups = guard
-            if len(groups) != 1:
+            unguarded, positions = guard
+            if len(positions) != 1:
                 # Guards at several positions would need a probe per
                 # position to pick a plan — not worth the hot-path cost;
-                # such relations stay on the classic bucket probe.
+                # such relations stay on the standing bucket probe.
                 return None
-            position, by_value = groups[0]
-            if not unguarded or all(
-                len(group.members) < 2
-                for group in _build_plan(list(unguarded), self.order_key).groups
-            ):
-                # The static bucket probe already reduces this relation to
-                # its value bucket (plus unshareable unguarded singletons);
-                # a promoted plan could only re-derive that structure, so
+            if all(len(group.members) < 2 for group in unguarded.groups):
+                # The bucket probe already reduces this relation to its
+                # value bucket (plus unshareable unguarded singletons);
                 # tracking would be pure overhead.  Promotion pays off
                 # exactly when the unguarded members contain a shared
-                # predicate group a value plan collapses to one evaluation.
+                # predicate group worth reordering against the bucket.
                 return None
-            adapter.guard_position = position
-            adapter.by_value = by_value
+            adapter.guard_position, adapter.by_value = positions[0]
             adapter.unguarded = unguarded
             return adapter
-        plan = _build_plan(list(members), self.order_key)
-        if all(len(group.members) < 2 for group in plan.groups):
+        if all(len(group.members) < 2 for group in standing.groups):
             # No shared predicate groups and nothing to promote: a plan
             # could only reorder, which never saves work without
             # sharing, so leave the relation untracked (zero overhead).
             return None
-        adapter.plan = plan
+        adapter.plan = EvalPlan(list(standing.groups), standing.total)
         return adapter
 
     def rebuild_relation(self, relation: str) -> None:
@@ -430,7 +362,7 @@ class AdaptiveState:
     def reset(self) -> None:
         """Deterministically drop all learned state (the restore policy)."""
         relations: Dict[str, _RelationAdapter] = {}
-        for relation in self._index._by_relation:
+        for relation in self._index.plans:
             adapter = self._build_adapter(relation)
             if adapter is not None:
                 relations[relation] = adapter
@@ -441,26 +373,25 @@ class AdaptiveState:
         return bool(self._relations) or bool(self._dormant)
 
     # --------------------------------------------------------------- hot path
-    def plan_for(self, tup: Any) -> Optional[EvalPlan]:
-        """The tuple's plan, or ``None`` to run the classic candidate loop."""
+    def plan_for(self, tup: Any) -> EvalPlan:
+        """The tuple's learned plan, or the index's standing one."""
         adapter = self._relations.get(tup.relation)
         if adapter is None:
-            return None
+            return self._index.plan_for(tup)
         position = adapter.guard_position
         if position is None:
             plan = adapter.plan
             plan.probes += 1
             return plan
-        if position >= tup.arity:
-            return None
-        value = tup.value(position)
-        plan = adapter.hot.get(value)
-        if plan is not None:
-            plan.probes += 1
-            return plan
-        counts = adapter.value_counts
-        counts[value] = counts.get(value, 0) + 1
-        return None
+        if position < tup.arity:
+            value = tup.value(position)
+            plan = adapter.hot.get(value)
+            if plan is not None:
+                plan.probes += 1
+                return plan
+            counts = adapter.value_counts
+            counts[value] = counts.get(value, 0) + 1
+        return self._index.plan_for(tup)
 
     # ---------------------------------------------------------------- flushes
     def flush(self) -> Tup[int, int, int]:

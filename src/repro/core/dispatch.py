@@ -28,12 +28,20 @@ set-membership test on a composite state.
 The per-transition data (target, labels, join predicates ordered by source) is
 flattened into slot-based :class:`CompiledTransition` records so the per-tuple
 loop performs no mapping lookups on the transition itself.
+
+Candidates are stored as **plans** (:class:`EvalPlan`): pre-grouped by the
+canonical key of their unary predicate, so the fire loop
+(:func:`repro.runtime.fire`) evaluates one predicate per group.  Every
+per-relation list, the wildcard list and every constant-guard bucket is a
+plan; :class:`PlanIndex` holds that storage and the per-tuple ``plan_for``
+lookup for both this module's per-automaton index and the multi-query
+engine's merged index.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple as Tup, TYPE_CHECKING
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple as Tup, TYPE_CHECKING
 
 from repro.core.predicates import compile_acceptor, compile_key_extractors
 
@@ -66,55 +74,206 @@ def join_signature(compiled: "CompiledTransition") -> Tup[Tup[int, str], ...]:
     )
 
 
-def _transition_order(compiled: "CompiledTransition") -> int:
-    return compiled.index
+class EvalGroup:
+    """One predicate group: members sharing a canonical unary key.
 
-
-def build_guard_buckets(members: Sequence):
-    """Split one relation's candidates into unguarded + per-guard-value buckets.
-
-    ``members`` are candidate records exposing a ``guard`` attribute
-    (``None`` or ``(position, value)``) — either :class:`CompiledTransition`
-    or the multi-query engine's merged entries.  Returns ``None`` when no
-    member is guarded (the caller then keeps plain relation dispatch), else
-    ``(unguarded, ((position, {value: members}), ...))`` with member order
-    preserved inside every bucket.
+    Equal canonical keys accept exactly the same tuples, so one ``accepts``
+    call decides the whole group.  ``rep`` is the first member in canonical
+    order; its ``hits`` slot is the group's hit counter (bumped by the fire
+    loop when the group holds) and its ``order`` the deterministic tie-break
+    adaptive reordering uses.
     """
-    if not any(member.guard is not None for member in members):
-        return None
-    unguarded = tuple(member for member in members if member.guard is None)
-    groups: Dict[int, Dict[Hashable, List]] = {}
+
+    __slots__ = ("accepts", "members", "rep", "order")
+
+    def __init__(self, members: Tup[Any, ...]) -> None:
+        rep = members[0]
+        self.accepts = rep.accepts
+        self.members = members
+        self.rep = rep
+        self.order = rep.order
+
+
+class EvalPlan:
+    """What one tuple is evaluated against: predicate groups, pre-built.
+
+    ``total`` is the member count across ``groups`` (the scan width the
+    statistics report).  A plan's member set never changes: standing plans
+    stored in an index are never mutated, and
+    :class:`~repro.core.adaptive.AdaptiveState` only reorders the groups of
+    private copies and counts their ``probes``.
+    """
+
+    __slots__ = ("groups", "total", "probes", "_flat")
+
+    def __init__(self, groups: List[EvalGroup], total: int) -> None:
+        self.groups = groups
+        self.total = total
+        self.probes = 0
+        self._flat: Optional[Tup] = None
+
+    def flat(self) -> Tup:
+        """The members back in canonical candidate order (computed once)."""
+        if self._flat is None:
+            self._flat = tuple(
+                sorted(
+                    (member for group in self.groups for member in group.members),
+                    key=member_order,
+                )
+            )
+        return self._flat
+
+
+def member_order(member) -> int:
+    return member.order
+
+
+def plan_of(members: Sequence) -> EvalPlan:
+    """Group canonically ordered members by predicate key (first-member order)."""
+    grouped: Dict[Hashable, List] = {}
     for member in members:
-        if member.guard is None:
-            continue
-        position, value = member.guard
-        groups.setdefault(position, {}).setdefault(value, []).append(member)
-    frozen = tuple(
-        (position, {value: tuple(bucket) for value, bucket in by_value.items()})
-        for position, by_value in sorted(groups.items())
-    )
-    return (unguarded, frozen)
+        bucket = grouped.get(member.pred_key)
+        if bucket is None:
+            grouped[member.pred_key] = [member]
+        else:
+            bucket.append(member)
+    return EvalPlan([EvalGroup(tuple(bucket)) for bucket in grouped.values()], len(members))
 
 
-def probe_guard_buckets(entry, tup, order_key):
-    """Look one tuple up in a :func:`build_guard_buckets` structure.
+def _plan_of_groups(groups: List[EvalGroup]) -> EvalPlan:
+    return EvalPlan(groups, sum(len(group.members) for group in groups))
 
-    Returns the unguarded candidates plus every guarded bucket whose value
-    matches the tuple's attribute (guards at positions beyond the tuple's
-    arity cannot hold and are skipped), re-sorted by ``order_key`` so the
-    result preserves the original candidate order.
+
+def _split_by_guard(plan: EvalPlan):
+    """Split a relation's groups into unguarded + per-guard-value plans.
+
+    Returns ``None`` when no member is guarded, else ``(unguarded plan,
+    ((position, {value: plan}), ...))``.  A group lands whole on one side:
+    equal canonical keys mean equal extensions, hence equal declared guards —
+    a predicate class breaking that is rejected here, at build time.
     """
-    unguarded, groups = entry
-    result = list(unguarded)
-    arity = tup.arity
-    for position, by_value in groups:
-        if position < arity:
-            matched = by_value.get(tup.value(position))
-            if matched:
-                result.extend(matched)
-    if len(result) > 1:
-        result.sort(key=order_key)
-    return result
+    if all(group.rep.guard is None for group in plan.groups):
+        return None
+    unguarded: List[EvalGroup] = []
+    by_position: Dict[int, Dict[Hashable, List[EvalGroup]]] = {}
+    for group in plan.groups:
+        guard = group.rep.guard
+        if any(member.guard != guard for member in group.members):
+            raise ValueError(
+                f"unary predicates with canonical key {group.rep.pred_key!r} declare "
+                "different constant guards; equal keys must imply equal guards"
+            )
+        if guard is None:
+            unguarded.append(group)
+        else:
+            position, value = guard
+            by_position.setdefault(position, {}).setdefault(value, []).append(group)
+    return (
+        _plan_of_groups(unguarded),
+        tuple(
+            (position, {value: _plan_of_groups(groups) for value, groups in by_value.items()})
+            for position, by_value in sorted(by_position.items())
+        ),
+    )
+
+
+class PlanIndex:
+    """Per-relation plan storage and the per-tuple lookup, shared by
+    :class:`TransitionDispatchIndex` and the multi-query engine's
+    :class:`~repro.multi.merged_index.MergedDispatchIndex`.
+
+    ``plans`` maps a relation to the plan over everything that may accept its
+    tuples (wildcards merged in); ``guarded`` holds, for relations with
+    constant-guarded members, the :func:`_split_by_guard` refinement;
+    ``wildcard_plan`` serves every other relation.  Members expose
+    ``pred_key`` / ``accepts`` / ``guard`` / ``order`` / ``hits``.
+    """
+
+    def __init__(self, guards: bool) -> None:
+        self.guards = guards
+        self.plans: Dict[str, EvalPlan] = {}
+        self.guarded: Dict[str, Tup[EvalPlan, Tup[Tup[int, Dict[Hashable, EvalPlan]], ...]]] = {}
+        self.wildcard_plan = plan_of(())
+
+    def _store_relation(self, relation: str, members: Sequence) -> None:
+        plan = self.plans[relation] = plan_of(members)
+        split = _split_by_guard(plan) if self.guards else None
+        if split is None:
+            self.guarded.pop(relation, None)
+        else:
+            self.guarded[relation] = split
+
+    def _drop_relation(self, relation: str) -> None:
+        self.plans.pop(relation, None)
+        self.guarded.pop(relation, None)
+
+    def plan_for(self, tup) -> EvalPlan:
+        """The plan a tuple is evaluated against (never ``None``).
+
+        Guarded members whose value differs from the tuple's are left out —
+        their predicate is necessarily false (guards at positions beyond the
+        tuple's arity cannot hold either).
+        """
+        entry = self.guarded.get(tup.relation)
+        if entry is None:
+            return self.plans.get(tup.relation, self.wildcard_plan)
+        unguarded, positions = entry
+        groups = unguarded.groups
+        total = unguarded.total
+        arity = tup.arity
+        for position, by_value in positions:
+            if position < arity:
+                matched = by_value.get(tup.value(position))
+                if matched is not None:
+                    groups = groups + matched.groups
+                    total += matched.total
+        if total == unguarded.total:
+            return unguarded
+        return EvalPlan(groups, total)
+
+    def candidates_for(self, tup) -> Tup:
+        """:meth:`plan_for` as a flat tuple in canonical candidate order.
+
+        The view tests and benchmarks read; the engines consume plans.
+        """
+        return self.plan_for(tup).flat()
+
+    def build_adaptive(self, config=None):
+        """An engine-owned :class:`~repro.core.adaptive.AdaptiveState` over
+        this index.
+
+        Each adaptive engine builds its own state (a per-automaton index may
+        be shared through ``PCEA.dispatch_index`` caching), so learned plans
+        never leak between engines; only the ``hits`` feedback counters live
+        on the members.
+        """
+        from repro.core.adaptive import AdaptiveState
+
+        return AdaptiveState(self, config)
+
+    def relation_fanout(self) -> Dict[str, int]:
+        """Per-relation candidate counts (``"*"`` = wildcard fallback).
+
+        The fan-out a tuple of each relation scans, identically keyed in
+        every engine mode (the per-relation observability gauges).
+        """
+        fanout = {relation: plan.total for relation, plan in self.plans.items()}
+        fanout["*"] = self.wildcard_plan.total
+        return fanout
+
+    def _layout(self) -> Dict[str, float]:
+        """The ``describe()`` keys that only depend on the stored plans."""
+        sizes = [plan.total for plan in self.plans.values()]
+        wildcards = self.wildcard_plan.total
+        return {
+            "relations": float(len(self.plans)),
+            "wildcard_transitions": float(wildcards),
+            "max_candidates": float(max(sizes, default=wildcards)),
+            "mean_candidates": float(sum(sizes) / len(sizes)) if sizes else float(wildcards),
+            "guard_values": float(
+                sum(len(by_value) for _, positions in self.guarded.values() for _, by_value in positions)
+            ),
+        }
 
 
 class CompiledTransition:
@@ -124,19 +283,25 @@ class CompiledTransition:
     predicate)`` triples so FireTransitions does not re-derive it from the
     transition's mapping on every tuple; ``relations`` is the dispatch key
     (``None`` for wildcards).  ``accepts`` and ``probes`` are what the fire
-    loops call: the unary predicate compiled to a flat ``tup -> bool`` and, in
+    loop calls: the unary predicate compiled to a flat ``tup -> bool`` and, in
     ``joins`` order, ``(source id, right-key extractor)`` pairs (see "compiled
     plans" in :mod:`repro.core.predicates`; the extractor is ``None`` for a
     join outside ``B_eq``, which only the general evaluator runs).
+    ``consumers`` are the index's ``(compiled, source id, left-key
+    extractor)`` triples reading this transition's target state — what
+    UpdateIndices walks for a node this transition created.  ``order`` (the
+    index again) is the canonical candidate rank plan members expose.
     """
 
     __slots__ = (
         "index",
+        "order",
         "transition",
         "unary",
         "accepts",
         "joins",
         "probes",
+        "consumers",
         "labels",
         "target",
         "target_id",
@@ -148,7 +313,7 @@ class CompiledTransition:
     )
 
     def __init__(self, index: int, transition: "PCEATransition") -> None:
-        self.index = index
+        self.index = self.order = index
         self.transition = transition
         self.unary = transition.unary
         self.accepts = compile_acceptor(transition.unary)
@@ -171,10 +336,10 @@ class CompiledTransition:
         self.is_final = False
         self.joins: Tup[Tup[State, int, object], ...] = ()
         self.probes: Tup[Tup[int, object], ...] = ()
-        # Adaptive-dispatch hit counter (repro.core.adaptive): bumped when
-        # this transition leads a predicate group whose unary held, halved at
-        # every flush.  Pure feedback — never read on a correctness path and
-        # excluded from signature().
+        self.consumers: Tup[Tup["CompiledTransition", int, object], ...] = ()
+        # Hit counter: bumped when this transition leads a predicate group
+        # whose unary held, halved at every adaptive flush.  Pure feedback —
+        # never read on a correctness path and excluded from signature().
         self.hits = 0
 
     def __repr__(self) -> str:
@@ -183,19 +348,53 @@ class CompiledTransition:
         return f"CompiledTransition(#{self.index}, key={key}, -> {self.target!r}{final})"
 
 
-class TransitionDispatchIndex:
+class MergedEntry:
+    """A compiled transition tagged with the lane that owns its run state.
+
+    The plan member :func:`repro.runtime.fire` consumes: ``owner`` is the
+    lane (whatever the engine registered the transition's index under),
+    ``pred_key`` the predicate-group key — the canonical key itself in a
+    single-automaton binding (:meth:`TransitionDispatchIndex.bind`), its
+    dense *interned* id in the multi-query engine's merged index, where
+    grouping then hashes a plain int instead of a nested tuple — and
+    ``order`` the canonical candidate rank (transition order; in the merged
+    index registration order, then transition order within a query).
+    """
+
+    __slots__ = ("owner", "compiled", "accepts", "pred_key", "guard", "order", "hits")
+
+    def __init__(
+        self, owner: object, compiled: CompiledTransition, pred_key: Hashable, order: int
+    ) -> None:
+        self.owner = owner
+        self.compiled = compiled
+        self.accepts = compiled.accepts
+        self.pred_key = pred_key
+        self.guard: Optional[Tup[int, object]] = compiled.guard
+        self.order = order
+        # Hit counter: bumped when this entry leads a predicate group whose
+        # unary held, halved at every adaptive flush.  Feedback only —
+        # excluded from signature().
+        self.hits = 0
+
+    def __repr__(self) -> str:
+        return f"MergedEntry(owner={self.owner!r}, {self.compiled!r})"
+
+
+class TransitionDispatchIndex(PlanIndex):
     """The per-automaton dispatch indexes (built once, read per tuple).
 
     Parameters
     ----------
     transitions:
         The PCEA transition list, in automaton order (the order determines the
-        candidate iteration order and therefore matches the full-scan engine's
+        canonical candidate order and therefore matches the full-scan engine's
         node-creation order exactly).
     indexed:
-        With ``False`` the candidate index degenerates to the full transition
-        list for every tuple — the seed engine's scan behaviour, kept for
-        ablation benchmarks and differential tests.
+        With ``False`` every transition is stored as a wildcard, so every
+        tuple is evaluated against the full transition list — the seed
+        engine's scan behaviour, kept for ablation benchmarks and
+        differential tests.
     final:
         The automaton's final-state set; fired transitions into these states
         carry ``is_final=True`` so the evaluator can collect output nodes
@@ -203,8 +402,8 @@ class TransitionDispatchIndex:
     guards:
         With ``True`` (the default), candidates carrying a constant equality
         guard (``UnaryPredicate.constant_guard``) are additionally keyed by
-        ``(relation, guard value)``; :meth:`candidates_for` then prunes
-        guarded transitions whose value does not match the tuple before their
+        ``(relation, guard value)``; :meth:`plan_for` then leaves out guarded
+        transitions whose value does not match the tuple before their
         ``unary.holds`` ever runs.  ``False`` restores pure relation-name
         dispatch (ablation).
     """
@@ -216,14 +415,16 @@ class TransitionDispatchIndex:
         final: Iterable[State] = (),
         guards: bool = True,
     ) -> None:
-        self.indexed = indexed
         self.guards = guards
+        self.indexed = indexed
         self.final = frozenset(final)
         self.state_ids: Dict[State, int] = {}
         compiled: List[CompiledTransition] = []
         consumers: Dict[int, List[Tup[CompiledTransition, int, object]]] = {}
         for i, transition in enumerate(transitions):
             c = CompiledTransition(i, transition)
+            if not indexed:
+                c.relations = None
             c.target_id = self._intern(transition.target)
             c.is_final = transition.target in self.final
             c.joins = tuple(
@@ -238,44 +439,52 @@ class TransitionDispatchIndex:
             c.probes = tuple(probes)
             compiled.append(c)
         self._all: Tup[CompiledTransition, ...] = tuple(compiled)
-        self._wildcard: Tup[CompiledTransition, ...] = tuple(
-            c for c in compiled if c.relations is None
-        )
+        self._consumers: Dict[int, Tup[Tup[CompiledTransition, int, object], ...]] = {
+            source_id: tuple(entries) for source_id, entries in consumers.items()
+        }
+        for c in compiled:
+            c.consumers = self._consumers.get(c.target_id, ())
+        # Which transitions (by index, in order) may accept each known
+        # relation's tuples — wildcards merged in; unknown relations fall back
+        # to the wildcards alone.
+        self._wildcard_members = tuple(c.index for c in compiled if c.relations is None)
         relations: set = set()
         for c in compiled:
             if c.relations is not None:
                 relations.update(c.relations)
-        # Precompute the merged (wildcard + specific) candidate list per known
-        # relation, preserving transition order.  Unknown relations fall back
-        # to the wildcard list via ``candidates``.
-        self._by_relation: Dict[str, Tup[CompiledTransition, ...]] = {
+        self._relation_members: Dict[str, Tup[int, ...]] = {
             relation: tuple(
-                c for c in compiled if c.relations is None or relation in c.relations
+                c.index for c in compiled if c.relations is None or relation in c.relations
             )
             for relation in relations
         }
-        # Constant-guard index: within a relation whose candidates carry
-        # ``(position, value)`` equality guards, bucket those candidates by
-        # guard value so a lookup probes ``value(position)`` instead of
-        # running every guarded ``unary.holds``.  Relations without any
-        # guarded candidate are omitted — ``candidates_for`` then falls back
-        # to the plain per-relation list, so the guard index costs nothing
-        # where it cannot help.
-        self._guarded: Dict[
-            str,
-            Tup[
-                Tup[CompiledTransition, ...],
-                Tup[Tup[int, Dict[Hashable, Tup[CompiledTransition, ...]]], ...],
-            ],
-        ] = {}
-        if guards:
-            for relation, members in self._by_relation.items():
-                buckets = build_guard_buckets(members)
-                if buckets is not None:
-                    self._guarded[relation] = buckets
-        self._consumers: Dict[int, Tup[Tup[CompiledTransition, int, object], ...]] = {
-            source_id: tuple(entries) for source_id, entries in consumers.items()
-        }
+
+    def _populate(self, target: PlanIndex, members: Sequence) -> PlanIndex:
+        """Store ``members`` — one per transition, in transition order — as
+        ``target``'s plans."""
+        target.wildcard_plan = plan_of([members[i] for i in self._wildcard_members])
+        for relation, ids in self._relation_members.items():
+            target._store_relation(relation, [members[i] for i in ids])
+        return target
+
+    def __getattr__(self, name: str):
+        # The index's own plans are built on first read: the hashed engines
+        # never read them (they bind or merge the transitions under their
+        # lanes instead), and grouping hashes every canonical predicate key.
+        if name not in ("plans", "guarded", "wildcard_plan"):
+            raise AttributeError(name)
+        PlanIndex.__init__(self, self.guards)
+        self._populate(self, self._all)
+        return getattr(self, name)
+
+    def bind(self, owner: object) -> PlanIndex:
+        """This index's plans with every member tagged by ``owner`` — what a
+        one-query merged index would hold: how a single-query engine attaches
+        the automaton's (shared) index to its own lane."""
+        return self._populate(
+            PlanIndex(self.guards),
+            [MergedEntry(owner, c, c.pred_key, c.index) for c in self._all],
+        )
 
     def __reduce__(self):
         # Pickled as its constructor arguments: compiled closures do not
@@ -292,24 +501,7 @@ class TransitionDispatchIndex:
     # ----------------------------------------------------------------- lookups
     def candidates(self, relation: str) -> Tup[CompiledTransition, ...]:
         """Transitions whose unary predicate may accept a tuple of ``relation``."""
-        if not self.indexed:
-            return self._all
-        return self._by_relation.get(relation, self._wildcard)
-
-    def candidates_for(self, tup) -> Sequence[CompiledTransition]:
-        """Candidates for a concrete tuple: relation dispatch plus guard pruning.
-
-        A pure refinement of :meth:`candidates`: guarded transitions whose
-        guard value differs from the tuple's are dropped (their ``holds`` is
-        necessarily false), everything else is returned in transition order so
-        firing behaviour matches the unguarded engine exactly.
-        """
-        if not self.indexed:
-            return self._all
-        entry = self._guarded.get(tup.relation)
-        if entry is None:
-            return self._by_relation.get(tup.relation, self._wildcard)
-        return probe_guard_buckets(entry, tup, _transition_order)
+        return self.plans.get(relation, self.wildcard_plan).flat()
 
     def consumers_by_id(self, state_id: int) -> Tup[Tup[CompiledTransition, int, object], ...]:
         """``(compiled transition, source id, left-key extractor)`` triples reading the state."""
@@ -324,19 +516,6 @@ class TransitionDispatchIndex:
 
     def all_transitions(self) -> Tup[CompiledTransition, ...]:
         return self._all
-
-    def build_adaptive(self, config=None):
-        """An engine-owned :class:`~repro.core.adaptive.AdaptiveState` over
-        this index.
-
-        Each adaptive engine builds its own state (the index itself may be
-        shared through ``PCEA.dispatch_index`` caching), so learned plans
-        never leak between engines; only the ``hits`` feedback counters live
-        on the shared :class:`CompiledTransition` records.
-        """
-        from repro.core.adaptive import AdaptiveState
-
-        return AdaptiveState(self, _transition_order, config)
 
     # ------------------------------------------------------------ introspection
     def __len__(self) -> int:
@@ -380,13 +559,7 @@ class TransitionDispatchIndex:
         keys within the automaton) so the CLI ``--stats`` dispatch line is
         identical across engine modes.
         """
-        sizes = [len(candidates) for candidates in self._by_relation.values()]
         guarded = sum(1 for c in self._all if c.guard is not None)
-        guard_values = sum(
-            len(by_value)
-            for _, groups in self._guarded.values()
-            for _, by_value in groups
-        )
         key_counts: Dict[Hashable, int] = {}
         for c in self._all:
             key_counts[c.pred_key] = key_counts.get(c.pred_key, 0) + 1
@@ -397,30 +570,13 @@ class TransitionDispatchIndex:
             "shared_predicate_groups": float(
                 sum(1 for count in key_counts.values() if count > 1)
             ),
-            "relations": float(len(self._by_relation)),
-            "wildcard_transitions": float(len(self._wildcard)),
-            "max_candidates": float(max(sizes, default=len(self._wildcard))),
-            "mean_candidates": float(sum(sizes) / len(sizes)) if sizes else float(len(self._wildcard)),
             "guarded_transitions": float(guarded if self.guards else 0),
-            "guard_values": float(guard_values),
             # A single-automaton index is built once and never patched; the
             # keys exist so the merged index's describe() stays key-identical.
             "patched_adds": 0.0,
             "patched_removes": 0.0,
+            **self._layout(),
         }
-
-    def relation_fanout(self) -> Dict[str, int]:
-        """Per-relation candidate-list sizes (``"*"`` = wildcard fallback).
-
-        The fan-out a tuple of each relation scans — sampled over time (the
-        observability gauges) this is the per-bucket hit-rate series the
-        adaptive-dispatch roadmap item needs.
-        """
-        fanout = {
-            relation: len(members) for relation, members in self._by_relation.items()
-        }
-        fanout["*"] = len(self._wildcard)
-        return fanout
 
     def __repr__(self) -> str:
         info = self.describe()

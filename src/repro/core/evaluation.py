@@ -26,16 +26,17 @@ these costs, so the implementation should not pay them either):
   name extracted from the unary predicates, plus a reverse ``state ->
   consuming transitions`` map).  ``indexed=False`` restores the seed engine's
   full ``O(|Δ|)`` scans for ablation.
-* **Shared runtime core** — the stream position, the expiry-driven eviction
-  sweep, the arena release protocol, batched ingestion and the statistics /
-  memory introspection surface live in :mod:`repro.runtime`
-  (:class:`~repro.runtime.StreamRuntime`), shared verbatim with the
-  multi-query and general evaluators; this evaluator is the K=1 lane of that
-  runtime.  Entries of ``H`` whose node fell out of the sliding window are
-  dropped by a bucket-by-expiry-position sweep, bounding the table at
-  ``O(active window)`` instead of ``O(stream length)``; the ``evicted``
-  counter reports the reclaimed entries, ``evict=False`` restores the
-  unbounded seed behaviour.
+* **Shared runtime core** — the update procedure itself
+  (:func:`repro.runtime.fire`), the stream position, the expiry-driven
+  eviction sweep, the arena release protocol, batched ingestion and the
+  statistics / memory introspection surface live in :mod:`repro.runtime`,
+  shared verbatim with the multi-query engine; this evaluator is the K=1
+  facade: one :class:`~repro.runtime.EvictionLane` owning every transition
+  of the automaton's dispatch index.  Entries of ``H`` whose node fell out
+  of the sliding window are dropped by a bucket-by-expiry-position sweep,
+  bounding the table at ``O(active window)`` instead of ``O(stream
+  length)``; the ``evicted`` counter reports the reclaimed entries,
+  ``evict=False`` restores the unbounded seed behaviour.
 * **Optional statistics** — the per-tuple operation counters are skipped
   entirely in fast mode (``collect_stats=False``, and by default inside
   ``run(collect=False)``), so throughput benchmarks measure the algorithm,
@@ -60,7 +61,7 @@ from repro.core.datastructure import DataStructure, Node
 from repro.core.dispatch import TransitionDispatchIndex
 from repro.core.pcea import PCEA
 from repro.cq.schema import Tuple
-from repro.runtime import EngineStatistics, EvictionLane, RuntimeBackedEngine, StreamRuntime
+from repro.runtime import EngineStatistics, EvictionLane, RuntimeBackedEngine, StreamRuntime, fire
 from repro.runtime.snapshot import (
     SNAPSHOT_VERSION,
     SnapshotError,
@@ -83,11 +84,6 @@ UpdateStatistics = EngineStatistics
 
 class NotEqualityPredicateError(TypeError):
     """Raised when Algorithm 1 is instantiated on a PCEA with non-equality joins."""
-
-
-def _fired_order(item) -> int:
-    # Canonical transition order for plan-mode effect application.
-    return item[0].index
 
 
 class StreamingEvaluator(RuntimeBackedEngine):
@@ -145,12 +141,12 @@ class StreamingEvaluator(RuntimeBackedEngine):
         actually running.
     adaptive:
         Adaptive selectivity-driven dispatch (:mod:`repro.core.adaptive`):
-        ``True`` (default) enables runtime feedback — shared-predicate
-        groups evaluated once per tuple, periodic reordering, hot
-        constant-guard promotion — with outputs and operation counters
-        bit-identical to the static path (``False``, the ablation oracle).
-        An explicit :class:`~repro.core.adaptive.AdaptiveConfig` overrides
-        the flush/promotion knobs.  Ignored with ``indexed=False``.
+        ``True`` (default) enables runtime feedback — periodic reordering
+        of predicate groups, hot constant-guard promotion — with outputs
+        and operation counters bit-identical to the static path (``False``,
+        the ablation oracle).  An explicit
+        :class:`~repro.core.adaptive.AdaptiveConfig` overrides the
+        flush/promotion knobs.  Inert with ``indexed=False``.
 
     Examples
     --------
@@ -186,10 +182,10 @@ class StreamingEvaluator(RuntimeBackedEngine):
             self.ds = DataStructure(window)
         if self.ds.window != window:
             raise ValueError("data structure window must match the evaluator window")
-        # The shared runtime core (position, expiry buckets, eviction sweep,
-        # arena release passes, batching, statistics): this evaluator is the
-        # K=1 lane of the same machinery the multi-query engine runs per
-        # registered query.
+        # The shared runtime core (fire loop, position, expiry buckets,
+        # eviction sweep, arena release passes, batching, statistics): this
+        # evaluator is the K=1 lane of the same machinery the multi-query
+        # engine runs per registered query.
         self._runtime = StreamRuntime()
         self._lane = self._runtime.add_lane(EvictionLane(window, self.ds))
         # H maps (transition index, source state, key) to ``(node, max_start)``
@@ -223,16 +219,19 @@ class StreamingEvaluator(RuntimeBackedEngine):
                 pcea.transitions, indexed=False, final=pcea.final
             )
         self._evict = evict
-        # Adaptive dispatch: engine-owned feedback state over the (possibly
-        # shared) dispatch index.  Armed only when the index has something
-        # to adapt — a guarded relation or a shared predicate group —
-        # otherwise the per-tuple path is exactly the static one.
-        self._adaptive = None
-        config = resolve_config(adaptive) if self._dispatch.indexed else None
+        # The automaton's (possibly shared) index bound to this engine's lane:
+        # the plans ``fire`` consumes carry their owning lane per member.
+        bound = self._dispatch.bind(self._lane)
+        self._plan_for = bound.plan_for
+        # Adaptive dispatch: engine-owned feedback state, armed only when the
+        # index has something to adapt — a promotable guard position or a
+        # shared predicate group.
+        config = resolve_config(adaptive)
         if config is not None:
-            state = self._dispatch.build_adaptive(config)
+            state = bound.build_adaptive(config)
             if state.tracked():
                 self._adaptive = state
+                self._plan_for = state.plan_for
                 self._runtime.arm_adapt(self._adapt_flush, config.interval)
 
     # -------------------------------------------------------------- main loop
@@ -306,200 +305,29 @@ class StreamingEvaluator(RuntimeBackedEngine):
         registration still happens); :meth:`process_many` uses it to run one
         batched sweep instead of one per tuple.
         """
-        # Reset.
         runtime = self._runtime
         position = runtime.advance()
-        window = self.window
-        ds = self.ds
-        lane = self._lane
-        hash_table = self._hash
-        dispatch = self._dispatch
-        stats = runtime.stats if self._count_stats else None
-        if stats is not None:
-            stats.tuples_processed += 1
-        # Keyed by interned state id (plain int) — composite automaton states
-        # never reach a hash table in the per-tuple loop.  Values are
-        # ``(node, max_start)`` pairs: max_start is threaded through from the
-        # children's cached values (extend takes the min, union the max — both
-        # exact by construction / the heap condition), so the loop never reads
-        # it back through the data structure.
-        new_nodes: Dict[int, List[Tup[NodeRef, int]]] = {}
-        final_nodes: List[NodeRef] = []
-
-        # Evict: one shared-runtime sweep.  A key is registered (below) in the
-        # bucket of its expiry position ``max_start + window + 1``; since
-        # every stored node satisfies max_start >= position - window at
-        # storage time, popping the single bucket of the current position
-        # reclaims every entry exactly when it expires.  The sweep is also
-        # when arena slabs are released: a slab's last external reference is
-        # dropped no later than the bucket of its largest max_start, which is
-        # due exactly when the slab expires.
+        # Evict: one shared-runtime sweep.  A key is registered in the bucket
+        # of its expiry position ``max_start + window + 1``; since every
+        # stored node satisfies max_start >= position - window at storage
+        # time, popping the single bucket of the current position reclaims
+        # every entry exactly when it expires.  The sweep is also when arena
+        # slabs are released: a slab's last external reference is dropped no
+        # later than the bucket of its largest max_start, which is due
+        # exactly when the slab expires.
         if self._evict and sweep:
             runtime.sweep(position)
-
-        # FireTransitions, restricted to the candidate transitions for this
-        # tuple's relation and constant guards (wildcard transitions are
-        # always candidates).
-        adaptive = self._adaptive
-        plan = adaptive.plan_for(tup) if adaptive is not None else None
-        # Extractors are interned by key plan (repro.core.predicates): joins
-        # projecting this tuple alike share one, and ``key`` is its cached result.
-        keyed_by = key = None
-        if plan is not None:
-            # Plan mode (repro.core.adaptive): one acceptor call per
-            # predicate group — a miss skips every member, sound because
-            # equal canonical keys accept exactly the same tuples — then the
-            # fired transitions applied in canonical transition order.  The
-            # fire phase only reads the hash table, so the fired *set* is
-            # evaluation-order-invariant; sorting before the effects makes
-            # node creation, bucket fill and final collection bit-identical
-            # to the static loop.  Counters are bulk-added to exactly what
-            # the static loop would have counted for the same member set.
-            if stats is not None:
-                stats.transitions_scanned += plan.total
-                stats.predicate_evaluations += plan.total
-            fired: List[Tup[object, List[NodeRef], int]] = []
-            for group in plan.groups:
-                if not group.accepts(tup):
-                    continue
-                group.rep.hits += 1
-                for compiled in group.members:
-                    children = []
-                    node_ms = position
-                    feasible = True
-                    for source_id, extract in compiled.probes:
-                        if extract is not keyed_by:
-                            keyed_by = extract
-                            key = extract(tup)
-                        if stats is not None:
-                            stats.hash_lookups += 1
-                        if key is None:
-                            feasible = False
-                            break
-                        pair = hash_table.get((compiled.index, source_id, key))
-                        if pair is None or position - pair[1] > window:
-                            feasible = False
-                            break
-                        children.append(pair[0])
-                        if pair[1] < node_ms:
-                            node_ms = pair[1]
-                    if feasible:
-                        fired.append((compiled, children, node_ms))
-            if len(fired) > 1:
-                fired.sort(key=_fired_order)
-            for compiled, children, node_ms in fired:
-                node = ds.extend(compiled.labels, position, children, node_ms)
-                if stats is not None:
-                    stats.transitions_fired += 1
-                    stats.nodes_created += 1
-                bucket = new_nodes.get(compiled.target_id)
-                if bucket is None:
-                    new_nodes[compiled.target_id] = [(node, node_ms)]
-                else:
-                    bucket.append((node, node_ms))
-                if compiled.is_final:
-                    final_nodes.append(node)
-        else:
-            for compiled in dispatch.candidates_for(tup):
-                if stats is not None:
-                    stats.transitions_scanned += 1
-                    stats.predicate_evaluations += 1
-                if not compiled.accepts(tup):
-                    continue
-                children = []
-                node_ms = position
-                feasible = True
-                for source_id, extract in compiled.probes:
-                    if extract is not keyed_by:
-                        keyed_by = extract
-                        key = extract(tup)  # the current tuple is the later one
-                    if stats is not None:
-                        stats.hash_lookups += 1
-                    if key is None:
-                        feasible = False
-                        break
-                    pair = hash_table.get((compiled.index, source_id, key))
-                    # ``ds.expired`` with the cached max_start: stored nodes
-                    # are never bottom, and an expired (possibly released)
-                    # node simply fails the window check.
-                    if pair is None or position - pair[1] > window:
-                        feasible = False
-                        break
-                    children.append(pair[0])
-                    if pair[1] < node_ms:
-                        node_ms = pair[1]
-                if not feasible:
-                    continue
-                # node_ms == min(position, min child max_start) — exactly the
-                # max_start ``extend`` computes for the new node; passing it
-                # in lets the arena skip re-reading the child records (the
-                # in-window check above certifies the children are live).
-                node = ds.extend(compiled.labels, position, children, node_ms)
-                if stats is not None:
-                    stats.transitions_fired += 1
-                    stats.nodes_created += 1
-                bucket = new_nodes.get(compiled.target_id)
-                if bucket is None:
-                    new_nodes[compiled.target_id] = [(node, node_ms)]
-                else:
-                    bucket.append((node, node_ms))
-                if compiled.is_final:
-                    final_nodes.append(node)
-
-        # UpdateIndices, restricted to the transitions that consume a state
-        # that actually received new runs this position.
-        if new_nodes:
-            buckets = runtime.buckets if self._evict else None
-            add_ref = lane.add_ref
-            lane_id = lane.lane_id
-            for state_id, nodes in new_nodes.items():
-                for compiled, source_id, extract in dispatch.consumers_by_id(state_id):
-                    if extract is not keyed_by:
-                        keyed_by = extract
-                        key = extract(tup)  # the current tuple will be the earlier one
-                    if key is None:
-                        continue
-                    entry_key = (compiled.index, source_id, key)
-                    pair = hash_table.get(entry_key)
-                    if pair is None:
-                        entry = None
-                        entry_ms = -1
-                    else:
-                        entry, entry_ms = pair
-                    for node, node_ms in nodes:
-                        if stats is not None:
-                            stats.hash_updates += 1
-                        if entry is None:
-                            entry = node
-                            entry_ms = node_ms
-                        else:
-                            if stats is not None:
-                                stats.unions += 1
-                            # position/node_ms describe the fresh node the
-                            # fire loop just built — the arena's fast path.
-                            entry = ds.union(entry, node, position, node_ms)
-                            # Heap condition: the union's max_start is the max
-                            # of the two sides (expired sides are pruned, and
-                            # a pruned side is always the smaller one).
-                            if node_ms > entry_ms:
-                                entry_ms = node_ms
-                    hash_table[entry_key] = (entry, entry_ms)
-                    if buckets is not None:
-                        # Flat-triple registration (see StreamRuntime.register_entry):
-                        # three appends, no per-entry tuple allocation.
-                        expiry_position = entry_ms + window + 1
-                        expiry = buckets.get(expiry_position)
-                        if expiry is None:
-                            buckets[expiry_position] = [lane_id, entry_key, entry]
-                        else:
-                            expiry.append(lane_id)
-                            expiry.append(entry_key)
-                            expiry.append(entry)
-                        add_ref(entry)
-
-        # ``final_nodes`` was collected at fire time (transitions know whether
-        # their target is final), ready for the enumeration phase.
-        return final_nodes
+        plan = self._plan_for(tup)
+        stats = None
+        if self._count_stats:
+            stats = runtime.stats
+            stats.tuples_processed += 1
+            # Every plan member counts as scanned and evaluated, however many
+            # share a predicate group (what a per-candidate loop would count).
+            stats.transitions_scanned += plan.total
+            stats.predicate_evaluations += plan.total
+        finals = fire(plan, tup, position, runtime.buckets if self._evict else None, stats)
+        return finals[self._lane] if finals else []
 
     # ------------------------------------------------------- enumeration phase
     def enumerate_outputs(self, final_nodes: Sequence[NodeRef]) -> Iterator[Valuation]:
@@ -579,26 +407,13 @@ class StreamingEvaluator(RuntimeBackedEngine):
             raise SnapshotError(f"snapshot is missing the {exc} section") from exc
         self._lane.restore(lane_snap)
         self._runtime.restore(runtime_snap, [self._lane])
-        if self._adaptive is not None:
-            # Restore policy (repro.core.adaptive): learned state resets
-            # deterministically and the flush clock re-seats from the
-            # restored position — invisible in outputs and statistics, so
-            # snapshots stay interchangeable with static engines.
-            self._adaptive.reset()
-            self._runtime.arm_adapt(self._adapt_flush, self._adaptive.config.interval)
+        self._reset_adaptive()
 
     # ------------------------------------------------------------ introspection
     # (hash_table_size / memory_info / dispatch_info / observe come from
     # RuntimeBackedEngine; this hook points them at the automaton's index.)
     def _dispatch_source(self):
         return self._dispatch
-
-    def _adapt_flush(self, position: int) -> None:
-        """Adapt-clock callback: one reorder/promotion pass over the plans."""
-        reorders, promotions, demotions = self._adaptive.flush()
-        obs = self._runtime.obs
-        if obs is not None and (reorders or promotions or demotions):
-            obs.on_dispatch_adapt(reorders, promotions, demotions)
 
     def reset_statistics(self) -> None:
         self._runtime.reset_statistics()

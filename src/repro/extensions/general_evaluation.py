@@ -64,7 +64,7 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
 from repro.core.adaptive import resolve_config
 from repro.core.arena import ArenaDataStructure
 from repro.core.datastructure import DataStructure
-from repro.core.dispatch import TransitionDispatchIndex, _transition_order
+from repro.core.dispatch import TransitionDispatchIndex, member_order
 from repro.core.evaluation import NodeRef
 from repro.core.pcea import PCEA
 from repro.cq.schema import Tuple
@@ -179,9 +179,8 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
         constant-guard values.  Particularly effective here, where a shared
         group verdict saves whole ring scans; outputs, counters and
         snapshots stay bit-identical to the static path (``False``, the
-        ablation oracle).  Requires ``indexed=True`` (silently inert
-        otherwise); an :class:`~repro.core.adaptive.AdaptiveConfig`
-        overrides the knobs.
+        ablation oracle).  Inert with ``indexed=False``; an
+        :class:`~repro.core.adaptive.AdaptiveConfig` overrides the knobs.
     """
 
     def __init__(
@@ -228,16 +227,15 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
         self._count_stats = collect_stats
         self._runtime.count_stats = collect_stats
         self.nodes_scanned = 0
-        # Adaptive dispatch: only armed when the index actually dispatches
-        # and the automaton has something to learn (a promotable guard
-        # position or a shareable predicate group) — otherwise the per-tuple
-        # path is exactly the static one.
-        self._adaptive = None
-        config = resolve_config(adaptive) if self._dispatch.indexed else None
+        # Adaptive dispatch: only armed when the automaton has something to
+        # learn (a promotable guard position or a shareable predicate group).
+        self._plan_for = self._dispatch.plan_for
+        config = resolve_config(adaptive)
         if config is not None:
             state = self._dispatch.build_adaptive(config)
             if state.tracked():
                 self._adaptive = state
+                self._plan_for = state.plan_for
                 self._runtime.arm_adapt(self._adapt_flush, config.interval)
 
     # -------------------------------------------------------------- main loop
@@ -317,41 +315,29 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
         ds_expired = ds.expired
         hash_table = self._hash
         rings = self._rings
-        stats = runtime.stats if self._count_stats else None
-        if stats is not None:
-            stats.tuples_processed += 1
         created: List[Tup[int, bool, NodeRef]] = []
         scanned = 0
-        # Plan mode evaluates one unary per predicate group (all members are
-        # pred_key-equal, so the group verdict is each member's verdict),
-        # then runs the held members' ring scans in canonical transition
-        # order.  The scans read only state stored by *previous* tuples, so
-        # deciding all verdicts up front cannot change any scan's view —
-        # ``created`` (and hence node allocation, storage and snapshots)
-        # stays bit-identical to the static candidate walk.
-        adaptive = self._adaptive
-        plan = adaptive.plan_for(tup) if adaptive is not None else None
-        if plan is not None:
-            if stats is not None:
-                stats.transitions_scanned += plan.total
-                stats.predicate_evaluations += plan.total
-            held: List = []
-            for group in plan.groups:
-                if group.accepts(tup):
-                    group.rep.hits += 1
-                    held.extend(group.members)
-            if len(held) > 1:
-                held.sort(key=_transition_order)
-            candidates = held
-        else:
-            candidates = self._dispatch.candidates_for(tup)
-        for compiled in candidates:
-            if plan is None:
-                if stats is not None:
-                    stats.transitions_scanned += 1
-                    stats.predicate_evaluations += 1
-                if not compiled.accepts(tup):
-                    continue
+        # One unary per predicate group (all members are pred_key-equal, so
+        # the group verdict is each member's verdict), then the held
+        # members' ring scans in canonical transition order.  The scans read
+        # only state stored by *previous* tuples, so deciding all verdicts up
+        # front cannot change any scan's view — ``created`` (and hence node
+        # allocation, storage and snapshots) does not depend on plan order.
+        plan = self._plan_for(tup)
+        stats = None
+        if self._count_stats:
+            stats = runtime.stats
+            stats.tuples_processed += 1
+            stats.transitions_scanned += plan.total
+            stats.predicate_evaluations += plan.total
+        held: List = []
+        for group in plan.groups:
+            if group.accepts(tup):
+                group.rep.hits += 1
+                held.extend(group.members)
+        if len(held) > 1:
+            held.sort(key=member_order)
+        for compiled in held:
             if not compiled.joins:  # initial transition: no sources to join
                 node = ds.extend(compiled.labels, position, [])
                 if stats is not None:
@@ -511,11 +497,7 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
         self._rings = rings
         self._next_seq = next_seq
         self.nodes_scanned = nodes_scanned
-        if self._adaptive is not None:
-            # Deterministic reset (learning state is never serialized): the
-            # restored engine re-learns, identically on every restore.
-            self._adaptive.reset()
-            self._runtime.arm_adapt(self._adapt_flush, self._adaptive.config.interval)
+        self._reset_adaptive()
 
     # ------------------------------------------------------------ introspection
     def live_run_count(self) -> int:
@@ -540,12 +522,6 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
     # RuntimeBackedEngine; this hook points them at the automaton's index.)
     def _dispatch_source(self):
         return self._dispatch
-
-    def _adapt_flush(self, position: int) -> None:
-        reorders, promotions, demotions = self._adaptive.flush()
-        obs = self._runtime.obs
-        if obs is not None and (reorders or promotions or demotions):
-            obs.on_dispatch_adapt(reorders, promotions, demotions)
 
     def reset_statistics(self) -> None:
         self._runtime.reset_statistics()

@@ -1,4 +1,4 @@
-"""Multi-query streaming: shared dispatch, memoised predicates, one pass.
+"""Multi-query streaming: shared dispatch, shared predicate groups, one pass.
 
 The paper's Theorem 5.1 bounds the per-tuple update cost of *one* unambiguous
 PCEA ``P`` at ``O(|P|·|t| + |P|·log|P| + |P|·log w)``.  Running ``N``
@@ -18,11 +18,13 @@ exactly those of an independent evaluator:
   PCEA, DSL patterns, conjunctive queries, or query strings;
 * :class:`~repro.multi.merged_index.MergedDispatchIndex` — the union of the
   per-PCEA transition dispatch indexes, keyed by relation name and constant
-  guard, with every candidate tagged by its owning query;
-* :class:`~repro.multi.engine.MultiQueryEngine` — the shared per-tuple loop:
-  one merged dispatch lookup, one unary-predicate evaluation per canonical
-  key (:meth:`~repro.core.predicates.UnaryPredicate.canonical_key`), one
-  shared eviction sweep across every query's hash table (each query is an
+  guard, with every candidate tagged by its owning query and pre-grouped by
+  canonical predicate key
+  (:meth:`~repro.core.predicates.UnaryPredicate.canonical_key`);
+* :class:`~repro.multi.engine.MultiQueryEngine` — the K-lane facade over the
+  one fire loop (:func:`repro.runtime.fire`): one merged dispatch lookup,
+  one unary-predicate evaluation per predicate group, one shared eviction
+  sweep across every query's hash table (each query is an
   :class:`~repro.runtime.EvictionLane` of the same
   :class:`~repro.runtime.StreamRuntime` the single-query evaluator runs as
   its K=1 lane), and a batched
@@ -51,8 +53,9 @@ registered queries); ``incremental=False`` keeps the full-rebuild path as the
 ablation baseline.
 """
 
+from repro.core.dispatch import MergedEntry
 from repro.multi.engine import MultiQueryEngine, MultiQueryStatistics
-from repro.multi.merged_index import MergedDispatchIndex, MergedEntry
+from repro.multi.merged_index import MergedDispatchIndex
 from repro.multi.registry import (
     QueryHandle,
     QueryRegistry,

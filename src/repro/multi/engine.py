@@ -8,11 +8,11 @@ but the per-tuple work is shared three ways:
 
 * **one dispatch lookup** through the
   :class:`~repro.multi.merged_index.MergedDispatchIndex` returns the candidate
-  transitions of all queries at once;
-* **one unary-predicate evaluation per canonical key** — structurally
-  identical predicates across queries are evaluated once per tuple and the
-  verdict is memoised (sound because equal canonical keys imply equal
-  extensions);
+  transitions of all queries at once, pre-grouped by canonical predicate key;
+* **one unary-predicate evaluation per group** — structurally identical
+  predicates across queries are evaluated once per tuple by the shared fire
+  loop (:func:`repro.runtime.fire`; sound because equal canonical keys imply
+  equal extensions);
 * **one eviction sweep** through the shared
   :class:`~repro.runtime.StreamRuntime` — every query is an
   :class:`~repro.runtime.EvictionLane` of the same runtime the single-query
@@ -37,13 +37,12 @@ the stream at ``p`` (its valuations carry global stream positions).
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple as Tup
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.adaptive import resolve_config
 from repro.core.arena import ArenaDataStructure
 from repro.core.kernel import resolve_kernel
 from repro.core.datastructure import DataStructure
-from repro.core.evaluation import NodeRef
 from repro.cq.schema import Tuple
 from repro.multi.merged_index import MergedDispatchIndex
 from repro.multi.registry import QueryHandle, QueryRegistry, QuerySpec
@@ -53,6 +52,7 @@ from repro.runtime import (
     EvictionLane,
     RuntimeBackedEngine,
     StreamRuntime,
+    fire,
 )
 from repro.runtime.snapshot import (
     PARTIAL_SNAPSHOT_KIND,
@@ -64,13 +64,6 @@ from repro.runtime.snapshot import (
 )
 from repro.valuation import Valuation
 
-
-_MISS = object()  # memo-cache sentinel (verdicts are booleans, None won't do)
-
-
-def _fired_entry_order(item) -> int:
-    # Canonical candidate order for plan-mode effect application.
-    return item[0].order
 
 #: Backwards-compatible name: the per-engine statistics dataclasses were
 #: unified into :class:`repro.runtime.EngineStatistics` (the old
@@ -119,10 +112,6 @@ class MultiQueryEngine(RuntimeBackedEngine):
         Optional externally owned :class:`QueryRegistry`; by default the
         engine creates its own.  Queries already present in a supplied
         registry are picked up at construction time.
-    memoise:
-        With ``True`` (default), unary predicates are evaluated once per
-        canonical key per tuple and shared across queries; ``False`` restores
-        one evaluation per candidate (ablation / differential testing).
     guards:
         Passed to the merged index: prune constant-guarded candidates by
         value before their predicate runs.
@@ -163,16 +152,14 @@ class MultiQueryEngine(RuntimeBackedEngine):
         over the merged index: runtime feedback reorders candidate groups
         and promotes hot constant-guard values to standing plans, with
         per-query outputs and counters bit-identical to the static path
-        (``False``, the ablation oracle).  Plan mode shares one verdict per
-        predicate group, so it requires ``memoise=True`` (silently inert
-        otherwise).  An :class:`~repro.core.adaptive.AdaptiveConfig`
-        overrides the flush/promotion knobs.
+        (``False``, the ablation oracle).  An
+        :class:`~repro.core.adaptive.AdaptiveConfig` overrides the
+        flush/promotion knobs.
     """
 
     def __init__(
         self,
         registry: Optional[QueryRegistry] = None,
-        memoise: bool = True,
         guards: bool = True,
         collect_stats: bool = False,
         arena: bool = True,
@@ -183,7 +170,6 @@ class MultiQueryEngine(RuntimeBackedEngine):
         adaptive: object = True,
     ) -> None:
         self.registry = registry if registry is not None else QueryRegistry()
-        self.memoise = memoise
         self._guards = guards
         self._arena = arena
         self._columnar = columnar
@@ -202,12 +188,9 @@ class MultiQueryEngine(RuntimeBackedEngine):
             self._lanes[entry.handle.id] = lane
             self._runtime.add_lane(lane)
             self._merged.add_query(lane, lane.dispatch)
-        # Adaptive dispatch over the merged index.  Plan mode shares one
-        # verdict per predicate group (and emulates the memoised counters),
-        # so it is gated on memoise; the listener hookup keeps plans fresh
-        # through incremental registration patches.
-        self._adaptive = None
-        config = resolve_config(adaptive) if memoise else None
+        # Adaptive dispatch over the merged index; the listener hookup keeps
+        # learned plans fresh through incremental registration patches.
+        config = resolve_config(adaptive)
         if config is not None:
             self._adaptive = self._merged.build_adaptive(config)
             self._merged.adaptive_listener = self._adaptive
@@ -314,231 +297,30 @@ class MultiQueryEngine(RuntimeBackedEngine):
     def _process(self, tup: Tuple, sweep: bool) -> Dict[int, List[Valuation]]:
         runtime = self._runtime
         position = runtime.advance()
-        stats = runtime.stats if self._count_stats else None
-        if stats is not None:
-            stats.tuples_processed += 1
-
         if sweep:
             runtime.sweep(position)
-
-        # FireTransitions over the union of all queries' candidates — one
-        # merged lookup, one memoised predicate evaluation per canonical key.
-        # The bookkeeping dicts are allocated lazily: on most tuples nothing
-        # fires, and the whole per-tuple cost is the candidate loop itself.
-        memoise = self.memoise
-        # new_nodes buckets hold (node, max_start) pairs: max_start is
-        # threaded from the children's cached values (min for extend, max for
-        # union — exact by construction / the heap condition), so the shared
-        # loop never reads it back through a lane's data structure.
-        new_nodes: Optional[Dict[_QueryLane, Dict[int, List[Tup[NodeRef, int]]]]] = None
-        final_by_lane: Optional[Dict[_QueryLane, List[NodeRef]]] = None
-        adaptive = self._adaptive
-        plan = adaptive.plan_for(tup) if adaptive is not None else None
-        # Extractors are interned by key plan (repro.core.predicates): lanes
-        # projecting this tuple alike share one, and ``key`` is its cached result.
-        keyed_by = key = None
-        if plan is not None:
-            # Plan mode: one predicate evaluation per group (the memoised
-            # path would reach the same count — every group member shares the
-            # group's canonical key), members probed in selectivity order.
-            # The fired set is evaluation-order-invariant because this phase
-            # only reads the hash table; sorting it back into entry order
-            # before applying effects keeps extends/unions/enumeration — and
-            # therefore outputs and node ids — bit-identical to the static
-            # candidate scan.
-            if stats is not None:
-                groups_n = len(plan.groups)
-                stats.transitions_scanned += plan.total
-                stats.predicate_evaluations += groups_n
-                stats.predicate_cache_hits += plan.total - groups_n
-            fired: List[Tup] = []
-            for group in plan.groups:
-                if not group.accepts(tup):
-                    continue
-                group.rep.hits += 1
-                for entry in group.members:
-                    lane = entry.owner
-                    compiled = entry.compiled
-                    hash_table = lane.hash
-                    window = lane.window
-                    children: List[NodeRef] = []
-                    node_ms = position
-                    feasible = True
-                    for source_id, extract in compiled.probes:
-                        if extract is not keyed_by:
-                            keyed_by = extract
-                            key = extract(tup)
-                        if stats is not None:
-                            stats.hash_lookups += 1
-                        if key is None:
-                            feasible = False
-                            break
-                        pair = hash_table.get((compiled.index, source_id, key))
-                        if pair is None or position - pair[1] > window:
-                            feasible = False
-                            break
-                        children.append(pair[0])
-                        if pair[1] < node_ms:
-                            node_ms = pair[1]
-                    if feasible:
-                        fired.append((entry, children, node_ms))
-            if len(fired) > 1:
-                fired.sort(key=_fired_entry_order)
-            for entry, children, node_ms in fired:
-                lane = entry.owner
-                compiled = entry.compiled
-                node = lane.ds.extend(compiled.labels, position, children, node_ms)
-                if stats is not None:
-                    stats.transitions_fired += 1
-                    stats.nodes_created += 1
-                if new_nodes is None:
-                    new_nodes = {}
-                lane_nodes = new_nodes.get(lane)
-                if lane_nodes is None:
-                    lane_nodes = new_nodes[lane] = {}
-                bucket = lane_nodes.get(compiled.target_id)
-                if bucket is None:
-                    lane_nodes[compiled.target_id] = [(node, node_ms)]
-                else:
-                    bucket.append((node, node_ms))
-                if compiled.is_final:
-                    if final_by_lane is None:
-                        final_by_lane = {}
-                    finals = final_by_lane.get(lane)
-                    if finals is None:
-                        final_by_lane[lane] = [node]
-                    else:
-                        finals.append(node)
-        else:
-            verdicts: Dict[Hashable, bool] = {}
-            verdicts_get = verdicts.get
-            for entry in self._merged.candidates_for(tup):
-                if stats is not None:
-                    stats.transitions_scanned += 1
-                if memoise:
-                    held = verdicts_get(entry.pred_key, _MISS)
-                    if held is _MISS:
-                        held = entry.accepts(tup)
-                        verdicts[entry.pred_key] = held
-                        if stats is not None:
-                            stats.predicate_evaluations += 1
-                    elif stats is not None:
-                        stats.predicate_cache_hits += 1
-                else:
-                    held = entry.accepts(tup)
-                    if stats is not None:
-                        stats.predicate_evaluations += 1
-                if not held:
-                    continue
-                lane = entry.owner
-                compiled = entry.compiled
-                hash_table = lane.hash
-                window = lane.window
-                children = []
-                node_ms = position
-                feasible = True
-                for source_id, extract in compiled.probes:
-                    if extract is not keyed_by:
-                        keyed_by = extract
-                        key = extract(tup)  # the current tuple is the later one
-                    if stats is not None:
-                        stats.hash_lookups += 1
-                    if key is None:
-                        feasible = False
-                        break
-                    pair = hash_table.get((compiled.index, source_id, key))
-                    if pair is None or position - pair[1] > window:
-                        feasible = False
-                        break
-                    children.append(pair[0])
-                    if pair[1] < node_ms:
-                        node_ms = pair[1]
-                if not feasible:
-                    continue
-                # node_ms is exactly the max_start extend computes; passing it
-                # in lets the arena skip re-reading the child records (the
-                # in-window check above certifies the children are live).
-                node = lane.ds.extend(compiled.labels, position, children, node_ms)
-                if stats is not None:
-                    stats.transitions_fired += 1
-                    stats.nodes_created += 1
-                if new_nodes is None:
-                    new_nodes = {}
-                lane_nodes = new_nodes.get(lane)
-                if lane_nodes is None:
-                    lane_nodes = new_nodes[lane] = {}
-                bucket = lane_nodes.get(compiled.target_id)
-                if bucket is None:
-                    lane_nodes[compiled.target_id] = [(node, node_ms)]
-                else:
-                    bucket.append((node, node_ms))
-                if compiled.is_final:
-                    if final_by_lane is None:
-                        final_by_lane = {}
-                    finals = final_by_lane.get(lane)
-                    if finals is None:
-                        final_by_lane[lane] = [node]
-                    else:
-                        finals.append(node)
-
-        # UpdateIndices per query that received new runs, registering every
-        # stored entry in the runtime's shared expiry-bucket map.
-        if new_nodes is not None:
-            buckets = runtime.buckets
-            for lane, lane_nodes in new_nodes.items():
-                hash_table = lane.hash
-                ds = lane.ds
-                window = lane.window
-                add_ref = lane.add_ref
-                lane_id = lane.lane_id
-                consumers_by_id = lane.dispatch.consumers_by_id
-                for state_id, nodes in lane_nodes.items():
-                    for compiled, source_id, extract in consumers_by_id(state_id):
-                        if extract is not keyed_by:
-                            keyed_by = extract
-                            key = extract(tup)  # this tuple will be the earlier one
-                        if key is None:
-                            continue
-                        entry_key = (compiled.index, source_id, key)
-                        pair = hash_table.get(entry_key)
-                        if pair is None:
-                            entry_node = None
-                            entry_ms = -1
-                        else:
-                            entry_node, entry_ms = pair
-                        for node, node_ms in nodes:
-                            if stats is not None:
-                                stats.hash_updates += 1
-                            if entry_node is None:
-                                entry_node = node
-                                entry_ms = node_ms
-                            else:
-                                if stats is not None:
-                                    stats.unions += 1
-                                entry_node = ds.union(entry_node, node, position, node_ms)
-                                if node_ms > entry_ms:
-                                    entry_ms = node_ms
-                        hash_table[entry_key] = (entry_node, entry_ms)
-                        # Flat-triple registration (see StreamRuntime.register_entry).
-                        expiry_position = entry_ms + window + 1
-                        expiry = buckets.get(expiry_position)
-                        if expiry is None:
-                            buckets[expiry_position] = [lane_id, entry_key, entry_node]
-                        else:
-                            expiry.append(lane_id)
-                            expiry.append(entry_key)
-                            expiry.append(entry_node)
-                        add_ref(entry_node)
-
-        # Enumeration per query, window-restricted by the query's own DS_w.
-        if final_by_lane is None:
+        # One merged lookup serves every query; the shared fire loop then
+        # evaluates one predicate per group and joins per owning lane.
+        source = self._adaptive if self._adaptive is not None else self._merged
+        plan = source.plan_for(tup)
+        stats = None
+        if self._count_stats:
+            stats = runtime.stats
+            evaluated = len(plan.groups)
+            stats.tuples_processed += 1
+            stats.transitions_scanned += plan.total
+            stats.predicate_evaluations += evaluated
+            stats.predicate_cache_hits += plan.total - evaluated
+        finals = fire(plan, tup, position, runtime.buckets, stats)
+        if not finals:
             return {}
+        # Enumeration per query, window-restricted by the query's own DS_w.
         outputs: Dict[int, List[Valuation]] = {}
-        for lane, finals in final_by_lane.items():
+        for lane, nodes in finals.items():
             enumerate_node = lane.ds.enumerate
             valuations: List[Valuation] = []
             extend = valuations.extend
-            for node in finals:
+            for node in nodes:
                 extend(enumerate_node(node, position))
             if valuations:
                 outputs[lane.handle.id] = valuations
@@ -729,25 +511,13 @@ class MultiQueryEngine(RuntimeBackedEngine):
         for lane, lane_snap in zip(lanes, lane_snaps):
             lane.restore(lane_snap)
         self._runtime.restore(runtime_snap, lanes)
-        if self._adaptive is not None:
-            # Deterministic reset: adaptive learning state is never
-            # serialized, so a restored engine re-learns from the stream —
-            # identical whether the snapshot came from an adaptive or a
-            # static engine.
-            self._adaptive.reset()
-            self._runtime.arm_adapt(self._adapt_flush, self._adaptive.config.interval)
+        self._reset_adaptive()
 
     # ------------------------------------------------------------ introspection
     # (hash_table_size / memory_info / dispatch_info / observe come from
     # RuntimeBackedEngine; this hook points them at the merged index.)
     def _dispatch_source(self):
         return self._merged
-
-    def _adapt_flush(self, position: int) -> None:
-        reorders, promotions, demotions = self._adaptive.flush()
-        obs = self._runtime.obs
-        if obs is not None and (reorders or promotions or demotions):
-            obs.on_dispatch_adapt(reorders, promotions, demotions)
 
     def reset_statistics(self) -> None:
         self._runtime.reset_statistics()

@@ -12,10 +12,11 @@ registered queries at once.
 
 Each merged entry also carries the canonical key of its unary predicate
 (:meth:`~repro.core.predicates.UnaryPredicate.canonical_key`).  Entries with
-equal keys accept exactly the same tuples, so the engine evaluates one
-representative per key per tuple and shares the verdict — the *shared
-unary-predicate memoisation* that makes per-tuple cost scale with the number
-of distinct predicates instead of the number of registered queries.
+equal keys accept exactly the same tuples, so every relation's candidates are
+stored pre-grouped by key (:class:`~repro.core.dispatch.EvalPlan`) and the
+fire loop evaluates one representative per group per tuple — which makes
+per-tuple cost scale with the number of distinct predicates instead of the
+number of registered queries.
 
 Incremental patching
 --------------------
@@ -32,8 +33,8 @@ Specifically:
   ever scan);
 * canonical predicate keys are interned with reference counts; the dense
   integer ids of keys whose last user unregistered are recycled through a
-  free list, so the interned-key tables shrink back and the per-tuple
-  memoisation cache keeps hashing small ints;
+  free list, so the interned-key tables shrink back and plan grouping keeps
+  hashing small ints;
 * wildcard transitions (rare) are the one global case: adding or removing a
   wildcard-carrying query refreshes every relation bucket, because wildcards
   are merged into each per-relation candidate list.
@@ -49,54 +50,19 @@ mutation.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple as Tup
+from typing import Dict, Hashable, List, Sequence, Tuple as Tup
 
 from repro.core.dispatch import (
-    CompiledTransition,
+    MergedEntry,
+    PlanIndex,
     TransitionDispatchIndex,
-    build_guard_buckets,
+    member_order,
     join_signature,
-    probe_guard_buckets,
+    plan_of,
 )
 
 
-class MergedEntry:
-    """One candidate transition of the merged index, tagged with its owner.
-
-    ``owner`` is whatever the engine registered the member index under (the
-    per-query lane); ``pred_key`` is the *interned* canonical key of the
-    transition's unary predicate — a dense integer id shared across queries
-    with structurally identical predicates, so the per-tuple memoisation cache
-    hashes a plain int instead of a nested canonical-key tuple; ``order``
-    fixes the global iteration order (registration order, then transition
-    order within a query).
-    """
-
-    __slots__ = ("owner", "compiled", "accepts", "pred_key", "guard", "order", "hits")
-
-    def __init__(
-        self, owner: object, compiled: CompiledTransition, pred_key: int, order: int
-    ) -> None:
-        self.owner = owner
-        self.compiled = compiled
-        self.accepts = compiled.accepts
-        self.pred_key = pred_key
-        self.guard: Optional[Tup[int, object]] = compiled.guard
-        self.order = order
-        # Adaptive-dispatch hit counter (repro.core.adaptive): bumped when
-        # this entry leads a predicate group whose unary held, halved at
-        # every flush.  Feedback only — excluded from signature().
-        self.hits = 0
-
-    def __repr__(self) -> str:
-        return f"MergedEntry(owner={self.owner!r}, {self.compiled!r})"
-
-
-def _entry_order(entry: MergedEntry) -> int:
-    return entry.order
-
-
-class MergedDispatchIndex:
+class MergedDispatchIndex(PlanIndex):
     """The union of several per-automaton dispatch indexes.
 
     Parameters
@@ -117,14 +83,14 @@ class MergedDispatchIndex:
         members: Sequence[Tup[object, TransitionDispatchIndex]] = (),
         guards: bool = True,
     ) -> None:
-        self.guards = guards
+        super().__init__(guards)
         # Owner bookkeeping: id(owner) -> owner / its entries, in registration
         # order (dict insertion order is the canonical query order).
         self._owners: Dict[int, object] = {}
         self._by_owner: Dict[int, Tup[MergedEntry, ...]] = {}
         # Interned canonical predicate keys with reference counts: dense ids
         # are recycled through a free list so the tables shrink back after
-        # unregistration and the memo cache keeps hashing small ints.
+        # unregistration and plan grouping keeps hashing small ints.
         self._pred_key_ids: Dict[Hashable, int] = {}
         self._pred_key_counts: Dict[Hashable, int] = {}
         self._free_pred_ids: List[int] = []
@@ -136,20 +102,11 @@ class MergedDispatchIndex:
         self.patched_adds = 0
         self.patched_removes = 0
         # Per-relation candidate state: ``_specific`` holds only the entries
-        # that name the relation (mutable, order-sorted); ``_by_relation`` is
-        # the read-optimised tuple the per-tuple lookup hits (specific merged
-        # with wildcards); ``_guarded`` the constant-guard refinement.
+        # that name the relation (mutable, order-sorted); the read-optimised
+        # plans the per-tuple lookup hits (specific merged with wildcards,
+        # plus the constant-guard refinement) are the PlanIndex's.
         self._specific: Dict[str, List[MergedEntry]] = {}
         self._wildcard_entries: List[MergedEntry] = []
-        self._wildcard: Tup[MergedEntry, ...] = ()
-        self._by_relation: Dict[str, Tup[MergedEntry, ...]] = {}
-        self._guarded: Dict[
-            str,
-            Tup[
-                Tup[MergedEntry, ...],
-                Tup[Tup[int, Dict[Hashable, Tup[MergedEntry, ...]]], ...],
-            ],
-        ] = {}
         # The engine's adaptive state, when it opted in: every per-relation
         # refresh notifies it so learned plans are re-derived for exactly the
         # relations a patch touched (the PR 4 localized-rewrite contract).
@@ -219,7 +176,7 @@ class MergedDispatchIndex:
         if added_wildcard:
             # Wildcards appear in every relation's candidate list, so a
             # wildcard-carrying query is the one global refresh.
-            self._wildcard = tuple(self._wildcard_entries)
+            self.wildcard_plan = plan_of(self._wildcard_entries)
             touched = set(specific)
         for relation in touched:
             self._refresh_relation(relation)
@@ -252,7 +209,7 @@ class MergedDispatchIndex:
             self._wildcard_entries = [
                 e for e in self._wildcard_entries if e.owner is not owner
             ]
-            self._wildcard = tuple(self._wildcard_entries)
+            self.wildcard_plan = plan_of(self._wildcard_entries)
             touched = set(self._specific)
         for relation in touched:
             bucket = self._specific.get(relation)
@@ -266,55 +223,31 @@ class MergedDispatchIndex:
         self.patched_removes += 1
 
     def _refresh_relation(self, relation: str) -> None:
-        """Rebuild one relation's read-optimised candidate tuple + guard buckets."""
+        """Rebuild one relation's plan + guard buckets."""
         bucket = self._specific.get(relation)
         if bucket is None:
             # No specific candidates left: unknown-relation fallback (the
-            # wildcard list) already covers it.
-            self._by_relation.pop(relation, None)
-            self._guarded.pop(relation, None)
+            # wildcard plan) already covers it.
+            self._drop_relation(relation)
+        elif self._wildcard_entries:
+            self._store_relation(
+                relation, sorted(bucket + self._wildcard_entries, key=member_order)
+            )
         else:
-            if self._wildcard_entries:
-                members: Tup[MergedEntry, ...] = tuple(
-                    sorted(bucket + self._wildcard_entries, key=_entry_order)
-                )
-            else:
-                members = tuple(bucket)
-            self._by_relation[relation] = members
-            if self.guards:
-                guard_buckets = build_guard_buckets(members)
-                if guard_buckets is None:
-                    self._guarded.pop(relation, None)
-                else:
-                    self._guarded[relation] = guard_buckets
+            self._store_relation(relation, bucket)
         listener = self.adaptive_listener
         if listener is not None:
             listener.rebuild_relation(relation)
 
     # ----------------------------------------------------------------- lookups
-    def candidates_for(self, tup) -> Sequence[MergedEntry]:
-        """All registered queries' candidate transitions for one tuple."""
-        entry = self._guarded.get(tup.relation)
-        if entry is None:
-            return self._by_relation.get(tup.relation, self._wildcard)
-        return probe_guard_buckets(entry, tup, _entry_order)
-
+    # (plan_for / candidates_for / build_adaptive come from PlanIndex; the
+    # caller wires a built AdaptiveState into ``adaptive_listener`` so
+    # structural patches keep its plans fresh.)
     def all_entries(self) -> Tup[MergedEntry, ...]:
         """Every entry, in candidate iteration order (introspection/tests)."""
         entries = [e for per_owner in self._by_owner.values() for e in per_owner]
-        entries.sort(key=_entry_order)
+        entries.sort(key=member_order)
         return tuple(entries)
-
-    def build_adaptive(self, config=None):
-        """An engine-owned :class:`~repro.core.adaptive.AdaptiveState` over
-        this index.
-
-        The caller is responsible for wiring the returned state into
-        ``adaptive_listener`` so structural patches keep its plans fresh.
-        """
-        from repro.core.adaptive import AdaptiveState
-
-        return AdaptiveState(self, _entry_order, config)
 
     # ------------------------------------------------------------ introspection
     def __len__(self) -> int:
@@ -329,7 +262,7 @@ class MergedDispatchIndex:
 
         Two indexes over the same owner sequence are *behaviourally
         identical* — same candidates in the same order for every possible
-        tuple, same memoisation sharing — iff their signatures are equal.
+        tuple, same predicate groups — iff their signatures are equal.
         The summary tokenises entries as ``(owner rank, transition index)``
         (independent of raw ``order`` values, which a patched index assigns
         with gaps) and maps each token to its canonical predicate key
@@ -342,20 +275,20 @@ class MergedDispatchIndex:
         def token(entry: MergedEntry) -> Tup[int, int]:
             return (ranks[id(entry.owner)], entry.compiled.index)
 
-        relations = {
-            relation: tuple(token(e) for e in members)
-            for relation, members in self._by_relation.items()
-        }
+        def tokens(plan) -> Tup[Tup[int, int], ...]:
+            return tuple(token(e) for e in plan.flat())
+
+        relations = {relation: tokens(plan) for relation, plan in self.plans.items()}
         guards = {}
-        for relation, (unguarded, groups) in self._guarded.items():
-            group_sig = []
-            for position, by_value in groups:
+        for relation, (unguarded, positions) in self.guarded.items():
+            position_sig = []
+            for position, by_value in positions:
                 buckets = sorted(
-                    ((value, tuple(token(e) for e in bucket)) for value, bucket in by_value.items()),
+                    ((value, tokens(bucket)) for value, bucket in by_value.items()),
                     key=lambda item: repr(item[0]),
                 )
-                group_sig.append((position, tuple(buckets)))
-            guards[relation] = (tuple(token(e) for e in unguarded), tuple(group_sig))
+                position_sig.append((position, tuple(buckets)))
+            guards[relation] = (tokens(unguarded), tuple(position_sig))
         predicates = {
             token(e): e.compiled.pred_key
             for per_owner in self._by_owner.values()
@@ -370,7 +303,7 @@ class MergedDispatchIndex:
             for e in per_owner
         }
         # Interning consistency: equal canonical keys must share one dense id
-        # (the memoisation soundness invariant), checked here so the tests'
+        # (the group-sharing soundness invariant), checked here so the tests'
         # signature comparison also certifies the intern tables.
         for per_owner in self._by_owner.values():
             for e in per_owner:
@@ -380,7 +313,7 @@ class MergedDispatchIndex:
                     )
         return {
             "relations": relations,
-            "wildcard": tuple(token(e) for e in self._wildcard),
+            "wildcard": tokens(self.wildcard_plan),
             "guards": guards,
             "predicates": predicates,
             "joins": joins,
@@ -392,53 +325,28 @@ class MergedDispatchIndex:
 
         ``predicate_groups`` counts distinct canonical predicate keys across
         all registered transitions; ``shared_predicate_groups`` counts the
-        keys used by two or more transitions (the groups where memoisation
+        keys used by two or more transitions (the groups where sharing
         actually saves evaluations).  ``mean_candidates`` / ``max_candidates``
         report the per-relation candidate fan-out a tuple lookup returns.
         """
-        sizes = [len(members) for members in self._by_relation.values()]
         guarded = sum(
             1
             for per_owner in self._by_owner.values()
             for e in per_owner
             if e.guard is not None
         )
-        guard_values = sum(
-            len(by_value)
-            for _, groups in self._guarded.values()
-            for _, by_value in groups
-        )
         return {
             "queries": float(len(self._owners)),
             "transitions": float(self._size),
-            "relations": float(len(self._by_relation)),
-            "wildcard_transitions": float(len(self._wildcard)),
-            "max_candidates": float(max(sizes, default=len(self._wildcard))),
-            "mean_candidates": (
-                float(sum(sizes) / len(sizes)) if sizes else float(len(self._wildcard))
-            ),
             "predicate_groups": float(len(self._pred_key_counts)),
             "shared_predicate_groups": float(
                 sum(1 for count in self._pred_key_counts.values() if count > 1)
             ),
             "guarded_transitions": float(guarded if self.guards else 0),
-            "guard_values": float(guard_values),
             "patched_adds": float(self.patched_adds),
             "patched_removes": float(self.patched_removes),
+            **self._layout(),
         }
-
-    def relation_fanout(self) -> Dict[str, int]:
-        """Per-relation candidate-list sizes (``"*"`` = wildcard fallback).
-
-        Key-compatible with ``TransitionDispatchIndex.relation_fanout`` so
-        the per-relation observability gauges mean the same thing in every
-        engine mode.
-        """
-        fanout = {
-            relation: len(members) for relation, members in self._by_relation.items()
-        }
-        fanout["*"] = len(self._wildcard)
-        return fanout
 
     def __repr__(self) -> str:
         info = self.describe()

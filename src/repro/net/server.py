@@ -68,6 +68,10 @@ from repro.runtime.frames import (
 #: connection is dropped outright (a peer that never reads its socket).
 _CONTROL_BACKSTOP = 4
 
+#: Seconds a kicked connection gets to flush its outbox (error frame last)
+#: before the transport is aborted.
+_KICK_GRACE_S = 0.5
+
 
 class SingleEngineFeed:
     """Adapt a single-query evaluator to the multi-shaped server feed.
@@ -604,7 +608,7 @@ class IngestServer:
 
     # ----------------------------------------------------------- termination
     def _kick(self, client: _Client, reason: str) -> None:
-        """Protocol-error or shed close: error frame, flush, disconnect."""
+        """Protocol-error or shed close: error frame, bounded flush, disconnect."""
         if client.closing or client.closed:
             return
         client.outbox.append(encode_frame(protocol.error(reason)))
@@ -615,6 +619,18 @@ class IngestServer:
             and client.reader_task is not asyncio.current_task()
         ):
             client.reader_task.cancel()
+        # A peer that stopped reading parks the write loop in ``drain()``,
+        # where ``closing`` is never re-checked: the error frame is
+        # best-effort, the disconnect is not.
+        asyncio.get_running_loop().call_later(_KICK_GRACE_S, self._abort, client)
+
+    def _abort(self, client: _Client) -> None:
+        """Kick grace expired with the outbox unflushed: drop the connection."""
+        if client.closed:
+            return
+        client.writer.transport.abort()
+        if client.writer_task is not None:
+            client.writer_task.cancel()
 
     async def _disconnect(self, client: _Client) -> None:
         """Peer went away: no error frame, just flush and clean up."""

@@ -3,8 +3,8 @@
 Why this package exists
 -----------------------
 The repository evaluates the paper's streaming algorithm through three
-engines, each owning a different *matching* strategy but sharing every piece
-of cross-cutting machinery around it:
+engines that share the update procedure where it is the same algorithm, and
+every piece of cross-cutting machinery around it:
 
 * :class:`~repro.core.evaluation.StreamingEvaluator` — Algorithm 1 for one
   unambiguous equality-predicate PCEA (hash-indexed joins, Theorem 5.1's
@@ -15,13 +15,18 @@ of cross-cutting machinery around it:
   arbitrary binary predicates (no hash keys), scanning live runs per
   transition.
 
-Before this package, each engine re-implemented the stream position counter,
-the ``max_start``-bucketed eviction sweep, the arena slab-release protocol,
-batched ingestion, and the statistics/memory introspection surface — so every
-optimisation had to be hand-ported three times and the copies drifted (the
-general evaluator lagged two PRs behind).  The runtime extracts exactly that
-machinery:
+Before this package, each engine re-implemented the fire loop, the stream
+position counter, the ``max_start``-bucketed eviction sweep, the arena
+slab-release protocol, batched ingestion, and the statistics/memory
+introspection surface — so every optimisation had to be hand-ported several
+times and the copies drifted.  The runtime holds exactly one of each:
 
+* :func:`fire` — Algorithm 1's FireTransitions + UpdateIndices for the
+  hashed engines: per predicate group one acceptor call, per held member the
+  join probes against its owning lane's table, effects applied in canonical
+  order, new runs indexed and registered for eviction.  What it evaluates a
+  tuple against is data (:class:`~repro.core.dispatch.EvalPlan`), so static,
+  adaptive, guarded and full-scan dispatch are the same code.
 * :class:`EvictionLane` — one query's evictable state: a sliding window, a
   run-index table (``hash``), an enumeration structure (``ds``), and the
   representation-agnostic reclamation hooks (``add_ref`` / ``drop_ref`` /
@@ -42,9 +47,12 @@ machinery:
   count stay zero), so benchmark JSON, ``collect_engine_counters`` and the
   CLI ``--stats`` line are identical across modes.
 
-Engines keep what is genuinely theirs: the FireTransitions/UpdateIndices hot
-loop (hash joins vs merged-index dispatch vs live-run scans) and the output
-routing.  Everything an engine registers into the runtime is a flat
+Engines keep what is genuinely theirs: which plan a tuple gets (one
+automaton's index bound to a single lane, or the merged index of every
+registered query), how predicate evaluations are booked in the statistics,
+and the output routing — plus, for the general evaluator, its live-run ring
+scan, a different algorithm that shares only the plan lookup.  Everything an
+engine registers into the runtime is a flat
 ``lane_id, key, node`` int triple appended to the expiry bucket (lanes are
 interned to dense small ints; no per-entry tuple is allocated — see
 :meth:`StreamRuntime.register_entry` for the reference implementation); the
@@ -67,6 +75,7 @@ from repro.runtime.core import (
     RuntimeBackedEngine,
     StreamRuntime,
 )
+from repro.runtime.fire import fire
 from repro.runtime.snapshot import SNAPSHOT_VERSION, SnapshotError, stable_signature
 from repro.runtime.statistics import EngineStatistics
 
@@ -78,5 +87,6 @@ __all__ = [
     "SnapshotError",
     "StreamRuntime",
     "EngineStatistics",
+    "fire",
     "stable_signature",
 ]

@@ -10,8 +10,9 @@ contract with the engines:
 * when the engine stores an entry it appends the *flat int triple*
   ``lane.lane_id, key, node`` (three plain appends, no per-entry tuple) to
   ``buckets[max_start + lane.window + 1]`` (the absolute position at which
-  the entry expires) and calls ``lane.add_ref(node)`` — the inlined lines
-  every hot loop pays, everything else lives here.
+  the entry expires) and calls ``lane.add_ref(node)`` — the lines
+  :func:`~repro.runtime.fire.fire` and the general evaluator inline,
+  everything else lives here.
   :meth:`StreamRuntime.register_entry` is the reference implementation;
 * the sweep pops due buckets, drops the arena reference exactly once per
   registration, and deletes the hash entry iff it is genuinely out of the
@@ -315,8 +316,8 @@ class StreamRuntime:
         """Register a stored entry for eviction at ``expiry_position``.
 
         The reference implementation of the registration protocol — three
-        flat appends plus the arena reference — which the engines inline in
-        their hot loops (keep the inlined copies in sync with this).
+        flat appends plus the arena reference — which ``fire`` and the
+        general evaluator inline (keep those two copies in sync with this).
         """
         expiry = self.buckets.get(expiry_position)
         if expiry is None:
@@ -741,6 +742,8 @@ class RuntimeBackedEngine:
     """
 
     _runtime: StreamRuntime
+    #: The engine's :class:`~repro.core.adaptive.AdaptiveState`, when armed.
+    _adaptive = None
 
     @property
     def position(self) -> int:
@@ -863,8 +866,24 @@ class RuntimeBackedEngine:
 
         See :meth:`repro.core.adaptive.AdaptiveState.info` for the keys.
         """
-        state = getattr(self, "_adaptive", None)
+        state = self._adaptive
         return state.info() if state is not None else None
+
+    def _adapt_flush(self, position: int) -> None:
+        """Adapt-clock callback: one reorder/promotion pass over the plans."""
+        reorders, promotions, demotions = self._adaptive.flush()
+        obs = self._runtime.obs
+        if obs is not None and (reorders or promotions or demotions):
+            obs.on_dispatch_adapt(reorders, promotions, demotions)
+
+    def _reset_adaptive(self) -> None:
+        """The restore policy (:mod:`repro.core.adaptive`): learned state is
+        never serialised — it resets deterministically and the flush clock
+        re-seats from the restored position, invisible in outputs and
+        statistics, so snapshots stay interchangeable with static engines."""
+        if self._adaptive is not None:
+            self._adaptive.reset()
+            self._runtime.arm_adapt(self._adapt_flush, self._adaptive.config.interval)
 
     def ingest_batch(self, tuples: Sequence[object]):
         """The network front end's batch-drain hook.

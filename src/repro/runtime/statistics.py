@@ -5,7 +5,8 @@ the general (non-hashed) evaluator, so the benchmark harness
 (:func:`~repro.bench.harness.collect_engine_counters`), the CLI ``--stats``
 line and the differential tests read the same field names regardless of
 engine.  Fields an engine cannot meaningfully count simply stay zero (e.g.
-``predicate_cache_hits`` outside the memoising multi-query loop).
+``predicate_cache_hits`` — plan members covered by their group's one
+evaluation — outside the multi-query engine).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ and lose or duplicate nothing.  See the README's "Scaling out" section.
 """
 
 from repro.shard.coordinator import ShardedEngine, ShardError
-from repro.shard.frames import (
+from repro.runtime.frames import (
     FrameChannel,
     FrameProtocolError,
     PICKLE_PROTOCOL,

@@ -35,7 +35,7 @@ deterministic, so:
 Queries must be *picklable* specifications (query strings,
 :class:`~repro.cq.query.ConjunctiveQuery` objects, DSL patterns or PCEAs
 without closure predicates) — they cross the process boundary in frames.
-Raises :class:`~repro.shard.frames.FrameProtocolError` at registration
+Raises :class:`~repro.runtime.frames.FrameProtocolError` at registration
 otherwise, with the registry rolled back.
 
 ``start_method="inline"`` runs the shards in-process behind the same frame
@@ -54,7 +54,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple as Tup
 from repro.cq.schema import Tuple
 from repro.multi.registry import QueryHandle, QueryRegistry, QuerySpec
 from repro.runtime.statistics import EngineStatistics
-from repro.shard.frames import FrameChannel, WorkerDied, decode_frame, encode_frame
+from repro.runtime.frames import FrameChannel, WorkerDied, decode_frame, encode_frame
 from repro.shard.placement import HashPlacement, PlacementPolicy
 from repro.shard.worker import ShardWorker, worker_main
 from repro.valuation import Valuation
@@ -150,7 +150,7 @@ class ShardedEngine:
         Take a coordinator checkpoint automatically every this many stream
         positions (``None`` disables; :meth:`checkpoint` is always available
         explicitly).  Checkpoints bound the log replayed on worker death.
-    memoise / guards / collect_stats / arena / columnar / kernel:
+    guards / collect_stats / arena / columnar / kernel:
         Forwarded to every worker's ``MultiQueryEngine``.
     """
 
@@ -161,7 +161,6 @@ class ShardedEngine:
         placement: Optional[PlacementPolicy] = None,
         start_method: str = "spawn",
         checkpoint_interval: Optional[int] = None,
-        memoise: bool = True,
         guards: bool = True,
         collect_stats: bool = False,
         arena: bool = True,
@@ -174,7 +173,6 @@ class ShardedEngine:
         if checkpoint_interval is not None and checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be at least 1 position")
         self._config = {
-            "memoise": memoise,
             "guards": guards,
             "collect_stats": collect_stats,
             "arena": arena,

@@ -30,7 +30,7 @@ all work) because nothing it needs crosses the process boundary implicitly:
 * module-level state touched at import (kernel auto-detection, metric
   allocation counters, interned key tables) is re-created by the child's own
   import of :mod:`repro`;
-* frames are pickled with :data:`~repro.shard.frames.PICKLE_PROTOCOL`
+* frames are pickled with :data:`~repro.runtime.frames.PICKLE_PROTOCOL`
   (``pickle.HIGHEST_PROTOCOL``) on both ends.
 
 The module also carries a ``__main__`` guard: under ``spawn`` the child
@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Optional, Tuple as Tup
 
 from repro.multi.engine import MultiQueryEngine
 from repro.multi.registry import QueryHandle
-from repro.shard.frames import FrameChannel, WorkerDied, decode_frame, encode_frame
+from repro.runtime.frames import FrameChannel, WorkerDied, decode_frame, encode_frame
 
 
 class ShardWorker:
@@ -62,7 +62,6 @@ class ShardWorker:
     def __init__(self, config: Optional[Dict[str, Any]] = None) -> None:
         config = dict(config or {})
         self.engine = MultiQueryEngine(
-            memoise=config.get("memoise", True),
             guards=config.get("guards", True),
             collect_stats=config.get("collect_stats", False),
             arena=config.get("arena", True),

@@ -3,7 +3,7 @@
 Five layers of protection:
 
 * config/unit tests — knob validation, the ``adaptive=`` knob resolution,
-  and the engine gates (no memoisation / no index ⇒ adaptation off);
+  and the engine gates (no index ⇒ adaptation off);
 * differentials — for every engine (single, general, multi, sharded
   inline) the adaptive engine's outputs *and* operation counters must be
   bit-identical to the static-dispatch oracle on the seeded scenario
@@ -118,11 +118,6 @@ class TestConfig:
         engine = StreamingEvaluator(pcea, window=8, adaptive=True)
         info = engine.adaptive_info()
         assert info is not None and info["enabled"] is True
-
-    def test_multi_requires_memoisation(self):
-        engine = MultiQueryEngine(memoise=False, adaptive=True)
-        engine.register(QUERIES[0][0], QUERIES[0][1], "q0")
-        assert engine.adaptive_info() is None
 
     def test_general_requires_index(self):
         pcea = hcq_to_pcea(parse_query(QUERIES[0][0]))

@@ -1,0 +1,176 @@
+"""Tests for the one fire loop (``repro.runtime.fire``) and the plan storage
+it consumes (``repro.core.dispatch``).
+
+* a hypothesis differential over automata whose relation ``E`` mixes
+  constant-guarded transitions with unguarded transitions sharing one
+  predicate group — the shape where predicate groups are the only sharing
+  mechanism and a tuple's plan is stitched from the unguarded groups plus a
+  value bucket — through every engine, static and adaptive, against the
+  naive ``outputs_upto`` oracle;
+* the build-time "one guard per predicate group" check;
+* a structure guard: the per-probe counter and the arena's fresh-node union
+  fast path each live in exactly one module.
+"""
+
+import re
+from dataclasses import asdict
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.adaptive import AdaptiveConfig
+from repro.core.dispatch import TransitionDispatchIndex
+from repro.core.evaluation import StreamingEvaluator
+from repro.core.pcea import PCEA, PCEATransition
+from repro.core.predicates import UnaryPredicate
+from repro.cq.schema import Tuple
+from repro.engine.compiler import compile_pattern
+from repro.engine.dsl import atom, conjunction, disjunction
+from repro.extensions.general_evaluation import GeneralStreamingEvaluator
+from repro.multi import MergedDispatchIndex, MultiQueryEngine
+
+WINDOW = 6
+DOMAIN = 3
+
+
+def mixed_guard_pcea(constants, partners, threshold):
+    """``⋁_c (A(x) ∧ E(t, x)[t == c])  ∨  ⋁_P (P(x) ∧ E(t, x)[x < threshold])``.
+
+    Every branch joins its two atoms on ``x`` in either arrival order, so
+    ``E`` carries initial and closing transitions; the ``t == c`` branches are
+    constant-guarded (one bucket per ``c``), the ``x < threshold`` branches are
+    unguarded and — one per partner relation — share a single predicate group.
+    """
+    branches = [
+        conjunction(atom("A", "x"), atom("E", "t", "x", filters=[("t", "==", c)]))
+        for c in constants
+    ]
+    branches += [
+        conjunction(atom(partner, "x"), atom("E", "t", "x", filters=[("x", "<", threshold)]))
+        for partner in partners
+    ]
+    return compile_pattern(disjunction(*branches))
+
+
+automata = st.builds(
+    mixed_guard_pcea,
+    constants=st.lists(st.integers(0, DOMAIN - 1), min_size=1, max_size=3, unique=True),
+    partners=st.sampled_from([("A", "B"), ("B", "C"), ("A", "B", "C")]),
+    threshold=st.integers(1, DOMAIN),
+)
+
+tuples = st.one_of(
+    st.builds(lambda t, x: Tuple("E", (t, x)), st.integers(0, DOMAIN), st.integers(0, DOMAIN - 1)),
+    st.builds(lambda r, x: Tuple(r, (x,)), st.sampled_from("ABC"), st.integers(0, DOMAIN - 1)),
+)
+
+
+def test_the_family_mixes_guard_buckets_with_a_shared_unguarded_group():
+    index = mixed_guard_pcea([0, 2], ("A", "B"), 2).dispatch_index()
+    unguarded, positions = index.guarded["E"]
+    assert [len(group.members) for group in unguarded.groups] == [4]
+    ((position, by_value),) = positions
+    assert position == 0 and sorted(by_value) == [0, 2]
+    # A matching tuple's plan is the unguarded groups plus its value bucket.
+    plan = index.plan_for(Tuple("E", (2, 1)))
+    assert plan.total == 6 and len(plan.groups) == 2
+    assert index.plan_for(Tuple("E", (1, 1))) is unguarded
+    assert [c.index for c in index.candidates_for(Tuple("E", (2, 1)))] == sorted(
+        member.index for group in plan.groups for member in group.members
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(first=automata, second=automata, stream=st.lists(tuples, min_size=4, max_size=14))
+def test_every_engine_matches_the_naive_oracle_static_and_adaptive(first, second, stream):
+    pceas = [first, second]
+    last = len(stream) - 1
+    expected = [pcea.outputs_upto(stream, last, window=WINDOW) for pcea in pceas]
+    statistics = {}
+    for adaptive in (False, AdaptiveConfig(interval=3, min_probes=2)):
+        single = StreamingEvaluator(first, WINDOW, adaptive=adaptive, collect_stats=True)
+        general = GeneralStreamingEvaluator(first, WINDOW, adaptive=adaptive, collect_stats=True)
+        one = MultiQueryEngine(adaptive=adaptive, collect_stats=True)
+        alone = one.register(first, WINDOW)
+        many = MultiQueryEngine(adaptive=adaptive, collect_stats=True)
+        handles = [many.register(pcea, WINDOW) for pcea in pceas]
+        for position, tup in enumerate(stream):
+            runs = [single.process(tup), general.process(tup), one.process(tup).get(alone.id, [])]
+            shared = many.process(tup)
+            runs += [shared.get(handle.id, []) for handle in handles]
+            wanted = [expected[0][position]] * 4 + [expected[1][position]]
+            for outputs, valuations in zip(runs, wanted):
+                assert len(outputs) == len(set(outputs))
+                assert set(outputs) == valuations
+        statistics[bool(adaptive)] = [
+            asdict(engine.stats) for engine in (single, general, one, many)
+        ]
+        # K=1 multi == single, up to how predicate evaluations are booked.
+        lone, reference = asdict(one.stats), asdict(single.stats)
+        assert (
+            lone.pop("predicate_evaluations") + lone.pop("predicate_cache_hits")
+            == reference["predicate_evaluations"]
+        )
+        assert lone.items() <= reference.items()
+    assert statistics[False] == statistics[True]
+
+
+class _Claims(UnaryPredicate):
+    """Accepts ``E`` tuples; instances share a canonical key whatever guard they claim."""
+
+    def __init__(self, guard):
+        self._guard = guard
+
+    def holds(self, tup):
+        return tup.relation == "E"
+
+    def dispatch_relations(self):
+        return frozenset({"E"})
+
+    def canonical_key(self):
+        return ("claims",)
+
+    def constant_guard(self):
+        return self._guard
+
+
+def _two_initial_transitions(first, second):
+    return PCEA(
+        ["p", "q"],
+        [PCEATransition({}, first, {}, {"a"}, "p"), PCEATransition({}, second, {}, {"b"}, "q")],
+        ["p", "q"],
+    )
+
+
+@pytest.mark.parametrize("guards", [((0, 1), (0, 2)), ((0, 1), None)])
+def test_one_guard_per_predicate_group_is_checked_at_build_time(guards):
+    pcea = _two_initial_transitions(*map(_Claims, guards))
+    index = TransitionDispatchIndex(pcea.transitions, final=pcea.final)
+    with pytest.raises(ValueError, match="equal keys must imply equal guards"):
+        index.plan_for(Tuple("E", (1,)))
+    with pytest.raises(ValueError, match="equal keys must imply equal guards"):
+        MergedDispatchIndex([("owner", index)])
+    with pytest.raises(ValueError, match="equal keys must imply equal guards"):
+        StreamingEvaluator(pcea, window=4)
+    # Without guard dispatch nothing is bucketed, so nothing can disagree.
+    unbucketed = TransitionDispatchIndex(pcea.transitions, final=pcea.final, guards=False)
+    assert unbucketed.plan_for(Tuple("E", (1,))).total == 2
+    agreeing = _two_initial_transitions(_Claims((0, 1)), _Claims((0, 1)))
+    assert agreeing.dispatch_index().plan_for(Tuple("E", (1,))).total == 2
+
+
+def test_the_fire_loop_exists_once():
+    """FireTransitions/UpdateIndices is ``repro.runtime.fire`` and nothing else:
+    no engine counts join probes or takes the arena's fresh-node union path."""
+    source_root = Path(__file__).resolve().parent.parent / "src" / "repro"
+    probe_counter = re.compile(r"stats\.hash_lookups \+= 1\b")
+    fresh_union = re.compile(r"\bds\.union\(\s*\w+,\s*\w+,\s*\w+,\s*\w+\s*\)")
+    for pattern in (probe_counter, fresh_union):
+        holders = sorted(
+            str(path.relative_to(source_root))
+            for path in source_root.rglob("*.py")
+            if pattern.search(path.read_text())
+        )
+        assert holders == ["runtime/fire.py"], pattern.pattern

@@ -203,10 +203,10 @@ class TestMultiDifferential:
     """K registered patterns == K independent evaluators, per query."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("memoise", [True, False])
-    def test_mixed_queries_random_streams(self, seed, memoise):
+    @pytest.mark.parametrize("adaptive", [True, False])
+    def test_mixed_queries_random_streams(self, seed, adaptive):
         windows = [4, 7, 3, 9, 5]
-        engine = MultiQueryEngine(memoise=memoise)
+        engine = MultiQueryEngine(adaptive=adaptive)
         handles, references = [], []
         for (name, query), window in zip(QUERY_SPECS, windows):
             handles.append(engine.register(query, window=window, name=name))
@@ -324,31 +324,7 @@ class TestSharedEvictionSweep:
 
 
 class TestPredicateMemoisation:
-    """Property: memoisation never changes outputs, only evaluation counts."""
-
-    @pytest.mark.parametrize("seed", list(range(6)))
-    def test_memoised_equals_unmemoised(self, seed):
-        stream = sigma0_stream(40, seed)
-        engines = {
-            flag: MultiQueryEngine(memoise=flag, collect_stats=True)
-            for flag in (True, False)
-        }
-        handle_pairs = []
-        for name, query in QUERY_SPECS:
-            pair = [engines[flag].register(query, window=5) for flag in (True, False)]
-            handle_pairs.append(pair)
-        for tup in stream:
-            memoised = engines[True].process(tup)
-            plain = engines[False].process(tup)
-            for with_memo, without_memo in handle_pairs:
-                assert set(memoised.get(with_memo.id, [])) == set(
-                    plain.get(without_memo.id, [])
-                )
-        assert (
-            engines[True].stats.predicate_evaluations
-            < engines[False].stats.predicate_evaluations
-        )
-        assert engines[False].stats.predicate_cache_hits == 0
+    """One predicate evaluation per canonical key, shared across queries."""
 
     def test_duplicate_queries_evaluate_predicates_once(self):
         engine = MultiQueryEngine(collect_stats=True)
