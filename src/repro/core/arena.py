@@ -143,7 +143,19 @@ recursive ``_union`` of the object structure becomes an iterative
 descend-then-rebuild loop over the arrays, and enumeration pushes ids on an
 explicit stack, mirroring the object traversal order exactly so that the two
 representations are interchangeable output-for-output (the differential tests
-in ``tests/test_arena.py`` rely on this).
+in ``tests/test_arena.py`` and ``tests/test_enumeration.py`` rely on this).
+
+Enumeration
+-----------
+One enumerator, :meth:`ArenaDataStructure._packed`, serves ``enumerate`` and
+``enumerate_all`` (horizon ``-∞``) on either kernel and layout.  An output is
+one **packed record** ``(label_id, pos, label_id, pos, …)``: a leaf is its own
+pair, a product node prepends its pair to the cross product of its children's
+record lists.  Enumeration is *eager per final node*: total time is linear in
+the output (records read ≤ ``2·Σ|ν| + 2`` per call, counted in
+``tests/test_enumeration.py``), the first output comes once the node's list is
+built.  Records are wrapped as *unread* :class:`~repro.valuation.Valuation`
+objects that build their mapping on first read; delivering a match never does.
 """
 
 from __future__ import annotations
@@ -151,9 +163,9 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
+from itertools import product, repeat
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple as Tup
 
-from repro.core.datastructure import product_odometer
 from repro.core.kernel import native_module, resolve_kernel
 from repro.valuation import Valuation
 
@@ -396,7 +408,6 @@ class ArenaDataStructure:
             # binds ``ds.add_ref`` / ``ds.drop_ref`` once at construction).
             self.extend = self._extend_native
             self.union = self._union_native
-            self.enumerate = self._enumerate_native
             self.release_expired = self._release_expired_native
             self.add_ref = self._nk.add_ref
             self.drop_ref = self._nk.drop_ref
@@ -1303,125 +1314,82 @@ class ArenaDataStructure:
     # ------------------------------------------------------------ enumeration
     def enumerate(self, node: int, position: int) -> Iterator[Valuation]:
         """Enumerate ``⟦node⟧^w_position`` — same pruning and order as the
-        object structure's :meth:`~repro.core.datastructure.DataStructure.enumerate`."""
+        object structure's :meth:`~repro.core.datastructure.DataStructure.enumerate`.
+        The valuations wrap :meth:`_packed`'s records unread and keep referencing
+        ``self._labels``: sound only because the table is append-only and
+        :meth:`restore` *rebinds* it, never mutates it."""
+        tables = (self._labels, {})  # one singleton-set cache per enumeration
+        return map(Valuation._from_packed, repeat(tables), self._packed(node, position - self.window))
+
+    def enumerate_all(self, node: int) -> Iterator[Valuation]:
+        """Enumerate ``⟦node⟧`` ignoring the window — horizon ``-∞`` (tests; only
+        meaningful while nothing reachable from ``node`` has been released)."""
+        return self.enumerate(node, _NEVER + self.window)
+
+    def _packed(self, node: int, horizon: int) -> List[Tup[int, ...]]:
+        """The one enumeration core: the outputs of ``⟦node⟧`` with ``min(ν) >=
+        horizon`` as packed records, in the object structure's order.
+
+        The union tree is walked iteratively and pruned where ``expired``
+        would prune (a released slab certifies expiry); the native ``walk``
+        does that walk in C and returns the surviving ``(label_id, pos,
+        children)`` emissions.  A live product node has no empty child (its
+        ``max_start`` is the minimum over theirs): work is linear in the output.
+        """
+        out: List[Tup[int, ...]] = []
+        if self._nk is not None:
+            for label_id, pos, prod in self._nk.walk(node, horizon + self.window):
+                if prod:
+                    self._pack_product(out, (label_id, pos), prod, horizon)
+                else:
+                    out.append((label_id, pos))
+            return out
         columnar = self._columnar
-        labels = self._labels
         slabs = self._slabs
-        window = self.window
-        stack: List[int] = [node] if node else []
+        stack: List[int] = [node]
         while stack:
             current = stack.pop()
-            if not current:
-                continue
-            slab = slabs.get(current >> _SLOT_BITS)
+            slab = slabs.get(current >> _SLOT_BITS) if current else None
             if slab is None:
                 continue
             index = current - slab.base
             if columnar:
                 # One batched record read (five words, one C call) instead of
                 # up to five boxed ``array`` element reads per node.
-                pos, node_ms, uleft, uright, meta = _UNPACK_RECORD(
-                    slab.data, index * _RECORD_BYTES
-                )
-                if position - node_ms > window:
+                pos, node_ms, uleft, uright, meta = _UNPACK_RECORD(slab.data, index * _RECORD_BYTES)
+                if node_ms < horizon:
                     continue
+                label_id = (meta & _META_LOW) >> 1
                 ref = meta >> 32
-                if ref:
-                    yield from self._product_combinations(
-                        labels[(meta & _META_LOW) >> 1],
-                        pos,
-                        slab.prods[ref - 1],
-                        position,
-                        windowed=True,
-                    )
-                elif position - pos <= window:
-                    yield Valuation.singleton(labels[(meta & _META_LOW) >> 1], pos)
+                prod = slab.prods[ref - 1] if ref else ()
             else:
-                if position - slab.ms[index] > window:
+                if slab.ms[index] < horizon:
                     continue
-                prod = slab.prod[index]
-                if prod:
-                    yield from self._product_combinations(
-                        labels[slab.lab[index]], slab.pos[index], prod, position, windowed=True
-                    )
-                elif position - slab.pos[index] <= window:
-                    yield Valuation.singleton(labels[slab.lab[index]], slab.pos[index])
-                uright = slab.ur[index]
+                pos = slab.pos[index]
                 uleft = slab.ul[index]
-            if uright:
-                stack.append(uright)
-            if uleft:
-                stack.append(uleft)
-
-    def _enumerate_native(self, node: int, position: int) -> Iterator[Valuation]:
-        """:meth:`enumerate` on the native kernel.
-
-        The kernel walks the union tree (pruning included) and returns the
-        surviving ``(label_id, position, children)`` emissions in exactly the
-        python walk's order; only the valuation construction — and the child
-        recursion through :meth:`_product_combinations`, which re-enters this
-        method — stays in python.
-        """
-        labels = self._labels
-        for label_id, pos, children in self._nk.walk(node, position):
-            if children:
-                yield from self._product_combinations(
-                    labels[label_id], pos, children, position, windowed=True
-                )
-            else:
-                yield Valuation.singleton(labels[label_id], pos)
-
-    def enumerate_all(self, node: int) -> Iterator[Valuation]:
-        """Enumerate ``⟦node⟧`` ignoring the window (tests; only meaningful
-        while nothing reachable from ``node`` has been released)."""
-        labels = self._labels
-        slabs = self._slabs
-        stack: List[int] = [node] if node else []
-        while stack:
-            current = stack.pop()
-            if not current:
-                continue
-            slab = slabs.get(current >> _SLOT_BITS)
-            if slab is None:
-                continue
-            index = current - slab.base
-            prod = self._prod_of(slab, index)
-            node_position = (
-                slab.data[index * _STRIDE] if self._columnar else slab.pos[index]
-            )
+                uright = slab.ur[index]
+                label_id = slab.lab[index]
+                prod = slab.prod[index]
             if prod:
-                yield from self._product_combinations(
-                    labels[self._label_id_of(slab, index)],
-                    node_position,
-                    prod,
-                    position=0,
-                    windowed=False,
-                )
-            else:
-                yield Valuation.singleton(labels[self._label_id_of(slab, index)], node_position)
-            uleft, uright = self._links_of(slab, index)
+                self._pack_product(out, (label_id, pos), prod, horizon)
+            elif pos >= horizon:
+                out.append((label_id, pos))
             if uright:
                 stack.append(uright)
             if uleft:
                 stack.append(uleft)
+        return out
 
-    def _product_combinations(
-        self,
-        labels: frozenset,
-        node_position: int,
-        prod: Tup[int, ...],
-        position: int,
-        windowed: bool,
-    ) -> Iterator[Valuation]:
-        """Cross product over the child enumerations — the shared
-        :func:`~repro.core.datastructure.product_odometer` over id-based child
-        iterators, so the two representations cannot drift apart."""
-        base = Valuation.singleton(labels, node_position)
-        if windowed:
-            iterators = [self.enumerate(child, position) for child in prod]
+    def _pack_product(
+        self, out: List[Tup[int, ...]], head: Tup[int, int], prod: Tup[int, ...], horizon: int
+    ) -> None:
+        """Append ``head`` ⊕ the cross product of the children's records
+        (``itertools.product`` spins the last child fastest: the odometer's order)."""
+        if len(prod) == 1:
+            out.extend([head + tail for tail in self._packed(prod[0], horizon)])
         else:
-            iterators = [self.enumerate_all(child) for child in prod]
-        yield from product_odometer(base, iterators)
+            children = [self._packed(child, horizon) for child in prod]
+            out.extend(map(sum, product(*children), repeat(head)))
 
     # ------------------------------------------------------------- validation
     def check_heap_condition(self, node: int) -> bool:
@@ -1473,19 +1441,17 @@ class ArenaDataStructure:
             node_position = (
                 slab.data[index * _STRIDE] if self._columnar else slab.pos[index]
             )
-            base = Valuation.singleton(
-                self._labels[self._label_id_of(slab, index)], node_position
-            )
             prod = self._prod_of(slab, index)
-            partials: List[Valuation] = [base]
-            for child in prod:
-                new_partials: List[Valuation] = []
-                for partial in partials:
-                    for child_valuation in self.enumerate_all(child):
-                        if not partial.simple_with(child_valuation):
-                            return False
-                        new_partials.append(partial.product(child_valuation))
-                partials = new_partials
+            if prod:
+                # Simple: no (label, position) pair twice, i.e. size = Σ entry sizes.
+                labels = self._labels
+                head = (self._label_id_of(slab, index), node_position)
+                combinations: List[Tup[int, ...]] = []
+                self._pack_product(combinations, head, prod, _NEVER)
+                for packed in combinations:
+                    pairs = sum(len(labels[label_id]) for label_id in packed[0::2])
+                    if Valuation._from_packed((labels, {}), packed).size() != pairs:
+                        return False
             worklist.extend(prod)
             for link in self._links_of(slab, index):
                 if link:

@@ -92,9 +92,9 @@ BOTTOM = Node(frozenset(), -1, (), None, None, -1)
 def product_odometer(base: Valuation, iterators: List[Iterator[Valuation]]) -> Iterator[Valuation]:
     """Cross product over child enumerations, as an iterative odometer.
 
-    Representation-independent core shared by the object and arena ``DS_w``:
-    the caller supplies the node's own valuation ``base`` and one enumeration
-    iterator per product child.  Each child is enumerated **once**, its
+    The caller supplies the node's own valuation ``base`` and one enumeration
+    iterator per product child (the arena ``DS_w`` enumerates packed records
+    instead and is tested against this order).  Each child is enumerated **once**, its
     valuations cached as they are produced, and the accumulated product is
     recomputed only from the digit that changed, so the work between two
     consecutive outputs stays proportional to the output size (the Theorem 5.2
@@ -355,7 +355,7 @@ class DataStructure:
         The paper presents the product as a recursive generator; implemented
         literally, every prefix combination re-creates (and therefore re-runs)
         the enumerations of all later children, and each output pays a chain
-        of suspended generator frames.  The shared odometer avoids both.
+        of suspended generator frames.  The odometer avoids both.
         """
         base = Valuation.singleton(node.labels, node.position)
         prod = node.prod

@@ -68,8 +68,9 @@ from repro.runtime.frames import (
 #: connection is dropped outright (a peer that never reads its socket).
 _CONTROL_BACKSTOP = 4
 
-#: Seconds a kicked connection gets to flush its outbox (error frame last)
-#: before the transport is aborted.
+#: Seconds a kicked connection gets to flush its outbox (error frame last),
+#: and a closed one to finish its close handshake, before the transport is
+#: aborted.
 _KICK_GRACE_S = 0.5
 
 
@@ -655,7 +656,7 @@ class IngestServer:
         client.outbox_event.set()
         try:
             client.writer.close()
-            await asyncio.wait_for(client.writer.wait_closed(), timeout=5)
+            await asyncio.wait_for(client.writer.wait_closed(), timeout=_KICK_GRACE_S)
         except (ConnectionError, OSError, asyncio.TimeoutError):
             try:
                 client.writer.transport.abort()

@@ -16,11 +16,16 @@ Because the streaming engine constructs one valuation per enumerated output
 the extreme positions ``min(ν)`` / ``max(ν)`` are computed once at construction
 and cached, and the hot constructors (:meth:`Valuation.singleton` and
 :meth:`Valuation.product`) bypass the normalising ``__init__``.
+
+The arena ``DS_w`` enumerates an output as one *packed record* ``(label_id, pos,
+label_id, pos, …)`` over its label table, wrapped unread (:meth:`Valuation._from_packed`):
+delivering or pickling a match never builds the mapping; the first accessor call does, and
+drops the record.  ``_mapping is None`` marks the unread state, tested inline by every accessor.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Mapping, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 
 Label = Hashable
@@ -40,7 +45,7 @@ class Valuation:
     >>> (v ⊕ Valuation({"dot": {7}})) if False else None  # doctest: +SKIP
     """
 
-    __slots__ = ("_mapping", "_hash", "_min", "_max")
+    __slots__ = ("_mapping", "_hash", "_min", "_max", "_tables", "_packed")
 
     def __init__(self, mapping: Mapping[Label, Iterable[int]] | None = None) -> None:
         normalised: Dict[Label, PositionSet] = {}
@@ -56,7 +61,7 @@ class Valuation:
                             lo = position
                         if hi is None or position > hi:
                             hi = position
-        self._mapping: Dict[Label, PositionSet] = normalised
+        self._mapping: Optional[Dict[Label, PositionSet]] = normalised
         self._hash: int | None = None
         self._min: int | None = lo
         self._max: int | None = hi
@@ -75,6 +80,54 @@ class Valuation:
         self._max = hi
         return self
 
+    @classmethod
+    def _from_packed(cls, tables: Tuple[Sequence[frozenset], dict], packed: Tuple[int, ...]) -> "Valuation":
+        """Internal lazy constructor over a non-empty packed record.  ``tables`` is
+        ``(label_table, singles)``: the label sets the ids index (held, not copied:
+        the table may only ever be appended to) and a ``pos → frozenset((pos,))``
+        cache shared by one enumeration's valuations (one set object per position)."""
+        self = object.__new__(cls)
+        self._mapping = self._hash = None
+        self._tables = tables
+        self._packed = packed
+        return self
+
+    def _materialise(self) -> Dict[Label, PositionSet]:
+        """Build the mapping and the extremes from the packed record, drop it:
+        ``ν_{L,i}`` per entry folded with ``⊕`` in record order (key order too)."""
+        packed, tables = self._packed, self._tables  # cleared in the opposite order
+        if tables is None:  # another thread read this valuation first
+            return self._mapping
+        label_table, singles = tables
+        mapping: Dict[Label, PositionSet] = {}
+        lo = hi = None
+        entries = iter(packed)
+        for label_id, position in zip(entries, entries):
+            labels = label_table[label_id]
+            if not labels:
+                continue  # ν_{∅,i} is the empty valuation: no position either
+            single = singles.get(position) or singles.setdefault(position, frozenset((position,)))
+            for label in labels:
+                existing = mapping.get(label)
+                mapping[label] = single if existing is None else existing | single
+            if lo is None or position < lo:
+                lo = position
+            if hi is None or position > hi:
+                hi = position
+        self._min, self._max = lo, hi
+        self._mapping = mapping
+        self._tables = self._packed = None
+        return mapping
+
+    def __reduce__(self):
+        """An unread valuation pickles as ``(label sets, positions)`` — the sets
+        are the arena's interned objects, which pickle's memo writes once per
+        frame — and unpickles unread; a read one pickles as its mapping."""
+        if self._mapping is not None:
+            return Valuation, (self._mapping,)
+        label_table, packed = self._tables[0], self._packed
+        return _rebuild_packed, (tuple(map(label_table.__getitem__, packed[0::2])), packed[1::2])
+
     # ------------------------------------------------------------ constructors
     @classmethod
     def singleton(cls, labels: Iterable[Label], position: int) -> "Valuation":
@@ -92,22 +145,24 @@ class Valuation:
 
     # ----------------------------------------------------------------- access
     def __getitem__(self, label: Label) -> PositionSet:
-        return self._mapping.get(label, frozenset())
+        mapping = self._mapping
+        return (mapping if mapping is not None else self._materialise()).get(label, frozenset())
 
-    def get(self, label: Label) -> PositionSet:
-        return self._mapping.get(label, frozenset())
+    get = __getitem__
 
     def labels(self) -> FrozenSet[Label]:
         """Labels mapped to a non-empty set of positions."""
-        return frozenset(self._mapping)
+        mapping = self._mapping
+        return frozenset(mapping if mapping is not None else self._materialise())
 
     def items(self) -> Iterator[Tuple[Label, PositionSet]]:
-        return iter(self._mapping.items())
+        mapping = self._mapping
+        return iter((mapping if mapping is not None else self._materialise()).items())
 
     def positions(self) -> FrozenSet[int]:
         """All positions appearing in the valuation."""
         result: set[int] = set()
-        for positions in self._mapping.values():
+        for _, positions in self.items():
             result |= positions
         return frozenset(result)
 
@@ -117,25 +172,31 @@ class Valuation:
         Raises :class:`ValueError` for the empty valuation, mirroring the fact
         that the paper only applies ``min`` to outputs of accepting runs.
         """
+        if self._mapping is None:
+            self._materialise()
         if self._min is None:
             raise ValueError("min() of an empty valuation")
         return self._min
 
     def max_position(self) -> int:
         """``max`` over all positions appearing in the valuation (cached)."""
+        if self._mapping is None:
+            self._materialise()
         if self._max is None:
             raise ValueError("max() of an empty valuation")
         return self._max
 
     def size(self) -> int:
         """``|ν|``: total number of (label, position) pairs."""
-        return sum(len(positions) for positions in self._mapping.values())
+        return sum(len(positions) for _, positions in self.items())
 
     def is_empty(self) -> bool:
-        return not self._mapping
+        return not self
 
     def within_window(self, position: int, window: int) -> bool:
         """Whether ``|position - min(ν)| <= window`` (sliding-window condition)."""
+        if self._mapping is None:
+            self._materialise()
         if self._min is None:
             return True
         return position - self._min <= window
@@ -149,12 +210,14 @@ class Valuation:
         position sets for labels occurring on only one side — the common case
         in the enumeration data structure, whose products are *simple*.
         """
-        if not other._mapping:
+        mine = self._mapping if self._mapping is not None else self._materialise()
+        theirs = other._mapping if other._mapping is not None else other._materialise()
+        if not theirs:
             return self
-        if not self._mapping:
+        if not mine:
             return other
-        merged: Dict[Label, PositionSet] = dict(self._mapping)
-        for label, positions in other._mapping.items():
+        merged: Dict[Label, PositionSet] = dict(mine)
+        for label, positions in theirs.items():
             existing = merged.get(label)
             merged[label] = positions if existing is None else existing | positions
         lo = self._min if self._min <= other._min else other._min  # type: ignore[operator]
@@ -182,29 +245,39 @@ class Valuation:
     # ------------------------------------------------------------- comparison
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Valuation):
-            return self._mapping == other._mapping
+            mine = self._mapping if self._mapping is not None else self._materialise()
+            theirs = other._mapping if other._mapping is not None else other._materialise()
+            return mine == theirs
         return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._mapping.items()))
+            self._hash = hash(frozenset(self.items()))
         return self._hash
 
     def __len__(self) -> int:
-        return len(self._mapping)
+        mapping = self._mapping
+        return len(mapping if mapping is not None else self._materialise())
 
     def __bool__(self) -> bool:
-        return bool(self._mapping)
+        mapping = self._mapping
+        return bool(mapping if mapping is not None else self._materialise())
 
     def as_dict(self) -> Dict[Label, PositionSet]:
         """A plain ``dict`` copy of the mapping."""
-        return dict(self._mapping)
+        mapping = self._mapping
+        return dict(mapping if mapping is not None else self._materialise())
 
     def __repr__(self) -> str:
         inner = ", ".join(
-            f"{label!r}: {sorted(positions)}" for label, positions in sorted(self._mapping.items(), key=lambda kv: str(kv[0]))
+            f"{label!r}: {sorted(positions)}" for label, positions in sorted(self.items(), key=lambda kv: str(kv[0]))
         )
         return f"Valuation({{{inner}}})"
+
+
+def _rebuild_packed(label_sets: Tuple[FrozenSet[Label], ...], positions: Tuple[int, ...]) -> Valuation:
+    """Unpickle target of an unread :class:`Valuation`: packed again, over its own sets."""
+    return Valuation._from_packed((label_sets, {}), sum(enumerate(positions), ()))
 
 
 def product_of(valuations: Iterable[Valuation]) -> Valuation:

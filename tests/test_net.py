@@ -143,6 +143,32 @@ class TestSharedCodec:
             frame_length(b"\x00")
         assert frame_length(struct.pack("!I", 17)) == 17
 
+    def test_match_frames_carry_unread_valuations_compactly(self):
+        """An enumerated valuation pickles as its interned label sets plus
+        positions (each set once per frame) and arrives unread and equal."""
+        engine = MultiQueryEngine()
+        handle = engine.register(QUERY_A, WINDOW)
+        batch = [
+            (position, outputs[handle.id])
+            for position, outputs in enumerate(engine.process_many(star_stream(400)))
+            if outputs
+        ]
+        valuations = [valuation for _, group in batch for valuation in group]
+        assert len(valuations) >= 40 and all(v._mapping is None for v in valuations)
+        frame = encode_frame(("matches", handle.id, batch))
+        assert all(v._mapping is None for v in valuations)  # encoding reads nothing
+        (message,) = FrameAssembler().feed(frame)
+        received = [valuation for _, group in message[2] for valuation in group]
+        assert all(v._mapping is None for v in received)
+        # Forwarding a received frame unread is as compact as the original.
+        assert len(encode_frame(message)) == len(frame)
+        assert received == valuations
+        assert list(map(hash, received)) == list(map(hash, valuations))
+        # Now read: the same matches pickle as mappings, and take more bytes.
+        assert len(encode_frame(("matches", handle.id, batch))) > len(frame)
+        (reread,) = FrameAssembler().feed(encode_frame(message))
+        assert [valuation for _, group in reread[2] for valuation in group] == valuations
+
     def test_truncated_frame_stays_pending(self):
         frame = encode_frame(("hello", 1))
         assembler = FrameAssembler()
@@ -615,8 +641,13 @@ class TestFlowControl:
         assert summary["clients"] == 1
         metrics = st.server.metrics.collect()
         assert metrics["repro_net_shed_total"] == summary["shed"]
+        # Stopping the server cleans up a peer that never reads: the close
+        # handshake gets the kick grace, not seconds.
+        started = time.time()
         for _ in run:
             pass
+        assert time.time() - started < 2
+        assert st.server.observe()["clients"] == 0
 
     def test_slow_subscriber_disconnected_under_disconnect_policy(self, caplog):
         caplog.set_level(logging.ERROR, logger="asyncio")

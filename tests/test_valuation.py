@@ -166,3 +166,94 @@ class TestCachedExtremesAndFastPaths:
         assert result["a"] == {1, 3}
         assert result.min_position() == 1
         assert result.max_position() == 3
+
+
+class TestPackedForm:
+    """``Valuation._from_packed``: unread until the first accessor call."""
+
+    TABLE = [frozenset({"a"}), frozenset({"a", "b"}), frozenset(), frozenset({"c"})]
+
+    packed_records = st.lists(
+        st.tuples(st.integers(0, len(TABLE) - 1), st.integers(0, 9)), min_size=1, max_size=5
+    ).map(lambda entries: tuple(value for entry in entries for value in entry))
+
+    def oracle(self, packed):
+        return product_of(
+            Valuation.singleton(self.TABLE[label_id], position)
+            for label_id, position in zip(packed[0::2], packed[1::2])
+        )
+
+    @given(packed_records)
+    def test_reads_as_the_product_of_its_singletons(self, packed):
+        valuation = Valuation._from_packed((self.TABLE, {}), packed)
+        expected = self.oracle(packed)
+        assert valuation._mapping is None
+        assert valuation.is_empty() == expected.is_empty()
+        assert valuation._packed is None and valuation._tables is None
+        assert valuation == expected and hash(valuation) == hash(expected)
+        assert list(valuation.as_dict()) == list(expected.as_dict())
+        assert valuation.within_window(12, 4) == expected.within_window(12, 4)
+        if expected:
+            assert valuation.min_position() == expected.min_position()
+            assert valuation.max_position() == expected.max_position()
+
+    @given(packed_records)
+    def test_pickle_round_trip_stays_unread_then_reads_equal(self, packed):
+        import pickle
+
+        valuation = Valuation._from_packed((self.TABLE, {}), packed)
+        copy = pickle.loads(pickle.dumps(valuation))
+        assert valuation._mapping is None and copy._mapping is None
+        assert copy == valuation == self.oracle(packed)
+        assert hash(copy) == hash(valuation)
+        # Read valuations pickle as their mapping, never as a cached hash.
+        again = pickle.loads(pickle.dumps(valuation))
+        assert again == valuation and again._hash is None
+
+    def test_positions_share_one_singleton_set_through_the_cache(self):
+        singles = {}
+        first = Valuation._from_packed((self.TABLE, singles), (0, 4, 3, 2))
+        second = Valuation._from_packed((self.TABLE, singles), (3, 4))
+        assert first["a"] is second["c"] and sorted(singles) == [2, 4]
+
+    def test_concurrent_first_reads_agree(self):
+        """Reading mutates an unread valuation once; a thread that loses the race
+        to be first must still see the finished mapping (stress, short switch
+        interval: a reader does get suspended between the check and the build)."""
+        import sys
+        import threading
+
+        rounds, readers = 3, 6
+        failures = []
+
+        def read(barrier, valuations, expected):
+            barrier.wait(timeout=30)
+            try:
+                for valuation, wanted in zip(valuations, expected):
+                    if valuation.min_position() != wanted or valuation["c"] != {9}:
+                        failures.append(valuation)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(rounds):
+                valuations = [
+                    Valuation._from_packed((self.TABLE, {}), (0, i % 7, 1, i % 5, 3, 9))
+                    for i in range(20_000)
+                ]
+                expected = [min(i % 7, i % 5) for i in range(20_000)]
+                barrier = threading.Barrier(readers)
+                threads = [
+                    threading.Thread(target=read, args=(barrier, valuations, expected))
+                    for _ in range(readers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
