@@ -137,13 +137,17 @@ reclamation and enumeration continue bit-identically to the snapshotted
 arena — the per-layer contract behind the engines' ``snapshot()`` /
 ``restore()`` protocol.
 
-Everything the evaluator consumes (``extend`` / ``union`` / ``enumerate`` /
-``expired`` / the validation helpers) takes and returns plain ``int`` ids; the
-recursive ``_union`` of the object structure becomes an iterative
-descend-then-rebuild loop over the arrays, and enumeration pushes ids on an
-explicit stack, mirroring the object traversal order exactly so that the two
-representations are interchangeable output-for-output (the differential tests
-in ``tests/test_arena.py`` and ``tests/test_enumeration.py`` rely on this).
+Everything the evaluator consumes (``extend`` / ``union`` / ``extend_onto`` /
+``enumerate`` / ``expired`` / the validation helpers) takes and returns plain
+``int`` ids; the recursive ``_union`` of the object structure becomes an
+iterative descend-then-rebuild loop over the arrays, and enumeration pushes
+ids on an explicit stack, mirroring the object traversal order exactly so that
+the two representations are interchangeable output-for-output (the
+differential tests in ``tests/test_arena.py`` and ``tests/test_enumeration.py``
+rely on this).  ``extend_onto(labels, position, entry)`` is ``union(entry,
+extend(labels, position, ()))`` written as the single record that union always
+ends in — a childless node's ``max_start`` is its position, which dominates
+every stored entry — and is how the fire loop stores a fresh leaf run.
 
 Enumeration
 -----------
@@ -199,8 +203,9 @@ _STRIDE = 5
 _CHUNK_NODES = 256
 
 #: ``meta`` field encoding: low 32 bits hold ``label_id << 1 | direction``,
-#: the high bits ``1 + prods-index`` (0 = no children).  Keep the three
-#: encode sites (``extend`` and the two ``union`` copies) in sync.
+#: the high bits ``1 + prods-index`` (0 = no children).  Keep the four
+#: encode sites (``extend``, ``extend_onto`` and the two ``union`` copies)
+#: in sync.
 _META_LOW = 0xFFFFFFFF
 _META_LABEL_DIRN = 0xFFFFFFFE
 
@@ -308,7 +313,7 @@ class ArenaDataStructure:
     Drop-in replacement for :class:`~repro.core.datastructure.DataStructure`
     in which nodes are integer ids (see the module docstring for the layout
     and the release protocol).  The public surface mirrors the object
-    structure: :meth:`extend`, :meth:`union`, :meth:`enumerate`,
+    structure: :meth:`extend`, :meth:`union`, :meth:`extend_onto`, :meth:`enumerate`,
     :meth:`enumerate_all`, :meth:`expired`, the validation helpers and the
     ``nodes_created`` / ``union_calls`` / ``union_copies`` counters, plus the
     reclamation hooks the streaming evaluators call (:meth:`add_ref`,
@@ -546,11 +551,6 @@ class ArenaDataStructure:
             return (slab.data[index * _STRIDE + 4] & _META_LOW) >> 1
         return slab.lab[index]
 
-    def _direction_of(self, slab: _Slab, index: int) -> bool:
-        if self._columnar:
-            return bool(slab.data[index * _STRIDE + 4] & 1)
-        return bool(slab.dirn[index])
-
     def _links_of(self, slab: _Slab, index: int) -> Tup[int, int]:
         """``(ul, ur)`` of a node — cold-path accessor."""
         if self._columnar:
@@ -645,8 +645,8 @@ class ArenaDataStructure:
                     child_ms = slab.ms[index]
                     if child_ms < max_start:
                         max_start = child_ms
-        # Inline allocation; keep the three allocation sites (here and the
-        # two in ``union``) in sync.
+        # Inline allocation; keep the four allocation sites (here,
+        # ``extend_onto`` and the two in ``union``) in sync.
         slab = self._cur
         offset = slab.count
         if offset >= self._cap or (offset and position > self._seal_deadline):
@@ -900,6 +900,65 @@ class ArenaDataStructure:
             self._nodes_created += copies
             self._allocated += copies
         return new
+
+    def extend_onto(self, labels: Iterable[Label], position: int, entry: Optional[int]) -> int:
+        """``union(entry, extend(labels, position, ()))`` as the one record it ends in.
+
+        A childless node's ``max_start`` is ``position``, which dominates
+        every stored entry: the union is always fresh-on-top, ``(position,
+        position, ul, 0, label | ¬dirn(entry))`` with ``ul = entry`` while the
+        entry is alive, else ``0`` and the bit clear (expired, released,
+        ``None`` / ``⊥``).  The fresh record ``extend`` would leave is skipped.
+        """
+        if not isinstance(labels, frozenset):
+            labels = frozenset(labels)
+        label_id = self._label_ids.get(labels)
+        if label_id is None:
+            label_id = len(self._labels)
+            self._labels.append(labels)
+            self._label_ids[labels] = label_id
+        if self._nk is not None:
+            return self._nk.extend_onto(position, label_id, entry or 0)
+        columnar = self._columnar
+        meta = label_id << 1
+        uleft = 0
+        if entry:
+            self._union_calls += 1
+            old = self._slabs.get(entry >> _SLOT_BITS)
+            if old is not None:
+                index = entry - old.base
+                if columnar:
+                    _, entry_ms, _, _, old_meta = _UNPACK_RECORD(old.data, index * _RECORD_BYTES)
+                else:
+                    entry_ms, old_meta = old.ms[index], old.dirn[index]
+                if position - entry_ms <= self.window:
+                    uleft = entry
+                    meta |= ~old_meta & 1  # not dirn(entry)
+                    self._union_copies += 1
+        # Allocation inlined, as in ``extend``.
+        slab = self._cur
+        offset = slab.count
+        if offset >= self._cap or (offset and position > self._seal_deadline):
+            slab = self._new_slab(position)
+            offset = 0
+        if columnar:
+            if offset >= slab.avail:
+                _grow_records(slab)
+            _PACK_RECORD(slab.data, offset * _RECORD_BYTES, position, position, uleft, 0, meta)
+        else:
+            slab.pos.append(position)
+            slab.ms.append(position)
+            slab.ul.append(uleft)
+            slab.ur.append(0)
+            slab.lab.append(label_id)
+            slab.dirn.append(bool(meta & 1))
+            slab.prod.append(())
+        slab.count = offset + 1
+        if position > slab.max_ms:
+            slab.max_ms = position
+        self._nodes_created += 1
+        self._allocated += 1
+        return slab.base + offset
 
     def _union_native(
         self,

@@ -276,6 +276,21 @@ class DataStructure:
         self.union_calls += 1
         return self._union(left, fresh, fresh.position)
 
+    def extend_onto(self, labels: Iterable[Label], position: int, entry: Optional[Node]) -> Node:
+        """``union(entry, extend(labels, position, ()))`` as the one node it ends in:
+        a childless node's ``max_start`` is ``position``, which dominates every
+        stored entry, so the fresh node goes on top of ``entry`` (alone once that
+        expired) and is never counted separately."""
+        fresh = Node(frozenset(labels), position, (), None, None, position)
+        if entry is None:
+            top = fresh
+        else:
+            self.union_calls += 1
+            top = self._union(entry, fresh, position)
+        if top is fresh:
+            self.nodes_created += 1
+        return top
+
     def _union(self, left: Node, fresh: Node, position: int) -> Node:
         if left is None or left.is_bottom():
             return fresh

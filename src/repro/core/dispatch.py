@@ -12,9 +12,10 @@ indexes that remove those scans:
   that cannot name their relations land in a *wildcard* group that is probed
   for every tuple, so the index is a pure over-approximation — firing
   behaviour is bit-for-bit identical to the full scan, only cheaper.
-* a **consumer index** mapping each state ``p`` to the transitions that read
-  from ``p`` (i.e. have ``p`` in their source set), so UpdateIndices only
-  touches the transitions that can consume the runs created this position.
+* a **consumer index** mapping each state ``p`` to the *slots* its readers
+  join through — one per distinct ``(p, left key plan)``, however many
+  transitions have ``p`` in their source set — so UpdateIndices writes each
+  run created this position once per projection, not once per reader.
 
 States are also **interned to dense integer ids** at compile time.  Automaton
 states produced by the HCQ / pattern compilers are nested tuples containing
@@ -26,7 +27,7 @@ consumer lookups) is a plain integer.  Each transition additionally carries an
 set-membership test on a composite state.
 
 The per-transition data (target, labels, join predicates ordered by source) is
-flattened into slot-based :class:`CompiledTransition` records so the per-tuple
+flattened into ``__slots__`` :class:`CompiledTransition` records so the per-tuple
 loop performs no mapping lookups on the transition itself.
 
 Candidates are stored as **plans** (:class:`EvalPlan`): pre-grouped by the
@@ -57,8 +58,8 @@ State = Hashable
 _REPR_ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+")
 
 
-def join_signature(compiled: "CompiledTransition") -> Tup[Tup[int, str], ...]:
-    """The transition's joins as ``(source id, predicate descriptor)`` pairs.
+def join_signature(compiled: "CompiledTransition") -> Tup[Tup[int, str, int], ...]:
+    """The transition's joins as ``(source id, predicate descriptor, slot)`` triples.
 
     The descriptor is the predicate's repr with memory addresses stripped —
     the standard binary predicates are dataclasses whose reprs carry their
@@ -66,11 +67,13 @@ def join_signature(compiled: "CompiledTransition") -> Tup[Tup[int, str], ...]:
     transitions joining on different positions get different signatures;
     callable-backed predicates degrade to their class name plus description,
     mirroring how :func:`~repro.runtime.snapshot.stable_signature` treats
-    id-based unary canonical keys.
+    id-based unary canonical keys.  The slot is the ``H`` slot the join
+    probes: run-index tables are keyed by it, so a snapshot only restores
+    into an index that numbered its slots the same way.
     """
     return tuple(
-        (source_id, _REPR_ADDRESS.sub("", repr(predicate)))
-        for _, source_id, predicate in compiled.joins
+        (source_id, _REPR_ADDRESS.sub("", repr(predicate)), slot)
+        for (_, source_id, predicate), (slot, _) in zip(compiled.joins, compiled.probes)
     )
 
 
@@ -284,13 +287,18 @@ class CompiledTransition:
     transition's mapping on every tuple; ``relations`` is the dispatch key
     (``None`` for wildcards).  ``accepts`` and ``probes`` are what the fire
     loop calls: the unary predicate compiled to a flat ``tup -> bool`` and, in
-    ``joins`` order, ``(source id, right-key extractor)`` pairs (see "compiled
+    ``joins`` order, ``(slot, right-key extractor)`` pairs (see "compiled
     plans" in :mod:`repro.core.predicates`; the extractor is ``None`` for a
-    join outside ``B_eq``, which only the general evaluator runs).
-    ``consumers`` are the index's ``(compiled, source id, left-key
-    extractor)`` triples reading this transition's target state — what
-    UpdateIndices walks for a node this transition created.  ``order`` (the
-    index again) is the canonical candidate rank plan members expose.
+    join outside ``B_eq``, which only the general evaluator runs).  A *slot*
+    is the index's dense id of one ``(source state, left key plan)`` pair:
+    ``H`` holds one entry per ``(slot, key)``, shared by every transition
+    that reads the state through that projection.  ``consumers`` are the
+    ``(slot, left-key extractor)`` pairs of this transition's target state —
+    what UpdateIndices walks for a node this transition created — and
+    ``store_through`` says the node need not be built first: a source-less,
+    non-final transition into a one-slot state is written straight onto that
+    slot's entry (``DS_w.extend_onto``).  ``order`` (the index again) is the
+    canonical candidate rank plan members expose.
     """
 
     __slots__ = (
@@ -302,6 +310,7 @@ class CompiledTransition:
         "joins",
         "probes",
         "consumers",
+        "store_through",
         "labels",
         "target",
         "target_id",
@@ -336,7 +345,8 @@ class CompiledTransition:
         self.is_final = False
         self.joins: Tup[Tup[State, int, object], ...] = ()
         self.probes: Tup[Tup[int, object], ...] = ()
-        self.consumers: Tup[Tup["CompiledTransition", int, object], ...] = ()
+        self.consumers: Tup[Tup[int, object], ...] = ()
+        self.store_through = False
         # Hit counter: bumped when this transition leads a predicate group
         # whose unary held, halved at every adaptive flush.  Pure feedback —
         # never read on a correctness path and excluded from signature().
@@ -420,7 +430,11 @@ class TransitionDispatchIndex(PlanIndex):
         self.final = frozenset(final)
         self.state_ids: Dict[State, int] = {}
         compiled: List[CompiledTransition] = []
-        consumers: Dict[int, List[Tup[CompiledTransition, int, object]]] = {}
+        # (source id, left key plan) -> slot.  Interned on the plan *data*:
+        # slot numbers are part of the snapshot contract, so they must come
+        # out the same in every process.  A join without a plan is its own slot.
+        slots: Dict[Hashable, int] = {}
+        consumers: Dict[int, Dict[int, object]] = {}
         for i, transition in enumerate(transitions):
             c = CompiledTransition(i, transition)
             if not indexed:
@@ -434,16 +448,19 @@ class TransitionDispatchIndex(PlanIndex):
             probes = []
             for _, source_id, predicate in c.joins:
                 left, right = compile_key_extractors(predicate)
-                probes.append((source_id, right))
-                consumers.setdefault(source_id, []).append((c, source_id, left))
+                plan = getattr(predicate, "left_key_plan", lambda: None)()
+                slot = slots.setdefault((source_id, i if plan is None else plan), len(slots))
+                probes.append((slot, right))
+                consumers.setdefault(source_id, {}).setdefault(slot, left)
             c.probes = tuple(probes)
             compiled.append(c)
         self._all: Tup[CompiledTransition, ...] = tuple(compiled)
-        self._consumers: Dict[int, Tup[Tup[CompiledTransition, int, object], ...]] = {
-            source_id: tuple(entries) for source_id, entries in consumers.items()
+        self._consumers: Dict[int, Tup[Tup[int, object], ...]] = {
+            source_id: tuple(by_slot.items()) for source_id, by_slot in consumers.items()
         }
         for c in compiled:
             c.consumers = self._consumers.get(c.target_id, ())
+            c.store_through = not c.joins and not c.is_final and len(c.consumers) == 1
         # Which transitions (by index, in order) may accept each known
         # relation's tuples — wildcards merged in; unknown relations fall back
         # to the wildcards alone.
@@ -503,16 +520,13 @@ class TransitionDispatchIndex(PlanIndex):
         """Transitions whose unary predicate may accept a tuple of ``relation``."""
         return self.plans.get(relation, self.wildcard_plan).flat()
 
-    def consumers_by_id(self, state_id: int) -> Tup[Tup[CompiledTransition, int, object], ...]:
-        """``(compiled transition, source id, left-key extractor)`` triples reading the state."""
+    def consumers_by_id(self, state_id: int) -> Tup[Tup[int, object], ...]:
+        """The state's ``(slot, left-key extractor)`` pairs, one per left key plan read through."""
         return self._consumers.get(state_id, ())
 
-    def consumers(self, state: State) -> Tup[Tup[CompiledTransition, int, object], ...]:
+    def consumers(self, state: State) -> Tup[Tup[int, object], ...]:
         """Like :meth:`consumers_by_id`, addressed by the original state."""
-        state_id = self.state_ids.get(state)
-        if state_id is None:
-            return ()
-        return self._consumers.get(state_id, ())
+        return self._consumers.get(self.state_ids.get(state), ())
 
     def all_transitions(self) -> Tup[CompiledTransition, ...]:
         return self._all
@@ -532,7 +546,8 @@ class TransitionDispatchIndex(PlanIndex):
         can only be restored into an engine evaluating the same query —
         including the *binary* join predicates, via
         :func:`join_signature` (two automata differing only in a join
-        position must not verify as equal).
+        position must not verify as equal), which also carries the slot
+        table: ``(source id, join descriptor) -> slot``.
         """
         return {
             "transitions": tuple(

@@ -71,8 +71,6 @@ from repro.runtime.snapshot import (
 from repro.valuation import Valuation
 
 
-State = Hashable
-
 #: A ``DS_w`` node reference: a :class:`Node` object (``arena=False``) or a
 #: dense integer id into the arena's flat arrays (``arena=True``).
 NodeRef = Union[Node, int]
@@ -188,12 +186,14 @@ class StreamingEvaluator(RuntimeBackedEngine):
         # engine runs per registered query.
         self._runtime = StreamRuntime()
         self._lane = self._runtime.add_lane(EvictionLane(window, self.ds))
-        # H maps (transition index, source state, key) to ``(node, max_start)``
-        # where the node represents the union of all runs that reached that
-        # state with that join key.  max_start is cached in the pair so the
-        # hot expiry checks never re-read it through the data structure (an
-        # attribute read for object nodes, a slab-array read for arena ids).
-        self._hash: Dict[Tup[int, State, Hashable], Tup[NodeRef, int]] = self._lane.hash
+        # H maps (slot, key) to ``(node, max_start)``: a slot is the dispatch
+        # index's id of one (source state, left key plan) pair, the node the
+        # union of all runs that reached that state with that join key —
+        # stored once, whichever transitions read it.  max_start is cached in
+        # the pair so the hot expiry checks never re-read it through the data
+        # structure (an attribute read for object nodes, a slab-array read
+        # for arena ids).
+        self._hash: Dict[Tup[int, Hashable], Tup[NodeRef, int]] = self._lane.hash
         self.audit = audit
         self._count_stats = collect_stats
         # Mirrored into the runtime: the sweep's counters live there and are

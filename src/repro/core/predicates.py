@@ -464,6 +464,12 @@ class EqualityPredicate(BinaryPredicate):
             return self.left_key, self.right_key
         return compile_key_plan(self._left_plan), compile_key_plan(self._right_plan)
 
+    def left_key_plan(self):
+        """The left side's key plan as hashable data (``None`` without one): what
+        tells two joins project the earlier tuple alike.  The extractor's own
+        identity cannot — ``compile_key_plan`` is a bounded cache."""
+        return self._left_plan
+
     def left_key(self, tup: Tuple) -> Optional[Key]:
         if self._left_plan is None:
             raise NotImplementedError

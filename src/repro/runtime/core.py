@@ -6,7 +6,10 @@ contract with the engines:
 * every entry an engine stores in a lane's ``hash`` maps a key to a
   ``(value, max_start)`` pair whose second element is the cached expiry
   anchor (``max_start`` of the stored node for the hashed engines, the run's
-  newest stream position for the general evaluator);
+  newest stream position for the general evaluator).  The hashed engines key
+  by ``(slot, join key)`` — one entry per run set, however many transitions
+  read it — and write a fresh leaf run straight onto its entry through the
+  lane's bound ``extend_onto`` (:func:`~repro.runtime.fire.fire`);
 * when the engine stores an entry it appends the *flat int triple*
   ``lane.lane_id, key, node`` (three plain appends, no per-entry tuple) to
   ``buckets[max_start + lane.window + 1]`` (the absolute position at which
@@ -75,9 +78,10 @@ class EvictionLane:
     """One query's evictable runtime state, shared-sweep ready.
 
     ``hash`` is the lane's run-index table (``(key) -> (value, max_start)``
-    pairs); ``ds`` its enumeration structure.  The reclamation hooks are
-    bound once so the per-tuple loops and the sweep never branch on the node
-    representation (the object-graph ``DS_w`` exposes them as no-ops).
+    pairs); ``ds`` its enumeration structure.  The reclamation hooks and
+    ``extend_onto`` are bound once so the per-tuple loops and the sweep never
+    branch on the node representation (the object-graph ``DS_w`` exposes the
+    hooks as no-ops).
     ``lane_id`` is the dense int the owning runtime interned the lane to —
     the id the engines append to expiry buckets.  ``on_evict``, when set, is
     called with the hash key of every entry the sweep genuinely evicts (the
@@ -94,6 +98,7 @@ class EvictionLane:
         "add_ref",
         "drop_ref",
         "release",
+        "extend_onto",
     )
 
     def __init__(self, window: int, ds) -> None:
@@ -106,6 +111,7 @@ class EvictionLane:
         self.add_ref = ds.add_ref
         self.drop_ref = ds.drop_ref
         self.release = ds.release_expired
+        self.extend_onto = ds.extend_onto
 
     def deactivate(self) -> None:
         """Drop the lane's state immediately (unregistration).
@@ -123,6 +129,7 @@ class EvictionLane:
         self.add_ref = None
         self.drop_ref = None
         self.release = None
+        self.extend_onto = None
 
     # ------------------------------------------------------- snapshot protocol
     def snapshot(self) -> Dict[str, object]:

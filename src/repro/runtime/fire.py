@@ -33,6 +33,11 @@ def fire(plan, tup, position: int, buckets: Optional[Dict[int, list]], stats) ->
     are evaluated in; sorting it back to canonical order before the effects
     makes node creation, table updates and final collection — hence node ids
     and outputs — independent of plan order too.
+
+    A lane's table is the paper's ``H[e, p, k]`` with ``e`` folded into a
+    *slot*, the dispatch index's id of one ``(p, left key plan)`` pair:
+    transitions projecting ``p``'s tuple alike would store the same bag, so
+    it is stored once, under ``(slot, k)``.
     """
     fired = []
     # Extractors are interned by key plan (repro.core.predicates): joins that
@@ -52,7 +57,7 @@ def fire(plan, tup, position: int, buckets: Optional[Dict[int, list]], stats) ->
             # ``extend`` would compute, threaded through so the arena never
             # re-reads the child records.
             node_ms = position
-            for source_id, extract in compiled.probes:
+            for slot, extract in compiled.probes:
                 if extract is not keyed_by:
                     keyed_by = extract
                     key = extract(tup)  # the current tuple is the later one
@@ -60,7 +65,7 @@ def fire(plan, tup, position: int, buckets: Optional[Dict[int, list]], stats) ->
                     stats.hash_lookups += 1
                 if key is None:
                     break
-                pair = hash_table.get((compiled.index, source_id, key))
+                pair = hash_table.get((slot, key))
                 # Stored nodes are never bottom; an expired (possibly
                 # released) node simply fails the cached-max_start check.
                 if pair is None or position - pair[1] > window:
@@ -78,13 +83,18 @@ def fire(plan, tup, position: int, buckets: Optional[Dict[int, list]], stats) ->
         stats.transitions_fired += len(fired)
         stats.nodes_created += len(fired)
 
-    # lane -> target state id -> (consumers of the state, [(node, max_start)])
+    # lane -> target state id -> (slots of the state, [(node, max_start, labels)])
     new_nodes: Dict[object, Dict[int, tuple]] = {}
     finals: Optional[Dict[object, List]] = None
     for member, children, node_ms in fired:
         lane = member.owner
         compiled = member.compiled
-        node = lane.ds.extend(compiled.labels, position, children, node_ms)
+        if compiled.store_through:
+            # A fresh leaf run read through one slot: its one record is
+            # written below, straight onto that slot's entry.
+            node = None
+        else:
+            node = lane.ds.extend(compiled.labels, position, children, node_ms)
         consumers = compiled.consumers
         if consumers:
             lane_nodes = new_nodes.get(lane)
@@ -92,45 +102,50 @@ def fire(plan, tup, position: int, buckets: Optional[Dict[int, list]], stats) ->
                 lane_nodes = new_nodes[lane] = {}
             bucket = lane_nodes.get(compiled.target_id)
             if bucket is None:
-                lane_nodes[compiled.target_id] = (consumers, [(node, node_ms)])
+                lane_nodes[compiled.target_id] = (consumers, [(node, node_ms, compiled.labels)])
             else:
-                bucket[1].append((node, node_ms))
+                bucket[1].append((node, node_ms, compiled.labels))
         if compiled.is_final:
             if finals is None:
                 finals = {}
             finals.setdefault(lane, []).append(node)
 
-    # UpdateIndices: only the transitions consuming a state that received
-    # runs this position, per lane.
+    # UpdateIndices: one entry per (slot, key) of a state that received runs
+    # this position, per lane — however many transitions read that slot.
     for lane, lane_nodes in new_nodes.items():
         hash_table = lane.hash
         ds = lane.ds
         window = lane.window
         add_ref = lane.add_ref
+        extend_onto = lane.extend_onto
         lane_id = lane.lane_id
         for consumers, nodes in lane_nodes.values():
-            for compiled, source_id, extract in consumers:
+            for slot, extract in consumers:
                 if extract is not keyed_by:
                     keyed_by = extract
                     key = extract(tup)  # the current tuple will be the earlier one
                 if key is None:
                     continue
-                entry_key = (compiled.index, source_id, key)
+                entry_key = (slot, key)
                 pair = hash_table.get(entry_key)
                 if pair is None:
                     entry = None
                     entry_ms = -1
                 else:
                     entry, entry_ms = pair
-                for node, node_ms in nodes:
+                for node, node_ms, labels in nodes:
                     if stats is not None:
                         stats.hash_updates += 1
-                    if entry is None:
+                        if entry is not None:
+                            stats.unions += 1
+                    if node is None:
+                        # union(entry, extend(labels, position, ())) as one record.
+                        entry = extend_onto(labels, position, entry)
+                        entry_ms = position
+                    elif entry is None:
                         entry = node
                         entry_ms = node_ms
                     else:
-                        if stats is not None:
-                            stats.unions += 1
                         # position/node_ms describe the fresh node just
                         # built above — the arena's fast path.
                         entry = ds.union(entry, node, position, node_ms)

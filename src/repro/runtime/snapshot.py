@@ -38,8 +38,11 @@ from repro.cq.query import Atom, Variable
 from repro.cq.schema import Tuple
 
 
-#: Bumped when the snapshot tree layout changes incompatibly.
-SNAPSHOT_VERSION = 1
+#: Bumped when the snapshot tree layout changes incompatibly.  Version 2:
+#: run-index tables are keyed ``(slot, key)`` (version 1 keyed them
+#: ``(transition index, source id, key)`` — every probe of a restored version-1
+#: table would miss, so it is refused, not read).
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotError(ValueError):

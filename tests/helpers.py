@@ -18,10 +18,15 @@ from repro.core.predicates import (
     AtomUnaryPredicate,
     ProjectionEquality,
     RelationPredicate,
+    TrueEquality,
     VariableAtomEquality,
 )
+from repro.core.kernel import native_available
 from repro.cq.query import Atom, ConjunctiveQuery, Variable
 from repro.cq.schema import Schema, Tuple
+
+#: ``(columnar, kernel)`` of every arena variant this build can run.
+ARENAS = [(True, "python"), (False, "python")] + ([(True, "native")] if native_available() else [])
 
 
 # ----------------------------------------------------------- paper's examples
@@ -163,3 +168,66 @@ def star_query(arms: int, prefix: str = "A") -> ConjunctiveQuery:
 
 def star_schema(arms: int, prefix: str = "A") -> Schema:
     return Schema({f"{prefix}{j}": 2 for j in range(1, arms + 1)})
+
+
+# ------------------------------------------- automata for the (state, key) slots
+def slot_pcea(leaf_labels, feeders, second_key, plain_reader, final_leaf, mid_labels):
+    """Readers of one leaf state ``a``, stressing how ``H`` is keyed and written.
+
+    ``a`` is fed by one source-less transition per ``feeders`` relation and
+    per label set in ``leaf_labels`` (multi-label sets, several transitions
+    into one state).  ``C``, ``D`` and ``M`` read it on its first attribute —
+    one shared slot — unless ``second_key`` moves ``D`` to the second
+    attribute (a second left key plan: two slots); ``plain_reader`` adds ``E``
+    with a hand-written key (its own slot).  ``M`` reaches ``m``, which is
+    final *and* read by ``N``; ``final_leaf`` makes ``a`` final as well.
+    Every tuple is ``(x, y)``.
+    """
+
+    def on(position, reader, earlier=feeders):
+        return ProjectionEquality({rel: (position,) for rel in earlier}, {reader: (0,)})
+
+    transitions = [
+        PCEATransition(frozenset(), RelationPredicate(rel), {}, labels, "a")
+        for rel in feeders
+        for labels in leaf_labels
+    ]
+    readers = [("C", on(0, "C"), {"c"}, "f"), ("D", on(int(second_key), "D"), {"d"}, "f")]
+    if plain_reader:
+        readers.append(("E", TrueEquality(), {"e"}, "f"))
+    readers.append(("M", on(0, "M"), mid_labels, "m"))
+    transitions += [
+        PCEATransition({"a"}, RelationPredicate(rel), {"a": join}, labels, target)
+        for rel, join, labels, target in readers
+    ]
+    transitions.append(PCEATransition({"m"}, RelationPredicate("N"), {"m": on(0, "N", "M")}, {"n"}, "f"))
+    return PCEA({"a", "m", "f"}, transitions, {"m", "f"} | ({"a"} if final_leaf else set()))
+
+
+_slot_labels = st.frozensets(st.sampled_from("uvw"), min_size=1, max_size=3)
+#: Each switch takes ``a`` off the store-through path; about 30 % stay on it.
+_slot_switch = st.sampled_from([False, False, True])
+
+slot_automata = st.builds(
+    slot_pcea,
+    leaf_labels=st.lists(_slot_labels, min_size=1, max_size=3, unique=True),
+    feeders=st.sampled_from(["A", "AB"]),
+    second_key=_slot_switch,
+    plain_reader=_slot_switch,
+    final_leaf=_slot_switch,
+    mid_labels=_slot_labels,
+)
+
+#: Streams follow ``A B M C D N E`` unless a pick overrides the relation, on a
+#: two-value domain: purely random streams rarely reach ``N``.
+_SLOT_PATTERN = "ABMCDNE"
+slot_streams = st.lists(
+    st.tuples(st.none() | st.sampled_from(_SLOT_PATTERN), st.integers(0, 1), st.integers(0, 1)),
+    min_size=6,
+    max_size=18,
+).map(
+    lambda picks: [
+        Tuple(relation or _SLOT_PATTERN[index % len(_SLOT_PATTERN)], (x, y))
+        for index, (relation, x, y) in enumerate(picks)
+    ]
+)

@@ -29,7 +29,7 @@ from repro.extensions.general_evaluation import GeneralStreamingEvaluator
 from repro.multi.engine import MultiQueryEngine
 from repro.valuation import Valuation
 
-from helpers import star_query, star_schema, streams_strategy
+from helpers import ARENAS, star_query, star_schema, streams_strategy
 
 
 def collect(ds, node, position):
@@ -125,6 +125,34 @@ class TestArenaBasics:
         assert not ds.expired(node, 2)
         assert ds.expired(BOTTOM_ID, 0)
         assert collect(ds, BOTTOM_ID, 3) == set()
+
+    @pytest.mark.parametrize("columnar,kernel", ARENAS)
+    def test_extend_onto_is_the_union_with_a_fresh_leaf_in_one_record(self, columnar, kernel):
+        window = 3
+        fused = ArenaDataStructure(window, columnar=columnar, kernel=kernel)
+        split = ArenaDataStructure(window, columnar=columnar, kernel=kernel)
+        oracle = DataStructure(window)
+        # Chains at one position, and gaps long enough for the entry to expire.
+        steps = [({"a"}, 0), ({"a", "b"}, 0), ({"b"}, 1), ({"a"}, 4), ({"c"}, 9), ({"a"}, 9), ({"b"}, 10)]
+        entry = top = node = None
+        for calls, (labels, position) in enumerate(steps, 1):
+            entry = fused.extend_onto(labels, position, entry)
+            node = oracle.extend_onto(labels, position, node)
+            leaf = split.extend(labels, position, [])
+            top = leaf if top is None else split.union(top, leaf)
+            outputs = list(fused.enumerate(entry, position))
+            assert outputs == list(split.enumerate(top, position)) == list(oracle.enumerate(node, position))
+            assert len(outputs) == {0: calls, 1: 3, 4: 2, 9: calls - 4, 10: 3}[position]
+            assert fused.union_depth(entry) == split.union_depth(top) == oracle.union_depth(node)
+            assert fused.nodes_created == oracle.nodes_created == calls
+            assert (
+                (fused.union_calls, fused.union_copies)
+                == (split.union_calls, split.union_copies)
+                == (oracle.union_calls, oracle.union_copies)
+            )
+            assert fused.check_heap_condition(entry)
+        # The split path leaves the fresh leaf behind under every copy it stacks.
+        assert split.nodes_created == len(steps) + fused.union_copies == 12
 
     def test_matches_object_structure_on_random_interleavings(self):
         rng = random.Random(7)
@@ -320,14 +348,15 @@ class TestDifferentialEvaluators:
 
 class TestMemoryBound:
     def test_live_arena_nodes_stay_window_bounded_over_long_stream(self):
-        """Live enumeration-structure storage is O(window) over a 50k stream."""
+        """Live enumeration-structure storage is O(window) over a 60k stream."""
+        length = 60_000  # a leaf run is one record, so ~2 nodes per tuple
         rng = random.Random(0)
         pcea = hcq_to_pcea(star_query(2))
         window = 256
         evaluator = StreamingEvaluator(pcea, window=window, arena=True, collect_stats=False)
         peak_live = 0
         samples = []
-        for index in range(50_000):
+        for index in range(length):
             tup = Tuple(rng.choice(["A1", "A2"]), (rng.randrange(16), rng.randrange(8)))
             evaluator.update(tup)
             if index % 500 == 0:
@@ -338,10 +367,10 @@ class TestMemoryBound:
         assert created > 100_000, "workload must allocate heavily"
         # Retained slabs hold at most the last ~2 windows of allocations plus
         # slack for the slab granularity and the release-order skew.  The
-        # observed steady state is ~8k nodes; 3 windows of this workload's
-        # allocation rate (~4 nodes/tuple) plus 2 slabs is a safe ceiling that
-        # still fails loudly if reclamation regresses to O(stream).
-        per_position = created / 50_000
+        # 3 windows of this workload's allocation rate plus 2 slabs is a safe
+        # ceiling that still fails loudly if reclamation regresses to
+        # O(stream).
+        per_position = created / length
         ceiling = 3 * (window + 1) * per_position + 2 * 4096
         assert peak_live <= ceiling, (peak_live, ceiling)
         # Flat profile: the second half of the stream needs no more storage

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, format_match, main, parse_event_line, read_events, run
 from repro.cq.schema import Tuple
+from repro.runtime import SNAPSHOT_VERSION
 from repro.valuation import Valuation
 
 
@@ -412,7 +413,7 @@ class TestCheckpointRobustness:
 
     def test_malformed_checkpoint_file_fails_cleanly(self, tmp_path):
         path = tmp_path / "ck.json"
-        path.write_text('{"snapshot_version": 1, "engine": "streaming"}\n')
+        path.write_text('{"snapshot_version": %d, "engine": "streaming"}\n' % SNAPSHOT_VERSION)
         code, _ = self._run(self.QUERY + ["--restore", str(path)], [])
         assert code == 2
         path.write_text("not json at all\n")

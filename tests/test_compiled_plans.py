@@ -390,17 +390,20 @@ class TestSetupBudget:
         # No query atom is walked (nothing in cq/query.py runs), nothing is
         # compiled again, and the compile step enters the predicate layer a
         # fixed number of times: the helper and the predicate's own hook, once
-        # per transition (acceptor) and once per join (both extractors).  The
+        # per transition (acceptor) and once per join (both extractors), plus
+        # the hook reading the left key plan that names the join's slot.  The
         # rest is the dispatch metadata every index build has always read.
         assert not [call for call in calls if call[0] == "query.py"]
         assert after.misses == before.misses
         assert after.hits == before.hits + 2 * joins
         in_predicates = [name for file, name in calls if file == "predicates.py"]
-        compile_step = {"compile_acceptor", "acceptor", "compile_key_extractors", "key_extractors"}
+        compile_step = {
+            "compile_acceptor", "acceptor", "compile_key_extractors", "key_extractors", "left_key_plan"
+        }  # fmt: skip
         metadata = {"dispatch_relations", "constant_guard", "canonical_key", "_atom_constant_guard"}
         assert set(in_predicates) <= compile_step | metadata
         assert sum(name in compile_step for name in in_predicates) == (
-            2 * len(pcea.transitions) + 2 * joins
+            2 * len(pcea.transitions) + 3 * joins
         )
 
     def test_rebuilt_indexes_share_extractors(self):

@@ -16,6 +16,7 @@ from repro.core.predicates import (
     AtomUnaryPredicate,
     AttributeFilter,
     LambdaUnaryPredicate,
+    ProjectionEquality,
     RelationPredicate,
     TruePredicate,
     TrueEquality,
@@ -109,13 +110,47 @@ class TestTransitionDispatchIndex:
         index = TransitionDispatchIndex(pcea.transitions, final=pcea.final)
         consumers = index.consumers("a")
         assert len(consumers) == 1
-        compiled, source_id, left_key = consumers[0]
-        assert compiled.index == 1
-        assert source_id == index.state_ids["a"]
-        assert isinstance(compiled.joins[0][2], TrueEquality)
+        slot, left_key = consumers[0]
+        reader = index.all_transitions()[1]
+        assert isinstance(reader.joins[0][2], TrueEquality)
+        assert [probe_slot for probe_slot, _ in reader.probes] == [slot]
         assert left_key(Tuple("T", (1,))) == ()  # the join's compiled left extractor
+        assert index.consumers_by_id(index.state_ids["a"]) == consumers
         assert index.consumers("b") == ()
         assert index.consumers("missing") == ()
+
+    def test_readers_share_a_slot_per_state_and_key_plan(self):
+        """Two transitions reading one state through one left key plan probe
+        (and are fed through) one slot; a different plan — or a join that has
+        no plan at all — gets its own."""
+        on_first = lambda right: ProjectionEquality({"T": (0,)}, {right: (0,)})
+        pcea = PCEA(
+            states={"a", "b"},
+            transitions=[
+                PCEATransition(set(), RelationPredicate("T"), {}, {"t"}, "a"),
+                PCEATransition({"a"}, RelationPredicate("S"), {"a": on_first("S")}, {"s"}, "b"),
+                PCEATransition({"a"}, RelationPredicate("R"), {"a": on_first("R")}, {"r"}, "b"),
+                PCEATransition(
+                    {"a"}, RelationPredicate("U"), {"a": ProjectionEquality({"T": (1,)}, {"U": (0,)})}, {"u"}, "b"
+                ),
+                PCEATransition({"a"}, RelationPredicate("V"), {"a": TrueEquality()}, {"v"}, "b"),
+                PCEATransition({"a"}, RelationPredicate("W"), {"a": TrueEquality()}, {"w"}, "b"),
+            ],
+            final={"b"},
+        )
+        index = TransitionDispatchIndex(pcea.transitions, final=pcea.final)
+        leaf, *readers = index.all_transitions()
+        slots = [c.probes[0][0] for c in readers]
+        assert slots[0] == slots[1]
+        assert len(set(slots)) == 4 and sorted(set(slots)) == list(range(4))
+        assert [slot for slot, _ in index.consumers("a")] == sorted(set(slots))
+        assert leaf.consumers == index.consumers("a") and not leaf.store_through  # four slots
+        sample = Tuple("T", (7, 8))
+        assert [left(sample) for _, left in index.consumers("a")] == [(7,), (8,), (), ()]
+        # One slot, not final: the leaf run is written straight onto its entry.
+        single = TransitionDispatchIndex(pcea.transitions[:3], final=pcea.final)
+        assert single.all_transitions()[0].store_through
+        assert not any(c.store_through for c in single.all_transitions()[1:])
 
     def test_final_flags_and_state_interning(self):
         pcea = two_relation_pcea()

@@ -5,7 +5,9 @@ and the unread :class:`~repro.valuation.Valuation` it hands out.
   call are bounded by ``c·Σ|ν| + c′`` with one ``c`` for every window and
   stream length;
 * a hypothesis differential over automata with nested products, several
-  labels per transition and labels shared between nodes, on every arena
+  labels per transition and labels shared between nodes — and over the
+  shared family ``helpers.slot_pcea`` (states read through one or several
+  key plans, leaf runs stored through ``extend_onto``) — on every arena
   layout (and the native kernel when it is built), against the object
   structure's enumeration order and the naive ``outputs_upto`` oracle —
   whichever accessor reads a valuation first;
@@ -27,16 +29,12 @@ from repro.core.arena import ArenaDataStructure
 from repro.core.datastructure import DataStructure
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.hcq_to_pcea import hcq_to_pcea
-from repro.core.kernel import native_available
 from repro.core.pcea import PCEA, PCEATransition
 from repro.core.predicates import ProjectionEquality, RelationPredicate
 from repro.cq.schema import Tuple
 from repro.valuation import Valuation
 
-from helpers import star_query
-
-#: (columnar, kernel) of every arena variant that runs here.
-ARENAS = [(True, "python"), (False, "python")] + ([(True, "native")] if native_available() else [])
+from helpers import ARENAS, slot_automata, slot_streams, star_query
 
 
 # ------------------------------------------------------------ the delay claim
@@ -198,6 +196,19 @@ FIRST_READS = [
 @settings(max_examples=60, deadline=None)
 @given(pcea=automata, stream=streams)
 def test_packed_enumeration_matches_the_object_structure_and_the_naive_oracle(pcea, stream):
+    check_every_arena_against_the_object_structure(pcea, stream)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pcea=slot_automata, stream=slot_streams)
+def test_shared_slots_and_store_through_keep_the_object_structures_order(pcea, stream):
+    """One entry per (state, left key plan) and leaf runs written straight onto
+    it: multi-slot states, final-and-read states, several multi-label leaf
+    transitions per state (``helpers.slot_pcea``)."""
+    check_every_arena_against_the_object_structure(pcea, stream)
+
+
+def check_every_arena_against_the_object_structure(pcea, stream):
     expected = pcea.outputs_upto(stream, len(stream) - 1, window=WINDOW)
     oracle = StreamingEvaluator(pcea, WINDOW, arena=False)
     engines = [

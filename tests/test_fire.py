@@ -7,11 +7,20 @@ it consumes (``repro.core.dispatch``).
   mechanism and a tuple's plan is stitched from the unguarded groups plus a
   value bucket — through every engine, static and adaptive, against the
   naive ``outputs_upto`` oracle;
+* the same differential over ``helpers.slot_pcea`` — states read through
+  one or several left key plans, final-and-read states, several multi-label
+  source-less transitions per state — plus snapshot -> restore mid-stream
+  across arena layouts and kernels, and slot numbering that survives a
+  cleared extractor cache;
+* write amplification as counts: a k-arm star's leaf tuple costs one hash
+  update, one expiry triple and one arena record, whatever k;
 * the build-time "one guard per predicate group" check;
-* a structure guard: the per-probe counter and the arena's fresh-node union
-  fast path each live in exactly one module.
+* structure guards: the per-probe counter and the arena's fresh-node union
+  fast path each live in exactly one module; ``H`` is not keyed by reader and
+  ``extend_onto`` exists once per representation.
 """
 
+import random
 import re
 from dataclasses import asdict
 from pathlib import Path
@@ -24,12 +33,15 @@ from repro.core.adaptive import AdaptiveConfig
 from repro.core.dispatch import TransitionDispatchIndex
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.pcea import PCEA, PCEATransition
-from repro.core.predicates import UnaryPredicate
+from repro.core.hcq_to_pcea import hcq_to_pcea
+from repro.core.predicates import UnaryPredicate, compile_key_plan
 from repro.cq.schema import Tuple
 from repro.engine.compiler import compile_pattern
 from repro.engine.dsl import atom, conjunction, disjunction
 from repro.extensions.general_evaluation import GeneralStreamingEvaluator
 from repro.multi import MergedDispatchIndex, MultiQueryEngine
+
+from helpers import ARENAS, slot_automata, slot_streams, star_query
 
 WINDOW = 6
 DOMAIN = 3
@@ -85,6 +97,16 @@ def test_the_family_mixes_guard_buckets_with_a_shared_unguarded_group():
 @settings(max_examples=60, deadline=None)
 @given(first=automata, second=automata, stream=st.lists(tuples, min_size=4, max_size=14))
 def test_every_engine_matches_the_naive_oracle_static_and_adaptive(first, second, stream):
+    check_every_engine_against_the_naive_oracle(first, second, stream)
+
+
+@settings(max_examples=40, deadline=None)
+@given(first=slot_automata, second=slot_automata, stream=slot_streams)
+def test_shared_slots_and_store_through_match_the_naive_oracle(first, second, stream):
+    check_every_engine_against_the_naive_oracle(first, second, stream)
+
+
+def check_every_engine_against_the_naive_oracle(first, second, stream):
     pceas = [first, second]
     last = len(stream) - 1
     expected = [pcea.outputs_upto(stream, last, window=WINDOW) for pcea in pceas]
@@ -115,6 +137,78 @@ def test_every_engine_matches_the_naive_oracle_static_and_adaptive(first, second
         )
         assert lone.items() <= reference.items()
     assert statistics[False] == statistics[True]
+
+
+@settings(max_examples=25, deadline=None)
+@given(pcea=slot_automata, stream=slot_streams, cut=st.integers(1, 17))
+def test_snapshot_restore_mid_stream_continues_identically_across_kernels(pcea, stream, cut):
+    cut = min(cut, len(stream) - 1)
+    build = lambda arena: StreamingEvaluator(pcea, WINDOW, columnar=arena[0], kernel=arena[1])
+    reference = build(ARENAS[0])
+    wanted = [reference.process(tup) for tup in stream]
+    snapshots = []
+    for arena in ARENAS:
+        source = build(arena)
+        assert [source.process(tup) for tup in stream[:cut]] == wanted[:cut]
+        snapshots.append(source.snapshot())
+    assert all(snapshot == snapshots[0] for snapshot in snapshots)
+    for arena in ARENAS:
+        target = build(arena)
+        target.restore(snapshots[0])
+        outputs = [target.process(tup) for tup in stream[cut:]]
+        assert outputs == wanted[cut:]  # same order, ==
+        assert [list(map(hash, out)) for out in outputs] == [list(map(hash, out)) for out in wanted[cut:]]
+        assert target.snapshot() == reference.snapshot()
+
+
+@settings(max_examples=25, deadline=None)
+@given(pcea=slot_automata)
+def test_slots_are_numbered_by_structure_not_by_extractor_identity(pcea):
+    """``compile_key_plan`` is a bounded cache: another process (or an evicted
+    entry) compiles a plan to a different function object, and slot numbers
+    are part of the snapshot contract."""
+    before = TransitionDispatchIndex(pcea.transitions, final=pcea.final)
+    compile_key_plan.cache_clear()
+    after = TransitionDispatchIndex(pcea.transitions, final=pcea.final)
+    slots = lambda index: [[slot for slot, _ in c.probes] for c in index.all_transitions()]
+    assert slots(before) == slots(after)
+    assert before.signature() == after.signature()
+    for state_id in before.state_ids.values():
+        ours, theirs = before.consumers_by_id(state_id), after.consumers_by_id(state_id)
+        assert [slot for slot, _ in ours] == [slot for slot, _ in theirs]
+        assert all(a is not b for (_, a), (_, b) in zip(ours, theirs))  # fresh extractors
+
+
+# ------------------------------------------------- write amplification, counted
+@pytest.mark.parametrize("arena", [True, False], ids=["arena", "object"])
+@pytest.mark.parametrize("arms", [2, 3, 4, 5])
+def test_a_leaf_run_is_stored_once_whatever_the_fan_in(arms, arena):
+    """Every leaf state of a k-arm star is read by k-1 closing transitions, all
+    through the shared variable: one slot, so one accepted tuple costs one hash
+    update, one expiry triple (one ``add_ref``) and one record — not k-1."""
+    window = 20
+    engine = StreamingEvaluator(hcq_to_pcea(star_query(arms)), window, arena=arena, collect_stats=True)
+    rng = random.Random(arms)
+    stream = [
+        Tuple(f"A{rng.randrange(1, arms + 1)}", (rng.randrange(2), rng.randrange(50)))
+        for _ in range(300)
+    ]
+    stats, ds, buckets = engine.stats, engine.ds, engine._expiry_buckets
+    triples = lambda: sum(map(len, buckets.values())) // 3
+    closed = 0
+    for tup in stream:
+        before = (stats.hash_updates, stats.unions, ds.nodes_created, triples())
+        finals = engine.update(tup, sweep=False)  # unswept: buckets only grow
+        assert len(finals) <= 1
+        closed += len(finals)
+        assert stats.hash_updates - before[0] == 1
+        assert stats.unions - before[1] <= 1
+        assert ds.nodes_created - before[2] == 1 + len(finals)  # the leaf run + the closing node
+        assert triples() - before[3] == 1
+    assert closed > 50 and stats.transitions_fired == len(stream) + closed
+    engine._runtime.sweep_upto(engine.position)
+    live = {(tup.relation, tup.values[0]) for tup in stream[-(window + 1) :]}
+    assert engine.hash_table_size() <= len(live)
 
 
 class _Claims(UnaryPredicate):
@@ -174,3 +268,21 @@ def test_the_fire_loop_exists_once():
             if pattern.search(path.read_text())
         )
         assert holders == ["runtime/fire.py"], pattern.pattern
+
+
+def test_each_run_is_stored_once_through_one_code_path():
+    """``H`` is keyed by (slot, key), never by the reading transition, and the
+    fused leaf write exists once per representation: object structure, arena
+    (one body for both layouts and the native binding), C kernel."""
+    source_root = Path(__file__).resolve().parent.parent / "src" / "repro"
+    assert "compiled.index" not in (source_root / "runtime" / "fire.py").read_text()
+    definitions = {
+        str(path.relative_to(source_root)): len(re.findall(r"def \w*extend_onto\w*\(", path.read_text()))
+        for path in source_root.rglob("*.py")
+    }
+    assert {name: count for name, count in definitions.items() if count} == {
+        "core/arena.py": 1,
+        "core/datastructure.py": 1,
+    }
+    kernel = (source_root / "core" / "_kernelmod.c").read_text()
+    assert len(re.findall(r"^Kernel_extend_onto\(", kernel, flags=re.M)) == 1

@@ -13,7 +13,8 @@ Four layers of protection:
   continuity across pre-checkpoint churn;
 * verification — restoring into a mismatched engine (different query,
   window, evict setting, engine kind, or the object-graph structure) must be
-  rejected before any state is touched;
+  rejected before any state is touched — as must a version-1 tree (``H``
+  keyed per reading transition) and a table numbered by other slots;
 * structural identity of the layouts — the columnar (packed-record) and
   list-backed arenas fed the same operations must be *snapshot-equal*, under
   hypothesis streams and under long streams with mid-stream expiry, which is
@@ -407,3 +408,102 @@ class TestSignatureStrictness:
         with pytest.raises(SnapshotError):
             fresh.restore(snap)
         assert fresh.position == -1 and fresh.hash_table_size() == 0
+
+
+class TestVersionOneIsRefused:
+    """Version 1 keyed ``H`` by ``(transition index, source id, key)``; read as
+    version 2 every probe of such a table would miss.  It is refused by
+    version, and a table numbered by a different slot assignment by signature."""
+
+    WINDOW = 9
+
+    def _pcea(self):
+        return hcq_to_pcea(star_query(3))
+
+    def _stream(self):
+        rng = random.Random(2)
+        return [Tuple(f"A{rng.randrange(1, 4)}", (rng.randrange(2), rng.randrange(9))) for _ in range(30)]
+
+    def _as_version_one(self, lane_snap, runtime_buckets, index):
+        """Re-key one lane's table and bucket triples the version-1 way: once
+        per reading transition."""
+        readers = {}
+        for compiled in index.all_transitions():
+            for (_, source_id, _), (slot, _) in zip(compiled.joins, compiled.probes):
+                readers.setdefault(slot, []).append((compiled.index, source_id))
+        lane_snap["hash"] = [
+            ((reader, source_id, key), value)
+            for (slot, key), value in lane_snap["hash"]
+            for reader, source_id in readers[slot]
+        ]
+        for expiry_position, flat in runtime_buckets.items():
+            runtime_buckets[expiry_position] = [
+                item
+                for lane, (slot, key), node in zip(flat[0::3], flat[1::3], flat[2::3])
+                for reader, source_id in readers[slot]
+                for item in (lane, (reader, source_id, key), node)
+            ]
+
+    def _strip_slots(self, signature):
+        signature["transitions"] = tuple(
+            entry[:3] + (tuple(join[:2] for join in entry[3]),) + entry[4:]
+            for entry in signature["transitions"]
+        )
+        return signature
+
+    def test_single_engine_restore(self):
+        original = StreamingEvaluator(self._pcea(), window=self.WINDOW)
+        for tup in self._stream():
+            original.process(tup)
+        snap = original.snapshot()
+        assert snap["snapshot_version"] == 2 and original.hash_table_size() > 0
+        self._as_version_one(snap["lane"], snap["runtime"]["buckets"], original._dispatch)
+        self._strip_slots(snap["dispatch_signature"])
+        snap["snapshot_version"] = 1
+        assert len(snap["lane"]["hash"]) == 2 * original.hash_table_size()  # k-1 readers each
+        fresh = StreamingEvaluator(self._pcea(), window=self.WINDOW)
+        with pytest.raises(SnapshotError, match="version 1 is not supported"):
+            fresh.restore(roundtrip(snap, "json"))
+        assert fresh.position == -1 and fresh.hash_table_size() == 0 and not fresh._expiry_buckets
+        assert fresh.snapshot() == StreamingEvaluator(self._pcea(), window=self.WINDOW).snapshot()
+
+    def test_multi_engine_restore_and_adopt_queries(self):
+        original = MultiQueryEngine()
+        handle = original.register(self._pcea(), window=self.WINDOW)
+        for tup in self._stream():
+            original.process(tup)
+        lane = original._lanes[handle.id]
+        full, partial = original.snapshot(), original.extract_queries([handle])
+        assert full["snapshot_version"] == partial["snapshot_version"] == 2
+        self._as_version_one(full["lanes"][0], full["runtime"]["buckets"], lane.dispatch)
+        self._as_version_one(partial["lanes"][0], partial["buckets"], lane.dispatch)
+        self._strip_slots(partial["signatures"][0])
+        full["snapshot_version"] = partial["snapshot_version"] = 1
+
+        fresh = MultiQueryEngine()
+        adopted = fresh.register(self._pcea(), window=self.WINDOW)
+        for tup in self._stream():
+            fresh.process(Tuple("Other", tup.values))  # same position, no state
+        untouched = fresh.snapshot()
+        with pytest.raises(SnapshotError, match="version 1 is not supported"):
+            fresh.restore(roundtrip(full, "json"))
+        with pytest.raises(SnapshotError, match="version 1 is not supported"):
+            fresh.adopt_queries(roundtrip(partial, "json"), [adopted])
+        assert fresh.snapshot() == untouched and fresh.hash_table_size() == 0
+
+    def test_a_different_slot_numbering_is_refused_by_signature(self):
+        original = StreamingEvaluator(self._pcea(), window=self.WINDOW)
+        for tup in self._stream():
+            original.process(tup)
+        snap = original.snapshot()
+        renumbered = roundtrip(snap, "json")
+        renumbered["dispatch_signature"]["transitions"] = tuple(
+            entry[:3] + (tuple(join[:2] + (join[2] + 1,) for join in entry[3]),) + entry[4:]
+            for entry in renumbered["dispatch_signature"]["transitions"]
+        )
+        fresh = StreamingEvaluator(self._pcea(), window=self.WINDOW)
+        with pytest.raises(SnapshotError, match="signatures differ"):
+            fresh.restore(renumbered)
+        assert fresh.position == -1 and fresh.hash_table_size() == 0
+        fresh.restore(roundtrip(snap, "json"))
+        assert fresh.snapshot() == snap
