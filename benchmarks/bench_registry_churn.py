@@ -117,8 +117,8 @@ def verify_equivalence(size: int, churn_steps: int) -> bool:
                 )
             # The tentpole invariant: the patched index is structurally
             # identical to a from-scratch rebuild after *every* mutation.
-            lanes = [patched._lanes[qid] for qid in sorted(patched._lanes)]
-            scratch = MergedDispatchIndex([(lane, lane.dispatch) for lane in lanes])
+            queries = [patched._queries[qid] for qid in sorted(patched._queries)]
+            scratch = MergedDispatchIndex([(query, query.dispatch) for query in queries])
             if patched._merged.signature() != scratch.signature():
                 return False
         patched_outputs = patched.process(tup)

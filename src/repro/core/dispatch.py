@@ -359,24 +359,32 @@ class CompiledTransition:
 
 
 class MergedEntry:
-    """A compiled transition tagged with the lane that owns its run state.
+    """A compiled transition placed in the store that holds its run state.
 
-    The plan member :func:`repro.runtime.fire` consumes: ``owner`` is the
-    lane (whatever the engine registered the transition's index under),
-    ``pred_key`` the predicate-group key — the canonical key itself in a
-    single-automaton binding (:meth:`TransitionDispatchIndex.bind`), its
-    dense *interned* id in the multi-query engine's merged index, where
-    grouping then hashes a plain int instead of a nested tuple — and
-    ``order`` the canonical candidate rank (transition order; in the merged
-    index registration order, then transition order within a query).
+    The plan member :func:`repro.runtime.fire` consumes.  ``owner`` is the
+    store (an :class:`~repro.runtime.EvictionLane`: one ``DS_w`` + one ``H``)
+    and ``handle`` whoever its final nodes are collected for: the lane itself
+    in a single-automaton binding (:meth:`TransitionDispatchIndex.bind`), the
+    registered query in the multi-query engine's merged index, where one store
+    serves every query of a window.  ``probes`` / ``consumers`` / ``target_id``
+    are the compiled transition's, renumbered into the store's slot space;
+    ``since`` is the first stream position the query observed (``-1``: all of
+    it).  ``pred_key`` is the predicate-group key — the canonical key itself
+    in a binding, its dense *interned* id in the merged index, where grouping
+    then hashes a plain int instead of a nested tuple — and ``order`` the
+    canonical candidate rank (transition order; in the merged index
+    registration order, then transition order within a query).
     """
 
-    __slots__ = ("owner", "compiled", "accepts", "pred_key", "guard", "order", "hits")
+    __slots__ = (
+        "owner", "handle", "compiled", "accepts", "pred_key", "guard", "order", "hits",
+        "probes", "consumers", "target_id", "since",
+    )  # fmt: skip
 
     def __init__(
         self, owner: object, compiled: CompiledTransition, pred_key: Hashable, order: int
     ) -> None:
-        self.owner = owner
+        self.owner = self.handle = owner
         self.compiled = compiled
         self.accepts = compiled.accepts
         self.pred_key = pred_key
@@ -386,6 +394,10 @@ class MergedEntry:
         # unary held, halved at every adaptive flush.  Feedback only —
         # excluded from signature().
         self.hits = 0
+        self.probes = compiled.probes
+        self.consumers = compiled.consumers
+        self.target_id = compiled.target_id
+        self.since = -1
 
     def __repr__(self) -> str:
         return f"MergedEntry(owner={self.owner!r}, {self.compiled!r})"
@@ -455,6 +467,10 @@ class TransitionDispatchIndex(PlanIndex):
             c.probes = tuple(probes)
             compiled.append(c)
         self._all: Tup[CompiledTransition, ...] = tuple(compiled)
+        #: slot -> ``(source state id, left key plan)`` (a transition index
+        #: where the join has no plan), in slot order.
+        self.slots: Tup[Tup[int, Hashable], ...] = tuple(slots)
+        self._leaves: Optional[Dict[int, Hashable]] = None  # see leaf_states()
         self._consumers: Dict[int, Tup[Tup[int, object], ...]] = {
             source_id: tuple(by_slot.items()) for source_id, by_slot in consumers.items()
         }
@@ -531,6 +547,37 @@ class TransitionDispatchIndex(PlanIndex):
     def all_transitions(self) -> Tup[CompiledTransition, ...]:
         return self._all
 
+    def leaf_states(self) -> Dict[int, Hashable]:
+        """``state id -> class key`` of the automaton's *leaf* states.
+
+        A leaf state is read (it has slots), is not final and is reached only
+        by source-less transitions — its runs are single tuples — so what
+        ``H`` holds for it follows from the stream and the key alone: the
+        incoming transitions' ``(relations, canonical unary key, label set)``
+        in transition order, plus the left key plan of each slot.  Automata
+        with an equal key would store identical entries, which lets the
+        multi-query engine store them once.  A state read through a
+        hand-written key has no plan to compare: never a leaf.
+        """
+        leaves = self._leaves
+        if leaves is None:
+            barred = {source for source, plan in self.slots if isinstance(plan, int)}
+            into: Dict[int, List[Tup]] = {}
+            for c in self._all:
+                if c.joins or c.is_final:
+                    barred.add(c.target_id)
+                else:
+                    into.setdefault(c.target_id, []).append((c.relations, c.pred_key, c.labels))
+            leaves = self._leaves = {
+                state_id: (
+                    tuple(into[state_id]),
+                    tuple(self.slots[slot][1] for slot, _ in readers),
+                )
+                for state_id, readers in self._consumers.items()
+                if state_id in into and state_id not in barred
+            }
+        return leaves
+
     # ------------------------------------------------------------ introspection
     def __len__(self) -> int:
         return len(self._all)
@@ -590,6 +637,10 @@ class TransitionDispatchIndex(PlanIndex):
             # keys exist so the merged index's describe() stays key-identical.
             "patched_adds": 0.0,
             "patched_removes": 0.0,
+            # One automaton, one store: every state is a class of its own.
+            "stores": 1.0,
+            "state_classes": float(len(self.state_ids)),
+            "shared_state_classes": 0.0,
             **self._layout(),
         }
 

@@ -1,10 +1,9 @@
 """The multi-query streaming engine: many patterns, one pass per tuple.
 
 :class:`MultiQueryEngine` evaluates every registered query with Algorithm 1
-semantics — each query keeps its *own* run-index hash table, enumeration
-structure (``DS_w``) and sliding window, so outputs are bit-for-bit identical
-to running one :class:`~repro.core.evaluation.StreamingEvaluator` per query —
-but the per-tuple work is shared three ways:
+semantics — per query, outputs are bit-for-bit (order included) those of one
+:class:`~repro.core.evaluation.StreamingEvaluator` started where the query
+was registered — but what the queries have in common is done once:
 
 * **one dispatch lookup** through the
   :class:`~repro.multi.merged_index.MergedDispatchIndex` returns the candidate
@@ -13,13 +12,22 @@ but the per-tuple work is shared three ways:
   predicates across queries are evaluated once per tuple by the shared fire
   loop (:func:`repro.runtime.fire`; sound because equal canonical keys imply
   equal extensions);
+* **one run store per window** — Algorithm 1's ``DS_w`` and ``H`` exist once
+  for all queries registered under the same window (an
+  :class:`~repro.runtime.EvictionLane`), every query's states numbered into
+  that store's slot space.  A *leaf* state — reached only by source-less
+  transitions — that several queries have in common is stored once: one
+  plan member, one ``H`` write, one expiry triple and one sweep step per
+  accepted tuple, however many queries read it.  States built by joins stay
+  private to their query: a union's shape depends on the order its runs
+  arrived in, which a query that joined later has not seen, so sharing them
+  waits for a canonical union order;
 * **one eviction sweep** through the shared
-  :class:`~repro.runtime.StreamRuntime` — every query is an
-  :class:`~repro.runtime.EvictionLane` of the same runtime the single-query
-  evaluator runs as its K=1 lane, so the expiry-bucket map (keyed by the
-  global position at which an entry expires, ``max_start + window_q + 1``),
+  :class:`~repro.runtime.StreamRuntime` — the same runtime the single-query
+  evaluator runs with its one store — so the expiry-bucket map (keyed by the
+  global position at which an entry expires, ``max_start + window + 1``),
   the bucket-pop sweep, the batched catch-up sweep and the periodic arena
-  release pass exist in exactly one place and cover every lane at once.
+  release pass exist in exactly one place and cover every store at once.
 
 Registration changes patch the merged index incrementally
 (:meth:`MergedDispatchIndex.add_query` / ``remove_query``): registering a
@@ -31,7 +39,9 @@ ablation and the churn benchmark's baseline.
 
 Positions are global to the engine's stream: a query registered at position
 ``p`` behaves exactly like an independent evaluator that started observing
-the stream at ``p`` (its valuations carry global stream positions).
+the stream at ``p`` (its valuations carry global stream positions) — where it
+reads an entry older queries have been filling, its probes and enumeration
+are cut at ``max(position - window, p)`` instead of ``position - window``.
 """
 
 from __future__ import annotations
@@ -71,36 +81,35 @@ from repro.valuation import Valuation
 MultiQueryStatistics = EngineStatistics
 
 
-class _QueryLane(EvictionLane):
-    """Per-query runtime state: isolated tables, shared per-tuple loop."""
+class _Store(EvictionLane):
+    """One window's run store, plus the slot space its queries are numbered into.
 
-    __slots__ = ("handle", "pcea", "dispatch")
+    ``next_slot`` only grows: what a departed query stored stays in ``H``
+    until it expires, and a reused slot would alias it.  ``queries`` counts
+    the registered queries living here; the engine drops the store with its
+    last one.
+    """
 
-    def __init__(
-        self,
-        handle: QueryHandle,
-        pcea,
-        arena: bool = True,
-        columnar: bool = True,
-        kernel: Optional[str] = None,
-    ) -> None:
-        ds = (
-            ArenaDataStructure(handle.window, columnar=columnar, kernel=kernel)
-            if arena
-            else DataStructure(handle.window)
-        )
-        super().__init__(handle.window, ds)
+    __slots__ = ("next_slot", "queries")
+
+    def __init__(self, window: int, ds) -> None:
+        super().__init__(window, ds)
+        self.next_slot = 0
+        self.queries = 0
+
+
+class _Registered:
+    """One registered query: the store its runs live in, the first position it
+    observed, and its automaton-slot -> store-slot table."""
+
+    __slots__ = ("handle", "dispatch", "store", "since", "slots")
+
+    def __init__(self, handle: QueryHandle, pcea) -> None:
         self.handle = handle
-        self.pcea = pcea
         self.dispatch = pcea.dispatch_index()
-
-    def deactivate(self) -> None:
-        super().deactivate()
-        self.pcea = None
-        self.dispatch = None
-
-    def __repr__(self) -> str:
-        return f"_QueryLane({self.handle}, |H|={len(self.hash)})"
+        self.store: Optional[_Store] = None
+        self.since = 0
+        self.slots: Optional[tuple] = None
 
 
 class MultiQueryEngine(RuntimeBackedEngine):
@@ -120,10 +129,10 @@ class MultiQueryEngine(RuntimeBackedEngine):
         :class:`~repro.runtime.EngineStatistics`; off by default (production
         mode).
     arena:
-        With ``True`` (default) each lane's enumeration structure is the
+        With ``True`` (default) each store's enumeration structure is the
         arena-backed :class:`~repro.core.arena.ArenaDataStructure`, whose
         expired slabs the shared eviction sweep releases wholesale; ``False``
-        restores the object-graph ``DS_w`` per lane (ablation / differential
+        restores the object-graph ``DS_w`` (ablation / differential
         testing).
     incremental:
         With ``True`` (default) registration changes patch the merged
@@ -131,21 +140,21 @@ class MultiQueryEngine(RuntimeBackedEngine):
         it from scratch on every change (the pre-patching behaviour, kept as
         the ablation baseline the churn benchmark measures against).
     columnar:
-        Arena column layout per lane (``array('q')`` packing by default;
+        Arena column layout (``array('q')`` packing by default;
         ``False`` keeps the list-backed slabs — ablation).  Ignored with
         ``arena=False``.
     kernel:
-        Record-operation backend for every lane's arena hot path
+        Record-operation backend for every store's arena hot path
         (``"python"`` / ``"native"`` / ``"auto"``; ``None`` defers to
         ``REPRO_KERNEL`` then auto-detection — :mod:`repro.core.kernel`).
-        Resolved once at construction so every lane — including lanes
-        registered mid-stream — runs the same backend; ignored with
+        Resolved once at construction so every store — including those
+        opened mid-stream — runs the same backend; ignored with
         ``arena=False``.
     release_interval:
         Positions between the runtime's periodic full arena-release passes
-        over every lane (default :data:`~repro.runtime.RELEASE_PASS_INTERVAL`)
-        — the pass that reclaims expired slabs of lanes whose queries stopped
-        matching.  Lower it for tighter idle-lane memory at higher amortised
+        over every store (default :data:`~repro.runtime.RELEASE_PASS_INTERVAL`)
+        — the pass that reclaims expired slabs of stores whose queries stopped
+        matching.  Lower it for tighter idle-store memory at higher amortised
         sweep cost; ``memory_info()['release_interval']`` reports it.
     adaptive:
         Adaptive selectivity-driven dispatch (:mod:`repro.core.adaptive`)
@@ -175,19 +184,19 @@ class MultiQueryEngine(RuntimeBackedEngine):
         self._columnar = columnar
         # Resolve the backend once (surfacing bad explicit choices here, not
         # at some later mid-stream registration) and pass the resolved name
-        # to every lane.
+        # to every store.
         self._kernel = resolve_kernel(kernel, columnar) if arena else None
         self._incremental = incremental
         self._count_stats = collect_stats
         self._runtime = StreamRuntime(release_interval=release_interval)
         self._runtime.count_stats = collect_stats
-        self._lanes: Dict[int, _QueryLane] = {}
+        self._queries: Dict[int, _Registered] = {}
+        # window -> the store a registration under that window joins (stores
+        # adopted from another engine are reachable through their queries only).
+        self._stores: Dict[int, _Store] = {}
         self._merged = MergedDispatchIndex((), guards=guards)
         for entry in self.registry.entries():
-            lane = _QueryLane(entry.handle, entry.pcea, arena, columnar, self._kernel)
-            self._lanes[entry.handle.id] = lane
-            self._runtime.add_lane(lane)
-            self._merged.add_query(lane, lane.dispatch)
+            self._index(self._admit(entry))
         # Adaptive dispatch over the merged index; the listener hookup keeps
         # learned plans fresh through incremental registration patches.
         config = resolve_config(adaptive)
@@ -196,62 +205,99 @@ class MultiQueryEngine(RuntimeBackedEngine):
             self._merged.adaptive_listener = self._adaptive
             self._runtime.arm_adapt(self._adapt_flush, config.interval)
 
+    # ----------------------------------------------------------------- stores
+    def _open_store(self, window: int) -> _Store:
+        """A fresh run store (the one place the engine builds a ``DS_w``)."""
+        if self._arena:
+            ds = ArenaDataStructure(window, columnar=self._columnar, kernel=self._kernel)
+        else:
+            ds = DataStructure(window)
+        store = self._runtime.add_lane(_Store(window, ds))
+        observer = getattr(self, "_observer", None)
+        if observer is not None:
+            observer.observe_lane(store)
+        return store
+
+    def _admit(self, entry) -> _Registered:
+        """Seat a registry entry in its window's store, observing from the next tuple."""
+        query = self._queries[entry.handle.id] = _Registered(entry.handle, entry.pcea)
+        store = self._stores.get(entry.handle.window)
+        if store is None:
+            store = self._stores[entry.handle.window] = self._open_store(entry.handle.window)
+        self._enter(query, store, self.position + 1)
+        return query
+
+    def _enter(self, query: _Registered, store: _Store, since: int, slots=None) -> None:
+        query.store, query.since, query.slots = store, since, slots
+        store.queries += 1
+
+    def _index(self, query: _Registered) -> None:
+        """Merge a seated query into the index (allotting its slots if it has none)."""
+        query.slots = self._merged.add_query(
+            query, query.dispatch, query.store, query.since, query.slots
+        )
+
+    def _leave(self, query: _Registered) -> None:
+        """Take a query out of the index and its store; an empty store goes whole."""
+        self._merged.remove_query(query)
+        store = query.store
+        store.queries -= 1
+        if not store.queries:
+            self._runtime.drop_lane(store)
+            if self._stores.get(store.window) is store:
+                del self._stores[store.window]
+
+    def _ordered(self) -> List[_Registered]:
+        """The registered queries in registration order (the snapshot order)."""
+        return [self._queries[entry.handle.id] for entry in self.registry.entries()]
+
     # ----------------------------------------------------------- registration
     def register(
         self, query: QuerySpec, window: int, name: Optional[str] = None
     ) -> QueryHandle:
         """Register a query mid-stream; it starts observing at the next tuple."""
         handle = self.registry.register(query, window, name)
-        lane = _QueryLane(
-            handle, self.registry.get(handle).pcea, self._arena, self._columnar, self._kernel
-        )
-        self._lanes[handle.id] = lane
-        self._runtime.add_lane(lane)
+        registered = self._admit(self.registry.get(handle))
         observer = getattr(self, "_observer", None)
         start = perf_counter() if observer is not None else 0.0
         if self._incremental:
-            self._merged.add_query(lane, lane.dispatch)
+            self._index(registered)
         else:
             self._rebuild()
         if observer is not None:
-            observer.on_index_patch(
-                "add", perf_counter() - start, len(lane.dispatch.all_transitions())
-            )
-            observer.observe_lane(lane)
+            observer.on_index_patch("add", perf_counter() - start, len(registered.dispatch))
         return handle
 
     def unregister(self, handle: QueryHandle) -> None:
-        """Drop a query; its state is discarded and outputs stop immediately."""
+        """Drop a query; its outputs stop immediately.
+
+        Its plan members go, and so does every leaf class it was the last
+        user of.  What it stored stays in its store's ``H`` and ``DS_w``
+        until the sweep expires it — memory is returned within ``window + 1``
+        positions, not at once — except that a store whose last query left
+        is dropped whole.
+        """
         self.registry.unregister(handle)
-        lane = self._lanes.pop(handle.id)
+        registered = self._queries.pop(handle.id)
         observer = getattr(self, "_observer", None)
         start = perf_counter() if observer is not None else 0.0
-        transitions = (
-            len(lane.dispatch.all_transitions()) if observer is not None else 0
-        )
-        if self._incremental:
-            self._merged.remove_query(lane)
-        # Stale expiry-bucket entries still reference the lane; the shared
-        # sweep skips inactive lanes instead of scrubbing every bucket
-        # eagerly.  Deactivation clears the lane's state (hash table,
-        # enumeration structure, bound hooks) so the query's memory is
-        # released immediately, not up to a window later.
-        self._runtime.drop_lane(lane)
+        self._leave(registered)
         if not self._incremental:
             self._rebuild()
         if observer is not None:
-            observer.on_index_patch("remove", perf_counter() - start, transitions)
+            observer.on_index_patch("remove", perf_counter() - start, len(registered.dispatch))
 
     def handles(self) -> List[QueryHandle]:
         """Handles of the registered queries, in registration order."""
         return [entry.handle for entry in self.registry.entries()]
 
     def _rebuild(self) -> None:
-        """Reconstruct the merged index from scratch (``incremental=False``)."""
-        lanes = [self._lanes[qid] for qid in sorted(self._lanes)]
-        self._merged = MergedDispatchIndex(
-            [(lane, lane.dispatch) for lane in lanes], guards=self._guards
-        )
+        """Reconstruct the merged index from scratch: every query re-added,
+        in registration order, where it already sits (``incremental=False``,
+        and how :meth:`restore` re-seats the queries)."""
+        self._merged = MergedDispatchIndex((), guards=self._guards)
+        for query in self._ordered():
+            self._index(query)
         if self._adaptive is not None:
             # A rebuilt index means rebuilt entries: re-derive the adaptive
             # state over them (learning restarts, matching the from-scratch
@@ -300,7 +346,7 @@ class MultiQueryEngine(RuntimeBackedEngine):
         if sweep:
             runtime.sweep(position)
         # One merged lookup serves every query; the shared fire loop then
-        # evaluates one predicate per group and joins per owning lane.
+        # evaluates one predicate per group and joins in each member's store.
         source = self._adaptive if self._adaptive is not None else self._merged
         plan = source.plan_for(tup)
         stats = None
@@ -314,110 +360,157 @@ class MultiQueryEngine(RuntimeBackedEngine):
         finals = fire(plan, tup, position, runtime.buckets, stats)
         if not finals:
             return {}
-        # Enumeration per query, window-restricted by the query's own DS_w.
         outputs: Dict[int, List[Valuation]] = {}
-        for lane, nodes in finals.items():
-            enumerate_node = lane.ds.enumerate
+        for query, nodes in finals.items():
+            store = query.store
+            enumerate_node = store.ds.enumerate
+            # Window-restricted by the store's DS_w — and to what the query
+            # has observed: nothing that starts before ``since``.
+            horizon = query.since + store.window
+            if horizon < position:
+                horizon = position
             valuations: List[Valuation] = []
             extend = valuations.extend
             for node in nodes:
-                extend(enumerate_node(node, position))
+                extend(enumerate_node(node, horizon))
             if valuations:
-                outputs[lane.handle.id] = valuations
+                outputs[query.handle.id] = valuations
                 if stats is not None:
                     stats.outputs_enumerated += len(valuations)
         return outputs
 
-    # --------------------------------------------------- lane-subset migration
+    # ------------------------------------------------------- snapshot protocol
+    def _lookup(self, handles: Sequence[QueryHandle]) -> List[_Registered]:
+        queries = []
+        for handle in handles:
+            query = self._queries.get(handle.id)
+            if query is None:
+                raise KeyError(f"no registered query with handle {handle}")
+            queries.append(query)
+        return queries
+
+    def _capture(self, queries: Sequence[_Registered]):
+        """Where ``queries`` sit and what their stores hold — the sections
+        :meth:`snapshot` and :meth:`extract_queries` share — plus the bucket
+        lane index (runtime lane id -> position in ``"lanes"``)."""
+        stores = list(dict.fromkeys(query.store for query in queries))
+        where = {store: index for index, store in enumerate(stores)}
+        lanes = []
+        for store in stores:
+            lane = store.snapshot()
+            lane["next_slot"] = store.next_slot
+            lane["joinable"] = self._stores.get(store.window) is store
+            lanes.append(lane)
+        tree = {
+            "snapshot_version": SNAPSHOT_VERSION,
+            "placement": [(where[query.store], query.since, query.slots) for query in queries],
+            "lanes": lanes,
+        }
+        return tree, {store.lane_id: index for store, index in where.items()}
+
+    def _check_seating(self, queries: Sequence[_Registered], placement, lanes) -> None:
+        """Everything :meth:`_seat` relies on, checked before anything moves."""
+        if not self._arena:
+            raise SnapshotError(
+                "restoring run stores requires the arena-backed enumeration "
+                "structure (construct the engine with arena=True)"
+            )
+        if len(placement) != len(queries):
+            raise SnapshotError(
+                f"snapshot places {len(placement)} queries, {len(queries)} to seat"
+            )
+        for query, (where, _, slots) in zip(queries, placement):
+            if not 0 <= where < len(lanes) or lanes[where]["window"] != query.handle.window:
+                raise SnapshotError(
+                    f"query {query.handle} (window {query.handle.window}) does not fit "
+                    "the window of the store the snapshot places it in"
+                )
+            if len(slots) != len(query.dispatch.slots):
+                raise SnapshotError(f"query {query.handle} does not fit its snapshot slot table")
+
+    def _seat(self, queries: Sequence[_Registered], placement, lanes) -> List[_Store]:
+        """Open the snapshot's stores and move ``queries`` (already out of the
+        index) into them, where and since when the snapshot says; returns the
+        stores, restored, in snapshot order."""
+        stores = []
+        for lane in lanes:
+            store = self._open_store(lane["window"])
+            store.restore(lane)
+            store.next_slot = int(lane["next_slot"])
+            if lane["joinable"]:
+                self._stores[store.window] = store
+            stores.append(store)
+        for query, (where, since, slots) in zip(queries, placement):
+            self._enter(query, stores[where], int(since), tuple(slots))
+        return stores
+
     def extract_queries(self, handles: Sequence[QueryHandle]) -> Dict[str, object]:
-        """A lane-subset snapshot of ``handles``'s queries, non-destructively.
+        """A store-scoped snapshot of ``handles``'s queries, non-destructively.
 
         The unit of *query migration*: everything another engine standing at
         the same stream position needs to continue evaluating these queries
-        bit-identically — each lane's hash table and enumeration structure
-        (refcounts included), the lanes' expiry-bucket triples, the stream
-        position, and per-lane dispatch signatures for verification on the
-        adopting side (:meth:`adopt_queries`).  This engine is untouched;
-        callers migrating a query extract, then :meth:`unregister`, and the
-        adopting engine registers the same specification, then adopts.
+        bit-identically — where each query sits (store, first observed
+        position, slot table), each involved store's enumeration structure
+        (refcounts included) with the part of its hash table the queries read
+        and its expiry-bucket triples, the stream position, and per-query
+        dispatch signatures for :meth:`adopt_queries` to verify.  This engine
+        is untouched; callers migrating a query extract, then
+        :meth:`unregister`, and the adopting engine registers the same
+        specification, then adopts.
         """
-        lanes = []
-        for handle in handles:
-            lane = self._lanes.get(handle.id)
-            if lane is None:
-                raise KeyError(f"no registered query with handle {handle}")
-            lanes.append(lane)
-        lane_index = {lane.lane_id: index for index, lane in enumerate(lanes)}
-        return {
-            "snapshot_version": SNAPSHOT_VERSION,
-            "kind": PARTIAL_SNAPSHOT_KIND,
-            "position": self.position,
-            "queries": [
-                {"name": lane.handle.name, "window": lane.handle.window}
-                for lane in lanes
-            ],
-            "signatures": [
-                stable_signature(lane.dispatch.signature()) for lane in lanes
-            ],
-            "lanes": [lane.snapshot() for lane in lanes],
-            "buckets": self._runtime.extract_bucket_entries(lane_index),
-        }
+        queries = self._lookup(handles)
+        partial, lane_index = self._capture(queries)
+        for index, lane in enumerate(partial["lanes"]):
+            read = {
+                slot
+                for where, _, slots in partial["placement"]
+                if where == index
+                for slot in slots
+            }
+            lane["hash"] = [item for item in lane["hash"] if item[0][0] in read]
+            lane["joinable"] = False
+        partial.update(
+            kind=PARTIAL_SNAPSHOT_KIND,
+            position=self.position,
+            buckets=self._runtime.extract_bucket_entries(lane_index),
+            signatures=[stable_signature(query.dispatch.signature()) for query in queries],
+        )
+        return partial
 
     def adopt_queries(
         self, partial: Dict[str, object], handles: Sequence[QueryHandle]
     ) -> None:
-        """Adopt a lane subset extracted by :meth:`extract_queries`.
+        """Adopt the queries extracted by :meth:`extract_queries`.
 
         ``handles`` name this engine's freshly registered copies of the
         extracted queries, in the extraction order (same specifications, same
-        windows — verified structurally through the per-lane dispatch
-        signatures before any state is touched).  This engine must stand at
-        the *same stream position* as the extracting engine: positions are
-        what make the migrated hash entries' window checks and expiry-bucket
-        keys mean the same thing on both sides, so continuation drops and
-        duplicates nothing.
+        windows — verified structurally through the per-query dispatch
+        signatures before any state is touched).  The extracted stores become
+        stores of their own here — sharing is scoped to a store — so nothing
+        of this engine's is renumbered and the adopted queries share with
+        each other exactly as they did.  This engine must stand at the *same
+        stream position* as the extracting engine: positions are what make
+        the migrated entries' window checks and expiry-bucket keys mean the
+        same thing on both sides, so continuation drops and duplicates nothing.
         """
         check_partial_snapshot(partial)
-        queries = partial["queries"]
-        if len(handles) != len(queries):
-            raise SnapshotError(
-                f"partial snapshot holds {len(queries)} queries, "
-                f"{len(handles)} adopting handles given"
-            )
         if int(partial["position"]) != self.position:
             raise SnapshotError(
                 f"partial snapshot was taken at stream position "
                 f"{partial['position']}, this engine is at {self.position} "
                 "(synchronise the feed before migrating)"
             )
-        lanes = []
-        for handle in handles:
-            lane = self._lanes.get(handle.id)
-            if lane is None:
-                raise KeyError(f"no registered query with handle {handle}")
-            lanes.append(lane)
+        queries = self._lookup(handles)
         # Validate everything up front: a rejected adopt leaves the engine
         # exactly as it was.
-        for lane, query, signature, lane_snap in zip(
-            lanes, queries, partial["signatures"], partial["lanes"]
-        ):
-            if getattr(lane.ds, "restore", None) is None:
+        placement, lanes = partial["placement"], partial["lanes"]
+        self._check_seating(queries, placement, lanes)
+        for query, signature in zip(queries, partial["signatures"]):
+            if stable_signature(query.dispatch.signature()) != signature:
                 raise SnapshotError(
-                    "adopt_queries requires arena-backed query lanes "
-                    "(construct the engine with arena=True)"
-                )
-            if lane.window != query["window"] or lane_snap["window"] != lane.window:
-                raise SnapshotError(
-                    f"query {lane.handle} has window {lane.window}, the "
-                    f"extracted lane recorded {query['window']}"
-                )
-            if stable_signature(lane.dispatch.signature()) != signature:
-                raise SnapshotError(
-                    f"query {lane.handle} does not match the extracted query "
+                    f"query {query.handle} does not match the extracted query "
                     "(dispatch signatures differ)"
                 )
-        # Pre-check bucket absorbability so a rejected adopt never leaves
-        # half-restored lanes behind (absorb itself re-checks).
         swept_upto = self._runtime._swept_upto
         for expiry_position in partial["buckets"]:
             if int(expiry_position) <= swept_upto:
@@ -425,14 +518,12 @@ class MultiQueryEngine(RuntimeBackedEngine):
                     f"extracted expiry bucket {expiry_position} is already in "
                     f"this engine's past (swept up to {swept_upto})"
                 )
-        for lane, lane_snap in zip(lanes, partial["lanes"]):
-            lane.restore(lane_snap)
-        self._runtime.absorb_bucket_entries(partial["buckets"], lanes)
-
-    # ------------------------------------------------------- snapshot protocol
-    def _ordered_lanes(self) -> List[_QueryLane]:
-        """The active lanes in registration order (the snapshot lane index)."""
-        return [self._lanes[entry.handle.id] for entry in self.registry.entries()]
+        for query in queries:
+            self._leave(query)
+        stores = self._seat(queries, placement, lanes)
+        for query in queries:
+            self._index(query)
+        self._runtime.absorb_bucket_entries(partial["buckets"], stores)
 
     def snapshot(self) -> Dict[str, object]:
         """The engine's complete evaluation state (see :mod:`repro.runtime.snapshot`).
@@ -440,22 +531,21 @@ class MultiQueryEngine(RuntimeBackedEngine):
         Carries the registry's handle table and the merged-index
         ``signature()`` (made process-portable by
         :func:`~repro.runtime.snapshot.stable_signature`) for verification,
-        the runtime state, and one lane snapshot per registered query in
-        registration order.  Restorable into a fresh engine that registered
-        the *same query specifications in the same order* — handle ids are
-        remapped from the snapshot, so output routing and later
+        the runtime state, one lane snapshot per run store, and each query's
+        placement — its store, the first position it observed and its slot
+        table — in registration order.  Restorable into a fresh engine that
+        registered the *same query specifications in the same order* — handle
+        ids are remapped from the snapshot, so output routing and later
         registrations continue exactly as in the snapshotted run.
         """
-        lanes = self._ordered_lanes()
-        lane_index = {lane.lane_id: index for index, lane in enumerate(lanes)}
-        return {
-            "snapshot_version": SNAPSHOT_VERSION,
-            "engine": "multi",
-            "registry": self.registry.snapshot(),
-            "merged_signature": stable_signature(self._merged.signature()),
-            "runtime": self._runtime.snapshot(lane_index),
-            "lanes": [lane.snapshot() for lane in lanes],
-        }
+        snapshot, lane_index = self._capture(self._ordered())
+        snapshot.update(
+            engine="multi",
+            registry=self.registry.snapshot(),
+            merged_signature=stable_signature(self._merged.signature()),
+            runtime=self._runtime.snapshot(lane_index),
+        )
+        return snapshot
 
     def restore(self, snapshot: Dict[str, object]) -> None:
         """Adopt ``snapshot``'s state; processing then continues bit-identically.
@@ -465,52 +555,42 @@ class MultiQueryEngine(RuntimeBackedEngine):
         verified structurally through the merged-index signature before any
         state is touched.  Registered handles are rewritten to the
         snapshot's ids/names (see :meth:`QueryRegistry.restore_handles
-        <repro.multi.registry.QueryRegistry.restore_handles>`).
+        <repro.multi.registry.QueryRegistry.restore_handles>`), and every
+        query is re-seated in the store, and from the position, the snapshot
+        recorded for it.
         """
         check_snapshot_header(snapshot, "multi")
-        lane_snaps = snapshot["lanes"]
-        lanes = self._ordered_lanes()
-        if len(lanes) != len(lane_snaps):
-            raise SnapshotError(
-                f"snapshot holds {len(lane_snaps)} query lanes, "
-                f"this engine holds {len(lanes)}"
-            )
+        # Bind every section before mutating: a truncated snapshot raises
+        # before any state is touched, never after a half-restore.
+        try:
+            registry_snap = snapshot["registry"]
+            runtime_snap = snapshot["runtime"]
+            placement, lanes = snapshot["placement"], snapshot["lanes"]
+        except KeyError as exc:
+            raise SnapshotError(f"snapshot is missing the {exc} section") from exc
+        queries = self._ordered()
         if stable_signature(self._merged.signature()) != snapshot["merged_signature"]:
             raise SnapshotError(
                 "snapshot was taken from an engine with different registered "
                 "queries (merged-index signatures differ)"
             )
         # Validate restorability up front: a rejected restore must leave the
-        # engine untouched (no remapped handles, no half-restored lanes).
-        for lane, lane_snap in zip(lanes, lane_snaps):
-            if getattr(lane.ds, "restore", None) is None:
-                raise SnapshotError(
-                    "restore requires arena-backed query lanes "
-                    "(construct the engine with arena=True)"
-                )
-            if lane_snap["window"] != lane.window:
-                raise SnapshotError(
-                    f"snapshot lane window {lane_snap['window']} does not match "
-                    f"query {lane.handle} (window {lane.window})"
-                )
-        # Bind every section before mutating: a truncated snapshot raises
-        # before any state is touched, never after a half-restore.
-        try:
-            registry_snap = snapshot["registry"]
-            runtime_snap = snapshot["runtime"]
-        except KeyError as exc:
-            raise SnapshotError(f"snapshot is missing the {exc} section") from exc
+        # engine untouched (no remapped handles, no half-restored stores).
+        self._check_seating(queries, placement, lanes)
         try:
             handles = self.registry.restore_handles(registry_snap)
         except ValueError as exc:
             raise SnapshotError(str(exc)) from exc
-        self._lanes = {}
-        for handle, lane in zip(handles, lanes):
-            lane.handle = handle
-            self._lanes[handle.id] = lane
-        for lane, lane_snap in zip(lanes, lane_snaps):
-            lane.restore(lane_snap)
-        self._runtime.restore(runtime_snap, lanes)
+        self._queries = {}
+        for handle, query in zip(handles, queries):
+            query.handle = handle
+            self._queries[handle.id] = query
+        for store in {query.store for query in queries}:
+            self._runtime.drop_lane(store)
+        self._stores = {}
+        stores = self._seat(queries, placement, lanes)
+        self._rebuild()
+        self._runtime.restore(runtime_snap, stores)
         self._reset_adaptive()
 
     # ------------------------------------------------------------ introspection
@@ -524,6 +604,6 @@ class MultiQueryEngine(RuntimeBackedEngine):
 
     def __repr__(self) -> str:
         return (
-            f"MultiQueryEngine({len(self._lanes)} queries, position={self.position}, "
+            f"MultiQueryEngine({len(self._queries)} queries, position={self.position}, "
             f"|H|={self.hash_table_size()})"
         )

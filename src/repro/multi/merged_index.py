@@ -39,6 +39,18 @@ Specifically:
   wildcard-carrying query refreshes every relation bucket, because wildcards
   are merged into each per-relation candidate list.
 
+Leaf states stored once
+-----------------------
+Queries registered into the same *store* (the engine keeps one ``DS_w`` + one
+``H`` per window) whose automata have an identical leaf state
+(:meth:`TransitionDispatchIndex.leaf_states
+<repro.core.dispatch.TransitionDispatchIndex.leaf_states>`) would fill it with
+identical runs.  Such a state is one reference-counted *class*: its incoming
+transitions are in the plans once, built from the first query that brought
+them, writing the store slots every sharer's readers probe; with its last
+user it leaves the plans, and what it stored is left to expire.  Every other
+state stays private to its query — a class of one, same mechanism.
+
 Entry iteration order is preserved across patching: ``order`` values are
 assigned from a monotonic counter, so candidates always iterate in
 registration order then transition order — exactly the order a from-scratch
@@ -50,7 +62,7 @@ mutation.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Tuple as Tup
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple as Tup
 
 from repro.core.dispatch import (
     MergedEntry,
@@ -62,6 +74,36 @@ from repro.core.dispatch import (
 )
 
 
+class _StateClass:
+    """One leaf state of a store, stored once for every query that has it.
+
+    ``slots`` are the state's store slots in reader order, ``entries`` the
+    plan members of its incoming transitions (built from the first user's
+    compiled transitions), ``users`` maps each sharing query to the indexes
+    of *its* transitions the entries stand for, in registration order.
+    """
+
+    __slots__ = ("key", "slots", "entries", "users")
+
+    def __init__(self, key: Hashable) -> None:
+        self.key = key
+        self.slots: Tup[int, ...] = ()
+        self.entries: List[MergedEntry] = []
+        self.users: Dict[int, List[int]] = {}
+
+
+class _Member:
+    """One registered query: its private plan members and the classes it uses."""
+
+    __slots__ = ("store", "index", "entries", "classes")
+
+    def __init__(self, store: object, index: TransitionDispatchIndex) -> None:
+        self.store = store
+        self.index = index
+        self.entries: List[MergedEntry] = []
+        self.classes: List[_StateClass] = []
+
+
 class MergedDispatchIndex(PlanIndex):
     """The union of several per-automaton dispatch indexes.
 
@@ -69,9 +111,11 @@ class MergedDispatchIndex(PlanIndex):
     ----------
     members:
         ``(owner, dispatch index)`` pairs in registration order.  The owner
-        object is attached to every entry produced from that index so the
-        engine can route fired transitions to the right query lane; it is
-        also the handle :meth:`remove_query` identifies the member by.
+        names the query — it is what :meth:`remove_query` identifies the
+        member by — and, registered this way, is also the store its entries
+        carry: every query stands alone, numbered as its automaton is.  The
+        multi-query engine registers through :meth:`add_query` with an
+        explicit store instead.
     guards:
         As for :class:`~repro.core.dispatch.TransitionDispatchIndex`: with
         ``True``, guarded candidates are additionally bucketed by their
@@ -84,10 +128,11 @@ class MergedDispatchIndex(PlanIndex):
         guards: bool = True,
     ) -> None:
         super().__init__(guards)
-        # Owner bookkeeping: id(owner) -> owner / its entries, in registration
-        # order (dict insertion order is the canonical query order).
-        self._owners: Dict[int, object] = {}
-        self._by_owner: Dict[int, Tup[MergedEntry, ...]] = {}
+        # id(owner) -> member, in registration order (dict insertion order is
+        # the canonical query order).
+        self._by_owner: Dict[int, _Member] = {}
+        # (id(store), leaf class key) -> the live class.
+        self._classes: Dict[Tup[int, Hashable], _StateClass] = {}
         # Interned canonical predicate keys with reference counts: dense ids
         # are recycled through a free list so the tables shrink back after
         # unregistration and plan grouping keeps hashing small ints.
@@ -138,8 +183,24 @@ class MergedDispatchIndex(PlanIndex):
             self._free_pred_ids.append(self._pred_key_ids.pop(canonical))
 
     # ------------------------------------------------------------ registration
-    def add_query(self, owner: object, index: TransitionDispatchIndex) -> None:
+    def add_query(
+        self,
+        owner: object,
+        index: TransitionDispatchIndex,
+        store: object = None,
+        since: int = -1,
+        slots: Optional[Sequence[int]] = None,
+    ) -> Tup[int, ...]:
         """Merge one automaton's transitions in, patching only its buckets.
+
+        With a ``store`` (a lane carrying its slot space's ``next_slot``
+        counter) the automaton's slots are renumbered into it: a leaf state
+        some query of the store already brought joins that query's class —
+        nothing is added to the plans for it — every other state takes fresh
+        slots.  ``since`` is the first stream position the query observes
+        (see :func:`repro.runtime.fire`).  Returns the automaton-slot ->
+        store-slot table; handed back as ``slots`` (a rebuild, a restore) it
+        re-places the query exactly there.
 
         Cost: O(|P_q|) for the entry construction and interning, plus a
         refresh of each relation bucket the query touches (O(bucket size) —
@@ -148,16 +209,56 @@ class MergedDispatchIndex(PlanIndex):
         key = id(owner)
         if key in self._by_owner:
             raise ValueError(f"owner {owner!r} is already registered in the merged index")
-        entries: List[MergedEntry] = []
+        member = _Member(owner if store is None else store, index)
+        joined: Dict[int, _StateClass] = {}  # leaf state id -> its class
+        if store is None:
+            table: Sequence[Optional[int]] = range(len(index.slots))
+        else:
+            table = list(slots) if slots is not None else [None] * len(index.slots)
+            for state_id, class_key in index.leaf_states().items():
+                cls = self._classes.get((id(store), class_key))
+                if cls is None:
+                    cls = self._classes[(id(store), class_key)] = _StateClass(class_key)
+                elif key in cls.users:
+                    continue  # a twin state of this automaton: private
+                for (slot, _), placed in zip(index.consumers_by_id(state_id), cls.slots):
+                    table[slot] = placed
+                cls.users[key] = []
+                joined[state_id] = cls
+            for slot, placed in enumerate(table):
+                if placed is None:
+                    table[slot] = store.next_slot
+                    store.next_slot += 1
+            member.classes = list(joined.values())
+        readers: Dict[int, Tup[Tup[int, object], ...]] = {}  # state id -> placed (slot, left key)
         touched: set = set()
         added_wildcard = False
         specific = self._specific
         for compiled in index.all_transitions():
+            cls = joined.get(compiled.target_id)
+            if cls is not None:
+                cls.users[key].append(compiled.index)
+                if len(cls.users) > 1:
+                    continue  # already in the plans, for every user of the class
             entry = MergedEntry(
-                owner, compiled, self._intern_pred(compiled.pred_key), self._next_order
+                member.store, compiled, self._intern_pred(compiled.pred_key), self._next_order
             )
             self._next_order += 1
-            entries.append(entry)
+            if store is not None:
+                entry.handle = owner if cls is None else cls
+                entry.since = since
+                entry.probes = tuple([(table[slot], right) for slot, right in compiled.probes])
+                placed = readers.get(compiled.target_id)
+                if placed is None:
+                    placed = readers[compiled.target_id] = tuple(
+                        [(table[slot], left) for slot, left in compiled.consumers]
+                    )
+                entry.consumers = placed
+                # Any id unique to the state within the store: its first slot.
+                entry.target_id = placed[0][0] if placed else -1
+                if cls is not None:
+                    cls.slots = tuple([slot for slot, _ in placed])
+            (member.entries if cls is None else cls.entries).append(entry)
             relations = compiled.relations
             if relations is None:
                 self._wildcard_entries.append(entry)
@@ -170,9 +271,8 @@ class MergedDispatchIndex(PlanIndex):
                     else:
                         bucket.append(entry)
                     touched.add(relation)
-        self._owners[key] = owner
-        self._by_owner[key] = tuple(entries)
-        self._size += len(entries)
+        self._by_owner[key] = member
+        self._size += len(index)
         if added_wildcard:
             # Wildcards appear in every relation's candidate list, so a
             # wildcard-carrying query is the one global refresh.
@@ -181,24 +281,33 @@ class MergedDispatchIndex(PlanIndex):
         for relation in touched:
             self._refresh_relation(relation)
         self.patched_adds += 1
+        return tuple(table)
 
     def remove_query(self, owner: object) -> None:
         """Remove one query's transitions, compacting only its buckets.
 
-        The affected per-relation lists are rebuilt without the removed
-        entries (tombstone-free: no per-tuple lookup ever scans residue of an
+        Its private entries go, and so do those of every class it was the
+        last user of; the affected per-relation lists are rebuilt without
+        them (tombstone-free: no per-tuple lookup ever scans residue of an
         unregistered query) and the interned-key reference counts are
-        released so unused canonical keys disappear from the tables.
+        released so unused canonical keys disappear from the tables.  What
+        the query stored is not touched: it expires with its window.
         """
         key = id(owner)
-        entries = self._by_owner.pop(key, None)
-        if entries is None:
+        member = self._by_owner.pop(key, None)
+        if member is None:
             raise KeyError(f"owner {owner!r} is not registered in the merged index")
-        del self._owners[key]
-        self._size -= len(entries)
+        self._size -= len(member.index)
+        removed = member.entries
+        for cls in member.classes:
+            del cls.users[key]
+            if not cls.users:
+                del self._classes[(id(member.store), cls.key)]
+                removed = removed + cls.entries
+        gone = set(map(id, removed))
         touched: set = set()
         removed_wildcard = False
-        for entry in entries:
+        for entry in removed:
             self._release_pred(entry.compiled.pred_key)
             relations = entry.compiled.relations
             if relations is None:
@@ -206,15 +315,13 @@ class MergedDispatchIndex(PlanIndex):
             else:
                 touched.update(relations)
         if removed_wildcard:
-            self._wildcard_entries = [
-                e for e in self._wildcard_entries if e.owner is not owner
-            ]
+            self._wildcard_entries = [e for e in self._wildcard_entries if id(e) not in gone]
             self.wildcard_plan = plan_of(self._wildcard_entries)
             touched = set(self._specific)
         for relation in touched:
             bucket = self._specific.get(relation)
             if bucket is not None:
-                kept = [e for e in bucket if e.owner is not owner]
+                kept = [e for e in bucket if id(e) not in gone]
                 if kept:
                     self._specific[relation] = kept
                 else:
@@ -245,12 +352,14 @@ class MergedDispatchIndex(PlanIndex):
     # structural patches keep its plans fresh.)
     def all_entries(self) -> Tup[MergedEntry, ...]:
         """Every entry, in candidate iteration order (introspection/tests)."""
-        entries = [e for per_owner in self._by_owner.values() for e in per_owner]
+        entries = [e for member in self._by_owner.values() for e in member.entries]
+        entries.extend(e for cls in self._classes.values() for e in cls.entries)
         entries.sort(key=member_order)
         return tuple(entries)
 
     # ------------------------------------------------------------ introspection
     def __len__(self) -> int:
+        """Registered transitions — counted per query, shared or not."""
         return self._size
 
     def interned_key_count(self) -> int:
@@ -267,16 +376,23 @@ class MergedDispatchIndex(PlanIndex):
         (independent of raw ``order`` values, which a patched index assigns
         with gaps) and maps each token to its canonical predicate key
         (independent of interned-id assignment, which a patched index
-        recycles).  Tests assert ``patched.signature() ==
-        rebuilt.signature()`` after every mutation.
+        recycles).  An entry shared by a class stands for one token per
+        user, so the summary does not depend on what is shared either: it is
+        the one the same queries give registered stand-alone.  Tests assert
+        ``patched.signature() == rebuilt.signature()`` after every mutation.
         """
-        ranks = {key: rank for rank, key in enumerate(self._owners)}
+        ranks = {key: rank for rank, key in enumerate(self._by_owner)}
+        shared = {
+            id(entry): [(ranks[user], indexes[position]) for user, indexes in cls.users.items()]
+            for cls in self._classes.values()
+            for position, entry in enumerate(cls.entries)
+        }
 
-        def token(entry: MergedEntry) -> Tup[int, int]:
-            return (ranks[id(entry.owner)], entry.compiled.index)
+        def stands_for(entry: MergedEntry) -> List[Tup[int, int]]:
+            return shared.get(id(entry)) or [(ranks[id(entry.handle)], entry.compiled.index)]
 
         def tokens(plan) -> Tup[Tup[int, int], ...]:
-            return tuple(token(e) for e in plan.flat())
+            return tuple(sorted(token for e in plan.flat() for token in stands_for(e)))
 
         relations = {relation: tokens(plan) for relation, plan in self.plans.items()}
         guards = {}
@@ -289,28 +405,20 @@ class MergedDispatchIndex(PlanIndex):
                 )
                 position_sig.append((position, tuple(buckets)))
             guards[relation] = (tokens(unguarded), tuple(position_sig))
-        predicates = {
-            token(e): e.compiled.pred_key
-            for per_owner in self._by_owner.values()
-            for e in per_owner
-        }
+        entries = self.all_entries()
+        predicates = {token: e.compiled.pred_key for e in entries for token in stands_for(e)}
         # Binary join predicates, so two query sets differing only in a join
         # (same relations, same unary keys) cannot verify as equal — the
         # snapshot protocol relies on this.
-        joins = {
-            token(e): join_signature(e.compiled)
-            for per_owner in self._by_owner.values()
-            for e in per_owner
-        }
+        joins = {token: join_signature(e.compiled) for e in entries for token in stands_for(e)}
         # Interning consistency: equal canonical keys must share one dense id
         # (the group-sharing soundness invariant), checked here so the tests'
         # signature comparison also certifies the intern tables.
-        for per_owner in self._by_owner.values():
-            for e in per_owner:
-                if self._pred_key_ids[e.compiled.pred_key] != e.pred_key:
-                    raise AssertionError(
-                        "interned predicate id drifted from the canonical-key table"
-                    )
+        for e in entries:
+            if self._pred_key_ids[e.compiled.pred_key] != e.pred_key:
+                raise AssertionError(
+                    "interned predicate id drifted from the canonical-key table"
+                )
         return {
             "relations": relations,
             "wildcard": tokens(self.wildcard_plan),
@@ -324,27 +432,35 @@ class MergedDispatchIndex(PlanIndex):
         """Merged-index statistics for CLI ``--stats`` / benchmark reporting.
 
         ``predicate_groups`` counts distinct canonical predicate keys across
-        all registered transitions; ``shared_predicate_groups`` counts the
-        keys used by two or more transitions (the groups where sharing
-        actually saves evaluations).  ``mean_candidates`` / ``max_candidates``
-        report the per-relation candidate fan-out a tuple lookup returns.
+        the plans; ``shared_predicate_groups`` counts the keys used by two or
+        more entries (the groups where sharing actually saves evaluations).
+        ``mean_candidates`` / ``max_candidates`` report the per-relation
+        candidate fan-out a tuple lookup returns.  ``stores`` counts the run
+        stores the queries live in, ``state_classes`` the states stored
+        across them and ``shared_state_classes`` those serving two or more
+        queries (``transitions`` still counts per query, shared or not).
         """
-        guarded = sum(
-            1
-            for per_owner in self._by_owner.values()
-            for e in per_owner
-            if e.guard is not None
-        )
+        members = self._by_owner.values()
         return {
-            "queries": float(len(self._owners)),
+            "queries": float(len(members)),
             "transitions": float(self._size),
             "predicate_groups": float(len(self._pred_key_counts)),
             "shared_predicate_groups": float(
                 sum(1 for count in self._pred_key_counts.values() if count > 1)
             ),
-            "guarded_transitions": float(guarded if self.guards else 0),
+            "guarded_transitions": float(
+                sum(1 for e in self.all_entries() if e.guard is not None) if self.guards else 0
+            ),
             "patched_adds": float(self.patched_adds),
             "patched_removes": float(self.patched_removes),
+            "stores": float(len({id(member.store) for member in members})),
+            "state_classes": float(
+                sum(len(member.index.state_ids) - len(member.classes) for member in members)
+                + len(self._classes)
+            ),
+            "shared_state_classes": float(
+                sum(1 for cls in self._classes.values() if len(cls.users) > 1)
+            ),
             **self._layout(),
         }
 

@@ -5,10 +5,10 @@ pattern — a compiled :class:`~repro.core.pcea.PCEA`, a CER pattern from the
 DSL, a :class:`~repro.cq.query.ConjunctiveQuery`, or a query string — into a
 registered entry with its own sliding window, and issues an opaque
 :class:`QueryHandle` for later unregistration and output routing.  The
-registry is pure bookkeeping; the runtime state (hash tables, enumeration
-structures, merged dispatch index) lives in
+registry is pure bookkeeping; the runtime state (one run store per window,
+the merged dispatch index) lives in
 :class:`~repro.multi.engine.MultiQueryEngine`, which owns a registry and
-rebuilds its merged index on every registration change.
+patches its merged index in place on every registration change.
 """
 
 from __future__ import annotations

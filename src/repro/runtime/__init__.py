@@ -27,13 +27,14 @@ times and the copies drifted.  The runtime holds exactly one of each:
   order, new runs indexed and registered for eviction.  What it evaluates a
   tuple against is data (:class:`~repro.core.dispatch.EvalPlan`), so static,
   adaptive, guarded and full-scan dispatch are the same code.
-* :class:`EvictionLane` — one query's evictable state: a sliding window, a
+* :class:`EvictionLane` — one evictable run store: a sliding window, a
   run-index table (``hash``), an enumeration structure (``ds``), and the
   representation-agnostic reclamation hooks (``add_ref`` / ``drop_ref`` /
   ``release``) bound once at construction.  ``StreamingEvaluator`` and
   ``GeneralStreamingEvaluator`` are single-lane engines;
-  ``MultiQueryEngine`` owns one lane per registered query.  The single-query
-  evaluator is literally the K=1 lane of the same runtime.
+  ``MultiQueryEngine`` owns one lane per distinct window, serving every
+  query registered under it.  The single-query evaluator is literally the
+  one-lane, one-query case of the same runtime.
 * :class:`StreamRuntime` — the per-stream core: the global position, the
   shared expiry-bucket map (keyed by the *absolute* position at which an
   entry expires, ``max_start + lane.window + 1``, so lanes with different

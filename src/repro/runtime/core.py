@@ -50,8 +50,8 @@ runtime's layers of the cross-layer checkpoint protocol (see
 :mod:`repro.runtime.snapshot`): the runtime serialises the stream cursor,
 the sweep cursors, the statistics and the expiry buckets (lane ids remapped
 through a dense snapshot index, because a restored engine assigns fresh lane
-ids); a lane serialises its window, its hash table and its enumeration
-structure (which must expose ``snapshot``/``restore`` — the arena does, the
+ids); a lane — one run store — serialises its window, its hash table and its
+enumeration structure (which must expose ``snapshot``/``restore`` — the arena does, the
 object-graph oracle does not).
 """
 
@@ -75,7 +75,10 @@ _T = TypeVar("_T")
 
 
 class EvictionLane:
-    """One query's evictable runtime state, shared-sweep ready.
+    """One run store — a ``DS_w``, the run index ``H`` over it and the window
+    both are pruned to — shared-sweep ready.  A single-query evaluator owns
+    one; the multi-query engine keeps one per window, serving every query
+    registered under that window.
 
     ``hash`` is the lane's run-index table (``(key) -> (value, max_start)``
     pairs); ``ds`` its enumeration structure.  The reclamation hooks and
@@ -346,90 +349,47 @@ class StreamRuntime:
         The stride-3 loop over the flat bucket allocates no per-entry
         objects.
         """
-        if position == self._swept_upto + 1:
+        if position == self._swept_upto + 1 and not self.obs_sweep_sampled:
             self._swept_upto = position
             expired = self.buckets.pop(position, None)
             if expired:
-                if self.obs_sweep_sampled:
-                    # Sampled (observer period clock): the timed variant
-                    # lives in a cold method so this steady-state loop stays
-                    # free of timing and accounting residue.
-                    self._sweep_expired_sampled(position, expired)
-                else:
-                    evicted = 0
-                    touched = set()
-                    lanes = self._lanes
-                    for index in range(0, len(expired), 3):
-                        lane = lanes.get(expired[index])
-                        if lane is None or not lane.active:
-                            continue
-                        key = expired[index + 1]
-                        lane.drop_ref(expired[index + 2])
-                        touched.add(lane)
-                        pair = lane.hash.get(key)
-                        # The entry may have been superseded by a younger
-                        # node (re-registered in a later bucket) — only drop
-                        # it if it is genuinely out of the window now.
-                        if pair is not None and position - pair[1] > lane.window:
-                            del lane.hash[key]
-                            evicted += 1
-                            hook = lane.on_evict
-                            if hook is not None:
-                                hook(key)
-                    self.evicted += evicted
-                    if self.count_stats:
-                        stats = self.stats
-                        stats.sweeps += 1
-                        stats.sweep_evicted += evicted
-                    for lane in touched:
-                        lane.release(position)
+                evicted = 0
+                touched = set()
+                lanes = self._lanes
+                for index in range(0, len(expired), 3):
+                    lane = lanes.get(expired[index])
+                    if lane is None or not lane.active:
+                        continue
+                    key = expired[index + 1]
+                    lane.drop_ref(expired[index + 2])
+                    touched.add(lane)
+                    pair = lane.hash.get(key)
+                    # The entry may have been superseded by a younger node
+                    # (re-registered in a later bucket) — only drop it if it
+                    # is genuinely out of the window now.
+                    if pair is not None and position - pair[1] > lane.window:
+                        del lane.hash[key]
+                        evicted += 1
+                        hook = lane.on_evict
+                        if hook is not None:
+                            hook(key)
+                self.evicted += evicted
+                if self.count_stats:
+                    stats = self.stats
+                    stats.sweeps += 1
+                    stats.sweep_evicted += evicted
+                for lane in touched:
+                    lane.release(position)
             if position >= self._next_release_pass:
                 self.release_lanes(position)
             if position >= self._next_adapt:
                 self._next_adapt = position + self.adapt_interval
                 self.adapt_hook(position)
         elif position > self._swept_upto:
+            # A gap — or a position the observer's period clock sampled: the
+            # range sweep carries the timing, released-slab accounting and
+            # ``on_sweep`` span, so the steady-state loop above stays free of them.
             self.sweep_upto(position)
-
-    def _sweep_expired_sampled(self, position: int, expired: List[object]) -> None:
-        """The timed twin of :meth:`sweep`'s steady-state branch.
-
-        Runs only while the observer's period clock has ``obs_sweep_sampled``
-        set: same eviction semantics, plus sweep timing, released-slab
-        accounting and the observer's ``on_sweep`` span.
-        """
-        start = _perf()
-        evicted = 0
-        touched = set()
-        lanes = self._lanes
-        for index in range(0, len(expired), 3):
-            lane = lanes.get(expired[index])
-            if lane is None or not lane.active:
-                continue
-            key = expired[index + 1]
-            lane.drop_ref(expired[index + 2])
-            touched.add(lane)
-            pair = lane.hash.get(key)
-            if pair is not None and position - pair[1] > lane.window:
-                del lane.hash[key]
-                evicted += 1
-                hook = lane.on_evict
-                if hook is not None:
-                    hook(key)
-        self.evicted += evicted
-        if self.count_stats:
-            stats = self.stats
-            stats.sweeps += 1
-            stats.sweep_evicted += evicted
-        obs = self.obs
-        released = 0
-        for lane in touched:
-            released += lane.release(position)
-        if released:
-            obs.on_slab_release(released, position)
-        elapsed = _perf() - start
-        self.stats.sweep_seconds += elapsed
-        obs.on_sweep(position, evicted, elapsed)
 
     def sweep_upto(self, position: int) -> None:
         """Pop every expiry bucket due at or before ``position`` (batch sweep).
@@ -574,17 +534,15 @@ class StreamRuntime:
 
     # ------------------------------------------------- lane-subset extraction
     def extract_bucket_entries(self, lane_index: Dict[int, int]) -> Dict[int, List[object]]:
-        """The expiry-bucket triples of a *subset* of lanes, non-destructively.
+        """The expiry-bucket triples of the lanes in ``lane_index``, copied out.
 
-        ``lane_index`` maps interned lane ids to the dense subset indexes the
-        caller assigns (the lane-subset snapshot protocol behind query
-        migration — :meth:`MultiQueryEngine.extract_queries
-        <repro.multi.engine.MultiQueryEngine.extract_queries>`).  Triples of
-        other lanes are left untouched; the extracted lanes' triples stay in
-        this runtime too (the caller typically unregisters the lanes next,
-        after which the sweep skips the stale ids).  Entries always sit in
-        strictly future buckets, so every extracted triple is re-absorbable
-        by a runtime standing at the same position.
+        ``lane_index`` maps interned lane ids to the dense indexes the caller
+        assigns (every lane for :meth:`snapshot`, the migrating queries'
+        stores for :meth:`MultiQueryEngine.extract_queries
+        <repro.multi.engine.MultiQueryEngine.extract_queries>`); triples of
+        other — or dropped — lanes are left out, the sweep would skip them.
+        Entries always sit in strictly future buckets, so every extracted
+        triple is re-absorbable by a runtime standing at the same position.
         """
         extracted: Dict[int, List[object]] = {}
         for expiry_position, entries in self.buckets.items():
@@ -631,25 +589,8 @@ class StreamRuntime:
 
     # ------------------------------------------------------- snapshot protocol
     def snapshot(self, lane_index: Dict[int, int]) -> Dict[str, object]:
-        """The runtime's state, with lane ids remapped through ``lane_index``.
-
-        ``lane_index`` maps this runtime's interned lane ids to the dense
-        snapshot indexes the owning engine assigns (registration order); a
-        bucket triple whose lane id is absent belongs to a dropped lane and
-        is omitted — the sweep would have skipped it anyway.
-        """
-        buckets: Dict[int, List[object]] = {}
-        for expiry_position, entries in self.buckets.items():
-            flat: List[object] = []
-            for index in range(0, len(entries), 3):
-                mapped = lane_index.get(entries[index])
-                if mapped is None:
-                    continue
-                flat.append(mapped)
-                flat.append(entries[index + 1])
-                flat.append(entries[index + 2])
-            if flat:
-                buckets[expiry_position] = flat
+        """The runtime's state, with lane ids remapped through ``lane_index``
+        (see :meth:`extract_bucket_entries`)."""
         return {
             "position": self.position,
             "evicted": self.evicted,
@@ -657,15 +598,14 @@ class StreamRuntime:
             "next_release_pass": self._next_release_pass,
             "release_interval": self.release_interval,
             "stats": dataclasses.asdict(self.stats),
-            "buckets": buckets,
+            "buckets": self.extract_bucket_entries(lane_index),
         }
 
     def restore(self, snapshot: Dict[str, object], lanes_by_index: Sequence[EvictionLane]) -> None:
         """Replace the runtime's state with ``snapshot``'s.
 
         ``lanes_by_index`` positions must mirror the ``lane_index`` mapping
-        the snapshot was taken with (the engine passes its lanes in
-        registration order on both sides).
+        the snapshot was taken with.
         """
         self.position = int(snapshot["position"])
         self.evicted = int(snapshot["evicted"])
@@ -673,15 +613,8 @@ class StreamRuntime:
         self._next_release_pass = int(snapshot["next_release_pass"])
         self.release_interval = int(snapshot["release_interval"])
         self.stats = EngineStatistics(**snapshot["stats"])
-        buckets: Dict[int, List[object]] = {}
-        for expiry_position, entries in snapshot["buckets"].items():
-            flat: List[object] = []
-            for index in range(0, len(entries), 3):
-                flat.append(lanes_by_index[entries[index]].lane_id)
-                flat.append(entries[index + 1])
-                flat.append(entries[index + 2])
-            buckets[int(expiry_position)] = flat
-        self.buckets = buckets
+        self.buckets = {}
+        self.absorb_bucket_entries(snapshot["buckets"], lanes_by_index)
 
     # ----------------------------------------------------------- introspection
     def hash_table_size(self) -> int:

@@ -1,9 +1,10 @@
 """FireTransitions + UpdateIndices of Algorithm 1 — the only implementation.
 
 Every hashed engine is a facade over :func:`fire`: the single-query
-evaluator is its K=1 case (one lane owns every plan member), the multi-query
-engine the K-lane case.  Static, adaptive, guarded and full-scan dispatch
-differ only in the :class:`~repro.core.dispatch.EvalPlan` they hand in.
+evaluator is its K=1 case (one store, one handle, every plan member theirs),
+the multi-query engine the general one (one store per window, one handle per
+registered query).  Static, adaptive, guarded and full-scan dispatch differ
+only in the :class:`~repro.core.dispatch.EvalPlan` they hand in.
 """
 
 from __future__ import annotations
@@ -18,26 +19,32 @@ def _canonical_order(item) -> int:
 def fire(plan, tup, position: int, buckets: Optional[Dict[int, list]], stats) -> Optional[Dict]:
     """Fire ``plan``'s transitions on ``tup`` and index the runs they create.
 
-    ``plan`` members expose ``owner`` (the :class:`~repro.runtime.EvictionLane`
-    holding the member's run index and ``DS_w``), ``compiled`` (the
-    :class:`~repro.core.dispatch.CompiledTransition`) and ``order``.
-    ``buckets`` is the runtime's expiry-bucket map, or ``None`` to store
-    entries without registering them for eviction; ``stats`` the
+    ``plan`` members (:class:`~repro.core.dispatch.MergedEntry`) expose
+    ``owner`` — the store, an :class:`~repro.runtime.EvictionLane` holding the
+    run index and ``DS_w`` the member reads and writes — ``compiled`` (the
+    :class:`~repro.core.dispatch.CompiledTransition`), its ``probes`` /
+    ``consumers`` / ``target_id`` in that store's slot space, the ``handle``
+    its final nodes are collected for, ``since`` and ``order``.  ``buckets``
+    is the runtime's expiry-bucket map, or ``None`` to store entries without
+    registering them for eviction; ``stats`` the
     :class:`~repro.runtime.EngineStatistics` to count into, or ``None``.
-    Returns ``{lane: [final-state nodes]}`` for the lanes that produced
+    Returns ``{handle: [final-state nodes]}`` for the handles that produced
     output at this position (``None`` when none did).
 
     One acceptor call decides each predicate group; a held member fires when
-    every join probe finds a live entry in its lane's table.  This phase only
+    every join probe finds a live entry in its store's table.  This phase only
     reads the tables, so the fired *set* does not depend on the order groups
     are evaluated in; sorting it back to canonical order before the effects
     makes node creation, table updates and final collection — hence node ids
     and outputs — independent of plan order too.
 
-    A lane's table is the paper's ``H[e, p, k]`` with ``e`` folded into a
-    *slot*, the dispatch index's id of one ``(p, left key plan)`` pair:
-    transitions projecting ``p``'s tuple alike would store the same bag, so
-    it is stored once, under ``(slot, k)``.
+    A store's table is the paper's ``H[e, p, k]`` with ``e`` folded into a
+    *slot*, the store's id of one ``(p, left key plan)`` pair: transitions
+    projecting ``p``'s tuple alike would store the same bag, so it is stored
+    once, under ``(slot, k)`` — for every query of the store that has a state
+    like ``p``.  A query that joined the stream at ``member.since`` must not
+    see older runs, so an entry is live for it only while its ``max_start``
+    is inside the window *and* at or past ``since``.
     """
     fired = []
     # Extractors are interned by key plan (repro.core.predicates): joins that
@@ -48,16 +55,22 @@ def fire(plan, tup, position: int, buckets: Optional[Dict[int, list]], stats) ->
             continue
         group.rep.hits += 1
         for member in group.members:
-            lane = member.owner
-            compiled = member.compiled
-            hash_table = lane.hash
-            window = lane.window
+            probes = member.probes
+            if not probes:
+                fired.append((member, (), position))
+                continue
+            store = member.owner
+            hash_table = store.hash
+            # The oldest max_start a probed entry may carry.
+            oldest = position - store.window
+            if oldest < member.since:
+                oldest = member.since
             children = []
             # min(position, children's max_start): exactly the max_start
             # ``extend`` would compute, threaded through so the arena never
             # re-reads the child records.
             node_ms = position
-            for slot, extract in compiled.probes:
+            for slot, extract in probes:
                 if extract is not keyed_by:
                     keyed_by = extract
                     key = extract(tup)  # the current tuple is the later one
@@ -68,7 +81,7 @@ def fire(plan, tup, position: int, buckets: Optional[Dict[int, list]], stats) ->
                 pair = hash_table.get((slot, key))
                 # Stored nodes are never bottom; an expired (possibly
                 # released) node simply fails the cached-max_start check.
-                if pair is None or position - pair[1] > window:
+                if pair is None or pair[1] < oldest:
                     break
                 children.append(pair[0])
                 if pair[1] < node_ms:
@@ -83,43 +96,44 @@ def fire(plan, tup, position: int, buckets: Optional[Dict[int, list]], stats) ->
         stats.transitions_fired += len(fired)
         stats.nodes_created += len(fired)
 
-    # lane -> target state id -> (slots of the state, [(node, max_start, labels)])
+    # store -> target state id -> (slots of the state, [(node, max_start, labels)])
     new_nodes: Dict[object, Dict[int, tuple]] = {}
     finals: Optional[Dict[object, List]] = None
     for member, children, node_ms in fired:
-        lane = member.owner
+        store = member.owner
         compiled = member.compiled
         if compiled.store_through:
             # A fresh leaf run read through one slot: its one record is
             # written below, straight onto that slot's entry.
             node = None
         else:
-            node = lane.ds.extend(compiled.labels, position, children, node_ms)
-        consumers = compiled.consumers
+            node = store.ds.extend(compiled.labels, position, children, node_ms)
+        consumers = member.consumers
         if consumers:
-            lane_nodes = new_nodes.get(lane)
-            if lane_nodes is None:
-                lane_nodes = new_nodes[lane] = {}
-            bucket = lane_nodes.get(compiled.target_id)
+            store_nodes = new_nodes.get(store)
+            if store_nodes is None:
+                store_nodes = new_nodes[store] = {}
+            bucket = store_nodes.get(member.target_id)
             if bucket is None:
-                lane_nodes[compiled.target_id] = (consumers, [(node, node_ms, compiled.labels)])
+                store_nodes[member.target_id] = (consumers, [(node, node_ms, compiled.labels)])
             else:
                 bucket[1].append((node, node_ms, compiled.labels))
         if compiled.is_final:
             if finals is None:
                 finals = {}
-            finals.setdefault(lane, []).append(node)
+            finals.setdefault(member.handle, []).append(node)
 
     # UpdateIndices: one entry per (slot, key) of a state that received runs
-    # this position, per lane — however many transitions read that slot.
-    for lane, lane_nodes in new_nodes.items():
-        hash_table = lane.hash
-        ds = lane.ds
-        window = lane.window
-        add_ref = lane.add_ref
-        extend_onto = lane.extend_onto
-        lane_id = lane.lane_id
-        for consumers, nodes in lane_nodes.values():
+    # this position, per store — however many transitions, of however many
+    # queries, read that slot.
+    for store, store_nodes in new_nodes.items():
+        hash_table = store.hash
+        ds = store.ds
+        window = store.window
+        add_ref = store.add_ref
+        extend_onto = store.extend_onto
+        lane_id = store.lane_id
+        for consumers, nodes in store_nodes.values():
             for slot, extract in consumers:
                 if extract is not keyed_by:
                     keyed_by = extract
@@ -156,7 +170,7 @@ def fire(plan, tup, position: int, buckets: Optional[Dict[int, list]], stats) ->
                 hash_table[entry_key] = (entry, entry_ms)
                 if buckets is not None:
                     # Flat-triple registration (StreamRuntime.register_entry,
-                    # inlined): due when the entry leaves the lane's window.
+                    # inlined): due when the entry leaves the store's window.
                     expiry_position = entry_ms + window + 1
                     expiry = buckets.get(expiry_position)
                     if expiry is None:

@@ -41,8 +41,12 @@ from repro.cq.schema import Tuple
 #: Bumped when the snapshot tree layout changes incompatibly.  Version 2:
 #: run-index tables are keyed ``(slot, key)`` (version 1 keyed them
 #: ``(transition index, source id, key)`` — every probe of a restored version-1
-#: table would miss, so it is refused, not read).
-SNAPSHOT_VERSION = 2
+#: table would miss, so it is refused, not read).  Version 3: the multi-query
+#: engine stores runs per window, not per query — one lane per run store, its
+#: slots numbered per store, and a ``placement`` row per query (store, first
+#: observed position, slot table); a version-2 tree's per-query lanes are
+#: numbered per automaton and are refused likewise.
+SNAPSHOT_VERSION = 3
 
 
 class SnapshotError(ValueError):
@@ -171,43 +175,42 @@ def stable_signature(signature: Any) -> Any:
     return signature
 
 
-#: ``kind`` tag of a lane-subset (partial) snapshot — the unit of query
+#: ``kind`` tag of a query-subset (partial) snapshot — the unit of query
 #: migration between engines (see ``MultiQueryEngine.extract_queries``).
 PARTIAL_SNAPSHOT_KIND = "multi-partial"
 
 
+def _check_tree(snapshot: Any, what: str) -> None:
+    if not isinstance(snapshot, dict):
+        raise SnapshotError(f"{what} must be a mapping, got {type(snapshot).__name__}")
+    version = snapshot.get("snapshot_version")
+    if version != SNAPSHOT_VERSION:
+        raise SnapshotError(
+            f"{what} version {version!r} is not supported "
+            f"(this build reads version {SNAPSHOT_VERSION})"
+        )
+
+
 def check_partial_snapshot(snapshot: Any) -> Dict[str, Any]:
-    """Validate a lane-subset snapshot's header and section shape.
+    """Validate a query-subset snapshot's header and section shape.
 
     Partial snapshots carry a ``kind`` tag instead of the full-engine
     ``engine`` tag, so a full checkpoint cannot be fed to ``adopt_queries``
     (or vice versa) by mistake.  Returns the snapshot for chaining.
     """
-    if not isinstance(snapshot, dict):
-        raise SnapshotError(
-            f"partial snapshot must be a mapping, got {type(snapshot).__name__}"
-        )
-    version = snapshot.get("snapshot_version")
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotError(
-            f"partial snapshot version {version!r} is not supported "
-            f"(this build reads version {SNAPSHOT_VERSION})"
-        )
+    _check_tree(snapshot, "partial snapshot")
     kind = snapshot.get("kind")
     if kind != PARTIAL_SNAPSHOT_KIND:
         raise SnapshotError(
-            f"expected a {PARTIAL_SNAPSHOT_KIND!r} lane-subset snapshot, got {kind!r}"
+            f"expected a {PARTIAL_SNAPSHOT_KIND!r} query-subset snapshot, got {kind!r}"
         )
-    for section in ("position", "queries", "signatures", "lanes", "buckets"):
+    for section in ("position", "signatures", "placement", "lanes", "buckets"):
         if section not in snapshot:
             raise SnapshotError(f"partial snapshot is missing the {section!r} section")
-    queries = snapshot["queries"]
-    lanes = snapshot["lanes"]
-    signatures = snapshot["signatures"]
-    if not (len(queries) == len(lanes) == len(signatures)):
+    if len(snapshot["placement"]) != len(snapshot["signatures"]):
         raise SnapshotError(
             f"partial snapshot sections disagree on the query count "
-            f"({len(queries)} queries, {len(lanes)} lanes, {len(signatures)} signatures)"
+            f"({len(snapshot['placement'])} placements, {len(snapshot['signatures'])} signatures)"
         )
     return snapshot
 
@@ -219,16 +222,7 @@ def check_snapshot_header(snapshot: Any, engine: str) -> Dict[str, Any]:
     restoring engine passes its own kind so a checkpoint taken with one
     engine mode cannot be silently restored into another.
     """
-    if not isinstance(snapshot, dict):
-        raise SnapshotError(
-            f"engine snapshot must be a mapping, got {type(snapshot).__name__}"
-        )
-    version = snapshot.get("snapshot_version")
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotError(
-            f"snapshot version {version!r} is not supported "
-            f"(this build reads version {SNAPSHOT_VERSION})"
-        )
+    _check_tree(snapshot, "snapshot")
     kind = snapshot.get("engine")
     if kind != engine:
         raise SnapshotError(

@@ -7,7 +7,7 @@ every worker.  Broadcasting is the exactness trick: all workers advance
 through the *same* global stream positions, so per-query ``max_start``
 eviction, match positions and batched-sweep timing are bit-identical to a
 single shared engine — the only thing divided by N is the per-tuple
-evaluation work, because each worker owns only its shard's query lanes.
+evaluation work, because each worker stores runs only for its shard's queries.
 Matches fan back in keyed by the coordinator's *global* handle ids, so
 ``process_many`` returns exactly what one big ``MultiQueryEngine`` would.
 
@@ -19,12 +19,13 @@ the logs — one encoded frame object, N references).  Worker replies are the
 *only* thing that mutates coordinator state, and every worker command is
 deterministic, so:
 
-* **rebalance** — moving queries is an ``extract`` on the source (lane-subset
-  snapshot out, lanes dropped) and an ``adopt`` on the target, both between
-  batches where every worker sits at the same stream position.  The adopted
-  lanes carry their hash tables, enumeration structures and expiry buckets,
-  so no match is lost; the source dropped them atomically, so none is
-  duplicated.
+* **rebalance** — moving queries is an ``extract`` on the source (a
+  store-scoped snapshot out, the queries dropped) and an ``adopt`` on the
+  target, both between batches where every worker sits at the same stream
+  position.  The snapshot carries the queries' run stores — hash tables,
+  enumeration structures, expiry buckets — which the target keeps as stores
+  of their own, so no match is lost; the source dropped the queries
+  atomically, so none is duplicated.
 * **worker death** — detected as a broken pipe; the coordinator spawns a
   fresh worker, re-registers the shard's checkpoint roster, restores the
   checkpoint snapshot, then replays the log.  Replayed batch replies are
@@ -347,7 +348,7 @@ class ShardedEngine:
 
         The coordinator compiles ``query`` first (so malformed queries fail
         here, with the registry untouched), then ships the *specification*
-        to the worker, which compiles its own lane.
+        to the worker, which compiles its own copy.
         """
         handle = self._registry.register(query, window, name)
         try:
@@ -523,9 +524,9 @@ class ShardedEngine:
     def rebalance(self, handle: QueryHandle, target: int) -> None:
         """Move one query's live state to shard ``target``, losing nothing.
 
-        The source shard extracts the query's lane-subset snapshot (hash
+        The source shard extracts the query's store-scoped snapshot (hash
         table, enumeration structure, pending expiry buckets) and drops the
-        lane; the target adopts it at the same stream position.  Outputs for
+        query; the target adopts it at the same stream position.  Outputs for
         the handle continue seamlessly — the differential tests assert
         bit-identical matches across a mid-stream rebalance.
         """
@@ -550,7 +551,7 @@ class ShardedEngine:
             )
         except Exception:
             # The target refused (worker-side rollback already dropped the
-            # lanes there); put the state back where it came from.
+            # queries there); put the state back where it came from.
             self._ask(
                 self._shards[source],
                 ("adopt", partial, [(handle.id, name, window, spec)]),
@@ -580,8 +581,9 @@ class ShardedEngine:
         """Aggregated operation counters (one ``observe`` round-trip).
 
         Work counters (scans, predicate evaluations, hash operations, …) sum
-        across shards — together they are exactly the single-engine totals,
-        since each query lane lives on exactly one shard.
+        across shards — each query lives on exactly one shard, so together
+        they are the single-engine totals up to the leaf states queries on
+        different shards would have stored once.
         ``tuples_processed`` is *not* summed: every worker ingests every
         tuple, so the maximum (= any shard's count) is the stream's.
         """

@@ -161,9 +161,9 @@ class ShardWorker:
         try:
             self.engine.adopt_queries(partial, handles)
         except Exception:
-            # A rejected adopt leaves the lanes registered but empty; drop
-            # them so the worker's roster matches the coordinator's view
-            # (which only commits the move on success).
+            # A rejected adopt leaves the queries registered, with nothing
+            # stored; drop them so the worker's roster matches the
+            # coordinator's view (which only commits the move on success).
             for gid, _, _, _ in entries:
                 self.engine.unregister(self._forget(gid))
             raise

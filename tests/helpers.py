@@ -2,7 +2,7 @@
 
 Centralises the paper's running examples (schema ``σ0``, stream ``S0``, queries
 ``Q0``/``Q1``/``Q2``, automata ``C0``/``P0``) plus strategies for random
-streams and random hierarchical queries.
+streams, random hierarchical queries and sets of queries that overlap.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.core.predicates import (
 from repro.core.kernel import native_available
 from repro.cq.query import Atom, ConjunctiveQuery, Variable
 from repro.cq.schema import Schema, Tuple
+from repro.engine.dsl import atom, conjunction
 
 #: ``(columnar, kernel)`` of every arena variant this build can run.
 ARENAS = [(True, "python"), (False, "python")] + ([(True, "native")] if native_available() else [])
@@ -230,4 +231,42 @@ slot_streams = st.lists(
         Tuple(relation or _SLOT_PATTERN[index % len(_SLOT_PATTERN)], (x, y))
         for index, (relation, x, y) in enumerate(picks)
     ]
+)
+
+
+# ------------------------------------------- queries that overlap, for one store
+@st.composite
+def _overlapping_query(draw):
+    """A star (every arm joins on ``x`` alone) or a hierarchical query (the
+    first two arms also share ``y``) over a sorted subset of ``A``–``C``, each
+    arm optionally filtered: a small pool, so independently drawn queries have
+    arms in common — same relation, same filter, same position, hence same
+    label — others that differ in one of those, and others still disjoint."""
+    relations = draw(st.sampled_from(["AB", "AC", "BC", "ABC"]))
+    nested = draw(st.booleans())
+    arms = []
+    for index, relation in enumerate(relations):
+        second = "y" if nested and index < 2 else f"y{index}"
+        threshold = draw(st.sampled_from([None, 1, 2]))
+        filters = [] if threshold is None else [(second, "<", threshold)]
+        arms.append(atom(relation, "x", second, filters=filters))
+    return conjunction(*arms), draw(st.sampled_from([3, 5]))
+
+
+#: 2–6 ``(pattern, window)`` pairs: mixed windows, and every other draw
+#: registers one of the queries twice.
+overlapping_queries = st.lists(_overlapping_query(), min_size=2, max_size=5).flatmap(
+    lambda queries: st.just(queries) | st.sampled_from(queries).map(lambda twin: queries + [twin])
+)
+
+#: Streams over the pool's relations on a domain small enough to join often.
+overlapping_streams = st.lists(
+    st.builds(
+        lambda relation, x, y: Tuple(relation, (x, y)),
+        st.sampled_from("ABC"),
+        st.integers(0, 1),
+        st.integers(0, 2),
+    ),
+    min_size=8,
+    max_size=24,
 )

@@ -385,13 +385,13 @@ class TestMemoryBound:
         rng = random.Random(2)
         engine = MultiQueryEngine()
         engine.register(star_query(2, prefix="A"), window=32)
-        engine.register(star_query(2, prefix="B"), window=32)
+        engine.register(star_query(2, prefix="B"), window=48)  # its own store
         # Phase 1: both queries active.
         for _ in range(2_000):
             engine.process(
                 Tuple(rng.choice(["A1", "A2", "B1", "B2"]), (rng.randrange(2), 0))
             )
-        lanes = list(engine._lanes.values())
+        lanes = engine._runtime.lanes()
         # Phase 2: only B's relations appear; A's lane goes idle.
         for _ in range(2_000):
             engine.process(Tuple(rng.choice(["B1", "B2"]), (rng.randrange(2), 0)))

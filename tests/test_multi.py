@@ -4,11 +4,21 @@ The load-bearing property: a :class:`MultiQueryEngine` with K registered
 patterns produces, per query, exactly the outputs of K independent
 :class:`StreamingEvaluator` instances over the same stream — including under
 mid-stream registration/unregistration, per-query windows, hash-table
-eviction, batched ingestion, and with predicate memoisation on or off.
+eviction and batched ingestion — although the engine keeps one run store per
+*window* and stores a leaf state several queries share once: late joiners,
+overlapping queries under churn / checkpoint / rebalance, the write
+amplification as counts, and what unregistering gives back.
 """
 
-import pytest
+import random
+import re
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.adaptive import AdaptiveConfig
 from repro.core.evaluation import NotEqualityPredicateError, StreamingEvaluator
 from repro.cq.hierarchical import NotHierarchicalError
 from repro.cq.schema import Tuple
@@ -20,9 +30,11 @@ from repro.multi import (
     QueryRegistry,
     compile_query,
 )
+from repro.runtime import snapshot as snapshot_codec
+from repro.shard import ShardedEngine
 from repro.streams.generators import random_stream
 
-from helpers import QUERY_Q0, SIGMA0
+from helpers import QUERY_Q0, SIGMA0, overlapping_queries, overlapping_streams
 
 
 #: A varied bundle of registerable queries over the σ0 relations (T/1, S/2, R/2).
@@ -44,9 +56,9 @@ def sigma0_stream(length, seed, domain_size=3):
     return random_stream(SIGMA0, length=length, domain_size=domain_size, seed=seed).materialise()
 
 
-def reference_evaluator(query, window, start_position=0):
+def reference_evaluator(query, window, start_position=0, stats=False):
     """An independent evaluator aligned to global stream positions."""
-    evaluator = StreamingEvaluator(compile_query(query), window=window, collect_stats=False)
+    evaluator = StreamingEvaluator(compile_query(query), window=window, collect_stats=stats)
     evaluator.position = start_position - 1
     return evaluator
 
@@ -371,3 +383,239 @@ class TestEngineIntrospection:
             engine.process(tup)
         assert engine.stats.tuples_processed == 0
         assert engine.stats.predicate_evaluations == 0
+
+
+# ------------------------------------------------ one run store per window
+def shared_star(query, arms=3):
+    """Arm 1 private to ``query`` (its own threshold), arms 2.. common to all."""
+    parts = [atom("R1", "x", "y1", filters=[("y1", "<", 10 + query)])]
+    parts += [atom(f"R{j}", "x", f"y{j}", filters=[(f"y{j}", "<", 50)]) for j in range(2, arms + 1)]
+    return conjunction(*parts)
+
+
+def restored_copy(engine, **kwargs):
+    """``engine`` checkpointed, serialised and restored into a fresh engine that
+    registered the same automata; returns it with its handles, in order."""
+    text = snapshot_codec.dumps(engine.snapshot())
+    fresh = MultiQueryEngine(**kwargs)
+    for handle in engine.handles():
+        fresh.register(engine.registry.get(handle).pcea, window=handle.window, name=handle.name)
+    fresh.restore(snapshot_codec.loads(text))
+    return fresh, fresh.handles()
+
+
+class TestLateJoiner:
+    """A query that joins a store others have been filling sees nothing older
+    than itself: probes and enumeration are cut at ``max(position - window, s)``."""
+
+    WINDOW = 6
+    S = 2  # B's first position: ``old2``/``old3`` arrive before it
+
+    #: close position -> (A's outputs, B's outputs).  ``old2``@0, ``old3``@1,
+    #: ``new2``@2 = s, ``new3``@3; A has seen everything, B only the new runs.
+    PINNED = {
+        S: (1, 0),                # old2 x old3: both older than B
+        S + 1: (2, 0),            # {old2, new2} x old3: B has no arm-3 run yet
+        S + WINDOW - 1: (2, 1),   # A's horizon is s - 1 (old3 still in), B's is s
+        S + WINDOW: (1, 1),       # horizon s for both: the floor stops binding
+        S + WINDOW + 1: (0, 0),   # new2@s left the window for both
+    }
+
+    def _stream(self, close_at):
+        stream = [Tuple("R2", (0, 20)), Tuple("R3", (0, 30)), Tuple("R2", (0, 21)), Tuple("R3", (0, 31))]
+        stream = stream[:close_at] + [Tuple("Z", (0, 0))] * (close_at - len(stream))
+        return stream + [Tuple("R1", (0, 1))]
+
+    @pytest.mark.parametrize(
+        "arena, restore",
+        [(True, False), (True, True), (False, False)],  # snapshots need the arena
+        ids=["arena", "arena-restored", "object"],
+    )
+    @pytest.mark.parametrize("close_at", sorted(PINNED))
+    def test_probes_and_enumeration_are_cut_at_the_joiners_start(self, close_at, arena, restore):
+        engine = MultiQueryEngine(arena=arena, collect_stats=True)
+        a = engine.register(shared_star(0), window=self.WINDOW)
+        references = {a.id: reference_evaluator(shared_star(0), self.WINDOW, stats=True)}
+        b = None
+        for position, tup in enumerate(self._stream(close_at)):
+            if position == self.S:
+                b = engine.register(shared_star(1), window=self.WINDOW)
+                references[b.id] = reference_evaluator(shared_star(1), self.WINDOW, self.S, stats=True)
+                assert engine.dispatch_info()["shared_state_classes"] == 2
+                if restore:  # while B's floor binds
+                    engine, (a, b) = restored_copy(engine, collect_stats=True)
+            fired = engine.stats.transitions_fired, sum(r.stats.transitions_fired for r in references.values())
+            outputs = engine.process(tup)
+            for qid, reference in references.items():
+                assert outputs.get(qid, []) == reference.process(tup), (position, qid)
+        assert (len(outputs.get(a.id, [])), len(outputs.get(b.id, []))) == self.PINNED[close_at]
+        assert len(engine._runtime.lanes()) == 1
+        # The closing tuple's transitions are all private: B must fire exactly what
+        # an evaluator started at s fires — no dead run built on A's older entries
+        # (enumeration would hide it, the next union's shape would not).
+        assert engine.stats.transitions_fired - fired[0] == (
+            sum(r.stats.transitions_fired for r in references.values()) - fired[1]
+        )
+        # window + 1 tuples on nothing old is left: a full match reads alike for both.
+        tail = [Tuple("Z", (0, 0))] * (self.WINDOW + 1)
+        tail += [Tuple("R2", (1, 1)), Tuple("R3", (1, 2)), Tuple("R3", (1, 3)), Tuple("R1", (1, 4))]
+        for tup in tail:
+            outputs = engine.process(tup)
+            for qid, reference in references.items():
+                assert outputs.get(qid, []) == reference.process(tup)
+        assert len(outputs[a.id]) == len(outputs[b.id]) == 2
+
+    def test_a_restored_joiner_keeps_its_start(self):
+        """The snapshot carries ``s``: a restore between B's registration and
+        the close must not let B see A's older runs — nor forget its own."""
+        engine = MultiQueryEngine()
+        engine.register(shared_star(0), window=self.WINDOW)
+        for tup in self._stream(4)[:2]:
+            engine.process(tup)
+        engine.register(shared_star(1), window=self.WINDOW)
+        snapshot = engine.snapshot()
+        assert [since for _, since, _ in snapshot["placement"]] == [0, self.S]
+        assert len(snapshot["lanes"]) == 1
+        restored, _ = restored_copy(engine)
+        assert restored.snapshot() == snapshot
+
+
+class TestOverlappingQueries:
+    """K overlapping queries == K independent evaluators: per handle, per
+    position, the same output *lists* — under churn, a mid-stream
+    checkpoint/restore and a shard rebalance."""
+
+    @staticmethod
+    def _drive(engine, queries, schedule, stream, cut, midway):
+        handles, seen = {}, {index: {} for index in range(len(queries))}
+        for position, tup in enumerate(stream):
+            for index, ((pattern, window), (start, stop)) in enumerate(zip(queries, schedule)):
+                if position == start:
+                    handles[index] = engine.register(pattern, window=window)
+                if position == stop:
+                    engine.unregister(handles.pop(index))
+            if position == cut:
+                engine, handles = midway(engine, handles)
+            outputs = engine.process(tup)
+            for index, handle in handles.items():
+                seen[index][position] = outputs.get(handle.id, [])
+        return seen
+
+    @settings(max_examples=40, deadline=None)
+    @given(queries=overlapping_queries, stream=overlapping_streams, data=st.data())
+    def test_output_lists_match_independent_evaluators(self, queries, stream, data):
+        last = len(stream) - 1
+        schedule = [
+            (data.draw(st.integers(0, last // 2)), data.draw(st.none() | st.integers(last // 2 + 1, last)))
+            for _ in queries
+        ]
+        cut = data.draw(st.integers(1, last))
+        expected = {}
+        for index, ((pattern, window), (start, stop)) in enumerate(zip(queries, schedule)):
+            reference = reference_evaluator(pattern, window, start)
+            stop = len(stream) if stop is None else stop
+            expected[index] = {
+                position: reference.process(stream[position]) for position in range(start, stop)
+            }
+
+        def restore(kwargs):
+            def midway(engine, handles):
+                fresh, _ = restored_copy(engine, **kwargs)
+                return fresh, handles  # restore keeps the snapshot's handle ids
+            return midway
+
+        def rebalance(engine, handles):
+            for handle in list(handles.values())[:1]:
+                engine.rebalance(handle, 1 - engine.assignment()[handle.id])
+            return engine, handles
+
+        for adaptive in (False, AdaptiveConfig(interval=3, min_probes=2)):
+            for arena in (True, False):
+                kwargs = {"arena": arena, "adaptive": adaptive}
+                midway = restore(kwargs) if arena else (lambda engine, handles: (engine, handles))
+                engine = MultiQueryEngine(**kwargs)
+                assert self._drive(engine, queries, schedule, stream, cut, midway) == expected
+            with ShardedEngine(2, start_method="inline", adaptive=adaptive) as sharded:
+                assert self._drive(sharded, queries, schedule, stream, cut, rebalance) == expected
+
+
+class TestOneStorePerWindow:
+    @pytest.mark.parametrize("arena", [True, False], ids=["arena", "object"])
+    @pytest.mark.parametrize("sharers", [1, 4, 16])
+    def test_a_leaf_run_is_stored_once_whatever_the_number_of_readers(self, sharers, arena):
+        """An accepted arm-2 tuple costs one hash update, one expiry triple, one
+        record and at most one union — for 1, 4 or 16 queries reading it."""
+        engine = MultiQueryEngine(collect_stats=True, arena=arena)
+        for query in range(sharers):
+            engine.register(shared_star(query), window=20)
+        engine.register(shared_star(0, arms=2), window=9)  # a second window: a second store
+        info = engine.dispatch_info()
+        assert info["stores"] == len(engine._runtime.lanes()) == 2
+        assert info["shared_state_classes"] == (2 if sharers > 1 else 0)
+        # per query: arm 1's leaf state + the final state; per store: the shared arms
+        assert info["state_classes"] == 2 * sharers + 2 + 2 + 1
+        stats, buckets = engine.stats, engine._expiry_buckets
+        triples = lambda: sum(map(len, buckets.values())) // 3
+        rng = random.Random(sharers)
+        for _ in range(200):
+            tup = Tuple("R3", (rng.randrange(3), rng.randrange(40)))
+            before = (stats.hash_updates, stats.unions, engine.memory_info()["nodes_created"], triples())
+            assert engine._process(tup, sweep=False) == {}  # unswept: buckets only grow
+            assert stats.hash_updates - before[0] == 1
+            assert stats.unions - before[1] <= 1
+            assert engine.memory_info()["nodes_created"] - before[2] == 1
+            assert triples() - before[3] == 1
+        assert stats.transitions_fired == 200
+
+    def test_the_engine_builds_a_ds_w_in_one_place(self):
+        source_root = Path(__file__).resolve().parent.parent / "src" / "repro" / "multi"
+        built = re.compile(r"\b(?:Arena)?DataStructure\(")
+        holders = {
+            path.name: len(built.findall(path.read_text()))
+            for path in source_root.glob("*.py")
+            if built.search(path.read_text())
+        }
+        assert holders == {"engine.py": 2}  # the arena or the object graph, one call site each
+        assert len(re.findall(r"def _open_store\(", (source_root / "engine.py").read_text())) == 1
+
+    def test_unregistering_a_window_returns_its_memory(self):
+        engine = MultiQueryEngine()
+        handles = [engine.register(shared_star(query), window=8) for query in range(4)]
+        keeper = engine.register(shared_star(0, arms=2), window=5)
+        stream = [Tuple(f"R{1 + i % 3}", (i % 2, i % 7)) for i in range(60)]
+        for tup in stream:
+            engine.process(tup)
+        assert engine.hash_table_size() > 0 and len(engine._runtime.lanes()) == 2
+        for handle in handles:
+            engine.unregister(handle)
+        assert len(engine._runtime.lanes()) == 1  # the window's store went with its last query
+        engine.unregister(keeper)
+        for _ in range(8 + 1):
+            engine.process(Tuple("Z", (0, 0)))
+        assert engine.hash_table_size() == 0 and not engine._runtime.lanes()
+        assert engine.memory_info()["live_nodes"] == 0
+        assert engine.dispatch_info()["state_classes"] == engine.dispatch_info()["stores"] == 0
+
+    def test_one_of_sixteen_sharers_leaves_the_rest_untouched(self):
+        window = 8
+        engine = MultiQueryEngine()
+        handles = [engine.register(shared_star(query), window=window) for query in range(16)]
+        references = {h.id: reference_evaluator(shared_star(q), window) for q, h in enumerate(handles)}
+        rng = random.Random(16)
+        stream = [Tuple(f"R{rng.randrange(1, 4)}", (rng.randrange(2), rng.randrange(30))) for _ in range(300)]
+        slots_before = engine._runtime.lanes()[0].next_slot
+        for position, tup in enumerate(stream):
+            if position == 100:
+                leaver = handles.pop(0)  # the query the shared classes were built from
+                del references[leaver.id]
+                engine.unregister(leaver)
+                assert engine.dispatch_info()["shared_state_classes"] == 2
+            if position == 100 + window + 1:
+                # only the leaver's private arm-1 entries went: one slot, <= 2 keys
+                assert 0 <= held - engine.hash_table_size() <= 2
+            outputs = engine.process(tup)
+            held = engine.hash_table_size()
+            for qid, reference in references.items():
+                assert outputs.get(qid, []) == reference.process(tup), (position, qid)
+            assert leaver.id not in outputs if position >= 100 else True
+        assert engine._runtime.lanes()[0].next_slot == slots_before  # nothing renumbered

@@ -52,9 +52,10 @@ def reference_evaluator(query, window, start_position=0):
 
 
 def rebuilt_index(engine):
-    """A from-scratch merged index over the engine's surviving lanes."""
-    lanes = [engine._lanes[qid] for qid in sorted(engine._lanes)]
-    return MergedDispatchIndex([(lane, lane.dispatch) for lane in lanes])
+    """A from-scratch, stand-alone (nothing shared) merged index over the
+    engine's surviving queries."""
+    queries = [engine._queries[qid] for qid in sorted(engine._queries)]
+    return MergedDispatchIndex([(query, query.dispatch) for query in queries])
 
 
 class TestStreamRuntimeUnits:

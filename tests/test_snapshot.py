@@ -341,7 +341,7 @@ class TestRejectedRestoreLeavesEngineUntouched:
             fresh.restore(snap)
         # Registry, handles and lanes are exactly as before the attempt.
         assert [(h.id, h.window) for h in fresh.handles()] == before
-        assert set(fresh._lanes) == {h.id for h in kept}
+        assert set(fresh._queries) == {h.id for h in kept}
         outputs = fresh.process(Tuple("T", (1,)))
         assert set(outputs) <= {h.id for h in kept}
 
@@ -412,8 +412,10 @@ class TestSignatureStrictness:
 
 class TestVersionOneIsRefused:
     """Version 1 keyed ``H`` by ``(transition index, source id, key)``; read as
-    version 2 every probe of such a table would miss.  It is refused by
-    version, and a table numbered by a different slot assignment by signature."""
+    a later version every probe of such a table would miss.  Version 2 kept one
+    lane per registered query; version 3 keeps one per run store and says where
+    each query sits.  Older trees are refused by version, and a table numbered
+    by a different slot assignment by signature."""
 
     WINDOW = 9
 
@@ -456,7 +458,7 @@ class TestVersionOneIsRefused:
         for tup in self._stream():
             original.process(tup)
         snap = original.snapshot()
-        assert snap["snapshot_version"] == 2 and original.hash_table_size() > 0
+        assert snap["snapshot_version"] == 3 and original.hash_table_size() > 0
         self._as_version_one(snap["lane"], snap["runtime"]["buckets"], original._dispatch)
         self._strip_slots(snap["dispatch_signature"])
         snap["snapshot_version"] = 1
@@ -467,27 +469,45 @@ class TestVersionOneIsRefused:
         assert fresh.position == -1 and fresh.hash_table_size() == 0 and not fresh._expiry_buckets
         assert fresh.snapshot() == StreamingEvaluator(self._pcea(), window=self.WINDOW).snapshot()
 
+    def _as_version_two(self, tree):
+        """Version 2 kept one lane per *query* (numbered as its automaton is)
+        and no placement; a one-query engine's store is exactly that lane."""
+        del tree["placement"]
+        for lane in tree["lanes"]:
+            del lane["next_slot"], lane["joinable"]
+        tree["snapshot_version"] = 2
+        return tree
+
     def test_multi_engine_restore_and_adopt_queries(self):
+        self._multi_engine_refuses(1)
+
+    def test_multi_engine_refuses_per_query_lanes(self):
+        self._multi_engine_refuses(2)
+
+    def _multi_engine_refuses(self, version):
         original = MultiQueryEngine()
         handle = original.register(self._pcea(), window=self.WINDOW)
         for tup in self._stream():
             original.process(tup)
-        lane = original._lanes[handle.id]
+        dispatch = original._queries[handle.id].dispatch
         full, partial = original.snapshot(), original.extract_queries([handle])
-        assert full["snapshot_version"] == partial["snapshot_version"] == 2
-        self._as_version_one(full["lanes"][0], full["runtime"]["buckets"], lane.dispatch)
-        self._as_version_one(partial["lanes"][0], partial["buckets"], lane.dispatch)
-        self._strip_slots(partial["signatures"][0])
-        full["snapshot_version"] = partial["snapshot_version"] = 1
+        assert full["snapshot_version"] == partial["snapshot_version"] == 3
+        assert full["placement"] == partial["placement"] == [(0, 0, (0, 1, 2))]
+        self._as_version_two(full), self._as_version_two(partial)
+        if version == 1:
+            self._as_version_one(full["lanes"][0], full["runtime"]["buckets"], dispatch)
+            self._as_version_one(partial["lanes"][0], partial["buckets"], dispatch)
+            self._strip_slots(partial["signatures"][0])
+            full["snapshot_version"] = partial["snapshot_version"] = 1
 
         fresh = MultiQueryEngine()
         adopted = fresh.register(self._pcea(), window=self.WINDOW)
         for tup in self._stream():
             fresh.process(Tuple("Other", tup.values))  # same position, no state
         untouched = fresh.snapshot()
-        with pytest.raises(SnapshotError, match="version 1 is not supported"):
+        with pytest.raises(SnapshotError, match=f"version {version} is not supported"):
             fresh.restore(roundtrip(full, "json"))
-        with pytest.raises(SnapshotError, match="version 1 is not supported"):
+        with pytest.raises(SnapshotError, match=f"version {version} is not supported"):
             fresh.adopt_queries(roundtrip(partial, "json"), [adopted])
         assert fresh.snapshot() == untouched and fresh.hash_table_size() == 0
 
