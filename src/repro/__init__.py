@@ -10,9 +10,8 @@ The package provides:
 * the shared streaming runtime behind all three evaluators — eviction
   sweep, arena release, batching, statistics (:mod:`repro.runtime`),
 * baseline engines used for comparison (:mod:`repro.baselines`),
-* stream abstractions and synthetic workload generators (:mod:`repro.streams`),
-* a small CER pattern DSL compiled to PCEA (:mod:`repro.engine`), and
-* the measurement harness behind the benchmarks (:mod:`repro.bench`).
+* stream abstractions and synthetic workload generators (:mod:`repro.streams`), and
+* a small CER pattern DSL compiled to PCEA (:mod:`repro.engine`).
 
 Quickstart
 ----------

@@ -163,19 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
         "named 'multi', pass it as './multi'.",
     )
     parser.add_argument(
-        "stream",
-        nargs="?",
-        help="path to the CSV event file (defaults to standard input)",
-    )
-    parser.add_argument(
         "--query",
         required=True,
         help='the query, e.g. "Q(x, y) <- T(x), S(x, y), R(x, y)"',
     )
-    parser.add_argument("--window", type=int, default=1000, help="sliding window size (default 1000)")
-    parser.add_argument("--separator", default=",", help="value separator in the event file")
-    parser.add_argument("--limit", type=int, default=None, help="stop after this many events")
-    parser.add_argument("--quiet", action="store_true", help="print only the final summary")
+    _add_engine_arguments(parser)
     parser.add_argument(
         "--no-index",
         action="store_true",
@@ -187,47 +179,102 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable hash-table eviction (memory grows with the stream, not the window)",
     )
     parser.add_argument(
-        "--no-arena",
-        action="store_true",
-        help="use the object-graph enumeration structure instead of the arena "
-        "(ablation; no slab reclamation)",
-    )
-    parser.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help="use list-backed arena slabs instead of the packed columnar records "
-        "(trades ~2x resident state for slightly faster per-event updates)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=("auto", "python", "native"),
-        default=None,
-        help="record-operation backend for the arena hot path (default: the "
-        "REPRO_KERNEL environment variable, then auto-detection of the "
-        "optional native C kernel; --stats reports which backend ran)",
-    )
-    parser.add_argument(
         "--general",
         action="store_true",
         help="evaluate with the general (non-hashed) engine that scans live "
         "runs per transition; identical matches, linear-in-data update cost",
     )
-    _add_adaptive_arguments(parser)
+    _add_checkpoint_arguments(parser)
+    return parser
+
+
+def _add_engine_arguments(
+    parser: argparse.ArgumentParser,
+    *,
+    stream: bool = True,
+    engine: bool = True,
+    per_query_windows: bool = False,
+) -> None:
+    """Every option two or more subcommands share, declared once.
+
+    ``stream`` adds the event-source options (single, ``multi``, ``client``),
+    ``engine`` the engine switches (single, ``multi``, ``serve``);
+    ``per_query_windows`` makes ``--window`` repeatable (``args.windows``).
+    """
+    if stream:
+        parser.add_argument(
+            "stream",
+            nargs="?",
+            help="path to the CSV event file (defaults to standard input)",
+        )
+        if per_query_windows:
+            parser.add_argument(
+                "--window",
+                type=int,
+                action="append",
+                dest="windows",
+                metavar="W",
+                help="sliding window size; give once for all queries or once per query "
+                "(default 1000)",
+            )
+        else:
+            parser.add_argument(
+                "--window", type=int, default=1000, help="sliding window size (default 1000)"
+            )
+        parser.add_argument("--separator", default=",", help="value separator in the event file")
+        parser.add_argument("--limit", type=int, default=None, help="stop after this many events")
+        parser.add_argument(
+            "--batch-size",
+            type=int,
+            default=0,
+            metavar="N",
+            help="events per process_many batch, or per ingest frame for 'client' "
+            "(default %(default)s; 0 = per-event processing)",
+        )
+    parser.add_argument("--quiet", action="store_true", help="print only the final summary")
+    if engine:
+        parser.add_argument(
+            "--no-arena",
+            action="store_true",
+            help="use the object-graph enumeration structure instead of the arena "
+            "(ablation; no slab reclamation)",
+        )
+        parser.add_argument(
+            "--kernel",
+            choices=("auto", "python", "native"),
+            default=None,
+            help="record-operation backend for the arena hot path (default: the "
+            "REPRO_KERNEL environment variable, then auto-detection of the "
+            "optional native C kernel; --stats reports which backend ran)",
+        )
+        parser.add_argument(
+            "--stats",
+            action="store_true",
+            help="also print the engine's operation counters, dispatch, memory and "
+            "kernel lines after the summary",
+        )
+        _add_adaptive_arguments(parser)
+
+
+def _add_worker_arguments(parser: argparse.ArgumentParser) -> None:
+    """The ``repro.shard`` switches of ``multi`` and ``serve``."""
     parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="also print the engine's operation counters after the summary",
-    )
-    parser.add_argument(
-        "--batch-size",
+        "--workers",
         type=int,
         default=0,
         metavar="N",
-        help="feed events through the batched process_many path, N events per batch "
-        "(0 = per-event processing)",
+        help="shard the queries across N worker processes (repro.shard); matches "
+        "are identical to the shared single-process engine, per-event work is "
+        "divided across the workers (0 = in-process engine; 'multi' then "
+        "implies --batch-size 256 unless given)",
     )
-    _add_checkpoint_arguments(parser)
-    return parser
+    parser.add_argument(
+        "--start-method",
+        choices=("spawn", "fork", "forkserver", "inline"),
+        default="spawn",
+        help="how --workers processes start (default spawn; 'inline' runs the "
+        "shards in-process behind the same frame protocol, for debugging)",
+    )
 
 
 def _add_adaptive_arguments(parser: argparse.ArgumentParser) -> None:
@@ -395,11 +442,6 @@ def build_multi_parser() -> argparse.ArgumentParser:
         "one predicate evaluation per shared group, per-query windows).",
     )
     parser.add_argument(
-        "stream",
-        nargs="?",
-        help="path to the CSV event file (defaults to standard input)",
-    )
-    parser.add_argument(
         "--query",
         action="append",
         required=True,
@@ -407,69 +449,8 @@ def build_multi_parser() -> argparse.ArgumentParser:
         metavar="QUERY",
         help="a query to register (repeatable), e.g. \"Q(x, y) <- T(x), S(x, y)\"",
     )
-    parser.add_argument(
-        "--window",
-        type=int,
-        action="append",
-        dest="windows",
-        metavar="W",
-        help="sliding window size; give once for all queries or once per query "
-        "(default 1000)",
-    )
-    parser.add_argument("--separator", default=",", help="value separator in the event file")
-    parser.add_argument("--limit", type=int, default=None, help="stop after this many events")
-    parser.add_argument("--quiet", action="store_true", help="print only the final summary")
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=0,
-        metavar="N",
-        help="feed events through the batched process_many path, N events per batch "
-        "(0 = per-event processing)",
-    )
-    parser.add_argument(
-        "--no-arena",
-        action="store_true",
-        help="use object-graph enumeration structures instead of per-query arenas "
-        "(ablation; no slab reclamation)",
-    )
-    parser.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help="use list-backed arena slabs instead of the packed columnar records "
-        "(trades ~2x resident state for slightly faster per-event updates)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=("auto", "python", "native"),
-        default=None,
-        help="record-operation backend for every lane's arena hot path "
-        "(default: the REPRO_KERNEL environment variable, then auto-detection "
-        "of the optional native C kernel)",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="also print the shared engine's counters and merged-index statistics",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="shard the queries across N worker processes (repro.shard); matches "
-        "are identical to the shared single-process engine, per-event work is "
-        "divided across the workers (0 = in-process engine; implies "
-        "--batch-size 256 unless given)",
-    )
-    parser.add_argument(
-        "--start-method",
-        choices=("spawn", "fork", "forkserver", "inline"),
-        default="spawn",
-        help="how --workers processes start (default spawn; 'inline' runs the "
-        "shards in-process behind the same frame protocol, for debugging)",
-    )
-    _add_adaptive_arguments(parser)
+    _add_engine_arguments(parser, per_query_windows=True)
+    _add_worker_arguments(parser)
     _add_checkpoint_arguments(parser)
     return parser
 
@@ -511,7 +492,6 @@ def run(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO) -> in
                 window=args.window,
                 indexed=not args.no_index,
                 arena=not args.no_arena,
-                columnar=not args.no_columnar,
                 collect_stats=args.stats,
                 kernel=args.kernel,
                 adaptive=args.adaptive,
@@ -524,7 +504,6 @@ def run(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO) -> in
                 evict=not args.no_evict,
                 collect_stats=args.stats,
                 arena=not args.no_arena,
-                columnar=not args.no_columnar,
                 kernel=args.kernel,
                 adaptive=args.adaptive,
             )
@@ -596,13 +575,9 @@ def run(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO) -> in
 
 
 def _kernel_conflict(args: argparse.Namespace) -> Optional[str]:
-    """Fail-fast message for --kernel native with an incompatible layout."""
-    if getattr(args, "kernel", None) != "native":
-        return None
-    if args.no_arena:
+    """Fail-fast message for --kernel native without the arena."""
+    if getattr(args, "kernel", None) == "native" and args.no_arena:
         return "--kernel native requires the arena-backed structure (drop --no-arena)"
-    if args.no_columnar:
-        return "--kernel native requires the packed columnar layout (drop --no-columnar)"
     return None
 
 
@@ -722,7 +697,6 @@ def run_multi(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO)
                 start_method=args.start_method,
                 collect_stats=args.stats,
                 arena=not args.no_arena,
-                columnar=not args.no_columnar,
                 kernel=args.kernel,
                 adaptive=args.adaptive,
             )
@@ -730,7 +704,6 @@ def run_multi(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO)
             engine = MultiQueryEngine(
                 collect_stats=args.stats,
                 arena=not args.no_arena,
-                columnar=not args.no_columnar,
                 kernel=args.kernel,
                 adaptive=args.adaptive,
             )
@@ -930,36 +903,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="exit once N clients have connected and all of them are gone "
         "(0 = serve until SIGINT/SIGTERM; used by the CI smoke)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="serve a sharded engine: N worker processes behind the "
-        "coordinator (0 = in-process multi-query engine)",
-    )
-    parser.add_argument(
-        "--start-method",
-        choices=("spawn", "fork", "forkserver", "inline"),
-        default="spawn",
-        help="how --workers processes start (default spawn)",
-    )
-    parser.add_argument("--no-arena", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--no-columnar", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument(
-        "--kernel",
-        choices=("auto", "python", "native"),
-        default=None,
-        help="record-operation backend for the engine's arena hot path",
-    )
-    parser.add_argument("--quiet", action="store_true", help="print only the exit summary")
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="also print the engine's counters and the server's flow-control "
-        "totals at exit",
-    )
-    _add_adaptive_arguments(parser)
+    _add_worker_arguments(parser)
+    _add_engine_arguments(parser, stream=False)
     _add_observability_arguments(parser)
     return parser
 
@@ -1014,7 +959,6 @@ def run_serve(args: argparse.Namespace, output: TextIO) -> int:
                 start_method=args.start_method,
                 collect_stats=args.stats,
                 arena=not args.no_arena,
-                columnar=not args.no_columnar,
                 kernel=args.kernel,
                 adaptive=args.adaptive,
             )
@@ -1024,7 +968,6 @@ def run_serve(args: argparse.Namespace, output: TextIO) -> int:
             engine = MultiQueryEngine(
                 collect_stats=args.stats,
                 arena=not args.no_arena,
-                columnar=not args.no_columnar,
                 kernel=args.kernel,
                 adaptive=args.adaptive,
             )
@@ -1105,9 +1048,8 @@ def build_net_client_parser() -> argparse.ArgumentParser:
         "every ack, and print the received matches in the multi-mode output "
         "format (sorted by position, then query name).",
     )
-    parser.add_argument(
-        "stream", nargs="?", help="path to the CSV event file (defaults to standard input)"
-    )
+    _add_engine_arguments(parser, engine=False, per_query_windows=True)
+    parser.set_defaults(batch_size=256)
     parser.add_argument("--host", default="127.0.0.1", help="server address")
     parser.add_argument("--port", type=int, required=True, help="server port")
     parser.add_argument(
@@ -1119,31 +1061,12 @@ def build_net_client_parser() -> argparse.ArgumentParser:
         "subscribing",
     )
     parser.add_argument(
-        "--window",
-        type=int,
-        action="append",
-        dest="windows",
-        metavar="W",
-        help="sliding window size; give once for all queries or once per "
-        "query (default 1000)",
-    )
-    parser.add_argument("--separator", default=",", help="value separator in the event file")
-    parser.add_argument("--limit", type=int, default=None, help="stop after this many events")
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=256,
-        metavar="N",
-        help="tuples per ingest frame (default 256)",
-    )
-    parser.add_argument(
         "--pipeline",
         type=int,
         default=4,
         metavar="N",
         help="ingest frames in flight before waiting for an ack (default 4)",
     )
-    parser.add_argument("--quiet", action="store_true", help="print only the final summary")
     return parser
 
 

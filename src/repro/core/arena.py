@@ -30,12 +30,11 @@ node:
 Node id ``0`` is the bottom node ``⊥`` (empty bag): it never carries links or
 children and every traversal treats it as expired.
 
-Columnar column storage
------------------------
-With ``columnar=True`` (the default) a slab packs the five int fields of a
-node into one interleaved ``array('q')`` record of stride
-:data:`_STRIDE`: ``pos, ms, ul, ur, meta`` at word offset ``(id - base) *
-5``.  ``meta`` fuses the label id, the direction bit and the product
+Record storage
+--------------
+There is one layout.  A slab packs the five int fields of a node into one
+interleaved ``array('q')`` record of stride :data:`_STRIDE`: ``pos, ms, ul,
+ur, meta`` at word offset ``(id - base) * 5``.  ``meta`` fuses the label id, the direction bit and the product
 reference — ``(prod_ref << 32) | (label_id << 1) | direction`` — where
 ``prod_ref`` is 0 for childless nodes (the vast majority) and otherwise
 ``1 +`` an index into the slab-local ``prods`` list, which stores only the
@@ -44,22 +43,12 @@ the (shared) tuple into its own slab's ``prods`` — one list append, no
 re-materialisation — so product data never dangles across released slabs.
 
 The write path is a single :func:`struct.Struct.pack_into` call per node
-(five machine words in one C call, matching the list layout's append cost);
-the record array grows in :data:`_CHUNK_NODES`-node zero chunks, and sealing
-trims the unused tail so sealed slabs are exact-size.  One machine word per
-field — instead of a list slot *plus* a boxed ``int`` object per distinct
-value — cuts the measured resident bytes of the retained slab set by over 2×
-on store-heavy hot-key streams versus the list layout
-(``benchmarks/bench_state_footprint.py``;
-:meth:`ArenaDataStructure.resident_bytes` is the metric).
-
-``columnar=False`` keeps the pre-columnar layout — parallel plain lists
-``pos`` / ``ms`` / ``ul`` / ``ur`` / ``lab`` / ``dirn`` / ``prod`` (one dense
-entry per node) — as the ablation baseline and differential oracle.  Both
-layouts run the same allocation and traversal logic (the packed record
-encode/decode is the only difference), and the structural snapshots of a
-columnar and a list-backed arena fed the same operations are identical (the
-property tests in ``tests/test_snapshot.py`` assert exactly that).
+(five machine words in one C call); the record array grows in
+:data:`_CHUNK_NODES`-node zero chunks, and sealing trims the unused tail so
+sealed slabs are exact-size.  One machine word per field, no boxed ``int``
+per value: :meth:`ArenaDataStructure.resident_bytes` is the footprint
+metric.  Both kernels (:mod:`repro.core.kernel`) read and write these same
+buffers.
 
 Adaptive slab sizing
 --------------------
@@ -124,13 +113,12 @@ References *into* a slab come from three places, each handled differently:
 Snapshot / restore
 ------------------
 :meth:`ArenaDataStructure.snapshot` captures the complete arena state — the
-retained slab set (fields normalised to plain per-column lists, product
+retained slab set (fields unpacked to plain per-column lists, product
 children to one dense tuple per node), the allocation cursor, the
 adaptive-sizing state and the interned label table — as a plain-Python tree
 (dicts / lists / tuples / ints / frozensets) that pickles directly and
-JSON-encodes through :mod:`repro.runtime.snapshot`.  The snapshot is
-representation-independent: either layout can restore a snapshot taken from
-either layout.  :meth:`ArenaDataStructure.restore` replaces the arena's
+JSON-encodes through :mod:`repro.runtime.snapshot`; either kernel restores a
+snapshot taken under the other.  :meth:`ArenaDataStructure.restore` replaces the arena's
 entire state in place (bound methods held by an
 :class:`~repro.runtime.EvictionLane` stay valid), after which allocation,
 reclamation and enumeration continue bit-identically to the snapshotted
@@ -152,7 +140,7 @@ every stored entry — and is how the fire loop stores a fresh leaf run.
 Enumeration
 -----------
 One enumerator, :meth:`ArenaDataStructure._packed`, serves ``enumerate`` and
-``enumerate_all`` (horizon ``-∞``) on either kernel and layout.  An output is
+``enumerate_all`` (horizon ``-∞``) on either kernel.  An output is
 one **packed record** ``(label_id, pos, label_id, pos, …)``: a leaf is its own
 pair, a product node prepends its pair to the cross product of its children's
 record lists.  Enumeration is *eager per final node*: total time is linear in
@@ -193,8 +181,7 @@ MAX_SLAB_CAPACITY = 1 << 16
 #: reclamation granularity (more, smaller slabs) against slab-table overhead.
 TARGET_SLABS_PER_WINDOW = 8
 
-#: Interleaved record stride (words) of the columnar layout:
-#: ``pos, ms, ul, ur, meta``.
+#: Interleaved record stride (words): ``pos, ms, ul, ur, meta``.
 _STRIDE = 5
 
 #: Record-array growth granularity (nodes): the current slab's array is
@@ -209,15 +196,13 @@ _CHUNK_NODES = 256
 _META_LOW = 0xFFFFFFFF
 _META_LABEL_DIRN = 0xFFFFFFFE
 
-#: One packed record write: five machine words in a single C call — this is
-#: what keeps the columnar allocation path at list-append cost.
+#: One packed record write: five machine words in a single C call.
 _PACK_RECORD = struct.Struct("5q").pack_into
 
 #: One packed record read (the satellite of the write above): where a path
 #: touches several fields of the same node, a single ``unpack_from`` boxes
 #: all five words in one C call instead of paying one boxed ``array``
-#: ``__getitem__`` per field — this is what claws back most of the columnar
-#: layout's per-element read tax on CPython.
+#: ``__getitem__`` per field.
 _UNPACK_RECORD = struct.Struct("5q").unpack_from
 
 #: Record size in bytes (pack offsets), derived from the word stride so the
@@ -228,7 +213,7 @@ _ZERO_CHUNK = array("q", bytes(8 * _STRIDE * _CHUNK_NODES))
 
 
 def _grow_records(slab: "_Slab") -> None:
-    """Extend a columnar slab's record array by one zeroed chunk.
+    """Extend a slab's record array by one zeroed chunk.
 
     Chunks are capped at the slab's own capacity so small slabs never
     over-allocate beyond the records they can hold (sealing additionally
@@ -246,54 +231,18 @@ def _grow_records(slab: "_Slab") -> None:
 class _Slab:
     """One generation of nodes: packed records plus release accounting.
 
-    Columnar slabs fill ``data`` (the interleaved stride-5 record array) and
-    ``prods`` (slab-local non-empty child tuples); list slabs fill the
-    pre-columnar parallel lists ``pos``/``ms``/``ul``/``ur``/``lab``/
-    ``dirn``/``prod`` instead.
+    ``data`` is the interleaved stride-5 record array, ``prods`` the
+    slab-local non-empty child tuples.
     """
 
-    __slots__ = (
-        "base",
-        "span",
-        "data",
-        "avail",
-        "prods",
-        "pos",
-        "ms",
-        "ul",
-        "ur",
-        "lab",
-        "dirn",
-        "prod",
-        "count",
-        "max_ms",
-        "ext_refs",
-    )
+    __slots__ = ("base", "span", "data", "avail", "prods", "count", "max_ms", "ext_refs")
 
-    def __init__(self, base: int, span: int, columnar: bool = True) -> None:
+    def __init__(self, base: int, span: int) -> None:
         self.base = base
         self.span = span  # owned 64-node slots (capacity == span << 6)
-        self.avail = 0  # records allocated in ``data`` (columnar growth cursor)
-        if columnar:
-            self.data = array("q")
-            self.prods: List[Tup[int, ...]] = []
-            self.pos = None
-            self.ms = None
-            self.ul = None
-            self.ur = None
-            self.lab = None
-            self.dirn = None
-            self.prod = None
-        else:
-            self.data = None
-            self.prods = None
-            self.pos: List[int] = []
-            self.ms: List[int] = []
-            self.ul: List[int] = []
-            self.ur: List[int] = []
-            self.lab: List[int] = []
-            self.dirn: List[bool] = []
-            self.prod: List[Tup[int, ...]] = []
+        self.avail = 0  # records allocated in ``data`` (growth cursor)
+        self.data = array("q")
+        self.prods: List[Tup[int, ...]] = []
         self.count = 0
         self.max_ms = _NEVER
         self.ext_refs = 0
@@ -337,15 +286,9 @@ class ArenaDataStructure:
         Whether slab capacity follows the observed per-window allocation
         volume (see the module docstring).  Defaults to ``True`` when
         ``slab_capacity`` is not given, ``False`` when it is.
-    columnar:
-        With ``True`` (default) slabs use the packed columnar layout
-        (interleaved ``array('q')`` records, fused ``meta`` field, sparse
-        product table); ``False`` keeps the parallel plain lists (the
-        pre-columnar ablation layout, structurally identical operation for
-        operation — see the module docstring).
     kernel:
         Which record-operation backend runs the hot path: ``"python"``,
-        ``"native"`` (the optional C extension, columnar only) or ``"auto"``
+        ``"native"`` (the optional C extension) or ``"auto"``
         / ``None`` to defer to ``REPRO_KERNEL`` and auto-detection — see
         :mod:`repro.core.kernel` for the precedence and the backend
         contract.  Both kernels share this arena's slab buffers, so cold
@@ -357,14 +300,12 @@ class ArenaDataStructure:
         window: int,
         slab_capacity: Optional[int] = None,
         adaptive: Optional[bool] = None,
-        columnar: bool = True,
         kernel: Optional[str] = None,
     ) -> None:
         if window < 0:
             raise ValueError("window size must be non-negative")
         self.window = window
-        self._columnar = columnar
-        self.kernel = resolve_kernel(kernel, columnar)
+        self.kernel = resolve_kernel(kernel)
         if self.kernel == "native":
             # One C kernel per arena, created once and *reused* across
             # restore() (bound methods handed to EvictionLane must survive a
@@ -424,12 +365,12 @@ class ArenaDataStructure:
         ``position`` is the stream position of the allocation that triggered
         the seal; with adaptive sizing it dates the sealed slab's fill time,
         from which the next capacity is projected.  Sealing trims the packed
-        record array of a partially-filled (time-sealed) columnar slab to
+        record array of a partially-filled (time-sealed) slab to
         its exact fill, so sealed slabs carry no chunk slack.
         """
         native = self._nk
         sealed = getattr(self, "_cur", None)
-        if sealed is not None and self._columnar:
+        if sealed is not None:
             if native is not None:
                 # The kernel is authoritative for the fill/meta of the slab
                 # it has been writing; mirror them back now — the adaptive
@@ -447,7 +388,6 @@ class ArenaDataStructure:
                 if len(sealed.data) > fill:
                     del sealed.data[fill:]
                 sealed.avail = sealed.count
-        if sealed is not None:
             hook = self.on_seal
             if hook is not None:
                 hook(sealed.count)
@@ -463,7 +403,7 @@ class ArenaDataStructure:
         slot = self._next_slot
         span = self._cap >> _SLOT_BITS
         self._next_slot = slot + span
-        slab = _Slab(slot << _SLOT_BITS, span, self._columnar)
+        slab = _Slab(slot << _SLOT_BITS, span)
         slabs = self._slabs
         for owned in range(slot, slot + span):
             slabs[owned] = slab
@@ -507,17 +447,8 @@ class ArenaDataStructure:
             self._nk.write_sentinel()
             slab.count = 1
             return
-        if self._columnar:
-            _grow_records(slab)
-            _PACK_RECORD(slab.data, 0, -1, _NEVER, 0, 0, 0)
-        else:
-            slab.pos.append(-1)
-            slab.ms.append(_NEVER)
-            slab.ul.append(0)
-            slab.ur.append(0)
-            slab.lab.append(0)
-            slab.dirn.append(False)
-            slab.prod.append(())
+        _grow_records(slab)
+        _PACK_RECORD(slab.data, 0, -1, _NEVER, 0, 0, 0)
         slab.count = 1
 
     # ---------------------------------------------------------------- access
@@ -526,19 +457,13 @@ class ArenaDataStructure:
         slab = self._slabs.get(node >> _SLOT_BITS)
         if slab is None:
             return _NEVER
-        index = node - slab.base
-        if self._columnar:
-            return slab.data[index * _STRIDE + 1]
-        return slab.ms[index]
+        return slab.data[(node - slab.base) * _STRIDE + 1]
 
     def position_of(self, node: int) -> int:
         slab = self._slabs.get(node >> _SLOT_BITS)
         if slab is None:
             return -1
-        index = node - slab.base
-        if self._columnar:
-            return slab.data[index * _STRIDE]
-        return slab.pos[index]
+        return slab.data[(node - slab.base) * _STRIDE]
 
     def labels_of(self, node: int) -> frozenset:
         slab = self._slabs.get(node >> _SLOT_BITS)
@@ -547,24 +472,18 @@ class ArenaDataStructure:
         return self._labels[self._label_id_of(slab, node - slab.base)]
 
     def _label_id_of(self, slab: _Slab, index: int) -> int:
-        if self._columnar:
-            return (slab.data[index * _STRIDE + 4] & _META_LOW) >> 1
-        return slab.lab[index]
+        return (slab.data[index * _STRIDE + 4] & _META_LOW) >> 1
 
     def _links_of(self, slab: _Slab, index: int) -> Tup[int, int]:
         """``(ul, ur)`` of a node — cold-path accessor."""
-        if self._columnar:
-            offset = index * _STRIDE
-            data = slab.data
-            return data[offset + 2], data[offset + 3]
-        return slab.ul[index], slab.ur[index]
+        offset = index * _STRIDE
+        data = slab.data
+        return data[offset + 2], data[offset + 3]
 
     def _prod_of(self, slab: _Slab, index: int) -> Tup[int, ...]:
         """The node's child tuple (``()`` for leaves) — cold-path accessor."""
-        if self._columnar:
-            ref = slab.data[index * _STRIDE + 4] >> 32
-            return slab.prods[ref - 1] if ref else ()
-        return slab.prod[index]
+        ref = slab.data[index * _STRIDE + 4] >> 32
+        return slab.prods[ref - 1] if ref else ()
 
     def expired(self, node: int, position: int) -> bool:
         """Whether every valuation of ``⟦node⟧`` is out of the window at ``position``.
@@ -578,10 +497,7 @@ class ArenaDataStructure:
         slab = self._slabs.get(node >> _SLOT_BITS)
         if slab is None:
             return True
-        index = node - slab.base
-        if self._columnar:
-            return position - slab.data[index * _STRIDE + 1] > self.window
-        return position - slab.ms[index] > self.window
+        return position - slab.data[(node - slab.base) * _STRIDE + 1] > self.window
 
     # ----------------------------------------------------------------- nodes
     def extend(
@@ -594,8 +510,7 @@ class ArenaDataStructure:
         """``extend(L, i, N)``: a fresh product node (mirrors the object version).
 
         Allocation is inlined (no helper-call chain): one packed-record write
-        (columnar) or one append per column (list layout) is the entire
-        cost, which is what buys the per-tuple speedup over the
+        is the entire cost, which is what buys the per-tuple speedup over the
         frozen-dataclass construction of the object structure.
 
         ``max_start`` is the engines' fast path: they already hold every
@@ -614,37 +529,22 @@ class ArenaDataStructure:
             label_id = len(self._labels)
             self._labels.append(labels)
             self._label_ids[labels] = label_id
-        columnar = self._columnar
         if max_start is None:
             slabs = self._slabs
             max_start = position
-            if columnar:
-                for child in children:
-                    slab = None if not child else slabs.get(child >> _SLOT_BITS)
-                    if slab is None:
-                        raise ValueError("product children must not be the bottom node")
-                    offset = (child - slab.base) * _STRIDE
-                    data = slab.data
-                    if data[offset] >= position:
-                        raise ValueError(
-                            "product children must have strictly smaller positions"
-                        )
-                    child_ms = data[offset + 1]
-                    if child_ms < max_start:
-                        max_start = child_ms
-            else:
-                for child in children:
-                    slab = None if not child else slabs.get(child >> _SLOT_BITS)
-                    if slab is None:
-                        raise ValueError("product children must not be the bottom node")
-                    index = child - slab.base
-                    if slab.pos[index] >= position:
-                        raise ValueError(
-                            "product children must have strictly smaller positions"
-                        )
-                    child_ms = slab.ms[index]
-                    if child_ms < max_start:
-                        max_start = child_ms
+            for child in children:
+                slab = None if not child else slabs.get(child >> _SLOT_BITS)
+                if slab is None:
+                    raise ValueError("product children must not be the bottom node")
+                offset = (child - slab.base) * _STRIDE
+                data = slab.data
+                if data[offset] >= position:
+                    raise ValueError(
+                        "product children must have strictly smaller positions"
+                    )
+                child_ms = data[offset + 1]
+                if child_ms < max_start:
+                    max_start = child_ms
         # Inline allocation; keep the four allocation sites (here,
         # ``extend_onto`` and the two in ``union``) in sync.
         slab = self._cur
@@ -652,25 +552,16 @@ class ArenaDataStructure:
         if offset >= self._cap or (offset and position > self._seal_deadline):
             slab = self._new_slab(position)
             offset = 0
-        if columnar:
-            data = slab.data
-            if offset >= slab.avail:
-                _grow_records(slab)
-            if children:
-                prods = slab.prods
-                prods.append(tuple(children))
-                meta = (len(prods) << 32) | (label_id << 1)
-            else:
-                meta = label_id << 1
-            _PACK_RECORD(data, offset * _RECORD_BYTES, position, max_start, 0, 0, meta)
+        data = slab.data
+        if offset >= slab.avail:
+            _grow_records(slab)
+        if children:
+            prods = slab.prods
+            prods.append(tuple(children))
+            meta = (len(prods) << 32) | (label_id << 1)
         else:
-            slab.pos.append(position)
-            slab.ms.append(max_start)
-            slab.ul.append(0)
-            slab.ur.append(0)
-            slab.lab.append(label_id)
-            slab.dirn.append(False)
-            slab.prod.append(tuple(children))
+            meta = label_id << 1
+        _PACK_RECORD(data, offset * _RECORD_BYTES, position, max_start, 0, 0, meta)
         slab.count = offset + 1
         if max_start > slab.max_ms:
             slab.max_ms = max_start
@@ -737,30 +628,19 @@ class ArenaDataStructure:
         link-free product node.  Without them, the record is read and the
         freshness validated here, as the object structure does.
         """
-        columnar = self._columnar
         slabs = self._slabs
         fresh_slab = slabs.get(fresh >> _SLOT_BITS) if fresh else None
         if fresh_slab is None:
             raise ValueError("the second argument of union must be a live product node")
-        fresh_index = fresh - fresh_slab.base
-        if columnar:
-            fresh_word = fresh_index * _STRIDE
-            fresh_data = fresh_slab.data
-            if position is None:
-                if fresh_data[fresh_word + 2] or fresh_data[fresh_word + 3]:
-                    raise ValueError(
-                        "the second argument of union must be a fresh product node"
-                    )
-                position = fresh_data[fresh_word]
-                fresh_ms = fresh_data[fresh_word + 1]
-        else:
-            if position is None:
-                if fresh_slab.ul[fresh_index] or fresh_slab.ur[fresh_index]:
-                    raise ValueError(
-                        "the second argument of union must be a fresh product node"
-                    )
-                position = fresh_slab.pos[fresh_index]
-                fresh_ms = fresh_slab.ms[fresh_index]
+        fresh_word = (fresh - fresh_slab.base) * _STRIDE
+        fresh_data = fresh_slab.data
+        if position is None:
+            if fresh_data[fresh_word + 2] or fresh_data[fresh_word + 3]:
+                raise ValueError(
+                    "the second argument of union must be a fresh product node"
+                )
+            position = fresh_data[fresh_word]
+            fresh_ms = fresh_data[fresh_word + 1]
         self._union_calls += 1
         window = self.window
         cap = self._cap
@@ -768,8 +648,8 @@ class ArenaDataStructure:
         # word (the fresh-on-top fast path — the common case — stays at two
         # boxed reads); a level actually descended batches the node's whole
         # record into its frame with one 5-word ``unpack_from``, so the
-        # rebuild below re-reads nothing.  List frames carry the index.
-        path: List[Tup[_Slab, object, bool]] = []
+        # rebuild below re-reads nothing.
+        path: List[Tup[_Slab, Tup[int, ...], bool]] = []
         current = left
         copies = 0
         new: int
@@ -780,12 +660,9 @@ class ArenaDataStructure:
                 new = fresh
                 break
             index = current - slab.base
-            if columnar:
-                word = index * _STRIDE
-                data = slab.data
-                node_ms = data[word + 1]
-            else:
-                node_ms = slab.ms[index]
+            word = index * _STRIDE
+            data = slab.data
+            node_ms = data[word + 1]
             if position - node_ms > window:
                 # Expired subtree: prune it (positions only grow).
                 new = fresh
@@ -800,50 +677,33 @@ class ArenaDataStructure:
                 if offset >= cap or (offset and position > self._seal_deadline):
                     target = self._new_slab(position)
                     offset = 0
-                if columnar:
-                    fresh_meta = fresh_data[fresh_word + 4]
-                    meta = (fresh_meta & _META_LABEL_DIRN) | (
-                        0 if data[word + 4] & 1 else 1  # not old dirn
-                    )
-                    ref = fresh_meta >> 32
-                    if ref:
-                        prods = target.prods
-                        prods.append(fresh_slab.prods[ref - 1])
-                        meta = (meta & _META_LOW) | (len(prods) << 32)
-                    target_data = target.data
-                    if offset >= target.avail:
-                        _grow_records(target)
-                    _PACK_RECORD(
-                        target_data, offset * _RECORD_BYTES, position, fresh_ms, current, 0, meta
-                    )
-                else:
-                    target.pos.append(position)
-                    target.ms.append(fresh_ms)
-                    target.ul.append(current)
-                    target.ur.append(0)
-                    target.lab.append(fresh_slab.lab[fresh_index])
-                    target.dirn.append(not slab.dirn[index])
-                    target.prod.append(fresh_slab.prod[fresh_index])
+                fresh_meta = fresh_data[fresh_word + 4]
+                meta = (fresh_meta & _META_LABEL_DIRN) | (
+                    0 if data[word + 4] & 1 else 1  # not old dirn
+                )
+                ref = fresh_meta >> 32
+                if ref:
+                    prods = target.prods
+                    prods.append(fresh_slab.prods[ref - 1])
+                    meta = (meta & _META_LOW) | (len(prods) << 32)
+                target_data = target.data
+                if offset >= target.avail:
+                    _grow_records(target)
+                _PACK_RECORD(
+                    target_data, offset * _RECORD_BYTES, position, fresh_ms, current, 0, meta
+                )
                 target.count = offset + 1
                 if fresh_ms > target.max_ms:
                     target.max_ms = fresh_ms
                 new = target.base + offset
                 break
-            if columnar:
-                rec = _UNPACK_RECORD(data, index * _RECORD_BYTES)
-                if rec[4] & 1:
-                    path.append((slab, rec, True))
-                    current = rec[2]
-                else:
-                    path.append((slab, rec, False))
-                    current = rec[3]
+            rec = _UNPACK_RECORD(data, index * _RECORD_BYTES)
+            if rec[4] & 1:
+                path.append((slab, rec, True))
+                current = rec[2]
             else:
-                if slab.dirn[index]:
-                    path.append((slab, index, True))
-                    current = slab.ul[index]
-                else:
-                    path.append((slab, index, False))
-                    current = slab.ur[index]
+                path.append((slab, rec, False))
+                current = rec[3]
         # Rebuild the copied path bottom-up (path copying keeps persistence).
         for slab, frame, went_left in reversed(path):
             target = self._cur
@@ -851,44 +711,28 @@ class ArenaDataStructure:
             if offset >= cap or (offset and position > self._seal_deadline):
                 target = self._new_slab(position)
                 offset = 0
-            if columnar:
-                node_ms = frame[1]
-                old_meta = frame[4]
-                if went_left:
-                    uleft = new
-                    uright = frame[3]
-                    direction = 0
-                else:
-                    uleft = frame[2]
-                    uright = new
-                    direction = 1
-                meta = (old_meta & _META_LABEL_DIRN) | direction
-                ref = old_meta >> 32
-                if ref:
-                    prods = target.prods
-                    prods.append(slab.prods[ref - 1])
-                    meta = (meta & _META_LOW) | (len(prods) << 32)
-                target_data = target.data
-                if offset >= target.avail:
-                    _grow_records(target)
-                _PACK_RECORD(
-                    target_data, offset * _RECORD_BYTES, frame[0], node_ms, uleft, uright, meta
-                )
+            node_ms = frame[1]
+            old_meta = frame[4]
+            if went_left:
+                uleft = new
+                uright = frame[3]
+                direction = 0
             else:
-                index = frame
-                node_ms = slab.ms[index]
-                target.pos.append(slab.pos[index])
-                target.ms.append(node_ms)
-                if went_left:
-                    target.ul.append(new)
-                    target.ur.append(slab.ur[index])
-                    target.dirn.append(False)
-                else:
-                    target.ul.append(slab.ul[index])
-                    target.ur.append(new)
-                    target.dirn.append(True)
-                target.lab.append(slab.lab[index])
-                target.prod.append(slab.prod[index])
+                uleft = frame[2]
+                uright = new
+                direction = 1
+            meta = (old_meta & _META_LABEL_DIRN) | direction
+            ref = old_meta >> 32
+            if ref:
+                prods = target.prods
+                prods.append(slab.prods[ref - 1])
+                meta = (meta & _META_LOW) | (len(prods) << 32)
+            target_data = target.data
+            if offset >= target.avail:
+                _grow_records(target)
+            _PACK_RECORD(
+                target_data, offset * _RECORD_BYTES, frame[0], node_ms, uleft, uright, meta
+            )
             target.count = offset + 1
             if node_ms > target.max_ms:
                 target.max_ms = node_ms
@@ -919,18 +763,15 @@ class ArenaDataStructure:
             self._label_ids[labels] = label_id
         if self._nk is not None:
             return self._nk.extend_onto(position, label_id, entry or 0)
-        columnar = self._columnar
         meta = label_id << 1
         uleft = 0
         if entry:
             self._union_calls += 1
             old = self._slabs.get(entry >> _SLOT_BITS)
             if old is not None:
-                index = entry - old.base
-                if columnar:
-                    _, entry_ms, _, _, old_meta = _UNPACK_RECORD(old.data, index * _RECORD_BYTES)
-                else:
-                    entry_ms, old_meta = old.ms[index], old.dirn[index]
+                _, entry_ms, _, _, old_meta = _UNPACK_RECORD(
+                    old.data, (entry - old.base) * _RECORD_BYTES
+                )
                 if position - entry_ms <= self.window:
                     uleft = entry
                     meta |= ~old_meta & 1  # not dirn(entry)
@@ -941,18 +782,9 @@ class ArenaDataStructure:
         if offset >= self._cap or (offset and position > self._seal_deadline):
             slab = self._new_slab(position)
             offset = 0
-        if columnar:
-            if offset >= slab.avail:
-                _grow_records(slab)
-            _PACK_RECORD(slab.data, offset * _RECORD_BYTES, position, position, uleft, 0, meta)
-        else:
-            slab.pos.append(position)
-            slab.ms.append(position)
-            slab.ul.append(uleft)
-            slab.ur.append(0)
-            slab.lab.append(label_id)
-            slab.dirn.append(bool(meta & 1))
-            slab.prod.append(())
+        if offset >= slab.avail:
+            _grow_records(slab)
+        _PACK_RECORD(slab.data, offset * _RECORD_BYTES, position, position, uleft, 0, meta)
         slab.count = offset + 1
         if position > slab.max_ms:
             slab.max_ms = position
@@ -1118,7 +950,6 @@ class ArenaDataStructure:
         """Arena occupancy, shaped for the CLI ``--stats`` memory section."""
         return {
             "arena": 1,
-            "columnar": 1 if self._columnar else 0,
             "native": 1 if self._nk is not None else 0,
             "slabs": self._slab_count,
             "slab_capacity": self._cap,
@@ -1137,36 +968,16 @@ class ArenaDataStructure:
     def resident_bytes(self) -> int:
         """Measured bytes of the retained slab storage (the footprint metric).
 
-        Sums the record/column containers of every retained slab plus the
-        product child tuples (deduplicated by identity — union copies share
-        them).  For the list layout the boxed element objects of the int
-        columns are included once per distinct object, because that is
-        precisely the storage the columnar layout collapses into raw machine
-        words; the ints *inside* the child tuples are excluded for both
-        layouts (both pay them identically).
-        ``benchmarks/bench_state_footprint.py`` reports this for the
-        columnar-vs-list comparison.
+        Sums the record array and the product table of every retained slab
+        plus the product child tuples (deduplicated by identity — union copies
+        share them); the ints *inside* the child tuples are excluded.
         """
         getsizeof = sys.getsizeof
         seen: set = set()
         total = 0
-        columnar = self._columnar
         for slab in self._retained_slabs():
-            if columnar:
-                total += getsizeof(slab.data)
-                tuples = slab.prods
-                total += getsizeof(tuples)
-            else:
-                tuples = slab.prod
-                total += getsizeof(tuples)
-                for column in (slab.pos, slab.ms, slab.ul, slab.ur, slab.lab, slab.dirn):
-                    total += getsizeof(column)
-                    for value in column:
-                        marker = id(value)
-                        if marker not in seen:
-                            seen.add(marker)
-                            total += getsizeof(value)
-            for children in tuples:
+            total += getsizeof(slab.data) + getsizeof(slab.prods)
+            for children in slab.prods:
                 marker = id(children)
                 if marker not in seen:
                     seen.add(marker)
@@ -1177,12 +988,9 @@ class ArenaDataStructure:
     def snapshot(self) -> Dict[str, object]:
         """The arena's complete state as a plain-Python, picklable tree.
 
-        Representation-independent: fields are normalised to plain per-column
-        lists of ints and product children to one dense tuple per node, so a
-        columnar arena can restore a list-layout snapshot and vice versa —
-        and two arenas fed identical operations produce *equal* snapshots
-        regardless of layout, which is what the structural-identity property
-        tests compare.
+        Fields are unpacked to plain per-column lists of ints and product
+        children to one dense tuple per node, so two arenas fed identical
+        operations produce *equal* snapshots on either kernel.
         """
         nk = self._nk
         if nk is not None:
@@ -1195,31 +1003,12 @@ class ArenaDataStructure:
                     slab.base >> _SLOT_BITS
                 )
             self._allocated = nk.counters()[3]
-        columnar = self._columnar
         slabs = []
         for slab in self._retained_slabs():
-            if columnar:
-                data = slab.data
-                fill = slab.count * _STRIDE
-                prods = slab.prods
-                meta = list(data[4:fill:_STRIDE])
-                lab = [(value & _META_LOW) >> 1 for value in meta]
-                dirn = [value & 1 for value in meta]
-                prod = [
-                    prods[(value >> 32) - 1] if value >> 32 else () for value in meta
-                ]
-                pos = list(data[0:fill:_STRIDE])
-                ms = list(data[1:fill:_STRIDE])
-                ul = list(data[2:fill:_STRIDE])
-                ur = list(data[3:fill:_STRIDE])
-            else:
-                pos = list(slab.pos)
-                ms = list(slab.ms)
-                ul = list(slab.ul)
-                ur = list(slab.ur)
-                lab = list(slab.lab)
-                dirn = [int(bit) for bit in slab.dirn]
-                prod = list(slab.prod)
+            data = slab.data
+            fill = slab.count * _STRIDE
+            prods = slab.prods
+            meta = list(data[4:fill:_STRIDE])
             slabs.append(
                 {
                     "base": slab.base,
@@ -1227,13 +1016,15 @@ class ArenaDataStructure:
                     "count": slab.count,
                     "max_ms": slab.max_ms,
                     "ext_refs": slab.ext_refs,
-                    "pos": pos,
-                    "ms": ms,
-                    "ul": ul,
-                    "ur": ur,
-                    "lab": lab,
-                    "dirn": dirn,
-                    "prod": prod,
+                    "pos": list(data[0:fill:_STRIDE]),
+                    "ms": list(data[1:fill:_STRIDE]),
+                    "ul": list(data[2:fill:_STRIDE]),
+                    "ur": list(data[3:fill:_STRIDE]),
+                    "lab": [(value & _META_LOW) >> 1 for value in meta],
+                    "dirn": [value & 1 for value in meta],
+                    "prod": [
+                        prods[(value >> 32) - 1] if value >> 32 else () for value in meta
+                    ],
                 }
             )
         return {
@@ -1261,9 +1052,8 @@ class ArenaDataStructure:
 
         In-place so bound hooks (:class:`~repro.runtime.EvictionLane` binds
         ``add_ref``/``drop_ref``/``release_expired`` once) stay valid.  The
-        window must match (it is the engine's configuration, not state); the
-        storage layout is this arena's own — restoring re-packs the snapshot
-        columns into whatever representation ``columnar`` selected.
+        window must match (it is the engine's configuration, not state);
+        restoring re-packs the snapshot columns into records.
         """
         if snapshot["window"] != self.window:
             raise ValueError(
@@ -1290,43 +1080,32 @@ class ArenaDataStructure:
         self._allocated = int(snapshot["allocated"])
         self._labels = [frozenset(labels) for labels in snapshot["labels"]]
         self._label_ids = {labels: index for index, labels in enumerate(self._labels)}
-        columnar = self._columnar
         slabs: Dict[int, _Slab] = {}
         current: Optional[_Slab] = None
         count = 0
         for slab_snap in snapshot["slabs"]:
-            slab = _Slab(int(slab_snap["base"]), int(slab_snap["span"]), columnar)
-            if columnar:
-                data = slab.data
-                prods: List[Tup[int, ...]] = []
-                for pos, ms, ul, ur, label_id, bit, children in zip(
-                    slab_snap["pos"],
-                    slab_snap["ms"],
-                    slab_snap["ul"],
-                    slab_snap["ur"],
-                    slab_snap["lab"],
-                    slab_snap["dirn"],
-                    slab_snap["prod"],
-                ):
-                    meta = (int(label_id) << 1) | int(bit)
-                    if children:
-                        prods.append(tuple(children))
-                        meta |= len(prods) << 32
-                    data.append(int(pos))
-                    data.append(int(ms))
-                    data.append(int(ul))
-                    data.append(int(ur))
-                    data.append(meta)
-                slab.prods = prods
-                slab.avail = int(slab_snap["count"])
-            else:
-                slab.pos = list(slab_snap["pos"])
-                slab.ms = list(slab_snap["ms"])
-                slab.ul = list(slab_snap["ul"])
-                slab.ur = list(slab_snap["ur"])
-                slab.lab = list(slab_snap["lab"])
-                slab.dirn = [bool(bit) for bit in slab_snap["dirn"]]
-                slab.prod = [tuple(children) for children in slab_snap["prod"]]
+            slab = _Slab(int(slab_snap["base"]), int(slab_snap["span"]))
+            data = slab.data
+            prods = slab.prods
+            for pos, ms, ul, ur, label_id, bit, children in zip(
+                slab_snap["pos"],
+                slab_snap["ms"],
+                slab_snap["ul"],
+                slab_snap["ur"],
+                slab_snap["lab"],
+                slab_snap["dirn"],
+                slab_snap["prod"],
+            ):
+                meta = (int(label_id) << 1) | int(bit)
+                if children:
+                    prods.append(tuple(children))
+                    meta |= len(prods) << 32
+                data.append(int(pos))
+                data.append(int(ms))
+                data.append(int(ul))
+                data.append(int(ur))
+                data.append(meta)
+            slab.avail = int(slab_snap["count"])
             slab.count = int(slab_snap["count"])
             slab.max_ms = int(slab_snap["max_ms"])
             slab.ext_refs = int(slab_snap["ext_refs"])
@@ -1403,7 +1182,6 @@ class ArenaDataStructure:
                 else:
                     out.append((label_id, pos))
             return out
-        columnar = self._columnar
         slabs = self._slabs
         stack: List[int] = [node]
         while stack:
@@ -1411,26 +1189,17 @@ class ArenaDataStructure:
             slab = slabs.get(current >> _SLOT_BITS) if current else None
             if slab is None:
                 continue
-            index = current - slab.base
-            if columnar:
-                # One batched record read (five words, one C call) instead of
-                # up to five boxed ``array`` element reads per node.
-                pos, node_ms, uleft, uright, meta = _UNPACK_RECORD(slab.data, index * _RECORD_BYTES)
-                if node_ms < horizon:
-                    continue
-                label_id = (meta & _META_LOW) >> 1
-                ref = meta >> 32
-                prod = slab.prods[ref - 1] if ref else ()
-            else:
-                if slab.ms[index] < horizon:
-                    continue
-                pos = slab.pos[index]
-                uleft = slab.ul[index]
-                uright = slab.ur[index]
-                label_id = slab.lab[index]
-                prod = slab.prod[index]
-            if prod:
-                self._pack_product(out, (label_id, pos), prod, horizon)
+            # One batched record read (five words, one C call) instead of
+            # up to five boxed ``array`` element reads per node.
+            pos, node_ms, uleft, uright, meta = _UNPACK_RECORD(
+                slab.data, (current - slab.base) * _RECORD_BYTES
+            )
+            if node_ms < horizon:
+                continue
+            label_id = (meta & _META_LOW) >> 1
+            ref = meta >> 32
+            if ref:
+                self._pack_product(out, (label_id, pos), slab.prods[ref - 1], horizon)
             elif pos >= horizon:
                 out.append((label_id, pos))
             if uright:
@@ -1461,22 +1230,12 @@ class ArenaDataStructure:
             if slab is None:
                 continue
             index = current - slab.base
-            current_ms = (
-                slab.data[index * _STRIDE + 1] if self._columnar else slab.ms[index]
-            )
+            current_ms = slab.data[index * _STRIDE + 1]
             for link in self._links_of(slab, index):
                 if not link:
                     continue
-                link_slab = slabs.get(link >> _SLOT_BITS)
-                if link_slab is None:
-                    continue
-                link_index = link - link_slab.base
-                link_ms = (
-                    link_slab.data[link_index * _STRIDE + 1]
-                    if self._columnar
-                    else link_slab.ms[link_index]
-                )
-                if link_ms > current_ms:
+                # A released link reads ``_NEVER`` (and is skipped when popped).
+                if self.max_start_of(link) > current_ms:
                     return False
                 stack.append(link)
             stack.extend(self._prod_of(slab, index))
@@ -1497,9 +1256,7 @@ class ArenaDataStructure:
             if slab is None:
                 continue
             index = current - slab.base
-            node_position = (
-                slab.data[index * _STRIDE] if self._columnar else slab.pos[index]
-            )
+            node_position = slab.data[index * _STRIDE]
             prod = self._prod_of(slab, index)
             if prod:
                 # Simple: no (label, position) pair twice, i.e. size = Σ entry sizes.
@@ -1535,9 +1292,8 @@ class ArenaDataStructure:
         return best
 
     def __repr__(self) -> str:
-        layout = "columnar" if self._columnar else "list"
         return (
             f"ArenaDataStructure(window={self.window}, slabs={self._slab_count}, "
             f"cap={self._cap}, live={self.live_node_count()}, "
-            f"released={self.released_nodes}, {layout})"
+            f"released={self.released_nodes})"
         )

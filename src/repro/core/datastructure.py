@@ -203,7 +203,6 @@ class DataStructure:
         """Occupancy counters, shaped like the arena's (zeros where N/A)."""
         return {
             "arena": 0,
-            "columnar": 0,
             "slabs": 0,
             "slab_capacity": 0,
             "live_nodes": 0,

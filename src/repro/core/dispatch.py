@@ -192,15 +192,14 @@ class PlanIndex:
     ``pred_key`` / ``accepts`` / ``guard`` / ``order`` / ``hits``.
     """
 
-    def __init__(self, guards: bool) -> None:
-        self.guards = guards
+    def __init__(self) -> None:
         self.plans: Dict[str, EvalPlan] = {}
         self.guarded: Dict[str, Tup[EvalPlan, Tup[Tup[int, Dict[Hashable, EvalPlan]], ...]]] = {}
         self.wildcard_plan = plan_of(())
 
     def _store_relation(self, relation: str, members: Sequence) -> None:
         plan = self.plans[relation] = plan_of(members)
-        split = _split_by_guard(plan) if self.guards else None
+        split = _split_by_guard(plan)
         if split is None:
             self.guarded.pop(relation, None)
         else:
@@ -421,13 +420,11 @@ class TransitionDispatchIndex(PlanIndex):
         The automaton's final-state set; fired transitions into these states
         carry ``is_final=True`` so the evaluator can collect output nodes
         without hashing composite states.
-    guards:
-        With ``True`` (the default), candidates carrying a constant equality
-        guard (``UnaryPredicate.constant_guard``) are additionally keyed by
-        ``(relation, guard value)``; :meth:`plan_for` then leaves out guarded
-        transitions whose value does not match the tuple before their
-        ``unary.holds`` ever runs.  ``False`` restores pure relation-name
-        dispatch (ablation).
+
+    Candidates carrying a constant equality guard
+    (``UnaryPredicate.constant_guard``) are additionally keyed by ``(relation,
+    guard value)``; :meth:`plan_for` leaves out guarded transitions whose
+    value does not match the tuple before their ``unary.holds`` ever runs.
     """
 
     def __init__(
@@ -435,9 +432,7 @@ class TransitionDispatchIndex(PlanIndex):
         transitions: Sequence["PCEATransition"],
         indexed: bool = True,
         final: Iterable[State] = (),
-        guards: bool = True,
     ) -> None:
-        self.guards = guards
         self.indexed = indexed
         self.final = frozenset(final)
         self.state_ids: Dict[State, int] = {}
@@ -506,7 +501,7 @@ class TransitionDispatchIndex(PlanIndex):
         # lanes instead), and grouping hashes every canonical predicate key.
         if name not in ("plans", "guarded", "wildcard_plan"):
             raise AttributeError(name)
-        PlanIndex.__init__(self, self.guards)
+        PlanIndex.__init__(self)
         self._populate(self, self._all)
         return getattr(self, name)
 
@@ -515,7 +510,7 @@ class TransitionDispatchIndex(PlanIndex):
         one-query merged index would hold: how a single-query engine attaches
         the automaton's (shared) index to its own lane."""
         return self._populate(
-            PlanIndex(self.guards),
+            PlanIndex(),
             [MergedEntry(owner, c, c.pred_key, c.index) for c in self._all],
         )
 
@@ -523,7 +518,7 @@ class TransitionDispatchIndex(PlanIndex):
         # Pickled as its constructor arguments: compiled closures do not
         # pickle, and a compiled automaton must still cross process boundaries.
         transitions = tuple(c.transition for c in self._all)
-        return (type(self), (transitions, self.indexed, self.final, self.guards))
+        return (type(self), (transitions, self.indexed, self.final))
 
     def _intern(self, state: State) -> int:
         state_id = self.state_ids.get(state)
@@ -632,7 +627,7 @@ class TransitionDispatchIndex(PlanIndex):
             "shared_predicate_groups": float(
                 sum(1 for count in key_counts.values() if count > 1)
             ),
-            "guarded_transitions": float(guarded if self.guards else 0),
+            "guarded_transitions": float(guarded),
             # A single-automaton index is built once and never patched; the
             # keys exist so the merged index's describe() stays key-identical.
             "patched_adds": 0.0,

@@ -126,10 +126,6 @@ class StreamingEvaluator(RuntimeBackedEngine):
     collect_stats:
         With ``False`` the per-tuple operation counters are skipped (fast
         mode for throughput benchmarks).
-    columnar:
-        Arena column layout (``array('q')`` packing by default;
-        ``False`` keeps the list-backed slabs — ablation).  Ignored with
-        ``arena=False`` or an injected ``datastructure``.
     kernel:
         Record-operation backend for the arena hot path: ``"python"``,
         ``"native"`` (the optional C extension) or ``"auto"`` / ``None``
@@ -162,7 +158,6 @@ class StreamingEvaluator(RuntimeBackedEngine):
         evict: bool = True,
         collect_stats: bool = True,
         arena: bool = True,
-        columnar: bool = True,
         kernel: str | None = None,
         adaptive: object = True,
     ) -> None:
@@ -175,7 +170,7 @@ class StreamingEvaluator(RuntimeBackedEngine):
         if datastructure is not None:
             self.ds = datastructure
         elif arena:
-            self.ds = ArenaDataStructure(window, columnar=columnar, kernel=kernel)
+            self.ds = ArenaDataStructure(window, kernel=kernel)
         else:
             self.ds = DataStructure(window)
         if self.ds.window != window:

@@ -1,10 +1,10 @@
-"""Kernel backend selection for the columnar arena's record hot path.
+"""Kernel backend selection for the arena's record hot path.
 
 The stride-5 record operations of :class:`~repro.core.arena.ArenaDataStructure`
 (pointer-bump ``extend``, the union descend-and-rebuild path copy, the eviction
 sweep's slab head advance and the enumeration walk) run on one of two
 interchangeable *kernels* over the very same slab ``array('q')`` buffers and
-slab-local ``prods`` lists:
+slab-local ``prods`` lists — the arena has one layout, both kernels share it:
 
 ``python``
     Today's pure-python implementation.  Always available, runs everywhere
@@ -16,25 +16,20 @@ slab-local ``prods`` lists:
     absent when no toolchain was available at install time).  One ``Kernel``
     instance per arena holds the slab buffers through the buffer protocol and
     executes the four record operations without boxing any element read.
-    Requires the columnar layout.
 
 Selection precedence (resolved once per data-structure construction):
 
 1. the explicit ``kernel=`` knob on the engines / the arena (``"auto"``,
-   ``"python"`` or ``"native"``; ``"native"`` raises when unavailable or when
-   the layout is not columnar — an explicit request must not silently degrade);
-2. the :data:`KERNEL_ENV` environment variable (same values; ``"native"``
-   falls back to ``python`` for non-columnar arenas, since a process-wide
-   preference must not break ablation baselines that construct list-layout
-   arenas on purpose — but still raises when the extension is missing);
-3. ``auto`` (the default): ``native`` when the extension imported and the
-   arena is columnar, else ``python``.
+   ``"python"`` or ``"native"``; ``"native"`` raises when unavailable — an
+   explicit request must not silently degrade);
+2. the :data:`KERNEL_ENV` environment variable (same values, same failure);
+3. ``auto`` (the default): ``native`` when the extension imported, else
+   ``python``.
 
-Snapshots are representation-independent: a snapshot taken under either
-kernel restores under the other bit-identically (``tests/test_kernel.py``
-pins this down).  Verify what a process is actually running with
-``backend_info()`` — also surfaced by the CLI ``--stats`` line and
-:func:`repro.bench.harness.collect_engine_counters`.
+A snapshot taken under either kernel restores under the other bit-identically
+(``tests/test_kernel.py`` pins this down).  Verify what a process is actually
+running with ``backend_info()`` — also surfaced by the CLI ``--stats`` line
+and the engines' ``kernel_info()``.
 """
 
 from __future__ import annotations
@@ -66,7 +61,7 @@ def native_module():
     return _native
 
 
-def resolve_kernel(kernel: Optional[str] = None, columnar: bool = True) -> str:
+def resolve_kernel(kernel: Optional[str] = None) -> str:
     """Resolve the backend name to run: ``"python"`` or ``"native"``.
 
     ``kernel`` is the explicit constructor knob; ``None`` defers to the
@@ -82,22 +77,14 @@ def resolve_kernel(kernel: Optional[str] = None, columnar: bool = True) -> str:
             f"unknown kernel backend {source}{kernel!r}; expected one of {_BACKENDS}"
         )
     if kernel == "auto":
-        return "native" if (_native is not None and columnar) else "python"
-    if kernel == "native":
-        if _native is None:
-            raise ValueError(
-                "the native kernel backend is not available in this "
-                f"installation ({_IMPORT_ERROR}); build it with "
-                "`python setup.py build_ext --inplace` or select "
-                "kernel='python'"
-            )
-        if not columnar:
-            if explicit:
-                raise ValueError(
-                    "the native kernel requires the columnar arena layout "
-                    "(columnar=True)"
-                )
-            return "python"  # process-wide env preference, ablation arena
+        return "native" if _native is not None else "python"
+    if kernel == "native" and _native is None:
+        raise ValueError(
+            "the native kernel backend is not available in this "
+            f"installation ({_IMPORT_ERROR}); build it with "
+            "`python setup.py build_ext --inplace` or select "
+            "kernel='python'"
+        )
     return kernel
 
 

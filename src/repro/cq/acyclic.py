@@ -6,8 +6,7 @@ subtree.  Acyclicity is decided with the classical GYO (Graham–Yu–Özsoyoğl
 reduction on the query's hypergraph, and a join tree is produced as a witness.
 
 Theorem 4.2 states that acyclic but non-hierarchical CQ cannot be expressed by
-any PCEA; the benchmark ``benchmarks/bench_expressiveness.py`` uses this module
-to classify queries.
+any PCEA; this module classifies queries for that boundary.
 """
 
 from __future__ import annotations

@@ -154,10 +154,6 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
         sweep additionally releases expired slabs, so the enumeration
         structure is window-bounded here too.  ``False`` restores the
         object-graph ``DS_w``.
-    columnar:
-        Arena column layout (``array('q')`` packing by default;
-        ``False`` keeps the list-backed slabs — ablation).  Ignored with
-        ``arena=False``.
     indexed:
         With ``False`` every transition is probed for every tuple (the
         pre-dispatch behaviour, kept for ablation / differential testing).
@@ -190,7 +186,6 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
         arena: bool = True,
         indexed: bool = True,
         collect_stats: bool = True,
-        columnar: bool = True,
         ring_capacity: int = DEFAULT_RING_CAPACITY,
         kernel: Optional[str] = None,
         adaptive: object = True,
@@ -199,11 +194,7 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
             raise ValueError("ring_capacity must be at least 1 slot")
         self.pcea = pcea
         self.window = window
-        self.ds = (
-            ArenaDataStructure(window, columnar=columnar, kernel=kernel)
-            if arena
-            else DataStructure(window)
-        )
+        self.ds = ArenaDataStructure(window, kernel=kernel) if arena else DataStructure(window)
         self._runtime = StreamRuntime()
         self._lane = self._runtime.add_lane(EvictionLane(window, self.ds))
         # The lane table maps (source state id, sequence number) to

@@ -48,14 +48,12 @@ with its window.  Registration changes
 patch the merged index **incrementally** — only the affected
 ``(relation, guard)`` buckets and interned-key tables are touched, with
 tombstone-free compaction on unregister — so register/unregister latency is
-O(|P_q|)-ish and independent of the registry size (measured in
-``BENCH_registry_churn.json``: ≥500× faster than the full rebuild at 1024
-registered queries); ``incremental=False`` keeps the full-rebuild path as the
-ablation baseline.
+O(|P_q|)-ish and independent of the registry size (≥500× faster than a full
+rebuild at 1024 registered queries — CHANGES.md, "Retired results").
 """
 
 from repro.core.dispatch import MergedEntry
-from repro.multi.engine import MultiQueryEngine, MultiQueryStatistics
+from repro.multi.engine import MultiQueryEngine
 from repro.multi.merged_index import MergedDispatchIndex
 from repro.multi.registry import (
     QueryHandle,
@@ -67,7 +65,6 @@ from repro.multi.registry import (
 
 __all__ = [
     "MultiQueryEngine",
-    "MultiQueryStatistics",
     "MergedDispatchIndex",
     "MergedEntry",
     "QueryHandle",

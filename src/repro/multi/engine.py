@@ -34,8 +34,7 @@ Registration changes patch the merged index incrementally
 query touches only its own ``(relation, guard)`` buckets, O(|P_q|)-ish
 instead of a rebuild over every registered transition, which is what keeps
 register/unregister latency flat as the registry grows toward the
-million-query target.  ``incremental=False`` restores the full rebuild for
-ablation and the churn benchmark's baseline.
+million-query target.
 
 Positions are global to the engine's stream: a query registered at position
 ``p`` behaves exactly like an independent evaluator that started observing
@@ -57,8 +56,6 @@ from repro.cq.schema import Tuple
 from repro.multi.merged_index import MergedDispatchIndex
 from repro.multi.registry import QueryHandle, QueryRegistry, QuerySpec
 from repro.runtime import (
-    RELEASE_PASS_INTERVAL,
-    EngineStatistics,
     EvictionLane,
     RuntimeBackedEngine,
     StreamRuntime,
@@ -73,12 +70,6 @@ from repro.runtime.snapshot import (
     stable_signature,
 )
 from repro.valuation import Valuation
-
-
-#: Backwards-compatible name: the per-engine statistics dataclasses were
-#: unified into :class:`repro.runtime.EngineStatistics` (the old
-#: ``candidates_scanned`` field survives as a property alias).
-MultiQueryStatistics = EngineStatistics
 
 
 class _Store(EvictionLane):
@@ -121,9 +112,6 @@ class MultiQueryEngine(RuntimeBackedEngine):
         Optional externally owned :class:`QueryRegistry`; by default the
         engine creates its own.  Queries already present in a supplied
         registry are picked up at construction time.
-    guards:
-        Passed to the merged index: prune constant-guarded candidates by
-        value before their predicate runs.
     collect_stats:
         With ``True``, the shared loop maintains
         :class:`~repro.runtime.EngineStatistics`; off by default (production
@@ -134,15 +122,6 @@ class MultiQueryEngine(RuntimeBackedEngine):
         expired slabs the shared eviction sweep releases wholesale; ``False``
         restores the object-graph ``DS_w`` (ablation / differential
         testing).
-    incremental:
-        With ``True`` (default) registration changes patch the merged
-        dispatch index in place (O(|P_q|)-ish per change); ``False`` rebuilds
-        it from scratch on every change (the pre-patching behaviour, kept as
-        the ablation baseline the churn benchmark measures against).
-    columnar:
-        Arena column layout (``array('q')`` packing by default;
-        ``False`` keeps the list-backed slabs — ablation).  Ignored with
-        ``arena=False``.
     kernel:
         Record-operation backend for every store's arena hot path
         (``"python"`` / ``"native"`` / ``"auto"``; ``None`` defers to
@@ -150,12 +129,6 @@ class MultiQueryEngine(RuntimeBackedEngine):
         Resolved once at construction so every store — including those
         opened mid-stream — runs the same backend; ignored with
         ``arena=False``.
-    release_interval:
-        Positions between the runtime's periodic full arena-release passes
-        over every store (default :data:`~repro.runtime.RELEASE_PASS_INTERVAL`)
-        — the pass that reclaims expired slabs of stores whose queries stopped
-        matching.  Lower it for tighter idle-store memory at higher amortised
-        sweep cost; ``memory_info()['release_interval']`` reports it.
     adaptive:
         Adaptive selectivity-driven dispatch (:mod:`repro.core.adaptive`)
         over the merged index: runtime feedback reorders candidate groups
@@ -169,32 +142,25 @@ class MultiQueryEngine(RuntimeBackedEngine):
     def __init__(
         self,
         registry: Optional[QueryRegistry] = None,
-        guards: bool = True,
         collect_stats: bool = False,
         arena: bool = True,
-        incremental: bool = True,
-        columnar: bool = True,
         kernel: Optional[str] = None,
-        release_interval: int = RELEASE_PASS_INTERVAL,
         adaptive: object = True,
     ) -> None:
         self.registry = registry if registry is not None else QueryRegistry()
-        self._guards = guards
         self._arena = arena
-        self._columnar = columnar
         # Resolve the backend once (surfacing bad explicit choices here, not
         # at some later mid-stream registration) and pass the resolved name
         # to every store.
-        self._kernel = resolve_kernel(kernel, columnar) if arena else None
-        self._incremental = incremental
+        self._kernel = resolve_kernel(kernel) if arena else None
         self._count_stats = collect_stats
-        self._runtime = StreamRuntime(release_interval=release_interval)
+        self._runtime = StreamRuntime()
         self._runtime.count_stats = collect_stats
         self._queries: Dict[int, _Registered] = {}
         # window -> the store a registration under that window joins (stores
         # adopted from another engine are reachable through their queries only).
         self._stores: Dict[int, _Store] = {}
-        self._merged = MergedDispatchIndex((), guards=guards)
+        self._merged = MergedDispatchIndex(())
         for entry in self.registry.entries():
             self._index(self._admit(entry))
         # Adaptive dispatch over the merged index; the listener hookup keeps
@@ -209,7 +175,7 @@ class MultiQueryEngine(RuntimeBackedEngine):
     def _open_store(self, window: int) -> _Store:
         """A fresh run store (the one place the engine builds a ``DS_w``)."""
         if self._arena:
-            ds = ArenaDataStructure(window, columnar=self._columnar, kernel=self._kernel)
+            ds = ArenaDataStructure(window, kernel=self._kernel)
         else:
             ds = DataStructure(window)
         store = self._runtime.add_lane(_Store(window, ds))
@@ -260,10 +226,7 @@ class MultiQueryEngine(RuntimeBackedEngine):
         registered = self._admit(self.registry.get(handle))
         observer = getattr(self, "_observer", None)
         start = perf_counter() if observer is not None else 0.0
-        if self._incremental:
-            self._index(registered)
-        else:
-            self._rebuild()
+        self._index(registered)
         if observer is not None:
             observer.on_index_patch("add", perf_counter() - start, len(registered.dispatch))
         return handle
@@ -282,8 +245,6 @@ class MultiQueryEngine(RuntimeBackedEngine):
         observer = getattr(self, "_observer", None)
         start = perf_counter() if observer is not None else 0.0
         self._leave(registered)
-        if not self._incremental:
-            self._rebuild()
         if observer is not None:
             observer.on_index_patch("remove", perf_counter() - start, len(registered.dispatch))
 
@@ -293,15 +254,14 @@ class MultiQueryEngine(RuntimeBackedEngine):
 
     def _rebuild(self) -> None:
         """Reconstruct the merged index from scratch: every query re-added,
-        in registration order, where it already sits (``incremental=False``,
-        and how :meth:`restore` re-seats the queries)."""
-        self._merged = MergedDispatchIndex((), guards=self._guards)
+        in registration order, where it already sits (how :meth:`restore`
+        re-seats the queries)."""
+        self._merged = MergedDispatchIndex(())
         for query in self._ordered():
             self._index(query)
         if self._adaptive is not None:
             # A rebuilt index means rebuilt entries: re-derive the adaptive
-            # state over them (learning restarts, matching the from-scratch
-            # semantics of the ablation path).
+            # state over them (learning restarts).
             self._adaptive = self._merged.build_adaptive(self._adaptive.config)
             self._merged.adaptive_listener = self._adaptive
 

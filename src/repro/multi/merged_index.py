@@ -116,18 +116,10 @@ class MergedDispatchIndex(PlanIndex):
         carry: every query stands alone, numbered as its automaton is.  The
         multi-query engine registers through :meth:`add_query` with an
         explicit store instead.
-    guards:
-        As for :class:`~repro.core.dispatch.TransitionDispatchIndex`: with
-        ``True``, guarded candidates are additionally bucketed by their
-        constant-guard value and pruned by value before ``unary.holds`` runs.
     """
 
-    def __init__(
-        self,
-        members: Sequence[Tup[object, TransitionDispatchIndex]] = (),
-        guards: bool = True,
-    ) -> None:
-        super().__init__(guards)
+    def __init__(self, members: Sequence[Tup[object, TransitionDispatchIndex]] = ()) -> None:
+        super().__init__()
         # id(owner) -> member, in registration order (dict insertion order is
         # the canonical query order).
         self._by_owner: Dict[int, _Member] = {}
@@ -449,7 +441,7 @@ class MergedDispatchIndex(PlanIndex):
                 sum(1 for count in self._pred_key_counts.values() if count > 1)
             ),
             "guarded_transitions": float(
-                sum(1 for e in self.all_entries() if e.guard is not None) if self.guards else 0
+                sum(1 for e in self.all_entries() if e.guard is not None)
             ),
             "patched_adds": float(self.patched_adds),
             "patched_removes": float(self.patched_removes),

@@ -24,11 +24,12 @@ Usage::
     observer.export_trace("trace.json")      # open in Perfetto
     engine.detach_observer()
 
-The overhead contract (measured by ``benchmarks/bench_observability.py``,
-checked in as ``BENCH_observability.json``): an engine **without** an
-attached observer runs the pre-observability hot path — within 1.02× on the
-kernel-backends workloads — and allocates zero metrics objects; sampled
-tracing stays within 1.05×.
+The overhead contract: an engine **without** an attached observer runs the
+pre-observability hot path — it enters no ``repro.obs`` frame and makes the
+same python calls as a never-observed engine (counted in
+``tests/test_obs.py``; measured ≤ 1.02× before the timing script was retired,
+CHANGES.md "Retired results") — and allocates zero metrics objects; sampled
+tracing stayed within 1.05×.
 """
 
 from repro.obs.metrics import (

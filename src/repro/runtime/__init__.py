@@ -45,8 +45,8 @@ times and the copies drifted.  The runtime holds exactly one of each:
   ``memory_info()`` the CLI ``--stats`` memory section prints.
 * :class:`EngineStatistics` — the unified operation-counter surface.  One
   dataclass serves all three engines (fields an engine cannot meaningfully
-  count stay zero), so benchmark JSON, ``collect_engine_counters`` and the
-  CLI ``--stats`` line are identical across modes.
+  count stay zero), so ``engine.observe()`` and the CLI ``--stats`` line are
+  identical across modes.
 
 Engines keep what is genuinely theirs: which plan a tuple gets (one
 automaton's index bound to a single lane, or the merged index of every

@@ -32,15 +32,13 @@ beyond the (amortised) list growth — the key object already lives in the
 lane's hash table, the node is an arena int — and the steady-state sweep
 walks the flat list with a stride-3 index loop, so the dominant steady-state
 allocation of the tuple layout (one 3-tuple per stored entry per window) is
-gone entirely.  ``benchmarks/bench_state_footprint.py`` measures the
-difference in both time and allocated blocks.
+gone entirely.
 
 Expired arena slabs are released by the same sweep: popping a bucket releases
 the lanes it touched, and a periodic full pass (every ``release_interval``
-positions, a constructor knob defaulting to
-:data:`RELEASE_PASS_INTERVAL`) covers lanes that stopped registering
-entries — without it an idle lane would retain its last ``O(window)`` of
-expired slabs indefinitely.
+positions, :data:`RELEASE_PASS_INTERVAL` unless a test shortens it) covers
+lanes that stopped registering entries — without it an idle lane would
+retain its last ``O(window)`` of expired slabs indefinitely.
 
 Snapshot / restore
 ------------------
@@ -189,8 +187,7 @@ class StreamRuntime:
     one-sweep-per-batch policy exists exactly once.
 
     ``release_interval`` sets the cadence of the periodic full arena-release
-    pass (positions between passes; the engines surface it as a constructor
-    knob and ``memory_info`` reports it).
+    pass (positions between passes; ``memory_info`` reports it).
     """
 
     __slots__ = (
@@ -228,7 +225,7 @@ class StreamRuntime:
         # The attached repro.obs.Observer, or None.  Every observability hook
         # below hides behind an ``obs is None`` test at batch/sweep/slab
         # granularity — the per-candidate loops never see it, which is the
-        # disabled-path overhead contract (BENCH_observability.json).
+        # disabled-path overhead contract (tests/test_obs.py counts it).
         self.obs = None
         # Mirror of ``obs.sample_every`` (slot load beats an instance-dict
         # lookup in the per-position sweep); 1 whenever no observer is attached.
@@ -627,14 +624,12 @@ class StreamRuntime:
         The same keys as ``DS_w.memory_stats()`` so a single-lane engine
         reports exactly what its structure would; ``arena`` is 1 only when
         every lane is arena-backed (mixed or object-graph setups report 0,
-        matching the ablation flag the engines expose), ``columnar``
-        likewise only when every lane's arena packs its columns, and
-        ``native`` only when every lane's hot path runs the C kernel.
-        ``release_interval`` surfaces the periodic-release cadence knob.
+        matching the ``arena`` flag the engines expose) and ``native`` only
+        when every lane's hot path runs the C kernel.  ``release_interval``
+        is the periodic-release cadence.
         """
         total = {
             "arena": 1 if self._lanes else 0,
-            "columnar": 1 if self._lanes else 0,
             "native": 1 if self._lanes else 0,
             "slabs": 0,
             "slab_capacity": 0,
@@ -650,8 +645,6 @@ class StreamRuntime:
             stats = lane.ds.memory_stats()
             if not stats.get("arena"):
                 total["arena"] = 0
-            if not stats.get("columnar"):
-                total["columnar"] = 0
             if not stats.get("native"):
                 total["native"] = 0
             for key in ("slabs", "live_nodes", "released_slabs", "released_nodes", "nodes_created"):
@@ -773,9 +766,8 @@ class RuntimeBackedEngine:
         Folds ``stats`` / ``dispatch_info`` / ``memory_info`` /
         ``kernel_info`` (plus the cursor counters and, for single-structure
         engines, the enumeration-structure counters) into a single dict —
-        the one shape :func:`~repro.bench.harness.collect_engine_counters`
-        and the :meth:`repro.obs.Observer.observe_engine` gauge refresh
-        consume.
+        the one shape the :meth:`repro.obs.Observer.observe_engine` gauge
+        refresh, the CLI ``--stats`` lines and the tests consume.
         """
         runtime = self._runtime
         snapshot: Dict[str, object] = {

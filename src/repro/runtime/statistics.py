@@ -1,11 +1,10 @@
 """The unified operation-counter surface shared by every streaming engine.
 
 One dataclass serves the single-query evaluator, the multi-query engine and
-the general (non-hashed) evaluator, so the benchmark harness
-(:func:`~repro.bench.harness.collect_engine_counters`), the CLI ``--stats``
-line and the differential tests read the same field names regardless of
-engine.  Fields an engine cannot meaningfully count simply stay zero (e.g.
-``predicate_cache_hits`` — plan members covered by their group's one
+the general (non-hashed) evaluator, so ``engine.observe()["stats"]``, the
+CLI ``--stats`` line and the differential tests read the same field names
+regardless of engine.  Fields an engine cannot meaningfully count simply
+stay zero (e.g. ``predicate_cache_hits`` — plan members covered by their group's one
 evaluation — outside the multi-query engine).
 """
 
@@ -19,9 +18,7 @@ class EngineStatistics:
     """Operation counters for the per-tuple loop (benchmark instrumentation).
 
     ``transitions_scanned`` counts the candidate transitions the dispatch
-    lookup returned (the multi-query engine historically called this
-    ``candidates_scanned``; the property below keeps that name working).
-    ``hash_lookups``/``hash_updates`` count run-index table probes and stores
+    lookup returned.  ``hash_lookups``/``hash_updates`` count run-index table probes and stores
     for the hashed engines; the general evaluator reports its live-run scans
     as ``hash_lookups`` so the "how much stored state did this tuple touch"
     column means the same thing everywhere.
@@ -52,12 +49,3 @@ class EngineStatistics:
     sweeps: int = 0
     sweep_evicted: int = 0
     sweep_seconds: float = 0.0
-
-    @property
-    def candidates_scanned(self) -> int:
-        """Backwards-compatible alias for :attr:`transitions_scanned`."""
-        return self.transitions_scanned
-
-    @candidates_scanned.setter
-    def candidates_scanned(self, value: int) -> None:
-        self.transitions_scanned = value

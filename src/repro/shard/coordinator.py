@@ -151,7 +151,7 @@ class ShardedEngine:
         Take a coordinator checkpoint automatically every this many stream
         positions (``None`` disables; :meth:`checkpoint` is always available
         explicitly).  Checkpoints bound the log replayed on worker death.
-    guards / collect_stats / arena / columnar / kernel:
+    collect_stats / arena / kernel / adaptive:
         Forwarded to every worker's ``MultiQueryEngine``.
     """
 
@@ -162,10 +162,8 @@ class ShardedEngine:
         placement: Optional[PlacementPolicy] = None,
         start_method: str = "spawn",
         checkpoint_interval: Optional[int] = None,
-        guards: bool = True,
         collect_stats: bool = False,
         arena: bool = True,
-        columnar: bool = True,
         kernel: Optional[str] = None,
         adaptive: object = True,
     ) -> None:
@@ -174,10 +172,8 @@ class ShardedEngine:
         if checkpoint_interval is not None and checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be at least 1 position")
         self._config = {
-            "guards": guards,
             "collect_stats": collect_stats,
             "arena": arena,
-            "columnar": columnar,
             "kernel": kernel,
             "adaptive": adaptive,
         }
@@ -610,8 +606,7 @@ class ShardedEngine:
         The standard keys aggregate across shards (sums for additive
         counters, max/mean where summing would be meaningless); the extra
         ``"shard"`` section carries the coordinator's own counters and one
-        entry per shard — the surface ``collect_engine_counters`` and the
-        CLI ``--stats`` shard line read.
+        entry per shard — the surface the CLI ``--stats`` shard line reads.
         """
         observed = self._observe_workers()
         stats_total: Dict[str, float] = {}

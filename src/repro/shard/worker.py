@@ -62,10 +62,8 @@ class ShardWorker:
     def __init__(self, config: Optional[Dict[str, Any]] = None) -> None:
         config = dict(config or {})
         self.engine = MultiQueryEngine(
-            guards=config.get("guards", True),
             collect_stats=config.get("collect_stats", False),
             arena=config.get("arena", True),
-            columnar=config.get("columnar", True),
             kernel=config.get("kernel"),
             adaptive=config.get("adaptive", True),
         )

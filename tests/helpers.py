@@ -2,12 +2,15 @@
 
 Centralises the paper's running examples (schema ``σ0``, stream ``S0``, queries
 ``Q0``/``Q1``/``Q2``, automata ``C0``/``P0``) plus strategies for random
-streams, random hierarchical queries and sets of queries that overlap.
+streams, random hierarchical queries and sets of queries that overlap, and the
+seeded synthetic workloads (star groups, union storm, guarded disjunctions
+under drifting / bursty / uniform skew) the adaptive and plan tests replay.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import random
+from typing import List, Sequence, Tuple as Tup
 
 from hypothesis import strategies as st
 
@@ -24,10 +27,11 @@ from repro.core.predicates import (
 from repro.core.kernel import native_available
 from repro.cq.query import Atom, ConjunctiveQuery, Variable
 from repro.cq.schema import Schema, Tuple
-from repro.engine.dsl import atom, conjunction
+from repro.engine.compiler import compile_pattern
+from repro.engine.dsl import atom, conjunction, disjunction
 
-#: ``(columnar, kernel)`` of every arena variant this build can run.
-ARENAS = [(True, "python"), (False, "python")] + ([(True, "native")] if native_available() else [])
+#: The ``kernel`` of every arena variant this build can run.
+ARENAS = ["python"] + (["native"] if native_available() else [])
 
 
 # ----------------------------------------------------------- paper's examples
@@ -270,3 +274,214 @@ overlapping_streams = st.lists(
     min_size=8,
     max_size=24,
 )
+
+
+# ------------------------------------------------ seeded synthetic workloads
+PAYLOAD_DOMAIN = 1_000
+
+
+def _uniform_stream(relations, length: int, key_domain: int, seed: int) -> List[Tuple]:
+    rng = random.Random(seed)
+    return [
+        Tuple(rng.choice(relations), (rng.randrange(key_domain), rng.randrange(PAYLOAD_DOMAIN)))
+        for _ in range(length)
+    ]
+
+
+def multi_star_workload(
+    groups: int,
+    length: int,
+    arms: int = 2,
+    key_domain: int = 32,
+    selectivity: float = 1.0,
+    seed: int = 0,
+) -> Tup[PCEA, List[Tuple]]:
+    """One PCEA — the disjunction of ``groups`` star patterns, group ``g`` over
+    its private relations ``G<g>R1 … G<g>R<arms>`` — and a uniform stream.
+    ``selectivity < 1`` filters every atom on ``y < selectivity·domain``."""
+    threshold = int(PAYLOAD_DOMAIN * selectivity)
+
+    def make_atom(g: int, j: int):
+        filters = [(f"y{j}", "<", threshold)] if selectivity < 1.0 else []
+        return atom(f"G{g}R{j}", "x", f"y{j}", filters=filters)
+
+    parts = [conjunction(*(make_atom(g, j) for j in range(1, arms + 1))) for g in range(groups)]
+    pcea = compile_pattern(disjunction(*parts) if groups > 1 else parts[0])
+    relations = [f"G{g}R{j}" for g in range(groups) for j in range(1, arms + 1)]
+    return pcea, _uniform_stream(relations, length, key_domain, seed)
+
+
+def shared_star_queries(
+    num_queries: int,
+    length: int,
+    arms: int = 3,
+    groups: int = 4,
+    key_domain: int = 32,
+    selectivity: float = 0.2,
+    seed: int = 0,
+) -> Tup[List[PCEA], List[Tuple]]:
+    """``num_queries`` star patterns clustered into ``groups`` relation
+    alphabets: query ``q`` lives in group ``q % groups``, shares the filtered
+    arms ``R2 …`` with its group and has a private threshold on ``R1``."""
+    groups = max(1, min(groups, num_queries))
+    base_threshold = int(PAYLOAD_DOMAIN * selectivity)
+
+    def build_query(q: int) -> PCEA:
+        g = q % groups
+        parts = [atom(f"G{g}R1", "x", "y1", filters=[("y1", "<", base_threshold + q)])]
+        parts.extend(
+            atom(f"G{g}R{j}", "x", f"y{j}", filters=[(f"y{j}", "<", base_threshold)])
+            for j in range(2, arms + 1)
+        )
+        return compile_pattern(conjunction(*parts))
+
+    queries = [build_query(q) for q in range(num_queries)]
+    relations = [f"G{g}R{j}" for g in range(groups) for j in range(1, arms + 1)]
+    return queries, _uniform_stream(relations, length, key_domain, seed)
+
+
+def union_storm_workload(
+    groups: int,
+    length: int,
+    variants: int = 8,
+    key_domain: int = 8,
+    arm_fraction: float = 0.75,
+    seed: int = 0,
+) -> Tup[PCEA, List[Tuple]]:
+    """Group ``g`` reads its arm relation ``G<g>A`` through ``variants``
+    transitions (distinct label sets) into one pending state, closed by
+    ``G<g>C`` joining on attribute 0: ``DS_w`` work dominates the update."""
+    states = set()
+    transitions = []
+    final = set()
+    for g in range(groups):
+        arm_relation, closing = f"G{g}A", f"G{g}C"
+        state, accept = ("q", g), ("f", g)
+        states.update((state, accept))
+        final.add(accept)
+        transitions.extend(
+            PCEATransition(frozenset(), RelationPredicate(arm_relation), {}, {f"g{g}v{k}"}, state)
+            for k in range(variants)
+        )
+        transitions.append(
+            PCEATransition(
+                frozenset({state}),
+                RelationPredicate(closing),
+                {state: ProjectionEquality({arm_relation: (0,)}, {closing: (0,)})},
+                {f"g{g}close"},
+                accept,
+            )
+        )
+    pcea = PCEA(states=states, transitions=transitions, final=final)
+    rng = random.Random(seed)
+    stream = []
+    for _ in range(length):
+        g = rng.randrange(groups)
+        relation = f"G{g}A" if rng.random() < arm_fraction else f"G{g}C"
+        stream.append(Tuple(relation, (rng.randrange(key_domain), rng.randrange(PAYLOAD_DOMAIN))))
+    return pcea, stream
+
+
+def guarded_disjunction_workload(
+    branches: int,
+    length: int,
+    hot_fraction: float = 0.8,
+    hot_values: int = 2,
+    seed: int = 0,
+) -> Tup[PCEA, List[Tuple]]:
+    """``E(t, y)[t == b]`` for every branch ``b`` in one disjunction, over a
+    stream where ``hot_fraction`` of the events carry one of ``hot_values``
+    hot ``t`` values: at most one guard can match a tuple."""
+    pattern = disjunction(*(atom("E", "t", "y", filters=[("t", "==", b)]) for b in range(branches)))
+    rng = random.Random(seed)
+    stream = []
+    for _ in range(length):
+        if rng.random() < hot_fraction:
+            value = rng.randrange(min(hot_values, branches))
+        else:
+            value = rng.randrange(branches)
+        stream.append(Tuple("E", (value, rng.randrange(PAYLOAD_DOMAIN))))
+    return compile_pattern(pattern), stream
+
+
+def _guarded_pair_queries(num_queries: int, filter_selectivity: float) -> List[PCEA]:
+    """Query ``q`` is ``E(t, y)[t == q] ∨ E(t, y)[y < threshold]``: a private
+    guarded branch plus an unguarded filter branch every query shares."""
+    threshold = max(1, int(PAYLOAD_DOMAIN * filter_selectivity))
+    return [
+        compile_pattern(
+            disjunction(
+                atom("E", "t", "y", filters=[("t", "==", q)]),
+                atom("E", "t", "y", filters=[("y", "<", threshold)]),
+            )
+        )
+        for q in range(num_queries)
+    ]
+
+
+def _skewed_stream(hot_at, num_queries: int, length: int, hot_fraction: float, seed: int):
+    """``E`` tuples whose ``t`` is ``hot_at(i)`` with probability ``hot_fraction``."""
+    rng = random.Random(seed)
+    stream: List[Tuple] = []
+    for i in range(length):
+        hot = hot_at(i)
+        value = hot if rng.random() < hot_fraction else rng.randrange(num_queries)
+        stream.append(Tuple("E", (value, rng.randrange(PAYLOAD_DOMAIN))))
+    return stream
+
+
+def drifting_guard_queries(
+    num_queries: int,
+    length: int,
+    phases: int = 4,
+    hot_fraction: float = 0.95,
+    filter_selectivity: float = 0.02,
+    seed: int = 0,
+) -> Tup[List[PCEA], List[Tuple]]:
+    """Guarded-pair queries + a stream in ``phases`` equal segments, the hot
+    guard value jumping to another query's at every segment boundary."""
+    phase_length = max(1, length // max(1, phases))
+    hot_at = lambda i: ((i // phase_length) * 7919) % num_queries
+    return (
+        _guarded_pair_queries(num_queries, filter_selectivity),
+        _skewed_stream(hot_at, num_queries, length, hot_fraction, seed),
+    )
+
+
+def bursty_guard_queries(
+    num_queries: int,
+    length: int,
+    burst_every: int = 2_000,
+    burst_length: int = 500,
+    hot_fraction: float = 0.95,
+    filter_selectivity: float = 0.02,
+    seed: int = 0,
+) -> Tup[List[PCEA], List[Tuple]]:
+    """Guarded-pair queries + a stream hot on guard ``0`` except for a
+    ``burst_length`` burst on another query's guard every ``burst_every``."""
+
+    def hot_at(i: int) -> int:
+        burst = i // burst_every
+        return 1 + (burst * 31) % (num_queries - 1) if i % burst_every < burst_length else 0
+
+    return (
+        _guarded_pair_queries(num_queries, filter_selectivity),
+        _skewed_stream(hot_at, num_queries, length, hot_fraction, seed),
+    )
+
+
+def wildcard_mix_queries(
+    num_queries: int, length: int, key_domain: int = 32, seed: int = 0
+) -> Tup[List[PCEA], List[Tuple]]:
+    """Half pure wildcards ``E(t, y)``, half privately guarded, over a uniform
+    stream: nothing here rewards adaptation."""
+    queries = [
+        compile_pattern(atom("E", "t", "y", filters=[] if q % 2 == 0 else [("t", "==", q)]))
+        for q in range(num_queries)
+    ]
+    rng = random.Random(seed)
+    stream = [
+        Tuple("E", (rng.randrange(key_domain), rng.randrange(PAYLOAD_DOMAIN)))
+        for _ in range(length)
+    ]
+    return queries, stream

@@ -25,14 +25,11 @@ Five layers of protection:
 """
 
 import io
-import os
-import sys
+import math
 from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
-
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "benchmarks"))
 
 from repro.core.adaptive import (
     DEFAULT_ADAPTIVE_CONFIG,
@@ -51,8 +48,11 @@ from repro.runtime import snapshot as snapshot_codec
 from repro.shard import ShardedEngine
 from repro.streams.generators import HCQWorkloadGenerator
 
-from helpers import SIGMA0, star_query, star_schema, streams_strategy
-from workloads import (
+from helpers import (
+    SIGMA0,
+    star_query,
+    star_schema,
+    streams_strategy,
     bursty_guard_queries,
     drifting_guard_queries,
     guarded_disjunction_workload,
@@ -343,6 +343,26 @@ class TestSingleEngineDifferential:
         for name in self.PER_TUPLE:
             values = [row[name] for row in per_tuple]
             assert max(values) <= 1.05 * min(values), (name, values)
+
+    @pytest.mark.parametrize("window", [64, 256, 1024, 4096])
+    def test_star_update_cost_is_bounded_in_the_window(self, window):
+        """Theorem 5.1 in the window: no update step does more than |Δ|
+        operations of any kind, and a union copies at most log2(w) + 1 nodes
+        (update phase only: enumeration is output-linear, not window-bounded)."""
+        generator = HCQWorkloadGenerator(arms=3, key_domain=16, seed=5)
+        pcea = hcq_to_pcea(generator.query())
+        engine = StreamingEvaluator(pcea, window=window, collect_stats=True)
+        stats = engine.stats
+        worst = dict.fromkeys(self.PER_TUPLE, 0)
+        for tup in generator.tuples(2 * window + 500):
+            before = [getattr(stats, name) for name in self.PER_TUPLE]
+            engine.update(tup)
+            for name, was in zip(self.PER_TUPLE, before):
+                worst[name] = max(worst[name], getattr(stats, name) - was)
+        assert all(0 < step <= len(pcea.transitions) for step in worst.values()), worst
+        ds = engine.ds
+        assert ds.union_calls > window
+        assert ds.union_copies / ds.union_calls <= math.log2(window) + 1
 
 
 class TestGeneralEngineDifferential:

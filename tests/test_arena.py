@@ -126,11 +126,11 @@ class TestArenaBasics:
         assert ds.expired(BOTTOM_ID, 0)
         assert collect(ds, BOTTOM_ID, 3) == set()
 
-    @pytest.mark.parametrize("columnar,kernel", ARENAS)
-    def test_extend_onto_is_the_union_with_a_fresh_leaf_in_one_record(self, columnar, kernel):
+    @pytest.mark.parametrize("kernel", ARENAS)
+    def test_extend_onto_is_the_union_with_a_fresh_leaf_in_one_record(self, kernel):
         window = 3
-        fused = ArenaDataStructure(window, columnar=columnar, kernel=kernel)
-        split = ArenaDataStructure(window, columnar=columnar, kernel=kernel)
+        fused = ArenaDataStructure(window, kernel=kernel)
+        split = ArenaDataStructure(window, kernel=kernel)
         oracle = DataStructure(window)
         # Chains at one position, and gaps long enough for the entry to expire.
         steps = [({"a"}, 0), ({"a", "b"}, 0), ({"b"}, 1), ({"a"}, 4), ({"c"}, 9), ({"a"}, 9), ({"b"}, 10)]

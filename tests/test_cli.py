@@ -434,16 +434,3 @@ class TestCheckpointRobustness:
         )
         assert code == 2
         assert seen == []  # failed fast, stream untouched
-
-    def test_no_columnar_produces_identical_matches(self, tmp_path):
-        events = list(read_events(EVENTS_CSV.splitlines()))
-        _, default_out = self._run(self.QUERY, events)
-        _, listy_out = self._run(self.QUERY + ["--no-columnar"], events)
-        strip = lambda s: [l for l in s.splitlines() if not l.startswith("#")]
-        assert strip(default_out) == strip(listy_out)
-        # and checkpoints taken from either layout restore into the default
-        checkpoint = str(tmp_path / "ck.json")
-        code, _ = self._run(self.QUERY + ["--no-columnar", "--checkpoint", checkpoint], events)
-        assert code == 0
-        code, _ = self._run(self.QUERY + ["--restore", checkpoint], events)
-        assert code == 0

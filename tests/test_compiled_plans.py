@@ -23,8 +23,6 @@ import sys
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "benchmarks"))
-
 from repro.core.dispatch import TransitionDispatchIndex
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.hcq_to_pcea import hcq_to_pcea
@@ -50,8 +48,7 @@ from repro.cq.schema import Tuple
 from repro.engine.compiler import _FilteredUnary
 from repro.extensions.general_evaluation import GeneralStreamingEvaluator
 
-from helpers import star_query
-from workloads import union_storm_workload
+from helpers import star_query, union_storm_workload
 
 
 # ------------------------------------------------------------------ the oracle

@@ -212,12 +212,6 @@ class TestConstantGuardDispatch:
         # Relation-only dispatch still returns every branch.
         assert len(index.candidates("E")) == 4
 
-    def test_guards_disabled_restores_relation_dispatch(self):
-        pcea = guarded_branches_pcea(4)
-        index = TransitionDispatchIndex(pcea.transitions, final=pcea.final, guards=False)
-        assert len(index.candidates_for(Tuple("E", (1, 9)))) == 4
-        assert index.describe()["guarded_transitions"] == 0
-
     def test_short_tuples_skip_guard_buckets(self):
         # A tuple without the guarded attribute cannot satisfy any guarded
         # candidate; the lookup must not raise and must return none of them.
@@ -254,13 +248,9 @@ class TestConstantGuardDispatch:
         rng = random.Random(seed)
         stream = [Tuple("E", (rng.randrange(8), rng.randrange(4))) for _ in range(120)]
         guarded = StreamingEvaluator(pcea, window=10)
-        unguarded = StreamingEvaluator(
-            pcea,
-            window=10,
-            dispatch=TransitionDispatchIndex(pcea.transitions, final=pcea.final, guards=False),
-        )
+        full_scan = StreamingEvaluator(pcea, window=10, indexed=False)
         for tup in stream:
-            assert set(guarded.process(tup)) == set(unguarded.process(tup))
+            assert set(guarded.process(tup)) == set(full_scan.process(tup))
 
     def test_atom_constants_provide_guards(self):
         # A query atom with a constant term guards its transition.

@@ -211,10 +211,7 @@ def test_shared_slots_and_store_through_keep_the_object_structures_order(pcea, s
 def check_every_arena_against_the_object_structure(pcea, stream):
     expected = pcea.outputs_upto(stream, len(stream) - 1, window=WINDOW)
     oracle = StreamingEvaluator(pcea, WINDOW, arena=False)
-    engines = [
-        StreamingEvaluator(pcea, WINDOW, columnar=columnar, kernel=kernel)
-        for columnar, kernel in ARENAS
-    ]
+    engines = [StreamingEvaluator(pcea, WINDOW, kernel=kernel) for kernel in ARENAS]
     for position, tup in enumerate(stream):
         wanted = list(oracle.enumerate_outputs(oracle.update(tup)))
         assert len(wanted) == len(set(wanted)) and set(wanted) == expected[position]
@@ -232,10 +229,10 @@ def check_every_arena_against_the_object_structure(pcea, stream):
                     assert valuation.as_dict() == reference.as_dict()
 
 
-@pytest.mark.parametrize("columnar,kernel", ARENAS)
-def test_enumerate_all_and_empty_label_sets_follow_the_object_structure(columnar, kernel):
+@pytest.mark.parametrize("kernel", ARENAS)
+def test_enumerate_all_and_empty_label_sets_follow_the_object_structure(kernel):
     """``ν_{∅,i}`` is the empty valuation: it adds no label *and no position*."""
-    plain, packed = DataStructure(10), ArenaDataStructure(10, columnar=columnar, kernel=kernel)
+    plain, packed = DataStructure(10), ArenaDataStructure(10, kernel=kernel)
     tops = []
     for ds in (plain, packed):
         leaves = [ds.extend(labels, i, []) for i, labels in enumerate([{"a"}, (), {"a", "b"}])]
@@ -252,9 +249,9 @@ def test_enumerate_all_and_empty_label_sets_follow_the_object_structure(columnar
 
 
 # ------------------------------------------------- unread valuations and restore
-@pytest.mark.parametrize("columnar,kernel", ARENAS)
-def test_unread_valuations_survive_snapshot_restore_and_label_growth(columnar, kernel):
-    ds = ArenaDataStructure(8, columnar=columnar, kernel=kernel)
+@pytest.mark.parametrize("kernel", ARENAS)
+def test_unread_valuations_survive_snapshot_restore_and_label_growth(kernel):
+    ds = ArenaDataStructure(8, kernel=kernel)
     node = ds.union(ds.extend({"x"}, 0, []), ds.extend({"x", "y"}, 1, []))
     before = list(ds.enumerate(node, 1))
     snapshot = ds.snapshot()

@@ -10,16 +10,17 @@ it consumes (``repro.core.dispatch``).
 * the same differential over ``helpers.slot_pcea`` — states read through
   one or several left key plans, final-and-read states, several multi-label
   source-less transitions per state — plus snapshot -> restore mid-stream
-  across arena layouts and kernels, and slot numbering that survives a
-  cleared extractor cache;
+  across kernels, and slot numbering that survives a cleared extractor cache;
 * write amplification as counts: a k-arm star's leaf tuple costs one hash
   update, one expiry triple and one arena record, whatever k;
 * the build-time "one guard per predicate group" check;
 * structure guards: the per-probe counter and the arena's fresh-node union
   fast path each live in exactly one module; ``H`` is not keyed by reader and
-  ``extend_onto`` exists once per representation.
+  ``extend_onto`` exists once per representation; the arena has one layout and
+  no engine takes an ablation knob.
 """
 
+import inspect
 import random
 import re
 from dataclasses import asdict
@@ -30,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.adaptive import AdaptiveConfig
+from repro.core.arena import ArenaDataStructure, _Slab
 from repro.core.dispatch import TransitionDispatchIndex
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.pcea import PCEA, PCEATransition
@@ -40,6 +42,7 @@ from repro.engine.compiler import compile_pattern
 from repro.engine.dsl import atom, conjunction, disjunction
 from repro.extensions.general_evaluation import GeneralStreamingEvaluator
 from repro.multi import MergedDispatchIndex, MultiQueryEngine
+from repro.shard import ShardedEngine
 
 from helpers import ARENAS, slot_automata, slot_streams, star_query
 
@@ -143,17 +146,17 @@ def check_every_engine_against_the_naive_oracle(first, second, stream):
 @given(pcea=slot_automata, stream=slot_streams, cut=st.integers(1, 17))
 def test_snapshot_restore_mid_stream_continues_identically_across_kernels(pcea, stream, cut):
     cut = min(cut, len(stream) - 1)
-    build = lambda arena: StreamingEvaluator(pcea, WINDOW, columnar=arena[0], kernel=arena[1])
+    build = lambda kernel: StreamingEvaluator(pcea, WINDOW, kernel=kernel)
     reference = build(ARENAS[0])
     wanted = [reference.process(tup) for tup in stream]
     snapshots = []
-    for arena in ARENAS:
-        source = build(arena)
+    for kernel in ARENAS:
+        source = build(kernel)
         assert [source.process(tup) for tup in stream[:cut]] == wanted[:cut]
         snapshots.append(source.snapshot())
     assert all(snapshot == snapshots[0] for snapshot in snapshots)
-    for arena in ARENAS:
-        target = build(arena)
+    for kernel in ARENAS:
+        target = build(kernel)
         target.restore(snapshots[0])
         outputs = [target.process(tup) for tup in stream[cut:]]
         assert outputs == wanted[cut:]  # same order, ==
@@ -248,8 +251,8 @@ def test_one_guard_per_predicate_group_is_checked_at_build_time(guards):
         MergedDispatchIndex([("owner", index)])
     with pytest.raises(ValueError, match="equal keys must imply equal guards"):
         StreamingEvaluator(pcea, window=4)
-    # Without guard dispatch nothing is bucketed, so nothing can disagree.
-    unbucketed = TransitionDispatchIndex(pcea.transitions, final=pcea.final, guards=False)
+    # The full-scan index buckets nothing, so nothing can disagree.
+    unbucketed = TransitionDispatchIndex(pcea.transitions, final=pcea.final, indexed=False)
     assert unbucketed.plan_for(Tuple("E", (1,))).total == 2
     agreeing = _two_initial_transitions(_Claims((0, 1)), _Claims((0, 1)))
     assert agreeing.dispatch_index().plan_for(Tuple("E", (1,))).total == 2
@@ -273,7 +276,7 @@ def test_the_fire_loop_exists_once():
 def test_each_run_is_stored_once_through_one_code_path():
     """``H`` is keyed by (slot, key), never by the reading transition, and the
     fused leaf write exists once per representation: object structure, arena
-    (one body for both layouts and the native binding), C kernel."""
+    (one body, which also holds the native binding), C kernel."""
     source_root = Path(__file__).resolve().parent.parent / "src" / "repro"
     assert "compiled.index" not in (source_root / "runtime" / "fire.py").read_text()
     definitions = {
@@ -286,3 +289,27 @@ def test_each_run_is_stored_once_through_one_code_path():
     }
     kernel = (source_root / "core" / "_kernelmod.c").read_text()
     assert len(re.findall(r"^Kernel_extend_onto\(", kernel, flags=re.M)) == 1
+
+
+def test_one_arena_layout_and_no_ablation_knobs():
+    """The retired axes stay retired: no engine accepts ``columnar`` /
+    ``incremental`` / ``guards`` (nor ``MultiQueryEngine`` a
+    ``release_interval``), a slab holds packed records only, and the record
+    paths have no layout to branch on."""
+    for engine in (
+        ArenaDataStructure,
+        StreamingEvaluator,
+        GeneralStreamingEvaluator,
+        MultiQueryEngine,
+        ShardedEngine,
+    ):
+        accepted = set(inspect.signature(engine).parameters)
+        assert not accepted & {"columnar", "incremental", "guards"}, engine
+    assert "release_interval" not in inspect.signature(MultiQueryEngine).parameters
+    assert set(_Slab.__slots__) == {
+        "base", "span", "data", "avail", "prods", "count", "max_ms", "ext_refs"
+    }
+    list_column = re.compile(r"\bcolumnar\b|\.(?:pos|ms|ul|ur|lab|dirn|prod)\b")
+    for method in ("extend", "union", "extend_onto", "_packed"):
+        source = inspect.getsource(getattr(ArenaDataStructure, method))
+        assert not list_column.search(source), method

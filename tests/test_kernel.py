@@ -3,9 +3,8 @@
 Four layers of protection:
 
 * unit tests of :func:`resolve_kernel`'s precedence and failure semantics
-  (explicit knob beats environment beats auto; an explicit ``"native"``
-  request never silently degrades while the env-var preference falls back
-  for the list-layout ablation arenas) and of :func:`backend_info`'s shape;
+  (explicit knob beats environment beats auto; a ``"native"`` request never
+  silently degrades) and of :func:`backend_info`'s shape;
 * differential property tests: identical streams through the python and
   native kernels — single query, multi query, and the general evaluator —
   must produce identical outputs, identical machine-independent counters
@@ -25,8 +24,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.harness import collect_engine_counters
-from repro.core.arena import ArenaDataStructure
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.hcq_to_pcea import hcq_to_pcea
 from repro.core.kernel import KERNEL_ENV, backend_info, native_available, resolve_kernel
@@ -40,17 +37,13 @@ needs_native = pytest.mark.skipif(
     not native_available(), reason="native kernel extension not built"
 )
 
-#: collect_engine_counters keys that legitimately differ across backends —
-#: they *describe* the backend rather than the computation.
-_BACKEND_DESCRIPTIVE = {"kernel_native_active", "arena_native"}
-
-
 def _computation_counters(engine):
-    return {
-        key: value
-        for key, value in collect_engine_counters(engine).items()
-        if key not in _BACKEND_DESCRIPTIVE
-    }
+    """What ``observe()`` reports about the computation: its ``kernel``
+    section and ``memory["native"]`` describe the backend instead."""
+    observed = engine.observe()
+    counters = {key: observed.get(key) for key in ("stats", "hash_entries", "evicted", "ds")}
+    counters["memory"] = {k: v for k, v in observed["memory"].items() if k != "native"}
+    return counters
 
 
 def run_both_kernels(pcea, stream, window, **kwargs):
@@ -75,8 +68,7 @@ def star2_stream(seed, length, relations=("A1", "A2"), domain=4):
 
 class TestResolveKernel:
     def test_explicit_python_always_resolves(self):
-        assert resolve_kernel("python", columnar=True) == "python"
-        assert resolve_kernel("python", columnar=False) == "python"
+        assert resolve_kernel("python") == "python"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel backend kernel="):
@@ -91,25 +83,9 @@ class TestResolveKernel:
         monkeypatch.setenv(KERNEL_ENV, "native" if native_available() else "python")
         assert resolve_kernel("python") == "python"
 
-    def test_auto_prefers_native_only_when_columnar(self, monkeypatch):
+    def test_auto_prefers_native_when_built(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV, raising=False)
-        expected = "native" if native_available() else "python"
-        assert resolve_kernel(None, columnar=True) == expected
-        assert resolve_kernel(None, columnar=False) == "python"
-
-    @needs_native
-    def test_explicit_native_rejects_list_layout(self):
-        with pytest.raises(ValueError, match="columnar"):
-            resolve_kernel("native", columnar=False)
-
-    @needs_native
-    def test_env_native_falls_back_for_list_layout(self, monkeypatch):
-        # A process-wide preference must not break ablation baselines that
-        # construct list-layout arenas on purpose.
-        monkeypatch.setenv(KERNEL_ENV, "native")
-        assert resolve_kernel(None, columnar=False) == "python"
-        ds = ArenaDataStructure(window=8, columnar=False)
-        assert ds.kernel == "python"
+        assert resolve_kernel(None) == ("native" if native_available() else "python")
 
     def test_backend_info_shape(self):
         info = backend_info()
@@ -139,8 +115,8 @@ class TestForcedFallback:
         pcea = hcq_to_pcea(star_query(2))
         py = StreamingEvaluator(pcea, window=8, kernel="python")
         nat = StreamingEvaluator(pcea, window=8, kernel="native")
-        assert collect_engine_counters(py)["kernel_native_active"] == 0.0
-        assert collect_engine_counters(nat)["kernel_native_active"] == 1.0
+        assert (py.observe()["kernel"]["active"], py.memory_info()["native"]) == ("python", 0)
+        assert (nat.observe()["kernel"]["active"], nat.memory_info()["native"]) == ("native", 1)
 
 
 @needs_native

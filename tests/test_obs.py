@@ -8,9 +8,12 @@ checkpoint/restore span determinism), the zero-allocation no-op path, and
 the CLI flags on all three modes.
 """
 
+import gc
 import io
 import json
 import math
+import os
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -310,6 +313,54 @@ class TestNoOpPath:
             engine.observe()
             engine.memory_info()
         assert instrument_allocations() == before
+
+    @pytest.mark.parametrize("kind", ["single", "general", "multi"])
+    def test_disabled_observer_makes_the_never_observed_calls(self, kind):
+        """The disabled-path contract (≤ 1.02× when it was a timing) as a count:
+        with no observer — never attached, or attached and detached — a stream
+        enters no ``repro.obs`` frame and makes the python calls, one for one,
+        of an engine that never saw an observer."""
+
+        def build():
+            if kind == "multi":
+                engine = MultiQueryEngine()
+                engine.register("Q(x, y) <- T(x), S(x, y), R(x, y)", window=16)
+                return engine
+            cls = StreamingEvaluator if kind == "single" else GeneralStreamingEvaluator
+            # Its own automaton: adaptive hit counters live on the index members.
+            return cls(hcq_to_pcea(QUERY_Q0), window=16)
+
+        package = os.path.dirname(sys.modules["repro"].__file__)
+
+        def python_calls(engine):
+            calls = []
+
+            def hook(frame, event, arg):
+                # The package's own frames only (and no collector run, below):
+                # a finaliser may run anywhere in the middle of the stream.
+                if event == "call" and frame.f_code.co_filename.startswith(package):
+                    calls.append((frame.f_code.co_filename, frame.f_code.co_name))
+
+            stream = _stream(20)
+            gc.collect()
+            gc.disable()
+            sys.setprofile(hook)
+            try:
+                for tup in stream[:80]:
+                    engine.process(tup)
+                engine.process_many(stream[80:])
+            finally:
+                sys.setprofile(None)
+                gc.enable()
+            return calls
+
+        never = python_calls(build())
+        detached = build()
+        detached.attach_observer(Observer(sample_every=1))
+        detached.detach_observer()
+        assert python_calls(detached) == never
+        assert len(never) > 160  # a process/_process (or update) pair per tuple at least
+        assert not [call for call in never if call[0].startswith(os.path.join(package, "obs"))]
 
     def test_sweep_counters_gated_on_collect_stats(self):
         stream = _stream(40)

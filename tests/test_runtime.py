@@ -13,7 +13,7 @@ Three layers:
   tombstones, no leaks);
 * registration-churn differentials — loops of register/unregister mid-stream
   asserting per-query outputs identical to fresh independent evaluators, and
-  the incremental engine identical to the full-rebuild ablation.
+  the patched index identical to one re-merged from scratch at every change.
 """
 
 import random
@@ -25,7 +25,7 @@ from repro.core.evaluation import StreamingEvaluator
 from repro.cq.schema import Tuple
 from repro.engine.dsl import atom, conjunction, sequence
 from repro.multi import MergedDispatchIndex, MultiQueryEngine, compile_query
-from repro.runtime import RELEASE_PASS_INTERVAL, EngineStatistics, EvictionLane, StreamRuntime
+from repro.runtime import RELEASE_PASS_INTERVAL, EvictionLane, StreamRuntime
 from repro.streams.generators import random_stream
 
 from helpers import SIGMA0
@@ -170,12 +170,6 @@ class TestStreamRuntimeUnits:
         runtime.add_lane(EvictionLane(4, DataStructure(4)))
         assert runtime.memory_info()["arena"] == 0  # mixed setup reports object
 
-    def test_statistics_alias(self):
-        stats = EngineStatistics()
-        stats.candidates_scanned = 7
-        assert stats.transitions_scanned == 7
-        assert stats.candidates_scanned == 7
-
 
 class TestIncrementalMergedIndex:
     def test_patch_equals_rebuild_after_every_mutation(self):
@@ -307,8 +301,8 @@ class TestRegistrationChurnDifferential:
     def test_incremental_equals_full_rebuild_engine(self, seed):
         rng = random.Random(seed + 100)
         stream = sigma0_stream(80, seed, domain_size=3)
-        patched = MultiQueryEngine(incremental=True)
-        rebuilt = MultiQueryEngine(incremental=False)
+        patched = MultiQueryEngine()
+        rebuilt = MultiQueryEngine()  # re-merged from scratch after every change
         live = []
         for tup in stream:
             if rng.random() < 0.2:
@@ -326,6 +320,7 @@ class TestRegistrationChurnDifferential:
                             rebuilt.register(query, window=window),
                         )
                     )
+                rebuilt._rebuild()
             patched_outputs = patched.process(tup)
             rebuilt_outputs = rebuilt.process(tup)
             for patched_handle, rebuilt_handle in live:
@@ -432,10 +427,7 @@ class TestCompactBucketProtocol:
             StreamRuntime(release_interval=0)
 
     def test_multi_engine_exposes_release_interval(self):
-        engine = MultiQueryEngine(release_interval=17)
-        assert engine.memory_info()["release_interval"] == 17
-        default = MultiQueryEngine()
-        assert default.memory_info()["release_interval"] == RELEASE_PASS_INTERVAL
+        assert MultiQueryEngine().memory_info()["release_interval"] == RELEASE_PASS_INTERVAL
 
     def test_runtime_snapshot_roundtrip(self):
         runtime = StreamRuntime()

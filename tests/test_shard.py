@@ -14,9 +14,9 @@ Five layers:
   mid-stream rebalance and across a worker killed with SIGKILL (recovered
   from the coordinator checkpoint + command-log replay, with and without a
   checkpoint ever taken);
-* surfaces — ``observe()``/``collect_engine_counters`` expose the shard
-  counters, the benchmark schema accepts ``workers``/``scaling``, and the
-  CLI ``--workers`` path matches the single-process engine line for line.
+* surfaces — ``observe()`` exposes the shard counters beside the standard
+  sections, and the CLI ``--workers`` path matches the single-process engine
+  line for line.
 """
 
 import io
@@ -28,7 +28,6 @@ import sys
 import pytest
 from hypothesis import given, settings
 
-from repro.bench.harness import collect_engine_counters, validate_benchmark_payload
 from repro.cli import build_multi_parser, run_multi
 from repro.cq.query import parse_query
 from repro.cq.schema import Tuple
@@ -538,15 +537,16 @@ class TestSurfaces:
                           "tuples_processed"):
                 assert observed["stats"][field] == ref_observed["stats"][field]
 
-    def test_collect_engine_counters_flattens_shard_counters(self):
+    def test_shard_counters_sit_beside_the_standard_sections(self):
         with sharded_engine(2)[0] as sharded:
             run_batches(sharded, sigma0_stream(40, seed=4))
-            counters = collect_engine_counters(sharded)
-            assert counters["shard_workers"] == 2.0
-            assert counters["shard_batches"] == 3.0
-            assert "shard_fan_in_matches" in counters
-            assert "shard_rebalances" in counters
-            assert "hash_table_size" in counters  # the standard keys survive
+            observed = sharded.observe()
+            shard = observed["shard"]
+            assert (shard["workers"], shard["batches"]) == (2, 3)
+            assert "fan_in_matches" in shard and "rebalances" in shard
+            assert observed["hash_entries"] == sharded.hash_table_size()
+            assert observed["memory"] == sharded.memory_info()
+            assert observed["kernel"] == sharded.kernel_info()
 
     def test_stats_property_aggregates(self):
         reference, _ = reference_engine()
@@ -573,30 +573,6 @@ class TestSurfaces:
             assert collected["repro_shard_rebalances_total"] == 1
             assert collected["repro_shard_workers"] == 2
             sharded.detach_observer()
-
-    def test_payload_schema_accepts_workers_and_scaling(self):
-        validate_benchmark_payload(
-            {
-                "benchmark": "sharding",
-                "workers": 4,
-                "scaling": [{"workers": 1, "rate": 10.0}, {"workers": 2, "rate": 19.0}],
-                "summary": {"speedup": 1.9},
-            }
-        )
-
-    @pytest.mark.parametrize(
-        "payload, match",
-        [
-            ({"benchmark": "b", "summary": {}, "workers": 0}, "workers"),
-            ({"benchmark": "b", "summary": {}, "workers": True}, "workers"),
-            ({"benchmark": "b", "summary": {}, "scaling": []}, "scaling"),
-            ({"benchmark": "b", "summary": {}, "scaling": [3]}, "mappings"),
-            ({"benchmark": "b", "summary": {}, "scaling": [{"rate": 1.0}]}, "workers"),
-        ],
-    )
-    def test_payload_schema_rejections(self, payload, match):
-        with pytest.raises(ValueError, match=match):
-            validate_benchmark_payload(payload)
 
     def test_worker_module_has_main_guard(self):
         result = subprocess.run(

@@ -1,6 +1,6 @@
-"""Tests for the cross-layer snapshot/restore protocol and columnar layout.
+"""Tests for the cross-layer snapshot/restore protocol.
 
-Four layers of protection:
+Three layers of protection:
 
 * codec unit tests — the tagged-JSON serialisation must round-trip every
   value kind a snapshot tree can contain (tuples, frozensets, events, atoms,
@@ -14,18 +14,15 @@ Four layers of protection:
 * verification — restoring into a mismatched engine (different query,
   window, evict setting, engine kind, or the object-graph structure) must be
   rejected before any state is touched — as must a version-1 tree (``H``
-  keyed per reading transition) and a table numbered by other slots;
-* structural identity of the layouts — the columnar (packed-record) and
-  list-backed arenas fed the same operations must be *snapshot-equal*, under
-  hypothesis streams and under long streams with mid-stream expiry, which is
-  the invariant that makes the layouts interchangeable oracles.
+  keyed per reading transition) and a table numbered by other slots.
+
+Snapshot equality across the two kernels is ``tests/test_kernel.py``'s.
 """
 
 import pickle
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.arena import ArenaDataStructure
 from repro.core.evaluation import StreamingEvaluator
@@ -38,7 +35,7 @@ from repro.runtime import SnapshotError
 from repro.runtime import snapshot as snapshot_codec
 from repro.streams.generators import random_stream
 
-from helpers import SIGMA0, star_query, star_schema, streams_strategy
+from helpers import SIGMA0, star_query
 
 
 QUERY = "Q(x, y) <- T(x), S(x, y), R(x, y)"
@@ -147,6 +144,13 @@ class TestSingleEngineSnapshot:
             )
             general.restore(snap)  # engine-kind mismatch
 
+    def test_arena_restore_rejects_wrong_window(self):
+        ds = ArenaDataStructure(5)
+        ds.extend({"a"}, 0, [])
+        snap = ds.snapshot()
+        with pytest.raises(ValueError):
+            ArenaDataStructure(6).restore(snap)
+
     def test_object_graph_engine_cannot_snapshot(self):
         engine = self._engine(arena=False)
         with pytest.raises(ValueError):
@@ -250,68 +254,6 @@ class TestMultiEngineSnapshot:
         other.register("Qx(x, y) <- S(x, y)", window=self.SPECS[2][1])
         with pytest.raises(SnapshotError):
             other.restore(snap)  # structurally different query set
-
-
-class TestColumnarListStructuralIdentity:
-    """The two arena layouts must be indistinguishable through snapshots."""
-
-    def _pair(self, window):
-        pcea = hcq_to_pcea(star_query(2))
-        return (
-            StreamingEvaluator(pcea, window=window, columnar=True),
-            StreamingEvaluator(pcea, window=window, columnar=False),
-        )
-
-    @settings(max_examples=40, deadline=None)
-    @given(streams_strategy(star_schema(2), max_length=24, domain=2), st.integers(0, 6))
-    def test_snapshots_identical_under_hypothesis_streams(self, stream, window):
-        columnar, listy = self._pair(window)
-        for tup in stream:
-            assert columnar.process(tup) == listy.process(tup)
-        assert columnar.ds.snapshot() == listy.ds.snapshot()
-        assert columnar.snapshot()["lane"] == listy.snapshot()["lane"]
-
-    def test_snapshots_identical_with_mid_stream_expiry(self):
-        rng = random.Random(23)
-        columnar, listy = self._pair(window=12)
-        for position in range(2_000):
-            relation = rng.choice(["A1", "A2"])
-            tup = Tuple(relation, (rng.randrange(2), rng.randrange(2)))
-            assert columnar.process(tup) == listy.process(tup), position
-        snap_columnar = columnar.ds.snapshot()
-        snap_listy = listy.ds.snapshot()
-        assert snap_columnar == snap_listy
-        assert columnar.ds.released_slabs == listy.ds.released_slabs > 0
-
-    @pytest.mark.parametrize("source,target", [(True, False), (False, True)])
-    def test_cross_layout_restore(self, source, target):
-        """A snapshot from either layout restores into either layout."""
-        stream = sigma0_stream(200, seed=29)
-        pcea = hcq_to_pcea(parse_query(QUERY))
-        original = StreamingEvaluator(pcea, window=10, columnar=source)
-        for tup in stream[:100]:
-            original.process(tup)
-        restored = StreamingEvaluator(pcea, window=10, columnar=target)
-        restored.restore(roundtrip(original.snapshot(), "json"))
-        assert [original.process(t) for t in stream[100:]] == [
-            restored.process(t) for t in stream[100:]
-        ]
-
-    def test_arena_restore_rejects_wrong_window(self):
-        ds = ArenaDataStructure(5)
-        ds.extend({"a"}, 0, [])
-        snap = ds.snapshot()
-        with pytest.raises(ValueError):
-            ArenaDataStructure(6).restore(snap)
-
-    def test_resident_bytes_smaller_columnar(self):
-        rng = random.Random(31)
-        columnar, listy = self._pair(window=64)
-        for _ in range(3_000):
-            tup = Tuple(rng.choice(["A1", "A2"]), (rng.randrange(2), rng.randrange(3)))
-            columnar.process(tup)
-            listy.process(tup)
-        assert columnar.ds.resident_bytes() < listy.ds.resident_bytes()
 
 
 class TestRejectedRestoreLeavesEngineUntouched:
