@@ -1019,7 +1019,7 @@ def run_serve(args: argparse.Namespace, output: TextIO) -> int:
         print(
             f"# net: clients_served={summary['clients_served']} "
             f"frames_in={summary['frames_in']} tuples_in={summary['tuples_in']} "
-            f"batches={summary['batches']} "
+            f"unwatched={summary['unwatched']} batches={summary['batches']} "
             f"match_frames_out={summary['match_frames_out']} "
             f"acks_out={summary['acks_out']} shed={summary['shed']} "
             f"protocol_errors={summary['protocol_errors']} "

@@ -233,6 +233,15 @@ class PlanIndex:
             return unguarded
         return EvalPlan(groups, total)
 
+    def watched_relations(self):
+        """The relations whose tuples some stored member may accept, or
+        ``None`` when a wildcard member may accept a tuple of any relation.
+
+        A live view of the plan table: a tuple of a relation outside it gets
+        the empty wildcard plan, so it changes nothing but the position.
+        """
+        return None if self.wildcard_plan.total else self.plans.keys()
+
     def candidates_for(self, tup) -> Tup:
         """:meth:`plan_for` as a flat tuple in canonical candidate order.
 

@@ -300,6 +300,15 @@ class MultiQueryEngine(RuntimeBackedEngine):
             tuples, lambda tup: process(tup, sweep=False)
         )
 
+    def watched_relations(self):
+        """The relations some registered query reads (a live set-like view),
+        or ``None`` for "every relation" (a wildcard transition is registered).
+
+        What the ingest server asks before it builds a batch: tuples of other
+        relations may be left out of a :class:`~repro.runtime.SparseBatch`.
+        """
+        return self._merged.watched_relations()
+
     def _process(self, tup: Tuple, sweep: bool) -> Dict[int, List[Valuation]]:
         runtime = self._runtime
         position = runtime.advance()

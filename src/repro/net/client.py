@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import itertools
 import socket
-from typing import Any, Dict, List, Optional, Sequence, Tuple as Tup
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple as Tup
 
 from repro.net import protocol
 from repro.runtime.frames import FrameAssembler, FrameProtocolError, encode_frame
@@ -54,7 +55,7 @@ class IngestClient:
             self._sock.connect((host, port))
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._assembler = FrameAssembler()
-        self._inbox: List[Tup] = []  # decoded but undelivered messages
+        self._inbox: Deque[Tup] = deque()  # decoded but undelivered messages
         self._seq = itertools.count()
         self.matches: Dict[int, List[Tup]] = {}
         self.acks: Dict[int, Tup] = {}
@@ -82,7 +83,7 @@ class IngestClient:
                 self._inbox.extend(self._assembler.feed(chunk))
             except FrameProtocolError as exc:
                 raise NetClientError(f"bad frame from server: {exc}") from exc
-        return self._inbox.pop(0)
+        return self._inbox.popleft()
 
     def _dispatch(self, message: Tup) -> None:
         kind = message[0]
@@ -106,7 +107,9 @@ class IngestClient:
     def hello(self) -> Tup:
         """Handshake; returns ``(version, engine_kind)``."""
         self._send(("hello", protocol.PROTOCOL_VERSION))
-        reply = self._pump_until("welcome")
+        reply = self._pump_until("welcome", "refused")
+        if reply[0] == "refused":
+            raise NetClientError(f"hello refused: {reply[1]}")
         return reply[1], reply[2]
 
     def subscribe(
@@ -159,11 +162,11 @@ class IngestClient:
         items = list(tuples)
         if not items:
             raise ValueError("no tuples to ingest")
-        outstanding: List[int] = []
+        outstanding: Deque[int] = deque()
         ack = None
         for start in range(0, len(items), frame_size):
             if len(outstanding) >= pipeline:
-                ack = self.wait_ack(outstanding.pop(0))
+                ack = self.wait_ack(outstanding.popleft())
             outstanding.append(self.ingest(items[start : start + frame_size]))
         for seq in outstanding:
             ack = self.wait_ack(seq)

@@ -11,7 +11,13 @@ Architecture — four cooperating task kinds on one event loop:
   eviction sweep per batch, the `drive_batch` seam), fans the matches out,
   and acks.  It blocks on an event when the queue is empty: the coalescer
   is adaptive by construction — batch size is whatever accumulated while
-  the engine was busy — and it never busy-waits.
+  the engine was busy — and it never busy-waits.  An ingest frame is queued
+  as **one entry** holding its decoded columns
+  (:class:`~repro.runtime.frames.IngestBatch`); at drain time the driver
+  asks the engine which relations it watches and builds tuples only for
+  those — the rest of the batch is the gaps of a
+  :class:`~repro.runtime.SparseBatch`, crossed by position alone and
+  counted as ``unwatched``.
 * **Writer tasks** (one per connection) flush that connection's outbox
   FIFO with ``await drain()``, so kernel-level TCP backpressure propagates
   to slow readers without blocking anyone else.
@@ -36,6 +42,9 @@ Determinism: the driver is the only task touching the engine, and
 register/unregister ride the ingest queue as control entries, so the total
 operation order is exactly the queue admission order — which per-connection
 FIFO acks expose to clients (`ack` ⇒ every earlier match already sent).
+The watched relations are read when a batch is drained, after every control
+entry queued before it, so a subscription watches exactly the tuples
+admitted after it.
 The differential tests rebuild that order and verify bit-identical outputs
 against a direct in-process engine.
 
@@ -55,10 +64,12 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple as Tup
 
 from repro.multi.registry import QueryHandle
 from repro.net import protocol
+from repro.runtime import SparseBatch
 from repro.runtime.frames import (
     HEADER_SIZE,
     MAX_FRAME_BYTES,
     FrameProtocolError,
+    IngestBatch,
     decode_body,
     encode_frame,
     frame_length,
@@ -136,6 +147,19 @@ class _Subscription:
         self.key = key
         self.handle = handle
         self.subscribers: Set[_Client] = subscribers if subscribers is not None else set()
+
+
+class _Frame:
+    """One admitted ingest frame in the queue: its decoded columns, how many
+    of its tuples earlier batches already drained, and whom to ack."""
+
+    __slots__ = ("batch", "drained", "client", "seq")
+
+    def __init__(self, batch: IngestBatch, client: "_Client", seq: int) -> None:
+        self.batch = batch
+        self.drained = 0
+        self.client = client
+        self.seq = seq
 
 
 class _Client:
@@ -237,9 +261,11 @@ class IngestServer:
         self.sndbuf = sndbuf
         self.write_buffer_limit = write_buffer_limit
 
-        # ("t", tuple, marker|None) ingest entries and ("c", client, message)
-        # control entries; only "t" entries count toward max_queue.
-        self._queue: Deque[Tup] = deque()
+        # _Frame ingest entries and (client, message) control entries, in
+        # admission order; only the frames' tuples count toward max_queue.
+        self._queue: Deque[Any] = deque()
+        # Which relations the engine reads; an engine that cannot say reads all.
+        self._watched = getattr(engine, "watched_relations", lambda: None)
         self._queued_tuples = 0
         self._not_empty = asyncio.Event()
         self._not_full = asyncio.Event()
@@ -265,6 +291,7 @@ class IngestServer:
         self.metrics = registry
         self._m_tuples = registry.counter("repro_ingest_tuples_total")
         self._m_frames = registry.counter("repro_ingest_frames_total")
+        self._m_unwatched = registry.counter("repro_ingest_unwatched_total")
         self._m_queue_depth = registry.gauge("repro_ingest_queue_depth")
         self._m_shed = registry.counter("repro_net_shed_total")
         self._m_coalesce = registry.histogram("repro_ingest_batch_tuples")
@@ -279,6 +306,7 @@ class IngestServer:
         self.clients_served = 0
         self.frames_in = 0
         self.tuples_in = 0
+        self.unwatched = 0
         self.batches = 0
         self.match_frames_out = 0
         self.acks_out = 0
@@ -336,6 +364,7 @@ class IngestServer:
             "subscriptions": len(self._subs),
             "frames_in": self.frames_in,
             "tuples_in": self.tuples_in,
+            "unwatched": self.unwatched,
             "batches": self.batches,
             "queue_depth": self._queued_tuples,
             "peak_queue_depth": self.peak_queue_depth,
@@ -390,17 +419,23 @@ class IngestServer:
             # Control entries ride the queue so the engine sees them in
             # admission order relative to tuples — the one total order the
             # differential tests replay.
-            self._queue.append(("c", client, message))
+            self._queue.append((client, message))
             self._not_empty.set()
         elif command == "ping":
             self._enqueue(
                 client, encode_frame(protocol.pong(message[1], self.engine.position))
             )
         elif command == "hello":
-            kind = type(self.engine).__name__
-            self._enqueue(client, encode_frame(protocol.welcome(kind)))
+            if message[1] == protocol.PROTOCOL_VERSION:
+                reply = protocol.welcome(type(self.engine).__name__)
+            else:
+                reply = protocol.refused(
+                    f"this server speaks protocol version {protocol.PROTOCOL_VERSION}, "
+                    f"the client said hello with version {message[1]}"
+                )
+            self._enqueue(client, encode_frame(reply))
 
-    async def _admit(self, client: _Client, seq: int, tuples: Sequence[Any]) -> None:
+    async def _admit(self, client: _Client, seq: int, tuples: IngestBatch) -> None:
         count = len(tuples)
         if count > self.max_queue:
             raise FrameProtocolError(
@@ -417,10 +452,7 @@ class IngestServer:
             await self._not_full.wait()
         if not self._running or client.closing:
             return
-        queue = self._queue
-        last = count - 1
-        for index, tup in enumerate(tuples):
-            queue.append(("t", tup, (client, seq, count) if index == last else None))
+        self._queue.append(_Frame(tuples, client, seq))
         self._queued_tuples += count
         if self._queued_tuples > self.peak_queue_depth:
             self.peak_queue_depth = self._queued_tuples
@@ -439,19 +471,41 @@ class IngestServer:
                 self._m_queue_depth.set(0)
                 await self._not_empty.wait()
                 continue
-            if queue[0][0] == "c":
-                _, client, message = queue.popleft()
-                self._control(client, message)
+            if type(queue[0]) is tuple:
+                self._control(*queue.popleft())
                 continue
-            # Adaptive coalescing: drain whatever ingest entries are
-            # contiguous at the head, up to max_batch.
-            entries: List[Tup] = []
-            while queue and queue[0][0] == "t" and len(entries) < self.max_batch:
-                entries.append(queue.popleft())
-            self._queued_tuples -= len(entries)
+            # Adaptive coalescing: drain whatever ingest frames are
+            # contiguous at the head, up to max_batch tuples (a frame that
+            # does not fit is drained across batches).  Only tuples of a
+            # watched relation are built.
+            watched = self._watched()
+            batch = SparseBatch()
+            offsets: List[int] = []
+            finished: List[Tup] = []  # (frame, tuples of the batch up to its last)
+            span = 0
+            while queue and type(queue[0]) is _Frame and span < self.max_batch:
+                frame = queue[0]
+                start = frame.drained
+                stop = min(len(frame.batch), start + self.max_batch - span)
+                picked, tuples = frame.batch.select(watched, start, stop)
+                batch += tuples
+                offsets += [index + span - start for index in picked]
+                span += stop - start
+                if stop == len(frame.batch):
+                    queue.popleft()
+                    finished.append((frame, span))
+                else:
+                    frame.drained = stop
+            batch.span = span
+            skipped = span - len(batch)
+            if skipped:
+                batch.offsets = offsets
+                self.unwatched += skipped
+                self._m_unwatched.inc(skipped)
+            self._queued_tuples -= span
             self._m_queue_depth.set(self._queued_tuples)
             try:
-                base, outputs = self.engine.ingest_batch([entry[1] for entry in entries])
+                base, outputs = self.engine.ingest_batch(batch)
             except Exception as exc:
                 # The engine is the shared resource: if it fails mid-batch,
                 # position continuity is gone and serving on is unsound.
@@ -460,8 +514,8 @@ class IngestServer:
                 asyncio.ensure_future(self.stop())
                 return
             self.batches += 1
-            self._m_coalesce.record(len(entries))
-            self._fan_out(base, outputs, entries)
+            self._m_coalesce.record(span)
+            self._fan_out(base, zip(offsets, outputs), finished)
             self._not_full.set()
             # Yield once per batch so readers refill the queue (and writers
             # flush) while the next batch accumulates.
@@ -524,10 +578,15 @@ class IngestServer:
                 pass
         self._m_subs.set(len(self._subs))
 
-    def _fan_out(self, base: int, outputs, entries) -> None:
+    def _fan_out(self, base: int, outputs, finished) -> None:
+        """Send one batch's matches, then the acks of the frames it finished.
+
+        ``outputs`` yields ``(offset in the batch, {handle_id: valuations})``;
+        ``finished`` lists ``(frame, tuples of the batch up to its last)``.
+        """
         # Group this batch's matches per handle, in stream order.
         per_handle: Dict[int, List[Tup]] = {}
-        for offset, matches in enumerate(outputs):
+        for offset, matches in outputs:
             if not matches:
                 continue
             position = base + offset
@@ -544,16 +603,13 @@ class IngestServer:
                     self.match_frames_out += 1
         # Acks strictly after this batch's matches: per-connection FIFO then
         # guarantees the ack is a barrier for everything it covers.
-        for offset, (_kind, _tup, marker) in enumerate(entries):
-            if marker is None:
-                continue
-            origin, seq, count = marker
+        for frame, end in finished:
+            origin = frame.client
             if origin.closed or origin.closing:
                 continue
-            last_position = base + offset
+            count = len(frame.batch)
             self._enqueue(
-                origin,
-                encode_frame(protocol.ack(seq, last_position - count + 1, count)),
+                origin, encode_frame(protocol.ack(frame.seq, base + end - count, count))
             )
             self.acks_out += 1
 

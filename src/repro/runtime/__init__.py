@@ -74,6 +74,7 @@ from repro.runtime.core import (
     RELEASE_PASS_INTERVAL,
     EvictionLane,
     RuntimeBackedEngine,
+    SparseBatch,
     StreamRuntime,
 )
 from repro.runtime.fire import fire
@@ -86,6 +87,7 @@ __all__ = [
     "EvictionLane",
     "RuntimeBackedEngine",
     "SnapshotError",
+    "SparseBatch",
     "StreamRuntime",
     "EngineStatistics",
     "fire",

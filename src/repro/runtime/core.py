@@ -176,6 +176,32 @@ class EvictionLane:
         return f"{type(self).__name__}(window={self.window}, |H|={len(self.hash)}, {state})"
 
 
+class SparseBatch(list):
+    """The tuples of one engine batch that some registered query may read.
+
+    The batch covers ``span`` consecutive stream positions; ``self[i]`` sits
+    at offset ``offsets[i]`` (strictly increasing) from the first of them.
+    The positions in between held tuples of relations the engine does not
+    watch (:meth:`MultiQueryEngine.watched_relations
+    <repro.multi.engine.MultiQueryEngine.watched_relations>`) — tuples that
+    would change nothing but the position, so they were never built.
+    ``offsets is None`` means no gaps: the batch is the plain list of its
+    tuples, which is also how every engine reads a plain list.
+    """
+
+    __slots__ = ("offsets", "span")
+
+    def __init__(
+        self,
+        tuples: Iterable[object] = (),
+        offsets: Optional[Sequence[int]] = None,
+        span: Optional[int] = None,
+    ) -> None:
+        super().__init__(tuples)
+        self.offsets = offsets
+        self.span = len(self) if span is None else span
+
+
 class StreamRuntime:
     """The per-stream core shared by all engines: position, sweep, batching.
 
@@ -317,6 +343,26 @@ class StreamRuntime:
         if position == self.obs_next:
             self.obs_arm()
         return position
+
+    def advance_by(self, count: int) -> int:
+        """Cross ``count`` positions whose tuples no registered query reads.
+
+        Leaves the runtime exactly as ``count`` missed updates with the sweep
+        deferred would: the position moved, ``tuples_processed`` counted, the
+        observer's period clock fired at every grid position inside the gap.
+        The buckets that fell due are popped by the batch's closing
+        :meth:`sweep_upto`, which walks the crossed range like any other.
+        """
+        target = self.position + count
+        clock = self.obs_next
+        while self.position < clock <= target:
+            self.position = clock
+            self.obs_arm()
+            clock = self.obs_next
+        self.position = target
+        if self.count_stats:
+            self.stats.tuples_processed += count
+        return target
 
     # ------------------------------------------------------------ registration
     def register_entry(self, lane: EvictionLane, key: Hashable, node: object, expiry_position: int) -> None:
@@ -482,18 +528,33 @@ class StreamRuntime:
         plus their enumeration).  Deferring the sweep to the end of the batch
         only delays memory reclamation, never changes outputs, because expiry
         is re-checked at every hash lookup through the cached ``max_start``.
+
+        A :class:`SparseBatch` with gaps gets one ``step`` per tuple it holds
+        and one :meth:`advance_by` per gap; the results line up with the
+        tuples it holds.
         """
         obs = self.obs
-        if obs is None:
+        start = _perf() if obs is not None else 0.0
+        offsets = tuples.offsets if type(tuples) is SparseBatch else None
+        if offsets is None:
             results = [step(tup) for tup in tuples]
-            if sweep:
-                self.sweep_upto(self.position)
-            return results
-        start = _perf()
-        results = [step(tup) for tup in tuples]
+            span = len(results)
+        else:
+            span = tuples.span
+            results = []
+            origin = self.position + 1
+            for offset, tup in zip(offsets, tuples):
+                gap = origin + offset - self.position - 1
+                if gap:
+                    self.advance_by(gap)
+                results.append(step(tup))
+            gap = origin + span - self.position - 1
+            if gap:
+                self.advance_by(gap)
         if sweep:
             self.sweep_upto(self.position)
-        obs.on_batch(len(results), _perf() - start, self.position)
+        if obs is not None:
+            obs.on_batch(span, _perf() - start, self.position)
         return results
 
     def drive_enumerating_batch(
@@ -822,9 +883,12 @@ class RuntimeBackedEngine:
 
         Returns ``(base_position, outputs)`` where ``outputs`` is whatever
         the engine's ``process_many`` produces and ``base_position`` is the
-        stream position assigned to ``tuples[0]`` — so a caller that did
+        stream position of the batch's first tuple — so a caller that did
         not count tuples itself (the ingest server coalescing frames from
         many connections) can stamp every output with its global position.
+        ``tuples`` may be a :class:`SparseBatch`: ``outputs[i]`` then belongs
+        to position ``base_position + tuples.offsets[i]``, and the positions
+        it leaves out are crossed without building their tuples.
         """
         base = self._runtime.position + 1
         return base, self.process_many(tuples)

@@ -14,13 +14,13 @@ and lose or duplicate nothing.  See the README's "Scaling out" section.
 """
 
 from repro.shard.coordinator import ShardedEngine, ShardError
-from repro.runtime.frames import (
-    FrameChannel,
-    FrameProtocolError,
+from repro.runtime.frames import FrameProtocolError
+from repro.shard.pipes import (
     PICKLE_PROTOCOL,
+    FrameChannel,
     WorkerDied,
-    decode_frame,
-    encode_frame,
+    pickle_frame,
+    unpickle_frame,
 )
 from repro.shard.placement import (
     HashPlacement,
@@ -48,6 +48,6 @@ __all__ = [
     "FrameProtocolError",
     "WorkerDied",
     "PICKLE_PROTOCOL",
-    "encode_frame",
-    "decode_frame",
+    "pickle_frame",
+    "unpickle_frame",
 ]

@@ -55,7 +55,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple as Tup
 from repro.cq.schema import Tuple
 from repro.multi.registry import QueryHandle, QueryRegistry, QuerySpec
 from repro.runtime.statistics import EngineStatistics
-from repro.runtime.frames import FrameChannel, WorkerDied, decode_frame, encode_frame
+from repro.shard.pipes import FrameChannel, WorkerDied, pickle_frame, unpickle_frame
 from repro.shard.placement import HashPlacement, PlacementPolicy
 from repro.shard.worker import ShardWorker, worker_main
 from repro.valuation import Valuation
@@ -68,7 +68,7 @@ class ShardError(RuntimeError):
 class _InlineChannel:
     """A ``FrameChannel`` look-alike driving a :class:`ShardWorker` in-process.
 
-    Frames still round-trip through :func:`encode_frame`/:func:`decode_frame`
+    Frames still round-trip through :func:`pickle_frame`/:func:`unpickle_frame`
     (so inline mode exercises the exact wire representation, protocol pins
     included); only the pipe and the process are elided.  Tests flip
     :attr:`dead` to simulate a crashed worker and exercise recovery without
@@ -101,10 +101,10 @@ class _InlineChannel:
         self.bytes_sent += len(frame)
         start = process_time()
         try:
-            reply = self.worker.handle(decode_frame(frame))
+            reply = self.worker.handle(unpickle_frame(frame))
         except Exception as exc:  # mirror worker_main's containment
             reply = ("error", f"{type(exc).__name__}: {exc}")
-        encoded = encode_frame(reply)
+        encoded = pickle_frame(reply)
         self.worker.busy_seconds += process_time() - start
         self._replies.append(encoded)
 
@@ -222,8 +222,8 @@ class ShardedEngine:
             shard.channel = FrameChannel(parent_end)
         # Handshake: a worker that failed to import/construct shows up here,
         # at spawn, not as a broken pipe mid-stream.
-        shard.channel.send_raw(encode_frame(("ping",)))
-        reply = decode_frame(shard.channel.recv_raw())
+        shard.channel.send_raw(pickle_frame(("ping",)))
+        reply = unpickle_frame(shard.channel.recv_raw())
         if reply[0] != "pong":
             raise ShardError(f"shard {shard.index} failed its handshake: {reply!r}")
 
@@ -237,8 +237,8 @@ class ShardedEngine:
             if channel is None:
                 continue
             try:
-                channel.send_raw(encode_frame(("close",)))
-                decode_frame(channel.recv_raw())
+                channel.send_raw(pickle_frame(("close",)))
+                unpickle_frame(channel.recv_raw())
             except WorkerDied:
                 pass
             channel.close()
@@ -271,18 +271,18 @@ class ShardedEngine:
         the end of :meth:`_revive` (the command is the log's last entry);
         unlogged ones (checkpoint probes) are simply re-asked after revival.
         """
-        frame = encode_frame(message)
+        frame = pickle_frame(message)
         if log:
             shard.log.append(frame)
         try:
             shard.channel.send_raw(frame)
-            reply = decode_frame(shard.channel.recv_raw())
+            reply = unpickle_frame(shard.channel.recv_raw())
         except WorkerDied:
             reply = self._revive(shard)
             if not log:
-                frame = encode_frame(message)
+                frame = pickle_frame(message)
                 shard.channel.send_raw(frame)
-                reply = decode_frame(shard.channel.recv_raw())
+                reply = unpickle_frame(shard.channel.recv_raw())
         if reply[0] == "error":
             raise ShardError(f"shard {shard.index} rejected {message[0]}: {reply[1]}")
         return reply
@@ -314,7 +314,7 @@ class ShardedEngine:
         last: Optional[Tup[Any, ...]] = None
         for frame in shard.log:
             shard.channel.send_raw(frame)
-            last = decode_frame(shard.channel.recv_raw())
+            last = unpickle_frame(shard.channel.recv_raw())
             if last[0] == "error":
                 raise ShardError(
                     f"shard {shard.index} diverged during replay: {last[1]}"
@@ -323,8 +323,8 @@ class ShardedEngine:
 
     def _direct(self, shard: _Shard, message: Tup[Any, ...]) -> Tup[Any, ...]:
         """An unlogged, unrecovered round-trip (revival internals)."""
-        shard.channel.send_raw(encode_frame(message))
-        reply = decode_frame(shard.channel.recv_raw())
+        shard.channel.send_raw(pickle_frame(message))
+        reply = unpickle_frame(shard.channel.recv_raw())
         if reply[0] == "error":
             raise ShardError(f"shard {shard.index} rejected {message[0]}: {reply[1]}")
         return reply
@@ -451,7 +451,7 @@ class ShardedEngine:
             return []
         start = perf_counter()
         base_position = self._position + 1
-        frame = encode_frame(("batch", tuples))
+        frame = pickle_frame(("batch", tuples))
         dead: List[_Shard] = []
         for shard in self._shards:
             shard.log.append(frame)
@@ -465,7 +465,7 @@ class ShardedEngine:
                 reply = self._revive(shard)
             else:
                 try:
-                    reply = decode_frame(shard.channel.recv_raw())
+                    reply = unpickle_frame(shard.channel.recv_raw())
                 except WorkerDied:
                     reply = self._revive(shard)
             if reply is None or reply[0] != "matches":

@@ -30,7 +30,7 @@ all work) because nothing it needs crosses the process boundary implicitly:
 * module-level state touched at import (kernel auto-detection, metric
   allocation counters, interned key tables) is re-created by the child's own
   import of :mod:`repro`;
-* frames are pickled with :data:`~repro.runtime.frames.PICKLE_PROTOCOL`
+* frames are pickled with :data:`~repro.shard.pipes.PICKLE_PROTOCOL`
   (``pickle.HIGHEST_PROTOCOL``) on both ends.
 
 The module also carries a ``__main__`` guard: under ``spawn`` the child
@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Optional, Tuple as Tup
 
 from repro.multi.engine import MultiQueryEngine
 from repro.multi.registry import QueryHandle
-from repro.runtime.frames import FrameChannel, WorkerDied, decode_frame, encode_frame
+from repro.shard.pipes import FrameChannel, WorkerDied, pickle_frame, unpickle_frame
 
 
 class ShardWorker:
@@ -207,11 +207,11 @@ def worker_main(connection, config: Optional[Dict[str, Any]] = None) -> None:
             return
         start = process_time()
         try:
-            message = decode_frame(raw)
+            message = unpickle_frame(raw)
             reply = worker.handle(message)
         except Exception as exc:  # reported, not fatal
             reply = ("error", f"{type(exc).__name__}: {exc}")
-        frame = encode_frame(reply)
+        frame = pickle_frame(reply)
         worker.busy_seconds += process_time() - start
         try:
             channel.send_raw(frame)

@@ -313,3 +313,22 @@ def test_one_arena_layout_and_no_ablation_knobs():
     for method in ("extend", "union", "extend_onto", "_packed"):
         source = inspect.getsource(getattr(ArenaDataStructure, method))
         assert not list_column.search(source), method
+
+
+def test_pickle_lives_only_under_the_shard_package():
+    """No byte read from a TCP socket can reach ``pickle``: the wire codec
+    (``repro.runtime.frames``) and everything under ``repro.net`` never import
+    it, and one entry point — not one per message kind — encodes a frame."""
+    source_root = Path(__file__).resolve().parent.parent / "src" / "repro"
+    imports_pickle = re.compile(r"^\s*(import pickle|from pickle)\b", flags=re.M)
+    holders = sorted(
+        str(path.relative_to(source_root))
+        for path in source_root.rglob("*.py")
+        if imports_pickle.search(path.read_text())
+    )
+    assert holders == ["shard/pipes.py"]
+    encoders = {
+        str(path.relative_to(source_root)): len(re.findall(r"^def encode_frame\(", path.read_text(), flags=re.M))
+        for path in source_root.rglob("*.py")
+    }
+    assert {name: count for name, count in encoders.items() if count} == {"runtime/frames.py": 1}

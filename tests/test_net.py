@@ -2,9 +2,12 @@
 
 Covers, per the serving contract:
 
-* the shared frame codec (`repro.runtime.frames`) — the shard layer's
-  import path re-exports it unchanged, and the byte-stream reassembler
-  rejects oversized prefixes *before* buffering a body;
+* the wire codec (`repro.runtime.frames`) — typed, bounded and stateless:
+  arbitrary message trees round-trip with value and type, every prefix,
+  truncation and mutation of a frame decodes or raises `FrameProtocolError`,
+  counts are refused before anything is allocated, a pickle is never read,
+  and the byte-stream reassembler rejects oversized prefixes *before*
+  buffering a body;
 * differential serving — a server-fed engine is bit-identical to direct
   `process_many` on the same interleaved tuple order, for the single,
   multi and sharded backends, including mid-stream subscribe/unsubscribe
@@ -25,10 +28,13 @@ from __future__ import annotations
 import gc
 import io
 import logging
+import pickle
 import socket
 import struct
 import threading
 import time
+import tracemalloc
+from collections import deque
 from hashlib import sha256
 
 import pytest
@@ -43,18 +49,26 @@ from repro.cli import (
     run_net_client,
 )
 from repro.core.evaluation import StreamingEvaluator
+from repro.cq.query import Atom, Variable
 from repro.cq.schema import Tuple
 from repro.multi import MultiQueryEngine, compile_query
 from repro.net import IngestClient, IngestServer, NetClientError, ServerThread, SingleEngineFeed
-from repro.net.protocol import validate_client_message
+from repro.net.protocol import PROTOCOL_VERSION, validate_client_message
 from repro.runtime.frames import (
+    MAX_DEPTH,
+    MAX_ELEMENTS,
+    MAX_TABLE,
     FrameAssembler,
     FrameProtocolError,
     HEADER_SIZE,
+    IngestBatch,
+    decode_body,
+    decode_frame,
     encode_frame,
     frame_length,
 )
 from repro.shard import ShardedEngine
+from repro.valuation import Valuation
 
 QUERY_A = "QA(x, y) <- T(x), S(x, y), R(x, y)"
 QUERY_B = "QB(x) <- T(x), R(x, 1)"
@@ -135,7 +149,7 @@ class TestSharedCodec:
 
     def test_assembler_rejects_garbage_body(self):
         frame = struct.pack("!I", 4) + b"\xde\xad\xbe\xef"
-        with pytest.raises(FrameProtocolError, match="does not unpickle"):
+        with pytest.raises(FrameProtocolError, match="unknown value tag 0xde"):
             list(FrameAssembler().feed(frame))
 
     def test_frame_length_validates_header_size(self):
@@ -144,8 +158,9 @@ class TestSharedCodec:
         assert frame_length(struct.pack("!I", 17)) == 17
 
     def test_match_frames_carry_unread_valuations_compactly(self):
-        """An enumerated valuation pickles as its interned label sets plus
-        positions (each set once per frame) and arrives unread and equal."""
+        """A matches frame copies the packed records out of unread valuations
+        (each label set once per frame): encoding reads nothing, and the
+        valuations arrive unread, equal and with equal hashes."""
         engine = MultiQueryEngine()
         handle = engine.register(QUERY_A, WINDOW)
         batch = [
@@ -158,15 +173,17 @@ class TestSharedCodec:
         frame = encode_frame(("matches", handle.id, batch))
         assert all(v._mapping is None for v in valuations)  # encoding reads nothing
         (message,) = FrameAssembler().feed(frame)
+        assert [position for position, _ in message[2]] == [position for position, _ in batch]
         received = [valuation for _, group in message[2] for valuation in group]
         assert all(v._mapping is None for v in received)
-        # Forwarding a received frame unread is as compact as the original.
-        assert len(encode_frame(message)) == len(frame)
+        # Forwarding a received frame unread re-encodes to the same bytes.
+        assert encode_frame(message) == frame
+        assert all(v._mapping is None for v in received)
         assert received == valuations
         assert list(map(hash, received)) == list(map(hash, valuations))
-        # Now read: the same matches pickle as mappings, and take more bytes.
-        assert len(encode_frame(("matches", handle.id, batch))) > len(frame)
-        (reread,) = FrameAssembler().feed(encode_frame(message))
+        # Now read: the same matches still travel in the columnar shape, cut
+        # back into one record entry per position, and arrive equal.
+        reread = decode_frame(encode_frame(("matches", handle.id, batch)))
         assert [valuation for _, group in reread[2] for valuation in group] == valuations
 
     def test_truncated_frame_stays_pending(self):
@@ -175,6 +192,203 @@ class TestSharedCodec:
         assert list(assembler.feed(frame[:-2])) == []
         assert assembler.pending() == len(frame) - HEADER_SIZE - 2
         assert list(assembler.feed(frame[-2:])) == [("hello", 1)]
+
+
+# --------------------------------------------------------------------------
+# The codec under hypothesis.  No test here fixes ``max_examples``: tier-1 runs
+# the default budget, CI's ``net`` job the ``fuzz`` profile (conftest.py).
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=6)
+    | st.binary(max_size=6)
+)
+HASHABLES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3).map(tuple) | st.frozensets(inner, max_size=3),
+    max_leaves=6,
+)
+EVENTS = st.builds(Tuple, st.text(max_size=4), st.lists(HASHABLES, max_size=4).map(tuple))
+READ_VALUATIONS = st.dictionaries(
+    st.text(max_size=3), st.frozensets(st.integers(0, 40), max_size=4), max_size=3
+).map(Valuation)
+ATOMS = st.builds(
+    Atom,
+    st.text(max_size=3),
+    st.lists(st.builds(Variable, st.text(max_size=2)) | st.integers(0, 5), max_size=3).map(tuple),
+)
+TREES = st.recursive(
+    SCALARS | EVENTS | READ_VALUATIONS | ATOMS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(HASHABLES, inner, max_size=3),
+    max_leaves=10,
+)
+INGESTS = st.tuples(
+    st.just("ingest"), st.integers(-(2**70), 2**70), st.lists(EVENTS, min_size=1, max_size=8)
+)
+
+
+@st.composite
+def unread_valuations(draw):
+    """What the arena enumerates: a packed record over a label table, unread."""
+    label_table = draw(st.lists(st.frozensets(st.text(max_size=2), max_size=2), min_size=1, max_size=4))
+    entries = draw(st.lists(
+        st.tuples(st.integers(0, len(label_table) - 1), st.integers(0, 60)), min_size=1, max_size=5
+    ))
+    return Valuation._from_packed((label_table, {}), sum(entries, ()))
+
+
+MATCHES = st.tuples(
+    st.just("matches"),
+    st.integers(0, 99),
+    st.lists(
+        st.tuples(st.integers(0, 2**40), st.lists(unread_valuations() | READ_VALUATIONS, max_size=3)),
+        max_size=4,
+    ),
+)
+
+
+def typed(value):
+    """``value`` with every node's type spelled out, so ``1``, ``True`` and
+    ``1.0`` (equal, and equal hashes) compare different."""
+    if isinstance(value, (list, tuple, IngestBatch)):
+        return ("list" if isinstance(value, IngestBatch) else type(value).__name__, [typed(v) for v in value])
+    if isinstance(value, frozenset):
+        return ("frozenset", sorted(repr(typed(v)) for v in value))
+    if isinstance(value, dict):
+        return ("dict", sorted((repr(typed(k)), repr(typed(v))) for k, v in value.items()))
+    if isinstance(value, Tuple):
+        return ("Tuple", value.relation, typed(value.values))
+    if isinstance(value, Valuation):
+        return ("Valuation", typed(value.as_dict()))
+    if isinstance(value, Atom):
+        return ("Atom", value.relation, typed(value.terms))
+    if isinstance(value, Variable):
+        return ("Variable", value.name)
+    return (type(value).__name__, repr(value))
+
+
+def read_everything(message):
+    """Force what a decoded message leaves lazy: batches built, valuations read."""
+    if isinstance(message, tuple) and len(message) == 3:
+        if isinstance(message[2], IngestBatch):
+            assert len(list(message[2])) == len(message[2])
+            assert all(hash(tup) is not None for tup in message[2])
+        elif message[0] == "matches" and isinstance(message[2], list):
+            for _, valuations in message[2]:
+                for valuation in valuations:
+                    valuation.as_dict()
+
+
+def decodes_or_refuses(body: bytes) -> None:
+    """``body`` decodes (and can be read in full) or raises FrameProtocolError;
+    any other exception escapes and fails the test."""
+    try:
+        message = decode_body(body)
+    except FrameProtocolError:
+        return
+    read_everything(message)
+
+
+class TestCodecFuzz:
+    @settings(deadline=None)
+    @given(message=TREES | INGESTS | MATCHES)
+    def test_message_trees_round_trip_with_value_and_type(self, message):
+        frame = encode_frame(message)
+        decoded = decode_frame(frame)
+        # Forwarding what arrived, unread, costs what sending it did.
+        assert len(encode_frame(decoded)) == len(frame)
+        assert typed(decoded) == typed(message)
+        assert decoded == message
+
+    def test_escape_column_keeps_value_and_type(self):
+        values = ("s", 1.5, None, True, False, (1, ("n", 2)), 2**63, -(2**63) - 1, 2**63 - 1, -(2**63), 0)
+        stream = [Tuple("R", values), Tuple("R", (7,)), Tuple("é", ())]
+        seq, batch = decode_frame(encode_frame(("ingest", 2**65, stream)))[1:]
+        assert seq == 2**65
+        assert list(batch) == stream and batch[0].values == values
+        assert [type(v) for v in batch[0].values] == [type(v) for v in values]
+        assert batch[-1] == stream[-1] and len(batch) == 3
+        # Only what is in the closed tag set travels, as itself: no coercion.
+        with pytest.raises(FrameProtocolError, match="tag set"):
+            encode_frame(("ingest", 0, [Tuple("R", (bytearray(b"x"),))]))
+        with pytest.raises(FrameProtocolError, match="tag set"):
+            encode_frame(("config", {1, 2}))
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(message=TREES | INGESTS | MATCHES, flips=st.lists(st.integers(0, 255), min_size=3, max_size=3))
+    def test_prefixes_truncations_and_mutations_decode_or_refuse(self, message, flips):
+        frame = encode_frame(message)
+        body = frame[HEADER_SIZE:]
+        for cut in range(len(frame)):
+            with pytest.raises(FrameProtocolError):  # the prefix no longer fits the body
+                decode_frame(frame[:cut])
+            decodes_or_refuses(body[:cut])
+        for index, byte in enumerate(body):
+            for replacement in {0x00, 0xFF, byte ^ 0x80, (byte + 1) & 0xFF, *flips} - {byte}:
+                decodes_or_refuses(body[:index] + bytes([replacement]) + body[index + 1 :])
+
+    @pytest.mark.parametrize(
+        "body, reason",
+        [
+            # a list of 2**32 - 1 elements in a six-byte body
+            (b"\x09" + struct.pack("<I", 0xFFFFFFFF), "exceeds the cap"),
+            # under the cap, but more elements than bytes remain
+            (b"\x09" + struct.pack("<I", 1000) + b"\x00\x00\x00", "remain"),
+            (b"\x06" + struct.pack("<I", 1 << 20) + b"abc", "remain"),
+            (b"\x0a" + struct.pack("<I", 3) + b"\x00\x00\x00\x00\x00", "remain"),
+            # ingest: a name table past the cap; a million tuples in forty bytes
+            (b"I\x00" + struct.pack("<IIIII", MAX_TABLE + 1, 0, 0, 0, 0), "cap"),
+            (b"I\x00" + struct.pack("<IIIII", 1, 1, MAX_ELEMENTS, 0, 0) + b"\x00" * 16, "remain"),
+            (b"I\x00" + struct.pack("<IIIII", 1, 1, MAX_ELEMENTS + 1, 0, 0), "cap"),
+            # matches: label sets / entries that cannot fit
+            (b"M\x00" + struct.pack("<IIII", MAX_TABLE + 1, 0, 0, 0), "cap"),
+            (b"M\x00" + struct.pack("<IIII", 1, 0, 0, MAX_ELEMENTS) + b"\x00" * 16, "remain"),
+        ],
+    )
+    def test_counts_are_refused_before_anything_is_allocated(self, body, reason):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FrameProtocolError, match=reason):
+                decode_body(body)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024  # the exception and its message, not a column
+
+    def test_nesting_is_capped_both_ways(self):
+        nested = []
+        for _ in range(MAX_DEPTH + 4):
+            nested = [nested]
+        with pytest.raises(FrameProtocolError, match="nests deeper"):
+            encode_frame(nested)
+        body = (b"\x09" + struct.pack("<I", 1)) * (MAX_DEPTH + 4) + b"\x00"
+        with pytest.raises(FrameProtocolError, match="nests deeper"):
+            decode_body(body)
+        fits = None
+        for _ in range(MAX_DEPTH):
+            fits = [fits]
+        assert decode_frame(encode_frame(fits)) == fits
+
+    def test_a_pickle_body_is_refused_by_name_and_never_read(self, tmp_path):
+        canary = tmp_path / "decoded-a-pickle"
+        body = pickle.dumps(_Touch(str(canary)), protocol=pickle.HIGHEST_PROTOCOL)
+        with pytest.raises(FrameProtocolError, match="protocol version 1"):
+            decode_body(body)
+        assert not canary.exists()
+
+
+class _Touch:
+    """Unpickling an instance creates the file it names."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
 
 
 class TestProtocolValidation:
@@ -198,16 +412,25 @@ class TestProtocolValidation:
         ],
     )
     def test_malformed_messages_rejected(self, message):
+        """Whatever a peer encodes, the decoder or the admission gate refuses
+        it (an ingest item that is not a well-formed Tuple never decodes to
+        an ingest batch)."""
         with pytest.raises(FrameProtocolError):
-            validate_client_message(message)
+            validate_client_message(decode_frame(encode_frame(message)))
 
     def test_wellformed_messages_pass(self):
-        validate_client_message(("hello", 1))
-        validate_client_message(("subscribe", QUERY_A, 10, "qa"))
-        validate_client_message(("subscribe", None, None, None))
-        validate_client_message(("unsubscribe", 3))
-        validate_client_message(("ingest", 0, [Tuple("A", (1, "x"))]))
-        validate_client_message(("ping", "token"))
+        for message in (
+            ("hello", 1),
+            ("subscribe", QUERY_A, 10, "qa"),
+            ("subscribe", None, None, None),
+            ("unsubscribe", 3),
+            ("ingest", 0, [Tuple("A", (1, "x"))]),
+            ("ping", "token"),
+        ):
+            assert validate_client_message(decode_frame(encode_frame(message))) == message
+        # Only what the decoder built is admitted as an ingest batch.
+        with pytest.raises(FrameProtocolError, match="non-empty batch"):
+            validate_client_message(("ingest", 0, [Tuple("A", (1, "x"))]))
 
 
 # --------------------------------------------------------------------------
@@ -218,7 +441,7 @@ class TestRoundTrip:
         with ServerThread(engine) as st:
             with IngestClient(st.host, st.port) as client:
                 version, kind = client.hello()
-                assert version == 1 and kind == "MultiQueryEngine"
+                assert version == PROTOCOL_VERSION == 2 and kind == "MultiQueryEngine"
                 handle_id, name, window = client.subscribe(QUERY_A, WINDOW, name="qa")
                 assert (handle_id, name, window) == (0, "qa", WINDOW)
                 seq = client.ingest(stream)
@@ -241,6 +464,19 @@ class TestRoundTrip:
             assert base == expected_base
             assert count == len(stream[start : start + 7])
             expected_base += count
+
+    def test_deep_pipeline_of_one_tuple_frames(self):
+        """Hundreds of frames in flight and as many replies buffered: both
+        client-side FIFOs are deques (popping the head of a list is O(n))."""
+        stream = star_stream(1500)
+        with ServerThread(MultiQueryEngine()) as st:
+            with IngestClient(st.host, st.port) as client:
+                client.subscribe(QUERY_A, WINDOW)
+                assert isinstance(client._inbox, deque)
+                assert client.ingest_all(stream, frame_size=1, pipeline=700) == (1499, 1)
+                assert len(client.acks) == 1500 and not client._inbox
+                served = matches_digest(client.matches)
+        assert served == direct_digest([QUERY_A], stream)
 
     def test_shared_subscription_fans_out_to_both_clients(self):
         stream = star_stream(150)
@@ -485,10 +721,37 @@ class TestRobustness:
 
     def test_garbage_body_closes_with_error(self, server):
         conn = _RawConnection(server.host, server.port)
-        conn.send(struct.pack("!I", 8) + b"\x00" * 8)
-        assert "unpickle" in conn.expect_error_close()
+        conn.send(struct.pack("!I", 8) + b"\xff" * 8)
+        assert "unknown value tag 0xff" in conn.expect_error_close()
         conn.close()
         self._assert_still_serving(server)
+
+    def test_hostile_pickle_is_error_closed_and_never_unpickled(self, server, tmp_path):
+        """A version-1 peer — or an attacker — frames a pickle whose loading
+        would create a file: the server names the version, closes that
+        connection, creates nothing, and keeps serving."""
+        canary = tmp_path / "unpickled-on-the-server"
+        body = pickle.dumps(
+            ("ingest", 0, [_Touch(str(canary))]), protocol=pickle.HIGHEST_PROTOCOL
+        )
+        conn = _RawConnection(server.host, server.port)
+        conn.send(struct.pack("!I", len(body)) + body)
+        reason = conn.expect_error_close()
+        assert "pickle" in reason and "protocol version 1" in reason
+        assert f"protocol version {PROTOCOL_VERSION}" in reason
+        conn.close()
+        assert not canary.exists()
+        assert server.server.observe()["protocol_errors"] == 1
+        self._assert_still_serving(server)
+        assert not canary.exists()
+
+    def test_hello_with_another_version_is_refused(self, server):
+        with IngestClient(server.host, server.port) as client:
+            client._send(("hello", 1))
+            reply = client._pump_until("welcome", "refused")
+            assert reply[0] == "refused" and "version 2" in reply[1] and "version 1" in reply[1]
+            # Refused, not closed: the same connection can still say it right.
+            assert client.hello() == (PROTOCOL_VERSION, "MultiQueryEngine")
 
     def test_oversized_prefix_closes_with_error(self, server):
         conn = _RawConnection(server.host, server.port)
@@ -552,6 +815,164 @@ class TestRobustness:
                 client.ingest(star_stream(17))
                 with pytest.raises(NetClientError, match="queue bound"):
                     client.ping()
+
+
+# --------------------------------------------------------------------------
+ABC_QUERY = {name: f"Q{name}(x) <- {name}(x)" for name in "ABCDEF"}
+
+
+def six_relation_stream(length: int, seed: int = 5):
+    import random
+
+    rng = random.Random(seed)
+    return [Tuple(rng.choice("ABCDEF"), (rng.randrange(3),)) for _ in range(length)]
+
+
+class TestAdmission:
+    """Tuples no subscription watches are never built, queued or fired — and
+    nothing a client can observe says so: every served run equals a direct
+    ``MultiQueryEngine.process_many`` of the ack-reconstructed stream."""
+
+    def test_five_of_six_relations_unwatched(self):
+        stream = six_relation_stream(600)
+        with ServerThread(MultiQueryEngine(), max_batch=64) as st:
+            with IngestClient(st.host, st.port) as client:
+                client.subscribe(ABC_QUERY["A"], 8)
+                acks = [
+                    client.wait_ack(client.ingest(stream[start : start + 50]))
+                    for start in range(0, 600, 50)
+                ]
+                assert client.ping() == 599
+                served = matches_digest(client.matches)
+            summary = st.server.observe()
+        # Positions and acks count every admitted tuple, watched or not.
+        assert acks == [(start, 50) for start in range(0, 600, 50)]
+        assert summary["tuples_in"] == 600 and summary["position"] == 599
+        assert summary["unwatched"] == sum(1 for tup in stream if tup.relation != "A") > 400
+        assert st.server.metrics.collect()["repro_ingest_unwatched_total"] == summary["unwatched"]
+        assert served == direct_digest([ABC_QUERY["A"]], stream, window=8)
+
+    def test_subscribe_makes_a_relation_watched_between_frames_of_one_burst(self):
+        """frame, subscribe, frame — queued together behind a busy engine: the
+        new query sees exactly the tuples admitted after it."""
+        stream = six_relation_stream(240, seed=9)
+        engine = _SlowFeed(MultiQueryEngine(), delay=0.1)
+        with ServerThread(engine, max_batch=512) as st:
+            with IngestClient(st.host, st.port) as client:
+                client.subscribe(ABC_QUERY["A"], 8)
+                seqs = [client.ingest(stream[:80]), client.ingest(stream[80:160])]
+                client._send(("subscribe", ABC_QUERY["B"], 8, None))
+                seqs.append(client.ingest(stream[160:]))
+                client._pump_until("subscribed")
+                acks = [client.wait_ack(seq) for seq in seqs]
+                served = matches_digest(client.matches)
+            summary = st.server.observe()
+        assert acks == [(0, 80), (80, 80), (160, 80)]
+        # Both later frames sat in the queue at once, the subscribe between
+        # them, and the engine was handed only what each batch watched.
+        assert summary["peak_queue_depth"] >= 160
+        assert engine.batch_sizes[-1] == sum(1 for tup in stream[160:] if tup.relation in "AB")
+        direct = MultiQueryEngine()
+        direct.register(ABC_QUERY["A"], 8)
+        outputs = direct.process_many(stream[:160])
+        direct.register(ABC_QUERY["B"], 8)
+        outputs += direct.process_many(stream[160:])
+        assert served == output_digest(outputs)
+        assert summary["unwatched"] == sum(1 for tup in stream[:160] if tup.relation != "A") + sum(
+            1 for tup in stream[160:] if tup.relation not in "AB"
+        )
+
+    def test_unsubscribe_makes_a_relation_unwatched(self):
+        stream = six_relation_stream(300, seed=3)
+        with ServerThread(MultiQueryEngine(), max_batch=32) as st:
+            with IngestClient(st.host, st.port) as client:
+                client.subscribe(ABC_QUERY["A"], 8)
+                handle_b, _, _ = client.subscribe(ABC_QUERY["B"], 8)
+                client.ingest_all(stream[:150], frame_size=25)
+                before = st.server.observe()["unwatched"]
+                client.unsubscribe(handle_b)
+                client.ingest_all(stream[150:], frame_size=25)
+                client.ping()
+                served = matches_digest(client.matches)
+            summary = st.server.observe()
+        assert before == sum(1 for tup in stream[:150] if tup.relation not in "AB")
+        assert summary["unwatched"] - before == sum(1 for tup in stream[150:] if tup.relation != "A")
+        direct = MultiQueryEngine()
+        direct.register(ABC_QUERY["A"], 8)
+        handle = direct.register(ABC_QUERY["B"], 8)
+        outputs = direct.process_many(stream[:150])
+        direct.unregister(handle)
+        outputs += direct.process_many(stream[150:])
+        assert served == output_digest(outputs)
+
+    @pytest.mark.parametrize("kind", ("wildcard", "unindexed", "workers"))
+    def test_engines_that_watch_everything_get_every_tuple(self, kind):
+        """A wildcard transition, ``indexed=False`` and the sharded coordinator
+        cannot name what they read: same call, no gaps."""
+        from repro.core.pcea import PCEA, PCEATransition
+        from repro.core.predicates import LambdaUnaryPredicate
+
+        stream = six_relation_stream(200, seed=21)
+        close = lambda: None  # noqa: E731
+        if kind == "wildcard":
+            engine = MultiQueryEngine()
+            engine.register(
+                PCEA(
+                    states={"a"},
+                    transitions=[
+                        PCEATransition(set(), LambdaUnaryPredicate(lambda t: True), {}, {"w"}, "a")
+                    ],
+                    final={"a"},
+                ),
+                4,
+            )
+            assert engine.watched_relations() is None
+        elif kind == "unindexed":
+            pcea = compile_query(ABC_QUERY["A"])
+            engine = SingleEngineFeed(StreamingEvaluator(pcea, window=8, indexed=False))
+        else:
+            engine = ShardedEngine(2, start_method="inline")
+            close = engine.close
+        try:
+            with ServerThread(engine, max_batch=64) as st:
+                with IngestClient(st.host, st.port) as client:
+                    if kind == "unindexed":
+                        handle_id, _, _ = client.subscribe(None, None)
+                    else:
+                        handle_id, _, _ = client.subscribe(ABC_QUERY["A"], 8)
+                    client.ingest_all(stream, frame_size=40)
+                    assert client.ping() == 199
+                    served = client.matches.get(handle_id, [])
+                summary = st.server.observe()
+        finally:
+            close()
+        assert summary["unwatched"] == 0 and summary["tuples_in"] == 200
+        direct = MultiQueryEngine()
+        handle = direct.register(ABC_QUERY["A"], 8)
+        expected = [
+            (position, outputs[handle.id])
+            for position, outputs in enumerate(direct.process_many(stream))
+            if outputs
+        ]
+        assert served == expected
+
+    def test_queue_bound_counts_tuples_and_frames_drain_across_batches(self):
+        """One queue entry per frame, still bounded in tuples: a frame larger
+        than ``max_batch`` is drained over several batches and acked once."""
+        stream = six_relation_stream(500, seed=2)
+        engine = _SlowFeed(MultiQueryEngine(), delay=0.002)
+        with ServerThread(engine, max_batch=32, max_queue=200) as st:
+            with IngestClient(st.host, st.port) as client:
+                client.subscribe(ABC_QUERY["A"], 8)
+                client.subscribe(ABC_QUERY["D"], 8)
+                seqs = [client.ingest(stream[start : start + 100]) for start in range(0, 500, 100)]
+                acks = [client.wait_ack(seq) for seq in seqs]
+                served = matches_digest(client.matches)
+            summary = st.server.observe()
+        assert acks == [(start, 100) for start in range(0, 500, 100)]
+        assert summary["batches"] >= 500 // 32 and summary["acks_out"] == 5
+        assert 100 <= summary["peak_queue_depth"] <= 200
+        assert served == direct_digest([ABC_QUERY["A"], ABC_QUERY["D"]], stream, window=8)
 
 
 # --------------------------------------------------------------------------

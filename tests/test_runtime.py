@@ -25,7 +25,7 @@ from repro.core.evaluation import StreamingEvaluator
 from repro.cq.schema import Tuple
 from repro.engine.dsl import atom, conjunction, sequence
 from repro.multi import MergedDispatchIndex, MultiQueryEngine, compile_query
-from repro.runtime import RELEASE_PASS_INTERVAL, EvictionLane, StreamRuntime
+from repro.runtime import RELEASE_PASS_INTERVAL, EvictionLane, SparseBatch, StreamRuntime
 from repro.streams.generators import random_stream
 
 from helpers import SIGMA0
@@ -143,6 +143,60 @@ class TestStreamRuntimeUnits:
         assert results == [2, 4, 6]
         assert seen == [1, 2, 3]
         assert runtime._swept_upto == runtime.position == 2
+
+    @pytest.mark.parametrize("count_stats", (False, True))
+    def test_advance_by_equals_that_many_missed_advances(self, count_stats):
+        """``advance_by(n)`` then the batch's sweep leaves what ``n`` missed
+        updates and that sweep leave: position, ``tuples_processed``, every
+        period-clock firing, the adapt clock, what fell due."""
+
+        def missed(runtime, count):
+            for _ in range(count):
+                runtime.advance()
+                if runtime.count_stats:
+                    runtime.stats.tuples_processed += 1
+
+        def crossed(runtime, count):
+            runtime.advance_by(count)
+
+        states = []
+        for cross in (missed, crossed):
+            runtime = StreamRuntime()
+            runtime.count_stats = count_stats
+            lane = runtime.add_lane(self._lane(window=3))
+            fired, flushed = [], []
+
+            # The observer's two-phase period clock: begin at every 4th
+            # position, finish one later.
+            def begin(runtime=runtime, fired=fired):
+                fired.append(("begin", runtime.position))
+                runtime.obs_arm, runtime.obs_next = finish, runtime.position + 1
+
+            def finish(runtime=runtime, fired=fired):
+                fired.append(("finish", runtime.position))
+                runtime.obs_arm, runtime.obs_next = begin, (runtime.position // 4 + 1) * 4
+
+            runtime.obs_arm, runtime.obs_next = begin, 0
+            runtime.arm_adapt(flushed.append, 5)
+            cross(runtime, 2)
+            node = lane.ds.extend({"a"}, runtime.position, [])
+            lane.hash["k"] = (node, runtime.position)
+            runtime.register_entry(lane, "k", node, runtime.position + 3 + 1)
+            for gap in (1, 3, 7, 1, 12):
+                cross(runtime, gap)
+                due = sorted(bucket for bucket in runtime.buckets if bucket <= runtime.position)
+                runtime.sweep_upto(runtime.position)
+                states.append((
+                    cross.__name__, runtime.position, list(fired), list(flushed),
+                    runtime.obs_next, runtime._next_adapt, runtime._swept_upto, due,
+                    sorted(lane.hash), runtime.evicted, runtime.stats.tuples_processed,
+                ))
+        half = len(states) // 2
+        assert [state[1:] for state in states[:half]] == [state[1:] for state in states[half:]]
+        final = states[-1]
+        assert final[1] == 25 and final[10] == (26 if count_stats else 0)
+        assert ("begin", 24) in final[2] and ("finish", 25) in final[2] and final[3] == [5, 12, 25]
+        assert "k" not in final[8] and final[9] == 1
 
     def test_release_pass_interval_covers_idle_lanes(self):
         runtime = StreamRuntime()
@@ -447,3 +501,121 @@ class TestCompactBucketProtocol:
             fresh.position = position
             fresh.sweep(position)
         assert "k" not in fresh_lane.hash and fresh.evicted == 1
+
+
+# --------------------------------------------------------------------------
+def as_sparse(engine, tuples):
+    """``tuples`` as the ingest server hands them over: only what ``engine``
+    watches is kept, the rest are gaps."""
+    watched = engine.watched_relations()
+    kept = [
+        (offset, tup)
+        for offset, tup in enumerate(tuples)
+        if watched is None or tup.relation in watched
+    ]
+    if len(kept) == len(tuples):
+        return SparseBatch(tuples)
+    return SparseBatch([tup for _, tup in kept], [offset for offset, _ in kept], len(tuples))
+
+
+def ingest_sparse(engine, tuples):
+    """Dense-shaped outputs (one dict per stream position) of a sparse ingest."""
+    batch = as_sparse(engine, tuples)
+    base, outputs = engine.ingest_batch(batch)
+    assert base + len(tuples) - 1 == engine.position
+    dense = [{} for _ in tuples]
+    for offset, output in zip(batch.offsets or range(len(tuples)), outputs):
+        dense[offset] = output
+    return dense
+
+
+class TestSparseBatches:
+    """One ``ingest_batch``: a dense list is the sparse batch with no gaps,
+    and a batch with gaps leaves the engine as the dense one would."""
+
+    QUERIES = [("QA(x, y) <- A(x), B(x, y)", 6), ("QC(x) <- C(x)", 3), ("QB(x, y) <- B(x, y)", 9)]
+
+    def stream(self, length, seed):
+        rng = random.Random(seed)
+        arity = {"A": 1, "B": 2, "C": 1, "U": 1, "V": 2, "W": 1}
+        return [
+            Tuple(name, tuple(rng.randrange(3) for _ in range(arity[name])))
+            for name in (rng.choice("ABCUUVVWW") for _ in range(length))
+        ]
+
+    def engine(self, **kwargs):
+        engine = MultiQueryEngine(collect_stats=True, **kwargs)
+        for text, window in self.QUERIES:
+            engine.register(text, window)
+        return engine
+
+    def fingerprint(self, engine):
+        runtime = engine._runtime
+        return (
+            engine.position, engine.evicted, engine.hash_table_size(), runtime._swept_upto,
+            runtime._next_adapt, sorted(runtime.buckets), vars(engine.stats),
+        )
+
+    @pytest.mark.parametrize("adaptive", (True, False))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sparse_ingest_equals_dense_with_a_restore_inside_a_gap(self, seed, adaptive):
+        from repro.core.adaptive import AdaptiveConfig
+
+        adaptive = AdaptiveConfig(interval=16, min_probes=2) if adaptive else False
+        stream = self.stream(400, seed)
+        dense = self.engine(adaptive=adaptive)
+        sparse = self.engine(adaptive=adaptive)
+        assert set(sparse.watched_relations()) == {"A", "B", "C"}
+        # Cut where unwatched tuples sit on both sides, so the checkpoint is
+        # taken with the stream position inside a gap.
+        cuts = [
+            index for index in range(1, 399)
+            if stream[index - 1].relation in "UVW" and stream[index].relation in "UVW"
+        ]
+        rng = random.Random(seed)
+        bounds = [0] + sorted(rng.sample(cuts, 5)) + [400]
+        for step, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            chunk = stream[start:stop]
+            assert ingest_sparse(sparse, chunk) == dense.process_many(chunk)
+            assert self.fingerprint(sparse) == self.fingerprint(dense)
+            if step == 2:
+                snapshot = sparse.snapshot()
+                sparse = self.engine(adaptive=adaptive)
+                sparse.restore(snapshot)
+        assert dense.stats.tuples_processed == 400 and dense.stats.outputs_enumerated > 0
+
+    def test_a_plain_list_is_the_batch_without_gaps(self):
+        stream = self.stream(120, seed=8)
+        plain, wrapped = self.engine(), self.engine()
+        base, outputs = plain.ingest_batch(stream)
+        assert (base, outputs) == wrapped.ingest_batch(SparseBatch(stream))
+        assert base == 0 and outputs == self.engine().process_many(stream)
+        # Nothing watched at all: the batch is one gap.
+        idle = MultiQueryEngine(collect_stats=True)
+        assert idle.ingest_batch(as_sparse(idle, stream)) == (0, [])
+        assert idle.position == 119 and idle.stats.tuples_processed == 120
+
+    def test_observer_spans_count_the_same_per_kind(self):
+        from collections import Counter
+
+        from repro.obs import Observer, TraceRecorder
+
+        stream = self.stream(600, seed=4)
+        kinds = []
+        for ingest in (lambda engine, chunk: engine.process_many(chunk), ingest_sparse):
+            observer = Observer(trace=TraceRecorder(sample_every=8), sample_every=8)
+            engine = self.engine()
+            engine.attach_observer(observer)
+            outputs = []
+            for start in range(0, 600, 75):
+                outputs += ingest(engine, stream[start : start + 75])
+            spans = observer.trace.spans()
+            kinds.append((
+                Counter(span[0] for span in spans),
+                [span[3]["position"] for span in spans if span[0] == "tuple"],
+                [span[3]["tuples"] for span in spans if span[0] == "batch"],
+                observer.metrics.collect()["repro_batch_tuples_total"],
+                outputs,
+            ))
+        assert kinds[0] == kinds[1]
+        assert kinds[0][0]["tuple"] >= 600 // 8 - 1 and kinds[0][0]["batch"] == 8

@@ -2,8 +2,9 @@
 
 Five layers:
 
-* frame-protocol units — the length-prefixed pickled frames must round-trip,
-  reject torn/corrupted frames, and pin ``pickle.HIGHEST_PROTOCOL``;
+* pipe-frame units — the length-prefixed pickled frames of the worker pipes
+  (``repro.shard.pipes``, the one place pickle lives) must round-trip, reject
+  torn/corrupted frames, and pin ``pickle.HIGHEST_PROTOCOL``;
 * placement units — the policies are deterministic, in-range, and spread;
 * lane-subset snapshot units — ``extract_queries``/``adopt_queries`` move a
   query's live state between engines and reject mismatched positions,
@@ -46,8 +47,8 @@ from repro.shard import (
     ShardError,
     ShardWorker,
     WorkerDied,
-    decode_frame,
-    encode_frame,
+    pickle_frame,
+    unpickle_frame,
 )
 
 from helpers import SIGMA0, streams_strategy
@@ -120,43 +121,43 @@ class TestFrames:
 
     @pytest.mark.parametrize("message", MESSAGES, ids=lambda m: m[0])
     def test_roundtrip(self, message):
-        assert decode_frame(encode_frame(message)) == message
+        assert unpickle_frame(pickle_frame(message)) == message
 
     def test_protocol_is_highest(self):
         # The spawn-safety satellite pins HIGHEST_PROTOCOL; the second byte
         # of a pickled stream is the protocol number of the PROTO opcode.
         assert PICKLE_PROTOCOL == pickle.HIGHEST_PROTOCOL
-        frame = encode_frame(("ping",))
+        frame = pickle_frame(("ping",))
         assert frame[4] == 0x80  # PROTO opcode
         assert frame[5] == pickle.HIGHEST_PROTOCOL
 
     def test_length_prefix_matches_body(self):
-        frame = encode_frame(("ping",))
+        frame = pickle_frame(("ping",))
         assert int.from_bytes(frame[:4], "big") == len(frame) - 4
 
     def test_truncated_frame_rejected(self):
-        frame = encode_frame(("ping",))
+        frame = pickle_frame(("ping",))
         with pytest.raises(FrameProtocolError, match="length prefix"):
-            decode_frame(frame[:-1])
+            unpickle_frame(frame[:-1])
 
     def test_short_frame_rejected(self):
         with pytest.raises(FrameProtocolError, match="shorter than"):
-            decode_frame(b"\x00\x01")
+            unpickle_frame(b"\x00\x01")
 
     def test_corrupted_prefix_rejected(self):
-        frame = encode_frame(("ping",))
+        frame = pickle_frame(("ping",))
         with pytest.raises(FrameProtocolError, match="length prefix"):
-            decode_frame(b"\xff\xff\xff\xff" + frame[4:])
+            unpickle_frame(b"\xff\xff\xff\xff" + frame[4:])
 
     def test_garbage_body_rejected(self):
         body = b"not a pickle"
         frame = len(body).to_bytes(4, "big") + body
         with pytest.raises(FrameProtocolError, match="unpickle"):
-            decode_frame(frame)
+            unpickle_frame(frame)
 
     def test_unpicklable_message_rejected(self):
         with pytest.raises(FrameProtocolError, match="not picklable"):
-            encode_frame(("call", lambda: None))
+            pickle_frame(("call", lambda: None))
 
     def test_channel_counts_frames_and_bytes(self):
         import multiprocessing
