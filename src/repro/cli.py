@@ -256,27 +256,6 @@ def _add_engine_arguments(
         _add_adaptive_arguments(parser)
 
 
-def _add_worker_arguments(parser: argparse.ArgumentParser) -> None:
-    """The ``repro.shard`` switches of ``multi`` and ``serve``."""
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="shard the queries across N worker processes (repro.shard); matches "
-        "are identical to the shared single-process engine, per-event work is "
-        "divided across the workers (0 = in-process engine; 'multi' then "
-        "implies --batch-size 256 unless given)",
-    )
-    parser.add_argument(
-        "--start-method",
-        choices=("spawn", "fork", "forkserver", "inline"),
-        default="spawn",
-        help="how --workers processes start (default spawn; 'inline' runs the "
-        "shards in-process behind the same frame protocol, for debugging)",
-    )
-
-
 def _add_adaptive_arguments(parser: argparse.ArgumentParser) -> None:
     """The adaptive-dispatch toggle, identical on every engine mode."""
     group = parser.add_mutually_exclusive_group()
@@ -450,7 +429,6 @@ def build_multi_parser() -> argparse.ArgumentParser:
         help="a query to register (repeatable), e.g. \"Q(x, y) <- T(x), S(x, y)\"",
     )
     _add_engine_arguments(parser, per_query_windows=True)
-    _add_worker_arguments(parser)
     _add_checkpoint_arguments(parser)
     return parser
 
@@ -682,48 +660,16 @@ def run_multi(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO)
     if conflict:
         print(f"error: {conflict}", file=sys.stderr)
         return 2
-    workers = getattr(args, "workers", 0) or 0
-    if workers:
-        conflict = _workers_conflict(args)
-        if conflict:
-            print(f"error: {conflict}", file=sys.stderr)
-            return 2
     try:
-        if workers:
-            from repro.shard import ShardedEngine
-
-            engine = ShardedEngine(
-                workers,
-                start_method=args.start_method,
-                collect_stats=args.stats,
-                arena=not args.no_arena,
-                kernel=args.kernel,
-                adaptive=args.adaptive,
-            )
-        else:
-            engine = MultiQueryEngine(
-                collect_stats=args.stats,
-                arena=not args.no_arena,
-                kernel=args.kernel,
-                adaptive=args.adaptive,
-            )
+        engine = MultiQueryEngine(
+            collect_stats=args.stats,
+            arena=not args.no_arena,
+            kernel=args.kernel,
+            adaptive=args.adaptive,
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return _run_multi_engine(args, engine, events, output, workers)
-    finally:
-        if workers:
-            engine.close()
-
-
-def _run_multi_engine(
-    args: argparse.Namespace, engine, events: Iterable[Tuple], output: TextIO, workers: int
-) -> int:
-    """The multi-mode evaluation loop, over either engine flavour."""
-    windows = args.windows or [1000]
-    if len(windows) == 1:
-        windows = windows * len(args.queries)
     try:
         # Attached before registration so the index-patch spans of the
         # initial --query registrations land in the trace.
@@ -748,10 +694,6 @@ def _run_multi_engine(
         # checkpoint's; rebuild the name table from the restored handles.
         names = {handle.id: handle.name for handle in engine.handles()}
     batch_size = getattr(args, "batch_size", 0) or 0
-    if workers and batch_size == 0:
-        # A per-event round-trip to every worker drowns the evaluation in
-        # frame latency; sharded runs default to batched ingestion.
-        batch_size = 256
     interval = getattr(args, "stats_interval", 0) or 0
     next_report = interval if interval else None
     matches = {qid: 0 for qid in names}
@@ -798,49 +740,11 @@ def _run_multi_engine(
     )
     if args.stats:
         _print_stats(engine, output)
-        if workers:
-            shard = engine.observe()["shard"]
-            print(
-                f"# shard: workers={shard['workers']} "
-                f"start_method={shard['start_method']} "
-                f"batches={shard['batches']} "
-                f"rebalances={shard['rebalances']} "
-                f"recoveries={shard['recoveries']} "
-                f"fan_in_matches={shard['fan_in_matches']} "
-                f"frames_sent={shard['frames_sent']} "
-                f"bytes_sent={shard['bytes_sent']} "
-                f"busy_max={shard['busy_seconds_max']:.3f}s",
-                file=output,
-            )
     if getattr(args, "checkpoint", None) and not _write_checkpoint(engine, args.checkpoint):
         return 2
     if not _finish_observability(args, observer, output):
         return 2
     return 0
-
-
-def _workers_conflict(args: argparse.Namespace) -> Optional[str]:
-    """Fail-fast message for flags the sharded coordinator cannot honour."""
-    if args.workers < 1:
-        return "--workers must be a positive worker count"
-    if args.no_arena:
-        return (
-            "--workers requires arena-backed query lanes — recovery and "
-            "rebalancing ride on lane snapshots (drop --no-arena)"
-        )
-    if getattr(args, "checkpoint", None) or getattr(args, "restore", None):
-        return (
-            "--checkpoint/--restore files are single-engine snapshots; the "
-            "sharded coordinator keeps its own in-memory checkpoints (drop "
-            "--workers or the checkpoint flags)"
-        )
-    if getattr(args, "trace", None):
-        return (
-            "--trace records in-process spans; worker processes are not "
-            "traced (drop --trace or --workers; --metrics-file and --stats "
-            "work with --workers)"
-        )
-    return None
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -903,7 +807,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="exit once N clients have connected and all of them are gone "
         "(0 = serve until SIGINT/SIGTERM; used by the CI smoke)",
     )
-    _add_worker_arguments(parser)
     _add_engine_arguments(parser, stream=False)
     _add_observability_arguments(parser)
     return parser
@@ -914,27 +817,13 @@ def run_serve(args: argparse.Namespace, output: TextIO) -> int:
     import asyncio
     import signal
 
+    from repro.multi import MultiQueryEngine
     from repro.net.server import IngestServer
 
     conflict = _kernel_conflict(args)
     if conflict:
         print(f"error: {conflict}", file=sys.stderr)
         return 2
-    workers = args.workers or 0
-    if workers:
-        if args.no_arena:
-            print(
-                "error: --workers requires arena-backed query lanes (drop --no-arena)",
-                file=sys.stderr,
-            )
-            return 2
-        if getattr(args, "trace", None):
-            print(
-                "error: --trace records in-process spans; worker processes "
-                "are not traced (drop --trace or --workers)",
-                file=sys.stderr,
-            )
-            return 2
     observer = None
     sample = getattr(args, "trace_sample", None)
     if args.metrics_file or args.trace or sample is not None:
@@ -951,26 +840,12 @@ def run_serve(args: argparse.Namespace, output: TextIO) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     try:
-        if workers:
-            from repro.shard import ShardedEngine
-
-            engine = ShardedEngine(
-                workers,
-                start_method=args.start_method,
-                collect_stats=args.stats,
-                arena=not args.no_arena,
-                kernel=args.kernel,
-                adaptive=args.adaptive,
-            )
-        else:
-            from repro.multi import MultiQueryEngine
-
-            engine = MultiQueryEngine(
-                collect_stats=args.stats,
-                arena=not args.no_arena,
-                kernel=args.kernel,
-                adaptive=args.adaptive,
-            )
+        engine = MultiQueryEngine(
+            collect_stats=args.stats,
+            arena=not args.no_arena,
+            kernel=args.kernel,
+            adaptive=args.adaptive,
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -999,7 +874,6 @@ def run_serve(args: argparse.Namespace, output: TextIO) -> int:
                 pass  # non-unix loop: ctrl-C lands as KeyboardInterrupt below
         print(
             f"# serving host={server.host} port={server.port} "
-            f"engine={'sharded' if workers else 'multi'} "
             f"max_batch={server.max_batch} max_queue={server.max_queue} "
             f"max_outbox={server.max_outbox} shed_policy={server.shed_policy}",
             file=output,
@@ -1011,33 +885,29 @@ def run_serve(args: argparse.Namespace, output: TextIO) -> int:
         await server.serve_forever()
 
     try:
-        try:
-            asyncio.run(_serve())
-        except KeyboardInterrupt:
-            pass
-        summary = server.observe()
-        print(
-            f"# net: clients_served={summary['clients_served']} "
-            f"frames_in={summary['frames_in']} tuples_in={summary['tuples_in']} "
-            f"unwatched={summary['unwatched']} batches={summary['batches']} "
-            f"match_frames_out={summary['match_frames_out']} "
-            f"acks_out={summary['acks_out']} shed={summary['shed']} "
-            f"protocol_errors={summary['protocol_errors']} "
-            f"peak_queue_depth={summary['peak_queue_depth']} "
-            f"peak_outbox={summary['peak_outbox']} position={summary['position']}",
-            file=output,
-        )
-        if args.stats:
-            _print_stats(engine, output)
-        if not _finish_observability(args, observer, output):
-            return 2
-        if server.driver_error is not None:
-            print(f"error: engine failed mid-batch: {server.driver_error!r}", file=sys.stderr)
-            return 1
-        return 0
-    finally:
-        if workers:
-            engine.close()
+        asyncio.run(_serve())
+    except KeyboardInterrupt:
+        pass
+    summary = server.observe()
+    print(
+        f"# net: clients_served={summary['clients_served']} "
+        f"frames_in={summary['frames_in']} tuples_in={summary['tuples_in']} "
+        f"unwatched={summary['unwatched']} batches={summary['batches']} "
+        f"match_frames_out={summary['match_frames_out']} "
+        f"acks_out={summary['acks_out']} shed={summary['shed']} "
+        f"protocol_errors={summary['protocol_errors']} "
+        f"peak_queue_depth={summary['peak_queue_depth']} "
+        f"peak_outbox={summary['peak_outbox']} position={summary['position']}",
+        file=output,
+    )
+    if args.stats:
+        _print_stats(engine, output)
+    if not _finish_observability(args, observer, output):
+        return 2
+    if server.driver_error is not None:
+        print(f"error: engine failed mid-batch: {server.driver_error!r}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def build_net_client_parser() -> argparse.ArgumentParser:

@@ -133,7 +133,7 @@ def resolve_config(adaptive: Any) -> Optional[AdaptiveConfig]:
 
 def _group_rank(group: EvalGroup) -> Tup[int, int]:
     # Most-selective-first: fewest observed hits, canonical order tie-break.
-    return (group.rep.hits, group.order)
+    return (group.rep.hits, group.index)
 
 
 class _RelationAdapter:

@@ -83,18 +83,18 @@ class EvalGroup:
     Equal canonical keys accept exactly the same tuples, so one ``accepts``
     call decides the whole group.  ``rep`` is the first member in canonical
     order; its ``hits`` slot is the group's hit counter (bumped by the fire
-    loop when the group holds) and its ``order`` the deterministic tie-break
+    loop when the group holds) and its ``index`` the deterministic tie-break
     adaptive reordering uses.
     """
 
-    __slots__ = ("accepts", "members", "rep", "order")
+    __slots__ = ("accepts", "members", "rep", "index")
 
     def __init__(self, members: Tup[Any, ...]) -> None:
         rep = members[0]
         self.accepts = rep.accepts
         self.members = members
         self.rep = rep
-        self.order = rep.order
+        self.index = rep.index
 
 
 class EvalPlan:
@@ -128,7 +128,7 @@ class EvalPlan:
 
 
 def member_order(member) -> int:
-    return member.order
+    return member.index
 
 
 def plan_of(members: Sequence) -> EvalPlan:
@@ -189,7 +189,7 @@ class PlanIndex:
     tuples (wildcards merged in); ``guarded`` holds, for relations with
     constant-guarded members, the :func:`_split_by_guard` refinement;
     ``wildcard_plan`` serves every other relation.  Members expose
-    ``pred_key`` / ``accepts`` / ``guard`` / ``order`` / ``hits``.
+    ``pred_key`` / ``accepts`` / ``guard`` / ``index`` / ``hits``.
     """
 
     def __init__(self) -> None:
@@ -305,13 +305,12 @@ class CompiledTransition:
     what UpdateIndices walks for a node this transition created — and
     ``store_through`` says the node need not be built first: a source-less,
     non-final transition into a one-slot state is written straight onto that
-    slot's entry (``DS_w.extend_onto``).  ``order`` (the index again) is the
-    canonical candidate rank plan members expose.
+    slot's entry (``DS_w.extend_onto``).  ``index``, the transition's position
+    in the automaton, is its canonical candidate rank.
     """
 
     __slots__ = (
         "index",
-        "order",
         "transition",
         "unary",
         "accepts",
@@ -330,7 +329,7 @@ class CompiledTransition:
     )
 
     def __init__(self, index: int, transition: "PCEATransition") -> None:
-        self.index = self.order = index
+        self.index = index
         self.transition = transition
         self.unary = transition.unary
         self.accepts = compile_acceptor(transition.unary)
@@ -379,25 +378,26 @@ class MergedEntry:
     ``since`` is the first stream position the query observed (``-1``: all of
     it).  ``pred_key`` is the predicate-group key — the canonical key itself
     in a binding, its dense *interned* id in the merged index, where grouping
-    then hashes a plain int instead of a nested tuple — and ``order`` the
-    canonical candidate rank (transition order; in the merged index
-    registration order, then transition order within a query).
+    then hashes a plain int instead of a nested tuple — and ``index`` the
+    canonical candidate rank, named as on :class:`CompiledTransition`
+    (transition order; in the merged index a counter in registration order,
+    then transition order within a query).
     """
 
     __slots__ = (
-        "owner", "handle", "compiled", "accepts", "pred_key", "guard", "order", "hits",
+        "owner", "handle", "compiled", "accepts", "pred_key", "guard", "index", "hits",
         "probes", "consumers", "target_id", "since",
     )  # fmt: skip
 
     def __init__(
-        self, owner: object, compiled: CompiledTransition, pred_key: Hashable, order: int
+        self, owner: object, compiled: CompiledTransition, pred_key: Hashable, index: int
     ) -> None:
         self.owner = self.handle = owner
         self.compiled = compiled
         self.accepts = compiled.accepts
         self.pred_key = pred_key
         self.guard: Optional[Tup[int, object]] = compiled.guard
-        self.order = order
+        self.index = index
         # Hit counter: bumped when this entry leads a predicate group whose
         # unary held, halved at every adaptive flush.  Feedback only —
         # excluded from signature().
@@ -522,12 +522,6 @@ class TransitionDispatchIndex(PlanIndex):
             PlanIndex(),
             [MergedEntry(owner, c, c.pred_key, c.index) for c in self._all],
         )
-
-    def __reduce__(self):
-        # Pickled as its constructor arguments: compiled closures do not
-        # pickle, and a compiled automaton must still cross process boundaries.
-        transitions = tuple(c.transition for c in self._all)
-        return (type(self), (transitions, self.indexed, self.final))
 
     def _intern(self, state: State) -> int:
         state_id = self.state_ids.get(state)

@@ -343,5 +343,4 @@ def hcq_to_pcea(query: ConjunctiveQuery, force_general: bool = False) -> PCEA:
             pcea = _general_construction(query, tree)
         else:
             pcea = _simple_construction(query, tree)
-    pcea.dispatch_index()  # build the transition dispatch index at compile time
     return pcea

@@ -150,9 +150,10 @@ class PCEA:
     def dispatch_index(self):
         """The compile-once transition dispatch index (cached on the automaton).
 
-        The HCQ compiler and the pattern compiler call this eagerly so the
-        index is paid for at compilation time; the streaming evaluator picks
-        it up for free.  See :mod:`repro.core.dispatch`.
+        Built by the first call (every engine makes one at construction) and
+        shared by later engines; the compilers never build it, since a
+        pattern's conjunction is compiled only for its transitions.  See
+        :mod:`repro.core.dispatch`.
         """
         if self._dispatch_index is None:
             from repro.core.dispatch import TransitionDispatchIndex

@@ -40,8 +40,8 @@ Key = Hashable
 # positions forming the key (``None``: the ``("*",)`` component of a shared
 # variable the atom lacks), ``checks`` the atom's residual tests (see
 # ``Atom.__post_init__``); without ``exact`` longer tuples pass too.  Plans are
-# plain tuples: predicates stay picklable, and structurally identical sides
-# compile to one interned extractor (``is``-comparable by the fire loop).
+# plain tuples: structurally identical sides compile to one interned extractor
+# (``is``-comparable by the fire loop).
 _WILDCARD = ("*",)
 _PLAN_CACHE = 4096
 _COMPARISONS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,

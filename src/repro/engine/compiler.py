@@ -159,7 +159,9 @@ def _compile_conjunction(
     )
     try:
         pcea = hcq_to_pcea(query)
-    except Exception as exc:  # noqa: BLE001 - surface a domain-specific error
+    except (ValueError, KeyError) as exc:
+        # NotHierarchicalError is a ValueError; the structure tree raises
+        # ValueError/KeyError.  Anything else is a bug and propagates as is.
         raise PatternCompilationError(
             f"conjunction {pattern} is not a hierarchical pattern: {exc}"
         ) from exc
@@ -286,6 +288,4 @@ def compile_pattern(pattern: Pattern) -> PCEA:
         raise PatternCompilationError("pattern has no atoms")
     labels = list(range(len(atom_patterns)))
     fragment = _compile(pattern, labels, ())
-    pcea = PCEA(fragment.states, fragment.transitions, fragment.final, labels=labels)
-    pcea.dispatch_index()  # build the transition dispatch index at compile time
-    return pcea
+    return PCEA(fragment.states, fragment.transitions, fragment.final, labels=labels)

@@ -62,10 +62,8 @@ from repro.runtime import (
     fire,
 )
 from repro.runtime.snapshot import (
-    PARTIAL_SNAPSHOT_KIND,
     SNAPSHOT_VERSION,
     SnapshotError,
-    check_partial_snapshot,
     check_snapshot_header,
     stable_signature,
 )
@@ -157,8 +155,9 @@ class MultiQueryEngine(RuntimeBackedEngine):
         self._runtime = StreamRuntime()
         self._runtime.count_stats = collect_stats
         self._queries: Dict[int, _Registered] = {}
-        # window -> the store a registration under that window joins (stores
-        # adopted from another engine are reachable through their queries only).
+        # window -> the store a registration under that window joins (a
+        # restored lane marked not ``joinable`` is reachable through its
+        # queries only).
         self._stores: Dict[int, _Store] = {}
         self._merged = MergedDispatchIndex(())
         for entry in self.registry.entries():
@@ -349,34 +348,6 @@ class MultiQueryEngine(RuntimeBackedEngine):
         return outputs
 
     # ------------------------------------------------------- snapshot protocol
-    def _lookup(self, handles: Sequence[QueryHandle]) -> List[_Registered]:
-        queries = []
-        for handle in handles:
-            query = self._queries.get(handle.id)
-            if query is None:
-                raise KeyError(f"no registered query with handle {handle}")
-            queries.append(query)
-        return queries
-
-    def _capture(self, queries: Sequence[_Registered]):
-        """Where ``queries`` sit and what their stores hold — the sections
-        :meth:`snapshot` and :meth:`extract_queries` share — plus the bucket
-        lane index (runtime lane id -> position in ``"lanes"``)."""
-        stores = list(dict.fromkeys(query.store for query in queries))
-        where = {store: index for index, store in enumerate(stores)}
-        lanes = []
-        for store in stores:
-            lane = store.snapshot()
-            lane["next_slot"] = store.next_slot
-            lane["joinable"] = self._stores.get(store.window) is store
-            lanes.append(lane)
-        tree = {
-            "snapshot_version": SNAPSHOT_VERSION,
-            "placement": [(where[query.store], query.since, query.slots) for query in queries],
-            "lanes": lanes,
-        }
-        return tree, {store.lane_id: index for store, index in where.items()}
-
     def _check_seating(self, queries: Sequence[_Registered], placement, lanes) -> None:
         """Everything :meth:`_seat` relies on, checked before anything moves."""
         if not self._arena:
@@ -398,9 +369,9 @@ class MultiQueryEngine(RuntimeBackedEngine):
                 raise SnapshotError(f"query {query.handle} does not fit its snapshot slot table")
 
     def _seat(self, queries: Sequence[_Registered], placement, lanes) -> List[_Store]:
-        """Open the snapshot's stores and move ``queries`` (already out of the
-        index) into them, where and since when the snapshot says; returns the
-        stores, restored, in snapshot order."""
+        """Open the snapshot's stores and move ``queries`` into them, where
+        and since when the snapshot says; returns the stores, restored, in
+        snapshot order."""
         stores = []
         for lane in lanes:
             store = self._open_store(lane["window"])
@@ -412,87 +383,6 @@ class MultiQueryEngine(RuntimeBackedEngine):
         for query, (where, since, slots) in zip(queries, placement):
             self._enter(query, stores[where], int(since), tuple(slots))
         return stores
-
-    def extract_queries(self, handles: Sequence[QueryHandle]) -> Dict[str, object]:
-        """A store-scoped snapshot of ``handles``'s queries, non-destructively.
-
-        The unit of *query migration*: everything another engine standing at
-        the same stream position needs to continue evaluating these queries
-        bit-identically — where each query sits (store, first observed
-        position, slot table), each involved store's enumeration structure
-        (refcounts included) with the part of its hash table the queries read
-        and its expiry-bucket triples, the stream position, and per-query
-        dispatch signatures for :meth:`adopt_queries` to verify.  This engine
-        is untouched; callers migrating a query extract, then
-        :meth:`unregister`, and the adopting engine registers the same
-        specification, then adopts.
-        """
-        queries = self._lookup(handles)
-        partial, lane_index = self._capture(queries)
-        for index, lane in enumerate(partial["lanes"]):
-            read = {
-                slot
-                for where, _, slots in partial["placement"]
-                if where == index
-                for slot in slots
-            }
-            lane["hash"] = [item for item in lane["hash"] if item[0][0] in read]
-            lane["joinable"] = False
-        partial.update(
-            kind=PARTIAL_SNAPSHOT_KIND,
-            position=self.position,
-            buckets=self._runtime.extract_bucket_entries(lane_index),
-            signatures=[stable_signature(query.dispatch.signature()) for query in queries],
-        )
-        return partial
-
-    def adopt_queries(
-        self, partial: Dict[str, object], handles: Sequence[QueryHandle]
-    ) -> None:
-        """Adopt the queries extracted by :meth:`extract_queries`.
-
-        ``handles`` name this engine's freshly registered copies of the
-        extracted queries, in the extraction order (same specifications, same
-        windows — verified structurally through the per-query dispatch
-        signatures before any state is touched).  The extracted stores become
-        stores of their own here — sharing is scoped to a store — so nothing
-        of this engine's is renumbered and the adopted queries share with
-        each other exactly as they did.  This engine must stand at the *same
-        stream position* as the extracting engine: positions are what make
-        the migrated entries' window checks and expiry-bucket keys mean the
-        same thing on both sides, so continuation drops and duplicates nothing.
-        """
-        check_partial_snapshot(partial)
-        if int(partial["position"]) != self.position:
-            raise SnapshotError(
-                f"partial snapshot was taken at stream position "
-                f"{partial['position']}, this engine is at {self.position} "
-                "(synchronise the feed before migrating)"
-            )
-        queries = self._lookup(handles)
-        # Validate everything up front: a rejected adopt leaves the engine
-        # exactly as it was.
-        placement, lanes = partial["placement"], partial["lanes"]
-        self._check_seating(queries, placement, lanes)
-        for query, signature in zip(queries, partial["signatures"]):
-            if stable_signature(query.dispatch.signature()) != signature:
-                raise SnapshotError(
-                    f"query {query.handle} does not match the extracted query "
-                    "(dispatch signatures differ)"
-                )
-        swept_upto = self._runtime._swept_upto
-        for expiry_position in partial["buckets"]:
-            if int(expiry_position) <= swept_upto:
-                raise SnapshotError(
-                    f"extracted expiry bucket {expiry_position} is already in "
-                    f"this engine's past (swept up to {swept_upto})"
-                )
-        for query in queries:
-            self._leave(query)
-        stores = self._seat(queries, placement, lanes)
-        for query in queries:
-            self._index(query)
-        self._runtime.absorb_bucket_entries(partial["buckets"], stores)
 
     def snapshot(self) -> Dict[str, object]:
         """The engine's complete evaluation state (see :mod:`repro.runtime.snapshot`).
@@ -507,14 +397,26 @@ class MultiQueryEngine(RuntimeBackedEngine):
         ids are remapped from the snapshot, so output routing and later
         registrations continue exactly as in the snapshotted run.
         """
-        snapshot, lane_index = self._capture(self._ordered())
-        snapshot.update(
-            engine="multi",
-            registry=self.registry.snapshot(),
-            merged_signature=stable_signature(self._merged.signature()),
-            runtime=self._runtime.snapshot(lane_index),
-        )
-        return snapshot
+        queries = self._ordered()
+        stores = list(dict.fromkeys(query.store for query in queries))
+        where = {store: index for index, store in enumerate(stores)}
+        lanes = []
+        for store in stores:
+            lane = store.snapshot()
+            lane["next_slot"] = store.next_slot
+            lane["joinable"] = self._stores.get(store.window) is store
+            lanes.append(lane)
+        return {
+            "snapshot_version": SNAPSHOT_VERSION,
+            "engine": "multi",
+            "registry": self.registry.snapshot(),
+            "merged_signature": stable_signature(self._merged.signature()),
+            "placement": [(where[query.store], query.since, query.slots) for query in queries],
+            "lanes": lanes,
+            "runtime": self._runtime.snapshot(
+                {store.lane_id: index for store, index in where.items()}
+            ),
+        }
 
     def restore(self, snapshot: Dict[str, object]) -> None:
         """Adopt ``snapshot``'s state; processing then continues bit-identically.

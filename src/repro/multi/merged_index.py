@@ -51,11 +51,11 @@ them, writing the store slots every sharer's readers probe; with its last
 user it leaves the plans, and what it stored is left to expire.  Every other
 state stays private to its query — a class of one, same mechanism.
 
-Entry iteration order is preserved across patching: ``order`` values are
-assigned from a monotonic counter, so candidates always iterate in
+Entry iteration order is preserved across patching: entry ``index`` values
+are assigned from a monotonic counter, so candidates always iterate in
 registration order then transition order — exactly the order a from-scratch
 rebuild over the surviving queries produces.  :meth:`signature` exposes a
-canonical structural summary (independent of raw order values and interned-id
+canonical structural summary (independent of raw index values and interned-id
 assignment) that the tests compare against a from-scratch rebuild after every
 mutation.
 """
@@ -132,7 +132,7 @@ class MergedDispatchIndex(PlanIndex):
         self._pred_key_counts: Dict[Hashable, int] = {}
         self._free_pred_ids: List[int] = []
         self._next_pred_id = 0
-        self._next_order = 0
+        self._next_index = 0
         self._size = 0
         # Lifetime patch counters (``describe()`` surfaces them; the
         # observability layer additionally times each patch at the engine).
@@ -233,9 +233,9 @@ class MergedDispatchIndex(PlanIndex):
                 if len(cls.users) > 1:
                     continue  # already in the plans, for every user of the class
             entry = MergedEntry(
-                member.store, compiled, self._intern_pred(compiled.pred_key), self._next_order
+                member.store, compiled, self._intern_pred(compiled.pred_key), self._next_index
             )
-            self._next_order += 1
+            self._next_index += 1
             if store is not None:
                 entry.handle = owner if cls is None else cls
                 entry.since = since
@@ -365,8 +365,8 @@ class MergedDispatchIndex(PlanIndex):
         identical* — same candidates in the same order for every possible
         tuple, same predicate groups — iff their signatures are equal.
         The summary tokenises entries as ``(owner rank, transition index)``
-        (independent of raw ``order`` values, which a patched index assigns
-        with gaps) and maps each token to its canonical predicate key
+        (independent of raw entry ``index`` values, which a patched index
+        assigns with gaps) and maps each token to its canonical predicate key
         (independent of interned-id assignment, which a patched index
         recycles).  An entry shared by a class stands for one token per
         user, so the summary does not depend on what is shared either: it is

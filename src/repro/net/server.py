@@ -50,8 +50,7 @@ against a direct in-process engine.
 
 Matches shared by multiple subscribers are encoded **once**
 (:func:`~repro.runtime.frames.encode_frame`) and the same bytes are queued
-to every subscriber — the same encode-once broadcast discipline as the
-shard coordinator's batch fan-out.
+to every subscriber.
 """
 
 from __future__ import annotations
@@ -201,8 +200,7 @@ class IngestServer:
     engine:
         Anything exposing the multi-engine feed surface (``register`` /
         ``unregister`` / ``ingest_batch`` / ``position`` — a
-        :class:`~repro.multi.engine.MultiQueryEngine`, a
-        :class:`~repro.shard.coordinator.ShardedEngine`, or a
+        :class:`~repro.multi.engine.MultiQueryEngine` or a
         :class:`SingleEngineFeed` wrapping a single-query evaluator).
     max_batch:
         Most tuples the driver feeds the engine per batch (and per

@@ -96,10 +96,6 @@ class Observer:
         self._checkpoint_seconds = m.histogram("repro_checkpoint_seconds")
         self._restores = m.counter("repro_restores_total")
         self._restore_seconds = m.histogram("repro_restore_seconds")
-        self._shard_batches = m.counter("repro_shard_batches_total")
-        self._shard_batch_seconds = m.histogram("repro_shard_batch_seconds")
-        self._shard_rebalances = m.counter("repro_shard_rebalances_total")
-        self._shard_rebalance_seconds = m.histogram("repro_shard_rebalance_seconds")
         self._dispatch_reorders = m.counter("repro_dispatch_reorders_total")
         self._guard_promotions = m.counter("repro_guard_promotions_total")
         self._guard_demotions = m.counter("repro_guard_demotions_total")
@@ -145,22 +141,6 @@ class Observer:
         runtime.obs_next = -1
         runtime.obs_sweep_sampled = False
         engine._observer = None
-        self._engines.remove(engine)
-
-    def watch(self, engine) -> None:
-        """Register ``engine`` for pull-model collection only.
-
-        Unlike :meth:`attach`, no hot-path hooks are installed — ``collect``
-        and the exporters just call ``engine.observe()`` into gauges.  This
-        is how the sharded coordinator participates (its workers live in
-        other processes, so there is nothing in *this* process to shim).
-        """
-        if engine in self._engines:
-            raise ValueError("that engine is already being watched")
-        self._engines.append(engine)
-
-    def unwatch(self, engine) -> None:
-        """Stop collecting a :meth:`watch`-registered engine."""
         self._engines.remove(engine)
 
     def observe_lane(self, lane) -> None:
@@ -415,34 +395,6 @@ class Observer:
                 {"reorders": reorders, "promotions": promotions, "demotions": demotions},
             )
 
-    def on_shard_batch(
-        self, count: int, seconds: float, position: int, workers: int
-    ) -> None:
-        """The sharded coordinator finished fanning one batch in."""
-        self._shard_batches.inc()
-        self._shard_batch_seconds.record(seconds)
-        if self.trace is not None:
-            self.trace.record(
-                "shard_batch",
-                _perf() - seconds,
-                seconds,
-                {"position": position, "tuples": count, "workers": workers},
-            )
-
-    def on_rebalance(
-        self, queries: int, seconds: float, source: int, target: int
-    ) -> None:
-        """A live rebalance moved ``queries`` queries between shards."""
-        self._shard_rebalances.inc()
-        self._shard_rebalance_seconds.record(seconds)
-        if self.trace is not None:
-            self.trace.record(
-                "rebalance",
-                _perf() - seconds,
-                seconds,
-                {"queries": queries, "source": source, "target": target},
-            )
-
     # -------------------------------------------------------------- sampling
     def sampled(self, position: int) -> bool:
         """Whether ``position`` falls on the 1-in-N sampling grid."""
@@ -489,17 +441,6 @@ class Observer:
         if ds is not None:
             for field, value in ds.items():
                 gauge(f"repro_ds_{field}").set(value)
-        shard = snapshot.get("shard")
-        if shard is not None:
-            for field, value in shard.items():
-                if isinstance(value, (int, float)):
-                    gauge(f"repro_shard_{field}").set(value)
-            for entry in shard.get("per_shard", ()):
-                labels = {"shard": str(entry["shard"])}
-                gauge("repro_shard_queries", labels).set(entry["queries"])
-                gauge("repro_shard_log_depth", labels).set(entry["log_depth"])
-                gauge("repro_shard_busy_seconds", labels).set(entry["busy_seconds"])
-                gauge("repro_shard_hash_entries", labels).set(entry["hash_entries"])
         if self.trace is not None:
             gauge("repro_trace_spans_total").set(self.trace.total)
             gauge("repro_trace_spans_dropped").set(self.trace.dropped)

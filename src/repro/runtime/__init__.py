@@ -65,9 +65,8 @@ proved out per engine, now in one place.
 The runtime also anchors the cross-layer **snapshot/restore protocol**
 (:mod:`repro.runtime.snapshot`): every layer — arena slabs, lanes, the
 runtime itself, the engines — captures its state as a plain-Python tree that
-pickles directly and JSON-encodes through the tagged codec, so a mid-stream
-checkpoint restored in a fresh process continues bit-identically (the seam
-the multi-process sharding roadmap item builds on).
+JSON-encodes through the tagged codec, so a mid-stream checkpoint restored in
+a fresh process continues bit-identically.
 """
 
 from repro.runtime.core import (

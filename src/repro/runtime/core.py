@@ -590,17 +590,15 @@ class StreamRuntime:
         results = self.drive_batch(tuples, step, sweep=sweep)
         return results, tally[0]
 
-    # ------------------------------------------------- lane-subset extraction
+    # ------------------------------------------------------- bucket transfer
     def extract_bucket_entries(self, lane_index: Dict[int, int]) -> Dict[int, List[object]]:
         """The expiry-bucket triples of the lanes in ``lane_index``, copied out.
 
         ``lane_index`` maps interned lane ids to the dense indexes the caller
-        assigns (every lane for :meth:`snapshot`, the migrating queries'
-        stores for :meth:`MultiQueryEngine.extract_queries
-        <repro.multi.engine.MultiQueryEngine.extract_queries>`); triples of
-        other — or dropped — lanes are left out, the sweep would skip them.
-        Entries always sit in strictly future buckets, so every extracted
-        triple is re-absorbable by a runtime standing at the same position.
+        assigns (the engine's lanes in snapshot order); triples of other — or
+        dropped — lanes are left out, the sweep would skip them.  Entries
+        always sit in strictly future buckets, so every extracted triple is
+        re-absorbable by a runtime standing at the same position.
         """
         extracted: Dict[int, List[object]] = {}
         for expiry_position, entries in self.buckets.items():
@@ -634,8 +632,7 @@ class StreamRuntime:
             if expiry_position <= self._swept_upto:
                 raise ValueError(
                     f"cannot absorb expiry bucket {expiry_position}: this runtime "
-                    f"already swept up to {self._swept_upto} (positions must be "
-                    "synchronised before migrating lanes)"
+                    f"already swept up to {self._swept_upto}"
                 )
             target = own.get(expiry_position)
             if target is None:

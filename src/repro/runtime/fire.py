@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 
 
 def _canonical_order(item) -> int:
-    return item[0].order
+    return item[0].index
 
 
 def fire(plan, tup, position: int, buckets: Optional[Dict[int, list]], stats) -> Optional[Dict]:
@@ -24,7 +24,7 @@ def fire(plan, tup, position: int, buckets: Optional[Dict[int, list]], stats) ->
     run index and ``DS_w`` the member reads and writes — ``compiled`` (the
     :class:`~repro.core.dispatch.CompiledTransition`), its ``probes`` /
     ``consumers`` / ``target_id`` in that store's slot space, the ``handle``
-    its final nodes are collected for, ``since`` and ``order``.  ``buckets``
+    its final nodes are collected for, ``since`` and ``index``.  ``buckets``
     is the runtime's expiry-bucket map, or ``None`` to store entries without
     registering them for eviction; ``stats`` the
     :class:`~repro.runtime.EngineStatistics` to count into, or ``None``.

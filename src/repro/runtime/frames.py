@@ -45,9 +45,7 @@ Byte streams deliver arbitrary chunks, so the prefix is the delimiter: read
 reading the body (:func:`frame_length`), then read exactly that many bytes
 and decode them (:func:`decode_body`).  :class:`FrameAssembler` is that
 state machine for synchronous readers; asyncio readers use ``readexactly``
-with the same two helpers.  (The shard coordinator's worker pipes carry
-arbitrary query objects between a process and its own children, and keep
-pickle for it: :mod:`repro.shard.pipes`.)
+with the same two helpers.
 """
 
 from __future__ import annotations

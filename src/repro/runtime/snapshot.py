@@ -19,7 +19,7 @@ as a plain-Python tree (dicts / lists / tuples / ints / strings / frozensets
   entry table) run through :func:`stable_signature` — so a snapshot can only
   be restored into an engine evaluating the *same* queries.
 
-The trees are directly picklable (no engine objects, no callables, no shared
+The trees are plain data (no engine objects, no callables, no shared
 mutable state with the live engine).  For text-format portability —
 ``repro-cer --checkpoint/--restore`` writes checkpoint files this way — this
 module adds a tagged JSON codec that round-trips the non-JSON-native types:
@@ -175,54 +175,28 @@ def stable_signature(signature: Any) -> Any:
     return signature
 
 
-#: ``kind`` tag of a query-subset (partial) snapshot — the unit of query
-#: migration between engines (see ``MultiQueryEngine.extract_queries``).
-PARTIAL_SNAPSHOT_KIND = "multi-partial"
-
-
-def _check_tree(snapshot: Any, what: str) -> None:
-    if not isinstance(snapshot, dict):
-        raise SnapshotError(f"{what} must be a mapping, got {type(snapshot).__name__}")
-    version = snapshot.get("snapshot_version")
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotError(
-            f"{what} version {version!r} is not supported "
-            f"(this build reads version {SNAPSHOT_VERSION})"
-        )
-
-
-def check_partial_snapshot(snapshot: Any) -> Dict[str, Any]:
-    """Validate a query-subset snapshot's header and section shape.
-
-    Partial snapshots carry a ``kind`` tag instead of the full-engine
-    ``engine`` tag, so a full checkpoint cannot be fed to ``adopt_queries``
-    (or vice versa) by mistake.  Returns the snapshot for chaining.
-    """
-    _check_tree(snapshot, "partial snapshot")
-    kind = snapshot.get("kind")
-    if kind != PARTIAL_SNAPSHOT_KIND:
-        raise SnapshotError(
-            f"expected a {PARTIAL_SNAPSHOT_KIND!r} query-subset snapshot, got {kind!r}"
-        )
-    for section in ("position", "signatures", "placement", "lanes", "buckets"):
-        if section not in snapshot:
-            raise SnapshotError(f"partial snapshot is missing the {section!r} section")
-    if len(snapshot["placement"]) != len(snapshot["signatures"]):
-        raise SnapshotError(
-            f"partial snapshot sections disagree on the query count "
-            f"({len(snapshot['placement'])} placements, {len(snapshot['signatures'])} signatures)"
-        )
-    return snapshot
-
-
 def check_snapshot_header(snapshot: Any, engine: str) -> Dict[str, Any]:
     """Validate the common engine-snapshot header, returning the snapshot.
 
     Every engine snapshot carries ``snapshot_version`` and ``engine``; the
     restoring engine passes its own kind so a checkpoint taken with one
-    engine mode cannot be silently restored into another.
+    engine mode cannot be silently restored into another.  A query-subset
+    tree (``kind`` ``"multi-partial"``, no ``engine``) is refused by name.
     """
-    _check_tree(snapshot, "snapshot")
+    if not isinstance(snapshot, dict):
+        raise SnapshotError(f"snapshot must be a mapping, got {type(snapshot).__name__}")
+    if snapshot.get("kind") == "multi-partial":
+        raise SnapshotError(
+            "a 'multi-partial' query-subset snapshot cannot be restored: those were "
+            "written only by the removed repro.shard package; restore a full "
+            "engine snapshot instead"
+        )
+    version = snapshot.get("snapshot_version")
+    if version != SNAPSHOT_VERSION:
+        raise SnapshotError(
+            f"snapshot version {version!r} is not supported "
+            f"(this build reads version {SNAPSHOT_VERSION})"
+        )
     kind = snapshot.get("engine")
     if kind != engine:
         raise SnapshotError(

@@ -19,7 +19,7 @@ and cached, and the hot constructors (:meth:`Valuation.singleton` and
 
 The arena ``DS_w`` enumerates an output as one *packed record* ``(label_id, pos,
 label_id, pos, …)`` over its label table, wrapped unread (:meth:`Valuation._from_packed`):
-delivering or pickling a match never builds the mapping; the first accessor call does, and
+delivering or encoding a match never builds the mapping; the first accessor call does, and
 drops the record.  ``_mapping is None`` marks the unread state, tested inline by every accessor.
 """
 
@@ -118,15 +118,6 @@ class Valuation:
         self._mapping = mapping
         self._tables = self._packed = None
         return mapping
-
-    def __reduce__(self):
-        """An unread valuation pickles as ``(label sets, positions)`` — the sets
-        are the arena's interned objects, which pickle's memo writes once per
-        frame — and unpickles unread; a read one pickles as its mapping."""
-        if self._mapping is not None:
-            return Valuation, (self._mapping,)
-        label_table, packed = self._tables[0], self._packed
-        return _rebuild_packed, (tuple(map(label_table.__getitem__, packed[0::2])), packed[1::2])
 
     # ------------------------------------------------------------ constructors
     @classmethod
@@ -273,11 +264,6 @@ class Valuation:
             f"{label!r}: {sorted(positions)}" for label, positions in sorted(self.items(), key=lambda kv: str(kv[0]))
         )
         return f"Valuation({{{inner}}})"
-
-
-def _rebuild_packed(label_sets: Tuple[FrozenSet[Label], ...], positions: Tuple[int, ...]) -> Valuation:
-    """Unpickle target of an unread :class:`Valuation`: packed again, over its own sets."""
-    return Valuation._from_packed((label_sets, {}), sum(enumerate(positions), ()))
 
 
 def product_of(valuations: Iterable[Valuation]) -> Valuation:

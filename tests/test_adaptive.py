@@ -4,8 +4,8 @@ Five layers of protection:
 
 * config/unit tests — knob validation, the ``adaptive=`` knob resolution,
   and the engine gates (no index ⇒ adaptation off);
-* differentials — for every engine (single, general, multi, sharded
-  inline) the adaptive engine's outputs *and* operation counters must be
+* differentials — for every engine (single, general, multi) the adaptive
+  engine's outputs *and* operation counters must be
   bit-identical to the static-dispatch oracle on the seeded scenario
   workloads (drift, burst, wildcard-adversarial, shared-star) and on
   hypothesis-generated random streams, including register/unregister
@@ -45,7 +45,6 @@ from repro.extensions.general_evaluation import GeneralStreamingEvaluator
 from repro.multi.engine import MultiQueryEngine
 from repro.obs import Observer
 from repro.runtime import snapshot as snapshot_codec
-from repro.shard import ShardedEngine
 from repro.streams.generators import HCQWorkloadGenerator
 
 from helpers import (
@@ -79,15 +78,6 @@ def multi_engine(queries, window, adaptive, **kwargs):
     for index, query in enumerate(queries):
         engine.register(query, window, f"q{index}")
     return engine
-
-
-def canonical(per_position_outputs):
-    """Order-insensitive form of a list of per-position output dicts."""
-    return sorted(
-        (position, qid, sorted(map(str, valuations)))
-        for position, outputs in enumerate(per_position_outputs)
-        for qid, valuations in outputs.items()
-    )
 
 
 # ------------------------------------------------------------- config + gates
@@ -401,33 +391,6 @@ class TestGeneralEngineDifferential:
         for tup in stream:
             assert engine.process(tup) == static.process(tup)
         assert engine.stats == static.stats
-
-
-class TestShardedDifferential:
-    def test_inline_shards_match_static_reference(self):
-        specs = [(parse_query(q), w) for q, w in QUERIES]
-        from repro.streams.generators import random_stream
-
-        stream = random_stream(SIGMA0, length=400, domain_size=3, seed=19).materialise()
-        reference = MultiQueryEngine(adaptive=False)
-        for query, window in specs:
-            reference.register(query, window)
-        want = [reference.process(tup) for tup in stream]
-        with ShardedEngine(
-            2, start_method="inline", adaptive=fast_config(interval=32, min_probes=8)
-        ) as sharded:
-            sharded.register_many(specs)
-            got = sharded.process_many(stream)
-            info = sharded.adaptive_info()
-        assert canonical(got) == canonical(want)
-        assert info is not None and info["enabled"] is True
-        assert info["tracked_relations"] > 0
-
-    def test_inline_adaptive_info_disabled(self):
-        with ShardedEngine(2, start_method="inline", adaptive=False) as sharded:
-            sharded.register_many([(parse_query(QUERIES[0][0]), 8)])
-            sharded.process(Tuple("T", (1,)))
-            assert sharded.adaptive_info() is None
 
 
 # ------------------------------------------------------------------ invariants

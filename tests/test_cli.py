@@ -96,11 +96,7 @@ class TestRun:
         code, _ = self._run(["--query", "Q(x, y) <- A(x), B(y), C(x, y)"], [])
         assert code == 2
 
-    @pytest.mark.parametrize(
-        "subcommand",
-        [[], ["multi"], ["multi", "--workers", "2", "--start-method", "inline"]],
-        ids=["single", "multi", "sharded"],
-    )
+    @pytest.mark.parametrize("subcommand", [[], ["multi"]], ids=["single", "multi"])
     @pytest.mark.parametrize("source", ["file", "stdin"])
     def test_malformed_lines_are_skipped_counted_and_reported(
         self, subcommand, source, tmp_path, capsys, monkeypatch
@@ -313,6 +309,18 @@ class TestRunMulti:
         code = main(["multi", *self.QUERIES, "--window", "100", str(path)])
         assert code == 0
         assert "queries=2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("option", [["--workers", "2"], ["--start-method", "fork"]])
+    @pytest.mark.parametrize("subcommand", ["multi", "serve"])
+    def test_worker_options_are_rejected(self, subcommand, option, capsys):
+        from repro.cli import build_multi_parser, build_serve_parser
+
+        parser = build_multi_parser() if subcommand == "multi" else build_serve_parser()
+        argv = self.QUERIES + option if subcommand == "multi" else option
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCheckpointRestore:

@@ -17,7 +17,6 @@ replaced — walking the query atom per call — lives on here as the oracle:
 """
 
 import os
-import pickle
 import sys
 
 import pytest
@@ -45,8 +44,10 @@ from repro.core.predicates import (
 )
 from repro.cq.query import Atom, Variable
 from repro.cq.schema import Tuple
-from repro.engine.compiler import _FilteredUnary
+from repro.engine.compiler import _FilteredUnary, compile_pattern
+from repro.engine.dsl import atom, conjunction
 from repro.extensions.general_evaluation import GeneralStreamingEvaluator
+from repro.multi import MultiQueryEngine
 
 from helpers import star_query, union_storm_workload
 
@@ -335,17 +336,6 @@ class TestFallbacks:
             assert set(hashed.process(tup)) == expected
             assert set(general.process(tup)) == expected
 
-    def test_compiled_automaton_still_pickles(self):
-        pcea = hcq_to_pcea(star_query(3))
-        clone = pickle.loads(pickle.dumps(pcea))
-        index = clone.dispatch_index()
-        # rebuilt over the clone's own transition objects, as the engine checks
-        assert all(c.transition is t for c, t in zip(index.all_transitions(), clone.transitions))
-        assert index.signature() == pcea.dispatch_index().signature()
-        stream = [Tuple("A1", (1, 2)), Tuple("A2", (1, 3)), Tuple("A3", (1, 4))]
-        outputs = [StreamingEvaluator(p, window=8).run(stream) for p in (pcea, clone)]
-        assert outputs[0] == outputs[1] and outputs[0][2]
-
 
 # ----------------------------------------------------------------- set-up budget
 def python_calls_during(build):
@@ -413,3 +403,25 @@ class TestSetupBudget:
         # one extractor object, so the fire loop extracts the key once.
         joined = [c for c in first.all_transitions() if len(c.probes) == 2]
         assert joined and all(c.probes[0][1] is c.probes[1][1] for c in joined)
+
+    def test_one_index_per_compiled_pattern(self, monkeypatch):
+        """Compiling builds no index, not even for the automaton a pattern's
+        conjunction is translated through; the engines then share one."""
+        built = []
+        build = TransitionDispatchIndex.__init__
+
+        def counted(index, *args, **kwargs):
+            built.append(index)
+            build(index, *args, **kwargs)
+
+        monkeypatch.setattr(TransitionDispatchIndex, "__init__", counted)
+        pattern = conjunction(
+            atom("A1", "x", "y", filters=[("y", "<", 5)]), atom("A2", "x", "z"), atom("A3", "x", "w")
+        )
+        pceas = [compile_pattern(pattern), hcq_to_pcea(star_query(3))]
+        assert built == []
+        for pcea in pceas:
+            StreamingEvaluator(pcea, window=8)
+            MultiQueryEngine().register(pcea, window=8)
+            GeneralStreamingEvaluator(pcea, window=8)
+        assert built == [pcea.dispatch_index() for pcea in pceas]

@@ -1,5 +1,7 @@
 """Tests for compiling CER patterns to PCEA (repro.engine.compiler)."""
 
+import importlib
+
 import pytest
 
 from repro.core.evaluation import StreamingEvaluator
@@ -54,6 +56,29 @@ class TestCompileAtomsAndConjunctions:
         evaluator = StreamingEvaluator(pcea, window=10)
         assert evaluator.process(Tuple("E", (1, 2))) == []
         assert evaluator.process(Tuple("E", (3, 3))) == [Valuation({0: {1}})]
+
+    @pytest.mark.parametrize(
+        "raised, seen",
+        [
+            (KeyError("atom 7 not in structure tree"), PatternCompilationError),
+            (ValueError("structure tree root must be a variable"), PatternCompilationError),
+            (TypeError("'<' not supported between instances"), TypeError),
+        ],
+        ids=["key", "value", "bug"],
+    )
+    def test_only_construction_errors_are_relabelled(self, monkeypatch, raised, seen):
+        """What the Theorem 4.1 construction raises on a pattern it cannot
+        build becomes a ``PatternCompilationError``; a bug of any other type
+        surfaces as itself."""
+
+        def broken(query):
+            raise raised
+
+        construction = importlib.import_module("repro.core.hcq_to_pcea")  # the module, not the function
+        monkeypatch.setattr(construction, "build_structure_tree", broken)
+        with pytest.raises(seen) as caught:
+            compile_pattern(conjunction(atom("T", "x"), atom("S", "x", "y")))
+        assert (caught.value is raised) == (seen is TypeError)
 
     def test_compilation_error_on_unknown_filter_variable(self):
         with pytest.raises(PatternCompilationError):

@@ -169,9 +169,20 @@ class TestTransitionDispatchIndex:
         assert info["wildcard_transitions"] == 1
         assert info["max_candidates"] == 2
 
-    def test_compilers_prebuild_the_index(self):
-        assert hcq_to_pcea(QUERY_Q0)._dispatch_index is not None
-        assert compile_pattern(conjunction(atom("T", "x"), atom("S", "x", "y")))._dispatch_index is not None
+    def test_the_index_is_built_once_on_first_use(self):
+        """Compilers build no index (a pattern's conjunction is compiled only for
+        its states and transitions); the first engine builds it, later ones share it."""
+        for pcea in (
+            hcq_to_pcea(QUERY_Q0),
+            compile_pattern(conjunction(atom("T", "x"), atom("S", "x", "y"))),
+            compile_pattern(conjunction(atom("T", "x"), atom("S", "x", "y"), atom("R", "x", "y"))),
+        ):
+            assert pcea._dispatch_index is None
+            StreamingEvaluator(pcea, window=5)
+            index = pcea._dispatch_index
+            assert index is not None
+            StreamingEvaluator(pcea, window=9)
+            assert pcea.dispatch_index() is index
 
     def test_mismatched_dispatch_final_rejected(self):
         pcea = two_relation_pcea()

@@ -16,8 +16,9 @@ it consumes (``repro.core.dispatch``).
 * the build-time "one guard per predicate group" check;
 * structure guards: the per-probe counter and the arena's fresh-node union
   fast path each live in exactly one module; ``H`` is not keyed by reader and
-  ``extend_onto`` exists once per representation; the arena has one layout and
-  no engine takes an ablation knob.
+  ``extend_onto`` exists once per representation; the arena has one layout,
+  no engine takes an ablation knob, a plan member's rank has one name, and
+  nothing imports ``pickle``.
 """
 
 import inspect
@@ -32,7 +33,7 @@ from hypothesis import strategies as st
 
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.arena import ArenaDataStructure, _Slab
-from repro.core.dispatch import TransitionDispatchIndex
+from repro.core.dispatch import CompiledTransition, EvalGroup, MergedEntry, TransitionDispatchIndex
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.pcea import PCEA, PCEATransition
 from repro.core.hcq_to_pcea import hcq_to_pcea
@@ -42,7 +43,6 @@ from repro.engine.compiler import compile_pattern
 from repro.engine.dsl import atom, conjunction, disjunction
 from repro.extensions.general_evaluation import GeneralStreamingEvaluator
 from repro.multi import MergedDispatchIndex, MultiQueryEngine
-from repro.shard import ShardedEngine
 
 from helpers import ARENAS, slot_automata, slot_streams, star_query
 
@@ -301,7 +301,6 @@ def test_one_arena_layout_and_no_ablation_knobs():
         StreamingEvaluator,
         GeneralStreamingEvaluator,
         MultiQueryEngine,
-        ShardedEngine,
     ):
         accepted = set(inspect.signature(engine).parameters)
         assert not accepted & {"columnar", "incremental", "guards"}, engine
@@ -315,10 +314,18 @@ def test_one_arena_layout_and_no_ablation_knobs():
         assert not list_column.search(source), method
 
 
-def test_pickle_lives_only_under_the_shard_package():
-    """No byte read from a TCP socket can reach ``pickle``: the wire codec
-    (``repro.runtime.frames``) and everything under ``repro.net`` never import
-    it, and one entry point — not one per message kind — encodes a frame."""
+def test_a_plan_member_has_one_rank_name():
+    """Compiled transitions and merged entries both expose their canonical
+    candidate rank as ``index``, and nothing else carries it."""
+    assert "index" in CompiledTransition.__slots__ and "index" in MergedEntry.__slots__
+    assert "order" not in CompiledTransition.__slots__ + MergedEntry.__slots__
+    assert "order" not in EvalGroup.__slots__
+
+
+def test_pickle_is_imported_nowhere():
+    """No byte read from a socket or a snapshot file can reach ``pickle``:
+    nothing under ``src/repro`` imports it, and one entry point — not one per
+    message kind — encodes a frame."""
     source_root = Path(__file__).resolve().parent.parent / "src" / "repro"
     imports_pickle = re.compile(r"^\s*(import pickle|from pickle)\b", flags=re.M)
     holders = sorted(
@@ -326,7 +333,7 @@ def test_pickle_lives_only_under_the_shard_package():
         for path in source_root.rglob("*.py")
         if imports_pickle.search(path.read_text())
     )
-    assert holders == ["shard/pipes.py"]
+    assert holders == []
     encoders = {
         str(path.relative_to(source_root)): len(re.findall(r"^def encode_frame\(", path.read_text(), flags=re.M))
         for path in source_root.rglob("*.py")

@@ -6,7 +6,7 @@ patterns produces, per query, exactly the outputs of K independent
 mid-stream registration/unregistration, per-query windows, hash-table
 eviction and batched ingestion — although the engine keeps one run store per
 *window* and stores a leaf state several queries share once: late joiners,
-overlapping queries under churn / checkpoint / rebalance, the write
+overlapping queries under churn / checkpoint, the write
 amplification as counts, and what unregistering gives back.
 """
 
@@ -31,7 +31,6 @@ from repro.multi import (
     compile_query,
 )
 from repro.runtime import snapshot as snapshot_codec
-from repro.shard import ShardedEngine
 from repro.streams.generators import random_stream
 
 from helpers import QUERY_Q0, SIGMA0, overlapping_queries, overlapping_streams
@@ -143,8 +142,8 @@ class TestMergedDispatchIndex:
         assert len(merged) == len(p1.transitions) + len(p2.transitions)
         owners = [e.owner for e in merged.all_entries()]
         assert owners == ["one"] * len(p1.transitions) + ["two"] * len(p2.transitions)
-        orders = [e.order for e in merged.all_entries()]
-        assert orders == sorted(orders)
+        ranks = [e.index for e in merged.all_entries()]
+        assert ranks == sorted(ranks)
 
     def test_candidates_union_across_queries(self):
         p1 = compile_query("Q1(x, y) <- T(x), S(x, y)")
@@ -482,8 +481,8 @@ class TestLateJoiner:
 
 class TestOverlappingQueries:
     """K overlapping queries == K independent evaluators: per handle, per
-    position, the same output *lists* — under churn, a mid-stream
-    checkpoint/restore and a shard rebalance."""
+    position, the same output *lists* — under churn and a mid-stream
+    checkpoint/restore."""
 
     @staticmethod
     def _drive(engine, queries, schedule, stream, cut, midway):
@@ -524,19 +523,12 @@ class TestOverlappingQueries:
                 return fresh, handles  # restore keeps the snapshot's handle ids
             return midway
 
-        def rebalance(engine, handles):
-            for handle in list(handles.values())[:1]:
-                engine.rebalance(handle, 1 - engine.assignment()[handle.id])
-            return engine, handles
-
         for adaptive in (False, AdaptiveConfig(interval=3, min_probes=2)):
             for arena in (True, False):
                 kwargs = {"arena": arena, "adaptive": adaptive}
                 midway = restore(kwargs) if arena else (lambda engine, handles: (engine, handles))
                 engine = MultiQueryEngine(**kwargs)
                 assert self._drive(engine, queries, schedule, stream, cut, midway) == expected
-            with ShardedEngine(2, start_method="inline", adaptive=adaptive) as sharded:
-                assert self._drive(sharded, queries, schedule, stream, cut, rebalance) == expected
 
 
 class TestOneStorePerWindow:

@@ -9,8 +9,8 @@ Covers, per the serving contract:
   and the byte-stream reassembler rejects oversized prefixes *before*
   buffering a body;
 * differential serving — a server-fed engine is bit-identical to direct
-  `process_many` on the same interleaved tuple order, for the single,
-  multi and sharded backends, including mid-stream subscribe/unsubscribe
+  `process_many` on the same interleaved tuple order, for the single and
+  multi backends, including mid-stream subscribe/unsubscribe
   churn and clients disconnecting with unflushed subscriptions;
 * protocol robustness — truncated, oversized, garbage and malformed
   frames close that client with a protocol-error reply and never kill the
@@ -67,7 +67,6 @@ from repro.runtime.frames import (
     encode_frame,
     frame_length,
 )
-from repro.shard import ShardedEngine
 from repro.valuation import Valuation
 
 QUERY_A = "QA(x, y) <- T(x), S(x, y), R(x, y)"
@@ -524,57 +523,38 @@ class TestRoundTrip:
 
 
 # --------------------------------------------------------------------------
-ENGINE_KINDS = ("single", "multi", "sharded")
-
-
-def make_backend(kind: str):
-    """(feed, close) for each engine backend the server can drive."""
-    if kind == "single":
-        pcea = compile_query(QUERY_A)
-        return SingleEngineFeed(StreamingEvaluator(pcea, window=WINDOW)), lambda: None
-    if kind == "multi":
-        return MultiQueryEngine(), lambda: None
-    engine = ShardedEngine(2, start_method="inline")
-    return engine, engine.close
-
-
 class TestDifferential:
-    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    @pytest.mark.parametrize("kind", ("single", "multi"))
     def test_served_identical_to_direct(self, kind):
         stream = star_stream(300)
-        engine, close = make_backend(kind)
-        try:
-            with ServerThread(engine, max_batch=64) as st:
-                with IngestClient(st.host, st.port) as client:
-                    if kind == "single":
-                        client.subscribe(None, None)
-                    else:
-                        client.subscribe(QUERY_A, WINDOW)
-                    client.ingest_all(stream, frame_size=17)
-                    served = matches_digest(client.matches)
-        finally:
-            close()
+        if kind == "single":
+            engine = SingleEngineFeed(StreamingEvaluator(compile_query(QUERY_A), window=WINDOW))
+        else:
+            engine = MultiQueryEngine()
+        with ServerThread(engine, max_batch=64) as st:
+            with IngestClient(st.host, st.port) as client:
+                if kind == "single":
+                    client.subscribe(None, None)
+                else:
+                    client.subscribe(QUERY_A, WINDOW)
+                client.ingest_all(stream, frame_size=17)
+                served = matches_digest(client.matches)
         # Handle id 0 on every backend, so the digests are comparable.
         assert served == direct_digest([QUERY_A], stream)
 
-    @pytest.mark.parametrize("kind", ("multi", "sharded"))
-    def test_mid_stream_subscription_churn(self, kind):
+    def test_mid_stream_subscription_churn(self):
         """Register/unregister mid-stream == the same churn done directly."""
         stream = star_stream(240)
-        engine, close = make_backend(kind)
-        try:
-            with ServerThread(engine, max_batch=32) as st:
-                with IngestClient(st.host, st.port) as client:
-                    ha, _, _ = client.subscribe(QUERY_A, WINDOW)
-                    client.ingest_all(stream[:80], frame_size=16)
-                    hb, _, _ = client.subscribe(QUERY_B, WINDOW)
-                    client.ingest_all(stream[80:160], frame_size=16)
-                    client.unsubscribe(ha)
-                    client.ingest_all(stream[160:], frame_size=16)
-                    client.ping()
-                    served = matches_digest(client.matches)
-        finally:
-            close()
+        with ServerThread(MultiQueryEngine(), max_batch=32) as st:
+            with IngestClient(st.host, st.port) as client:
+                ha, _, _ = client.subscribe(QUERY_A, WINDOW)
+                client.ingest_all(stream[:80], frame_size=16)
+                hb, _, _ = client.subscribe(QUERY_B, WINDOW)
+                client.ingest_all(stream[80:160], frame_size=16)
+                client.unsubscribe(ha)
+                client.ingest_all(stream[160:], frame_size=16)
+                client.ping()
+                served = matches_digest(client.matches)
         direct = MultiQueryEngine()
         handle_a = direct.register(QUERY_A, WINDOW)
         outputs = direct.process_many(stream[:80])
@@ -905,15 +885,14 @@ class TestAdmission:
         outputs += direct.process_many(stream[150:])
         assert served == output_digest(outputs)
 
-    @pytest.mark.parametrize("kind", ("wildcard", "unindexed", "workers"))
+    @pytest.mark.parametrize("kind", ("wildcard", "unindexed"))
     def test_engines_that_watch_everything_get_every_tuple(self, kind):
-        """A wildcard transition, ``indexed=False`` and the sharded coordinator
-        cannot name what they read: same call, no gaps."""
+        """A wildcard transition and ``indexed=False`` cannot name what they
+        read: same call, no gaps."""
         from repro.core.pcea import PCEA, PCEATransition
         from repro.core.predicates import LambdaUnaryPredicate
 
         stream = six_relation_stream(200, seed=21)
-        close = lambda: None  # noqa: E731
         if kind == "wildcard":
             engine = MultiQueryEngine()
             engine.register(
@@ -927,25 +906,19 @@ class TestAdmission:
                 4,
             )
             assert engine.watched_relations() is None
-        elif kind == "unindexed":
+        else:
             pcea = compile_query(ABC_QUERY["A"])
             engine = SingleEngineFeed(StreamingEvaluator(pcea, window=8, indexed=False))
-        else:
-            engine = ShardedEngine(2, start_method="inline")
-            close = engine.close
-        try:
-            with ServerThread(engine, max_batch=64) as st:
-                with IngestClient(st.host, st.port) as client:
-                    if kind == "unindexed":
-                        handle_id, _, _ = client.subscribe(None, None)
-                    else:
-                        handle_id, _, _ = client.subscribe(ABC_QUERY["A"], 8)
-                    client.ingest_all(stream, frame_size=40)
-                    assert client.ping() == 199
-                    served = client.matches.get(handle_id, [])
-                summary = st.server.observe()
-        finally:
-            close()
+        with ServerThread(engine, max_batch=64) as st:
+            with IngestClient(st.host, st.port) as client:
+                if kind == "unindexed":
+                    handle_id, _, _ = client.subscribe(None, None)
+                else:
+                    handle_id, _, _ = client.subscribe(ABC_QUERY["A"], 8)
+                client.ingest_all(stream, frame_size=40)
+                assert client.ping() == 199
+                served = client.matches.get(handle_id, [])
+            summary = st.server.observe()
         assert summary["unwatched"] == 0 and summary["tuples_in"] == 200
         direct = MultiQueryEngine()
         handle = direct.register(ABC_QUERY["A"], 8)

@@ -14,7 +14,8 @@ Three layers of protection:
 * verification — restoring into a mismatched engine (different query,
   window, evict setting, engine kind, or the object-graph structure) must be
   rejected before any state is touched — as must a version-1 tree (``H``
-  keyed per reading transition) and a table numbered by other slots.
+  keyed per reading transition), a table numbered by other slots and a
+  query-subset (``multi-partial``) tree.
 
 Snapshot equality across the two kernels is ``tests/test_kernel.py``'s.
 """
@@ -431,26 +432,22 @@ class TestVersionOneIsRefused:
         handle = original.register(self._pcea(), window=self.WINDOW)
         for tup in self._stream():
             original.process(tup)
-        dispatch = original._queries[handle.id].dispatch
-        full, partial = original.snapshot(), original.extract_queries([handle])
-        assert full["snapshot_version"] == partial["snapshot_version"] == 3
-        assert full["placement"] == partial["placement"] == [(0, 0, (0, 1, 2))]
-        self._as_version_two(full), self._as_version_two(partial)
+        full = original.snapshot()
+        assert full["snapshot_version"] == 3
+        assert full["placement"] == [(0, 0, (0, 1, 2))]
+        self._as_version_two(full)
         if version == 1:
+            dispatch = original._queries[handle.id].dispatch
             self._as_version_one(full["lanes"][0], full["runtime"]["buckets"], dispatch)
-            self._as_version_one(partial["lanes"][0], partial["buckets"], dispatch)
-            self._strip_slots(partial["signatures"][0])
-            full["snapshot_version"] = partial["snapshot_version"] = 1
+            full["snapshot_version"] = 1
 
         fresh = MultiQueryEngine()
-        adopted = fresh.register(self._pcea(), window=self.WINDOW)
+        fresh.register(self._pcea(), window=self.WINDOW)
         for tup in self._stream():
             fresh.process(Tuple("Other", tup.values))  # same position, no state
         untouched = fresh.snapshot()
         with pytest.raises(SnapshotError, match=f"version {version} is not supported"):
             fresh.restore(roundtrip(full, "json"))
-        with pytest.raises(SnapshotError, match=f"version {version} is not supported"):
-            fresh.adopt_queries(roundtrip(partial, "json"), [adopted])
         assert fresh.snapshot() == untouched and fresh.hash_table_size() == 0
 
     def test_a_different_slot_numbering_is_refused_by_signature(self):
@@ -469,3 +466,57 @@ class TestVersionOneIsRefused:
         assert fresh.position == -1 and fresh.hash_table_size() == 0
         fresh.restore(roundtrip(snap, "json"))
         assert fresh.snapshot() == snap
+
+
+class TestQuerySubsetSnapshotsAreRefused:
+    """``multi-partial`` trees moved queries between the shards of the removed
+    ``repro.shard`` package.  A file holding one is refused by name — through
+    the API and ``--restore`` — and the engine is left as it was."""
+
+    WINDOW = 9
+
+    def _partial(self, engine):
+        """The tree a query-subset extraction wrote: the placement and lanes of
+        a full snapshot, a ``kind`` tag instead of ``engine``, the position,
+        the bucket triples and one dispatch signature per query."""
+        full = engine.snapshot()
+        return {
+            "snapshot_version": full["snapshot_version"],
+            "kind": "multi-partial",
+            "position": engine.position,
+            "placement": full["placement"],
+            "lanes": full["lanes"],
+            "buckets": full["runtime"]["buckets"],
+            "signatures": [
+                snapshot_codec.stable_signature(engine._queries[handle.id].dispatch.signature())
+                for handle in engine.handles()
+            ],
+        }
+
+    def _engine(self, stream):
+        engine = MultiQueryEngine()
+        engine.register(parse_query(QUERY), window=self.WINDOW, name="Q")
+        for tup in stream:
+            engine.process(tup)
+        return engine
+
+    def test_refused_by_name_through_the_api_and_the_cli(self, tmp_path, capsys):
+        from repro.cli import main
+
+        stream = sigma0_stream(40, seed=5)
+        partial = roundtrip(self._partial(self._engine(stream)), "json")
+        fresh = self._engine(Tuple("Other", tup.values) for tup in stream)
+        untouched = fresh.snapshot()
+        with pytest.raises(SnapshotError, match=r"multi-partial.*removed repro\.shard"):
+            fresh.restore(partial)
+        assert fresh.snapshot() == untouched and fresh.hash_table_size() == 0
+
+        path = tmp_path / "partial.json"
+        snapshot_codec.save(str(path), partial)
+        events = tmp_path / "events.csv"
+        events.write_text("T,1\nS,1,2\nR,1,2\n")
+        argv = ["multi", "--query", QUERY, "--window", str(self.WINDOW), "--restore", str(path)]
+        assert main([*argv, str(events)]) == 2
+        captured = capsys.readouterr()
+        assert "removed repro.shard" in captured.err
+        assert "events=" not in captured.out  # refused before any event was read

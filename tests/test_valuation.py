@@ -197,19 +197,6 @@ class TestPackedForm:
             assert valuation.min_position() == expected.min_position()
             assert valuation.max_position() == expected.max_position()
 
-    @given(packed_records)
-    def test_pickle_round_trip_stays_unread_then_reads_equal(self, packed):
-        import pickle
-
-        valuation = Valuation._from_packed((self.TABLE, {}), packed)
-        copy = pickle.loads(pickle.dumps(valuation))
-        assert valuation._mapping is None and copy._mapping is None
-        assert copy == valuation == self.oracle(packed)
-        assert hash(copy) == hash(valuation)
-        # Read valuations pickle as their mapping, never as a cached hash.
-        again = pickle.loads(pickle.dumps(valuation))
-        assert again == valuation and again._hash is None
-
     def test_positions_share_one_singleton_set_through_the_cache(self):
         singles = {}
         first = Valuation._from_packed((self.TABLE, singles), (0, 4, 3, 2))
