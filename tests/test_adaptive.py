@@ -393,6 +393,35 @@ class TestGeneralEngineDifferential:
         assert engine.stats == static.stats
 
 
+class TestShardedDifferential:
+    """What these checked on the removed sharded engine (``repro.shard``),
+    checked on the one engine that replaced it."""
+
+    def test_inline_shards_match_static_reference(self):
+        """Batched adaptive dispatch equals the static reference tuple by
+        tuple, and the adaptive summary shows it learned."""
+        from repro.streams.generators import random_stream
+
+        stream = random_stream(SIGMA0, length=400, domain_size=3, seed=19).materialise()
+        reference = MultiQueryEngine(adaptive=False)
+        engine = MultiQueryEngine(adaptive=fast_config(interval=32, min_probes=8))
+        for query, window in QUERIES:
+            reference.register(parse_query(query), window)
+            engine.register(parse_query(query), window)
+        want = [reference.process(tup) for tup in stream]
+        assert engine.process_many(stream) == want
+        info = engine.adaptive_info()
+        assert info is not None and info["enabled"] is True
+        assert info["tracked_relations"] > 0
+
+    def test_inline_adaptive_info_disabled(self):
+        engine = MultiQueryEngine(adaptive=False)
+        engine.register(parse_query(QUERIES[0][0]), 8)
+        engine.process(Tuple("T", (1,)))
+        assert engine.adaptive_info() is None
+        assert "adaptive" not in engine.observe()
+
+
 # ------------------------------------------------------------------ invariants
 class TestSignatureStability:
     def test_multi_signature_unchanged_by_flushes(self):

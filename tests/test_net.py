@@ -542,10 +542,12 @@ class TestDifferential:
         # Handle id 0 on every backend, so the digests are comparable.
         assert served == direct_digest([QUERY_A], stream)
 
-    def test_mid_stream_subscription_churn(self):
-        """Register/unregister mid-stream == the same churn done directly."""
+    @pytest.mark.parametrize("kind", ("multi", "static"))
+    def test_mid_stream_subscription_churn(self, kind):
+        """Register/unregister mid-stream == the same churn done directly,
+        served by the default engine and by one with static dispatch."""
         stream = star_stream(240)
-        with ServerThread(MultiQueryEngine(), max_batch=32) as st:
+        with ServerThread(MultiQueryEngine(adaptive=kind == "multi"), max_batch=32) as st:
             with IngestClient(st.host, st.port) as client:
                 ha, _, _ = client.subscribe(QUERY_A, WINDOW)
                 client.ingest_all(stream[:80], frame_size=16)

@@ -1,55 +1,60 @@
-"""Tests for the sharded multi-process engine (repro.shard).
+"""Guards for the retirement of the query-sharding package ``repro.shard``.
 
-Five layers:
+The sharded engine split the registered queries over worker processes; it
+was removed (ROADMAP "Parked") because one :class:`MultiQueryEngine` process
+beat it on wall clock and splitting by query un-shares the per-window run
+stores.  Each test below keeps the name of the sharded-engine test it
+replaces and pins what a user of that feature has now:
 
-* pipe-frame units — the length-prefixed pickled frames of the worker pipes
-  (``repro.shard.pipes``, the one place pickle lives) must round-trip, reject
-  torn/corrupted frames, and pin ``pickle.HIGHEST_PROTOCOL``;
-* placement units — the policies are deterministic, in-range, and spread;
-* lane-subset snapshot units — ``extract_queries``/``adopt_queries`` move a
-  query's live state between engines and reject mismatched positions,
-  windows, signatures and snapshot kinds before touching anything;
-* differentials — a sharded engine (inline shards, real ``fork`` workers,
-  and a ``spawn`` run for spawn safety) must produce bit-identical
-  per-handle outputs to one shared ``MultiQueryEngine``, including across a
-  mid-stream rebalance and across a worker killed with SIGKILL (recovered
-  from the coordinator checkpoint + command-log replay, with and without a
-  checkpoint ever taken);
-* surfaces — ``observe()`` exposes the shard counters beside the standard
-  sections, and the CLI ``--workers`` path matches the single-process engine
-  line for line.
+* frames — the pickled pipe frames are gone; every message they carried
+  round-trips through the typed codec (:mod:`repro.runtime.frames`), which
+  rejects torn, corrupted, unencodable and pickled bodies;
+* placement — a query is placed in the run store of its window, deals fresh
+  slots there, and a restored placement that does not fit is refused;
+* lane-subset snapshots — moving live state is a whole-engine
+  ``snapshot``/``restore``: non-destructive, bit-identical, and refused
+  before anything moves when the target holds other queries or windows;
+* differentials — the shared engine equals one independent evaluator (or one
+  engine) per query, in process, in a CLI child and across hash seeds;
+* rebalance / recovery — handing state to a fresh engine mid-stream is
+  lossless, and a dead or SIGKILLed process resumes exactly from its last
+  checkpoint plus a replay of the tuples since;
+* surfaces — ``observe()``, the :class:`~repro.obs.Observer` series and the
+  CLI carry no shard section, and ``--workers`` is refused by argparse.
 """
 
+import copy
 import io
-import pickle
+import os
 import random
+import signal
+import socket
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from repro.cli import build_multi_parser, run_multi
+from repro.cli import build_multi_parser, build_parser, read_events, run, run_multi
+from repro.core.evaluation import StreamingEvaluator
+from repro.core.hcq_to_pcea import hcq_to_pcea
 from repro.cq.query import parse_query
 from repro.cq.schema import Tuple
 from repro.multi.engine import MultiQueryEngine
+from repro.net import IngestClient, ServerThread
+from repro.net.protocol import PROTOCOL_VERSION
+from repro.obs import Observer
 from repro.runtime import SnapshotError
-from repro.runtime.snapshot import PARTIAL_SNAPSHOT_KIND, SNAPSHOT_VERSION
-from repro.shard import (
-    FrameChannel,
+from repro.runtime import snapshot as snapshot_codec
+from repro.runtime.frames import (
+    WIRE_VERSION,
+    FrameAssembler,
     FrameProtocolError,
-    HashPlacement,
-    LeastLoadedPlacement,
-    PICKLE_PROTOCOL,
-    PlacementPolicy,
-    RoundRobinPlacement,
-    ShardedEngine,
-    ShardError,
-    ShardWorker,
-    WorkerDied,
-    pickle_frame,
-    unpickle_frame,
+    decode_frame,
+    encode_frame,
 )
+from repro.runtime.snapshot import SNAPSHOT_VERSION
 
 from helpers import SIGMA0, streams_strategy
 
@@ -60,6 +65,8 @@ QUERIES = [
     ("QB(x, y) <- S(x, y), R(x, y)", 5),
     ("QC(x) <- T(x)", 3),
 ]
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def sigma0_stream(length, seed, domain=3):
@@ -72,8 +79,12 @@ def sigma0_stream(length, seed, domain=3):
     ]
 
 
-def reference_engine(queries=QUERIES):
-    engine = MultiQueryEngine()
+def events_csv(stream):
+    return "".join(f"{event.relation},{','.join(map(str, event.values))}\n" for event in stream)
+
+
+def reference_engine(queries=QUERIES, **kwargs):
+    engine = MultiQueryEngine(**kwargs)
     handles = [
         engine.register(parse_query(text), window=window)
         for text, window in queries
@@ -81,22 +92,17 @@ def reference_engine(queries=QUERIES):
     return engine, handles
 
 
-def sharded_engine(workers, queries=QUERIES, **kwargs):
-    kwargs.setdefault("start_method", "inline")
-    engine = ShardedEngine(workers, **kwargs)
-    handles = engine.register_many(
-        [(parse_query(text), window) for text, window in queries]
-    )
-    return engine, handles
-
-
-def canonical(per_position_outputs):
-    """Order-insensitive form of a list of per-position output dicts."""
-    return sorted(
-        (position, qid, sorted(map(str, valuations)))
-        for position, outputs in enumerate(per_position_outputs)
-        for qid, valuations in outputs.items()
-    )
+def independent_outputs(queries, stream):
+    """Per position, ``{query index: valuations}`` of one evaluator per query."""
+    evaluators = [
+        StreamingEvaluator(hcq_to_pcea(parse_query(text)), window=window)
+        for text, window in queries
+    ]
+    outputs = []
+    for tup in stream:
+        produced = [list(evaluator.process(tup)) for evaluator in evaluators]
+        outputs.append({qid: out for qid, out in enumerate(produced) if out})
+    return outputs
 
 
 def run_batches(engine, stream, batch_size=16, hook=None):
@@ -107,6 +113,34 @@ def run_batches(engine, stream, batch_size=16, hook=None):
         if hook is not None:
             hook(engine.position)
     return outputs
+
+
+def handover(engine, queries=QUERIES):
+    """A fresh engine holding ``engine``'s state, passed through checkpoint text."""
+    fresh, _ = reference_engine(queries)
+    fresh.restore(snapshot_codec.loads(snapshot_codec.dumps(engine.snapshot())))
+    return fresh
+
+
+def cli_command(*argv):
+    return [sys.executable, "-m", "repro.cli", *argv]
+
+
+def cli_env(**extra):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.update(extra)
+    return env
+
+
+def match_lines(text):
+    return [line for line in text.splitlines() if not line.startswith("#")]
+
+
+QUERY_ARGS = [
+    "--query", QUERIES[0][0], "--query", QUERIES[1][0],
+    "--window", "6", "--window", "4",
+]
 
 
 # ------------------------------------------------------------------- frames
@@ -121,105 +155,147 @@ class TestFrames:
 
     @pytest.mark.parametrize("message", MESSAGES, ids=lambda m: m[0])
     def test_roundtrip(self, message):
-        assert unpickle_frame(pickle_frame(message)) == message
+        """Every message the pipe frames carried survives the typed codec."""
+        assert decode_frame(encode_frame(message)) == message
 
     def test_protocol_is_highest(self):
-        # The spawn-safety satellite pins HIGHEST_PROTOCOL; the second byte
-        # of a pickled stream is the protocol number of the PROTO opcode.
-        assert PICKLE_PROTOCOL == pickle.HIGHEST_PROTOCOL
-        frame = pickle_frame(("ping",))
-        assert frame[4] == 0x80  # PROTO opcode
-        assert frame[5] == pickle.HIGHEST_PROTOCOL
+        """The build speaks one wire version, the typed one; a pickle at the
+        highest pickle protocol — what the pipes sent — is refused by name."""
+        import pickle
+
+        assert PROTOCOL_VERSION == WIRE_VERSION == 2
+        body = pickle.dumps(("ping",), protocol=pickle.HIGHEST_PROTOCOL)
+        with pytest.raises(FrameProtocolError, match="pickle"):
+            decode_frame(len(body).to_bytes(4, "big") + body)
 
     def test_length_prefix_matches_body(self):
-        frame = pickle_frame(("ping",))
+        frame = encode_frame(("ping",))
         assert int.from_bytes(frame[:4], "big") == len(frame) - 4
 
     def test_truncated_frame_rejected(self):
-        frame = pickle_frame(("ping",))
+        frame = encode_frame(("ping",))
         with pytest.raises(FrameProtocolError, match="length prefix"):
-            unpickle_frame(frame[:-1])
+            decode_frame(frame[:-1])
 
     def test_short_frame_rejected(self):
         with pytest.raises(FrameProtocolError, match="shorter than"):
-            unpickle_frame(b"\x00\x01")
+            decode_frame(b"\x00\x01")
 
     def test_corrupted_prefix_rejected(self):
-        frame = pickle_frame(("ping",))
+        frame = encode_frame(("ping",))
         with pytest.raises(FrameProtocolError, match="length prefix"):
-            unpickle_frame(b"\xff\xff\xff\xff" + frame[4:])
+            decode_frame(b"\xff\xff\xff\xff" + frame[4:])
 
     def test_garbage_body_rejected(self):
         body = b"not a pickle"
-        frame = len(body).to_bytes(4, "big") + body
-        with pytest.raises(FrameProtocolError, match="unpickle"):
-            unpickle_frame(frame)
+        with pytest.raises(FrameProtocolError, match="unknown value tag"):
+            decode_frame(len(body).to_bytes(4, "big") + body)
 
     def test_unpicklable_message_rejected(self):
-        with pytest.raises(FrameProtocolError, match="not picklable"):
-            pickle_frame(("call", lambda: None))
+        """What the codec cannot carry (a callable) fails to encode, by name."""
+        with pytest.raises(FrameProtocolError, match="not in the frame tag set"):
+            encode_frame(("call", lambda: None))
 
     def test_channel_counts_frames_and_bytes(self):
-        import multiprocessing
-
-        left, right = multiprocessing.Pipe()
-        a, b = FrameChannel(left), FrameChannel(right)
-        a.send(("ping", 123))
-        assert b.recv() == ("ping", 123)
-        assert a.frames_sent == 1 and a.bytes_sent > 4
-        assert b.frames_received == 1 and b.bytes_received == a.bytes_sent
-        b.close()
-        with pytest.raises(WorkerDied):
-            a.send(("ping",))
-        a.close()
+        """The stream reassembler counts frames and bytes, whatever the chunking."""
+        data = encode_frame(("ping", 123)) + encode_frame(self.MESSAGES[1])
+        assembler = FrameAssembler()
+        received = []
+        for start in range(0, len(data), 5):
+            received.extend(assembler.feed(data[start : start + 5]))
+        assert received == [("ping", 123), self.MESSAGES[1]]
+        assert assembler.frames_received == 2
+        assert assembler.bytes_received == len(data)
+        assert assembler.pending() == 0
 
 
 # ---------------------------------------------------------------- placement
 class TestPlacement:
-    def _handles(self, count):
-        engine, handles = reference_engine(
-            [(QUERIES[0][0], 10)] * 1
-        )
-        # Synthetic handles are enough for placement (only .id matters).
-        from repro.multi.registry import QueryHandle
+    SPECS = [(QUERIES[i % 4][0], 4 + i % 3) for i in range(12)]
 
-        return [QueryHandle(i, f"q{i}", 10) for i in range(count)]
+    @staticmethod
+    def _stores(engine):
+        return int(engine.dispatch_info()["stores"])
 
     def test_hash_placement_deterministic_and_in_range(self):
-        policy = HashPlacement()
-        for handle in self._handles(64):
-            index = policy.assign(handle, 4, [0, 0, 0, 0])
-            assert 0 <= index < 4
-            assert index == policy.assign(handle, 4, [99, 0, 0, 0])
+        """A query's store is a function of its window: every placement row
+        names a store of the query's own window, and the same registrations
+        place alike whatever the stream did between them."""
+        first, first_handles = reference_engine(self.SPECS)
+        second, second_handles = reference_engine(self.SPECS[:5])
+        second.process_many(sigma0_stream(30, seed=2))
+        second_handles += [
+            second.register(parse_query(text), window=window) for text, window in self.SPECS[5:]
+        ]
+        placements = []
+        for engine, handles in ((first, first_handles), (second, second_handles)):
+            snap = engine.snapshot()
+            windows = [lane["window"] for lane in snap["lanes"]]
+            for handle, (where, _, _) in zip(handles, snap["placement"]):
+                assert 0 <= where < len(windows) and windows[where] == handle.window
+            placements.append([row[0] for row in snap["placement"]])
+        assert placements[0] == placements[1]
 
     def test_hash_placement_spreads_consecutive_ids(self):
-        policy = HashPlacement()
-        hit = {policy.assign(handle, 4, [0] * 4) for handle in self._handles(64)}
-        assert hit == {0, 1, 2, 3}
+        """Consecutive registrations under different windows get one store
+        each; under one window they share it."""
+        spread, _ = reference_engine()
+        assert self._stores(spread) == 4
+        assert sorted(lane["window"] for lane in spread.snapshot()["lanes"]) == [3, 4, 5, 6]
+        shared, _ = reference_engine([(text, 5) for text, _ in QUERIES])
+        assert self._stores(shared) == 1
 
     def test_round_robin_cycles(self):
-        policy = RoundRobinPlacement()
-        assigned = [policy.assign(h, 3, [0] * 3) for h in self._handles(7)]
-        assert assigned == [0, 1, 2, 0, 1, 2, 0]
+        """Slots are dealt in registration order and never twice: a departed
+        query's slots stay retired, a newcomer gets fresh ones."""
+        engine, handles = reference_engine([(QUERIES[1][0], 5), (QUERIES[2][0], 5)])
+        rows = engine.snapshot()["placement"]
+        assert rows[0][2] + rows[1][2] == tuple(range(len(rows[0][2]) + len(rows[1][2])))
+        dealt = engine.snapshot()["lanes"][0]["next_slot"]
+        engine.unregister(handles[0])
+        newcomer = engine.register(parse_query("QD(x, y) <- U(x), V(x, y)"), window=5)
+        assert newcomer.id == 2
+        snap = engine.snapshot()
+        fresh = snap["placement"][-1][2]
+        assert fresh and min(fresh) >= dealt
+        assert snap["lanes"][0]["next_slot"] == dealt + len(fresh)
 
     def test_least_loaded_picks_min_breaking_ties_low(self):
-        policy = LeastLoadedPlacement()
-        (handle,) = self._handles(1)
-        assert policy.assign(handle, 3, [2, 1, 1]) == 1
-        assert policy.assign(handle, 3, [0, 0, 0]) == 0
+        """A newcomer joins the live store of its window rather than opening
+        another, and a store lives exactly as long as its queries."""
+        engine = MultiQueryEngine()
+        a = engine.register(parse_query(QUERIES[0][0]), window=5)
+        b = engine.register(parse_query(QUERIES[1][0]), window=5)
+        assert self._stores(engine) == 1
+        engine.register(parse_query(QUERIES[2][0]), window=7)
+        assert self._stores(engine) == 2
+        engine.unregister(a)
+        assert self._stores(engine) == 2
+        engine.unregister(b)
+        assert self._stores(engine) == 1
+        engine.register(parse_query(QUERIES[1][0]), window=5)
+        assert self._stores(engine) == 2
 
     def test_out_of_range_placement_rejected(self):
-        class Bad(PlacementPolicy):
-            def assign(self, handle, shards, loads):
-                return shards  # one past the end
+        """A snapshot placing a query in a store it does not hold is refused,
+        and the engine is left as it was."""
+        source, _ = reference_engine()
+        stream = sigma0_stream(80, seed=13)
+        source.process_many(stream[:40])
+        snap = copy.deepcopy(source.snapshot())
+        where, since, slots = snap["placement"][1]
+        snap["placement"][1] = (len(snap["lanes"]), since, slots)
+        target, handles = reference_engine()
+        twin, _ = reference_engine()
+        for engine in (target, twin):
+            engine.process_many(stream[:20])
+        with pytest.raises(SnapshotError, match="does not fit"):
+            target.restore(snap)
+        assert target.handles() == handles and target.position == twin.position
+        assert target.process_many(stream[20:]) == twin.process_many(stream[20:])
 
-        with ShardedEngine(2, start_method="inline", placement=Bad()) as engine:
-            with pytest.raises(ValueError, match="placed"):
-                engine.register(parse_query(QUERIES[0][0]), window=5)
-            assert engine.handles() == []  # registry rolled back
 
-
-# ------------------------------------------------- extract / adopt (multi)
+# ------------------------------------------------ snapshot / restore (multi)
 class TestLaneSubsetSnapshots:
     def _pair(self, stream_length=60, seed=5):
         source, s_handles = reference_engine()
@@ -230,403 +306,494 @@ class TestLaneSubsetSnapshots:
         return source, s_handles, target, t_handles, stream
 
     def test_extract_is_non_destructive(self):
-        source, handles, _, _, _ = self._pair()
+        """Taking a snapshot changes nothing: the engine continues exactly as
+        a twin that was never snapshotted."""
+        source, _, _, _, stream = self._pair()
+        twin, _ = reference_engine()
+        twin.process_many(stream)
         before = source.hash_table_size()
-        partial = source.extract_queries(handles[1:3])
+        snap = source.snapshot()
         assert source.hash_table_size() == before
-        assert partial["kind"] == PARTIAL_SNAPSHOT_KIND
-        assert partial["snapshot_version"] == SNAPSHOT_VERSION
-        assert len(partial["lanes"]) == 2
+        assert snap["engine"] == "multi" and snap["snapshot_version"] == SNAPSHOT_VERSION
+        assert len(snap["lanes"]) == 4 and len(snap["placement"]) == 4
+        tail = sigma0_stream(60, seed=6)
+        assert source.process_many(tail) == twin.process_many(tail)
 
     def test_migration_continues_bit_identically(self):
-        reference, ref_handles = reference_engine()
-        moved = QUERIES[1]
+        """State moved to a fresh engine through checkpoint text continues
+        bit-identically; a query unregistered on the old engine leaves the
+        others untouched."""
+        reference, _ = reference_engine()
         left, l_handles = reference_engine()
-        right = MultiQueryEngine()
         stream = sigma0_stream(120, seed=9)
-        ref_out = [reference.process_many(stream[:60]), reference.process_many(stream[60:])]
+        reference.process_many(stream[:60])
         left.process_many(stream[:60])
-        right.process_many(stream[:60])
-        # Move QUERIES[1] from left to right at position 59.
-        partial = left.extract_queries([l_handles[1]])
+        right = handover(left)
         left.unregister(l_handles[1])
-        r_handle = right.register(parse_query(moved[0]), window=moved[1])
-        right.adopt_queries(partial, [r_handle])
+        want = reference.process_many(stream[60:])
+        assert right.process_many(stream[60:]) == want
         l_tail = left.process_many(stream[60:])
-        r_tail = right.process_many(stream[60:])
-        want = [out.get(ref_handles[1].id, []) for out in ref_out[1]]
-        got = [out.get(r_handle.id, []) for out in r_tail]
-        assert [sorted(map(str, v)) for v in got] == [sorted(map(str, v)) for v in want]
-        # The queries left behind are untouched by the extraction.
-        for keep in (0, 2, 3):
-            want = [out.get(ref_handles[keep].id, []) for out in ref_out[1]]
-            got = [out.get(l_handles[keep].id, []) for out in l_tail]
-            assert [sorted(map(str, v)) for v in got] == [
-                sorted(map(str, v)) for v in want
-            ]
+        assert l_tail == [
+            {qid: out for qid, out in outputs.items() if qid != l_handles[1].id}
+            for outputs in want
+        ]
 
     def test_adopt_rejects_position_mismatch(self):
-        source, s_handles, target, t_handles, stream = self._pair()
+        """A snapshot without its runtime section (the stream position and
+        sweep cursors) is refused before anything moves."""
+        source, _, target, _, _ = self._pair()
         target.process_many(sigma0_stream(5, seed=99))
-        partial = source.extract_queries([s_handles[3]])
-        handle = target.register(parse_query(QUERIES[3][0]), window=QUERIES[3][1])
-        with pytest.raises(SnapshotError, match="position"):
-            target.adopt_queries(partial, [handle])
+        position = target.position
+        snap = dict(source.snapshot())
+        del snap["runtime"]
+        with pytest.raises(SnapshotError, match="runtime"):
+            target.restore(snap)
+        assert target.position == position
 
     def test_adopt_rejects_wrong_handle_count(self):
-        source, s_handles, target, t_handles, _ = self._pair()
-        partial = source.extract_queries([s_handles[2], s_handles[3]])
-        handle = target.register(parse_query(QUERIES[2][0]), window=QUERIES[2][1])
-        with pytest.raises(SnapshotError, match="2"):
-            target.adopt_queries(partial, [handle])
+        source, _, target, t_handles, _ = self._pair()
+        with pytest.raises(SnapshotError, match="different registered queries"):
+            target.restore(source.snapshot())
+        assert target.handles() == t_handles
 
     def test_adopt_rejects_window_mismatch(self):
-        source, s_handles, target, _, _ = self._pair()
-        partial = source.extract_queries([s_handles[3]])
-        handle = target.register(parse_query(QUERIES[3][0]), window=QUERIES[3][1] + 1)
+        source, _, _, _, _ = self._pair()
+        windows = [(text, window + (index == 3)) for index, (text, window) in enumerate(QUERIES)]
+        target, handles = reference_engine(windows)
         with pytest.raises(SnapshotError, match="window"):
-            target.adopt_queries(partial, [handle])
+            target.restore(source.snapshot())
+        assert target.handles() == handles
 
     def test_adopt_rejects_different_query(self):
-        source, s_handles, target, _, _ = self._pair()
-        partial = source.extract_queries([s_handles[0]])
-        # Same window as QUERIES[0], structurally different query.
-        handle = target.register(parse_query(QUERIES[1][0]), window=QUERIES[0][1])
-        with pytest.raises(SnapshotError, match="signature|query"):
-            target.adopt_queries(partial, [handle])
+        source, _, _, _, _ = self._pair()
+        # Same windows, QUERIES[0] replaced by a structurally different query.
+        swapped = [(QUERIES[1][0], QUERIES[0][1])] + QUERIES[1:]
+        target, _ = reference_engine(swapped)
+        with pytest.raises(SnapshotError, match="signature"):
+            target.restore(source.snapshot())
 
     def test_adopt_rejects_full_snapshot(self):
-        source, s_handles, target, _, _ = self._pair()
-        handle = target.register(parse_query(QUERIES[3][0]), window=QUERIES[3][1])
-        with pytest.raises(SnapshotError, match=PARTIAL_SNAPSHOT_KIND):
-            target.adopt_queries(source.snapshot(), [handle])
+        """Only a multi-engine snapshot restores into the multi engine: a
+        single evaluator's is refused, and a query-subset tree of the removed
+        sharding package is refused by name."""
+        target, _ = reference_engine(QUERIES[3:])
+        single = StreamingEvaluator(hcq_to_pcea(parse_query(QUERIES[3][0])), window=QUERIES[3][1])
+        single.process(Tuple("T", (1,)))
+        with pytest.raises(SnapshotError, match="cannot restore into 'multi'"):
+            target.restore(single.snapshot())
+        partial = {"kind": "multi-partial", "snapshot_version": SNAPSHOT_VERSION, "lanes": []}
+        with pytest.raises(SnapshotError, match="repro.shard"):
+            target.restore(partial)
+        assert target.position == -1 and target.hash_table_size() == 0
 
     def test_extract_rejects_stale_handle(self):
+        """A departed query is gone from the engine and from its snapshots."""
         source, s_handles, _, _, _ = self._pair()
         source.unregister(s_handles[2])
         with pytest.raises(KeyError):
-            source.extract_queries([s_handles[2]])
+            source.unregister(s_handles[2])
+        ids = [entry["id"] for entry in source.snapshot()["registry"]["entries"]]
+        assert ids == [s_handles[0].id, s_handles[1].id, s_handles[3].id]
 
 
 # ------------------------------------------------------------- differentials
 class TestShardedDifferential:
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_inline_matches_single_engine(self, workers):
-        reference, _ = reference_engine()
+        """The first ``workers`` queries in one shared engine equal one
+        independent evaluator per query, valuation for valuation."""
+        queries = QUERIES[:workers]
+        engine, _ = reference_engine(queries)
         stream = sigma0_stream(150, seed=workers)
-        with sharded_engine(workers)[0] as sharded:
-            assert canonical(run_batches(sharded, stream)) == canonical(
-                run_batches(reference, stream)
-            )
-            assert sharded.position == reference.position
+        assert run_batches(engine, stream) == independent_outputs(queries, stream)
 
     @settings(max_examples=25, deadline=None)
     @given(stream=streams_strategy(SIGMA0, max_length=24))
     def test_inline_hypothesis_streams(self, stream):
-        reference, _ = reference_engine(QUERIES[:2])
-        with sharded_engine(2, QUERIES[:2])[0] as sharded:
-            assert canonical(run_batches(sharded, stream, batch_size=7)) == canonical(
-                run_batches(reference, stream, batch_size=7)
-            )
+        engine, _ = reference_engine(QUERIES[:2])
+        assert run_batches(engine, stream, batch_size=7) == independent_outputs(QUERIES[:2], stream)
 
     def test_single_tuple_process(self):
-        reference, _ = reference_engine()
+        """``process`` one tuple at a time equals batched ``process_many``."""
+        single, _ = reference_engine()
+        batched, _ = reference_engine()
         stream = sigma0_stream(40, seed=11)
-        with sharded_engine(2)[0] as sharded:
-            for event in stream:
-                want = reference.process(event)
-                got = sharded.process(event)
-                assert canonical([got]) == canonical([want])
+        got = [single.process(event) for event in stream]
+        assert got == run_batches(batched, stream)
+        assert got == independent_outputs(QUERIES, stream)
 
-    def test_fork_processes_match_single_engine(self):
-        reference, _ = reference_engine()
-        stream = sigma0_stream(150, seed=21)
-        with sharded_engine(2, start_method="fork")[0] as sharded:
-            assert canonical(run_batches(sharded, stream)) == canonical(
-                run_batches(reference, stream)
-            )
+    def test_fork_processes_match_single_engine(self, tmp_path):
+        """A CLI child process prints exactly what the in-process engine does."""
+        events = tmp_path / "events.csv"
+        events.write_text(events_csv(sigma0_stream(150, seed=21)))
+        child = subprocess.run(
+            cli_command("multi", *QUERY_ARGS, str(events)),
+            env=cli_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        args = build_multi_parser().parse_args(QUERY_ARGS)
+        output = io.StringIO()
+        assert run_multi(args, read_events(events.read_text().splitlines()), output) == 0
+        assert match_lines(child.stdout) == match_lines(output.getvalue())
+        assert match_lines(child.stdout)
 
-    def test_spawn_processes_match_single_engine(self):
-        # The spawn-safety satellite: children import repro fresh, nothing
-        # is inherited from this process.
-        reference, _ = reference_engine(QUERIES[:2])
-        stream = sigma0_stream(60, seed=31)
-        with sharded_engine(2, QUERIES[:2], start_method="spawn")[0] as sharded:
-            assert canonical(run_batches(sharded, stream, batch_size=30)) == canonical(
-                run_batches(reference, stream, batch_size=30)
+    def test_spawn_processes_match_single_engine(self, tmp_path):
+        """Fresh interpreters under different hash seeds print the same lines
+        in the same order: nothing depends on process-local hashing."""
+        events = tmp_path / "events.csv"
+        events.write_text(events_csv(sigma0_stream(60, seed=31)))
+        runs = [
+            subprocess.run(
+                cli_command("multi", *QUERY_ARGS, "--batch-size", "30", str(events)),
+                env=cli_env(PYTHONHASHSEED=seed), capture_output=True, text=True, timeout=120,
             )
+            for seed in ("0", "4242")
+        ]
+        assert [run.returncode for run in runs] == [0, 0], [run.stderr for run in runs]
+        assert match_lines(runs[0].stdout) == match_lines(runs[1].stdout)
+        assert match_lines(runs[0].stdout)
 
     def test_register_and_unregister_mid_stream(self):
-        reference, ref_handles = reference_engine(QUERIES[:3])
+        """Registration churn in the shared engine equals the same churn done
+        with one engine per query; handle ids are never reused."""
+        shared, handles = reference_engine(QUERIES[:3])
+        alone = [reference_engine([query])[0] for query in QUERIES[:3]]
         stream = sigma0_stream(120, seed=41)
-        with sharded_engine(2, QUERIES[:3])[0] as sharded:
-            a = run_batches(sharded, stream[:60])
-            b = run_batches(reference, stream[:60])
-            sharded.unregister(sharded.handles()[1])
-            reference.unregister(ref_handles[1])
-            h_new = sharded.register(parse_query(QUERIES[3][0]), window=QUERIES[3][1])
-            r_new = reference.register(parse_query(QUERIES[3][0]), window=QUERIES[3][1])
-            assert h_new.id == r_new.id  # same global id allocation
-            a += run_batches(sharded, stream[60:])
-            b += run_batches(reference, stream[60:])
-            assert canonical(a) == canonical(b)
+
+        def per_query(engines, tuples, ids):
+            rows = [engine.process_many(tuples) for engine in engines]
+            return [
+                {qid: out[0] for qid, out in zip(ids, (row[i] for row in rows)) if out}
+                for i in range(len(tuples))
+            ]
+
+        got = shared.process_many(stream[:60])
+        want = per_query(alone, stream[:60], [0, 1, 2])
+        shared.unregister(handles[1])
+        newcomer = shared.register(parse_query(QUERIES[3][0]), window=QUERIES[3][1])
+        assert newcomer.id == 3
+        late = MultiQueryEngine()
+        late.process_many(stream[:60])
+        late.register(parse_query(QUERIES[3][0]), window=QUERIES[3][1])
+        alone = [alone[0], alone[2], late]
+        got += shared.process_many(stream[60:])
+        want += per_query(alone, stream[60:], [0, 2, 3])
+        assert got == want
 
     def test_double_unregister_rejected(self):
-        with sharded_engine(2)[0] as sharded:
-            handle = sharded.handles()[0]
-            sharded.unregister(handle)
-            with pytest.raises(KeyError):
-                sharded.unregister(handle)
+        engine, handles = reference_engine()
+        engine.unregister(handles[0])
+        with pytest.raises(KeyError):
+            engine.unregister(handles[0])
+        assert engine.handles() == handles[1:]
+        stream = sigma0_stream(40, seed=3)
+        assert engine.process_many(stream) == [
+            {qid + 1: out for qid, out in outputs.items()}
+            for outputs in independent_outputs(QUERIES[1:], stream)
+        ]
 
     def test_unknown_command_is_error_reply_not_crash(self):
-        worker = ShardWorker()
-        with pytest.raises(ValueError, match="unknown shard command"):
-            worker.handle(("made_up",))
+        """An unknown command gets an error reply and a closed connection;
+        the server keeps serving everyone else."""
+        with ServerThread(MultiQueryEngine(), max_batch=16) as st:
+            with socket.create_connection((st.host, st.port), timeout=10) as raw:
+                raw.sendall(encode_frame(("made_up",)))
+                data = b""
+                while True:
+                    chunk = raw.recv(65536)
+                    if not chunk:
+                        break
+                    data += chunk
+            (reply,) = FrameAssembler().feed(data)
+            assert reply[0] == "error" and "unknown command" in reply[1]
+            with IngestClient(st.host, st.port) as client:
+                client.subscribe(QUERIES[3][0], QUERIES[3][1])
+                client.ingest_all(sigma0_stream(20, seed=8), frame_size=5)
+                assert client.ping() == 19
 
 
-# --------------------------------------------------------------- rebalancing
+# ------------------------------------------------------- state handover
 class TestRebalance:
     def test_rebalance_mid_stream_is_lossless(self):
-        reference, ref_handles = reference_engine()
+        """Handing the state to a fresh engine at three batch boundaries
+        changes no output."""
+        reference, _ = reference_engine()
         stream = sigma0_stream(200, seed=51)
-        with sharded_engine(3)[0] as sharded:
-            handles = sharded.handles()
-            moves = iter([(handles[0], 2), (handles[2], 0), (handles[0], 1)])
-
-            def hook(position):
-                move = next(moves, None)
-                if move is not None:
-                    sharded.rebalance(*move)
-
-            got = run_batches(sharded, stream, batch_size=40, hook=hook)
-            want = run_batches(reference, stream, batch_size=40)
-            assert canonical(got) == canonical(want)
-            assert sharded.rebalances == 3
+        want = run_batches(reference, stream, batch_size=40)
+        engine, _ = reference_engine()
+        got = []
+        for index, start in enumerate(range(0, 200, 40)):
+            got += engine.process_many(stream[start : start + 40])
+            if index in (0, 2, 3):
+                engine = handover(engine)
+        assert got == want
 
     def test_rebalance_to_same_shard_is_noop(self):
-        with sharded_engine(2)[0] as sharded:
-            handle = sharded.handles()[0]
-            source = sharded.assignment()[handle.id]
-            sharded.rebalance(handle, source)
-            assert sharded.rebalances == 0
+        """Restoring an engine's own snapshot into it changes nothing."""
+        engine, handles = reference_engine()
+        twin, _ = reference_engine()
+        stream = sigma0_stream(120, seed=52)
+        for each in (engine, twin):
+            each.process_many(stream[:60])
+        size = engine.hash_table_size()
+        engine.restore(engine.snapshot())
+        assert engine.handles() == handles and engine.hash_table_size() == size
+        assert engine.process_many(stream[60:]) == twin.process_many(stream[60:])
 
     def test_rebalance_stale_handle_rejected(self):
-        with sharded_engine(2)[0] as sharded:
-            handle = sharded.handles()[0]
-            sharded.unregister(handle)
-            with pytest.raises(KeyError):
-                sharded.rebalance(handle, 1)
+        """Handles follow the snapshot: one unregistered before it stays stale
+        after a restore, and later registrations continue its id sequence."""
+        source, handles = reference_engine()
+        source.process_many(sigma0_stream(30, seed=53))
+        source.unregister(handles[2])
+        survivors = [query for index, query in enumerate(QUERIES) if index != 2]
+        target = handover(source, survivors)
+        assert [handle.id for handle in target.handles()] == [0, 1, 3]
+        with pytest.raises(KeyError):
+            target.unregister(handles[2])
+        assert target.register(parse_query(QUERIES[2][0]), window=QUERIES[2][1]).id == 4
 
     def test_rebalance_bad_target_rejected(self):
-        with sharded_engine(2)[0] as sharded:
-            with pytest.raises(ValueError, match="out of range"):
-                sharded.rebalance(sharded.handles()[0], 5)
+        """An engine without the arena cannot take run stores over; it is
+        left as it was."""
+        source, _ = reference_engine()
+        source.process_many(sigma0_stream(30, seed=54))
+        target, handles = reference_engine(arena=False)
+        with pytest.raises(SnapshotError, match="arena"):
+            target.restore(source.snapshot())
+        assert target.handles() == handles and target.position == -1
 
     def test_rebalance_updates_assignment_and_rosters(self):
-        with sharded_engine(2)[0] as sharded:
-            handle = sharded.handles()[0]
-            source = sharded.assignment()[handle.id]
-            target = 1 - source
-            sharded.rebalance(handle, target)
-            assert sharded.assignment()[handle.id] == target
-            observed = sharded.observe()["shard"]["per_shard"]
-            assert observed[target]["queries"] == sum(
-                1 for s in sharded.assignment().values() if s == target
-            )
+        """A restored engine reproduces the source's placement, handles and
+        store layout."""
+        source, _ = reference_engine()
+        source.process_many(sigma0_stream(50, seed=55))
+        source.unregister(source.handles()[1])
+        source.register(parse_query(QUERIES[1][0]), window=6)
+        order = [QUERIES[0], QUERIES[2], QUERIES[3], (QUERIES[1][0], 6)]
+        target = handover(source, order)
+        assert target.snapshot()["placement"] == source.snapshot()["placement"]
+        assert target.handles() == source.handles()
+        # Everything but the registration history (the patch counters).
+        layout = [
+            {key: value for key, value in engine.dispatch_info().items() if not key.startswith("patched_")}
+            for engine in (target, source)
+        ]
+        # The window-4 store left with its one query; window 6 now holds two.
+        assert layout[0] == layout[1] and layout[0]["stores"] == 3
 
 
 # ------------------------------------------------------------------ recovery
 class TestRecovery:
+    @staticmethod
+    def _die_and_recover(stream, die_at, checkpoint_every, churn=None):
+        """Emit until ``die_at``, checkpointing every ``checkpoint_every``
+        tuples; then recover in a fresh engine from the last checkpoint (or
+        from nothing), replay, and finish the stream.  Returns the outputs
+        emitted before the death, those replayed, and the recovered tail."""
+        engine, _ = reference_engine()
+        queries = list(QUERIES)
+        emitted, saved = [], (0, None)
+        for start in range(0, die_at, 10):
+            emitted += engine.process_many(stream[start : start + 10])
+            if churn is not None and start + 10 == churn:
+                engine.unregister(engine.handles()[1])
+                engine.register(parse_query(QUERIES[1][0]), window=7)
+                queries = [QUERIES[0], QUERIES[2], QUERIES[3], (QUERIES[1][0], 7)]
+            if checkpoint_every and (start + 10) % checkpoint_every == 0:
+                saved = (start + 10, queries, snapshot_codec.dumps(engine.snapshot()))
+        recovered, _ = reference_engine(saved[1] if saved[1] else QUERIES)
+        if saved[1]:
+            recovered.restore(snapshot_codec.loads(saved[2]))
+        replayed = recovered.process_many(stream[saved[0] : die_at])
+        assert replayed == emitted[saved[0] :]
+        return emitted + recovered.process_many(stream[die_at:])
+
     def test_inline_death_with_checkpoints(self):
-        reference, _ = reference_engine()
         stream = sigma0_stream(200, seed=61)
-        with sharded_engine(3, checkpoint_interval=50)[0] as sharded:
-            killed = []
-
-            def hook(position):
-                if not killed and position >= 80:
-                    sharded._shards[1].channel.dead = True
-                    killed.append(position)
-
-            got = run_batches(sharded, stream, batch_size=40, hook=hook)
-            want = run_batches(reference, stream, batch_size=40)
-            assert canonical(got) == canonical(want)
-            assert sharded.recoveries == 1
-            assert sharded.checkpoints_taken >= 2
+        reference, _ = reference_engine()
+        want = run_batches(reference, stream, batch_size=10)
+        assert self._die_and_recover(stream, die_at=130, checkpoint_every=50) == want
 
     def test_inline_death_without_any_checkpoint(self):
-        reference, _ = reference_engine()
         stream = sigma0_stream(120, seed=71)
-        with sharded_engine(2)[0] as sharded:
-            done = []
-
-            def hook(position):
-                if not done:
-                    sharded._shards[0].channel.dead = True
-                    done.append(True)
-
-            got = run_batches(sharded, stream, batch_size=30, hook=hook)
-            want = run_batches(reference, stream, batch_size=30)
-            assert canonical(got) == canonical(want)
-            assert sharded.recoveries == 1
-
-    def test_sigkilled_fork_worker_recovers_exactly(self):
         reference, _ = reference_engine()
+        want = run_batches(reference, stream, batch_size=10)
+        assert self._die_and_recover(stream, die_at=70, checkpoint_every=0) == want
+
+    def test_sigkilled_fork_worker_recovers_exactly(self, tmp_path):
+        """A CLI process killed with SIGKILL never writes its checkpoint, so
+        the one it restored from is intact: a new process restoring that one
+        and reading the tail prints what an uninterrupted run prints."""
         stream = sigma0_stream(160, seed=81)
-        with sharded_engine(
-            2, start_method="fork", checkpoint_interval=60
-        )[0] as sharded:
-            killed = []
+        head, tail, whole = (tmp_path / name for name in ("head.csv", "tail.csv", "whole.csv"))
+        head.write_text(events_csv(stream[:80]))
+        tail.write_text(events_csv(stream[80:]))
+        whole.write_text(events_csv(stream))
+        checkpoint = str(tmp_path / "checkpoint.json")
+        base = ["multi", *QUERY_ARGS]
+        first = io.StringIO()
+        args = build_multi_parser().parse_args(QUERY_ARGS + ["--checkpoint", checkpoint])
+        assert run_multi(args, read_events(head.read_text().splitlines()), first) == 0
+        saved = Path(checkpoint).read_bytes()
 
-            def hook(position):
-                if not killed and position >= 80:
-                    sharded._shards[1].process.kill()
-                    sharded._shards[1].process.join()
-                    killed.append(position)
+        victim = subprocess.Popen(
+            cli_command(*base, "--restore", checkpoint, "--checkpoint", checkpoint),
+            env=cli_env(), stdin=subprocess.PIPE,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        victim.stdin.write(events_csv(stream[80:120]).encode())
+        victim.stdin.flush()
+        victim.kill()
+        assert victim.wait(timeout=60) == -signal.SIGKILL
+        victim.stdin.close()
+        assert Path(checkpoint).read_bytes() == saved
 
-            got = run_batches(sharded, stream, batch_size=40, hook=hook)
-            want = run_batches(reference, stream, batch_size=40)
-            assert canonical(got) == canonical(want)
-            assert sharded.recoveries == 1
+        resumed = subprocess.run(
+            cli_command(*base, "--restore", checkpoint, str(tail)),
+            env=cli_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert resumed.returncode == 0, resumed.stderr
+        uninterrupted = io.StringIO()
+        args = build_multi_parser().parse_args(QUERY_ARGS)
+        assert run_multi(args, read_events(whole.read_text().splitlines()), uninterrupted) == 0
+        assert match_lines(first.getvalue()) + match_lines(resumed.stdout) == match_lines(
+            uninterrupted.getvalue()
+        )
 
     def test_death_after_rebalance_replays_the_move(self):
-        reference, _ = reference_engine()
+        """A checkpoint taken after a query moved to another window restores
+        into an engine that registered the moved query last."""
         stream = sigma0_stream(160, seed=91)
-        with sharded_engine(2, checkpoint_interval=60)[0] as sharded:
-            handle = sharded.handles()[0]
-            steps = iter(range(100))
-
-            def hook(position):
-                step = next(steps)
-                if step == 0:
-                    target = 1 - sharded.assignment()[handle.id]
-                    sharded.rebalance(handle, target)
-                elif step == 1:
-                    # Kill the shard that adopted the moved query: replay
-                    # must re-apply the adopt from the command log.
-                    sharded._shards[sharded.assignment()[handle.id]].channel.dead = True
-
-            got = run_batches(sharded, stream, batch_size=40, hook=hook)
-            want = run_batches(reference, stream, batch_size=40)
-            assert canonical(got) == canonical(want)
-            assert sharded.recoveries == 1 and sharded.rebalances == 1
+        reference, _ = reference_engine()
+        want = []
+        for start in range(0, 160, 10):
+            want += reference.process_many(stream[start : start + 10])
+            if start + 10 == 40:
+                reference.unregister(reference.handles()[1])
+                reference.register(parse_query(QUERIES[1][0]), window=7)
+        got = self._die_and_recover(stream, die_at=110, checkpoint_every=80, churn=40)
+        assert got == want
 
 
 # ------------------------------------------------------------------ surfaces
 class TestSurfaces:
+    STANDARD = ("engine", "position", "hash_entries", "evicted", "stats", "dispatch",
+                "fanout", "memory", "kernel")
+
     def test_observe_shape_and_shard_section(self):
-        reference, _ = reference_engine()
+        engine, _ = reference_engine(collect_stats=True)
         stream = sigma0_stream(80, seed=3)
-        with sharded_engine(2)[0] as sharded:
-            run_batches(sharded, stream)
-            run_batches(reference, stream)
-            observed = sharded.observe()
-            for key in ("position", "hash_entries", "evicted", "stats", "dispatch",
-                        "fanout", "memory", "kernel", "shard"):
-                assert key in observed
-            assert observed["position"] == reference.position
-            assert observed["hash_entries"] == reference.hash_table_size()
-            assert observed["evicted"] == reference.evicted
-            shard = observed["shard"]
-            assert shard["workers"] == 2
-            assert shard["batches"] == len(range(0, 80, 16))
-            assert shard["frames_sent"] > 0 and shard["bytes_sent"] > 0
-            assert len(shard["per_shard"]) == 2
-            # Aggregated stats equal the single engine's work counters.
-            ref_observed = reference.observe()
-            for field in ("transitions_fired", "hash_updates", "outputs_enumerated",
-                          "tuples_processed"):
-                assert observed["stats"][field] == ref_observed["stats"][field]
+        run_batches(engine, stream)
+        observed = engine.observe()
+        assert set(self.STANDARD) <= set(observed) and "shard" not in observed
+        assert observed["engine"] == "MultiQueryEngine"
+        assert observed["position"] == engine.position == len(stream) - 1
+        assert observed["hash_entries"] == engine.hash_table_size()
+        assert observed["evicted"] == engine.evicted
+        assert observed["stats"]["tuples_processed"] == len(stream)
 
     def test_shard_counters_sit_beside_the_standard_sections(self):
-        with sharded_engine(2)[0] as sharded:
-            run_batches(sharded, sigma0_stream(40, seed=4))
-            observed = sharded.observe()
-            shard = observed["shard"]
-            assert (shard["workers"], shard["batches"]) == (2, 3)
-            assert "fan_in_matches" in shard and "rebalances" in shard
-            assert observed["hash_entries"] == sharded.hash_table_size()
-            assert observed["memory"] == sharded.memory_info()
-            assert observed["kernel"] == sharded.kernel_info()
+        """The standard sections mirror the engine's accessors, and an
+        observer exports no shard series."""
+        engine, _ = reference_engine()
+        observer = Observer()
+        engine.attach_observer(observer)
+        run_batches(engine, sigma0_stream(40, seed=4))
+        observed = engine.observe()
+        assert observed["memory"] == engine.memory_info()
+        assert observed["kernel"] == engine.kernel_info()
+        assert observed["dispatch"]["queries"] == 4 and observed["dispatch"]["stores"] == 4
+        assert not [name for name in observer.collect() if "shard" in name]
+        engine.detach_observer()
 
     def test_stats_property_aggregates(self):
-        reference, _ = reference_engine()
+        """The shared engine's counters cover every query at once: one tuple
+        count for the stream, the outputs of all queries summed."""
+        engine, _ = reference_engine(collect_stats=True)
         stream = sigma0_stream(60, seed=6)
-        with sharded_engine(3)[0] as sharded:
-            run_batches(sharded, stream)
-            run_batches(reference, stream)
-            assert sharded.stats.tuples_processed == reference.stats.tuples_processed
-            assert sharded.stats.transitions_fired == reference.stats.transitions_fired
-            assert sharded.hash_table_size() == reference.hash_table_size()
-            assert sharded.evicted == reference.evicted
+        outputs = run_batches(engine, stream)
+        evaluators = [
+            StreamingEvaluator(hcq_to_pcea(parse_query(text)), window=window, collect_stats=True)
+            for text, window in QUERIES
+        ]
+        for tup in stream:
+            for evaluator in evaluators:
+                list(evaluator.process(tup))
+        stats = engine.stats
+        assert stats.tuples_processed == len(stream)
+        assert stats.outputs_enumerated == sum(len(out) for row in outputs for out in row.values())
+        assert stats.outputs_enumerated == sum(e.stats.outputs_enumerated for e in evaluators)
 
     def test_observer_counts_shard_batches_and_rebalances(self):
-        from repro.obs import Observer
-
+        """The observer counts batches, and the snapshot/restore pair that
+        hands state over, in its standard series."""
         observer = Observer()
-        with sharded_engine(2)[0] as sharded:
-            sharded.attach_observer(observer)
-            run_batches(sharded, sigma0_stream(40, seed=7))
-            handle = sharded.handles()[0]
-            sharded.rebalance(handle, 1 - sharded.assignment()[handle.id])
-            collected = observer.collect()
-            assert collected["repro_shard_batches_total"] == 3
-            assert collected["repro_shard_rebalances_total"] == 1
-            assert collected["repro_shard_workers"] == 2
-            sharded.detach_observer()
+        engine, _ = reference_engine()
+        engine.attach_observer(observer)
+        run_batches(engine, sigma0_stream(40, seed=7))
+        engine.restore(engine.snapshot())
+        collected = observer.collect()
+        assert collected["repro_batches_total"] == 3
+        assert collected["repro_checkpoints_total"] == 1
+        assert collected["repro_restores_total"] == 1
+        assert not [name for name in collected if name.startswith("repro_shard")]
+        engine.detach_observer()
 
     def test_worker_module_has_main_guard(self):
+        """The sharding package is gone: its worker entry point does not import."""
         result = subprocess.run(
             [sys.executable, "-m", "repro.shard.worker"],
-            capture_output=True,
-            text=True,
+            env=cli_env(), capture_output=True, text=True, timeout=120,
         )
         assert result.returncode != 0
-        assert "multiprocessing entry point" in result.stderr
+        assert "No module named 'repro.shard'" in result.stderr
 
 
 # ------------------------------------------------------------------ CLI
 class TestCli:
-    EVENTS = "".join(
-        f"{event.relation},{','.join(map(str, event.values))}\n"
-        for event in sigma0_stream(200, seed=12)
-    )
+    EVENTS = events_csv(sigma0_stream(200, seed=12))
 
-    def _run(self, argv):
-        from repro.cli import read_events
-
-        parser = build_multi_parser()
-        args = parser.parse_args(argv)
+    def _run(self, argv, parser=build_multi_parser, runner=run_multi):
+        try:
+            args = parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, ""
         output = io.StringIO()
-        code = run_multi(args, list(read_events(self.EVENTS.splitlines())), output)
+        code = runner(args, list(read_events(self.EVENTS.splitlines())), output)
         return code, output.getvalue()
 
-    BASE = [
-        "--query", QUERIES[0][0], "--query", QUERIES[1][0],
-        "--window", "6", "--window", "4",
-    ]
-
     def test_workers_output_matches_single_process(self):
-        code_single, out_single = self._run(self.BASE + ["--batch-size", "32"])
-        code_sharded, out_sharded = self._run(
-            self.BASE + ["--workers", "2", "--start-method", "inline", "--stats"]
-        )
-        assert code_single == 0 and code_sharded == 0
-        single = sorted(l for l in out_single.splitlines() if not l.startswith("#"))
-        sharded = sorted(l for l in out_sharded.splitlines() if not l.startswith("#"))
-        assert single == sharded
-        assert any(l.startswith("# shard: workers=2") for l in out_sharded.splitlines())
+        """Each query's lines from ``multi`` equal the single-query mode's."""
+        code, multi = self._run(QUERY_ARGS + ["--batch-size", "32", "--stats"])
+        assert code == 0
+        assert not [line for line in multi.splitlines() if line.startswith("# shard")]
+        for name, (text, window) in zip(("Q0", "QA"), QUERIES[:2]):
+            code, single = self._run(
+                ["--query", text, "--window", str(window)], parser=build_parser, runner=run
+            )
+            assert code == 0
+            mine = [
+                line.split("\t", 1)[1]
+                for line in match_lines(multi)
+                if line.startswith(name + "\t")
+            ]
+            assert mine == match_lines(single) and mine
 
     def test_workers_rejects_no_arena(self):
-        code, _ = self._run(self.BASE + ["--workers", "2", "--no-arena"])
-        assert code == 2
+        assert self._run(QUERY_ARGS + ["--workers", "2", "--no-arena"])[0] == 2
+        assert self._run(QUERY_ARGS + ["--no-arena"])[0] == 0
 
-    def test_workers_rejects_checkpoint_flags(self):
-        code, _ = self._run(self.BASE + ["--workers", "2", "--checkpoint", "/tmp/x"])
-        assert code == 2
-        code, _ = self._run(self.BASE + ["--workers", "2", "--restore", "/tmp/x"])
-        assert code == 2
+    def test_workers_rejects_checkpoint_flags(self, tmp_path):
+        path = str(tmp_path / "checkpoint.json")
+        assert self._run(QUERY_ARGS + ["--workers", "2", "--checkpoint", path])[0] == 2
+        assert self._run(QUERY_ARGS + ["--workers", "2", "--restore", path])[0] == 2
+        assert self._run(QUERY_ARGS + ["--checkpoint", path])[0] == 0
+        assert self._run(QUERY_ARGS + ["--restore", path])[0] == 0
 
-    def test_workers_rejects_trace(self):
-        code, _ = self._run(self.BASE + ["--workers", "2", "--trace", "/tmp/x.jsonl"])
-        assert code == 2
+    def test_workers_rejects_trace(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        assert self._run(QUERY_ARGS + ["--workers", "2", "--trace", str(path)])[0] == 2
+        assert not path.exists()
+        assert self._run(QUERY_ARGS + ["--trace", str(path)])[0] == 0
+        assert path.exists()
