@@ -253,28 +253,6 @@ def _add_engine_arguments(
             help="also print the engine's operation counters, dispatch, memory and "
             "kernel lines after the summary",
         )
-        _add_adaptive_arguments(parser)
-
-
-def _add_adaptive_arguments(parser: argparse.ArgumentParser) -> None:
-    """The adaptive-dispatch toggle, identical on every engine mode."""
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--adaptive",
-        dest="adaptive",
-        action="store_true",
-        help="adaptive selectivity-driven dispatch (the default): runtime hit "
-        "counters reorder candidate evaluation and promote hot constant "
-        "guards; matches are bit-identical to the static path",
-    )
-    group.add_argument(
-        "--no-adaptive",
-        dest="adaptive",
-        action="store_false",
-        help="freeze the compile-time dispatch order (the static ablation "
-        "oracle --adaptive is differentially tested against)",
-    )
-    parser.set_defaults(adaptive=True)
 
 
 def _add_checkpoint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -472,7 +450,6 @@ def run(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO) -> in
                 arena=not args.no_arena,
                 collect_stats=args.stats,
                 kernel=args.kernel,
-                adaptive=args.adaptive,
             )
         else:
             engine = StreamingEvaluator(
@@ -483,7 +460,6 @@ def run(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO) -> in
                 collect_stats=args.stats,
                 arena=not args.no_arena,
                 kernel=args.kernel,
-                adaptive=args.adaptive,
             )
     except ValueError as exc:
         # e.g. --kernel native on an installation without the built extension
@@ -598,19 +574,6 @@ def _print_stats(engine, output: TextIO) -> None:
         f"backends={','.join(kernel['backends'])}",
         file=output,
     )
-    adaptive = engine.adaptive_info()
-    if adaptive is None:
-        print("# adaptive: enabled=no", file=output)
-    else:
-        print(
-            f"# adaptive: enabled=yes interval={adaptive['interval']} "
-            f"flushes={adaptive['flushes']} reorders={adaptive['reorders']} "
-            f"promotions={adaptive['promotions']} "
-            f"demotions={adaptive['demotions']} "
-            f"promoted={adaptive['promoted']} "
-            f"tracked_relations={adaptive['tracked_relations']}",
-            file=output,
-        )
 
 
 def _format_memory_line(memory: dict) -> str:
@@ -665,7 +628,6 @@ def run_multi(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO)
             collect_stats=args.stats,
             arena=not args.no_arena,
             kernel=args.kernel,
-            adaptive=args.adaptive,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -844,7 +806,6 @@ def run_serve(args: argparse.Namespace, output: TextIO) -> int:
             collect_stats=args.stats,
             arena=not args.no_arena,
             kernel=args.kernel,
-            adaptive=args.adaptive,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

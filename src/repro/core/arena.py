@@ -278,14 +278,9 @@ class ArenaDataStructure:
     slab_capacity:
         Nodes per slab (rounded up to a power of two within
         ``[64, 65536]``).  Giving it pins the capacity for the arena's
-        lifetime (adaptation off unless ``adaptive=True`` is passed
-        explicitly); by default the initial capacity tracks the window
+        lifetime; by default the initial capacity tracks the window
         (``min(4096, max(64, window + 1))`` rounded up) and then adapts to
-        the observed allocation volume.
-    adaptive:
-        Whether slab capacity follows the observed per-window allocation
-        volume (see the module docstring).  Defaults to ``True`` when
-        ``slab_capacity`` is not given, ``False`` when it is.
+        the observed per-window allocation volume (see the module docstring).
     kernel:
         Which record-operation backend runs the hot path: ``"python"``,
         ``"native"`` (the optional C extension) or ``"auto"``
@@ -299,7 +294,6 @@ class ArenaDataStructure:
         self,
         window: int,
         slab_capacity: Optional[int] = None,
-        adaptive: Optional[bool] = None,
         kernel: Optional[str] = None,
     ) -> None:
         if window < 0:
@@ -314,9 +308,7 @@ class ArenaDataStructure:
             self._nk.set_request_slab(self._request_slab)
         else:
             self._nk = None
-        if adaptive is None:
-            adaptive = slab_capacity is None
-        self._adaptive = adaptive
+        self._adaptive = slab_capacity is None
         if slab_capacity is None:
             slab_capacity = min(4096, max(MIN_SLAB_CAPACITY, window + 1))
         self._cap = _round_capacity(slab_capacity)

@@ -81,38 +81,30 @@ class EvalGroup:
     """One predicate group: members sharing a canonical unary key.
 
     Equal canonical keys accept exactly the same tuples, so one ``accepts``
-    call decides the whole group.  ``rep`` is the first member in canonical
-    order; its ``hits`` slot is the group's hit counter (bumped by the fire
-    loop when the group holds) and its ``index`` the deterministic tie-break
-    adaptive reordering uses.
+    call — the first member's — decides the whole group.
     """
 
-    __slots__ = ("accepts", "members", "rep", "index")
+    __slots__ = ("accepts", "members")
 
     def __init__(self, members: Tup[Any, ...]) -> None:
-        rep = members[0]
-        self.accepts = rep.accepts
+        self.accepts = members[0].accepts
         self.members = members
-        self.rep = rep
-        self.index = rep.index
 
 
 class EvalPlan:
     """What one tuple is evaluated against: predicate groups, pre-built.
 
     ``total`` is the member count across ``groups`` (the scan width the
-    statistics report).  A plan's member set never changes: standing plans
-    stored in an index are never mutated, and
-    :class:`~repro.core.adaptive.AdaptiveState` only reorders the groups of
-    private copies and counts their ``probes``.
+    statistics report).  Plans stored in an index are never mutated; the
+    fire loop evaluates every group, so their order decides nothing it
+    applies (effects go in canonical candidate order).
     """
 
-    __slots__ = ("groups", "total", "probes", "_flat")
+    __slots__ = ("groups", "total", "_flat")
 
     def __init__(self, groups: List[EvalGroup], total: int) -> None:
         self.groups = groups
         self.total = total
-        self.probes = 0
         self._flat: Optional[Tup] = None
 
     def flat(self) -> Tup:
@@ -155,15 +147,16 @@ def _split_by_guard(plan: EvalPlan):
     equal canonical keys mean equal extensions, hence equal declared guards —
     a predicate class breaking that is rejected here, at build time.
     """
-    if all(group.rep.guard is None for group in plan.groups):
+    if all(group.members[0].guard is None for group in plan.groups):
         return None
     unguarded: List[EvalGroup] = []
     by_position: Dict[int, Dict[Hashable, List[EvalGroup]]] = {}
     for group in plan.groups:
-        guard = group.rep.guard
+        first = group.members[0]
+        guard = first.guard
         if any(member.guard != guard for member in group.members):
             raise ValueError(
-                f"unary predicates with canonical key {group.rep.pred_key!r} declare "
+                f"unary predicates with canonical key {first.pred_key!r} declare "
                 "different constant guards; equal keys must imply equal guards"
             )
         if guard is None:
@@ -189,7 +182,8 @@ class PlanIndex:
     tuples (wildcards merged in); ``guarded`` holds, for relations with
     constant-guarded members, the :func:`_split_by_guard` refinement;
     ``wildcard_plan`` serves every other relation.  Members expose
-    ``pred_key`` / ``accepts`` / ``guard`` / ``index`` / ``hits``.
+    ``pred_key`` / ``accepts`` / ``guard`` / ``index``.  Every engine reads
+    its plans straight from here through :meth:`plan_for`.
     """
 
     def __init__(self) -> None:
@@ -248,19 +242,6 @@ class PlanIndex:
         The view tests and benchmarks read; the engines consume plans.
         """
         return self.plan_for(tup).flat()
-
-    def build_adaptive(self, config=None):
-        """An engine-owned :class:`~repro.core.adaptive.AdaptiveState` over
-        this index.
-
-        Each adaptive engine builds its own state (a per-automaton index may
-        be shared through ``PCEA.dispatch_index`` caching), so learned plans
-        never leak between engines; only the ``hits`` feedback counters live
-        on the members.
-        """
-        from repro.core.adaptive import AdaptiveState
-
-        return AdaptiveState(self, config)
 
     def relation_fanout(self) -> Dict[str, int]:
         """Per-relation candidate counts (``"*"`` = wildcard fallback).
@@ -325,7 +306,6 @@ class CompiledTransition:
         "relations",
         "guard",
         "pred_key",
-        "hits",
     )
 
     def __init__(self, index: int, transition: "PCEATransition") -> None:
@@ -354,10 +334,6 @@ class CompiledTransition:
         self.probes: Tup[Tup[int, object], ...] = ()
         self.consumers: Tup[Tup[int, object], ...] = ()
         self.store_through = False
-        # Hit counter: bumped when this transition leads a predicate group
-        # whose unary held, halved at every adaptive flush.  Pure feedback —
-        # never read on a correctness path and excluded from signature().
-        self.hits = 0
 
     def __repr__(self) -> str:
         key = "*" if self.relations is None else "|".join(sorted(self.relations))
@@ -385,7 +361,7 @@ class MergedEntry:
     """
 
     __slots__ = (
-        "owner", "handle", "compiled", "accepts", "pred_key", "guard", "index", "hits",
+        "owner", "handle", "compiled", "accepts", "pred_key", "guard", "index",
         "probes", "consumers", "target_id", "since",
     )  # fmt: skip
 
@@ -398,10 +374,6 @@ class MergedEntry:
         self.pred_key = pred_key
         self.guard: Optional[Tup[int, object]] = compiled.guard
         self.index = index
-        # Hit counter: bumped when this entry leads a predicate group whose
-        # unary held, halved at every adaptive flush.  Feedback only —
-        # excluded from signature().
-        self.hits = 0
         self.probes = compiled.probes
         self.consumers = compiled.consumers
         self.target_id = compiled.target_id

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple as Tup, Union
 
-from repro.core.adaptive import resolve_config
 from repro.core.arena import ArenaDataStructure
 from repro.core.datastructure import DataStructure, Node
 from repro.core.dispatch import TransitionDispatchIndex
@@ -133,14 +132,6 @@ class StreamingEvaluator(RuntimeBackedEngine):
         :mod:`repro.core.kernel`).  Ignored with ``arena=False`` or an
         injected ``datastructure``; :meth:`kernel_info` reports what is
         actually running.
-    adaptive:
-        Adaptive selectivity-driven dispatch (:mod:`repro.core.adaptive`):
-        ``True`` (default) enables runtime feedback — periodic reordering
-        of predicate groups, hot constant-guard promotion — with outputs
-        and operation counters bit-identical to the static path (``False``,
-        the ablation oracle).  An explicit
-        :class:`~repro.core.adaptive.AdaptiveConfig` overrides the
-        flush/promotion knobs.  Inert with ``indexed=False``.
 
     Examples
     --------
@@ -159,7 +150,6 @@ class StreamingEvaluator(RuntimeBackedEngine):
         collect_stats: bool = True,
         arena: bool = True,
         kernel: str | None = None,
-        adaptive: object = True,
     ) -> None:
         if not pcea.uses_only_equality_predicates():
             raise NotEqualityPredicateError(
@@ -216,18 +206,7 @@ class StreamingEvaluator(RuntimeBackedEngine):
         self._evict = evict
         # The automaton's (possibly shared) index bound to this engine's lane:
         # the plans ``fire`` consumes carry their owning lane per member.
-        bound = self._dispatch.bind(self._lane)
-        self._plan_for = bound.plan_for
-        # Adaptive dispatch: engine-owned feedback state, armed only when the
-        # index has something to adapt — a promotable guard position or a
-        # shared predicate group.
-        config = resolve_config(adaptive)
-        if config is not None:
-            state = bound.build_adaptive(config)
-            if state.tracked():
-                self._adaptive = state
-                self._plan_for = state.plan_for
-                self._runtime.arm_adapt(self._adapt_flush, config.interval)
+        self._plan_for = self._dispatch.bind(self._lane).plan_for
 
     # -------------------------------------------------------------- main loop
     def run(
@@ -402,7 +381,6 @@ class StreamingEvaluator(RuntimeBackedEngine):
             raise SnapshotError(f"snapshot is missing the {exc} section") from exc
         self._lane.restore(lane_snap)
         self._runtime.restore(runtime_snap, [self._lane])
-        self._reset_adaptive()
 
     # ------------------------------------------------------------ introspection
     # (hash_table_size / memory_info / dispatch_info / observe come from

@@ -61,7 +61,6 @@ import struct
 from array import array
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple as Tup
 
-from repro.core.adaptive import resolve_config
 from repro.core.arena import ArenaDataStructure
 from repro.core.datastructure import DataStructure
 from repro.core.dispatch import TransitionDispatchIndex, member_order
@@ -169,14 +168,6 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
         ``"native"`` / ``"auto"``; ``None`` defers to ``REPRO_KERNEL`` then
         auto-detection — :mod:`repro.core.kernel`).  Ignored with
         ``arena=False``.
-    adaptive:
-        Adaptive selectivity-driven dispatch (:mod:`repro.core.adaptive`):
-        runtime hit counters reorder candidate groups and promote hot
-        constant-guard values.  Particularly effective here, where a shared
-        group verdict saves whole ring scans; outputs, counters and
-        snapshots stay bit-identical to the static path (``False``, the
-        ablation oracle).  Inert with ``indexed=False``; an
-        :class:`~repro.core.adaptive.AdaptiveConfig` overrides the knobs.
     """
 
     def __init__(
@@ -188,7 +179,6 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
         collect_stats: bool = True,
         ring_capacity: int = DEFAULT_RING_CAPACITY,
         kernel: Optional[str] = None,
-        adaptive: object = True,
     ) -> None:
         if ring_capacity < 1:
             raise ValueError("ring_capacity must be at least 1 slot")
@@ -218,16 +208,7 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
         self._count_stats = collect_stats
         self._runtime.count_stats = collect_stats
         self.nodes_scanned = 0
-        # Adaptive dispatch: only armed when the automaton has something to
-        # learn (a promotable guard position or a shareable predicate group).
         self._plan_for = self._dispatch.plan_for
-        config = resolve_config(adaptive)
-        if config is not None:
-            state = self._dispatch.build_adaptive(config)
-            if state.tracked():
-                self._adaptive = state
-                self._plan_for = state.plan_for
-                self._runtime.arm_adapt(self._adapt_flush, config.interval)
 
     # -------------------------------------------------------------- main loop
     def process(self, tup: Tuple) -> List[Valuation]:
@@ -324,7 +305,6 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
         held: List = []
         for group in plan.groups:
             if group.accepts(tup):
-                group.rep.hits += 1
                 held.extend(group.members)
         if len(held) > 1:
             held.sort(key=member_order)
@@ -488,7 +468,6 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
         self._rings = rings
         self._next_seq = next_seq
         self.nodes_scanned = nodes_scanned
-        self._reset_adaptive()
 
     # ------------------------------------------------------------ introspection
     def live_run_count(self) -> int:

@@ -48,7 +48,6 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.core.adaptive import resolve_config
 from repro.core.arena import ArenaDataStructure
 from repro.core.kernel import resolve_kernel
 from repro.core.datastructure import DataStructure
@@ -127,14 +126,6 @@ class MultiQueryEngine(RuntimeBackedEngine):
         Resolved once at construction so every store — including those
         opened mid-stream — runs the same backend; ignored with
         ``arena=False``.
-    adaptive:
-        Adaptive selectivity-driven dispatch (:mod:`repro.core.adaptive`)
-        over the merged index: runtime feedback reorders candidate groups
-        and promotes hot constant-guard values to standing plans, with
-        per-query outputs and counters bit-identical to the static path
-        (``False``, the ablation oracle).  An
-        :class:`~repro.core.adaptive.AdaptiveConfig` overrides the
-        flush/promotion knobs.
     """
 
     def __init__(
@@ -143,7 +134,6 @@ class MultiQueryEngine(RuntimeBackedEngine):
         collect_stats: bool = False,
         arena: bool = True,
         kernel: Optional[str] = None,
-        adaptive: object = True,
     ) -> None:
         self.registry = registry if registry is not None else QueryRegistry()
         self._arena = arena
@@ -162,13 +152,6 @@ class MultiQueryEngine(RuntimeBackedEngine):
         self._merged = MergedDispatchIndex(())
         for entry in self.registry.entries():
             self._index(self._admit(entry))
-        # Adaptive dispatch over the merged index; the listener hookup keeps
-        # learned plans fresh through incremental registration patches.
-        config = resolve_config(adaptive)
-        if config is not None:
-            self._adaptive = self._merged.build_adaptive(config)
-            self._merged.adaptive_listener = self._adaptive
-            self._runtime.arm_adapt(self._adapt_flush, config.interval)
 
     # ----------------------------------------------------------------- stores
     def _open_store(self, window: int) -> _Store:
@@ -258,11 +241,6 @@ class MultiQueryEngine(RuntimeBackedEngine):
         self._merged = MergedDispatchIndex(())
         for query in self._ordered():
             self._index(query)
-        if self._adaptive is not None:
-            # A rebuilt index means rebuilt entries: re-derive the adaptive
-            # state over them (learning restarts).
-            self._adaptive = self._merged.build_adaptive(self._adaptive.config)
-            self._merged.adaptive_listener = self._adaptive
 
     # -------------------------------------------------------------- main loop
     def run(
@@ -315,8 +293,7 @@ class MultiQueryEngine(RuntimeBackedEngine):
             runtime.sweep(position)
         # One merged lookup serves every query; the shared fire loop then
         # evaluates one predicate per group and joins in each member's store.
-        source = self._adaptive if self._adaptive is not None else self._merged
-        plan = source.plan_for(tup)
+        plan = self._merged.plan_for(tup)
         stats = None
         if self._count_stats:
             stats = runtime.stats
@@ -462,7 +439,6 @@ class MultiQueryEngine(RuntimeBackedEngine):
         stores = self._seat(queries, placement, lanes)
         self._rebuild()
         self._runtime.restore(runtime_snap, stores)
-        self._reset_adaptive()
 
     # ------------------------------------------------------------ introspection
     # (hash_table_size / memory_info / dispatch_info / observe come from

@@ -144,10 +144,6 @@ class MergedDispatchIndex(PlanIndex):
         # plus the constant-guard refinement) are the PlanIndex's.
         self._specific: Dict[str, List[MergedEntry]] = {}
         self._wildcard_entries: List[MergedEntry] = []
-        # The engine's adaptive state, when it opted in: every per-relation
-        # refresh notifies it so learned plans are re-derived for exactly the
-        # relations a patch touched (the PR 4 localized-rewrite contract).
-        self.adaptive_listener = None
         for owner, index in members:
             self.add_query(owner, index)
 
@@ -334,14 +330,9 @@ class MergedDispatchIndex(PlanIndex):
             )
         else:
             self._store_relation(relation, bucket)
-        listener = self.adaptive_listener
-        if listener is not None:
-            listener.rebuild_relation(relation)
 
     # ----------------------------------------------------------------- lookups
-    # (plan_for / candidates_for / build_adaptive come from PlanIndex; the
-    # caller wires a built AdaptiveState into ``adaptive_listener`` so
-    # structural patches keep its plans fresh.)
+    # (plan_for / candidates_for come from PlanIndex.)
     def all_entries(self) -> Tup[MergedEntry, ...]:
         """Every entry, in candidate iteration order (introspection/tests)."""
         entries = [e for member in self._by_owner.values() for e in member.entries]

@@ -96,9 +96,6 @@ class Observer:
         self._checkpoint_seconds = m.histogram("repro_checkpoint_seconds")
         self._restores = m.counter("repro_restores_total")
         self._restore_seconds = m.histogram("repro_restore_seconds")
-        self._dispatch_reorders = m.counter("repro_dispatch_reorders_total")
-        self._guard_promotions = m.counter("repro_guard_promotions_total")
-        self._guard_demotions = m.counter("repro_guard_demotions_total")
 
     # ------------------------------------------------------------ attachment
     def attach(self, engine) -> None:
@@ -377,24 +374,6 @@ class Observer:
                 {"op": op, "transitions": transitions},
             )
 
-    def on_dispatch_adapt(self, reorders: int, promotions: int, demotions: int) -> None:
-        """An adaptive-dispatch flush changed plans (reorders/promotions).
-
-        Fired from the engines' flush hooks only when something actually
-        changed — quiescent flushes cost nothing beyond the counter reads.
-        """
-        if reorders:
-            self._dispatch_reorders.inc(reorders)
-        if promotions:
-            self._guard_promotions.inc(promotions)
-        if demotions:
-            self._guard_demotions.inc(demotions)
-        if self.trace is not None:
-            self.trace.record(
-                "dispatch_adapt", _perf(), 0.0,
-                {"reorders": reorders, "promotions": promotions, "demotions": demotions},
-            )
-
     # -------------------------------------------------------------- sampling
     def sampled(self, position: int) -> bool:
         """Whether ``position`` falls on the 1-in-N sampling grid."""
@@ -410,8 +389,7 @@ class Observer:
         pushed per tuple, so it costs nothing on the hot path.  Called
         automatically by the exporters for attached engines; call it
         periodically (e.g. the CLI ``--stats-interval`` loop) to turn the
-        per-``(relation, guard)`` fan-out and hit-rate gauges into a time
-        series.
+        per-relation fan-out gauges into a time series.
         """
         snapshot = engine.observe()
         gauge = self.metrics.gauge
@@ -426,15 +404,6 @@ class Observer:
             gauge(f"repro_dispatch_{field}").set(value)
         for relation, candidates in snapshot["fanout"].items():
             gauge("repro_relation_candidates", {"relation": relation}).set(candidates)
-        adaptive = snapshot.get("adaptive")
-        if adaptive is not None:
-            for field in ("flushes", "reorders", "promotions", "demotions",
-                          "promoted", "tracked_relations", "dormant_relations"):
-                gauge(f"repro_adaptive_{field}").set(adaptive[field])
-            for relation, info in adaptive.get("relations", {}).items():
-                gauge(
-                    "repro_relation_observed_selectivity", {"relation": relation}
-                ).set(info["selectivity"])
         kernel = snapshot["kernel"]
         gauge("repro_kernel_native_active").set(1.0 if kernel.get("active") == "native" else 0.0)
         ds = snapshot.get("ds")

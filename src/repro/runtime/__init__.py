@@ -25,8 +25,8 @@ times and the copies drifted.  The runtime holds exactly one of each:
   hashed engines: per predicate group one acceptor call, per held member the
   join probes against its owning lane's table, effects applied in canonical
   order, new runs indexed and registered for eviction.  What it evaluates a
-  tuple against is data (:class:`~repro.core.dispatch.EvalPlan`), so static,
-  adaptive, guarded and full-scan dispatch are the same code.
+  tuple against is data (:class:`~repro.core.dispatch.EvalPlan`), so indexed,
+  guarded and full-scan dispatch are the same code.
 * :class:`EvictionLane` — one evictable run store: a sliding window, a
   run-index table (``hash``), an enumeration structure (``ds``), and the
   representation-agnostic reclamation hooks (``add_ref`` / ``drop_ref`` /

@@ -65,10 +65,6 @@ from repro.runtime.statistics import EngineStatistics
 #: Default positions between full arena-release passes over every lane.
 RELEASE_PASS_INTERVAL = 256
 
-#: Sentinel "never" position for the adaptive-dispatch flush clock: far past
-#: any reachable stream position, so the disabled path is one int compare.
-_NEVER_ADAPT = 1 << 62
-
 _T = TypeVar("_T")
 
 
@@ -228,9 +224,6 @@ class StreamRuntime:
         "obs_arm",
         "obs_next",
         "obs_sweep_sampled",
-        "adapt_hook",
-        "adapt_interval",
-        "_next_adapt",
         "_swept_upto",
         "_next_release_pass",
         "_lanes",
@@ -270,14 +263,6 @@ class StreamRuntime:
         # the sweep keys its (timed, slab-accounting) sampled branch off this
         # single flag instead of re-deriving the sampling grid.
         self.obs_sweep_sampled = False
-        # Adaptive-dispatch flush callback (repro.core.adaptive), fired by
-        # the sweep every ``adapt_interval`` positions.  ``_next_adapt``
-        # mirrors ``_next_release_pass``: a sentinel far future position when
-        # no adaptive engine armed it, so the disabled steady-state cost is
-        # one slot load and one int compare.
-        self.adapt_hook = None
-        self.adapt_interval = 0
-        self._next_adapt = _NEVER_ADAPT
         # Absolute expiry position -> flat [lane_id, key, node, ...] triples.
         # Entries always register in strictly future buckets (a storable
         # entry satisfies max_start >= position - lane.window), so the sweep
@@ -293,24 +278,6 @@ class StreamRuntime:
         # resolves ids with one small-int dict lookup.
         self._lanes: Dict[int, EvictionLane] = {}
         self._next_lane_id = 0
-
-    # ------------------------------------------------------------- adaptation
-    def arm_adapt(self, hook: Callable[[int], None], interval: int) -> None:
-        """Arm the adaptive flush clock: call ``hook(position)`` every
-        ``interval`` positions from the sweep.  The first flush fires once the
-        stream has advanced ``interval`` positions past the current cursor —
-        which is also how restore re-seats the clock (learned state resets on
-        restore, so the clock is derived, never serialised)."""
-        if interval < 1:
-            raise ValueError("adapt interval must be at least 1 position")
-        self.adapt_hook = hook
-        self.adapt_interval = interval
-        self._next_adapt = self.position + interval
-
-    def disarm_adapt(self) -> None:
-        self.adapt_hook = None
-        self.adapt_interval = 0
-        self._next_adapt = _NEVER_ADAPT
 
     # ------------------------------------------------------------------ lanes
     def add_lane(self, lane: EvictionLane) -> EvictionLane:
@@ -425,9 +392,6 @@ class StreamRuntime:
                     lane.release(position)
             if position >= self._next_release_pass:
                 self.release_lanes(position)
-            if position >= self._next_adapt:
-                self._next_adapt = position + self.adapt_interval
-                self.adapt_hook(position)
         elif position > self._swept_upto:
             # A gap — or a position the observer's period clock sampled: the
             # range sweep carries the timing, released-slab accounting and
@@ -488,9 +452,6 @@ class StreamRuntime:
                 lane.release(position)
         if position >= self._next_release_pass:
             self.release_lanes(position)
-        if position >= self._next_adapt:
-            self._next_adapt = position + self.adapt_interval
-            self.adapt_hook(position)
 
     def release_lanes(self, position: int) -> None:
         """Release expired arena slabs in every active lane.
@@ -733,8 +694,6 @@ class RuntimeBackedEngine:
     """
 
     _runtime: StreamRuntime
-    #: The engine's :class:`~repro.core.adaptive.AdaptiveState`, when armed.
-    _adaptive = None
 
     @property
     def position(self) -> int:
@@ -846,34 +805,7 @@ class RuntimeBackedEngine:
                 "union_calls": getattr(ds, "union_calls", 0),
                 "union_copies": getattr(ds, "union_copies", 0),
             }
-        adaptive = self.adaptive_info()
-        if adaptive is not None:
-            snapshot["adaptive"] = adaptive
         return snapshot
-
-    def adaptive_info(self) -> Optional[Dict[str, object]]:
-        """The adaptive-dispatch summary, or ``None`` when not enabled.
-
-        See :meth:`repro.core.adaptive.AdaptiveState.info` for the keys.
-        """
-        state = self._adaptive
-        return state.info() if state is not None else None
-
-    def _adapt_flush(self, position: int) -> None:
-        """Adapt-clock callback: one reorder/promotion pass over the plans."""
-        reorders, promotions, demotions = self._adaptive.flush()
-        obs = self._runtime.obs
-        if obs is not None and (reorders or promotions or demotions):
-            obs.on_dispatch_adapt(reorders, promotions, demotions)
-
-    def _reset_adaptive(self) -> None:
-        """The restore policy (:mod:`repro.core.adaptive`): learned state is
-        never serialised — it resets deterministically and the flush clock
-        re-seats from the restored position, invisible in outputs and
-        statistics, so snapshots stay interchangeable with static engines."""
-        if self._adaptive is not None:
-            self._adaptive.reset()
-            self._runtime.arm_adapt(self._adapt_flush, self._adaptive.config.interval)
 
     def ingest_batch(self, tuples: Sequence[object]):
         """The network front end's batch-drain hook.

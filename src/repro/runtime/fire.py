@@ -3,8 +3,8 @@
 Every hashed engine is a facade over :func:`fire`: the single-query
 evaluator is its K=1 case (one store, one handle, every plan member theirs),
 the multi-query engine the general one (one store per window, one handle per
-registered query).  Static, adaptive, guarded and full-scan dispatch differ
-only in the :class:`~repro.core.dispatch.EvalPlan` they hand in.
+registered query).  Indexed, guarded and full-scan dispatch differ only in
+the :class:`~repro.core.dispatch.EvalPlan` they hand in.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ def fire(plan, tup, position: int, buckets: Optional[Dict[int, list]], stats) ->
     for group in plan.groups:
         if not group.accepts(tup):
             continue
-        group.rep.hits += 1
         for member in group.members:
             probes = member.probes
             if not probes:

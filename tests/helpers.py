@@ -4,7 +4,7 @@ Centralises the paper's running examples (schema ``σ0``, stream ``S0``, queries
 ``Q0``/``Q1``/``Q2``, automata ``C0``/``P0``) plus strategies for random
 streams, random hierarchical queries and sets of queries that overlap, and the
 seeded synthetic workloads (star groups, union storm, guarded disjunctions
-under drifting / bursty / uniform skew) the adaptive and plan tests replay.
+under drifting / bursty / uniform skew) the dispatch and plan tests replay.
 """
 
 from __future__ import annotations
@@ -474,7 +474,7 @@ def wildcard_mix_queries(
     num_queries: int, length: int, key_domain: int = 32, seed: int = 0
 ) -> Tup[List[PCEA], List[Tuple]]:
     """Half pure wildcards ``E(t, y)``, half privately guarded, over a uniform
-    stream: nothing here rewards adaptation."""
+    stream: no guard value is hot."""
     queries = [
         compile_pattern(atom("E", "t", "y", filters=[] if q % 2 == 0 else [("t", "==", q)]))
         for q in range(num_queries)

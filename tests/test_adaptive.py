@@ -1,29 +1,27 @@
-"""Tests for adaptive selectivity-driven dispatch (repro.core.adaptive).
+"""Guards for the retirement of adaptive dispatch (``repro.core.adaptive``).
 
-Five layers of protection:
+Adaptive dispatch reordered predicate groups and promoted hot guard values
+from runtime hit counters.  The fire loop evaluates every group of a plan,
+so the order of the groups never decided any work; the feedback loop was
+removed and every engine reads its plans straight from its index.  Each test
+below keeps the name of the adaptive-dispatch test it replaces and pins what
+stands in for that feature:
 
-* config/unit tests — knob validation, the ``adaptive=`` knob resolution,
-  and the engine gates (no index ⇒ adaptation off);
-* differentials — for every engine (single, general, multi) the adaptive
-  engine's outputs *and* operation counters must be
-  bit-identical to the static-dispatch oracle on the seeded scenario
-  workloads (drift, burst, wildcard-adversarial, shared-star) and on
-  hypothesis-generated random streams, including register/unregister
-  churn while adaptation is live;
-* invariants — flushes reorder derived plans only: the dispatch
-  ``signature()`` (the snapshot-verification identity) never changes, and
-  the scenario workload builders are seed-replayable;
-* snapshot policy — learned state deterministically resets on restore;
-  a mid-stream snapshot continues bit-identically whether restored into
-  an adaptive or a static engine (both directions) and across the
-  python/native kernel boundary;
-* observability — flush activity reaches the observer's
-  ``repro_dispatch_reorders_total`` / ``repro_guard_promotions_total``
-  counters and the per-relation observed-selectivity gauge, and the CLI
-  ``--adaptive`` / ``--no-adaptive`` modes print identical matches plus
-  the ``# adaptive:`` stats line.
+* config — no engine, nor the arena, accepts ``adaptive=`` or the old
+  knobs, and the module is gone;
+* differentials — every engine equals independent evaluators or the naive
+  oracle on the drift / burst / wildcard / shared-star / churn scenarios and
+  on hypothesis streams, with the static guard buckets doing the pruning;
+* invariants — processing never moves a dispatch ``signature()``, and the
+  scenario builders are seed-replayable;
+* snapshots — a mid-stream snapshot continues bit-identically, batched or
+  tuple by tuple, in every engine;
+* surfaces — no ``observe()`` key, metric series, trace span, CLI option or
+  ``# adaptive:`` stats line is left.
 """
 
+import importlib
+import inspect
 import io
 import math
 from dataclasses import asdict
@@ -31,11 +29,16 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, settings
 
-from repro.core.adaptive import (
-    DEFAULT_ADAPTIVE_CONFIG,
-    AdaptiveConfig,
-    resolve_config,
+from repro.cli import (
+    build_multi_parser,
+    build_net_client_parser,
+    build_parser,
+    build_serve_parser,
+    read_events,
+    run,
+    run_multi,
 )
+from repro.core.arena import ArenaDataStructure
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.hcq_to_pcea import hcq_to_pcea
 from repro.core.kernel import native_available
@@ -43,7 +46,7 @@ from repro.cq.query import parse_query
 from repro.cq.schema import Tuple
 from repro.extensions.general_evaluation import GeneralStreamingEvaluator
 from repro.multi.engine import MultiQueryEngine
-from repro.obs import Observer
+from repro.obs import Observer, TraceRecorder
 from repro.runtime import snapshot as snapshot_codec
 from repro.streams.generators import HCQWorkloadGenerator
 
@@ -61,23 +64,31 @@ from helpers import (
 )
 
 
-#: Short flush cadence so small test streams cross many adapt intervals.
-def fast_config(interval=64, min_probes=16):
-    return AdaptiveConfig(interval=interval, min_probes=min_probes)
-
-
 QUERIES = [
     ("Q1(x, y) <- S(x, y), R(x, y)", 12),
     ("Q2(x) <- T(x)", 8),
     ("Q3(x, y) <- T(x), S(x, y)", 16),
 ]
 
+#: Every name the feedback loop answered to, as a metric, span or stats key.
+ADAPTIVE_NAMES = ("adaptive", "dispatch_reorders", "guard_promotions", "guard_demotions",
+                  "observed_selectivity", "dispatch_adapt")  # fmt: skip
 
-def multi_engine(queries, window, adaptive, **kwargs):
-    engine = MultiQueryEngine(adaptive=adaptive, **kwargs)
+
+def multi_engine(queries, window, **kwargs):
+    engine = MultiQueryEngine(**kwargs)
     for index, query in enumerate(queries):
         engine.register(query, window, f"q{index}")
     return engine
+
+
+def in_batches(engine, tuples, size=64):
+    """``engine.process_many`` over ``tuples`` in ``size``-tuple batches."""
+    return [
+        outputs
+        for start in range(0, len(tuples), size)
+        for outputs in engine.process_many(tuples[start : start + size])
+    ]
 
 
 # ------------------------------------------------------------- config + gates
@@ -85,40 +96,48 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"interval": 0},
-            {"min_probes": 0},
-            {"promote_threshold": 0.0},
-            {"promote_threshold": 1.5},
-            {"max_promoted": -1},
+            {"adaptive": True},
+            {"adaptive": False},
+            {"interval": 512},
+            {"min_probes": 64},
+            {"promote_threshold": 0.1},
         ],
     )
     def test_invalid_knobs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            AdaptiveConfig(**kwargs)
+        """Neither ``adaptive=`` nor a knob of the retired config is accepted."""
+        pcea = hcq_to_pcea(parse_query(QUERIES[0][0]))
+        for build in (
+            lambda: StreamingEvaluator(pcea, window=8, **kwargs),
+            lambda: GeneralStreamingEvaluator(pcea, window=8, **kwargs),
+            lambda: MultiQueryEngine(**kwargs),
+            lambda: ArenaDataStructure(8, **kwargs),
+        ):
+            with pytest.raises(TypeError):
+                build()
 
     def test_resolve_config(self):
-        assert resolve_config(False) is None
-        assert resolve_config(True) is DEFAULT_ADAPTIVE_CONFIG
-        explicit = fast_config()
-        assert resolve_config(explicit) is explicit
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.adaptive")
+        for engine in (StreamingEvaluator, GeneralStreamingEvaluator, MultiQueryEngine, ArenaDataStructure):
+            assert "adaptive" not in inspect.signature(engine).parameters, engine
 
     def test_disabled_engine_reports_none(self):
-        pcea, _ = multi_star_workload(3, 10, selectivity=0.3, seed=1)
-        assert StreamingEvaluator(pcea, window=8, adaptive=False).adaptive_info() is None
-        engine = StreamingEvaluator(pcea, window=8, adaptive=True)
-        info = engine.adaptive_info()
-        assert info is not None and info["enabled"] is True
+        pcea, stream = multi_star_workload(3, 10, selectivity=0.3, seed=1)
+        engine = StreamingEvaluator(pcea, window=8)
+        engine.process_many(stream)
+        assert not hasattr(engine, "adaptive_info")
+        assert "adaptive" not in engine.observe()
 
     def test_general_requires_index(self):
-        pcea = hcq_to_pcea(parse_query(QUERIES[0][0]))
-        assert (
-            GeneralStreamingEvaluator(pcea, window=8, indexed=False, adaptive=True)
-            .adaptive_info() is None
-        )
-        assert (
-            GeneralStreamingEvaluator(pcea, window=8, adaptive=True).adaptive_info()
-            is not None
-        )
+        """The general evaluator's plan is its index's: indexed and full-scan
+        runs agree, and the index scans fewer transitions."""
+        pcea, stream = guarded_disjunction_workload(6, 300, seed=2)
+        indexed = GeneralStreamingEvaluator(pcea, window=32)
+        scan = GeneralStreamingEvaluator(pcea, window=32, indexed=False)
+        for tup in stream:
+            assert indexed.process(tup) == scan.process(tup)
+        assert indexed.stats.transitions_scanned == len(stream)
+        assert scan.stats.transitions_scanned == len(stream) * len(pcea.transitions)
 
 
 # --------------------------------------------------------- workload builders
@@ -155,130 +174,153 @@ class TestWorkloadBuilders:
 
 # ------------------------------------------------------------- differentials
 class TestMultiEngineDifferential:
+    """The shared engine == one independent evaluator per query, output lists
+    included, on the scenarios the feedback loop was built for."""
+
     WINDOW = 64
 
-    def _run_pair(self, queries, stream, adaptive):
-        engine = multi_engine(queries, self.WINDOW, adaptive, collect_stats=True)
-        static = multi_engine(queries, self.WINDOW, False, collect_stats=True)
+    def _run_pair(self, queries, stream):
+        engine = multi_engine(queries, self.WINDOW, collect_stats=True)
+        references = [StreamingEvaluator(query, window=self.WINDOW) for query in queries]
         for tup in stream:
-            assert engine.process(tup) == static.process(tup)
-        assert engine.stats == static.stats
+            outputs = engine.process(tup)
+            for handle, reference in zip(engine.handles(), references):
+                assert outputs.get(handle.id, []) == reference.process(tup)
+        assert engine.stats.outputs_enumerated > 0
         return engine
+
+    def _guard_pruned(self, engine, queries, stream, guarded):
+        """Each query's guarded branch is in a value bucket: a tuple is
+        scanned against the unguarded members and at most one bucket."""
+        info = engine.dispatch_info()
+        assert info["guard_values"] == guarded
+        transitions = sum(len(query.transitions) for query in queries)
+        unguarded = transitions - guarded
+        assert engine.stats.transitions_scanned <= len(stream) * (unguarded + 1)
 
     def test_drift_promotes_and_demotes(self):
         queries, stream = drifting_guard_queries(12, 1600, seed=7)
-        engine = self._run_pair(queries, stream, fast_config())
-        info = engine.adaptive_info()
-        assert info["flushes"] > 0
-        assert info["promotions"] > 0
-        assert info["demotions"] > 0
-        assert info["relations"]["E"]["promoted"] >= 0
+        engine = self._run_pair(queries, stream)
+        self._guard_pruned(engine, queries, stream, guarded=12)
 
     def test_burst_scenario(self):
         queries, stream = bursty_guard_queries(
             12, 1600, burst_every=400, burst_length=100, seed=8
         )
-        engine = self._run_pair(queries, stream, fast_config())
-        assert engine.adaptive_info()["promotions"] > 0
+        engine = self._run_pair(queries, stream)
+        self._guard_pruned(engine, queries, stream, guarded=12)
 
     def test_wildcard_adversarial_goes_dormant(self):
         queries, stream = wildcard_mix_queries(8, 1500, seed=9)
-        engine = self._run_pair(queries, stream, fast_config())
-        info = engine.adaptive_info()
-        # A uniform value distribution never concentrates: the guarded
-        # relation must stop paying per-tuple tracking instead of promoting.
-        assert info["promotions"] == 0
-        assert info["dormant_relations"] >= 1
-        assert info["tracked_relations"] >= info["dormant_relations"]
+        engine = self._run_pair(queries, stream)
+        self._guard_pruned(engine, queries, stream, guarded=4)
 
     def test_shared_star_scenario(self):
-        queries, stream = shared_star_queries(10, 1200, seed=10)
-        engine = self._run_pair(queries, stream, fast_config())
-        assert engine.adaptive_info()["flushes"] > 0
+        queries, stream = shared_star_queries(10, 1200, key_domain=4, seed=10)
+        engine = self._run_pair(queries, stream)
+        info = engine.dispatch_info()
+        assert info["shared_predicate_groups"] > 0
+        # One acceptor call per group, however many queries share it.
+        stats = engine.stats
+        assert stats.predicate_cache_hits > 0
+        assert stats.predicate_evaluations + stats.predicate_cache_hits == stats.transitions_scanned
 
     def test_default_knob_is_enabled(self):
+        """There is one dispatch path: the default engine's."""
+        assert set(inspect.signature(MultiQueryEngine).parameters) == {
+            "registry", "collect_stats", "arena", "kernel"
+        }
         queries, stream = drifting_guard_queries(6, 600, seed=12)
-        engine = self._run_pair(queries, stream, True)
-        info = engine.adaptive_info()
-        assert info["enabled"] is True
-        assert info["interval"] == DEFAULT_ADAPTIVE_CONFIG.interval
+        self._run_pair(queries, stream)
 
     def test_churn_during_live_adaptation(self):
+        """Unregister a guarded query and register it again mid-stream: the
+        re-registered query equals an evaluator that joined there."""
         queries, stream = drifting_guard_queries(8, 1200, seed=21)
-        engine = multi_engine(queries, self.WINDOW, fast_config(), collect_stats=True)
-        static = multi_engine(queries, self.WINDOW, False, collect_stats=True)
+        engine = multi_engine(queries, self.WINDOW)
+        references = {
+            handle.id: StreamingEvaluator(query, window=self.WINDOW)
+            for handle, query in zip(engine.handles(), queries)
+        }
+
+        def step(tup):
+            outputs = engine.process(tup)
+            assert set(outputs) <= set(references)
+            for handle_id, reference in references.items():
+                assert outputs.get(handle_id, []) == reference.process(tup)
+
         for tup in stream[:400]:
-            assert engine.process(tup) == static.process(tup)
-        # Unregister a query whose guard the adapter may have promoted, then
-        # register a replacement mid-stream — on both engines identically.
-        engine.unregister(engine.handles()[2])
-        static.unregister(static.handles()[2])
+            step(tup)
+        gone = engine.handles()[2]
+        engine.unregister(gone)
+        del references[gone.id]
         for tup in stream[400:800]:
-            assert engine.process(tup) == static.process(tup)
-        engine.register(queries[2], self.WINDOW, "q2_re")
-        static.register(queries[2], self.WINDOW, "q2_re")
+            step(tup)
+        again = engine.register(queries[2], self.WINDOW, "q2_re")
+        late = StreamingEvaluator(queries[2], window=self.WINDOW)
+        late.position = engine.position
+        references[again.id] = late
         for tup in stream[800:]:
-            assert engine.process(tup) == static.process(tup)
-        assert engine.stats == static.stats
-        assert engine.adaptive_info()["flushes"] > 0
+            step(tup)
+        assert engine.dispatch_info()["guard_values"] == 8
 
     @settings(max_examples=25, deadline=None)
-    @given(stream=streams_strategy(SIGMA0, max_length=30, domain=3))
+    @given(stream=streams_strategy(SIGMA0, max_length=24, domain=3))
     def test_hypothesis_streams(self, stream):
-        adaptive = multi_engine(
-            [parse_query(q) for q, _ in QUERIES],
-            16,
-            fast_config(interval=8, min_probes=4),
-            collect_stats=True,
-        )
-        static = multi_engine(
-            [parse_query(q) for q, _ in QUERIES], 16, False, collect_stats=True
-        )
-        for tup in stream:
-            assert adaptive.process(tup) == static.process(tup)
-        assert adaptive.stats == static.stats
+        pceas = [hcq_to_pcea(parse_query(query)) for query, _ in QUERIES]
+        engine = MultiQueryEngine()
+        handles = [engine.register(pcea, window) for pcea, (_, window) in zip(pceas, QUERIES)]
+        last = len(stream) - 1
+        expected = [
+            pcea.outputs_upto(stream, last, window=window) for pcea, (_, window) in zip(pceas, QUERIES)
+        ]
+        for position, tup in enumerate(stream):
+            outputs = engine.process(tup)
+            for handle, wanted in zip(handles, expected):
+                got = outputs.get(handle.id, [])
+                assert len(got) == len(set(got)) and set(got) == wanted[position]
 
 
 class TestSingleEngineDifferential:
-    def _run_pair(self, pcea, stream, window=64, **kwargs):
-        engine = StreamingEvaluator(
-            pcea, window=window, adaptive=fast_config(), collect_stats=True, **kwargs
-        )
-        static = StreamingEvaluator(
-            pcea, window=window, adaptive=False, collect_stats=True, **kwargs
-        )
+    def _run_pair(self, pcea, stream, window=64):
+        """The indexed evaluator == the full transition scan, counters
+        included but for the two scan-width ones."""
+        engine = StreamingEvaluator(pcea, window=window, collect_stats=True)
+        scan = StreamingEvaluator(pcea, window=window, indexed=False, collect_stats=True)
         for tup in stream:
-            assert engine.process(tup) == static.process(tup)
-        assert engine.stats == static.stats
+            assert engine.process(tup) == scan.process(tup)
+        width = ("transitions_scanned", "predicate_evaluations")
+        narrow, full = asdict(engine.stats), asdict(scan.stats)
+        assert {k: v for k, v in narrow.items() if k not in width} == {
+            k: v for k, v in full.items() if k not in width
+        }
+        assert full["transitions_scanned"] == len(stream) * len(pcea.transitions)
+        assert narrow["transitions_scanned"] < full["transitions_scanned"]
         return engine
 
     def test_multi_star_tracked(self):
         pcea, stream = multi_star_workload(3, 1500, selectivity=0.3, seed=4)
         engine = self._run_pair(pcea, stream)
-        info = engine.adaptive_info()
-        assert info["tracked_relations"] > 0
-        assert info["flushes"] > 0
+        assert engine.dispatch_info()["shared_predicate_groups"] > 0
+        assert engine.stats.outputs_enumerated > 0
 
     def test_pure_guarded_disjunction_untracked(self):
-        # The static constant-guard buckets already dispatch this shape
-        # optimally: adaptation must decline to track it (zero overhead).
+        # The static constant-guard buckets dispatch this shape exactly: each
+        # tuple is evaluated against its value's one transition.
         pcea, stream = guarded_disjunction_workload(16, 800, seed=3)
         engine = self._run_pair(pcea, stream, window=128)
-        # Nothing trackable ⇒ the engine keeps no adaptive state at all.
-        assert engine.adaptive_info() is None
+        assert engine.stats.transitions_scanned == len(stream)
+        assert engine.dispatch_info()["guard_values"] == 16
 
     @settings(max_examples=25, deadline=None)
     @given(stream=streams_strategy(star_schema(2), max_length=24, domain=2))
     def test_hypothesis_streams(self, stream):
         pcea = hcq_to_pcea(star_query(2))
-        engine = StreamingEvaluator(
-            pcea, window=8, adaptive=fast_config(interval=8, min_probes=4),
-            collect_stats=True,
-        )
-        static = StreamingEvaluator(pcea, window=8, adaptive=False, collect_stats=True)
-        for tup in stream:
-            assert engine.process(tup) == static.process(tup)
-        assert engine.stats == static.stats
+        engine = StreamingEvaluator(pcea, window=8)
+        expected = pcea.outputs_upto(stream, len(stream) - 1, window=8)
+        for position, tup in enumerate(stream):
+            outputs = engine.process(tup)
+            assert len(outputs) == len(set(outputs)) and set(outputs) == expected[position]
 
     #: Counters whose per-tuple cost Theorem 5.1 makes independent of how much
     #: stream has gone by (ROADMAP item 4a).
@@ -291,27 +333,28 @@ class TestSingleEngineDifferential:
         per_tuple, worst = [], []
         for length in (1000, 2000, 4000):
             stream = list(generator.tuples(length))
-            static = StreamingEvaluator(pcea, window=window, adaptive=False, collect_stats=True)
-            plan = StreamingEvaluator(pcea, window=window, adaptive=True, collect_stats=True)
+            static = StreamingEvaluator(pcea, window=window, collect_stats=True)
+            graph = StreamingEvaluator(pcea, window=window, arena=False, collect_stats=True)
             scan = StreamingEvaluator(pcea, window=window, indexed=False, collect_stats=True)
             multi = MultiQueryEngine(collect_stats=True)
             handle = multi.register(pcea, window=window)
-            assert plan.adaptive_info() is not None  # the star shares predicate groups
+            assert static.dispatch_info()["shared_predicate_groups"] > 0
             largest = dict.fromkeys(self.PER_TUPLE, 0)
             for tup in stream:
                 before = asdict(static.stats)
                 outputs = static.process(tup)
-                assert plan.process(tup) == outputs
+                assert graph.process(tup) == outputs
                 assert scan.process(tup) == outputs
                 assert multi.process(tup).get(handle.id, []) == outputs
                 for name in self.PER_TUPLE:
                     step = getattr(static.stats, name) - before[name]
                     largest[name] = max(largest[name], step)
             reference = asdict(static.stats)
-            # Plan mode emulates the static counters exactly; a full scan only
-            # widens the two scan-width counters to |Δ| per tuple; the K=1
-            # multi engine only splits evaluations into evaluated + memoised.
-            assert asdict(plan.stats) == reference
+            # The object-graph DS_w books exactly the arena's counters; a full
+            # scan only widens the two scan-width counters to |Δ| per tuple;
+            # the K=1 multi engine only splits evaluations into evaluated +
+            # memoised.
+            assert asdict(graph.stats) == reference
             assert asdict(scan.stats) == {
                 **reference,
                 "transitions_scanned": length * len(pcea.transitions),
@@ -357,40 +400,34 @@ class TestSingleEngineDifferential:
 
 class TestGeneralEngineDifferential:
     def _run_pair(self, pcea, stream, window=64):
-        engine = GeneralStreamingEvaluator(
-            pcea, window=window, adaptive=fast_config(), collect_stats=True
-        )
-        static = GeneralStreamingEvaluator(
-            pcea, window=window, adaptive=False, collect_stats=True
-        )
+        """The general evaluator == Algorithm 1 on an equality automaton."""
+        engine = GeneralStreamingEvaluator(pcea, window=window, collect_stats=True)
+        hashed = StreamingEvaluator(pcea, window=window)
         for tup in stream:
-            assert engine.process(tup) == static.process(tup)
-        assert engine.stats == static.stats
+            outputs = engine.process(tup)
+            assert len(outputs) == len(set(outputs))
+            assert set(outputs) == set(hashed.process(tup))
         return engine
 
     def test_multi_star_workload(self):
         pcea, stream = multi_star_workload(3, 1200, selectivity=0.3, seed=14)
         engine = self._run_pair(pcea, stream)
-        assert engine.adaptive_info()["flushes"] > 0
+        assert engine.stats.outputs_enumerated > 0
 
     def test_guarded_disjunction(self):
         pcea, stream = guarded_disjunction_workload(12, 800, seed=15)
-        self._run_pair(pcea, stream, window=128)
+        engine = self._run_pair(pcea, stream, window=128)
+        assert engine.stats.transitions_scanned == len(stream)
 
     @settings(max_examples=25, deadline=None)
     @given(stream=streams_strategy(SIGMA0, max_length=24, domain=3))
     def test_hypothesis_streams(self, stream):
         pcea = hcq_to_pcea(parse_query(QUERIES[0][0]))
-        engine = GeneralStreamingEvaluator(
-            pcea, window=8, adaptive=fast_config(interval=8, min_probes=4),
-            collect_stats=True,
-        )
-        static = GeneralStreamingEvaluator(
-            pcea, window=8, adaptive=False, collect_stats=True
-        )
-        for tup in stream:
-            assert engine.process(tup) == static.process(tup)
-        assert engine.stats == static.stats
+        engine = GeneralStreamingEvaluator(pcea, window=8)
+        expected = pcea.outputs_upto(stream, len(stream) - 1, window=8)
+        for position, tup in enumerate(stream):
+            outputs = engine.process(tup)
+            assert len(outputs) == len(set(outputs)) and set(outputs) == expected[position]
 
 
 class TestShardedDifferential:
@@ -398,27 +435,24 @@ class TestShardedDifferential:
     checked on the one engine that replaced it."""
 
     def test_inline_shards_match_static_reference(self):
-        """Batched adaptive dispatch equals the static reference tuple by
-        tuple, and the adaptive summary shows it learned."""
+        """Batched ingestion equals the per-tuple reference tuple by tuple."""
         from repro.streams.generators import random_stream
 
         stream = random_stream(SIGMA0, length=400, domain_size=3, seed=19).materialise()
-        reference = MultiQueryEngine(adaptive=False)
-        engine = MultiQueryEngine(adaptive=fast_config(interval=32, min_probes=8))
+        reference = MultiQueryEngine()
+        engine = MultiQueryEngine()
         for query, window in QUERIES:
             reference.register(parse_query(query), window)
             engine.register(parse_query(query), window)
         want = [reference.process(tup) for tup in stream]
         assert engine.process_many(stream) == want
-        info = engine.adaptive_info()
-        assert info is not None and info["enabled"] is True
-        assert info["tracked_relations"] > 0
+        assert any(want)
 
     def test_inline_adaptive_info_disabled(self):
-        engine = MultiQueryEngine(adaptive=False)
+        engine = MultiQueryEngine()
         engine.register(parse_query(QUERIES[0][0]), 8)
         engine.process(Tuple("T", (1,)))
-        assert engine.adaptive_info() is None
+        assert not hasattr(engine, "adaptive_info")
         assert "adaptive" not in engine.observe()
 
 
@@ -426,75 +460,69 @@ class TestShardedDifferential:
 class TestSignatureStability:
     def test_multi_signature_unchanged_by_flushes(self):
         queries, stream = drifting_guard_queries(8, 1200, seed=23)
-        engine = multi_engine(queries, 64, fast_config())
+        engine = multi_engine(queries, 64)
         before = snapshot_codec.dumps(engine._merged.signature())
-        for tup in stream:
-            engine.process(tup)
-        info = engine.adaptive_info()
-        assert info["flushes"] > 0 and info["promotions"] > 0
+        in_batches(engine, stream)
+        assert engine.position == len(stream) - 1
         assert snapshot_codec.dumps(engine._merged.signature()) == before
 
     def test_single_signature_unchanged_by_flushes(self):
         pcea, stream = multi_star_workload(3, 800, selectivity=0.3, seed=24)
-        engine = StreamingEvaluator(pcea, window=64, adaptive=fast_config())
+        engine = StreamingEvaluator(pcea, window=64)
         before = snapshot_codec.dumps(engine._dispatch.signature())
-        for tup in stream:
-            engine.process(tup)
-        assert engine.adaptive_info()["flushes"] > 0
+        in_batches(engine, stream)
+        assert engine.position == len(stream) - 1
         assert snapshot_codec.dumps(engine._dispatch.signature()) == before
 
 
 # ------------------------------------------------------------ snapshot policy
 class TestSnapshotPolicy:
-    """Learned state resets deterministically; snapshots stay interchangeable."""
+    """A mid-stream snapshot continues bit-identically."""
 
-    def _multi(self, queries, adaptive):
-        return multi_engine(queries, 64, adaptive, collect_stats=True)
+    @staticmethod
+    def _drive(engine, tuples, batched):
+        return in_batches(engine, tuples) if batched else [engine.process(t) for t in tuples]
 
+    # The ids name the retired adaptive/static axis; batched ingestion now
+    # stands where adaptive dispatch stood.
     @pytest.mark.parametrize(
-        "source_adaptive,target_adaptive",
+        "source_batched,target_batched",
         [(True, True), (True, False), (False, True)],
         ids=["adaptive-to-adaptive", "adaptive-to-static", "static-to-adaptive"],
     )
-    def test_multi_restore_continues_bit_identically(self, source_adaptive, target_adaptive):
-        config = fast_config()
+    def test_multi_restore_continues_bit_identically(self, source_batched, target_batched):
         queries, stream = drifting_guard_queries(8, 1200, seed=27)
-        original = self._multi(queries, config if source_adaptive else False)
+        uninterrupted =self._drive(multi_engine(queries, 64), stream, False)
+        original = multi_engine(queries, 64, collect_stats=True)
+        assert self._drive(original, stream[:700], source_batched) == uninterrupted[:700]
+        snap = snapshot_codec.loads(snapshot_codec.dumps(original.snapshot()))
+        restored = multi_engine(queries, 64, collect_stats=True)
+        restored.restore(snap)
+        continued = self._drive(original, stream[700:], target_batched)
+        assert self._drive(restored, stream[700:], target_batched) == continued
+        assert continued == uninterrupted[700:]
+        assert original.stats == restored.stats
+        assert original.snapshot() == restored.snapshot()
+
+    def test_single_restore_resets_learning(self):
+        pcea, stream = multi_star_workload(3, 1200, selectivity=0.3, seed=28)
+        original = StreamingEvaluator(pcea, window=64)
         for tup in stream[:700]:
             original.process(tup)
-        snap = snapshot_codec.loads(snapshot_codec.dumps(original.snapshot()))
-        restored = self._multi(queries, config if target_adaptive else False)
-        restored.restore(snap)
-        if target_adaptive:
-            # The restore policy: all learned state dropped, counters zeroed.
-            info = restored.adaptive_info()
-            assert info["flushes"] == 0 and info["promotions"] == 0
+        restored = StreamingEvaluator(pcea, window=64)
+        restored.restore(snapshot_codec.loads(snapshot_codec.dumps(original.snapshot())))
         assert [original.process(t) for t in stream[700:]] == [
             restored.process(t) for t in stream[700:]
         ]
         assert original.stats == restored.stats
         assert original.snapshot() == restored.snapshot()
 
-    def test_single_restore_resets_learning(self):
-        config = fast_config()
-        pcea, stream = multi_star_workload(3, 1200, selectivity=0.3, seed=28)
-        original = StreamingEvaluator(pcea, window=64, adaptive=config)
-        for tup in stream[:700]:
-            original.process(tup)
-        assert original.adaptive_info()["flushes"] > 0
-        restored = StreamingEvaluator(pcea, window=64, adaptive=config)
-        restored.restore(snapshot_codec.loads(snapshot_codec.dumps(original.snapshot())))
-        assert restored.adaptive_info()["flushes"] == 0
-        assert [original.process(t) for t in stream[700:]] == [
-            restored.process(t) for t in stream[700:]
-        ]
-
     def test_general_restore_interchangeable(self):
         pcea, stream = multi_star_workload(2, 800, selectivity=0.3, seed=29)
-        original = GeneralStreamingEvaluator(pcea, window=64, adaptive=fast_config())
+        original = GeneralStreamingEvaluator(pcea, window=64)
         for tup in stream[:400]:
             original.process(tup)
-        restored = GeneralStreamingEvaluator(pcea, window=64, adaptive=False)
+        restored = GeneralStreamingEvaluator(pcea, window=64)
         restored.restore(snapshot_codec.loads(snapshot_codec.dumps(original.snapshot())))
         assert [original.process(t) for t in stream[400:]] == [
             restored.process(t) for t in stream[400:]
@@ -502,13 +530,12 @@ class TestSnapshotPolicy:
 
     @pytest.mark.skipif(not native_available(), reason="native kernel extension not built")
     @pytest.mark.parametrize("source,target", [("python", "native"), ("native", "python")])
-    def test_cross_kernel_restore_with_adaptation(self, source, target):
-        config = fast_config()
+    def test_cross_kernel_restore_continues_identically(self, source, target):
         pcea, stream = multi_star_workload(3, 1000, selectivity=0.3, seed=31)
-        original = StreamingEvaluator(pcea, window=64, kernel=source, adaptive=config)
+        original = StreamingEvaluator(pcea, window=64, kernel=source)
         for tup in stream[:500]:
             original.process(tup)
-        restored = StreamingEvaluator(pcea, window=64, kernel=target, adaptive=config)
+        restored = StreamingEvaluator(pcea, window=64, kernel=target)
         restored.restore(snapshot_codec.loads(snapshot_codec.dumps(original.snapshot())))
         assert [original.process(t) for t in stream[500:]] == [
             restored.process(t) for t in stream[500:]
@@ -519,38 +546,31 @@ class TestSnapshotPolicy:
 # -------------------------------------------------------------- observability
 class TestObservability:
     def test_flush_activity_reaches_observer(self, tmp_path):
+        """No adaptive series is collected or exported."""
         queries, stream = drifting_guard_queries(8, 1200, seed=33)
-        engine = multi_engine(queries, 64, fast_config())
+        engine = multi_engine(queries, 64)
         observer = Observer(sample_every=4)
         engine.attach_observer(observer)
-        for tup in stream:
-            engine.process(tup)
-        info = engine.adaptive_info()
-        assert info["promotions"] > 0
+        in_batches(engine, stream)
         collected = observer.collect()
-        assert collected["repro_guard_promotions_total"] == info["promotions"]
-        assert collected["repro_dispatch_reorders_total"] == info["reorders"]
-        observer.observe_engine(engine)
-        collected = observer.collect()
-        assert collected["repro_adaptive_flushes"] == info["flushes"]
-        assert collected["repro_adaptive_promotions"] == info["promotions"]
-        assert 'repro_relation_observed_selectivity{relation="E"}' in collected
+        assert collected["repro_stream_position"] == len(stream) - 1
+        assert not [name for name in collected if any(word in name for word in ADAPTIVE_NAMES)]
         path = str(tmp_path / "metrics.prom")
         observer.export_metrics(path)
         text = open(path).read()
-        assert "repro_dispatch_reorders_total" in text
-        assert "repro_guard_promotions_total" in text
-        assert "repro_relation_observed_selectivity" in text
+        assert "repro_relation_candidates" in text
+        assert not [word for word in ADAPTIVE_NAMES if word in text]
 
     def test_quiescent_flushes_do_not_touch_counters(self):
+        """The observer has no adaptive hook, and a trace has no adaptive span."""
+        assert not hasattr(Observer, "on_dispatch_adapt")
         queries, stream = wildcard_mix_queries(4, 600, seed=34)
-        engine = multi_engine(queries, 64, fast_config())
-        observer = Observer(sample_every=4)
-        engine.attach_observer(observer)
-        for tup in stream:
-            engine.process(tup)
-        collected = observer.collect()
-        assert collected.get("repro_guard_promotions_total", 0) == 0
+        engine = multi_engine(queries, 64)
+        recorder = TraceRecorder(sample_every=4)
+        engine.attach_observer(Observer(trace=recorder, sample_every=4))
+        in_batches(engine, stream)
+        names = {span[0] for span in recorder.spans()}
+        assert "batch" in names and "dispatch_adapt" not in names
 
 
 # ------------------------------------------------------------------------- CLI
@@ -567,22 +587,19 @@ CLI_QUERY = "Q(x, y) <- T(x), S(x, y), R(x, y)"
 
 
 class TestCli:
-    def _events(self):
-        from repro.cli import read_events
+    """``--adaptive`` / ``--no-adaptive`` are refused by every mode, and no
+    mode prints an ``# adaptive:`` line."""
 
+    def _events(self):
         return list(read_events(EVENTS_CSV.splitlines()))
 
     def _run_single(self, argv):
-        from repro.cli import build_parser, run
-
         args = build_parser().parse_args(argv)
         output = io.StringIO()
         code = run(args, self._events(), output)
         return code, output.getvalue()
 
     def _run_multi(self, argv):
-        from repro.cli import build_multi_parser, run_multi
-
         args = build_multi_parser().parse_args(argv)
         output = io.StringIO()
         code = run_multi(args, self._events(), output)
@@ -590,42 +607,39 @@ class TestCli:
 
     @staticmethod
     def _matches(output):
-        return [line for line in output.splitlines() if not line.startswith("#")]
+        return sorted(line for line in output.splitlines() if not line.startswith("#"))
+
+    @staticmethod
+    def _refuses(parser, argv):
+        parser.parse_args(argv)  # the same command line parses without the flag
+        for flag in ("--adaptive", "--no-adaptive"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv + [flag])
 
     def test_flags_are_mutually_exclusive(self):
-        from repro.cli import build_parser
-
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["--query", CLI_QUERY, "--adaptive", "--no-adaptive"]
-            )
+        self._refuses(build_parser(), ["--query", CLI_QUERY])
 
     @pytest.mark.parametrize("extra", [[], ["--general"]])
     def test_single_modes_match_and_report(self, extra):
-        base = ["--query", CLI_QUERY, "--window", "100", "--stats"] + extra
-        code_on, out_on = self._run_single(base + ["--adaptive"])
-        code_off, out_off = self._run_single(base + ["--no-adaptive"])
-        assert code_on == code_off == 0
-        assert self._matches(out_on) == self._matches(out_off)
-        assert "# adaptive: enabled=yes" in out_on
-        assert "# adaptive: enabled=no" in out_off
+        base = ["--query", CLI_QUERY, "--window", "100", "--stats"]
+        self._refuses(build_parser(), base + extra)
+        code, output = self._run_single(base + extra)
+        _, hashed = self._run_single(base)
+        assert code == 0
+        assert self._matches(output) == self._matches(hashed) != []
+        assert "# kernel:" in output and "# adaptive:" not in output
 
     def test_multi_mode_matches_and_reports(self):
-        base = [
-            "--query", CLI_QUERY,
-            "--query", "Q2(x, y) <- T(x), S(x, y)",
-            "--window", "100", "--stats",
-        ]
-        code_on, out_on = self._run_multi(base + ["--adaptive"])
-        code_off, out_off = self._run_multi(base + ["--no-adaptive"])
-        assert code_on == code_off == 0
-        assert self._matches(out_on) == self._matches(out_off)
-        assert "# adaptive: enabled=yes" in out_on
-        assert "# adaptive: enabled=no" in out_off
+        base = ["--query", CLI_QUERY, "--window", "100", "--stats"]
+        self._refuses(build_multi_parser(), base)
+        code, output = self._run_multi(base)
+        _, single = self._run_single(base)
+        assert code == 0
+        # Dropping the query-name column leaves the single mode's lines.
+        assert sorted(line.split("\t", 1)[1] for line in self._matches(output)) == self._matches(single)
+        assert "# kernel:" in output and "# adaptive:" not in output
 
     def test_default_is_adaptive(self):
-        code, output = self._run_single(
-            ["--query", CLI_QUERY, "--window", "100", "--stats"]
-        )
-        assert code == 0
-        assert "# adaptive: enabled=yes" in output
+        self._refuses(build_serve_parser(), [])
+        self._refuses(build_net_client_parser(), ["--port", "1", "--query", CLI_QUERY])
+        assert not hasattr(build_serve_parser().parse_args([]), "adaptive")

@@ -180,11 +180,9 @@ class TestRun:
             ]
 
         events = list(read_events(EVENTS_CSV.splitlines()))
-        # --no-adaptive pins the adaptive line to its uniform disabled shape
-        # (when enabled, its keys legitimately differ with engine state).
         argv = [
             "--query", "Q(x, y) <- T(x), S(x, y), R(x, y)",
-            "--window", "100", "--stats", "--quiet", "--no-adaptive",
+            "--window", "100", "--stats", "--quiet",
         ]
         _, single = self._run(argv, events)
         _, general = self._run(argv + ["--general"], events)
@@ -193,7 +191,7 @@ class TestRun:
         multi_output = io.StringIO()
         assert run_multi(multi_args, events, multi_output) == 0
         single_keys = stat_keys(single)
-        assert len(single_keys) == 5
+        assert len(single_keys) == 4
         assert stat_keys(general) == single_keys
         assert stat_keys(multi_output.getvalue()) == single_keys
 

@@ -5,7 +5,7 @@ it consumes (``repro.core.dispatch``).
   constant-guarded transitions with unguarded transitions sharing one
   predicate group — the shape where predicate groups are the only sharing
   mechanism and a tuple's plan is stitched from the unguarded groups plus a
-  value bucket — through every engine, static and adaptive, against the
+  value bucket — through every engine, arena and object-graph, against the
   naive ``outputs_upto`` oracle;
 * the same differential over ``helpers.slot_pcea`` — states read through
   one or several left key plans, final-and-read states, several multi-label
@@ -17,8 +17,8 @@ it consumes (``repro.core.dispatch``).
 * structure guards: the per-probe counter and the arena's fresh-node union
   fast path each live in exactly one module; ``H`` is not keyed by reader and
   ``extend_onto`` exists once per representation; the arena has one layout,
-  no engine takes an ablation knob, a plan member's rank has one name, and
-  nothing imports ``pickle``.
+  no engine takes an ablation knob, a plan member's rank has one name,
+  nothing imports ``pickle``, and adaptive dispatch left no residue.
 """
 
 import inspect
@@ -31,9 +31,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adaptive import AdaptiveConfig
 from repro.core.arena import ArenaDataStructure, _Slab
-from repro.core.dispatch import CompiledTransition, EvalGroup, MergedEntry, TransitionDispatchIndex
+from repro.core.dispatch import CompiledTransition, EvalGroup, EvalPlan, MergedEntry, TransitionDispatchIndex
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.pcea import PCEA, PCEATransition
 from repro.core.hcq_to_pcea import hcq_to_pcea
@@ -43,6 +42,7 @@ from repro.engine.compiler import compile_pattern
 from repro.engine.dsl import atom, conjunction, disjunction
 from repro.extensions.general_evaluation import GeneralStreamingEvaluator
 from repro.multi import MergedDispatchIndex, MultiQueryEngine
+from repro.runtime import StreamRuntime
 
 from helpers import ARENAS, slot_automata, slot_streams, star_query
 
@@ -100,6 +100,8 @@ def test_the_family_mixes_guard_buckets_with_a_shared_unguarded_group():
 @settings(max_examples=60, deadline=None)
 @given(first=automata, second=automata, stream=st.lists(tuples, min_size=4, max_size=14))
 def test_every_engine_matches_the_naive_oracle_static_and_adaptive(first, second, stream):
+    # (The id predates the retirement of adaptive dispatch; the second axis
+    # is now the enumeration structure.)
     check_every_engine_against_the_naive_oracle(first, second, stream)
 
 
@@ -114,12 +116,12 @@ def check_every_engine_against_the_naive_oracle(first, second, stream):
     last = len(stream) - 1
     expected = [pcea.outputs_upto(stream, last, window=WINDOW) for pcea in pceas]
     statistics = {}
-    for adaptive in (False, AdaptiveConfig(interval=3, min_probes=2)):
-        single = StreamingEvaluator(first, WINDOW, adaptive=adaptive, collect_stats=True)
-        general = GeneralStreamingEvaluator(first, WINDOW, adaptive=adaptive, collect_stats=True)
-        one = MultiQueryEngine(adaptive=adaptive, collect_stats=True)
+    for arena in (True, False):
+        single = StreamingEvaluator(first, WINDOW, arena=arena, collect_stats=True)
+        general = GeneralStreamingEvaluator(first, WINDOW, arena=arena, collect_stats=True)
+        one = MultiQueryEngine(arena=arena, collect_stats=True)
         alone = one.register(first, WINDOW)
-        many = MultiQueryEngine(adaptive=adaptive, collect_stats=True)
+        many = MultiQueryEngine(arena=arena, collect_stats=True)
         handles = [many.register(pcea, WINDOW) for pcea in pceas]
         for position, tup in enumerate(stream):
             runs = [single.process(tup), general.process(tup), one.process(tup).get(alone.id, [])]
@@ -129,7 +131,7 @@ def check_every_engine_against_the_naive_oracle(first, second, stream):
             for outputs, valuations in zip(runs, wanted):
                 assert len(outputs) == len(set(outputs))
                 assert set(outputs) == valuations
-        statistics[bool(adaptive)] = [
+        statistics[arena] = [
             asdict(engine.stats) for engine in (single, general, one, many)
         ]
         # K=1 multi == single, up to how predicate evaluations are booked.
@@ -339,3 +341,26 @@ def test_pickle_is_imported_nowhere():
         for path in source_root.rglob("*.py")
     }
     assert {name: count for name, count in encoders.items() if count} == {"runtime/frames.py": 1}
+
+
+def test_adaptive_dispatch_left_no_residue():
+    """Every engine reads its plans straight from its index: plan members
+    carry no hit counter, plans no probe count, groups no representative or
+    reorder rank, the runtime no flush clock, and nothing imports the retired
+    module."""
+    assert "hits" not in CompiledTransition.__slots__ + MergedEntry.__slots__
+    assert "probes" not in EvalPlan.__slots__
+    assert set(EvalGroup.__slots__) == {"accepts", "members"}
+    assert not {"arm_adapt", "disarm_adapt", "adapt_hook", "_next_adapt"} & set(dir(StreamRuntime))
+    source_root = Path(__file__).resolve().parent.parent / "src" / "repro"
+    assert not (source_root / "core" / "adaptive.py").exists()
+    residue = re.compile(
+        r"repro\.core\.adaptive|\.hits\b|AdaptiveState|AdaptiveConfig|adaptive_info"
+        r"|arm_adapt|build_adaptive|on_dispatch_adapt|adaptive_listener"
+    )
+    holders = sorted(
+        str(path.relative_to(source_root))
+        for path in source_root.rglob("*.py")
+        if residue.search(path.read_text())
+    )
+    assert holders == []

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adaptive import AdaptiveConfig
 from repro.core.evaluation import NotEqualityPredicateError, StreamingEvaluator
 from repro.cq.hierarchical import NotHierarchicalError
 from repro.cq.schema import Tuple
@@ -214,19 +213,27 @@ class TestMultiDifferential:
     """K registered patterns == K independent evaluators, per query."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("adaptive", [True, False])
-    def test_mixed_queries_random_streams(self, seed, adaptive):
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_mixed_queries_random_streams(self, seed, batched):
         windows = [4, 7, 3, 9, 5]
-        engine = MultiQueryEngine(adaptive=adaptive)
+        engine = MultiQueryEngine()
         handles, references = [], []
         for (name, query), window in zip(QUERY_SPECS, windows):
             handles.append(engine.register(query, window=window, name=name))
             references.append(reference_evaluator(query, window))
-        for tup in sigma0_stream(60, seed):
-            outputs = engine.process(tup)
+        stream = sigma0_stream(60, seed)
+        if batched:
+            per_position = [
+                outputs
+                for start in range(0, len(stream), 7)
+                for outputs in engine.process_many(stream[start : start + 7])
+            ]
+        else:
+            per_position = [engine.process(tup) for tup in stream]
+        for position, (tup, outputs) in enumerate(zip(stream, per_position)):
             for handle, reference in zip(handles, references):
                 assert set(outputs.get(handle.id, [])) == set(reference.process(tup)), (
-                    f"query {handle} diverged at position {engine.position}"
+                    f"query {handle} diverged at position {position}"
                 )
 
     @pytest.mark.parametrize("seed", [0, 3])
@@ -523,12 +530,11 @@ class TestOverlappingQueries:
                 return fresh, handles  # restore keeps the snapshot's handle ids
             return midway
 
-        for adaptive in (False, AdaptiveConfig(interval=3, min_probes=2)):
-            for arena in (True, False):
-                kwargs = {"arena": arena, "adaptive": adaptive}
-                midway = restore(kwargs) if arena else (lambda engine, handles: (engine, handles))
-                engine = MultiQueryEngine(**kwargs)
-                assert self._drive(engine, queries, schedule, stream, cut, midway) == expected
+        for arena in (True, False):
+            kwargs = {"arena": arena}
+            midway = restore(kwargs) if arena else (lambda engine, handles: (engine, handles))
+            engine = MultiQueryEngine(**kwargs)
+            assert self._drive(engine, queries, schedule, stream, cut, midway) == expected
 
 
 class TestOneStorePerWindow:

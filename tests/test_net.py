@@ -545,9 +545,11 @@ class TestDifferential:
     @pytest.mark.parametrize("kind", ("multi", "static"))
     def test_mid_stream_subscription_churn(self, kind):
         """Register/unregister mid-stream == the same churn done directly,
-        served by the default engine and by one with static dispatch."""
+        whether the server coalesces frames into 32-tuple engine batches
+        (``multi``) or feeds the engine one tuple per batch (``static``)."""
         stream = star_stream(240)
-        with ServerThread(MultiQueryEngine(adaptive=kind == "multi"), max_batch=32) as st:
+        max_batch = 32 if kind == "multi" else 1
+        with ServerThread(MultiQueryEngine(), max_batch=max_batch) as st:
             with IngestClient(st.host, st.port) as client:
                 ha, _, _ = client.subscribe(QUERY_A, WINDOW)
                 client.ingest_all(stream[:80], frame_size=16)
@@ -1207,4 +1209,4 @@ class TestServeCLI:
         args = build_serve_parser().parse_args([])
         assert args.port == 0 and args.max_batch == 512
         assert args.shed_policy == "disconnect"
-        assert args.adaptive is True
+        assert not hasattr(args, "adaptive")

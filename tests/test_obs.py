@@ -327,7 +327,8 @@ class TestNoOpPath:
                 engine.register("Q(x, y) <- T(x), S(x, y), R(x, y)", window=16)
                 return engine
             cls = StreamingEvaluator if kind == "single" else GeneralStreamingEvaluator
-            # Its own automaton: adaptive hit counters live on the index members.
+            # Its own automaton: the index builds its plans on first read, so a
+            # shared one would already be warm for the second engine.
             return cls(hcq_to_pcea(QUERY_Q0), window=16)
 
         package = os.path.dirname(sys.modules["repro"].__file__)

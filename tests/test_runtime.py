@@ -148,7 +148,7 @@ class TestStreamRuntimeUnits:
     def test_advance_by_equals_that_many_missed_advances(self, count_stats):
         """``advance_by(n)`` then the batch's sweep leaves what ``n`` missed
         updates and that sweep leave: position, ``tuples_processed``, every
-        period-clock firing, the adapt clock, what fell due."""
+        period-clock firing, what fell due."""
 
         def missed(runtime, count):
             for _ in range(count):
@@ -164,7 +164,7 @@ class TestStreamRuntimeUnits:
             runtime = StreamRuntime()
             runtime.count_stats = count_stats
             lane = runtime.add_lane(self._lane(window=3))
-            fired, flushed = [], []
+            fired = []
 
             # The observer's two-phase period clock: begin at every 4th
             # position, finish one later.
@@ -177,7 +177,6 @@ class TestStreamRuntimeUnits:
                 runtime.obs_arm, runtime.obs_next = begin, (runtime.position // 4 + 1) * 4
 
             runtime.obs_arm, runtime.obs_next = begin, 0
-            runtime.arm_adapt(flushed.append, 5)
             cross(runtime, 2)
             node = lane.ds.extend({"a"}, runtime.position, [])
             lane.hash["k"] = (node, runtime.position)
@@ -187,16 +186,16 @@ class TestStreamRuntimeUnits:
                 due = sorted(bucket for bucket in runtime.buckets if bucket <= runtime.position)
                 runtime.sweep_upto(runtime.position)
                 states.append((
-                    cross.__name__, runtime.position, list(fired), list(flushed),
-                    runtime.obs_next, runtime._next_adapt, runtime._swept_upto, due,
+                    cross.__name__, runtime.position, list(fired),
+                    runtime.obs_next, runtime._swept_upto, due,
                     sorted(lane.hash), runtime.evicted, runtime.stats.tuples_processed,
                 ))
         half = len(states) // 2
         assert [state[1:] for state in states[:half]] == [state[1:] for state in states[half:]]
         final = states[-1]
-        assert final[1] == 25 and final[10] == (26 if count_stats else 0)
-        assert ("begin", 24) in final[2] and ("finish", 25) in final[2] and final[3] == [5, 12, 25]
-        assert "k" not in final[8] and final[9] == 1
+        assert final[1] == 25 and final[8] == (26 if count_stats else 0)
+        assert ("begin", 24) in final[2] and ("finish", 25) in final[2]
+        assert "k" not in final[6] and final[7] == 1
 
     def test_release_pass_interval_covers_idle_lanes(self):
         runtime = StreamRuntime()
@@ -543,28 +542,28 @@ class TestSparseBatches:
             for name in (rng.choice("ABCUUVVWW") for _ in range(length))
         ]
 
-    def engine(self, **kwargs):
+    def engine(self, one_store=False, **kwargs):
+        """The three queries, each under its own window — or all under the
+        first query's window, so they share one run store."""
         engine = MultiQueryEngine(collect_stats=True, **kwargs)
         for text, window in self.QUERIES:
-            engine.register(text, window)
+            engine.register(text, self.QUERIES[0][1] if one_store else window)
         return engine
 
     def fingerprint(self, engine):
         runtime = engine._runtime
         return (
             engine.position, engine.evicted, engine.hash_table_size(), runtime._swept_upto,
-            runtime._next_adapt, sorted(runtime.buckets), vars(engine.stats),
+            sorted(runtime.buckets), vars(engine.stats),
         )
 
-    @pytest.mark.parametrize("adaptive", (True, False))
+    @pytest.mark.parametrize("one_store", (True, False))
     @pytest.mark.parametrize("seed", range(4))
-    def test_sparse_ingest_equals_dense_with_a_restore_inside_a_gap(self, seed, adaptive):
-        from repro.core.adaptive import AdaptiveConfig
-
-        adaptive = AdaptiveConfig(interval=16, min_probes=2) if adaptive else False
+    def test_sparse_ingest_equals_dense_with_a_restore_inside_a_gap(self, seed, one_store):
         stream = self.stream(400, seed)
-        dense = self.engine(adaptive=adaptive)
-        sparse = self.engine(adaptive=adaptive)
+        dense = self.engine(one_store)
+        sparse = self.engine(one_store)
+        assert len(sparse._runtime.lanes()) == (1 if one_store else 3)
         assert set(sparse.watched_relations()) == {"A", "B", "C"}
         # Cut where unwatched tuples sit on both sides, so the checkpoint is
         # taken with the stream position inside a gap.
@@ -580,7 +579,7 @@ class TestSparseBatches:
             assert self.fingerprint(sparse) == self.fingerprint(dense)
             if step == 2:
                 snapshot = sparse.snapshot()
-                sparse = self.engine(adaptive=adaptive)
+                sparse = self.engine(one_store)
                 sparse.restore(snapshot)
         assert dense.stats.tuples_processed == 400 and dense.stats.outputs_enumerated > 0
 
