@@ -13,7 +13,8 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 # ``--hypothesis-profile=fuzz`` raises the example budget of every test that
-# does not fix its own (CI's ``net`` job runs the wire-codec fuzz tests under it).
+# does not fix its own (CI runs the wire-codec fuzz tests and the threshold-family
+# differential under it).
 from hypothesis import settings  # noqa: E402
 
 settings.register_profile("fuzz", max_examples=2000, deadline=None)

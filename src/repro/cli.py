@@ -559,6 +559,7 @@ def _print_stats(engine, output: TextIO) -> None:
         f"wildcards={info['wildcard_transitions']:.0f} "
         f"predicate_groups={info['predicate_groups']:.0f} "
         f"shared_predicate_groups={info['shared_predicate_groups']:.0f} "
+        f"threshold_families={info['threshold_families']:.0f} "
         f"stores={info['stores']:.0f} "
         f"state_classes={info['state_classes']:.0f} "
         f"shared_state_classes={info['shared_state_classes']:.0f} "

@@ -32,7 +32,9 @@ loop performs no mapping lookups on the transition itself.
 
 Candidates are stored as **plans** (:class:`EvalPlan`): pre-grouped by the
 canonical key of their unary predicate, so the fire loop
-(:func:`repro.runtime.fire`) evaluates one predicate per group.  Every
+(:func:`repro.runtime.fire`) evaluates one predicate per group — or, for
+groups differing only in the ``c`` of an ``attr ⋈ c`` conjunct, one per
+**threshold family** (:class:`EvalFamily`).  Every
 per-relation list, the wildcard list and every constant-guard bucket is a
 plan; :class:`PlanIndex` holds that storage and the per-tuple ``plan_for``
 lookup for both this module's per-automaton index and the multi-query
@@ -42,6 +44,7 @@ engine's merged index.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple as Tup, TYPE_CHECKING
 
 from repro.core.predicates import compile_acceptor, compile_key_extractors
@@ -81,41 +84,114 @@ class EvalGroup:
     """One predicate group: members sharing a canonical unary key.
 
     Equal canonical keys accept exactly the same tuples, so one ``accepts``
-    call — the first member's — decides the whole group.
+    call — the first member's, unless one is given — decides the whole group.
     """
 
     __slots__ = ("accepts", "members")
 
-    def __init__(self, members: Tup[Any, ...]) -> None:
-        self.accepts = members[0].accepts
+    def __init__(self, members: Sequence, accepts: Optional[Any] = None) -> None:
+        self.accepts = members[0].accepts if accepts is None else accepts
         self.members = members
 
 
-class EvalPlan:
-    """What one tuple is evaluated against: predicate groups, pre-built.
+#: How the sorted constants of a ``v ⋈ c`` family split on the value ``v``:
+#: the bisect that finds the cut, and whether the members past it (the
+#: larger constants) are the accepting ones.
+_CUTS = {"<": (bisect_right, True), "<=": (bisect_left, True),
+         ">": (bisect_left, False), ">=": (bisect_right, False)}  # fmt: skip
 
-    ``total`` is the member count across ``groups`` (the scan width the
-    statistics report).  Plans stored in an index are never mutated; the
-    fire loop evaluates every group, so their order decides nothing it
-    applies (effects go in canonical candidate order).
+
+def _canonical_key(unary) -> Hashable:
+    canonical = getattr(unary, "canonical_key", None)
+    return canonical() if canonical is not None else ("id", id(unary))
+
+
+def threshold_family(unary) -> Optional[Tup[Tup, object, Any, object]]:
+    """``(family key, constant, base acceptor, base)`` of a ``base ∧ (attr ⋈ c)`` unary
+    (:meth:`~repro.core.predicates.UnaryPredicate.threshold`), or ``None``.  The base
+    stays alive with its key: an identity-based canonical key must not outlive it."""
+    threshold = getattr(unary, "threshold", None)
+    split = threshold() if threshold is not None else None
+    if split is None:
+        return None
+    base, relation, position, operator, constant = split
+    # The total orders family constants may share: numbers (NaN aside), or strings.
+    sortable = type(constant) is str or type(constant) in (int, float, bool) and constant == constant
+    if operator not in _CUTS or not sortable:
+        return None
+    key = (_canonical_key(base), relation, position, operator, type(constant) is str)
+    return key, constant, compile_acceptor(base), base
+
+
+def _held(tup) -> bool:
+    return True
+
+
+_NONE_HELD = EvalGroup((), _held)
+
+
+class EvalFamily:
+    """Two or more groups whose unaries are ``base ∧ (v ⋈ c)`` with one base,
+    relation, position and ``⋈ ∈ {<, ≤, >, ≥}``: one ``base`` call and one bisect
+    of ``v`` into the sorted constants decide them all — the accepting members
+    are a prefix or a suffix of ``members``, which are listed by constant."""
+
+    __slots__ = ("accepts", "relation", "position", "cut", "suffix", "constants", "members",
+                 "groups")  # fmt: skip
+
+    def __init__(self, groups: List[EvalGroup]) -> None:
+        self.groups = tuple(sorted(groups, key=lambda group: group.members[0].family[1]))
+        key, _, self.accepts, _ = groups[0].members[0].family
+        _, self.relation, self.position, operator, _ = key
+        self.cut, self.suffix = _CUTS[operator]
+        self.members = tuple([member for group in self.groups for member in group.members])
+        self.constants = [member.family[1] for member in self.members]
+
+    def held(self, tup) -> EvalGroup:
+        """The members whose predicate accepts ``tup``, as a group already accepted."""
+        values = tup.values
+        position = self.position
+        if not self.accepts(tup) or tup.relation != self.relation or position >= len(values):
+            return _NONE_HELD
+        value = values[position]
+        if value == value:
+            try:
+                cut = self.cut(self.constants, value)
+            except TypeError:
+                pass
+            else:
+                return EvalGroup(self.members[cut:] if self.suffix else self.members[:cut], _held)
+        # NaN (which a bisect would misplace) or a value that does not compare
+        # with the constants: each group's own acceptor decides, as unfamilied.
+        held = [member for group in self.groups if group.accepts(tup) for member in group.members]
+        return EvalGroup(held, _held)
+
+
+class EvalPlan:
+    """What one tuple is evaluated against: predicate groups and threshold
+    families, pre-built.
+
+    ``total`` is the member count across ``groups`` and ``families`` (the
+    scan width the statistics report).  Plans stored in an index are never
+    mutated; the fire loop evaluates every group and family, so their order
+    decides nothing it applies (effects go in canonical candidate order).
     """
 
-    __slots__ = ("groups", "total", "_flat")
+    __slots__ = ("groups", "total", "families", "_flat")
 
-    def __init__(self, groups: List[EvalGroup], total: int) -> None:
+    def __init__(self, groups: List[EvalGroup], total: int, families: Tup = ()) -> None:
         self.groups = groups
         self.total = total
+        self.families = families
         self._flat: Optional[Tup] = None
 
     def flat(self) -> Tup:
         """The members back in canonical candidate order (computed once)."""
         if self._flat is None:
-            self._flat = tuple(
-                sorted(
-                    (member for group in self.groups for member in group.members),
-                    key=member_order,
-                )
-            )
+            members = [member for group in self.groups for member in group.members]
+            for family in self.families:
+                members.extend(family.members)
+            self._flat = tuple(sorted(members, key=member_order))
         return self._flat
 
 
@@ -124,7 +200,9 @@ def member_order(member) -> int:
 
 
 def plan_of(members: Sequence) -> EvalPlan:
-    """Group canonically ordered members by predicate key (first-member order)."""
+    """Group canonically ordered members by predicate key (first-member order),
+    then gather the groups of each threshold family key into an
+    :class:`EvalFamily` where there are two or more (a lone one stays a group)."""
     grouped: Dict[Hashable, List] = {}
     for member in members:
         bucket = grouped.get(member.pred_key)
@@ -132,42 +210,46 @@ def plan_of(members: Sequence) -> EvalPlan:
             grouped[member.pred_key] = [member]
         else:
             bucket.append(member)
-    return EvalPlan([EvalGroup(tuple(bucket)) for bucket in grouped.values()], len(members))
+    groups: List[EvalGroup] = []
+    by_family: Dict[Tup, List[EvalGroup]] = {}
+    for bucket in grouped.values():
+        family = bucket[0].family
+        kin = groups if family is None else by_family.setdefault(family[0], [])
+        kin.append(EvalGroup(tuple(bucket)))
+    groups += [kin[0] for kin in by_family.values() if len(kin) == 1]
+    families = tuple(EvalFamily(kin) for kin in by_family.values() if len(kin) > 1)
+    return EvalPlan(groups, len(members), families)
 
 
-def _plan_of_groups(groups: List[EvalGroup]) -> EvalPlan:
-    return EvalPlan(groups, sum(len(group.members) for group in groups))
-
-
-def _split_by_guard(plan: EvalPlan):
-    """Split a relation's groups into unguarded + per-guard-value plans.
+def _split_by_guard(members: Sequence):
+    """Split a relation's members into unguarded + per-guard-value plans.
 
     Returns ``None`` when no member is guarded, else ``(unguarded plan,
     ((position, {value: plan}), ...))``.  A group lands whole on one side:
     equal canonical keys mean equal extensions, hence equal declared guards —
     a predicate class breaking that is rejected here, at build time.
     """
-    if all(group.members[0].guard is None for group in plan.groups):
+    if all(member.guard is None for member in members):
         return None
-    unguarded: List[EvalGroup] = []
-    by_position: Dict[int, Dict[Hashable, List[EvalGroup]]] = {}
-    for group in plan.groups:
-        first = group.members[0]
-        guard = first.guard
-        if any(member.guard != guard for member in group.members):
+    guards: Dict[Hashable, Optional[Tup[int, object]]] = {}
+    unguarded: List = []
+    by_position: Dict[int, Dict[Hashable, List]] = {}
+    for member in members:
+        guard = member.guard
+        if guards.setdefault(member.pred_key, guard) != guard:
             raise ValueError(
-                f"unary predicates with canonical key {first.pred_key!r} declare "
+                f"unary predicates with canonical key {member.pred_key!r} declare "
                 "different constant guards; equal keys must imply equal guards"
             )
         if guard is None:
-            unguarded.append(group)
+            unguarded.append(member)
         else:
             position, value = guard
-            by_position.setdefault(position, {}).setdefault(value, []).append(group)
+            by_position.setdefault(position, {}).setdefault(value, []).append(member)
     return (
-        _plan_of_groups(unguarded),
+        plan_of(unguarded),
         tuple(
-            (position, {value: _plan_of_groups(groups) for value, groups in by_value.items()})
+            (position, {value: plan_of(bucket) for value, bucket in by_value.items()})
             for position, by_value in sorted(by_position.items())
         ),
     )
@@ -192,8 +274,8 @@ class PlanIndex:
         self.wildcard_plan = plan_of(())
 
     def _store_relation(self, relation: str, members: Sequence) -> None:
-        plan = self.plans[relation] = plan_of(members)
-        split = _split_by_guard(plan)
+        self.plans[relation] = plan_of(members)
+        split = _split_by_guard(members)
         if split is None:
             self.guarded.pop(relation, None)
         else:
@@ -215,6 +297,7 @@ class PlanIndex:
             return self.plans.get(tup.relation, self.wildcard_plan)
         unguarded, positions = entry
         groups = unguarded.groups
+        families = unguarded.families
         total = unguarded.total
         arity = tup.arity
         for position, by_value in positions:
@@ -222,10 +305,11 @@ class PlanIndex:
                 matched = by_value.get(tup.value(position))
                 if matched is not None:
                     groups = groups + matched.groups
+                    families = families + matched.families
                     total += matched.total
         if total == unguarded.total:
             return unguarded
-        return EvalPlan(groups, total)
+        return EvalPlan(groups, total, families)
 
     def watched_relations(self):
         """The relations whose tuples some stored member may accept, or
@@ -265,6 +349,9 @@ class PlanIndex:
             "guard_values": float(
                 sum(len(by_value) for _, positions in self.guarded.values() for _, by_value in positions)
             ),
+            # A family's groups share a base, hence a guard: splitting a
+            # relation by guard value moves its families whole.
+            "threshold_families": float(sum(len(plan.families) for plan in self.plans.values())),
         }
 
 
@@ -306,6 +393,7 @@ class CompiledTransition:
         "relations",
         "guard",
         "pred_key",
+        "family",
     )
 
     def __init__(self, index: int, transition: "PCEATransition") -> None:
@@ -319,14 +407,13 @@ class CompiledTransition:
         # A ``(position, value)`` equality implied by the unary predicate, so
         # the index can key this transition by its guard value; the canonical
         # key lets the multi-query engine share one ``unary.holds`` verdict
-        # across structurally identical predicates.  Both default soundly for
+        # across structurally identical predicates, the threshold family one
+        # bisect across ``base ∧ (attr ⋈ c)`` ones.  All default soundly for
         # predicate objects predating the protocol.
         guard = getattr(transition.unary, "constant_guard", None)
         self.guard: Optional[Tup[int, object]] = guard() if guard is not None else None
-        canonical = getattr(transition.unary, "canonical_key", None)
-        self.pred_key: Hashable = (
-            canonical() if canonical is not None else ("id", id(transition.unary))
-        )
+        self.pred_key: Hashable = _canonical_key(transition.unary)
+        self.family = threshold_family(transition.unary)
         # Filled in by the index: interned ids and the final-state flag.
         self.target_id = -1
         self.is_final = False
@@ -357,11 +444,12 @@ class MergedEntry:
     then hashes a plain int instead of a nested tuple — and ``index`` the
     canonical candidate rank, named as on :class:`CompiledTransition`
     (transition order; in the merged index a counter in registration order,
-    then transition order within a query).
+    then transition order within a query), and ``family`` its threshold
+    family.
     """
 
     __slots__ = (
-        "owner", "handle", "compiled", "accepts", "pred_key", "guard", "index",
+        "owner", "handle", "compiled", "accepts", "pred_key", "family", "guard", "index",
         "probes", "consumers", "target_id", "since",
     )  # fmt: skip
 
@@ -372,6 +460,7 @@ class MergedEntry:
         self.compiled = compiled
         self.accepts = compiled.accepts
         self.pred_key = pred_key
+        self.family = compiled.family
         self.guard: Optional[Tup[int, object]] = compiled.guard
         self.index = index
         self.probes = compiled.probes

@@ -187,6 +187,15 @@ class UnaryPredicate:
         """
         return None
 
+    def threshold(self) -> Optional[Tup["UnaryPredicate", str, int, str, DataValue]]:
+        """An optional split ``(base, relation, position, operator, constant)``:
+        ``holds(t)`` iff ``base.holds(t)`` and ``t`` is a ``relation`` tuple with
+        ``t[position] operator constant`` (``<``, ``<=``, ``>``, ``>=``), where
+        that comparison is defined — a NaN or a ``TypeError`` is left to
+        ``holds``.  Splits equal but for the constant form a threshold family
+        (:class:`~repro.core.dispatch.EvalFamily`).  ``None`` is always sound."""
+        return None
+
     def acceptor(self) -> Callable[[Tuple], bool]:
         """The flat ``tup -> bool`` form of :meth:`holds`, resolved once per
         dispatch index.  Structural subclasses compile it from their plan and
@@ -390,6 +399,11 @@ class AttributeFilter(UnaryPredicate):
     def constant_guard(self) -> Optional[Tup[int, DataValue]]:
         if self.operator == "==":
             return (self.position, self.constant)
+        return None
+
+    def threshold(self) -> Optional[Tup[UnaryPredicate, str, int, str, DataValue]]:
+        if self.operator in ("<", "<=", ">", ">="):
+            return (TruePredicate(), self.relation, self.position, self.operator, self.constant)
         return None
 
     def __str__(self) -> str:

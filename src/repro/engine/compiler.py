@@ -95,6 +95,15 @@ class _FilteredUnary(UnaryPredicate):
                 return guard
         return None
 
+    def threshold(self):
+        # The first order filter splits off; the rest joins the base.
+        for i, flt in enumerate(self.filters):
+            split = flt.threshold()
+            if split is not None:
+                rest = self.filters[:i] + self.filters[i + 1 :]
+                return (_FilteredUnary(self.base, rest) if rest else self.base, *split[1:])
+        return None
+
     def __str__(self) -> str:
         if not self.filters:
             return str(self.base)

@@ -306,6 +306,8 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
         for group in plan.groups:
             if group.accepts(tup):
                 held.extend(group.members)
+        for family in plan.families:
+            held.extend(family.held(tup).members)
         if len(held) > 1:
             held.sort(key=member_order)
         for compiled in held:

@@ -292,12 +292,13 @@ class MultiQueryEngine(RuntimeBackedEngine):
         if sweep:
             runtime.sweep(position)
         # One merged lookup serves every query; the shared fire loop then
-        # evaluates one predicate per group and joins in each member's store.
+        # evaluates one predicate per group or family and joins in each
+        # member's store.
         plan = self._merged.plan_for(tup)
         stats = None
         if self._count_stats:
             stats = runtime.stats
-            evaluated = len(plan.groups)
+            evaluated = len(plan.groups) + len(plan.families)
             stats.tuples_processed += 1
             stats.transitions_scanned += plan.total
             stats.predicate_evaluations += evaluated

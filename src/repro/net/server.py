@@ -470,7 +470,11 @@ class IngestServer:
                 await self._not_empty.wait()
                 continue
             if type(queue[0]) is tuple:
-                self._control(*queue.popleft())
+                try:
+                    self._control(*queue.popleft())
+                except Exception as exc:  # not a refusal: the engine's state is unknown
+                    self._fail(exc)
+                    return
                 continue
             # Adaptive coalescing: drain whatever ingest frames are
             # contiguous at the head, up to max_batch tuples (a frame that
@@ -507,9 +511,7 @@ class IngestServer:
             except Exception as exc:
                 # The engine is the shared resource: if it fails mid-batch,
                 # position continuity is gone and serving on is unsound.
-                self.driver_error = exc
-                self._running = False
-                asyncio.ensure_future(self.stop())
+                self._fail(exc)
                 return
             self.batches += 1
             self._m_coalesce.record(span)
@@ -518,6 +520,12 @@ class IngestServer:
             # Yield once per batch so readers refill the queue (and writers
             # flush) while the next batch accumulates.
             await asyncio.sleep(0)
+
+    def _fail(self, exc: Exception) -> None:
+        """Stop serving: the engine failed, and ``driver_error`` says how."""
+        self.driver_error = exc
+        self._running = False
+        asyncio.ensure_future(self.stop())
 
     def _control(self, client: _Client, message: Tup) -> None:
         if client.closed:
@@ -533,7 +541,9 @@ class IngestServer:
         if sub is None:
             try:
                 handle = self.engine.register(query, window, name=name)
-            except Exception as exc:  # compile/validate errors → refusal
+            except (ValueError, TypeError) as exc:
+                # compile_query's documented refusals: parse, hierarchy and pattern
+                # errors are ValueErrors, a non-equality join a TypeError.
                 self._enqueue(client, encode_frame(protocol.refused(str(exc))))
                 return
             sub = _Subscription(key, handle)
@@ -714,7 +724,7 @@ class IngestServer:
         except (ConnectionError, OSError, asyncio.TimeoutError):
             try:
                 client.writer.transport.abort()
-            except Exception:
+            except (OSError, RuntimeError):  # the transport or its loop is gone
                 pass
         self._m_clients.set(len(self._clients))
         # Unblock an admission wait that belonged to this client.

@@ -31,9 +31,10 @@ def fire(plan, tup, position: int, buckets: Optional[Dict[int, list]], stats) ->
     Returns ``{handle: [final-state nodes]}`` for the handles that produced
     output at this position (``None`` when none did).
 
-    One acceptor call decides each predicate group; a held member fires when
-    every join probe finds a live entry in its store's table.  This phase only
-    reads the tables, so the fired *set* does not depend on the order groups
+    One acceptor call decides each predicate group, one base call and one
+    bisect each threshold family (its held members then run as a group's); a
+    held member fires when every join probe finds a live entry in its store's
+    table.  This phase only reads the tables, so the fired *set* does not depend on the order groups
     are evaluated in; sorting it back to canonical order before the effects
     makes node creation, table updates and final collection — hence node ids
     and outputs — independent of plan order too.
@@ -50,7 +51,10 @@ def fire(plan, tup, position: int, buckets: Optional[Dict[int, list]], stats) ->
     # Extractors are interned by key plan (repro.core.predicates): joins that
     # project this tuple alike share one, and ``key`` is its cached result.
     keyed_by = key = None
-    for group in plan.groups:
+    groups = plan.groups
+    if plan.families:
+        groups = groups + [family.held(tup) for family in plan.families]
+    for group in groups:
         if not group.accepts(tup):
             continue
         for member in group.members:

@@ -4,8 +4,8 @@ One dataclass serves the single-query evaluator, the multi-query engine and
 the general (non-hashed) evaluator, so ``engine.observe()["stats"]``, the
 CLI ``--stats`` line and the differential tests read the same field names
 regardless of engine.  Fields an engine cannot meaningfully count simply
-stay zero (e.g. ``predicate_cache_hits`` — plan members covered by their group's one
-evaluation — outside the multi-query engine).
+stay zero (e.g. ``predicate_cache_hits`` — plan members covered by their group's or
+family's one evaluation — outside the multi-query engine).
 """
 
 from __future__ import annotations
@@ -18,7 +18,11 @@ class EngineStatistics:
     """Operation counters for the per-tuple loop (benchmark instrumentation).
 
     ``transitions_scanned`` counts the candidate transitions the dispatch
-    lookup returned.  ``hash_lookups``/``hash_updates`` count run-index table probes and stores
+    lookup returned.  The multi-query engine books one ``predicate_evaluations``
+    per predicate group and per threshold family (its base call), every other
+    member as ``predicate_cache_hits`` — also when a family falls back to its
+    groups' acceptors — the other engines every member as evaluated.
+    ``hash_lookups``/``hash_updates`` count run-index table probes and stores
     for the hashed engines; the general evaluator reports its live-run scans
     as ``hash_lookups`` so the "how much stored state did this tuple touch"
     column means the same thing everywhere.

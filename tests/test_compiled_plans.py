@@ -387,7 +387,9 @@ class TestSetupBudget:
         compile_step = {
             "compile_acceptor", "acceptor", "compile_key_extractors", "key_extractors", "left_key_plan"
         }  # fmt: skip
-        metadata = {"dispatch_relations", "constant_guard", "canonical_key", "_atom_constant_guard"}
+        metadata = {
+            "dispatch_relations", "constant_guard", "canonical_key", "_atom_constant_guard", "threshold"
+        }  # fmt: skip
         assert set(in_predicates) <= compile_step | metadata
         assert sum(name in compile_step for name in in_predicates) == (
             2 * len(pcea.transitions) + 3 * joins

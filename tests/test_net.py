@@ -793,6 +793,43 @@ class TestRobustness:
         conn.close()
         self._assert_still_serving(server)
 
+    @pytest.mark.parametrize(
+        "query, reason",
+        [
+            ("Q(x <- T(x)", "refused"),  # malformed: a parse error
+            ("Q(x, y) <- R(x), S(x, y), T(y)", "not hierarchical"),
+        ],
+        ids=["malformed", "non-hierarchical"],
+    )
+    def test_a_query_the_compiler_rejects_is_refused_and_serving_goes_on(self, server, query, reason):
+        with IngestClient(server.host, server.port) as client:
+            with pytest.raises(NetClientError, match=reason):
+                client.subscribe(query, WINDOW)
+            client.subscribe(QUERY_A, WINDOW)  # the same connection still works
+        assert server.server.driver_error is None
+        self._assert_still_serving(server)
+
+    def test_an_unexpected_register_failure_stops_the_server(self, monkeypatch):
+        """Only what ``compile_query`` documents is a refusal: any other
+        failure inside the driver leaves the engine in an unknown state, so
+        the server fails stop, names the error and closes the connection."""
+        engine = MultiQueryEngine()
+
+        def broken(query, window, name=None):
+            raise RuntimeError("registry corrupted")
+
+        monkeypatch.setattr(engine, "register", broken)
+        st = ServerThread(engine).start()
+        try:
+            with IngestClient(st.host, st.port) as client:
+                with pytest.raises(NetClientError, match="closed the connection"):
+                    client.subscribe(QUERY_A, WINDOW)
+            st.join(timeout=10)
+            assert isinstance(st.server.driver_error, RuntimeError)
+            assert "registry corrupted" in str(st.server.driver_error)
+        finally:
+            st.stop()
+
     def test_ingest_frame_bigger_than_queue_is_rejected(self):
         with ServerThread(MultiQueryEngine(), max_queue=16) as st:
             with IngestClient(st.host, st.port) as client:
