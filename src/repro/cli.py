@@ -23,8 +23,8 @@ memory section (``arena_slabs`` / ``arena_live_nodes`` / ``arena_released``)
 mirroring ``hash_entries``/``evicted`` — regardless of the engine mode.
 
 Checkpointing: ``--checkpoint PATH`` writes the engine's complete evaluation
-state (the cross-layer snapshot of :mod:`repro.runtime.snapshot`, tagged-JSON
-text) after the run's events are consumed; ``--restore PATH`` loads such a
+state (the cross-layer snapshot of :mod:`repro.runtime.snapshot`, one binary
+wire-codec frame) after the run's events are consumed; ``--restore PATH`` loads such a
 checkpoint before processing, so a stream can be split across invocations —
 or processes — with outputs, positions, and ``--stats`` counters
 bit-identical to one uninterrupted run.  The restoring invocation must pass

@@ -113,17 +113,21 @@ References *into* a slab come from three places, each handled differently:
 Snapshot / restore
 ------------------
 :meth:`ArenaDataStructure.snapshot` captures the complete arena state — the
-retained slab set (fields unpacked to plain per-column lists, product
-children to one dense tuple per node), the allocation cursor, the
-adaptive-sizing state and the interned label table — as a plain-Python tree
-(dicts / lists / tuples / ints / frozensets) that pickles directly and
-JSON-encodes through :mod:`repro.runtime.snapshot`; either kernel restores a
-snapshot taken under the other.  :meth:`ArenaDataStructure.restore` replaces the arena's
-entire state in place (bound methods held by an
-:class:`~repro.runtime.EvictionLane` stay valid), after which allocation,
-reclamation and enumeration continue bit-identically to the snapshotted
-arena — the per-layer contract behind the engines' ``snapshot()`` /
-``restore()`` protocol.
+retained slab set (each slab's filled records verbatim, as one little-endian
+``bytes`` value of ``count × 40`` bytes, plus its ``prods`` list), the
+allocation cursor, the adaptive-sizing state and the interned label table —
+as a plain-Python tree (dicts / lists / tuples / ints / bytes / frozensets)
+that pickles directly and encodes as one wire-codec frame through
+:mod:`repro.runtime.snapshot`; either kernel restores a snapshot taken under
+the other.  :meth:`ArenaDataStructure.restore` replaces the arena's entire
+state in place (bound methods held by an :class:`~repro.runtime.EvictionLane`
+stay valid), after which allocation, reclamation and enumeration continue
+bit-identically to the snapshotted arena — the per-layer contract behind the
+engines' ``snapshot()`` / ``restore()`` protocol.  A snapshot is untrusted
+input: restore checks that the slabs tile the slots from the release cursor
+to the allocation cursor and that every record's label id and product
+reference lie inside the restored tables before any slab is registered (the
+native kernel indexes ``prods`` unchecked).
 
 Everything the evaluator consumes (``extend`` / ``union`` / ``extend_onto`` /
 ``enumerate`` / ``expired`` / the validation helpers) takes and returns plain
@@ -254,6 +258,55 @@ def _round_capacity(value: float) -> int:
     while capacity < value and capacity < MAX_SLAB_CAPACITY:
         capacity <<= 1
     return capacity
+
+
+#: The arena counters a snapshot carries, in the order restore assigns them.
+_COUNTERS = ("nodes_created", "union_calls", "union_copies", "released_slabs", "released_nodes")
+
+
+def _word(value: object) -> int:
+    """A snapshot scalar as an int that fits one record word (what the
+    native kernel's arguments take), else ``ValueError``."""
+    value = int(value)
+    if not -(1 << 63) <= value < 1 << 63:
+        raise ValueError(f"snapshot value {value} does not fit a 64-bit word")
+    return value
+
+
+def _restored_slab(snap: Dict[str, object], slot: int, label_count: int) -> _Slab:
+    """A snapshot slab rebuilt at ``slot``: its record bytes taken verbatim,
+    after checking what the kernels index without a bounds check.
+
+    ``ValueError`` unless the slab starts at ``slot``, owns a valid span,
+    holds ``count × 40`` record bytes, and every record's product reference
+    lies inside the slab's ``prods`` and its label id inside the label table
+    (the bottom sentinel, record 0 of slab 0, carries no label).
+    """
+    span, count, records = int(snap["span"]), int(snap["count"]), snap["records"]
+    base = _word(snap["base"])
+    if base != slot << _SLOT_BITS or not 0 < span <= MAX_SLAB_CAPACITY >> _SLOT_BITS:
+        raise ValueError(f"snapshot slab at {base} (span {span}) breaks the slot sequence")
+    if not (
+        type(records) is bytes
+        and 0 <= count <= span << _SLOT_BITS
+        and len(records) == count * _RECORD_BYTES
+    ):
+        raise ValueError(f"snapshot slab at {base} does not hold {count} whole records in its record bytes")
+    slab = _Slab(base, span)
+    slab.data.frombytes(records)
+    if sys.byteorder != "little":
+        slab.data.byteswap()
+    slab.prods = list(snap["prods"])
+    metas = slab.data[4::_STRIDE]
+    if metas and (min(metas) < 0 or max(metas) >> 32 > len(slab.prods)):
+        raise ValueError(f"a record of snapshot slab {base} has a product reference outside its prods")
+    labelled = metas[1:] if base == BOTTOM_ID else metas
+    if labelled and max(map(_META_LOW.__and__, labelled)) >> 1 >= label_count:
+        raise ValueError(f"a record of snapshot slab {base} has a label id outside the label table")
+    slab.count = slab.avail = count
+    slab.max_ms = _word(snap["max_ms"])
+    slab.ext_refs = _word(snap["ext_refs"])
+    return slab
 
 
 class ArenaDataStructure:
@@ -980,9 +1033,10 @@ class ArenaDataStructure:
     def snapshot(self) -> Dict[str, object]:
         """The arena's complete state as a plain-Python, picklable tree.
 
-        Fields are unpacked to plain per-column lists of ints and product
-        children to one dense tuple per node, so two arenas fed identical
-        operations produce *equal* snapshots on either kernel.
+        A slab carries its filled records verbatim — ``count`` stride-5
+        records as one little-endian ``bytes`` value — and its ``prods``
+        list, so two arenas fed identical operations produce *equal*
+        snapshots on either kernel.
         """
         nk = self._nk
         if nk is not None:
@@ -997,10 +1051,9 @@ class ArenaDataStructure:
             self._allocated = nk.counters()[3]
         slabs = []
         for slab in self._retained_slabs():
-            data = slab.data
-            fill = slab.count * _STRIDE
-            prods = slab.prods
-            meta = list(data[4:fill:_STRIDE])
+            records = slab.data[: slab.count * _STRIDE]
+            if sys.byteorder != "little":
+                records.byteswap()
             slabs.append(
                 {
                     "base": slab.base,
@@ -1008,15 +1061,8 @@ class ArenaDataStructure:
                     "count": slab.count,
                     "max_ms": slab.max_ms,
                     "ext_refs": slab.ext_refs,
-                    "pos": list(data[0:fill:_STRIDE]),
-                    "ms": list(data[1:fill:_STRIDE]),
-                    "ul": list(data[2:fill:_STRIDE]),
-                    "ur": list(data[3:fill:_STRIDE]),
-                    "lab": [(value & _META_LOW) >> 1 for value in meta],
-                    "dirn": [value & 1 for value in meta],
-                    "prod": [
-                        prods[(value >> 32) - 1] if value >> 32 else () for value in meta
-                    ],
+                    "records": records.tobytes(),
+                    "prods": list(slab.prods),
                 }
             )
         return {
@@ -1030,13 +1076,7 @@ class ArenaDataStructure:
             "allocated": self._allocated,
             "labels": list(self._labels),
             "slabs": slabs,
-            "counters": {
-                "nodes_created": self.nodes_created,
-                "union_calls": self.union_calls,
-                "union_copies": self.union_copies,
-                "released_slabs": self.released_slabs,
-                "released_nodes": self.released_nodes,
-            },
+            "counters": {name: getattr(self, name) for name in _COUNTERS},
         }
 
     def restore(self, snapshot: Dict[str, object]) -> None:
@@ -1044,14 +1084,35 @@ class ArenaDataStructure:
 
         In-place so bound hooks (:class:`~repro.runtime.EvictionLane` binds
         ``add_ref``/``drop_ref``/``release_expired`` once) stay valid.  The
-        window must match (it is the engine's configuration, not state);
-        restoring re-packs the snapshot columns into records.
+        window must match (it is the engine's configuration, not state).  A
+        snapshot is untrusted input, so every slab is rebuilt and checked
+        (:func:`_restored_slab`) before anything is replaced: the native
+        kernel never sees a record whose label id or product reference
+        points outside the restored tables.
         """
         if snapshot["window"] != self.window:
             raise ValueError(
                 f"snapshot was taken with window {snapshot['window']}, "
                 f"this arena has window {self.window}"
             )
+        labels = [frozenset(labels) for labels in snapshot["labels"]]
+        release_cursor = next_slot = int(snapshot["release_cursor"])
+        restored: List[_Slab] = []
+        for slab_snap in snapshot["slabs"]:
+            # Retained slabs are released in allocation order, so they tile
+            # the slots from the release cursor to the allocation cursor.
+            restored.append(_restored_slab(slab_snap, next_slot, len(labels)))
+            next_slot += restored[-1].span
+        if not restored:
+            raise ValueError("snapshot holds no slabs (the current slab is never released)")
+        if next_slot != snapshot["next_slot"]:
+            raise ValueError("snapshot slabs do not end at the allocation cursor")
+        cap, adaptive = int(snapshot["cap"]), bool(snapshot["adaptive"])
+        slab_start = snapshot["slab_start"]
+        slab_start = None if slab_start is None else int(slab_start)
+        seal_deadline = _word(snapshot["seal_deadline"])
+        allocated = _word(snapshot["allocated"])
+        counters = [_word(snapshot["counters"][name]) for name in _COUNTERS]
         nk = self._nk
         if nk is not None:
             # Drop every buffer hold *before* rebuilding: restored slot
@@ -1062,65 +1123,30 @@ class ArenaDataStructure:
             # the restore — the same in-place contract the python path gives.
             nk.close()
             nk.set_request_slab(self._request_slab)
-        self._cap = int(snapshot["cap"])
-        self._adaptive = bool(snapshot["adaptive"])
-        self._next_slot = int(snapshot["next_slot"])
-        self._release_cursor = int(snapshot["release_cursor"])
-        slab_start = snapshot["slab_start"]
-        self._slab_start = None if slab_start is None else int(slab_start)
-        self._seal_deadline = int(snapshot["seal_deadline"])
-        self._allocated = int(snapshot["allocated"])
-        self._labels = [frozenset(labels) for labels in snapshot["labels"]]
-        self._label_ids = {labels: index for index, labels in enumerate(self._labels)}
-        slabs: Dict[int, _Slab] = {}
-        current: Optional[_Slab] = None
-        count = 0
-        for slab_snap in snapshot["slabs"]:
-            slab = _Slab(int(slab_snap["base"]), int(slab_snap["span"]))
-            data = slab.data
-            prods = slab.prods
-            for pos, ms, ul, ur, label_id, bit, children in zip(
-                slab_snap["pos"],
-                slab_snap["ms"],
-                slab_snap["ul"],
-                slab_snap["ur"],
-                slab_snap["lab"],
-                slab_snap["dirn"],
-                slab_snap["prod"],
-            ):
-                meta = (int(label_id) << 1) | int(bit)
-                if children:
-                    prods.append(tuple(children))
-                    meta |= len(prods) << 32
-                data.append(int(pos))
-                data.append(int(ms))
-                data.append(int(ul))
-                data.append(int(ur))
-                data.append(meta)
-            slab.avail = int(slab_snap["count"])
-            slab.count = int(slab_snap["count"])
-            slab.max_ms = int(slab_snap["max_ms"])
-            slab.ext_refs = int(slab_snap["ext_refs"])
+        self._cap = cap
+        self._adaptive = adaptive
+        self._next_slot = next_slot
+        self._release_cursor = release_cursor
+        self._slab_start = slab_start
+        self._seal_deadline = seal_deadline
+        self._allocated = allocated
+        self._labels = labels
+        self._label_ids = {label_set: index for index, label_set in enumerate(labels)}
+        self._slabs = {}
+        for slab in restored:
             first_slot = slab.base >> _SLOT_BITS
             for owned in range(first_slot, first_slot + slab.span):
-                slabs[owned] = slab
-            count += 1
-            current = slab  # snapshot slabs are in allocation order
-        if current is None:
-            raise ValueError("snapshot holds no slabs (the current slab is never released)")
-        self._slabs = slabs
-        self._slab_count = count
-        self._cur = current
+                self._slabs[owned] = slab
+        self._slab_count = len(restored)
+        self._cur = current = restored[-1]
         if nk is not None:
             # Re-register the restored slabs: pad every record array back to
             # full slab capacity (the kernel's exported buffers never grow)
             # and hand the meta over — the kernel is authoritative for
             # count/max_ms/ext_refs again from here on.
-            for slab in self._retained_slabs():
+            for slab in restored:
                 capacity = slab.span << _SLOT_BITS
-                pad = capacity - slab.avail
-                if pad > 0:
-                    slab.data.extend(array("q", bytes(_RECORD_BYTES * pad)))
+                slab.data.extend(array("q", bytes(_RECORD_BYTES * (capacity - slab.count))))
                 slab.avail = capacity
                 nk.register_slab(
                     slab.base >> _SLOT_BITS,
@@ -1132,14 +1158,15 @@ class ArenaDataStructure:
                     slab.max_ms,
                     slab.ext_refs,
                 )
-            nk.set_current(current.base >> _SLOT_BITS, self._seal_deadline)
-            nk.set_counters(0, 0, 0, self._allocated)
-        counters = snapshot["counters"]
-        self.nodes_created = int(counters["nodes_created"])
-        self.union_calls = int(counters["union_calls"])
-        self.union_copies = int(counters["union_copies"])
-        self.released_slabs = int(counters["released_slabs"])
-        self.released_nodes = int(counters["released_nodes"])
+            nk.set_current(current.base >> _SLOT_BITS, seal_deadline)
+            nk.set_counters(0, 0, 0, allocated)
+        (
+            self.nodes_created,
+            self.union_calls,
+            self.union_copies,
+            self.released_slabs,
+            self.released_nodes,
+        ) = counters
 
     # ------------------------------------------------------------ enumeration
     def enumerate(self, node: int, position: int) -> Iterator[Valuation]:

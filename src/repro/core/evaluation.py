@@ -332,7 +332,7 @@ class StreamingEvaluator(RuntimeBackedEngine):
     def snapshot(self) -> Dict[str, Hashable]:
         """The engine's complete evaluation state (see :mod:`repro.runtime.snapshot`).
 
-        Picklable and tagged-JSON serialisable; restorable into a freshly
+        Picklable and encodable as one wire-codec frame; restorable into a freshly
         constructed engine evaluating the same automaton with the same
         window (verified through the dispatch-index signature), after which
         processing continues bit-identically to the snapshotted engine.

@@ -414,7 +414,7 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
     def snapshot(self) -> Dict[str, object]:
         """The engine's complete evaluation state (see :mod:`repro.runtime.snapshot`).
 
-        Picklable and tagged-JSON serialisable; restorable into a freshly
+        Picklable and encodable as one wire-codec frame; restorable into a freshly
         constructed engine evaluating the same automaton with the same
         window (verified through the dispatch-index signature).
         """
@@ -462,7 +462,7 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
         self._lane.restore(lane_snap)
         self._runtime.restore(runtime_snap, [self._lane])
         rings: Dict[int, _SeqRing] = {}
-        for state_id, live in ring_snaps.items():
+        for state_id, live in dict(ring_snaps).items():  # dict(): as in StreamRuntime.restore
             ring = _SeqRing(max(self._ring_capacity, len(live)))
             for seq in live:
                 ring.append(seq)

@@ -145,9 +145,7 @@ class MultiQueryEngine(RuntimeBackedEngine):
         self._runtime = StreamRuntime()
         self._runtime.count_stats = collect_stats
         self._queries: Dict[int, _Registered] = {}
-        # window -> the store a registration under that window joins (a
-        # restored lane marked not ``joinable`` is reachable through its
-        # queries only).
+        # window -> the store a registration under that window joins.
         self._stores: Dict[int, _Store] = {}
         self._merged = MergedDispatchIndex(())
         for entry in self.registry.entries():
@@ -337,6 +335,9 @@ class MultiQueryEngine(RuntimeBackedEngine):
             raise SnapshotError(
                 f"snapshot places {len(placement)} queries, {len(queries)} to seat"
             )
+        windows = [lane["window"] for lane in lanes]
+        if len(set(windows)) != len(windows):
+            raise SnapshotError("snapshot holds two run stores for one window")
         for query, (where, _, slots) in zip(queries, placement):
             if not 0 <= where < len(lanes) or lanes[where]["window"] != query.handle.window:
                 raise SnapshotError(
@@ -355,8 +356,7 @@ class MultiQueryEngine(RuntimeBackedEngine):
             store = self._open_store(lane["window"])
             store.restore(lane)
             store.next_slot = int(lane["next_slot"])
-            if lane["joinable"]:
-                self._stores[store.window] = store
+            self._stores[store.window] = store
             stores.append(store)
         for query, (where, since, slots) in zip(queries, placement):
             self._enter(query, stores[where], int(since), tuple(slots))
@@ -382,7 +382,6 @@ class MultiQueryEngine(RuntimeBackedEngine):
         for store in stores:
             lane = store.snapshot()
             lane["next_slot"] = store.next_slot
-            lane["joinable"] = self._stores.get(store.window) is store
             lanes.append(lane)
         return {
             "snapshot_version": SNAPSHOT_VERSION,

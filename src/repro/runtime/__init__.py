@@ -65,8 +65,8 @@ proved out per engine, now in one place.
 The runtime also anchors the cross-layer **snapshot/restore protocol**
 (:mod:`repro.runtime.snapshot`): every layer — arena slabs, lanes, the
 runtime itself, the engines — captures its state as a plain-Python tree that
-JSON-encodes through the tagged codec, so a mid-stream checkpoint restored in
-a fresh process continues bit-identically.
+encodes as one frame of the wire codec (:mod:`repro.runtime.frames`), so a
+mid-stream checkpoint restored in a fresh process continues bit-identically.
 """
 
 from repro.runtime.core import (

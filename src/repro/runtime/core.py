@@ -551,62 +551,23 @@ class StreamRuntime:
         results = self.drive_batch(tuples, step, sweep=sweep)
         return results, tally[0]
 
-    # ------------------------------------------------------- bucket transfer
-    def extract_bucket_entries(self, lane_index: Dict[int, int]) -> Dict[int, List[object]]:
-        """The expiry-bucket triples of the lanes in ``lane_index``, copied out.
+    # ------------------------------------------------------- snapshot protocol
+    def snapshot(self, lane_index: Dict[int, int]) -> Dict[str, object]:
+        """The runtime's state.
 
         ``lane_index`` maps interned lane ids to the dense indexes the caller
-        assigns (the engine's lanes in snapshot order); triples of other — or
-        dropped — lanes are left out, the sweep would skip them.  Entries
-        always sit in strictly future buckets, so every extracted triple is
-        re-absorbable by a runtime standing at the same position.
+        assigns (the engine's lanes in snapshot order); bucket triples of
+        other — or dropped — lanes are left out, the sweep would skip them.
         """
-        extracted: Dict[int, List[object]] = {}
+        buckets: Dict[int, List[object]] = {}
         for expiry_position, entries in self.buckets.items():
             flat: List[object] = []
             for index in range(0, len(entries), 3):
                 mapped = lane_index.get(entries[index])
-                if mapped is None:
-                    continue
-                flat.append(mapped)
-                flat.append(entries[index + 1])
-                flat.append(entries[index + 2])
+                if mapped is not None:
+                    flat += (mapped, entries[index + 1], entries[index + 2])
             if flat:
-                extracted[expiry_position] = flat
-        return extracted
-
-    def absorb_bucket_entries(
-        self, buckets: Dict[int, List[object]], lanes_by_index: Sequence[EvictionLane]
-    ) -> None:
-        """Merge extracted bucket triples into this runtime's expiry map.
-
-        ``lanes_by_index`` mirrors the ``lane_index`` the triples were
-        extracted with.  No arena references are taken here: the extracted
-        lanes' enumeration-structure snapshots carry their refcounts, exactly
-        as in a full :meth:`restore`.  Every absorbed bucket must still be in
-        the future — an already-swept expiry position would leak its entries
-        (and their refcounts) forever, so it is rejected.
-        """
-        own = self.buckets
-        for expiry_position, entries in buckets.items():
-            expiry_position = int(expiry_position)
-            if expiry_position <= self._swept_upto:
-                raise ValueError(
-                    f"cannot absorb expiry bucket {expiry_position}: this runtime "
-                    f"already swept up to {self._swept_upto}"
-                )
-            target = own.get(expiry_position)
-            if target is None:
-                target = own[expiry_position] = []
-            for index in range(0, len(entries), 3):
-                target.append(lanes_by_index[entries[index]].lane_id)
-                target.append(entries[index + 1])
-                target.append(entries[index + 2])
-
-    # ------------------------------------------------------- snapshot protocol
-    def snapshot(self, lane_index: Dict[int, int]) -> Dict[str, object]:
-        """The runtime's state, with lane ids remapped through ``lane_index``
-        (see :meth:`extract_bucket_entries`)."""
+                buckets[expiry_position] = flat
         return {
             "position": self.position,
             "evicted": self.evicted,
@@ -614,23 +575,43 @@ class StreamRuntime:
             "next_release_pass": self._next_release_pass,
             "release_interval": self.release_interval,
             "stats": dataclasses.asdict(self.stats),
-            "buckets": self.extract_bucket_entries(lane_index),
+            "buckets": buckets,
         }
 
     def restore(self, snapshot: Dict[str, object], lanes_by_index: Sequence[EvictionLane]) -> None:
         """Replace the runtime's state with ``snapshot``'s.
 
         ``lanes_by_index`` positions must mirror the ``lane_index`` mapping
-        the snapshot was taken with.
+        the snapshot was taken with.  No arena references are taken here: the
+        lanes' enumeration-structure snapshots carry their refcounts.  Every
+        bucket must still be in the future — an already-swept expiry position
+        would leak its entries (and their refcounts) forever — and hold whole
+        triples of restored lanes; the buckets and statistics are checked
+        before any state is replaced.
         """
+        swept_upto = int(snapshot["swept_upto"])
+        lane_ids = dict(enumerate(lane.lane_id for lane in lanes_by_index))
+        buckets: Dict[int, List[object]] = {}
+        # dict(): a file may hold any container here, and only a mapping has items().
+        for expiry_position, entries in dict(snapshot["buckets"]).items():
+            expiry_position = int(expiry_position)
+            if expiry_position <= swept_upto:
+                raise ValueError(
+                    f"cannot restore expiry bucket {expiry_position}: the snapshot "
+                    f"was swept up to {swept_upto}"
+                )
+            if len(entries) % 3:
+                raise ValueError(f"expiry bucket {expiry_position} does not hold whole triples")
+            flat = buckets[expiry_position] = list(entries)
+            flat[0::3] = [lane_ids[index] for index in flat[0::3]]  # KeyError: no such lane
+        stats = EngineStatistics(**snapshot["stats"])
         self.position = int(snapshot["position"])
         self.evicted = int(snapshot["evicted"])
-        self._swept_upto = int(snapshot["swept_upto"])
+        self._swept_upto = swept_upto
         self._next_release_pass = int(snapshot["next_release_pass"])
         self.release_interval = int(snapshot["release_interval"])
-        self.stats = EngineStatistics(**snapshot["stats"])
-        self.buckets = {}
-        self.absorb_bucket_entries(snapshot["buckets"], lanes_by_index)
+        self.stats = stats
+        self.buckets = buckets
 
     # ----------------------------------------------------------- introspection
     def hash_table_size(self) -> int:

@@ -37,8 +37,11 @@ that remain before anything is allocated, tables hold at most
 :data:`MAX_TABLE` entries, a container or column at most
 :data:`MAX_ELEMENTS`, value trees nest at most :data:`MAX_DEPTH` deep, and
 whatever the bytes are the outcome is a message or a
-:class:`FrameProtocolError`.  A body that starts with pickle's ``PROTO``
-opcode — what version 1 of the protocol sent — is refused by name.
+:class:`FrameProtocolError`.  The encoder enforces the same element and
+body caps, so it never writes a frame the decoder would refuse.  A body
+that starts with pickle's ``PROTO`` opcode — what version 1 of the
+protocol sent — is refused by name.  The same frames are the checkpoint
+file format (:mod:`repro.runtime.snapshot`).
 
 Byte streams deliver arbitrary chunks, so the prefix is the delimiter: read
 4 bytes, validate the length against the cap **before** allocating or
@@ -182,9 +185,17 @@ def _put_text(out: bytearray, text: str) -> None:
     out += data
 
 
+def _put_count(out: bytearray, count: int) -> None:
+    """Append a container's element count, refused over the cap the decoder
+    enforces (a frame the other side would refuse is never written)."""
+    if count > MAX_ELEMENTS:
+        raise FrameProtocolError(f"count {count} exceeds the cap of {MAX_ELEMENTS}")
+    out += _U32.pack(count)
+
+
 def _put_items(out: bytearray, tag: int, items, depth: int) -> None:
     out.append(tag)
-    out += _U32.pack(len(items))
+    _put_count(out, len(items))
     for item in items:
         _put(out, item, depth)
 
@@ -200,7 +211,7 @@ def _put(out: bytearray, value: Any, depth: int) -> None:
         else:
             data = value.to_bytes(value.bit_length() // 8 + 1, "little", signed=True)
             out.append(_BIGINT)
-            out += _U32.pack(len(data))
+            _put_count(out, len(data))
             out += data
     elif kind is str:
         out.append(_STR)
@@ -226,7 +237,7 @@ def _put(out: bytearray, value: Any, depth: int) -> None:
         _put_items(out, _FROZENSET, value, depth + 1)
     elif kind is dict:
         out.append(_DICT)
-        out += _U32.pack(len(value))
+        _put_count(out, len(value))
         for key, item in value.items():
             _put(out, key, depth + 1)
             _put(out, item, depth + 1)
@@ -237,7 +248,7 @@ def _put(out: bytearray, value: Any, depth: int) -> None:
     elif kind is Valuation:
         out.append(_VALUATION)
         items = list(value.items())
-        out += _U32.pack(len(items))
+        _put_count(out, len(items))
         for label, positions in items:
             _put(out, label, depth + 1)
             _put_items(out, _FROZENSET, positions, depth + 1)
@@ -631,6 +642,10 @@ def encode_frame(message: Any) -> bytes:
             _put_matches(out, message[1], message[2])
         else:
             _put(out, message, 0)
+        if len(out) - HEADER_SIZE > MAX_FRAME_BYTES:
+            raise FrameProtocolError(
+                f"frame of {len(out) - HEADER_SIZE} bytes exceeds the cap of {MAX_FRAME_BYTES}"
+            )
         _LENGTH.pack_into(out, 0, len(out) - HEADER_SIZE)
     except (OverflowError, UnicodeEncodeError, TypeError, struct.error) as exc:
         raise FrameProtocolError(f"message cannot be encoded: {exc}") from exc

@@ -1,11 +1,12 @@
 """The cross-layer snapshot/restore protocol: serialisation and verification.
 
 Every layer of the runtime knows how to capture and re-absorb its own state
-as a plain-Python tree (dicts / lists / tuples / ints / strings / frozensets
-/ :class:`~repro.cq.schema.Tuple` events):
+as a plain-Python tree (dicts / lists / tuples / ints / strings / bytes /
+frozensets / :class:`~repro.cq.schema.Tuple` events):
 
 * :meth:`ArenaDataStructure.snapshot/restore <repro.core.arena.ArenaDataStructure.snapshot>`
-  — the retained slab set, allocation cursor and label table;
+  — the retained slab set (each slab's filled records as one ``bytes``
+  value), allocation cursor and label table;
 * :meth:`EvictionLane.snapshot/restore <repro.runtime.EvictionLane.snapshot>`
   — the window, the run-index hash table and the enumeration structure;
 * :meth:`StreamRuntime.snapshot/restore <repro.runtime.StreamRuntime.snapshot>`
@@ -20,22 +21,21 @@ as a plain-Python tree (dicts / lists / tuples / ints / strings / frozensets
   be restored into an engine evaluating the *same* queries.
 
 The trees are plain data (no engine objects, no callables, no shared
-mutable state with the live engine).  For text-format portability —
-``repro-cer --checkpoint/--restore`` writes checkpoint files this way — this
-module adds a tagged JSON codec that round-trips the non-JSON-native types:
-tuples, frozensets, :class:`~repro.cq.schema.Tuple` events, and dicts with
-non-string keys (expiry buckets are keyed by int positions, run-index tables
-by key tuples).  ``decode(encode(x)) == x`` for every tree a snapshot
-produces, which is what makes restore-into-a-fresh-process bit-identical.
+mutable state with the live engine).  A checkpoint file — what
+``repro-cer --checkpoint/--restore`` writes and reads — is one frame of the
+wire codec (:mod:`repro.runtime.frames`): a length prefix and the tree's
+typed value encoding, decoded under the same element, depth and size caps
+as a frame off a socket, since a file is untrusted input too.  The
+signature stays a tree compared by equality, not a digest: a digest needs a
+canonical byte form, and the encoding follows set and dict iteration
+order, which varies with the hash seed.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, IO, Union
+from typing import Any, Dict
 
-from repro.cq.query import Atom, Variable
-from repro.cq.schema import Tuple
+from repro.runtime.frames import FrameProtocolError, decode_frame, encode_frame
 
 
 #: Bumped when the snapshot tree layout changes incompatibly.  Version 2:
@@ -45,101 +45,50 @@ from repro.cq.schema import Tuple
 #: engine stores runs per window, not per query — one lane per run store, its
 #: slots numbered per store, and a ``placement`` row per query (store, first
 #: observed position, slot table); a version-2 tree's per-query lanes are
-#: numbered per automaton and are refused likewise.
-SNAPSHOT_VERSION = 3
+#: numbered per automaton and are refused likewise.  Version 4: the file is a
+#: wire-codec frame instead of tagged-JSON text, an arena slab carries its
+#: record words verbatim, and a multi-query lane no longer says whether it is
+#: ``joinable`` (every store is its window's store).
+SNAPSHOT_VERSION = 4
 
 
 class SnapshotError(ValueError):
     """Raised when a snapshot cannot be serialised, parsed, or restored."""
 
 
-# --------------------------------------------------------------- JSON codec
-#: Tag key marking an encoded non-JSON-native value.  A plain dict that
-#: happens to carry this key is itself encoded through the tagged-dict form,
-#: so the codec never misreads user data as a tag.
-_TAG = "__repro__"
-
-
-def _encode(obj: Any) -> Any:
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, list):
-        return [_encode(item) for item in obj]
-    if isinstance(obj, tuple):
-        return {_TAG: "tuple", "v": [_encode(item) for item in obj]}
-    if isinstance(obj, frozenset):
-        # Deterministic member order so equal snapshots encode identically.
-        return {_TAG: "frozenset", "v": sorted((_encode(item) for item in obj), key=repr)}
-    if isinstance(obj, set):
-        return {_TAG: "set", "v": sorted((_encode(item) for item in obj), key=repr)}
-    if isinstance(obj, Tuple):
-        return {_TAG: "event", "r": obj.relation, "v": [_encode(item) for item in obj.values]}
-    if isinstance(obj, Atom):
-        # CQ-compiled automata label their transitions with query atoms, so
-        # atoms (and the variables inside them) reach the arena's interned
-        # label table and the dispatch signature.
-        return {_TAG: "atom", "r": obj.relation, "v": [_encode(term) for term in obj.terms]}
-    if isinstance(obj, Variable):
-        return {_TAG: "var", "v": obj.name}
-    if isinstance(obj, dict):
-        if _TAG not in obj and all(isinstance(key, str) for key in obj):
-            return {key: _encode(value) for key, value in obj.items()}
-        return {_TAG: "dict", "v": [[_encode(key), _encode(value)] for key, value in obj.items()]}
-    raise SnapshotError(f"cannot serialise a {type(obj).__name__} in a snapshot")
-
-
-def _decode(obj: Any) -> Any:
-    if isinstance(obj, list):
-        return [_decode(item) for item in obj]
-    if isinstance(obj, dict):
-        tag = obj.get(_TAG)
-        if tag is None:
-            return {key: _decode(value) for key, value in obj.items()}
-        if tag == "tuple":
-            return tuple(_decode(item) for item in obj["v"])
-        if tag == "frozenset":
-            return frozenset(_decode(item) for item in obj["v"])
-        if tag == "set":
-            return set(_decode(item) for item in obj["v"])
-        if tag == "event":
-            return Tuple(obj["r"], tuple(_decode(item) for item in obj["v"]))
-        if tag == "atom":
-            return Atom(obj["r"], tuple(_decode(term) for term in obj["v"]))
-        if tag == "var":
-            return Variable(obj["v"])
-        if tag == "dict":
-            return {_decode(key): _decode(value) for key, value in obj["v"]}
-        raise SnapshotError(f"unknown snapshot tag {tag!r}")
-    return obj
-
-
-def dumps(snapshot: Any) -> str:
-    """Serialise a snapshot tree to tagged-JSON text."""
+def dumps(snapshot: Any) -> bytes:
+    """Serialise a snapshot tree to one wire-codec frame."""
     try:
-        return json.dumps(_encode(snapshot), sort_keys=True)
-    except (TypeError, ValueError) as exc:
+        return encode_frame(snapshot)
+    except FrameProtocolError as exc:
         raise SnapshotError(f"snapshot is not serialisable: {exc}") from exc
 
 
-def loads(text: Union[str, bytes]) -> Any:
-    """Parse tagged-JSON text back into the snapshot tree."""
+def loads(data: bytes) -> Any:
+    """Parse a frame written by :func:`dumps` back into the snapshot tree."""
+    if data[:1] == b"{":
+        # A frame's first byte is the top of a length under the 1 GiB cap,
+        # never 0x7b: this is a tagged-JSON checkpoint of an older build.
+        raise SnapshotError(
+            "checkpoint is tagged-JSON text, the format of snapshot version 3; "
+            f"this build reads only the binary checkpoints of snapshot version {SNAPSHOT_VERSION}"
+        )
     try:
-        return _decode(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise SnapshotError(f"snapshot text is not valid JSON: {exc}") from exc
+        return decode_frame(data)
+    except FrameProtocolError as exc:
+        raise SnapshotError(f"checkpoint is not a readable snapshot: {exc}") from exc
 
 
 def save(path: str, snapshot: Any) -> None:
     """Serialise ``snapshot`` to ``path`` (the CLI ``--checkpoint`` format)."""
-    text = dumps(snapshot)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.write("\n")
+    data = dumps(snapshot)
+    with open(path, "wb") as handle:
+        handle.write(data)
 
 
 def load(path: str) -> Any:
     """Read a snapshot written by :func:`save` (the CLI ``--restore`` input)."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         return loads(handle.read())
 
 

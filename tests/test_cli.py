@@ -1,6 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import io
+from pathlib import Path
 
 import pytest
 
@@ -342,7 +343,7 @@ class TestCheckpointRestore:
     @pytest.mark.parametrize("mode", [[], ["--general"]])
     def test_split_run_matches_continuous(self, tmp_path, mode):
         events = list(read_events(EVENTS_CSV.splitlines())) * 3
-        checkpoint = str(tmp_path / "ck.json")
+        checkpoint = str(tmp_path / "ck.snap")
         code, continuous = self._run(self.QUERY + mode + ["--stats"], events)
         assert code == 0
         code, _ = self._run(
@@ -373,7 +374,7 @@ class TestCheckpointRestore:
             "--window", "100",
         ]
         events = list(read_events(EVENTS_CSV.splitlines())) * 3
-        checkpoint = str(tmp_path / "mck.json")
+        checkpoint = str(tmp_path / "mck.snap")
         code, continuous = run_multi_argv(queries + ["--stats"], events)
         assert code == 0
         code, _ = run_multi_argv(queries + ["--stats", "--checkpoint", checkpoint], events[:9])
@@ -386,7 +387,7 @@ class TestCheckpointRestore:
 
     def test_restore_with_wrong_query_fails_cleanly(self, tmp_path, capsys):
         events = list(read_events(EVENTS_CSV.splitlines()))
-        checkpoint = str(tmp_path / "ck.json")
+        checkpoint = str(tmp_path / "ck.snap")
         code, _ = self._run(self.QUERY + ["--checkpoint", checkpoint], events)
         assert code == 0
         code, _ = self._run(
@@ -397,12 +398,12 @@ class TestCheckpointRestore:
         assert code == 2
 
     def test_restore_missing_file_fails_cleanly(self):
-        code, _ = self._run(self.QUERY + ["--restore", "/nonexistent/ck.json"], [])
+        code, _ = self._run(self.QUERY + ["--restore", "/nonexistent/ck.snap"], [])
         assert code == 2
 
     def test_checkpoint_requires_arena(self, tmp_path):
         events = list(read_events(EVENTS_CSV.splitlines()))
-        checkpoint = str(tmp_path / "ck.json")
+        checkpoint = str(tmp_path / "ck.snap")
         code, _ = self._run(self.QUERY + ["--no-arena", "--checkpoint", checkpoint], events)
         assert code == 2
 
@@ -418,13 +419,30 @@ class TestCheckpointRobustness:
         return code, output.getvalue()
 
     def test_malformed_checkpoint_file_fails_cleanly(self, tmp_path):
-        path = tmp_path / "ck.json"
+        path = tmp_path / "ck.snap"
         path.write_text('{"snapshot_version": %d, "engine": "streaming"}\n' % SNAPSHOT_VERSION)
         code, _ = self._run(self.QUERY + ["--restore", str(path)], [])
         assert code == 2
         path.write_text("not json at all\n")
         code, _ = self._run(self.QUERY + ["--restore", str(path)], [])
         assert code == 2
+
+    def test_a_version_three_checkpoint_is_refused_by_name(self, capsys):
+        """``checkpoint_v3.json`` was written by ``--checkpoint`` of a build
+        whose snapshots were tagged-JSON text (snapshot version 3)."""
+        seen = []
+
+        def events():
+            for tup in read_events(EVENTS_CSV.splitlines()):
+                seen.append(tup)
+                yield tup
+
+        path = Path(__file__).parent / "data" / "checkpoint_v3.json"
+        code, _ = self._run(self.QUERY + ["--restore", str(path)], events())
+        assert code == 2
+        assert seen == []  # refused before any event was read
+        err = capsys.readouterr().err
+        assert "snapshot version 3" in err and f"snapshot version {SNAPSHOT_VERSION}" in err
 
     def test_checkpoint_with_no_arena_fails_before_processing(self, tmp_path):
         seen = []
@@ -434,7 +452,7 @@ class TestCheckpointRobustness:
                 seen.append(tup)
                 yield tup
 
-        checkpoint = str(tmp_path / "ck.json")
+        checkpoint = str(tmp_path / "ck.snap")
         code, _ = self._run(
             self.QUERY + ["--no-arena", "--checkpoint", checkpoint], events()
         )

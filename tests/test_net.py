@@ -372,6 +372,24 @@ class TestCodecFuzz:
             fits = [fits]
         assert decode_frame(encode_frame(fits)) == fits
 
+    def test_the_encoder_refuses_what_the_decoder_refuses(self, monkeypatch):
+        """A frame the decoder would refuse is never written: a container
+        over the element cap or a body over the size cap fails at encode."""
+        at_cap = [None] * MAX_ELEMENTS
+        assert decode_frame(encode_frame(at_cap)) == at_cap
+        for over in (at_cap + [None], tuple(at_cap + [None])):
+            with pytest.raises(FrameProtocolError, match=f"count {MAX_ELEMENTS + 1} exceeds the cap"):
+                encode_frame(over)
+        del at_cap, over
+        monkeypatch.setattr("repro.runtime.frames.MAX_ELEMENTS", 4)
+        for over in (dict.fromkeys(range(5)), frozenset(range(5)), Valuation({n: {n} for n in range(5)})):
+            with pytest.raises(FrameProtocolError, match="count 5 exceeds the cap of 4"):
+                encode_frame(("config", over))
+        monkeypatch.setattr("repro.runtime.frames.MAX_FRAME_BYTES", 64)
+        with pytest.raises(FrameProtocolError, match="exceeds the cap of 64"):
+            encode_frame(b"x" * 64)
+        assert decode_body(encode_frame(b"x" * 58)[HEADER_SIZE:]) == b"x" * 58
+
     def test_a_pickle_body_is_refused_by_name_and_never_read(self, tmp_path):
         canary = tmp_path / "decoded-a-pickle"
         body = pickle.dumps(_Touch(str(canary)), protocol=pickle.HIGHEST_PROTOCOL)

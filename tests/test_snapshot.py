@@ -1,39 +1,55 @@
 """Tests for the cross-layer snapshot/restore protocol.
 
-Three layers of protection:
+Four layers of protection:
 
-* codec unit tests — the tagged-JSON serialisation must round-trip every
-  value kind a snapshot tree can contain (tuples, frozensets, events, atoms,
-  dicts with non-string keys);
+* codec unit tests — a checkpoint is one frame of the wire codec
+  (:mod:`repro.runtime.frames`), which must round-trip every value kind a
+  snapshot tree can contain (tuples, frozensets, events, atoms, bytes,
+  dicts with non-string keys) and refuse, at checkpoint time, a tree it
+  could not read back;
 * snapshot→restore→continue differentials — for each of the three engines,
   a mid-stream snapshot restored into a freshly constructed engine must
   continue with outputs *bit-identical* to the uninterrupted run, including
-  restore-into-a-fresh-process simulated through pickle and tagged-JSON
-  roundtrips (no shared objects survive either) and multi-engine handle-id
+  restore-into-a-fresh-process simulated through pickle and checkpoint-codec
+  roundtrips (no shared objects survive either; the ``"json"`` legs keep
+  the name of the codec they replaced) and multi-engine handle-id
   continuity across pre-checkpoint churn;
 * verification — restoring into a mismatched engine (different query,
   window, evict setting, engine kind, or the object-graph structure) must be
   rejected before any state is touched — as must a version-1 tree (``H``
-  keyed per reading transition), a table numbered by other slots and a
-  query-subset (``multi-partial``) tree.
+  keyed per reading transition), a table numbered by other slots, a
+  query-subset (``multi-partial``) tree, a tagged-JSON checkpoint of an older
+  build, two run stores under one window, and arena records whose label id
+  or product reference lies outside the restored tables (on both kernels);
+* fuzzing — every truncation and byte mutation of a single, ``--general``
+  or multi-engine checkpoint restores or raises one of the exceptions the
+  CLI's ``--restore`` catches, and nothing else.
 
 Snapshot equality across the two kernels is ``tests/test_kernel.py``'s.
 """
 
 import pickle
 import random
+import struct
+import sys
+from array import array
+from functools import lru_cache
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.arena import ArenaDataStructure
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.hcq_to_pcea import hcq_to_pcea
+from repro.core.kernel import native_available
 from repro.cq.query import Atom, Variable, parse_query
 from repro.cq.schema import Tuple
 from repro.extensions.general_evaluation import GeneralStreamingEvaluator
 from repro.multi.engine import MultiQueryEngine
 from repro.runtime import SnapshotError
 from repro.runtime import snapshot as snapshot_codec
+from repro.runtime.frames import HEADER_SIZE, MAX_ELEMENTS
 from repro.streams.generators import random_stream
 
 from helpers import SIGMA0, star_query
@@ -50,7 +66,7 @@ def roundtrip(snapshot, how):
     """A fresh-process simulation: no object is shared with the original."""
     if how == "pickle":
         return pickle.loads(pickle.dumps(snapshot))
-    if how == "json":
+    if how == "json":  # the checkpoint codec, named for the one it replaced
         return snapshot_codec.loads(snapshot_codec.dumps(snapshot))
     return snapshot
 
@@ -66,6 +82,7 @@ class TestCodec:
         frozenset({Atom("R", (Variable("x"), 3))}),
         {"__repro__": "user data that looks like a tag"},
         {"hash": [((0, 1, (2, "k")), (17, 4))]},
+        {"records": bytes(range(40)), "prods": [(1, 2), (3,)]},
     ]
 
     @pytest.mark.parametrize("value", CASES, ids=range(len(CASES)))
@@ -83,10 +100,19 @@ class TestCodec:
             snapshot_codec.dumps({"f": lambda: None})
 
     def test_save_load_file(self, tmp_path):
-        path = str(tmp_path / "snap.json")
+        path = str(tmp_path / "snap.ck")
         value = {"buckets": {3: [0, (1, "k"), 5]}}
         snapshot_codec.save(path, value)
         assert snapshot_codec.load(path) == value
+
+    def test_a_tree_over_the_caps_fails_at_checkpoint_time(self):
+        with pytest.raises(SnapshotError, match="exceeds the cap"):
+            snapshot_codec.dumps({"hash": [None] * (MAX_ELEMENTS + 1)})
+
+    def test_a_tagged_json_checkpoint_is_refused_by_name(self):
+        old = b'{"snapshot_version": 3, "engine": "streaming"}\n'
+        with pytest.raises(SnapshotError, match="snapshot version 3; .* snapshot version 4"):
+            snapshot_codec.loads(old)
 
 
 class TestSingleEngineSnapshot:
@@ -401,7 +427,7 @@ class TestVersionOneIsRefused:
         for tup in self._stream():
             original.process(tup)
         snap = original.snapshot()
-        assert snap["snapshot_version"] == 3 and original.hash_table_size() > 0
+        assert snap["snapshot_version"] == 4 and original.hash_table_size() > 0
         self._as_version_one(snap["lane"], snap["runtime"]["buckets"], original._dispatch)
         self._strip_slots(snap["dispatch_signature"])
         snap["snapshot_version"] = 1
@@ -417,7 +443,7 @@ class TestVersionOneIsRefused:
         and no placement; a one-query engine's store is exactly that lane."""
         del tree["placement"]
         for lane in tree["lanes"]:
-            del lane["next_slot"], lane["joinable"]
+            del lane["next_slot"]
         tree["snapshot_version"] = 2
         return tree
 
@@ -433,7 +459,7 @@ class TestVersionOneIsRefused:
         for tup in self._stream():
             original.process(tup)
         full = original.snapshot()
-        assert full["snapshot_version"] == 3
+        assert full["snapshot_version"] == 4
         assert full["placement"] == [(0, 0, (0, 1, 2))]
         self._as_version_two(full)
         if version == 1:
@@ -520,3 +546,218 @@ class TestQuerySubsetSnapshotsAreRefused:
         captured = capsys.readouterr()
         assert "removed repro.shard" in captured.err
         assert "events=" not in captured.out  # refused before any event was read
+
+
+class TestOneStorePerWindow:
+    """Every restored run store is its window's store (version 4 dropped the
+    ``joinable`` lane field), so a hand-edited tree that puts two lanes under
+    one window is refused before anything moves."""
+
+    SPECS = TestMultiEngineSnapshot.SPECS
+
+    def _engine(self, stream):
+        engine = MultiQueryEngine()
+        for query, window in self.SPECS:
+            engine.register(query, window=window)
+        for tup in stream:
+            engine.process(tup)
+        return engine
+
+    def test_two_lanes_under_one_window_are_refused(self):
+        stream = sigma0_stream(60, seed=19)
+        snap = roundtrip(self._engine(stream).snapshot(), "json")
+        assert all("joinable" not in lane for lane in snap["lanes"])
+        snap["lanes"][1]["window"] = snap["lanes"][0]["window"]
+        fresh = self._engine(Tuple("Other", tup.values) for tup in stream)
+        untouched = fresh.snapshot()
+        with pytest.raises(SnapshotError, match="two run stores for one window"):
+            fresh.restore(snap)
+        assert fresh.snapshot() == untouched
+
+    def test_a_restored_store_takes_later_registrations(self):
+        stream = sigma0_stream(120, seed=23)
+        original = self._engine(stream[:60])
+        restored = self._engine(Tuple("Other", tup.values) for tup in stream[:60])
+        restored.restore(roundtrip(original.snapshot(), "json"))
+        for engine in (original, restored):
+            engine.register("Q4(x, y) <- T(x), S(x, y)", window=self.SPECS[0][1])
+        assert restored.dispatch_info()["stores"] == len(self.SPECS)  # Q4 joined a store
+        assert [original.process(t) for t in stream[60:]] == [restored.process(t) for t in stream[60:]]
+        assert original.snapshot() == restored.snapshot()
+
+
+#: Both kernels where the extension is built, the python one alone elsewhere.
+KERNELS = ["python", "native"] if native_available() else ["python"]
+
+
+def _records_of(slab_snap):
+    """A snapshot slab's record words (they travel little-endian)."""
+    records = array("q", slab_snap["records"])
+    if sys.byteorder != "little":
+        records.byteswap()
+    return records
+
+
+def _set_records(slab_snap, records):
+    if sys.byteorder != "little":
+        records.byteswap()
+    slab_snap["records"] = records.tobytes()
+
+
+class TestUntrustedRecords:
+    """Restore checks every record against the restored tables before any slab
+    is registered: the native kernel indexes ``prods`` without a bounds check."""
+
+    def _engine(self, kernel):
+        return StreamingEvaluator(hcq_to_pcea(parse_query(QUERY)), window=9, kernel=kernel)
+
+    def _snapshot(self, kernel):
+        original = self._engine(kernel)
+        for tup in sigma0_stream(150, seed=3):
+            original.process(tup)
+        return roundtrip(original.snapshot(), "json")
+
+    def _tampered(self, kernel, field):
+        snap = self._snapshot(kernel)
+        arena = snap["lane"]["ds"]
+        slab = next(slab for slab in arena["slabs"] if slab["prods"])
+        records = _records_of(slab)
+        node = next(index for index in range(slab["count"]) if records[5 * index + 4] >> 32)
+        meta = records[5 * node + 4]
+        if field == "product":
+            records[5 * node + 4] = ((len(slab["prods"]) + 1) << 32) | (meta & 0xFFFFFFFF)
+        elif field == "label":
+            records[5 * node + 4] = (meta & ~0xFFFFFFFE) | (len(arena["labels"]) << 1)
+        _set_records(slab, records)
+        if field == "length":
+            slab["records"] = slab["records"][:-8]
+        return snap
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize(
+        "field, reason",
+        [("product", "product reference"), ("label", "label id"), ("length", "record bytes")],
+    )
+    def test_a_record_outside_the_tables_is_refused(self, kernel, field, reason):
+        snap = self._tampered(kernel, field)
+        fresh = self._engine(kernel)
+        untouched = fresh.snapshot()
+        with pytest.raises(ValueError, match=reason):
+            fresh.restore(snap)
+        assert fresh.snapshot() == untouched
+        for tup in sigma0_stream(40, seed=4):  # the kernel still holds its own slabs
+            fresh.process(tup)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_slabs_must_tile_the_slots(self, kernel):
+        snap = self._snapshot(kernel)
+        assert len(snap["lane"]["ds"]["slabs"]) >= 2
+        moved = roundtrip(snap, "json")
+        moved["lane"]["ds"]["slabs"][1]["base"] += 64  # a gap after the first slab
+        shrunk = roundtrip(snap, "json")
+        shrunk["lane"]["ds"]["next_slot"] += 1
+        for tampered, reason in ((moved, "slot sequence"), (shrunk, "allocation cursor")):
+            with pytest.raises(ValueError, match=reason):
+                self._engine(kernel).restore(tampered)
+        self._engine(kernel).restore(snap)
+
+    def test_bucket_triples_must_name_a_restored_lane(self):
+        snap = self._snapshot("python")
+        expiry, flat = next(iter(snap["runtime"]["buckets"].items()))
+        other_lane = roundtrip(snap, "json")
+        other_lane["runtime"]["buckets"][expiry] = [1] + flat[1:]  # the engine has lane 0 only
+        cut = roundtrip(snap, "json")
+        cut["runtime"]["buckets"][expiry] = flat[:-1]
+        with pytest.raises(KeyError):
+            self._engine("python").restore(other_lane)
+        with pytest.raises(ValueError, match="whole triples"):
+            self._engine("python").restore(cut)
+
+
+# ---------------------------------------------------------------- fuzzing
+#: What ``cli._restore_engine`` catches; anything else escaping a restore is a bug.
+RESTORE_ERRORS = (OSError, ValueError, KeyError, TypeError)
+
+MULTI_SPECS = [
+    ("Q1(x, y) <- S(x, y), R(x, y)", 7),
+    ("Q2(x) <- T(x)", 4),
+    ("Q3(x, y) <- T(x), S(x, y)", 11),
+]
+CHURNED = ("Q4(x, y) <- T(x), S(x, y), R(x, y)", 7)
+
+
+def _single():
+    return StreamingEvaluator(hcq_to_pcea(parse_query(QUERY)), window=9)
+
+
+def _general():
+    return GeneralStreamingEvaluator(hcq_to_pcea(parse_query(QUERY)), window=8)
+
+
+def _multi(churn=False):
+    """The multi engine's queries after churn: Q2 unregistered, Q4 registered."""
+    engine = MultiQueryEngine()
+    handles = [engine.register(query, window=window) for query, window in MULTI_SPECS]
+    if churn:
+        engine.unregister(handles[1])
+        engine.register(*CHURNED)
+    return engine
+
+
+@lru_cache(maxsize=None)
+def _checkpoint(kind):
+    """``(fresh engine factory, checkpoint bytes)`` of one engine mid-stream."""
+    stream = sigma0_stream(160, seed=29)
+    if kind == "multi":
+        engine = _multi()
+        for tup in stream[:80]:
+            engine.process(tup)
+        engine.unregister(engine.handles()[1])
+        engine.register(*CHURNED)
+        make = lambda: _multi(churn=True)  # noqa: E731
+    else:
+        make = _single if kind == "single" else _general
+        engine = make()
+        for tup in stream[:80]:
+            engine.process(tup)
+    for tup in stream[80:]:
+        engine.process(tup)
+    blob = snapshot_codec.dumps(engine.snapshot())
+    make().restore(snapshot_codec.loads(blob))  # the untouched checkpoint restores
+    return make, blob
+
+
+def restores_or_refuses(make, blob):
+    """``blob`` restores into a fresh engine or raises one of RESTORE_ERRORS;
+    any other exception escapes and fails the test."""
+    try:
+        make().restore(snapshot_codec.loads(blob))
+    except RESTORE_ERRORS:
+        pass
+
+
+KINDS = st.sampled_from(["single", "general", "multi"])
+
+
+class TestCheckpointFuzz:
+    # No test here fixes ``max_examples``: tier-1 runs the default budget, CI
+    # the ``fuzz`` profile (conftest.py).
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(kind=KINDS, data=st.data())
+    def test_truncations_restore_or_refuse(self, kind, data):
+        make, blob = _checkpoint(kind)
+        cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+        with pytest.raises(SnapshotError):  # the length prefix no longer fits
+            snapshot_codec.loads(blob[:cut])
+        body = blob[HEADER_SIZE:cut]
+        restores_or_refuses(make, struct.pack("!I", len(body)) + body)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(kind=KINDS, data=st.data())
+    def test_byte_mutations_restore_or_refuse(self, kind, data):
+        make, blob = _checkpoint(kind)
+        mutated = bytearray(blob)
+        for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+            index = data.draw(st.integers(HEADER_SIZE, len(blob) - 1), label="index")
+            mutated[index] = data.draw(st.integers(0, 255), label="byte")
+        restores_or_refuses(make, bytes(mutated))
