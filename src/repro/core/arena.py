@@ -127,7 +127,9 @@ engines' ``snapshot()`` / ``restore()`` protocol.  A snapshot is untrusted
 input: restore checks that the slabs tile the slots from the release cursor
 to the allocation cursor and that every record's label id and product
 reference lie inside the restored tables before any slab is registered (the
-native kernel indexes ``prods`` unchecked).
+native kernel indexes ``prods`` unchecked), and that every walk terminates
+and stays inside 64-bit arithmetic: links and product children point at
+older nodes, and ``0 <= max_start <= position < 2**62``.
 
 Everything the evaluator consumes (``extend`` / ``union`` / ``extend_onto`` /
 ``enumerate`` / ``expired`` / the validation helpers) takes and returns plain
@@ -160,6 +162,7 @@ import struct
 import sys
 from array import array
 from itertools import product, repeat
+from operator import le, lt, rshift
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple as Tup
 
 from repro.core.kernel import native_module, resolve_kernel
@@ -170,6 +173,10 @@ Label = Hashable
 
 #: ``max_start`` of the bottom node: expired relative to every position/window.
 _NEVER = -(1 << 62)
+
+#: Restored positions and ``max_start`` values lie below this, so the C
+#: kernel's ``position - max_start`` never overflows.
+_POSITION_END = 1 << 62
 
 #: The bottom node ``⊥`` as an id (shared by every arena).
 BOTTOM_ID = 0
@@ -275,12 +282,18 @@ def _word(value: object) -> int:
 
 def _restored_slab(snap: Dict[str, object], slot: int, label_count: int) -> _Slab:
     """A snapshot slab rebuilt at ``slot``: its record bytes taken verbatim,
-    after checking what the kernels index without a bounds check.
+    after checking what the kernels index without a bounds check and what
+    makes an enumeration walk terminate.
 
     ``ValueError`` unless the slab starts at ``slot``, owns a valid span,
     holds ``count × 40`` record bytes, and every record's product reference
-    lies inside the slab's ``prods`` and its label id inside the label table
-    (the bottom sentinel, record 0 of slab 0, carries no label).
+    lies inside the slab's ``prods`` and its label id inside the label table;
+    unless every record but the bottom sentinel (record 0 of slab 0) has
+    ``0 <= max_start <= position < 2**62`` (the C kernel subtracts both from
+    the stream position) and links and product children that are older nodes
+    (``0 <= link < id``, ``0 < child < id``: a walk then always reaches older
+    ids, so it cannot cycle); and unless the slab's ``max_ms`` lies in
+    ``[_NEVER, 2**62)``.
     """
     span, count, records = int(snap["span"]), int(snap["count"]), snap["records"]
     base = _word(snap["base"])
@@ -300,11 +313,31 @@ def _restored_slab(snap: Dict[str, object], slot: int, label_count: int) -> _Sla
     metas = slab.data[4::_STRIDE]
     if metas and (min(metas) < 0 or max(metas) >> 32 > len(slab.prods)):
         raise ValueError(f"a record of snapshot slab {base} has a product reference outside its prods")
-    labelled = metas[1:] if base == BOTTOM_ID else metas
+    first = 1 if base == BOTTOM_ID else 0  # the bottom sentinel is no node
+    labelled = metas[first:]
     if labelled and max(map(_META_LOW.__and__, labelled)) >> 1 >= label_count:
         raise ValueError(f"a record of snapshot slab {base} has a label id outside the label table")
+    if labelled:
+        data = slab.data
+        ids = range(base + first, base + count)
+        offset = first * _STRIDE
+        starts, positions = data[offset + 1 :: _STRIDE], data[offset::_STRIDE]
+        if min(starts) < 0 or max(positions) >= _POSITION_END or not all(map(le, starts, positions)):
+            raise ValueError(f"a record of snapshot slab {base} breaks 0 <= max_start <= position < 2**62")
+        for links in (data[offset + 2 :: _STRIDE], data[offset + 3 :: _STRIDE]):
+            if min(links) < 0 or not all(map(lt, links, ids)):
+                raise ValueError(f"a record of snapshot slab {base} has a union link to a node not older than it")
+        refs = list(map(rshift, labelled, repeat(32)))
+        if any(refs):
+            # Per prods entry its smallest and largest child, index 0 for "no children".
+            lows = [1, *map(min, slab.prods)]
+            highs = [0, *map(max, slab.prods)]
+            if min(map(lows.__getitem__, refs)) <= 0 or not all(map(lt, map(highs.__getitem__, refs), ids)):
+                raise ValueError(f"a record of snapshot slab {base} has a product child not older than it")
     slab.count = slab.avail = count
     slab.max_ms = _word(snap["max_ms"])
+    if not _NEVER <= slab.max_ms < _POSITION_END:
+        raise ValueError(f"snapshot slab at {base} has max_ms {slab.max_ms} outside [-2**62, 2**62)")
     slab.ext_refs = _word(snap["ext_refs"])
     return slab
 

@@ -37,8 +37,15 @@ these costs, so the implementation should not pay them either):
   bounding the table at ``O(active window)`` instead of ``O(stream
   length)``; the ``evicted`` counter reports the reclaimed entries,
   ``evict=False`` restores the unbounded seed behaviour.
+* **One single-query engine body** — everything around ``update`` (building
+  the ``DS_w``, the lane and the runtime; ``process`` / ``run`` /
+  ``process_many`` / ``enumerate_outputs``; the snapshot header and the
+  restore guards) is :class:`SingleLaneEngine`, which the non-equality
+  fallback :class:`~repro.extensions.general_evaluation.GeneralStreamingEvaluator`
+  runs on too: the two engines differ only in how the update phase finds the
+  runs to join with.
 * **Optional statistics** — the per-tuple operation counters are skipped
-  entirely in fast mode (``collect_stats=False``, and by default inside
+  entirely in fast mode (``collect_stats=False``, and inside
   ``run(collect=False)``), so throughput benchmarks measure the algorithm,
   not its instrumentation.
 * **Arena-backed enumeration structure** — nodes of ``DS_w`` are dense
@@ -53,7 +60,7 @@ these costs, so the implementation should not pay them either):
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple as Tup, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Union
 
 from repro.core.arena import ArenaDataStructure
 from repro.core.datastructure import DataStructure, Node
@@ -83,7 +90,240 @@ class NotEqualityPredicateError(TypeError):
     """Raised when Algorithm 1 is instantiated on a PCEA with non-equality joins."""
 
 
-class StreamingEvaluator(RuntimeBackedEngine):
+class SingleLaneEngine(RuntimeBackedEngine):
+    """One automaton over one :class:`~repro.runtime.EvictionLane`: the body
+    both single-query engines share.
+
+    It builds the ``DS_w``, the runtime and the lane, resolves the dispatch
+    index, and owns everything around the update phase: :meth:`process`,
+    :meth:`run`, :meth:`process_many`, :meth:`enumerate_outputs` and the
+    snapshot protocol.  A subclass supplies ``update(tup, sweep=True)``,
+    which returns the nodes that reached a final state, and its own snapshot
+    fields through :meth:`_snapshot_fields`, :meth:`_read_fields` and
+    :meth:`_adopt_fields`.  ``ENGINE_KIND`` is the ``engine`` name its
+    snapshots carry.
+    """
+
+    ENGINE_KIND = ""
+
+    def __init__(
+        self,
+        pcea: PCEA,
+        window: int,
+        *,
+        datastructure: DataStructure | None = None,
+        arena: bool = True,
+        kernel: str | None = None,
+        dispatch: TransitionDispatchIndex | None = None,
+        indexed: bool = True,
+        evict: bool = True,
+        collect_stats: bool = True,
+        audit: bool = False,
+    ) -> None:
+        self.pcea = pcea
+        self.window = window
+        if datastructure is not None:
+            self.ds = datastructure
+        elif arena:
+            self.ds = ArenaDataStructure(window, kernel=kernel)
+        else:
+            self.ds = DataStructure(window)
+        if self.ds.window != window:
+            raise ValueError("data structure window must match the evaluator window")
+        self._runtime = StreamRuntime()
+        self._lane = self._runtime.add_lane(EvictionLane(window, self.ds))
+        self._hash = self._lane.hash
+        self.audit = audit
+        self._evict = evict
+        self._count_stats = collect_stats
+        # Mirrored into the runtime: the sweep's counters live there and are
+        # gated the same way as every other EngineStatistics counter.
+        self._runtime.count_stats = collect_stats
+        if dispatch is not None:
+            if dispatch.final != frozenset(pcea.final):
+                raise ValueError(
+                    "the dispatch index was built for a different final-state set"
+                )
+            compiled = dispatch.all_transitions()
+            if len(compiled) != len(pcea.transitions) or any(
+                c.transition is not t for c, t in zip(compiled, pcea.transitions)
+            ):
+                raise ValueError(
+                    "the dispatch index was built for a different transition list"
+                )
+            self._dispatch = dispatch
+        elif indexed:
+            self._dispatch = pcea.dispatch_index()
+        else:
+            self._dispatch = TransitionDispatchIndex(
+                pcea.transitions, indexed=False, final=pcea.final
+            )
+
+    # -------------------------------------------------------------- main loop
+    def run(self, stream: Iterable[Tuple], collect: bool = True) -> Dict[int, List[Valuation]]:
+        """Process a whole (finite) stream, returning outputs per position.
+
+        With ``collect=False`` outputs are enumerated but not stored, which is
+        what the throughput benchmarks use; statistics counting is then
+        disabled for the run.
+        """
+        previous = self._count_stats
+        self._count_stats = previous and collect
+        self._runtime.count_stats = self._count_stats
+        try:
+            results: Dict[int, List[Valuation]] = {}
+            for tup in stream:
+                outputs = self.process(tup)
+                if collect:
+                    results[self.position] = outputs
+            return results
+        finally:
+            self._count_stats = previous
+            self._runtime.count_stats = previous
+
+    def process(self, tup: Tuple) -> List[Valuation]:
+        """Process one tuple: update phase followed by eager enumeration."""
+        final_nodes = self.update(tup)
+        return list(self.enumerate_outputs(final_nodes))
+
+    def process_many(self, tuples: Sequence[Tuple]) -> List[List[Valuation]]:
+        """Batched ingestion: process ``tuples``, returning outputs per tuple.
+
+        Produces exactly what ``[self.process(t) for t in tuples]`` would,
+        but amortises the per-tuple Python overhead: method lookups are
+        hoisted out of the loop, the eviction sweep runs once per batch
+        (deferred-sweep correctness is the runtime's
+        :meth:`~repro.runtime.StreamRuntime.drive_batch` contract), and the
+        enumeration counter is flushed to the statistics once per batch.
+        """
+        if self.audit:
+            # Audit mode verifies duplicate-freeness through the slow
+            # enumeration path; batching stays semantically identical.
+            return [self.process(tup) for tup in tuples]
+        runtime = self._runtime
+        update = self.update
+        enumerate_node = self.ds.enumerate
+        enumerated = 0
+
+        def step(tup: Tuple) -> List[Valuation]:
+            nonlocal enumerated
+            final_nodes = update(tup, sweep=False)
+            if not final_nodes:
+                return []
+            position = runtime.position
+            outputs: List[Valuation] = []
+            extend = outputs.extend
+            for node in final_nodes:
+                extend(enumerate_node(node, position))
+            enumerated += len(outputs)
+            return outputs
+
+        results = runtime.drive_batch(tuples, step, sweep=self._evict)
+        if self._count_stats and enumerated:
+            runtime.stats.outputs_enumerated += enumerated
+        return results
+
+    # ------------------------------------------------------- enumeration phase
+    def enumerate_outputs(self, final_nodes: Sequence[NodeRef]) -> Iterator[Valuation]:
+        """Enumerate the outputs represented by the final-state nodes.
+
+        Unambiguity guarantees that distinct nodes represent disjoint output
+        sets, so concatenating the enumerations is duplicate-free; with
+        ``audit=True`` this is verified at runtime.
+        """
+        seen: Optional[Set[Valuation]] = set() if self.audit else None
+        count_stats = self._count_stats
+        stats = self._runtime.stats
+        position = self.position
+        for node in final_nodes:
+            for valuation in self.ds.enumerate(node, position):
+                if count_stats:
+                    stats.outputs_enumerated += 1
+                if seen is not None:
+                    if valuation in seen:
+                        raise AssertionError(
+                            f"duplicate output {valuation} at position {position}; "
+                            "the PCEA is not unambiguous"
+                        )
+                    seen.add(valuation)
+                yield valuation
+
+    # ------------------------------------------------------- snapshot protocol
+    def snapshot(self) -> Dict[str, object]:
+        """The engine's complete evaluation state (see :mod:`repro.runtime.snapshot`).
+
+        Encodable as one wire-codec frame; restorable into a freshly
+        constructed engine of the same kind evaluating the same automaton
+        with the same window (verified through the dispatch-index signature),
+        after which processing continues bit-identically.
+        """
+        lane = self._lane
+        return {
+            "snapshot_version": SNAPSHOT_VERSION,
+            "engine": self.ENGINE_KIND,
+            "window": self.window,
+            "dispatch_signature": stable_signature(self._dispatch.signature()),
+            "runtime": self._runtime.snapshot({lane.lane_id: 0}),
+            "lane": lane.snapshot(),
+            **self._snapshot_fields(),
+        }
+
+    def restore(self, snapshot: Dict[str, object]) -> None:
+        """Adopt ``snapshot``'s state; processing then continues bit-identically.
+
+        The engine must have been constructed for the same automaton and
+        window (and with ``arena=True``); everything else — position, stored
+        runs, arena slabs, expiry buckets, statistics — is replaced.
+        """
+        check_snapshot_header(snapshot, self.ENGINE_KIND)
+        if snapshot["window"] != self.window:
+            raise SnapshotError(
+                f"snapshot was taken with window {snapshot['window']}, "
+                f"this engine has window {self.window}"
+            )
+        if stable_signature(self._dispatch.signature()) != snapshot["dispatch_signature"]:
+            raise SnapshotError(
+                "snapshot was taken from an engine with a different automaton "
+                "(dispatch-index signatures differ)"
+            )
+        # Bind and check every section before mutating: a truncated or
+        # inconsistent snapshot raises before any state is touched.
+        try:
+            lane_snap = snapshot["lane"]
+            runtime_snap = snapshot["runtime"]
+            fields = self._read_fields(snapshot)
+        except KeyError as exc:
+            raise SnapshotError(f"snapshot is missing the {exc} section") from exc
+        self._lane.restore(lane_snap)
+        self._runtime.restore(runtime_snap, [self._lane])
+        self._adopt_fields(fields)
+
+    def _snapshot_fields(self) -> Dict[str, object]:
+        """The subclass's own snapshot entries."""
+        return {}
+
+    def _read_fields(self, snapshot: Dict[str, object]) -> object:
+        """Check the subclass's own entries of ``snapshot`` before anything is
+        replaced; returns what :meth:`_adopt_fields` adopts."""
+        return None
+
+    def _adopt_fields(self, fields: object) -> None:
+        """Adopt what :meth:`_read_fields` returned (after the lane and runtime)."""
+
+    # ------------------------------------------------------------ introspection
+    # (hash_table_size / memory_info / dispatch_info / observe come from
+    # RuntimeBackedEngine; this hook points them at the automaton's index.)
+    def _dispatch_source(self):
+        return self._dispatch
+
+    def reset_statistics(self) -> None:
+        self._runtime.reset_statistics()
+        self.ds.nodes_created = 0
+        self.ds.union_calls = 0
+        self.ds.union_copies = 0
+
+
+class StreamingEvaluator(SingleLaneEngine):
     """Algorithm 1: streaming evaluation of a PCEA under a sliding window.
 
     Parameters
@@ -138,6 +378,8 @@ class StreamingEvaluator(RuntimeBackedEngine):
     >>> # See examples/quickstart.py for an end-to-end construction.
     """
 
+    ENGINE_KIND = "streaming"
+
     def __init__(
         self,
         pcea: PCEA,
@@ -155,119 +397,27 @@ class StreamingEvaluator(RuntimeBackedEngine):
             raise NotEqualityPredicateError(
                 "Algorithm 1 requires every binary predicate to be an equality predicate"
             )
-        self.pcea = pcea
-        self.window = window
-        if datastructure is not None:
-            self.ds = datastructure
-        elif arena:
-            self.ds = ArenaDataStructure(window, kernel=kernel)
-        else:
-            self.ds = DataStructure(window)
-        if self.ds.window != window:
-            raise ValueError("data structure window must match the evaluator window")
-        # The shared runtime core (fire loop, position, expiry buckets,
-        # eviction sweep, arena release passes, batching, statistics): this
-        # evaluator is the K=1 lane of the same machinery the multi-query
-        # engine runs per registered query.
-        self._runtime = StreamRuntime()
-        self._lane = self._runtime.add_lane(EvictionLane(window, self.ds))
-        # H maps (slot, key) to ``(node, max_start)``: a slot is the dispatch
-        # index's id of one (source state, left key plan) pair, the node the
-        # union of all runs that reached that state with that join key —
-        # stored once, whichever transitions read it.  max_start is cached in
-        # the pair so the hot expiry checks never re-read it through the data
-        # structure (an attribute read for object nodes, a slab-array read
-        # for arena ids).
-        self._hash: Dict[Tup[int, Hashable], Tup[NodeRef, int]] = self._lane.hash
-        self.audit = audit
-        self._count_stats = collect_stats
-        # Mirrored into the runtime: the sweep's counters live there and are
-        # gated the same way as every other EngineStatistics counter.
-        self._runtime.count_stats = collect_stats
-        if dispatch is not None:
-            if dispatch.final != frozenset(pcea.final):
-                raise ValueError(
-                    "the dispatch index was built for a different final-state set"
-                )
-            compiled = dispatch.all_transitions()
-            if len(compiled) != len(pcea.transitions) or any(
-                c.transition is not t for c, t in zip(compiled, pcea.transitions)
-            ):
-                raise ValueError(
-                    "the dispatch index was built for a different transition list"
-                )
-            self._dispatch = dispatch
-        elif indexed:
-            self._dispatch = pcea.dispatch_index()
-        else:
-            self._dispatch = TransitionDispatchIndex(
-                pcea.transitions, indexed=False, final=pcea.final
-            )
-        self._evict = evict
-        # The automaton's (possibly shared) index bound to this engine's lane:
-        # the plans ``fire`` consumes carry their owning lane per member.
-        self._plan_for = self._dispatch.bind(self._lane).plan_for
-
-    # -------------------------------------------------------------- main loop
-    def run(
-        self,
-        stream: Iterable[Tuple],
-        collect: bool = True,
-        stats: bool | None = None,
-    ) -> Dict[int, List[Valuation]]:
-        """Process a whole (finite) stream, returning outputs per position.
-
-        With ``collect=False`` outputs are enumerated but not stored, which is
-        what the throughput benchmarks use; statistics counting is then also
-        disabled unless explicitly requested with ``stats=True`` (benchmarks
-        that want the counters opt in).
-        """
-        previous = self._count_stats
-        if stats is None:
-            self._count_stats = previous and collect
-        else:
-            self._count_stats = bool(stats)
-        self._runtime.count_stats = self._count_stats
-        try:
-            results: Dict[int, List[Valuation]] = {}
-            for tup in stream:
-                outputs = self.process(tup)
-                if collect:
-                    results[self.position] = list(outputs)
-                else:
-                    for _ in outputs:
-                        pass
-            return results
-        finally:
-            self._count_stats = previous
-            self._runtime.count_stats = previous
-
-    def process(self, tup: Tuple) -> List[Valuation]:
-        """Process one tuple: update phase followed by eager enumeration."""
-        final_nodes = self.update(tup)
-        return list(self.enumerate_outputs(final_nodes))
-
-    def process_many(self, tuples: Sequence[Tuple]) -> List[List[Valuation]]:
-        """Batched ingestion: process ``tuples``, returning outputs per tuple.
-
-        Produces exactly what ``[self.process(t) for t in tuples]`` would,
-        but amortises the per-tuple Python overhead: method lookups are
-        hoisted out of the loop, the eviction sweep runs once per batch
-        (deferred-sweep correctness is the runtime's
-        :meth:`~repro.runtime.StreamRuntime.drive_batch` contract), and the
-        enumeration counter is flushed to the statistics once per batch.
-        """
-        if self.audit:
-            # Audit mode verifies duplicate-freeness through the slow
-            # enumeration path; batching stays semantically identical.
-            return [self.process(tup) for tup in tuples]
-        runtime = self._runtime
-        results, enumerated = runtime.drive_enumerating_batch(
-            tuples, self.update, self.ds.enumerate, sweep=self._evict
+        super().__init__(
+            pcea,
+            window,
+            datastructure=datastructure,
+            arena=arena,
+            kernel=kernel,
+            dispatch=dispatch,
+            indexed=indexed,
+            evict=evict,
+            collect_stats=collect_stats,
+            audit=audit,
         )
-        if self._count_stats and enumerated:
-            runtime.stats.outputs_enumerated += enumerated
-        return results
+        # H (``self._hash``) maps (slot, key) to ``(node, max_start)``: a slot
+        # is the dispatch index's id of one (source state, left key plan) pair,
+        # the node the union of all runs that reached that state with that
+        # join key — stored once, whichever transitions read it.  max_start is
+        # cached in the pair so the hot expiry checks never re-read it through
+        # the data structure.  The automaton's (possibly shared) index is
+        # bound to this engine's lane: the plans ``fire`` consumes carry their
+        # owning lane per member.
+        self._plan_for = self._dispatch.bind(self._lane).plan_for
 
     # ------------------------------------------------------------ update phase
     def update(self, tup: Tuple, sweep: bool = True) -> List[NodeRef]:
@@ -303,96 +453,16 @@ class StreamingEvaluator(RuntimeBackedEngine):
         finals = fire(plan, tup, position, runtime.buckets if self._evict else None, stats)
         return finals[self._lane] if finals else []
 
-    # ------------------------------------------------------- enumeration phase
-    def enumerate_outputs(self, final_nodes: Sequence[NodeRef]) -> Iterator[Valuation]:
-        """Enumerate the outputs represented by the final-state nodes.
-
-        Unambiguity guarantees that distinct nodes represent disjoint output
-        sets, so concatenating the enumerations is duplicate-free; with
-        ``audit=True`` this is verified at runtime.
-        """
-        seen: Optional[Set[Valuation]] = set() if self.audit else None
-        count_stats = self._count_stats
-        stats = self._runtime.stats
-        position = self.position
-        for node in final_nodes:
-            for valuation in self.ds.enumerate(node, position):
-                if count_stats:
-                    stats.outputs_enumerated += 1
-                if seen is not None:
-                    if valuation in seen:
-                        raise AssertionError(
-                            f"duplicate output {valuation} at position {position}; "
-                            "the PCEA is not unambiguous"
-                        )
-                    seen.add(valuation)
-                yield valuation
-
     # ------------------------------------------------------- snapshot protocol
-    def snapshot(self) -> Dict[str, Hashable]:
-        """The engine's complete evaluation state (see :mod:`repro.runtime.snapshot`).
+    def _snapshot_fields(self) -> Dict[str, object]:
+        return {"evict": self._evict}
 
-        Picklable and encodable as one wire-codec frame; restorable into a freshly
-        constructed engine evaluating the same automaton with the same
-        window (verified through the dispatch-index signature), after which
-        processing continues bit-identically to the snapshotted engine.
-        """
-        lane = self._lane
-        return {
-            "snapshot_version": SNAPSHOT_VERSION,
-            "engine": "streaming",
-            "window": self.window,
-            "evict": self._evict,
-            "dispatch_signature": stable_signature(self._dispatch.signature()),
-            "runtime": self._runtime.snapshot({lane.lane_id: 0}),
-            "lane": lane.snapshot(),
-        }
-
-    def restore(self, snapshot: Dict[str, object]) -> None:
-        """Adopt ``snapshot``'s state; processing then continues bit-identically.
-
-        The engine must have been constructed for the same automaton,
-        window, and ``evict`` setting (and with ``arena=True``); everything
-        else — position, hash table, arena slabs, expiry buckets, statistics
-        — is replaced.
-        """
-        check_snapshot_header(snapshot, "streaming")
-        if snapshot["window"] != self.window:
-            raise SnapshotError(
-                f"snapshot was taken with window {snapshot['window']}, "
-                f"this engine has window {self.window}"
-            )
+    def _read_fields(self, snapshot: Dict[str, object]) -> None:
         if bool(snapshot["evict"]) != self._evict:
             raise SnapshotError(
                 "snapshot and engine disagree on the evict setting "
                 f"(snapshot: {snapshot['evict']}, engine: {self._evict})"
             )
-        if stable_signature(self._dispatch.signature()) != snapshot["dispatch_signature"]:
-            raise SnapshotError(
-                "snapshot was taken from an engine with a different automaton "
-                "(dispatch-index signatures differ)"
-            )
-        # Bind every section before mutating: a truncated snapshot raises
-        # before any state is touched, never after a half-restore.
-        try:
-            lane_snap = snapshot["lane"]
-            runtime_snap = snapshot["runtime"]
-        except KeyError as exc:
-            raise SnapshotError(f"snapshot is missing the {exc} section") from exc
-        self._lane.restore(lane_snap)
-        self._runtime.restore(runtime_snap, [self._lane])
-
-    # ------------------------------------------------------------ introspection
-    # (hash_table_size / memory_info / dispatch_info / observe come from
-    # RuntimeBackedEngine; this hook points them at the automaton's index.)
-    def _dispatch_source(self):
-        return self._dispatch
-
-    def reset_statistics(self) -> None:
-        self._runtime.reset_statistics()
-        self.ds.nodes_created = 0
-        self.ds.union_calls = 0
-        self.ds.union_copies = 0
 
 
 def evaluate_pcea(

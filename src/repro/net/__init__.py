@@ -11,7 +11,7 @@ and the README's "Serving over the network" section for the operator view.
 
 from repro.net.client import IngestClient, NetClientError
 from repro.net.protocol import PROTOCOL_VERSION
-from repro.net.server import IngestServer, ServerThread, SingleEngineFeed
+from repro.net.server import IngestServer, ServerThread
 
 __all__ = [
     "IngestClient",
@@ -19,5 +19,4 @@ __all__ = [
     "NetClientError",
     "PROTOCOL_VERSION",
     "ServerThread",
-    "SingleEngineFeed",
 ]

@@ -112,12 +112,7 @@ class IngestClient:
             raise NetClientError(f"hello refused: {reply[1]}")
         return reply[1], reply[2]
 
-    def subscribe(
-        self,
-        query: Optional[str] = None,
-        window: Optional[int] = None,
-        name: Optional[str] = None,
-    ) -> Tup:
+    def subscribe(self, query: str, window: int, name: Optional[str] = None) -> Tup:
         """Register + subscribe; returns ``(handle_id, name, window)``."""
         self._send(("subscribe", query, window, name))
         reply = self._pump_until("subscribed", "refused")

@@ -12,9 +12,8 @@ Client → server
     ``("refused", reason)`` otherwise.
 ``("subscribe", query, window, name)``
     Register a query and subscribe to its matches.  ``query`` is a query
-    string (or ``None`` against a single-query server, which subscribes the
-    engine's one compiled query); ``window`` is a positive int (``None``
-    with ``query=None``).  Reply: ``("subscribed", handle_id, name,
+    string and ``window`` a positive int (a message with another type there
+    is a protocol error).  Reply: ``("subscribed", handle_id, name,
     window)`` — or ``("refused", reason)`` for a well-formed request the
     engine rejects (unparseable query, bad window).  Subscribing a
     ``(query, window)`` pair another client already registered shares the
@@ -170,10 +169,10 @@ def validate_client_message(message: Any) -> Tup:
         if len(message) != 4:
             raise FrameProtocolError("subscribe expects (subscribe, query, window, name)")
         _, query, window, name = message
-        if query is not None and not isinstance(query, str):
-            raise FrameProtocolError("subscribe query must be a string or None")
-        if window is not None and (isinstance(window, bool) or not isinstance(window, int)):
-            raise FrameProtocolError("subscribe window must be an int or None")
+        if not isinstance(query, str):
+            raise FrameProtocolError("subscribe query must be a string")
+        if isinstance(window, bool) or not isinstance(window, int):
+            raise FrameProtocolError("subscribe window must be an int")
         if name is not None and not isinstance(name, str):
             raise FrameProtocolError("subscribe name must be a string or None")
     elif command == "unsubscribe":

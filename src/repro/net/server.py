@@ -61,7 +61,6 @@ import threading
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple as Tup
 
-from repro.multi.registry import QueryHandle
 from repro.net import protocol
 from repro.runtime import SparseBatch
 from repro.runtime.frames import (
@@ -82,59 +81,6 @@ _CONTROL_BACKSTOP = 4
 #: and a closed one to finish its close handshake, before the transport is
 #: aborted.
 _KICK_GRACE_S = 0.5
-
-
-class SingleEngineFeed:
-    """Adapt a single-query evaluator to the multi-shaped server feed.
-
-    ``StreamingEvaluator`` / ``GeneralStreamingEvaluator`` evaluate one
-    compiled query and return bare valuation lists from ``process_many``;
-    the server speaks the multi-engine shape (per-tuple ``{handle_id:
-    valuations}`` dicts, register/unregister).  This feed pins the one
-    query to handle id 0: clients subscribe with ``query=None`` and
-    ``window=None``, and register/unregister become refcount no-ops (the
-    engine's query cannot be dropped).
-    """
-
-    def __init__(self, engine, name: str = "q0") -> None:
-        self._engine = engine
-        window = getattr(engine, "window", None)
-        self._handle = QueryHandle(0, name, window)
-
-    @property
-    def engine(self):
-        return self._engine
-
-    @property
-    def position(self) -> int:
-        return self._engine.position
-
-    def handles(self) -> List[QueryHandle]:
-        return [self._handle]
-
-    def register(self, query, window, name=None) -> QueryHandle:
-        if query is not None:
-            raise ValueError(
-                "single-query server: subscribe with query=None to receive "
-                "the engine's compiled query"
-            )
-        if window is not None and window != self._handle.window:
-            raise ValueError(
-                f"single-query server evaluates window {self._handle.window}, "
-                f"cannot register window {window}"
-            )
-        return self._handle
-
-    def unregister(self, handle) -> None:
-        pass  # the single engine's query outlives every subscription
-
-    def ingest_batch(self, tuples: Sequence[Any]):
-        base = self._engine.position + 1
-        outputs = self._engine.process_many(tuples)
-        return base, [{0: out} if out else {} for out in outputs]
-
-    def attach_observer(self, observer) -> None:
-        observer.attach(self._engine)
 
 
 class _Subscription:
@@ -198,10 +144,10 @@ class IngestServer:
     Parameters
     ----------
     engine:
-        Anything exposing the multi-engine feed surface (``register`` /
-        ``unregister`` / ``ingest_batch`` / ``position`` — a
-        :class:`~repro.multi.engine.MultiQueryEngine` or a
-        :class:`SingleEngineFeed` wrapping a single-query evaluator).
+        The :class:`~repro.multi.engine.MultiQueryEngine` to serve (or
+        anything with its feed surface: ``register`` / ``unregister`` /
+        ``ingest_batch`` / ``watched_relations`` / ``position`` /
+        ``attach_observer``).
     max_batch:
         Most tuples the driver feeds the engine per batch (and per
         eviction sweep).
@@ -262,8 +208,8 @@ class IngestServer:
         # _Frame ingest entries and (client, message) control entries, in
         # admission order; only the frames' tuples count toward max_queue.
         self._queue: Deque[Any] = deque()
-        # Which relations the engine reads; an engine that cannot say reads all.
-        self._watched = getattr(engine, "watched_relations", lambda: None)
+        # Which relations the engine reads (None: it cannot say, so all).
+        self._watched = engine.watched_relations
         self._queued_tuples = 0
         self._not_empty = asyncio.Event()
         self._not_full = asyncio.Event()
@@ -297,7 +243,7 @@ class IngestServer:
         self._m_subs = registry.gauge("repro_net_subscriptions")
         self._m_egress_frames = registry.counter("repro_net_egress_frames_total")
         self._m_egress_bytes = registry.counter("repro_net_egress_bytes_total")
-        if observer is not None and hasattr(engine, "attach_observer"):
+        if observer is not None:
             engine.attach_observer(observer)
 
         # Totals surfaced by observe() / the CLI "# net:" stats line.

@@ -31,7 +31,8 @@ times and the copies drifted.  The runtime holds exactly one of each:
   run-index table (``hash``), an enumeration structure (``ds``), and the
   representation-agnostic reclamation hooks (``add_ref`` / ``drop_ref`` /
   ``release``) bound once at construction.  ``StreamingEvaluator`` and
-  ``GeneralStreamingEvaluator`` are single-lane engines;
+  ``GeneralStreamingEvaluator`` are single-lane engines sharing one body
+  (:class:`~repro.core.evaluation.SingleLaneEngine`);
   ``MultiQueryEngine`` owns one lane per distinct window, serving every
   query registered under it.  The single-query evaluator is literally the
   one-lane, one-query case of the same runtime.
@@ -51,8 +52,8 @@ times and the copies drifted.  The runtime holds exactly one of each:
 Engines keep what is genuinely theirs: which plan a tuple gets (one
 automaton's index bound to a single lane, or the merged index of every
 registered query), how predicate evaluations are booked in the statistics,
-and the output routing — plus, for the general evaluator, its live-run ring
-scan, a different algorithm that shares only the plan lookup.  Everything an
+and the output routing — plus, for the general evaluator, its scan of a
+source state's live runs, a different update that shares only the plan lookup.  Everything an
 engine registers into the runtime is a flat
 ``lane_id, key, node`` int triple appended to the expiry bucket (lanes are
 interned to dense small ints; no per-entry tuple is allocated — see

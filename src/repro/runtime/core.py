@@ -82,7 +82,7 @@ class EvictionLane:
     ``lane_id`` is the dense int the owning runtime interned the lane to —
     the id the engines append to expiry buckets.  ``on_evict``, when set, is
     called with the hash key of every entry the sweep genuinely evicts (the
-    general evaluator drives its per-state ring buffers with it).
+    general evaluator drops the run from its per-state dict with it).
     """
 
     __slots__ = (
@@ -517,39 +517,6 @@ class StreamRuntime:
         if obs is not None:
             obs.on_batch(span, _perf() - start, self.position)
         return results
-
-    def drive_enumerating_batch(
-        self,
-        tuples: Iterable[object],
-        update: Callable[..., Sequence[object]],
-        enumerate_node: Callable[[object, int], Iterable[object]],
-        sweep: bool = True,
-    ) -> Tup[List[List[object]], int]:
-        """:meth:`drive_batch` specialised for single-lane engines.
-
-        Runs ``update(tup, sweep=False)`` followed by eager enumeration of
-        the returned final nodes per tuple, returning the per-tuple output
-        lists and the total output count (for the caller's one-per-batch
-        statistics flush).  Shared by ``StreamingEvaluator.process_many`` and
-        ``GeneralStreamingEvaluator.process_many`` so the batched
-        update-then-enumerate loop exists exactly once.
-        """
-        tally = [0]
-
-        def step(tup: object) -> List[object]:
-            final_nodes = update(tup, sweep=False)
-            if not final_nodes:
-                return []
-            position = self.position
-            outputs: List[object] = []
-            extend = outputs.extend
-            for node in final_nodes:
-                extend(enumerate_node(node, position))
-            tally[0] += len(outputs)
-            return outputs
-
-        results = self.drive_batch(tuples, step, sweep=sweep)
-        return results, tally[0]
 
     # ------------------------------------------------------- snapshot protocol
     def snapshot(self, lane_index: Dict[int, int]) -> Dict[str, object]:

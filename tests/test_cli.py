@@ -1,6 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import io
+import random
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,20 @@ S,2,11
 T,1
 R,2,11
 """
+
+
+def seeded_events(count=400, seed=30):
+    """A fixed T/S/R stream over the domain {0, 1, 2} (``random.random`` only,
+    which is reproducible across Python versions)."""
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(count):
+        relation = "TSR"[int(rng.random() * 3)]
+        if relation == "T":
+            lines.append(f"T,{int(rng.random() * 3)}")
+        else:
+            lines.append(f"{relation},{int(rng.random() * 3)},{int(rng.random() * 3)}")
+    return list(read_events(lines))
 
 
 class TestEventParsing:
@@ -384,6 +399,25 @@ class TestCheckpointRestore:
         tail = self._match_lines(resumed)
         assert tail == self._match_lines(continuous)[-len(tail) :] if tail else True
         assert self._stats_tail(resumed) == self._stats_tail(continuous)
+
+    def test_a_pinned_general_checkpoint_continues_the_stream(self):
+        """``general_v4.snap`` was written by ``--general --checkpoint`` of the
+        build whose general engine kept its runs in ring buffers, over the
+        first 200 of :func:`seeded_events`.  Restoring it and running the
+        other 200 prints the matches and the ``--stats`` block of one
+        uninterrupted run."""
+        events = seeded_events()
+        argv = ["--query", "Q(x, y) <- T(x), S(x, y), R(x, y)", "--window", "50", "--general", "--stats"]
+        code, continuous = self._run(argv, events)
+        assert code == 0
+        path = Path(__file__).parent / "data" / "general_v4.snap"
+        code, resumed = self._run(argv + ["--restore", str(path)], events[200:])
+        assert code == 0
+        second_half = [
+            line for line in self._match_lines(continuous) if int(line.split("\t")[0]) >= 200
+        ]
+        assert second_half and self._match_lines(resumed) == second_half
+        assert resumed.splitlines()[-4:] == continuous.splitlines()[-4:]
 
     def test_restore_with_wrong_query_fails_cleanly(self, tmp_path, capsys):
         events = list(read_events(EVENTS_CSV.splitlines()))

@@ -387,8 +387,13 @@ class TestOptionalStatistics:
         assert evaluator.stats.transitions_scanned > 0
 
     def test_run_without_collection_can_opt_back_in(self):
+        """``run`` takes no ``stats=`` override; a caller that wants the
+        counters without the outputs drives ``process`` itself."""
         evaluator = StreamingEvaluator(example_pcea_p0(), window=10)
-        evaluator.run(STREAM_S0, collect=False, stats=True)
+        with pytest.raises(TypeError):
+            evaluator.run(STREAM_S0, collect=False, stats=True)
+        for tup in STREAM_S0:
+            evaluator.process(tup)
         assert evaluator.stats.transitions_scanned > 0
 
     def test_dispatch_info_exposed(self):

@@ -16,6 +16,7 @@ from repro.cq.query import Atom, Variable
 from repro.cq.schema import Schema, Tuple
 from repro.extensions.disambiguation import ambiguity_witness, is_syntactically_unambiguous
 from repro.extensions.general_evaluation import GeneralStreamingEvaluator
+from repro.streams.generators import random_stream
 from repro.valuation import Valuation
 
 from helpers import QUERY_Q0, SIGMA0, STREAM_S0, example_pcea_p0, star_query, streams_strategy
@@ -103,7 +104,7 @@ class TestGeneralStreamingEvaluator:
         stream = [Tuple("Buy", (1, 10)), Tuple("Sell", (9, 1)), Tuple("Sell", (1, 20))]
         outputs = engine.run(stream)
         assert outputs[2] == []  # the buy at position 0 is out of the window
-        assert engine.live_run_count() <= 2
+        assert engine.hash_table_size() <= 2
 
     def test_naive_node_scan_grows_with_live_runs(self):
         pcea = hcq_to_pcea(star_query(2))
@@ -149,7 +150,7 @@ class TestGeneralRuntimeParity:
             assert left == right  # same valuations, same order
         assert batched.position == stepwise.position
         # Batched eviction reclaims the same runs by the end of the stream.
-        assert batched.live_run_count() == stepwise.live_run_count()
+        assert batched.hash_table_size() == stepwise.hash_table_size()
 
     def test_dispatch_index_prunes_irrelevant_relations(self):
         pcea = increasing_price_pcea()
@@ -167,12 +168,12 @@ class TestGeneralRuntimeParity:
         peak = 0
         for tup in self._stream(2_000):
             engine.process(tup)
-            peak = max(peak, engine.live_run_count())
+            peak = max(peak, engine.hash_table_size())
         assert engine.evicted > 100
         # At most one stored run per tuple position inside the window (+1 for
         # the position being processed).
         assert peak <= 2 * (16 + 1) + 2
-        assert engine.hash_table_size() == engine.live_run_count()
+        assert engine.hash_table_size() == sum(map(len, engine._runs.values()))
 
     def test_stats_and_memory_surface(self):
         pcea = increasing_price_pcea()
@@ -255,7 +256,8 @@ class TestDisambiguation:
 
 
 class TestSequenceRings:
-    """The per-state ring buffers that replaced the compacted seq lists."""
+    """The per-state run dicts that replaced the ring buffers (the test ids
+    keep the ring names; each checks what replaced the ring feature)."""
 
     def _stream(self, length, seed=7):
         import random
@@ -268,49 +270,53 @@ class TestSequenceRings:
         return stream
 
     def test_tiny_ring_capacity_grows_and_stays_correct(self):
-        pcea = increasing_price_pcea()
-        tiny = GeneralStreamingEvaluator(pcea, window=20, ring_capacity=1)
-        roomy = GeneralStreamingEvaluator(pcea, window=20, ring_capacity=1024)
-        for tup in self._stream(600):
-            assert tiny.process(tup) == roomy.process(tup)
-        assert any(ring.mask + 1 > 1 for ring in tiny._rings.values())
+        """No ring to size: ``ring_capacity=`` is refused, and the dicts give
+        Algorithm 1's outputs on an equality automaton."""
+        with pytest.raises(TypeError):
+            GeneralStreamingEvaluator(increasing_price_pcea(), window=20, ring_capacity=1)
+        pcea = hcq_to_pcea(QUERY_Q0)
+        general = GeneralStreamingEvaluator(pcea, window=20)
+        hashed = StreamingEvaluator(pcea, window=20)
+        stream = random_stream(SIGMA0, length=600, domain_size=3, seed=5).materialise()
+        for tup in stream:
+            assert set(general.process(tup)) == set(hashed.process(tup))
+        assert general.evicted > 0
 
     def test_sweep_advances_ring_heads(self):
         pcea = increasing_price_pcea()
         engine = GeneralStreamingEvaluator(pcea, window=8)
         for tup in self._stream(800):
             engine.process(tup)
-            # Sweep-driven head advance: rings never accumulate dead leading
-            # entries beyond the live window of runs.
-            live = sum(len(ring) for ring in engine._rings.values())
+            # The sweep pops evicted runs: the dicts hold the live window only.
+            live = sum(len(runs) for runs in engine._runs.values())
             assert live <= 2 * (8 + 1) + 2
         assert engine.evicted > 100
-        # Every ring entry resolves to a live hash entry (no garbage scanned).
-        for state, ring in engine._rings.items():
-            for seq in ring.live():
-                assert (state, seq) in engine._hash
+        # Every dict entry is the run the lane table holds (no garbage scanned).
+        for state, runs in engine._runs.items():
+            for seq, run in runs.items():
+                assert engine._hash[(state, seq)][0] is run
 
     def test_batched_sweep_keeps_rings_consistent(self):
         pcea = increasing_price_pcea()
-        batched = GeneralStreamingEvaluator(pcea, window=6, ring_capacity=2)
-        stepwise = GeneralStreamingEvaluator(pcea, window=6, ring_capacity=2)
+        batched = GeneralStreamingEvaluator(pcea, window=6)
+        stepwise = GeneralStreamingEvaluator(pcea, window=6)
         stream = self._stream(400, seed=9)
         for start in range(0, len(stream), 16):
             batch = stream[start : start + 16]
             assert batched.process_many(batch) == [stepwise.process(t) for t in batch]
-        assert {s: r.live() for s, r in batched._rings.items()} == {
-            s: r.live() for s, r in stepwise._rings.items()
+        assert {s: list(r) for s, r in batched._runs.items()} == {
+            s: list(r) for s, r in stepwise._runs.items()
         }
 
     def test_ring_capacity_validation_and_memory_exposure(self):
+        """No ring knob and no ring keys: ``memory_info`` is the runtime's."""
         pcea = increasing_price_pcea()
-        with pytest.raises(ValueError):
-            GeneralStreamingEvaluator(pcea, window=5, ring_capacity=0)
-        engine = GeneralStreamingEvaluator(pcea, window=5, ring_capacity=16)
+        with pytest.raises(TypeError):
+            GeneralStreamingEvaluator(pcea, window=5, ring_capacity=16)
+        engine = GeneralStreamingEvaluator(pcea, window=5)
         for tup in self._stream(50):
             engine.process(tup)
         memory = engine.memory_info()
-        assert memory["ring_capacity"] == 16
-        assert memory["ring_states"] == len(engine._rings) > 0
-        assert memory["ring_live"] == sum(len(r) for r in engine._rings.values())
-        assert memory["ring_slots"] >= memory["ring_live"]
+        assert memory == engine._runtime.memory_info()
+        assert not [key for key in memory if key.startswith("ring_")]
+        assert memory["nodes_created"] > 0

@@ -17,8 +17,9 @@ it consumes (``repro.core.dispatch``).
 * structure guards: the per-probe counter and the arena's fresh-node union
   fast path each live in exactly one module; ``H`` is not keyed by reader and
   ``extend_onto`` exists once per representation; the arena has one layout,
-  no engine takes an ablation knob, a plan member's rank has one name,
-  nothing imports ``pickle``, and adaptive dispatch left no residue.
+  no engine takes an ablation knob, the two single-query engines share one
+  body, a plan member's rank has one name, nothing imports ``pickle``, and
+  adaptive dispatch left no residue.
 """
 
 import inspect
@@ -314,6 +315,30 @@ def test_one_arena_layout_and_no_ablation_knobs():
     for method in ("extend", "union", "extend_onto", "_packed"):
         source = inspect.getsource(getattr(ArenaDataStructure, method))
         assert not list_column.search(source), method
+
+
+def test_the_single_query_engines_share_one_body():
+    """``StreamingEvaluator`` and ``GeneralStreamingEvaluator`` differ in
+    ``update`` and their own snapshot fields only: every other entry point
+    resolves to one class, and the ring buffers, the single-lane batch
+    driver and the single-query server feed left no residue."""
+    def owner(engine, name):
+        return next(klass for klass in engine.__mro__ if name in vars(klass))
+
+    for name in ("process", "run", "process_many", "enumerate_outputs", "snapshot", "restore"):
+        assert owner(StreamingEvaluator, name) is owner(GeneralStreamingEvaluator, name), name
+    for hook in ("_snapshot_fields", "_read_fields"):
+        assert owner(StreamingEvaluator, hook) is StreamingEvaluator
+        assert owner(GeneralStreamingEvaluator, hook) is GeneralStreamingEvaluator
+    source_root = Path(__file__).resolve().parent.parent / "src"
+    residue = re.compile(r"_SeqRing|ring_capacity|drive_enumerating_batch|live_run_count|SingleEngineFeed")
+    holders = sorted(
+        str(path.relative_to(source_root))
+        for path in source_root.rglob("*")
+        if path.suffix in (".py", ".c") and residue.search(path.read_text())
+    )
+    assert holders == []
+    assert "ring_capacity" not in inspect.signature(GeneralStreamingEvaluator).parameters
 
 
 def test_a_plan_member_has_one_rank_name():

@@ -8,9 +8,10 @@ Covers, per the serving contract:
   counts are refused before anything is allocated, a pickle is never read,
   and the byte-stream reassembler rejects oversized prefixes *before*
   buffering a body;
-* differential serving — a server-fed engine is bit-identical to direct
-  `process_many` on the same interleaved tuple order, for the single and
-  multi backends, including mid-stream subscribe/unsubscribe
+* differential serving — a served `MultiQueryEngine` is bit-identical to
+  direct `process_many` on the same interleaved tuple order (of a multi
+  engine, and for one query of a `StreamingEvaluator`), including mid-stream
+  subscribe/unsubscribe
   churn and clients disconnecting with unflushed subscriptions;
 * protocol robustness — truncated, oversized, garbage and malformed
   frames close that client with a protocol-error reply and never kill the
@@ -52,7 +53,7 @@ from repro.core.evaluation import StreamingEvaluator
 from repro.cq.query import Atom, Variable
 from repro.cq.schema import Tuple
 from repro.multi import MultiQueryEngine, compile_query
-from repro.net import IngestClient, IngestServer, NetClientError, ServerThread, SingleEngineFeed
+from repro.net import IngestClient, IngestServer, NetClientError, ServerThread
 from repro.net.protocol import PROTOCOL_VERSION, validate_client_message
 from repro.runtime.frames import (
     MAX_DEPTH,
@@ -426,6 +427,9 @@ class TestProtocolValidation:
             ("ingest", 0, [Tuple("A", ([1, 2],))]),
             ("ping",),
             ("hello", "one"),
+            ("subscribe", None, None, None),  # the retired single-query form
+            ("subscribe", "Q(x) <- A(x)", None, None),
+            ("subscribe", "Q(x) <- A(x)", True, None),
         ],
     )
     def test_malformed_messages_rejected(self, message):
@@ -439,7 +443,7 @@ class TestProtocolValidation:
         for message in (
             ("hello", 1),
             ("subscribe", QUERY_A, 10, "qa"),
-            ("subscribe", None, None, None),
+            ("subscribe", QUERY_A, 10, None),
             ("unsubscribe", 3),
             ("ingest", 0, [Tuple("A", (1, "x"))]),
             ("ping", "token"),
@@ -544,21 +548,21 @@ class TestRoundTrip:
 class TestDifferential:
     @pytest.mark.parametrize("kind", ("single", "multi"))
     def test_served_identical_to_direct(self, kind):
+        """The server serves a ``MultiQueryEngine``; one served query equals a
+        direct ``StreamingEvaluator`` (``single``) and a direct multi engine."""
         stream = star_stream(300)
-        if kind == "single":
-            engine = SingleEngineFeed(StreamingEvaluator(compile_query(QUERY_A), window=WINDOW))
-        else:
-            engine = MultiQueryEngine()
-        with ServerThread(engine, max_batch=64) as st:
+        with ServerThread(MultiQueryEngine(), max_batch=64) as st:
             with IngestClient(st.host, st.port) as client:
-                if kind == "single":
-                    client.subscribe(None, None)
-                else:
-                    client.subscribe(QUERY_A, WINDOW)
+                client.subscribe(QUERY_A, WINDOW)
                 client.ingest_all(stream, frame_size=17)
                 served = matches_digest(client.matches)
-        # Handle id 0 on every backend, so the digests are comparable.
-        assert served == direct_digest([QUERY_A], stream)
+        if kind == "single":
+            direct = StreamingEvaluator(compile_query(QUERY_A), window=WINDOW)
+            # The one served query has handle id 0.
+            expected = output_digest([{0: out} if out else {} for out in direct.process_many(stream)])
+        else:
+            expected = direct_digest([QUERY_A], stream)
+        assert served == expected
 
     @pytest.mark.parametrize("kind", ("multi", "static"))
     def test_mid_stream_subscription_churn(self, kind):
@@ -946,14 +950,16 @@ class TestAdmission:
 
     @pytest.mark.parametrize("kind", ("wildcard", "unindexed"))
     def test_engines_that_watch_everything_get_every_tuple(self, kind):
-        """A wildcard transition and ``indexed=False`` cannot name what they
-        read: same call, no gaps."""
+        """A wildcard transition cannot name what it reads: same call, no
+        gaps.  ``unindexed`` names the retired single-query server, whose
+        engine watched everything: its ``subscribe(None, None)`` is now an
+        error frame for that connection, and the others are served on."""
         from repro.core.pcea import PCEA, PCEATransition
         from repro.core.predicates import LambdaUnaryPredicate
 
         stream = six_relation_stream(200, seed=21)
+        engine = MultiQueryEngine()
         if kind == "wildcard":
-            engine = MultiQueryEngine()
             engine.register(
                 PCEA(
                     states={"a"},
@@ -965,20 +971,23 @@ class TestAdmission:
                 4,
             )
             assert engine.watched_relations() is None
-        else:
-            pcea = compile_query(ABC_QUERY["A"])
-            engine = SingleEngineFeed(StreamingEvaluator(pcea, window=8, indexed=False))
         with ServerThread(engine, max_batch=64) as st:
+            if kind == "unindexed":
+                conn = _RawConnection(st.host, st.port)
+                conn.send(encode_frame(("subscribe", None, None, None)))
+                assert "subscribe query must be a string" in conn.expect_error_close()
+                conn.close()
             with IngestClient(st.host, st.port) as client:
-                if kind == "unindexed":
-                    handle_id, _, _ = client.subscribe(None, None)
-                else:
-                    handle_id, _, _ = client.subscribe(ABC_QUERY["A"], 8)
+                handle_id, _, _ = client.subscribe(ABC_QUERY["A"], 8)
                 client.ingest_all(stream, frame_size=40)
                 assert client.ping() == 199
                 served = client.matches.get(handle_id, [])
             summary = st.server.observe()
-        assert summary["unwatched"] == 0 and summary["tuples_in"] == 200
+        assert summary["tuples_in"] == 200
+        if kind == "wildcard":
+            assert summary["unwatched"] == 0
+        else:
+            assert summary["protocol_errors"] == 1
         direct = MultiQueryEngine()
         handle = direct.register(ABC_QUERY["A"], 8)
         expected = [

@@ -19,8 +19,11 @@ Four layers of protection:
   rejected before any state is touched — as must a version-1 tree (``H``
   keyed per reading transition), a table numbered by other slots, a
   query-subset (``multi-partial``) tree, a tagged-JSON checkpoint of an older
-  build, two run stores under one window, and arena records whose label id
-  or product reference lies outside the restored tables (on both kernels);
+  build, two run stores under one window, a ``--general`` tree whose rings do
+  not name exactly its lane table, and arena records whose label id or
+  product reference lies outside the restored tables, whose union link or
+  product child is not an older node, or whose positions could overflow the
+  kernel's window arithmetic (on both kernels);
 * fuzzing — every truncation and byte mutation of a single, ``--general``
   or multi-engine checkpoint restores or raises one of the exceptions the
   CLI's ``--restore`` catches, and nothing else.
@@ -218,15 +221,34 @@ class TestGeneralEngineSnapshot:
         assert original.nodes_scanned == restored.nodes_scanned
 
     def test_ring_state_survives_restore(self):
+        """(Named for the ring buffers the per-state run dicts replaced.)"""
         stream = sigma0_stream(150, seed=13)
-        original = self._engine(ring_capacity=4)  # force ring growth
+        original = self._engine()
         for tup in stream:
             original.process(tup)
-        restored = self._engine(ring_capacity=4)
+        restored = self._engine()
         restored.restore(roundtrip(original.snapshot(), "json"))
-        assert {
-            state: ring.live() for state, ring in original._rings.items()
-        } == {state: ring.live() for state, ring in restored._rings.items()}
+        assert restored._runs == original._runs
+        assert [list(runs) for runs in restored._runs.values()] == [
+            list(runs) for runs in original._runs.values()
+        ]
+
+    @pytest.mark.parametrize("tamper", ["unknown run", "left-out run"])
+    def test_rings_must_name_exactly_the_lane_table(self, tamper):
+        original = self._engine()
+        for tup in sigma0_stream(150, seed=13):
+            original.process(tup)
+        snap = roundtrip(original.snapshot(), "json")
+        seqs = next(seqs for seqs in snap["rings"].values() if seqs)
+        if tamper == "unknown run":
+            seqs.append(snap["next_seq"])
+        else:
+            seqs.pop()
+        fresh = self._engine()
+        untouched = fresh.snapshot()
+        with pytest.raises(SnapshotError, match="lane table"):
+            fresh.restore(snap)
+        assert fresh.snapshot() == untouched
 
 
 class TestMultiEngineSnapshot:
@@ -628,6 +650,16 @@ class TestUntrustedRecords:
             records[5 * node + 4] = ((len(slab["prods"]) + 1) << 32) | (meta & 0xFFFFFFFF)
         elif field == "label":
             records[5 * node + 4] = (meta & ~0xFFFFFFFE) | (len(arena["labels"]) << 1)
+        elif field == "link":  # a union link to itself: a walk would cycle
+            records[5 * node + 2] = slab["base"] + node
+        elif field == "child":  # a product child that is the node itself
+            slab["prods"][(meta >> 32) - 1] = (slab["base"] + node,)
+        elif field == "max_start":  # the C kernel's position - max_start overflows
+            records[5 * node + 1] = -(1 << 63) + 1
+        elif field == "position":
+            records[5 * node] = 1 << 62
+        elif field == "max_ms":
+            slab["max_ms"] = -(1 << 63)
         _set_records(slab, records)
         if field == "length":
             slab["records"] = slab["records"][:-8]
@@ -647,6 +679,27 @@ class TestUntrustedRecords:
         assert fresh.snapshot() == untouched
         for tup in sigma0_stream(40, seed=4):  # the kernel still holds its own slabs
             fresh.process(tup)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize(
+        "field, reason",
+        [
+            ("link", "union link"),
+            ("child", "product child"),
+            ("max_start", "0 <= max_start <= position"),
+            ("position", "0 <= max_start <= position"),
+            ("max_ms", "max_ms"),
+        ],
+    )
+    def test_a_record_a_walk_could_not_finish_is_refused(self, kernel, field, reason):
+        """Links and children must point at older nodes, and positions stay
+        where the kernel's window arithmetic cannot overflow."""
+        snap = self._tampered(kernel, field)
+        fresh = self._engine(kernel)
+        untouched = fresh.snapshot()
+        with pytest.raises(ValueError, match=reason):
+            fresh.restore(snap)
+        assert fresh.snapshot() == untouched
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_slabs_must_tile_the_slots(self, kernel):
