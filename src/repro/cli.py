@@ -49,6 +49,7 @@ printed one per line as ``position <TAB> atom0=pos,atom1=pos,...``; pass
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from itertools import islice
@@ -842,8 +843,12 @@ def run_serve(args: argparse.Namespace, output: TextIO) -> int:
             flush=True,
         )
         if args.port_file:
-            with open(args.port_file, "w", encoding="utf-8") as handle:
+            # Written whole, then renamed into place: a reader polling for the
+            # file never finds it empty.
+            partial = f"{args.port_file}.partial"
+            with open(partial, "w", encoding="utf-8") as handle:
                 handle.write(f"{server.port}\n")
+            os.replace(partial, args.port_file)
         await server.serve_forever()
 
     try:

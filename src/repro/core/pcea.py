@@ -152,7 +152,10 @@ class PCEA:
 
         Built by the first call (every engine makes one at construction) and
         shared by later engines; the compilers never build it, since a
-        pattern's conjunction is compiled only for its transitions.  See
+        pattern's conjunction is compiled only for its transitions.  The
+        pattern compiler's memoised core automata rely on that: one is shared
+        by every pattern of its shape, and only the automata bound from it
+        reach an engine (:func:`repro.engine.compiler._shape_automaton`).  See
         :mod:`repro.core.dispatch`.
         """
         if self._dispatch_index is None:

@@ -61,7 +61,8 @@ class Atom:
         if not isinstance(self.terms, tuple):
             object.__setattr__(self, "terms", tuple(self.terms))
         # The atom's shape, computed once for the predicate compiler
-        # (repro.core.predicates): each variable's first position, and the
+        # (repro.core.predicates) and the q-tree construction (its variable
+        # set, ``variables()``): each variable's first position, and the
         # residual checks a tuple of the right relation and arity must pass —
         # ``(i, j, True)`` for ``values[i] == values[j]`` (repeated variable),
         # ``(i, c, False)`` for ``values[i] == c`` (constant term).  Without
@@ -75,6 +76,7 @@ class Atom:
                 checks.append((position, first[term], True))
         object.__setattr__(self, "_first", first)
         object.__setattr__(self, "_checks", tuple(checks))
+        object.__setattr__(self, "_variables", frozenset(first))
 
     @property
     def arity(self) -> int:
@@ -82,7 +84,7 @@ class Atom:
 
     def variables(self) -> frozenset[Variable]:
         """The set of variables ``{x̄}`` appearing in the atom."""
-        return frozenset(t for t in self.terms if isinstance(t, Variable))
+        return self._variables
 
     def constants(self) -> frozenset:
         """The set of data values (constants) appearing in the atom."""
@@ -152,7 +154,7 @@ class ConjunctiveQuery:
     False
     """
 
-    __slots__ = ("name", "head", "atoms", "schema")
+    __slots__ = ("name", "head", "atoms", "schema", "_variables")
 
     def __init__(
         self,
@@ -179,9 +181,8 @@ class ConjunctiveQuery:
                         f"{schema.arity(atom.relation)}"
                     )
         self.schema = schema
-        head_vars = set(self.head)
-        body_vars = self.variables()
-        missing = head_vars - body_vars
+        self._variables = frozenset().union(*(atom.variables() for atom in self.atoms))
+        missing = set(self.head) - self._variables
         if missing:
             raise ValueError(f"head variables {sorted(v.name for v in missing)} not in body")
 
@@ -207,10 +208,7 @@ class ConjunctiveQuery:
     # -------------------------------------------------------------- structure
     def variables(self) -> frozenset[Variable]:
         """All variables appearing in the body."""
-        result: set[Variable] = set()
-        for atom in self.atoms:
-            result |= atom.variables()
-        return frozenset(result)
+        return self._variables
 
     def relations(self) -> frozenset[str]:
         """All relation names appearing in the body."""

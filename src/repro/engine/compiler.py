@@ -22,6 +22,7 @@ stream positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, FrozenSet, Hashable, List, Sequence as Seq, Set, Tuple as Tup
 
 from repro.core.hcq_to_pcea import hcq_to_pcea
@@ -64,7 +65,9 @@ class _FilteredUnary(UnaryPredicate):
         return accept
 
     def holds(self, tup: Tuple) -> bool:
-        return self.acceptor()(tup)
+        # The naive oracles ask this of every tuple on every transition: test
+        # the conjuncts in place rather than build ``acceptor()`` each time.
+        return self.base.holds(tup) and all(flt.holds(tup) for flt in self.filters)
 
     def dispatch_relations(self):
         # The conjunction only accepts tuples accepted by every conjunct, so
@@ -153,6 +156,34 @@ def _compile_atom(pattern: AtomPattern, label: int, prefix: Tup[Hashable, ...]) 
     return _Fragment({state}, [transition], {state}, {label}, [pattern])
 
 
+#: Filter-free conjunctions whose Theorem 4.1 automaton :func:`_shape_automaton`
+#: keeps (least recently used first out).
+_SHAPE_CACHE = 256
+
+
+def _shape(atom_patterns: Seq[AtomPattern]) -> ConjunctiveQuery:
+    """The filter-free conjunction of ``atom_patterns``: the query *shape*."""
+    atoms = [p.as_atom() for p in atom_patterns]
+    head = sorted({v for a in atoms for v in a.variables()}, key=lambda v: v.name)
+    return ConjunctiveQuery(head, atoms, name="Pattern")
+
+
+@lru_cache(maxsize=_SHAPE_CACHE)
+def _shape_automaton(shape: ConjunctiveQuery) -> PCEA:
+    """The Theorem 4.1 automaton of a filter-free conjunction, built once per shape.
+
+    The construction reads only the atoms' structure, and a filter is bound
+    afterwards, onto a transition's unary; so patterns equal but for their
+    filter constants share one result.  The key is sound because the atoms
+    hold variables only (compared by name), never constants that compare
+    equal across types.  The automaton is shared: callers read its states and
+    transitions and build their own, and nothing calls its ``dispatch_index``
+    (the predicates it holds are immutable and keyed structurally, so sharing
+    them is safe).  A construction that raises is not kept.
+    """
+    return hcq_to_pcea(shape)
+
+
 def _compile_conjunction(
     pattern: Conjunction, labels: List[int], prefix: Tup[Hashable, ...]
 ) -> _Fragment:
@@ -161,13 +192,8 @@ def _compile_conjunction(
         raise AssertionError("label/atom count mismatch")
     if len(atom_patterns) == 1:
         return _compile_atom(atom_patterns[0], labels[0], prefix)
-    query = ConjunctiveQuery(
-        sorted({v for p in atom_patterns for v in p.as_atom().variables()}, key=lambda v: v.name),
-        [p.as_atom() for p in atom_patterns],
-        name="Pattern",
-    )
     try:
-        pcea = hcq_to_pcea(query)
+        pcea = _shape_automaton(_shape(atom_patterns))
     except (ValueError, KeyError) as exc:
         # NotHierarchicalError is a ValueError; the structure tree raises
         # ValueError/KeyError.  Anything else is a bug and propagates as is.

@@ -9,6 +9,7 @@ from repro.core.hcq_to_pcea import hcq_to_pcea
 from repro.core.pcea import check_unambiguous_on_stream
 from repro.cq.schema import Tuple
 from repro.cq.stream_semantics import cq_stream_new_outputs
+from repro.engine import compiler
 from repro.engine.compiler import PatternCompilationError, compile_pattern
 from repro.engine.dsl import atom, conjunction, disjunction, sequence
 from repro.valuation import Valuation
@@ -69,13 +70,15 @@ class TestCompileAtomsAndConjunctions:
     def test_only_construction_errors_are_relabelled(self, monkeypatch, raised, seen):
         """What the Theorem 4.1 construction raises on a pattern it cannot
         build becomes a ``PatternCompilationError``; a bug of any other type
-        surfaces as itself."""
+        surfaces as itself.  The shape memo is emptied first, so the
+        construction runs rather than an earlier test's result being reused."""
 
         def broken(query):
             raise raised
 
         construction = importlib.import_module("repro.core.hcq_to_pcea")  # the module, not the function
         monkeypatch.setattr(construction, "build_structure_tree", broken)
+        compiler._shape_automaton.cache_clear()
         with pytest.raises(seen) as caught:
             compile_pattern(conjunction(atom("T", "x"), atom("S", "x", "y")))
         assert (caught.value is raised) == (seen is TypeError)
