@@ -52,7 +52,7 @@ from repro.core.ccea import CCEA, CCEATransition, chain_ccea
 from repro.core.pcea import PCEA, PCEATransition, check_unambiguous_on_stream
 from repro.core.hcq_to_pcea import hcq_to_pcea
 from repro.core.arena import ArenaDataStructure, BOTTOM_ID
-from repro.core.datastructure import BOTTOM, DataStructure, LinkedListUnionStructure, Node
+from repro.core.datastructure import BOTTOM, DataStructure, Node
 from repro.core.evaluation import StreamingEvaluator, evaluate_pcea
 from repro.runtime import EngineStatistics, EvictionLane, StreamRuntime
 from repro.streams.stream import Stream, stream_from_rows
@@ -127,7 +127,6 @@ __all__ = [
     "BOTTOM",
     "BOTTOM_ID",
     "DataStructure",
-    "LinkedListUnionStructure",
     "Node",
     "StreamingEvaluator",
     "evaluate_pcea",

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.ccea import CCEA
-from repro.core.datastructure import DataStructure
 from repro.core.evaluation import StreamingEvaluator
 from repro.cq.schema import Tuple
 from repro.valuation import Valuation
@@ -23,10 +22,10 @@ from repro.valuation import Valuation
 class CCEAStreamingEngine:
     """Sliding-window streaming evaluation of a CCEA (chain automata)."""
 
-    def __init__(self, ccea: CCEA, window: int, datastructure: DataStructure | None = None) -> None:
+    def __init__(self, ccea: CCEA, window: int) -> None:
         self.ccea = ccea
         self.window = window
-        self._evaluator = StreamingEvaluator(ccea.to_pcea(), window, datastructure=datastructure)
+        self._evaluator = StreamingEvaluator(ccea.to_pcea(), window)
 
     @property
     def position(self) -> int:

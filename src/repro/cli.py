@@ -10,8 +10,11 @@ The CLI is a thin veneer over the library, intended for quick experiments::
 The ``multi`` subcommand registers every ``--query`` with the shared
 :class:`~repro.multi.engine.MultiQueryEngine` (one dispatch lookup and one
 predicate evaluation per structurally distinct predicate per event, instead of
-one engine per query); matches are prefixed with the query name.  The
-``--general`` flag on the single-query mode evaluates through the
+one engine per query); matches are prefixed with the query name, and two
+queries may not share a name.  The single-query mode is ``multi`` with one
+query and no name column: the same engine, drive loop, ``--stats`` block and
+checkpoints.  The ``--general`` flag on the single-query mode evaluates
+through the
 :class:`~repro.extensions.general_evaluation.GeneralStreamingEvaluator` (live
 runs scanned per transition — the engine that also accepts non-equality
 predicates), producing identical matches on equality queries.  All modes
@@ -55,11 +58,12 @@ import time
 from itertools import islice
 from typing import Iterable, Iterator, List, Optional, Sequence, TextIO
 
-from repro.core.evaluation import NotEqualityPredicateError, StreamingEvaluator
 from repro.core.hcq_to_pcea import hcq_to_pcea
+from repro.core.pcea import NotEqualityPredicateError
 from repro.extensions.general_evaluation import GeneralStreamingEvaluator
 from repro.cq.hierarchical import NotHierarchicalError, is_hierarchical
 from repro.cq.query import parse_query
+from repro.multi import MultiQueryEngine
 from repro.cq.schema import Tuple
 from repro.runtime import snapshot as checkpointing
 from repro.valuation import Valuation
@@ -169,16 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         help='the query, e.g. "Q(x, y) <- T(x), S(x, y), R(x, y)"',
     )
     _add_engine_arguments(parser)
-    parser.add_argument(
-        "--no-index",
-        action="store_true",
-        help="disable the transition dispatch index (scan every transition per event)",
-    )
-    parser.add_argument(
-        "--no-evict",
-        action="store_true",
-        help="disable hash-table eviction (memory grows with the stream, not the window)",
-    )
     parser.add_argument(
         "--general",
         action="store_true",
@@ -413,7 +407,12 @@ def build_multi_parser() -> argparse.ArgumentParser:
 
 
 def run(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO) -> int:
-    """Evaluate the query over the events, writing matches to ``output``."""
+    """Evaluate the query over the events, writing matches to ``output``.
+
+    Single mode is ``multi`` with one query and no query-name column: the
+    same engine, the same drive loop, the same checkpoints.  ``--general``
+    swaps in the scanning engine.
+    """
     try:
         query = parse_query(args.query)
     except ValueError as exc:
@@ -431,41 +430,63 @@ def run(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO) -> in
     except NotHierarchicalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
     conflict = _kernel_conflict(args)
     if conflict:
         print(f"error: {conflict}", file=sys.stderr)
         return 2
     try:
         if getattr(args, "general", False):
-            if args.no_evict:
-                print(
-                    "warning: --no-evict has no effect in --general mode (the general "
-                    "engine always evicts expired runs)",
-                    file=sys.stderr,
-                )
             engine = GeneralStreamingEvaluator(
                 pcea,
                 window=args.window,
-                indexed=not args.no_index,
-                arena=not args.no_arena,
                 collect_stats=args.stats,
+                arena=not args.no_arena,
                 kernel=args.kernel,
             )
+            queries = []
         else:
-            engine = StreamingEvaluator(
-                pcea,
-                window=args.window,
-                indexed=not args.no_index,
-                evict=not args.no_evict,
-                collect_stats=args.stats,
-                arena=not args.no_arena,
-                kernel=args.kernel,
-            )
+            engine = _multi_engine(args)
+            queries = [(pcea, args.window, _query_names([args.query], [query])[0])]
     except ValueError as exc:
         # e.g. --kernel native on an installation without the built extension
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return _drive(args, events, output, engine, queries, labelled=False)
+
+
+def _multi_engine(args: argparse.Namespace) -> MultiQueryEngine:
+    """The engine the single mode, ``multi`` and ``serve`` register into."""
+    return MultiQueryEngine(collect_stats=args.stats, arena=not args.no_arena, kernel=args.kernel)
+
+
+def _query_names(texts: Sequence[str], parsed: Sequence) -> List[str]:
+    """The name each ``--query`` registers under: its head name, else ``q<index>``.
+
+    ``ValueError`` naming both ``--query`` arguments when two queries would
+    share a name: their match lines could not be told apart.
+    """
+    names: List[str] = []
+    for index, query in enumerate(parsed):
+        name = query.name or f"q{index}"
+        if name in names:
+            raise ValueError(
+                f"--query {texts[names.index(name)]!r} and --query {texts[index]!r} "
+                f"are both named {name!r}; give each query its own name"
+            )
+        names.append(name)
+    return names
+
+
+def _drive(args, events, output: TextIO, engine, queries, labelled: bool) -> int:
+    """The one drive loop behind the single mode and ``multi``.
+
+    Registers ``queries`` (``(query, window, name)`` triples) with ``engine``,
+    restores ``--restore``, feeds the events one by one or ``--batch-size`` at
+    a time, prints every match — after its query's name when ``labelled`` —
+    and the summary, then the ``--stats`` report, ``--checkpoint`` and the
+    observability exports.  An engine without handles (``--general``)
+    returns one query's outputs as a list.
+    """
     if getattr(args, "checkpoint", None) and args.no_arena:
         # Fail fast: checkpointing needs the arena-backed structure, and
         # finding that out only after the whole stream ran would waste it.
@@ -476,27 +497,44 @@ def run(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO) -> in
         )
         return 2
     try:
+        # Attached before registration and restore so their index-patch and
+        # restore spans land in the trace.
         observer = _setup_observability(args, engine)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        for query, window, name in queries:
+            engine.register(query, window=window, name=name)
+    except (ValueError, NotHierarchicalError, NotEqualityPredicateError) as exc:
+        print(f"error: cannot register query: {exc}", file=sys.stderr)
+        return 2
     if getattr(args, "restore", None) and not _restore_engine(engine, args.restore):
         return 2
+    # After a restore the handle ids (the routing keys) are the checkpoint's.
+    handles = engine.handles() if queries else ()
+    names = {handle.id: handle.name for handle in handles}
+    matches = dict.fromkeys(names, 0)
     batch_size = getattr(args, "batch_size", 0) or 0
     interval = getattr(args, "stats_interval", 0) or 0
     next_report = interval if interval else None
-    matches = 0
     events_seen = 0
     start = time.perf_counter()
+
+    def emit(position: int, outputs) -> None:
+        for qid, valuations in outputs.items() if names else ((None, outputs),):
+            matches[qid] = matches.get(qid, 0) + len(valuations)
+            if not args.quiet:
+                label = f"{names[qid]}\t" if labelled else ""
+                for valuation in valuations:
+                    print(f"{label}{format_match(position, valuation)}", file=output)
+
     if batch_size > 0:
         for batch in _batched(islice(events, args.limit), batch_size):
             events_seen += len(batch)
             base_position = engine.position + 1
-            for offset, valuations in enumerate(engine.process_many(batch)):
-                for valuation in valuations:
-                    matches += 1
-                    if not args.quiet:
-                        print(format_match(base_position + offset, valuation), file=output)
+            for offset, outputs in enumerate(engine.process_many(batch)):
+                emit(base_position + offset, outputs)
             if next_report is not None and events_seen >= next_report:
                 _emit_interval_stats(engine, observer, events_seen, start, output)
                 while next_report <= events_seen:
@@ -504,18 +542,20 @@ def run(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO) -> in
     else:
         for event in islice(events, args.limit):
             events_seen += 1
-            for valuation in engine.process(event):
-                matches += 1
-                if not args.quiet:
-                    print(format_match(engine.position, valuation), file=output)
+            emit(engine.position + 1, engine.process(event))
             if next_report is not None and events_seen >= next_report:
                 _emit_interval_stats(engine, observer, events_seen, start, output)
                 next_report += interval
     elapsed = time.perf_counter() - start
     rate = events_seen / elapsed if elapsed > 0 else float("inf")
+    total = sum(matches.values())
+    counted = f"matches={total}"
+    if labelled:
+        per_query = " ".join(f"{names[qid]}={matches[qid]}" for qid in sorted(matches))
+        counted = f"queries={len(names)} {counted} ({per_query})"
     batched = f" batch_size={batch_size}" if batch_size > 0 else ""
     print(
-        f"# events={events_seen} matches={matches} seconds={elapsed:.3f} events/s={rate:.0f} "
+        f"# events={events_seen} {counted} seconds={elapsed:.3f} events/s={rate:.0f} "
         f"hash_entries={engine.hash_table_size()} evicted={engine.evicted}{batched}"
         f"{_parse_errors(events)}",
         file=output,
@@ -601,8 +641,6 @@ def _batched(events: Iterable[Tuple], size: int) -> Iterator[List[Tuple]]:
 
 def run_multi(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO) -> int:
     """Register every ``--query`` with a shared engine and evaluate the stream."""
-    from repro.multi import MultiQueryEngine
-
     windows = args.windows or [1000]
     if len(windows) not in (1, len(args.queries)):
         print(
@@ -613,102 +651,22 @@ def run_multi(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO)
         return 2
     if len(windows) == 1:
         windows = windows * len(args.queries)
-
-    if getattr(args, "checkpoint", None) and args.no_arena:
-        print(
-            "error: --checkpoint requires arena-backed query lanes "
-            "(drop --no-arena)",
-            file=sys.stderr,
-        )
+    try:
+        names = _query_names(args.queries, [parse_query(query) for query in args.queries])
+    except ValueError as exc:
+        print(f"error: cannot register query: {exc}", file=sys.stderr)
         return 2
     conflict = _kernel_conflict(args)
     if conflict:
         print(f"error: {conflict}", file=sys.stderr)
         return 2
     try:
-        engine = MultiQueryEngine(
-            collect_stats=args.stats,
-            arena=not args.no_arena,
-            kernel=args.kernel,
-        )
+        engine = _multi_engine(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        # Attached before registration so the index-patch spans of the
-        # initial --query registrations land in the trace.
-        observer = _setup_observability(args, engine)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    names = {}
-    try:
-        for index, (query, window) in enumerate(zip(args.queries, windows)):
-            parsed = parse_query(query)
-            handle = engine.register(parsed, window=window, name=parsed.name or f"q{index}")
-            names[handle.id] = handle.name
-    except (ValueError, NotHierarchicalError, NotEqualityPredicateError) as exc:
-        print(f"error: cannot register query: {exc}", file=sys.stderr)
-        return 2
-
-    if getattr(args, "restore", None):
-        if not _restore_engine(engine, args.restore):
-            return 2
-        # Handle ids (and therefore routing keys) were remapped onto the
-        # checkpoint's; rebuild the name table from the restored handles.
-        names = {handle.id: handle.name for handle in engine.handles()}
-    batch_size = getattr(args, "batch_size", 0) or 0
-    interval = getattr(args, "stats_interval", 0) or 0
-    next_report = interval if interval else None
-    matches = {qid: 0 for qid in names}
-    events_seen = 0
-    start = time.perf_counter()
-
-    def emit(position: int, outputs) -> None:
-        for qid, valuations in outputs.items():
-            matches[qid] += len(valuations)
-            if not args.quiet:
-                for valuation in valuations:
-                    print(f"{names[qid]}\t{format_match(position, valuation)}", file=output)
-
-    if batch_size > 0:
-        for batch in _batched(islice(events, args.limit), batch_size):
-            events_seen += len(batch)
-            base_position = engine.position + 1
-            for offset, outputs in enumerate(engine.process_many(batch)):
-                emit(base_position + offset, outputs)
-            if next_report is not None and events_seen >= next_report:
-                _emit_interval_stats(engine, observer, events_seen, start, output)
-                while next_report <= events_seen:
-                    next_report += interval
-    else:
-        for event in islice(events, args.limit):
-            events_seen += 1
-            emit(engine.position + 1, engine.process(event))
-            if next_report is not None and events_seen >= next_report:
-                _emit_interval_stats(engine, observer, events_seen, start, output)
-                next_report += interval
-    elapsed = time.perf_counter() - start
-    rate = events_seen / elapsed if elapsed > 0 else float("inf")
-    total = sum(matches.values())
-    per_query = " ".join(
-        f"{names[qid]}={matches[qid]}" for qid in sorted(matches)
-    )
-    batched = f" batch_size={batch_size}" if batch_size > 0 else ""
-    print(
-        f"# events={events_seen} queries={len(names)} matches={total} ({per_query}) "
-        f"seconds={elapsed:.3f} events/s={rate:.0f} "
-        f"hash_entries={engine.hash_table_size()} evicted={engine.evicted}{batched}"
-        f"{_parse_errors(events)}",
-        file=output,
-    )
-    if args.stats:
-        _print_stats(engine, output)
-    if getattr(args, "checkpoint", None) and not _write_checkpoint(engine, args.checkpoint):
-        return 2
-    if not _finish_observability(args, observer, output):
-        return 2
-    return 0
+    queries = list(zip(args.queries, windows, names))
+    return _drive(args, events, output, engine, queries, labelled=True)
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -781,7 +739,6 @@ def run_serve(args: argparse.Namespace, output: TextIO) -> int:
     import asyncio
     import signal
 
-    from repro.multi import MultiQueryEngine
     from repro.net.server import IngestServer
 
     conflict = _kernel_conflict(args)
@@ -804,11 +761,7 @@ def run_serve(args: argparse.Namespace, output: TextIO) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     try:
-        engine = MultiQueryEngine(
-            collect_stats=args.stats,
-            arena=not args.no_arena,
-            kernel=args.kernel,
-        )
+        engine = _multi_engine(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -922,6 +875,16 @@ def run_net_client(args: argparse.Namespace, events: Iterable[Tuple], output: Te
         return 2
     if len(windows) == 1:
         windows = windows * max(1, len(queries))
+    try:
+        parsed = [parse_query(query) for query in queries]
+    except ValueError as exc:
+        print(f"error: cannot parse query: {exc}", file=sys.stderr)
+        return 2
+    try:
+        wanted = _query_names(queries, parsed)
+    except ValueError as exc:
+        print(f"error: cannot subscribe queries: {exc}", file=sys.stderr)
+        return 2
     start = time.perf_counter()
     try:
         client = IngestClient(args.host, args.port)
@@ -932,15 +895,8 @@ def run_net_client(args: argparse.Namespace, events: Iterable[Tuple], output: Te
     events_seen = 0
     try:
         with client:
-            for index, (query, window) in enumerate(zip(queries, windows)):
-                try:
-                    parsed = parse_query(query)
-                except ValueError as exc:
-                    print(f"error: cannot parse query: {exc}", file=sys.stderr)
-                    return 2
-                handle_id, name, _window = client.subscribe(
-                    query, window, name=parsed.name or f"q{index}"
-                )
+            for query, window, name in zip(queries, windows, wanted):
+                handle_id, name, _window = client.subscribe(query, window, name=name)
                 names[handle_id] = name
             outstanding: List[int] = []
             for batch in _batched(islice(events, args.limit), max(1, args.batch_size)):

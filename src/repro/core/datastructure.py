@@ -22,10 +22,6 @@ Two node-producing operations are provided, mirroring the paper:
   amortised cost (Proposition 5.3), implemented with path copying, direction
   bits for balance, and pruning of subtrees that fell out of the window.
 
-An intentionally naive variant (:class:`LinkedListUnionStructure`) implements
-``union`` as a linked list; it exists only for the ablation benchmark
-(experiment E8) that shows why the balanced persistent structure matters.
-
 This object-graph representation is the *oracle*: one heap-allocated frozen
 dataclass per node, fully persistent, nothing ever reclaimed explicitly.  The
 production default is the arena-backed :class:`~repro.core.arena.ArenaDataStructure`
@@ -460,23 +456,3 @@ class DataStructure:
                     stack.append((link, depth + 1))
         return best
 
-
-class LinkedListUnionStructure(DataStructure):
-    """Ablation variant: unions form a left-leaning linked list (no balance, no pruning).
-
-    Retains correctness but loses the logarithmic union/enumeration guarantees;
-    experiment E8 contrasts the two implementations.
-    """
-
-    def _union(self, left: Node, fresh: Node, position: int) -> Node:
-        if left is None or left.is_bottom():
-            return fresh
-        self.union_copies += 1
-        return self._make_node(
-            fresh.labels,
-            fresh.position,
-            fresh.prod,
-            left,
-            None,
-            max(fresh.max_start, left.max_start),
-        )

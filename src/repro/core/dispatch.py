@@ -255,6 +255,10 @@ def _split_by_guard(members: Sequence):
     )
 
 
+#: The plan of no members (plans in an index are never mutated: one serves all).
+_EMPTY_PLAN = plan_of(())
+
+
 class PlanIndex:
     """Per-relation plan storage and the per-tuple lookup, shared by
     :class:`TransitionDispatchIndex` and the multi-query engine's
@@ -271,7 +275,7 @@ class PlanIndex:
     def __init__(self) -> None:
         self.plans: Dict[str, EvalPlan] = {}
         self.guarded: Dict[str, Tup[EvalPlan, Tup[Tup[int, Dict[Hashable, EvalPlan]], ...]]] = {}
-        self.wildcard_plan = plan_of(())
+        self.wildcard_plan = _EMPTY_PLAN
 
     def _store_relation(self, relation: str, members: Sequence) -> None:
         self.plans[relation] = plan_of(members)
@@ -433,19 +437,19 @@ class MergedEntry:
 
     The plan member :func:`repro.runtime.fire` consumes.  ``owner`` is the
     store (an :class:`~repro.runtime.EvictionLane`: one ``DS_w`` + one ``H``)
-    and ``handle`` whoever its final nodes are collected for: the lane itself
-    in a single-automaton binding (:meth:`TransitionDispatchIndex.bind`), the
-    registered query in the multi-query engine's merged index, where one store
-    serves every query of a window.  ``probes`` / ``consumers`` / ``target_id``
-    are the compiled transition's, renumbered into the store's slot space;
-    ``since`` is the first stream position the query observed (``-1``: all of
-    it).  ``pred_key`` is the predicate-group key — the canonical key itself
-    in a binding, its dense *interned* id in the merged index, where grouping
-    then hashes a plain int instead of a nested tuple — and ``index`` the
-    canonical candidate rank, named as on :class:`CompiledTransition`
-    (transition order; in the merged index a counter in registration order,
-    then transition order within a query), and ``family`` its threshold
-    family.
+    and ``handle`` whoever its final nodes are collected for: the registered
+    query, where one store serves every query of a window (``None`` for the
+    entries of a leaf state several queries may share: a leaf is never
+    final).  ``probes`` /
+    ``consumers`` are the compiled transition's, renumbered into the store's
+    slot space, and ``target_id`` any id unique to the target state within
+    the store: its first slot; ``since`` is the first stream position the
+    query observed (``-1``: all of it).  ``pred_key`` is the predicate-group
+    key — the canonical key's dense *interned* id, so grouping hashes a plain
+    int instead of a nested tuple — and ``index`` the canonical candidate
+    rank, named as on :class:`CompiledTransition` (a counter in registration
+    order, then transition order within a query), and ``family`` its
+    threshold family.
     """
 
     __slots__ = (
@@ -454,19 +458,28 @@ class MergedEntry:
     )  # fmt: skip
 
     def __init__(
-        self, owner: object, compiled: CompiledTransition, pred_key: Hashable, index: int
+        self,
+        owner: object,
+        handle: object,
+        compiled: CompiledTransition,
+        pred_key: Hashable,
+        index: int,
+        since: int,
+        probes: Tup[Tup[int, object], ...],
+        consumers: Tup[Tup[int, object], ...],
     ) -> None:
-        self.owner = self.handle = owner
+        self.owner = owner
+        self.handle = handle
         self.compiled = compiled
         self.accepts = compiled.accepts
         self.pred_key = pred_key
         self.family = compiled.family
         self.guard: Optional[Tup[int, object]] = compiled.guard
         self.index = index
-        self.probes = compiled.probes
-        self.consumers = compiled.consumers
-        self.target_id = compiled.target_id
-        self.since = -1
+        self.since = since
+        self.probes = probes
+        self.consumers = consumers
+        self.target_id = consumers[0][0] if consumers else -1
 
     def __repr__(self) -> str:
         return f"MergedEntry(owner={self.owner!r}, {self.compiled!r})"
@@ -542,47 +555,24 @@ class TransitionDispatchIndex(PlanIndex):
         for c in compiled:
             c.consumers = self._consumers.get(c.target_id, ())
             c.store_through = not c.joins and not c.is_final and len(c.consumers) == 1
-        # Which transitions (by index, in order) may accept each known
-        # relation's tuples — wildcards merged in; unknown relations fall back
-        # to the wildcards alone.
-        self._wildcard_members = tuple(c.index for c in compiled if c.relations is None)
-        relations: set = set()
-        for c in compiled:
-            if c.relations is not None:
-                relations.update(c.relations)
-        self._relation_members: Dict[str, Tup[int, ...]] = {
-            relation: tuple(
-                c.index for c in compiled if c.relations is None or relation in c.relations
-            )
-            for relation in relations
-        }
-
-    def _populate(self, target: PlanIndex, members: Sequence) -> PlanIndex:
-        """Store ``members`` — one per transition, in transition order — as
-        ``target``'s plans."""
-        target.wildcard_plan = plan_of([members[i] for i in self._wildcard_members])
-        for relation, ids in self._relation_members.items():
-            target._store_relation(relation, [members[i] for i in ids])
-        return target
 
     def __getattr__(self, name: str):
-        # The index's own plans are built on first read: the hashed engines
-        # never read them (they bind or merge the transitions under their
-        # lanes instead), and grouping hashes every canonical predicate key.
+        # The index's own plans are built on first read: the hashed engine
+        # never reads them (it merges the transitions under its stores
+        # instead), and grouping hashes every canonical predicate key.
         if name not in ("plans", "guarded", "wildcard_plan"):
             raise AttributeError(name)
         PlanIndex.__init__(self)
-        self._populate(self, self._all)
+        # Each known relation's plan holds the transitions that may accept
+        # its tuples, wildcards merged in, in transition order; unknown
+        # relations fall back to the wildcards alone.
+        compiled = self._all
+        self.wildcard_plan = plan_of([c for c in compiled if c.relations is None])
+        for relation in {r for c in compiled if c.relations is not None for r in c.relations}:
+            self._store_relation(
+                relation, [c for c in compiled if c.relations is None or relation in c.relations]
+            )
         return getattr(self, name)
-
-    def bind(self, owner: object) -> PlanIndex:
-        """This index's plans with every member tagged by ``owner`` — what a
-        one-query merged index would hold: how a single-query engine attaches
-        the automaton's (shared) index to its own lane."""
-        return self._populate(
-            PlanIndex(),
-            [MergedEntry(owner, c, c.pred_key, c.index) for c in self._all],
-        )
 
     def _intern(self, state: State) -> int:
         state_id = self.state_ids.get(state)

@@ -29,6 +29,10 @@ State = Hashable
 Label = Hashable
 
 
+class NotEqualityPredicateError(TypeError):
+    """Raised when Algorithm 1 is instantiated on a PCEA with non-equality joins."""
+
+
 @dataclass(frozen=True)
 class PCEATransition:
     """A PCEA transition ``(P, U, B, L, q)``.
@@ -142,7 +146,9 @@ class PCEA:
 
     def uses_only_equality_predicates(self) -> bool:
         """Whether every binary predicate belongs to ``B_eq`` (required by Algorithm 1)."""
-        return all(t.uses_only_equality_predicates() for t in self.transitions)
+        return all(
+            isinstance(b, EqualityPredicate) for t in self.transitions for b in t.binaries.values()
+        )
 
     def initial_transitions(self) -> Iterator[PCEATransition]:
         return (t for t in self.transitions if t.is_initial)

@@ -17,17 +17,18 @@ Algorithm 1 whenever both apply.
 
 Runtime parity
 --------------
-Only the update phase is this module's.  Everything around it — the ``DS_w``,
-the single :class:`~repro.runtime.EvictionLane` on the shared
-:class:`~repro.runtime.StreamRuntime`, ``process`` / ``run`` /
-``process_many`` / ``enumerate_outputs``, the snapshot header and the restore
-guards — is the body, :class:`~repro.core.evaluation.SingleLaneEngine`, that
-Algorithm 1's :class:`~repro.core.evaluation.StreamingEvaluator` runs on:
+Only the update phase differs from Algorithm 1's engine, which is the K=1
+case of :class:`~repro.multi.engine.MultiQueryEngine`
+(:class:`~repro.core.evaluation.StreamingEvaluator`).  This engine owns one
+``DS_w`` and one :class:`~repro.runtime.EvictionLane` on the shared
+:class:`~repro.runtime.StreamRuntime`, and keeps the single-query call shape
+(``process`` / ``run`` / ``process_many`` / ``update`` /
+``enumerate_outputs``):
 
 * **dispatch** — transitions are probed through the compile-once
-  :class:`~repro.core.dispatch.TransitionDispatchIndex` (``indexed=False``
-  restores the full per-tuple scan), so tuples of irrelevant relations cost
-  one dict lookup instead of ``O(|Δ|)`` predicate evaluations;
+  :class:`~repro.core.dispatch.TransitionDispatchIndex`, so tuples of
+  irrelevant relations cost one dict lookup instead of ``O(|Δ|)`` predicate
+  evaluations;
 * **eviction** — live runs are stored in the lane's table keyed by
   ``(source state id, sequence number)`` with the run's newest position as
   the expiry anchor, and reclaimed by the runtime's shared bucket sweep: a
@@ -38,8 +39,8 @@ Algorithm 1's :class:`~repro.core.evaluation.StreamingEvaluator` runs on:
   out of the window before the run's anchor does, and a batched sweep
   reclaims late;
 * **statistics / memory** — ``collect_stats`` / ``memory_info`` /
-  ``dispatch_info`` are the other engines' (the CLI ``--stats`` output is
-  identical across all three modes).
+  ``dispatch_info`` are the other engines' (the CLI ``--stats`` output has
+  the same shape in every mode).
 
 Per-state run dicts
 -------------------
@@ -58,16 +59,25 @@ exactly that table's runs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple as Tup
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple as Tup
 
+from repro.core.arena import ArenaDataStructure
+from repro.core.datastructure import DataStructure
 from repro.core.dispatch import member_order
-from repro.core.evaluation import NodeRef, SingleLaneEngine
+from repro.core.evaluation import NodeRef, StreamingEvaluator
 from repro.core.pcea import PCEA
 from repro.cq.schema import Tuple
-from repro.runtime.snapshot import SnapshotError
+from repro.runtime import EvictionLane, RuntimeBackedEngine, StreamRuntime
+from repro.runtime.snapshot import (
+    SNAPSHOT_VERSION,
+    SnapshotError,
+    check_snapshot_header,
+    stable_signature,
+)
+from repro.valuation import Valuation
 
 
-class GeneralStreamingEvaluator(SingleLaneEngine):
+class GeneralStreamingEvaluator(RuntimeBackedEngine):
     """Sliding-window evaluation of a PCEA whose predicates may be arbitrary.
 
     Parameters
@@ -77,19 +87,16 @@ class GeneralStreamingEvaluator(SingleLaneEngine):
         ``holds(earlier, later)`` interface.
     window:
         Sliding-window size ``w``; outputs ``ν`` satisfy ``i - min(ν) <= w``.
+    collect_stats:
+        With ``False`` the per-tuple operation counters are skipped.  The
+        ``nodes_scanned`` attribute (the engine's signature linear-in-data
+        cost) is maintained regardless, as it always was.
     arena:
         With ``True`` (default) partial runs live in the arena-backed
         :class:`~repro.core.arena.ArenaDataStructure`; the shared eviction
         sweep additionally releases expired slabs, so the enumeration
         structure is window-bounded here too.  ``False`` restores the
         object-graph ``DS_w``.
-    indexed:
-        With ``False`` every transition is probed for every tuple (the
-        pre-dispatch behaviour, kept for ablation / differential testing).
-    collect_stats:
-        With ``False`` the per-tuple operation counters are skipped.  The
-        ``nodes_scanned`` attribute (the engine's signature linear-in-data
-        cost) is maintained regardless, as it always was.
     kernel:
         Record-operation backend for the arena hot path (``"python"`` /
         ``"native"`` / ``"auto"``; ``None`` defers to ``REPRO_KERNEL`` then
@@ -97,20 +104,23 @@ class GeneralStreamingEvaluator(SingleLaneEngine):
         ``arena=False``.
     """
 
-    ENGINE_KIND = "general"
-
     def __init__(
         self,
         pcea: PCEA,
         window: int,
-        arena: bool = True,
-        indexed: bool = True,
+        *,
         collect_stats: bool = True,
+        arena: bool = True,
         kernel: Optional[str] = None,
     ) -> None:
-        super().__init__(
-            pcea, window, arena=arena, kernel=kernel, indexed=indexed, collect_stats=collect_stats
-        )
+        self.pcea = pcea
+        self.window = window
+        self.ds = ArenaDataStructure(window, kernel=kernel) if arena else DataStructure(window)
+        self._runtime = StreamRuntime()
+        self._runtime.count_stats = self._count_stats = collect_stats
+        self._lane = self._runtime.add_lane(EvictionLane(window, self.ds))
+        self._hash = self._lane.hash
+        self._dispatch = pcea.dispatch_index()
         # The lane table maps (source state id, sequence number) to
         # ``((stored tuple, node), stored position)`` — the pair's second
         # element is the expiry anchor the shared sweep checks, so a run is
@@ -125,6 +135,44 @@ class GeneralStreamingEvaluator(SingleLaneEngine):
     def _on_evict(self, key: Tup[int, int]) -> None:
         """Sweep hook: the run the sweep evicted leaves its state's dict."""
         self._runs[key[0]].pop(key[1])
+
+    # -------------------------------------------------------------- main loop
+    # One body with Algorithm 1's engine: ``process`` through ``update`` and
+    # ``enumerate_outputs``, ``run`` through ``process``.
+    run = StreamingEvaluator.run
+    process = StreamingEvaluator.process
+
+    def process_many(self, tuples: Sequence[Tuple]) -> List[List[Valuation]]:
+        """Batched ingestion: exactly ``[self.process(t) for t in tuples]``,
+        with one eviction sweep for the batch."""
+        update = self.update
+        enumerate_node = self.ds.enumerate
+        runtime = self._runtime
+        count_stats = self._count_stats
+
+        def step(tup: Tuple) -> List[Valuation]:
+            final_nodes = update(tup, sweep=False)
+            if not final_nodes:
+                return []
+            position = runtime.position
+            outputs: List[Valuation] = []
+            for node in final_nodes:
+                outputs.extend(enumerate_node(node, position))
+            if count_stats:
+                runtime.stats.outputs_enumerated += len(outputs)
+            return outputs
+
+        return runtime.drive_batch(tuples, step)
+
+    def enumerate_outputs(self, final_nodes: Sequence[NodeRef]) -> Iterator[Valuation]:
+        """Enumerate the outputs represented by the final-state nodes."""
+        position = self.position
+        outputs: List[Valuation] = []
+        for node in final_nodes:
+            outputs.extend(self.ds.enumerate(node, position))
+        if self._count_stats:
+            self._runtime.stats.outputs_enumerated += len(outputs)
+        return iter(outputs)
 
     # ------------------------------------------------------------ update phase
     def update(self, tup: Tuple, sweep: bool = True) -> List[NodeRef]:
@@ -243,20 +291,58 @@ class GeneralStreamingEvaluator(SingleLaneEngine):
         return final_nodes
 
     # ------------------------------------------------------- snapshot protocol
-    def _snapshot_fields(self) -> Dict[str, object]:
+    def snapshot(self) -> Dict[str, object]:
+        """The engine's complete evaluation state (see :mod:`repro.runtime.snapshot`).
+
+        Encodable as one wire-codec frame; restorable into a freshly
+        constructed engine evaluating the same automaton with the same window
+        (verified through the dispatch-index signature), after which
+        processing continues bit-identically.  ``rings`` lists each state's
+        live runs oldest first (module docstring).
+        """
+        lane = self._lane
         return {
+            "snapshot_version": SNAPSHOT_VERSION,
+            "engine": "general",
+            "window": self.window,
+            "dispatch_signature": stable_signature(self._dispatch.signature()),
+            "runtime": self._runtime.snapshot({lane.lane_id: 0}),
+            "lane": lane.snapshot(),
             "rings": {state_id: list(runs) for state_id, runs in self._runs.items()},
             "next_seq": self._next_seq,
             "nodes_scanned": self.nodes_scanned,
         }
 
-    def _read_fields(self, snapshot: Dict[str, object]):
-        """The per-state dicts rebuilt from the snapshot's lane table; the
-        rings must name exactly that table's runs."""
-        table = dict(snapshot["lane"]["hash"])
+    def restore(self, snapshot: Dict[str, object]) -> None:
+        """Adopt ``snapshot``'s state; processing then continues bit-identically.
+
+        The engine must have been constructed for the same automaton and
+        window (and with ``arena=True``); everything else — position, stored
+        runs, arena slabs, expiry buckets, statistics — is replaced.  Every
+        section is read and checked before anything is: the rings must name
+        exactly the lane table's runs.
+        """
+        check_snapshot_header(snapshot, "general")
+        if snapshot["window"] != self.window:
+            raise SnapshotError(
+                f"snapshot was taken with window {snapshot['window']}, "
+                f"this engine has window {self.window}"
+            )
+        if stable_signature(self._dispatch.signature()) != snapshot["dispatch_signature"]:
+            raise SnapshotError(
+                "snapshot was taken from an engine with a different automaton "
+                "(dispatch-index signatures differ)"
+            )
+        try:
+            lane_snap = snapshot["lane"]
+            runtime_snap = snapshot["runtime"]
+            table = dict(lane_snap["hash"])
+            rings = dict(snapshot["rings"])  # a file may hold any container here
+            next_seq, nodes_scanned = int(snapshot["next_seq"]), int(snapshot["nodes_scanned"])
+        except KeyError as exc:
+            raise SnapshotError(f"snapshot is missing the {exc} section") from exc
         runs: Dict[int, Dict[int, Tup[Tuple, NodeRef]]] = {}
-        # dict(): a file may hold any container here, and only a mapping has items().
-        for state_id, seqs in dict(snapshot["rings"]).items():
+        for state_id, seqs in rings.items():
             state_id = int(state_id)
             state_runs = runs[state_id] = {}
             for seq in seqs:
@@ -268,11 +354,16 @@ class GeneralStreamingEvaluator(SingleLaneEngine):
                 state_runs[seq] = entry[0]
         if sum(map(len, runs.values())) != len(table):
             raise SnapshotError("the snapshot's lane table holds runs its rings do not name")
-        return runs, int(snapshot["next_seq"]), int(snapshot["nodes_scanned"])
+        self._lane.restore(lane_snap)
+        self._runtime.restore(runtime_snap, [self._lane])
+        self._runs, self._next_seq, self.nodes_scanned = runs, next_seq, nodes_scanned
 
-    def _adopt_fields(self, fields) -> None:
-        self._runs, self._next_seq, self.nodes_scanned = fields
+    # ------------------------------------------------------------ introspection
+    # (hash_table_size / memory_info / dispatch_info / observe come from
+    # RuntimeBackedEngine; this hook points them at the automaton's index.)
+    def _dispatch_source(self):
+        return self._dispatch
 
     def reset_statistics(self) -> None:
-        super().reset_statistics()
+        self._runtime.reset_statistics()
         self.nodes_scanned = 0

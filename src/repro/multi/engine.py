@@ -1,9 +1,10 @@
 """The multi-query streaming engine: many patterns, one pass per tuple.
 
 :class:`MultiQueryEngine` evaluates every registered query with Algorithm 1
-semantics — per query, outputs are bit-for-bit (order included) those of one
-:class:`~repro.core.evaluation.StreamingEvaluator` started where the query
-was registered — but what the queries have in common is done once:
+semantics — per query, outputs are bit-for-bit (order included) those of the
+query registered alone where it was registered (the K=1 case, which
+:class:`~repro.core.evaluation.StreamingEvaluator` is) — but what the queries
+have in common is done once:
 
 * **one dispatch lookup** through the
   :class:`~repro.multi.merged_index.MergedDispatchIndex` returns the candidate
@@ -23,7 +24,7 @@ was registered — but what the queries have in common is done once:
   arrived in, which a query that joined later has not seen, so sharing them
   waits for a canonical union order;
 * **one eviction sweep** through the shared
-  :class:`~repro.runtime.StreamRuntime` — the same runtime the single-query
+  :class:`~repro.runtime.StreamRuntime` — the same runtime the general
   evaluator runs with its one store — so the expiry-bucket map (keyed by the
   global position at which an entry expires, ``max_start + window + 1``),
   the bucket-pop sweep, the batched catch-up sweep and the periodic arena
@@ -148,18 +149,21 @@ class MultiQueryEngine(RuntimeBackedEngine):
         # window -> the store a registration under that window joins.
         self._stores: Dict[int, _Store] = {}
         self._merged = MergedDispatchIndex(())
-        for entry in self.registry.entries():
-            self._index(self._admit(entry))
+        if registry is not None:
+            for entry in registry.entries():
+                self._index(self._admit(entry))
 
     # ----------------------------------------------------------------- stores
     def _open_store(self, window: int) -> _Store:
         """A fresh run store (the one place the engine builds a ``DS_w``)."""
         if self._arena:
-            ds = ArenaDataStructure(window, kernel=self._kernel)
-        else:
-            ds = DataStructure(window)
-        store = self._runtime.add_lane(_Store(window, ds))
-        observer = getattr(self, "_observer", None)
+            return _Store(window, ArenaDataStructure(window, kernel=self._kernel))
+        return _Store(window, DataStructure(window))
+
+    def _add_store(self, store: _Store) -> _Store:
+        """Make ``store`` its window's store, swept by the runtime."""
+        self._stores[store.window] = self._runtime.add_lane(store)
+        observer = self._observer
         if observer is not None:
             observer.observe_lane(store)
         return store
@@ -169,7 +173,7 @@ class MultiQueryEngine(RuntimeBackedEngine):
         query = self._queries[entry.handle.id] = _Registered(entry.handle, entry.pcea)
         store = self._stores.get(entry.handle.window)
         if store is None:
-            store = self._stores[entry.handle.window] = self._open_store(entry.handle.window)
+            store = self._add_store(self._open_store(entry.handle.window))
         self._enter(query, store, self.position + 1)
         return query
 
@@ -204,7 +208,7 @@ class MultiQueryEngine(RuntimeBackedEngine):
         """Register a query mid-stream; it starts observing at the next tuple."""
         handle = self.registry.register(query, window, name)
         registered = self._admit(self.registry.get(handle))
-        observer = getattr(self, "_observer", None)
+        observer = self._observer
         start = perf_counter() if observer is not None else 0.0
         self._index(registered)
         if observer is not None:
@@ -222,7 +226,7 @@ class MultiQueryEngine(RuntimeBackedEngine):
         """
         self.registry.unregister(handle)
         registered = self._queries.pop(handle.id)
-        observer = getattr(self, "_observer", None)
+        observer = self._observer
         start = perf_counter() if observer is not None else 0.0
         self._leave(registered)
         if observer is not None:
@@ -285,6 +289,20 @@ class MultiQueryEngine(RuntimeBackedEngine):
         return self._merged.watched_relations()
 
     def _process(self, tup: Tuple, sweep: bool) -> Dict[int, List[Valuation]]:
+        finals = self._fire(tup, sweep)
+        if not finals:
+            return {}
+        outputs: Dict[int, List[Valuation]] = {}
+        enumerate_query = self._enumerate
+        for query, nodes in finals.items():
+            valuations = enumerate_query(query, nodes)
+            if valuations:
+                outputs[query.handle.id] = valuations
+        return outputs
+
+    def _fire(self, tup: Tuple, sweep: bool) -> Optional[Dict[_Registered, list]]:
+        """The update phase of one tuple: ``{query: final-state nodes}`` for
+        the queries that reached a final state (``None`` when none did)."""
         runtime = self._runtime
         position = runtime.advance()
         if sweep:
@@ -301,27 +319,25 @@ class MultiQueryEngine(RuntimeBackedEngine):
             stats.transitions_scanned += plan.total
             stats.predicate_evaluations += evaluated
             stats.predicate_cache_hits += plan.total - evaluated
-        finals = fire(plan, tup, position, runtime.buckets, stats)
-        if not finals:
-            return {}
-        outputs: Dict[int, List[Valuation]] = {}
-        for query, nodes in finals.items():
-            store = query.store
-            enumerate_node = store.ds.enumerate
-            # Window-restricted by the store's DS_w — and to what the query
-            # has observed: nothing that starts before ``since``.
-            horizon = query.since + store.window
-            if horizon < position:
-                horizon = position
-            valuations: List[Valuation] = []
-            extend = valuations.extend
-            for node in nodes:
-                extend(enumerate_node(node, horizon))
-            if valuations:
-                outputs[query.handle.id] = valuations
-                if stats is not None:
-                    stats.outputs_enumerated += len(valuations)
-        return outputs
+        return fire(plan, tup, position, runtime.buckets, stats)
+
+    def _enumerate(self, query: _Registered, nodes: Sequence) -> List[Valuation]:
+        """The outputs ``query``'s final-state ``nodes`` represent at the current position."""
+        store = query.store
+        position = self._runtime.position
+        # Window-restricted by the store's DS_w — and to what the query has
+        # observed: nothing that starts before ``since``.
+        horizon = query.since + store.window
+        if horizon < position:
+            horizon = position
+        enumerate_node = store.ds.enumerate
+        valuations: List[Valuation] = []
+        extend = valuations.extend
+        for node in nodes:
+            extend(enumerate_node(node, horizon))
+        if self._count_stats:
+            self._runtime.stats.outputs_enumerated += len(valuations)
+        return valuations
 
     # ------------------------------------------------------- snapshot protocol
     def _check_seating(self, queries: Sequence[_Registered], placement, lanes) -> None:
@@ -347,20 +363,25 @@ class MultiQueryEngine(RuntimeBackedEngine):
             if len(slots) != len(query.dispatch.slots):
                 raise SnapshotError(f"query {query.handle} does not fit its snapshot slot table")
 
-    def _seat(self, queries: Sequence[_Registered], placement, lanes) -> List[_Store]:
-        """Open the snapshot's stores and move ``queries`` into them, where
-        and since when the snapshot says; returns the stores, restored, in
-        snapshot order."""
+    def _restored_stores(self, lanes) -> List[_Store]:
+        """The snapshot's stores, restored in snapshot order but not yet the
+        engine's: a store whose records fail the checks raises here, before
+        anything is replaced."""
         stores = []
         for lane in lanes:
             store = self._open_store(lane["window"])
             store.restore(lane)
             store.next_slot = int(lane["next_slot"])
-            self._stores[store.window] = store
             stores.append(store)
+        return stores
+
+    def _seat(self, queries: Sequence[_Registered], placement, stores: List[_Store]) -> None:
+        """Open ``stores`` and move ``queries`` into them, where and since
+        when the snapshot says."""
+        for store in stores:
+            self._add_store(store)
         for query, (where, since, slots) in zip(queries, placement):
             self._enter(query, stores[where], int(since), tuple(slots))
-        return stores
 
     def snapshot(self) -> Dict[str, object]:
         """The engine's complete evaluation state (see :mod:`repro.runtime.snapshot`).
@@ -425,6 +446,7 @@ class MultiQueryEngine(RuntimeBackedEngine):
         # Validate restorability up front: a rejected restore must leave the
         # engine untouched (no remapped handles, no half-restored stores).
         self._check_seating(queries, placement, lanes)
+        stores = self._restored_stores(lanes)
         try:
             handles = self.registry.restore_handles(registry_snap)
         except ValueError as exc:
@@ -436,7 +458,7 @@ class MultiQueryEngine(RuntimeBackedEngine):
         for store in {query.store for query in queries}:
             self._runtime.drop_lane(store)
         self._stores = {}
-        stores = self._seat(queries, placement, lanes)
+        self._seat(queries, placement, stores)
         self._rebuild()
         self._runtime.restore(runtime_snap, stores)
 

@@ -49,7 +49,10 @@ identical runs.  Such a state is one reference-counted *class*: its incoming
 transitions are in the plans once, built from the first query that brought
 them, writing the store slots every sharer's readers probe; with its last
 user it leaves the plans, and what it stored is left to expire.  Every other
-state stays private to its query — a class of one, same mechanism.
+state stays private to its query — a class of one, same mechanism.  A store's
+first query registers with no classes at all (nothing could share them yet):
+its leaf states become classes when a second query enters the store, by
+moving its entries, not rebuilding them.
 
 Entry iteration order is preserved across patching: entry ``index`` values
 are assigned from a monotonic counter, so candidates always iterate in
@@ -95,9 +98,10 @@ class _StateClass:
 class _Member:
     """One registered query: its private plan members and the classes it uses."""
 
-    __slots__ = ("store", "index", "entries", "classes")
+    __slots__ = ("key", "store", "index", "entries", "classes")
 
-    def __init__(self, store: object, index: TransitionDispatchIndex) -> None:
+    def __init__(self, key: int, store: object, index: TransitionDispatchIndex) -> None:
+        self.key = key
         self.store = store
         self.index = index
         self.entries: List[MergedEntry] = []
@@ -125,11 +129,15 @@ class MergedDispatchIndex(PlanIndex):
         self._by_owner: Dict[int, _Member] = {}
         # (id(store), leaf class key) -> the live class.
         self._classes: Dict[Tup[int, Hashable], _StateClass] = {}
-        # Interned canonical predicate keys with reference counts: dense ids
-        # are recycled through a free list so the tables shrink back after
+        # id(store) -> the queries registered into it, and its one query
+        # while it has only one (whose leaf states are not classes yet).
+        self._store_users: Dict[int, int] = {}
+        self._alone: Dict[int, _Member] = {}
+        # Interned canonical predicate keys, each ``[dense id, reference
+        # count]`` (one hash per lookup: a key can be a deep structure): ids
+        # are recycled through a free list so the table shrinks back after
         # unregistration and plan grouping keeps hashing small ints.
-        self._pred_key_ids: Dict[Hashable, int] = {}
-        self._pred_key_counts: Dict[Hashable, int] = {}
+        self._pred_keys: Dict[Hashable, List[int]] = {}
         self._free_pred_ids: List[int] = []
         self._next_pred_id = 0
         self._next_index = 0
@@ -148,27 +156,23 @@ class MergedDispatchIndex(PlanIndex):
             self.add_query(owner, index)
 
     # ------------------------------------------------------------ intern table
-    def _intern_pred(self, canonical: Hashable) -> int:
-        pred_id = self._pred_key_ids.get(canonical)
-        if pred_id is None:
-            if self._free_pred_ids:
-                pred_id = self._free_pred_ids.pop()
-            else:
-                pred_id = self._next_pred_id
-                self._next_pred_id += 1
-            self._pred_key_ids[canonical] = pred_id
-            self._pred_key_counts[canonical] = 1
+    def _new_pred(self, canonical: Hashable) -> int:
+        """Intern a canonical key the table does not hold (``add_query``
+        counts the further users of a held one in place)."""
+        if self._free_pred_ids:
+            pred_id = self._free_pred_ids.pop()
         else:
-            self._pred_key_counts[canonical] += 1
+            pred_id = self._next_pred_id
+            self._next_pred_id += 1
+        self._pred_keys[canonical] = [pred_id, 1]
         return pred_id
 
     def _release_pred(self, canonical: Hashable) -> None:
-        count = self._pred_key_counts[canonical] - 1
-        if count:
-            self._pred_key_counts[canonical] = count
-        else:
-            del self._pred_key_counts[canonical]
-            self._free_pred_ids.append(self._pred_key_ids.pop(canonical))
+        interned = self._pred_keys[canonical]
+        interned[1] -= 1
+        if not interned[1]:
+            del self._pred_keys[canonical]
+            self._free_pred_ids.append(interned[0])
 
     # ------------------------------------------------------------ registration
     def add_query(
@@ -185,7 +189,9 @@ class MergedDispatchIndex(PlanIndex):
         counter) the automaton's slots are renumbered into it: a leaf state
         some query of the store already brought joins that query's class —
         nothing is added to the plans for it — every other state takes fresh
-        slots.  ``since`` is the first stream position the query observes
+        slots.  The store's first query forms no classes: the second one
+        makes them out of its entries (:meth:`_form_classes`).  ``since`` is
+        the first stream position the query observes
         (see :func:`repro.runtime.fire`).  Returns the automaton-slot ->
         store-slot table; handed back as ``slots`` (a rebuild, a restore) it
         re-places the query exactly there.
@@ -197,68 +203,99 @@ class MergedDispatchIndex(PlanIndex):
         key = id(owner)
         if key in self._by_owner:
             raise ValueError(f"owner {owner!r} is already registered in the merged index")
-        member = _Member(owner if store is None else store, index)
+        member = _Member(key, owner if store is None else store, index)
+        store_id = id(member.store)
+        sharers = self._store_users.get(store_id, 0)
+        self._store_users[store_id] = sharers + 1
+        if sharers:  # a shared store: leaf states are classes
+            first = self._alone.pop(store_id, None)
+            if first is not None:
+                self._form_classes(first)
+            leaves = index.leaf_states()
+        else:  # alone: no classes until a second query arrives
+            self._alone[store_id] = member
+            leaves = {}
         joined: Dict[int, _StateClass] = {}  # leaf state id -> its class
-        if store is None:
-            table: Sequence[Optional[int]] = range(len(index.slots))
-        else:
+        # A store numbering the automaton's slots as the automaton does (a
+        # fresh store) keeps the compiled probes/consumers.
+        renumbered = False
+        if store is not None:
             table = list(slots) if slots is not None else [None] * len(index.slots)
-            for state_id, class_key in index.leaf_states().items():
-                cls = self._classes.get((id(store), class_key))
+            classes = self._classes
+            for state_id, class_key in leaves.items():
+                cls = classes.get((store_id, class_key))
                 if cls is None:
-                    cls = self._classes[(id(store), class_key)] = _StateClass(class_key)
+                    cls = classes[(store_id, class_key)] = _StateClass(class_key)
                 elif key in cls.users:
                     continue  # a twin state of this automaton: private
-                for (slot, _), placed in zip(index.consumers_by_id(state_id), cls.slots):
-                    table[slot] = placed
+                elif cls.slots:  # a class another query brought: read its slots
+                    for (slot, _), placed in zip(index.consumers_by_id(state_id), cls.slots):
+                        table[slot] = placed
                 cls.users[key] = []
                 joined[state_id] = cls
+            next_slot = store.next_slot
             for slot, placed in enumerate(table):
                 if placed is None:
-                    table[slot] = store.next_slot
-                    store.next_slot += 1
+                    table[slot] = placed = next_slot
+                    next_slot += 1
+                if placed != slot:
+                    renumbered = True
+            store.next_slot = next_slot
             member.classes = list(joined.values())
         readers: Dict[int, Tup[Tup[int, object], ...]] = {}  # state id -> placed (slot, left key)
         touched: set = set()
         added_wildcard = False
         specific = self._specific
+        interned = self._pred_keys
+        next_index = self._next_index
         for compiled in index.all_transitions():
-            cls = joined.get(compiled.target_id)
+            cls = joined.get(compiled.target_id) if joined else None
             if cls is not None:
                 cls.users[key].append(compiled.index)
                 if len(cls.users) > 1:
                     continue  # already in the plans, for every user of the class
-            entry = MergedEntry(
-                member.store, compiled, self._intern_pred(compiled.pred_key), self._next_index
-            )
-            self._next_index += 1
-            if store is not None:
-                entry.handle = owner if cls is None else cls
-                entry.since = since
-                entry.probes = tuple([(table[slot], right) for slot, right in compiled.probes])
+            if renumbered:
+                probes = tuple([(table[slot], right) for slot, right in compiled.probes])
                 placed = readers.get(compiled.target_id)
                 if placed is None:
                     placed = readers[compiled.target_id] = tuple(
                         [(table[slot], left) for slot, left in compiled.consumers]
                     )
-                entry.consumers = placed
-                # Any id unique to the state within the store: its first slot.
-                entry.target_id = placed[0][0] if placed else -1
-                if cls is not None:
+            else:
+                probes = compiled.probes
+                placed = compiled.consumers
+            pred = interned.get(compiled.pred_key)
+            if pred is None:
+                pred_id = self._new_pred(compiled.pred_key)
+            else:
+                pred[1] += 1
+                pred_id = pred[0]
+            if cls is None:
+                entry = MergedEntry(
+                    member.store, owner, compiled, pred_id, next_index, since, probes, placed
+                )
+                member.entries.append(entry)
+            else:  # a leaf state is never final: no handle
+                entry = MergedEntry(
+                    member.store, None, compiled, pred_id, next_index, since, probes, placed
+                )
+                if not cls.entries:
                     cls.slots = tuple([slot for slot, _ in placed])
-            (member.entries if cls is None else cls.entries).append(entry)
+                cls.entries.append(entry)
+            next_index += 1
             relations = compiled.relations
             if relations is None:
                 self._wildcard_entries.append(entry)
                 added_wildcard = True
             else:
+                touched.update(relations)
                 for relation in relations:
                     bucket = specific.get(relation)
                     if bucket is None:
                         specific[relation] = [entry]
                     else:
                         bucket.append(entry)
-                    touched.add(relation)
+        self._next_index = next_index
         self._by_owner[key] = member
         self._size += len(index)
         if added_wildcard:
@@ -269,7 +306,34 @@ class MergedDispatchIndex(PlanIndex):
         for relation in touched:
             self._refresh_relation(relation)
         self.patched_adds += 1
-        return tuple(table)
+        return tuple(table) if store is not None else tuple(range(len(index.slots)))
+
+    def _form_classes(self, member: _Member) -> None:
+        """Make the leaf states of a store's first query classes — those
+        :meth:`add_query` would have made had another query been there — by
+        moving its entries into them, slots and all."""
+        store_id = id(member.store)
+        joined: Dict[int, _StateClass] = {}
+        for state_id, class_key in member.index.leaf_states().items():
+            if (store_id, class_key) not in self._classes:  # else a twin: private
+                cls = self._classes[(store_id, class_key)] = _StateClass(class_key)
+                cls.users[member.key] = []
+                joined[state_id] = cls
+        if not joined:
+            return
+        private = []
+        for entry in member.entries:
+            cls = joined.get(entry.compiled.target_id)
+            if cls is None:
+                private.append(entry)
+                continue
+            if not cls.entries:
+                cls.slots = tuple([slot for slot, _ in entry.consumers])
+            entry.handle = None
+            cls.entries.append(entry)
+            cls.users[member.key].append(entry.compiled.index)
+        member.entries = private
+        member.classes = list(joined.values())
 
     def remove_query(self, owner: object) -> None:
         """Remove one query's transitions, compacting only its buckets.
@@ -285,6 +349,12 @@ class MergedDispatchIndex(PlanIndex):
         member = self._by_owner.pop(key, None)
         if member is None:
             raise KeyError(f"owner {owner!r} is not registered in the merged index")
+        store_id = id(member.store)
+        if self._alone.get(store_id) is member:
+            del self._alone[store_id]
+        sharers = self._store_users.pop(store_id) - 1
+        if sharers:
+            self._store_users[store_id] = sharers
         self._size -= len(member.index)
         removed = member.entries
         for cls in member.classes:
@@ -347,7 +417,7 @@ class MergedDispatchIndex(PlanIndex):
 
     def interned_key_count(self) -> int:
         """Distinct canonical predicate keys currently interned (leak check)."""
-        return len(self._pred_key_ids)
+        return len(self._pred_keys)
 
     def signature(self) -> Dict[str, object]:
         """A canonical structural summary for the patch-vs-rebuild invariant.
@@ -398,7 +468,7 @@ class MergedDispatchIndex(PlanIndex):
         # (the group-sharing soundness invariant), checked here so the tests'
         # signature comparison also certifies the intern tables.
         for e in entries:
-            if self._pred_key_ids[e.compiled.pred_key] != e.pred_key:
+            if self._pred_keys[e.compiled.pred_key][0] != e.pred_key:
                 raise AssertionError(
                     "interned predicate id drifted from the canonical-key table"
                 )
@@ -427,9 +497,9 @@ class MergedDispatchIndex(PlanIndex):
         return {
             "queries": float(len(members)),
             "transitions": float(self._size),
-            "predicate_groups": float(len(self._pred_key_counts)),
+            "predicate_groups": float(len(self._pred_keys)),
             "shared_predicate_groups": float(
-                sum(1 for count in self._pred_key_counts.values() if count > 1)
+                sum(1 for _, count in self._pred_keys.values() if count > 1)
             ),
             "guarded_transitions": float(
                 sum(1 for e in self.all_entries() if e.guard is not None)

@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
-from repro.core.evaluation import NotEqualityPredicateError
 from repro.core.hcq_to_pcea import hcq_to_pcea
-from repro.core.pcea import PCEA
+from repro.core.pcea import PCEA, NotEqualityPredicateError
 from repro.cq.hierarchical import NotHierarchicalError, is_hierarchical
 from repro.cq.query import ConjunctiveQuery, parse_query
 from repro.engine.compiler import compile_pattern
@@ -60,7 +59,7 @@ def compile_query(query: QuerySpec) -> PCEA:
     Strings are parsed as conjunctive queries; conjunctive queries must be
     hierarchical (Theorem 4.1's hypothesis); DSL patterns go through the
     pattern compiler.  Raises ``ValueError`` subclasses on malformed input and
-    :class:`~repro.core.evaluation.NotEqualityPredicateError` when the result
+    :class:`~repro.core.pcea.NotEqualityPredicateError` when the result
     cannot be evaluated by Algorithm 1.
     """
     if isinstance(query, str):

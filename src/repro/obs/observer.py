@@ -7,7 +7,7 @@ them through an engine's hook points:
 * ``observer.attach(engine)`` (or the engine's ``attach_observer``) sets the
   shared runtime's ``obs`` slot — which activates the sweep / batch / slab
   hooks that live inside :mod:`repro.runtime.core` — binds the arena
-  slab-seal hook on every lane, *wraps* ``enumerate_outputs`` and
+  slab-seal hook on every lane, *wraps* the engine's enumeration call and
   ``snapshot``/``restore`` with timing shims (instance-attribute
   shadowing, so the class methods are untouched and ``detach`` restores
   the original behaviour exactly), and starts the per-tuple sampling
@@ -126,7 +126,7 @@ class Observer:
             raise ValueError("this observer is not attached to that engine")
         runtime = engine._runtime
         self._entry_hooks.pop(id(engine), None)
-        for name in ("enumerate_outputs", "snapshot", "restore"):
+        for name in ("_enumerate", "enumerate_outputs", "snapshot", "restore"):
             engine.__dict__.pop(name, None)
         for lane in runtime.lanes():
             ds = lane.ds
@@ -205,9 +205,12 @@ class Observer:
         trace = self.trace
         update_hist = self._update_seconds
         sampled = self._tuples_sampled
-        ds = getattr(engine, "ds", None)
-        if ds is not None and not hasattr(ds, "union_calls"):
-            ds = None
+        lanes = runtime.lanes
+
+        def unions() -> int:
+            # Summed over the engine's current stores: registration and
+            # restore add and replace them.
+            return sum(getattr(lane.ds, "union_calls", 0) for lane in lanes())
 
         start = 0.0
         unions_before = 0
@@ -219,7 +222,7 @@ class Observer:
             runtime.obs_sweep_sampled = True
             runtime.obs_arm = finish
             runtime.obs_next = sampled_pos + 1
-            unions_before = ds.union_calls if ds is not None else 0
+            unions_before = unions()
             start = _perf()
 
         def finish():
@@ -229,12 +232,9 @@ class Observer:
             sampled.inc()
             if trace is not None:
                 trace.record("tuple", start, elapsed, {"position": sampled_pos})
-                if ds is not None:
-                    unions = ds.union_calls - unions_before
-                    if unions:
-                        trace.record(
-                            "union", start, 0.0, {"position": sampled_pos, "count": unions}
-                        )
+                count = unions() - unions_before
+                if count > 0:
+                    trace.record("union", start, 0.0, {"position": sampled_pos, "count": count})
             position = runtime.position
             next_grid = sampled_pos + sample_every
             if next_grid <= position:
@@ -242,7 +242,7 @@ class Observer:
                 # finishes the previous period and begins the next.
                 sampled_pos = position
                 runtime.obs_next = position + 1
-                unions_before = ds.union_calls if ds is not None else 0
+                unions_before = unions()
                 start = _perf()
             else:
                 runtime.obs_sweep_sampled = False
@@ -262,19 +262,25 @@ class Observer:
         rearm()
 
     def _wrap_enumeration(self, engine, runtime) -> None:
-        inner = getattr(type(engine), "enumerate_outputs", None)
+        # The hashed engine enumerates one query's final nodes per
+        # ``_enumerate(query, nodes)`` call (a list back); the general
+        # evaluator through ``enumerate_outputs(nodes)`` (an iterator back).
+        name = "_enumerate" if hasattr(type(engine), "_enumerate") else "enumerate_outputs"
+        inner = getattr(type(engine), name, None)
         if inner is None:
-            return  # the multi-query engine enumerates inside its entry point
+            return
+        as_list = name == "_enumerate"
         sample_every = self.sample_every
         trace = self.trace
         enum_hist = self._enum_seconds
         outputs_counter = self._outputs
 
-        def instrumented(final_nodes):
+        def instrumented(*args):
+            final_nodes = args[-1]
             if runtime.position % sample_every or not final_nodes:
-                return inner(engine, final_nodes)
+                return inner(engine, *args)
             start = _perf()
-            outputs = list(inner(engine, final_nodes))
+            outputs = list(inner(engine, *args))
             elapsed = _perf() - start
             enum_hist.record(elapsed)
             outputs_counter.inc(len(outputs))
@@ -285,9 +291,9 @@ class Observer:
                     elapsed,
                     {"position": runtime.position, "outputs": len(outputs)},
                 )
-            return iter(outputs)
+            return outputs if as_list else iter(outputs)
 
-        engine.enumerate_outputs = instrumented
+        setattr(engine, name, instrumented)
 
     def _wrap_checkpointing(self, engine) -> None:
         snapshot_inner = getattr(type(engine), "snapshot", None)

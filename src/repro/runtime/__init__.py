@@ -1,16 +1,16 @@
-"""The shared streaming runtime: three engines, one per-tuple machinery.
+"""The shared streaming runtime: two engines, one per-tuple machinery.
 
 Why this package exists
 -----------------------
-The repository evaluates the paper's streaming algorithm through three
-engines that share the update procedure where it is the same algorithm, and
-every piece of cross-cutting machinery around it:
+The repository evaluates the paper's streaming algorithm through two
+engines that share every piece of cross-cutting machinery around the update
+procedure:
 
-* :class:`~repro.core.evaluation.StreamingEvaluator` — Algorithm 1 for one
-  unambiguous equality-predicate PCEA (hash-indexed joins, Theorem 5.1's
-  update bound);
-* :class:`~repro.multi.engine.MultiQueryEngine` — many registered PCEA over
-  one stream, one merged dispatch lookup per tuple, per-query isolated state;
+* :class:`~repro.multi.engine.MultiQueryEngine` — Algorithm 1 for
+  registered unambiguous equality-predicate PCEA over one stream
+  (hash-indexed joins, Theorem 5.1's update bound), one merged dispatch
+  lookup per tuple; one query is its K=1 case,
+  :class:`~repro.core.evaluation.StreamingEvaluator`;
 * :class:`~repro.extensions.general_evaluation.GeneralStreamingEvaluator` —
   arbitrary binary predicates (no hash keys), scanning live runs per
   transition.
@@ -22,7 +22,7 @@ introspection surface — so every optimisation had to be hand-ported several
 times and the copies drifted.  The runtime holds exactly one of each:
 
 * :func:`fire` — Algorithm 1's FireTransitions + UpdateIndices for the
-  hashed engines: per predicate group one acceptor call, per held member the
+  hashed engine: per predicate group one acceptor call, per held member the
   join probes against its owning lane's table, effects applied in canonical
   order, new runs indexed and registered for eviction.  What it evaluates a
   tuple against is data (:class:`~repro.core.dispatch.EvalPlan`), so indexed,
@@ -30,12 +30,10 @@ times and the copies drifted.  The runtime holds exactly one of each:
 * :class:`EvictionLane` — one evictable run store: a sliding window, a
   run-index table (``hash``), an enumeration structure (``ds``), and the
   representation-agnostic reclamation hooks (``add_ref`` / ``drop_ref`` /
-  ``release``) bound once at construction.  ``StreamingEvaluator`` and
-  ``GeneralStreamingEvaluator`` are single-lane engines sharing one body
-  (:class:`~repro.core.evaluation.SingleLaneEngine`);
-  ``MultiQueryEngine`` owns one lane per distinct window, serving every
-  query registered under it.  The single-query evaluator is literally the
-  one-lane, one-query case of the same runtime.
+  ``release``) bound once at construction.  ``MultiQueryEngine`` owns one
+  lane per distinct window, serving every query registered under it (the
+  single-query evaluator: one lane, one query);
+  ``GeneralStreamingEvaluator`` owns one lane.
 * :class:`StreamRuntime` — the per-stream core: the global position, the
   shared expiry-bucket map (keyed by the *absolute* position at which an
   entry expires, ``max_start + lane.window + 1``, so lanes with different
@@ -45,15 +43,14 @@ times and the copies drifted.  The runtime holds exactly one of each:
   behind every engine's ``process_many``, and the aggregated
   ``memory_info()`` the CLI ``--stats`` memory section prints.
 * :class:`EngineStatistics` — the unified operation-counter surface.  One
-  dataclass serves all three engines (fields an engine cannot meaningfully
+  dataclass serves both engines (fields an engine cannot meaningfully
   count stay zero), so ``engine.observe()`` and the CLI ``--stats`` line are
   identical across modes.
 
-Engines keep what is genuinely theirs: which plan a tuple gets (one
-automaton's index bound to a single lane, or the merged index of every
-registered query), how predicate evaluations are booked in the statistics,
-and the output routing — plus, for the general evaluator, its scan of a
-source state's live runs, a different update that shares only the plan lookup.  Everything an
+Engines keep what is genuinely theirs: the hashed engine its merged index
+of every registered query and its output routing, the general evaluator its
+automaton's index and its scan of a source state's live runs, a different
+update that shares only the plan lookup.  Everything an
 engine registers into the runtime is a flat
 ``lane_id, key, node`` int triple appended to the expiry bucket (lanes are
 interned to dense small ints; no per-entry tuple is allocated — see

@@ -70,9 +70,9 @@ _T = TypeVar("_T")
 
 class EvictionLane:
     """One run store — a ``DS_w``, the run index ``H`` over it and the window
-    both are pruned to — shared-sweep ready.  A single-query evaluator owns
-    one; the multi-query engine keeps one per window, serving every query
-    registered under that window.
+    both are pruned to — shared-sweep ready.  The general evaluator owns one;
+    the hashed engine keeps one per window, serving every query registered
+    under that window.
 
     ``hash`` is the lane's run-index table (``(key) -> (value, max_start)``
     pairs); ``ds`` its enumeration structure.  The reclamation hooks and
@@ -480,7 +480,6 @@ class StreamRuntime:
         self,
         tuples: Iterable[object],
         step: Callable[[object], _T],
-        sweep: bool = True,
     ) -> List[_T]:
         """Batched ingestion: one ``step`` per tuple, one sweep per batch.
 
@@ -512,8 +511,7 @@ class StreamRuntime:
             gap = origin + span - self.position - 1
             if gap:
                 self.advance_by(gap)
-        if sweep:
-            self.sweep_upto(self.position)
+        self.sweep_upto(self.position)
         if obs is not None:
             obs.on_batch(span, _perf() - start, self.position)
         return results
@@ -620,7 +618,12 @@ class StreamRuntime:
         return total
 
     def reset_statistics(self) -> None:
+        """Zero the operation counters and every store's ``DS_w`` counters."""
         self.stats = EngineStatistics()
+        for lane in self._lanes.values():
+            ds = lane.ds
+            if hasattr(ds, "nodes_created"):
+                ds.nodes_created = ds.union_calls = ds.union_copies = 0
 
     def __repr__(self) -> str:
         return (
@@ -634,7 +637,7 @@ class RuntimeBackedEngine:
 
     Requires the subclass to set ``self._runtime`` before use.  Keeping the
     property trio (``position`` / ``evicted`` / ``stats``) and the
-    ``_expiry_buckets`` view here means the three engines cannot drift apart
+    ``_expiry_buckets`` view here means the engines cannot drift apart
     on this surface — the single-place principle applied to the API, not just
     the sweep.  ``position`` and the counters are settable because the
     differential tests reseat reference evaluators mid-stream
@@ -642,6 +645,8 @@ class RuntimeBackedEngine:
     """
 
     _runtime: StreamRuntime
+    #: The attached :class:`repro.obs.Observer` (set on the instance by ``attach``).
+    _observer = None
 
     @property
     def position(self) -> int:
@@ -714,7 +719,7 @@ class RuntimeBackedEngine:
         """Dispatch-index layout/sharing statistics.
 
         One shared implementation over :meth:`_dispatch_source`, so the key
-        set is identical across all three engines (``describe()`` of the
+        set is identical across the engines (``describe()`` of the
         single-automaton and merged indexes agree on keys by contract) and
         the CLI ``--stats`` dispatch line never drifts between modes.
         """
@@ -729,8 +734,8 @@ class RuntimeBackedEngine:
         """One point-in-time snapshot of every introspection surface.
 
         Folds ``stats`` / ``dispatch_info`` / ``memory_info`` /
-        ``kernel_info`` (plus the cursor counters and, for single-structure
-        engines, the enumeration-structure counters) into a single dict —
+        ``kernel_info`` (plus the cursor counters and the enumeration-structure
+        counters summed over the engine's stores) into a single dict —
         the one shape the :meth:`repro.obs.Observer.observe_engine` gauge
         refresh, the CLI ``--stats`` lines and the tests consume.
         """
@@ -746,12 +751,11 @@ class RuntimeBackedEngine:
             "memory": self.memory_info(),
             "kernel": self.kernel_info(),
         }
-        ds = getattr(self, "ds", None)
-        if ds is not None and hasattr(ds, "nodes_created"):
+        structures = [lane.ds for lane in runtime.lanes() if hasattr(lane.ds, "nodes_created")]
+        if structures:
             snapshot["ds"] = {
-                "nodes_created": ds.nodes_created,
-                "union_calls": getattr(ds, "union_calls", 0),
-                "union_copies": getattr(ds, "union_copies", 0),
+                field: sum(getattr(ds, field, 0) for ds in structures)
+                for field in ("nodes_created", "union_calls", "union_copies")
             }
         return snapshot
 
@@ -776,11 +780,11 @@ class RuntimeBackedEngine:
 
     def detach_observer(self) -> None:
         """Detach the current observer, if any (restores the plain hot path)."""
-        observer = getattr(self, "_observer", None)
+        observer = self._observer
         if observer is not None:
             observer.detach(self)
 
     @property
     def observer(self):
         """The attached :class:`repro.obs.Observer`, or ``None``."""
-        return getattr(self, "_observer", None)
+        return self._observer

@@ -1,10 +1,11 @@
 """FireTransitions + UpdateIndices of Algorithm 1 — the only implementation.
 
-Every hashed engine is a facade over :func:`fire`: the single-query
-evaluator is its K=1 case (one store, one handle, every plan member theirs),
-the multi-query engine the general one (one store per window, one handle per
-registered query).  Indexed, guarded and full-scan dispatch differ only in
-the :class:`~repro.core.dispatch.EvalPlan` they hand in.
+There is one hashed engine, :class:`~repro.multi.engine.MultiQueryEngine`,
+and it calls :func:`fire` once per tuple with the plan its merged index
+returns: one store per window, one handle per registered query.  The
+single-query evaluator is its K=1 case (one store, one handle, every plan
+member theirs), not a second caller.  Indexed, guarded and full-scan dispatch
+differ only in the :class:`~repro.core.dispatch.EvalPlan` handed in.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ def _canonical_order(item) -> int:
     return item[0].index
 
 
-def fire(plan, tup, position: int, buckets: Optional[Dict[int, list]], stats) -> Optional[Dict]:
+def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[Dict]:
     """Fire ``plan``'s transitions on ``tup`` and index the runs they create.
 
     ``plan`` members (:class:`~repro.core.dispatch.MergedEntry`) expose
@@ -25,8 +26,8 @@ def fire(plan, tup, position: int, buckets: Optional[Dict[int, list]], stats) ->
     :class:`~repro.core.dispatch.CompiledTransition`), its ``probes`` /
     ``consumers`` / ``target_id`` in that store's slot space, the ``handle``
     its final nodes are collected for, ``since`` and ``index``.  ``buckets``
-    is the runtime's expiry-bucket map, or ``None`` to store entries without
-    registering them for eviction; ``stats`` the
+    is the runtime's expiry-bucket map every stored entry is registered in;
+    ``stats`` the
     :class:`~repro.runtime.EngineStatistics` to count into, or ``None``.
     Returns ``{handle: [final-state nodes]}`` for the handles that produced
     output at this position (``None`` when none did).
@@ -171,16 +172,15 @@ def fire(plan, tup, position: int, buckets: Optional[Dict[int, list]], stats) ->
                         if node_ms > entry_ms:
                             entry_ms = node_ms
                 hash_table[entry_key] = (entry, entry_ms)
-                if buckets is not None:
-                    # Flat-triple registration (StreamRuntime.register_entry,
-                    # inlined): due when the entry leaves the store's window.
-                    expiry_position = entry_ms + window + 1
-                    expiry = buckets.get(expiry_position)
-                    if expiry is None:
-                        buckets[expiry_position] = [lane_id, entry_key, entry]
-                    else:
-                        expiry.append(lane_id)
-                        expiry.append(entry_key)
-                        expiry.append(entry)
-                    add_ref(entry)
+                # Flat-triple registration (StreamRuntime.register_entry,
+                # inlined): due when the entry leaves the store's window.
+                expiry_position = entry_ms + window + 1
+                expiry = buckets.get(expiry_position)
+                if expiry is None:
+                    buckets[expiry_position] = [lane_id, entry_key, entry]
+                else:
+                    expiry.append(lane_id)
+                    expiry.append(entry_key)
+                    expiry.append(entry)
+                add_ref(entry)
     return finals

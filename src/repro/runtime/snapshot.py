@@ -11,13 +11,14 @@ frozensets / :class:`~repro.cq.schema.Tuple` events):
   — the window, the run-index hash table and the enumeration structure;
 * :meth:`StreamRuntime.snapshot/restore <repro.runtime.StreamRuntime.snapshot>`
   — the stream cursor, sweep cursors, statistics and expiry buckets;
-* the engines (``StreamingEvaluator`` / ``GeneralStreamingEvaluator`` /
-  ``MultiQueryEngine``) compose those layers, adding their own verification
-  header — the dispatch-index :meth:`signature
-  <repro.core.dispatch.TransitionDispatchIndex.signature>` (merged-index
-  ``signature()`` for the multi engine, plus the
-  :meth:`QueryRegistry.snapshot <repro.multi.registry.QueryRegistry.snapshot>`
-  entry table) run through :func:`stable_signature` — so a snapshot can only
+* the engines compose those layers, adding their own verification header
+  run through :func:`stable_signature` — the merged-index ``signature()``
+  plus the :meth:`QueryRegistry.snapshot
+  <repro.multi.registry.QueryRegistry.snapshot>` entry table for
+  ``MultiQueryEngine`` (kind ``multi``; a ``StreamingEvaluator``, its K=1
+  case, writes the same tree), the dispatch-index :meth:`signature
+  <repro.core.dispatch.TransitionDispatchIndex.signature>` for
+  ``GeneralStreamingEvaluator`` (kind ``general``) — so a snapshot can only
   be restored into an engine evaluating the *same* queries.
 
 The trees are plain data (no engine objects, no callables, no shared

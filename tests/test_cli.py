@@ -324,6 +324,34 @@ class TestRunMulti:
         assert code == 0
         assert "queries=2" in capsys.readouterr().out
 
+    def test_multi_refuses_two_queries_of_one_name(self, capsys):
+        """Two queries named alike would print match lines no one could tell
+        apart; the error names both ``--query`` arguments."""
+        events = list(read_events(EVENTS_CSV.splitlines()))
+        code, output = self._run(
+            ["--query", "Q(x, y) <- T(x), S(x, y)", "--query", "Q(x) <- T(x)"], events
+        )
+        assert code == 2 and output == ""
+        err = capsys.readouterr().err
+        assert "'Q(x, y) <- T(x), S(x, y)'" in err and "'Q(x) <- T(x)'" in err
+
+    def test_client_refuses_two_queries_of_one_name(self, capsys):
+        """Refused before connecting: no server is listening on the port."""
+        code = main(
+            ["client", "--port", "1", "--query", "Q(x, y) <- T(x), S(x, y)",
+             "--query", "Q(x) <- T(x)", "/dev/null"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'Q(x, y) <- T(x), S(x, y)'" in err and "'Q(x) <- T(x)'" in err
+
+    def test_index_and_eviction_switches_are_gone(self, capsys):
+        for option in ("--no-index", "--no-evict"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["--query", "Q(x) <- T(x)", option])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("option", [["--workers", "2"], ["--start-method", "fork"]])
     @pytest.mark.parametrize("subcommand", ["multi", "serve"])
     def test_worker_options_are_rejected(self, subcommand, option, capsys):
@@ -374,6 +402,33 @@ class TestCheckpointRestore:
         # The cumulative --stats tail (counters, dispatch, memory) is
         # restored state plus the second half — identical to one full run.
         assert self._stats_tail(resumed) == self._stats_tail(continuous)
+
+    def test_a_single_checkpoint_restores_under_multi(self, tmp_path):
+        """Single mode is ``multi`` with one query: its checkpoint restores
+        under ``multi`` with the same query and window, which then prints the
+        matches and the ``--stats`` block of one uninterrupted ``multi`` run."""
+        from repro.cli import build_multi_parser, run_multi
+
+        def run_multi_argv(argv, events):
+            output = io.StringIO()
+            return run_multi(build_multi_parser().parse_args(argv), events, output), output.getvalue()
+
+        events = seeded_events()
+        checkpoint = str(tmp_path / "single.snap")
+        code, _ = self._run(self.QUERY + ["--stats", "--checkpoint", checkpoint], events[:200])
+        assert code == 0
+        code, continuous = run_multi_argv(self.QUERY + ["--stats"], events)
+        assert code == 0
+        code, resumed = run_multi_argv(self.QUERY + ["--stats", "--restore", checkpoint], events[200:])
+        assert code == 0
+        second_half = [
+            line for line in self._match_lines(continuous) if int(line.split("\t")[1]) >= 200
+        ]
+        assert second_half and self._match_lines(resumed) == second_half
+        assert resumed.splitlines()[-4:] == continuous.splitlines()[-4:]
+        # ... and single mode's own --stats block is multi's.
+        code, single = self._run(self.QUERY + ["--stats"], events)
+        assert code == 0 and single.splitlines()[-4:] == continuous.splitlines()[-4:]
 
     def test_multi_split_run_matches_continuous(self, tmp_path):
         from repro.cli import build_multi_parser, run_multi
@@ -460,6 +515,18 @@ class TestCheckpointRobustness:
         path.write_text("not json at all\n")
         code, _ = self._run(self.QUERY + ["--restore", str(path)], [])
         assert code == 2
+
+    def test_a_streaming_checkpoint_is_refused_by_name(self, tmp_path, capsys):
+        """A version-4 tree of the single-query engine's retired ``streaming``
+        kind: its runs cannot be placed, so it is refused by name."""
+        from repro.runtime import snapshot as checkpointing
+
+        path = tmp_path / "ck.snap"
+        checkpointing.save(str(path), {"snapshot_version": SNAPSHOT_VERSION, "engine": "streaming",
+                                       "window": 100, "evict": True, "lane": {}, "runtime": {}})
+        code, _ = self._run(self.QUERY + ["--restore", str(path)], [])
+        assert code == 2
+        assert "'streaming' engine" in capsys.readouterr().err
 
     def test_a_version_three_checkpoint_is_refused_by_name(self, capsys):
         """``checkpoint_v3.json`` was written by ``--checkpoint`` of a build

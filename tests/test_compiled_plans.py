@@ -325,12 +325,12 @@ class TestFallbacks:
         assert left_key(Tuple("A", (3, 4))) == right_key(Tuple("B", (3,))) == (3,)
         assert compile_key_extractors(object()) == (None, None)  # outside B_eq: no keys
 
-    @pytest.mark.parametrize("indexed", [True, False])
-    def test_engines_run_legacy_predicates(self, indexed):
+    @pytest.mark.parametrize("arena", [True, False])
+    def test_engines_run_legacy_predicates(self, arena):
         pcea = self._pcea()
         stream = [Tuple("A", (1,)), Tuple("A", (2,)), Tuple("B", (3,)), Tuple("C", (4,)), Tuple("B", (4,))]
-        hashed = StreamingEvaluator(pcea, window=10, indexed=indexed)
-        general = GeneralStreamingEvaluator(pcea, window=10)
+        hashed = StreamingEvaluator(pcea, window=10, arena=arena)
+        general = GeneralStreamingEvaluator(pcea, window=10, arena=arena)
         for position, tup in enumerate(stream):
             expected = pcea.outputs_upto(stream, position, window=10)[position]
             assert set(hashed.process(tup)) == expected

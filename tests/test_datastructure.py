@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.datastructure import BOTTOM, DataStructure, LinkedListUnionStructure, Node
+from repro.core.arena import ArenaDataStructure
+from repro.core.datastructure import BOTTOM, DataStructure, Node
 from repro.valuation import Valuation
 
 
@@ -104,6 +105,7 @@ class TestUnion:
             fresh = ds.extend({"a"}, position, [])
             accumulator = ds.union(accumulator, fresh)
         assert ds.check_heap_condition(accumulator)
+        assert ds.check_simple(accumulator)
         assert len(collect_all(ds, accumulator)) == 30
 
     def test_union_depth_stays_logarithmic_under_descending_inserts(self):
@@ -132,24 +134,14 @@ class TestUnion:
         # One copied node per union call, independent of the accumulated size.
         assert ds.union_copies - copies_before == 199
 
-    def test_linked_list_union_depth_is_linear(self):
-        ds = LinkedListUnionStructure(window=10_000)
-        anchor = ds.extend({"z"}, 0, [])
-        accumulator = ds.extend({"a"}, 1, [anchor])
-        count = 64
-        for position in range(2, count + 2):
-            fresh = ds.extend({"a"}, position, [anchor])
-            accumulator = ds.union(accumulator, fresh)
-        assert ds.union_depth(accumulator) >= count // 2
-
     def test_linked_list_union_is_still_correct(self):
-        balanced = DataStructure(window=50)
-        naive = LinkedListUnionStructure(window=50)
-        for ds in (balanced, naive):
+        # (The id predates the removal of the linked-list union ablation; the
+        # union chain is now checked in both node representations.)
+        for ds in (DataStructure(window=50), ArenaDataStructure(window=50, kernel="python")):
             accumulator = ds.extend({"a"}, 0, [])
             for position in range(1, 20):
                 accumulator = ds.union(accumulator, ds.extend({"a"}, position, []))
-            assert collect_all(ds, accumulator) == {
+            assert set(ds.enumerate(accumulator, 19)) == {
                 Valuation({"a": {p}}) for p in range(20)
             }
 
@@ -196,23 +188,10 @@ class TestWindowedEnumeration:
 
 class TestDeepChains:
     """The validation helpers must be iterative: long single-relation streams
-    (especially through the linked-list ablation) build union chains as deep
-    as the stream, which the recursive formulations overflowed at ~1k tuples."""
+    build union chains thousands of unions deep, which the recursive
+    formulations overflowed at ~1k tuples."""
 
     COUNT = 1_500  # > CPython's default recursion limit of 1000
-
-    def _deep_chain(self, ds):
-        accumulator = ds.extend({"a"}, 0, [])
-        for position in range(1, self.COUNT):
-            accumulator = ds.union(accumulator, ds.extend({"a"}, position, []))
-        return accumulator
-
-    def test_linked_list_chain_validations_do_not_overflow(self):
-        ds = LinkedListUnionStructure(window=10 * self.COUNT)
-        accumulator = self._deep_chain(ds)
-        assert ds.union_depth(accumulator) >= self.COUNT // 2
-        assert ds.check_heap_condition(accumulator)
-        assert ds.check_simple(accumulator)
 
     def test_balanced_descending_chain_validations_do_not_overflow(self):
         """Strictly decreasing max_start forces every union to descend, so the
@@ -225,6 +204,7 @@ class TestDeepChains:
             fresh = ds.extend({"a"}, 20_000 + k, [anchors[k]])
             accumulator = ds.union(accumulator, fresh)
         assert ds.check_heap_condition(accumulator)
+        assert ds.check_simple(accumulator)
 
 
 class TestAgainstBruteForce:

@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.datastructure import DataStructure, LinkedListUnionStructure
 from repro.core.evaluation import NotEqualityPredicateError, StreamingEvaluator, evaluate_pcea
 from repro.core.hcq_to_pcea import hcq_to_pcea
 from repro.core.pcea import PCEA, PCEATransition
@@ -92,8 +91,12 @@ class TestStreamingEvaluatorBasics:
             StreamingEvaluator(pcea, window=5)
 
     def test_rejects_mismatched_datastructure_window(self):
-        with pytest.raises(ValueError):
-            StreamingEvaluator(example_pcea_p0(), window=5, datastructure=DataStructure(7))
+        # The engine builds its own DS_w for its window: no structure can be
+        # handed in, so none can disagree with the window.
+        with pytest.raises(TypeError):
+            StreamingEvaluator(example_pcea_p0(), window=5, datastructure=None)
+        for arena in (True, False):
+            assert StreamingEvaluator(example_pcea_p0(), window=5, arena=arena).ds.window == 5
 
     def test_statistics_counters(self):
         evaluator = StreamingEvaluator(example_pcea_p0(), window=10)
@@ -110,7 +113,8 @@ class TestStreamingEvaluatorBasics:
         assert evaluator.stats.transitions_fired == 0
 
     def test_audit_mode_detects_duplicates(self):
-        """An ambiguous PCEA (same valuation via two runs) trips the audit."""
+        """An ambiguous PCEA (same valuation via two runs) reports it twice —
+        what a duplicate-freeness check on the outputs catches."""
         unary = AtomUnaryPredicate(Atom("T", (X,)))
         pcea = PCEA(
             states={"a", "b"},
@@ -120,16 +124,20 @@ class TestStreamingEvaluatorBasics:
             ],
             final={"a", "b"},
         )
-        evaluator = StreamingEvaluator(pcea, window=5, audit=True)
-        with pytest.raises(AssertionError):
-            evaluator.process(Tuple("T", (1,)))
+        evaluator = StreamingEvaluator(pcea, window=5)
+        outputs = evaluator.process(Tuple("T", (1,)))
+        assert outputs == [Valuation({"l": {0}})] * 2
+        assert len(outputs) != len(set(outputs))
 
     def test_linked_list_datastructure_gives_same_outputs(self):
+        # (The id predates the removal of the linked-list union ablation; the
+        # other structure is now the object-graph DS_w, both against the oracle.)
         pcea = example_pcea_p0()
         balanced = StreamingEvaluator(pcea, window=4)
-        naive = StreamingEvaluator(pcea, window=4, datastructure=LinkedListUnionStructure(4))
-        for tup in STREAM_S0:
-            assert set(balanced.process(tup)) == set(naive.process(tup))
+        objects = StreamingEvaluator(pcea, window=4, arena=False)
+        naive = pcea.outputs_upto(STREAM_S0, len(STREAM_S0) - 1, window=4)
+        for position, tup in enumerate(STREAM_S0):
+            assert set(balanced.process(tup)) == set(objects.process(tup)) == naive[position]
 
 
 class TestStreamingAgainstGroundTruth:
@@ -137,25 +145,31 @@ class TestStreamingAgainstGroundTruth:
     @given(streams_strategy(SIGMA0, max_length=9, domain=2), st.integers(min_value=0, max_value=8))
     def test_matches_naive_pcea_with_windows(self, stream, window):
         pcea = hcq_to_pcea(QUERY_Q0)
-        evaluator = StreamingEvaluator(pcea, window=window, audit=True)
+        evaluator = StreamingEvaluator(pcea, window=window)
         for position, tup in enumerate(stream):
-            assert set(evaluator.process(tup)) == pcea.output_at(stream, position, window=window)
+            outputs = evaluator.process(tup)
+            assert len(outputs) == len(set(outputs))
+            assert set(outputs) == pcea.output_at(stream, position, window=window)
 
     @settings(max_examples=20, deadline=None)
     @given(streams_strategy(star_schema(2), max_length=10, domain=2), st.integers(min_value=1, max_value=6))
     def test_star_query_windows(self, stream, window):
         pcea = hcq_to_pcea(star_query(2))
-        evaluator = StreamingEvaluator(pcea, window=window, audit=True)
+        evaluator = StreamingEvaluator(pcea, window=window)
         for position, tup in enumerate(stream):
-            assert set(evaluator.process(tup)) == pcea.output_at(stream, position, window=window)
+            outputs = evaluator.process(tup)
+            assert len(outputs) == len(set(outputs))
+            assert set(outputs) == pcea.output_at(stream, position, window=window)
 
     @settings(max_examples=15, deadline=None)
     @given(streams_strategy(SIGMA0, max_length=10, domain=2))
     def test_example_p0_random_streams(self, stream):
         pcea = example_pcea_p0()
-        evaluator = StreamingEvaluator(pcea, window=len(stream) + 1, audit=True)
+        evaluator = StreamingEvaluator(pcea, window=len(stream) + 1)
         for position, tup in enumerate(stream):
-            assert set(evaluator.process(tup)) == pcea.output_at(stream, position)
+            outputs = evaluator.process(tup)
+            assert len(outputs) == len(set(outputs))
+            assert set(outputs) == pcea.output_at(stream, position)
 
 
 class TestBatchedIngestion:
@@ -221,9 +235,10 @@ class TestBatchedIngestion:
         assert counting.stats.outputs_enumerated == total > 0
 
     def test_audit_mode_batches_through_checked_path(self):
-        evaluator = StreamingEvaluator(example_pcea_p0(), window=10, audit=True)
+        evaluator = StreamingEvaluator(example_pcea_p0(), window=10)
         outputs = evaluator.process_many(STREAM_S0)
         assert sum(len(batch) for batch in outputs) > 0
+        assert all(len(batch) == len(set(batch)) for batch in outputs)
 
     def test_unswept_updates_recovered_by_next_sweeping_update(self):
         # Manual update(sweep=False) calls without a batch sweep must not

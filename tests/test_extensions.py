@@ -154,13 +154,14 @@ class TestGeneralRuntimeParity:
 
     def test_dispatch_index_prunes_irrelevant_relations(self):
         pcea = increasing_price_pcea()
-        indexed = GeneralStreamingEvaluator(pcea, window=10, indexed=True)
-        scanning = GeneralStreamingEvaluator(pcea, window=10, indexed=False)
+        indexed = GeneralStreamingEvaluator(pcea, window=10)
         stream = self._stream(60) + [Tuple("Noise", (1, 2)) for _ in range(60)]
-        for tup in stream:
-            assert indexed.process(tup) == scanning.process(tup)
-        # Candidate pruning: the indexed engine never probed Noise tuples.
-        assert indexed.stats.transitions_scanned < scanning.stats.transitions_scanned
+        naive = pcea.outputs_upto(stream, len(stream) - 1, window=10)
+        for position, tup in enumerate(stream):
+            assert set(indexed.process(tup)) == naive[position]
+        # Candidate pruning: the indexed engine never probed Noise tuples
+        # (one candidate per Buy or Sell tuple, where a full scan reads both).
+        assert indexed.stats.transitions_scanned == 60 < len(stream) * len(pcea.transitions)
 
     def test_live_runs_window_bounded_by_shared_sweep(self):
         pcea = increasing_price_pcea()

@@ -191,10 +191,11 @@ def test_one_automaton_with_several_thresholds_matches_the_naive_oracle(
         StreamingEvaluator(pcea, window, arena=False),
         GeneralStreamingEvaluator(pcea, window),
     ]
-    # The K=1 binding, the automaton's own plans (the general evaluator's)
-    # and the merged index all hold the family, wherever the guard puts it.
+    # The single-query engine's merged index, the automaton's own plans (the
+    # general evaluator's) and the multi engine's index all hold the family,
+    # wherever the guard puts it.
     probe = Tuple("E", (1, 0))
-    plans = [engines[0]._plan_for(probe), engines[2]._plan_for(probe), multi._merged.plan_for(probe)]
+    plans = [engines[0]._merged.plan_for(probe), engines[2]._plan_for(probe), multi._merged.plan_for(probe)]
     kinds = {}
     for constant in set(constants):
         kinds[type(constant) is str] = kinds.get(type(constant) is str, 0) + 1
@@ -355,8 +356,7 @@ def test_the_benchmark_automata_build_no_family():
     ]
     indexes = []
     for pcea in (star, union, *served):
-        index = pcea.dispatch_index()
-        indexes += [index, index.bind(object())]
+        indexes += [pcea.dispatch_index(), StreamingEvaluator(pcea, 512)._merged]
     indexes.append(MergedDispatchIndex([(pcea, pcea.dispatch_index()) for pcea in served]))
     multi = MultiQueryEngine()
     for pcea in served:

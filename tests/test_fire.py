@@ -17,9 +17,10 @@ it consumes (``repro.core.dispatch``).
 * structure guards: the per-probe counter and the arena's fresh-node union
   fast path each live in exactly one module; ``H`` is not keyed by reader and
   ``extend_onto`` exists once per representation; the arena has one layout,
-  no engine takes an ablation knob, the two single-query engines share one
-  body, a plan member's rank has one name, nothing imports ``pickle``, and
-  adaptive dispatch left no residue.
+  no engine takes an ablation knob, there is one hashed engine (the
+  single-query evaluator is its K=1 case) whose ``process`` / ``run`` the
+  general evaluator shares, a plan member's rank has one name, nothing
+  imports ``pickle``, and adaptive dispatch left no residue.
 """
 
 import inspect
@@ -135,13 +136,8 @@ def check_every_engine_against_the_naive_oracle(first, second, stream):
         statistics[arena] = [
             asdict(engine.stats) for engine in (single, general, one, many)
         ]
-        # K=1 multi == single, up to how predicate evaluations are booked.
-        lone, reference = asdict(one.stats), asdict(single.stats)
-        assert (
-            lone.pop("predicate_evaluations") + lone.pop("predicate_cache_hits")
-            == reference["predicate_evaluations"]
-        )
-        assert lone.items() <= reference.items()
+        # The single-query engine is the K=1 multi engine: every counter agrees.
+        assert asdict(one.stats) == asdict(single.stats)
     assert statistics[False] == statistics[True]
 
 
@@ -318,20 +314,25 @@ def test_one_arena_layout_and_no_ablation_knobs():
 
 
 def test_the_single_query_engines_share_one_body():
-    """``StreamingEvaluator`` and ``GeneralStreamingEvaluator`` differ in
-    ``update`` and their own snapshot fields only: every other entry point
-    resolves to one class, and the ring buffers, the single-lane batch
-    driver and the single-query server feed left no residue."""
+    """``StreamingEvaluator`` is the K=1 ``MultiQueryEngine``: its snapshot,
+    restore and batch driver are the engine's.  ``GeneralStreamingEvaluator``
+    shares its ``process`` / ``run`` and differs in ``update``; the ring
+    buffers, the single-lane batch driver, the single-query server feed and
+    the single-lane base class left no residue."""
     def owner(engine, name):
         return next(klass for klass in engine.__mro__ if name in vars(klass))
 
-    for name in ("process", "run", "process_many", "enumerate_outputs", "snapshot", "restore"):
-        assert owner(StreamingEvaluator, name) is owner(GeneralStreamingEvaluator, name), name
-    for hook in ("_snapshot_fields", "_read_fields"):
-        assert owner(StreamingEvaluator, hook) is StreamingEvaluator
-        assert owner(GeneralStreamingEvaluator, hook) is GeneralStreamingEvaluator
+    for name in ("process", "run"):
+        assert getattr(StreamingEvaluator, name) is getattr(GeneralStreamingEvaluator, name), name
+    for name in ("snapshot", "restore", "_fire", "_enumerate", "register"):
+        assert owner(StreamingEvaluator, name) is MultiQueryEngine, name
+    for name in ("update", "process_many", "enumerate_outputs", "snapshot", "restore"):
+        assert owner(GeneralStreamingEvaluator, name) is GeneralStreamingEvaluator, name
     source_root = Path(__file__).resolve().parent.parent / "src"
-    residue = re.compile(r"_SeqRing|ring_capacity|drive_enumerating_batch|live_run_count|SingleEngineFeed")
+    residue = re.compile(
+        r"_SeqRing|ring_capacity|drive_enumerating_batch|live_run_count|SingleEngineFeed"
+        r"|SingleLaneEngine|_snapshot_fields|_read_fields|_adopt_fields"
+    )
     holders = sorted(
         str(path.relative_to(source_root))
         for path in source_root.rglob("*")
@@ -339,6 +340,32 @@ def test_the_single_query_engines_share_one_body():
     )
     assert holders == []
     assert "ring_capacity" not in inspect.signature(GeneralStreamingEvaluator).parameters
+
+
+def test_there_is_one_hashed_engine():
+    """One plan builder, one snapshot kind, one option surface: the
+    single-query evaluator is a ``MultiQueryEngine`` with three options, and
+    the per-automaton binding, the single-lane body, the linked-list union
+    ablation, the ``streaming`` snapshot kind and the CLI's index/eviction
+    switches are gone from the source."""
+    assert issubclass(StreamingEvaluator, MultiQueryEngine)
+    parameters = inspect.signature(StreamingEvaluator).parameters
+    assert list(parameters) == ["pcea", "window", "collect_stats", "arena", "kernel"]
+    assert all(
+        parameters[name].kind is inspect.Parameter.KEYWORD_ONLY
+        for name in ("collect_stats", "arena", "kernel")
+    )
+    assert list(inspect.signature(GeneralStreamingEvaluator).parameters) == [
+        "pcea", "window", "collect_stats", "arena", "kernel"
+    ]
+    source_root = Path(__file__).resolve().parent.parent / "src"
+    gone = re.compile(r'def bind\(|SingleLaneEngine|LinkedListUnionStructure|"streaming"|no-evict|no-index')
+    holders = sorted(
+        str(path.relative_to(source_root))
+        for path in source_root.rglob("*")
+        if path.suffix in (".py", ".c") and gone.search(path.read_text())
+    )
+    assert holders == []
 
 
 def test_a_plan_member_has_one_rank_name():

@@ -37,7 +37,7 @@ def assert_equivalent_on_stream(query, stream, window=None, use_streaming=True, 
     """Check naive-PCEA and Algorithm-1 outputs against the CQ ground truth."""
     pcea = hcq_to_pcea(query)
     evaluator = (
-        StreamingEvaluator(pcea, window if window is not None else len(stream) + 1, audit=True)
+        StreamingEvaluator(pcea, window if window is not None else len(stream) + 1)
         if use_streaming
         else None
     )
@@ -49,7 +49,9 @@ def assert_equivalent_on_stream(query, stream, window=None, use_streaming=True, 
             f"!= {sorted(map(repr, expected))}"
         )
         if evaluator is not None:
-            streaming = set(evaluator.process(tup))
+            outputs = evaluator.process(tup)
+            assert len(outputs) == len(set(outputs)), f"duplicate output at {position}"
+            streaming = set(outputs)
             assert streaming == expected, (
                 f"streaming mismatch at {position}: {sorted(map(repr, streaming))} "
                 f"!= {sorted(map(repr, expected))}"

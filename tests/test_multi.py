@@ -565,6 +565,30 @@ class TestOneStorePerWindow:
             assert triples() - before[3] == 1
         assert stats.transitions_fired == 200
 
+    def test_a_store_s_first_query_forms_its_classes_when_a_second_arrives(self):
+        """A query alone in its store registers no leaf classes; the second
+        query of the store turns the first one's leaf entries into classes
+        in place — the plans keep the very same members and add only the
+        second query's private ones — and the index then equals a
+        from-scratch rebuild."""
+        engine = MultiQueryEngine()
+        engine.register(shared_star(0), window=20)
+        merged = engine._merged
+        assert merged._classes == {}
+        before = {relation: plan.flat() for relation, plan in merged.plans.items()}
+        second = engine._queries[engine.register(shared_star(1), window=20).id]
+        assert engine.dispatch_info()["shared_state_classes"] == 2
+        shared = [e for cls in merged._classes.values() for e in cls.entries]
+        assert shared and all(e.handle is None for e in shared)
+        for relation in ("R2", "R3"):  # the shared arms: their leaf entries are not doubled
+            after = merged.plans[relation].flat()
+            kept = {id(e) for e in before[relation]}
+            assert kept <= {id(e) for e in after}
+            assert all(e.handle is second for e in after if id(e) not in kept)
+        signature = snapshot_codec.dumps(merged.signature())
+        engine._rebuild()
+        assert snapshot_codec.dumps(engine._merged.signature()) == signature
+
     def test_the_engine_builds_a_ds_w_in_one_place(self):
         source_root = Path(__file__).resolve().parent.parent / "src" / "repro" / "multi"
         built = re.compile(r"\b(?:Arena)?DataStructure\(")

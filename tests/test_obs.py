@@ -178,7 +178,7 @@ class TestAttachDetach:
         assert runtime.obs_next == -1
         assert runtime.obs_sweep_sampled is False
         assert runtime.obs_sample_every == 1
-        for name in ("enumerate_outputs", "snapshot", "restore"):
+        for name in ("_enumerate", "enumerate_outputs", "snapshot", "restore"):
             assert name not in engine.__dict__
         assert engine.observer is None
 
@@ -521,8 +521,11 @@ class TestCliObservability:
         text = metrics.read_text()
         assert "# TYPE repro_update_seconds histogram" in text
         assert "repro_stream_position" in text
+        # Every mode reports its DS_w counters and times its enumerations.
+        assert "repro_ds_union_calls" in text
         payload = json.loads(trace.read_text())
-        assert any(event["name"] == "tuple" for event in payload["traceEvents"])
+        names = {event["name"] for event in payload["traceEvents"]}
+        assert {"tuple", "enumeration"} <= names
 
     def test_multi_mode_exports(self, tmp_path):
         metrics = tmp_path / "metrics.prom"
@@ -540,9 +543,11 @@ class TestCliObservability:
         assert code == 0
         assert "# metrics: wrote" in output
         assert "# trace: wrote" in output
-        assert "repro_update_seconds" in metrics.read_text()
+        text = metrics.read_text()
+        assert "repro_update_seconds" in text
+        assert "repro_ds_union_calls" in text
         kinds = {json.loads(line)["kind"] for line in trace.read_text().splitlines()}
-        assert "tuple" in kinds
+        assert {"tuple", "enumeration"} <= kinds
 
     def test_stats_interval_lines(self):
         code, output = self._run_single(

@@ -373,18 +373,23 @@ class TestLaneSubsetSnapshots:
             target.restore(source.snapshot())
 
     def test_adopt_rejects_full_snapshot(self):
-        """Only a multi-engine snapshot restores into the multi engine: a
-        single evaluator's is refused, and a query-subset tree of the removed
-        sharding package is refused by name."""
+        """Only a multi-engine snapshot restores into the multi engine: the
+        single evaluator's old ``streaming`` tree is refused by name, and so
+        is a query-subset tree of the removed sharding package.  A single
+        evaluator writes a ``multi`` tree, which restores into an engine
+        holding the same one query."""
         target, _ = reference_engine(QUERIES[3:])
         single = StreamingEvaluator(hcq_to_pcea(parse_query(QUERIES[3][0])), window=QUERIES[3][1])
         single.process(Tuple("T", (1,)))
         with pytest.raises(SnapshotError, match="cannot restore into 'multi'"):
-            target.restore(single.snapshot())
+            target.restore({**single.snapshot(), "engine": "streaming"})
         partial = {"kind": "multi-partial", "snapshot_version": SNAPSHOT_VERSION, "lanes": []}
         with pytest.raises(SnapshotError, match="repro.shard"):
             target.restore(partial)
         assert target.position == -1 and target.hash_table_size() == 0
+        target.restore(single.snapshot())
+        assert target.position == single.position == 0
+        assert target.snapshot() == single.snapshot()
 
     def test_extract_rejects_stale_handle(self):
         """A departed query is gone from the engine and from its snapshots."""

@@ -15,9 +15,10 @@ Four layers of protection:
   the name of the codec they replaced) and multi-engine handle-id
   continuity across pre-checkpoint churn;
 * verification — restoring into a mismatched engine (different query,
-  window, evict setting, engine kind, or the object-graph structure) must be
-  rejected before any state is touched — as must a version-1 tree (``H``
-  keyed per reading transition), a table numbered by other slots, a
+  window, engine kind, or the object-graph structure) must be rejected
+  before any state is touched — as must a version-1 tree (``H`` keyed per
+  reading transition), a ``streaming`` tree of the single-query engine
+  before it became the K=1 multi engine, a table numbered by other slots, a
   query-subset (``multi-partial``) tree, a tagged-JSON checkpoint of an older
   build, two run stores under one window, a ``--general`` tree whose rings do
   not name exactly its lane table, and arena records whose label id or
@@ -50,7 +51,7 @@ from repro.cq.query import Atom, Variable, parse_query
 from repro.cq.schema import Tuple
 from repro.extensions.general_evaluation import GeneralStreamingEvaluator
 from repro.multi.engine import MultiQueryEngine
-from repro.runtime import SnapshotError
+from repro.runtime import SNAPSHOT_VERSION, SnapshotError
 from repro.runtime import snapshot as snapshot_codec
 from repro.runtime.frames import HEADER_SIZE, MAX_ELEMENTS
 from repro.streams.generators import random_stream
@@ -167,12 +168,28 @@ class TestSingleEngineSnapshot:
                 window=self.WINDOW,
             ).restore(snap)
         with pytest.raises(SnapshotError):
-            self._engine(evict=False).restore(snap)
-        with pytest.raises(SnapshotError):
             general = GeneralStreamingEvaluator(
                 hcq_to_pcea(parse_query(QUERY)), window=self.WINDOW
             )
             general.restore(snap)  # engine-kind mismatch
+
+    def test_a_streaming_tree_is_refused_by_name(self):
+        """A single-query engine writes a ``multi`` tree; the ``streaming``
+        kind of earlier builds — same version number — is refused by name."""
+        engine = self._engine()
+        for tup in sigma0_stream(50, seed=1):
+            engine.process(tup)
+        snap = engine.snapshot()
+        assert snap["engine"] == "multi" and snap["snapshot_version"] == SNAPSHOT_VERSION
+        old = {
+            "snapshot_version": SNAPSHOT_VERSION, "engine": "streaming", "window": self.WINDOW,
+            "evict": True, "lane": snap["lanes"][0], "runtime": snap["runtime"],
+        }
+        fresh = self._engine()
+        untouched = fresh.snapshot()
+        with pytest.raises(SnapshotError, match="'streaming' engine"):
+            fresh.restore(roundtrip(old, "json"))
+        assert fresh.snapshot() == untouched
 
     def test_arena_restore_rejects_wrong_window(self):
         ds = ArenaDataStructure(5)
@@ -437,23 +454,15 @@ class TestVersionOneIsRefused:
                 for item in (lane, (reader, source_id, key), node)
             ]
 
-    def _strip_slots(self, signature):
-        signature["transitions"] = tuple(
-            entry[:3] + (tuple(join[:2] for join in entry[3]),) + entry[4:]
-            for entry in signature["transitions"]
-        )
-        return signature
-
     def test_single_engine_restore(self):
         original = StreamingEvaluator(self._pcea(), window=self.WINDOW)
         for tup in self._stream():
             original.process(tup)
         snap = original.snapshot()
         assert snap["snapshot_version"] == 4 and original.hash_table_size() > 0
-        self._as_version_one(snap["lane"], snap["runtime"]["buckets"], original._dispatch)
-        self._strip_slots(snap["dispatch_signature"])
+        self._as_version_one(snap["lanes"][0], snap["runtime"]["buckets"], original.pcea.dispatch_index())
         snap["snapshot_version"] = 1
-        assert len(snap["lane"]["hash"]) == 2 * original.hash_table_size()  # k-1 readers each
+        assert len(snap["lanes"][0]["hash"]) == 2 * original.hash_table_size()  # k-1 readers each
         fresh = StreamingEvaluator(self._pcea(), window=self.WINDOW)
         with pytest.raises(SnapshotError, match="version 1 is not supported"):
             fresh.restore(roundtrip(snap, "json"))
@@ -504,10 +513,10 @@ class TestVersionOneIsRefused:
             original.process(tup)
         snap = original.snapshot()
         renumbered = roundtrip(snap, "json")
-        renumbered["dispatch_signature"]["transitions"] = tuple(
-            entry[:3] + (tuple(join[:2] + (join[2] + 1,) for join in entry[3]),) + entry[4:]
-            for entry in renumbered["dispatch_signature"]["transitions"]
-        )
+        renumbered["merged_signature"]["joins"] = {
+            token: tuple(join[:2] + (join[2] + 1,) for join in joins)
+            for token, joins in renumbered["merged_signature"]["joins"].items()
+        }
         fresh = StreamingEvaluator(self._pcea(), window=self.WINDOW)
         with pytest.raises(SnapshotError, match="signatures differ"):
             fresh.restore(renumbered)
@@ -641,7 +650,7 @@ class TestUntrustedRecords:
 
     def _tampered(self, kernel, field):
         snap = self._snapshot(kernel)
-        arena = snap["lane"]["ds"]
+        arena = snap["lanes"][0]["ds"]
         slab = next(slab for slab in arena["slabs"] if slab["prods"])
         records = _records_of(slab)
         node = next(index for index in range(slab["count"]) if records[5 * index + 4] >> 32)
@@ -704,11 +713,11 @@ class TestUntrustedRecords:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_slabs_must_tile_the_slots(self, kernel):
         snap = self._snapshot(kernel)
-        assert len(snap["lane"]["ds"]["slabs"]) >= 2
+        assert len(snap["lanes"][0]["ds"]["slabs"]) >= 2
         moved = roundtrip(snap, "json")
-        moved["lane"]["ds"]["slabs"][1]["base"] += 64  # a gap after the first slab
+        moved["lanes"][0]["ds"]["slabs"][1]["base"] += 64  # a gap after the first slab
         shrunk = roundtrip(snap, "json")
-        shrunk["lane"]["ds"]["next_slot"] += 1
+        shrunk["lanes"][0]["ds"]["next_slot"] += 1
         for tampered, reason in ((moved, "slot sequence"), (shrunk, "allocation cursor")):
             with pytest.raises(ValueError, match=reason):
                 self._engine(kernel).restore(tampered)
