@@ -19,8 +19,7 @@ through the
 runs scanned per transition — the engine that also accepts non-equality
 predicates), producing identical matches on equality queries.  All modes
 accept ``--batch-size`` to feed events through the batched ``process_many``
-ingestion path, ``--no-arena`` to swap the arena-backed enumeration structure
-for the object-graph ablation, and ``--stats`` to print an identical
+ingestion path and ``--stats`` to print an identical
 three-line report — unified operation counters, dispatch-index summary, and a
 memory section (``arena_slabs`` / ``arena_live_nodes`` / ``arena_released``)
 mirroring ``hash_entries``/``evicted`` — regardless of the engine mode.
@@ -229,12 +228,6 @@ def _add_engine_arguments(
     parser.add_argument("--quiet", action="store_true", help="print only the final summary")
     if engine:
         parser.add_argument(
-            "--no-arena",
-            action="store_true",
-            help="use the object-graph enumeration structure instead of the arena "
-            "(ablation; no slab reclamation)",
-        )
-        parser.add_argument(
             "--kernel",
             choices=("auto", "python", "native"),
             default=None,
@@ -430,18 +423,10 @@ def run(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO) -> in
     except NotHierarchicalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    conflict = _kernel_conflict(args)
-    if conflict:
-        print(f"error: {conflict}", file=sys.stderr)
-        return 2
     try:
         if getattr(args, "general", False):
             engine = GeneralStreamingEvaluator(
-                pcea,
-                window=args.window,
-                collect_stats=args.stats,
-                arena=not args.no_arena,
-                kernel=args.kernel,
+                pcea, window=args.window, collect_stats=args.stats, kernel=args.kernel
             )
             queries = []
         else:
@@ -456,7 +441,7 @@ def run(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO) -> in
 
 def _multi_engine(args: argparse.Namespace) -> MultiQueryEngine:
     """The engine the single mode, ``multi`` and ``serve`` register into."""
-    return MultiQueryEngine(collect_stats=args.stats, arena=not args.no_arena, kernel=args.kernel)
+    return MultiQueryEngine(collect_stats=args.stats, kernel=args.kernel)
 
 
 def _query_names(texts: Sequence[str], parsed: Sequence) -> List[str]:
@@ -487,15 +472,6 @@ def _drive(args, events, output: TextIO, engine, queries, labelled: bool) -> int
     observability exports.  An engine without handles (``--general``)
     returns one query's outputs as a list.
     """
-    if getattr(args, "checkpoint", None) and args.no_arena:
-        # Fail fast: checkpointing needs the arena-backed structure, and
-        # finding that out only after the whole stream ran would waste it.
-        print(
-            "error: --checkpoint requires the arena-backed enumeration "
-            "structure (drop --no-arena)",
-            file=sys.stderr,
-        )
-        return 2
     try:
         # Attached before registration and restore so their index-patch and
         # restore spans land in the trace.
@@ -567,13 +543,6 @@ def _drive(args, events, output: TextIO, engine, queries, labelled: bool) -> int
     if not _finish_observability(args, observer, output):
         return 2
     return 0
-
-
-def _kernel_conflict(args: argparse.Namespace) -> Optional[str]:
-    """Fail-fast message for --kernel native without the arena."""
-    if getattr(args, "kernel", None) == "native" and args.no_arena:
-        return "--kernel native requires the arena-backed structure (drop --no-arena)"
-    return None
 
 
 def _print_stats(engine, output: TextIO) -> None:
@@ -656,10 +625,6 @@ def run_multi(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO)
     except ValueError as exc:
         print(f"error: cannot register query: {exc}", file=sys.stderr)
         return 2
-    conflict = _kernel_conflict(args)
-    if conflict:
-        print(f"error: {conflict}", file=sys.stderr)
-        return 2
     try:
         engine = _multi_engine(args)
     except ValueError as exc:
@@ -741,10 +706,6 @@ def run_serve(args: argparse.Namespace, output: TextIO) -> int:
 
     from repro.net.server import IngestServer
 
-    conflict = _kernel_conflict(args)
-    if conflict:
-        print(f"error: {conflict}", file=sys.stderr)
-        return 2
     observer = None
     sample = getattr(args, "trace_sample", None)
     if args.metrics_file or args.trace or sample is not None:

@@ -341,23 +341,6 @@ class PlanIndex:
         fanout["*"] = self.wildcard_plan.total
         return fanout
 
-    def _layout(self) -> Dict[str, float]:
-        """The ``describe()`` keys that only depend on the stored plans."""
-        sizes = [plan.total for plan in self.plans.values()]
-        wildcards = self.wildcard_plan.total
-        return {
-            "relations": float(len(self.plans)),
-            "wildcard_transitions": float(wildcards),
-            "max_candidates": float(max(sizes, default=wildcards)),
-            "mean_candidates": float(sum(sizes) / len(sizes)) if sizes else float(wildcards),
-            "guard_values": float(
-                sum(len(by_value) for _, positions in self.guarded.values() for _, by_value in positions)
-            ),
-            # A family's groups share a base, hence a guard: splitting a
-            # relation by guard value moves its families whole.
-            "threshold_families": float(sum(len(plan.families) for plan in self.plans.values())),
-        }
-
 
 class CompiledTransition:
     """A transition flattened for the per-tuple hot loop.
@@ -557,9 +540,10 @@ class TransitionDispatchIndex(PlanIndex):
             c.store_through = not c.joins and not c.is_final and len(c.consumers) == 1
 
     def __getattr__(self, name: str):
-        # The index's own plans are built on first read: the hashed engine
-        # never reads them (it merges the transitions under its stores
-        # instead), and grouping hashes every canonical predicate key.
+        # The index's own plans are built on first read: no engine reads
+        # them (the engine merges the transitions under its stores instead;
+        # ``candidates_for`` serves tests and benchmarks), and grouping
+        # hashes every canonical predicate key.
         if name not in ("plans", "guarded", "wildcard_plan"):
             raise AttributeError(name)
         PlanIndex.__init__(self)
@@ -581,17 +565,9 @@ class TransitionDispatchIndex(PlanIndex):
         return state_id
 
     # ----------------------------------------------------------------- lookups
-    def candidates(self, relation: str) -> Tup[CompiledTransition, ...]:
-        """Transitions whose unary predicate may accept a tuple of ``relation``."""
-        return self.plans.get(relation, self.wildcard_plan).flat()
-
     def consumers_by_id(self, state_id: int) -> Tup[Tup[int, object], ...]:
         """The state's ``(slot, left-key extractor)`` pairs, one per left key plan read through."""
         return self._consumers.get(state_id, ())
-
-    def consumers(self, state: State) -> Tup[Tup[int, object], ...]:
-        """Like :meth:`consumers_by_id`, addressed by the original state."""
-        return self._consumers.get(self.state_ids.get(state), ())
 
     def all_transitions(self) -> Tup[CompiledTransition, ...]:
         return self._all
@@ -634,13 +610,13 @@ class TransitionDispatchIndex(PlanIndex):
     def signature(self) -> Dict[str, object]:
         """A canonical structural summary of the compiled automaton.
 
-        The single-engine counterpart of
+        The per-automaton counterpart of
         :meth:`~repro.multi.merged_index.MergedDispatchIndex.signature`: two
         indexes compiled from the same transition list and final-state set
-        have equal signatures.  The snapshot protocol stores it (run through
-        :func:`~repro.runtime.snapshot.stable_signature`) so a checkpoint
-        can only be restored into an engine evaluating the same query —
-        including the *binary* join predicates, via
+        have equal signatures.  The general evaluator's snapshots store it
+        (run through :func:`~repro.runtime.snapshot.stable_signature`) so a
+        checkpoint can only be restored into an engine evaluating the same
+        query — including the *binary* join predicates, via
         :func:`join_signature` (two automata differing only in a join
         position must not verify as equal), which also carries the slot
         table: ``(source id, join descriptor) -> slot``.
@@ -661,42 +637,3 @@ class TransitionDispatchIndex(PlanIndex):
             "finals": tuple(sorted((repr(state) for state in self.final))),
             "indexed": self.indexed,
         }
-
-    def describe(self) -> Dict[str, float]:
-        """Summary statistics for benchmark / CLI reporting.
-
-        The key set matches ``MergedDispatchIndex.describe`` (``queries`` is
-        always 1 here; ``predicate_groups`` count distinct canonical unary
-        keys within the automaton) so the CLI ``--stats`` dispatch line is
-        identical across engine modes.
-        """
-        guarded = sum(1 for c in self._all if c.guard is not None)
-        key_counts: Dict[Hashable, int] = {}
-        for c in self._all:
-            key_counts[c.pred_key] = key_counts.get(c.pred_key, 0) + 1
-        return {
-            "queries": 1.0,
-            "transitions": float(len(self._all)),
-            "predicate_groups": float(len(key_counts)),
-            "shared_predicate_groups": float(
-                sum(1 for count in key_counts.values() if count > 1)
-            ),
-            "guarded_transitions": float(guarded),
-            # A single-automaton index is built once and never patched; the
-            # keys exist so the merged index's describe() stays key-identical.
-            "patched_adds": 0.0,
-            "patched_removes": 0.0,
-            # One automaton, one store: every state is a class of its own.
-            "stores": 1.0,
-            "state_classes": float(len(self.state_ids)),
-            "shared_state_classes": 0.0,
-            **self._layout(),
-        }
-
-    def __repr__(self) -> str:
-        info = self.describe()
-        return (
-            f"TransitionDispatchIndex(|Δ|={int(info['transitions'])}, "
-            f"relations={int(info['relations'])}, "
-            f"wildcards={int(info['wildcard_transitions'])})"
-        )

@@ -71,11 +71,12 @@ class StreamingEvaluator(MultiQueryEngine):
     """Algorithm 1: streaming evaluation of one PCEA under a sliding window.
 
     A :class:`~repro.multi.engine.MultiQueryEngine` holding exactly one query
-    — ``pcea`` under ``window`` — registered at construction (which raises
-    :class:`NotEqualityPredicateError` for a join outside ``B_eq``); its
-    snapshots are ``multi`` trees, restorable into any engine that registered
-    the same query with the same window.  The single-query calls below return
-    that query's outputs only.
+    — ``pcea`` under ``window`` — registered at construction (whose admission
+    step raises :class:`NotEqualityPredicateError` for a join outside
+    ``B_eq``); its snapshots are ``multi`` trees, restorable into any engine
+    that registered the same query with the same window.  The single-query
+    calls below return that query's outputs only; the general evaluator
+    (:mod:`repro.extensions.general_evaluation`) inherits them all.
 
     Parameters
     ----------

@@ -17,19 +17,21 @@ Algorithm 1 whenever both apply.
 
 Runtime parity
 --------------
-Only the update phase differs from Algorithm 1's engine, which is the K=1
-case of :class:`~repro.multi.engine.MultiQueryEngine`
-(:class:`~repro.core.evaluation.StreamingEvaluator`).  This engine owns one
-``DS_w`` and one :class:`~repro.runtime.EvictionLane` on the shared
-:class:`~repro.runtime.StreamRuntime`, and keeps the single-query call shape
-(``process`` / ``run`` / ``process_many`` / ``update`` /
-``enumerate_outputs``):
+Only the update phase differs from Algorithm 1, so the evaluator *is*
+:class:`~repro.core.evaluation.StreamingEvaluator` — the K=1 case of
+:class:`~repro.multi.engine.MultiQueryEngine` — with one method swapped:
+``_fire`` scans where the hashed engine probes ``H``.  Everything else is the
+hashed engine's code: the store (one ``DS_w`` and one
+:class:`~repro.runtime.EvictionLane` on the shared
+:class:`~repro.runtime.StreamRuntime`), the plan lookup through the merged
+index, the statistics booking (one ``predicate_evaluations`` per predicate
+group or threshold family), ``process`` / ``run`` / ``process_many`` /
+``update`` / ``enumerate_outputs``, and every introspection surface.  Two
+things are its own: the admission step, which accepts any binary predicate
+(the scan only calls ``holds``) for its one automaton, and the snapshot
+kind, ``general``.
 
-* **dispatch** — transitions are probed through the compile-once
-  :class:`~repro.core.dispatch.TransitionDispatchIndex`, so tuples of
-  irrelevant relations cost one dict lookup instead of ``O(|Δ|)`` predicate
-  evaluations;
-* **eviction** — live runs are stored in the lane's table keyed by
+* **eviction** — live runs are stored in the store's table keyed by
   ``(source state id, sequence number)`` with the run's newest position as
   the expiry anchor, and reclaimed by the runtime's shared bucket sweep: a
   run whose newest tuple is older than ``w`` can never contribute an
@@ -37,47 +39,40 @@ case of :class:`~repro.multi.engine.MultiQueryEngine`
   ``min(ν) >= i - w`` and ``min(ν) <=`` every position of the run.  The scan
   re-checks ``ds.expired`` before using a stored node: a run's node can fall
   out of the window before the run's anchor does, and a batched sweep
-  reclaims late;
-* **statistics / memory** — ``collect_stats`` / ``memory_info`` /
-  ``dispatch_info`` are the other engines' (the CLI ``--stats`` output has
-  the same shape in every mode).
+  reclaims late.
 
 Per-state run dicts
 -------------------
 The scan reads a source state's live runs from one insertion-ordered dict per
-state, ``seq -> (stored tuple, node)`` (the pair the lane table holds).  Runs
-of one state die in insertion order — each ``(state, seq)`` entry is stored
-once with its stream position as the expiry anchor, positions only grow, and
-the sweep pops expiry buckets in position order — so a dict keeps them oldest
-first with nothing to compact: the sweep's ``on_evict`` hook pops each
-evicted run from its state's dict, the scan never meets a dead entry, and the
-dicts hold exactly the lane table.  A snapshot writes each dict's sequence
-numbers (the ``rings`` section, empty states included); restore rebuilds the
-dicts from the lane table and refuses a snapshot whose rings do not name
-exactly that table's runs.
+state, ``seq -> (stored tuple, node)`` (the pair the store's table holds).
+Runs of one state die in insertion order — each ``(state, seq)`` entry is
+stored once with its stream position as the expiry anchor, positions only
+grow, and the sweep pops expiry buckets in position order — so a dict keeps
+them oldest first with nothing to compact: the sweep's ``on_evict`` hook pops
+each evicted run from its state's dict, the scan never meets a dead entry,
+and the dicts hold exactly the store's table.  A snapshot writes each dict's
+sequence numbers (the ``rings`` section, empty states included); restore
+rebuilds the dicts from the table and refuses a snapshot whose rings do not
+name exactly that table's runs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple as Tup
+from typing import Dict, List, Optional, Tuple as Tup
 
-from repro.core.arena import ArenaDataStructure
-from repro.core.datastructure import DataStructure
 from repro.core.dispatch import member_order
 from repro.core.evaluation import NodeRef, StreamingEvaluator
 from repro.core.pcea import PCEA
 from repro.cq.schema import Tuple
-from repro.runtime import EvictionLane, RuntimeBackedEngine, StreamRuntime
 from repro.runtime.snapshot import (
     SNAPSHOT_VERSION,
     SnapshotError,
     check_snapshot_header,
     stable_signature,
 )
-from repro.valuation import Valuation
 
 
-class GeneralStreamingEvaluator(RuntimeBackedEngine):
+class GeneralStreamingEvaluator(StreamingEvaluator):
     """Sliding-window evaluation of a PCEA whose predicates may be arbitrary.
 
     Parameters
@@ -90,18 +85,9 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
     collect_stats:
         With ``False`` the per-tuple operation counters are skipped.  The
         ``nodes_scanned`` attribute (the engine's signature linear-in-data
-        cost) is maintained regardless, as it always was.
-    arena:
-        With ``True`` (default) partial runs live in the arena-backed
-        :class:`~repro.core.arena.ArenaDataStructure`; the shared eviction
-        sweep additionally releases expired slabs, so the enumeration
-        structure is window-bounded here too.  ``False`` restores the
-        object-graph ``DS_w``.
-    kernel:
-        Record-operation backend for the arena hot path (``"python"`` /
-        ``"native"`` / ``"auto"``; ``None`` defers to ``REPRO_KERNEL`` then
-        auto-detection — :mod:`repro.core.kernel`).  Ignored with
-        ``arena=False``.
+        cost) is maintained regardless.
+    arena, kernel:
+        As on :class:`~repro.core.evaluation.StreamingEvaluator`.
     """
 
     def __init__(
@@ -113,91 +99,47 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
         arena: bool = True,
         kernel: Optional[str] = None,
     ) -> None:
-        self.pcea = pcea
-        self.window = window
-        self.ds = ArenaDataStructure(window, kernel=kernel) if arena else DataStructure(window)
-        self._runtime = StreamRuntime()
-        self._runtime.count_stats = self._count_stats = collect_stats
-        self._lane = self._runtime.add_lane(EvictionLane(window, self.ds))
-        self._hash = self._lane.hash
-        self._dispatch = pcea.dispatch_index()
-        # The lane table maps (source state id, sequence number) to
-        # ``((stored tuple, node), stored position)`` — the pair's second
-        # element is the expiry anchor the shared sweep checks, so a run is
-        # reclaimed exactly when its newest position leaves the window.
-        # ``_runs`` indexes the same runs per state (module docstring).
+        # ``_runs`` indexes the store's runs per state (module docstring).
         self._runs: Dict[int, Dict[int, Tup[Tuple, NodeRef]]] = {}
         self._next_seq = 0
-        self._lane.on_evict = self._on_evict
         self.nodes_scanned = 0
-        self._plan_for = self._dispatch.plan_for
+        super().__init__(pcea, window, collect_stats=collect_stats, arena=arena, kernel=kernel)
+        self._query.store.on_evict = self._on_evict
+
+    def _admissible(self, pcea: PCEA) -> PCEA:
+        """Any binary predicate is admitted — the scan only calls ``holds`` —
+        but only the one automaton: ``_runs`` is keyed by its state ids."""
+        if self._queries:
+            raise ValueError("a general evaluator evaluates exactly one automaton")
+        return pcea
 
     def _on_evict(self, key: Tup[int, int]) -> None:
         """Sweep hook: the run the sweep evicted leaves its state's dict."""
         self._runs[key[0]].pop(key[1])
 
-    # -------------------------------------------------------------- main loop
-    # One body with Algorithm 1's engine: ``process`` through ``update`` and
-    # ``enumerate_outputs``, ``run`` through ``process``.
-    run = StreamingEvaluator.run
-    process = StreamingEvaluator.process
-
-    def process_many(self, tuples: Sequence[Tuple]) -> List[List[Valuation]]:
-        """Batched ingestion: exactly ``[self.process(t) for t in tuples]``,
-        with one eviction sweep for the batch."""
-        update = self.update
-        enumerate_node = self.ds.enumerate
-        runtime = self._runtime
-        count_stats = self._count_stats
-
-        def step(tup: Tuple) -> List[Valuation]:
-            final_nodes = update(tup, sweep=False)
-            if not final_nodes:
-                return []
-            position = runtime.position
-            outputs: List[Valuation] = []
-            for node in final_nodes:
-                outputs.extend(enumerate_node(node, position))
-            if count_stats:
-                runtime.stats.outputs_enumerated += len(outputs)
-            return outputs
-
-        return runtime.drive_batch(tuples, step)
-
-    def enumerate_outputs(self, final_nodes: Sequence[NodeRef]) -> Iterator[Valuation]:
-        """Enumerate the outputs represented by the final-state nodes."""
-        position = self.position
-        outputs: List[Valuation] = []
-        for node in final_nodes:
-            outputs.extend(self.ds.enumerate(node, position))
-        if self._count_stats:
-            self._runtime.stats.outputs_enumerated += len(outputs)
-        return iter(outputs)
-
     # ------------------------------------------------------------ update phase
-    def update(self, tup: Tuple, sweep: bool = True) -> List[NodeRef]:
+    def _fire(self, tup: Tuple, sweep: bool) -> Optional[Dict[object, List[NodeRef]]]:
+        """The update phase of one tuple, scanning live runs instead of probing
+        ``H``: ``{query: final-state nodes}``, or ``None`` when none was reached."""
         runtime = self._runtime
         position = runtime.advance()
         if sweep:
             runtime.sweep(position)
-        ds = self.ds
-        ds_expired = ds.expired
-        all_runs = self._runs
-        created: List[Tup[int, bool, NodeRef]] = []
-        scanned = 0
-        # One unary per predicate group (all members are pred_key-equal, so
-        # the group verdict is each member's verdict), then the held
-        # members' run scans in canonical transition order.  The scans read
-        # only state stored by *previous* tuples, so deciding all verdicts up
-        # front cannot change any scan's view — ``created`` (and hence node
-        # allocation, storage and snapshots) does not depend on plan order.
-        plan = self._plan_for(tup)
+        plan = self._merged.plan_for(tup)
         stats = None
         if self._count_stats:
             stats = runtime.stats
+            evaluated = len(plan.groups) + len(plan.families)
             stats.tuples_processed += 1
             stats.transitions_scanned += plan.total
-            stats.predicate_evaluations += plan.total
+            stats.predicate_evaluations += evaluated
+            stats.predicate_cache_hits += plan.total - evaluated
+        # One unary per predicate group, one bisect per threshold family, then
+        # the held members' run scans in canonical transition order (for K=1
+        # a member's index is its transition's).  The scans read only state
+        # stored by *previous* tuples, so deciding all verdicts up front
+        # cannot change any scan's view — ``created`` (and hence node
+        # allocation, storage and snapshots) does not depend on plan order.
         held: List = []
         for group in plan.groups:
             if group.accepts(tup):
@@ -206,7 +148,14 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
             held.extend(family.held(tup).members)
         if len(held) > 1:
             held.sort(key=member_order)
-        for compiled in held:
+        store = self._query.store
+        ds = store.ds
+        ds_expired = ds.expired
+        all_runs = self._runs
+        created: List[Tup[int, bool, NodeRef]] = []
+        scanned = 0
+        for member in held:
+            compiled = member.compiled
             if not compiled.joins:  # initial transition: no sources to join
                 node = ds.extend(compiled.labels, position, [])
                 if stats is not None:
@@ -254,41 +203,41 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
         self.nodes_scanned += scanned
         if stats is not None:
             stats.hash_lookups += scanned
+        if not created:
+            return None
 
-        # Store the new runs: lane table + per-state dict + one shared
+        # Store the new runs: store table + per-state dict + one shared
         # expiry-bucket registration each (newest position anchors the
         # expiry; the flat-triple protocol is StreamRuntime.register_entry,
         # inlined).
         final_nodes: List[NodeRef] = []
-        if created:
-            lane = self._lane
-            lane_id = lane.lane_id
-            hash_table = self._hash
-            buckets = runtime.buckets
-            add_ref = lane.add_ref
-            expiry_position = position + self.window + 1
-            expiry = buckets.get(expiry_position)
-            if expiry is None:
-                expiry = buckets[expiry_position] = []
-            for state_id, is_final, node in created:
-                seq = self._next_seq
-                self._next_seq = seq + 1
-                key = (state_id, seq)
-                run = (tup, node)
-                hash_table[key] = (run, position)
-                if stats is not None:
-                    stats.hash_updates += 1
-                runs = all_runs.get(state_id)
-                if runs is None:
-                    runs = all_runs[state_id] = {}
-                runs[seq] = run
-                expiry.append(lane_id)
-                expiry.append(key)
-                expiry.append(node)
-                add_ref(node)
-                if is_final:
-                    final_nodes.append(node)
-        return final_nodes
+        lane_id = store.lane_id
+        hash_table = store.hash
+        buckets = runtime.buckets
+        add_ref = store.add_ref
+        expiry_position = position + store.window + 1
+        expiry = buckets.get(expiry_position)
+        if expiry is None:
+            expiry = buckets[expiry_position] = []
+        for state_id, is_final, node in created:
+            seq = self._next_seq
+            self._next_seq = seq + 1
+            key = (state_id, seq)
+            run = (tup, node)
+            hash_table[key] = (run, position)
+            if stats is not None:
+                stats.hash_updates += 1
+            runs = all_runs.get(state_id)
+            if runs is None:
+                runs = all_runs[state_id] = {}
+            runs[seq] = run
+            expiry.append(lane_id)
+            expiry.append(key)
+            expiry.append(node)
+            add_ref(node)
+            if is_final:
+                final_nodes.append(node)
+        return {self._query: final_nodes} if final_nodes else None
 
     # ------------------------------------------------------- snapshot protocol
     def snapshot(self) -> Dict[str, object]:
@@ -300,14 +249,14 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
         processing continues bit-identically.  ``rings`` lists each state's
         live runs oldest first (module docstring).
         """
-        lane = self._lane
+        store = self._query.store
         return {
             "snapshot_version": SNAPSHOT_VERSION,
             "engine": "general",
             "window": self.window,
-            "dispatch_signature": stable_signature(self._dispatch.signature()),
-            "runtime": self._runtime.snapshot({lane.lane_id: 0}),
-            "lane": lane.snapshot(),
+            "dispatch_signature": stable_signature(self._query.dispatch.signature()),
+            "runtime": self._runtime.snapshot({store.lane_id: 0}),
+            "lane": store.snapshot(),
             "rings": {state_id: list(runs) for state_id, runs in self._runs.items()},
             "next_seq": self._next_seq,
             "nodes_scanned": self.nodes_scanned,
@@ -320,7 +269,7 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
         window (and with ``arena=True``); everything else — position, stored
         runs, arena slabs, expiry buckets, statistics — is replaced.  Every
         section is read and checked before anything is: the rings must name
-        exactly the lane table's runs.
+        exactly the store table's runs.
         """
         check_snapshot_header(snapshot, "general")
         if snapshot["window"] != self.window:
@@ -328,7 +277,7 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
                 f"snapshot was taken with window {snapshot['window']}, "
                 f"this engine has window {self.window}"
             )
-        if stable_signature(self._dispatch.signature()) != snapshot["dispatch_signature"]:
+        if stable_signature(self._query.dispatch.signature()) != snapshot["dispatch_signature"]:
             raise SnapshotError(
                 "snapshot was taken from an engine with a different automaton "
                 "(dispatch-index signatures differ)"
@@ -354,16 +303,11 @@ class GeneralStreamingEvaluator(RuntimeBackedEngine):
                 state_runs[seq] = entry[0]
         if sum(map(len, runs.values())) != len(table):
             raise SnapshotError("the snapshot's lane table holds runs its rings do not name")
-        self._lane.restore(lane_snap)
-        self._runtime.restore(runtime_snap, [self._lane])
+        store = self._query.store
+        store.restore(lane_snap)
+        self._runtime.restore(runtime_snap, [store])
         self._runs, self._next_seq, self.nodes_scanned = runs, next_seq, nodes_scanned
 
-    # ------------------------------------------------------------ introspection
-    # (hash_table_size / memory_info / dispatch_info / observe come from
-    # RuntimeBackedEngine; this hook points them at the automaton's index.)
-    def _dispatch_source(self):
-        return self._dispatch
-
     def reset_statistics(self) -> None:
-        self._runtime.reset_statistics()
+        super().reset_statistics()
         self.nodes_scanned = 0

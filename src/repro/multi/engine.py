@@ -24,11 +24,16 @@ have in common is done once:
   arrived in, which a query that joined later has not seen, so sharing them
   waits for a canonical union order;
 * **one eviction sweep** through the shared
-  :class:`~repro.runtime.StreamRuntime` — the same runtime the general
-  evaluator runs with its one store — so the expiry-bucket map (keyed by the
-  global position at which an entry expires, ``max_start + window + 1``),
+  :class:`~repro.runtime.StreamRuntime`, so the expiry-bucket map (keyed by
+  the global position at which an entry expires, ``max_start + window + 1``),
   the bucket-pop sweep, the batched catch-up sweep and the periodic arena
   release pass exist in exactly one place and cover every store at once.
+
+This is the only engine class.  The single-query evaluator is its K=1 case,
+and :class:`~repro.extensions.general_evaluation.GeneralStreamingEvaluator`
+is that K=1 case with its update phase swapped — its :meth:`_fire` scans
+live runs where this class probes ``H`` — plus its own admission step
+(:meth:`_admissible`: joins outside ``B_eq`` are accepted) and snapshot kind.
 
 Registration changes patch the merged index incrementally
 (:meth:`MergedDispatchIndex.add_query` / ``remove_query``): registering a
@@ -46,21 +51,18 @@ are cut at ``max(position - window, p)`` instead of ``position - window``.
 
 from __future__ import annotations
 
+import dataclasses
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.arena import ArenaDataStructure
-from repro.core.kernel import resolve_kernel
+from repro.core.kernel import backend_info, resolve_kernel
 from repro.core.datastructure import DataStructure
+from repro.core.pcea import PCEA, NotEqualityPredicateError
 from repro.cq.schema import Tuple
 from repro.multi.merged_index import MergedDispatchIndex
-from repro.multi.registry import QueryHandle, QueryRegistry, QuerySpec
-from repro.runtime import (
-    EvictionLane,
-    RuntimeBackedEngine,
-    StreamRuntime,
-    fire,
-)
+from repro.multi.registry import QueryHandle, QueryRegistry, QuerySpec, compile_query
+from repro.runtime import EngineStatistics, EvictionLane, StreamRuntime, fire
 from repro.runtime.snapshot import (
     SNAPSHOT_VERSION,
     SnapshotError,
@@ -101,7 +103,7 @@ class _Registered:
         self.slots: Optional[tuple] = None
 
 
-class MultiQueryEngine(RuntimeBackedEngine):
+class MultiQueryEngine:
     """Evaluate many registered patterns over one stream in a single pass.
 
     Parameters
@@ -127,7 +129,17 @@ class MultiQueryEngine(RuntimeBackedEngine):
         Resolved once at construction so every store — including those
         opened mid-stream — runs the same backend; ignored with
         ``arena=False``.
+
+    Registration admits only automata whose joins are equality predicates
+    (``B_eq``, Algorithm 1's hypothesis): :meth:`_admissible` refuses any
+    other with :class:`~repro.core.pcea.NotEqualityPredicateError`, before
+    the registry is touched.  ``position`` and the counters are settable
+    because the differential tests reseat reference engines mid-stream
+    (``engine.position = p - 1``) and benchmarks reset counters.
     """
+
+    #: The attached :class:`repro.obs.Observer` (set on the instance by ``attach``).
+    _observer = None
 
     def __init__(
         self,
@@ -151,6 +163,7 @@ class MultiQueryEngine(RuntimeBackedEngine):
         self._merged = MergedDispatchIndex(())
         if registry is not None:
             for entry in registry.entries():
+                self._admissible(entry.pcea)
                 self._index(self._admit(entry))
 
     # ----------------------------------------------------------------- stores
@@ -202,11 +215,21 @@ class MultiQueryEngine(RuntimeBackedEngine):
         return [self._queries[entry.handle.id] for entry in self.registry.entries()]
 
     # ----------------------------------------------------------- registration
+    def _admissible(self, pcea: PCEA) -> PCEA:
+        """The admission step: ``H`` is keyed by equality join keys, so an
+        automaton with a join outside ``B_eq`` is refused."""
+        if not pcea.uses_only_equality_predicates():
+            raise NotEqualityPredicateError(
+                "registered queries must compile to equality-predicate PCEA "
+                "(Algorithm 1's hypothesis)"
+            )
+        return pcea
+
     def register(
         self, query: QuerySpec, window: int, name: Optional[str] = None
     ) -> QueryHandle:
         """Register a query mid-stream; it starts observing at the next tuple."""
-        handle = self.registry.register(query, window, name)
+        handle = self.registry.register(self._admissible(compile_query(query)), window, name)
         registered = self._admit(self.registry.get(handle))
         observer = self._observer
         start = perf_counter() if observer is not None else 0.0
@@ -463,13 +486,125 @@ class MultiQueryEngine(RuntimeBackedEngine):
         self._runtime.restore(runtime_snap, stores)
 
     # ------------------------------------------------------------ introspection
-    # (hash_table_size / memory_info / dispatch_info / observe come from
-    # RuntimeBackedEngine; this hook points them at the merged index.)
-    def _dispatch_source(self):
-        return self._merged
+    @property
+    def position(self) -> int:
+        """Current global stream position (owned by the shared runtime)."""
+        return self._runtime.position
+
+    @position.setter
+    def position(self, value: int) -> None:
+        self._runtime.position = value
+
+    @property
+    def evicted(self) -> int:
+        """Entries reclaimed by the shared eviction sweep so far."""
+        return self._runtime.evicted
+
+    @evicted.setter
+    def evicted(self, value: int) -> None:
+        self._runtime.evicted = value
+
+    @property
+    def stats(self) -> EngineStatistics:
+        return self._runtime.stats
+
+    @stats.setter
+    def stats(self, value: EngineStatistics) -> None:
+        self._runtime.stats = value
+
+    @property
+    def _expiry_buckets(self) -> Dict[int, List[object]]:
+        return self._runtime.buckets
 
     def reset_statistics(self) -> None:
         self._runtime.reset_statistics()
+
+    def memory_info(self) -> Dict[str, int]:
+        """Enumeration-structure occupancy aggregated across the stores."""
+        return self._runtime.memory_info()
+
+    def hash_table_size(self) -> int:
+        """Total entries across the stores' run-index tables."""
+        return self._runtime.hash_table_size()
+
+    def kernel_info(self) -> Dict[str, object]:
+        """Which record-operation backend this engine's hot path runs.
+
+        :func:`repro.core.kernel.backend_info` (what the process *can* run)
+        plus ``"active"`` — the backend resolved at construction, which every
+        store runs (``"python"`` / ``"native"``), or ``"object"`` for the
+        object-graph structure (``arena=False``).
+        """
+        info = backend_info()
+        info["active"] = self._kernel or "object"
+        return info
+
+    def dispatch_info(self) -> Dict[str, float]:
+        """Merged-index layout/sharing statistics (the CLI ``--stats`` dispatch line)."""
+        return self._merged.describe()
+
+    def relation_fanout(self) -> Dict[str, int]:
+        """Per-relation candidate fan-out (``"*"`` = wildcard fallback)."""
+        return self._merged.relation_fanout()
+
+    def observe(self) -> Dict[str, object]:
+        """One point-in-time snapshot of every introspection surface.
+
+        Folds ``stats`` / ``dispatch_info`` / ``memory_info`` /
+        ``kernel_info`` (plus the cursor counters and the enumeration-structure
+        counters summed over the engine's stores) into a single dict —
+        the one shape the :meth:`repro.obs.Observer.observe_engine` gauge
+        refresh, the CLI ``--stats`` lines and the tests consume.
+        """
+        runtime = self._runtime
+        snapshot: Dict[str, object] = {
+            "engine": type(self).__name__,
+            "position": runtime.position,
+            "hash_entries": runtime.hash_table_size(),
+            "evicted": runtime.evicted,
+            "stats": dataclasses.asdict(runtime.stats),
+            "dispatch": self.dispatch_info(),
+            "fanout": self.relation_fanout(),
+            "memory": self.memory_info(),
+            "kernel": self.kernel_info(),
+        }
+        structures = [lane.ds for lane in runtime.lanes() if hasattr(lane.ds, "nodes_created")]
+        if structures:
+            snapshot["ds"] = {
+                field: sum(getattr(ds, field, 0) for ds in structures)
+                for field in ("nodes_created", "union_calls", "union_copies")
+            }
+        return snapshot
+
+    def ingest_batch(self, tuples: Sequence[object]):
+        """The network front end's batch-drain hook.
+
+        Returns ``(base_position, outputs)`` where ``outputs`` is whatever
+        :meth:`process_many` produces and ``base_position`` is the stream
+        position of the batch's first tuple — so a caller that did not count
+        tuples itself (the ingest server coalescing frames from many
+        connections) can stamp every output with its global position.
+        ``tuples`` may be a :class:`~repro.runtime.SparseBatch`: ``outputs[i]``
+        then belongs to position ``base_position + tuples.offsets[i]``, and
+        the positions it leaves out are crossed without building their tuples.
+        """
+        base = self._runtime.position + 1
+        return base, self.process_many(tuples)
+
+    def attach_observer(self, observer) -> None:
+        """Attach a :class:`repro.obs.Observer` (see its ``attach``)."""
+        observer.attach(self)
+
+    def detach_observer(self) -> None:
+        """Detach the current observer, if any (restores the plain hot path)."""
+        observer = self._observer
+        if observer is not None:
+            observer.detach(self)
+
+    @property
+    def observer(self):
+        """The attached :class:`repro.obs.Observer`, or ``None``."""
+        return self._observer
 
     def __repr__(self) -> str:
         return (

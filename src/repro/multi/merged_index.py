@@ -494,6 +494,8 @@ class MergedDispatchIndex(PlanIndex):
         queries (``transitions`` still counts per query, shared or not).
         """
         members = self._by_owner.values()
+        sizes = [plan.total for plan in self.plans.values()]
+        wildcards = self.wildcard_plan.total
         return {
             "queries": float(len(members)),
             "transitions": float(self._size),
@@ -514,7 +516,16 @@ class MergedDispatchIndex(PlanIndex):
             "shared_state_classes": float(
                 sum(1 for cls in self._classes.values() if len(cls.users) > 1)
             ),
-            **self._layout(),
+            "relations": float(len(self.plans)),
+            "wildcard_transitions": float(wildcards),
+            "max_candidates": float(max(sizes, default=wildcards)),
+            "mean_candidates": float(sum(sizes) / len(sizes)) if sizes else float(wildcards),
+            "guard_values": float(
+                sum(len(by_value) for _, positions in self.guarded.values() for _, by_value in positions)
+            ),
+            # A family's groups share a base, hence a guard: splitting a
+            # relation by guard value moves its families whole.
+            "threshold_families": float(sum(len(plan.families) for plan in self.plans.values())),
         }
 
     def __repr__(self) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from repro.core.hcq_to_pcea import hcq_to_pcea
-from repro.core.pcea import PCEA, NotEqualityPredicateError
+from repro.core.pcea import PCEA
 from repro.cq.hierarchical import NotHierarchicalError, is_hierarchical
 from repro.cq.query import ConjunctiveQuery, parse_query
 from repro.engine.compiler import compile_pattern
@@ -59,8 +59,10 @@ def compile_query(query: QuerySpec) -> PCEA:
     Strings are parsed as conjunctive queries; conjunctive queries must be
     hierarchical (Theorem 4.1's hypothesis); DSL patterns go through the
     pattern compiler.  Raises ``ValueError`` subclasses on malformed input and
-    :class:`~repro.core.pcea.NotEqualityPredicateError` when the result
-    cannot be evaluated by Algorithm 1.
+    ``TypeError`` for an unsupported specification type.  Whether an engine
+    can evaluate the result is the engine's admission step
+    (:meth:`MultiQueryEngine._admissible
+    <repro.multi.engine.MultiQueryEngine._admissible>`).
     """
     if isinstance(query, str):
         query = parse_query(query)
@@ -70,22 +72,15 @@ def compile_query(query: QuerySpec) -> PCEA:
                 f"query {query.name} is not hierarchical; only hierarchical CQs admit "
                 "the streaming evaluation of the paper"
             )
-        pcea = hcq_to_pcea(query)
-    elif isinstance(query, Pattern):
-        pcea = compile_pattern(query)
-    elif isinstance(query, PCEA):
-        pcea = query
-    else:
-        raise TypeError(
-            f"cannot register a {type(query).__name__}; expected a PCEA, a CER "
-            "pattern, a ConjunctiveQuery, or a query string"
-        )
-    if not pcea.uses_only_equality_predicates():
-        raise NotEqualityPredicateError(
-            "registered queries must compile to equality-predicate PCEA "
-            "(Algorithm 1's hypothesis)"
-        )
-    return pcea
+        return hcq_to_pcea(query)
+    if isinstance(query, Pattern):
+        return compile_pattern(query)
+    if isinstance(query, PCEA):
+        return query
+    raise TypeError(
+        f"cannot register a {type(query).__name__}; expected a PCEA, a CER "
+        "pattern, a ConjunctiveQuery, or a query string"
+    )
 
 
 class QueryRegistry:

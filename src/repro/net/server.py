@@ -488,7 +488,7 @@ class IngestServer:
             try:
                 handle = self.engine.register(query, window, name=name)
             except (ValueError, TypeError) as exc:
-                # compile_query's documented refusals: parse, hierarchy and pattern
+                # register's documented refusals: parse, hierarchy and pattern
                 # errors are ValueErrors, a non-equality join a TypeError.
                 self._enqueue(client, encode_frame(protocol.refused(str(exc))))
                 return

@@ -126,7 +126,7 @@ class Observer:
             raise ValueError("this observer is not attached to that engine")
         runtime = engine._runtime
         self._entry_hooks.pop(id(engine), None)
-        for name in ("_enumerate", "enumerate_outputs", "snapshot", "restore"):
+        for name in ("_enumerate", "snapshot", "restore"):
             engine.__dict__.pop(name, None)
         for lane in runtime.lanes():
             ds = lane.ds
@@ -262,25 +262,19 @@ class Observer:
         rearm()
 
     def _wrap_enumeration(self, engine, runtime) -> None:
-        # The hashed engine enumerates one query's final nodes per
-        # ``_enumerate(query, nodes)`` call (a list back); the general
-        # evaluator through ``enumerate_outputs(nodes)`` (an iterator back).
-        name = "_enumerate" if hasattr(type(engine), "_enumerate") else "enumerate_outputs"
-        inner = getattr(type(engine), name, None)
-        if inner is None:
-            return
-        as_list = name == "_enumerate"
+        # Every engine enumerates one query's final nodes per
+        # ``_enumerate(query, nodes)`` call, a list back.
+        inner = type(engine)._enumerate
         sample_every = self.sample_every
         trace = self.trace
         enum_hist = self._enum_seconds
         outputs_counter = self._outputs
 
-        def instrumented(*args):
-            final_nodes = args[-1]
+        def _enumerate(query, final_nodes):
             if runtime.position % sample_every or not final_nodes:
-                return inner(engine, *args)
+                return inner(engine, query, final_nodes)
             start = _perf()
-            outputs = list(inner(engine, *args))
+            outputs = inner(engine, query, final_nodes)
             elapsed = _perf() - start
             enum_hist.record(elapsed)
             outputs_counter.inc(len(outputs))
@@ -291,9 +285,9 @@ class Observer:
                     elapsed,
                     {"position": runtime.position, "outputs": len(outputs)},
                 )
-            return outputs if as_list else iter(outputs)
+            return outputs
 
-        setattr(engine, name, instrumented)
+        engine._enumerate = _enumerate
 
     def _wrap_checkpointing(self, engine) -> None:
         snapshot_inner = getattr(type(engine), "snapshot", None)

@@ -1,19 +1,15 @@
-"""The shared streaming runtime: two engines, one per-tuple machinery.
+"""The shared streaming runtime: one engine skeleton, one per-tuple machinery.
 
 Why this package exists
 -----------------------
-The repository evaluates the paper's streaming algorithm through two
-engines that share every piece of cross-cutting machinery around the update
-procedure:
-
-* :class:`~repro.multi.engine.MultiQueryEngine` — Algorithm 1 for
-  registered unambiguous equality-predicate PCEA over one stream
-  (hash-indexed joins, Theorem 5.1's update bound), one merged dispatch
-  lookup per tuple; one query is its K=1 case,
-  :class:`~repro.core.evaluation.StreamingEvaluator`;
-* :class:`~repro.extensions.general_evaluation.GeneralStreamingEvaluator` —
-  arbitrary binary predicates (no hash keys), scanning live runs per
-  transition.
+The repository evaluates the paper's streaming algorithm through one engine,
+:class:`~repro.multi.engine.MultiQueryEngine` — Algorithm 1 for registered
+unambiguous equality-predicate PCEA over one stream (hash-indexed joins,
+Theorem 5.1's update bound), one merged dispatch lookup per tuple.  One
+query is its K=1 case, :class:`~repro.core.evaluation.StreamingEvaluator`,
+and :class:`~repro.extensions.general_evaluation.GeneralStreamingEvaluator`
+(arbitrary binary predicates, no hash keys) is that K=1 case with a
+scanning update phase.
 
 Before this package, each engine re-implemented the fire loop, the stream
 position counter, the ``max_start``-bucketed eviction sweep, the arena
@@ -32,8 +28,7 @@ times and the copies drifted.  The runtime holds exactly one of each:
   representation-agnostic reclamation hooks (``add_ref`` / ``drop_ref`` /
   ``release``) bound once at construction.  ``MultiQueryEngine`` owns one
   lane per distinct window, serving every query registered under it (the
-  single-query evaluator: one lane, one query);
-  ``GeneralStreamingEvaluator`` owns one lane.
+  single-query evaluators: one lane, one query).
 * :class:`StreamRuntime` — the per-stream core: the global position, the
   shared expiry-bucket map (keyed by the *absolute* position at which an
   entry expires, ``max_start + lane.window + 1``, so lanes with different
@@ -42,15 +37,13 @@ times and the copies drifted.  The runtime holds exactly one of each:
   periodic full arena-release pass over idle lanes), the batching driver
   behind every engine's ``process_many``, and the aggregated
   ``memory_info()`` the CLI ``--stats`` memory section prints.
-* :class:`EngineStatistics` — the unified operation-counter surface.  One
-  dataclass serves both engines (fields an engine cannot meaningfully
-  count stay zero), so ``engine.observe()`` and the CLI ``--stats`` line are
-  identical across modes.
+* :class:`EngineStatistics` — the unified operation-counter surface, so
+  ``engine.observe()`` and the CLI ``--stats`` line are identical across
+  modes.
 
-Engines keep what is genuinely theirs: the hashed engine its merged index
-of every registered query and its output routing, the general evaluator its
-automaton's index and its scan of a source state's live runs, a different
-update that shares only the plan lookup.  Everything an
+What stays in the engine is its merged index of every registered query and
+its output routing; the general evaluator adds only its scan of a source
+state's live runs and its snapshot kind.  Everything an
 engine registers into the runtime is a flat
 ``lane_id, key, node`` int triple appended to the expiry bucket (lanes are
 interned to dense small ints; no per-entry tuple is allocated — see
@@ -70,7 +63,6 @@ mid-stream checkpoint restored in a fresh process continues bit-identically.
 from repro.runtime.core import (
     RELEASE_PASS_INTERVAL,
     EvictionLane,
-    RuntimeBackedEngine,
     SparseBatch,
     StreamRuntime,
 )
@@ -82,7 +74,6 @@ __all__ = [
     "RELEASE_PASS_INTERVAL",
     "SNAPSHOT_VERSION",
     "EvictionLane",
-    "RuntimeBackedEngine",
     "SnapshotError",
     "SparseBatch",
     "StreamRuntime",

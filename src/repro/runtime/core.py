@@ -1,14 +1,15 @@
 """`StreamRuntime` / `EvictionLane`: the cross-cutting per-tuple machinery.
 
 See the package docstring (:mod:`repro.runtime`) for the architecture.  The
-contract with the engines:
+contract with the engine (:class:`~repro.multi.engine.MultiQueryEngine`, and
+the update phase its general K=1 subclass swaps in):
 
 * every entry an engine stores in a lane's ``hash`` maps a key to a
   ``(value, max_start)`` pair whose second element is the cached expiry
-  anchor (``max_start`` of the stored node for the hashed engines, the run's
-  newest stream position for the general evaluator).  The hashed engines key
+  anchor (``max_start`` of the stored node for the hashed engine, the run's
+  newest stream position for the general evaluator).  The hashed engine keys
   by ``(slot, join key)`` — one entry per run set, however many transitions
-  read it — and write a fresh leaf run straight onto its entry through the
+  read it — and writes a fresh leaf run straight onto its entry through the
   lane's bound ``extend_onto`` (:func:`~repro.runtime.fire.fire`);
 * when the engine stores an entry it appends the *flat int triple*
   ``lane.lane_id, key, node`` (three plain appends, no per-entry tuple) to
@@ -70,9 +71,8 @@ _T = TypeVar("_T")
 
 class EvictionLane:
     """One run store — a ``DS_w``, the run index ``H`` over it and the window
-    both are pruned to — shared-sweep ready.  The general evaluator owns one;
-    the hashed engine keeps one per window, serving every query registered
-    under that window.
+    both are pruned to — shared-sweep ready.  The engine keeps one per
+    window, serving every query registered under that window.
 
     ``hash`` is the lane's run-index table (``(key) -> (value, max_start)``
     pairs); ``ds`` its enumeration structure.  The reclamation hooks and
@@ -199,7 +199,7 @@ class SparseBatch(list):
 
 
 class StreamRuntime:
-    """The per-stream core shared by all engines: position, sweep, batching.
+    """The per-stream core of an engine: position, sweep, batching.
 
     One runtime serves one engine (which may own one lane or thousands).
     Engines advance the position with :meth:`advance`, call :meth:`sweep`
@@ -631,160 +631,3 @@ class StreamRuntime:
             f"evicted={self.evicted})"
         )
 
-
-class RuntimeBackedEngine:
-    """Mixin: the runtime-delegating surface every engine exposes.
-
-    Requires the subclass to set ``self._runtime`` before use.  Keeping the
-    property trio (``position`` / ``evicted`` / ``stats``) and the
-    ``_expiry_buckets`` view here means the engines cannot drift apart
-    on this surface — the single-place principle applied to the API, not just
-    the sweep.  ``position`` and the counters are settable because the
-    differential tests reseat reference evaluators mid-stream
-    (``evaluator.position = p - 1``) and benchmarks reset counters.
-    """
-
-    _runtime: StreamRuntime
-    #: The attached :class:`repro.obs.Observer` (set on the instance by ``attach``).
-    _observer = None
-
-    @property
-    def position(self) -> int:
-        """Current global stream position (owned by the shared runtime)."""
-        return self._runtime.position
-
-    @position.setter
-    def position(self, value: int) -> None:
-        self._runtime.position = value
-
-    @property
-    def evicted(self) -> int:
-        """Entries reclaimed by the shared eviction sweep so far."""
-        return self._runtime.evicted
-
-    @evicted.setter
-    def evicted(self, value: int) -> None:
-        self._runtime.evicted = value
-
-    @property
-    def stats(self) -> EngineStatistics:
-        return self._runtime.stats
-
-    @stats.setter
-    def stats(self, value: EngineStatistics) -> None:
-        self._runtime.stats = value
-
-    @property
-    def _expiry_buckets(self) -> Dict[int, List[object]]:
-        return self._runtime.buckets
-
-    def memory_info(self) -> Dict[str, int]:
-        """Enumeration-structure occupancy aggregated across the engine's lanes."""
-        return self._runtime.memory_info()
-
-    def hash_table_size(self) -> int:
-        """Total entries across the engine's run-index tables."""
-        return self._runtime.hash_table_size()
-
-    def kernel_info(self) -> Dict[str, object]:
-        """Which record-operation backend this engine's hot path runs.
-
-        :func:`repro.core.kernel.backend_info` (what the process *can* run)
-        plus ``"active"`` — the backend the engine's data structures actually
-        resolved to: ``"python"`` / ``"native"`` for arena lanes, ``"object"``
-        for the object-graph ablation structure, ``"mixed"`` if lanes differ.
-        """
-        from repro.core.kernel import backend_info
-
-        info = backend_info()
-        active = {
-            getattr(lane.ds, "kernel", "object")
-            for lane in self._runtime._lanes.values()
-            if lane.ds is not None
-        }
-        if not active:
-            info["active"] = "object"
-        elif len(active) == 1:
-            info["active"] = active.pop()
-        else:
-            info["active"] = "mixed"
-        return info
-
-    # -------------------------------------------------------------- dispatch
-    def _dispatch_source(self):
-        """The engine's dispatch index (each engine points at its own)."""
-        raise NotImplementedError
-
-    def dispatch_info(self) -> Dict[str, float]:
-        """Dispatch-index layout/sharing statistics.
-
-        One shared implementation over :meth:`_dispatch_source`, so the key
-        set is identical across the engines (``describe()`` of the
-        single-automaton and merged indexes agree on keys by contract) and
-        the CLI ``--stats`` dispatch line never drifts between modes.
-        """
-        return self._dispatch_source().describe()
-
-    def relation_fanout(self) -> Dict[str, int]:
-        """Per-relation candidate fan-out (``"*"`` = wildcard fallback)."""
-        return self._dispatch_source().relation_fanout()
-
-    # --------------------------------------------------------- observability
-    def observe(self) -> Dict[str, object]:
-        """One point-in-time snapshot of every introspection surface.
-
-        Folds ``stats`` / ``dispatch_info`` / ``memory_info`` /
-        ``kernel_info`` (plus the cursor counters and the enumeration-structure
-        counters summed over the engine's stores) into a single dict —
-        the one shape the :meth:`repro.obs.Observer.observe_engine` gauge
-        refresh, the CLI ``--stats`` lines and the tests consume.
-        """
-        runtime = self._runtime
-        snapshot: Dict[str, object] = {
-            "engine": type(self).__name__,
-            "position": runtime.position,
-            "hash_entries": runtime.hash_table_size(),
-            "evicted": runtime.evicted,
-            "stats": dataclasses.asdict(runtime.stats),
-            "dispatch": self.dispatch_info(),
-            "fanout": self.relation_fanout(),
-            "memory": self.memory_info(),
-            "kernel": self.kernel_info(),
-        }
-        structures = [lane.ds for lane in runtime.lanes() if hasattr(lane.ds, "nodes_created")]
-        if structures:
-            snapshot["ds"] = {
-                field: sum(getattr(ds, field, 0) for ds in structures)
-                for field in ("nodes_created", "union_calls", "union_copies")
-            }
-        return snapshot
-
-    def ingest_batch(self, tuples: Sequence[object]):
-        """The network front end's batch-drain hook.
-
-        Returns ``(base_position, outputs)`` where ``outputs`` is whatever
-        the engine's ``process_many`` produces and ``base_position`` is the
-        stream position of the batch's first tuple — so a caller that did
-        not count tuples itself (the ingest server coalescing frames from
-        many connections) can stamp every output with its global position.
-        ``tuples`` may be a :class:`SparseBatch`: ``outputs[i]`` then belongs
-        to position ``base_position + tuples.offsets[i]``, and the positions
-        it leaves out are crossed without building their tuples.
-        """
-        base = self._runtime.position + 1
-        return base, self.process_many(tuples)
-
-    def attach_observer(self, observer) -> None:
-        """Attach a :class:`repro.obs.Observer` (see its ``attach``)."""
-        observer.attach(self)
-
-    def detach_observer(self) -> None:
-        """Detach the current observer, if any (restores the plain hot path)."""
-        observer = self._observer
-        if observer is not None:
-            observer.detach(self)
-
-    @property
-    def observer(self):
-        """The attached :class:`repro.obs.Observer`, or ``None``."""
-        return self._observer

@@ -16,10 +16,11 @@ frozensets / :class:`~repro.cq.schema.Tuple` events):
   plus the :meth:`QueryRegistry.snapshot
   <repro.multi.registry.QueryRegistry.snapshot>` entry table for
   ``MultiQueryEngine`` (kind ``multi``; a ``StreamingEvaluator``, its K=1
-  case, writes the same tree), the dispatch-index :meth:`signature
-  <repro.core.dispatch.TransitionDispatchIndex.signature>` for
-  ``GeneralStreamingEvaluator`` (kind ``general``) — so a snapshot can only
-  be restored into an engine evaluating the *same* queries.
+  case, writes the same tree), the automaton's dispatch-index
+  :meth:`signature <repro.core.dispatch.TransitionDispatchIndex.signature>`
+  for ``GeneralStreamingEvaluator`` — that K=1 case with a scanning update,
+  whose per-state run dicts are its own section (kind ``general``) — so a
+  snapshot can only be restored into an engine evaluating the *same* queries.
 
 The trees are plain data (no engine objects, no callables, no shared
 mutable state with the live engine).  A checkpoint file — what

@@ -3,10 +3,7 @@
 One dataclass serves the hashed engine (the multi-query engine, whose K=1
 case is the single-query evaluator) and the general (non-hashed) evaluator,
 so ``engine.observe()["stats"]``, the CLI ``--stats`` line and the
-differential tests read the same field names regardless of engine.  Fields
-an engine cannot meaningfully count simply stay zero (e.g.
-``predicate_cache_hits`` — plan members covered by their group's or
-family's one evaluation — in the general evaluator).
+differential tests read the same field names regardless of engine.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ class EngineStatistics:
     lookup returned.  The hashed engine books one ``predicate_evaluations``
     per predicate group and per threshold family (its base call), every other
     member as ``predicate_cache_hits`` — also when a family falls back to its
-    groups' acceptors — the general evaluator every member as evaluated.
+    groups' acceptors; the general evaluator books them the same way.
     ``hash_lookups``/``hash_updates`` count run-index table probes and stores
     for the hashed engines; the general evaluator reports its live-run scans
     as ``hash_lookups`` so the "how much stored state did this tuple touch"

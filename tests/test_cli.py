@@ -9,6 +9,7 @@ import pytest
 from repro.cli import build_parser, format_match, main, parse_event_line, read_events, run
 from repro.cq.schema import Tuple
 from repro.runtime import SNAPSHOT_VERSION
+from repro.runtime import snapshot as checkpointing
 from repro.valuation import Valuation
 
 
@@ -159,18 +160,6 @@ class TestRun:
         assert "arena_live_nodes=" in output
         assert "arena_released=" in output
 
-    def test_no_arena_matches_arena(self):
-        events = list(read_events(EVENTS_CSV.splitlines()))
-        argv = ["--query", "Q(x, y) <- T(x), S(x, y), R(x, y)", "--window", "100"]
-        _, arena_output = self._run(argv, events)
-        _, object_output = self._run(argv + ["--no-arena"], events)
-        arena_matches = [l for l in arena_output.splitlines() if not l.startswith("#")]
-        object_matches = [l for l in object_output.splitlines() if not l.startswith("#")]
-        assert arena_matches == object_matches
-        # The object ablation reports an empty arena in the memory section.
-        _, stats_output = self._run(argv + ["--no-arena", "--stats"], events)
-        assert "arena_slabs=0" in stats_output
-
     def test_general_mode_matches_hashed_engine(self):
         events = list(read_events(EVENTS_CSV.splitlines()))
         argv = ["--query", "Q(x, y) <- T(x), S(x, y), R(x, y)", "--window", "100"]
@@ -180,6 +169,34 @@ class TestRun:
         hashed_matches = [l for l in hashed_output.splitlines() if not l.startswith("#")]
         general_matches = [l for l in general_output.splitlines() if not l.startswith("#")]
         assert sorted(general_matches) == sorted(hashed_matches)
+
+    def test_general_mode_books_predicates_as_single_mode_does(self):
+        """On the CI cross-mode smoke stream, ``--general`` reports the
+        single mode's predicate counters — one evaluation per predicate group,
+        the other candidates as cache hits — and the fields that do not
+        depend on how runs are joined; ``lookups`` / ``updates`` / ``unions``
+        and the sweep counters differ by algorithm."""
+        rng = random.Random(17)
+        lines = []
+        for _ in range(400):
+            relation = rng.choice(["T", "S", "R"])
+            if relation == "T":
+                lines.append(f"T,{rng.randrange(3)}")
+            else:
+                lines.append(f"{relation},{rng.randrange(3)},{rng.randrange(3)}")
+        events = list(read_events(lines))
+        argv = ["--query", "Q(x, y) <- T(x), S(x, y), R(x, y)", "--window", "50", "--stats"]
+        _, single = self._run(argv, events)
+        code, general = self._run(argv + ["--general"], events)
+        assert code == 0
+
+        def compared(output):
+            counters = dict(field.split("=") for field in output.splitlines()[-4].lstrip("# ").split())
+            fields = ("scanned", "pred_evals", "pred_cache_hits", "fired", "nodes", "outputs")
+            return {name: counters[name] for name in fields}, output.splitlines()[-3], output.splitlines()[-1]
+
+        assert compared(general) == compared(single)
+        assert (compared(single)[0]["pred_evals"], compared(single)[0]["pred_cache_hits"]) == ("400", "674")
 
     def test_stats_report_shape_identical_across_modes(self):
         """The --stats keys are the same in single, general, and multi mode."""
@@ -284,19 +301,11 @@ class TestRunMulti:
         assert "matches=4" in output and "batch_size=2" in output
         assert "shared_predicate_groups=" in output and "pred_cache_hits=" in output
 
-    def test_multi_stats_memory_section_and_no_arena(self):
+    def test_multi_stats_memory_section(self):
         events = list(read_events(EVENTS_CSV.splitlines()))
         code, output = self._run(self.QUERIES + ["--window", "100", "--stats"], events)
         assert code == 0
         assert "arena_slabs=" in output and "arena_live_nodes=" in output
-        code, object_output = self._run(
-            self.QUERIES + ["--window", "100", "--no-arena", "--stats"], events
-        )
-        assert code == 0
-        assert "arena_slabs=0" in object_output
-        arena_matches = [l for l in output.splitlines() if not l.startswith("#")]
-        object_matches = [l for l in object_output.splitlines() if not l.startswith("#")]
-        assert arena_matches == object_matches
 
     def test_multi_per_query_windows(self):
         events = list(read_events(EVENTS_CSV.splitlines()))
@@ -351,6 +360,22 @@ class TestRunMulti:
                 build_parser().parse_args(["--query", "Q(x) <- T(x)", option])
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["single", "multi", "serve"])
+    def test_the_object_graph_switch_is_gone(self, subcommand, capsys):
+        """``--no-arena`` is refused by argparse: the object-graph ``DS_w`` is
+        the library's differential oracle (``arena=False``), not a CLI mode."""
+        from repro.cli import build_multi_parser, build_serve_parser
+
+        parser, argv = {
+            "single": (build_parser(), ["--query", "Q(x) <- T(x)"]),
+            "multi": (build_multi_parser(), self.QUERIES),
+            "serve": (build_serve_parser(), []),
+        }[subcommand]
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv + ["--no-arena"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-arena" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option", [["--workers", "2"], ["--start-method", "fork"]])
     @pytest.mark.parametrize("subcommand", ["multi", "serve"])
@@ -460,19 +485,39 @@ class TestCheckpointRestore:
         build whose general engine kept its runs in ring buffers, over the
         first 200 of :func:`seeded_events`.  Restoring it and running the
         other 200 prints the matches and the ``--stats`` block of one
-        uninterrupted run."""
+        uninterrupted run — but for the predicate counters.  That build
+        booked every plan member as a predicate evaluation (538 over the
+        first 200 events, no cache hits); the engine now books one per
+        predicate group, as the hashed engine does: 200 evaluations and 329
+        cache hits over the other 200."""
         events = seeded_events()
         argv = ["--query", "Q(x, y) <- T(x), S(x, y), R(x, y)", "--window", "50", "--general", "--stats"]
         code, continuous = self._run(argv, events)
         assert code == 0
         path = Path(__file__).parent / "data" / "general_v4.snap"
+        stored = checkpointing.load(str(path))["runtime"]["stats"]
+        assert (stored["predicate_evaluations"], stored["predicate_cache_hits"]) == (538, 0)
         code, resumed = self._run(argv + ["--restore", str(path)], events[200:])
         assert code == 0
         second_half = [
             line for line in self._match_lines(continuous) if int(line.split("\t")[0]) >= 200
         ]
         assert second_half and self._match_lines(resumed) == second_half
-        assert resumed.splitlines()[-4:] == continuous.splitlines()[-4:]
+        assert resumed.splitlines()[-3:] == continuous.splitlines()[-3:]
+
+        def counters(output):
+            return dict(field.split("=") for field in output.splitlines()[-4].lstrip("# ").split())
+
+        resumed_counters, continuous_counters = counters(resumed), counters(continuous)
+        assert (resumed_counters.pop("pred_evals"), resumed_counters.pop("pred_cache_hits")) == (
+            str(538 + 200),
+            str(0 + 329),
+        )
+        assert (continuous_counters.pop("pred_evals"), continuous_counters.pop("pred_cache_hits")) == (
+            "400",
+            "667",
+        )
+        assert resumed_counters == continuous_counters
 
     def test_restore_with_wrong_query_fails_cleanly(self, tmp_path, capsys):
         events = list(read_events(EVENTS_CSV.splitlines()))
@@ -488,12 +533,6 @@ class TestCheckpointRestore:
 
     def test_restore_missing_file_fails_cleanly(self):
         code, _ = self._run(self.QUERY + ["--restore", "/nonexistent/ck.snap"], [])
-        assert code == 2
-
-    def test_checkpoint_requires_arena(self, tmp_path):
-        events = list(read_events(EVENTS_CSV.splitlines()))
-        checkpoint = str(tmp_path / "ck.snap")
-        code, _ = self._run(self.QUERY + ["--no-arena", "--checkpoint", checkpoint], events)
         assert code == 2
 
 
@@ -519,8 +558,6 @@ class TestCheckpointRobustness:
     def test_a_streaming_checkpoint_is_refused_by_name(self, tmp_path, capsys):
         """A version-4 tree of the single-query engine's retired ``streaming``
         kind: its runs cannot be placed, so it is refused by name."""
-        from repro.runtime import snapshot as checkpointing
-
         path = tmp_path / "ck.snap"
         checkpointing.save(str(path), {"snapshot_version": SNAPSHOT_VERSION, "engine": "streaming",
                                        "window": 100, "evict": True, "lane": {}, "runtime": {}})
@@ -544,18 +581,3 @@ class TestCheckpointRobustness:
         assert seen == []  # refused before any event was read
         err = capsys.readouterr().err
         assert "snapshot version 3" in err and f"snapshot version {SNAPSHOT_VERSION}" in err
-
-    def test_checkpoint_with_no_arena_fails_before_processing(self, tmp_path):
-        seen = []
-
-        def events():
-            for tup in read_events(EVENTS_CSV.splitlines()):
-                seen.append(tup)
-                yield tup
-
-        checkpoint = str(tmp_path / "ck.snap")
-        code, _ = self._run(
-            self.QUERY + ["--no-arena", "--checkpoint", checkpoint], events()
-        )
-        assert code == 2
-        assert seen == []  # failed fast, stream untouched

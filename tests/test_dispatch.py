@@ -25,11 +25,25 @@ from repro.cq.query import Atom, Variable
 from repro.cq.schema import Tuple
 from repro.engine.compiler import compile_pattern
 from repro.engine.dsl import atom, conjunction, sequence
+from repro.multi import MergedDispatchIndex
 from repro.streams.generators import HCQWorkloadGenerator, random_stream
 
 from helpers import QUERY_Q0, SIGMA0, STREAM_S0, example_pcea_p0, star_query
 
 X, Y = Variable("x"), Variable("y")
+
+
+def one_member(pcea, indexed=True):
+    """A one-member merged index over ``pcea``: the plans and statistics an
+    engine evaluating it alone reads (entry ``index`` == transition index)."""
+    return MergedDispatchIndex(
+        [("q", TransitionDispatchIndex(pcea.transitions, indexed=indexed, final=pcea.final))]
+    )
+
+
+def relation_candidates(merged, relation):
+    """The members a tuple of ``relation`` is evaluated against, guards aside."""
+    return merged.plans.get(relation, merged.wildcard_plan).flat()
 
 
 def two_relation_pcea():
@@ -80,7 +94,7 @@ class TestDispatchRelations:
         )
         pcea = compile_pattern(pattern)
         index = pcea.dispatch_index()
-        assert index.describe()["wildcard_transitions"] == 0
+        assert MergedDispatchIndex([("q", index)]).describe()["wildcard_transitions"] == 0
         assert {c.transition.unary.dispatch_relations() == frozenset({"Buy"}) or
                 c.transition.unary.dispatch_relations() == frozenset({"Sell"})
                 for c in index.all_transitions()} == {True}
@@ -88,36 +102,36 @@ class TestDispatchRelations:
 
 class TestTransitionDispatchIndex:
     def test_candidates_grouped_by_relation(self):
-        pcea = two_relation_pcea()
-        index = TransitionDispatchIndex(pcea.transitions, final=pcea.final)
-        t_candidates = [c.index for c in index.candidates("T")]
-        s_candidates = [c.index for c in index.candidates("S")]
+        merged = one_member(two_relation_pcea())
+        t_candidates = [c.index for c in relation_candidates(merged, "T")]
+        s_candidates = [c.index for c in relation_candidates(merged, "S")]
         assert t_candidates == [0, 2]  # the T transition plus the wildcard
         assert s_candidates == [1, 2]
 
     def test_unknown_relation_gets_only_wildcards(self):
-        pcea = two_relation_pcea()
-        index = TransitionDispatchIndex(pcea.transitions, final=pcea.final)
-        assert [c.index for c in index.candidates("Unknown")] == [2]
+        merged = one_member(two_relation_pcea())
+        assert [c.index for c in relation_candidates(merged, "Unknown")] == [2]
 
     def test_unindexed_mode_returns_all(self):
-        pcea = two_relation_pcea()
-        index = TransitionDispatchIndex(pcea.transitions, indexed=False, final=pcea.final)
-        assert [c.index for c in index.candidates("T")] == [0, 1, 2]
+        merged = one_member(two_relation_pcea(), indexed=False)
+        assert [c.index for c in relation_candidates(merged, "T")] == [0, 1, 2]
 
     def test_consumers_reverse_map(self):
         pcea = two_relation_pcea()
         index = TransitionDispatchIndex(pcea.transitions, final=pcea.final)
-        consumers = index.consumers("a")
+        consumers = index.consumers_by_id(index.state_ids["a"])
         assert len(consumers) == 1
         slot, left_key = consumers[0]
         reader = index.all_transitions()[1]
         assert isinstance(reader.joins[0][2], TrueEquality)
         assert [probe_slot for probe_slot, _ in reader.probes] == [slot]
         assert left_key(Tuple("T", (1,))) == ()  # the join's compiled left extractor
-        assert index.consumers_by_id(index.state_ids["a"]) == consumers
-        assert index.consumers("b") == ()
-        assert index.consumers("missing") == ()
+        assert index.consumers_by_id(index.state_ids["b"]) == ()
+        assert index.consumers_by_id(len(index.state_ids)) == ()
+        # Alone in a fresh store, a query keeps its slots: the plan members
+        # into "a" carry the same readers.
+        into_a = [e for e in MergedDispatchIndex([("q", index)]).all_entries() if e.compiled.target == "a"]
+        assert [entry.consumers for entry in into_a] == [consumers, consumers]
 
     def test_readers_share_a_slot_per_state_and_key_plan(self):
         """Two transitions reading one state through one left key plan probe
@@ -143,10 +157,11 @@ class TestTransitionDispatchIndex:
         slots = [c.probes[0][0] for c in readers]
         assert slots[0] == slots[1]
         assert len(set(slots)) == 4 and sorted(set(slots)) == list(range(4))
-        assert [slot for slot, _ in index.consumers("a")] == sorted(set(slots))
-        assert leaf.consumers == index.consumers("a") and not leaf.store_through  # four slots
+        readers_of_a = index.consumers_by_id(index.state_ids["a"])
+        assert [slot for slot, _ in readers_of_a] == sorted(set(slots))
+        assert leaf.consumers == readers_of_a and not leaf.store_through  # four slots
         sample = Tuple("T", (7, 8))
-        assert [left(sample) for _, left in index.consumers("a")] == [(7,), (8,), (), ()]
+        assert [left(sample) for _, left in readers_of_a] == [(7,), (8,), (), ()]
         # One slot, not final: the leaf run is written straight onto its entry.
         single = TransitionDispatchIndex(pcea.transitions[:3], final=pcea.final)
         assert single.all_transitions()[0].store_through
@@ -162,8 +177,7 @@ class TestTransitionDispatchIndex:
         assert sorted(index.state_ids.values()) == list(range(len(index.state_ids)))
 
     def test_describe(self):
-        pcea = two_relation_pcea()
-        info = TransitionDispatchIndex(pcea.transitions, final=pcea.final).describe()
+        info = one_member(two_relation_pcea()).describe()
         assert info["transitions"] == 3
         assert info["relations"] == 2
         assert info["wildcard_transitions"] == 1
@@ -227,7 +241,7 @@ class TestConstantGuardDispatch:
             assert candidates[0].guard == (0, value)
         assert list(index.candidates_for(Tuple("E", (99, 9)))) == []
         # Relation-only dispatch still returns every branch.
-        assert len(index.candidates("E")) == 4
+        assert len(relation_candidates(one_member(pcea), "E")) == 4
 
     def test_short_tuples_skip_guard_buckets(self):
         # A tuple without the guarded attribute cannot satisfy any guarded
@@ -252,8 +266,7 @@ class TestConstantGuardDispatch:
         assert [c.index for c in index.candidates_for(Tuple("E", (9, 0)))] == [1]
 
     def test_describe_reports_guard_statistics(self):
-        pcea = guarded_branches_pcea(5)
-        info = TransitionDispatchIndex(pcea.transitions, final=pcea.final).describe()
+        info = one_member(guarded_branches_pcea(5)).describe()
         assert info["guarded_transitions"] == 5
         assert info["guard_values"] == 5
 

@@ -98,6 +98,15 @@ class TestGeneralStreamingEvaluator:
         with pytest.raises(Exception):
             StreamingEvaluator(increasing_price_pcea(), window=10)
 
+    def test_evaluates_exactly_one_automaton(self):
+        """The engine's ``register`` is inherited, but its scan keys live runs
+        by the one automaton's state ids: a second query is refused."""
+        engine = GeneralStreamingEvaluator(increasing_price_pcea(), window=10)
+        with pytest.raises(ValueError, match="exactly one automaton"):
+            engine.register(increasing_price_pcea(), window=10)
+        assert len(engine.registry) == 1 and len(engine.handles()) == 1
+        assert engine.run([Tuple("Buy", (1, 30)), Tuple("Sell", (1, 40))])[1]
+
     def test_window_eviction(self):
         pcea = increasing_price_pcea()
         engine = GeneralStreamingEvaluator(pcea, window=1)
@@ -295,7 +304,7 @@ class TestSequenceRings:
         # Every dict entry is the run the lane table holds (no garbage scanned).
         for state, runs in engine._runs.items():
             for seq, run in runs.items():
-                assert engine._hash[(state, seq)][0] is run
+                assert engine._query.store.hash[(state, seq)][0] is run
 
     def test_batched_sweep_keeps_rings_consistent(self):
         pcea = increasing_price_pcea()

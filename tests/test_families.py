@@ -191,11 +191,10 @@ def test_one_automaton_with_several_thresholds_matches_the_naive_oracle(
         StreamingEvaluator(pcea, window, arena=False),
         GeneralStreamingEvaluator(pcea, window),
     ]
-    # The single-query engine's merged index, the automaton's own plans (the
-    # general evaluator's) and the multi engine's index all hold the family,
-    # wherever the guard puts it.
+    # The single-query engines' merged index, the automaton's own plans and
+    # the multi engine's index all hold the family, wherever the guard puts it.
     probe = Tuple("E", (1, 0))
-    plans = [engines[0]._merged.plan_for(probe), engines[2]._plan_for(probe), multi._merged.plan_for(probe)]
+    plans = [engines[2]._merged.plan_for(probe), pcea.dispatch_index().plan_for(probe), multi._merged.plan_for(probe)]
     kinds = {}
     for constant in set(constants):
         kinds[type(constant) is str] = kinds.get(type(constant) is str, 0) + 1
@@ -301,7 +300,7 @@ def test_these_thresholds_form_no_family(operator, constants):
     pcea = single_atom_thresholds(operator, constants)
     index = pcea.dispatch_index()
     assert all(plan.families == () for _, plan in served_plans(index))
-    assert index.describe()["threshold_families"] == 0
+    assert MergedDispatchIndex([("q", index)]).describe()["threshold_families"] == 0
 
 
 def test_int_and_float_constants_share_a_family_and_str_ones_their_own():

@@ -18,9 +18,10 @@ it consumes (``repro.core.dispatch``).
   fast path each live in exactly one module; ``H`` is not keyed by reader and
   ``extend_onto`` exists once per representation; the arena has one layout,
   no engine takes an ablation knob, there is one hashed engine (the
-  single-query evaluator is its K=1 case) whose ``process`` / ``run`` the
-  general evaluator shares, a plan member's rank has one name, nothing
-  imports ``pickle``, and adaptive dispatch left no residue.
+  single-query evaluator is its K=1 case) and one engine skeleton (the
+  general evaluator is that K=1 case with a scanning ``_fire``), a plan
+  member's rank has one name, nothing imports ``pickle``, and adaptive
+  dispatch left no residue.
 """
 
 import inspect
@@ -44,6 +45,7 @@ from repro.engine.compiler import compile_pattern
 from repro.engine.dsl import atom, conjunction, disjunction
 from repro.extensions.general_evaluation import GeneralStreamingEvaluator
 from repro.multi import MergedDispatchIndex, MultiQueryEngine
+from repro.obs import Observer
 from repro.runtime import StreamRuntime
 
 from helpers import ARENAS, slot_automata, slot_streams, star_query
@@ -316,17 +318,18 @@ def test_one_arena_layout_and_no_ablation_knobs():
 def test_the_single_query_engines_share_one_body():
     """``StreamingEvaluator`` is the K=1 ``MultiQueryEngine``: its snapshot,
     restore and batch driver are the engine's.  ``GeneralStreamingEvaluator``
-    shares its ``process`` / ``run`` and differs in ``update``; the ring
-    buffers, the single-lane batch driver, the single-query server feed and
-    the single-lane base class left no residue."""
+    shares every call of it but the update phase (``_fire``), the admission
+    step and its ``general`` snapshots; the ring buffers, the single-lane
+    batch driver, the single-query server feed and the single-lane base class
+    left no residue."""
     def owner(engine, name):
         return next(klass for klass in engine.__mro__ if name in vars(klass))
 
-    for name in ("process", "run"):
+    for name in ("process", "run", "update", "process_many", "enumerate_outputs"):
         assert getattr(StreamingEvaluator, name) is getattr(GeneralStreamingEvaluator, name), name
     for name in ("snapshot", "restore", "_fire", "_enumerate", "register"):
         assert owner(StreamingEvaluator, name) is MultiQueryEngine, name
-    for name in ("update", "process_many", "enumerate_outputs", "snapshot", "restore"):
+    for name in ("_fire", "_admissible", "snapshot", "restore"):
         assert owner(GeneralStreamingEvaluator, name) is GeneralStreamingEvaluator, name
     source_root = Path(__file__).resolve().parent.parent / "src"
     residue = re.compile(
@@ -366,6 +369,31 @@ def test_there_is_one_hashed_engine():
         if path.suffix in (".py", ".c") and gone.search(path.read_text())
     )
     assert holders == []
+
+
+def test_there_is_one_engine_skeleton():
+    """The general evaluator is the scanning K=1 ``StreamingEvaluator`` with
+    its five parameters; the mixin two engine classes once shared, its
+    dispatch hook and the CLI's object-graph switch are gone from the
+    source, and an observer shadows the one enumeration call every engine
+    has."""
+    assert issubclass(GeneralStreamingEvaluator, StreamingEvaluator)
+    assert list(inspect.signature(GeneralStreamingEvaluator).parameters) == [
+        "pcea", "window", "collect_stats", "arena", "kernel"
+    ]
+    source_root = Path(__file__).resolve().parent.parent / "src"
+    gone = re.compile(r"RuntimeBackedEngine|_dispatch_source|no-arena")
+    holders = sorted(
+        str(path.relative_to(source_root))
+        for path in source_root.rglob("*")
+        if path.suffix in (".py", ".c") and gone.search(path.read_text())
+    )
+    assert holders == []
+    engine = GeneralStreamingEvaluator(hcq_to_pcea(star_query(2)), WINDOW)
+    before = set(vars(engine))
+    engine.attach_observer(Observer(sample_every=1))
+    shadowed = {name for name in set(vars(engine)) - before if callable(getattr(engine, name))}
+    assert shadowed == {"_enumerate", "snapshot", "restore"}
 
 
 def test_a_plan_member_has_one_rank_name():

@@ -87,6 +87,20 @@ class TestResolveKernel:
         monkeypatch.delenv(KERNEL_ENV, raising=False)
         assert resolve_kernel(None) == ("native" if native_available() else "python")
 
+    def test_active_backend_is_the_resolved_one_with_or_without_stores(self):
+        """``kernel_info()["active"]`` is what the engine resolved at
+        construction — also before its first store opens (a server before its
+        first subscription) and after its last one closed; ``"object"`` only
+        for the object-graph structure."""
+        engine = MultiQueryEngine(kernel="python")
+        assert engine.kernel_info()["active"] == "python"
+        handle = engine.register("Q(x) <- T(x)", window=4)
+        assert engine.kernel_info()["active"] == "python"
+        engine.unregister(handle)
+        assert engine.kernel_info()["active"] == "python"
+        assert MultiQueryEngine(arena=False).kernel_info()["active"] == "object"
+        assert MultiQueryEngine(arena=False, kernel="python").kernel_info()["active"] == "object"
+
     def test_backend_info_shape(self):
         info = backend_info()
         assert "python" in info["backends"]

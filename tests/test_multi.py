@@ -119,8 +119,17 @@ class TestQueryRegistry:
             ],
             final={"b"},
         )
+        # The registry only compiles; the engine's admission step refuses a
+        # join outside B_eq, before its registry is touched.
+        engine = MultiQueryEngine()
         with pytest.raises(NotEqualityPredicateError):
-            QueryRegistry().register(pcea, window=5)
+            engine.register(pcea, window=5)
+        assert len(engine.registry) == 0 and engine.registry.version == 0
+        assert engine.register(QUERY_Q0, window=5).id == 0
+        registry = QueryRegistry()
+        registry.register(pcea, window=5)
+        with pytest.raises(NotEqualityPredicateError):
+            MultiQueryEngine(registry)
 
     def test_version_bumps_on_change(self):
         registry = QueryRegistry()

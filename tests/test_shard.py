@@ -785,10 +785,6 @@ class TestCli:
             ]
             assert mine == match_lines(single) and mine
 
-    def test_workers_rejects_no_arena(self):
-        assert self._run(QUERY_ARGS + ["--workers", "2", "--no-arena"])[0] == 2
-        assert self._run(QUERY_ARGS + ["--no-arena"])[0] == 0
-
     def test_workers_rejects_checkpoint_flags(self, tmp_path):
         path = str(tmp_path / "checkpoint.json")
         assert self._run(QUERY_ARGS + ["--workers", "2", "--checkpoint", path])[0] == 2
