@@ -145,15 +145,22 @@ every stored entry — and is how the fire loop stores a fresh leaf run.
 
 Enumeration
 -----------
-One enumerator, :meth:`ArenaDataStructure._packed`, serves ``enumerate`` and
-``enumerate_all`` (horizon ``-∞``) on either kernel.  An output is
-one **packed record** ``(label_id, pos, label_id, pos, …)``: a leaf is its own
-pair, a product node prepends its pair to the cross product of its children's
-record lists.  Enumeration is *eager per final node*: total time is linear in
-the output (records read ≤ ``2·Σ|ν| + 2`` per call, counted in
-``tests/test_enumeration.py``), the first output comes once the node's list is
-built.  Records are wrapped as *unread* :class:`~repro.valuation.Valuation`
-objects that build their mapping on first read; delivering a match never does.
+One enumerator, :meth:`ArenaDataStructure._groups`, serves ``enumerate``,
+``enumerate_all`` (horizon ``-∞``) and ``outputs`` (several final nodes) on
+either kernel.  An output is one **packed record** ``(label_id, pos, label_id,
+pos, …)``; the walk hands them out *factorised*, as the groups of one
+:class:`~repro.valuation.PackedValuations`: leaf records in runs, and per
+live product node its head pair over its children's record lists (nested
+products below it expand into those lists; a product whose
+children have one combination is stored as that one record).  The cross
+product is taken on read, by :func:`~repro.valuation.group_records`, the one
+odometer; ``check_simple`` reads through it too.  Work at update time is
+linear in the children's lists (records read ≤ ``2·Σ|ν| + 2`` per call,
+counted in ``tests/test_enumeration.py``) while ``len()`` is their product;
+the first read expands the groups into *unread*
+:class:`~repro.valuation.Valuation` objects that build their mapping on first
+access.  Delivering a match reads nothing, and the wire codec encodes it from
+the groups without building a valuation.
 """
 
 from __future__ import annotations
@@ -161,12 +168,12 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from itertools import product, repeat
+from itertools import repeat
 from operator import le, lt, rshift
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple as Tup
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple as Tup
 
 from repro.core.kernel import native_module, resolve_kernel
-from repro.valuation import Valuation
+from repro.valuation import Group, PackedValuations, Valuation, group_records
 
 
 Label = Hashable
@@ -1202,74 +1209,103 @@ class ArenaDataStructure:
         ) = counters
 
     # ------------------------------------------------------------ enumeration
-    def enumerate(self, node: int, position: int) -> Iterator[Valuation]:
+    def enumerate(self, node: int, position: int) -> PackedValuations:
         """Enumerate ``⟦node⟧^w_position`` — same pruning and order as the
-        object structure's :meth:`~repro.core.datastructure.DataStructure.enumerate`.
-        The valuations wrap :meth:`_packed`'s records unread and keep referencing
-        ``self._labels``: sound only because the table is append-only and
-        :meth:`restore` *rebinds* it, never mutates it."""
-        tables = (self._labels, {})  # one singleton-set cache per enumeration
-        return map(Valuation._from_packed, repeat(tables), self._packed(node, position - self.window))
+        object structure's :meth:`~repro.core.datastructure.DataStructure.enumerate`."""
+        return self.outputs((node,), position)
 
-    def enumerate_all(self, node: int) -> Iterator[Valuation]:
+    def enumerate_all(self, node: int) -> PackedValuations:
         """Enumerate ``⟦node⟧`` ignoring the window — horizon ``-∞`` (tests; only
         meaningful while nothing reachable from ``node`` has been released)."""
         return self.enumerate(node, _NEVER + self.window)
 
-    def _packed(self, node: int, horizon: int) -> List[Tup[int, ...]]:
+    def outputs(self, nodes: Iterable[int], position: int) -> PackedValuations:
+        """The outputs of ``nodes`` at ``position``, concatenated in order, as one
+        factorised sequence over ``self._labels``: sound only because the table
+        is append-only and :meth:`restore` *rebinds* it, never mutates it."""
+        groups: List[Group] = []
+        horizon = position - self.window
+        for node in nodes:
+            groups += self._groups(node, horizon)
+        return PackedValuations(self._labels, groups)
+
+    def _groups(self, node: int, horizon: int, flat: bool = False) -> list:
         """The one enumeration core: the outputs of ``⟦node⟧`` with ``min(ν) >=
-        horizon`` as packed records, in the object structure's order.
+        horizon``, in the object structure's order, as groups — leaf records in
+        runs, a live product node as ``(head, [child record lists])`` — or, with
+        ``flat`` (a product's child list), as one list of records, nested
+        products spelled out.
 
         The union tree is walked iteratively and pruned where ``expired``
         would prune (a released slab certifies expiry); the native ``walk``
         does that walk in C and returns the surviving ``(label_id, pos,
         children)`` emissions.  A live product node has no empty child (its
-        ``max_start`` is the minimum over theirs): work is linear in the output.
+        ``max_start`` is the minimum over theirs): work is linear in the
+        children's lists, and their product is only taken when read.
         """
-        out: List[Tup[int, ...]] = []
+        groups: List[Group] = []
+        run: List[Tup[int, ...]] = []
+        append = run.append
         if self._nk is not None:
             for label_id, pos, prod in self._nk.walk(node, horizon + self.window):
-                if prod:
-                    self._pack_product(out, (label_id, pos), prod, horizon)
-                else:
-                    out.append((label_id, pos))
-            return out
-        slabs = self._slabs
-        stack: List[int] = [node]
-        while stack:
-            current = stack.pop()
-            slab = slabs.get(current >> _SLOT_BITS) if current else None
-            if slab is None:
-                continue
-            # One batched record read (five words, one C call) instead of
-            # up to five boxed ``array`` element reads per node.
-            pos, node_ms, uleft, uright, meta = _UNPACK_RECORD(
-                slab.data, (current - slab.base) * _RECORD_BYTES
-            )
-            if node_ms < horizon:
-                continue
-            label_id = (meta & _META_LOW) >> 1
-            ref = meta >> 32
-            if ref:
-                self._pack_product(out, (label_id, pos), slab.prods[ref - 1], horizon)
-            elif pos >= horizon:
-                out.append((label_id, pos))
-            if uright:
-                stack.append(uright)
-            if uleft:
-                stack.append(uleft)
-        return out
-
-    def _pack_product(
-        self, out: List[Tup[int, ...]], head: Tup[int, int], prod: Tup[int, ...], horizon: int
-    ) -> None:
-        """Append ``head`` ⊕ the cross product of the children's records
-        (``itertools.product`` spins the last child fastest: the odometer's order)."""
-        if len(prod) == 1:
-            out.extend([head + tail for tail in self._packed(prod[0], horizon)])
+                if not prod:
+                    append((label_id, pos))
+                    continue
+                fresh = self._put_product(groups, run, (label_id, pos), prod, horizon, flat)
+                if fresh is not run:
+                    run = fresh
+                    append = run.append
         else:
-            children = [self._packed(child, horizon) for child in prod]
-            out.extend(map(sum, product(*children), repeat(head)))
+            slabs = self._slabs
+            stack: List[int] = [node]
+            while stack:
+                current = stack.pop()
+                slab = slabs.get(current >> _SLOT_BITS) if current else None
+                if slab is None:
+                    continue
+                # One batched record read (five words, one C call) instead of
+                # up to five boxed ``array`` element reads per node.
+                pos, node_ms, uleft, uright, meta = _UNPACK_RECORD(
+                    slab.data, (current - slab.base) * _RECORD_BYTES
+                )
+                if node_ms < horizon:
+                    continue
+                label_id = (meta & _META_LOW) >> 1
+                ref = meta >> 32
+                if ref:
+                    fresh = self._put_product(groups, run, (label_id, pos), slab.prods[ref - 1], horizon, flat)
+                    if fresh is not run:
+                        run = fresh
+                        append = run.append
+                elif pos >= horizon:
+                    append((label_id, pos))
+                if uright:
+                    stack.append(uright)
+                if uleft:
+                    stack.append(uleft)
+        if flat:
+            return run
+        if run:
+            groups.append(run)
+        return groups
+
+    def _put_product(
+        self, groups: List[Group], run: list, head: Tup[int, int], prod: Tup[int, ...], horizon: int, flat: bool
+    ) -> list:
+        """Add a live product node to a walk: spelled out into ``run`` when
+        ``flat`` or when its children have one combination (every list of
+        length one: its group would hold more than it spells out), else as its
+        group after the run so far.  Returns the run the walk goes on with."""
+        children = [self._groups(child, horizon, True) for child in prod]
+        group = (head, children)
+        if flat or len(children) == sum(map(len, children)):
+            run += group_records(group)
+            return run
+        if run:
+            groups.append(run)
+            run = []
+        groups.append(group)
+        return run
 
     # ------------------------------------------------------------- validation
     def check_heap_condition(self, node: int) -> bool:
@@ -1314,9 +1350,8 @@ class ArenaDataStructure:
                 # Simple: no (label, position) pair twice, i.e. size = Σ entry sizes.
                 labels = self._labels
                 head = (self._label_id_of(slab, index), node_position)
-                combinations: List[Tup[int, ...]] = []
-                self._pack_product(combinations, head, prod, _NEVER)
-                for packed in combinations:
+                children = [self._groups(child, _NEVER, True) for child in prod]
+                for packed in group_records((head, children)):
                     pairs = sum(len(labels[label_id]) for label_id in packed[0::2])
                     if Valuation._from_packed((labels, {}), packed).size() != pairs:
                         return False

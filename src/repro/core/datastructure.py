@@ -331,6 +331,10 @@ class DataStructure:
         )
 
     # ------------------------------------------------------------ enumeration
+    def outputs(self, nodes: Iterable[Node], position: int) -> List[Valuation]:
+        """The outputs of ``nodes`` at ``position``, concatenated in order."""
+        return [valuation for node in nodes for valuation in self.enumerate(node, position)]
+
     def enumerate(self, node: Node, position: int) -> Iterator[Valuation]:
         """Enumerate ``⟦node⟧^w_position`` (valuations alive in the window).
 

@@ -128,7 +128,7 @@ class StreamingEvaluator(MultiQueryEngine):
         return self._query.store.ds
 
     # -------------------------------------------------------------- main loop
-    def run(self, stream: Iterable[Tuple], collect: bool = True) -> Dict[int, List[Valuation]]:
+    def run(self, stream: Iterable[Tuple], collect: bool = True) -> Dict[int, Sequence[Valuation]]:
         """Process a whole (finite) stream, returning outputs per position.
 
         With ``collect=False`` outputs are enumerated but not stored, which is
@@ -138,7 +138,7 @@ class StreamingEvaluator(MultiQueryEngine):
         previous = self._count_stats
         self._count_stats = self._runtime.count_stats = previous and collect
         try:
-            results: Dict[int, List[Valuation]] = {}
+            results: Dict[int, Sequence[Valuation]] = {}
             for tup in stream:
                 outputs = self.process(tup)
                 if collect:
@@ -147,11 +147,13 @@ class StreamingEvaluator(MultiQueryEngine):
         finally:
             self._count_stats = self._runtime.count_stats = previous
 
-    def process(self, tup: Tuple) -> List[Valuation]:
-        """Process one tuple: update phase followed by eager enumeration."""
-        return list(self.enumerate_outputs(self.update(tup)))
+    def process(self, tup: Tuple) -> Sequence[Valuation]:
+        """Process one tuple: update phase followed by enumeration (the
+        sequence :meth:`process_many` hands out per tuple)."""
+        nodes = self.update(tup)
+        return self._enumerate(self._query, nodes) if nodes else []
 
-    def process_many(self, tuples: Sequence[Tuple]) -> List[List[Valuation]]:
+    def process_many(self, tuples: Sequence[Tuple]) -> List[Sequence[Valuation]]:
         """Batched ingestion: process ``tuples``, returning outputs per tuple.
 
         Produces exactly what ``[self.process(t) for t in tuples]`` would, with
@@ -162,7 +164,7 @@ class StreamingEvaluator(MultiQueryEngine):
         enumerate_query = self._enumerate
         query = self._query
 
-        def step(tup: Tuple) -> List[Valuation]:
+        def step(tup: Tuple) -> Sequence[Valuation]:
             finals = fire_tuple(tup, False)
             nodes = finals.get(query) if finals else None
             return enumerate_query(query, nodes) if nodes else []

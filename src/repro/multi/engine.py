@@ -270,16 +270,16 @@ class MultiQueryEngine:
     # -------------------------------------------------------------- main loop
     def run(
         self, stream: Iterable[Tuple], collect: bool = True
-    ) -> Dict[int, Dict[int, List[Valuation]]]:
+    ) -> Dict[int, Dict[int, Sequence[Valuation]]]:
         """Process a finite stream; with ``collect`` return outputs per position."""
-        results: Dict[int, Dict[int, List[Valuation]]] = {}
+        results: Dict[int, Dict[int, Sequence[Valuation]]] = {}
         for tup in stream:
             outputs = self.process(tup)
             if collect and outputs:
                 results[self.position] = outputs
         return results
 
-    def process(self, tup: Tuple) -> Dict[int, List[Valuation]]:
+    def process(self, tup: Tuple) -> Dict[int, Sequence[Valuation]]:
         """Process one tuple for every registered query.
 
         Returns ``{query id: [valuations]}`` containing only the queries that
@@ -290,7 +290,7 @@ class MultiQueryEngine:
 
     def process_many(
         self, tuples: Sequence[Tuple]
-    ) -> List[Dict[int, List[Valuation]]]:
+    ) -> List[Dict[int, Sequence[Valuation]]]:
         """Batched ingestion: one eviction sweep for the whole batch.
 
         Semantically identical to ``[self.process(t) for t in tuples]`` —
@@ -311,11 +311,11 @@ class MultiQueryEngine:
         """
         return self._merged.watched_relations()
 
-    def _process(self, tup: Tuple, sweep: bool) -> Dict[int, List[Valuation]]:
+    def _process(self, tup: Tuple, sweep: bool) -> Dict[int, Sequence[Valuation]]:
         finals = self._fire(tup, sweep)
         if not finals:
             return {}
-        outputs: Dict[int, List[Valuation]] = {}
+        outputs: Dict[int, Sequence[Valuation]] = {}
         enumerate_query = self._enumerate
         for query, nodes in finals.items():
             valuations = enumerate_query(query, nodes)
@@ -344,8 +344,10 @@ class MultiQueryEngine:
             stats.predicate_cache_hits += plan.total - evaluated
         return fire(plan, tup, position, runtime.buckets, stats)
 
-    def _enumerate(self, query: _Registered, nodes: Sequence) -> List[Valuation]:
-        """The outputs ``query``'s final-state ``nodes`` represent at the current position."""
+    def _enumerate(self, query: _Registered, nodes: Sequence) -> Sequence[Valuation]:
+        """The outputs ``query``'s final-state ``nodes`` represent at the current
+        position: one :class:`~repro.valuation.PackedValuations` on the arena
+        (nothing read yet), a list on the object-graph oracle."""
         store = query.store
         position = self._runtime.position
         # Window-restricted by the store's DS_w — and to what the query has
@@ -353,11 +355,7 @@ class MultiQueryEngine:
         horizon = query.since + store.window
         if horizon < position:
             horizon = position
-        enumerate_node = store.ds.enumerate
-        valuations: List[Valuation] = []
-        extend = valuations.extend
-        for node in nodes:
-            extend(enumerate_node(node, horizon))
+        valuations = store.ds.outputs(nodes, horizon)
         if self._count_stats:
             self._runtime.stats.outputs_enumerated += len(valuations)
         return valuations

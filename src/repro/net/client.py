@@ -32,8 +32,10 @@ class IngestClient:
     """Synchronous framed client; see the module docstring.
 
     Matches accumulate in :attr:`matches` — ``{handle_id: [(position,
-    [Valuation, ...]), ...]}`` in delivery order — and acks in
-    :attr:`acks` (``{seq: (base_position, count)}``).
+    Sequence[Valuation]), ...]}`` in delivery order, each sequence an unread
+    :class:`~repro.valuation.PackedValuations`, one position possibly in several
+    entries when its matches spanned frames — and acks in :attr:`acks`
+    (``{seq: (base_position, count)}``).
     """
 
     def __init__(

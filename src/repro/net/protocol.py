@@ -42,8 +42,11 @@ Client → server
 Server → client
 ---------------
 ``("matches", handle_id, batch)``
-    ``batch`` is ``[(position, [Valuation, ...]), ...]`` — every match the
-    last engine batch produced for that handle, in stream order.
+    ``batch`` is ``[(position, Sequence[Valuation]), ...]`` — every match the
+    last engine batch produced for that handle, in stream order; it arrives
+    as one unread :class:`~repro.valuation.PackedValuations` per position.
+    A batch past the codec's caps comes in several frames, all before the
+    ack, and a position's matches may then span several of them.
 ``("error", reason)``
     Protocol violation (malformed frame, unknown command, bad argument
     shapes, oversized frame, a version-1 pickle body).  The server closes
@@ -110,8 +113,12 @@ name table is per frame: a frame needs nothing from any earlier one.
          | i64 × entries        stream position of each record entry
 
 The entry columns are the arena's packed ``(label_id, position)*`` records
-with the ids renumbered into the frame's own label-set table: an unread
-valuation is copied out without being materialised and arrives unread.
+with the ids renumbered into the frame's own label-set table: they are
+written from an unread output container without building a valuation, and
+each group arrives as an unread container over the frame's label sets.  A
+read valuation is cut into one entry per position.  The encoder splits a
+batch whose table or columns would pass the limits below into several
+frames (:func:`~repro.runtime.frames.encode_match_frames`).
 
 Limits (all checked by the decoder before it allocates): a table holds at
 most 65 536 entries, a container or column at most 1 048 576 elements, a

@@ -49,8 +49,12 @@ The differential tests rebuild that order and verify bit-identical outputs
 against a direct in-process engine.
 
 Matches shared by multiple subscribers are encoded **once**
-(:func:`~repro.runtime.frames.encode_frame`) and the same bytes are queued
-to every subscriber.
+(:func:`~repro.runtime.frames.encode_match_frames`, straight from the
+engine's unread output containers: the server builds no valuation) and the
+same bytes are queued to every subscriber.  A handle's batch past the
+codec's table or element caps goes out as several frames, in stream order,
+all before the ack; a batch that cannot be encoded stops the server with
+``driver_error`` set, as an engine failure does.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ from repro.runtime.frames import (
     IngestBatch,
     decode_body,
     encode_frame,
+    encode_match_frames,
     frame_length,
 )
 
@@ -454,14 +459,15 @@ class IngestServer:
             self._m_queue_depth.set(self._queued_tuples)
             try:
                 base, outputs = self.engine.ingest_batch(batch)
+                self.batches += 1
+                self._m_coalesce.record(span)
+                self._fan_out(base, zip(offsets, outputs), finished)
             except Exception as exc:
                 # The engine is the shared resource: if it fails mid-batch,
-                # position continuity is gone and serving on is unsound.
+                # position continuity is gone and serving on is unsound.  A
+                # batch whose matches cannot be sent must not be acked either.
                 self._fail(exc)
                 return
-            self.batches += 1
-            self._m_coalesce.record(span)
-            self._fan_out(base, zip(offsets, outputs), finished)
             self._not_full.set()
             # Yield once per batch so readers refill the queue (and writers
             # flush) while the next batch accumulates.
@@ -551,10 +557,11 @@ class IngestServer:
             sub = self._subs_by_handle.get(handle_id)
             if sub is None or not sub.subscribers:
                 continue
-            frame = encode_frame(("matches", handle_id, batch))  # encode once
-            for subscriber in list(sub.subscribers):
-                if self._enqueue_match(subscriber, frame):
-                    self.match_frames_out += 1
+            # Encode once, in as many frames as the codec's caps need.
+            for frame in encode_match_frames(handle_id, batch):
+                for subscriber in list(sub.subscribers):
+                    if self._enqueue_match(subscriber, frame):
+                        self.match_frames_out += 1
         # Acks strictly after this batch's matches: per-connection FIFO then
         # guarantees the ack is a barrier for everything it covers.
         for frame, end in finished:

@@ -24,8 +24,10 @@ Three body kinds exist (byte layouts in :mod:`repro.net.protocol`):
   objects only for the tuples it goes on to read;
 * the columnar **matches** shape for ``("matches", handle, batch)``: a
   per-frame label-set table, the match positions and the arena's packed
-  ``(label_id, position)*`` records, copied out of *unread* valuations
-  without materialising them and rebuilt unread on arrival.
+  ``(label_id, position)*`` records, written straight from each position's
+  unread :class:`~repro.valuation.PackedValuations` (no valuation is built)
+  and handed back as one such container per position on arrival.  A batch
+  past the caps is cut into several frames by :func:`encode_match_frames`.
 
 Tables are per frame, so a frame is self-contained, :func:`encode_frame` is
 a pure function, and one encoded frame can be written to every peer (the
@@ -59,7 +61,7 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple as Tup
 
 from repro.cq.query import Atom, Variable
 from repro.cq.schema import Tuple
-from repro.valuation import Valuation
+from repro.valuation import PackedValuations, Valuation
 
 #: Version of the wire format (what ``hello`` negotiates).  Version 1 bodies
 #: were pickles; they are refused, never read.
@@ -505,34 +507,40 @@ def _get_ingest(reader: _Reader) -> Tup[str, Any, IngestBatch]:
 
 
 # ------------------------------------------------------------ matches shape
-def _records_of(valuation: Valuation):
-    """``(label table, label ids, positions)`` of a valuation's record entries.
-
-    An unread valuation hands over its packed record as it is — nothing is
-    materialised.  A read one is cut back into one entry per position; it has
-    no table (``None``), its "ids" are the label sets themselves.
-    """
-    if valuation._mapping is None:
-        tables, packed = valuation._tables, valuation._packed
-        if tables is not None and packed is not None:
-            return tables[0], packed[0::2], packed[1::2]
+def _read_record(valuation: Valuation) -> Tup[Any, ...]:
+    """A read valuation as a record over no table: one entry per position, its
+    "label id" the label set itself."""
     by_position: dict = {}
     for label, positions in valuation.items():
         for position in positions:
             by_position.setdefault(position, []).append(label)
-    where = sorted(by_position)
-    return None, [frozenset(by_position[position]) for position in where], where
+    return tuple(
+        chain.from_iterable((frozenset(by_position[position]), position) for position in sorted(by_position))
+    )
+
+
+def _match_records(valuations: Sequence[Valuation]) -> Tup[Any, Iterator[Tup[Any, ...]]]:
+    """``(label table, records)`` of one position's matches: an unread
+    :class:`~repro.valuation.PackedValuations` hands over its packed records as
+    they are (no valuation is built); anything else is cut up through each
+    valuation's mapping, with no table (``None``)."""
+    if type(valuations) is PackedValuations:
+        records = valuations.records()
+        if records is not None:
+            return records
+    return None, map(_read_record, valuations)
 
 
 def _is_match_batch(batch: Any) -> bool:
     if type(batch) is not list:
         return False
     for group in batch:
-        if type(group) is not tuple or len(group) != 2:
+        if type(group) is not tuple or len(group) != 2 or type(group[0]) is not int:
             return False
-        if type(group[0]) is not int or type(group[1]) is not list:
-            return False
-        if set(map(type, group[1])) - {Valuation}:
+        valuations = group[1]
+        if type(valuations) is PackedValuations:
+            continue
+        if type(valuations) is not list or set(map(type, valuations)) - {Valuation}:
             return False
     return True
 
@@ -540,48 +548,95 @@ def _is_match_batch(batch: Any) -> bool:
 _MATCHES_HEADER = struct.Struct("<IIII")
 
 
-def _put_matches(out: bytearray, handle: Any, batch: list) -> None:
-    table: dict = {}  # label set -> frame id
-    renumber: dict = {}  # id(label table) -> (the table, {its id -> frame id})
-    positions: List[int] = []
-    counts: List[int] = []
-    sizes: List[int] = []
-    ids: List[int] = []
-    where: List[int] = []
+class _MatchColumns:
+    """The columns of one matches frame, filled match by match."""
+
+    __slots__ = ("table", "renumber", "positions", "counts", "sizes", "ids", "where")
+
+    def __init__(self) -> None:
+        self.table: dict = {}  # label set -> frame id
+        self.renumber: dict = {None: self.table}  # id(label table) -> {its id -> frame id}
+        self.positions: List[int] = []
+        self.counts: List[int] = []
+        self.sizes: List[int] = []
+        self.ids: List[int] = []
+        self.where: List[int] = []
+
+    def local(self, label_table: Any) -> dict:
+        """The frame ids of ``label_table``'s ids (of the label sets themselves for ``None``)."""
+        key = None if label_table is None else id(label_table)
+        local = self.renumber.get(key)
+        if local is None:
+            local = self.renumber[key] = {}
+        return local
+
+    def put(self, out: bytearray, handle: Any) -> None:
+        out.append(_MATCHES)
+        _put(out, handle, 0)
+        out += _MATCHES_HEADER.pack(len(self.table), len(self.positions), len(self.sizes), len(self.ids))
+        for labels in self.table:
+            _put(out, labels, 1)
+        out += _pack_column("q", self.positions)
+        out += _pack_column("I", self.counts)
+        out += _pack_column("I", self.sizes)
+        out += _pack_column("H", self.ids)
+        out += _pack_column("q", self.where)
+
+
+def _match_columns(batch: list) -> Iterator[_MatchColumns]:
+    """The columns of a matches batch, in stream order, cut into as many frames
+    as :data:`MAX_TABLE` and :data:`MAX_ELEMENTS` need (a position's matches may
+    span frames; a frame never ends on a position it holds no match of)."""
+    columns = _MatchColumns()
     for position, valuations in batch:
-        positions.append(position)
-        counts.append(len(valuations))
-        for valuation in valuations:
-            label_table, own_ids, own_where = _records_of(valuation)
-            if label_table is None:
-                mapped = [table.setdefault(labels, len(table)) for labels in own_ids]
-            else:
-                entry = renumber.get(id(label_table))
-                if entry is None:
-                    entry = renumber[id(label_table)] = (label_table, {})
-                local = entry[1]
-                try:
-                    mapped = [local[own] for own in own_ids]
-                except KeyError:
-                    for own in own_ids:
-                        if own not in local:
-                            local[own] = table.setdefault(label_table[own], len(table))
-                    mapped = [local[own] for own in own_ids]
+        if len(columns.positions) == MAX_ELEMENTS:
+            yield columns
+            columns = _MatchColumns()
+        columns.positions.append(position)
+        columns.counts.append(0)
+        label_table, records = _match_records(valuations)
+        local = columns.local(label_table)
+        table, sizes, ids, where = columns.table, columns.sizes, columns.ids, columns.where
+        first = len(sizes)
+        for record in records:
+            own = record[0::2]
+            size = len(own)
+            if len(ids) + size > MAX_ELEMENTS or len(table) + size > MAX_TABLE or len(sizes) == MAX_ELEMENTS:
+                if not sizes:
+                    raise FrameProtocolError("one match exceeds the matches frame's table or element cap")
+                columns.counts[-1] = len(sizes) - first
+                if not columns.counts[-1]:
+                    del columns.positions[-1], columns.counts[-1]
+                yield columns
+                columns = _MatchColumns()
+                columns.positions.append(position)
+                columns.counts.append(0)
+                local = columns.local(label_table)
+                table, sizes, ids, where = columns.table, columns.sizes, columns.ids, columns.where
+                first = 0
+            try:
+                mapped = [local[label_id] for label_id in own]
+            except KeyError:
+                for label_id in own:
+                    if label_id not in local:
+                        labels = label_id if label_table is None else label_table[label_id]
+                        local[label_id] = table.setdefault(labels, len(table))
+                mapped = [local[label_id] for label_id in own]
             ids += mapped
-            where += own_where
-            sizes.append(len(mapped))
-    if len(table) > MAX_TABLE or max(len(positions), len(sizes), len(ids)) > MAX_ELEMENTS:
-        raise FrameProtocolError("matches frame exceeds the table or element cap")
-    out.append(_MATCHES)
-    _put(out, handle, 0)
-    out += _MATCHES_HEADER.pack(len(table), len(positions), len(sizes), len(ids))
-    for labels in table:
-        _put(out, labels, 1)
-    out += _pack_column("q", positions)
-    out += _pack_column("I", counts)
-    out += _pack_column("I", sizes)
-    out += _pack_column("H", ids)
-    out += _pack_column("q", where)
+            where += record[1::2]
+            sizes.append(size)
+        columns.counts[-1] = len(sizes) - first
+    yield columns
+
+
+def _put_matches(out: bytearray, handle: Any, batch: list) -> None:
+    frames = _match_columns(batch)
+    columns = next(frames)
+    if next(frames, None) is not None:
+        raise FrameProtocolError(
+            "matches frame exceeds the table or element cap; split the batch (encode_match_frames)"
+        )
+    columns.put(out, handle)
 
 
 def _get_matches(reader: _Reader) -> Tup[str, Any, list]:
@@ -610,22 +665,20 @@ def _get_matches(reader: _Reader) -> Tup[str, Any, list]:
         raise FrameProtocolError("matches counts do not add up to their columns")
     if entries and max(ids) >= sets_count:
         raise FrameProtocolError("label-set id outside the frame's label-set table")
-    records: List[int] = [0] * (2 * entries)
-    records[0::2] = ids
-    records[1::2] = where
-    # One shared (label sets, singleton cache) pair per frame, as one
-    # enumeration shares one: the valuations arrive unread.
-    tables = (label_sets, {})
-    unread = Valuation._from_packed
-    valuations = []
+    flat: List[int] = [0] * (2 * entries)
+    flat[0::2] = ids
+    flat[1::2] = where
+    # Each position's matches arrive as one unread container over the frame's
+    # label sets, as one enumeration hands them out: no valuation is built.
+    records = []
     cursor = 0
     for size in sizes:
-        valuations.append(unread(tables, tuple(records[cursor : cursor + 2 * size])))
+        records.append(tuple(flat[cursor : cursor + 2 * size]))
         cursor += 2 * size
     batch = []
     cursor = 0
     for position, count in zip(positions, counts):
-        batch.append((position, valuations[cursor : cursor + count]))
+        batch.append((position, PackedValuations(label_sets, [records[cursor : cursor + count]])))
         cursor += count
     return ("matches", handle, batch)
 
@@ -642,13 +695,34 @@ def encode_frame(message: Any) -> bytes:
             _put_matches(out, message[1], message[2])
         else:
             _put(out, message, 0)
-        if len(out) - HEADER_SIZE > MAX_FRAME_BYTES:
-            raise FrameProtocolError(
-                f"frame of {len(out) - HEADER_SIZE} bytes exceeds the cap of {MAX_FRAME_BYTES}"
-            )
-        _LENGTH.pack_into(out, 0, len(out) - HEADER_SIZE)
+        return _framed(out)
     except (OverflowError, UnicodeEncodeError, TypeError, struct.error) as exc:
         raise FrameProtocolError(f"message cannot be encoded: {exc}") from exc
+
+
+def encode_match_frames(handle: Any, batch: list) -> List[bytes]:
+    """``("matches", handle, batch)`` as frames within the caps: one, or as many
+    as its table and element counts need, in stream order."""
+    if not _is_match_batch(batch):
+        raise FrameProtocolError("a matches batch is [(position, [Valuation, ...]), ...]")
+    frames = []
+    try:
+        for columns in _match_columns(batch):
+            out = bytearray(HEADER_SIZE)
+            columns.put(out, handle)
+            frames.append(_framed(out))
+    except (OverflowError, UnicodeEncodeError, TypeError, struct.error) as exc:
+        raise FrameProtocolError(f"message cannot be encoded: {exc}") from exc
+    return frames
+
+
+def _framed(out: bytearray) -> bytes:
+    """``out`` (a body after :data:`HEADER_SIZE` reserved bytes) with its prefix written."""
+    if len(out) - HEADER_SIZE > MAX_FRAME_BYTES:
+        raise FrameProtocolError(
+            f"frame of {len(out) - HEADER_SIZE} bytes exceeds the cap of {MAX_FRAME_BYTES}"
+        )
+    _LENGTH.pack_into(out, 0, len(out) - HEADER_SIZE)
     return bytes(out)
 
 

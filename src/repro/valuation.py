@@ -11,21 +11,31 @@ Valuations are immutable and hashable, labels mapped to the empty set are
 normalised away, and the product ``⊕`` together with the *simple* check mirror
 the definitions used by the enumeration data structure.
 
-Because the streaming engine constructs one valuation per enumerated output
+Because the object-graph ``DS_w`` constructs one valuation per enumerated output
 (and ``within_window`` is consulted on every node visited during enumeration),
 the extreme positions ``min(ν)`` / ``max(ν)`` are computed once at construction
 and cached, and the hot constructors (:meth:`Valuation.singleton` and
 :meth:`Valuation.product`) bypass the normalising ``__init__``.
 
-The arena ``DS_w`` enumerates an output as one *packed record* ``(label_id, pos,
-label_id, pos, …)`` over its label table, wrapped unread (:meth:`Valuation._from_packed`):
-delivering or encoding a match never builds the mapping; the first accessor call does, and
-drops the record.  ``_mapping is None`` marks the unread state, tested inline by every accessor.
+The arena ``DS_w`` hands out its outputs *factorised*, as one :class:`PackedValuations`
+per enumeration: the *groups* of the walk over its label table — runs of *packed records*
+``(label_id, pos, label_id, pos, …)``, and per product node its head pair over its
+children's record lists, left unexpanded (the factorised representations of Olteanu and
+Závodný, applied at the output boundary).  ``len()`` is known when the container is built;
+the cross product is taken on the first read, by :func:`group_records`, the one odometer,
+straight into *unread* valuations (:meth:`Valuation._from_packed`).  An unread valuation
+builds its mapping on the first accessor call and drops its record; ``_mapping is None``
+marks the unread state, tested inline by every accessor.  The wire codec writes match
+frames from :meth:`PackedValuations.records`, so serving a match builds no valuation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from collections.abc import Sequence as SequenceABC
+from itertools import chain, product, repeat
+from math import prod
+from operator import add
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 
 Label = Hashable
@@ -284,3 +294,91 @@ def is_simple_product(valuations: Iterable[Valuation]) -> bool:
                 return False
             bucket |= positions
     return True
+
+
+#: A packed record ``(label_id, pos, label_id, pos, …)`` over a label table.
+Record = Tuple[int, ...]
+#: One group of an enumeration: a run of records, or a product node's head
+#: pair over its children's record lists, unexpanded.
+Group = Union[List[Record], Tuple[Tuple[int, int], List[List[Record]]]]
+
+
+def group_records(group: Group) -> Iterable[Record]:
+    """One group's records in output order: a run is itself; a product prepends
+    its head to each combination of its children's records, the odometer
+    (``itertools.product`` spins the last child fastest)."""
+    if type(group) is list:
+        return group
+    head, children = group
+    if len(children) == 1:
+        return map(add, repeat(head), children[0])
+    return map(sum, product(*children), repeat(head))
+
+
+class PackedValuations(SequenceABC):
+    """An immutable ``Sequence[Valuation]`` over one label table, factorised.
+
+    Holds the enumeration's groups (see :data:`Group`) in output order.
+    ``len()`` and ``bool()`` read nothing: the count is ``Σ`` over the groups
+    of a run's length or the product of the children's lengths, taken at
+    construction.  The first ``__iter__`` / ``__getitem__`` / ``==`` expands
+    the groups into unread valuations (one singleton-set cache for the
+    container), keeps that list and drops the groups; every later read sees
+    the same objects.  Equal to a ``list`` (either way round) or another
+    container holding equal valuations in the same order; unhashable, like
+    ``list``.  The label table is held, not copied: it may only ever be
+    appended to.
+    """
+
+    __slots__ = ("_labels", "_groups", "_items", "_count")
+
+    def __init__(self, labels: Sequence[frozenset], groups: List[Group]) -> None:
+        count = 0
+        for group in groups:
+            count += len(group) if type(group) is list else prod(map(len, group[1]))
+        self._labels = labels
+        self._groups: Optional[List[Group]] = groups
+        self._items: Optional[List[Valuation]] = None
+        self._count = count
+
+    def _valuations(self) -> List[Valuation]:
+        items = self._items
+        if items is None:
+            groups = self._groups
+            if groups is None:  # another thread read this container first
+                return self._items
+            tables = (self._labels, {})
+            unread = Valuation._from_packed
+            items = []
+            for group in groups:
+                items += map(unread, repeat(tables), group_records(group))
+            self._items = items
+            self._groups = None
+        return items
+
+    def records(self) -> Optional[Tuple[Sequence[frozenset], Iterator[Record]]]:
+        """``(label table, packed records in output order)`` while unread (what
+        the wire codec writes a match frame from), ``None`` once read."""
+        groups = self._groups
+        return None if groups is None else (self._labels, chain.from_iterable(map(group_records, groups)))
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[Valuation]:
+        return iter(self._valuations())
+
+    def __getitem__(self, index):
+        return self._valuations()[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PackedValuations):
+            other = other._valuations()
+        elif not isinstance(other, list):
+            return NotImplemented
+        return self._valuations() == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"PackedValuations({self._valuations()!r})"

@@ -27,6 +27,7 @@ from repro.core.predicates import (
 from repro.core.kernel import native_available
 from repro.cq.query import Atom, ConjunctiveQuery, Variable
 from repro.cq.schema import Schema, Tuple
+from repro.valuation import Valuation
 from repro.engine.compiler import compile_pattern
 from repro.engine.dsl import atom, conjunction, disjunction
 
@@ -485,3 +486,24 @@ def wildcard_mix_queries(
         for _ in range(length)
     ]
     return queries, stream
+
+
+def count_valuation_constructions(patch):
+    """Count ``Valuation`` objects built through any constructor."""
+    built = [0]
+    for name in ("_from_packed", "_from_parts"):
+        inner = getattr(Valuation, name).__func__
+
+        def counting(cls, *args, _inner=inner):
+            built[0] += 1
+            return _inner(cls, *args)
+
+        patch.setattr(Valuation, name, classmethod(counting))
+    init = Valuation.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    patch.setattr(Valuation, "__init__", counting_init)
+    return built

@@ -1,5 +1,6 @@
-"""Tests for the arena's packed enumeration (``ArenaDataStructure._packed``)
-and the unread :class:`~repro.valuation.Valuation` it hands out.
+"""Tests for the arena's packed enumeration (``ArenaDataStructure._groups``),
+the factorised :class:`~repro.valuation.PackedValuations` it hands out and the
+unread :class:`~repro.valuation.Valuation` objects those expand into.
 
 * the paper's output-linear delay, as a count: records read per ``enumerate``
   call are bounded by ``c·Σ|ν| + c′`` with one ``c`` for every window and
@@ -13,9 +14,17 @@ and the unread :class:`~repro.valuation.Valuation` it hands out.
   whichever accessor reads a valuation first;
 * unread valuations survive ``snapshot()`` / ``restore()`` (the label table
   is append-only and ``restore`` rebinds it), read ones drop their record;
-* a structure guard: one enumerator, one odometer.
+* the container contract, differential on every arena over union- and
+  product-heavy automata: ``len`` known unread, any first read gives the
+  oracle's list in its order (and the same objects after), ``==`` both ways
+  round; counted, not timed, the update-time work is the factors (children's
+  lists) and the odometer runs once, on read;
+* structure guards: one enumerator, one odometer; no valuation built by
+  ``process_many`` (statistics and an observer on) or by the server-side
+  encode of a match batch; the wire codec reads no valuation internals.
 """
 
+import math
 import random
 import re
 from pathlib import Path
@@ -24,6 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.valuation as valuation_module
 from repro.core import arena
 from repro.core.arena import ArenaDataStructure
 from repro.core.datastructure import DataStructure
@@ -32,9 +42,11 @@ from repro.core.hcq_to_pcea import hcq_to_pcea
 from repro.core.pcea import PCEA, PCEATransition
 from repro.core.predicates import ProjectionEquality, RelationPredicate
 from repro.cq.schema import Tuple
-from repro.valuation import Valuation
+from repro.multi.engine import MultiQueryEngine
+from repro.obs.observer import Observer
+from repro.valuation import PackedValuations, Valuation
 
-from helpers import ARENAS, slot_automata, slot_streams, star_query
+from helpers import ARENAS, count_valuation_constructions, slot_automata, slot_streams, star_query
 
 
 # ------------------------------------------------------------ the delay claim
@@ -284,8 +296,9 @@ def test_one_enumeration_shares_one_singleton_set_per_position():
 
 # ------------------------------------------------------------- structure guard
 def test_one_enumerator_one_odometer():
-    """The arena enumerates through ``_packed`` alone; the odometer and the
-    eager ``Valuation`` algebra stay with the object-graph oracle."""
+    """The arena enumerates through ``_groups`` alone and takes no product:
+    the packed records' odometer is the read side's (``valuation.py``), the
+    ``Valuation`` one and the eager algebra stay with the object-graph oracle."""
     source_root = Path(__file__).resolve().parent.parent / "src" / "repro"
     holders = sorted(
         str(path.relative_to(source_root))
@@ -294,5 +307,184 @@ def test_one_enumerator_one_odometer():
     )
     assert holders == ["core/datastructure.py"]
     arena_source = (source_root / "core" / "arena.py").read_text()
-    assert not re.search(r"Valuation\.singleton\(|\.product\(", arena_source)
+    assert not re.search(r"Valuation\.singleton\(|\.product\(|\bproduct\(\*|_pack_product", arena_source)
     assert "_product_combinations" not in arena_source
+    assert (source_root / "valuation.py").read_text().count("product(*") == 1
+
+
+def test_process_many_builds_no_valuation(monkeypatch):
+    """With statistics booked and an observer attached, ``process_many`` on
+    the arena builds no ``Valuation``; the first read builds one per output."""
+    built = count_valuation_constructions(monkeypatch)
+    for kernel in ARENAS:
+        engine = MultiQueryEngine(collect_stats=True, kernel=kernel)
+        engine.attach_observer(Observer(sample_every=1))
+        handle = engine.register(hcq_to_pcea(star_query(3)), 16)
+        built[0] = 0
+        outputs = [out[handle.id] for out in engine.process_many(star_stream(600)) if out]
+        total = engine.stats.outputs_enumerated
+        assert total >= 40 and total == sum(map(len, outputs)) and built[0] == 0
+        assert sum(len(list(out)) for out in outputs) == total == built[0]
+
+
+# ------------------------------------------------- the factorised container
+def storm_star(variants):
+    """A star over the arms ``A0``…: arm ``i`` reads into its own state through
+    ``variants[i]`` parallel transitions (distinct labels, ``union_storm``'s
+    unions), and ``C`` joins every arm on ``x`` — a product of 2–3 unions."""
+    arms = [f"A{index}" for index in range(len(variants))]
+    transitions = [
+        PCEATransition(frozenset(), RelationPredicate(arm), {}, {f"{arm}v{k}"}, arm)
+        for arm, count in zip(arms, variants)
+        for k in range(count)
+    ]
+    transitions.append(
+        PCEATransition(
+            set(arms),
+            RelationPredicate("C"),
+            {arm: ProjectionEquality({arm: (0,)}, {"C": (0,)}) for arm in arms},
+            {"close"},
+            "f",
+        )
+    )
+    return PCEA(set(arms) | {"f"}, transitions, {"f"})
+
+
+product_automata = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(storm_star)
+product_streams = st.lists(
+    st.tuples(st.sampled_from(["A0", "A1", "A2", "C", "C"]), st.sampled_from([0, 0, 1])),
+    min_size=6,
+    max_size=24,
+).map(lambda picks: [Tuple(relation, (key,)) for relation, key in picks])
+
+#: Every way a container may be read first; each must see the oracle's list.
+CONTAINER_FIRST_READS = [
+    lambda c, o: list(c) == o,
+    lambda c, o: c == o,
+    lambda c, o: o == c,
+    lambda c, o: not c != o,
+    lambda c, o: c[-1] == o[-1] and c[0] == o[0],
+    lambda c, o: c[1:] == o[1:] and c[::-1] == o[::-1] and c[-2:] == o[-2:],
+    lambda c, o: all(valuation in c for valuation in o),
+]
+
+
+def counting_odometer(patch):
+    """Count the records the one odometer (``valuation.group_records``) hands out,
+    on read and wherever the arena spells a product out."""
+    counter = [0]
+    inner = valuation_module.group_records
+
+    def counting(group):
+        for record in inner(group):
+            counter[0] += 1
+            yield record
+
+    patch.setattr(valuation_module, "group_records", counting)
+    patch.setattr(arena, "group_records", counting)
+    return counter
+
+
+def check_containers_against_the_object_structure(pcea, stream, patch, levels):
+    odometer = counting_odometer(patch)
+    reads = [0]
+    unpack = arena._UNPACK_RECORD
+
+    def counting_unpack(buffer, offset):
+        reads[0] += 1
+        return unpack(buffer, offset)
+
+    patch.setattr(arena, "_UNPACK_RECORD", counting_unpack)
+    oracle = StreamingEvaluator(pcea, WINDOW, arena=False)
+    engines = [StreamingEvaluator(pcea, WINDOW, kernel=kernel) for kernel in ARENAS]
+    for tup in stream:
+        wanted = oracle.process(tup)
+        assert type(wanted) is list
+        for engine in engines:
+            finals = engine.update(tup)
+            for first_read in CONTAINER_FIRST_READS:
+                odometer[0] = reads[0] = 0
+                container = engine.ds.outputs(finals, engine.position)
+                walked, built = reads[0], odometer[0]
+                assert type(container) is PackedValuations and container.records() is not None
+                groups = container._groups
+                products = [group for group in groups if type(group) is not list]
+                child_records = sum(len(child) for _, children in products for child in children)
+                run_records = sum(len(group) for group in groups if type(group) is list)
+                # Built at update time: the walk's runs, a head per product and
+                # the children's lists (a nested product expands into its list,
+                # and there alone; a product with one combination is stored as
+                # that record, spelled out once per product level) ...
+                assert built <= child_records + levels * run_records
+                # ... while the count is their product, known before any read.
+                size = len(container)
+                assert size == run_records + sum(math.prod(map(len, children)) for _, children in products)
+                assert size == len(wanted) and bool(container) == bool(wanted)
+                if engine.ds._nk is None:  # the walk's reads: the delay claim, per final node
+                    pairs = sum(valuation.size() for valuation in wanted)
+                    assert walked <= READS_PER_PAIR * pairs + READS_PER_CALL * len(finals)
+                odometer[0] = 0
+                if wanted:
+                    assert first_read(container, wanted)
+                else:
+                    assert container == [] and list(container) == []
+                # The first read expands every group once, straight into
+                # unread valuations; later reads expand nothing.
+                assert odometer[0] == size
+                assert container.records() is None and len(container) == size
+                read = list(container)
+                assert read == wanted
+                assert all(again is first for again, first in zip(container, read, strict=True))
+                assert container == wanted and wanted == container and odometer[0] == size
+                assert container != wanted + [Valuation({"other": {0}})]
+                with pytest.raises(TypeError):
+                    hash(container)
+
+
+@settings(deadline=None)
+@given(pcea=product_automata, stream=product_streams)
+def test_containers_read_as_the_object_structures_lists(pcea, stream):
+    """Union- and product-heavy automata on every arena: a container's length
+    is known unread, its first read (whichever) gives the oracle's list in
+    its order, and the update-time work is the factors, not their product."""
+    with pytest.MonkeyPatch.context() as patch:
+        check_containers_against_the_object_structure(pcea, stream, patch, levels=1)
+
+
+@settings(deadline=None)
+@given(pcea=automata, stream=streams)
+def test_containers_of_nested_products_read_as_the_object_structures_lists(pcea, stream):
+    """Products under products (``nested_pcea``): the children's lists hold the
+    nested products expanded, the container's own product stays factorised."""
+    with pytest.MonkeyPatch.context() as patch:
+        check_containers_against_the_object_structure(pcea, stream, patch, levels=2)
+
+
+@pytest.mark.parametrize("kernel", ARENAS)
+def test_process_and_process_many_hand_out_the_same_containers(kernel):
+    """``process`` returns per tuple what ``process_many`` does: one unread
+    container, whose length the statistics book without reading it."""
+    pcea, stream = storm_star([3, 4]), product_stream_of(160)
+    stepwise = StreamingEvaluator(pcea, WINDOW, kernel=kernel, collect_stats=True)
+    batched = StreamingEvaluator(pcea, WINDOW, kernel=kernel, collect_stats=True)
+    oracle = StreamingEvaluator(pcea, WINDOW, arena=False)
+    one_by_one = [stepwise.process(tup) for tup in stream]
+    in_batches = [out for start in range(0, len(stream), 32) for out in batched.process_many(stream[start : start + 32])]
+    produced = [index for index, out in enumerate(in_batches) if out]
+    assert produced and all(type(in_batches[index]) is PackedValuations for index in produced)
+    assert all(type(one_by_one[index]) is PackedValuations for index in produced)
+    assert stepwise.stats.outputs_enumerated == batched.stats.outputs_enumerated == sum(map(len, in_batches))
+    assert all(out.records() is not None for out in in_batches if type(out) is PackedValuations)
+    assert one_by_one == in_batches == [oracle.process(tup) for tup in stream]
+    # Products are where the factorisation pays: 4 × 3 and 4 × 4 arm runs
+    # close into 192 outputs, held as one head over lists of 12 and 16.
+    engine = StreamingEvaluator(pcea, WINDOW, kernel=kernel)
+    engine.process_many([Tuple(arm, (0,)) for arm in ["A0", "A1"] * 4])
+    (out,) = engine.process_many([Tuple("C", (0,))])
+    ((head, children),) = out._groups
+    assert list(map(len, children)) == [12, 16] and len(out) == 192 == len(list(out))
+
+
+def product_stream_of(length, seed=3):
+    rng = random.Random(seed)
+    return [Tuple(rng.choice(["A0", "A0", "A1", "A1", "C"]), (rng.randrange(2),)) for _ in range(length)]

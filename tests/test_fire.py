@@ -310,7 +310,7 @@ def test_one_arena_layout_and_no_ablation_knobs():
         "base", "span", "data", "avail", "prods", "count", "max_ms", "ext_refs"
     }
     list_column = re.compile(r"\bcolumnar\b|\.(?:pos|ms|ul|ur|lab|dirn|prod)\b")
-    for method in ("extend", "union", "extend_onto", "_packed"):
+    for method in ("extend", "union", "extend_onto", "_groups"):
         source = inspect.getsource(getattr(ArenaDataStructure, method))
         assert not list_column.search(source), method
 

@@ -30,6 +30,7 @@ import gc
 import io
 import logging
 import pickle
+import re
 import socket
 import struct
 import threading
@@ -37,6 +38,7 @@ import time
 import tracemalloc
 from collections import deque
 from hashlib import sha256
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -66,9 +68,12 @@ from repro.runtime.frames import (
     decode_body,
     decode_frame,
     encode_frame,
+    encode_match_frames,
     frame_length,
 )
-from repro.valuation import Valuation
+from repro.valuation import PackedValuations, Valuation
+
+from helpers import count_valuation_constructions
 
 QUERY_A = "QA(x, y) <- T(x), S(x, y), R(x, y)"
 QUERY_B = "QB(x) <- T(x), R(x, 1)"
@@ -104,12 +109,17 @@ def output_digest(per_tuple_outputs, base: int = 0) -> str:
 
 
 def matches_digest(matches) -> str:
-    """Same digest computed from a client's ``{handle: [(pos, vals)]}``."""
-    flat = []
+    """Same digest computed from a client's ``{handle: [(pos, vals)]}`` (a
+    position's matches may arrive split over several frames)."""
+    merged = {}
     for qid, batches in matches.items():
         for position, valuations in batches:
-            if valuations:
-                flat.append((position, qid, sorted(map(str, valuations))))
+            merged.setdefault((position, qid), []).extend(valuations)
+    flat = [
+        (position, qid, sorted(map(str, valuations)))
+        for (position, qid), valuations in merged.items()
+        if valuations
+    ]
     digest = sha256()
     for position, qid, rendered in sorted(flat):
         digest.update(f"{position}|{qid}|{rendered}".encode())
@@ -158,9 +168,10 @@ class TestSharedCodec:
         assert frame_length(struct.pack("!I", 17)) == 17
 
     def test_match_frames_carry_unread_valuations_compactly(self):
-        """A matches frame copies the packed records out of unread valuations
+        """A matches frame is written from each position's unread container
         (each label set once per frame): encoding reads nothing, and the
-        valuations arrive unread, equal and with equal hashes."""
+        matches arrive as unread containers of unread valuations, equal and
+        with equal hashes."""
         engine = MultiQueryEngine()
         handle = engine.register(QUERY_A, WINDOW)
         batch = [
@@ -168,23 +179,73 @@ class TestSharedCodec:
             for position, outputs in enumerate(engine.process_many(star_stream(400)))
             if outputs
         ]
-        valuations = [valuation for _, group in batch for valuation in group]
-        assert len(valuations) >= 40 and all(v._mapping is None for v in valuations)
+        assert all(type(group) is PackedValuations for _, group in batch)
+        assert sum(map(len, (group for _, group in batch))) >= 40
         frame = encode_frame(("matches", handle.id, batch))
-        assert all(v._mapping is None for v in valuations)  # encoding reads nothing
+        assert all(group.records() is not None for _, group in batch)  # encoding reads nothing
         (message,) = FrameAssembler().feed(frame)
         assert [position for position, _ in message[2]] == [position for position, _ in batch]
-        received = [valuation for _, group in message[2] for valuation in group]
-        assert all(v._mapping is None for v in received)
+        assert all(type(group) is PackedValuations for _, group in message[2])
         # Forwarding a received frame unread re-encodes to the same bytes.
         assert encode_frame(message) == frame
+        received = [valuation for _, group in message[2] for valuation in group]
         assert all(v._mapping is None for v in received)
+        valuations = [valuation for _, group in batch for valuation in group]
         assert received == valuations
         assert list(map(hash, received)) == list(map(hash, valuations))
         # Now read: the same matches still travel in the columnar shape, cut
         # back into one record entry per position, and arrive equal.
         reread = decode_frame(encode_frame(("matches", handle.id, batch)))
         assert [valuation for _, group in reread[2] for valuation in group] == valuations
+
+    def test_a_batch_past_the_caps_is_cut_into_frames_in_stream_order(self, monkeypatch):
+        """``encode_match_frames`` cuts where the element or the table cap would
+        be passed, mid-position if need be, and never leaves a position with no
+        match in a frame; ``encode_frame`` refuses what does not fit one."""
+        table = [frozenset({f"l{n}"}) for n in range(6)]
+        runs = [[(n % 6, n, (n + 1) % 6, n + 1) for n in range(start, start + 3)] for start in (0, 10)]
+
+        def batch():
+            return [(7, PackedValuations(table, [runs[0]])), (9, PackedValuations(table, [runs[1]]))]
+
+        wanted = [(position, valuation) for position, group in batch() for valuation in group]
+        # Two-entry matches: four entries per frame, or one label-set table of
+        # three, counted as if every entry of the next match were new.
+        for elements, labels, shape in [(4, 8, [[2], [1, 1], [2]]), (8, 3, [[1]] * 6)]:
+            monkeypatch.setattr("repro.runtime.frames.MAX_ELEMENTS", elements)
+            monkeypatch.setattr("repro.runtime.frames.MAX_TABLE", labels)
+            with pytest.raises(FrameProtocolError, match="split the batch"):
+                encode_frame(("matches", 5, batch()))
+            got = [decode_frame(frame) for frame in encode_match_frames(5, batch())]
+            assert all(message[:2] == ("matches", 5) for message in got)
+            assert [[len(group) for _, group in message[2]] for message in got] == shape
+            assert [
+                (position, valuation) for message in got for position, group in message[2] for valuation in group
+            ] == wanted
+        monkeypatch.setattr("repro.runtime.frames.MAX_ELEMENTS", 1)
+        with pytest.raises(FrameProtocolError, match="one match exceeds"):
+            encode_match_frames(5, [(0, [Valuation({"a": {1}, "b": {2}})])])
+
+    def test_serving_a_match_builds_no_valuation(self, monkeypatch):
+        """The server encodes a batch's matches straight from the engine's
+        containers and the client receives containers: no ``Valuation`` is
+        built until the subscriber reads one; the codec reads no valuation
+        internals."""
+        source = (Path(__file__).resolve().parent.parent / "src" / "repro" / "runtime" / "frames.py").read_text()
+        assert not re.search(r"_records_of|_tables|_packed", source)
+        built = count_valuation_constructions(monkeypatch)
+        stream = star_stream(300)
+        with ServerThread(MultiQueryEngine()) as st:
+            with IngestClient(st.host, st.port) as client:
+                client.subscribe(QUERY_A, WINDOW)
+                client.ingest_all(stream, frame_size=64)
+                assert st.server.match_frames_out and built[0] == 0
+                delivered = [group for batches in client.matches.values() for _, group in batches]
+        assert all(type(group) is PackedValuations for group in delivered)
+        total = sum(map(len, delivered))
+        assert total >= 40 and built[0] == 0
+        assert matches_digest(client.matches) == direct_digest([QUERY_A], stream)
+        assert built[0] >= 2 * total  # the subscriber's read and the direct run's
 
     def test_truncated_frame_stays_pending(self):
         frame = encode_frame(("hello", 1))
@@ -254,8 +315,9 @@ MATCHES = st.tuples(
 def typed(value):
     """``value`` with every node's type spelled out, so ``1``, ``True`` and
     ``1.0`` (equal, and equal hashes) compare different."""
-    if isinstance(value, (list, tuple, IngestBatch)):
-        return ("list" if isinstance(value, IngestBatch) else type(value).__name__, [typed(v) for v in value])
+    if isinstance(value, (list, tuple, IngestBatch, PackedValuations)):
+        lazy = isinstance(value, (IngestBatch, PackedValuations))
+        return ("list" if lazy else type(value).__name__, [typed(v) for v in value])
     if isinstance(value, frozenset):
         return ("frozenset", sorted(repr(typed(v)) for v in value))
     if isinstance(value, dict):
@@ -279,6 +341,7 @@ def read_everything(message):
             assert all(hash(tup) is not None for tup in message[2])
         elif message[0] == "matches" and isinstance(message[2], list):
             for _, valuations in message[2]:
+                assert len(list(valuations)) == len(valuations)
                 for valuation in valuations:
                     valuation.as_dict()
 
@@ -849,6 +912,42 @@ class TestRobustness:
             st.join(timeout=10)
             assert isinstance(st.server.driver_error, RuntimeError)
             assert "registry corrupted" in str(st.server.driver_error)
+        finally:
+            st.stop()
+
+    def test_a_match_batch_past_the_frame_caps_is_split_and_acked(self):
+        """512 closing tuples over 1100 acked arms: one engine batch of
+        563 200 two-entry matches, past the codec's element cap.  The server
+        sends it in several frames before the ack and keeps serving."""
+        query, window = "Q(x) <- A(x), B(x)", 4000
+        stream = [Tuple("A", (1,))] * 1100 + [Tuple("B", (1,))] * 512
+        with ServerThread(MultiQueryEngine(), max_batch=512) as st:
+            with IngestClient(st.host, st.port, timeout=30) as client:
+                client.subscribe(query, window)
+                client.ingest_all(stream[:1100], frame_size=512)
+                frames_before = st.server.match_frames_out
+                assert client.wait_ack(client.ingest(stream[1100:]))[1] == 512
+                assert st.server.match_frames_out - frames_before >= 2
+                assert st.server.driver_error is None
+                served = matches_digest(client.matches)
+                self._assert_still_serving(st)
+        assert served == direct_digest([query], stream, window)
+
+    def test_a_match_batch_that_cannot_be_encoded_stops_the_server(self, monkeypatch):
+        """A batch whose matches cannot be sent is never acked: the driver
+        fails stop with ``driver_error`` set, as for an engine failure."""
+        def broken(handle, batch):
+            raise FrameProtocolError("cannot encode")
+
+        monkeypatch.setattr("repro.net.server.encode_match_frames", broken)
+        st = ServerThread(MultiQueryEngine()).start()
+        try:
+            with IngestClient(st.host, st.port, timeout=10) as client:
+                client.subscribe("Q(x) <- A(x), B(x)", 10)
+                with pytest.raises(NetClientError, match="closed the connection"):
+                    client.ingest_all([Tuple("A", (1,)), Tuple("B", (1,))])
+            st.join(timeout=10)
+            assert isinstance(st.server.driver_error, FrameProtocolError)
         finally:
             st.stop()
 
