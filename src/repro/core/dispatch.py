@@ -30,6 +30,14 @@ The per-transition data (target, labels, join predicates ordered by source) is
 flattened into ``__slots__`` :class:`CompiledTransition` records so the per-tuple
 loop performs no mapping lookups on the transition itself.
 
+An index is built in two steps.  The *structure* step
+(:class:`DispatchStructure`) reads the transitions' sources, targets, joins,
+labels and the final states: state ids, slots, probes, consumers.  The *bind*
+step reads the unary predicates: acceptors, dispatch relations, guards,
+canonical keys and threshold families.  Automata that differ only in their
+unaries share one structure — the pattern compiler keeps one per conjunction
+shape — so binding is all such an index costs.
+
 Candidates are stored as **plans** (:class:`EvalPlan`): pre-grouped by the
 canonical key of their unary predicate, so the fire loop
 (:func:`repro.runtime.fire`) evaluates one predicate per group — or, for
@@ -38,13 +46,16 @@ groups differing only in the ``c`` of an ``attr ⋈ c`` conjunct, one per
 per-relation list, the wildcard list and every constant-guard bucket is a
 plan; :class:`PlanIndex` holds that storage and the per-tuple ``plan_for``
 lookup for both this module's per-automaton index and the multi-query
-engine's merged index.
+engine's merged index.  :func:`plan_of` groups a member list at once;
+:class:`PlanCell` keeps the same grouping patched a few members at a time,
+for the merged index.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
+from operator import attrgetter
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple as Tup, TYPE_CHECKING
 
 from repro.core.predicates import compile_acceptor, compile_key_extractors
@@ -134,13 +145,14 @@ class EvalFamily:
     """Two or more groups whose unaries are ``base ∧ (v ⋈ c)`` with one base,
     relation, position and ``⋈ ∈ {<, ≤, >, ≥}``: one ``base`` call and one bisect
     of ``v`` into the sorted constants decide them all — the accepting members
-    are a prefix or a suffix of ``members``, which are listed by constant."""
+    are a prefix or a suffix of ``members``, which are listed by constant (the
+    ``groups`` given must be)."""
 
     __slots__ = ("accepts", "relation", "position", "cut", "suffix", "constants", "members",
                  "groups")  # fmt: skip
 
-    def __init__(self, groups: List[EvalGroup]) -> None:
-        self.groups = tuple(sorted(groups, key=lambda group: group.members[0].family[1]))
+    def __init__(self, groups: Sequence[EvalGroup]) -> None:
+        self.groups = tuple(groups)
         key, _, self.accepts, _ = groups[0].members[0].family
         _, self.relation, self.position, operator, _ = key
         self.cut, self.suffix = _CUTS[operator]
@@ -217,7 +229,11 @@ def plan_of(members: Sequence) -> EvalPlan:
         kin = groups if family is None else by_family.setdefault(family[0], [])
         kin.append(EvalGroup(tuple(bucket)))
     groups += [kin[0] for kin in by_family.values() if len(kin) == 1]
-    families = tuple(EvalFamily(kin) for kin in by_family.values() if len(kin) > 1)
+    families = tuple(
+        EvalFamily(sorted(kin, key=lambda group: group.members[0].family[1]))
+        for kin in by_family.values()
+        if len(kin) > 1
+    )
     return EvalPlan(groups, len(members), families)
 
 
@@ -259,6 +275,101 @@ def _split_by_guard(members: Sequence):
 _EMPTY_PLAN = plan_of(())
 
 
+_by_index = attrgetter("index")
+
+
+def _constant(group: EvalGroup):
+    return group.members[0].family[1]
+
+
+class PlanCell:
+    """One plan bucket patched a few members at a time: the incremental
+    counterpart of :func:`plan_of`, by the same grouping rule (the tests
+    compare the two).  The multi-query engine's merged index keeps one per
+    relation and constant guard (or none), and one for the wildcards.
+
+    ``groups`` maps each predicate key to its :class:`EvalGroup` (members in
+    canonical order); ``kin`` each threshold family key to its groups by
+    constant, ``families`` those with two or more (by the identity of their
+    ``kin`` list) to their :class:`EvalFamily` (both ``None`` until a family
+    key appears), and ``loose`` holds the groups no family took.
+    :meth:`patch` rebuilds only the groups its members belong to and their
+    families, then assembles :attr:`plan` from the cached ones: what
+    :func:`plan_of` builds over the cell's members, but for the order of the
+    groups (which decides nothing the fire loop applies).  Plans handed out
+    are never mutated.
+    """
+
+    __slots__ = ("groups", "loose", "kin", "families", "total", "plan")
+
+    def __init__(self) -> None:
+        self.groups: Dict[Hashable, EvalGroup] = {}
+        self.loose: Dict[Hashable, EvalGroup] = {}
+        # Made with the first group that has a threshold family.
+        self.kin: Optional[Dict[Hashable, List[EvalGroup]]] = None
+        self.families: Optional[Dict[int, EvalFamily]] = None
+        self.total = 0
+        self.plan = _EMPTY_PLAN
+
+    def patch(self, changed: Dict[Hashable, Tup[List, List]]) -> None:
+        """Apply ``{predicate key: (members in, members out)}``."""
+        groups, loose, kin_of, families = self.groups, self.loose, self.kin, self.families
+        touched: Optional[Dict[int, List[EvalGroup]]] = None  # id(kin) -> kin, of changed families
+        for pred_id, (plus, minus) in changed.items():
+            old = groups.get(pred_id)
+            if old is None:
+                members = plus
+            else:
+                members = list(old.members)
+                if minus:
+                    gone = set(map(id, minus))
+                    members = [member for member in members if id(member) not in gone]
+                members += plus
+            if plus and len(members) > 1:
+                members.sort(key=_by_index)
+            self.total += len(plus) - len(minus)
+            group = EvalGroup(tuple(members)) if members else None
+            if group is None:
+                del groups[pred_id]
+            else:
+                groups[pred_id] = group
+            family = (old if group is None else group).members[0].family
+            if family is None:
+                if group is None:
+                    del loose[pred_id]
+                else:
+                    loose[pred_id] = group
+                continue
+            # A family key's lone group is loose; two or more are a family.
+            if kin_of is None:
+                kin_of, families = self.kin, self.families = {}, {}
+            kin = kin_of.get(family[0])
+            if kin is None:
+                kin = kin_of[family[0]] = []
+            elif len(kin) == 1:
+                del loose[kin[0].members[0].pred_key]
+            if old is not None:
+                kin.remove(old)
+            if group is not None:
+                insort(kin, group, key=_constant)
+            if len(kin) == 1:
+                loose[kin[0].members[0].pred_key] = kin[0]
+            elif not kin:
+                del kin_of[family[0]]
+            if touched is None:
+                touched = {}
+            touched[id(kin)] = kin
+        if touched:
+            for key, kin in touched.items():
+                if len(kin) > 1:
+                    families[key] = EvalFamily(kin)
+                else:
+                    families.pop(key, None)
+        self.plan = EvalPlan(
+            list(loose.values()), self.total, tuple(families.values()) if families else ()
+        )
+
+
 class PlanIndex:
     """Per-relation plan storage and the per-tuple lookup, shared by
     :class:`TransitionDispatchIndex` and the multi-query engine's
@@ -284,10 +395,6 @@ class PlanIndex:
             self.guarded.pop(relation, None)
         else:
             self.guarded[relation] = split
-
-    def _drop_relation(self, relation: str) -> None:
-        self.plans.pop(relation, None)
-        self.guarded.pop(relation, None)
 
     def plan_for(self, tup) -> EvalPlan:
         """The plan a tuple is evaluated against (never ``None``).
@@ -362,6 +469,10 @@ class CompiledTransition:
     non-final transition into a one-slot state is written straight onto that
     slot's entry (``DS_w.extend_onto``).  ``index``, the transition's position
     in the automaton, is its canonical candidate rank.
+
+    Those fields up to ``store_through`` are the transition's *shape*, taken
+    whole from a :class:`DispatchStructure`; the rest are *bound* here from
+    the transition's unary predicate.
     """
 
     __slots__ = (
@@ -383,36 +494,99 @@ class CompiledTransition:
         "family",
     )
 
-    def __init__(self, index: int, transition: "PCEATransition") -> None:
-        self.index = index
+    def __init__(self, shape: Tup, transition: "PCEATransition", binding: Tup) -> None:
+        # ``binding``: ``(accepts, relations, guard, pred_key, family)`` of the unary.
+        (self.index, self.labels, self.target, self.target_id, self.is_final,
+         self.joins, self.probes, self.consumers, self.store_through) = shape  # fmt: skip
         self.transition = transition
         self.unary = transition.unary
-        self.accepts = compile_acceptor(transition.unary)
-        self.labels = transition.labels
-        self.target = transition.target
-        self.relations: Optional[frozenset] = transition.unary.dispatch_relations()
-        # A ``(position, value)`` equality implied by the unary predicate, so
-        # the index can key this transition by its guard value; the canonical
-        # key lets the multi-query engine share one ``unary.holds`` verdict
-        # across structurally identical predicates, the threshold family one
-        # bisect across ``base ∧ (attr ⋈ c)`` ones.  All default soundly for
-        # predicate objects predating the protocol.
-        guard = getattr(transition.unary, "constant_guard", None)
-        self.guard: Optional[Tup[int, object]] = guard() if guard is not None else None
-        self.pred_key: Hashable = _canonical_key(transition.unary)
-        self.family = threshold_family(transition.unary)
-        # Filled in by the index: interned ids and the final-state flag.
-        self.target_id = -1
-        self.is_final = False
-        self.joins: Tup[Tup[State, int, object], ...] = ()
-        self.probes: Tup[Tup[int, object], ...] = ()
-        self.consumers: Tup[Tup[int, object], ...] = ()
-        self.store_through = False
+        self.accepts, self.relations, self.guard, self.pred_key, self.family = binding
 
     def __repr__(self) -> str:
         key = "*" if self.relations is None else "|".join(sorted(self.relations))
         final = ", final" if self.is_final else ""
         return f"CompiledTransition(#{self.index}, key={key}, -> {self.target!r}{final})"
+
+
+class DispatchStructure:
+    """What a compiled automaton is apart from its unary predicates.
+
+    Built from the transitions' sources, targets, binary predicates and
+    labels and the final-state set: the interned state ids, the slot table,
+    each state's readers and, per transition, its *shape* — ``(index,
+    labels, target, target id, is final, joins, probes, consumers, store
+    through)``, the :class:`CompiledTransition` fields no unary decides.
+    Automata equal but for their unaries share one structure: the pattern
+    compiler keeps one per conjunction shape (:meth:`PCEA.with_unaries
+    <repro.core.pcea.PCEA.with_unaries>`), and each index binds only its own
+    unaries onto it.  Never mutated once built.
+    """
+
+    __slots__ = ("final", "state_ids", "slots", "consumers", "shapes", "_leaves")
+
+    def __init__(
+        self, transitions: Sequence["PCEATransition"], final: Iterable[State] = ()
+    ) -> None:
+        self.final = final = frozenset(final)
+        state_ids: Dict[State, int] = {}
+        intern = lambda state: state_ids.setdefault(state, len(state_ids))
+        # (source id, left key plan) -> slot.  Interned on the plan *data*:
+        # slot numbers are part of the snapshot contract, so they must come
+        # out the same in every process.  A join without a plan is its own slot.
+        slots: Dict[Hashable, int] = {}
+        readers: Dict[int, Dict[int, object]] = {}
+        shapes = []
+        for i, transition in enumerate(transitions):
+            target_id = intern(transition.target)
+            if not transition.sources:  # a run-starting transition joins nothing
+                shapes.append((transition, target_id, (), ()))
+                continue
+            joins = tuple(
+                (source, intern(source), transition.binaries[source])
+                for source in sorted(transition.sources, key=str)
+            )
+            probes = []
+            for _, source_id, predicate in joins:
+                left, right = compile_key_extractors(predicate)
+                plan = getattr(predicate, "left_key_plan", lambda: None)()
+                slot = slots.setdefault((source_id, i if plan is None else plan), len(slots))
+                probes.append((slot, right))
+                readers.setdefault(source_id, {}).setdefault(slot, left)
+            shapes.append((transition, target_id, joins, tuple(probes)))
+        self.state_ids = state_ids
+        #: slot -> ``(source state id, left key plan)`` (a transition index
+        #: where the join has no plan), in slot order.
+        self.slots: Tup[Tup[int, Hashable], ...] = tuple(slots)
+        consumers = self.consumers = {
+            source_id: tuple(by_slot.items()) for source_id, by_slot in readers.items()
+        }
+        self.shapes: Tup[Tup, ...] = tuple([
+            (i, transition.labels, transition.target, target_id, is_final, joins, probes, into,
+             not joins and not is_final and len(into) == 1)
+            for i, (transition, target_id, joins, probes) in enumerate(shapes)
+            for is_final, into in [(transition.target in final, consumers.get(target_id, ()))]
+        ])  # fmt: skip
+        self._leaves: Optional[Dict[int, Tup[Tup[int, ...], Tup[Hashable, ...]]]] = None
+
+    def leaves(self) -> Dict[int, Tup[Tup[int, ...], Tup[Hashable, ...]]]:
+        """The leaf-state candidates (see :meth:`TransitionDispatchIndex.leaf_states`):
+        state id -> (its incoming transitions, the left key plan of each slot).
+        Computed on first use: only a store two queries share reads them."""
+        leaves = self._leaves
+        if leaves is None:
+            barred = {source for source, plan in self.slots if isinstance(plan, int)}
+            into: Dict[int, List[int]] = {}
+            for i, _, _, target_id, is_final, joins, *_ in self.shapes:
+                if joins or is_final:
+                    barred.add(target_id)
+                else:
+                    into.setdefault(target_id, []).append(i)
+            leaves = self._leaves = {
+                state_id: (tuple(into[state_id]), tuple(self.slots[slot][1] for slot, _ in readers))
+                for state_id, readers in self.consumers.items()
+                if state_id in into and state_id not in barred
+            }
+        return leaves
 
 
 class MergedEntry:
@@ -486,6 +660,11 @@ class TransitionDispatchIndex(PlanIndex):
         The automaton's final-state set; fired transitions into these states
         carry ``is_final=True`` so the evaluator can collect output nodes
         without hashing composite states.
+    structure:
+        The :class:`DispatchStructure` of ``transitions`` (whose finals then
+        apply), when one is kept for automata of their shape; built here
+        from ``transitions`` and ``final`` otherwise.  Either way the index
+        is that structure with the transitions' unaries bound onto it.
 
     Candidates carrying a constant equality guard
     (``UnaryPredicate.constant_guard``) are additionally keyed by ``(relation,
@@ -498,46 +677,42 @@ class TransitionDispatchIndex(PlanIndex):
         transitions: Sequence["PCEATransition"],
         indexed: bool = True,
         final: Iterable[State] = (),
+        structure: Optional[DispatchStructure] = None,
     ) -> None:
+        if structure is None:
+            structure = DispatchStructure(transitions, final)
+        elif len(structure.shapes) != len(transitions):
+            raise ValueError("the dispatch structure was built for another transition list")
         self.indexed = indexed
-        self.final = frozenset(final)
-        self.state_ids: Dict[State, int] = {}
+        self.structure = structure
+        self.final = structure.final
+        self.state_ids = structure.state_ids
+        self.slots = structure.slots
+        self._consumers = structure.consumers
         compiled: List[CompiledTransition] = []
-        # (source id, left key plan) -> slot.  Interned on the plan *data*:
-        # slot numbers are part of the snapshot contract, so they must come
-        # out the same in every process.  A join without a plan is its own slot.
-        slots: Dict[Hashable, int] = {}
-        consumers: Dict[int, Dict[int, object]] = {}
-        for i, transition in enumerate(transitions):
-            c = CompiledTransition(i, transition)
-            if not indexed:
-                c.relations = None
-            c.target_id = self._intern(transition.target)
-            c.is_final = transition.target in self.final
-            c.joins = tuple(
-                (source, self._intern(source), transition.binaries[source])
-                for source in sorted(transition.sources, key=str)
-            )
-            probes = []
-            for _, source_id, predicate in c.joins:
-                left, right = compile_key_extractors(predicate)
-                plan = getattr(predicate, "left_key_plan", lambda: None)()
-                slot = slots.setdefault((source_id, i if plan is None else plan), len(slots))
-                probes.append((slot, right))
-                consumers.setdefault(source_id, {}).setdefault(slot, left)
-            c.probes = tuple(probes)
-            compiled.append(c)
+        bindings: Dict[int, Tup] = {}  # id(unary) -> its binding, once per unary object
+        for shape, transition in zip(structure.shapes, transitions):
+            unary = transition.unary
+            binding = bindings.get(id(unary))
+            if binding is None:
+                # A ``(position, value)`` equality implied by the unary
+                # predicate, so the index can key the transition by its guard
+                # value; the canonical key lets the multi-query engine share
+                # one ``unary.holds`` verdict across structurally identical
+                # predicates, the threshold family one bisect across
+                # ``base ∧ (attr ⋈ c)`` ones.  All default soundly for
+                # predicate objects predating the protocol.
+                guard = getattr(unary, "constant_guard", None)
+                binding = bindings[id(unary)] = (
+                    compile_acceptor(unary),
+                    unary.dispatch_relations() if indexed else None,
+                    guard() if guard is not None else None,
+                    _canonical_key(unary),
+                    threshold_family(unary),
+                )
+            compiled.append(CompiledTransition(shape, transition, binding))
         self._all: Tup[CompiledTransition, ...] = tuple(compiled)
-        #: slot -> ``(source state id, left key plan)`` (a transition index
-        #: where the join has no plan), in slot order.
-        self.slots: Tup[Tup[int, Hashable], ...] = tuple(slots)
         self._leaves: Optional[Dict[int, Hashable]] = None  # see leaf_states()
-        self._consumers: Dict[int, Tup[Tup[int, object], ...]] = {
-            source_id: tuple(by_slot.items()) for source_id, by_slot in consumers.items()
-        }
-        for c in compiled:
-            c.consumers = self._consumers.get(c.target_id, ())
-            c.store_through = not c.joins and not c.is_final and len(c.consumers) == 1
 
     def __getattr__(self, name: str):
         # The index's own plans are built on first read: no engine reads
@@ -557,12 +732,6 @@ class TransitionDispatchIndex(PlanIndex):
                 relation, [c for c in compiled if c.relations is None or relation in c.relations]
             )
         return getattr(self, name)
-
-    def _intern(self, state: State) -> int:
-        state_id = self.state_ids.get(state)
-        if state_id is None:
-            state_id = self.state_ids[state] = len(self.state_ids)
-        return state_id
 
     # ----------------------------------------------------------------- lookups
     def consumers_by_id(self, state_id: int) -> Tup[Tup[int, object], ...]:
@@ -586,20 +755,11 @@ class TransitionDispatchIndex(PlanIndex):
         """
         leaves = self._leaves
         if leaves is None:
-            barred = {source for source, plan in self.slots if isinstance(plan, int)}
-            into: Dict[int, List[Tup]] = {}
-            for c in self._all:
-                if c.joins or c.is_final:
-                    barred.add(c.target_id)
-                else:
-                    into.setdefault(c.target_id, []).append((c.relations, c.pred_key, c.labels))
+            into_key = lambda c: (c.relations, c.pred_key, c.labels)
+            compiled = self._all
             leaves = self._leaves = {
-                state_id: (
-                    tuple(into[state_id]),
-                    tuple(self.slots[slot][1] for slot, _ in readers),
-                )
-                for state_id, readers in self._consumers.items()
-                if state_id in into and state_id not in barred
+                state_id: (tuple([into_key(compiled[i]) for i in into]), plans)
+                for state_id, (into, plans) in self.structure.leaves().items()
             }
         return leaves
 

@@ -94,6 +94,16 @@ class PCEATransition:
     def uses_only_equality_predicates(self) -> bool:
         return all(isinstance(b, EqualityPredicate) for b in self.binaries.values())
 
+    def with_unary(self, unary: UnaryPredicate) -> "PCEATransition":
+        """This transition checking ``unary`` instead: its sources, joins,
+        labels and target are shared as they are, not validated again."""
+        bound = object.__new__(PCEATransition)
+        fields = {"sources": self.sources, "unary": unary, "binaries": self.binaries,
+                  "labels": self.labels, "target": self.target}  # fmt: skip
+        for name, value in fields.items():
+            object.__setattr__(bound, name, value)
+        return bound
+
     def __hash__(self) -> int:
         return hash((self.sources, self.labels, self.target, id(self.unary)))
 
@@ -130,6 +140,11 @@ class PCEA:
         self._dispatch_index = None  # built lazily by ``dispatch_index``
         self._validate()
 
+    #: The automaton this one was bound from (:meth:`with_unaries`), and, on
+    #: such a template, the dispatch structure its bound automata share.
+    _template: "PCEA | None" = None
+    _structure = None
+
     def _validate(self) -> None:
         if not self.final <= self.states:
             raise ValueError("final states must be states")
@@ -153,21 +168,60 @@ class PCEA:
     def initial_transitions(self) -> Iterator[PCEATransition]:
         return (t for t in self.transitions if t.is_initial)
 
+    def with_unaries(self, unaries: Sequence[UnaryPredicate]) -> "PCEA":
+        """This automaton with transition ``i`` checking ``unaries[i]``.
+
+        States, sources, joins, labels and finals are this automaton's,
+        shared and not validated again, so the two differ in their unary
+        predicates only — which is all a dispatch index binds: every
+        automaton bound from this one shares one
+        :class:`~repro.core.dispatch.DispatchStructure` (see
+        :meth:`dispatch_index`).  The pattern compiler binds each pattern's
+        filters onto its shape's memoised automaton this way.
+        """
+        if len(unaries) != len(self.transitions):
+            raise ValueError(
+                f"{len(unaries)} unaries bound onto {len(self.transitions)} transitions"
+            )
+        bound = PCEA.__new__(PCEA)
+        bound.states, bound.final, bound.labels = self.states, self.final, self.labels
+        bound.transitions = tuple([
+            transition if unary is transition.unary else transition.with_unary(unary)
+            for transition, unary in zip(self.transitions, unaries)
+        ])  # fmt: skip
+        bound._dispatch_index = None
+        bound._template = self
+        return bound
+
     def dispatch_index(self):
         """The compile-once transition dispatch index (cached on the automaton).
 
         Built by the first call (every engine makes one at construction) and
-        shared by later engines; the compilers never build it, since a
-        pattern's conjunction is compiled only for its transitions.  The
-        pattern compiler's memoised core automata rely on that: one is shared
-        by every pattern of its shape, and only the automata bound from it
-        reach an engine (:func:`repro.engine.compiler._shape_automaton`).  See
+        shared by later engines.  An index is a dispatch structure (state
+        ids, joins, slots, readers: what the transitions' unaries do not
+        decide) with the unaries bound onto it.  An automaton made by
+        :meth:`with_unaries` takes the structure its template keeps — built
+        by the first index of an automaton bound from it, then shared by all
+        of them — so its index costs only the binding; any other builds its
+        own.  The compilers never build an index, and nothing builds one on
+        a template: the pattern compiler's memoised automata are templates,
+        one shared by every pattern of its shape
+        (:func:`repro.engine.compiler._shape_automaton`).  See
         :mod:`repro.core.dispatch`.
         """
         if self._dispatch_index is None:
-            from repro.core.dispatch import TransitionDispatchIndex
+            from repro.core.dispatch import DispatchStructure, TransitionDispatchIndex
 
-            self._dispatch_index = TransitionDispatchIndex(self.transitions, final=self.final)
+            template = self._template
+            structure = None
+            if template is not None:
+                structure = template._structure
+                if structure is None:
+                    structure = DispatchStructure(template.transitions, template.final)
+                    template._structure = structure
+            self._dispatch_index = TransitionDispatchIndex(
+                self.transitions, final=self.final, structure=structure
+            )
         return self._dispatch_index
 
     # ----------------------------------------------- naive (reference) semantics

@@ -77,6 +77,20 @@ class Atom:
         object.__setattr__(self, "_first", first)
         object.__setattr__(self, "_checks", tuple(checks))
         object.__setattr__(self, "_variables", frozenset(first))
+        object.__setattr__(self, "_hash", None)
+
+    def __hash__(self) -> int:
+        # The dataclass hash, kept: atoms sit inside the canonical predicate
+        # keys and shape keys the dispatch tables hash at every registration.
+        cached = self._hash
+        if cached is None:
+            cached = hash((self.relation, self.terms))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __reduce__(self):
+        # Rebuilt from its fields: a cached string hash is per process.
+        return Atom, (self.relation, self.terms)
 
     @property
     def arity(self) -> int:

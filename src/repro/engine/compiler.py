@@ -21,9 +21,9 @@ stream positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, FrozenSet, Hashable, List, Sequence as Seq, Set, Tuple as Tup
+from typing import Callable, Dict, Hashable, List, Sequence as Seq, Set, Tuple as Tup
 
 from repro.core.hcq_to_pcea import hcq_to_pcea
 from repro.core.pcea import PCEA, PCEATransition
@@ -37,7 +37,7 @@ from repro.core.predicates import (
     UnaryPredicate,
     compile_acceptor,
 )
-from repro.cq.query import ConjunctiveQuery, Variable
+from repro.cq.query import Atom, ConjunctiveQuery, Variable
 from repro.cq.schema import Tuple
 from repro.engine.dsl import AtomPattern, Conjunction, Disjunction, Pattern, Sequence
 
@@ -52,9 +52,18 @@ class _FilteredUnary(UnaryPredicate):
 
     base: UnaryPredicate
     filters: Tup[AttributeFilter, ...]
+    #: ``compile_acceptor(base)`` and ``base.canonical_key()``: what a shape's
+    #: template keeps per transition (computed here when not given).
+    base_accepts: Callable = field(default=None, compare=False, repr=False)
+    base_key: Hashable = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.base_accepts is None:
+            object.__setattr__(self, "base_accepts", compile_acceptor(self.base))
+            object.__setattr__(self, "base_key", self.base.canonical_key())
 
     def acceptor(self):
-        parts = (compile_acceptor(self.base), *(flt.acceptor() for flt in self.filters))
+        parts = (self.base_accepts, *(flt.acceptor() for flt in self.filters))
 
         def accept(tup):
             for part in parts:
@@ -81,11 +90,7 @@ class _FilteredUnary(UnaryPredicate):
         return result
 
     def canonical_key(self):
-        return (
-            "filtered",
-            self.base.canonical_key(),
-            tuple(flt.canonical_key() for flt in self.filters),
-        )
+        return ("filtered", self.base_key, tuple([flt.canonical_key() for flt in self.filters]))
 
     def constant_guard(self):
         # Any conjunct's guard is a guard of the conjunction.
@@ -104,7 +109,10 @@ class _FilteredUnary(UnaryPredicate):
             split = flt.threshold()
             if split is not None:
                 rest = self.filters[:i] + self.filters[i + 1 :]
-                return (_FilteredUnary(self.base, rest) if rest else self.base, *split[1:])
+                base = self.base
+                if rest:
+                    base = _FilteredUnary(base, rest, self.base_accepts, self.base_key)
+                return (base, *split[1:])
         return None
 
     def __str__(self) -> str:
@@ -156,32 +164,98 @@ def _compile_atom(pattern: AtomPattern, label: int, prefix: Tup[Hashable, ...]) 
     return _Fragment({state}, [transition], {state}, {label}, [pattern])
 
 
-#: Filter-free conjunctions whose Theorem 4.1 automaton :func:`_shape_automaton`
-#: keeps (least recently used first out).
+#: Conjunction shapes whose template :func:`_shape_automaton` keeps (least
+#: recently used first out).
 _SHAPE_CACHE = 256
 
 
-def _shape(atom_patterns: Seq[AtomPattern]) -> ConjunctiveQuery:
-    """The filter-free conjunction of ``atom_patterns``: the query *shape*."""
-    atoms = [p.as_atom() for p in atom_patterns]
-    head = sorted({v for a in atoms for v in a.variables()}, key=lambda v: v.name)
-    return ConjunctiveQuery(head, atoms, name="Pattern")
+def _shape(atom_patterns: Seq[AtomPattern]) -> Tup[Tup[str, Tup[str, ...]], ...]:
+    """The filter-free conjunction of ``atom_patterns`` — the query *shape* —
+    as each atom's relation and variable names."""
+    return tuple([(p.relation, tuple(p.variables)) for p in atom_patterns])
+
+
+class _Template(PCEA):
+    """The Theorem 4.1 automaton of one conjunction shape, its states named as
+    a top-level pattern names them, plus what binding a pattern's filters onto
+    each transition reads: the atoms its labels stand for, in order, and its
+    unary's acceptor and canonical key (the base of a ``_FilteredUnary``)."""
+
+    def __init__(self, core: PCEA, atoms: int) -> None:
+        top = lambda state: _prefix_state((), state)
+        super().__init__(
+            map(top, core.states),
+            [
+                PCEATransition(
+                    map(top, t.sources),
+                    t.unary,
+                    {top(source): binary for source, binary in t.binaries.items()},
+                    t.labels,
+                    top(t.target),
+                )
+                for t in core.transitions
+            ],
+            map(top, core.final),
+            labels=range(atoms),
+        )
+        # Transitions reading the same atoms through equal unaries take one
+        # filtered unary: the first such transition's, bound once per index.
+        first: Dict[Tup, int] = {}
+        self.bases = tuple(
+            (reads, compile_acceptor(t.unary), key, first.setdefault((reads, key), i))
+            for i, t in enumerate(self.transitions)
+            for reads, key in [(tuple(sorted(t.labels)), t.unary.canonical_key())]
+        )
 
 
 @lru_cache(maxsize=_SHAPE_CACHE)
-def _shape_automaton(shape: ConjunctiveQuery) -> PCEA:
-    """The Theorem 4.1 automaton of a filter-free conjunction, built once per shape.
+def _shape_automaton(shape: Tup[Tup[str, Tup[str, ...]], ...]) -> _Template:
+    """The template of a conjunction shape, built once per shape.
 
-    The construction reads only the atoms' structure, and a filter is bound
-    afterwards, onto a transition's unary; so patterns equal but for their
-    filter constants share one result.  The key is sound because the atoms
-    hold variables only (compared by name), never constants that compare
-    equal across types.  The automaton is shared: callers read its states and
-    transitions and build their own, and nothing calls its ``dispatch_index``
-    (the predicates it holds are immutable and keyed structurally, so sharing
-    them is safe).  A construction that raises is not kept.
+    The Theorem 4.1 construction reads only the atoms' structure, and a
+    filter is bound afterwards, onto a transition's unary; so patterns equal
+    but for their filters share one template.  The key is sound because it
+    holds relation and variable names only (a variable is compared by name),
+    never constants that compare equal across types.  A pattern that is one
+    conjunction is the template with its filtered unaries bound on
+    (:meth:`PCEA.with_unaries <repro.core.pcea.PCEA.with_unaries>`): its
+    dispatch index binds them onto the one dispatch structure the template
+    keeps, built by the first such index.  A nested conjunction reads the
+    template's transitions.  Nothing calls the template's own
+    ``dispatch_index`` (the predicates it holds are immutable and keyed
+    structurally, so sharing them is safe).  A construction that raises is
+    not kept.
     """
-    return hcq_to_pcea(shape)
+    atoms = [Atom(relation, tuple([Variable(name) for name in names])) for relation, names in shape]
+    head = sorted({v for a in atoms for v in a.variables()}, key=lambda v: v.name)
+    return _Template(hcq_to_pcea(ConjunctiveQuery(head, atoms, name="Pattern")), len(atoms))
+
+
+def _template_of(pattern: Conjunction, atom_patterns: Seq[AtomPattern]) -> _Template:
+    try:
+        return _shape_automaton(_shape(atom_patterns))
+    except (ValueError, KeyError) as exc:
+        # NotHierarchicalError is a ValueError; the structure tree raises
+        # ValueError/KeyError.  Anything else is a bug and propagates as is.
+        raise PatternCompilationError(
+            f"conjunction {pattern} is not a hierarchical pattern: {exc}"
+        ) from exc
+
+
+def _bound_unaries(template: _Template, atom_patterns: Seq[AtomPattern]) -> List[UnaryPredicate]:
+    """Each template transition's unary with the filters of the atoms it reads
+    conjoined (the base unary itself where they have none)."""
+    filters_of = [_attribute_filters(p) for p in atom_patterns]
+    unaries: List[UnaryPredicate] = []
+    for transition, (atoms, accepts, key, first) in zip(template.transitions, template.bases):
+        filters = tuple([flt for local in atoms for flt in filters_of[local]])
+        if not filters:
+            unaries.append(transition.unary)
+        elif first < len(unaries):
+            unaries.append(unaries[first])
+        else:
+            unaries.append(_FilteredUnary(transition.unary, filters, accepts, key))
+    return unaries
 
 
 def _compile_conjunction(
@@ -192,41 +266,20 @@ def _compile_conjunction(
         raise AssertionError("label/atom count mismatch")
     if len(atom_patterns) == 1:
         return _compile_atom(atom_patterns[0], labels[0], prefix)
-    try:
-        pcea = _shape_automaton(_shape(atom_patterns))
-    except (ValueError, KeyError) as exc:
-        # NotHierarchicalError is a ValueError; the structure tree raises
-        # ValueError/KeyError.  Anything else is a bug and propagates as is.
-        raise PatternCompilationError(
-            f"conjunction {pattern} is not a hierarchical pattern: {exc}"
-        ) from exc
-
-    filters_by_local = {i: _attribute_filters(p) for i, p in enumerate(atom_patterns)}
-    label_of_local = {i: labels[i] for i in range(len(atom_patterns))}
-
-    states = {_prefix_state(prefix, state) for state in pcea.states}
-    transitions: List[PCEATransition] = []
-    for transition in pcea.transitions:
-        local_labels = sorted(transition.labels)  # local atom identifiers
-        new_labels = {label_of_local[l] for l in local_labels}
-        filters: List[AttributeFilter] = []
-        for local in local_labels:
-            filters.extend(filters_by_local[local])
-        unary = transition.unary if not filters else _FilteredUnary(transition.unary, tuple(filters))
-        binaries = {
-            _prefix_state(prefix, source): predicate
-            for source, predicate in transition.binaries.items()
-        }
-        transitions.append(
-            PCEATransition(
-                {_prefix_state(prefix, s) for s in transition.sources},
-                unary,
-                binaries,
-                new_labels,
-                _prefix_state(prefix, transition.target),
-            )
+    template = _template_of(pattern, atom_patterns)
+    # The template's states are already top-level names, ``() + (state,)``.
+    transitions = [
+        PCEATransition(
+            {prefix + source for source in transition.sources},
+            unary,
+            {prefix + source: binary for source, binary in transition.binaries.items()},
+            {labels[local] for local in transition.labels},
+            prefix + transition.target,
         )
-    final = {_prefix_state(prefix, state) for state in pcea.final}
+        for transition, unary in zip(template.transitions, _bound_unaries(template, atom_patterns))
+    ]
+    states = {prefix + state for state in template.states}
+    final = {prefix + state for state in template.final}
     return _Fragment(states, transitions, final, set(labels), atom_patterns)
 
 
@@ -321,6 +374,11 @@ def compile_pattern(pattern: Pattern) -> PCEA:
     atom_patterns = list(pattern.atoms())
     if not atom_patterns:
         raise PatternCompilationError("pattern has no atoms")
+    if isinstance(pattern, Conjunction) and len(atom_patterns) > 1:
+        # The whole pattern is one conjunction: its shape's template with
+        # the filters bound on — no state, source or join is re-derived.
+        template = _template_of(pattern, atom_patterns)
+        return template.with_unaries(_bound_unaries(template, atom_patterns))
     labels = list(range(len(atom_patterns)))
     fragment = _compile(pattern, labels, ())
     return PCEA(fragment.states, fragment.transitions, fragment.final, labels=labels)

@@ -164,7 +164,7 @@ class MultiQueryEngine:
         if registry is not None:
             for entry in registry.entries():
                 self._admissible(entry.pcea)
-                self._index(self._admit(entry))
+                self._admit(entry)
 
     # ----------------------------------------------------------------- stores
     def _open_store(self, window: int) -> _Store:
@@ -182,17 +182,26 @@ class MultiQueryEngine:
         return store
 
     def _admit(self, entry) -> _Registered:
-        """Seat a registry entry in its window's store, observing from the next tuple."""
-        query = self._queries[entry.handle.id] = _Registered(entry.handle, entry.pcea)
+        """Seat a registry entry in its window's store, observing from the next
+        tuple, and merge it into the index.  A query the index refuses
+        (``ValueError``) leaves the engine as it was: its store, if it needed
+        a new one, opens only once the index took it."""
+        query = _Registered(entry.handle, entry.pcea)
         store = self._stores.get(entry.handle.window)
-        if store is None:
-            store = self._add_store(self._open_store(entry.handle.window))
-        self._enter(query, store, self.position + 1)
-        return query
-
-    def _enter(self, query: _Registered, store: _Store, since: int, slots=None) -> None:
-        query.store, query.since, query.slots = store, since, slots
+        opened = store is None
+        if opened:
+            store = self._open_store(entry.handle.window)
+        query.store, query.since = store, self.position + 1
+        observer = self._observer
+        start = perf_counter() if observer is not None else 0.0
+        self._index(query)
+        if observer is not None:
+            observer.on_index_patch("add", perf_counter() - start, len(query.dispatch))
+        if opened:
+            self._add_store(store)
         store.queries += 1
+        self._queries[entry.handle.id] = query
+        return query
 
     def _index(self, query: _Registered) -> None:
         """Merge a seated query into the index (allotting its slots if it has none)."""
@@ -230,12 +239,11 @@ class MultiQueryEngine:
     ) -> QueryHandle:
         """Register a query mid-stream; it starts observing at the next tuple."""
         handle = self.registry.register(self._admissible(compile_query(query)), window, name)
-        registered = self._admit(self.registry.get(handle))
-        observer = self._observer
-        start = perf_counter() if observer is not None else 0.0
-        self._index(registered)
-        if observer is not None:
-            observer.on_index_patch("add", perf_counter() - start, len(registered.dispatch))
+        try:
+            self._admit(self.registry.get(handle))
+        except ValueError:
+            self.registry.withdraw(handle)  # refused: as if never registered
+            raise
         return handle
 
     def unregister(self, handle: QueryHandle) -> None:
@@ -402,7 +410,8 @@ class MultiQueryEngine:
         for store in stores:
             self._add_store(store)
         for query, (where, since, slots) in zip(queries, placement):
-            self._enter(query, stores[where], int(since), tuple(slots))
+            query.store, query.since, query.slots = stores[where], int(since), tuple(slots)
+            query.store.queries += 1
 
     def snapshot(self) -> Dict[str, object]:
         """The engine's complete evaluation state (see :mod:`repro.runtime.snapshot`).

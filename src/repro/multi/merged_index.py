@@ -21,22 +21,30 @@ number of registered queries.
 Incremental patching
 --------------------
 The index is **incrementally patchable**: :meth:`add_query` and
-:meth:`remove_query` mutate only the ``(relation, guard)`` buckets the
-query's transitions actually touch, plus the interned-key tables, so a
-registration change costs ``O(|P_q| + Σ affected-bucket sizes)`` instead of a
-full rebuild over every registered transition — the difference between O(1)
-and O(total) registration latency at millions of registered queries.
+:meth:`remove_query` re-plan only what the query's transitions join.  Each
+plan bucket — a relation's members under one constant guard (or none), and
+the wildcards — is a plan *cell* keeping its predicate groups by interned
+key and its threshold families by family key; a patch rebuilds the one
+group each changed member belongs to and, if it has one, that group's
+family, then re-assembles the bucket's plan from the cached groups.  So a
+registration change costs ``O(|P_q| + Σ sizes of the groups and families it
+joins)`` plus a list copy per touched bucket — no predicate key is hashed
+again for members it does not touch, and a query with its own predicate
+regroups the same number of members however many queries are registered.
 Specifically:
 
-* per-relation candidate lists are compacted in place on removal (no
-  tombstones — a removed query leaves no residue a per-tuple lookup could
-  ever scan);
-* canonical predicate keys are interned with reference counts; the dense
-  integer ids of keys whose last user unregistered are recycled through a
-  free list, so the interned-key tables shrink back and plan grouping keeps
-  hashing small ints;
+* nothing is tombstoned — a removed entry leaves its group (and the group
+  its cell) at once, so no per-tuple lookup ever scans residue of an
+  unregistered query;
+* canonical predicate keys are interned with reference counts (and the
+  constant guard they declare); the dense integer ids of keys whose last
+  user unregistered are recycled through a free list, so the interned-key
+  tables shrink back and grouping keeps hashing small ints;
+* a registration is checked before it changes anything: equal canonical
+  keys must declare equal guards, and a query breaking that is refused with
+  the index as it was;
 * wildcard transitions (rare) are the one global case: adding or removing a
-  wildcard-carrying query refreshes every relation bucket, because wildcards
+  wildcard-carrying query patches every relation's cells, because wildcards
   are merged into each per-relation candidate list.
 
 Leaf states stored once
@@ -60,7 +68,8 @@ registration order then transition order — exactly the order a from-scratch
 rebuild over the surviving queries produces.  :meth:`signature` exposes a
 canonical structural summary (independent of raw index values and interned-id
 assignment) that the tests compare against a from-scratch rebuild after every
-mutation.
+mutation; they also compare each stored plan with what
+:func:`~repro.core.dispatch.plan_of` builds over the same members.
 """
 
 from __future__ import annotations
@@ -68,13 +77,28 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple as Tup
 
 from repro.core.dispatch import (
+    _EMPTY_PLAN,
+    EvalGroup,
+    EvalPlan,
     MergedEntry,
+    PlanCell,
     PlanIndex,
     TransitionDispatchIndex,
     member_order,
     join_signature,
-    plan_of,
 )
+
+
+def _file(changes: Dict, key: Optional[str], entry: MergedEntry, side: int) -> None:
+    """File ``entry`` among ``changes[key]``, by interned predicate id, as
+    coming in (``side`` 0) or going out (1)."""
+    by_pred = changes.get(key)
+    if by_pred is None:
+        by_pred = changes[key] = {}
+    change = by_pred.get(entry.pred_key)
+    if change is None:
+        change = by_pred[entry.pred_key] = ([], [])
+    change[side].append(entry)
 
 
 class _StateClass:
@@ -134,9 +158,10 @@ class MergedDispatchIndex(PlanIndex):
         self._store_users: Dict[int, int] = {}
         self._alone: Dict[int, _Member] = {}
         # Interned canonical predicate keys, each ``[dense id, reference
-        # count]`` (one hash per lookup: a key can be a deep structure): ids
-        # are recycled through a free list so the table shrinks back after
-        # unregistration and plan grouping keeps hashing small ints.
+        # count, constant guard]`` (one hash per lookup: a key can be a deep
+        # structure): ids are recycled through a free list so the table
+        # shrinks back after unregistration and plan grouping keeps hashing
+        # small ints.
         self._pred_keys: Dict[Hashable, List[int]] = {}
         self._free_pred_ids: List[int] = []
         self._next_pred_id = 0
@@ -146,26 +171,37 @@ class MergedDispatchIndex(PlanIndex):
         # observability layer additionally times each patch at the engine).
         self.patched_adds = 0
         self.patched_removes = 0
-        # Per-relation candidate state: ``_specific`` holds only the entries
-        # that name the relation (mutable, order-sorted); the read-optimised
-        # plans the per-tuple lookup hits (specific merged with wildcards,
-        # plus the constant-guard refinement) are the PlanIndex's.
-        self._specific: Dict[str, List[MergedEntry]] = {}
-        self._wildcard_entries: List[MergedEntry] = []
+        # Per-relation plan cells by constant guard (``None``: unguarded),
+        # wildcards merged in, and how many entries name the relation (its
+        # plans go with the last); the wildcards' own cell.  The
+        # read-optimised plans the per-tuple lookup hits are the PlanIndex's.
+        self._cells: Dict[str, Dict[Optional[Tup[int, object]], PlanCell]] = {}
+        self._specific: Dict[str, int] = {}
+        self._wildcards: Optional[PlanCell] = None  # made with the first wildcard
         for owner, index in members:
             self.add_query(owner, index)
 
     # ------------------------------------------------------------ intern table
-    def _new_pred(self, canonical: Hashable) -> int:
-        """Intern a canonical key the table does not hold (``add_query``
-        counts the further users of a held one in place)."""
+    def _new_pred(self, canonical: Hashable, guard: Optional[Tup[int, object]]) -> int:
+        """Intern a canonical key the table does not hold, with the guard it
+        declares (``add_query`` counts the further users of a held one in place)."""
         if self._free_pred_ids:
             pred_id = self._free_pred_ids.pop()
         else:
             pred_id = self._next_pred_id
             self._next_pred_id += 1
-        self._pred_keys[canonical] = [pred_id, 1]
+        self._pred_keys[canonical] = [pred_id, 1, guard]
         return pred_id
+
+    def _refuse(self, entries: Sequence[MergedEntry], canonical: Hashable, held, guard) -> None:
+        """Release the keys ``entries`` took and refuse the query: a key
+        declares one constant guard (a plan bucket takes a group whole)."""
+        for entry in entries:
+            self._release_pred(entry.compiled.pred_key)
+        raise ValueError(
+            f"unary predicates with canonical key {canonical!r} declare different constant "
+            f"guards ({held!r}, {guard!r}); equal keys must imply equal guards"
+        )
 
     def _release_pred(self, canonical: Hashable) -> None:
         interned = self._pred_keys[canonical]
@@ -183,7 +219,7 @@ class MergedDispatchIndex(PlanIndex):
         since: int = -1,
         slots: Optional[Sequence[int]] = None,
     ) -> Tup[int, ...]:
-        """Merge one automaton's transitions in, patching only its buckets.
+        """Merge one automaton's transitions in, re-planning only what they join.
 
         With a ``store`` (a lane carrying its slot space's ``next_slot``
         counter) the automaton's slots are renumbered into it: a leaf state
@@ -196,9 +232,14 @@ class MergedDispatchIndex(PlanIndex):
         store-slot table; handed back as ``slots`` (a rebuild, a restore) it
         re-places the query exactly there.
 
-        Cost: O(|P_q|) for the entry construction and interning, plus a
-        refresh of each relation bucket the query touches (O(bucket size) —
-        the read-optimised tuples are rebuilt, never the whole index).
+        A query is checked before anything changes: one that is already
+        registered, or whose canonical keys declare guards other than the
+        index holds for them, raises ``ValueError`` and leaves the index
+        (and the store's slot counter) as it was.
+
+        Cost: O(|P_q|) for the entry construction and interning, plus the
+        rebuild of each group (and threshold family) an entry joins and a
+        list copy of each bucket it lands in — not of the whole relation.
         """
         key = id(owner)
         if key in self._by_owner:
@@ -206,33 +247,32 @@ class MergedDispatchIndex(PlanIndex):
         member = _Member(key, owner if store is None else store, index)
         store_id = id(member.store)
         sharers = self._store_users.get(store_id, 0)
-        self._store_users[store_id] = sharers + 1
+        # The store's first query, while alone, has no classes: the ones its
+        # leaf states become are made here and committed with this query.
+        first = formed = None
         if sharers:  # a shared store: leaf states are classes
-            first = self._alone.pop(store_id, None)
+            first = self._alone.get(store_id)
             if first is not None:
-                self._form_classes(first)
+                formed = self._classes_of(first)
             leaves = index.leaf_states()
         else:  # alone: no classes until a second query arrives
-            self._alone[store_id] = member
             leaves = {}
-        joined: Dict[int, _StateClass] = {}  # leaf state id -> its class
+        classes = self._classes
+        joined: Dict[Hashable, Tup[int, _StateClass]] = {}  # class key -> (leaf state id, class)
+        for state_id, class_key in leaves.items():
+            if class_key not in joined:  # else a twin state of this automaton: private
+                cls = formed.get(class_key) if formed is not None else classes.get((store_id, class_key))
+                joined[class_key] = (state_id, _StateClass(class_key) if cls is None else cls)
+        joined = dict(joined.values())  # leaf state id -> its class (new ones have no users)
         # A store numbering the automaton's slots as the automaton does (a
         # fresh store) keeps the compiled probes/consumers.
         renumbered = False
         if store is not None:
             table = list(slots) if slots is not None else [None] * len(index.slots)
-            classes = self._classes
-            for state_id, class_key in leaves.items():
-                cls = classes.get((store_id, class_key))
-                if cls is None:
-                    cls = classes[(store_id, class_key)] = _StateClass(class_key)
-                elif key in cls.users:
-                    continue  # a twin state of this automaton: private
-                elif cls.slots:  # a class another query brought: read its slots
-                    for (slot, _), placed in zip(index.consumers_by_id(state_id), cls.slots):
-                        table[slot] = placed
-                cls.users[key] = []
-                joined[state_id] = cls
+            for state_id, cls in joined.items():
+                # A class another query brought: read its slots.
+                for (slot, _), placed in zip(index.consumers_by_id(state_id), cls.slots):
+                    table[slot] = placed
             next_slot = store.next_slot
             for slot, placed in enumerate(table):
                 if placed is None:
@@ -240,19 +280,18 @@ class MergedDispatchIndex(PlanIndex):
                     next_slot += 1
                 if placed != slot:
                     renumbered = True
-            store.next_slot = next_slot
-            member.classes = list(joined.values())
+        # The entries this query brings to the plans — objects nothing else
+        # holds until the registration is committed.
+        users: Dict[int, List[int]] = {state_id: [] for state_id in joined}
         readers: Dict[int, Tup[Tup[int, object], ...]] = {}  # state id -> placed (slot, left key)
-        touched: set = set()
-        added_wildcard = False
-        specific = self._specific
+        added: List[MergedEntry] = []
         interned = self._pred_keys
         next_index = self._next_index
         for compiled in index.all_transitions():
             cls = joined.get(compiled.target_id) if joined else None
             if cls is not None:
-                cls.users[key].append(compiled.index)
-                if len(cls.users) > 1:
+                users[compiled.target_id].append(compiled.index)
+                if cls.users:
                     continue  # already in the plans, for every user of the class
             if renumbered:
                 probes = tuple([(table[slot], right) for slot, right in compiled.probes])
@@ -264,86 +303,92 @@ class MergedDispatchIndex(PlanIndex):
             else:
                 probes = compiled.probes
                 placed = compiled.consumers
-            pred = interned.get(compiled.pred_key)
-            if pred is None:
-                pred_id = self._new_pred(compiled.pred_key)
+            # Interning is the check: a canonical key declares one guard.
+            held = interned.get(compiled.pred_key)
+            if held is None:
+                pred_id = self._new_pred(compiled.pred_key, compiled.guard)
+            elif held[2] != compiled.guard:
+                self._refuse(added, compiled.pred_key, held[2], compiled.guard)
             else:
-                pred[1] += 1
-                pred_id = pred[0]
+                held[1] += 1
+                pred_id = held[0]
+            # A leaf state is never final: a class entry has no handle.
+            entry = MergedEntry(
+                member.store, owner if cls is None else None, compiled, pred_id, next_index, since,
+                probes, placed,
+            )  # fmt: skip
+            next_index += 1
             if cls is None:
-                entry = MergedEntry(
-                    member.store, owner, compiled, pred_id, next_index, since, probes, placed
-                )
                 member.entries.append(entry)
-            else:  # a leaf state is never final: no handle
-                entry = MergedEntry(
-                    member.store, None, compiled, pred_id, next_index, since, probes, placed
-                )
+            else:
                 if not cls.entries:
                     cls.slots = tuple([slot for slot, _ in placed])
                 cls.entries.append(entry)
-            next_index += 1
-            relations = compiled.relations
-            if relations is None:
-                self._wildcard_entries.append(entry)
-                added_wildcard = True
-            else:
-                touched.update(relations)
-                for relation in relations:
-                    bucket = specific.get(relation)
-                    if bucket is None:
-                        specific[relation] = [entry]
-                    else:
-                        bucket.append(entry)
+            added.append(entry)
+        # Checked: from here on the registration is committed.
+        self._store_users[store_id] = sharers + 1
+        if not sharers:
+            self._alone[store_id] = member
+        elif formed is not None:
+            del self._alone[store_id]
+            self._form_classes(first, formed)
+        for state_id, cls in joined.items():
+            if not cls.users:
+                classes[(store_id, cls.key)] = cls
+            cls.users[key] = users[state_id]
+        member.classes = list(joined.values())
+        if store is not None:
+            store.next_slot = next_slot
         self._next_index = next_index
         self._by_owner[key] = member
         self._size += len(index)
-        if added_wildcard:
-            # Wildcards appear in every relation's candidate list, so a
-            # wildcard-carrying query is the one global refresh.
-            self.wildcard_plan = plan_of(self._wildcard_entries)
-            touched = set(specific)
-        for relation in touched:
-            self._refresh_relation(relation)
+        self._patch(added, ())
         self.patched_adds += 1
         return tuple(table) if store is not None else tuple(range(len(index.slots)))
 
-    def _form_classes(self, member: _Member) -> None:
-        """Make the leaf states of a store's first query classes — those
+    def _classes_of(self, member: _Member) -> Dict[Hashable, _StateClass]:
+        """The classes a store's first query's leaf states become — those
         :meth:`add_query` would have made had another query been there — by
-        moving its entries into them, slots and all."""
-        store_id = id(member.store)
-        joined: Dict[int, _StateClass] = {}
+        class key, holding the query's entries for them; nothing is changed
+        until :meth:`_form_classes` commits them."""
+        formed: Dict[Hashable, _StateClass] = {}
+        by_state: Dict[int, _StateClass] = {}
         for state_id, class_key in member.index.leaf_states().items():
-            if (store_id, class_key) not in self._classes:  # else a twin: private
-                cls = self._classes[(store_id, class_key)] = _StateClass(class_key)
+            if class_key not in formed:  # else a twin: private
+                cls = formed[class_key] = by_state[state_id] = _StateClass(class_key)
                 cls.users[member.key] = []
-                joined[state_id] = cls
-        if not joined:
-            return
-        private = []
         for entry in member.entries:
-            cls = joined.get(entry.compiled.target_id)
-            if cls is None:
-                private.append(entry)
-                continue
-            if not cls.entries:
-                cls.slots = tuple([slot for slot, _ in entry.consumers])
-            entry.handle = None
-            cls.entries.append(entry)
-            cls.users[member.key].append(entry.compiled.index)
-        member.entries = private
-        member.classes = list(joined.values())
+            cls = by_state.get(entry.compiled.target_id)
+            if cls is not None:
+                if not cls.entries:
+                    cls.slots = tuple([slot for slot, _ in entry.consumers])
+                cls.entries.append(entry)
+                cls.users[member.key].append(entry.compiled.index)
+        return formed
+
+    def _form_classes(self, member: _Member, formed: Dict[Hashable, _StateClass]) -> None:
+        """Move a store's first query's entries into the classes
+        :meth:`_classes_of` made for it: its plans stay as they are."""
+        store_id = id(member.store)
+        moved = set()
+        for cls in formed.values():
+            self._classes[(store_id, cls.key)] = cls
+            for entry in cls.entries:
+                entry.handle = None
+                moved.add(id(entry))
+        if moved:
+            member.entries = [entry for entry in member.entries if id(entry) not in moved]
+        member.classes = list(formed.values())
 
     def remove_query(self, owner: object) -> None:
-        """Remove one query's transitions, compacting only its buckets.
+        """Remove one query's transitions, re-planning only what they left.
 
         Its private entries go, and so do those of every class it was the
-        last user of; the affected per-relation lists are rebuilt without
-        them (tombstone-free: no per-tuple lookup ever scans residue of an
-        unregistered query) and the interned-key reference counts are
-        released so unused canonical keys disappear from the tables.  What
-        the query stored is not touched: it expires with its window.
+        last user of; each leaves its group (no tombstone: no per-tuple
+        lookup ever scans residue of an unregistered query) and the
+        interned-key reference counts are released so unused canonical keys
+        disappear from the tables.  What the query stored is not touched: it
+        expires with its window.
         """
         key = id(owner)
         member = self._by_owner.pop(key, None)
@@ -362,44 +407,96 @@ class MergedDispatchIndex(PlanIndex):
             if not cls.users:
                 del self._classes[(id(member.store), cls.key)]
                 removed = removed + cls.entries
-        gone = set(map(id, removed))
-        touched: set = set()
-        removed_wildcard = False
         for entry in removed:
             self._release_pred(entry.compiled.pred_key)
-            relations = entry.compiled.relations
-            if relations is None:
-                removed_wildcard = True
-            else:
-                touched.update(relations)
-        if removed_wildcard:
-            self._wildcard_entries = [e for e in self._wildcard_entries if id(e) not in gone]
-            self.wildcard_plan = plan_of(self._wildcard_entries)
-            touched = set(self._specific)
-        for relation in touched:
-            bucket = self._specific.get(relation)
-            if bucket is not None:
-                kept = [e for e in bucket if id(e) not in gone]
-                if kept:
-                    self._specific[relation] = kept
-                else:
-                    del self._specific[relation]
-            self._refresh_relation(relation)
+        self._patch((), removed)
         self.patched_removes += 1
 
-    def _refresh_relation(self, relation: str) -> None:
-        """Rebuild one relation's plan + guard buckets."""
-        bucket = self._specific.get(relation)
-        if bucket is None:
-            # No specific candidates left: unknown-relation fallback (the
-            # wildcard plan) already covers it.
-            self._drop_relation(relation)
-        elif self._wildcard_entries:
-            self._store_relation(
-                relation, sorted(bucket + self._wildcard_entries, key=member_order)
-            )
-        else:
-            self._store_relation(relation, bucket)
+    def _patch(self, added: Sequence[MergedEntry], removed: Sequence[MergedEntry]) -> None:
+        """Move entries into (out of) the cells they land in and republish the
+        plans of each relation that changed."""
+        # relation (``None``: the wildcards) -> interned predicate id ->
+        # (entries in, entries out).  A predicate id has one guard (the
+        # registration checks it), so each group lies in one cell: its guard's.
+        changes: Dict[Optional[str], Dict[int, Tup[List[MergedEntry], List[MergedEntry]]]] = {}
+        for side, entries in ((0, added), (1, removed)):
+            for entry in entries:
+                relations = entry.compiled.relations
+                for relation in (None,) if relations is None else relations:
+                    _file(changes, relation, entry, side)
+        wild = changes.pop(None, None)
+        specific = self._specific
+        for relation, by_pred in changes.items():
+            count = specific.get(relation, 0)
+            for plus, minus in by_pred.values():
+                count += len(plus) - len(minus)
+            specific[relation] = count
+        cells = self._cells
+        if wild is not None:
+            # Wildcards are merged into every relation's plans: the one
+            # global patch.
+            if self._wildcards is None:
+                self._wildcards = PlanCell()
+            self._wildcards.patch(wild)
+            self.wildcard_plan = self._wildcards.plan
+            for relation in cells:
+                for change in wild.values():
+                    for side, entries in enumerate(change):
+                        for entry in entries:
+                            _file(changes, relation, entry, side)
+        for relation, by_pred in changes.items():
+            if not specific[relation]:
+                del specific[relation]
+                cells.pop(relation, None)
+                self.plans.pop(relation, None)
+                self.guarded.pop(relation, None)
+                continue
+            relation_cells = cells.get(relation)
+            if relation_cells is None:  # a new relation: every wildcard is a candidate
+                relation_cells = cells[relation] = {}
+                if self._wildcards is not None:
+                    for group in self._wildcards.groups.values():
+                        for entry in group.members:
+                            _file(changes, relation, entry, 0)
+            by_guard: Dict[Hashable, Dict[int, Tup[List, List]]] = {}
+            for pred_id, change in by_pred.items():
+                guard = (change[0] or change[1])[0].guard
+                by_guard.setdefault(guard, {})[pred_id] = change
+            for guard, cell_changes in by_guard.items():
+                cell = relation_cells.get(guard)
+                if cell is None:
+                    cell = relation_cells[guard] = PlanCell()
+                cell.patch(cell_changes)
+                if not cell.total:
+                    del relation_cells[guard]
+            unguarded = relation_cells.get(None)
+            if unguarded is not None and len(relation_cells) == 1:
+                self.plans[relation] = unguarded.plan
+                self.guarded.pop(relation, None)
+            else:
+                self._publish_guarded(relation, relation_cells, unguarded)
+
+    def _publish_guarded(self, relation: str, cells: Dict[Hashable, PlanCell], unguarded) -> None:
+        """Store a guarded relation's plans from its cells: the per-guard-value
+        refinement, and the whole relation's plan as the cells' plans side by
+        side (a group lies in one cell, and so do a family's groups, which
+        share a base)."""
+        groups: List[EvalGroup] = []
+        families: Tup = ()
+        total = 0
+        by_position: Dict[int, Dict[Hashable, EvalPlan]] = {}
+        for guard, cell in cells.items():
+            plan = cell.plan
+            groups += plan.groups
+            families += plan.families
+            total += plan.total
+            if guard is not None:
+                by_position.setdefault(guard[0], {})[guard[1]] = plan
+        self.plans[relation] = EvalPlan(groups, total, families)
+        self.guarded[relation] = (
+            _EMPTY_PLAN if unguarded is None else unguarded.plan,
+            tuple(sorted(by_position.items())),
+        )
 
     # ----------------------------------------------------------------- lookups
     # (plan_for / candidates_for come from PlanIndex.)
@@ -447,9 +544,11 @@ class MergedDispatchIndex(PlanIndex):
         def tokens(plan) -> Tup[Tup[int, int], ...]:
             return tuple(sorted(token for e in plan.flat() for token in stands_for(e)))
 
-        relations = {relation: tokens(plan) for relation, plan in self.plans.items()}
+        # Relations in name order: the summary (and the checkpoint bytes that
+        # carry it) must not depend on the order relations were first patched.
+        relations = {relation: tokens(plan) for relation, plan in sorted(self.plans.items())}
         guards = {}
-        for relation, (unguarded, positions) in self.guarded.items():
+        for relation, (unguarded, positions) in sorted(self.guarded.items()):
             position_sig = []
             for position, by_value in positions:
                 buckets = sorted(
@@ -501,7 +600,7 @@ class MergedDispatchIndex(PlanIndex):
             "transitions": float(self._size),
             "predicate_groups": float(len(self._pred_keys)),
             "shared_predicate_groups": float(
-                sum(1 for _, count in self._pred_keys.values() if count > 1)
+                sum(1 for _, count, _ in self._pred_keys.values() if count > 1)
             ),
             "guarded_transitions": float(
                 sum(1 for e in self.all_entries() if e.guard is not None)

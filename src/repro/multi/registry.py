@@ -116,6 +116,16 @@ class QueryRegistry:
         del self._entries[handle.id]
         self._version += 1
 
+    def withdraw(self, handle: QueryHandle) -> None:
+        """Undo the registration that issued ``handle``, the latest one: the
+        registry is left as before it, id counter included (an engine
+        withdraws a query it could not admit)."""
+        if handle.id != self._next_id - 1 or handle.id not in self._entries:
+            raise KeyError(f"{handle} is not the latest registration")
+        del self._entries[handle.id]
+        self._next_id -= 1
+        self._version -= 1
+
     def entries(self) -> List[RegisteredQuery]:
         """Registered queries in registration order."""
         return [self._entries[qid] for qid in sorted(self._entries)]

@@ -39,7 +39,7 @@ from repro.core.dispatch import CompiledTransition, EvalGroup, EvalPlan, MergedE
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.pcea import PCEA, PCEATransition
 from repro.core.hcq_to_pcea import hcq_to_pcea
-from repro.core.predicates import UnaryPredicate, compile_key_plan
+from repro.core.predicates import RelationPredicate, UnaryPredicate, compile_key_plan
 from repro.cq.schema import Tuple
 from repro.engine.compiler import compile_pattern
 from repro.engine.dsl import atom, conjunction, disjunction
@@ -257,6 +257,79 @@ def test_one_guard_per_predicate_group_is_checked_at_build_time(guards):
     assert unbucketed.plan_for(Tuple("E", (1,))).total == 2
     agreeing = _two_initial_transitions(_Claims((0, 1)), _Claims((0, 1)))
     assert agreeing.dispatch_index().plan_for(Tuple("E", (1,))).total == 2
+
+
+def _claiming(guard):
+    return PCEA(["p"], [PCEATransition({}, _Claims(guard), {}, {"a"}, "p")], ["p"])
+
+
+@pytest.mark.parametrize(
+    "window", [4, 8, 6], ids=["a store of three", "a store of one", "a new store"]
+)
+def test_a_refused_registration_changes_nothing(window):
+    """The merged index refuses a query whose canonical key declares another
+    guard than the index holds for it — naming the key, not its interned id —
+    and the engine is left as before the attempt: same handles, signature,
+    checkpoint bytes and stores, the store's first query still alone (its
+    leaf states not made classes), and the next registration is the one the
+    refused one would have been."""
+    from repro.runtime import snapshot as snapshot_codec
+
+    stream = [Tuple("E", (1,)), Tuple("F", (1,)), Tuple("E", (2,)), Tuple("F", (2,))]
+    star = conjunction(atom("E", "x"), atom("F", "x"))
+
+    def state(engine):
+        return (
+            engine.handles(),
+            engine._merged.signature(),
+            snapshot_codec.dumps(engine.snapshot()),
+            engine.dispatch_info(),
+            engine._merged.interned_key_count(),
+            [lane.window for lane in engine._runtime.lanes()],
+        )
+
+    def internals(merged):
+        return (
+            {store: member.key for store, member in merged._alone.items()},
+            {key: (cls.slots, {u: list(ix) for u, ix in cls.users.items()})
+             for key, cls in merged._classes.items()},  # fmt: skip
+            [(id(entry), entry.handle) for entry in merged.all_entries()],
+            dict(merged._store_users),
+        )
+
+    engine, control = MultiQueryEngine(), MultiQueryEngine()
+    for target in (engine, control):
+        target.register(_claiming((0, 1)), window=4)
+        target.register(star, window=4)
+        target.register(star, window=8)
+        for tup in stream[:2]:
+            target.process(tup)
+    before, inside = state(engine), internals(engine._merged)
+    with pytest.raises(ValueError, match=r"canonical key \('claims',\) declare different constant guards"):
+        engine.register(_claiming((0, 2)), window=window)
+    assert state(engine) == before == state(control)
+    assert internals(engine._merged) == inside
+    assert engine.register(star, window=window) == control.register(star, window=window)
+    for tup in stream[2:]:
+        assert engine.process(tup) == control.process(tup)
+    assert state(engine) == state(control)
+
+
+def test_the_merged_index_checks_a_query_before_changing_it():
+    """A refused ``add_query`` releases the keys it interned on the way (here
+    a new one, before the conflicting one) and counts no patch."""
+    merged = MergedDispatchIndex([("first", _claiming((0, 1)).dispatch_index())])
+    before = (merged.signature(), merged.interned_key_count(), len(merged), merged.describe())
+    refused = _two_initial_transitions(RelationPredicate("E"), _Claims((0, 2)))
+    with pytest.raises(ValueError, match="equal keys must imply equal guards"):
+        merged.add_query("second", refused.dispatch_index())
+    assert (merged.signature(), merged.interned_key_count(), len(merged), merged.describe()) == before
+    agreeing = _two_initial_transitions(RelationPredicate("E"), _Claims((0, 1)))
+    merged.add_query("second", agreeing.dispatch_index())
+    rebuilt = MergedDispatchIndex(
+        [("first", _claiming((0, 1)).dispatch_index()), ("second", agreeing.dispatch_index())]
+    )
+    assert merged.signature() == rebuilt.signature()
 
 
 def test_the_fire_loop_exists_once():

@@ -9,8 +9,11 @@ Three layers:
 * incremental-patching invariants — after *every* ``add_query`` /
   ``remove_query`` the patched :class:`MergedDispatchIndex` must be
   structurally identical (``signature()``) to a from-scratch rebuild over the
-  surviving queries, and the interned-key tables must shrink back (no
-  tombstones, no leaks);
+  surviving queries, every stored plan must have the groups, families and
+  total :func:`plan_of` / :func:`_split_by_guard` build over its members (a
+  hypothesis variant mixes threshold families, guards and wildcards), a
+  registration must regroup only the members it joins, and the interned-key
+  tables must shrink back (no tombstones, no leaks);
 * registration-churn differentials — loops of register/unregister mid-stream
   asserting per-query outputs identical to fresh independent evaluators, and
   the patched index identical to one re-merged from scratch at every change.
@@ -19,9 +22,14 @@ Three layers:
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.arena import ArenaDataStructure
+from repro.core.dispatch import EvalGroup, _split_by_guard, plan_of
 from repro.core.evaluation import StreamingEvaluator
+from repro.core.pcea import PCEA, PCEATransition
+from repro.core.predicates import LambdaUnaryPredicate, TruePredicate
 from repro.cq.schema import Tuple
 from repro.engine.dsl import atom, conjunction, sequence
 from repro.multi import MergedDispatchIndex, MultiQueryEngine, compile_query
@@ -56,6 +64,82 @@ def rebuilt_index(engine):
     engine's surviving queries."""
     queries = [engine._queries[qid] for qid in sorted(engine._queries)]
     return MergedDispatchIndex([(query, query.dispatch) for query in queries])
+
+
+def plan_structure(plan):
+    """What a plan decides, independent of list order: its groups and, per
+    threshold family, the family's groups, members and constants (as entry
+    indexes), and the total.  A family's constants must be sorted and line up
+    with its members, or its bisect would cut in the wrong place."""
+    indexes = lambda members: tuple(sorted(member.index for member in members))
+    families = []
+    for family in plan.families:
+        assert family.constants == [member.family[1] for member in family.members]
+        assert family.constants == sorted(family.constants)
+        families.append(
+            (sorted(indexes(group.members) for group in family.groups), indexes(family.members), family.constants)
+        )
+    return sorted(indexes(group.members) for group in plan.groups), sorted(families), plan.total
+
+
+def assert_plans_are_rebuilt(merged):
+    """Every plan the index stores has the structure :func:`plan_of` (and, for
+    a guarded relation, :func:`_split_by_guard`) builds over its members."""
+    entries = merged.all_entries()
+    wildcards = [entry for entry in entries if entry.compiled.relations is None]
+    assert plan_structure(merged.wildcard_plan) == plan_structure(plan_of(wildcards))
+    relations = {relation for entry in entries for relation in entry.compiled.relations or ()}
+    assert set(merged.plans) == relations
+    for relation in relations:
+        bucket = [
+            entry for entry in entries
+            if entry.compiled.relations is None or relation in entry.compiled.relations
+        ]  # fmt: skip
+        assert plan_structure(merged.plans[relation]) == plan_structure(plan_of(bucket)), relation
+        split = _split_by_guard(bucket)
+        stored = merged.guarded.get(relation)
+        assert (stored is None) == (split is None), relation
+        if split is None:
+            continue
+        (unguarded, positions), (stored_unguarded, stored_positions) = split, stored
+        assert plan_structure(stored_unguarded) == plan_structure(unguarded)
+        assert [position for position, _ in stored_positions] == [position for position, _ in positions]
+        for (_, by_value), (_, stored_by_value) in zip(positions, stored_positions):
+            assert stored_by_value.keys() == by_value.keys()
+            for value, plan in by_value.items():
+                assert plan_structure(stored_by_value[value]) == plan_structure(plan), (relation, value)
+
+
+def wildcard_query(unary):
+    """One source-less transition whose unary names no relation."""
+    return PCEA(["w"], [PCEATransition({}, unary, {}, {"w"}, "w")], ["w"])
+
+
+#: A wildcard predicate object several registrations share (one canonical key).
+SHARED_WILDCARD = LambdaUnaryPredicate(lambda tup: tup.values[0] == 1)
+
+THRESHOLDS = ("<", "<=", ">", ">=")
+
+
+@st.composite
+def churn_queries(draw):
+    """A query over relations ``A``/``B``: a threshold-family atom, an ``==``
+    guarded one (with or without a threshold on top), a two-atom conjunction
+    whose leaf states stores may share, or a wildcard."""
+    kind = draw(st.sampled_from(["family", "guarded", "conjunction", "wildcard"]))
+    relation = draw(st.sampled_from("AB"))
+    threshold = st.tuples(st.just("y"), st.sampled_from(THRESHOLDS), st.integers(0, 3))
+    if kind == "family":
+        return atom(relation, "x", "y", filters=[draw(threshold)])
+    if kind == "guarded":
+        filters = [("x", "==", draw(st.integers(0, 2)))]
+        return atom(relation, "x", "y", filters=filters + draw(st.lists(threshold, max_size=1)))
+    if kind == "conjunction":
+        return conjunction(
+            atom(relation, "x", "y", filters=draw(st.lists(threshold, max_size=1))),
+            atom("B" if relation == "A" else "A", "x", "y", filters=draw(st.lists(threshold, max_size=1))),
+        )
+    return wildcard_query(draw(st.sampled_from([TruePredicate(), SHARED_WILDCARD])))
 
 
 class TestStreamRuntimeUnits:
@@ -238,6 +322,59 @@ class TestIncrementalMergedIndex:
                 live.append(engine.register(query, window=rng.randrange(1, 9)))
             assert engine._merged.signature() == rebuilt_index(engine).signature(), step
             assert len(engine._merged) == len(rebuilt_index(engine))
+            assert_plans_are_rebuilt(engine._merged)
+
+    @settings(deadline=None)
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("add"), churn_queries(), st.sampled_from([2, 3])),
+                st.tuples(st.just("remove"), st.integers(0, 10 ** 6), st.none()),
+            ),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    def test_patched_plans_equal_rebuilt_ones_in_structure(self, steps):
+        """Families, guard buckets and wildcards under churn: after every
+        change each stored plan has the groups, family members and constants
+        a rebuild over its members has (``signature()`` compares tokens only,
+        which a mis-sorted family would pass)."""
+        engine = MultiQueryEngine()
+        live = []
+        for kind, query, window in steps:
+            if kind == "add":
+                live.append(engine.register(query, window))
+            elif live:
+                engine.unregister(live.pop(query % len(live)))
+            assert_plans_are_rebuilt(engine._merged)
+            assert engine._merged.signature() == rebuilt_index(engine).signature()
+
+    def test_a_registration_regroups_what_it_joins_not_the_relation(self, monkeypatch):
+        """K queries on one relation, each with a predicate of its own (no
+        family, no guard): registering one more, or unregistering one,
+        regroups the same members at K = 16 as at K = 256."""
+        regrouped = []
+        build = EvalGroup.__init__
+
+        def counted(group, members, accepts=None):
+            regrouped.append(len(members))
+            build(group, members, accepts)
+
+        monkeypatch.setattr(EvalGroup, "__init__", counted)
+
+        def costs(k):
+            engine = MultiQueryEngine()
+            own = lambda i: atom("E", "x", filters=[("x", "!=", i)])
+            handles = [engine.register(own(i), window=4) for i in range(k)]
+            regrouped.clear()
+            engine.register(own(k), window=4)
+            added = sum(regrouped)
+            regrouped.clear()
+            engine.unregister(handles[k // 2])
+            return added, sum(regrouped)
+
+        assert costs(16) == costs(256) == (1, 0)
 
     def test_interned_key_tables_shrink_back(self):
         engine = MultiQueryEngine()

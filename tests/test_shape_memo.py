@@ -3,8 +3,10 @@
 A conjunction of DSL atoms is compiled through the Theorem 4.1 construction
 of its *filter-free* conjunction, and only then are the atoms' filters bound
 onto the transitions.  The construction is memoised on that conjunction, so
-patterns that differ only in their filter constants share one core automaton.
-Covered here:
+patterns that differ only in their filter constants share one template; a
+pattern that is one conjunction is the template with its filters bound on,
+and its dispatch index binds its unaries onto the one dispatch structure the
+template keeps.  Covered here:
 
 * a hypothesis differential over random hierarchical conjunctions (1–4
   atoms, star and chain shapes, repeated variables, self joins; filters with
@@ -13,14 +15,18 @@ Covered here:
   pattern compiled with the memo cleared and with it warm has equal
   transitions, predicate keys and merged-index signature, and a
   ``MultiQueryEngine`` under register/unregister churn and a checkpoint
-  matches one ``StreamingEvaluator`` per query compiled cold;
+  matches one ``StreamingEvaluator`` per query compiled cold — with every
+  registered index equal, field by field, to a cold structure + bind build
+  of the same transitions;
 * what the memo must not keep: an exception, more than its ``maxsize``
   shapes, or a dispatch index on a core automaton;
 * a pinned checkpoint, written before the memo existed, restored into an
-  engine whose queries were compiled through the warm memo;
+  engine whose queries were compiled through the warm memo, and the pinned
+  digest of a churned checkpoint's bytes, written before the templates;
 * ``_FilteredUnary.holds`` against its ``acceptor()``.
 """
 
+import hashlib
 import random
 from pathlib import Path
 
@@ -28,6 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.dispatch import TransitionDispatchIndex
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.predicates import AtomUnaryPredicate, AttributeFilter
 from repro.cq.query import Atom, Variable
@@ -146,6 +153,40 @@ def core_of(pattern):
     return memo(compiler._shape(list(pattern.atoms())))
 
 
+#: What a transition's shape fixes, and what its unary binds, compared as
+#: values; ``accepts`` and the family's acceptor are compared on tuples.
+SHAPE_FIELDS = ("index", "labels", "target", "target_id", "is_final", "joins", "probes",
+                "consumers", "store_through")  # fmt: skip
+BOUND_FIELDS = ("relations", "guard", "pred_key")
+
+
+def assert_index_is_a_cold_build(index, pcea, tuples):
+    """``index`` (a registration's, bound onto a warm template's structure)
+    equals a cold structure + bind build of the same transitions, field by
+    field, and shares the template's structure where it has one."""
+    cold = TransitionDispatchIndex(pcea.transitions, final=pcea.final)
+    template = pcea._template
+    if template is not None:
+        assert index.structure is template._structure is not None
+    assert index.structure is not cold.structure
+    assert len(index) == len(cold) == len(pcea.transitions)
+    for warm_c, cold_c in zip(index.all_transitions(), cold.all_transitions()):
+        assert warm_c.transition is cold_c.transition and warm_c.unary is cold_c.unary
+        for name in SHAPE_FIELDS + BOUND_FIELDS:
+            assert getattr(warm_c, name) == getattr(cold_c, name), name
+        assert (warm_c.family is None) == (cold_c.family is None)
+        if warm_c.family is not None:
+            key, constant, _, base = warm_c.family
+            assert (key, constant, base) == (cold_c.family[0], cold_c.family[1], cold_c.family[3])
+        for tup in tuples:
+            assert warm_c.accepts(tup) == cold_c.accepts(tup)
+            if warm_c.family is not None:
+                assert warm_c.family[2](tup) == cold_c.family[2](tup)
+    assert (index.final, index.state_ids, index.slots) == (cold.final, cold.state_ids, cold.slots)
+    assert index.leaf_states() == cold.leaf_states()
+    assert index.signature() == cold.signature()
+
+
 def checkpoint_and_restore(engine):
     """A fresh engine re-registering ``engine``'s patterns (through the
     memo), restored from its snapshot."""
@@ -215,7 +256,11 @@ def test_the_multi_engine_matches_one_cold_evaluator_per_query_under_churn(data)
             elif start == position:
                 oracle = StreamingEvaluator(oracles[query], window)
                 oracle.position = position - 1
-                live[query] = (engine.register(pattern, window), oracle)
+                handle = engine.register(pattern, window)
+                live[query] = (handle, oracle)
+                assert_index_is_a_cold_build(
+                    engine._queries[handle.id].dispatch, engine.registry.get(handle).pcea, stream
+                )
         outputs = engine.process(tup)
         for handle, oracle in live.values():
             assert outputs.pop(handle.id, []) == oracle.process(tup)
@@ -370,6 +415,57 @@ def test_a_pinned_multi_checkpoint_restores_through_the_warm_memo():
     restored.restore(snapshot_codec.load(str(PINNED)))
     assert restored.handles() == continuous.handles()
     assert drive(restored, None, stream, SNAPSHOT_AT, PINNED_LENGTH) == expected
+
+
+CHURN_GROUPS, CHURN_ARMS, CHURN_QUERIES, CHURN_WINDOW = 4, 3, 16, 48
+CHURN_LENGTH, CHURN_EVERY = 480, 40
+
+#: SHA-256 of :func:`churned_checkpoint`, written by the build before shape
+#: templates and per-group plan patching.  That build inserted each relation's
+#: plan in the order its registration first touched the relation — a string
+#: set's, so its raw bytes varied with ``PYTHONHASHSEED`` — and the digest is
+#: of its bytes with the merged signature's per-relation maps in name order,
+#: which is how :meth:`MergedDispatchIndex.signature` now writes them.
+PINNED_CHURN_DIGEST = "2ef3f768e3c10e25c4c26833ac5731a31f137bcd4f715c81ca3ef12c77ded74b"
+
+
+def churn_pattern(query):
+    """``multi_churn``'s layout, scaled down: a private threshold on arm 1,
+    the group's shared one on the other arms."""
+    group = query % CHURN_GROUPS
+    parts = [atom(f"G{group}R1", "x", "y1", filters=[("y1", "<", 20 + query % 7)])]
+    parts.extend(
+        atom(f"G{group}R{j}", "x", f"y{j}", filters=[(f"y{j}", "<", 20)])
+        for j in range(2, CHURN_ARMS + 1)
+    )
+    return conjunction(*parts)
+
+
+def churned_checkpoint():
+    """Checkpoint bytes after a seeded run that unregisters its oldest query
+    and registers a new one every ``CHURN_EVERY`` tuples."""
+    rng = random.Random(36)
+    relations = [f"G{g}R{j}" for g in range(CHURN_GROUPS) for j in range(1, CHURN_ARMS + 1)]
+    stream = [
+        Tuple(rng.choice(relations), (rng.randrange(4), rng.randrange(100))) for _ in range(CHURN_LENGTH)
+    ]
+    engine = MultiQueryEngine()
+    live = [engine.register(churn_pattern(q), CHURN_WINDOW, name=f"q{q}") for q in range(CHURN_QUERIES)]
+    next_query = CHURN_QUERIES
+    for position, tup in enumerate(stream):
+        if position and position % CHURN_EVERY == 0:
+            engine.unregister(live.pop(0))
+            live.append(engine.register(churn_pattern(next_query), CHURN_WINDOW, name=f"q{next_query}"))
+            next_query += 1
+        engine.process(tup)
+    return snapshot_codec.dumps(engine.snapshot())
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold memo", "warm memo"])
+def test_a_churned_checkpoint_has_the_pinned_bytes(warm):
+    if not warm:
+        memo.cache_clear()
+    assert hashlib.sha256(churned_checkpoint()).hexdigest() == PINNED_CHURN_DIGEST
 
 
 # ----------------------------------------------------- the filtered unary
