@@ -15,9 +15,9 @@ queries may not share a name.  The single-query mode is ``multi`` with one
 query and no name column: the same engine, drive loop, ``--stats`` block and
 checkpoints.  The ``--general`` flag on the single-query mode evaluates
 through the
-:class:`~repro.extensions.general_evaluation.GeneralStreamingEvaluator` (live
-runs scanned per transition — the engine that also accepts non-equality
-predicates), producing identical matches on equality queries.  All modes
+:class:`~repro.extensions.general_evaluation.GeneralStreamingEvaluator` (the
+same engine with every join a scan of live runs — what also accepts
+non-equality predicates), producing identical matches on equality queries.  All modes
 accept ``--batch-size`` to feed events through the batched ``process_many``
 ingestion path and ``--stats`` to print an identical
 three-line report — unified operation counters, dispatch-index summary, and a
@@ -175,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--general",
         action="store_true",
-        help="evaluate with the general (non-hashed) engine that scans live "
-        "runs per transition; identical matches, linear-in-data update cost",
+        help="evaluate with scan probes (every join scans its source's live "
+        "runs); identical matches, linear-in-data update cost",
     )
     _add_checkpoint_arguments(parser)
     return parser

@@ -457,22 +457,25 @@ class CompiledTransition:
     transition's mapping on every tuple; ``relations`` is the dispatch key
     (``None`` for wildcards).  ``accepts`` and ``probes`` are what the fire
     loop calls: the unary predicate compiled to a flat ``tup -> bool`` and, in
-    ``joins`` order, ``(slot, right-key extractor)`` pairs (see "compiled
-    plans" in :mod:`repro.core.predicates`; the extractor is ``None`` for a
-    join outside ``B_eq``, which only the general evaluator runs).  A *slot*
-    is the index's dense id of one ``(source state, left key plan)`` pair:
-    ``H`` holds one entry per ``(slot, key)``, shared by every transition
-    that reads the state through that projection.  ``consumers`` are the
+    ``joins`` order, one probe per join.  A *hash probe* is a ``(slot,
+    right-key extractor)`` pair (see "compiled plans" in
+    :mod:`repro.core.predicates`; the extractor is ``None`` for a join
+    outside ``B_eq``, which a hashed engine refuses).  A *slot* is the
+    index's dense id of one ``(source state, left key plan)`` pair: ``H``
+    holds one entry per ``(slot, key)``, shared by every transition that
+    reads the state through that projection.  ``consumers`` are the
     ``(slot, left-key extractor)`` pairs of this transition's target state —
     what UpdateIndices walks for a node this transition created — and
     ``store_through`` says the node need not be built first: a source-less,
     non-final transition into a one-slot state is written straight onto that
-    slot's entry (``DS_w.extend_onto``).  ``index``, the transition's position
-    in the automaton, is its canonical candidate rank.
+    slot's entry (``DS_w.extend_onto``).  With ``scan`` set a probe is a
+    ``(scan slot, holds)`` pair instead, and ``consumers`` names the target
+    state's one scan slot (see :class:`DispatchStructure`).  ``index``, the
+    transition's position in the automaton, is its canonical candidate rank.
 
-    Those fields up to ``store_through`` are the transition's *shape*, taken
-    whole from a :class:`DispatchStructure`; the rest are *bound* here from
-    the transition's unary predicate.
+    Those fields up to ``scan`` are the transition's *shape*, taken whole
+    from a :class:`DispatchStructure`; the rest are *bound* here from the
+    transition's unary predicate.
     """
 
     __slots__ = (
@@ -484,6 +487,7 @@ class CompiledTransition:
         "probes",
         "consumers",
         "store_through",
+        "scan",
         "labels",
         "target",
         "target_id",
@@ -497,7 +501,7 @@ class CompiledTransition:
     def __init__(self, shape: Tup, transition: "PCEATransition", binding: Tup) -> None:
         # ``binding``: ``(accepts, relations, guard, pred_key, family)`` of the unary.
         (self.index, self.labels, self.target, self.target_id, self.is_final,
-         self.joins, self.probes, self.consumers, self.store_through) = shape  # fmt: skip
+         self.joins, self.probes, self.consumers, self.store_through, self.scan) = shape  # fmt: skip
         self.transition = transition
         self.unary = transition.unary
         self.accepts, self.relations, self.guard, self.pred_key, self.family = binding
@@ -515,19 +519,26 @@ class DispatchStructure:
     labels and the final-state set: the interned state ids, the slot table,
     each state's readers and, per transition, its *shape* — ``(index,
     labels, target, target id, is final, joins, probes, consumers, store
-    through)``, the :class:`CompiledTransition` fields no unary decides.
+    through, scan)``, the :class:`CompiledTransition` fields no unary decides.
     Automata equal but for their unaries share one structure: the pattern
     compiler keeps one per conjunction shape (:meth:`PCEA.with_unaries
     <repro.core.pcea.PCEA.with_unaries>`), and each index binds only its own
     unaries onto it.  Never mutated once built.
+
+    ``scan`` chooses the probe kind of every join: hash probes (the default)
+    or scan probes, which any binary predicate admits.  A scan structure has
+    one slot per state (slot ``s`` is state ``s``'s; its key plan is
+    ``None``): every run created into a state is stored there and every join
+    on the state scans it.  Nothing is stored through, and no state is a leaf.
     """
 
-    __slots__ = ("final", "state_ids", "slots", "consumers", "shapes", "_leaves")
+    __slots__ = ("final", "scan", "state_ids", "slots", "consumers", "shapes", "_leaves")
 
     def __init__(
-        self, transitions: Sequence["PCEATransition"], final: Iterable[State] = ()
+        self, transitions: Sequence["PCEATransition"], final: Iterable[State] = (), scan: bool = False
     ) -> None:
         self.final = final = frozenset(final)
+        self.scan = scan
         state_ids: Dict[State, int] = {}
         intern = lambda state: state_ids.setdefault(state, len(state_ids))
         # (source id, left key plan) -> slot.  Interned on the plan *data*:
@@ -545,6 +556,9 @@ class DispatchStructure:
                 (source, intern(source), transition.binaries[source])
                 for source in sorted(transition.sources, key=str)
             )
+            if scan:  # the scan slot of a state is its id
+                shapes.append((transition, target_id, joins, tuple([(j[1], j[2].holds) for j in joins])))
+                continue
             probes = []
             for _, source_id, predicate in joins:
                 left, right = compile_key_extractors(predicate)
@@ -553,6 +567,9 @@ class DispatchStructure:
                 probes.append((slot, right))
                 readers.setdefault(source_id, {}).setdefault(slot, left)
             shapes.append((transition, target_id, joins, tuple(probes)))
+        if scan:
+            slots = {(state_id, None): state_id for state_id in state_ids.values()}
+            readers = {state_id: {state_id: None} for state_id in state_ids.values()}
         self.state_ids = state_ids
         #: slot -> ``(source state id, left key plan)`` (a transition index
         #: where the join has no plan), in slot order.
@@ -562,11 +579,11 @@ class DispatchStructure:
         }
         self.shapes: Tup[Tup, ...] = tuple([
             (i, transition.labels, transition.target, target_id, is_final, joins, probes, into,
-             not joins and not is_final and len(into) == 1)
+             not scan and not joins and not is_final and len(into) == 1, scan)
             for i, (transition, target_id, joins, probes) in enumerate(shapes)
             for is_final, into in [(transition.target in final, consumers.get(target_id, ()))]
         ])  # fmt: skip
-        self._leaves: Optional[Dict[int, Tup[Tup[int, ...], Tup[Hashable, ...]]]] = None
+        self._leaves: Optional[Dict[int, Tup[Tup[int, ...], Tup[Hashable, ...]]]] = {} if scan else None
 
     def leaves(self) -> Dict[int, Tup[Tup[int, ...], Tup[Hashable, ...]]]:
         """The leaf-state candidates (see :meth:`TransitionDispatchIndex.leaf_states`):
@@ -605,13 +622,13 @@ class MergedEntry:
     key — the canonical key's dense *interned* id, so grouping hashes a plain
     int instead of a nested tuple — and ``index`` the canonical candidate
     rank, named as on :class:`CompiledTransition` (a counter in registration
-    order, then transition order within a query), and ``family`` its
-    threshold family.
+    order, then transition order within a query), ``family`` its
+    threshold family and ``scan`` its probe kind (the compiled transition's).
     """
 
     __slots__ = (
         "owner", "handle", "compiled", "accepts", "pred_key", "family", "guard", "index",
-        "probes", "consumers", "target_id", "since",
+        "probes", "consumers", "target_id", "since", "scan",
     )  # fmt: skip
 
     def __init__(
@@ -637,6 +654,7 @@ class MergedEntry:
         self.probes = probes
         self.consumers = consumers
         self.target_id = consumers[0][0] if consumers else -1
+        self.scan = compiled.scan
 
     def __repr__(self) -> str:
         return f"MergedEntry(owner={self.owner!r}, {self.compiled!r})"
@@ -773,13 +791,16 @@ class TransitionDispatchIndex(PlanIndex):
         The per-automaton counterpart of
         :meth:`~repro.multi.merged_index.MergedDispatchIndex.signature`: two
         indexes compiled from the same transition list and final-state set
-        have equal signatures.  The general evaluator's snapshots store it
-        (run through :func:`~repro.runtime.snapshot.stable_signature`) so a
-        checkpoint can only be restored into an engine evaluating the same
-        query — including the *binary* join predicates, via
-        :func:`join_signature` (two automata differing only in a join
-        position must not verify as equal), which also carries the slot
-        table: ``(source id, join descriptor) -> slot``.
+        have equal signatures.  A ``general`` checkpoint of earlier builds
+        carries the signature of its automaton's hashed index (run through
+        :func:`~repro.runtime.snapshot.stable_signature`), which
+        :meth:`MultiQueryEngine.restore
+        <repro.multi.engine.MultiQueryEngine.restore>` checks before reading
+        it, so it restores only into an engine evaluating the same query —
+        including the *binary* join predicates, via :func:`join_signature`
+        (two automata differing only in a join position must not verify as
+        equal), which also carries the slot table: ``(source id, join
+        descriptor) -> slot``.
         """
         return {
             "transitions": tuple(

@@ -144,6 +144,8 @@ class PCEA:
     #: such a template, the dispatch structure its bound automata share.
     _template: "PCEA | None" = None
     _structure = None
+    #: The scan-probe index (:meth:`dispatch_index`), built on first use.
+    _scan_index = None
 
     def _validate(self) -> None:
         if not self.final <= self.states:
@@ -193,7 +195,7 @@ class PCEA:
         bound._template = self
         return bound
 
-    def dispatch_index(self):
+    def dispatch_index(self, probe: str = "hash"):
         """The compile-once transition dispatch index (cached on the automaton).
 
         Built by the first call (every engine makes one at construction) and
@@ -208,7 +210,19 @@ class PCEA:
         one shared by every pattern of its shape
         (:func:`repro.engine.compiler._shape_automaton`).  See
         :mod:`repro.core.dispatch`.
+
+        ``probe`` is the kind every join compiles to: ``"hash"`` (Algorithm
+        1's ``H`` probes; joins outside ``B_eq`` have no key to probe) or
+        ``"scan"`` (a scan of the source's live runs, any binary predicate),
+        each index built on its own structure and cached apart.
         """
+        if probe == "scan":
+            if self._scan_index is None:
+                from repro.core.dispatch import DispatchStructure, TransitionDispatchIndex
+
+                structure = DispatchStructure(self.transitions, self.final, scan=True)
+                self._scan_index = TransitionDispatchIndex(self.transitions, structure=structure)
+            return self._scan_index
         if self._dispatch_index is None:
             from repro.core.dispatch import DispatchStructure, TransitionDispatchIndex
 

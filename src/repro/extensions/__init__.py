@@ -8,11 +8,11 @@ pragmatic versions of two of them:
   factorised output representation of Section 5 but, lacking equality keys to
   hash on, scans the live partial runs per transition, so its update time is
   linear in the number of stored runs (the behaviour of the θ-join engines in
-  the related-work section) instead of logarithmic.  It is the hashed
-  engine's K=1 case with that update phase swapped in, so it shares the rest
-  — dispatch-index candidate pruning, the window-bounded eviction sweep,
-  batched ``process_many`` ingestion, and the unified statistics / memory
-  surface.
+  the related-work section) instead of logarithmic.  It is the engine's K=1
+  case with every join compiled to that scan probe, so it shares the rest —
+  the one update loop, dispatch-index candidate pruning, the window-bounded
+  eviction sweep, batched ``process_many`` ingestion, snapshots and the
+  unified statistics / memory surface.
 * :mod:`repro.extensions.disambiguation` — bounded checks for the unambiguity
   hypothesis of Theorem 5.1: a syntactic sufficient condition and an
   exhaustive small-stream search for counterexamples.

@@ -29,11 +29,12 @@ have in common is done once:
   the bucket-pop sweep, the batched catch-up sweep and the periodic arena
   release pass exist in exactly one place and cover every store at once.
 
-This is the only engine class.  The single-query evaluator is its K=1 case,
-and :class:`~repro.extensions.general_evaluation.GeneralStreamingEvaluator`
-is that K=1 case with its update phase swapped — its :meth:`_fire` scans
-live runs where this class probes ``H`` — plus its own admission step
-(:meth:`_admissible`: joins outside ``B_eq`` are accepted) and snapshot kind.
+This is the only engine class, and :func:`repro.runtime.fire` its only
+update loop.  The single-query evaluator is its K=1 case, and
+:class:`~repro.extensions.general_evaluation.GeneralStreamingEvaluator` is
+that K=1 case with another admission step: :meth:`_admissible` picks the
+probe kind an automaton's joins compile to — ``"hash"`` here, refusing
+joins outside ``B_eq``; ``"scan"`` there, for any join.
 
 Registration changes patch the merged index incrementally
 (:meth:`MergedDispatchIndex.add_query` / ``remove_query``): registering a
@@ -90,14 +91,14 @@ class _Store(EvictionLane):
 
 
 class _Registered:
-    """One registered query: the store its runs live in, the first position it
-    observed, and its automaton-slot -> store-slot table."""
+    """One registered query: its dispatch index, the store its runs live in,
+    the first position it observed, and its automaton-slot -> store-slot table."""
 
     __slots__ = ("handle", "dispatch", "store", "since", "slots")
 
-    def __init__(self, handle: QueryHandle, pcea) -> None:
+    def __init__(self, handle: QueryHandle, pcea, probe: str) -> None:
         self.handle = handle
-        self.dispatch = pcea.dispatch_index()
+        self.dispatch = pcea.dispatch_index(probe)
         self.store: Optional[_Store] = None
         self.since = 0
         self.slots: Optional[tuple] = None
@@ -163,8 +164,7 @@ class MultiQueryEngine:
         self._merged = MergedDispatchIndex(())
         if registry is not None:
             for entry in registry.entries():
-                self._admissible(entry.pcea)
-                self._admit(entry)
+                self._admit(entry, self._admissible(entry.pcea))
 
     # ----------------------------------------------------------------- stores
     def _open_store(self, window: int) -> _Store:
@@ -181,12 +181,12 @@ class MultiQueryEngine:
             observer.observe_lane(store)
         return store
 
-    def _admit(self, entry) -> _Registered:
+    def _admit(self, entry, probe: str) -> _Registered:
         """Seat a registry entry in its window's store, observing from the next
-        tuple, and merge it into the index.  A query the index refuses
-        (``ValueError``) leaves the engine as it was: its store, if it needed
-        a new one, opens only once the index took it."""
-        query = _Registered(entry.handle, entry.pcea)
+        tuple, and merge it into the index with ``probe`` joins.  A query the
+        index refuses (``ValueError``) leaves the engine as it was: its
+        store, if it needed a new one, opens only once the index took it."""
+        query = _Registered(entry.handle, entry.pcea, probe)
         store = self._stores.get(entry.handle.window)
         opened = store is None
         if opened:
@@ -194,20 +194,16 @@ class MultiQueryEngine:
         query.store, query.since = store, self.position + 1
         observer = self._observer
         start = perf_counter() if observer is not None else 0.0
-        self._index(query)
+        query.slots = self._merged.add_query(query, query.dispatch, store, query.since)
         if observer is not None:
             observer.on_index_patch("add", perf_counter() - start, len(query.dispatch))
         if opened:
             self._add_store(store)
+        if query.dispatch.structure.scan and store.scans is None:
+            store.scans = {}
         store.queries += 1
         self._queries[entry.handle.id] = query
         return query
-
-    def _index(self, query: _Registered) -> None:
-        """Merge a seated query into the index (allotting its slots if it has none)."""
-        query.slots = self._merged.add_query(
-            query, query.dispatch, query.store, query.since, query.slots
-        )
 
     def _leave(self, query: _Registered) -> None:
         """Take a query out of the index and its store; an empty store goes whole."""
@@ -224,23 +220,26 @@ class MultiQueryEngine:
         return [self._queries[entry.handle.id] for entry in self.registry.entries()]
 
     # ----------------------------------------------------------- registration
-    def _admissible(self, pcea: PCEA) -> PCEA:
-        """The admission step: ``H`` is keyed by equality join keys, so an
-        automaton with a join outside ``B_eq`` is refused."""
+    def _admissible(self, pcea: PCEA) -> str:
+        """The admission step, giving the probe kind ``pcea``'s joins compile
+        to: hash probes key ``H`` by equality join keys, so an automaton with
+        a join outside ``B_eq`` is refused."""
         if not pcea.uses_only_equality_predicates():
             raise NotEqualityPredicateError(
                 "registered queries must compile to equality-predicate PCEA "
                 "(Algorithm 1's hypothesis)"
             )
-        return pcea
+        return "hash"
 
     def register(
         self, query: QuerySpec, window: int, name: Optional[str] = None
     ) -> QueryHandle:
         """Register a query mid-stream; it starts observing at the next tuple."""
-        handle = self.registry.register(self._admissible(compile_query(query)), window, name)
+        pcea = compile_query(query)
+        probe = self._admissible(pcea)
+        handle = self.registry.register(pcea, window, name)
         try:
-            self._admit(self.registry.get(handle))
+            self._admit(self.registry.get(handle), probe)
         except ValueError:
             self.registry.withdraw(handle)  # refused: as if never registered
             raise
@@ -266,14 +265,6 @@ class MultiQueryEngine:
     def handles(self) -> List[QueryHandle]:
         """Handles of the registered queries, in registration order."""
         return [entry.handle for entry in self.registry.entries()]
-
-    def _rebuild(self) -> None:
-        """Reconstruct the merged index from scratch: every query re-added,
-        in registration order, where it already sits (how :meth:`restore`
-        re-seats the queries)."""
-        self._merged = MergedDispatchIndex(())
-        for query in self._ordered():
-            self._index(query)
 
     # -------------------------------------------------------------- main loop
     def run(
@@ -369,8 +360,10 @@ class MultiQueryEngine:
         return valuations
 
     # ------------------------------------------------------- snapshot protocol
-    def _check_seating(self, queries: Sequence[_Registered], placement, lanes) -> None:
-        """Everything :meth:`_seat` relies on, checked before anything moves."""
+    def _check_seating(self, queries: Sequence[_Registered], placement, lanes) -> List[tuple]:
+        """The snapshot's placement rows as ``(store index, since, slot
+        table)``, with everything re-seating ``queries`` relies on checked:
+        a store carries a ``scan`` section iff a scan query sits in it."""
         if not self._arena:
             raise SnapshotError(
                 "restoring run stores requires the arena-backed enumeration "
@@ -383,7 +376,10 @@ class MultiQueryEngine:
         windows = [lane["window"] for lane in lanes]
         if len(set(windows)) != len(windows):
             raise SnapshotError("snapshot holds two run stores for one window")
-        for query, (where, _, slots) in zip(queries, placement):
+        rows = []
+        scanned = set()
+        for query, (where, since, slots) in zip(queries, placement):
+            where, since, slots = int(where), int(since), tuple([int(slot) for slot in slots])
             if not 0 <= where < len(lanes) or lanes[where]["window"] != query.handle.window:
                 raise SnapshotError(
                     f"query {query.handle} (window {query.handle.window}) does not fit "
@@ -391,6 +387,13 @@ class MultiQueryEngine:
                 )
             if len(slots) != len(query.dispatch.slots):
                 raise SnapshotError(f"query {query.handle} does not fit its snapshot slot table")
+            if query.dispatch.structure.scan:
+                scanned.add(where)
+            rows.append((where, since, slots))
+        for where, lane in enumerate(lanes):
+            if ("scan" in lane) != (where in scanned):
+                raise SnapshotError(f"run store {where} does not say whether its queries scan")
+        return rows
 
     def _restored_stores(self, lanes) -> List[_Store]:
         """The snapshot's stores, restored in snapshot order but not yet the
@@ -403,15 +406,6 @@ class MultiQueryEngine:
             store.next_slot = int(lane["next_slot"])
             stores.append(store)
         return stores
-
-    def _seat(self, queries: Sequence[_Registered], placement, stores: List[_Store]) -> None:
-        """Open ``stores`` and move ``queries`` into them, where and since
-        when the snapshot says."""
-        for store in stores:
-            self._add_store(store)
-        for query, (where, since, slots) in zip(queries, placement):
-            query.store, query.since, query.slots = stores[where], int(since), tuple(slots)
-            query.store.queries += 1
 
     def snapshot(self) -> Dict[str, object]:
         """The engine's complete evaluation state (see :mod:`repro.runtime.snapshot`).
@@ -450,17 +444,19 @@ class MultiQueryEngine:
         """Adopt ``snapshot``'s state; processing then continues bit-identically.
 
         The engine must hold the snapshot's queries (same specifications,
-        same registration order, same per-query windows, ``arena=True``) —
-        verified structurally through the merged-index signature before any
-        state is touched.  Registered handles are rewritten to the
-        snapshot's ids/names (see :meth:`QueryRegistry.restore_handles
+        same registration order, same per-query windows, same probe kinds,
+        ``arena=True``) — verified structurally through the merged-index
+        signature.  Registered handles are rewritten to the snapshot's
+        ids/names (see :meth:`QueryRegistry.restore_handles
         <repro.multi.registry.QueryRegistry.restore_handles>`), and every
         query is re-seated in the store, and from the position, the snapshot
-        recorded for it.
+        recorded for it.  Every section is read and checked before anything
+        changes: a refused restore leaves the engine as it was.  A
+        ``general`` tree of earlier builds is read too (:meth:`_from_general`).
         """
+        if isinstance(snapshot, dict) and snapshot.get("engine") == "general":
+            snapshot = self._from_general(snapshot)
         check_snapshot_header(snapshot, "multi")
-        # Bind every section before mutating: a truncated snapshot raises
-        # before any state is touched, never after a half-restore.
         try:
             registry_snap = snapshot["registry"]
             runtime_snap = snapshot["runtime"]
@@ -473,11 +469,13 @@ class MultiQueryEngine:
                 "snapshot was taken from an engine with different registered "
                 "queries (merged-index signatures differ)"
             )
-        # Validate restorability up front: a rejected restore must leave the
-        # engine untouched (no remapped handles, no half-restored stores).
-        self._check_seating(queries, placement, lanes)
+        placement = self._check_seating(queries, placement, lanes)
         stores = self._restored_stores(lanes)
-        try:
+        runtime_state = StreamRuntime.parse(runtime_snap, len(stores))
+        merged = MergedDispatchIndex(())
+        for query, (where, since, slots) in zip(queries, placement):
+            merged.add_query(query, query.dispatch, stores[where], since, slots)
+        try:  # the last check: the registry changes only once its table is read
             handles = self.registry.restore_handles(registry_snap)
         except ValueError as exc:
             raise SnapshotError(str(exc)) from exc
@@ -488,9 +486,41 @@ class MultiQueryEngine:
         for store in {query.store for query in queries}:
             self._runtime.drop_lane(store)
         self._stores = {}
-        self._seat(queries, placement, stores)
-        self._rebuild()
-        self._runtime.restore(runtime_snap, stores)
+        for store in stores:
+            self._add_store(store)
+        for query, (where, since, slots) in zip(queries, placement):
+            query.store, query.since, query.slots = stores[where], since, slots
+            query.store.queries += 1
+        self._merged = merged
+        self._runtime.restore(runtime_state, stores)
+
+    def _from_general(self, snapshot: Dict[str, object]) -> Dict[str, object]:
+        """The one-store ``multi`` tree a ``general`` tree of earlier builds
+        (one lane, per-state ``rings``, the automaton's hashed index
+        signature) stands for, if this engine is one scan query of that
+        automaton: a state's id is its scan slot, so the lane stands as it is."""
+        check_snapshot_header(snapshot, "general")
+        queries = self._ordered()
+        if len(queries) != 1 or not queries[0].dispatch.structure.scan:
+            raise SnapshotError("a 'general' snapshot restores only into a general evaluator")
+        hashed = self.registry.entries()[0].pcea.dispatch_index()
+        if stable_signature(hashed.signature()) != snapshot.get("dispatch_signature"):
+            raise SnapshotError(
+                "snapshot was taken from an engine with a different automaton "
+                "(dispatch-index signatures differ)"
+            )
+        slots = len(queries[0].dispatch.slots)
+        scan = {"runs": snapshot["rings"], "next_seq": snapshot["next_seq"],
+                "nodes_scanned": snapshot["nodes_scanned"]}  # fmt: skip
+        return {
+            "snapshot_version": SNAPSHOT_VERSION,
+            "engine": "multi",
+            "registry": self.registry.snapshot(),
+            "merged_signature": stable_signature(self._merged.signature()),
+            "placement": [(0, 0, tuple(range(slots)))],
+            "lanes": [dict(snapshot["lane"], next_slot=slots, scan=scan)],
+            "runtime": snapshot["runtime"],
+        }
 
     # ------------------------------------------------------------ introspection
     @property
@@ -522,6 +552,11 @@ class MultiQueryEngine:
     @property
     def _expiry_buckets(self) -> Dict[int, List[object]]:
         return self._runtime.buckets
+
+    @property
+    def nodes_scanned(self) -> int:
+        """Stored runs scan probes have read, statistics collected or not."""
+        return sum(lane.nodes_scanned for lane in self._runtime.lanes())
 
     def reset_statistics(self) -> None:
         self._runtime.reset_statistics()

@@ -530,6 +530,10 @@ class MergedDispatchIndex(PlanIndex):
         user, so the summary does not depend on what is shared either: it is
         the one the same queries give registered stand-alone.  Tests assert
         ``patched.signature() == rebuilt.signature()`` after every mutation.
+        The tokens of scan members (:class:`~repro.core.dispatch.CompiledTransition`)
+        are listed under ``"scan"``, a key only a signature with scan members
+        has: a checkpoint of hashed queries and one of scanned queries refuse
+        each other.
         """
         ranks = {key: rank for rank, key in enumerate(self._by_owner)}
         shared = {
@@ -571,7 +575,7 @@ class MergedDispatchIndex(PlanIndex):
                 raise AssertionError(
                     "interned predicate id drifted from the canonical-key table"
                 )
-        return {
+        signature = {
             "relations": relations,
             "wildcard": tokens(self.wildcard_plan),
             "guards": guards,
@@ -579,6 +583,10 @@ class MergedDispatchIndex(PlanIndex):
             "joins": joins,
             "size": self._size,
         }
+        scanned = sorted(token for e in entries if e.scan for token in stands_for(e))
+        if scanned:
+            signature["scan"] = tuple(scanned)
+        return signature
 
     def describe(self) -> Dict[str, float]:
         """Merged-index statistics for CLI ``--stats`` / benchmark reporting.

@@ -181,18 +181,21 @@ class QueryRegistry:
                     f"query {entry.handle} has window {entry.handle.window}, "
                     f"snapshot recorded {entry_snap['window']}"
                 )
-        handles: List[QueryHandle] = []
-        remapped: Dict[int, RegisteredQuery] = {}
-        for entry, entry_snap in zip(entries, recorded):
-            handle = QueryHandle(
-                int(entry_snap["id"]), entry_snap["name"], int(entry_snap["window"])
-            )
+        handles = [
+            QueryHandle(int(entry_snap["id"]), entry_snap["name"], int(entry_snap["window"]))
+            for entry_snap in recorded
+        ]
+        next_id, version = int(snapshot["next_id"]), int(snapshot["version"])
+        remapped: Dict[int, RegisteredQuery] = {
+            handle.id: entry for handle, entry in zip(handles, entries)
+        }
+        if len(remapped) != len(entries):
+            raise ValueError("snapshot gives two registered queries one id")
+        for handle, entry in zip(handles, entries):
             entry.handle = handle
-            remapped[handle.id] = entry
-            handles.append(handle)
         self._entries = remapped
-        self._next_id = int(snapshot["next_id"])
-        self._version = int(snapshot["version"])
+        self._next_id = next_id
+        self._version = version
         return handles
 
     def get(self, handle: QueryHandle) -> RegisteredQuery:

@@ -8,8 +8,8 @@ unambiguous equality-predicate PCEA over one stream (hash-indexed joins,
 Theorem 5.1's update bound), one merged dispatch lookup per tuple.  One
 query is its K=1 case, :class:`~repro.core.evaluation.StreamingEvaluator`,
 and :class:`~repro.extensions.general_evaluation.GeneralStreamingEvaluator`
-(arbitrary binary predicates, no hash keys) is that K=1 case with a
-scanning update phase.
+(arbitrary binary predicates, no hash keys) is that K=1 case with scan
+probes.
 
 Before this package, each engine re-implemented the fire loop, the stream
 position counter, the ``max_start``-bucketed eviction sweep, the arena
@@ -17,12 +17,13 @@ slab-release protocol, batched ingestion, and the statistics/memory
 introspection surface — so every optimisation had to be hand-ported several
 times and the copies drifted.  The runtime holds exactly one of each:
 
-* :func:`fire` — Algorithm 1's FireTransitions + UpdateIndices for the
-  hashed engine: per predicate group one acceptor call, per held member the
-  join probes against its owning lane's table, effects applied in canonical
-  order, new runs indexed and registered for eviction.  What it evaluates a
-  tuple against is data (:class:`~repro.core.dispatch.EvalPlan`), so indexed,
-  guarded and full-scan dispatch are the same code.
+* :func:`fire` — Algorithm 1's FireTransitions + UpdateIndices: per
+  predicate group one acceptor call, per held member the join probes — hash
+  probes against its owning lane's table, or scan probes over a source's
+  live runs — effects applied in canonical order, new runs indexed and
+  registered for eviction.  What it evaluates a tuple against is data
+  (:class:`~repro.core.dispatch.EvalPlan`), so indexed, guarded and
+  full-scan dispatch are the same code.
 * :class:`EvictionLane` — one evictable run store: a sliding window, a
   run-index table (``hash``), an enumeration structure (``ds``), and the
   representation-agnostic reclamation hooks (``add_ref`` / ``drop_ref`` /
@@ -42,8 +43,8 @@ times and the copies drifted.  The runtime holds exactly one of each:
   modes.
 
 What stays in the engine is its merged index of every registered query and
-its output routing; the general evaluator adds only its scan of a source
-state's live runs and its snapshot kind.  Everything an
+its output routing; the general evaluator adds only its admission step,
+which gives its joins scan probes.  Everything an
 engine registers into the runtime is a flat
 ``lane_id, key, node`` int triple appended to the expiry bucket (lanes are
 interned to dense small ints; no per-entry tuple is allocated — see

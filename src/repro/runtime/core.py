@@ -1,27 +1,28 @@
 """`StreamRuntime` / `EvictionLane`: the cross-cutting per-tuple machinery.
 
 See the package docstring (:mod:`repro.runtime`) for the architecture.  The
-contract with the engine (:class:`~repro.multi.engine.MultiQueryEngine`, and
-the update phase its general K=1 subclass swaps in):
+contract with the engine (:class:`~repro.multi.engine.MultiQueryEngine`,
+whose one update loop is :func:`~repro.runtime.fire.fire`):
 
-* every entry an engine stores in a lane's ``hash`` maps a key to a
+* every entry the engine stores in a lane's ``hash`` maps a key to a
   ``(value, max_start)`` pair whose second element is the cached expiry
-  anchor (``max_start`` of the stored node for the hashed engine, the run's
-  newest stream position for the general evaluator).  The hashed engine keys
-  by ``(slot, join key)`` — one entry per run set, however many transitions
-  read it — and writes a fresh leaf run straight onto its entry through the
-  lane's bound ``extend_onto`` (:func:`~repro.runtime.fire.fire`);
+  anchor.  A hash probe's runs are keyed by ``(slot, join key)`` — one entry
+  per run set, however many transitions read it, anchored at the stored
+  node's ``max_start`` — and a fresh leaf run is written straight onto its
+  entry through the lane's bound ``extend_onto``.  A scan probe's runs are
+  keyed by ``(scan slot, sequence number)`` — one entry per run, anchored at
+  the run's own position — and also listed, oldest first, in the lane's
+  ``scans`` (see :class:`EvictionLane`);
 * when the engine stores an entry it appends the *flat int triple*
   ``lane.lane_id, key, node`` (three plain appends, no per-entry tuple) to
   ``buckets[max_start + lane.window + 1]`` (the absolute position at which
   the entry expires) and calls ``lane.add_ref(node)`` — the lines
-  :func:`~repro.runtime.fire.fire` and the general evaluator inline,
-  everything else lives here.
+  :func:`~repro.runtime.fire.fire` inlines, everything else lives here.
   :meth:`StreamRuntime.register_entry` is the reference implementation;
 * the sweep pops due buckets, drops the arena reference exactly once per
   registration, and deletes the hash entry iff it is genuinely out of the
   window *now* (an entry superseded by a younger node was re-registered in a
-  later bucket and survives).
+  later bucket and survives) — and a scanned run from its scan slot with it.
 
 Compact bucket representation
 -----------------------------
@@ -51,7 +52,10 @@ the sweep cursors, the statistics and the expiry buckets (lane ids remapped
 through a dense snapshot index, because a restored engine assigns fresh lane
 ids); a lane — one run store — serialises its window, its hash table and its
 enumeration structure (which must expose ``snapshot``/``restore`` — the arena does, the
-object-graph oracle does not).
+object-graph oracle does not), and a scan store its scan slots as one more
+section.  The runtime's layer is read in two steps, :meth:`StreamRuntime.parse`
+(every check, nothing changed) then :meth:`StreamRuntime.restore`, so an
+engine can check every section of a snapshot before it changes anything.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ import dataclasses
 from time import perf_counter as _perf
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple as Tup, TypeVar
 
+from repro.runtime.snapshot import SnapshotError
 from repro.runtime.statistics import EngineStatistics
 
 
@@ -80,9 +85,15 @@ class EvictionLane:
     branch on the node representation (the object-graph ``DS_w`` exposes the
     hooks as no-ops).
     ``lane_id`` is the dense int the owning runtime interned the lane to —
-    the id the engines append to expiry buckets.  ``on_evict``, when set, is
-    called with the hash key of every entry the sweep genuinely evicts (the
-    general evaluator drops the run from its per-state dict with it).
+    the id the engines append to expiry buckets.
+
+    A store holding scan probes' runs is a *scan store*: ``scans`` maps each
+    scan slot to an insertion-ordered dict ``seq -> (tuple, node)`` of the
+    runs stored there (``None`` in a store of hash probes only).  Each run is
+    also the ``hash`` entry ``(slot, seq) -> ((tuple, node), position)``, and
+    the sweep pops it from both, so runs of a slot die in insertion order
+    and a dict never holds a dead run.  ``next_seq`` numbers the runs and
+    ``nodes_scanned`` counts the stored runs scan probes have read.
     """
 
     __slots__ = (
@@ -91,7 +102,9 @@ class EvictionLane:
         "hash",
         "active",
         "lane_id",
-        "on_evict",
+        "scans",
+        "next_seq",
+        "nodes_scanned",
         "add_ref",
         "drop_ref",
         "release",
@@ -104,7 +117,9 @@ class EvictionLane:
         self.hash: Dict[Hashable, Tup[object, int]] = {}
         self.active = True
         self.lane_id = -1  # assigned by StreamRuntime.add_lane
-        self.on_evict: Optional[Callable[[Hashable], None]] = None
+        self.scans: Optional[Dict[Hashable, Dict[int, Tup[object, object]]]] = None
+        self.next_seq = 0
+        self.nodes_scanned = 0
         self.add_ref = ds.add_ref
         self.drop_ref = ds.drop_ref
         self.release = ds.release_expired
@@ -122,7 +137,7 @@ class EvictionLane:
         self.active = False
         self.hash.clear()
         self.ds = None
-        self.on_evict = None
+        self.scans = None
         self.add_ref = None
         self.drop_ref = None
         self.release = None
@@ -130,7 +145,9 @@ class EvictionLane:
 
     # ------------------------------------------------------- snapshot protocol
     def snapshot(self) -> Dict[str, object]:
-        """The lane's state (window, hash table, enumeration structure).
+        """The lane's state (window, hash table, enumeration structure, and a
+        scan store's ``scan`` section: each slot's sequence numbers oldest
+        first, ``next_seq`` and ``nodes_scanned``).
 
         Requires a snapshotable enumeration structure — the arena-backed
         ``DS_w``; the object-graph oracle (``arena=False``) has no explicit
@@ -143,14 +160,24 @@ class EvictionLane:
                 "snapshot requires the arena-backed enumeration structure "
                 "(construct the engine with arena=True)"
             )
-        return {
+        snapshot = {
             "window": self.window,
             "hash": [(key, value) for key, value in self.hash.items()],
             "ds": ds_snapshot(),
         }
+        if self.scans is not None:
+            snapshot["scan"] = {
+                "runs": {slot: list(runs) for slot, runs in self.scans.items()},
+                "next_seq": self.next_seq,
+                "nodes_scanned": self.nodes_scanned,
+            }
+        return snapshot
 
     def restore(self, snapshot: Dict[str, object]) -> None:
-        """Replace the lane's state with ``snapshot``'s, in place."""
+        """Replace the lane's state with ``snapshot``'s, in place.
+
+        A ``scan`` section must name exactly the hash table's runs.
+        """
         if snapshot["window"] != self.window:
             raise ValueError(
                 f"snapshot was taken with window {snapshot['window']}, "
@@ -162,10 +189,27 @@ class EvictionLane:
                 "restore requires the arena-backed enumeration structure "
                 "(construct the engine with arena=True)"
             )
+        table = dict(snapshot["hash"])
+        scans = None
+        if "scan" in snapshot:
+            scan = snapshot["scan"]
+            scans = {}
+            # dict(): a file may hold any container here.
+            for slot, seqs in dict(scan["runs"]).items():
+                runs = scans[slot] = {}
+                for seq in seqs:
+                    entry = table.get((slot, seq))
+                    if entry is None or type(entry[0]) is not tuple or len(entry[0]) != 2:
+                        raise SnapshotError(
+                            f"scan slot {slot!r} names run {seq!r}, which the lane table does not hold"
+                        )
+                    runs[seq] = entry[0]
+            if sum(map(len, scans.values())) != len(table):
+                raise SnapshotError("the lane table holds runs its scan slots do not name")
+            self.next_seq, self.nodes_scanned = int(scan["next_seq"]), int(scan["nodes_scanned"])
         ds_restore(snapshot["ds"])
-        self.hash.clear()
-        for key, value in snapshot["hash"]:
-            self.hash[key] = value
+        self.hash = table
+        self.scans = scans
 
     def __repr__(self) -> str:
         state = "active" if self.active else "inactive"
@@ -336,8 +380,8 @@ class StreamRuntime:
         """Register a stored entry for eviction at ``expiry_position``.
 
         The reference implementation of the registration protocol — three
-        flat appends plus the arena reference — which ``fire`` and the
-        general evaluator inline (keep those two copies in sync with this).
+        flat appends plus the arena reference — which ``fire`` inlines for
+        hash and scan probes alike (keep those copies in sync with this).
         """
         expiry = self.buckets.get(expiry_position)
         if expiry is None:
@@ -380,9 +424,9 @@ class StreamRuntime:
                     if pair is not None and position - pair[1] > lane.window:
                         del lane.hash[key]
                         evicted += 1
-                        hook = lane.on_evict
-                        if hook is not None:
-                            hook(key)
+                        scans = lane.scans
+                        if scans is not None:
+                            del scans[key[0]][key[1]]
                 self.evicted += evicted
                 if self.count_stats:
                     stats = self.stats
@@ -429,9 +473,9 @@ class StreamRuntime:
                 if pair is not None and position - pair[1] > lane.window:
                     del lane.hash[key]
                     evicted += 1
-                    hook = lane.on_evict
-                    if hook is not None:
-                        hook(key)
+                    scans = lane.scans
+                    if scans is not None:
+                        del scans[key[0]][key[1]]
         self._swept_upto = position
         self.evicted += evicted
         if self.count_stats:
@@ -543,19 +587,16 @@ class StreamRuntime:
             "buckets": buckets,
         }
 
-    def restore(self, snapshot: Dict[str, object], lanes_by_index: Sequence[EvictionLane]) -> None:
-        """Replace the runtime's state with ``snapshot``'s.
+    @staticmethod
+    def parse(snapshot: Dict[str, object], lanes: int) -> Dict[str, object]:
+        """Read and check the runtime section of a snapshot of ``lanes``
+        stores, changing nothing: what :meth:`restore` then adopts.
 
-        ``lanes_by_index`` positions must mirror the ``lane_index`` mapping
-        the snapshot was taken with.  No arena references are taken here: the
-        lanes' enumeration-structure snapshots carry their refcounts.  Every
-        bucket must still be in the future — an already-swept expiry position
-        would leak its entries (and their refcounts) forever — and hold whole
-        triples of restored lanes; the buckets and statistics are checked
-        before any state is replaced.
+        Every bucket must still be in the future — an already-swept expiry
+        position would leak its entries (and their refcounts) forever — and
+        hold whole triples naming one of the snapshot's lane indexes.
         """
         swept_upto = int(snapshot["swept_upto"])
-        lane_ids = dict(enumerate(lane.lane_id for lane in lanes_by_index))
         buckets: Dict[int, List[object]] = {}
         # dict(): a file may hold any container here, and only a mapping has items().
         for expiry_position, entries in dict(snapshot["buckets"]).items():
@@ -568,15 +609,36 @@ class StreamRuntime:
             if len(entries) % 3:
                 raise ValueError(f"expiry bucket {expiry_position} does not hold whole triples")
             flat = buckets[expiry_position] = list(entries)
-            flat[0::3] = [lane_ids[index] for index in flat[0::3]]  # KeyError: no such lane
-        stats = EngineStatistics(**snapshot["stats"])
-        self.position = int(snapshot["position"])
-        self.evicted = int(snapshot["evicted"])
-        self._swept_upto = swept_upto
-        self._next_release_pass = int(snapshot["next_release_pass"])
-        self.release_interval = int(snapshot["release_interval"])
-        self.stats = stats
-        self.buckets = buckets
+            for index in flat[0::3]:
+                if type(index) is not int or not 0 <= index < lanes:
+                    raise KeyError(f"expiry bucket {expiry_position} names lane {index!r}, not a restored one")
+        return {
+            "position": int(snapshot["position"]),
+            "evicted": int(snapshot["evicted"]),
+            "swept_upto": swept_upto,
+            "next_release_pass": int(snapshot["next_release_pass"]),
+            "release_interval": int(snapshot["release_interval"]),
+            "stats": EngineStatistics(**snapshot["stats"]),
+            "buckets": buckets,
+        }
+
+    def restore(self, parsed: Dict[str, object], lanes_by_index: Sequence[EvictionLane]) -> None:
+        """Replace the runtime's state with what :meth:`parse` read.
+
+        ``lanes_by_index`` positions must mirror the ``lane_index`` mapping
+        the snapshot was taken with.  No arena references are taken here: the
+        lanes' enumeration-structure snapshots carry their refcounts.
+        """
+        lane_ids = [lane.lane_id for lane in lanes_by_index]
+        for flat in parsed["buckets"].values():
+            flat[0::3] = [lane_ids[index] for index in flat[0::3]]
+        self.position = parsed["position"]
+        self.evicted = parsed["evicted"]
+        self._swept_upto = parsed["swept_upto"]
+        self._next_release_pass = parsed["next_release_pass"]
+        self.release_interval = parsed["release_interval"]
+        self.stats = parsed["stats"]
+        self.buckets = parsed["buckets"]
 
     # ----------------------------------------------------------- introspection
     def hash_table_size(self) -> int:
@@ -618,9 +680,11 @@ class StreamRuntime:
         return total
 
     def reset_statistics(self) -> None:
-        """Zero the operation counters and every store's ``DS_w`` counters."""
+        """Zero the operation counters, every store's ``nodes_scanned`` and
+        its ``DS_w`` counters."""
         self.stats = EngineStatistics()
         for lane in self._lanes.values():
+            lane.nodes_scanned = 0
             ds = lane.ds
             if hasattr(ds, "nodes_created"):
                 ds.nodes_created = ds.union_calls = ds.union_copies = 0

@@ -1,11 +1,13 @@
 """FireTransitions + UpdateIndices of Algorithm 1 — the only implementation.
 
-There is one hashed engine, :class:`~repro.multi.engine.MultiQueryEngine`,
-and it calls :func:`fire` once per tuple with the plan its merged index
-returns: one store per window, one handle per registered query.  The
-single-query evaluator is its K=1 case (one store, one handle, every plan
-member theirs), not a second caller.  Indexed, guarded and full-scan dispatch
-differ only in the :class:`~repro.core.dispatch.EvalPlan` handed in.
+There is one engine, :class:`~repro.multi.engine.MultiQueryEngine`, and it
+calls :func:`fire` once per tuple with the plan its merged index returns:
+one store per window, one handle per registered query.  The single-query
+evaluator is its K=1 case (one store, one handle, every plan member theirs),
+and the general evaluator that K=1 case with scan probes, not a second
+caller.  Indexed, guarded and full-scan dispatch differ only in the
+:class:`~repro.core.dispatch.EvalPlan` handed in; hash and scan joins only in
+the kind of probe a member carries.
 """
 
 from __future__ import annotations
@@ -47,6 +49,17 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
     like ``p``.  A query that joined the stream at ``member.since`` must not
     see older runs, so an entry is live for it only while its ``max_start``
     is inside the window *and* at or past ``since``.
+
+    A *scan* member (``member.scan``: its automaton was admitted with scan
+    probes, which joins outside ``B_eq`` — Section 6's open case — need)
+    probes ``(scan slot, holds)`` pairs instead: each collects
+    the source's live runs, oldest first, that ``holds(run tuple, tup)``
+    accepts (every run read counts as a lookup and in the store's
+    ``nodes_scanned``), and fires when every source has one.  Its effects go
+    in canonical order with the others': the compatible runs of each source
+    are unioned into one child right before its ``extend``, and the run is
+    stored under ``(scan slot, next sequence number)``, anchored at
+    ``position`` — final states included — and listed in the slot's dict.
     """
     fired = []
     # Extractors are interned by key plan (repro.core.predicates): joins that
@@ -64,11 +77,33 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
                 fired.append((member, (), position))
                 continue
             store = member.owner
-            hash_table = store.hash
             # The oldest max_start a probed entry may carry.
             oldest = position - store.window
             if oldest < member.since:
                 oldest = member.since
+            if member.scan:
+                # ``expired(node, oldest + window)``: max_start < oldest.
+                horizon = oldest + store.window
+                expired = store.ds.expired
+                scans = store.scans
+                children = []
+                for slot, holds in probes:
+                    compatible = []
+                    runs = scans.get(slot)
+                    if runs:
+                        for earlier, node in runs.values():
+                            if not expired(node, horizon) and holds(earlier, tup):
+                                compatible.append(node)
+                        store.nodes_scanned += len(runs)
+                        if stats is not None:
+                            stats.hash_lookups += len(runs)
+                    if not compatible:
+                        break
+                    children.append(compatible)
+                else:
+                    fired.append((member, children, None))
+                continue
+            hash_table = store.hash
             children = []
             # min(position, children's max_start): exactly the max_start
             # ``extend`` would compute, threaded through so the arena never
@@ -110,6 +145,38 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
             # A fresh leaf run read through one slot: its one record is
             # written below, straight onto that slot's entry.
             node = None
+        elif member.scan:
+            # Each source's compatible runs unioned into one child, in
+            # insertion order; the run is stored under its target's scan slot.
+            ds = store.ds
+            joined = []
+            for compatible in children:
+                node = compatible[0]
+                for other in compatible[1:]:
+                    node = ds.union(node, other)
+                if stats is not None:
+                    stats.unions += len(compatible) - 1
+                joined.append(node)
+            node = ds.extend(compiled.labels, position, joined, node_ms)
+            slot = member.target_id
+            seq = store.next_seq
+            store.next_seq = seq + 1
+            entry_key = (slot, seq)
+            run = (tup, node)
+            store.hash[entry_key] = (run, position)
+            store.scans.setdefault(slot, {})[seq] = run
+            if stats is not None:
+                stats.hash_updates += 1
+            # Flat-triple registration (StreamRuntime.register_entry, inlined),
+            # due when the run's own position leaves the window.
+            expiry = buckets.setdefault(position + store.window + 1, [])
+            expiry += (store.lane_id, entry_key, node)
+            store.add_ref(node)
+            if compiled.is_final:
+                if finals is None:
+                    finals = {}
+                finals.setdefault(member.handle, []).append(node)
+            continue
         else:
             node = store.ds.extend(compiled.labels, position, children, node_ms)
         consumers = member.consumers

@@ -11,16 +11,16 @@ frozensets / :class:`~repro.cq.schema.Tuple` events):
   — the window, the run-index hash table and the enumeration structure;
 * :meth:`StreamRuntime.snapshot/restore <repro.runtime.StreamRuntime.snapshot>`
   — the stream cursor, sweep cursors, statistics and expiry buckets;
-* the engines compose those layers, adding their own verification header
+* the engine composes those layers, adding its own verification header
   run through :func:`stable_signature` — the merged-index ``signature()``
   plus the :meth:`QueryRegistry.snapshot
-  <repro.multi.registry.QueryRegistry.snapshot>` entry table for
-  ``MultiQueryEngine`` (kind ``multi``; a ``StreamingEvaluator``, its K=1
-  case, writes the same tree), the automaton's dispatch-index
-  :meth:`signature <repro.core.dispatch.TransitionDispatchIndex.signature>`
-  for ``GeneralStreamingEvaluator`` — that K=1 case with a scanning update,
-  whose per-state run dicts are its own section (kind ``general``) — so a
-  snapshot can only be restored into an engine evaluating the *same* queries.
+  <repro.multi.registry.QueryRegistry.snapshot>` entry table — so a snapshot
+  can only be restored into an engine evaluating the *same* queries with the
+  same probe kinds.  There is one kind of tree, ``multi``: the K=1
+  ``StreamingEvaluator`` writes it, and so does ``GeneralStreamingEvaluator``,
+  whose scan store's run lists are one more section of its lane.  The
+  ``general`` kind earlier builds wrote for the latter is still read
+  (:meth:`MultiQueryEngine.restore <repro.multi.engine.MultiQueryEngine.restore>`).
 
 The trees are plain data (no engine objects, no callables, no shared
 mutable state with the live engine).  A checkpoint file — what

@@ -1,9 +1,9 @@
 """The unified operation-counter surface shared by every streaming engine.
 
-One dataclass serves the hashed engine (the multi-query engine, whose K=1
-case is the single-query evaluator) and the general (non-hashed) evaluator,
-so ``engine.observe()["stats"]``, the CLI ``--stats`` line and the
-differential tests read the same field names regardless of engine.
+One dataclass serves the one engine (the multi-query engine, whose K=1
+cases are the single-query evaluator and, with scan probes, the general
+evaluator), so ``engine.observe()["stats"]``, the CLI ``--stats`` line and
+the differential tests read the same field names regardless of mode.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ class EngineStatistics:
     lookup returned.  The hashed engine books one ``predicate_evaluations``
     per predicate group and per threshold family (its base call), every other
     member as ``predicate_cache_hits`` — also when a family falls back to its
-    groups' acceptors; the general evaluator books them the same way.
-    ``hash_lookups``/``hash_updates`` count run-index table probes and stores
-    for the hashed engines; the general evaluator reports its live-run scans
-    as ``hash_lookups`` so the "how much stored state did this tuple touch"
-    column means the same thing everywhere.
+    groups' acceptors.  ``hash_lookups``/``hash_updates`` count run-index
+    table probes and stores; a scan probe counts every live run it reads as
+    a lookup, so the "how much stored state did this tuple touch" column
+    means the same thing for both probe kinds.
 
     ``sweeps``/``sweep_evicted`` attribute eviction cost per run segment
     (reset the statistics per batch to attribute it per batch): ``sweeps``

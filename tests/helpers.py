@@ -30,6 +30,7 @@ from repro.cq.schema import Schema, Tuple
 from repro.valuation import Valuation
 from repro.engine.compiler import compile_pattern
 from repro.engine.dsl import atom, conjunction, disjunction
+from repro.multi.merged_index import MergedDispatchIndex
 
 #: The ``kernel`` of every arena variant this build can run.
 ARENAS = ["python"] + (["native"] if native_available() else [])
@@ -275,6 +276,15 @@ overlapping_streams = st.lists(
     min_size=8,
     max_size=24,
 )
+
+
+def rebuild_index(engine) -> None:
+    """Re-merge a ``MultiQueryEngine``'s index from scratch: every query
+    re-added, in registration order, where it sits — the reference the
+    incrementally patched index is compared with."""
+    engine._merged = MergedDispatchIndex(())
+    for query in engine._ordered():
+        engine._merged.add_query(query, query.dispatch, query.store, query.since, query.slots)
 
 
 # ------------------------------------------------ seeded synthetic workloads

@@ -408,7 +408,9 @@ class TestSetupBudget:
 
     def test_one_index_per_compiled_pattern(self, monkeypatch):
         """Compiling builds no index, not even for the automaton a pattern's
-        conjunction is translated through; the engines then share one."""
+        conjunction is translated through; the engines then share one per
+        probe kind: the hashed engines the automaton's hash index, the
+        general evaluator its scan index."""
         built = []
         build = TransitionDispatchIndex.__init__
 
@@ -426,4 +428,4 @@ class TestSetupBudget:
             StreamingEvaluator(pcea, window=8)
             MultiQueryEngine().register(pcea, window=8)
             GeneralStreamingEvaluator(pcea, window=8)
-        assert built == [pcea.dispatch_index() for pcea in pceas]
+        assert built == [index for pcea in pceas for index in (pcea.dispatch_index(), pcea.dispatch_index("scan"))]

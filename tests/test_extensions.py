@@ -1,14 +1,28 @@
-"""Tests for the extensions: general (non-equality) evaluation and disambiguation."""
+"""Tests for the extensions: general (non-equality) evaluation and disambiguation.
+
+The general evaluator is the K=1 engine with scan probes: besides its
+differentials against Algorithm 1 and the naive oracle (the latter over
+drawn automata mixing inequalities, callables and equalities), its runs on
+seeded streams are pinned by digest — outputs, node ids, statistics and
+``nodes_scanned`` — as the build with its own update loop produced them.
+"""
+
+import hashlib
+import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.hcq_to_pcea import hcq_to_pcea
-from repro.core.pcea import PCEA, PCEATransition
+from repro.core.pcea import PCEA, NotEqualityPredicateError, PCEATransition
 from repro.core.predicates import (
+    AtomJoinEquality,
     AtomUnaryPredicate,
+    LambdaBinaryPredicate,
     OrderPredicate,
+    ProjectionEquality,
     RelationPredicate,
     TrueEquality,
 )
@@ -21,7 +35,7 @@ from repro.valuation import Valuation
 
 from helpers import QUERY_Q0, SIGMA0, STREAM_S0, example_pcea_p0, star_query, streams_strategy
 
-X, Y = Variable("x"), Variable("y")
+X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
 
 class TestOrderPredicate:
@@ -95,7 +109,7 @@ class TestGeneralStreamingEvaluator:
         }
 
     def test_inequality_rejected_by_algorithm_1(self):
-        with pytest.raises(Exception):
+        with pytest.raises(NotEqualityPredicateError):
             StreamingEvaluator(increasing_price_pcea(), window=10)
 
     def test_evaluates_exactly_one_automaton(self):
@@ -183,7 +197,7 @@ class TestGeneralRuntimeParity:
         # At most one stored run per tuple position inside the window (+1 for
         # the position being processed).
         assert peak <= 2 * (16 + 1) + 2
-        assert engine.hash_table_size() == sum(map(len, engine._runs.values()))
+        assert engine.hash_table_size() == sum(map(len, engine._query.store.scans.values()))
 
     def test_stats_and_memory_surface(self):
         pcea = increasing_price_pcea()
@@ -298,11 +312,11 @@ class TestSequenceRings:
         for tup in self._stream(800):
             engine.process(tup)
             # The sweep pops evicted runs: the dicts hold the live window only.
-            live = sum(len(runs) for runs in engine._runs.values())
+            live = sum(len(runs) for runs in engine._query.store.scans.values())
             assert live <= 2 * (8 + 1) + 2
         assert engine.evicted > 100
         # Every dict entry is the run the lane table holds (no garbage scanned).
-        for state, runs in engine._runs.items():
+        for state, runs in engine._query.store.scans.items():
             for seq, run in runs.items():
                 assert engine._query.store.hash[(state, seq)][0] is run
 
@@ -314,8 +328,8 @@ class TestSequenceRings:
         for start in range(0, len(stream), 16):
             batch = stream[start : start + 16]
             assert batched.process_many(batch) == [stepwise.process(t) for t in batch]
-        assert {s: list(r) for s, r in batched._runs.items()} == {
-            s: list(r) for s, r in stepwise._runs.items()
+        assert {s: list(r) for s, r in batched._query.store.scans.items()} == {
+            s: list(r) for s, r in stepwise._query.store.scans.items()
         }
 
     def test_ring_capacity_validation_and_memory_exposure(self):
@@ -330,3 +344,173 @@ class TestSequenceRings:
         assert memory == engine._runtime.memory_info()
         assert not [key for key in memory if key.startswith("ring_")]
         assert memory["nodes_created"] > 0
+
+
+# ------------------------------------------------------- pinned general digest
+def _b_below_c(earlier, later):
+    return earlier.values[1] < later.values[1]
+
+
+def mixed_join_pcea() -> PCEA:
+    """``C(x, z)`` closes an ``A(x, y)`` it joins on ``x`` (an equality) and any
+    ``B`` whose second value is below its ``z`` (a callable, outside ``B_eq``)."""
+    a, b, c = Atom("A", (X, Y)), Atom("B", (X, Y)), Atom("C", (X, Z))
+    return PCEA(
+        states={"a", "b", "c"},
+        transitions=[
+            PCEATransition(set(), AtomUnaryPredicate(a), {}, {"a"}, "a"),
+            PCEATransition(set(), AtomUnaryPredicate(b), {}, {"b"}, "b"),
+            PCEATransition(
+                {"a", "b"},
+                AtomUnaryPredicate(c),
+                {"a": AtomJoinEquality(a, c), "b": LambdaBinaryPredicate(_b_below_c, "B.y < C.z")},
+                {"c"},
+                "c",
+            ),
+        ],
+        final={"c"},
+    )
+
+
+def _seeded_stream(relations, length, domain, seed):
+    rng = random.Random(seed)
+    return [
+        Tuple(rng.choice(relations), (rng.randrange(domain), rng.randrange(4 * domain)))
+        for _ in range(length)
+    ]
+
+
+#: (automaton, relations, window) of each pinned general stream.
+PINNED_GENERAL = {
+    "star": (lambda: hcq_to_pcea(star_query(2)), ["A1", "A2"], 12),
+    "order": (increasing_price_pcea, ["Buy", "Sell"], 10),
+    "mixed": (mixed_join_pcea, ["A", "B", "C"], 9),
+}
+
+
+def general_digest(name, batch=None):
+    """SHA-256 over a seeded general run: per tuple (stepwise) the final nodes'
+    arena ids and the outputs in order, else (``batch``) each batch's outputs;
+    then ``hash_table_size()``, ``evicted`` and ``nodes_scanned``, and at the
+    end the ``EngineStatistics``."""
+    make, relations, window = PINNED_GENERAL[name]
+    stream = _seeded_stream(relations, 360, 5, seed=len(name))
+    engine = GeneralStreamingEvaluator(make(), window)
+    digest = hashlib.sha256()
+
+    def record(*items):
+        digest.update(repr(items).encode())
+
+    if batch is None:
+        for tup in stream:
+            nodes = engine.update(tup)
+            outputs = [repr(v) for v in engine.enumerate_outputs(nodes)]
+            record(list(nodes), outputs, engine.hash_table_size(), engine.evicted, engine.nodes_scanned)
+    else:
+        for start in range(0, len(stream), batch):
+            for outputs in engine.process_many(stream[start : start + batch]):
+                record([repr(v) for v in outputs])
+            record(engine.hash_table_size(), engine.evicted, engine.nodes_scanned)
+    record(asdict(engine.stats))
+    return digest.hexdigest()
+
+
+#: :func:`general_digest` of each pinned stream, written by the build whose
+#: general evaluator ran its own update loop over per-state run dicts.
+PINNED_GENERAL_DIGESTS = {
+    ("mixed", None): "2b35c29ef87db1d15713c3c98766f1af005b8da86c89a25b05d519b7a3549b44",
+    ("mixed", 7): "773b47c490422087ac32d52ead23021d0f3dac8080cd3221ab2061fc55139651",
+    ("order", None): "6df2f6ecd249253660210d18cbeeb6ff990fad2a378660e3f7bb4199bb9f4186",
+    ("order", 7): "b5528d427f173e47b27a2242d2d09eb8daaf4ce6e016757d2f02602599ab1f5b",
+    ("star", None): "d5dd8c859c04c95c431c30a1b0e52498d4818924219c85a687477fe438f930be",
+    ("star", 7): "81a580c62f21220bf6098c38c2e4bfae2c9c56c7bbca1ee1c8ed46710ae130b1",
+}
+
+
+@pytest.mark.parametrize("batch", [None, 7], ids=["stepwise", "batched"])
+@pytest.mark.parametrize("name", sorted(PINNED_GENERAL))
+def test_a_general_run_has_the_pinned_digest(name, batch):
+    assert general_digest(name, batch) == PINNED_GENERAL_DIGESTS[(name, batch)]
+
+
+# --------------------------------------- general automata vs the naive oracle
+GENERAL_RELATIONS = ("A", "B", "C")
+
+
+def _sum_is_even(earlier, later):
+    return (earlier.values[0] + later.values[1]) % 2 == 0
+
+
+def _x_at_most_y(earlier, later):
+    return earlier.values[0] <= later.values[1]
+
+
+def _differ(earlier, later):
+    return earlier.values != later.values
+
+
+CALLABLES = (_sum_is_even, _x_at_most_y, _differ)
+
+
+@st.composite
+def general_automata(draw):
+    """A tree-shaped automaton over ``A``, ``B``, ``C`` (arity 2): source-less
+    leaves, then joins of one or two not yet joined states, each join an
+    equality, an :class:`OrderPredicate` or a callable; the last state is
+    final.  Every state has one incoming transition, is joined at most once
+    and every transition writes its own label, so a valuation has one run:
+    the automaton is unambiguous, and its outputs must be duplicate-free."""
+    transitions, open_states, relation_of = [], [], {}
+    for leaf in range(draw(st.integers(1, 3))):
+        relation = draw(st.sampled_from(GENERAL_RELATIONS))
+        state = f"s{leaf}"
+        transitions.append(PCEATransition(set(), RelationPredicate(relation), {}, {f"l{leaf}"}, state))
+        open_states.append(state)
+        relation_of[state] = relation
+    for join in range(draw(st.integers(0 if len(open_states) == 1 else 1, 2))):
+        sources = draw(
+            st.lists(st.sampled_from(open_states), min_size=1, max_size=min(2, len(open_states)), unique=True)
+        )
+        relation = draw(st.sampled_from(GENERAL_RELATIONS))
+        binaries = {}
+        for source in sources:
+            kind = draw(st.sampled_from(["equality", "order", "callable"]))
+            if kind == "equality":
+                binaries[source] = ProjectionEquality({relation_of[source]: (0,)}, {relation: (0,)})
+            elif kind == "order":
+                operator = draw(st.sampled_from(["<", "<=", ">", ">=", "!=", "=="]))
+                binaries[source] = OrderPredicate(relation_of[source], 1, operator, relation, 1)
+            else:
+                func = draw(st.sampled_from(CALLABLES))
+                binaries[source] = LambdaBinaryPredicate(func, func.__name__)
+        state = f"j{join}"
+        transitions.append(PCEATransition(set(sources), RelationPredicate(relation), binaries, {f"m{join}"}, state))
+        open_states = [s for s in open_states if s not in sources] + [state]
+        relation_of[state] = relation
+    return PCEA(states=set(relation_of), transitions=transitions, final={transitions[-1].target})
+
+
+GENERAL_STREAMS = st.lists(
+    st.builds(
+        Tuple,
+        st.sampled_from(GENERAL_RELATIONS),
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    ),
+    max_size=9,
+)
+
+
+# No ``max_examples`` here: tier-1 runs the default budget, CI the ``fuzz`` profile.
+@settings(deadline=None)
+@given(pcea=general_automata(), stream=GENERAL_STREAMS, window=st.integers(0, 6))
+def test_general_automata_match_the_naive_oracle(pcea, stream, window):
+    """Joins mixing inequalities, callables and equalities: the general
+    engine's outputs at every position are the naive semantics', on the
+    arena and on the object-graph oracle, each once."""
+    naive = pcea.outputs_upto(stream, len(stream) - 1, window=window) if stream else {}
+    for arena in (True, False):
+        engine = GeneralStreamingEvaluator(pcea, window, arena=arena)
+        for position, tup in enumerate(stream):
+            outputs = list(engine.process(tup))
+            assert len(outputs) == len(set(outputs)), (arena, position)
+            assert set(outputs) == naive[position], (arena, position)

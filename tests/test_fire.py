@@ -19,11 +19,13 @@ it consumes (``repro.core.dispatch``).
   ``extend_onto`` exists once per representation; the arena has one layout,
   no engine takes an ablation knob, there is one hashed engine (the
   single-query evaluator is its K=1 case) and one engine skeleton (the
-  general evaluator is that K=1 case with a scanning ``_fire``), a plan
+  general evaluator is that K=1 case with scan probes, overriding only its
+  admission step), one function walks a plan's groups to fire them, a plan
   member's rank has one name, nothing imports ``pickle``, and adaptive
   dispatch left no residue.
 """
 
+import ast
 import inspect
 import random
 import re
@@ -347,6 +349,39 @@ def test_the_fire_loop_exists_once():
         assert holders == ["runtime/fire.py"], pattern.pattern
 
 
+def test_a_scan_is_a_probe_kind_not_a_second_loop():
+    """Joins outside ``B_eq`` are scan probes of the one ``fire``: the general
+    evaluator's own loop, its per-state run dicts, its eviction hook and its
+    snapshot kind left no writer in the source, and exactly one function
+    under ``src/repro`` walks a plan's groups to fire them (reads
+    ``plan.groups`` and calls a group's acceptor)."""
+    source_root = Path(__file__).resolve().parent.parent / "src" / "repro"
+    sources = {str(path.relative_to(source_root)): path.read_text() for path in source_root.rglob("*.py")}
+    gone = re.compile(r'_on_evict|self\._runs\b|"engine": "general"')
+    assert sorted(name for name, text in sources.items() if gone.search(text)) == []
+
+    def fires(function):
+        nodes = list(ast.walk(function))
+        reads_groups = any(
+            isinstance(node, ast.Attribute) and node.attr == "groups"
+            and isinstance(node.value, ast.Name) and node.value.id == "plan"
+            for node in nodes
+        )  # fmt: skip
+        calls_acceptor = any(
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "accepts"
+            for node in nodes
+        )  # fmt: skip
+        return reads_groups and calls_acceptor
+
+    walkers = sorted(
+        (name, node.name)
+        for name, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.FunctionDef) and fires(node)
+    )
+    assert walkers == [("runtime/fire.py", "fire")]
+
+
 def test_each_run_is_stored_once_through_one_code_path():
     """``H`` is keyed by (slot, key), never by the reading transition, and the
     fused leaf write exists once per representation: object structure, arena
@@ -389,21 +424,24 @@ def test_one_arena_layout_and_no_ablation_knobs():
 
 
 def test_the_single_query_engines_share_one_body():
-    """``StreamingEvaluator`` is the K=1 ``MultiQueryEngine``: its snapshot,
-    restore and batch driver are the engine's.  ``GeneralStreamingEvaluator``
-    shares every call of it but the update phase (``_fire``), the admission
-    step and its ``general`` snapshots; the ring buffers, the single-lane
-    batch driver, the single-query server feed and the single-lane base class
-    left no residue."""
+    """``StreamingEvaluator`` is the K=1 ``MultiQueryEngine``: its update
+    phase, snapshot, restore and batch driver are the engine's.
+    ``GeneralStreamingEvaluator`` shares every call of it but the admission
+    step, which gives its joins scan probes; the ring buffers, the
+    single-lane batch driver, the single-query server feed and the
+    single-lane base class left no residue."""
     def owner(engine, name):
         return next(klass for klass in engine.__mro__ if name in vars(klass))
 
     for name in ("process", "run", "update", "process_many", "enumerate_outputs"):
         assert getattr(StreamingEvaluator, name) is getattr(GeneralStreamingEvaluator, name), name
-    for name in ("snapshot", "restore", "_fire", "_enumerate", "register"):
-        assert owner(StreamingEvaluator, name) is MultiQueryEngine, name
-    for name in ("_fire", "_admissible", "snapshot", "restore"):
-        assert owner(GeneralStreamingEvaluator, name) is GeneralStreamingEvaluator, name
+    for engine in (StreamingEvaluator, GeneralStreamingEvaluator):
+        for name in ("snapshot", "restore", "_fire", "_enumerate", "register"):
+            assert owner(engine, name) is MultiQueryEngine, (engine, name)
+    assert owner(GeneralStreamingEvaluator, "_admissible") is GeneralStreamingEvaluator
+    assert set(vars(GeneralStreamingEvaluator)) - {"__module__", "__doc__", "__qualname__"} == {
+        "_admissible"
+    }
     source_root = Path(__file__).resolve().parent.parent / "src"
     residue = re.compile(
         r"_SeqRing|ring_capacity|drive_enumerating_batch|live_run_count|SingleEngineFeed"

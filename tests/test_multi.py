@@ -32,7 +32,7 @@ from repro.multi import (
 from repro.runtime import snapshot as snapshot_codec
 from repro.streams.generators import random_stream
 
-from helpers import QUERY_Q0, SIGMA0, overlapping_queries, overlapping_streams
+from helpers import QUERY_Q0, SIGMA0, overlapping_queries, overlapping_streams, rebuild_index
 
 
 #: A varied bundle of registerable queries over the σ0 relations (T/1, S/2, R/2).
@@ -595,7 +595,7 @@ class TestOneStorePerWindow:
             assert kept <= {id(e) for e in after}
             assert all(e.handle is second for e in after if id(e) not in kept)
         signature = snapshot_codec.dumps(merged.signature())
-        engine._rebuild()
+        rebuild_index(engine)
         assert snapshot_codec.dumps(engine._merged.signature()) == signature
 
     def test_the_engine_builds_a_ds_w_in_one_place(self):

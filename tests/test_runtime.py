@@ -36,7 +36,7 @@ from repro.multi import MergedDispatchIndex, MultiQueryEngine, compile_query
 from repro.runtime import RELEASE_PASS_INTERVAL, EvictionLane, SparseBatch, StreamRuntime
 from repro.streams.generators import random_stream
 
-from helpers import SIGMA0
+from helpers import SIGMA0, rebuild_index
 
 
 QUERY_SPECS = [
@@ -510,7 +510,7 @@ class TestRegistrationChurnDifferential:
                             rebuilt.register(query, window=window),
                         )
                     )
-                rebuilt._rebuild()
+                rebuild_index(rebuilt)
             patched_outputs = patched.process(tup)
             rebuilt_outputs = rebuilt.process(tup)
             for patched_handle, rebuilt_handle in live:
@@ -580,23 +580,26 @@ class TestCompactBucketProtocol:
         assert "k" not in keep.hash
 
     def test_on_evict_hook_fires_per_genuine_eviction(self):
+        """(Named for the hook the scan slots replaced.)  A scan store's run
+        leaves its scan slot with its genuine eviction, and only then."""
         runtime = StreamRuntime()
         lane = runtime.add_lane(self._lane(2))
-        evicted_keys = []
-        lane.on_evict = evicted_keys.append
+        lane.scans = {7: {}}
+        seen = []
         old = lane.ds.extend({"a"}, 0, [])
-        lane.hash["gone"] = (old, 0)
-        runtime.register_entry(lane, "gone", old, 3)
-        # Superseded entry: re-registered young, the old bucket must not fire.
-        lane.hash["kept"] = (old, 0)
-        runtime.register_entry(lane, "kept", old, 3)
+        for seq in (0, 1):
+            lane.hash[(7, seq)] = lane.scans[7][seq] = (old, 0)
+            runtime.register_entry(lane, (7, seq), old, 3)
+        # Superseded entry: re-registered young, the old bucket must not evict it.
         young = lane.ds.extend({"a"}, 2, [])
-        lane.hash["kept"] = (young, 2)
-        runtime.register_entry(lane, "kept", young, 5)
+        lane.hash[(7, 1)] = (young, 2)
+        runtime.register_entry(lane, (7, 1), young, 5)
         for position in range(6):
             runtime.position = position
             runtime.sweep(position)
-        assert evicted_keys == ["gone", "kept"]
+            seen.append(list(lane.scans[7]))
+        assert seen == [[0, 1], [0, 1], [0, 1], [1], [1], []]
+        assert not lane.hash and runtime.evicted == 2
 
     def test_release_interval_knob(self):
         runtime = StreamRuntime(release_interval=8)

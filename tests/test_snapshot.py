@@ -20,14 +20,17 @@ Four layers of protection:
   reading transition), a ``streaming`` tree of the single-query engine
   before it became the K=1 multi engine, a table numbered by other slots, a
   query-subset (``multi-partial``) tree, a tagged-JSON checkpoint of an older
-  build, two run stores under one window, a ``--general`` tree whose rings do
-  not name exactly its lane table, and arena records whose label id or
+  build, two run stores under one window, a scan store whose ``scan``
+  section does not name exactly its lane table, and arena records whose label id or
   product reference lies outside the restored tables, whose union link or
   product child is not an older node, or whose positions could overflow the
   kernel's window arithmetic (on both kernels);
+* atomicity — a restore refused on its runtime buckets, statistics or
+  placement rows leaves the engine's snapshot bytes as they were;
 * fuzzing — every truncation and byte mutation of a single, ``--general``
-  or multi-engine checkpoint restores or raises one of the exceptions the
-  CLI's ``--restore`` catches, and nothing else.
+  or multi-engine checkpoint restores into an engine that has processed
+  tuples, or raises one of the exceptions the CLI's ``--restore`` catches
+  (and nothing else) and leaves that engine's snapshot bytes unchanged.
 
 Snapshot equality across the two kernels is ``tests/test_kernel.py``'s.
 """
@@ -245,10 +248,26 @@ class TestGeneralEngineSnapshot:
             original.process(tup)
         restored = self._engine()
         restored.restore(roundtrip(original.snapshot(), "json"))
-        assert restored._runs == original._runs
-        assert [list(runs) for runs in restored._runs.values()] == [
-            list(runs) for runs in original._runs.values()
+        assert restored._query.store.scans == original._query.store.scans
+        assert [list(runs) for runs in restored._query.store.scans.values()] == [
+            list(runs) for runs in original._query.store.scans.values()
         ]
+
+    @pytest.mark.parametrize("query", [QUERY, "Q(x) <- T(x)"], ids=["joins", "no join"])
+    def test_hashed_and_scan_checkpoints_refuse_each_other(self, query):
+        """The signature names the probe kind — also for an automaton without
+        joins, where the two indexes have no join to tell them apart."""
+        pcea = hcq_to_pcea(parse_query(query))
+        for source, target in ((StreamingEvaluator, GeneralStreamingEvaluator),
+                               (GeneralStreamingEvaluator, StreamingEvaluator)):  # fmt: skip
+            donor = source(pcea, window=self.WINDOW)
+            for tup in sigma0_stream(30, seed=19):
+                donor.process(tup)
+            fresh = target(pcea, window=self.WINDOW)
+            untouched = fresh.snapshot()
+            with pytest.raises(SnapshotError, match="signatures differ"):
+                fresh.restore(roundtrip(donor.snapshot(), "json"))
+            assert fresh.snapshot() == untouched
 
     @pytest.mark.parametrize("tamper", ["unknown run", "left-out run"])
     def test_rings_must_name_exactly_the_lane_table(self, tamper):
@@ -256,9 +275,10 @@ class TestGeneralEngineSnapshot:
         for tup in sigma0_stream(150, seed=13):
             original.process(tup)
         snap = roundtrip(original.snapshot(), "json")
-        seqs = next(seqs for seqs in snap["rings"].values() if seqs)
+        scan = snap["lanes"][0]["scan"]
+        seqs = next(seqs for seqs in scan["runs"].values() if seqs)
         if tamper == "unknown run":
-            seqs.append(snap["next_seq"])
+            seqs.append(scan["next_seq"])
         else:
             seqs.pop()
         fresh = self._engine()
@@ -365,6 +385,56 @@ class TestRejectedRestoreLeavesEngineUntouched:
             fresh.restore(snap)
         assert [h.id for h in fresh.handles()] == [handle.id]
         assert fresh.position == -1  # untouched
+
+
+class TestRefusedRestoreChangesNothing:
+    """Every section is read and checked before anything changes: a restore
+    refused on its runtime buckets, its statistics or its placement rows
+    leaves the engine's snapshot bytes as they were."""
+
+    TAMPERS = ["bucket at swept_upto", "unknown lane index", "bad stats", "bad since", "bad slots"]
+
+    @staticmethod
+    def _tampered(snap, tamper):
+        runtime = snap["runtime"]
+        expiry, flat = next(iter(runtime["buckets"].items()))
+        if tamper == "bucket at swept_upto":
+            runtime["buckets"][runtime["swept_upto"]] = list(flat[:3])
+        elif tamper == "unknown lane index":
+            runtime["buckets"][expiry] = [len(snap["lanes"])] + flat[1:]
+        elif tamper == "bad stats":
+            runtime["stats"]["no_such_counter"] = 1
+        else:
+            where, since, slots = snap["placement"][-1]
+            if tamper == "bad since":
+                since = "soon"
+            else:
+                slots = ["s"] * len(slots)
+            snap["placement"][-1] = (where, since, slots)
+        return snap
+
+    @pytest.mark.parametrize("tamper", TAMPERS)
+    @pytest.mark.parametrize("kind", ["single", "general", "multi"])
+    def test_a_refused_restore_leaves_the_snapshot_bytes_unchanged(self, kind, tamper):
+        make = {"single": _single, "general": _general, "multi": lambda: _multi(churn=False)}[kind]
+        stream = sigma0_stream(60, seed=43)
+        donor = make()
+        for tup in stream[:40]:
+            donor.process(tup)
+        snap = self._tampered(roundtrip(donor.snapshot(), "json"), tamper)
+        engine = make()
+        for tup in stream[:10]:
+            engine.process(tup)
+        assert engine.position == 9
+        before = snapshot_codec.dumps(engine.snapshot())
+        with pytest.raises(RESTORE_ERRORS):
+            engine.restore(snap)
+        assert snapshot_codec.dumps(engine.snapshot()) == before
+        # ... and it goes on like an engine that was never offered the snapshot.
+        untouched = make()
+        for tup in stream[:10]:
+            untouched.process(tup)
+        assert [engine.process(t) for t in stream[10:]] == [untouched.process(t) for t in stream[10:]]
 
 
 class TestSignatureStrictness:
@@ -790,12 +860,17 @@ def _checkpoint(kind):
 
 
 def restores_or_refuses(make, blob):
-    """``blob`` restores into a fresh engine or raises one of RESTORE_ERRORS;
-    any other exception escapes and fails the test."""
+    """``blob`` restores into an engine that has processed tuples, or raises
+    one of RESTORE_ERRORS and leaves that engine's snapshot bytes as they
+    were; any other exception escapes and fails the test."""
+    engine = make()
+    for tup in sigma0_stream(20, seed=31):
+        engine.process(tup)
+    before = snapshot_codec.dumps(engine.snapshot())
     try:
-        make().restore(snapshot_codec.loads(blob))
+        engine.restore(snapshot_codec.loads(blob))
     except RESTORE_ERRORS:
-        pass
+        assert snapshot_codec.dumps(engine.snapshot()) == before
 
 
 KINDS = st.sampled_from(["single", "general", "multi"])
