@@ -7,11 +7,12 @@ scans are ``O(|Δ|)`` regardless of how many transitions are actually relevant
 to the incoming tuple.  This module precomputes, once per automaton, the
 indexes that remove those scans:
 
-* a **candidate index** grouping transitions by the relation names their unary
-  predicates can accept (``UnaryPredicate.dispatch_relations``).  Predicates
-  that cannot name their relations land in a *wildcard* group that is probed
-  for every tuple, so the index is a pure over-approximation — firing
-  behaviour is bit-for-bit identical to the full scan, only cheaper.
+* a **candidate key** per transition: the relation names its unary
+  predicate can accept (``UnaryPredicate.dispatch_relations``) and its
+  constant guard, which the merged index groups transitions by.  Predicates
+  that cannot name their relations are *wildcards*, candidates for every
+  tuple, so the keys are a pure over-approximation — firing behaviour is
+  bit-for-bit identical to the full scan, only cheaper.
 * a **consumer index** mapping each state ``p`` to the *slots* its readers
   join through — one per distinct ``(p, left key plan)``, however many
   transitions have ``p`` in their source set — so UpdateIndices writes each
@@ -38,17 +39,19 @@ canonical keys and threshold families.  Automata that differ only in their
 unaries share one structure — the pattern compiler keeps one per conjunction
 shape — so binding is all such an index costs.
 
-Candidates are stored as **plans** (:class:`EvalPlan`): pre-grouped by the
-canonical key of their unary predicate, so the fire loop
+Candidates are evaluated as **plans** (:class:`EvalPlan`): pre-grouped by
+the canonical key of their unary predicate, so the fire loop
 (:func:`repro.runtime.fire`) evaluates one predicate per group — or, for
 groups differing only in the ``c`` of an ``attr ⋈ c`` conjunct, one per
-**threshold family** (:class:`EvalFamily`).  Every
-per-relation list, the wildcard list and every constant-guard bucket is a
-plan; :class:`PlanIndex` holds that storage and the per-tuple ``plan_for``
-lookup for both this module's per-automaton index and the multi-query
-engine's merged index.  :func:`plan_of` groups a member list at once;
-:class:`PlanCell` keeps the same grouping patched a few members at a time,
-for the merged index.
+**threshold family** (:class:`EvalFamily`).  The plans live in the
+multi-query engine's merged index
+(:class:`~repro.multi.merged_index.MergedDispatchIndex`), which every engine
+reads through its ``plan_for``: one per relation, one for the wildcards and
+one per constant-guard bucket, each kept patched a few members at a time by
+a :class:`PlanCell`.  :func:`plan_of` and :func:`_split_by_guard` group a
+member list at once — the references the cells are tested against — and
+:meth:`TransitionDispatchIndex.candidates_for` is the linear filter the
+merged index's lookups are tested against.
 """
 
 from __future__ import annotations
@@ -207,8 +210,8 @@ class EvalPlan:
         return self._flat
 
 
-def member_order(member) -> int:
-    return member.index
+#: A plan member's canonical candidate rank.
+member_order = attrgetter("index")
 
 
 def plan_of(members: Sequence) -> EvalPlan:
@@ -275,9 +278,6 @@ def _split_by_guard(members: Sequence):
 _EMPTY_PLAN = plan_of(())
 
 
-_by_index = attrgetter("index")
-
-
 def _constant(group: EvalGroup):
     return group.members[0].family[1]
 
@@ -326,7 +326,7 @@ class PlanCell:
                     members = [member for member in members if id(member) not in gone]
                 members += plus
             if plus and len(members) > 1:
-                members.sort(key=_by_index)
+                members.sort(key=member_order)
             self.total += len(plus) - len(minus)
             group = EvalGroup(tuple(members)) if members else None
             if group is None:
@@ -368,85 +368,6 @@ class PlanCell:
         self.plan = EvalPlan(
             list(loose.values()), self.total, tuple(families.values()) if families else ()
         )
-
-
-class PlanIndex:
-    """Per-relation plan storage and the per-tuple lookup, shared by
-    :class:`TransitionDispatchIndex` and the multi-query engine's
-    :class:`~repro.multi.merged_index.MergedDispatchIndex`.
-
-    ``plans`` maps a relation to the plan over everything that may accept its
-    tuples (wildcards merged in); ``guarded`` holds, for relations with
-    constant-guarded members, the :func:`_split_by_guard` refinement;
-    ``wildcard_plan`` serves every other relation.  Members expose
-    ``pred_key`` / ``accepts`` / ``guard`` / ``index``.  Every engine reads
-    its plans straight from here through :meth:`plan_for`.
-    """
-
-    def __init__(self) -> None:
-        self.plans: Dict[str, EvalPlan] = {}
-        self.guarded: Dict[str, Tup[EvalPlan, Tup[Tup[int, Dict[Hashable, EvalPlan]], ...]]] = {}
-        self.wildcard_plan = _EMPTY_PLAN
-
-    def _store_relation(self, relation: str, members: Sequence) -> None:
-        self.plans[relation] = plan_of(members)
-        split = _split_by_guard(members)
-        if split is None:
-            self.guarded.pop(relation, None)
-        else:
-            self.guarded[relation] = split
-
-    def plan_for(self, tup) -> EvalPlan:
-        """The plan a tuple is evaluated against (never ``None``).
-
-        Guarded members whose value differs from the tuple's are left out —
-        their predicate is necessarily false (guards at positions beyond the
-        tuple's arity cannot hold either).
-        """
-        entry = self.guarded.get(tup.relation)
-        if entry is None:
-            return self.plans.get(tup.relation, self.wildcard_plan)
-        unguarded, positions = entry
-        groups = unguarded.groups
-        families = unguarded.families
-        total = unguarded.total
-        arity = tup.arity
-        for position, by_value in positions:
-            if position < arity:
-                matched = by_value.get(tup.value(position))
-                if matched is not None:
-                    groups = groups + matched.groups
-                    families = families + matched.families
-                    total += matched.total
-        if total == unguarded.total:
-            return unguarded
-        return EvalPlan(groups, total, families)
-
-    def watched_relations(self):
-        """The relations whose tuples some stored member may accept, or
-        ``None`` when a wildcard member may accept a tuple of any relation.
-
-        A live view of the plan table: a tuple of a relation outside it gets
-        the empty wildcard plan, so it changes nothing but the position.
-        """
-        return None if self.wildcard_plan.total else self.plans.keys()
-
-    def candidates_for(self, tup) -> Tup:
-        """:meth:`plan_for` as a flat tuple in canonical candidate order.
-
-        The view tests and benchmarks read; the engines consume plans.
-        """
-        return self.plan_for(tup).flat()
-
-    def relation_fanout(self) -> Dict[str, int]:
-        """Per-relation candidate counts (``"*"`` = wildcard fallback).
-
-        The fan-out a tuple of each relation scans, identically keyed in
-        every engine mode (the per-relation observability gauges).
-        """
-        fanout = {relation: plan.total for relation, plan in self.plans.items()}
-        fanout["*"] = self.wildcard_plan.total
-        return fanout
 
 
 class CompiledTransition:
@@ -660,8 +581,13 @@ class MergedEntry:
         return f"MergedEntry(owner={self.owner!r}, {self.compiled!r})"
 
 
-class TransitionDispatchIndex(PlanIndex):
-    """The per-automaton dispatch indexes (built once, read per tuple).
+class TransitionDispatchIndex:
+    """One automaton compiled for the per-tuple loop (built once, read per tuple).
+
+    Its :class:`CompiledTransition` records, slots, readers and leaf states;
+    the engines merge the records under their stores
+    (:class:`~repro.multi.merged_index.MergedDispatchIndex`) and read their
+    plans from there.
 
     Parameters
     ----------
@@ -669,11 +595,6 @@ class TransitionDispatchIndex(PlanIndex):
         The PCEA transition list, in automaton order (the order determines the
         canonical candidate order and therefore matches the full-scan engine's
         node-creation order exactly).
-    indexed:
-        With ``False`` every transition is stored as a wildcard, so every
-        tuple is evaluated against the full transition list — the seed
-        engine's scan behaviour, kept for ablation benchmarks and
-        differential tests.
     final:
         The automaton's final-state set; fired transitions into these states
         carry ``is_final=True`` so the evaluator can collect output nodes
@@ -683,17 +604,11 @@ class TransitionDispatchIndex(PlanIndex):
         apply), when one is kept for automata of their shape; built here
         from ``transitions`` and ``final`` otherwise.  Either way the index
         is that structure with the transitions' unaries bound onto it.
-
-    Candidates carrying a constant equality guard
-    (``UnaryPredicate.constant_guard``) are additionally keyed by ``(relation,
-    guard value)``; :meth:`plan_for` leaves out guarded transitions whose
-    value does not match the tuple before their ``unary.holds`` ever runs.
     """
 
     def __init__(
         self,
         transitions: Sequence["PCEATransition"],
-        indexed: bool = True,
         final: Iterable[State] = (),
         structure: Optional[DispatchStructure] = None,
     ) -> None:
@@ -701,7 +616,6 @@ class TransitionDispatchIndex(PlanIndex):
             structure = DispatchStructure(transitions, final)
         elif len(structure.shapes) != len(transitions):
             raise ValueError("the dispatch structure was built for another transition list")
-        self.indexed = indexed
         self.structure = structure
         self.final = structure.final
         self.state_ids = structure.state_ids
@@ -714,16 +628,16 @@ class TransitionDispatchIndex(PlanIndex):
             binding = bindings.get(id(unary))
             if binding is None:
                 # A ``(position, value)`` equality implied by the unary
-                # predicate, so the index can key the transition by its guard
-                # value; the canonical key lets the multi-query engine share
-                # one ``unary.holds`` verdict across structurally identical
+                # predicate, so the merged index can key the transition by
+                # its guard value; the canonical key lets it share one
+                # ``unary.holds`` verdict across structurally identical
                 # predicates, the threshold family one bisect across
                 # ``base ∧ (attr ⋈ c)`` ones.  All default soundly for
                 # predicate objects predating the protocol.
                 guard = getattr(unary, "constant_guard", None)
                 binding = bindings[id(unary)] = (
                     compile_acceptor(unary),
-                    unary.dispatch_relations() if indexed else None,
+                    unary.dispatch_relations(),
                     guard() if guard is not None else None,
                     _canonical_key(unary),
                     threshold_family(unary),
@@ -732,25 +646,6 @@ class TransitionDispatchIndex(PlanIndex):
         self._all: Tup[CompiledTransition, ...] = tuple(compiled)
         self._leaves: Optional[Dict[int, Hashable]] = None  # see leaf_states()
 
-    def __getattr__(self, name: str):
-        # The index's own plans are built on first read: no engine reads
-        # them (the engine merges the transitions under its stores instead;
-        # ``candidates_for`` serves tests and benchmarks), and grouping
-        # hashes every canonical predicate key.
-        if name not in ("plans", "guarded", "wildcard_plan"):
-            raise AttributeError(name)
-        PlanIndex.__init__(self)
-        # Each known relation's plan holds the transitions that may accept
-        # its tuples, wildcards merged in, in transition order; unknown
-        # relations fall back to the wildcards alone.
-        compiled = self._all
-        self.wildcard_plan = plan_of([c for c in compiled if c.relations is None])
-        for relation in {r for c in compiled if c.relations is not None for r in c.relations}:
-            self._store_relation(
-                relation, [c for c in compiled if c.relations is None or relation in c.relations]
-            )
-        return getattr(self, name)
-
     # ----------------------------------------------------------------- lookups
     def consumers_by_id(self, state_id: int) -> Tup[Tup[int, object], ...]:
         """The state's ``(slot, left-key extractor)`` pairs, one per left key plan read through."""
@@ -758,6 +653,19 @@ class TransitionDispatchIndex(PlanIndex):
 
     def all_transitions(self) -> Tup[CompiledTransition, ...]:
         return self._all
+
+    def candidates_for(self, tup) -> Tup[CompiledTransition, ...]:
+        """The transitions whose unary may accept ``tup``, in canonical order:
+        those naming its relation (or none) whose constant guard, if any, the
+        tuple carries.  A linear filter that builds no plans — the reference
+        the merged index's :meth:`~repro.multi.merged_index.MergedDispatchIndex.plan_for`
+        is tested against."""
+        relation, values = tup.relation, tup.values
+        return tuple([
+            c for c in self._all
+            if (c.relations is None or relation in c.relations)
+            and (c.guard is None or c.guard[0] < len(values) and values[c.guard[0]] == c.guard[1])
+        ])  # fmt: skip
 
     def leaf_states(self) -> Dict[int, Hashable]:
         """``state id -> class key`` of the automaton's *leaf* states.
@@ -816,5 +724,7 @@ class TransitionDispatchIndex(PlanIndex):
                 for c in self._all
             ),
             "finals": tuple(sorted((repr(state) for state in self.final))),
-            "indexed": self.indexed,
+            # Every transition is dispatched by relation; the key stays
+            # because checkpoints carry the signature and compare it whole.
+            "indexed": True,
         }

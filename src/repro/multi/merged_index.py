@@ -4,8 +4,8 @@ One :class:`~repro.core.dispatch.TransitionDispatchIndex` serves one automaton;
 with a million registered patterns the engine would perform a million
 candidate lookups per tuple, one per automaton, even though most lookups
 return nothing.  :class:`MergedDispatchIndex` unions the per-PCEA candidate
-indexes into a single structure keyed by relation name (and, like the
-per-automaton index, optionally by constant-guard value), tagging every
+keys into a single structure keyed by relation name (and, where a member
+declares one, by constant-guard value), tagging every
 compiled transition with its owning query, so the multi-query engine performs
 **one** lookup per tuple and receives the candidate transitions of *all*
 registered queries at once.
@@ -82,7 +82,6 @@ from repro.core.dispatch import (
     EvalPlan,
     MergedEntry,
     PlanCell,
-    PlanIndex,
     TransitionDispatchIndex,
     member_order,
     join_signature,
@@ -132,7 +131,7 @@ class _Member:
         self.classes: List[_StateClass] = []
 
 
-class MergedDispatchIndex(PlanIndex):
+class MergedDispatchIndex:
     """The union of several per-automaton dispatch indexes.
 
     Parameters
@@ -147,7 +146,12 @@ class MergedDispatchIndex(PlanIndex):
     """
 
     def __init__(self, members: Sequence[Tup[object, TransitionDispatchIndex]] = ()) -> None:
-        super().__init__()
+        # The read-optimised plans the per-tuple lookup hits: each relation's
+        # (wildcards merged in), the constant-guard refinement of relations
+        # with guarded members, and the wildcards' for every other relation.
+        self.plans: Dict[str, EvalPlan] = {}
+        self.guarded: Dict[str, Tup[EvalPlan, Tup[Tup[int, Dict[Hashable, EvalPlan]], ...]]] = {}
+        self.wildcard_plan = _EMPTY_PLAN
         # id(owner) -> member, in registration order (dict insertion order is
         # the canonical query order).
         self._by_owner: Dict[int, _Member] = {}
@@ -173,8 +177,7 @@ class MergedDispatchIndex(PlanIndex):
         self.patched_removes = 0
         # Per-relation plan cells by constant guard (``None``: unguarded),
         # wildcards merged in, and how many entries name the relation (its
-        # plans go with the last); the wildcards' own cell.  The
-        # read-optimised plans the per-tuple lookup hits are the PlanIndex's.
+        # plans go with the last); the wildcards' own cell.
         self._cells: Dict[str, Dict[Optional[Tup[int, object]], PlanCell]] = {}
         self._specific: Dict[str, int] = {}
         self._wildcards: Optional[PlanCell] = None  # made with the first wildcard
@@ -499,7 +502,58 @@ class MergedDispatchIndex(PlanIndex):
         )
 
     # ----------------------------------------------------------------- lookups
-    # (plan_for / candidates_for come from PlanIndex.)
+    def plan_for(self, tup) -> EvalPlan:
+        """The plan a tuple is evaluated against (never ``None``).
+
+        Guarded members whose value differs from the tuple's are left out —
+        their predicate is necessarily false (guards at positions beyond the
+        tuple's arity cannot hold either).
+        """
+        entry = self.guarded.get(tup.relation)
+        if entry is None:
+            return self.plans.get(tup.relation, self.wildcard_plan)
+        unguarded, positions = entry
+        groups = unguarded.groups
+        families = unguarded.families
+        total = unguarded.total
+        arity = tup.arity
+        for position, by_value in positions:
+            if position < arity:
+                matched = by_value.get(tup.value(position))
+                if matched is not None:
+                    groups = groups + matched.groups
+                    families = families + matched.families
+                    total += matched.total
+        if total == unguarded.total:
+            return unguarded
+        return EvalPlan(groups, total, families)
+
+    def watched_relations(self):
+        """The relations whose tuples some stored member may accept, or
+        ``None`` when a wildcard member may accept a tuple of any relation.
+
+        A live view of the plan table: a tuple of a relation outside it gets
+        the empty wildcard plan, so it changes nothing but the position.
+        """
+        return None if self.wildcard_plan.total else self.plans.keys()
+
+    def candidates_for(self, tup) -> Tup[MergedEntry, ...]:
+        """:meth:`plan_for` as a flat tuple in canonical candidate order.
+
+        The view tests and benchmarks read; the engines consume plans.
+        """
+        return self.plan_for(tup).flat()
+
+    def relation_fanout(self) -> Dict[str, int]:
+        """Per-relation candidate counts (``"*"`` = wildcard fallback).
+
+        The fan-out a tuple of each relation scans, identically keyed in
+        every engine mode (the per-relation observability gauges).
+        """
+        fanout = {relation: plan.total for relation, plan in self.plans.items()}
+        fanout["*"] = self.wildcard_plan.total
+        return fanout
+
     def all_entries(self) -> Tup[MergedEntry, ...]:
         """Every entry, in candidate iteration order (introspection/tests)."""
         entries = [e for member in self._by_owner.values() for e in member.entries]

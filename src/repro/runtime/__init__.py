@@ -22,8 +22,8 @@ times and the copies drifted.  The runtime holds exactly one of each:
   probes against its owning lane's table, or scan probes over a source's
   live runs — effects applied in canonical order, new runs indexed and
   registered for eviction.  What it evaluates a tuple against is data
-  (:class:`~repro.core.dispatch.EvalPlan`), so indexed, guarded and
-  full-scan dispatch are the same code.
+  (:class:`~repro.core.dispatch.EvalPlan`), so relation and constant-guard
+  dispatch are the same code.
 * :class:`EvictionLane` — one evictable run store: a sliding window, a
   run-index table (``hash``), an enumeration structure (``ds``), and the
   representation-agnostic reclamation hooks (``add_ref`` / ``drop_ref`` /

@@ -73,6 +73,19 @@ RELEASE_PASS_INTERVAL = 256
 
 _T = TypeVar("_T")
 
+#: Each counter's type, read off its default (``sweep_seconds`` is the float).
+_COUNTER_TYPES = {field.name: type(field.default) for field in dataclasses.fields(EngineStatistics)}
+
+
+def _check_key(key, where: str) -> None:
+    """A run-index key is a hashable ``(slot, key)`` pair."""
+    try:
+        hash(key)
+    except TypeError:  # a list, or a list inside
+        key = None
+    if type(key) is not tuple or len(key) != 2 or type(key[0]) is not int:
+        raise SnapshotError(f"{where} holds a key that is not a hashable (slot, key) pair")
+
 
 class EvictionLane:
     """One run store — a ``DS_w``, the run index ``H`` over it and the window
@@ -176,7 +189,8 @@ class EvictionLane:
     def restore(self, snapshot: Dict[str, object]) -> None:
         """Replace the lane's state with ``snapshot``'s, in place.
 
-        A ``scan`` section must name exactly the hash table's runs.
+        Table keys must be hashable ``(slot, key)`` pairs, and a ``scan``
+        section must name exactly the hash table's runs.
         """
         if snapshot["window"] != self.window:
             raise ValueError(
@@ -189,7 +203,10 @@ class EvictionLane:
                 "restore requires the arena-backed enumeration structure "
                 "(construct the engine with arena=True)"
             )
-        table = dict(snapshot["hash"])
+        table = {}
+        for key, entry in snapshot["hash"]:
+            _check_key(key, "the lane table")
+            table[key] = entry
         scans = None
         if "scan" in snapshot:
             scan = snapshot["scan"]
@@ -594,9 +611,16 @@ class StreamRuntime:
 
         Every bucket must still be in the future — an already-swept expiry
         position would leak its entries (and their refcounts) forever — and
-        hold whole triples naming one of the snapshot's lane indexes.
+        hold whole ``(lane index, (slot, key), node)`` triples naming one of
+        the snapshot's lanes; every counter must have its type.
         """
         swept_upto = int(snapshot["swept_upto"])
+        # An int stands for a float; a counter left out starts from zero.
+        counters = dict(snapshot["stats"])
+        for name, value in counters.items():
+            kind = _COUNTER_TYPES.get(name)
+            if kind is None or type(value) is not kind and (kind, type(value)) != (float, int):
+                raise SnapshotError(f"statistics {name!r} = {value!r}: no such counter, or not of its type")
         buckets: Dict[int, List[object]] = {}
         # dict(): a file may hold any container here, and only a mapping has items().
         for expiry_position, entries in dict(snapshot["buckets"]).items():
@@ -612,13 +636,17 @@ class StreamRuntime:
             for index in flat[0::3]:
                 if type(index) is not int or not 0 <= index < lanes:
                     raise KeyError(f"expiry bucket {expiry_position} names lane {index!r}, not a restored one")
+            for key, node in zip(flat[1::3], flat[2::3]):
+                _check_key(key, f"expiry bucket {expiry_position}")
+                if type(node) is not int or not 0 <= node < 1 << 62:
+                    raise SnapshotError(f"expiry bucket {expiry_position} names node {node!r}")
         return {
             "position": int(snapshot["position"]),
             "evicted": int(snapshot["evicted"]),
             "swept_upto": swept_upto,
             "next_release_pass": int(snapshot["next_release_pass"]),
             "release_interval": int(snapshot["release_interval"]),
-            "stats": EngineStatistics(**snapshot["stats"]),
+            "stats": EngineStatistics(**counters),
             "buckets": buckets,
         }
 

@@ -5,7 +5,7 @@ calls :func:`fire` once per tuple with the plan its merged index returns:
 one store per window, one handle per registered query.  The single-query
 evaluator is its K=1 case (one store, one handle, every plan member theirs),
 and the general evaluator that K=1 case with scan probes, not a second
-caller.  Indexed, guarded and full-scan dispatch differ only in the
+caller.  Relation and constant-guard dispatch differ only in the
 :class:`~repro.core.dispatch.EvalPlan` handed in; hash and scan joins only in
 the kind of probe a member carries.
 """

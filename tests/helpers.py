@@ -15,6 +15,7 @@ from typing import List, Sequence, Tuple as Tup
 from hypothesis import strategies as st
 
 from repro.core.ccea import CCEA, CCEATransition
+from repro.core.dispatch import TransitionDispatchIndex
 from repro.core.pcea import PCEA, PCEATransition
 from repro.core.predicates import (
     AtomJoinEquality,
@@ -285,6 +286,12 @@ def rebuild_index(engine) -> None:
     engine._merged = MergedDispatchIndex(())
     for query in engine._ordered():
         engine._merged.add_query(query, query.dispatch, query.store, query.since, query.slots)
+
+
+def one_member(pcea) -> MergedDispatchIndex:
+    """A one-member merged index over ``pcea``: the plans and statistics an
+    engine evaluating it alone reads (entry ``index`` == transition index)."""
+    return MergedDispatchIndex([("q", TransitionDispatchIndex(pcea.transitions, final=pcea.final))])
 
 
 # ------------------------------------------------ seeded synthetic workloads

@@ -39,7 +39,6 @@ from repro.cli import (
     run_multi,
 )
 from repro.core.arena import ArenaDataStructure
-from repro.core.dispatch import TransitionDispatchIndex
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.hcq_to_pcea import hcq_to_pcea
 from repro.core.kernel import native_available
@@ -137,9 +136,8 @@ class TestConfig:
         indexed = GeneralStreamingEvaluator(pcea, window=32)
         for position, tup in enumerate(stream):
             assert set(indexed.process(tup)) == naive[position]
-        full = TransitionDispatchIndex(pcea.transitions, indexed=False, final=pcea.final)
-        assert indexed.stats.transitions_scanned == len(stream)
-        assert sum(full.plan_for(tup).total for tup in stream) == len(stream) * len(pcea.transitions)
+        # A full scan would visit every transition for every tuple.
+        assert indexed.stats.transitions_scanned == len(stream) < len(stream) * len(pcea.transitions)
 
 
 # --------------------------------------------------------- workload builders

@@ -7,6 +7,8 @@ optional-statistics fast mode.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dispatch import TransitionDispatchIndex
 from repro.core.evaluation import StreamingEvaluator
@@ -28,17 +30,9 @@ from repro.engine.dsl import atom, conjunction, sequence
 from repro.multi import MergedDispatchIndex
 from repro.streams.generators import HCQWorkloadGenerator, random_stream
 
-from helpers import QUERY_Q0, SIGMA0, STREAM_S0, example_pcea_p0, star_query
+from helpers import QUERY_Q0, SIGMA0, STREAM_S0, example_pcea_p0, one_member, star_query
 
 X, Y = Variable("x"), Variable("y")
-
-
-def one_member(pcea, indexed=True):
-    """A one-member merged index over ``pcea``: the plans and statistics an
-    engine evaluating it alone reads (entry ``index`` == transition index)."""
-    return MergedDispatchIndex(
-        [("q", TransitionDispatchIndex(pcea.transitions, indexed=indexed, final=pcea.final))]
-    )
 
 
 def relation_candidates(merged, relation):
@@ -111,10 +105,6 @@ class TestTransitionDispatchIndex:
     def test_unknown_relation_gets_only_wildcards(self):
         merged = one_member(two_relation_pcea())
         assert [c.index for c in relation_candidates(merged, "Unknown")] == [2]
-
-    def test_unindexed_mode_returns_all(self):
-        merged = one_member(two_relation_pcea(), indexed=False)
-        assert [c.index for c in relation_candidates(merged, "T")] == [0, 1, 2]
 
     def test_consumers_reverse_map(self):
         pcea = two_relation_pcea()
@@ -294,6 +284,54 @@ class TestConstantGuardDispatch:
         assert guarded and all(c.guard == (0, 2) for c in guarded)
         assert list(index.candidates_for(Tuple("S", (3, 1)))) == []
         assert len(index.candidates_for(Tuple("S", (2, 1)))) == len(index)
+
+
+#: What the K=1 differential's unaries are drawn from: constant guards (at a
+#: position a short tuple lacks, too), threshold families, plain relations
+#: and wildcards.
+GUARD_VALUES = (0, 1, "a")
+unaries = st.one_of(
+    st.builds(
+        AttributeFilter, st.sampled_from("EF"), st.integers(0, 2), st.just("=="), st.sampled_from(GUARD_VALUES)
+    ),
+    st.builds(lambda operator, constant: AttributeFilter("E", 1, operator, constant),
+              st.sampled_from(["<", ">="]), st.integers(0, 2)),  # fmt: skip
+    st.builds(lambda constant: AtomUnaryPredicate(Atom("E", (X, constant))), st.sampled_from(GUARD_VALUES)),
+    st.builds(RelationPredicate, st.sampled_from(["E", "F", "G", ("E", "F")])),
+    st.just(TruePredicate()),
+    st.just(LambdaUnaryPredicate(bool)),
+)
+
+
+@st.composite
+def dispatch_automata(draw):
+    """Transitions into states ``s0, s1, ...`` over drawn unaries, each run
+    starting or — by a trivial join — extending the previous state's runs."""
+    drawn = draw(st.lists(unaries, min_size=1, max_size=8))
+    transitions = []
+    for i, unary in enumerate(drawn):
+        joins = {f"s{i - 1}": TrueEquality()} if i and draw(st.booleans()) else {}
+        transitions.append(PCEATransition(set(joins), unary, joins, {f"l{i}"}, f"s{i}"))
+    return PCEA({f"s{i}" for i in range(len(drawn))}, transitions, {f"s{len(drawn) - 1}"})
+
+
+dispatch_tuples = st.builds(
+    Tuple, st.sampled_from("EFGH"), st.lists(st.sampled_from((0, 1, 2, "a")), max_size=3).map(tuple)
+)
+
+
+@settings(deadline=None)  # no max_examples: the ``fuzz`` profile raises the budget
+@given(pcea=dispatch_automata(), tuples=st.lists(dispatch_tuples, min_size=1, max_size=12))
+def test_a_one_member_merged_index_plans_what_the_linear_filter_lists(pcea, tuples):
+    """The K=1 reference: for every tuple, the plan a one-member merged index
+    serves lists the transitions ``candidates_for`` filters out of the
+    automaton, in canonical order — guards, short tuples, wildcards and
+    threshold families included."""
+    merged, index = one_member(pcea), pcea.dispatch_index()
+    for tup in tuples:
+        plan = merged.plan_for(tup)
+        assert [entry.index for entry in plan.flat()] == [c.index for c in index.candidates_for(tup)], tup
+        assert plan.total == len(plan.flat())
 
 
 class TestIndexedEngineDifferential:

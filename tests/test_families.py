@@ -44,7 +44,7 @@ from repro.multi import MergedDispatchIndex, MultiQueryEngine, compile_query
 from repro.runtime import snapshot as snapshot_codec
 from repro.streams.generators import HCQWorkloadGenerator
 
-from helpers import shared_star_queries, union_storm_workload
+from helpers import one_member, shared_star_queries, union_storm_workload
 
 NAN = float("nan")
 OPERATORS = ("<", "<=", ">", ">=")
@@ -191,10 +191,11 @@ def test_one_automaton_with_several_thresholds_matches_the_naive_oracle(
         StreamingEvaluator(pcea, window, arena=False),
         GeneralStreamingEvaluator(pcea, window),
     ]
-    # The single-query engines' merged index, the automaton's own plans and
-    # the multi engine's index all hold the family, wherever the guard puts it.
+    # The general engine's merged index, the automaton's own plans (a
+    # one-member index) and the multi engine's index all hold the family,
+    # wherever the guard puts it.
     probe = Tuple("E", (1, 0))
-    plans = [engines[2]._merged.plan_for(probe), pcea.dispatch_index().plan_for(probe), multi._merged.plan_for(probe)]
+    plans = [engines[2]._merged.plan_for(probe), one_member(pcea).plan_for(probe), multi._merged.plan_for(probe)]
     kinds = {}
     for constant in set(constants):
         kinds[type(constant) is str] = kinds.get(type(constant) is str, 0) + 1
@@ -229,7 +230,7 @@ def test_nan_under_a_non_strict_operator_accepts_nothing(operator):
     resp. ``>=`` family would be accepted, where every acceptor says no."""
     pcea = single_atom_thresholds(operator, [1, 2, 3])
     nan = Tuple("E", (0, NAN))
-    (family,) = pcea.dispatch_index().plan_for(nan).families
+    (family,) = one_member(pcea).plan_for(nan).families
     assert not family.held(nan).members
     assert len(family.held(Tuple("E", (0, 2))).members) == 2  # the bisect still decides numbers
     process = every_engine(pcea)
@@ -241,7 +242,7 @@ def test_nan_under_a_non_strict_operator_accepts_nothing(operator):
 def test_a_value_that_does_not_compare_is_rejected_by_every_member(value):
     pcea = single_atom_thresholds("<", [1, 2, 3])
     tup = Tuple("E", (0, value))
-    (family,) = pcea.dispatch_index().plan_for(tup).families
+    (family,) = one_member(pcea).plan_for(tup).families
     assert not family.held(tup).members
     assert every_engine(pcea)(tup) == [[], [], []]
 
@@ -285,7 +286,7 @@ def test_the_fallback_asks_each_group_not_no_match():
         ["p", "q"],
     )
     missing = Tuple("E", (0, None))
-    (family,) = pcea.dispatch_index().plan_for(missing).families
+    (family,) = one_member(pcea).plan_for(missing).families
     assert len(family.held(missing).members) == 2
     assert [len(outputs) for outputs in every_engine(pcea)(missing)] == [2, 2, 2]
     assert [len(outputs) for outputs in every_engine(pcea)(Tuple("E", (0, 1)))] == [1, 1, 1]
@@ -298,14 +299,14 @@ def test_the_fallback_asks_each_group_not_no_match():
 )
 def test_these_thresholds_form_no_family(operator, constants):
     pcea = single_atom_thresholds(operator, constants)
-    index = pcea.dispatch_index()
-    assert all(plan.families == () for _, plan in served_plans(index))
-    assert MergedDispatchIndex([("q", index)]).describe()["threshold_families"] == 0
+    merged = one_member(pcea)
+    assert all(plan.families == () for _, plan in served_plans(merged))
+    assert merged.describe()["threshold_families"] == 0
 
 
 def test_int_and_float_constants_share_a_family_and_str_ones_their_own():
     pcea = single_atom_thresholds(">=", [1, 2.5, 3, "a", "b"])
-    (plan,) = pcea.dispatch_index().plans.values()
+    (plan,) = one_member(pcea).plans.values()
     assert {tuple(family.constants) for family in plan.families} == {(1, 2.5, 3), ("a", "b")}
     assert plan.groups == [] and plan.total == 5
 
@@ -355,7 +356,7 @@ def test_the_benchmark_automata_build_no_family():
     ]
     indexes = []
     for pcea in (star, union, *served):
-        indexes += [pcea.dispatch_index(), StreamingEvaluator(pcea, 512)._merged]
+        indexes += [one_member(pcea), StreamingEvaluator(pcea, 512)._merged]
     indexes.append(MergedDispatchIndex([(pcea, pcea.dispatch_index()) for pcea in served]))
     multi = MultiQueryEngine()
     for pcea in served:

@@ -37,7 +37,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.arena import ArenaDataStructure, _Slab
-from repro.core.dispatch import CompiledTransition, EvalGroup, EvalPlan, MergedEntry, TransitionDispatchIndex
+from repro.core.dispatch import (
+    CompiledTransition, EvalGroup, EvalPlan, MergedEntry, TransitionDispatchIndex, _split_by_guard,
+)
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.pcea import PCEA, PCEATransition
 from repro.core.hcq_to_pcea import hcq_to_pcea
@@ -50,7 +52,7 @@ from repro.multi import MergedDispatchIndex, MultiQueryEngine
 from repro.obs import Observer
 from repro.runtime import StreamRuntime
 
-from helpers import ARENAS, slot_automata, slot_streams, star_query
+from helpers import ARENAS, one_member, slot_automata, slot_streams, star_query
 
 WINDOW = 6
 DOMAIN = 3
@@ -89,16 +91,18 @@ tuples = st.one_of(
 
 
 def test_the_family_mixes_guard_buckets_with_a_shared_unguarded_group():
-    index = mixed_guard_pcea([0, 2], ("A", "B"), 2).dispatch_index()
-    unguarded, positions = index.guarded["E"]
+    pcea = mixed_guard_pcea([0, 2], ("A", "B"), 2)
+    merged = one_member(pcea)
+    unguarded, positions = merged.guarded["E"]
     assert [len(group.members) for group in unguarded.groups] == [4]
     ((position, by_value),) = positions
     assert position == 0 and sorted(by_value) == [0, 2]
     # A matching tuple's plan is the unguarded groups plus its value bucket.
-    plan = index.plan_for(Tuple("E", (2, 1)))
+    matching = Tuple("E", (2, 1))
+    plan = merged.plan_for(matching)
     assert plan.total == 6 and len(plan.groups) == 2
-    assert index.plan_for(Tuple("E", (1, 1))) is unguarded
-    assert [c.index for c in index.candidates_for(Tuple("E", (2, 1)))] == sorted(
+    assert merged.plan_for(Tuple("E", (1, 1))) is unguarded
+    assert [c.index for c in pcea.dispatch_index().candidates_for(matching)] == sorted(
         member.index for group in plan.groups for member in group.members
     )
 
@@ -249,16 +253,13 @@ def test_one_guard_per_predicate_group_is_checked_at_build_time(guards):
     pcea = _two_initial_transitions(*map(_Claims, guards))
     index = TransitionDispatchIndex(pcea.transitions, final=pcea.final)
     with pytest.raises(ValueError, match="equal keys must imply equal guards"):
-        index.plan_for(Tuple("E", (1,)))
+        _split_by_guard(index.all_transitions())
     with pytest.raises(ValueError, match="equal keys must imply equal guards"):
         MergedDispatchIndex([("owner", index)])
     with pytest.raises(ValueError, match="equal keys must imply equal guards"):
         StreamingEvaluator(pcea, window=4)
-    # The full-scan index buckets nothing, so nothing can disagree.
-    unbucketed = TransitionDispatchIndex(pcea.transitions, final=pcea.final, indexed=False)
-    assert unbucketed.plan_for(Tuple("E", (1,))).total == 2
     agreeing = _two_initial_transitions(_Claims((0, 1)), _Claims((0, 1)))
-    assert agreeing.dispatch_index().plan_for(Tuple("E", (1,))).total == 2
+    assert one_member(agreeing).plan_for(Tuple("E", (1,))).total == 2
 
 
 def _claiming(guard):

@@ -626,8 +626,9 @@ class TestCompactBucketProtocol:
         runtime = StreamRuntime()
         lane = runtime.add_lane(self._lane(3))
         node = lane.ds.extend({"a"}, 0, [])
-        lane.hash["k"] = (node, 0)
-        runtime.register_entry(lane, "k", node, 4)
+        key = (0, ("k",))  # (slot, key): what a checkpoint's tables must hold
+        lane.hash[key] = (node, 0)
+        runtime.register_entry(lane, key, node, 4)
         runtime.position = 0
         snap = runtime.snapshot({lane.lane_id: 0})
         fresh = StreamRuntime()
@@ -635,11 +636,11 @@ class TestCompactBucketProtocol:
         fresh_lane.restore(lane.snapshot())
         fresh.restore(snap, [fresh_lane])
         assert fresh.position == runtime.position
-        assert fresh.buckets == {4: [fresh_lane.lane_id, "k", node]}
+        assert fresh.buckets == {4: [fresh_lane.lane_id, key, node]}
         for position in range(1, 5):
             fresh.position = position
             fresh.sweep(position)
-        assert "k" not in fresh_lane.hash and fresh.evicted == 1
+        assert key not in fresh_lane.hash and fresh.evicted == 1
 
 
 # --------------------------------------------------------------------------

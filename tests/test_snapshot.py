@@ -437,6 +437,66 @@ class TestRefusedRestoreChangesNothing:
         assert [engine.process(t) for t in stream[10:]] == [untouched.process(t) for t in stream[10:]]
 
 
+class TestWrongValueTypesAreRefused:
+    """A checkpoint whose values have the wrong types is refused with
+    ``SnapshotError`` — the engine's snapshot bytes unchanged — instead of
+    restoring into an engine that fails on its next tuple or sweep; the
+    engine then processes the rest of the stream like one never offered it."""
+
+    TAMPERS = [
+        "counter holds a string", "counter holds a bool", "bucket key is a list",
+        "bucket key is no pair", "bucket node is a string", "lane key is a list",
+        "lane key holds a list",
+    ]  # fmt: skip
+
+    @staticmethod
+    def _tampered(snap, tamper):
+        runtime = snap["runtime"]
+        flat = next(iter(runtime["buckets"].values()))
+        lane = next(lane for lane in snap["lanes"] if lane["hash"])
+        key, entry = lane["hash"][0]
+        if tamper == "counter holds a string":
+            runtime["stats"]["tuples_processed"] = "many"
+        elif tamper == "counter holds a bool":
+            runtime["stats"]["hash_updates"] = True
+        elif tamper == "bucket key is a list":
+            flat[1] = [1, 2]
+        elif tamper == "bucket key is no pair":
+            flat[1] = (flat[1][0],)
+        elif tamper == "bucket node is a string":
+            flat[2] = "node"
+        elif tamper == "lane key is a list":
+            lane["hash"][0] = (list(key), entry)
+        else:
+            lane["hash"][0] = ((key[0], [key[1]]), entry)
+        return snap
+
+    @pytest.mark.parametrize("tamper", TAMPERS)
+    @pytest.mark.parametrize("kind", ["single", "general", "multi"])
+    def test_refused_then_the_stream_goes_on(self, kind, tamper):
+        make = {"single": _single, "general": _general, "multi": lambda: _multi(churn=False)}[kind]
+        stream = sigma0_stream(90, seed=47)
+        donor = make()
+        for tup in stream[:50]:
+            donor.process(tup)
+        snap = roundtrip(donor.snapshot(), "json")
+        # Untouched, the checkpoint restores and goes on as its donor does.
+        restored = make()
+        restored.restore(roundtrip(snap, "json"))
+        assert [restored.process(t) for t in stream[50:]] == [donor.process(t) for t in stream[50:]]
+        engine = make()
+        for tup in stream[:10]:
+            engine.process(tup)
+        before = snapshot_codec.dumps(engine.snapshot())
+        with pytest.raises(SnapshotError):
+            engine.restore(self._tampered(snap, tamper))
+        assert snapshot_codec.dumps(engine.snapshot()) == before
+        untouched = make()
+        for tup in stream[:10]:
+            untouched.process(tup)
+        assert [engine.process(t) for t in stream[10:]] == [untouched.process(t) for t in stream[10:]]
+
+
 class TestSignatureStrictness:
     """Verification must see binary join predicates, not just join shapes."""
 
