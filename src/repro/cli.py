@@ -293,13 +293,10 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _setup_observability(args: argparse.Namespace, engine):
-    """Attach an Observer when any ``repro.obs`` flag asks for one.
-
-    Returns the observer (or ``None`` when no flag was given); raises
-    ``ValueError`` on a bad ``--trace-sample``.  Attaching before ``--restore``
-    and query registration means restore and index-patch spans land in the
-    trace.
+def _build_observer(args: argparse.Namespace):
+    """The Observer the ``repro.obs`` flags ask for, or ``None`` when none
+    was given; ``ValueError`` on a bad ``--trace-sample``.  The caller
+    attaches it (the server does so itself).
     """
     metrics_file = getattr(args, "metrics_file", None)
     trace_path = getattr(args, "trace", None)
@@ -314,9 +311,7 @@ def _setup_observability(args: argparse.Namespace, engine):
         if trace_path
         else None
     )
-    observer = Observer(trace=recorder, sample_every=sample)
-    engine.attach_observer(observer)
-    return observer
+    return Observer(trace=recorder, sample_every=sample)
 
 
 def _finish_observability(
@@ -473,12 +468,14 @@ def _drive(args, events, output: TextIO, engine, queries, labelled: bool) -> int
     returns one query's outputs as a list.
     """
     try:
-        # Attached before registration and restore so their index-patch and
-        # restore spans land in the trace.
-        observer = _setup_observability(args, engine)
+        observer = _build_observer(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if observer is not None:
+        # Attached before registration and restore so their index-patch and
+        # restore spans land in the trace.
+        engine.attach_observer(observer)
     try:
         for query, window, name in queries:
             engine.register(query, window=window, name=name)
@@ -706,22 +703,8 @@ def run_serve(args: argparse.Namespace, output: TextIO) -> int:
 
     from repro.net.server import IngestServer
 
-    observer = None
-    sample = getattr(args, "trace_sample", None)
-    if args.metrics_file or args.trace or sample is not None:
-        from repro.obs import DEFAULT_SAMPLE_EVERY, Observer, TraceRecorder
-
-        recorder = (
-            TraceRecorder(sample_every=sample if sample is not None else DEFAULT_SAMPLE_EVERY)
-            if args.trace
-            else None
-        )
-        try:
-            observer = Observer(trace=recorder, sample_every=sample)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
+        observer = _build_observer(args)
         engine = _multi_engine(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

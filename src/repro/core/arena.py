@@ -48,7 +48,10 @@ The write path is a single :func:`struct.Struct.pack_into` call per node
 sealed slabs are exact-size.  One machine word per field, no boxed ``int``
 per value: :meth:`ArenaDataStructure.resident_bytes` is the footprint
 metric.  Both kernels (:mod:`repro.core.kernel`) read and write these same
-buffers.
+buffers, and each record operation is one method for both: its python-side
+work (label interning, the validation of an unhinted call, the slab-table
+upkeep) runs once, then the C ``Kernel`` or the inlined python write does the
+record write.
 
 Adaptive slab sizing
 --------------------
@@ -59,9 +62,8 @@ the next slab so that about :data:`TARGET_SLABS_PER_WINDOW` slabs cover a
 window — keeping the retained-slab count O(1) per window on bursty streams
 (a burst doubles capacity per seal until slabs last ``~window/8`` positions;
 a lull shrinks back toward the 64-node minimum so reclamation granularity
-stays tight).  An explicit ``slab_capacity`` disables adaptation (fixed-size
-slabs, the pre-adaptive behaviour the unit tests pin down); capacities are
-powers of two in ``[64, 65536]``.
+stays tight).  Capacities are powers of two in ``[64, 65536]``; the first
+slab's covers one window (``min(4096, max(64, window + 1))`` rounded up).
 
 Slab lifecycle
 --------------
@@ -278,6 +280,37 @@ def _round_capacity(value: float) -> int:
 _COUNTERS = ("nodes_created", "union_calls", "union_copies", "released_slabs", "released_nodes")
 
 
+class _KernelCounter:
+    """An arena counter the record operations bump: the python kernel's
+    hot path bumps the plain attribute ``_<name>``; the C kernel keeps it as
+    word ``index`` of ``Kernel.counters()``.  (``getattr``/``setattr``, not
+    ``__dict__``: reading an instance's ``__dict__`` turns its inline
+    attribute values into a dict and slows every hot-path attribute access.)"""
+
+    __slots__ = ("index", "store")
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.store = "_" + name
+
+    def __get__(self, arena: Optional["ArenaDataStructure"], owner: Optional[type] = None):
+        if arena is None:
+            return self
+        nk = arena._nk
+        return getattr(arena, self.store) if nk is None else nk.counters()[self.index]
+
+    def __set__(self, arena: "ArenaDataStructure", value: int) -> None:
+        nk = arena._nk
+        if nk is None:
+            setattr(arena, self.store, value)
+        else:
+            words = list(nk.counters())
+            words[self.index] = value
+            nk.set_counters(*words)
+
+
 def _word(value: object) -> int:
     """A snapshot scalar as an int that fits one record word (what the
     native kernel's arguments take), else ``ValueError``."""
@@ -368,12 +401,6 @@ class ArenaDataStructure:
     ----------
     window:
         The sliding-window size ``w``.
-    slab_capacity:
-        Nodes per slab (rounded up to a power of two within
-        ``[64, 65536]``).  Giving it pins the capacity for the arena's
-        lifetime; by default the initial capacity tracks the window
-        (``min(4096, max(64, window + 1))`` rounded up) and then adapts to
-        the observed per-window allocation volume (see the module docstring).
     kernel:
         Which record-operation backend runs the hot path: ``"python"``,
         ``"native"`` (the optional C extension) or ``"auto"``
@@ -383,29 +410,27 @@ class ArenaDataStructure:
         readers, snapshots and outputs are identical either way.
     """
 
-    def __init__(
-        self,
-        window: int,
-        slab_capacity: Optional[int] = None,
-        kernel: Optional[str] = None,
-    ) -> None:
+    # Counters mirroring DataStructure (benchmark instrumentation), plus the
+    # real nodes ever allocated (the bottom sentinel is not counted), which
+    # :meth:`live_node_count` reads.
+    nodes_created = _KernelCounter(0)
+    union_calls = _KernelCounter(1)
+    union_copies = _KernelCounter(2)
+    allocated = _KernelCounter(3)
+
+    def __init__(self, window: int, kernel: Optional[str] = None) -> None:
         if window < 0:
             raise ValueError("window size must be non-negative")
         self.window = window
         self.kernel = resolve_kernel(kernel)
-        if self.kernel == "native":
-            # One C kernel per arena, created once and *reused* across
-            # restore() (bound methods handed to EvictionLane must survive a
-            # restore, and the kernel's are bound below).
-            self._nk = native_module().Kernel(window)
-            self._nk.set_request_slab(self._request_slab)
-        else:
-            self._nk = None
-        self._adaptive = slab_capacity is None
-        if slab_capacity is None:
-            slab_capacity = min(4096, max(MIN_SLAB_CAPACITY, window + 1))
-        self._cap = _round_capacity(slab_capacity)
-        self._bits = _SLOT_BITS
+        # One C kernel per arena, created once and *reused* across restore()
+        # (the eviction lanes hold its bound add_ref/drop_ref).
+        self._nk = native_module().Kernel(window) if self.kernel == "native" else None
+        if self._nk is not None:
+            self._nk.set_request_slab(self._new_slab)
+            self.add_ref = self._nk.add_ref
+            self.drop_ref = self._nk.drop_ref
+        self._cap = _round_capacity(min(4096, max(MIN_SLAB_CAPACITY, window + 1)))
         self._slabs: Dict[int, _Slab] = {}
         self._slab_count = 0
         self._next_slot = 0
@@ -418,38 +443,20 @@ class ArenaDataStructure:
         self._cur = self._new_slab()
         # Reserve id 0 for bottom: a sentinel that always reads as expired.
         self._append_sentinel(self._cur)
-        self._allocated = 0  # real nodes (the bottom sentinel is not counted)
-        # Label-set interning: distinct label sets come from the compiled
-        # transitions, so this table stays tiny.
-        self._label_ids: Dict[frozenset, int] = {}
-        self._labels: List[frozenset] = []
-        # Counters mirroring DataStructure (benchmark instrumentation).  The
-        # underscored attributes are the python kernel's hot-path stores; the
-        # ``nodes_created``/``union_calls``/``union_copies`` properties read
-        # whichever kernel is authoritative.
-        self._nodes_created = 0
-        self._union_calls = 0
-        self._union_copies = 0
+        self.nodes_created = self.union_calls = self.union_copies = self.allocated = 0
         self.released_slabs = 0
         self.released_nodes = 0
-        if self._nk is not None:
-            # Shadow the class methods with the native implementations:
-            # instance-attribute dispatch costs the python path nothing and
-            # hands the eviction sweep the C builtins directly (EvictionLane
-            # binds ``ds.add_ref`` / ``ds.drop_ref`` once at construction).
-            self.extend = self._extend_native
-            self.union = self._union_native
-            self.release_expired = self._release_expired_native
-            self.add_ref = self._nk.add_ref
-            self.drop_ref = self._nk.drop_ref
+        # Label-set interning (:meth:`_intern`).
+        self._label_ids: Dict[frozenset, int] = {}
+        self._labels: List[frozenset] = []
 
     # ---------------------------------------------------------------- slabs
     def _new_slab(self, position: Optional[int] = None) -> _Slab:
         """Seal the current slab and start a fresh one (adapting capacity).
 
         ``position`` is the stream position of the allocation that triggered
-        the seal; with adaptive sizing it dates the sealed slab's fill time,
-        from which the next capacity is projected.  Sealing trims the packed
+        the seal; it dates the sealed slab's fill time, from which the next
+        capacity is projected.  Sealing trims the packed
         record array of a partially-filled (time-sealed) slab to
         its exact fill, so sealed slabs carry no chunk slack.
         """
@@ -476,7 +483,7 @@ class ArenaDataStructure:
             hook = self.on_seal
             if hook is not None:
                 hook(sealed.count)
-        if position is not None and self._adaptive and self._slab_start is not None:
+        if position is not None and self._slab_start is not None:
             elapsed = max(1, position - self._slab_start)
             # Nodes one window's worth of positions allocates at the sealed
             # slab's observed rate, spread over the target slab count.  The
@@ -495,20 +502,17 @@ class ArenaDataStructure:
         self._slab_count += 1
         self._cur = slab
         self._slab_start = position
-        # Time-based seal: an adaptive slab still open after a full window of
-        # positions seals at the next allocation, so a post-burst lull both
-        # shrinks the capacity and keeps reclamation granularity within the
-        # window (a slab can otherwise pin up to ``capacity`` nodes while it
-        # slowly fills).  Non-adaptive arenas never time-seal.
-        if self._adaptive and position is not None:
-            self._seal_deadline = position + self.window + 1
-        else:
-            self._seal_deadline = 1 << 62
+        # Time-based seal: a slab still open after a full window of positions
+        # seals at the next allocation, so a post-burst lull both shrinks the
+        # capacity and keeps reclamation granularity within the window (a
+        # slab can otherwise pin up to ``capacity`` nodes while it slowly
+        # fills).  The first slab, started before any position, never does.
+        self._seal_deadline = 1 << 62 if position is None else position + self.window + 1
         if native is not None:
             # Native slabs are born at full capacity (the exported buffer
             # cannot grow) and handed to the kernel, which allocates into
-            # them until the next seal — this method *is* its request_slab
-            # callback.
+            # them until the next seal — this method is its request_slab
+            # callback (the kernel ignores the returned slab).
             slab.data = array("q", bytes(_RECORD_BYTES * (span << _SLOT_BITS)))
             slab.avail = span << _SLOT_BITS
             native.register_slab(
@@ -516,15 +520,6 @@ class ArenaDataStructure:
             )
             native.set_current(slot, self._seal_deadline)
         return slab
-
-    def _request_slab(self, position: int) -> None:
-        """The native kernel's out-of-space callback: seal and start a slab.
-
-        Invoked mid ``extend``/``union`` when the current slab fills or
-        passes its seal deadline; :meth:`_new_slab` registers the fresh slab
-        and makes it current, after which the kernel resumes the operation.
-        """
-        self._new_slab(position)
 
     def _append_sentinel(self, slab: _Slab) -> None:
         """Append the bottom node ``⊥`` (id 0) into a fresh slab 0."""
@@ -585,6 +580,20 @@ class ArenaDataStructure:
         return position - slab.data[(node - slab.base) * _STRIDE + 1] > self.window
 
     # ----------------------------------------------------------------- nodes
+    def _intern(self, labels: Iterable[Label]) -> int:
+        """The id of the label set ``labels``, interned on first sight.
+
+        The distinct label sets come from the compiled transitions, so the
+        table stays tiny; the record operations inline the dict hit for a
+        ``frozenset`` and call this only on a miss.
+        """
+        labels = frozenset(labels)
+        label_id = self._label_ids.get(labels)
+        if label_id is None:
+            label_id = self._label_ids[labels] = len(self._labels)
+            self._labels.append(labels)
+        return label_id
+
     def extend(
         self,
         labels: Iterable[Label],
@@ -607,13 +616,9 @@ class ArenaDataStructure:
         check guarantees exactly that).  Without it, the value is computed
         and the children validated here, as the object structure does.
         """
-        if not isinstance(labels, frozenset):
-            labels = frozenset(labels)
-        label_id = self._label_ids.get(labels)
+        label_id = self._label_ids.get(labels) if isinstance(labels, frozenset) else None
         if label_id is None:
-            label_id = len(self._labels)
-            self._labels.append(labels)
-            self._label_ids[labels] = label_id
+            label_id = self._intern(labels)
         if max_start is None:
             slabs = self._slabs
             max_start = position
@@ -630,6 +635,8 @@ class ArenaDataStructure:
                 child_ms = data[offset + 1]
                 if child_ms < max_start:
                     max_start = child_ms
+        if self._nk is not None:
+            return self._nk.extend(position, max_start, label_id, children)
         # Inline allocation; keep the four allocation sites (here,
         # ``extend_onto`` and the two in ``union``) in sync.
         slab = self._cur
@@ -653,44 +660,6 @@ class ArenaDataStructure:
         self._nodes_created += 1
         self._allocated += 1
         return slab.base + offset
-
-    def _extend_native(
-        self,
-        labels: Iterable[Label],
-        position: int,
-        children: Sequence[int],
-        max_start: Optional[int] = None,
-    ) -> int:
-        """:meth:`extend` on the native kernel (bound over it per instance).
-
-        Label interning and the no-hint validation stay in python (cold /
-        tiny); the record write, slab fill tracking and seal triggering all
-        happen in C.
-        """
-        if not isinstance(labels, frozenset):
-            labels = frozenset(labels)
-        label_id = self._label_ids.get(labels)
-        if label_id is None:
-            label_id = len(self._labels)
-            self._labels.append(labels)
-            self._label_ids[labels] = label_id
-        if max_start is None:
-            slabs = self._slabs
-            max_start = position
-            for child in children:
-                slab = None if not child else slabs.get(child >> _SLOT_BITS)
-                if slab is None:
-                    raise ValueError("product children must not be the bottom node")
-                offset = (child - slab.base) * _STRIDE
-                data = slab.data
-                if data[offset] >= position:
-                    raise ValueError(
-                        "product children must have strictly smaller positions"
-                    )
-                child_ms = data[offset + 1]
-                if child_ms < max_start:
-                    max_start = child_ms
-        return self._nk.extend(position, max_start, label_id, children)
 
     def union(
         self,
@@ -726,6 +695,8 @@ class ArenaDataStructure:
                 )
             position = fresh_data[fresh_word]
             fresh_ms = fresh_data[fresh_word + 1]
+        if self._nk is not None:
+            return self._nk.union(left, fresh, position, fresh_ms)
         self._union_calls += 1
         window = self.window
         cap = self._cap
@@ -839,13 +810,9 @@ class ArenaDataStructure:
         entry is alive, else ``0`` and the bit clear (expired, released,
         ``None`` / ``⊥``).  The fresh record ``extend`` would leave is skipped.
         """
-        if not isinstance(labels, frozenset):
-            labels = frozenset(labels)
-        label_id = self._label_ids.get(labels)
+        label_id = self._label_ids.get(labels) if isinstance(labels, frozenset) else None
         if label_id is None:
-            label_id = len(self._labels)
-            self._labels.append(labels)
-            self._label_ids[labels] = label_id
+            label_id = self._intern(labels)
         if self._nk is not None:
             return self._nk.extend_onto(position, label_id, entry or 0)
         meta = label_id << 1
@@ -877,34 +844,6 @@ class ArenaDataStructure:
         self._allocated += 1
         return slab.base + offset
 
-    def _union_native(
-        self,
-        left: int,
-        fresh: int,
-        position: Optional[int] = None,
-        fresh_ms: Optional[int] = None,
-    ) -> int:
-        """:meth:`union` on the native kernel (bound over it per instance).
-
-        The no-hint freshness validation reads the shared record buffer in
-        python (cold path); the descend-and-rebuild copy runs in C.
-        """
-        if position is None:
-            fresh_slab = self._slabs.get(fresh >> _SLOT_BITS) if fresh else None
-            if fresh_slab is None:
-                raise ValueError(
-                    "the second argument of union must be a live product node"
-                )
-            word = (fresh - fresh_slab.base) * _STRIDE
-            data = fresh_slab.data
-            if data[word + 2] or data[word + 3]:
-                raise ValueError(
-                    "the second argument of union must be a fresh product node"
-                )
-            position = data[word]
-            fresh_ms = data[word + 1]
-        return self._nk.union(left, fresh, position, fresh_ms)
-
     # ------------------------------------------------------------ reclamation
     def add_ref(self, node: int) -> None:
         """Count one external (hash-entry) reference into ``node``'s slab."""
@@ -924,105 +863,48 @@ class ArenaDataStructure:
 
         Returns the number of slabs released.  O(1) per call when nothing is
         releasable; releasing is one dict deletion per owned slot (pointer
-        bump undo), never a graph traversal.
+        bump undo), never a graph traversal.  The native kernel makes the
+        decisions itself (its ``max_ms``/``ext_refs`` are the canonical ones
+        while it is attached) and frees its buffer holds; either way the
+        slab-table entries and the release counters are kept here — a sealed
+        slab's ``count`` was mirrored at seal time.
         """
         slabs = self._slabs
         cursor = self._release_cursor
-        current = self._cur
-        window = self.window
-        released = 0
-        while True:
-            slab = slabs.get(cursor)
-            if slab is None or slab is current:
-                break  # never release the unsealed current slab
-            if position - slab.max_ms <= window or slab.ext_refs > 0:
-                break
-            for owned in range(cursor, cursor + slab.span):
-                del slabs[owned]
-            self._slab_count -= 1
-            self.released_slabs += 1
-            # Slab 0 holds the bottom sentinel, which _allocated never counted.
-            self.released_nodes += slab.count - 1 if slab.base == 0 else slab.count
-            released += 1
-            cursor += slab.span
-        self._release_cursor = cursor
-        return released
-
-    def _release_expired_native(self, position: int) -> int:
-        """:meth:`release_expired` on the native kernel.
-
-        The kernel makes the release decisions (its ``max_ms``/``ext_refs``
-        are the canonical ones while it is attached) and frees its buffer
-        holds; the python side then mirrors the same strictly-in-order walk
-        to drop the slab-table entries and keep the release counters —
-        sealed-slab ``count`` was mirrored at seal time, so the node
-        accounting needs no further kernel round trip.
-        """
-        released = self._nk.release_scan(self._release_cursor, position)
+        nk = self._nk
+        if nk is not None:
+            released = nk.release_scan(cursor, position)
+        else:
+            released = 0
+            scan = cursor
+            current = self._cur
+            window = self.window
+            while True:
+                slab = slabs.get(scan)
+                if slab is None or slab is current:
+                    break  # never release the unsealed current slab
+                if position - slab.max_ms <= window or slab.ext_refs > 0:
+                    break
+                released += 1
+                scan += slab.span
         if not released:
             return 0
-        slabs = self._slabs
-        cursor = self._release_cursor
         for _ in range(released):
             slab = slabs[cursor]
             for owned in range(cursor, cursor + slab.span):
                 del slabs[owned]
-            self._slab_count -= 1
-            self.released_slabs += 1
             # Slab 0 holds the bottom sentinel, which allocation never counted.
             self.released_nodes += slab.count - 1 if slab.base == 0 else slab.count
             cursor += slab.span
+        self._slab_count -= released
+        self.released_slabs += released
         self._release_cursor = cursor
         return released
 
     # ---------------------------------------------------------- introspection
-    @property
-    def nodes_created(self) -> int:
-        nk = self._nk
-        return nk.counters()[0] if nk is not None else self._nodes_created
-
-    @nodes_created.setter
-    def nodes_created(self, value: int) -> None:
-        nk = self._nk
-        if nk is not None:
-            _, union_calls, union_copies, allocated = nk.counters()
-            nk.set_counters(value, union_calls, union_copies, allocated)
-        else:
-            self._nodes_created = value
-
-    @property
-    def union_calls(self) -> int:
-        nk = self._nk
-        return nk.counters()[1] if nk is not None else self._union_calls
-
-    @union_calls.setter
-    def union_calls(self, value: int) -> None:
-        nk = self._nk
-        if nk is not None:
-            nodes_created, _, union_copies, allocated = nk.counters()
-            nk.set_counters(nodes_created, value, union_copies, allocated)
-        else:
-            self._union_calls = value
-
-    @property
-    def union_copies(self) -> int:
-        nk = self._nk
-        return nk.counters()[2] if nk is not None else self._union_copies
-
-    @union_copies.setter
-    def union_copies(self, value: int) -> None:
-        nk = self._nk
-        if nk is not None:
-            nodes_created, union_calls, _, allocated = nk.counters()
-            nk.set_counters(nodes_created, union_calls, value, allocated)
-        else:
-            self._union_copies = value
-
     def live_node_count(self) -> int:
         """Nodes currently held in retained slabs (the memory bound metric)."""
-        if self._nk is not None:
-            return self._nk.counters()[3] - self.released_nodes
-        return self._allocated - self.released_nodes
+        return self.allocated - self.released_nodes
 
     def slab_count(self) -> int:
         return self._slab_count
@@ -1081,14 +963,13 @@ class ArenaDataStructure:
         nk = self._nk
         if nk is not None:
             # Pull the kernel-authoritative per-slab meta (the current slab's
-            # fill, every slab's live ``ext_refs``) and the allocation count
-            # into the python mirrors the loop below reads.  Record *data*
-            # needs no sync: the kernel writes the shared buffers in place.
+            # fill, every slab's live ``ext_refs``) into the python mirrors
+            # the loop below reads.  Record *data* needs no sync: the kernel
+            # writes the shared buffers in place.
             for slab in self._retained_slabs():
                 slab.count, slab.max_ms, slab.ext_refs = nk.slab_meta(
                     slab.base >> _SLOT_BITS
                 )
-            self._allocated = nk.counters()[3]
         slabs = []
         for slab in self._retained_slabs():
             records = slab.data[: slab.count * _STRIDE]
@@ -1108,12 +989,14 @@ class ArenaDataStructure:
         return {
             "window": self.window,
             "cap": self._cap,
-            "adaptive": self._adaptive,
+            # Slab sizing is always adaptive; the key stays because the
+            # checkpoint format carries it.
+            "adaptive": True,
             "next_slot": self._next_slot,
             "release_cursor": self._release_cursor,
             "slab_start": self._slab_start,
             "seal_deadline": self._seal_deadline,
-            "allocated": self._allocated,
+            "allocated": self.allocated,
             "labels": list(self._labels),
             "slabs": slabs,
             "counters": {name: getattr(self, name) for name in _COUNTERS},
@@ -1147,7 +1030,9 @@ class ArenaDataStructure:
             raise ValueError("snapshot holds no slabs (the current slab is never released)")
         if next_slot != snapshot["next_slot"]:
             raise ValueError("snapshot slabs do not end at the allocation cursor")
-        cap, adaptive = int(snapshot["cap"]), bool(snapshot["adaptive"])
+        if snapshot["adaptive"] is not True:
+            raise ValueError("snapshot arena has fixed-capacity slabs; slab sizing is always adaptive")
+        cap = int(snapshot["cap"])
         slab_start = snapshot["slab_start"]
         slab_start = None if slab_start is None else int(slab_start)
         seal_deadline = _word(snapshot["seal_deadline"])
@@ -1159,17 +1044,15 @@ class ArenaDataStructure:
             # ranges may overlap the old ones, and releasing the views lets
             # the old arrays die with the old slab table.  The kernel object
             # itself is reused (never replaced), so the bound ``add_ref`` /
-            # ``drop_ref`` / wrapper methods held by eviction lanes survive
-            # the restore — the same in-place contract the python path gives.
+            # ``drop_ref`` held by eviction lanes survive the restore — the
+            # same in-place contract the python path gives.
             nk.close()
-            nk.set_request_slab(self._request_slab)
+            nk.set_request_slab(self._new_slab)
         self._cap = cap
-        self._adaptive = adaptive
         self._next_slot = next_slot
         self._release_cursor = release_cursor
         self._slab_start = slab_start
         self._seal_deadline = seal_deadline
-        self._allocated = allocated
         self._labels = labels
         self._label_ids = {label_set: index for index, label_set in enumerate(labels)}
         self._slabs = {}
@@ -1199,7 +1082,7 @@ class ArenaDataStructure:
                     slab.ext_refs,
                 )
             nk.set_current(current.base >> _SLOT_BITS, seal_deadline)
-            nk.set_counters(0, 0, 0, allocated)
+        self.allocated = allocated
         (
             self.nodes_created,
             self.union_calls,

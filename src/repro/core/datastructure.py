@@ -36,8 +36,8 @@ the reclamation hooks ``add_ref`` / ``drop_ref`` / ``release_expired``, which
 are no-ops here because the object graph relies on Python's GC.  The
 validation helpers (:meth:`DataStructure.check_heap_condition`,
 :meth:`DataStructure.check_simple`, :meth:`DataStructure.union_depth`) are
-iterative: deep union chains (e.g. the linked-list ablation at a few thousand
-tuples) must not overflow the interpreter stack.
+iterative: a single-relation stream builds union chains as deep as the
+stream, which must not overflow the interpreter stack.
 """
 
 from __future__ import annotations
@@ -402,11 +402,10 @@ class DataStructure:
     def check_simple(self, node: Node) -> bool:
         """Whether the bag rooted at ``node`` is *simple* (no overlapping products).
 
-        Exponential in general; used only by tests and the engine's debug
-        mode.  Iterative over an explicit worklist: long single-relation
-        streams produce union chains as deep as the stream, which the previous
-        recursive formulation could not traverse without overflowing the
-        interpreter stack.
+        Exponential in general; used only by tests.  Iterative over an
+        explicit worklist: long single-relation streams produce union chains
+        as deep as the stream, which a recursive walk could not traverse
+        without overflowing the interpreter stack.
         """
         worklist: List[Node] = [node] if node is not None else []
         while worklist:
@@ -433,7 +432,7 @@ class DataStructure:
         """Whether condition (‡) holds everywhere below ``node``.
 
         Iterative for the same reason as :meth:`check_simple`: union chains
-        (especially the linked-list ablation's) can be as deep as the stream.
+        can be as deep as the stream.
         """
         worklist: List[Node] = [node] if node is not None else []
         while worklist:

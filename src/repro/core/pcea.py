@@ -8,8 +8,8 @@ parallel runs (they play the role of the CCEA initial function).
 
 This module provides the model itself, the *naive* reference evaluator that
 materialises every run tree (exponential, used as ground truth in tests), and
-the unambiguity audit used by both tests and the streaming engine's debug
-mode.  The streaming evaluation algorithm with the Theorem 5.1 guarantees is
+the unambiguity audit that the tests and :mod:`repro.extensions.disambiguation`
+run.  The streaming evaluation algorithm with the Theorem 5.1 guarantees is
 in :mod:`repro.core.evaluation`.
 """
 

@@ -112,7 +112,6 @@ class Observer:
         runtime = engine._runtime
         engine._observer = self
         runtime.obs = self
-        runtime.obs_sample_every = self.sample_every
         self._engines.append(engine)
         self._wrap_enumeration(engine, runtime)
         self._wrap_checkpointing(engine)
@@ -133,7 +132,6 @@ class Observer:
             if ds is not None and hasattr(ds, "on_seal"):
                 ds.on_seal = None
         runtime.obs = None
-        runtime.obs_sample_every = 1
         runtime.obs_arm = None
         runtime.obs_next = -1
         runtime.obs_sweep_sampled = False

@@ -37,9 +37,9 @@ allocation of the tuple layout (one 3-tuple per stored entry per window) is
 gone entirely.
 
 Expired arena slabs are released by the same sweep: popping a bucket releases
-the lanes it touched, and a periodic full pass (every ``release_interval``
-positions, :data:`RELEASE_PASS_INTERVAL` unless a test shortens it) covers
-lanes that stopped registering entries — without it an idle lane would
+the lanes it touched, and a periodic full pass (every
+:data:`RELEASE_PASS_INTERVAL` positions) covers lanes that stopped
+registering entries — without it an idle lane would
 retain its last ``O(window)`` of expired slabs indefinitely.
 
 Snapshot / restore
@@ -64,11 +64,12 @@ import dataclasses
 from time import perf_counter as _perf
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple as Tup, TypeVar
 
+from repro.cq.schema import Tuple
 from repro.runtime.snapshot import SnapshotError
 from repro.runtime.statistics import EngineStatistics
 
 
-#: Default positions between full arena-release passes over every lane.
+#: Positions between full arena-release passes over every lane.
 RELEASE_PASS_INTERVAL = 256
 
 _T = TypeVar("_T")
@@ -85,6 +86,27 @@ def _check_key(key, where: str) -> None:
         key = None
     if type(key) is not tuple or len(key) != 2 or type(key[0]) is not int:
         raise SnapshotError(f"{where} holds a key that is not a hashable (slot, key) pair")
+
+
+def _is_word(value) -> bool:
+    """A node id, ``max_start`` or position: an int in ``[0, 2**62)``."""
+    return type(value) is int and 0 <= value < 1 << 62
+
+
+def _check_entry(entry, scan: bool) -> None:
+    """A lane-table entry is ``(node, max_start)``, or in a scan store a
+    ``((tuple, node), position)`` run, each int in ``[0, 2**62)``."""
+    if type(entry) is tuple and len(entry) == 2 and _is_word(entry[1]):
+        value = entry[0]
+        if not scan:
+            if _is_word(value):
+                return
+        elif (
+            type(value) is tuple and len(value) == 2 and isinstance(value[0], Tuple) and _is_word(value[1])
+        ):
+            return
+    shape = "((tuple, node), position)" if scan else "(node, max_start)"
+    raise SnapshotError(f"the lane table holds {entry!r}, not a {shape} entry")
 
 
 class EvictionLane:
@@ -189,8 +211,9 @@ class EvictionLane:
     def restore(self, snapshot: Dict[str, object]) -> None:
         """Replace the lane's state with ``snapshot``'s, in place.
 
-        Table keys must be hashable ``(slot, key)`` pairs, and a ``scan``
-        section must name exactly the hash table's runs.
+        Table keys must be hashable ``(slot, key)`` pairs, entries
+        ``(node, max_start)`` — in a scan store ``((tuple, node), position)``
+        runs — and a ``scan`` section must name exactly the hash table's runs.
         """
         if snapshot["window"] != self.window:
             raise ValueError(
@@ -204,26 +227,28 @@ class EvictionLane:
                 "(construct the engine with arena=True)"
             )
         table = {}
+        scan = "scan" in snapshot
         for key, entry in snapshot["hash"]:
             _check_key(key, "the lane table")
+            _check_entry(entry, scan)
             table[key] = entry
         scans = None
-        if "scan" in snapshot:
-            scan = snapshot["scan"]
+        if scan:
+            section = snapshot["scan"]
             scans = {}
             # dict(): a file may hold any container here.
-            for slot, seqs in dict(scan["runs"]).items():
+            for slot, seqs in dict(section["runs"]).items():
                 runs = scans[slot] = {}
                 for seq in seqs:
                     entry = table.get((slot, seq))
-                    if entry is None or type(entry[0]) is not tuple or len(entry[0]) != 2:
+                    if entry is None:
                         raise SnapshotError(
                             f"scan slot {slot!r} names run {seq!r}, which the lane table does not hold"
                         )
                     runs[seq] = entry[0]
             if sum(map(len, scans.values())) != len(table):
                 raise SnapshotError("the lane table holds runs its scan slots do not name")
-            self.next_seq, self.nodes_scanned = int(scan["next_seq"]), int(scan["nodes_scanned"])
+            self.next_seq, self.nodes_scanned = int(section["next_seq"]), int(section["nodes_scanned"])
         ds_restore(snapshot["ds"])
         self.hash = table
         self.scans = scans
@@ -268,9 +293,6 @@ class StreamRuntime:
     (inlined, see the module docstring for the flat-triple protocol), and
     route their ``process_many`` through :meth:`drive_batch` so the
     one-sweep-per-batch policy exists exactly once.
-
-    ``release_interval`` sets the cadence of the periodic full arena-release
-    pass (positions between passes; ``memory_info`` reports it).
     """
 
     __slots__ = (
@@ -279,9 +301,7 @@ class StreamRuntime:
         "stats",
         "count_stats",
         "buckets",
-        "release_interval",
         "obs",
-        "obs_sample_every",
         "obs_arm",
         "obs_next",
         "obs_sweep_sampled",
@@ -291,9 +311,7 @@ class StreamRuntime:
         "_next_lane_id",
     )
 
-    def __init__(self, release_interval: int = RELEASE_PASS_INTERVAL) -> None:
-        if release_interval < 1:
-            raise ValueError("release_interval must be at least 1 position")
+    def __init__(self) -> None:
         self.position = -1
         self.evicted = 0
         self.stats = EngineStatistics()
@@ -307,9 +325,6 @@ class StreamRuntime:
         # granularity — the per-candidate loops never see it, which is the
         # disabled-path overhead contract (tests/test_obs.py counts it).
         self.obs = None
-        # Mirror of ``obs.sample_every`` (slot load beats an instance-dict
-        # lookup in the per-position sweep); 1 whenever no observer is attached.
-        self.obs_sample_every = 1
         # Period-sampling callback: when an observer is attached, ``advance``
         # calls this at each sampled position (begin phase: stamp the clock)
         # and again one position later (finish phase: the interval is the
@@ -330,7 +345,6 @@ class StreamRuntime:
         # can pop the dense range of newly due positions instead of scanning
         # every bucket key.
         self.buckets: Dict[int, List[object]] = {}
-        self.release_interval = release_interval
         self._swept_upto = -1
         self._next_release_pass = 0
         # Keyed by the dense interned lane id, which is also what the bucket
@@ -518,11 +532,11 @@ class StreamRuntime:
         """Release expired arena slabs in every active lane.
 
         Bucket pops release the lanes they touch immediately; this periodic
-        full pass (every ``release_interval`` positions, amortised
+        full pass (every :data:`RELEASE_PASS_INTERVAL` positions, amortised
         O(lanes / interval) per tuple) covers lanes that stopped registering
         entries.
         """
-        self._next_release_pass = position + self.release_interval
+        self._next_release_pass = position + RELEASE_PASS_INTERVAL
         obs = self.obs
         if obs is None:
             for lane in self._lanes.values():
@@ -599,7 +613,9 @@ class StreamRuntime:
             "evicted": self.evicted,
             "swept_upto": self._swept_upto,
             "next_release_pass": self._next_release_pass,
-            "release_interval": self.release_interval,
+            # The cadence is a constant; the key stays because the
+            # checkpoint format carries it.
+            "release_interval": RELEASE_PASS_INTERVAL,
             "stats": dataclasses.asdict(self.stats),
             "buckets": buckets,
         }
@@ -612,8 +628,14 @@ class StreamRuntime:
         Every bucket must still be in the future — an already-swept expiry
         position would leak its entries (and their refcounts) forever — and
         hold whole ``(lane index, (slot, key), node)`` triples naming one of
-        the snapshot's lanes; every counter must have its type.
+        the snapshot's lanes; every counter must have its type; and the
+        release-pass cadence must be :data:`RELEASE_PASS_INTERVAL`.
         """
+        if snapshot["release_interval"] != RELEASE_PASS_INTERVAL:
+            raise SnapshotError(
+                f"release pass interval {snapshot['release_interval']!r}: this build "
+                f"releases every {RELEASE_PASS_INTERVAL} positions"
+            )
         swept_upto = int(snapshot["swept_upto"])
         # An int stands for a float; a counter left out starts from zero.
         counters = dict(snapshot["stats"])
@@ -645,7 +667,6 @@ class StreamRuntime:
             "evicted": int(snapshot["evicted"]),
             "swept_upto": swept_upto,
             "next_release_pass": int(snapshot["next_release_pass"]),
-            "release_interval": int(snapshot["release_interval"]),
             "stats": EngineStatistics(**counters),
             "buckets": buckets,
         }
@@ -664,7 +685,6 @@ class StreamRuntime:
         self.evicted = parsed["evicted"]
         self._swept_upto = parsed["swept_upto"]
         self._next_release_pass = parsed["next_release_pass"]
-        self.release_interval = parsed["release_interval"]
         self.stats = parsed["stats"]
         self.buckets = parsed["buckets"]
 
@@ -681,7 +701,7 @@ class StreamRuntime:
         every lane is arena-backed (mixed or object-graph setups report 0,
         matching the ``arena`` flag the engines expose) and ``native`` only
         when every lane's hot path runs the C kernel.  ``release_interval``
-        is the periodic-release cadence.
+        is the periodic-release cadence, :data:`RELEASE_PASS_INTERVAL`.
         """
         total = {
             "arena": 1 if self._lanes else 0,
@@ -692,7 +712,7 @@ class StreamRuntime:
             "released_slabs": 0,
             "released_nodes": 0,
             "nodes_created": 0,
-            "release_interval": self.release_interval,
+            "release_interval": RELEASE_PASS_INTERVAL,
         }
         for lane in self._lanes.values():
             if lane.ds is None:

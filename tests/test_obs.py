@@ -177,7 +177,6 @@ class TestAttachDetach:
         assert runtime.obs_arm is None
         assert runtime.obs_next == -1
         assert runtime.obs_sweep_sampled is False
-        assert runtime.obs_sample_every == 1
         for name in ("_enumerate", "enumerate_outputs", "snapshot", "restore"):
             assert name not in engine.__dict__
         assert engine.observer is None

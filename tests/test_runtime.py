@@ -33,7 +33,7 @@ from repro.core.predicates import LambdaUnaryPredicate, TruePredicate
 from repro.cq.schema import Tuple
 from repro.engine.dsl import atom, conjunction, sequence
 from repro.multi import MergedDispatchIndex, MultiQueryEngine, compile_query
-from repro.runtime import RELEASE_PASS_INTERVAL, EvictionLane, SparseBatch, StreamRuntime
+from repro.runtime import RELEASE_PASS_INTERVAL, EvictionLane, SnapshotError, SparseBatch, StreamRuntime
 from repro.streams.generators import random_stream
 
 from helpers import SIGMA0, rebuild_index
@@ -601,23 +601,15 @@ class TestCompactBucketProtocol:
         assert seen == [[0, 1], [0, 1], [0, 1], [1], [1], []]
         assert not lane.hash and runtime.evicted == 2
 
-    def test_release_interval_knob(self):
-        runtime = StreamRuntime(release_interval=8)
-        assert runtime.memory_info()["release_interval"] == 8
-        lane = runtime.add_lane(self._lane(window=2))
-        ds = lane.ds
-        for position in range(3):
-            ds.extend({"a"}, position, [])
-        released_at = None
-        for position in range(2 * ds.slab_capacity()):
-            runtime.position = position
-            runtime.sweep(position)
-            if released_at is None and ds.released_slabs:
-                released_at = position
-            ds.extend({"a"}, position, [])
-        assert ds.released_slabs > 0
-        with pytest.raises(ValueError):
-            StreamRuntime(release_interval=0)
+    def test_release_pass_interval_is_the_constant_a_checkpoint_carries(self):
+        runtime = StreamRuntime()
+        assert runtime.memory_info()["release_interval"] == RELEASE_PASS_INTERVAL
+        snap = runtime.snapshot({})
+        assert snap["release_interval"] == RELEASE_PASS_INTERVAL
+        assert StreamRuntime.parse(snap, 0)["position"] == -1
+        for other in (8, "256", None):
+            with pytest.raises(SnapshotError):
+                StreamRuntime.parse(dict(snap, release_interval=other), 0)
 
     def test_multi_engine_exposes_release_interval(self):
         assert MultiQueryEngine().memory_info()["release_interval"] == RELEASE_PASS_INTERVAL

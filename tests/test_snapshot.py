@@ -446,8 +446,17 @@ class TestWrongValueTypesAreRefused:
     TAMPERS = [
         "counter holds a string", "counter holds a bool", "bucket key is a list",
         "bucket key is no pair", "bucket node is a string", "lane key is a list",
-        "lane key holds a list",
+        "lane key holds a list", "lane anchor is a string", "lane anchor is negative",
+        "lane node is a string", "lane node is past 2**62", "lane entry is no pair",
+        "lane run holds no tuple",
     ]  # fmt: skip
+
+    @staticmethod
+    def _with_node(entry, node):
+        """``entry`` with its node replaced: ``(node, max_start)`` in a hash
+        store, ``((tuple, node), position)`` in a scan store."""
+        value, anchor = entry
+        return ((value[0], node), anchor) if type(value) is tuple else (node, anchor)
 
     @staticmethod
     def _tampered(snap, tamper):
@@ -467,8 +476,21 @@ class TestWrongValueTypesAreRefused:
             flat[2] = "node"
         elif tamper == "lane key is a list":
             lane["hash"][0] = (list(key), entry)
-        else:
+        elif tamper == "lane key holds a list":
             lane["hash"][0] = ((key[0], [key[1]]), entry)
+        elif tamper == "lane anchor is a string":
+            lane["hash"][0] = (key, (entry[0], "x"))
+        elif tamper == "lane anchor is negative":
+            lane["hash"][0] = (key, (entry[0], -1))
+        elif tamper == "lane node is a string":
+            lane["hash"][0] = (key, TestWrongValueTypesAreRefused._with_node(entry, "node"))
+        elif tamper == "lane node is past 2**62":
+            lane["hash"][0] = (key, TestWrongValueTypesAreRefused._with_node(entry, 1 << 62))
+        elif tamper == "lane entry is no pair":
+            lane["hash"][0] = (key, entry[:1])
+        else:
+            node = entry[0][1] if type(entry[0]) is tuple else entry[0]
+            lane["hash"][0] = (key, (("R", node), entry[1]))
         return snap
 
     @pytest.mark.parametrize("tamper", TAMPERS)
