@@ -37,8 +37,9 @@ Observability: every mode accepts ``--metrics-file PATH`` (Prometheus text
 exposition of the run's counters, gauges and latency histograms),
 ``--trace PATH`` (ring-buffered structured spans — Chrome ``trace_event``
 JSON loadable in Perfetto, or JSON-lines with a ``.jsonl`` path; sampling
-period via ``--trace-sample N``) and ``--stats-interval N`` (a ``# interval``
-stats line every N events, mid-stream).  All of them attach a
+period via ``--trace-sample N``) and, in every mode but ``serve``,
+``--stats-interval N`` (a ``# interval`` stats line every N events,
+mid-stream).  All of them attach a
 :class:`repro.obs.Observer`; without them the engine runs the plain
 uninstrumented hot path.
 
@@ -259,8 +260,10 @@ def _add_checkpoint_arguments(parser: argparse.ArgumentParser) -> None:
     _add_observability_arguments(parser)
 
 
-def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
-    """The ``repro.obs`` surfaces, identical on every engine mode."""
+def _add_observability_arguments(parser: argparse.ArgumentParser, interval: bool = True) -> None:
+    """The ``repro.obs`` surfaces, identical on every engine mode; ``serve``
+    takes no ``--stats-interval`` (``interval=False``): its batch loop prints
+    no interval lines."""
     parser.add_argument(
         "--metrics-file",
         metavar="PATH",
@@ -282,15 +285,16 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
         help="time every Nth event (1 = every event; default 64); applies to "
         "the per-event latency histogram and the per-event trace spans",
     )
-    parser.add_argument(
-        "--stats-interval",
-        type=int,
-        default=0,
-        metavar="N",
-        help="print a '# interval ...' stats line every N events (mid-stream, "
-        "not just at exit; includes sampled update percentiles when "
-        "--metrics-file/--trace is active)",
-    )
+    if interval:
+        parser.add_argument(
+            "--stats-interval",
+            type=int,
+            default=0,
+            metavar="N",
+            help="print a '# interval ...' stats line every N events (mid-stream, "
+            "not just at exit; includes sampled update percentiles when "
+            "--metrics-file/--trace is active)",
+        )
 
 
 def _build_observer(args: argparse.Namespace):
@@ -692,7 +696,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "(0 = serve until SIGINT/SIGTERM; used by the CI smoke)",
     )
     _add_engine_arguments(parser, stream=False)
-    _add_observability_arguments(parser)
+    _add_observability_arguments(parser, interval=False)
     return parser
 
 

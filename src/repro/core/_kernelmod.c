@@ -9,7 +9,8 @@
  *
  *   - `extend`: pointer-bump allocation of one packed record;
  *   - `union`: the iterative descend-then-rebuild path copy;
- *   - `extend_onto`: `union(entry, extend(.., ()))` as its one final record;
+ *   - `extend_onto`: `union(entry, extend(.., ()))` per label id of a run,
+ *     each as its one final record, chained;
  *   - `release_scan`: the eviction sweep's slab head advance with
  *     external-refcount checks (plus `add_ref`/`drop_ref` themselves);
  *   - `walk`: the pruning enumeration walk over the union tree.
@@ -363,30 +364,31 @@ Kernel_extend(KernelObject *self, PyObject *const *args, Py_ssize_t nargs)
     return PyLong_FromLongLong(id);
 }
 
-/* union(entry, extend(label, position, ())) as the one record it ends in: a
- * childless node's max_start is its position, which dominates every stored
- * entry, so the union is always fresh-on-top (or the fresh node alone once
- * the entry expired).  Mirrors ArenaDataStructure.extend_onto. */
+/* union(entry, extend(label, position, ())) for each label id in turn, each
+ * as the one record it ends in: a childless node's max_start is its
+ * position, which dominates every stored entry, so the union is always
+ * fresh-on-top (or the fresh node alone once the entry expired), and every
+ * further record chains onto the live one before it.  Mirrors
+ * ArenaDataStructure.extend_onto. */
 static PyObject *
 Kernel_extend_onto(KernelObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     int error = 0;
-    int64_t position, label_id, entry, meta, ul = 0;
+    int64_t position, entry, label_id, dirn = 0, ul = 0, id = 0;
     KSlab *slab;
     int64_t *rec;
+    Py_ssize_t i;
 
-    if (nargs != 3) {
+    if (nargs < 3) {
         PyErr_SetString(PyExc_TypeError,
-                        "extend_onto expects (position, label_id, entry)");
+                        "extend_onto expects (position, entry, label_id, ...)");
         return NULL;
     }
     position = k_as_int64(args[0], &error);
-    label_id = k_as_int64(args[1], &error);
-    entry = k_as_int64(args[2], &error);
+    entry = k_as_int64(args[1], &error);
     if (error) {
         return NULL;
     }
-    meta = label_id << 1;
     if (entry) {
         /* Read the old top before k_alloc: request_slab runs python code. */
         KSlab *old = k_slab_for(self, entry);
@@ -394,27 +396,37 @@ Kernel_extend_onto(KernelObject *self, PyObject *const *args, Py_ssize_t nargs)
             int64_t *old_rec = old->data + (entry - old->base) * K_STRIDE;
             if (position - old_rec[1] <= self->window) {
                 ul = entry;
-                meta |= (old_rec[4] & 1) ? 0 : 1;
+                dirn = (old_rec[4] & 1) ? 0 : 1;
             }
         }
     }
-    slab = k_alloc(self, position, &rec);
-    if (slab == NULL) {
-        return NULL;
+    for (i = 2; i < nargs; i++) {
+        label_id = k_as_int64(args[i], &error);
+        if (error) {
+            return NULL;
+        }
+        slab = k_alloc(self, position, &rec);
+        if (slab == NULL) {
+            return NULL;
+        }
+        rec[0] = position;
+        rec[1] = position;
+        rec[2] = ul;
+        rec[3] = 0;
+        rec[4] = (label_id << 1) | dirn;
+        if (position > slab->max_ms) {
+            slab->max_ms = position;
+        }
+        self->union_calls += entry != 0;
+        self->union_copies += ul != 0;
+        self->nodes_created++;
+        self->allocated++;
+        id = slab->base + slab->count++;
+        /* The next record goes on top of this live one. */
+        entry = ul = id;
+        dirn ^= 1;
     }
-    rec[0] = position;
-    rec[1] = position;
-    rec[2] = ul;
-    rec[3] = 0;
-    rec[4] = meta;
-    if (position > slab->max_ms) {
-        slab->max_ms = position;
-    }
-    self->union_calls += entry != 0;
-    self->union_copies += ul != 0;
-    self->nodes_created++;
-    self->allocated++;
-    return PyLong_FromLongLong(slab->base + slab->count++);
+    return PyLong_FromLongLong(id);
 }
 
 typedef struct {
@@ -924,7 +936,7 @@ static PyMethodDef Kernel_methods[] = {
     {"union", (PyCFunction)Kernel_union, METH_FASTCALL,
      "union(left, fresh, position, fresh_ms) -> node id"},
     {"extend_onto", (PyCFunction)Kernel_extend_onto, METH_FASTCALL,
-     "extend_onto(position, label_id, entry) -> node id"},
+     "extend_onto(position, entry, label_id, ...) -> the last node id"},
     {"add_ref", (PyCFunction)Kernel_add_ref, METH_O, "add_ref(node)"},
     {"drop_ref", (PyCFunction)Kernel_drop_ref, METH_O, "drop_ref(node)"},
     {"release_scan", (PyCFunction)Kernel_release_scan, METH_VARARGS,

@@ -136,14 +136,21 @@ older nodes, and ``0 <= max_start <= position < 2**62``.
 Everything the evaluator consumes (``extend`` / ``union`` / ``extend_onto`` /
 ``enumerate`` / ``expired`` / the validation helpers) takes and returns plain
 ``int`` ids; the recursive ``_union`` of the object structure becomes an
-iterative descend-then-rebuild loop over the arrays, and enumeration pushes
-ids on an explicit stack, mirroring the object traversal order exactly so that
-the two representations are interchangeable output-for-output (the
-differential tests in ``tests/test_arena.py`` and ``tests/test_enumeration.py``
-rely on this).  ``extend_onto(labels, position, entry)`` is ``union(entry,
-extend(labels, position, ()))`` written as the single record that union always
-ends in — a childless node's ``max_start`` is its position, which dominates
-every stored entry — and is how the fire loop stores a fresh leaf run.
+iterative descend-then-rebuild loop over the arrays, and enumeration follows
+union chains in a loop (a right link waits on an explicit stack), mirroring
+the object traversal order exactly so that the two representations are
+interchangeable output-for-output (the differential tests in
+``tests/test_arena.py`` and ``tests/test_enumeration.py`` rely on this).
+``extend_onto(label_sets, position, entry)`` is ``union(entry, extend(L,
+position, ()))`` for each label set ``L`` in turn, each written as the single
+record that union always ends in — a childless node's ``max_start`` is its
+position, which dominates every stored entry — so the records of one call form
+a chain (each one's ``ul`` is the record before it).  It is how the fire loop
+stores a *leaf item*, the fresh leaf runs next to each other in a state's
+list: one call per ``H`` entry, however many labels.  Its first record is
+written by the same straight-line code as a one-run call (the common case),
+and counters, seals and each slab's ``count`` / ``max_ms`` come out as one
+call per label set would leave them.
 
 Enumeration
 -----------
@@ -210,9 +217,9 @@ _STRIDE = 5
 _CHUNK_NODES = 256
 
 #: ``meta`` field encoding: low 32 bits hold ``label_id << 1 | direction``,
-#: the high bits ``1 + prods-index`` (0 = no children).  Keep the four
-#: encode sites (``extend``, ``extend_onto`` and the two ``union`` copies)
-#: in sync.
+#: the high bits ``1 + prods-index`` (0 = no children).  Keep the five
+#: encode sites (``extend``, the first and the chained record of
+#: ``extend_onto`` and the two ``union`` copies) in sync.
 _META_LOW = 0xFFFFFFFF
 _META_LABEL_DIRN = 0xFFFFFFFE
 
@@ -616,8 +623,9 @@ class ArenaDataStructure:
         check guarantees exactly that).  Without it, the value is computed
         and the children validated here, as the object structure does.
         """
-        label_id = self._label_ids.get(labels) if isinstance(labels, frozenset) else None
-        if label_id is None:
+        try:
+            label_id = self._label_ids[labels]
+        except (KeyError, TypeError):  # not interned yet, or not a frozenset
             label_id = self._intern(labels)
         if max_start is None:
             slabs = self._slabs
@@ -637,8 +645,8 @@ class ArenaDataStructure:
                     max_start = child_ms
         if self._nk is not None:
             return self._nk.extend(position, max_start, label_id, children)
-        # Inline allocation; keep the four allocation sites (here,
-        # ``extend_onto`` and the two in ``union``) in sync.
+        # Inline allocation; keep the five allocation sites (here, the two
+        # in ``extend_onto`` and the two in ``union``) in sync.
         slab = self._cur
         offset = slab.count
         if offset >= self._cap or (offset and position > self._seal_deadline):
@@ -801,20 +809,39 @@ class ArenaDataStructure:
             self._allocated += copies
         return new
 
-    def extend_onto(self, labels: Iterable[Label], position: int, entry: Optional[int]) -> int:
-        """``union(entry, extend(labels, position, ()))`` as the one record it ends in.
+    def extend_onto(self, label_sets: Sequence[Iterable[Label]], position: int, entry: Optional[int]) -> int:
+        """``union(entry, extend(L, position, ()))`` for each label set ``L`` of
+        ``label_sets`` in turn (a run's ``entry`` is the union before it), each
+        written as the one record it ends in.  Returns the last.
 
         A childless node's ``max_start`` is ``position``, which dominates
-        every stored entry: the union is always fresh-on-top, ``(position,
-        position, ul, 0, label | ¬dirn(entry))`` with ``ul = entry`` while the
-        entry is alive, else ``0`` and the bit clear (expired, released,
-        ``None`` / ``⊥``).  The fresh record ``extend`` would leave is skipped.
+        every stored entry: the union is always fresh-on-top.  The first record
+        is ``(position, position, ul, 0, label | ¬dirn(entry))`` with ``ul =
+        entry`` while the entry is alive, else ``0`` and the bit clear
+        (expired, released, ``None`` / ``⊥``); each further one chains onto
+        the record before it (alive: ``ul`` is that record, the bit its
+        negation).  The fresh records ``extend`` would leave are skipped;
+        counters, seals and slab ``max_ms``/``count`` come out as one call per
+        label set would leave them.
         """
-        label_id = self._label_ids.get(labels) if isinstance(labels, frozenset) else None
-        if label_id is None:
+        labels = label_sets[0]
+        try:
+            label_id = self._label_ids[labels]
+        except (KeyError, TypeError):  # not interned yet, or not a frozenset
             label_id = self._intern(labels)
+        single = len(label_sets) == 1
+        if not single:
+            label_ids = self._label_ids
+            chained = []
+            for labels in label_sets[1:]:
+                try:
+                    chained.append(label_ids[labels])
+                except (KeyError, TypeError):
+                    chained.append(self._intern(labels))
         if self._nk is not None:
-            return self._nk.extend_onto(position, label_id, entry or 0)
+            if single:
+                return self._nk.extend_onto(position, entry or 0, label_id)
+            return self._nk.extend_onto(position, entry or 0, label_id, *chained)
         meta = label_id << 1
         uleft = 0
         if entry:
@@ -840,9 +867,38 @@ class ArenaDataStructure:
         slab.count = offset + 1
         if position > slab.max_ms:
             slab.max_ms = position
-        self._nodes_created += 1
-        self._allocated += 1
-        return slab.base + offset
+        node = slab.base + offset
+        if single:
+            self._nodes_created += 1
+            self._allocated += 1
+            return node
+        # Each further record goes on top of the live one just written.  The
+        # count is written per record and a slab opened mid-run gets its
+        # max_ms at once, so a slab sealed mid-run reads as it would after
+        # one call per label set.
+        direction = meta & 1
+        cap = self._cap
+        deadline = self._seal_deadline
+        for label_id in chained:
+            offset += 1
+            if offset >= cap or position > deadline:
+                slab = self._new_slab(position)
+                slab.max_ms = position
+                cap = self._cap
+                deadline = self._seal_deadline
+                offset = 0
+            if offset >= slab.avail:
+                _grow_records(slab)
+            direction ^= 1
+            _PACK_RECORD(slab.data, offset * _RECORD_BYTES, position, position, node, 0, (label_id << 1) | direction)
+            slab.count = offset + 1
+            node = slab.base + offset
+        links = len(chained)
+        self._union_calls += links
+        self._union_copies += links
+        self._nodes_created += links + 1
+        self._allocated += links + 1
+        return node
 
     # ------------------------------------------------------------ reclamation
     def add_ref(self, node: int) -> None:
@@ -1140,32 +1196,38 @@ class ArenaDataStructure:
                     append = run.append
         else:
             slabs = self._slabs
+            # Depth first, ``ul`` before ``ur``: a union chain is followed
+            # along ``ul`` in the inner loop, and ``ur`` waits on the stack
+            # only when both links are set.
             stack: List[int] = [node]
             while stack:
                 current = stack.pop()
-                slab = slabs.get(current >> _SLOT_BITS) if current else None
-                if slab is None:
-                    continue
-                # One batched record read (five words, one C call) instead of
-                # up to five boxed ``array`` element reads per node.
-                pos, node_ms, uleft, uright, meta = _UNPACK_RECORD(
-                    slab.data, (current - slab.base) * _RECORD_BYTES
-                )
-                if node_ms < horizon:
-                    continue
-                label_id = (meta & _META_LOW) >> 1
-                ref = meta >> 32
-                if ref:
-                    fresh = self._put_product(groups, run, (label_id, pos), slab.prods[ref - 1], horizon, flat)
-                    if fresh is not run:
-                        run = fresh
-                        append = run.append
-                elif pos >= horizon:
-                    append((label_id, pos))
-                if uright:
-                    stack.append(uright)
-                if uleft:
-                    stack.append(uleft)
+                while current:
+                    slab = slabs.get(current >> _SLOT_BITS)
+                    if slab is None:
+                        break
+                    # One batched record read (five words, one C call) instead
+                    # of up to five boxed ``array`` element reads per node.
+                    pos, node_ms, uleft, uright, meta = _UNPACK_RECORD(
+                        slab.data, (current - slab.base) * _RECORD_BYTES
+                    )
+                    if node_ms < horizon:
+                        break
+                    label_id = (meta & _META_LOW) >> 1
+                    ref = meta >> 32
+                    if ref:
+                        fresh = self._put_product(groups, run, (label_id, pos), slab.prods[ref - 1], horizon, flat)
+                        if fresh is not run:
+                            run = fresh
+                            append = run.append
+                    elif pos >= horizon:
+                        append((label_id, pos))
+                    if uleft:
+                        if uright:
+                            stack.append(uright)
+                        current = uleft
+                    else:
+                        current = uright
         if flat:
             return run
         if run:

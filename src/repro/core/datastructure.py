@@ -271,20 +271,22 @@ class DataStructure:
         self.union_calls += 1
         return self._union(left, fresh, fresh.position)
 
-    def extend_onto(self, labels: Iterable[Label], position: int, entry: Optional[Node]) -> Node:
-        """``union(entry, extend(labels, position, ()))`` as the one node it ends in:
-        a childless node's ``max_start`` is ``position``, which dominates every
-        stored entry, so the fresh node goes on top of ``entry`` (alone once that
-        expired) and is never counted separately."""
-        fresh = Node(frozenset(labels), position, (), None, None, position)
-        if entry is None:
-            top = fresh
-        else:
-            self.union_calls += 1
-            top = self._union(entry, fresh, position)
-        if top is fresh:
-            self.nodes_created += 1
-        return top
+    def extend_onto(self, label_sets: Sequence[Iterable[Label]], position: int, entry: Optional[Node]) -> Node:
+        """``union(entry, extend(L, position, ()))`` for each label set ``L`` of
+        ``label_sets`` in turn, each as the one node it ends in: a childless
+        node's ``max_start`` is ``position``, which dominates every stored
+        entry, so the fresh node goes on top of the entry so far (alone once
+        that expired) and is never counted separately.  Returns the last."""
+        for labels in label_sets:
+            fresh = Node(frozenset(labels), position, (), None, None, position)
+            if entry is None:
+                entry = fresh
+            else:
+                self.union_calls += 1
+                entry = self._union(entry, fresh, position)
+            if entry is fresh:
+                self.nodes_created += 1
+        return entry
 
     def _union(self, left: Node, fresh: Node, position: int) -> Node:
         if left is None or left.is_bottom():

@@ -61,6 +61,7 @@ engine can check every section of a snapshot before it changes anything.
 from __future__ import annotations
 
 import dataclasses
+from itertools import repeat
 from time import perf_counter as _perf
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple as Tup, TypeVar
 
@@ -438,6 +439,9 @@ class StreamRuntime:
             self._swept_upto = position
             expired = self.buckets.pop(position, None)
             if expired:
+                # The per-tuple path keeps its own copy of the drain loop:
+                # calling ``_drain`` per bucket costs a call per tuple (> 2 %
+                # of ``process`` on a one-leaf workload).
                 evicted = 0
                 touched = set()
                 lanes = self._lanes
@@ -473,6 +477,46 @@ class StreamRuntime:
             # ``on_sweep`` span, so the steady-state loop above stays free of them.
             self.sweep_upto(position)
 
+    def _drain(self, due: Iterable[List[object]], position: int, touched: set) -> int:
+        """Retire the ``lane_id, key, node`` triples of the popped buckets
+        ``due`` at ``position``; returns how many entries were evicted.
+
+        Every triple of an active lane drops its arena reference; its entry
+        goes only if it is genuinely out of the window now (one superseded by
+        a younger node was re-registered in a later bucket and survives),
+        and a scanned run from its scan slot with it.  Triples of one lane
+        tend to sit together, so the lane is looked up — and added to
+        ``touched`` — once per run of same-lane triples, not per triple.
+        """
+        evicted = 0
+        lanes = self._lanes
+        run_id = None
+        live = False
+        for expired in due:
+            for index in range(0, len(expired), 3):
+                lane_id = expired[index]
+                if lane_id != run_id:
+                    run_id = lane_id
+                    lane = lanes.get(lane_id)
+                    live = lane is not None and lane.active
+                    if live:
+                        touched.add(lane)
+                        drop_ref = lane.drop_ref
+                        table = lane.hash
+                        window = lane.window
+                        scans = lane.scans
+                if not live:
+                    continue
+                key = expired[index + 1]
+                drop_ref(expired[index + 2])
+                pair = table.get(key)
+                if pair is not None and position - pair[1] > window:
+                    del table[key]
+                    evicted += 1
+                    if scans is not None:
+                        del scans[key[0]][key[1]]
+        return evicted
+
     def sweep_upto(self, position: int) -> None:
         """Pop every expiry bucket due at or before ``position`` (batch sweep).
 
@@ -483,30 +527,14 @@ class StreamRuntime:
             return
         obs = self.obs
         start = _perf() if obs is not None else 0.0
-        buckets = self.buckets
-        lanes = self._lanes
-        evicted = 0
-        swept = 0
+        due = [
+            expired
+            for expired in map(self.buckets.pop, range(self._swept_upto + 1, position + 1), repeat(None))
+            if expired
+        ]
+        swept = len(due)
         touched = set()
-        for bucket in range(self._swept_upto + 1, position + 1):
-            expired = buckets.pop(bucket, None)
-            if not expired:
-                continue
-            swept += 1
-            for index in range(0, len(expired), 3):
-                lane = lanes.get(expired[index])
-                if lane is None or not lane.active:
-                    continue
-                key = expired[index + 1]
-                lane.drop_ref(expired[index + 2])
-                touched.add(lane)
-                pair = lane.hash.get(key)
-                if pair is not None and position - pair[1] > lane.window:
-                    del lane.hash[key]
-                    evicted += 1
-                    scans = lane.scans
-                    if scans is not None:
-                        del scans[key[0]][key[1]]
+        evicted = self._drain(due, position, touched)
         self._swept_upto = position
         self.evicted += evicted
         if self.count_stats:

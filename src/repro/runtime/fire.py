@@ -15,10 +15,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 
-def _canonical_order(item) -> int:
-    return item[0].index
-
-
 def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[Dict]:
     """Fire ``plan``'s transitions on ``tup`` and index the runs they create.
 
@@ -40,7 +36,9 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
     table.  This phase only reads the tables, so the fired *set* does not depend on the order groups
     are evaluated in; sorting it back to canonical order before the effects
     makes node creation, table updates and final collection — hence node ids
-    and outputs — independent of plan order too.
+    and outputs — independent of plan order too.  A fired entry is
+    ``(member.index, member, children, max_start)``: indexes are unique
+    within a plan, so the sort compares ints and never reaches a member.
 
     A store's table is the paper's ``H[e, p, k]`` with ``e`` folded into a
     *slot*, the store's id of one ``(p, left key plan)`` pair: transitions
@@ -49,6 +47,15 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
     like ``p``.  A query that joined the stream at ``member.since`` must not
     see older runs, so an entry is live for it only while its ``max_start``
     is inside the window *and* at or past ``since``.
+
+    The runs a state receives at this position are listed in canonical
+    order.  A store-through member's fresh leaf run is not built first, and
+    leaf runs next to each other in the list form one *leaf item* — their
+    label sets, appended in place — that UpdateIndices writes onto the
+    entry with one ``extend_onto``: bag semantics turns one tuple satisfying
+    several atoms into such parallel transitions, and the entry pays one
+    call, not one per label.  A product run between two leaf runs splits
+    them, so the effects keep their order.
 
     A *scan* member (``member.scan``: its automaton was admitted with scan
     probes, which joins outside ``B_eq`` — Section 6's open case — need)
@@ -74,7 +81,7 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
         for member in group.members:
             probes = member.probes
             if not probes:
-                fired.append((member, (), position))
+                fired.append((member.index, member, (), position))
                 continue
             store = member.owner
             # The oldest max_start a probed entry may carry.
@@ -101,7 +108,7 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
                         break
                     children.append(compatible)
                 else:
-                    fired.append((member, children, None))
+                    fired.append((member.index, member, children, None))
                 continue
             hash_table = store.hash
             children = []
@@ -126,26 +133,43 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
                 if pair[1] < node_ms:
                     node_ms = pair[1]
             else:
-                fired.append((member, children, node_ms))
+                fired.append((member.index, member, children, node_ms))
     if not fired:
         return None
     if len(fired) > 1:
-        fired.sort(key=_canonical_order)
+        # Plan members have distinct indexes, so this compares ints only.
+        fired.sort()
     if stats is not None:
         stats.transitions_fired += len(fired)
         stats.nodes_created += len(fired)
 
-    # store -> target state id -> (slots of the state, [(node, max_start, labels)])
+    # store -> target state id -> (slots of the state, [(node, max_start,
+    # labels)]); a leaf item is (None, position, [label sets]).
     new_nodes: Dict[object, Dict[int, tuple]] = {}
     finals: Optional[Dict[object, List]] = None
-    for member, children, node_ms in fired:
+    for _, member, children, node_ms in fired:
         store = member.owner
         compiled = member.compiled
         if compiled.store_through:
-            # A fresh leaf run read through one slot: its one record is
-            # written below, straight onto that slot's entry.
-            node = None
-        elif member.scan:
+            # A fresh leaf run read through one slot (never final): its one
+            # record is written below, straight onto that slot's entry.
+            # Leaf runs next to each other in the state's list are one leaf
+            # item, chained onto the entry in one ``extend_onto``.
+            store_nodes = new_nodes.get(store)
+            if store_nodes is None:
+                store_nodes = new_nodes[store] = {}
+            bucket = store_nodes.get(member.target_id)
+            if bucket is None:
+                store_nodes[member.target_id] = (member.consumers, [(None, position, [compiled.labels])])
+            else:
+                items = bucket[1]
+                last = items[-1]
+                if last[0] is None:
+                    last[2].append(compiled.labels)
+                else:
+                    items.append((None, position, [compiled.labels]))
+            continue
+        if member.scan:
             # Each source's compatible runs unioned into one child, in
             # insertion order; the run is stored under its target's scan slot.
             ds = store.ds
@@ -177,8 +201,7 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
                     finals = {}
                 finals.setdefault(member.handle, []).append(node)
             continue
-        else:
-            node = store.ds.extend(compiled.labels, position, children, node_ms)
+        node = store.ds.extend(compiled.labels, position, children, node_ms)
         consumers = member.consumers
         if consumers:
             store_nodes = new_nodes.get(store)
@@ -219,15 +242,21 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
                 else:
                     entry, entry_ms = pair
                 for node, node_ms, labels in nodes:
+                    if node is None:
+                        # A leaf item: union(entry, extend(L, position, ()))
+                        # for each label set L in turn, one record each.
+                        if stats is not None:
+                            runs = len(labels)
+                            stats.hash_updates += runs
+                            stats.unions += runs if entry is not None else runs - 1
+                        entry = extend_onto(labels, position, entry)
+                        entry_ms = position
+                        continue
                     if stats is not None:
                         stats.hash_updates += 1
                         if entry is not None:
                             stats.unions += 1
-                    if node is None:
-                        # union(entry, extend(labels, position, ())) as one record.
-                        entry = extend_onto(labels, position, entry)
-                        entry_ms = position
-                    elif entry is None:
+                    if entry is None:
                         entry = node
                         entry_ms = node_ms
                     else:

@@ -141,8 +141,8 @@ class TestArenaBasics:
         steps = [({"a"}, 0), ({"a", "b"}, 0), ({"b"}, 1), ({"a"}, 4), ({"c"}, 9), ({"a"}, 9), ({"b"}, 10)]
         entry = top = node = None
         for calls, (labels, position) in enumerate(steps, 1):
-            entry = fused.extend_onto(labels, position, entry)
-            node = oracle.extend_onto(labels, position, node)
+            entry = fused.extend_onto((labels,), position, entry)
+            node = oracle.extend_onto((labels,), position, node)
             leaf = split.extend(labels, position, [])
             top = leaf if top is None else split.union(top, leaf)
             outputs = list(fused.enumerate(entry, position))
@@ -158,6 +158,106 @@ class TestArenaBasics:
             assert fused.check_heap_condition(entry)
         # The split path leaves the fresh leaf behind under every copy it stacks.
         assert split.nodes_created == len(steps) + fused.union_copies == 12
+
+    @pytest.mark.parametrize("kernel", ARENAS)
+    def test_a_run_of_label_sets_is_the_chain_of_single_calls(self, kernel):
+        """``extend_onto((L1, …, Lk), p, entry)`` leaves the records, ``prods``,
+        counters and per-slab ``count``/``max_ms`` that k chained one-set calls
+        leave — onto a live entry, an expired one, a released one and none,
+        across capacity seals and a deadline seal — and a seal mid-run never
+        lets ``release_expired`` free a slab early."""
+        window = 3
+        fused = ArenaDataStructure(window, kernel=kernel)
+        split = ArenaDataStructure(window, kernel=kernel)
+        oracle = DataStructure(window)
+        seals = []  # (fill, capacity) of each slab a fused run seals
+        fused.on_seal = lambda fill: seals.append((fill, fused._cur.span << 6))
+        pool = [frozenset({name}) for name in "abcde"] + [frozenset({"a", "b"})]
+        # (position, run length, entry): the top so far, none, or the top left
+        # at position 2.  The 100-, 70- and 64-record runs cross the 64-record
+        # capacity; at 9 the top has expired (9 - 2 > 3) and its slab, open
+        # since 1, is past its deadline; by 20 the slab of the top left at 2
+        # has been released.
+        script = [(0, 3, None), (0, 2, "top"), (1, 100, "top"), (2, 1, "top"), (9, 70, "top"),
+                  (9, 1, None), (10, 5, "top"), (20, 4, "early"), (21, 64, "top"), (21, 1, "top")]  # fmt: skip
+        tops = early = (None, None, None)
+        crossed = {"capacity": 0, "deadline": 0}
+        for position, length, onto in script:
+            label_sets = [pool[i % len(pool)] for i in range(length)]
+            entries = {"top": tops, "early": early, None: (None, None, None)}[onto]
+            if onto == "early":
+                assert fused.max_start_of(entries[0]) < 0  # its slab was released
+            sealed_before = len(seals)
+            top = fused.extend_onto(label_sets, position, entries[0])
+            entry = entries[1]
+            for labels in label_sets:
+                entry = split.extend_onto([labels], position, entry)
+            node = oracle.extend_onto(label_sets, position, entries[2])
+            tops = (top, entry, node)
+            if position == 2:
+                early = tops
+            for fill, capacity in seals[sealed_before:]:
+                crossed["capacity" if fill == capacity else "deadline"] += 1
+            assert fused.snapshot() == split.snapshot()
+            assert list(fused.enumerate(top, position)) == list(oracle.enumerate(node, position))
+            assert (fused.nodes_created, fused.union_calls, fused.union_copies) == (
+                oracle.nodes_created, oracle.union_calls, oracle.union_copies
+            )
+            assert fused.check_heap_condition(top)
+            self._release_nothing_early(fused, split, position, window)
+        assert crossed["capacity"] >= 3 and crossed["deadline"] >= 2, seals
+        assert fused.released_slabs >= 3
+
+    @pytest.mark.parametrize("kernel", ARENAS)
+    def test_enumeration_order_matches_the_object_structure_on_two_link_trees(self, kernel):
+        """Products anchored at older runs go below the top of a union chain,
+        so nodes get both links; the walk still lists outputs in the object
+        structure's order (``ul`` subtree before ``ur`` subtree)."""
+        rng = random.Random(5)
+        arena, oracle = ArenaDataStructure(40, kernel=kernel), DataStructure(40)
+        leaves, arena_acc, oracle_acc = [], None, None
+        both_links = 0
+        for position in range(120):
+            if leaves and rng.random() < 0.6:
+                older = rng.randrange(max(0, len(leaves) - 30), len(leaves))
+                child_a, child_o = leaves[older]
+                fresh_a = arena.extend({"p"}, position, [child_a])
+                fresh_o = oracle.extend({"p"}, position, [child_o])
+            else:
+                fresh_a = arena.extend({"a"}, position, [])
+                fresh_o = oracle.extend({"a"}, position, [])
+                leaves.append((fresh_a, fresh_o))
+            if arena_acc is None:
+                arena_acc, oracle_acc = fresh_a, fresh_o
+            else:
+                arena_acc = arena.union(arena_acc, fresh_a)
+                oracle_acc = oracle.union(oracle_acc, fresh_o)
+            assert list(arena.enumerate(arena_acc, position)) == list(oracle.enumerate(oracle_acc, position))
+            slab = arena._slabs[arena_acc >> 6]
+            both_links += all(arena._links_of(slab, arena_acc - slab.base))
+        assert both_links > 10
+
+    @staticmethod
+    def _release_nothing_early(fused, split, position, window):
+        """Release at ``position`` on both arenas: the same slabs go, each
+        slab's ``max_ms`` is the largest ``max_start`` of its records, and
+        only slabs whose every record expired at ``position`` are freed."""
+        from array import array
+
+        slabs = fused.snapshot()["slabs"]
+        expirable = set()
+        for slab in slabs:
+            records = array("q", slab["records"])
+            starts = records[1::5][1:] if slab["base"] == 0 else records[1::5]
+            if starts:
+                assert slab["max_ms"] == max(starts), slab["base"]
+            if not starts or position - max(starts) > window:
+                expirable.add(slab["base"])
+        released = fused.release_expired(position)
+        assert split.release_expired(position) == released
+        kept = {slab["base"] for slab in fused.snapshot()["slabs"]}
+        assert {slab["base"] for slab in slabs} - kept <= expirable
+        assert len(slabs) - len(kept) == released
 
     def test_matches_object_structure_on_random_interleavings(self):
         rng = random.Random(7)

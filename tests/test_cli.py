@@ -389,6 +389,17 @@ class TestRunMulti:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_serve_offers_no_stats_interval(self, capsys):
+        """The server's batch loop prints no ``# interval`` lines, so ``serve``
+        refuses the flag rather than attach an observer that reports nothing."""
+        from repro.cli import build_multi_parser, build_serve_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_serve_parser().parse_args(["--stats-interval", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --stats-interval 5" in capsys.readouterr().err
+        assert build_multi_parser().parse_args(self.QUERIES + ["--stats-interval", "5"]).stats_interval == 5
+
 
 class TestCheckpointRestore:
     """CLI --checkpoint / --restore: split runs continue bit-identically."""

@@ -13,6 +13,9 @@ it consumes (``repro.core.dispatch``).
   across kernels, and slot numbering that survives a cleared extractor cache;
 * write amplification as counts: a k-arm star's leaf tuple costs one hash
   update, one expiry triple and one arena record, whatever k;
+* leaf items: leaf runs next to each other in a state's list are written in
+  one ``extend_onto``, a product run between them splits them, and node ids,
+  outputs and statistics keep a digest pinned on the one-call-per-run build;
 * the build-time "one guard per predicate group" check;
 * structure guards: the per-probe counter and the arena's fresh-node union
   fast path each live in exactly one module; ``H`` is not keyed by reader and
@@ -26,6 +29,7 @@ it consumes (``repro.core.dispatch``).
 """
 
 import ast
+import hashlib
 import inspect
 import random
 import re
@@ -43,7 +47,7 @@ from repro.core.dispatch import (
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.pcea import PCEA, PCEATransition
 from repro.core.hcq_to_pcea import hcq_to_pcea
-from repro.core.predicates import RelationPredicate, UnaryPredicate, compile_key_plan
+from repro.core.predicates import ProjectionEquality, RelationPredicate, UnaryPredicate, compile_key_plan
 from repro.cq.schema import Tuple
 from repro.engine.compiler import compile_pattern
 from repro.engine.dsl import atom, conjunction, disjunction
@@ -219,6 +223,84 @@ def test_a_leaf_run_is_stored_once_whatever_the_fan_in(arms, arena):
     engine._runtime.sweep_upto(engine.position)
     live = {(tup.relation, tup.values[0]) for tup in stream[-(window + 1) :]}
     assert engine.hash_table_size() <= len(live)
+
+
+def leaf_product_leaf_pcea():
+    """``B`` feeds the one-slot state ``q`` in canonical order: two leaf runs,
+    a product run (joining ``p``, fed by ``A``, on ``x``), two more leaf runs;
+    ``C`` reads ``q`` on ``y`` into the final ``f``.  Every tuple is ``(x, y)``."""
+    on = lambda earlier, at, reader: ProjectionEquality({earlier: (at,)}, {reader: (0,)})
+    leaf = lambda labels: PCEATransition(frozenset(), RelationPredicate("B"), {}, labels, "q")
+    transitions = [
+        PCEATransition(frozenset(), RelationPredicate("A"), {}, {"a"}, "p"),
+        leaf({"b"}),
+        leaf({"b", "u"}),
+        PCEATransition({"p"}, RelationPredicate("B"), {"p": on("A", 0, "B")}, {"j"}, "q"),
+        leaf({"v"}),
+        leaf({"b", "v"}),
+        PCEATransition({"q"}, RelationPredicate("C"), {"q": on("B", 1, "C")}, {"c"}, "f"),
+    ]
+    return PCEA({"p", "q", "f"}, transitions, {"f"})
+
+
+#: :func:`leaf_product_leaf_digest`, as written by the build whose fire loop
+#: made one ``extend_onto`` call per leaf run.
+PINNED_LEAF_PRODUCT_LEAF_DIGEST = "416025038aa0700596c55d47e0c2fd1b871f392571d3e4666db6251f2dd8d1a1"
+
+
+def leaf_product_leaf_stream():
+    rng = random.Random(11)
+    return [Tuple(rng.choice("ABBC"), (rng.randrange(2), rng.randrange(2))) for _ in range(160)]
+
+
+def leaf_product_leaf_digest(kernel):
+    """SHA-256 over a seeded run of :func:`leaf_product_leaf_pcea`: per tuple
+    the final nodes' arena ids, the outputs in order and ``hash_table_size()``;
+    at the end the ``EngineStatistics`` and the arena's counters."""
+    engine = StreamingEvaluator(leaf_product_leaf_pcea(), WINDOW, kernel=kernel, collect_stats=True)
+    digest = hashlib.sha256()
+    for tup in leaf_product_leaf_stream():
+        nodes = engine.update(tup)
+        outputs = [repr(v) for v in engine.enumerate_outputs(nodes)]
+        digest.update(repr((list(nodes), outputs, engine.hash_table_size())).encode())
+    ds = engine.ds
+    digest.update(repr((asdict(engine.stats), ds.nodes_created, ds.union_calls, ds.union_copies)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kernel", ARENAS)
+def test_leaf_product_leaf_runs_into_one_state_keep_the_pinned_digest(kernel):
+    """Leaf runs next to each other in canonical order are one leaf item — one
+    ``extend_onto`` of their label sets — and a product run between them
+    splits them, so the effects keep their order: node ids, outputs and
+    statistics are those of one call per leaf run."""
+    assert leaf_product_leaf_digest(kernel) == PINNED_LEAF_PRODUCT_LEAF_DIGEST
+    engine = StreamingEvaluator(leaf_product_leaf_pcea(), WINDOW, kernel=kernel)
+    (lane,) = engine._runtime.lanes()
+    runs = []
+    write = lane.extend_onto
+    lane.extend_onto = lambda label_sets, position, entry: runs.append(len(label_sets)) or write(
+        label_sets, position, entry
+    )
+    stream = leaf_product_leaf_stream()
+    for tup in stream:
+        engine.process(tup)
+    # An ``A`` tuple is one leaf run; a ``B`` tuple four, as one item, or as
+    # two of two where the product run fires between them.
+    assert sorted(set(runs)) == [1, 2, 4]
+    assert sum(runs) == sum(4 if tup.relation == "B" else tup.relation == "A" for tup in stream)
+
+
+def test_leaf_product_leaf_runs_match_the_naive_oracle_and_the_object_structure():
+    stream = leaf_product_leaf_stream()[:24]
+    pcea = leaf_product_leaf_pcea()
+    expected = pcea.outputs_upto(stream, len(stream) - 1, window=WINDOW)
+    engines = [StreamingEvaluator(pcea, WINDOW, arena=arena, collect_stats=True) for arena in (True, False)]
+    for position, tup in enumerate(stream):
+        for engine in engines:
+            outputs = engine.process(tup)
+            assert len(outputs) == len(set(outputs)) and set(outputs) == expected[position]
+    assert asdict(engines[0].stats) == asdict(engines[1].stats)
 
 
 class _Claims(UnaryPredicate):

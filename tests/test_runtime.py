@@ -33,7 +33,14 @@ from repro.core.predicates import LambdaUnaryPredicate, TruePredicate
 from repro.cq.schema import Tuple
 from repro.engine.dsl import atom, conjunction, sequence
 from repro.multi import MergedDispatchIndex, MultiQueryEngine, compile_query
-from repro.runtime import RELEASE_PASS_INTERVAL, EvictionLane, SnapshotError, SparseBatch, StreamRuntime
+from repro.runtime import (
+    RELEASE_PASS_INTERVAL,
+    EngineStatistics,
+    EvictionLane,
+    SnapshotError,
+    SparseBatch,
+    StreamRuntime,
+)
 from repro.streams.generators import random_stream
 
 from helpers import SIGMA0, rebuild_index
@@ -626,7 +633,8 @@ class TestCompactBucketProtocol:
         fresh = StreamRuntime()
         fresh_lane = fresh.add_lane(self._lane(3))
         fresh_lane.restore(lane.snapshot())
-        fresh.restore(snap, [fresh_lane])
+        fresh.restore(StreamRuntime.parse(snap, 1), [fresh_lane])
+        assert type(fresh.stats) is EngineStatistics
         assert fresh.position == runtime.position
         assert fresh.buckets == {4: [fresh_lane.lane_id, key, node]}
         for position in range(1, 5):
