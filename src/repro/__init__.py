@@ -67,7 +67,6 @@ from repro.baselines.delta_join import DeltaJoinEngine
 from repro.baselines.ccea_engine import CCEAStreamingEngine
 from repro.engine.dsl import Pattern, atom, sequence, conjunction, disjunction
 from repro.engine.compiler import compile_pattern
-from repro.extensions.general_evaluation import GeneralStreamingEvaluator
 from repro.extensions.disambiguation import ambiguity_witness, is_syntactically_unambiguous
 from repro.automata.operations import (
     languages_equal_up_to,
@@ -150,7 +149,6 @@ __all__ = [
     "compile_pattern",
     "OrderPredicate",
     "TrueEquality",
-    "GeneralStreamingEvaluator",
     "ambiguity_witness",
     "is_syntactically_unambiguous",
     "languages_equal_up_to",

@@ -13,12 +13,7 @@ predicate evaluation per structurally distinct predicate per event, instead of
 one engine per query); matches are prefixed with the query name, and two
 queries may not share a name.  The single-query mode is ``multi`` with one
 query and no name column: the same engine, drive loop, ``--stats`` block and
-checkpoints.  The ``--general`` flag on the single-query mode evaluates
-through the
-:class:`~repro.extensions.general_evaluation.GeneralStreamingEvaluator` (the
-same engine with every join a scan of live runs — what also accepts
-non-equality predicates), producing identical matches on equality queries.  All modes
-accept ``--batch-size`` to feed events through the batched ``process_many``
+checkpoints.  All modes accept ``--batch-size`` to feed events through the batched ``process_many``
 ingestion path and ``--stats`` to print an identical
 three-line report — unified operation counters, dispatch-index summary, and a
 memory section (``arena_slabs`` / ``arena_live_nodes`` / ``arena_released``)
@@ -59,8 +54,6 @@ from itertools import islice
 from typing import Iterable, Iterator, List, Optional, Sequence, TextIO
 
 from repro.core.hcq_to_pcea import hcq_to_pcea
-from repro.core.pcea import NotEqualityPredicateError
-from repro.extensions.general_evaluation import GeneralStreamingEvaluator
 from repro.cq.hierarchical import NotHierarchicalError, is_hierarchical
 from repro.cq.query import parse_query
 from repro.multi import MultiQueryEngine
@@ -173,12 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         help='the query, e.g. "Q(x, y) <- T(x), S(x, y), R(x, y)"',
     )
     _add_engine_arguments(parser)
-    parser.add_argument(
-        "--general",
-        action="store_true",
-        help="evaluate with scan probes (every join scans its source's live "
-        "runs); identical matches, linear-in-data update cost",
-    )
     _add_checkpoint_arguments(parser)
     return parser
 
@@ -402,8 +389,7 @@ def run(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO) -> in
     """Evaluate the query over the events, writing matches to ``output``.
 
     Single mode is ``multi`` with one query and no query-name column: the
-    same engine, the same drive loop, the same checkpoints.  ``--general``
-    swaps in the scanning engine.
+    same engine, the same drive loop, the same checkpoints.
     """
     try:
         query = parse_query(args.query)
@@ -423,14 +409,8 @@ def run(args: argparse.Namespace, events: Iterable[Tuple], output: TextIO) -> in
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if getattr(args, "general", False):
-            engine = GeneralStreamingEvaluator(
-                pcea, window=args.window, collect_stats=args.stats, kernel=args.kernel
-            )
-            queries = []
-        else:
-            engine = _multi_engine(args)
-            queries = [(pcea, args.window, _query_names([args.query], [query])[0])]
+        engine = _multi_engine(args)
+        queries = [(pcea, args.window, _query_names([args.query], [query])[0])]
     except ValueError as exc:
         # e.g. --kernel native on an installation without the built extension
         print(f"error: {exc}", file=sys.stderr)
@@ -468,8 +448,7 @@ def _drive(args, events, output: TextIO, engine, queries, labelled: bool) -> int
     restores ``--restore``, feeds the events one by one or ``--batch-size`` at
     a time, prints every match — after its query's name when ``labelled`` —
     and the summary, then the ``--stats`` report, ``--checkpoint`` and the
-    observability exports.  An engine without handles (``--general``)
-    returns one query's outputs as a list.
+    observability exports.
     """
     try:
         observer = _build_observer(args)
@@ -483,14 +462,13 @@ def _drive(args, events, output: TextIO, engine, queries, labelled: bool) -> int
     try:
         for query, window, name in queries:
             engine.register(query, window=window, name=name)
-    except (ValueError, NotHierarchicalError, NotEqualityPredicateError) as exc:
+    except (ValueError, NotHierarchicalError) as exc:
         print(f"error: cannot register query: {exc}", file=sys.stderr)
         return 2
     if getattr(args, "restore", None) and not _restore_engine(engine, args.restore):
         return 2
     # After a restore the handle ids (the routing keys) are the checkpoint's.
-    handles = engine.handles() if queries else ()
-    names = {handle.id: handle.name for handle in handles}
+    names = {handle.id: handle.name for handle in engine.handles()}
     matches = dict.fromkeys(names, 0)
     batch_size = getattr(args, "batch_size", 0) or 0
     interval = getattr(args, "stats_interval", 0) or 0
@@ -499,8 +477,8 @@ def _drive(args, events, output: TextIO, engine, queries, labelled: bool) -> int
     start = time.perf_counter()
 
     def emit(position: int, outputs) -> None:
-        for qid, valuations in outputs.items() if names else ((None, outputs),):
-            matches[qid] = matches.get(qid, 0) + len(valuations)
+        for qid, valuations in outputs.items():
+            matches[qid] += len(valuations)
             if not args.quiet:
                 label = f"{names[qid]}\t" if labelled else ""
                 for valuation in valuations:
@@ -548,7 +526,7 @@ def _drive(args, events, output: TextIO, engine, queries, labelled: bool) -> int
 
 def _print_stats(engine, output: TextIO) -> None:
     """The ``--stats`` report, identical in shape across all three engine
-    modes (single / general / multi): one unified-counter line, one
+    modes (single / multi): one unified-counter line, one
     dispatch-index line, one memory line, one kernel-backend line."""
     stats = engine.stats
     info = engine.dispatch_info()

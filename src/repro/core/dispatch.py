@@ -16,7 +16,9 @@ indexes that remove those scans:
 * a **consumer index** mapping each state ``p`` to the *slots* its readers
   join through — one per distinct ``(p, left key plan)``, however many
   transitions have ``p`` in their source set — so UpdateIndices writes each
-  run created this position once per projection, not once per reader.
+  run created this position once per projection, not once per reader.  A
+  join outside ``B_eq`` has no key: it reads ``p``'s one *scan slot*, the
+  list of its live runs, instead.
 
 States are also **interned to dense integer ids** at compile time.  Automaton
 states produced by the HCQ / pattern compilers are nested tuples containing
@@ -378,21 +380,23 @@ class CompiledTransition:
     transition's mapping on every tuple; ``relations`` is the dispatch key
     (``None`` for wildcards).  ``accepts`` and ``probes`` are what the fire
     loop calls: the unary predicate compiled to a flat ``tup -> bool`` and, in
-    ``joins`` order, one probe per join.  A *hash probe* is a ``(slot,
-    right-key extractor)`` pair (see "compiled plans" in
-    :mod:`repro.core.predicates`; the extractor is ``None`` for a join
-    outside ``B_eq``, which a hashed engine refuses).  A *slot* is the
-    index's dense id of one ``(source state, left key plan)`` pair: ``H``
-    holds one entry per ``(slot, key)``, shared by every transition that
-    reads the state through that projection.  ``consumers`` are the
-    ``(slot, left-key extractor)`` pairs of this transition's target state —
-    what UpdateIndices walks for a node this transition created — and
+    ``joins`` order, one probe per join.  A join in ``B_eq`` is a *hash
+    probe*, a ``(slot, right-key extractor)`` pair (see "compiled plans" in
+    :mod:`repro.core.predicates`); any other join a *scan probe*, a ``(scan
+    slot, holds)`` pair.  A *slot* is the index's dense id of one ``(source
+    state, left key plan)`` pair: ``H`` holds one entry per ``(slot, key)``,
+    shared by every transition that reads the state through that
+    projection; a *scan slot* is a state's one list of live runs, which
+    every scan probe of the state reads.  ``consumers`` are the ``(slot,
+    left-key extractor)`` pairs of this transition's target state — what
+    UpdateIndices walks for a node this transition created — and
     ``store_through`` says the node need not be built first: a source-less,
-    non-final transition into a one-slot state is written straight onto that
-    slot's entry (``DS_w.extend_onto``).  With ``scan`` set a probe is a
-    ``(scan slot, holds)`` pair instead, and ``consumers`` names the target
-    state's one scan slot (see :class:`DispatchStructure`).  ``index``, the
-    transition's position in the automaton, is its canonical candidate rank.
+    non-final transition into a one-slot, unscanned state is written
+    straight onto that slot's entry (``DS_w.extend_onto``).  ``scan`` is
+    ``None`` unless the transition has a scan probe or its target a scan
+    slot; then it is ``(scanned, into)``: per probe whether it scans, and
+    the target's scan slot (``-1``: none).  ``index``, the transition's
+    position in the automaton, is its canonical candidate rank.
 
     Those fields up to ``scan`` are the transition's *shape*, taken whole
     from a :class:`DispatchStructure`; the rest are *bound* here from the
@@ -446,65 +450,72 @@ class DispatchStructure:
     <repro.core.pcea.PCEA.with_unaries>`), and each index binds only its own
     unaries onto it.  Never mutated once built.
 
-    ``scan`` chooses the probe kind of every join: hash probes (the default)
-    or scan probes, which any binary predicate admits.  A scan structure has
-    one slot per state (slot ``s`` is state ``s``'s; its key plan is
-    ``None``): every run created into a state is stored there and every join
-    on the state scans it.  Nothing is stored through, and no state is a leaf.
+    Each join picks its own probe kind: a join whose predicate gives a
+    right-key extractor (``B_eq``) probes ``H`` by key, any other scans the
+    source's live runs.  A state some join scans gets one *scan slot* (its
+    key plan is ``None``, listed in ``scan_slots``): every run created into
+    the state is also stored there.  A scanned state is never stored through
+    and never a leaf.
     """
 
-    __slots__ = ("final", "scan", "state_ids", "slots", "consumers", "shapes", "_leaves")
+    __slots__ = ("final", "state_ids", "slots", "consumers", "scan_slots", "shapes", "_leaves")
 
-    def __init__(
-        self, transitions: Sequence["PCEATransition"], final: Iterable[State] = (), scan: bool = False
-    ) -> None:
+    def __init__(self, transitions: Sequence["PCEATransition"], final: Iterable[State] = ()) -> None:
         self.final = final = frozenset(final)
-        self.scan = scan
         state_ids: Dict[State, int] = {}
         intern = lambda state: state_ids.setdefault(state, len(state_ids))
         # (source id, left key plan) -> slot.  Interned on the plan *data*:
         # slot numbers are part of the snapshot contract, so they must come
-        # out the same in every process.  A join without a plan is its own slot.
+        # out the same in every process.  A hash join without a plan is its
+        # own slot; a state's scan slot is keyed by the plan ``None``.
         slots: Dict[Hashable, int] = {}
         readers: Dict[int, Dict[int, object]] = {}
+        scan_slots: Dict[int, int] = {}
         shapes = []
         for i, transition in enumerate(transitions):
             target_id = intern(transition.target)
             if not transition.sources:  # a run-starting transition joins nothing
-                shapes.append((transition, target_id, (), ()))
+                shapes.append((transition, target_id, (), (), ()))
                 continue
             joins = tuple(
                 (source, intern(source), transition.binaries[source])
                 for source in sorted(transition.sources, key=str)
             )
-            if scan:  # the scan slot of a state is its id
-                shapes.append((transition, target_id, joins, tuple([(j[1], j[2].holds) for j in joins])))
-                continue
             probes = []
+            scanned = []
             for _, source_id, predicate in joins:
                 left, right = compile_key_extractors(predicate)
-                plan = getattr(predicate, "left_key_plan", lambda: None)()
-                slot = slots.setdefault((source_id, i if plan is None else plan), len(slots))
-                probes.append((slot, right))
-                readers.setdefault(source_id, {}).setdefault(slot, left)
-            shapes.append((transition, target_id, joins, tuple(probes)))
-        if scan:
-            slots = {(state_id, None): state_id for state_id in state_ids.values()}
-            readers = {state_id: {state_id: None} for state_id in state_ids.values()}
+                if right is None:  # outside B_eq: no key, scan the live runs
+                    slot = scan_slots[source_id] = slots.setdefault((source_id, None), len(slots))
+                    probes.append((slot, predicate.holds))
+                else:
+                    plan = getattr(predicate, "left_key_plan", lambda: None)()
+                    slot = slots.setdefault((source_id, i if plan is None else plan), len(slots))
+                    probes.append((slot, right))
+                    readers.setdefault(source_id, {}).setdefault(slot, left)
+                scanned.append(right is None)
+            shapes.append((transition, target_id, joins, tuple(probes), tuple(scanned)))
         self.state_ids = state_ids
         #: slot -> ``(source state id, left key plan)`` (a transition index
-        #: where the join has no plan), in slot order.
+        #: where a hash join has no plan, ``None`` for a scan slot), in slot order.
         self.slots: Tup[Tup[int, Hashable], ...] = tuple(slots)
         consumers = self.consumers = {
             source_id: tuple(by_slot.items()) for source_id, by_slot in readers.items()
         }
+        #: state id -> its scan slot, for the states some join scans.
+        self.scan_slots = scan_slots
         self.shapes: Tup[Tup, ...] = tuple([
             (i, transition.labels, transition.target, target_id, is_final, joins, probes, into,
-             not scan and not joins and not is_final and len(into) == 1, scan)
-            for i, (transition, target_id, joins, probes) in enumerate(shapes)
-            for is_final, into in [(transition.target in final, consumers.get(target_id, ()))]
+             not joins and not is_final and len(into) == 1 and scan is None, scan)
+            for i, (transition, target_id, joins, probes, scanned) in enumerate(shapes)
+            for is_final, into, scan in [(
+                transition.target in final,
+                consumers.get(target_id, ()),
+                None if not any(scanned) and target_id not in scan_slots
+                else (scanned, scan_slots.get(target_id, -1)),
+            )]
         ])  # fmt: skip
-        self._leaves: Optional[Dict[int, Tup[Tup[int, ...], Tup[Hashable, ...]]]] = {} if scan else None
+        self._leaves: Optional[Dict[int, Tup[Tup[int, ...], Tup[Hashable, ...]]]] = None
 
     def leaves(self) -> Dict[int, Tup[Tup[int, ...], Tup[Hashable, ...]]]:
         """The leaf-state candidates (see :meth:`TransitionDispatchIndex.leaf_states`):
@@ -512,7 +523,8 @@ class DispatchStructure:
         Computed on first use: only a store two queries share reads them."""
         leaves = self._leaves
         if leaves is None:
-            barred = {source for source, plan in self.slots if isinstance(plan, int)}
+            # A slot without a plan (a hand-written key, a scan) bars its state.
+            barred = {source for source, plan in self.slots if plan is None or isinstance(plan, int)}
             into: Dict[int, List[int]] = {}
             for i, _, _, target_id, is_final, joins, *_ in self.shapes:
                 if joins or is_final:
@@ -544,7 +556,8 @@ class MergedEntry:
     int instead of a nested tuple — and ``index`` the canonical candidate
     rank, named as on :class:`CompiledTransition` (a counter in registration
     order, then transition order within a query), ``family`` its
-    threshold family and ``scan`` its probe kind (the compiled transition's).
+    threshold family and ``scan`` the compiled transition's, its target's
+    scan slot renumbered into the store's slot space.
     """
 
     __slots__ = (
@@ -562,6 +575,7 @@ class MergedEntry:
         since: int,
         probes: Tup[Tup[int, object], ...],
         consumers: Tup[Tup[int, object], ...],
+        scan: Optional[Tup[Tup[bool, ...], int]],
     ) -> None:
         self.owner = owner
         self.handle = handle
@@ -575,7 +589,7 @@ class MergedEntry:
         self.probes = probes
         self.consumers = consumers
         self.target_id = consumers[0][0] if consumers else -1
-        self.scan = compiled.scan
+        self.scan = scan
 
     def __repr__(self) -> str:
         return f"MergedEntry(owner={self.owner!r}, {self.compiled!r})"
@@ -677,7 +691,7 @@ class TransitionDispatchIndex:
         in transition order, plus the left key plan of each slot.  Automata
         with an equal key would store identical entries, which lets the
         multi-query engine store them once.  A state read through a
-        hand-written key has no plan to compare: never a leaf.
+        hand-written key or scanned has no plan to compare: never a leaf.
         """
         leaves = self._leaves
         if leaves is None:
@@ -692,39 +706,3 @@ class TransitionDispatchIndex:
     # ------------------------------------------------------------ introspection
     def __len__(self) -> int:
         return len(self._all)
-
-    def signature(self) -> Dict[str, object]:
-        """A canonical structural summary of the compiled automaton.
-
-        The per-automaton counterpart of
-        :meth:`~repro.multi.merged_index.MergedDispatchIndex.signature`: two
-        indexes compiled from the same transition list and final-state set
-        have equal signatures.  A ``general`` checkpoint of earlier builds
-        carries the signature of its automaton's hashed index (run through
-        :func:`~repro.runtime.snapshot.stable_signature`), which
-        :meth:`MultiQueryEngine.restore
-        <repro.multi.engine.MultiQueryEngine.restore>` checks before reading
-        it, so it restores only into an engine evaluating the same query —
-        including the *binary* join predicates, via :func:`join_signature`
-        (two automata differing only in a join position must not verify as
-        equal), which also carries the slot table: ``(source id, join
-        descriptor) -> slot``.
-        """
-        return {
-            "transitions": tuple(
-                (
-                    c.index,
-                    c.pred_key,
-                    None if c.relations is None else tuple(sorted(c.relations)),
-                    join_signature(c),
-                    c.target_id,
-                    c.is_final,
-                    tuple(sorted(c.labels, key=repr)),
-                )
-                for c in self._all
-            ),
-            "finals": tuple(sorted((repr(state) for state in self.final))),
-            # Every transition is dispatched by relation; the key stays
-            # because checkpoints carry the signature and compare it whole.
-            "indexed": True,
-        }

@@ -1,4 +1,4 @@
-"""Streaming evaluation of unambiguous PCEA with equality predicates (Algorithm 1).
+"""Streaming evaluation of unambiguous PCEA (Algorithm 1).
 
 :class:`StreamingEvaluator` reads a stream tuple by tuple.  Processing one
 tuple has two phases:
@@ -14,8 +14,11 @@ tuple has two phases:
 
 With equality predicates and an unambiguous PCEA this achieves the
 ``O(|P|·|t| + |P|·log|P| + |P|·log w)`` update time and output-linear delay of
-Theorem 5.1.  The evaluator also exposes operation counters so benchmarks can
-report machine-independent costs.
+Theorem 5.1.  A join outside ``B_eq`` (Section 6's open case) is evaluated
+too, as a scan of its source's live runs — update time linear in those runs
+for that join only; every equality join of the same automaton still hashes.
+The evaluator also exposes operation counters so benchmarks can report
+machine-independent costs.
 
 One query is the K=1 case of the dynamic-evaluation structure, so
 :class:`StreamingEvaluator` *is* a
@@ -56,7 +59,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Union
 
 from repro.core.datastructure import Node
-from repro.core.pcea import PCEA, NotEqualityPredicateError  # the error is also importable from here
+from repro.core.pcea import PCEA
 from repro.cq.schema import Tuple
 from repro.multi.engine import MultiQueryEngine
 from repro.valuation import Valuation
@@ -71,18 +74,16 @@ class StreamingEvaluator(MultiQueryEngine):
     """Algorithm 1: streaming evaluation of one PCEA under a sliding window.
 
     A :class:`~repro.multi.engine.MultiQueryEngine` holding exactly one query
-    — ``pcea`` under ``window`` — registered at construction (whose admission
-    step raises :class:`NotEqualityPredicateError` for a join outside
-    ``B_eq``); its snapshots are ``multi`` trees, restorable into any engine
-    that registered the same query with the same window.  The single-query
-    calls below return that query's outputs only; the general evaluator
-    (:mod:`repro.extensions.general_evaluation`) inherits them all.
+    — ``pcea`` under ``window`` — registered at construction; its snapshots
+    are ``multi`` trees, restorable into any engine that registered the same
+    query with the same window.  The single-query calls below return that
+    query's outputs only.
 
     Parameters
     ----------
     pcea:
-        The automaton to evaluate.  All binary predicates must be equality
-        predicates (class ``B_eq``); the automaton should be unambiguous for
+        The automaton to evaluate.  Joins in ``B_eq`` probe ``H``, any other
+        scans its source's live runs; the automaton should be unambiguous for
         the outputs to be duplicate-free (Theorem 5.1's hypothesis).
     window:
         The sliding-window size ``w``: at position ``i`` only valuations ``ν``

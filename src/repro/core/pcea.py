@@ -29,10 +29,6 @@ State = Hashable
 Label = Hashable
 
 
-class NotEqualityPredicateError(TypeError):
-    """Raised when Algorithm 1 is instantiated on a PCEA with non-equality joins."""
-
-
 @dataclass(frozen=True)
 class PCEATransition:
     """A PCEA transition ``(P, U, B, L, q)``.
@@ -144,8 +140,6 @@ class PCEA:
     #: such a template, the dispatch structure its bound automata share.
     _template: "PCEA | None" = None
     _structure = None
-    #: The scan-probe index (:meth:`dispatch_index`), built on first use.
-    _scan_index = None
 
     def _validate(self) -> None:
         if not self.final <= self.states:
@@ -195,7 +189,7 @@ class PCEA:
         bound._template = self
         return bound
 
-    def dispatch_index(self, probe: str = "hash"):
+    def dispatch_index(self):
         """The compile-once transition dispatch index (cached on the automaton).
 
         Built by the first call (every engine makes one at construction) and
@@ -211,18 +205,10 @@ class PCEA:
         (:func:`repro.engine.compiler._shape_automaton`).  See
         :mod:`repro.core.dispatch`.
 
-        ``probe`` is the kind every join compiles to: ``"hash"`` (Algorithm
-        1's ``H`` probes; joins outside ``B_eq`` have no key to probe) or
-        ``"scan"`` (a scan of the source's live runs, any binary predicate),
-        each index built on its own structure and cached apart.
+        Each join compiles to its own probe kind: a join in ``B_eq`` probes
+        Algorithm 1's ``H`` by key, any other scans its source's live runs
+        (Section 6's open case), so every automaton has an index.
         """
-        if probe == "scan":
-            if self._scan_index is None:
-                from repro.core.dispatch import DispatchStructure, TransitionDispatchIndex
-
-                structure = DispatchStructure(self.transitions, self.final, scan=True)
-                self._scan_index = TransitionDispatchIndex(self.transitions, structure=structure)
-            return self._scan_index
         if self._dispatch_index is None:
             from repro.core.dispatch import DispatchStructure, TransitionDispatchIndex
 

@@ -656,9 +656,9 @@ class OrderPredicate(BinaryPredicate):
     ``(t1, t2) ∈ B`` iff ``t1`` is a tuple of ``left_relation``, ``t2`` of
     ``right_relation``, and ``t1[left_position] op t2[right_position]`` holds
     for the given comparison operator.  Order predicates are *not* equality
-    predicates, so Algorithm 1 does not apply; they are supported by the
-    general evaluator of :mod:`repro.extensions.general_evaluation` (the
-    paper's Section 6 lists this as an open direction).
+    predicates, so Algorithm 1's hash probe does not apply: the engine scans
+    the source's live runs for such a join (the paper's Section 6 lists
+    this as an open direction).
     """
 
     left_relation: str

@@ -30,11 +30,11 @@ have in common is done once:
   release pass exist in exactly one place and cover every store at once.
 
 This is the only engine class, and :func:`repro.runtime.fire` its only
-update loop.  The single-query evaluator is its K=1 case, and
-:class:`~repro.extensions.general_evaluation.GeneralStreamingEvaluator` is
-that K=1 case with another admission step: :meth:`_admissible` picks the
-probe kind an automaton's joins compile to — ``"hash"`` here, refusing
-joins outside ``B_eq``; ``"scan"`` there, for any join.
+update loop; the single-query evaluator is its K=1 case.  Every automaton
+is admitted: each join is a hash probe where its predicate is in ``B_eq``
+(Algorithm 1's constant-update case) and a scan of its source's live runs
+otherwise (Section 6's open case), so a store may hold hashed and scanned
+slots side by side.
 
 Registration changes patch the merged index incrementally
 (:meth:`MergedDispatchIndex.add_query` / ``remove_query``): registering a
@@ -59,7 +59,6 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.core.arena import ArenaDataStructure
 from repro.core.kernel import backend_info, resolve_kernel
 from repro.core.datastructure import DataStructure
-from repro.core.pcea import PCEA, NotEqualityPredicateError
 from repro.cq.schema import Tuple
 from repro.multi.merged_index import MergedDispatchIndex
 from repro.multi.registry import QueryHandle, QueryRegistry, QuerySpec, compile_query
@@ -96,9 +95,9 @@ class _Registered:
 
     __slots__ = ("handle", "dispatch", "store", "since", "slots")
 
-    def __init__(self, handle: QueryHandle, pcea, probe: str) -> None:
+    def __init__(self, handle: QueryHandle, pcea) -> None:
         self.handle = handle
-        self.dispatch = pcea.dispatch_index(probe)
+        self.dispatch = pcea.dispatch_index()
         self.store: Optional[_Store] = None
         self.since = 0
         self.slots: Optional[tuple] = None
@@ -131,10 +130,9 @@ class MultiQueryEngine:
         opened mid-stream — runs the same backend; ignored with
         ``arena=False``.
 
-    Registration admits only automata whose joins are equality predicates
-    (``B_eq``, Algorithm 1's hypothesis): :meth:`_admissible` refuses any
-    other with :class:`~repro.core.pcea.NotEqualityPredicateError`, before
-    the registry is touched.  ``position`` and the counters are settable
+    Registration admits any automaton: joins in ``B_eq`` (Algorithm 1's
+    hypothesis) probe ``H`` by key, the others scan their source's live
+    runs, which costs time linear in them.  ``position`` and the counters are settable
     because the differential tests reseat reference engines mid-stream
     (``engine.position = p - 1``) and benchmarks reset counters.
     """
@@ -164,7 +162,7 @@ class MultiQueryEngine:
         self._merged = MergedDispatchIndex(())
         if registry is not None:
             for entry in registry.entries():
-                self._admit(entry, self._admissible(entry.pcea))
+                self._admit(entry)
 
     # ----------------------------------------------------------------- stores
     def _open_store(self, window: int) -> _Store:
@@ -181,12 +179,13 @@ class MultiQueryEngine:
             observer.observe_lane(store)
         return store
 
-    def _admit(self, entry, probe: str) -> _Registered:
+    def _admit(self, entry) -> _Registered:
         """Seat a registry entry in its window's store, observing from the next
-        tuple, and merge it into the index with ``probe`` joins.  A query the
-        index refuses (``ValueError``) leaves the engine as it was: its
-        store, if it needed a new one, opens only once the index took it."""
-        query = _Registered(entry.handle, entry.pcea, probe)
+        tuple, and merge it into the index; its scan slots open empty in the
+        store.  A query the index refuses (``ValueError``) leaves the engine
+        as it was: its store, if it needed a new one, opens only once the
+        index took it."""
+        query = _Registered(entry.handle, entry.pcea)
         store = self._stores.get(entry.handle.window)
         opened = store is None
         if opened:
@@ -199,16 +198,29 @@ class MultiQueryEngine:
             observer.on_index_patch("add", perf_counter() - start, len(query.dispatch))
         if opened:
             self._add_store(store)
-        if query.dispatch.structure.scan and store.scans is None:
-            store.scans = {}
+        scan_slots = query.dispatch.structure.scan_slots
+        if scan_slots:
+            if store.scans is None:
+                store.scans = {}
+            for slot in scan_slots.values():
+                store.scans[query.slots[slot]] = {}
         store.queries += 1
         self._queries[entry.handle.id] = query
         return query
 
     def _leave(self, query: _Registered) -> None:
-        """Take a query out of the index and its store; an empty store goes whole."""
+        """Take a query out of the index and its store, its scan slots with
+        their runs (a scanned state is its query's alone); an empty store
+        goes whole."""
         self._merged.remove_query(query)
         store = query.store
+        scans = store.scans
+        for slot in query.dispatch.structure.scan_slots.values():
+            slot = query.slots[slot]
+            for seq in scans.pop(slot):
+                del store.hash[(slot, seq)]
+        if scans is not None and not scans:
+            store.scans = None
         store.queries -= 1
         if not store.queries:
             self._runtime.drop_lane(store)
@@ -220,26 +232,13 @@ class MultiQueryEngine:
         return [self._queries[entry.handle.id] for entry in self.registry.entries()]
 
     # ----------------------------------------------------------- registration
-    def _admissible(self, pcea: PCEA) -> str:
-        """The admission step, giving the probe kind ``pcea``'s joins compile
-        to: hash probes key ``H`` by equality join keys, so an automaton with
-        a join outside ``B_eq`` is refused."""
-        if not pcea.uses_only_equality_predicates():
-            raise NotEqualityPredicateError(
-                "registered queries must compile to equality-predicate PCEA "
-                "(Algorithm 1's hypothesis)"
-            )
-        return "hash"
-
     def register(
         self, query: QuerySpec, window: int, name: Optional[str] = None
     ) -> QueryHandle:
         """Register a query mid-stream; it starts observing at the next tuple."""
-        pcea = compile_query(query)
-        probe = self._admissible(pcea)
-        handle = self.registry.register(pcea, window, name)
+        handle = self.registry.register(compile_query(query), window, name)
         try:
-            self._admit(self.registry.get(handle), probe)
+            self._admit(self.registry.get(handle))
         except ValueError:
             self.registry.withdraw(handle)  # refused: as if never registered
             raise
@@ -363,7 +362,8 @@ class MultiQueryEngine:
     def _check_seating(self, queries: Sequence[_Registered], placement, lanes) -> List[tuple]:
         """The snapshot's placement rows as ``(store index, since, slot
         table)``, with everything re-seating ``queries`` relies on checked:
-        a store carries a ``scan`` section iff a scan query sits in it."""
+        a store's ``scan`` section lists exactly the scan slots of the
+        queries placed in it, and a store without any has none."""
         if not self._arena:
             raise SnapshotError(
                 "restoring run stores requires the arena-backed enumeration "
@@ -377,7 +377,7 @@ class MultiQueryEngine:
         if len(set(windows)) != len(windows):
             raise SnapshotError("snapshot holds two run stores for one window")
         rows = []
-        scanned = set()
+        scanned = [set() for _ in lanes]
         for query, (where, since, slots) in zip(queries, placement):
             where, since, slots = int(where), int(since), tuple([int(slot) for slot in slots])
             if not 0 <= where < len(lanes) or lanes[where]["window"] != query.handle.window:
@@ -387,12 +387,12 @@ class MultiQueryEngine:
                 )
             if len(slots) != len(query.dispatch.slots):
                 raise SnapshotError(f"query {query.handle} does not fit its snapshot slot table")
-            if query.dispatch.structure.scan:
-                scanned.add(where)
+            scanned[where].update(slots[slot] for slot in query.dispatch.structure.scan_slots.values())
             rows.append((where, since, slots))
         for where, lane in enumerate(lanes):
-            if ("scan" in lane) != (where in scanned):
-                raise SnapshotError(f"run store {where} does not say whether its queries scan")
+            listed = set(dict(lane["scan"]["runs"])) if "scan" in lane else set()
+            if listed != scanned[where] or "scan" in lane and not listed:
+                raise SnapshotError(f"run store {where} does not list the scan slots of its queries")
         return rows
 
     def _restored_stores(self, lanes) -> List[_Store]:
@@ -444,18 +444,15 @@ class MultiQueryEngine:
         """Adopt ``snapshot``'s state; processing then continues bit-identically.
 
         The engine must hold the snapshot's queries (same specifications,
-        same registration order, same per-query windows, same probe kinds,
-        ``arena=True``) — verified structurally through the merged-index
+        same registration order, same per-query windows, ``arena=True``) —
+        verified structurally through the merged-index
         signature.  Registered handles are rewritten to the snapshot's
         ids/names (see :meth:`QueryRegistry.restore_handles
         <repro.multi.registry.QueryRegistry.restore_handles>`), and every
         query is re-seated in the store, and from the position, the snapshot
         recorded for it.  Every section is read and checked before anything
-        changes: a refused restore leaves the engine as it was.  A
-        ``general`` tree of earlier builds is read too (:meth:`_from_general`).
+        changes: a refused restore leaves the engine as it was.
         """
-        if isinstance(snapshot, dict) and snapshot.get("engine") == "general":
-            snapshot = self._from_general(snapshot)
         check_snapshot_header(snapshot, "multi")
         try:
             registry_snap = snapshot["registry"]
@@ -493,34 +490,6 @@ class MultiQueryEngine:
             query.store.queries += 1
         self._merged = merged
         self._runtime.restore(runtime_state, stores)
-
-    def _from_general(self, snapshot: Dict[str, object]) -> Dict[str, object]:
-        """The one-store ``multi`` tree a ``general`` tree of earlier builds
-        (one lane, per-state ``rings``, the automaton's hashed index
-        signature) stands for, if this engine is one scan query of that
-        automaton: a state's id is its scan slot, so the lane stands as it is."""
-        check_snapshot_header(snapshot, "general")
-        queries = self._ordered()
-        if len(queries) != 1 or not queries[0].dispatch.structure.scan:
-            raise SnapshotError("a 'general' snapshot restores only into a general evaluator")
-        hashed = self.registry.entries()[0].pcea.dispatch_index()
-        if stable_signature(hashed.signature()) != snapshot.get("dispatch_signature"):
-            raise SnapshotError(
-                "snapshot was taken from an engine with a different automaton "
-                "(dispatch-index signatures differ)"
-            )
-        slots = len(queries[0].dispatch.slots)
-        scan = {"runs": snapshot["rings"], "next_seq": snapshot["next_seq"],
-                "nodes_scanned": snapshot["nodes_scanned"]}  # fmt: skip
-        return {
-            "snapshot_version": SNAPSHOT_VERSION,
-            "engine": "multi",
-            "registry": self.registry.snapshot(),
-            "merged_signature": stable_signature(self._merged.signature()),
-            "placement": [(0, 0, tuple(range(slots)))],
-            "lanes": [dict(snapshot["lane"], next_slot=slots, scan=scan)],
-            "runtime": snapshot["runtime"],
-        }
 
     # ------------------------------------------------------------ introspection
     @property

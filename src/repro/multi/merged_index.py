@@ -296,6 +296,7 @@ class MergedDispatchIndex:
                 users[compiled.target_id].append(compiled.index)
                 if cls.users:
                     continue  # already in the plans, for every user of the class
+            scan = compiled.scan
             if renumbered:
                 probes = tuple([(table[slot], right) for slot, right in compiled.probes])
                 placed = readers.get(compiled.target_id)
@@ -303,6 +304,8 @@ class MergedDispatchIndex:
                     placed = readers[compiled.target_id] = tuple(
                         [(table[slot], left) for slot, left in compiled.consumers]
                     )
+                if scan is not None and scan[1] >= 0:
+                    scan = (scan[0], table[scan[1]])
             else:
                 probes = compiled.probes
                 placed = compiled.consumers
@@ -318,7 +321,7 @@ class MergedDispatchIndex:
             # A leaf state is never final: a class entry has no handle.
             entry = MergedEntry(
                 member.store, owner if cls is None else None, compiled, pred_id, next_index, since,
-                probes, placed,
+                probes, placed, scan,
             )  # fmt: skip
             next_index += 1
             if cls is None:
@@ -584,10 +587,9 @@ class MergedDispatchIndex:
         user, so the summary does not depend on what is shared either: it is
         the one the same queries give registered stand-alone.  Tests assert
         ``patched.signature() == rebuilt.signature()`` after every mutation.
-        The tokens of scan members (:class:`~repro.core.dispatch.CompiledTransition`)
-        are listed under ``"scan"``, a key only a signature with scan members
-        has: a checkpoint of hashed queries and one of scanned queries refuse
-        each other.
+        The tokens of members with a scan probe or a scanned target
+        (:class:`~repro.core.dispatch.CompiledTransition` ``scan``) are listed
+        under ``"scan"``, a key only a signature with a scan slot has.
         """
         ranks = {key: rank for rank, key in enumerate(self._by_owner)}
         shared = {

@@ -59,10 +59,8 @@ def compile_query(query: QuerySpec) -> PCEA:
     Strings are parsed as conjunctive queries; conjunctive queries must be
     hierarchical (Theorem 4.1's hypothesis); DSL patterns go through the
     pattern compiler.  Raises ``ValueError`` subclasses on malformed input and
-    ``TypeError`` for an unsupported specification type.  Whether an engine
-    can evaluate the result is the engine's admission step
-    (:meth:`MultiQueryEngine._admissible
-    <repro.multi.engine.MultiQueryEngine._admissible>`).
+    ``TypeError`` for an unsupported specification type.  The engine admits
+    every PCEA that comes out.
     """
     if isinstance(query, str):
         query = parse_query(query)

@@ -4,12 +4,10 @@ Why this package exists
 -----------------------
 The repository evaluates the paper's streaming algorithm through one engine,
 :class:`~repro.multi.engine.MultiQueryEngine` — Algorithm 1 for registered
-unambiguous equality-predicate PCEA over one stream (hash-indexed joins,
-Theorem 5.1's update bound), one merged dispatch lookup per tuple.  One
-query is its K=1 case, :class:`~repro.core.evaluation.StreamingEvaluator`,
-and :class:`~repro.extensions.general_evaluation.GeneralStreamingEvaluator`
-(arbitrary binary predicates, no hash keys) is that K=1 case with scan
-probes.
+unambiguous PCEA over one stream (hash-indexed equality joins, Theorem 5.1's
+update bound; any other join scans its source's live runs), one merged
+dispatch lookup per tuple.  One query is its K=1 case,
+:class:`~repro.core.evaluation.StreamingEvaluator`.
 
 Before this package, each engine re-implemented the fire loop, the stream
 position counter, the ``max_start``-bucketed eviction sweep, the arena
@@ -43,9 +41,7 @@ times and the copies drifted.  The runtime holds exactly one of each:
   modes.
 
 What stays in the engine is its merged index of every registered query and
-its output routing; the general evaluator adds only its admission step,
-which gives its joins scan probes.  Everything an
-engine registers into the runtime is a flat
+its output routing.  Everything an engine registers into the runtime is a flat
 ``lane_id, key, node`` int triple appended to the expiry bucket (lanes are
 interned to dense small ints; no per-entry tuple is allocated — see
 :meth:`StreamRuntime.register_entry` for the reference implementation); the

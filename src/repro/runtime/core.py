@@ -9,10 +9,10 @@ whose one update loop is :func:`~repro.runtime.fire.fire`):
   anchor.  A hash probe's runs are keyed by ``(slot, join key)`` — one entry
   per run set, however many transitions read it, anchored at the stored
   node's ``max_start`` — and a fresh leaf run is written straight onto its
-  entry through the lane's bound ``extend_onto``.  A scan probe's runs are
-  keyed by ``(scan slot, sequence number)`` — one entry per run, anchored at
-  the run's own position — and also listed, oldest first, in the lane's
-  ``scans`` (see :class:`EvictionLane`);
+  entry through the lane's bound ``extend_onto``.  A scanned state's runs
+  are keyed by ``(scan slot, sequence number)`` — one entry per run,
+  anchored at the run's own position — and also listed, oldest first, in the
+  lane's ``scans`` (see :class:`EvictionLane`);
 * when the engine stores an entry it appends the *flat int triple*
   ``lane.lane_id, key, node`` (three plain appends, no per-entry tuple) to
   ``buckets[max_start + lane.window + 1]`` (the absolute position at which
@@ -22,7 +22,8 @@ whose one update loop is :func:`~repro.runtime.fire.fire`):
 * the sweep pops due buckets, drops the arena reference exactly once per
   registration, and deletes the hash entry iff it is genuinely out of the
   window *now* (an entry superseded by a younger node was re-registered in a
-  later bucket and survives) — and a scanned run from its scan slot with it.
+  later bucket and survives) — and a scan-slot key's run from its scan slot
+  with it.
 
 Compact bucket representation
 -----------------------------
@@ -52,8 +53,8 @@ the sweep cursors, the statistics and the expiry buckets (lane ids remapped
 through a dense snapshot index, because a restored engine assigns fresh lane
 ids); a lane — one run store — serialises its window, its hash table and its
 enumeration structure (which must expose ``snapshot``/``restore`` — the arena does, the
-object-graph oracle does not), and a scan store its scan slots as one more
-section.  The runtime's layer is read in two steps, :meth:`StreamRuntime.parse`
+object-graph oracle does not), and a store with scan slots those as one
+more section.  The runtime's layer is read in two steps, :meth:`StreamRuntime.parse`
 (every check, nothing changed) then :meth:`StreamRuntime.restore`, so an
 engine can check every section of a snapshot before it changes anything.
 """
@@ -94,19 +95,19 @@ def _is_word(value) -> bool:
     return type(value) is int and 0 <= value < 1 << 62
 
 
-def _check_entry(entry, scan: bool) -> None:
-    """A lane-table entry is ``(node, max_start)``, or in a scan store a
+def _check_entry(entry, scanned: bool) -> None:
+    """A lane-table entry is ``(node, max_start)``, or under a scan slot a
     ``((tuple, node), position)`` run, each int in ``[0, 2**62)``."""
     if type(entry) is tuple and len(entry) == 2 and _is_word(entry[1]):
         value = entry[0]
-        if not scan:
+        if not scanned:
             if _is_word(value):
                 return
         elif (
             type(value) is tuple and len(value) == 2 and isinstance(value[0], Tuple) and _is_word(value[1])
         ):
             return
-    shape = "((tuple, node), position)" if scan else "(node, max_start)"
+    shape = "((tuple, node), position)" if scanned else "(node, max_start)"
     raise SnapshotError(f"the lane table holds {entry!r}, not a {shape} entry")
 
 
@@ -123,13 +124,14 @@ class EvictionLane:
     ``lane_id`` is the dense int the owning runtime interned the lane to —
     the id the engines append to expiry buckets.
 
-    A store holding scan probes' runs is a *scan store*: ``scans`` maps each
-    scan slot to an insertion-ordered dict ``seq -> (tuple, node)`` of the
-    runs stored there (``None`` in a store of hash probes only).  Each run is
-    also the ``hash`` entry ``(slot, seq) -> ((tuple, node), position)``, and
-    the sweep pops it from both, so runs of a slot die in insertion order
-    and a dict never holds a dead run.  ``next_seq`` numbers the runs and
-    ``nodes_scanned`` counts the stored runs scan probes have read.
+    A store may also hold *scan slots*: ``scans`` maps each scan slot of its
+    queries to an insertion-ordered dict ``seq -> (tuple, node)`` of the
+    runs stored there (``None`` while it has none).  Each run is also the
+    ``hash`` entry ``(slot, seq) -> ((tuple, node), position)``, and the
+    sweep pops a scan-slot key from both, so runs of a slot die in
+    insertion order and a dict never holds a dead run.  ``next_seq`` numbers
+    the runs and ``nodes_scanned`` counts the stored runs scan probes have
+    read.
     """
 
     __slots__ = (
@@ -181,9 +183,9 @@ class EvictionLane:
 
     # ------------------------------------------------------- snapshot protocol
     def snapshot(self) -> Dict[str, object]:
-        """The lane's state (window, hash table, enumeration structure, and a
-        scan store's ``scan`` section: each slot's sequence numbers oldest
-        first, ``next_seq`` and ``nodes_scanned``).
+        """The lane's state (window, hash table, enumeration structure, and
+        with scan slots a ``scan`` section: each slot's sequence numbers
+        oldest first, ``next_seq`` and ``nodes_scanned``).
 
         Requires a snapshotable enumeration structure — the arena-backed
         ``DS_w``; the object-graph oracle (``arena=False``) has no explicit
@@ -213,8 +215,11 @@ class EvictionLane:
         """Replace the lane's state with ``snapshot``'s, in place.
 
         Table keys must be hashable ``(slot, key)`` pairs, entries
-        ``(node, max_start)`` — in a scan store ``((tuple, node), position)``
-        runs — and a ``scan`` section must name exactly the hash table's runs.
+        ``(node, max_start)`` — under a scan slot (one the ``scan`` section
+        lists) ``((tuple, node), position)`` runs — and the section must name
+        exactly the table's runs, its counters be ints in ``[0, 2**62)`` and
+        ``next_seq`` exceed every run's sequence number (a smaller one would
+        overwrite live runs).
         """
         if snapshot["window"] != self.window:
             raise ValueError(
@@ -227,32 +232,40 @@ class EvictionLane:
                 "restore requires the arena-backed enumeration structure "
                 "(construct the engine with arena=True)"
             )
+        section = snapshot.get("scan")
+        # dict(): a file may hold any container here.
+        listed = {} if section is None else dict(section["runs"])
         table = {}
-        scan = "scan" in snapshot
         for key, entry in snapshot["hash"]:
             _check_key(key, "the lane table")
-            _check_entry(entry, scan)
+            _check_entry(entry, key[0] in listed)
             table[key] = entry
         scans = None
-        if scan:
-            section = snapshot["scan"]
+        next_seq = scanned = 0
+        if section is not None:
             scans = {}
-            # dict(): a file may hold any container here.
-            for slot, seqs in dict(section["runs"]).items():
+            for slot, seqs in listed.items():
                 runs = scans[slot] = {}
                 for seq in seqs:
-                    entry = table.get((slot, seq))
+                    entry = table.get((slot, seq)) if _is_word(seq) else None
                     if entry is None:
                         raise SnapshotError(
                             f"scan slot {slot!r} names run {seq!r}, which the lane table does not hold"
                         )
                     runs[seq] = entry[0]
-            if sum(map(len, scans.values())) != len(table):
+            if sum(map(len, scans.values())) != sum(1 for slot, _ in table if slot in scans):
                 raise SnapshotError("the lane table holds runs its scan slots do not name")
-            self.next_seq, self.nodes_scanned = int(section["next_seq"]), int(section["nodes_scanned"])
+            next_seq, scanned = section["next_seq"], section["nodes_scanned"]
+            if not _is_word(next_seq) or not _is_word(scanned):
+                raise SnapshotError(
+                    f"scan counters next_seq={next_seq!r}, nodes_scanned={scanned!r}: not ints in [0, 2**62)"
+                )
+            if any(seq >= next_seq for runs in scans.values() for seq in runs):
+                raise SnapshotError(f"next_seq {next_seq} does not exceed every stored run's sequence number")
         ds_restore(snapshot["ds"])
         self.hash = table
         self.scans = scans
+        self.next_seq, self.nodes_scanned = next_seq, scanned
 
     def __repr__(self) -> str:
         state = "active" if self.active else "inactive"
@@ -461,7 +474,9 @@ class StreamRuntime:
                         evicted += 1
                         scans = lane.scans
                         if scans is not None:
-                            del scans[key[0]][key[1]]
+                            runs = scans.get(key[0])
+                            if runs is not None:
+                                del runs[key[1]]
                 self.evicted += evicted
                 if self.count_stats:
                     stats = self.stats
@@ -484,7 +499,7 @@ class StreamRuntime:
         Every triple of an active lane drops its arena reference; its entry
         goes only if it is genuinely out of the window now (one superseded by
         a younger node was re-registered in a later bucket and survives),
-        and a scanned run from its scan slot with it.  Triples of one lane
+        and a scan-slot key's run from its scan slot with it.  Triples of one lane
         tend to sit together, so the lane is looked up — and added to
         ``touched`` — once per run of same-lane triples, not per triple.
         """
@@ -514,7 +529,9 @@ class StreamRuntime:
                     del table[key]
                     evicted += 1
                     if scans is not None:
-                        del scans[key[0]][key[1]]
+                        runs = scans.get(key[0])
+                        if runs is not None:
+                            del runs[key[1]]
         return evicted
 
     def sweep_upto(self, position: int) -> None:

@@ -4,10 +4,9 @@ There is one engine, :class:`~repro.multi.engine.MultiQueryEngine`, and it
 calls :func:`fire` once per tuple with the plan its merged index returns:
 one store per window, one handle per registered query.  The single-query
 evaluator is its K=1 case (one store, one handle, every plan member theirs),
-and the general evaluator that K=1 case with scan probes, not a second
-caller.  Relation and constant-guard dispatch differ only in the
-:class:`~repro.core.dispatch.EvalPlan` handed in; hash and scan joins only in
-the kind of probe a member carries.
+not a second caller.  Relation and constant-guard dispatch differ only in
+the :class:`~repro.core.dispatch.EvalPlan` handed in; hash and scan joins
+only in the kind of probe each join of a member carries.
 """
 
 from __future__ import annotations
@@ -57,16 +56,18 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
     call, not one per label.  A product run between two leaf runs splits
     them, so the effects keep their order.
 
-    A *scan* member (``member.scan``: its automaton was admitted with scan
-    probes, which joins outside ``B_eq`` — Section 6's open case — need)
-    probes ``(scan slot, holds)`` pairs instead: each collects
-    the source's live runs, oldest first, that ``holds(run tuple, tup)``
-    accepts (every run read counts as a lookup and in the store's
-    ``nodes_scanned``), and fires when every source has one.  Its effects go
-    in canonical order with the others': the compatible runs of each source
-    are unioned into one child right before its ``extend``, and the run is
-    stored under ``(scan slot, next sequence number)``, anchored at
-    ``position`` — final states included — and listed in the slot's dict.
+    A join outside ``B_eq`` (Section 6's open case) is a *scan probe*, a
+    ``(scan slot, holds)`` pair: it collects the source's live runs, oldest
+    first, that ``holds(run tuple, tup)`` accepts (every run read counts as
+    a lookup and in the store's ``nodes_scanned``).  A member with a scan
+    probe, or whose target state is scanned (``member.scan`` is set), takes
+    the *mixed* path: its hash probes read ``H`` as above, and it fires when
+    every join found a run.  Its effects go in canonical order with the
+    others': the compatible runs of each scanned source are unioned into one
+    child right before its ``extend``; the run goes to UpdateIndices for the
+    target's hash slots, and into a scanned target's scan slot under ``(scan
+    slot, next sequence number)``, anchored at ``position``.  Members and
+    stores without a scan run the hash path alone.
     """
     fired = []
     # Extractors are interned by key plan (repro.core.predicates): joins that
@@ -92,21 +93,32 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
                 # ``expired(node, oldest + window)``: max_start < oldest.
                 horizon = oldest + store.window
                 expired = store.ds.expired
-                scans = store.scans
                 children = []
-                for slot, holds in probes:
-                    compatible = []
-                    runs = scans.get(slot)
-                    if runs:
+                for (slot, probe), scans in zip(probes, member.scan[0]):
+                    if scans:
+                        compatible = []
+                        runs = store.scans[slot]
                         for earlier, node in runs.values():
-                            if not expired(node, horizon) and holds(earlier, tup):
+                            if not expired(node, horizon) and probe(earlier, tup):
                                 compatible.append(node)
                         store.nodes_scanned += len(runs)
                         if stats is not None:
                             stats.hash_lookups += len(runs)
-                    if not compatible:
+                        if not compatible:
+                            break
+                        children.append(compatible)
+                        continue
+                    if probe is not keyed_by:
+                        keyed_by = probe
+                        key = probe(tup)
+                    if stats is not None:
+                        stats.hash_lookups += 1
+                    if key is None:
                         break
-                    children.append(compatible)
+                    pair = store.hash.get((slot, key))
+                    if pair is None or pair[1] < oldest:
+                        break
+                    children.append((pair[0],))
                 else:
                     fired.append((member.index, member, children, None))
                 continue
@@ -170,8 +182,8 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
                     items.append((None, position, [compiled.labels]))
             continue
         if member.scan:
-            # Each source's compatible runs unioned into one child, in
-            # insertion order; the run is stored under its target's scan slot.
+            # Each join's compatible runs unioned into one child, in
+            # insertion order (a hash probe found one).
             ds = store.ds
             joined = []
             for compatible in children:
@@ -181,27 +193,27 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
                 if stats is not None:
                     stats.unions += len(compatible) - 1
                 joined.append(node)
-            node = ds.extend(compiled.labels, position, joined, node_ms)
-            slot = member.target_id
-            seq = store.next_seq
-            store.next_seq = seq + 1
-            entry_key = (slot, seq)
-            run = (tup, node)
-            store.hash[entry_key] = (run, position)
-            store.scans.setdefault(slot, {})[seq] = run
-            if stats is not None:
-                stats.hash_updates += 1
-            # Flat-triple registration (StreamRuntime.register_entry, inlined),
-            # due when the run's own position leaves the window.
-            expiry = buckets.setdefault(position + store.window + 1, [])
-            expiry += (store.lane_id, entry_key, node)
-            store.add_ref(node)
-            if compiled.is_final:
-                if finals is None:
-                    finals = {}
-                finals.setdefault(member.handle, []).append(node)
-            continue
-        node = store.ds.extend(compiled.labels, position, children, node_ms)
+            node = ds.extend(compiled.labels, position, joined)
+            node_ms = ds.max_start_of(node)
+            slot = member.scan[1]
+            if slot >= 0:
+                # Stored under the target's scan slot too, anchored at the
+                # run's own position.
+                seq = store.next_seq
+                store.next_seq = seq + 1
+                entry_key = (slot, seq)
+                run = (tup, node)
+                store.hash[entry_key] = (run, position)
+                store.scans[slot][seq] = run
+                if stats is not None:
+                    stats.hash_updates += 1
+                # Flat-triple registration (StreamRuntime.register_entry,
+                # inlined), due when the run's position leaves the window.
+                expiry = buckets.setdefault(position + store.window + 1, [])
+                expiry += (store.lane_id, entry_key, node)
+                store.add_ref(node)
+        else:
+            node = store.ds.extend(compiled.labels, position, children, node_ms)
         consumers = member.consumers
         if consumers:
             store_nodes = new_nodes.get(store)

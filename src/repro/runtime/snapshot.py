@@ -15,12 +15,12 @@ frozensets / :class:`~repro.cq.schema.Tuple` events):
   run through :func:`stable_signature` — the merged-index ``signature()``
   plus the :meth:`QueryRegistry.snapshot
   <repro.multi.registry.QueryRegistry.snapshot>` entry table — so a snapshot
-  can only be restored into an engine evaluating the *same* queries with the
-  same probe kinds.  There is one kind of tree, ``multi``: the K=1
-  ``StreamingEvaluator`` writes it, and so does ``GeneralStreamingEvaluator``,
-  whose scan store's run lists are one more section of its lane.  The
-  ``general`` kind earlier builds wrote for the latter is still read
-  (:meth:`MultiQueryEngine.restore <repro.multi.engine.MultiQueryEngine.restore>`).
+  can only be restored into an engine evaluating the *same* queries.  There
+  is one kind of tree, ``multi`` (the K=1 ``StreamingEvaluator`` writes it
+  too); a store with scan slots carries their run lists as one more section
+  of its lane.  The ``general`` kind earlier builds wrote scanned every join,
+  equality joins included, where this build hashes those: it is refused by
+  name (:func:`check_snapshot_header`).
 
 The trees are plain data (no engine objects, no callables, no shared
 mutable state with the live engine).  A checkpoint file — what
@@ -132,7 +132,8 @@ def check_snapshot_header(snapshot: Any, engine: str) -> Dict[str, Any]:
     Every engine snapshot carries ``snapshot_version`` and ``engine``; the
     restoring engine passes its own kind so a checkpoint taken with one
     engine mode cannot be silently restored into another.  A query-subset
-    tree (``kind`` ``"multi-partial"``, no ``engine``) is refused by name.
+    tree (``kind`` ``"multi-partial"``, no ``engine``) is refused by name,
+    and so is a ``general`` tree.
     """
     if not isinstance(snapshot, dict):
         raise SnapshotError(f"snapshot must be a mapping, got {type(snapshot).__name__}")
@@ -141,6 +142,11 @@ def check_snapshot_header(snapshot: Any, engine: str) -> Dict[str, Any]:
             "a 'multi-partial' query-subset snapshot cannot be restored: those were "
             "written only by the removed repro.shard package; restore a full "
             "engine snapshot instead"
+        )
+    if snapshot.get("engine") == "general":
+        raise SnapshotError(
+            "a 'general' snapshot cannot be restored: earlier builds wrote it with every "
+            "join scanned, where this build hashes the equality joins; re-run the stream"
         )
     version = snapshot.get("snapshot_version")
     if version != SNAPSHOT_VERSION:

@@ -1,8 +1,7 @@
 """The unified operation-counter surface shared by every streaming engine.
 
 One dataclass serves the one engine (the multi-query engine, whose K=1
-cases are the single-query evaluator and, with scan probes, the general
-evaluator), so ``engine.observe()["stats"]``, the CLI ``--stats`` line and
+case is the single-query evaluator), so ``engine.observe()["stats"]``, the CLI ``--stats`` line and
 the differential tests read the same field names regardless of mode.
 """
 

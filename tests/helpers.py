@@ -20,6 +20,7 @@ from repro.core.pcea import PCEA, PCEATransition
 from repro.core.predicates import (
     AtomJoinEquality,
     AtomUnaryPredicate,
+    LambdaBinaryPredicate,
     ProjectionEquality,
     RelationPredicate,
     TrueEquality,
@@ -292,6 +293,65 @@ def one_member(pcea) -> MergedDispatchIndex:
     """A one-member merged index over ``pcea``: the plans and statistics an
     engine evaluating it alone reads (entry ``index`` == transition index)."""
     return MergedDispatchIndex([("q", TransitionDispatchIndex(pcea.transitions, final=pcea.final))])
+
+
+def _b_below_c(earlier, later):
+    return earlier.values[1] < later.values[1]
+
+
+def mixed_join_pcea() -> PCEA:
+    """``C(x, z)`` closes an ``A(x, y)`` it joins on ``x`` (an equality, a hash
+    probe) and any ``B`` whose second value is below its ``z`` (a callable,
+    outside ``B_eq``: a scan probe) — both kinds in one transition."""
+    x, y, z = Variable("x"), Variable("y"), Variable("z")
+    a, b, c = Atom("A", (x, y)), Atom("B", (x, y)), Atom("C", (x, z))
+    return PCEA(
+        states={"a", "b", "c"},
+        transitions=[
+            PCEATransition(set(), AtomUnaryPredicate(a), {}, {"a"}, "a"),
+            PCEATransition(set(), AtomUnaryPredicate(b), {}, {"b"}, "b"),
+            PCEATransition(
+                {"a", "b"},
+                AtomUnaryPredicate(c),
+                {"a": AtomJoinEquality(a, c), "b": LambdaBinaryPredicate(_b_below_c, "B.y < C.z")},
+                {"c"},
+                "c",
+            ),
+        ],
+        final={"c"},
+    )
+
+
+def mixed_stream(length: int, seed: int, domain: int = 3) -> List[Tuple]:
+    """A seeded ``A``/``B``/``C`` stream of arity 2 for :func:`mixed_join_pcea`."""
+    rng = random.Random(seed)
+    return [
+        Tuple(rng.choice("ABC"), (rng.randrange(domain), rng.randrange(4 * domain)))
+        for _ in range(length)
+    ]
+
+
+def scanned(pcea: PCEA, joins=None) -> PCEA:
+    """``pcea`` with its joins ``(transition index, source)`` in ``joins``
+    (all of them by default) behind a callable: such a join has no key, so
+    it is a scan probe — the reference the hash probes of the same automaton
+    are compared with, on the same engine."""
+    return PCEA(
+        pcea.states,
+        [
+            PCEATransition(
+                t.sources, t.unary,
+                {
+                    source: b if joins is not None and (i, source) not in joins
+                    else LambdaBinaryPredicate(b.holds, str(b))
+                    for source, b in t.binaries.items()
+                },
+                t.labels, t.target,
+            )  # fmt: skip
+            for i, t in enumerate(pcea.transitions)
+        ],
+        pcea.final,
+    )
 
 
 # ------------------------------------------------ seeded synthetic workloads

@@ -44,7 +44,6 @@ from repro.core.hcq_to_pcea import hcq_to_pcea
 from repro.core.kernel import native_available
 from repro.cq.query import parse_query
 from repro.cq.schema import Tuple
-from repro.extensions.general_evaluation import GeneralStreamingEvaluator
 from repro.multi.engine import MultiQueryEngine
 from repro.obs import Observer, TraceRecorder
 from repro.runtime import snapshot as snapshot_codec
@@ -52,6 +51,7 @@ from repro.streams.generators import HCQWorkloadGenerator
 
 from helpers import (
     SIGMA0,
+    scanned,
     star_query,
     star_schema,
     streams_strategy,
@@ -108,7 +108,6 @@ class TestConfig:
         pcea = hcq_to_pcea(parse_query(QUERIES[0][0]))
         for build in (
             lambda: StreamingEvaluator(pcea, window=8, **kwargs),
-            lambda: GeneralStreamingEvaluator(pcea, window=8, **kwargs),
             lambda: MultiQueryEngine(**kwargs),
             lambda: ArenaDataStructure(8, **kwargs),
         ):
@@ -118,7 +117,7 @@ class TestConfig:
     def test_resolve_config(self):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.core.adaptive")
-        for engine in (StreamingEvaluator, GeneralStreamingEvaluator, MultiQueryEngine, ArenaDataStructure):
+        for engine in (StreamingEvaluator, MultiQueryEngine, ArenaDataStructure):
             assert "adaptive" not in inspect.signature(engine).parameters, engine
 
     def test_disabled_engine_reports_none(self):
@@ -129,11 +128,11 @@ class TestConfig:
         assert "adaptive" not in engine.observe()
 
     def test_general_requires_index(self):
-        """The general evaluator's plan is its index's: it agrees with the
+        """A scanned automaton's plan is its index's: it agrees with the
         naive oracle, and scans fewer transitions than a full scan would."""
         pcea, stream = guarded_disjunction_workload(6, 300, seed=2)
         naive = pcea.outputs_upto(stream, len(stream) - 1, window=32)
-        indexed = GeneralStreamingEvaluator(pcea, window=32)
+        indexed = StreamingEvaluator(scanned(pcea), window=32)
         for position, tup in enumerate(stream):
             assert set(indexed.process(tup)) == naive[position]
         # A full scan would visit every transition for every tuple.
@@ -335,10 +334,10 @@ class TestSingleEngineDifferential:
             graph = StreamingEvaluator(pcea, window=window, arena=False, collect_stats=True)
             multi = MultiQueryEngine(collect_stats=True)
             handle = multi.register(pcea, window=window)
-            # The independent references: the scanning general evaluator (a
+            # The references: the automaton with every join scanned (a
             # separate algorithm, linear in the stream) at every length, and
             # the naive oracle — quadratic here — on the shortest stream.
-            scanning = GeneralStreamingEvaluator(pcea, window=window)
+            scanning = StreamingEvaluator(scanned(pcea), window=window)
             naive = pcea.outputs_upto(stream, length - 1, window=window) if length == 1000 else None
             assert static.dispatch_info()["shared_predicate_groups"] > 0
             largest = dict.fromkeys(self.PER_TUPLE, 0)
@@ -393,8 +392,8 @@ class TestSingleEngineDifferential:
 
 class TestGeneralEngineDifferential:
     def _run_pair(self, pcea, stream, window=64):
-        """The general evaluator == Algorithm 1 on an equality automaton."""
-        engine = GeneralStreamingEvaluator(pcea, window=window, collect_stats=True)
+        """Every join scanned == Algorithm 1 on an equality automaton."""
+        engine = StreamingEvaluator(scanned(pcea), window=window, collect_stats=True)
         hashed = StreamingEvaluator(pcea, window=window)
         for tup in stream:
             outputs = engine.process(tup)
@@ -416,7 +415,7 @@ class TestGeneralEngineDifferential:
     @given(stream=streams_strategy(SIGMA0, max_length=24, domain=3))
     def test_hypothesis_streams(self, stream):
         pcea = hcq_to_pcea(parse_query(QUERIES[0][0]))
-        engine = GeneralStreamingEvaluator(pcea, window=8)
+        engine = StreamingEvaluator(scanned(pcea), window=8)
         expected = pcea.outputs_upto(stream, len(stream) - 1, window=8)
         for position, tup in enumerate(stream):
             outputs = engine.process(tup)
@@ -512,10 +511,10 @@ class TestSnapshotPolicy:
 
     def test_general_restore_interchangeable(self):
         pcea, stream = multi_star_workload(2, 800, selectivity=0.3, seed=29)
-        original = GeneralStreamingEvaluator(pcea, window=64)
+        original = StreamingEvaluator(scanned(pcea), window=64)
         for tup in stream[:400]:
             original.process(tup)
-        restored = GeneralStreamingEvaluator(pcea, window=64)
+        restored = StreamingEvaluator(original.pcea, window=64)
         restored.restore(snapshot_codec.loads(snapshot_codec.dumps(original.snapshot())))
         assert [original.process(t) for t in stream[400:]] == [
             restored.process(t) for t in stream[400:]
@@ -612,14 +611,12 @@ class TestCli:
     def test_flags_are_mutually_exclusive(self):
         self._refuses(build_parser(), ["--query", CLI_QUERY])
 
-    @pytest.mark.parametrize("extra", [[], ["--general"]])
-    def test_single_modes_match_and_report(self, extra):
+    def test_single_modes_match_and_report(self):
         base = ["--query", CLI_QUERY, "--window", "100", "--stats"]
-        self._refuses(build_parser(), base + extra)
-        code, output = self._run_single(base + extra)
-        _, hashed = self._run_single(base)
+        self._refuses(build_parser(), base)
+        code, output = self._run_single(base)
         assert code == 0
-        assert self._matches(output) == self._matches(hashed) != []
+        assert self._matches(output) != []
         assert "# kernel:" in output and "# adaptive:" not in output
 
     def test_multi_mode_matches_and_reports(self):

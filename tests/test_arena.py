@@ -7,7 +7,7 @@ Three layers of protection:
   / heap condition), plus the slab-release protocol specifics (release order,
   external-reference blocking, released ids reading as expired);
 * differential property tests: the arena and object evaluators — single
-  query, multi query, and the general (non-hashed) evaluator — must produce
+  query, multi query, and an automaton with hashed and scanned joins — must produce
   identical outputs position by position across random HCQ workloads,
   including windows small enough that expiry happens mid-stream;
 * memory-bound regression: the live arena node count over a long stream stays
@@ -27,12 +27,11 @@ from repro.core.datastructure import DataStructure
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.hcq_to_pcea import hcq_to_pcea
 from repro.cq.schema import Tuple
-from repro.extensions.general_evaluation import GeneralStreamingEvaluator
 from repro.multi.engine import MultiQueryEngine
 from repro.runtime import StreamRuntime
 from repro.valuation import Valuation
 
-from helpers import ARENAS, star_query, star_schema, streams_strategy
+from helpers import ARENAS, mixed_join_pcea, mixed_stream, star_query, star_schema, streams_strategy
 
 
 def collect(ds, node, position):
@@ -469,14 +468,10 @@ class TestDifferentialEvaluators:
         assert fast.memory_info()["released_slabs"] > 0
 
     def test_general_evaluator_arena_equals_object(self):
-        rng = random.Random(9)
-        pcea = hcq_to_pcea(star_query(2))
-        stream = [
-            Tuple(rng.choice(["A1", "A2"]), (rng.randrange(3), rng.randrange(3)))
-            for _ in range(800)
-        ]
-        fast = GeneralStreamingEvaluator(pcea, window=16, arena=True)
-        oracle = GeneralStreamingEvaluator(pcea, window=16, arena=False)
+        pcea = mixed_join_pcea()
+        stream = mixed_stream(800, seed=9)
+        fast = StreamingEvaluator(pcea, window=16, arena=True)
+        oracle = StreamingEvaluator(pcea, window=16, arena=False)
         for tup in stream:
             assert fast.process(tup) == oracle.process(tup)
         assert fast.ds.released_slabs > 0

@@ -160,22 +160,18 @@ class TestRun:
         assert "arena_live_nodes=" in output
         assert "arena_released=" in output
 
-    def test_general_mode_matches_hashed_engine(self):
-        events = list(read_events(EVENTS_CSV.splitlines()))
-        argv = ["--query", "Q(x, y) <- T(x), S(x, y), R(x, y)", "--window", "100"]
-        _, hashed_output = self._run(argv, events)
-        code, general_output = self._run(argv + ["--general"], events)
-        assert code == 0
-        hashed_matches = [l for l in hashed_output.splitlines() if not l.startswith("#")]
-        general_matches = [l for l in general_output.splitlines() if not l.startswith("#")]
-        assert sorted(general_matches) == sorted(hashed_matches)
+    def test_the_general_switch_is_gone(self, capsys):
+        """``--general`` is refused by argparse: the one engine scans a join
+        only where its predicate is outside ``B_eq``, and the CLI's CQ text
+        compiles to equality joins alone."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["--query", "Q(x) <- T(x)", "--general"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --general" in capsys.readouterr().err
 
-    def test_general_mode_books_predicates_as_single_mode_does(self):
-        """On the CI cross-mode smoke stream, ``--general`` reports the
-        single mode's predicate counters — one evaluation per predicate group,
-        the other candidates as cache hits — and the fields that do not
-        depend on how runs are joined; ``lookups`` / ``updates`` / ``unions``
-        and the sweep counters differ by algorithm."""
+    def test_single_mode_books_one_evaluation_per_predicate_group(self):
+        """On the CI cross-mode smoke stream the single mode books one
+        evaluation per predicate group, the other candidates as cache hits."""
         rng = random.Random(17)
         lines = []
         for _ in range(400):
@@ -186,20 +182,13 @@ class TestRun:
                 lines.append(f"{relation},{rng.randrange(3)},{rng.randrange(3)}")
         events = list(read_events(lines))
         argv = ["--query", "Q(x, y) <- T(x), S(x, y), R(x, y)", "--window", "50", "--stats"]
-        _, single = self._run(argv, events)
-        code, general = self._run(argv + ["--general"], events)
+        code, single = self._run(argv, events)
         assert code == 0
-
-        def compared(output):
-            counters = dict(field.split("=") for field in output.splitlines()[-4].lstrip("# ").split())
-            fields = ("scanned", "pred_evals", "pred_cache_hits", "fired", "nodes", "outputs")
-            return {name: counters[name] for name in fields}, output.splitlines()[-3], output.splitlines()[-1]
-
-        assert compared(general) == compared(single)
-        assert (compared(single)[0]["pred_evals"], compared(single)[0]["pred_cache_hits"]) == ("400", "674")
+        counters = dict(field.split("=") for field in single.splitlines()[-4].lstrip("# ").split())
+        assert (counters["pred_evals"], counters["pred_cache_hits"]) == ("400", "674")
 
     def test_stats_report_shape_identical_across_modes(self):
-        """The --stats keys are the same in single, general, and multi mode."""
+        """The --stats keys are the same in single and multi mode."""
         from repro.cli import build_multi_parser, run_multi
 
         def stat_keys(output):
@@ -218,14 +207,12 @@ class TestRun:
             "--window", "100", "--stats", "--quiet",
         ]
         _, single = self._run(argv, events)
-        _, general = self._run(argv + ["--general"], events)
         multi_parser = build_multi_parser()
         multi_args = multi_parser.parse_args(argv)
         multi_output = io.StringIO()
         assert run_multi(multi_args, events, multi_output) == 0
         single_keys = stat_keys(single)
         assert len(single_keys) == 4
-        assert stat_keys(general) == single_keys
         assert stat_keys(multi_output.getvalue()) == single_keys
 
     @pytest.mark.parametrize("batch_size", [1, 2, 100])
@@ -419,18 +406,17 @@ class TestCheckpointRestore:
     def _stats_tail(self, output):
         return output.splitlines()[-3:]
 
-    @pytest.mark.parametrize("mode", [[], ["--general"]])
-    def test_split_run_matches_continuous(self, tmp_path, mode):
+    def test_split_run_matches_continuous(self, tmp_path):
         events = list(read_events(EVENTS_CSV.splitlines())) * 3
         checkpoint = str(tmp_path / "ck.snap")
-        code, continuous = self._run(self.QUERY + mode + ["--stats"], events)
+        code, continuous = self._run(self.QUERY + ["--stats"], events)
         assert code == 0
         code, _ = self._run(
-            self.QUERY + mode + ["--stats", "--checkpoint", checkpoint], events[:9]
+            self.QUERY + ["--stats", "--checkpoint", checkpoint], events[:9]
         )
         assert code == 0
         code, resumed = self._run(
-            self.QUERY + mode + ["--stats", "--restore", checkpoint], events[9:]
+            self.QUERY + ["--stats", "--restore", checkpoint], events[9:]
         )
         assert code == 0
         tail = self._match_lines(resumed)
@@ -491,44 +477,18 @@ class TestCheckpointRestore:
         assert tail == self._match_lines(continuous)[-len(tail) :] if tail else True
         assert self._stats_tail(resumed) == self._stats_tail(continuous)
 
-    def test_a_pinned_general_checkpoint_continues_the_stream(self):
-        """``general_v4.snap`` was written by ``--general --checkpoint`` of the
-        build whose general engine kept its runs in ring buffers, over the
-        first 200 of :func:`seeded_events`.  Restoring it and running the
-        other 200 prints the matches and the ``--stats`` block of one
-        uninterrupted run — but for the predicate counters.  That build
-        booked every plan member as a predicate evaluation (538 over the
-        first 200 events, no cache hits); the engine now books one per
-        predicate group, as the hashed engine does: 200 evaluations and 329
-        cache hits over the other 200."""
+    def test_a_pinned_general_checkpoint_is_refused(self, capsys):
+        """``general_v4.snap`` was written by ``--general --checkpoint`` of an
+        earlier build, over the first 200 of :func:`seeded_events`.  It holds
+        scan state for equality joins this build hashes, so ``--restore``
+        refuses it by name: exit 2, the reason on stderr, no match printed."""
         events = seeded_events()
-        argv = ["--query", "Q(x, y) <- T(x), S(x, y), R(x, y)", "--window", "50", "--general", "--stats"]
-        code, continuous = self._run(argv, events)
-        assert code == 0
         path = Path(__file__).parent / "data" / "general_v4.snap"
-        stored = checkpointing.load(str(path))["runtime"]["stats"]
-        assert (stored["predicate_evaluations"], stored["predicate_cache_hits"]) == (538, 0)
+        argv = ["--query", "Q(x, y) <- T(x), S(x, y), R(x, y)", "--window", "50", "--stats"]
         code, resumed = self._run(argv + ["--restore", str(path)], events[200:])
-        assert code == 0
-        second_half = [
-            line for line in self._match_lines(continuous) if int(line.split("\t")[0]) >= 200
-        ]
-        assert second_half and self._match_lines(resumed) == second_half
-        assert resumed.splitlines()[-3:] == continuous.splitlines()[-3:]
-
-        def counters(output):
-            return dict(field.split("=") for field in output.splitlines()[-4].lstrip("# ").split())
-
-        resumed_counters, continuous_counters = counters(resumed), counters(continuous)
-        assert (resumed_counters.pop("pred_evals"), resumed_counters.pop("pred_cache_hits")) == (
-            str(538 + 200),
-            str(0 + 329),
-        )
-        assert (continuous_counters.pop("pred_evals"), continuous_counters.pop("pred_cache_hits")) == (
-            "400",
-            "667",
-        )
-        assert resumed_counters == continuous_counters
+        assert code == 2
+        assert "a 'general' snapshot cannot be restored" in capsys.readouterr().err
+        assert self._match_lines(resumed) == []
 
     def test_restore_with_wrong_query_fails_cleanly(self, tmp_path, capsys):
         events = list(read_events(EVENTS_CSV.splitlines()))

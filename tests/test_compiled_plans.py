@@ -46,10 +46,9 @@ from repro.cq.query import Atom, Variable
 from repro.cq.schema import Tuple
 from repro.engine.compiler import _FilteredUnary, compile_pattern
 from repro.engine.dsl import atom, conjunction
-from repro.extensions.general_evaluation import GeneralStreamingEvaluator
 from repro.multi import MultiQueryEngine
 
-from helpers import star_query, union_storm_workload
+from helpers import scanned, star_query, union_storm_workload
 
 
 # ------------------------------------------------------------------ the oracle
@@ -330,7 +329,7 @@ class TestFallbacks:
         pcea = self._pcea()
         stream = [Tuple("A", (1,)), Tuple("A", (2,)), Tuple("B", (3,)), Tuple("C", (4,)), Tuple("B", (4,))]
         hashed = StreamingEvaluator(pcea, window=10, arena=arena)
-        general = GeneralStreamingEvaluator(pcea, window=10, arena=arena)
+        general = StreamingEvaluator(scanned(pcea), window=10, arena=arena)
         for position, tup in enumerate(stream):
             expected = pcea.outputs_upto(stream, position, window=10)[position]
             assert set(hashed.process(tup)) == expected
@@ -408,9 +407,8 @@ class TestSetupBudget:
 
     def test_one_index_per_compiled_pattern(self, monkeypatch):
         """Compiling builds no index, not even for the automaton a pattern's
-        conjunction is translated through; the engines then share one per
-        probe kind: the hashed engines the automaton's hash index, the
-        general evaluator its scan index."""
+        conjunction is translated through; the engines then share the
+        automaton's one index, whatever the kinds of its probes."""
         built = []
         build = TransitionDispatchIndex.__init__
 
@@ -427,5 +425,4 @@ class TestSetupBudget:
         for pcea in pceas:
             StreamingEvaluator(pcea, window=8)
             MultiQueryEngine().register(pcea, window=8)
-            GeneralStreamingEvaluator(pcea, window=8)
-        assert built == [index for pcea in pceas for index in (pcea.dispatch_index(), pcea.dispatch_index("scan"))]
+        assert built == [pcea.dispatch_index() for pcea in pceas]

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.evaluation import NotEqualityPredicateError, StreamingEvaluator, evaluate_pcea
+from repro.core.evaluation import StreamingEvaluator, evaluate_pcea
 from repro.core.hcq_to_pcea import hcq_to_pcea
 from repro.core.pcea import PCEA, PCEATransition
 from repro.core.predicates import AtomUnaryPredicate, LambdaBinaryPredicate, RelationPredicate
@@ -76,7 +76,8 @@ class TestStreamingEvaluatorBasics:
         assert set(results.keys()) == {5}
         assert len(results[5]) == 2
 
-    def test_rejects_non_equality_predicates(self):
+    def test_admits_non_equality_predicates(self):
+        """A join outside ``B_eq`` is not refused: it scans its source's runs."""
         unary = RelationPredicate("T")
         arbitrary = LambdaBinaryPredicate(lambda a, b: True)
         pcea = PCEA(
@@ -87,8 +88,10 @@ class TestStreamingEvaluatorBasics:
             ],
             final={"b"},
         )
-        with pytest.raises(NotEqualityPredicateError):
-            StreamingEvaluator(pcea, window=5)
+        engine = StreamingEvaluator(pcea, window=5)
+        outputs = engine.run([Tuple("T", (1,)), Tuple("T", (2,))])
+        assert outputs[0] == [] and list(outputs[1]) == [Valuation({"l": {0, 1}})]
+        assert engine.nodes_scanned == 1
 
     def test_rejects_mismatched_datastructure_window(self):
         # The engine builds its own DS_w for its window: no structure can be

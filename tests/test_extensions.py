@@ -1,10 +1,10 @@
-"""Tests for the extensions: general (non-equality) evaluation and disambiguation.
+"""Tests for the extensions: joins outside ``B_eq`` and disambiguation.
 
-The general evaluator is the K=1 engine with scan probes: besides its
-differentials against Algorithm 1 and the naive oracle (the latter over
-drawn automata mixing inequalities, callables and equalities), its runs on
-seeded streams are pinned by digest — outputs, node ids, statistics and
-``nodes_scanned`` — as the build with its own update loop produced them.
+A join outside ``B_eq`` is a scan probe of the one engine, chosen per join:
+besides differentials against the naive oracle (over drawn automata mixing
+inequalities, callables and equalities, alone and sharing a store with
+hashed queries that come and go), runs on seeded streams are pinned by
+digest — outputs, node ids, statistics and ``nodes_scanned``.
 """
 
 import hashlib
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.hcq_to_pcea import hcq_to_pcea
-from repro.core.pcea import PCEA, NotEqualityPredicateError, PCEATransition
+from repro.core.pcea import PCEA, PCEATransition
 from repro.core.predicates import (
     AtomJoinEquality,
     AtomUnaryPredicate,
@@ -29,11 +29,10 @@ from repro.core.predicates import (
 from repro.cq.query import Atom, Variable
 from repro.cq.schema import Schema, Tuple
 from repro.extensions.disambiguation import ambiguity_witness, is_syntactically_unambiguous
-from repro.extensions.general_evaluation import GeneralStreamingEvaluator
-from repro.streams.generators import random_stream
+from repro.multi import MultiQueryEngine
 from repro.valuation import Valuation
 
-from helpers import QUERY_Q0, SIGMA0, STREAM_S0, example_pcea_p0, star_query, streams_strategy
+from helpers import QUERY_Q0, SIGMA0, example_pcea_p0, mixed_join_pcea, star_query
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
@@ -76,23 +75,13 @@ def increasing_price_pcea() -> PCEA:
     )
 
 
-class TestGeneralStreamingEvaluator:
-    def test_agrees_with_algorithm_1_on_equality_pcea(self):
-        pcea = example_pcea_p0()
-        general = GeneralStreamingEvaluator(pcea, window=10)
-        hashed = StreamingEvaluator(pcea, window=10)
-        for tup in STREAM_S0:
-            assert set(general.process(tup)) == set(hashed.process(tup))
-
-    def test_agrees_with_naive_pcea_on_hcq(self):
-        pcea = hcq_to_pcea(QUERY_Q0)
-        general = GeneralStreamingEvaluator(pcea, window=len(STREAM_S0) + 1)
-        for position, tup in enumerate(STREAM_S0):
-            assert set(general.process(tup)) == pcea.output_at(STREAM_S0, position)
+class TestNonEqualityJoins:
+    """A join outside ``B_eq`` is a scan probe of the one engine; every other
+    join of the same automaton still probes ``H``."""
 
     def test_supports_inequality_predicates(self):
         pcea = increasing_price_pcea()
-        engine = GeneralStreamingEvaluator(pcea, window=10)
+        engine = StreamingEvaluator(pcea, window=10)
         stream = [
             Tuple("Buy", (1, 30)),
             Tuple("Sell", (1, 20)),   # lower price: no match
@@ -108,50 +97,64 @@ class TestGeneralStreamingEvaluator:
             Valuation({"buy": {3}, "sell": {4}}),
         }
 
-    def test_inequality_rejected_by_algorithm_1(self):
-        with pytest.raises(NotEqualityPredicateError):
-            StreamingEvaluator(increasing_price_pcea(), window=10)
-
-    def test_evaluates_exactly_one_automaton(self):
-        """The engine's ``register`` is inherited, but its scan keys live runs
-        by the one automaton's state ids: a second query is refused."""
-        engine = GeneralStreamingEvaluator(increasing_price_pcea(), window=10)
-        with pytest.raises(ValueError, match="exactly one automaton"):
-            engine.register(increasing_price_pcea(), window=10)
-        assert len(engine.registry) == 1 and len(engine.handles()) == 1
-        assert engine.run([Tuple("Buy", (1, 30)), Tuple("Sell", (1, 40))])[1]
+    def test_every_automaton_is_admitted(self):
+        """No refusal: a non-equality automaton registers next to hashed
+        ones, in their store, and each probe kind is chosen per join."""
+        engine = MultiQueryEngine()
+        hashed = engine.register(example_pcea_p0(), window=10)
+        ordered = engine.register(increasing_price_pcea(), window=10)
+        mixed = engine.register(mixed_join_pcea(), window=10)
+        assert len(engine.handles()) == 3
+        assert engine.dispatch_info()["stores"] == 1
+        assert engine._queries[hashed.id].dispatch.structure.scan_slots == {}
+        kinds = {
+            handle: [compiled.scan[0] for compiled in engine._queries[handle.id].dispatch.all_transitions()
+                     if compiled.joins]
+            for handle in (ordered, mixed)
+        }  # fmt: skip
+        assert kinds == {ordered: [(True,)], mixed: [(False, True)]}
+        out = engine.run([Tuple("Buy", (1, 30)), Tuple("Sell", (1, 40))])
+        assert {qid: len(valuations) for qid, valuations in out[1].items()} == {ordered.id: 1}
 
     def test_window_eviction(self):
         pcea = increasing_price_pcea()
-        engine = GeneralStreamingEvaluator(pcea, window=1)
+        engine = StreamingEvaluator(pcea, window=1)
         stream = [Tuple("Buy", (1, 10)), Tuple("Sell", (9, 1)), Tuple("Sell", (1, 20))]
         outputs = engine.run(stream)
         assert outputs[2] == []  # the buy at position 0 is out of the window
         assert engine.hash_table_size() <= 2
 
-    def test_naive_node_scan_grows_with_live_runs(self):
-        pcea = hcq_to_pcea(star_query(2))
-        engine = GeneralStreamingEvaluator(pcea, window=1000)
+    def test_an_equality_automaton_scans_nothing(self):
+        """``star_query(2)`` hashes every join: nothing is scanned, where a
+        non-equality automaton's scan grows with its live runs."""
+        engine = StreamingEvaluator(hcq_to_pcea(star_query(2)), window=1000)
+        ordered = StreamingEvaluator(increasing_price_pcea(), window=1000)
         for position in range(50):
             engine.process(Tuple("A1" if position % 2 else "A2", (0, position)))
-        assert engine.nodes_scanned > 50  # linear-in-data behaviour, unlike Algorithm 1
+            ordered.process(Tuple("Sell" if position % 2 else "Buy", (0, position)))
+        assert engine.nodes_scanned == 0 and engine._query.store.scans is None
+        assert ordered.nodes_scanned > 50  # linear in the live runs
 
-    @settings(max_examples=20, deadline=None)
-    @given(streams_strategy(SIGMA0, max_length=8, domain=2), st.integers(min_value=0, max_value=6))
-    def test_random_equivalence_with_algorithm_1(self, stream, window):
-        pcea = hcq_to_pcea(QUERY_Q0)
-        general = GeneralStreamingEvaluator(pcea, window=window)
-        hashed = StreamingEvaluator(pcea, window=window)
-        for tup in stream:
-            assert set(general.process(tup)) == set(hashed.process(tup))
+    def test_only_scanned_states_keep_scan_slots(self):
+        """``mixed_join_pcea`` scans ``b`` only: ``a`` is hashed, the final
+        ``c`` is read by nothing, so neither gets a scan slot."""
+        index = mixed_join_pcea().dispatch_index()
+        structure = index.structure
+        assert set(structure.scan_slots) == {structure.state_ids["b"]}
+        assert [plan is None for _, plan in structure.slots].count(True) == 1
+        # A scanned state is never a leaf; the hashed ``a`` is one.
+        assert set(structure.leaves()) == {structure.state_ids["a"]}
+        into_b = [c for c in index.all_transitions() if c.target == "b"]
+        assert [(c.store_through, c.scan) for c in into_b] == [
+            (False, ((), structure.scan_slots[structure.state_ids["b"]]))
+        ]
+        assert [c.store_through for c in index.all_transitions() if c.target == "a"] == [True]
 
 
-class TestGeneralRuntimeParity:
-    """The general evaluator shares the runtime surface of the hashed engines."""
+class TestScanRuntimeParity:
+    """A scanned join shares the runtime surface of the hashed ones."""
 
     def _stream(self, length, seed=7):
-        import random
-
         rng = random.Random(seed)
         return [
             Tuple("Buy" if rng.random() < 0.5 else "Sell", (rng.randrange(3), rng.randrange(50)))
@@ -162,8 +165,8 @@ class TestGeneralRuntimeParity:
     def test_process_many_matches_per_tuple(self, batch_size):
         stream = self._stream(120)
         pcea = increasing_price_pcea()
-        batched = GeneralStreamingEvaluator(pcea, window=8)
-        stepwise = GeneralStreamingEvaluator(pcea, window=8)
+        batched = StreamingEvaluator(pcea, window=8)
+        stepwise = StreamingEvaluator(pcea, window=8)
         batched_outputs = []
         for begin in range(0, len(stream), batch_size):
             batched_outputs.extend(batched.process_many(stream[begin : begin + batch_size]))
@@ -177,7 +180,7 @@ class TestGeneralRuntimeParity:
 
     def test_dispatch_index_prunes_irrelevant_relations(self):
         pcea = increasing_price_pcea()
-        indexed = GeneralStreamingEvaluator(pcea, window=10)
+        indexed = StreamingEvaluator(pcea, window=10)
         stream = self._stream(60) + [Tuple("Noise", (1, 2)) for _ in range(60)]
         naive = pcea.outputs_upto(stream, len(stream) - 1, window=10)
         for position, tup in enumerate(stream):
@@ -188,7 +191,7 @@ class TestGeneralRuntimeParity:
 
     def test_live_runs_window_bounded_by_shared_sweep(self):
         pcea = increasing_price_pcea()
-        engine = GeneralStreamingEvaluator(pcea, window=16)
+        engine = StreamingEvaluator(pcea, window=16)
         peak = 0
         for tup in self._stream(2_000):
             engine.process(tup)
@@ -196,12 +199,13 @@ class TestGeneralRuntimeParity:
         assert engine.evicted > 100
         # At most one stored run per tuple position inside the window (+1 for
         # the position being processed).
-        assert peak <= 2 * (16 + 1) + 2
+        assert peak <= 16 + 2
+        # Only the scanned state ``b`` stores runs: the final ``s`` is read by nothing.
         assert engine.hash_table_size() == sum(map(len, engine._query.store.scans.values()))
 
     def test_stats_and_memory_surface(self):
         pcea = increasing_price_pcea()
-        engine = GeneralStreamingEvaluator(pcea, window=10, collect_stats=True)
+        engine = StreamingEvaluator(pcea, window=10, collect_stats=True)
         for tup in self._stream(80):
             engine.process(tup)
         stats = engine.stats
@@ -219,11 +223,27 @@ class TestGeneralRuntimeParity:
 
     def test_stats_off_skips_counters(self):
         pcea = increasing_price_pcea()
-        engine = GeneralStreamingEvaluator(pcea, window=10, collect_stats=False)
+        engine = StreamingEvaluator(pcea, window=10, collect_stats=False)
         for tup in self._stream(40):
             engine.process(tup)
         assert engine.stats.tuples_processed == 0
         assert engine.nodes_scanned > 0  # the signature counter always runs
+
+    def test_unregistering_a_scanned_query_takes_its_scan_slots(self):
+        """A scanned state is its query's alone: unregistering drops its
+        slots and runs at once, and a store left with hashed queries only
+        has no scan section."""
+        engine = MultiQueryEngine()
+        kept = engine.register(example_pcea_p0(), window=8)
+        gone = engine.register(increasing_price_pcea(), window=8)
+        engine.run(self._stream(30))
+        store = engine._queries[kept.id].store
+        assert store.scans and engine.hash_table_size() > len(
+            [key for key in store.hash if key[0] not in store.scans]
+        )
+        engine.unregister(gone)
+        assert store.scans is None and "scan" not in engine.snapshot()["lanes"][0]
+        engine.run(self._stream(30, seed=8))
 
 
 class TestDisambiguation:
@@ -280,12 +300,10 @@ class TestDisambiguation:
 
 
 class TestSequenceRings:
-    """The per-state run dicts that replaced the ring buffers (the test ids
-    keep the ring names; each checks what replaced the ring feature)."""
+    """The per-scan-slot run dicts that replaced the ring buffers (the test
+    ids keep the ring names; each checks what replaced the ring feature)."""
 
     def _stream(self, length, seed=7):
-        import random
-
         rng = random.Random(seed)
         stream = []
         for _ in range(length):
@@ -295,35 +313,35 @@ class TestSequenceRings:
 
     def test_tiny_ring_capacity_grows_and_stays_correct(self):
         """No ring to size: ``ring_capacity=`` is refused, and the dicts give
-        Algorithm 1's outputs on an equality automaton."""
+        the naive outputs."""
         with pytest.raises(TypeError):
-            GeneralStreamingEvaluator(increasing_price_pcea(), window=20, ring_capacity=1)
-        pcea = hcq_to_pcea(QUERY_Q0)
-        general = GeneralStreamingEvaluator(pcea, window=20)
-        hashed = StreamingEvaluator(pcea, window=20)
-        stream = random_stream(SIGMA0, length=600, domain_size=3, seed=5).materialise()
-        for tup in stream:
-            assert set(general.process(tup)) == set(hashed.process(tup))
-        assert general.evicted > 0
+            StreamingEvaluator(increasing_price_pcea(), window=20, ring_capacity=1)
+        pcea = increasing_price_pcea()
+        engine = StreamingEvaluator(pcea, window=3)
+        stream = self._stream(25, seed=5)
+        naive = pcea.outputs_upto(stream, len(stream) - 1, window=3)
+        for position, tup in enumerate(stream):
+            assert set(engine.process(tup)) == naive[position]
+        assert engine.evicted > 0
 
     def test_sweep_advances_ring_heads(self):
         pcea = increasing_price_pcea()
-        engine = GeneralStreamingEvaluator(pcea, window=8)
+        engine = StreamingEvaluator(pcea, window=8)
         for tup in self._stream(800):
             engine.process(tup)
             # The sweep pops evicted runs: the dicts hold the live window only.
             live = sum(len(runs) for runs in engine._query.store.scans.values())
-            assert live <= 2 * (8 + 1) + 2
+            assert live <= 8 + 2
         assert engine.evicted > 100
         # Every dict entry is the run the lane table holds (no garbage scanned).
-        for state, runs in engine._query.store.scans.items():
+        for slot, runs in engine._query.store.scans.items():
             for seq, run in runs.items():
-                assert engine._query.store.hash[(state, seq)][0] is run
+                assert engine._query.store.hash[(slot, seq)][0] is run
 
     def test_batched_sweep_keeps_rings_consistent(self):
         pcea = increasing_price_pcea()
-        batched = GeneralStreamingEvaluator(pcea, window=6)
-        stepwise = GeneralStreamingEvaluator(pcea, window=6)
+        batched = StreamingEvaluator(pcea, window=6)
+        stepwise = StreamingEvaluator(pcea, window=6)
         stream = self._stream(400, seed=9)
         for start in range(0, len(stream), 16):
             batch = stream[start : start + 16]
@@ -336,8 +354,8 @@ class TestSequenceRings:
         """No ring knob and no ring keys: ``memory_info`` is the runtime's."""
         pcea = increasing_price_pcea()
         with pytest.raises(TypeError):
-            GeneralStreamingEvaluator(pcea, window=5, ring_capacity=16)
-        engine = GeneralStreamingEvaluator(pcea, window=5)
+            StreamingEvaluator(pcea, window=5, ring_capacity=16)
+        engine = StreamingEvaluator(pcea, window=5)
         for tup in self._stream(50):
             engine.process(tup)
         memory = engine.memory_info()
@@ -347,31 +365,6 @@ class TestSequenceRings:
 
 
 # ------------------------------------------------------- pinned general digest
-def _b_below_c(earlier, later):
-    return earlier.values[1] < later.values[1]
-
-
-def mixed_join_pcea() -> PCEA:
-    """``C(x, z)`` closes an ``A(x, y)`` it joins on ``x`` (an equality) and any
-    ``B`` whose second value is below its ``z`` (a callable, outside ``B_eq``)."""
-    a, b, c = Atom("A", (X, Y)), Atom("B", (X, Y)), Atom("C", (X, Z))
-    return PCEA(
-        states={"a", "b", "c"},
-        transitions=[
-            PCEATransition(set(), AtomUnaryPredicate(a), {}, {"a"}, "a"),
-            PCEATransition(set(), AtomUnaryPredicate(b), {}, {"b"}, "b"),
-            PCEATransition(
-                {"a", "b"},
-                AtomUnaryPredicate(c),
-                {"a": AtomJoinEquality(a, c), "b": LambdaBinaryPredicate(_b_below_c, "B.y < C.z")},
-                {"c"},
-                "c",
-            ),
-        ],
-        final={"c"},
-    )
-
-
 def _seeded_stream(relations, length, domain, seed):
     rng = random.Random(seed)
     return [
@@ -388,42 +381,66 @@ PINNED_GENERAL = {
 }
 
 
-def general_digest(name, batch=None):
-    """SHA-256 over a seeded general run: per tuple (stepwise) the final nodes'
-    arena ids and the outputs in order, else (``batch``) each batch's outputs;
-    then ``hash_table_size()``, ``evicted`` and ``nodes_scanned``, and at the
-    end the ``EngineStatistics``."""
-    make, relations, window = PINNED_GENERAL[name]
-    stream = _seeded_stream(relations, 360, 5, seed=len(name))
-    engine = GeneralStreamingEvaluator(make(), window)
+def _pinned_stream(name):
+    _, relations, _ = PINNED_GENERAL[name]
+    return _seeded_stream(relations, 360, 5, seed=len(name))
+
+
+def general_digest(name, batch=None, full=True):
+    """SHA-256 over a seeded run: per tuple (stepwise) the final nodes' arena
+    ids and the outputs in order, else (``batch``) each batch's outputs; then
+    ``hash_table_size()``, ``evicted`` and ``nodes_scanned``, and at the end
+    the ``EngineStatistics``.  Without ``full``, the outputs and
+    ``nodes_scanned`` only."""
+    make, _, window = PINNED_GENERAL[name]
+    stream = _pinned_stream(name)
+    engine = StreamingEvaluator(make(), window)
     digest = hashlib.sha256()
 
     def record(*items):
         digest.update(repr(items).encode())
 
+    def cursors():
+        return (engine.hash_table_size(), engine.evicted, engine.nodes_scanned) if full else (engine.nodes_scanned,)
+
     if batch is None:
         for tup in stream:
-            nodes = engine.update(tup)
-            outputs = [repr(v) for v in engine.enumerate_outputs(nodes)]
-            record(list(nodes), outputs, engine.hash_table_size(), engine.evicted, engine.nodes_scanned)
+            if full:
+                nodes = engine.update(tup)
+                record(list(nodes), [repr(v) for v in engine.enumerate_outputs(nodes)], *cursors())
+            else:
+                record([repr(v) for v in engine.process(tup)], *cursors())
     else:
         for start in range(0, len(stream), batch):
             for outputs in engine.process_many(stream[start : start + batch]):
                 record([repr(v) for v in outputs])
-            record(engine.hash_table_size(), engine.evicted, engine.nodes_scanned)
-    record(asdict(engine.stats))
+            record(*cursors())
+    if full:
+        record(asdict(engine.stats))
     return digest.hexdigest()
 
 
-#: :func:`general_digest` of each pinned stream, written by the build whose
-#: general evaluator ran its own update loop over per-state run dicts.
+#: :func:`general_digest` of each pinned stream.  ``star`` hashes every join:
+#: its pins are the hashed engine's digests of the same streams, written
+#: before one engine admitted every automaton.  ``order`` and ``mixed`` were
+#: re-pinned when each join chose its own probe kind: runs into states no
+#: join scans are no longer stored (``order``: 314 -> 174 ``hash_updates``),
+#: and ``mixed`` hashes its equality join.
 PINNED_GENERAL_DIGESTS = {
-    ("mixed", None): "2b35c29ef87db1d15713c3c98766f1af005b8da86c89a25b05d519b7a3549b44",
-    ("mixed", 7): "773b47c490422087ac32d52ead23021d0f3dac8080cd3221ab2061fc55139651",
-    ("order", None): "6df2f6ecd249253660210d18cbeeb6ff990fad2a378660e3f7bb4199bb9f4186",
-    ("order", 7): "b5528d427f173e47b27a2242d2d09eb8daaf4ce6e016757d2f02602599ab1f5b",
-    ("star", None): "d5dd8c859c04c95c431c30a1b0e52498d4818924219c85a687477fe438f930be",
-    ("star", 7): "81a580c62f21220bf6098c38c2e4bfae2c9c56c7bbca1ee1c8ed46710ae130b1",
+    ("mixed", None): "168142b2d7345c8e7d9d3b6f98eb720252fdaae26af96c8c08d598ee3380f6a7",
+    ("mixed", 7): "f75319bc9e6968167e74bec823f9283fdef18195042ccaeb826dbe89804987f1",
+    ("order", None): "86eb5232274b4e5b7d045549152a329abdeed74eab206a82fbe525ae8b5122f0",
+    ("order", 7): "bdecc275e506f53798689e26388e5098faaa59c7e2f951e8963e6caa37d6922a",
+    ("star", None): "15c703c20bebed345027dc62c82201a22aed8fd1a72e786a40a4378fc0cf0870",
+    ("star", 7): "08534f585e3466d9a7e0ffb0b5206a8013e25b7946f5967afcd9d811c8d7169a",
+}
+
+#: ``general_digest(name, batch, full=False)`` of ``order``, written by the
+#: build that scanned every join: a scan of every join and a scan of only
+#: the non-equality ones read the same runs when no join is in ``B_eq``.
+PINNED_ORDER_OUTPUTS = {
+    None: "97eb2c00c523d5dd680dacd7f8a460c772d777505ddf4c564c6e6749ef41c431",
+    7: "ecffdc09350473749d1fa7c8ebd306e3c56bc4a38d64797fc4c3fd1471b26bda",
 }
 
 
@@ -431,6 +448,34 @@ PINNED_GENERAL_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(PINNED_GENERAL))
 def test_a_general_run_has_the_pinned_digest(name, batch):
     assert general_digest(name, batch) == PINNED_GENERAL_DIGESTS[(name, batch)]
+
+
+@pytest.mark.parametrize("batch", [None, 7], ids=["stepwise", "batched"])
+def test_an_automaton_without_equality_joins_reads_what_it_read(batch):
+    assert general_digest("order", batch, full=False) == PINNED_ORDER_OUTPUTS[batch]
+
+
+def _shifted(valuations, offset):
+    return {Valuation({label: {p + offset for p in positions} for label, positions in v.items()})
+            for v in valuations}  # fmt: skip
+
+
+def test_the_mixed_automaton_hashes_its_equality_join():
+    """``mixed_join_pcea`` on its pinned stream: the naive outputs at every
+    position (each computed over the window's suffix of the stream, which
+    holds every run an output can use), and ``nodes_scanned`` counts the
+    reads of the scanned state ``b`` only — the build that scanned every
+    join read 430 runs, 308 of them of the equality-joined ``a``."""
+    make, _, window = PINNED_GENERAL["mixed"]
+    pcea, stream = make(), _pinned_stream("mixed")
+    engine = StreamingEvaluator(pcea, window)
+    for position, tup in enumerate(stream):
+        outputs = list(engine.process(tup))
+        start = max(0, position - window)
+        naive = pcea.outputs_upto(stream[start : position + 1], position - start, window=window)
+        assert len(outputs) == len(set(outputs)), position
+        assert set(outputs) == _shifted(naive[position - start], start), position
+    assert engine.nodes_scanned == 122
 
 
 # --------------------------------------- general automata vs the naive oracle
@@ -450,16 +495,18 @@ def _differ(earlier, later):
 
 
 CALLABLES = (_sum_is_even, _x_at_most_y, _differ)
+JOIN_KINDS = ("equality", "order", "callable")
 
 
 @st.composite
-def general_automata(draw):
+def general_automata(draw, kinds=JOIN_KINDS):
     """A tree-shaped automaton over ``A``, ``B``, ``C`` (arity 2): source-less
-    leaves, then joins of one or two not yet joined states, each join an
-    equality, an :class:`OrderPredicate` or a callable; the last state is
-    final.  Every state has one incoming transition, is joined at most once
-    and every transition writes its own label, so a valuation has one run:
-    the automaton is unambiguous, and its outputs must be duplicate-free."""
+    leaves, then joins of one or two not yet joined states, each join drawn
+    from ``kinds`` — an equality, an :class:`OrderPredicate` or a callable;
+    the last state is final.  Every state has one incoming transition, is
+    joined at most once and every transition writes its own label, so a
+    valuation has one run: the automaton is unambiguous, and its outputs
+    must be duplicate-free."""
     transitions, open_states, relation_of = [], [], {}
     for leaf in range(draw(st.integers(1, 3))):
         relation = draw(st.sampled_from(GENERAL_RELATIONS))
@@ -474,7 +521,7 @@ def general_automata(draw):
         relation = draw(st.sampled_from(GENERAL_RELATIONS))
         binaries = {}
         for source in sources:
-            kind = draw(st.sampled_from(["equality", "order", "callable"]))
+            kind = draw(st.sampled_from(kinds))
             if kind == "equality":
                 binaries[source] = ProjectionEquality({relation_of[source]: (0,)}, {relation: (0,)})
             elif kind == "order":
@@ -504,13 +551,60 @@ GENERAL_STREAMS = st.lists(
 @settings(deadline=None)
 @given(pcea=general_automata(), stream=GENERAL_STREAMS, window=st.integers(0, 6))
 def test_general_automata_match_the_naive_oracle(pcea, stream, window):
-    """Joins mixing inequalities, callables and equalities: the general
-    engine's outputs at every position are the naive semantics', on the
-    arena and on the object-graph oracle, each once."""
+    """Joins mixing inequalities, callables and equalities: the engine's
+    outputs at every position are the naive semantics', on the arena and on
+    the object-graph oracle, each once."""
     naive = pcea.outputs_upto(stream, len(stream) - 1, window=window) if stream else {}
     for arena in (True, False):
-        engine = GeneralStreamingEvaluator(pcea, window, arena=arena)
+        engine = StreamingEvaluator(pcea, window, arena=arena)
         for position, tup in enumerate(stream):
             outputs = list(engine.process(tup))
             assert len(outputs) == len(set(outputs)), (arena, position)
             assert set(outputs) == naive[position], (arena, position)
+
+
+@st.composite
+def mixed_store_schedules(draw):
+    """2–4 queries for one window — hashed ones (equality joins only) and
+    ones from :func:`general_automata` — each with the position it is
+    registered before and, maybe, the position it is unregistered before."""
+    queries = []
+    for _ in range(draw(st.integers(2, 4))):
+        hashed = draw(st.booleans())
+        pcea = draw(general_automata(kinds=("equality",)) if hashed else general_automata())
+        joins = draw(st.integers(0, 6))
+        leaves = draw(st.none() | st.integers(joins + 1, 9))
+        queries.append((pcea, joins, leaves))
+    return queries
+
+
+# No ``max_examples`` here either: CI runs it under the ``fuzz`` profile.
+@settings(deadline=None)
+@given(queries=mixed_store_schedules(), stream=GENERAL_STREAMS, window=st.integers(0, 6))
+def test_mixed_stores_match_the_naive_oracle(queries, stream, window):
+    """K>1: hashed and scanned queries share one store, registered and
+    unregistered mid-stream.  A query registered before position ``s``
+    outputs, at every position it is registered for, what the naive
+    semantics give over the stream from ``s`` on — on the arena and on the
+    object-graph oracle."""
+    naive = [
+        pcea.outputs_upto(stream[joins:], len(stream) - joins - 1, window=window) if joins < len(stream) else {}
+        for pcea, joins, _ in queries
+    ]
+    for arena in (True, False):
+        engine = MultiQueryEngine(arena=arena)
+        handles = {}
+        for position, tup in enumerate(stream):
+            for index, (pcea, joins, leaves) in enumerate(queries):
+                if joins == position:
+                    handles[index] = engine.register(pcea, window)
+                elif leaves == position:
+                    engine.unregister(handles.pop(index))
+            outputs = engine.process(tup)
+            for index, handle in handles.items():
+                got = list(outputs.get(handle.id, ()))
+                joins = queries[index][1]
+                assert len(got) == len(set(got)), (arena, position, index)
+                assert set(got) == _shifted(naive[index][position - joins], joins), (arena, position, index)
+            assert set(outputs) <= {handle.id for handle in handles.values()}
+        assert engine.dispatch_info()["stores"] <= 1

@@ -13,7 +13,7 @@ call and one bisect of the value into the sorted constants.  Covered here:
   automaton with one threshold forms no family), and the patched merged
   index against a from-scratch rebuild after every mutation;
 * a disjunction of one atom under two or three thresholds, so the
-  single-query (``bind``), general and K=1 plans each hold a family, against
+  single-query (``bind``), every-join-scanned and K=1 plans each hold a family, against
   the naive ``outputs_upto``;
 * the two exactness rules — a NaN, or a value that does not compare with the
   constants, is decided by the groups' own acceptors, never by the bisect
@@ -39,12 +39,11 @@ from repro.cq.query import parse_query
 from repro.cq.schema import Tuple
 from repro.engine.compiler import compile_pattern
 from repro.engine.dsl import atom, conjunction, disjunction
-from repro.extensions.general_evaluation import GeneralStreamingEvaluator
 from repro.multi import MergedDispatchIndex, MultiQueryEngine, compile_query
 from repro.runtime import snapshot as snapshot_codec
 from repro.streams.generators import HCQWorkloadGenerator
 
-from helpers import one_member, shared_star_queries, union_storm_workload
+from helpers import scanned, one_member, shared_star_queries, union_storm_workload
 
 NAN = float("nan")
 OPERATORS = ("<", "<=", ">", ">=")
@@ -189,9 +188,9 @@ def test_one_automaton_with_several_thresholds_matches_the_naive_oracle(
     engines = [
         StreamingEvaluator(pcea, window),
         StreamingEvaluator(pcea, window, arena=False),
-        GeneralStreamingEvaluator(pcea, window),
+        StreamingEvaluator(scanned(pcea), window),
     ]
-    # The general engine's merged index, the automaton's own plans (a
+    # The scanned automaton's merged index, the automaton's own plans (a
     # one-member index) and the multi engine's index all hold the family,
     # wherever the guard puts it.
     probe = Tuple("E", (1, 0))
@@ -217,7 +216,7 @@ def single_atom_thresholds(operator, constants):
 def every_engine(pcea, window=4):
     multi = MultiQueryEngine()
     handle = multi.register(pcea, window)
-    engines = [StreamingEvaluator(pcea, window), GeneralStreamingEvaluator(pcea, window)]
+    engines = [StreamingEvaluator(pcea, window), StreamingEvaluator(scanned(pcea), window)]
     return lambda tup: [engine.process(tup) for engine in engines] + [
         multi.process(tup).get(handle.id, [])
     ]
@@ -372,7 +371,7 @@ def test_every_mode_reports_threshold_families():
     multi.register(pcea, 4)
     infos = [
         StreamingEvaluator(pcea, 4).dispatch_info(),
-        GeneralStreamingEvaluator(pcea, 4).dispatch_info(),
+        StreamingEvaluator(scanned(pcea), 4).dispatch_info(),
         multi.dispatch_info(),
     ]
     assert infos[0].keys() == infos[1].keys() == infos[2].keys()

@@ -21,9 +21,8 @@ it consumes (``repro.core.dispatch``).
   fast path each live in exactly one module; ``H`` is not keyed by reader and
   ``extend_onto`` exists once per representation; the arena has one layout,
   no engine takes an ablation knob, there is one hashed engine (the
-  single-query evaluator is its K=1 case) and one engine skeleton (the
-  general evaluator is that K=1 case with scan probes, overriding only its
-  admission step), one function walks a plan's groups to fire them, a plan
+  single-query evaluator is its K=1 case) and one engine skeleton (every
+  automaton is admitted, the probe kind chosen per join), one function walks a plan's groups to fire them, a plan
   member's rank has one name, nothing imports ``pickle``, and adaptive
   dispatch left no residue.
 """
@@ -42,7 +41,8 @@ from hypothesis import strategies as st
 
 from repro.core.arena import ArenaDataStructure, _Slab
 from repro.core.dispatch import (
-    CompiledTransition, EvalGroup, EvalPlan, MergedEntry, TransitionDispatchIndex, _split_by_guard,
+    CompiledTransition, DispatchStructure, EvalGroup, EvalPlan, MergedEntry, TransitionDispatchIndex,
+    _split_by_guard,
 )
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.pcea import PCEA, PCEATransition
@@ -51,12 +51,11 @@ from repro.core.predicates import ProjectionEquality, RelationPredicate, UnaryPr
 from repro.cq.schema import Tuple
 from repro.engine.compiler import compile_pattern
 from repro.engine.dsl import atom, conjunction, disjunction
-from repro.extensions.general_evaluation import GeneralStreamingEvaluator
 from repro.multi import MergedDispatchIndex, MultiQueryEngine
 from repro.obs import Observer
 from repro.runtime import StreamRuntime
 
-from helpers import ARENAS, one_member, slot_automata, slot_streams, star_query
+from helpers import ARENAS, scanned, mixed_join_pcea, one_member, slot_automata, slot_streams, star_query
 
 WINDOW = 6
 DOMAIN = 3
@@ -132,7 +131,7 @@ def check_every_engine_against_the_naive_oracle(first, second, stream):
     statistics = {}
     for arena in (True, False):
         single = StreamingEvaluator(first, WINDOW, arena=arena, collect_stats=True)
-        general = GeneralStreamingEvaluator(first, WINDOW, arena=arena, collect_stats=True)
+        general = StreamingEvaluator(scanned(first), WINDOW, arena=arena, collect_stats=True)
         one = MultiQueryEngine(arena=arena, collect_stats=True)
         alone = one.register(first, WINDOW)
         many = MultiQueryEngine(arena=arena, collect_stats=True)
@@ -186,7 +185,7 @@ def test_slots_are_numbered_by_structure_not_by_extractor_identity(pcea):
     after = TransitionDispatchIndex(pcea.transitions, final=pcea.final)
     slots = lambda index: [[slot for slot, _ in c.probes] for c in index.all_transitions()]
     assert slots(before) == slots(after)
-    assert before.signature() == after.signature()
+    assert MergedDispatchIndex([(0, before)]).signature() == MergedDispatchIndex([(0, after)]).signature()
     for state_id in before.state_ids.values():
         ours, theirs = before.consumers_by_id(state_id), after.consumers_by_id(state_id)
         assert [slot for slot, _ in ours] == [slot for slot, _ in theirs]
@@ -435,13 +434,21 @@ def test_the_fire_loop_exists_once():
 def test_a_scan_is_a_probe_kind_not_a_second_loop():
     """Joins outside ``B_eq`` are scan probes of the one ``fire``: the general
     evaluator's own loop, its per-state run dicts, its eviction hook and its
-    snapshot kind left no writer in the source, and exactly one function
+    snapshot kind left no writer in the source, nor did the evaluator class,
+    its per-automaton admission step, its scan-every-join index and its
+    snapshot converter; exactly one function
     under ``src/repro`` walks a plan's groups to fire them (reads
     ``plan.groups`` and calls a group's acceptor)."""
     source_root = Path(__file__).resolve().parent.parent / "src" / "repro"
     sources = {str(path.relative_to(source_root)): path.read_text() for path in source_root.rglob("*.py")}
-    gone = re.compile(r'_on_evict|self\._runs\b|"engine": "general"')
+    gone = re.compile(
+        r'_on_evict|self\._runs\b|"engine": "general"|GeneralStreamingEvaluator|_admissible'
+        r"|_scan_index|_from_general|NotEqualityPredicateError|probe: str|scan: bool"
+    )
     assert sorted(name for name, text in sources.items() if gone.search(text)) == []
+    assert not (source_root / "extensions" / "general_evaluation.py").exists()
+    assert list(inspect.signature(PCEA.dispatch_index).parameters) == ["self"]
+    assert "scan" not in inspect.signature(DispatchStructure).parameters
 
     def fires(function):
         nodes = list(ast.walk(function))
@@ -491,7 +498,6 @@ def test_one_arena_layout_and_no_ablation_knobs():
     for engine in (
         ArenaDataStructure,
         StreamingEvaluator,
-        GeneralStreamingEvaluator,
         MultiQueryEngine,
     ):
         accepted = set(inspect.signature(engine).parameters)
@@ -508,23 +514,14 @@ def test_one_arena_layout_and_no_ablation_knobs():
 
 def test_the_single_query_engines_share_one_body():
     """``StreamingEvaluator`` is the K=1 ``MultiQueryEngine``: its update
-    phase, snapshot, restore and batch driver are the engine's.
-    ``GeneralStreamingEvaluator`` shares every call of it but the admission
-    step, which gives its joins scan probes; the ring buffers, the
-    single-lane batch driver, the single-query server feed and the
-    single-lane base class left no residue."""
+    phase, snapshot, restore and batch driver are the engine's; the ring
+    buffers, the single-lane batch driver, the single-query server feed and
+    the single-lane base class left no residue."""
     def owner(engine, name):
         return next(klass for klass in engine.__mro__ if name in vars(klass))
 
-    for name in ("process", "run", "update", "process_many", "enumerate_outputs"):
-        assert getattr(StreamingEvaluator, name) is getattr(GeneralStreamingEvaluator, name), name
-    for engine in (StreamingEvaluator, GeneralStreamingEvaluator):
-        for name in ("snapshot", "restore", "_fire", "_enumerate", "register"):
-            assert owner(engine, name) is MultiQueryEngine, (engine, name)
-    assert owner(GeneralStreamingEvaluator, "_admissible") is GeneralStreamingEvaluator
-    assert set(vars(GeneralStreamingEvaluator)) - {"__module__", "__doc__", "__qualname__"} == {
-        "_admissible"
-    }
+    for name in ("snapshot", "restore", "_fire", "_enumerate", "register"):
+        assert owner(StreamingEvaluator, name) is MultiQueryEngine, name
     source_root = Path(__file__).resolve().parent.parent / "src"
     residue = re.compile(
         r"_SeqRing|ring_capacity|drive_enumerating_batch|live_run_count|SingleEngineFeed"
@@ -536,7 +533,7 @@ def test_the_single_query_engines_share_one_body():
         if path.suffix in (".py", ".c") and residue.search(path.read_text())
     )
     assert holders == []
-    assert "ring_capacity" not in inspect.signature(GeneralStreamingEvaluator).parameters
+    assert "ring_capacity" not in inspect.signature(StreamingEvaluator).parameters
 
 
 def test_there_is_one_hashed_engine():
@@ -552,9 +549,6 @@ def test_there_is_one_hashed_engine():
         parameters[name].kind is inspect.Parameter.KEYWORD_ONLY
         for name in ("collect_stats", "arena", "kernel")
     )
-    assert list(inspect.signature(GeneralStreamingEvaluator).parameters) == [
-        "pcea", "window", "collect_stats", "arena", "kernel"
-    ]
     source_root = Path(__file__).resolve().parent.parent / "src"
     gone = re.compile(r'def bind\(|SingleLaneEngine|LinkedListUnionStructure|"streaming"|no-evict|no-index')
     holders = sorted(
@@ -566,24 +560,19 @@ def test_there_is_one_hashed_engine():
 
 
 def test_there_is_one_engine_skeleton():
-    """The general evaluator is the scanning K=1 ``StreamingEvaluator`` with
-    its five parameters; the mixin two engine classes once shared, its
-    dispatch hook and the CLI's object-graph switch are gone from the
-    source, and an observer shadows the one enumeration call every engine
-    has."""
-    assert issubclass(GeneralStreamingEvaluator, StreamingEvaluator)
-    assert list(inspect.signature(GeneralStreamingEvaluator).parameters) == [
-        "pcea", "window", "collect_stats", "arena", "kernel"
-    ]
+    """Every automaton runs on the one engine; the mixin two engine classes
+    once shared, its dispatch hook and the CLI's object-graph and
+    ``--general`` switches are gone from the source, and an observer shadows
+    the one enumeration call every engine has."""
     source_root = Path(__file__).resolve().parent.parent / "src"
-    gone = re.compile(r"RuntimeBackedEngine|_dispatch_source|no-arena")
+    gone = re.compile(r"RuntimeBackedEngine|_dispatch_source|no-arena|--general")
     holders = sorted(
         str(path.relative_to(source_root))
         for path in source_root.rglob("*")
         if path.suffix in (".py", ".c") and gone.search(path.read_text())
     )
     assert holders == []
-    engine = GeneralStreamingEvaluator(hcq_to_pcea(star_query(2)), WINDOW)
+    engine = StreamingEvaluator(mixed_join_pcea(), WINDOW)
     before = set(vars(engine))
     engine.attach_observer(Observer(sample_every=1))
     shadowed = {name for name in set(vars(engine)) - before if callable(getattr(engine, name))}

@@ -6,7 +6,7 @@ Four layers of protection:
   (explicit knob beats environment beats auto; a ``"native"`` request never
   silently degrades) and of :func:`backend_info`'s shape;
 * differential property tests: identical streams through the python and
-  native kernels — single query, multi query, and the general evaluator —
+  native kernels — single query, multi query, and hashed and scanned joins —
   must produce identical outputs, identical machine-independent counters
   (``evicted``, nodes created, union copies) and bit-identical snapshots;
 * representation independence: a snapshot taken under one backend restores
@@ -28,10 +28,9 @@ from repro.core.evaluation import StreamingEvaluator
 from repro.core.hcq_to_pcea import hcq_to_pcea
 from repro.core.kernel import KERNEL_ENV, backend_info, native_available, resolve_kernel
 from repro.cq.schema import Tuple
-from repro.extensions.general_evaluation import GeneralStreamingEvaluator
 from repro.multi.engine import MultiQueryEngine
 
-from helpers import star_query, star_schema, streams_strategy
+from helpers import mixed_join_pcea, mixed_stream, star_query, star_schema, streams_strategy
 
 needs_native = pytest.mark.skipif(
     not native_available(), reason="native kernel extension not built"
@@ -165,10 +164,10 @@ class TestDifferentialKernels:
         assert nat.snapshot() == py.snapshot()
 
     def test_general_evaluator_native_equals_python(self):
-        pcea = hcq_to_pcea(star_query(2))
-        stream = star2_stream(seed=9, length=800, domain=3)
-        py = GeneralStreamingEvaluator(pcea, window=16, kernel="python")
-        nat = GeneralStreamingEvaluator(pcea, window=16, kernel="native")
+        pcea = mixed_join_pcea()
+        stream = mixed_stream(800, seed=9)
+        py = StreamingEvaluator(pcea, window=16, kernel="python")
+        nat = StreamingEvaluator(pcea, window=16, kernel="native")
         for tup in stream:
             assert nat.process(tup) == py.process(tup)
         assert nat.ds.released_slabs > 0

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.evaluation import NotEqualityPredicateError, StreamingEvaluator
+from repro.core.evaluation import StreamingEvaluator
 from repro.cq.hierarchical import NotHierarchicalError
 from repro.cq.schema import Tuple
 from repro.engine.dsl import atom, conjunction, sequence
@@ -101,7 +101,7 @@ class TestQueryRegistry:
         with pytest.raises(ValueError):
             registry.register(QUERY_Q0, window=-1)
 
-    def test_rejects_non_equality_pcea(self):
+    def test_admits_non_equality_pcea(self):
         from repro.core.pcea import PCEA, PCEATransition
         from repro.core.predicates import LambdaBinaryPredicate, RelationPredicate
 
@@ -119,17 +119,18 @@ class TestQueryRegistry:
             ],
             final={"b"},
         )
-        # The registry only compiles; the engine's admission step refuses a
-        # join outside B_eq, before its registry is touched.
+        # A join outside B_eq scans its source's runs; the query shares its
+        # window's store with a hashed one, registered directly or through a
+        # supplied registry.
         engine = MultiQueryEngine()
-        with pytest.raises(NotEqualityPredicateError):
-            engine.register(pcea, window=5)
-        assert len(engine.registry) == 0 and engine.registry.version == 0
-        assert engine.register(QUERY_Q0, window=5).id == 0
+        assert engine.register(pcea, window=5).id == 0
+        assert engine.register(QUERY_Q0, window=5).id == 1
+        assert engine.dispatch_info()["stores"] == 1
         registry = QueryRegistry()
         registry.register(pcea, window=5)
-        with pytest.raises(NotEqualityPredicateError):
-            MultiQueryEngine(registry)
+        adopted = MultiQueryEngine(registry)
+        outputs = adopted.run([Tuple("T", (1,)), Tuple("S", (1, 2))])
+        assert [len(valuations) for valuations in outputs[1].values()] == [1]
 
     def test_version_bumps_on_change(self):
         registry = QueryRegistry()

@@ -18,11 +18,10 @@ import sys
 import pytest
 from hypothesis import given, settings
 
-from helpers import QUERY_Q0, STREAM_S0, streams_strategy
+from helpers import QUERY_Q0, STREAM_S0, scanned, streams_strategy
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.hcq_to_pcea import hcq_to_pcea
 from repro.cq.schema import Tuple
-from repro.extensions.general_evaluation import GeneralStreamingEvaluator
 from repro.multi.engine import MultiQueryEngine
 from repro.obs import (
     MetricsRegistry,
@@ -245,14 +244,14 @@ class TestPeriodSampling:
         assert got_sibling == expected
         assert observer._tuples_sampled.value == 20
 
-    def test_general_and_multi_engines_sample(self):
+    def test_scanned_and_multi_engines_sample(self):
         stream = _stream(20)
-        general = GeneralStreamingEvaluator(PCEA_Q0, window=16)
-        obs_general = Observer(sample_every=8)
-        general.attach_observer(obs_general)
+        scanning = StreamingEvaluator(scanned(PCEA_Q0), window=16)
+        obs_scanned = Observer(sample_every=8)
+        scanning.attach_observer(obs_scanned)
         for tup in stream:
-            general.process(tup)
-        assert obs_general._tuples_sampled.value == 20
+            scanning.process(tup)
+        assert obs_scanned._tuples_sampled.value == 20
 
         multi = MultiQueryEngine()
         multi.register("Q(x, y) <- T(x), S(x, y), R(x, y)", window=16)
@@ -300,7 +299,7 @@ class TestNoOpPath:
         stream = _stream(10)
         engines = [
             StreamingEvaluator(PCEA_Q0, window=16),
-            GeneralStreamingEvaluator(PCEA_Q0, window=16),
+            StreamingEvaluator(scanned(PCEA_Q0), window=16),
         ]
         multi = MultiQueryEngine()
         multi.register("Q(x, y) <- T(x), S(x, y), R(x, y)", window=16)
@@ -313,7 +312,7 @@ class TestNoOpPath:
             engine.memory_info()
         assert instrument_allocations() == before
 
-    @pytest.mark.parametrize("kind", ["single", "general", "multi"])
+    @pytest.mark.parametrize("kind", ["single", "scanned", "multi"])
     def test_disabled_observer_makes_the_never_observed_calls(self, kind):
         """The disabled-path contract (≤ 1.02× when it was a timing) as a count:
         with no observer — never attached, or attached and detached — a stream
@@ -325,10 +324,10 @@ class TestNoOpPath:
                 engine = MultiQueryEngine()
                 engine.register("Q(x, y) <- T(x), S(x, y), R(x, y)", window=16)
                 return engine
-            cls = StreamingEvaluator if kind == "single" else GeneralStreamingEvaluator
+            pcea = hcq_to_pcea(QUERY_Q0)
             # Its own automaton: the index builds its plans on first read, so a
             # shared one would already be warm for the second engine.
-            return cls(hcq_to_pcea(QUERY_Q0), window=16)
+            return StreamingEvaluator(pcea if kind == "single" else scanned(pcea), window=16)
 
         package = os.path.dirname(sys.modules["repro"].__file__)
 
@@ -400,7 +399,7 @@ class TestObserveParity:
         multi.register("Q(x, y) <- T(x), S(x, y), R(x, y)", window=16)
         return [
             StreamingEvaluator(PCEA_Q0, window=16),
-            GeneralStreamingEvaluator(PCEA_Q0, window=16),
+            StreamingEvaluator(scanned(PCEA_Q0), window=16),
             multi,
         ]
 
@@ -501,13 +500,11 @@ class TestCliObservability:
         code = run_multi(args, self._events(), output)
         return code, output.getvalue()
 
-    @pytest.mark.parametrize("extra", [[], ["--general"]])
-    def test_single_and_general_mode_exports(self, tmp_path, extra):
+    def test_single_mode_exports(self, tmp_path):
         metrics = tmp_path / "metrics.prom"
         trace = tmp_path / "trace.json"
         code, output = self._run_single(
             ["--query", QUERY, "--window", "100", "--quiet"]
-            + extra
             + [
                 "--metrics-file", str(metrics),
                 "--trace", str(trace),

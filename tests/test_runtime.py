@@ -587,13 +587,16 @@ class TestCompactBucketProtocol:
         assert "k" not in keep.hash
 
     def test_on_evict_hook_fires_per_genuine_eviction(self):
-        """(Named for the hook the scan slots replaced.)  A scan store's run
-        leaves its scan slot with its genuine eviction, and only then."""
+        """(Named for the hook the scan slots replaced.)  A scanned run leaves
+        its scan slot with its genuine eviction, and only then; a hash-slot
+        key of the same store leaves the scan slots alone."""
         runtime = StreamRuntime()
         lane = runtime.add_lane(self._lane(2))
         lane.scans = {7: {}}
         seen = []
         old = lane.ds.extend({"a"}, 0, [])
+        lane.hash[(3, "k")] = (old, 0)
+        runtime.register_entry(lane, (3, "k"), old, 3)
         for seq in (0, 1):
             lane.hash[(7, seq)] = lane.scans[7][seq] = (old, 0)
             runtime.register_entry(lane, (7, seq), old, 3)
@@ -606,7 +609,7 @@ class TestCompactBucketProtocol:
             runtime.sweep(position)
             seen.append(list(lane.scans[7]))
         assert seen == [[0, 1], [0, 1], [0, 1], [1], [1], []]
-        assert not lane.hash and runtime.evicted == 2
+        assert not lane.hash and runtime.evicted == 3
 
     def test_release_pass_interval_is_the_constant_a_checkpoint_carries(self):
         runtime = StreamRuntime()

@@ -20,15 +20,18 @@ Four layers of protection:
   reading transition), a ``streaming`` tree of the single-query engine
   before it became the K=1 multi engine, a table numbered by other slots, a
   query-subset (``multi-partial``) tree, a tagged-JSON checkpoint of an older
-  build, two run stores under one window, a scan store whose ``scan``
-  section does not name exactly its lane table, and arena records whose label id or
+  build, a ``general`` tree of the build that scanned every join, two run
+  stores under one window, a ``scan`` section that does not name exactly
+  its lane table's runs or whose counters are no ints in ``[0, 2**62)`` or
+  would renumber a live run, a run under a hash slot or an entry under a
+  scan slot, and arena records whose label id or
   product reference lies outside the restored tables, whose union link or
   product child is not an older node, or whose positions could overflow the
   kernel's window arithmetic (on both kernels);
 * atomicity — a restore refused on its runtime buckets, statistics or
   placement rows leaves the engine's snapshot bytes as they were;
-* fuzzing — every truncation and byte mutation of a single, ``--general``
-  or multi-engine checkpoint restores into an engine that has processed
+* fuzzing — every truncation and byte mutation of a single, mixed
+  (hashed and scanned slots in one store) or multi-engine checkpoint restores into an engine that has processed
   tuples, or raises one of the exceptions the CLI's ``--restore`` catches
   (and nothing else) and leaves that engine's snapshot bytes unchanged.
 
@@ -41,6 +44,8 @@ import struct
 import sys
 from array import array
 from functools import lru_cache
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -52,14 +57,14 @@ from repro.core.hcq_to_pcea import hcq_to_pcea
 from repro.core.kernel import native_available
 from repro.cq.query import Atom, Variable, parse_query
 from repro.cq.schema import Tuple
-from repro.extensions.general_evaluation import GeneralStreamingEvaluator
+from repro.multi import MergedDispatchIndex
 from repro.multi.engine import MultiQueryEngine
 from repro.runtime import SNAPSHOT_VERSION, SnapshotError
 from repro.runtime import snapshot as snapshot_codec
 from repro.runtime.frames import HEADER_SIZE, MAX_ELEMENTS
 from repro.streams.generators import random_stream
 
-from helpers import SIGMA0, star_query
+from helpers import SIGMA0, scanned, star_query
 
 
 QUERY = "Q(x, y) <- T(x), S(x, y), R(x, y)"
@@ -170,11 +175,10 @@ class TestSingleEngineSnapshot:
                 hcq_to_pcea(parse_query("Q2(x, y) <- S(x, y), R(x, y)")),
                 window=self.WINDOW,
             ).restore(snap)
-        with pytest.raises(SnapshotError):
-            general = GeneralStreamingEvaluator(
-                hcq_to_pcea(parse_query(QUERY)), window=self.WINDOW
-            )
-            general.restore(snap)  # engine-kind mismatch
+        with pytest.raises(SnapshotError):  # every join scanned: other probes
+            StreamingEvaluator(
+                scanned(hcq_to_pcea(parse_query(QUERY))), window=self.WINDOW
+            ).restore(snap)
 
     def test_a_streaming_tree_is_refused_by_name(self):
         """A single-query engine writes a ``multi`` tree; the ``streaming``
@@ -218,52 +222,53 @@ class TestSingleEngineSnapshot:
         assert snapshot_codec.dumps(snap) == reference
 
 
-class TestGeneralEngineSnapshot:
-    WINDOW = 8
+class TestScanSlotSnapshot:
+    """A store holding hashed and scanned slots: ``_mixed`` (below)."""
 
-    def _engine(self, **kwargs):
-        return GeneralStreamingEvaluator(
-            hcq_to_pcea(parse_query(QUERY)), window=self.WINDOW, **kwargs
-        )
+    @staticmethod
+    def _store(engine):
+        return engine._stores[8]
+
+    def test_the_mixed_query_probes_both_kinds(self):
+        index = mixed_pcea().dispatch_index()
+        t_state = index.state_ids[0]
+        assert set(index.structure.scan_slots) == {t_state}
+        assert [c.scan[0] for c in index.all_transitions() if c.scan and c.joins] == [(True, False)]
+        assert any(t_state == source for source, plan in index.slots if plan is not None)
 
     @pytest.mark.parametrize("how", ["pickle", "json"])
     def test_restore_continues_bit_identically(self, how):
         stream = sigma0_stream(260, seed=11)
-        original = self._engine()
+        original = _mixed()
         for tup in stream[:130]:
             original.process(tup)
-        restored = self._engine()
+        restored = _mixed()
         restored.restore(roundtrip(original.snapshot(), how))
         assert [original.process(t) for t in stream[130:]] == [
             restored.process(t) for t in stream[130:]
         ]
         assert original.snapshot() == restored.snapshot()
-        assert original.nodes_scanned == restored.nodes_scanned
+        assert original.nodes_scanned == restored.nodes_scanned > 0
 
     def test_ring_state_survives_restore(self):
-        """(Named for the ring buffers the per-state run dicts replaced.)"""
+        """(Named for the ring buffers the per-slot run dicts replaced.)"""
         stream = sigma0_stream(150, seed=13)
-        original = self._engine()
+        original = _mixed()
         for tup in stream:
             original.process(tup)
-        restored = self._engine()
+        restored = _mixed()
         restored.restore(roundtrip(original.snapshot(), "json"))
-        assert restored._query.store.scans == original._query.store.scans
-        assert [list(runs) for runs in restored._query.store.scans.values()] == [
-            list(runs) for runs in original._query.store.scans.values()
-        ]
+        ours, theirs = self._store(restored).scans, self._store(original).scans
+        assert ours == theirs and [list(runs) for runs in ours.values()] == [list(runs) for runs in theirs.values()]
 
-    @pytest.mark.parametrize("query", [QUERY, "Q(x) <- T(x)"], ids=["joins", "no join"])
-    def test_hashed_and_scan_checkpoints_refuse_each_other(self, query):
-        """The signature names the probe kind — also for an automaton without
-        joins, where the two indexes have no join to tell them apart."""
-        pcea = hcq_to_pcea(parse_query(query))
-        for source, target in ((StreamingEvaluator, GeneralStreamingEvaluator),
-                               (GeneralStreamingEvaluator, StreamingEvaluator)):  # fmt: skip
-            donor = source(pcea, window=self.WINDOW)
+    def test_hashed_and_scan_checkpoints_refuse_each_other(self):
+        """The signature names the join predicates, and the scanned members."""
+        pcea = hcq_to_pcea(parse_query(QUERY))
+        for source, target in ((pcea, scanned(pcea)), (scanned(pcea), pcea)):
+            donor = StreamingEvaluator(source, window=8)
             for tup in sigma0_stream(30, seed=19):
                 donor.process(tup)
-            fresh = target(pcea, window=self.WINDOW)
+            fresh = StreamingEvaluator(target, window=8)
             untouched = fresh.snapshot()
             with pytest.raises(SnapshotError, match="signatures differ"):
                 fresh.restore(roundtrip(donor.snapshot(), "json"))
@@ -271,7 +276,7 @@ class TestGeneralEngineSnapshot:
 
     @pytest.mark.parametrize("tamper", ["unknown run", "left-out run"])
     def test_rings_must_name_exactly_the_lane_table(self, tamper):
-        original = self._engine()
+        original = _mixed()
         for tup in sigma0_stream(150, seed=13):
             original.process(tup)
         snap = roundtrip(original.snapshot(), "json")
@@ -281,11 +286,52 @@ class TestGeneralEngineSnapshot:
             seqs.append(scan["next_seq"])
         else:
             seqs.pop()
-        fresh = self._engine()
+        fresh = _mixed()
         untouched = fresh.snapshot()
         with pytest.raises(SnapshotError, match="lane table"):
             fresh.restore(snap)
         assert fresh.snapshot() == untouched
+
+    def test_a_hashed_store_writes_no_scan_section(self):
+        engine = _multi()
+        for tup in sigma0_stream(40, seed=5):
+            engine.process(tup)
+        snap = engine.snapshot()
+        assert all("scan" not in lane for lane in snap["lanes"])
+        assert "scan" not in snap["merged_signature"]
+        assert "scan" in _mixed().snapshot()["merged_signature"]
+
+    def test_a_general_tree_is_refused_by_name(self):
+        """``general_v4.snap`` (``--general --checkpoint`` of an earlier build)
+        holds scan state for joins this build hashes."""
+        tree = snapshot_codec.load(str(Path(__file__).parent / "data" / "general_v4.snap"))
+        assert tree["engine"] == "general" and tree["snapshot_version"] == SNAPSHOT_VERSION
+        engine = StreamingEvaluator(hcq_to_pcea(parse_query(QUERY)), window=50)
+        untouched = engine.snapshot()
+        with pytest.raises(SnapshotError, match="a 'general' snapshot cannot be restored"):
+            engine.restore(tree)
+        assert engine.snapshot() == untouched
+
+    def test_a_next_seq_at_a_live_run_is_refused(self):
+        """A ``next_seq`` at or below a live run's sequence number would make
+        new runs overwrite live ``(slot, seq)`` entries: refused, for every
+        live run of a checkpoint taken every 13 tuples."""
+        stream = sigma0_stream(200, seed=47)
+        donor = _mixed()
+        tried = 0
+        for position, tup in enumerate(stream):
+            donor.process(tup)
+            if position % 13:
+                continue
+            snap = roundtrip(donor.snapshot(), "json")
+            scan = snap["lanes"][0]["scan"]
+            for seqs in scan["runs"].values():
+                for seq in seqs:
+                    scan["next_seq"] = seq
+                    with pytest.raises(SnapshotError, match="next_seq"):
+                        _mixed().restore(snap)
+                    tried += 1
+        assert tried > 20
 
 
 class TestMultiEngineSnapshot:
@@ -414,9 +460,9 @@ class TestRefusedRestoreChangesNothing:
         return snap
 
     @pytest.mark.parametrize("tamper", TAMPERS)
-    @pytest.mark.parametrize("kind", ["single", "general", "multi"])
+    @pytest.mark.parametrize("kind", ["single", "mixed", "multi"])
     def test_a_refused_restore_leaves_the_snapshot_bytes_unchanged(self, kind, tamper):
-        make = {"single": _single, "general": _general, "multi": lambda: _multi(churn=False)}[kind]
+        make = {"single": _single, "mixed": _mixed, "multi": lambda: _multi(churn=False)}[kind]
         stream = sigma0_stream(60, seed=43)
         donor = make()
         for tup in stream[:40]:
@@ -449,6 +495,12 @@ class TestWrongValueTypesAreRefused:
         "lane key holds a list", "lane anchor is a string", "lane anchor is negative",
         "lane node is a string", "lane node is past 2**62", "lane entry is no pair",
         "lane run holds no tuple",
+    ]  # fmt: skip
+    #: Tampers of the ``scan`` section and of the entries' shapes by slot kind.
+    SCAN_TAMPERS = [
+        "next_seq is a string", "next_seq is a float", "next_seq is a bool", "next_seq is negative",
+        "nodes_scanned is a string", "nodes_scanned is negative", "next_seq at the newest run",
+        "run under a hash slot", "entry under a scan slot",
     ]  # fmt: skip
 
     @staticmethod
@@ -488,15 +540,39 @@ class TestWrongValueTypesAreRefused:
             lane["hash"][0] = (key, TestWrongValueTypesAreRefused._with_node(entry, 1 << 62))
         elif tamper == "lane entry is no pair":
             lane["hash"][0] = (key, entry[:1])
-        else:
+        elif tamper == "lane run holds no tuple":
             node = entry[0][1] if type(entry[0]) is tuple else entry[0]
             lane["hash"][0] = (key, (("R", node), entry[1]))
+        else:
+            TestWrongValueTypesAreRefused._scan_tampered(lane, tamper)
         return snap
 
-    @pytest.mark.parametrize("tamper", TAMPERS)
-    @pytest.mark.parametrize("kind", ["single", "general", "multi"])
+    @staticmethod
+    def _scan_tampered(lane, tamper):
+        scan = lane["scan"]
+        field, value = {
+            "next_seq is a string": ("next_seq", str(scan["next_seq"])),
+            "next_seq is a float": ("next_seq", scan["next_seq"] + 0.5),
+            "next_seq is a bool": ("next_seq", True),
+            "next_seq is negative": ("next_seq", -1),
+            "nodes_scanned is a string": ("nodes_scanned", "3"),
+            "nodes_scanned is negative": ("nodes_scanned", -1),
+            "next_seq at the newest run": ("next_seq", max(max(seqs) for seqs in scan["runs"].values())),
+        }.get(tamper, (None, None))
+        if field is not None:
+            scan[field] = value
+            return
+        scanning = tamper == "entry under a scan slot"
+        at = next(i for i, (key, _) in enumerate(lane["hash"]) if (key[0] in scan["runs"]) == scanning)
+        key, (value, anchor) = lane["hash"][at]
+        lane["hash"][at] = (key, (value[1], anchor) if scanning else ((Tuple("T", (0,)), value), anchor))
+
+    @pytest.mark.parametrize(
+        "kind, tamper",
+        list(product(("single", "mixed", "multi"), TAMPERS)) + list(product(("mixed",), SCAN_TAMPERS)),
+    )
     def test_refused_then_the_stream_goes_on(self, kind, tamper):
-        make = {"single": _single, "general": _general, "multi": lambda: _multi(churn=False)}[kind]
+        make = {"single": _single, "mixed": _mixed, "multi": lambda: _multi(churn=False)}[kind]
         stream = sigma0_stream(90, seed=47)
         donor = make()
         for tup in stream[:50]:
@@ -697,7 +773,9 @@ class TestQuerySubsetSnapshotsAreRefused:
             "lanes": full["lanes"],
             "buckets": full["runtime"]["buckets"],
             "signatures": [
-                snapshot_codec.stable_signature(engine._queries[handle.id].dispatch.signature())
+                snapshot_codec.stable_signature(
+                    MergedDispatchIndex([(0, engine._queries[handle.id].dispatch)]).signature()
+                )
                 for handle in engine.handles()
             ],
         }
@@ -904,8 +982,20 @@ def _single():
     return StreamingEvaluator(hcq_to_pcea(parse_query(QUERY)), window=9)
 
 
-def _general():
-    return GeneralStreamingEvaluator(hcq_to_pcea(parse_query(QUERY)), window=8)
+def mixed_pcea():
+    """``QUERY``'s automaton with one join scanned: the ``S`` transition's on
+    the ``T`` state, which the ``R`` transition still hashes — so that
+    transition probes both kinds, and the ``T`` state is read through a
+    scan slot and a hash slot."""
+    return scanned(hcq_to_pcea(parse_query(QUERY)), joins={(3, 0)})
+
+
+def _mixed():
+    """One window, one store: ``QUERY`` hashed and :func:`mixed_pcea`."""
+    engine = MultiQueryEngine()
+    engine.register(QUERY, window=8)
+    engine.register(mixed_pcea(), window=8)
+    return engine
 
 
 def _multi(churn=False):
@@ -930,7 +1020,7 @@ def _checkpoint(kind):
         engine.register(*CHURNED)
         make = lambda: _multi(churn=True)  # noqa: E731
     else:
-        make = _single if kind == "single" else _general
+        make = _single if kind == "single" else _mixed
         engine = make()
         for tup in stream[:80]:
             engine.process(tup)
@@ -955,14 +1045,17 @@ def restores_or_refuses(make, blob):
         assert snapshot_codec.dumps(engine.snapshot()) == before
 
 
-KINDS = st.sampled_from(["single", "general", "multi"])
+#: The engines a checkpoint is fuzzed from: one query, one store of a hashed
+#: and a mixed query (:func:`_mixed`), several stores after churn.
+KINDS = ["single", "mixed", "multi"]
 
 
 class TestCheckpointFuzz:
     # No test here fixes ``max_examples``: tier-1 runs the default budget, CI
     # the ``fuzz`` profile (conftest.py).
+    @pytest.mark.parametrize("kind", KINDS)
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(kind=KINDS, data=st.data())
+    @given(data=st.data())
     def test_truncations_restore_or_refuse(self, kind, data):
         make, blob = _checkpoint(kind)
         cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
@@ -971,8 +1064,9 @@ class TestCheckpointFuzz:
         body = blob[HEADER_SIZE:cut]
         restores_or_refuses(make, struct.pack("!I", len(body)) + body)
 
+    @pytest.mark.parametrize("kind", KINDS)
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(kind=KINDS, data=st.data())
+    @given(data=st.data())
     def test_byte_mutations_restore_or_refuse(self, kind, data):
         make, blob = _checkpoint(kind)
         mutated = bytearray(blob)
