@@ -1045,9 +1045,6 @@ class ArenaDataStructure:
         return {
             "window": self.window,
             "cap": self._cap,
-            # Slab sizing is always adaptive; the key stays because the
-            # checkpoint format carries it.
-            "adaptive": True,
             "next_slot": self._next_slot,
             "release_cursor": self._release_cursor,
             "slab_start": self._slab_start,
@@ -1086,8 +1083,6 @@ class ArenaDataStructure:
             raise ValueError("snapshot holds no slabs (the current slab is never released)")
         if next_slot != snapshot["next_slot"]:
             raise ValueError("snapshot slabs do not end at the allocation cursor")
-        if snapshot["adaptive"] is not True:
-            raise ValueError("snapshot arena has fixed-capacity slabs; slab sizing is always adaptive")
         cap = int(snapshot["cap"])
         slab_start = snapshot["slab_start"]
         slab_start = None if slab_start is None else int(slab_start)

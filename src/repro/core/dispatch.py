@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right, insort
+from hashlib import sha256
 from operator import attrgetter
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple as Tup, TYPE_CHECKING
 
@@ -77,23 +78,61 @@ State = Hashable
 _REPR_ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+")
 
 
-def join_signature(compiled: "CompiledTransition") -> Tup[Tup[int, str, int], ...]:
-    """The transition's joins as ``(source id, predicate descriptor, slot)`` triples.
+def join_signature(joins: Tup, probes: Tup) -> Tup[Tup[int, str, int], ...]:
+    """A transition's ``joins`` and ``probes`` as ``(source id, predicate
+    descriptor, slot)`` triples.
 
     The descriptor is the predicate's repr with memory addresses stripped —
     the standard binary predicates are dataclasses whose reprs carry their
     full configuration (projection tables, comparison positions), so two
     transitions joining on different positions get different signatures;
     callable-backed predicates degrade to their class name plus description,
-    mirroring how :func:`~repro.runtime.snapshot.stable_signature` treats
-    id-based unary canonical keys.  The slot is the ``H`` slot the join
-    probes: run-index tables are keyed by it, so a snapshot only restores
-    into an index that numbered its slots the same way.
+    as :func:`canonical_bytes` treats id-based unary canonical keys.  The
+    slot is the ``H`` slot the join probes: run-index tables are keyed by
+    it, so a snapshot only restores into an index that numbered its slots
+    the same way.
     """
     return tuple(
         (source_id, _REPR_ADDRESS.sub("", repr(predicate)), slot)
-        for (_, source_id, predicate), (slot, _) in zip(compiled.joins, compiled.probes)
+        for (_, source_id, predicate), (slot, _) in zip(joins, probes)
     )
+
+
+#: The tags of identity-based canonical keys (``("lambda", id(func))``,
+#: ``("id", id(predicate))``): the id means nothing in another process.
+_PROCESS_LOCAL = ("lambda", "id")
+
+
+def canonical_bytes(value: Any) -> bytes:
+    """``value``'s canonical byte form, what a checkpoint's query digests hash.
+
+    ``value`` is hashable data, a canonical key or a slot table.  Tuples are
+    written in order, frozensets with their members sorted by their own
+    encoded bytes, so the bytes do not follow set iteration order (which
+    varies with ``PYTHONHASHSEED``).  A process-local ``("lambda" |
+    "id", id)`` canonical-key atom is written as its bare tag.  Any other
+    value is its type name and its repr, memory addresses stripped.
+    """
+    out = bytearray()
+    _put_canonical(out, value)
+    return bytes(out)
+
+
+def _put_canonical(out: bytearray, value: Any) -> None:
+    kind = type(value)
+    if kind is tuple:
+        if len(value) == 2 and type(value[1]) is int and value[0] in _PROCESS_LOCAL:
+            value = value[:1]
+        out += b"(%d:" % len(value)
+        for item in value:
+            _put_canonical(out, item)
+    elif kind is frozenset:
+        out += b"{%d:" % len(value)
+        out += b"".join(sorted([canonical_bytes(item) for item in value]))
+    else:
+        data = f"{kind.__qualname__}={_REPR_ADDRESS.sub('', repr(value))}".encode("utf-8", "backslashreplace")
+        out += b"%d:" % len(data)
+        out += data
 
 
 class EvalGroup:
@@ -456,9 +495,13 @@ class DispatchStructure:
     key plan is ``None``, listed in ``scan_slots``): every run created into
     the state is also stored there.  A scanned state is never stored through
     and never a leaf.
+
+    :meth:`digest` is the shape half of a query's checkpoint digest
+    (:meth:`TransitionDispatchIndex.digest`), kept here so every query of
+    one shape shares it.
     """
 
-    __slots__ = ("final", "state_ids", "slots", "consumers", "scan_slots", "shapes", "_leaves")
+    __slots__ = ("final", "state_ids", "slots", "consumers", "scan_slots", "shapes", "_leaves", "_digest")
 
     def __init__(self, transitions: Sequence["PCEATransition"], final: Iterable[State] = ()) -> None:
         self.final = final = frozenset(final)
@@ -516,6 +559,21 @@ class DispatchStructure:
             )]
         ])  # fmt: skip
         self._leaves: Optional[Dict[int, Tup[Tup[int, ...], Tup[Hashable, ...]]]] = None
+        self._digest: Optional[bytes] = None
+
+    def digest(self) -> bytes:
+        """SHA-256 of the structure's canonical form (:func:`canonical_bytes`):
+        per transition its labels, target id, whether it is final, its joins
+        (:func:`join_signature`) and its scan flags, then the slot table.
+        Computed on first use — a checkpoint or a restore, never a build."""
+        digest = self._digest
+        if digest is None:
+            rows = tuple([
+                (labels, target_id, is_final, join_signature(joins, probes), scan)
+                for _, labels, _, target_id, is_final, joins, probes, _, _, scan in self.shapes
+            ])  # fmt: skip
+            digest = self._digest = sha256(canonical_bytes((rows, self.slots))).digest()
+        return digest
 
     def leaves(self) -> Dict[int, Tup[Tup[int, ...], Tup[Hashable, ...]]]:
         """The leaf-state candidates (see :meth:`TransitionDispatchIndex.leaf_states`):
@@ -659,6 +717,7 @@ class TransitionDispatchIndex:
             compiled.append(CompiledTransition(shape, transition, binding))
         self._all: Tup[CompiledTransition, ...] = tuple(compiled)
         self._leaves: Optional[Dict[int, Hashable]] = None  # see leaf_states()
+        self._digest: Optional[bytes] = None  # see digest()
 
     # ----------------------------------------------------------------- lookups
     def consumers_by_id(self, state_id: int) -> Tup[Tup[int, object], ...]:
@@ -702,6 +761,25 @@ class TransitionDispatchIndex:
                 for state_id, (into, plans) in self.structure.leaves().items()
             }
         return leaves
+
+    def digest(self) -> bytes:
+        """The automaton's 32-byte checkpoint digest: SHA-256 of its
+        structure's :meth:`~DispatchStructure.digest` and, per transition, the
+        canonical bytes of its dispatch relations, constant guard and
+        canonical unary key.  Two indexes with equal digests plan, join and
+        number their slots alike, so a checkpoint of one restores into the
+        other.  Computed on first use and kept: the index is never mutated."""
+        digest = self._digest
+        if digest is None:
+            hasher = sha256(self.structure.digest())
+            rows: Dict[int, bytes] = {}  # id(unary) -> its row's bytes: transitions share unaries
+            for c in self._all:
+                row = rows.get(id(c.unary))
+                if row is None:
+                    row = rows[id(c.unary)] = canonical_bytes((c.relations, c.guard, c.pred_key))
+                hasher.update(row)
+            digest = self._digest = hasher.digest()
+        return digest
 
     # ------------------------------------------------------------ introspection
     def __len__(self) -> int:

@@ -63,12 +63,8 @@ from repro.cq.schema import Tuple
 from repro.multi.merged_index import MergedDispatchIndex
 from repro.multi.registry import QueryHandle, QueryRegistry, QuerySpec, compile_query
 from repro.runtime import EngineStatistics, EvictionLane, StreamRuntime, fire
-from repro.runtime.snapshot import (
-    SNAPSHOT_VERSION,
-    SnapshotError,
-    check_snapshot_header,
-    stable_signature,
-)
+from repro.runtime.core import _is_word
+from repro.runtime.snapshot import SNAPSHOT_VERSION, SnapshotError, check_snapshot_header
 from repro.valuation import Valuation
 
 
@@ -362,8 +358,9 @@ class MultiQueryEngine:
     def _check_seating(self, queries: Sequence[_Registered], placement, lanes) -> List[tuple]:
         """The snapshot's placement rows as ``(store index, since, slot
         table)``, with everything re-seating ``queries`` relies on checked:
-        a store's ``scan`` section lists exactly the scan slots of the
-        queries placed in it, and a store without any has none."""
+        each value is an int (``since`` and the slots in ``[0, 2**62)``), a
+        store's ``scan`` section lists exactly the scan slots of the queries
+        placed in it, and a store without any has none."""
         if not self._arena:
             raise SnapshotError(
                 "restoring run stores requires the arena-backed enumeration "
@@ -379,7 +376,12 @@ class MultiQueryEngine:
         rows = []
         scanned = [set() for _ in lanes]
         for query, (where, since, slots) in zip(queries, placement):
-            where, since, slots = int(where), int(since), tuple([int(slot) for slot in slots])
+            slots = tuple(slots)
+            if type(where) is not int or not _is_word(since) or not all(map(_is_word, slots)):
+                raise SnapshotError(
+                    f"query {query.handle} is placed by {(where, since, slots)!r}, "
+                    "not by ints in [0, 2**62)"
+                )
             if not 0 <= where < len(lanes) or lanes[where]["window"] != query.handle.window:
                 raise SnapshotError(
                     f"query {query.handle} (window {query.handle.window}) does not fit "
@@ -395,30 +397,44 @@ class MultiQueryEngine:
                 raise SnapshotError(f"run store {where} does not list the scan slots of its queries")
         return rows
 
-    def _restored_stores(self, lanes) -> List[_Store]:
+    def _restored_stores(self, lanes, placement: Sequence[tuple]) -> List[_Store]:
         """The snapshot's stores, restored in snapshot order but not yet the
         engine's: a store whose records fail the checks raises here, before
-        anything is replaced."""
+        anything is replaced.  A store's ``next_slot`` must be an int in
+        ``[0, 2**62)`` above every slot placed in it and every slot its table
+        holds entries under: a lower one would number the next registration
+        onto live slots."""
         stores = []
-        for lane in lanes:
+        for where, lane in enumerate(lanes):
             store = self._open_store(lane["window"])
             store.restore(lane)
-            store.next_slot = int(lane["next_slot"])
+            next_slot = lane["next_slot"]
+            used = max(
+                (slot for at, _, slots in placement if at == where for slot in slots), default=-1
+            )
+            used = max(used, max((slot for slot, _ in store.hash), default=-1))
+            if not _is_word(next_slot) or next_slot <= used:
+                raise SnapshotError(
+                    f"run store {where} numbers its next slot {next_slot!r}, not an int in "
+                    f"[0, 2**62) above its slots in use (up to {used})"
+                )
+            store.next_slot = next_slot
             stores.append(store)
         return stores
 
     def snapshot(self) -> Dict[str, object]:
         """The engine's complete evaluation state (see :mod:`repro.runtime.snapshot`).
 
-        Carries the registry's handle table and the merged-index
-        ``signature()`` (made process-portable by
-        :func:`~repro.runtime.snapshot.stable_signature`) for verification,
-        the runtime state, one lane snapshot per run store, and each query's
-        placement — its store, the first position it observed and its slot
-        table — in registration order.  Restorable into a fresh engine that
-        registered the *same query specifications in the same order* — handle
-        ids are remapped from the snapshot, so output routing and later
-        registrations continue exactly as in the snapshotted run.
+        Carries the registry's handle table and one 32-byte digest per query
+        (:meth:`TransitionDispatchIndex.digest
+        <repro.core.dispatch.TransitionDispatchIndex.digest>`, memoised on the
+        compiled automaton) for verification, the runtime state, one lane
+        snapshot per run store, and each query's placement — its store, the
+        first position it observed and its slot table — all in registration
+        order.  Restorable into a fresh engine that registered the *same
+        query specifications in the same order* — handle ids are remapped
+        from the snapshot, so output routing and later registrations
+        continue exactly as in the snapshotted run.
         """
         queries = self._ordered()
         stores = list(dict.fromkeys(query.store for query in queries))
@@ -432,7 +448,7 @@ class MultiQueryEngine:
             "snapshot_version": SNAPSHOT_VERSION,
             "engine": "multi",
             "registry": self.registry.snapshot(),
-            "merged_signature": stable_signature(self._merged.signature()),
+            "digests": [query.dispatch.digest() for query in queries],
             "placement": [(where[query.store], query.since, query.slots) for query in queries],
             "lanes": lanes,
             "runtime": self._runtime.snapshot(
@@ -440,14 +456,34 @@ class MultiQueryEngine:
             ),
         }
 
+    def _check_digests(self, queries: Sequence[_Registered], recorded) -> None:
+        """Refuse a snapshot whose query digests are not those of ``queries``,
+        naming the first query that differs."""
+        digests = [query.dispatch.digest() for query in queries]
+        if digests == recorded:
+            return
+        if type(recorded) is not list:
+            differs = f"the snapshot's digests are a {type(recorded).__name__}, not a list"
+        elif len(recorded) != len(digests):
+            differs = f"the snapshot holds {len(recorded)} query digests, this engine {len(digests)}"
+        else:
+            at = next(i for i, (mine, theirs) in enumerate(zip(digests, recorded)) if mine != theirs)
+            differs = f"query {at} ({queries[at].handle.name}) compiles to another automaton"
+        raise SnapshotError(
+            "snapshot was taken from an engine with different registered "
+            f"queries (signatures differ: {differs})"
+        )
+
     def restore(self, snapshot: Dict[str, object]) -> None:
         """Adopt ``snapshot``'s state; processing then continues bit-identically.
 
         The engine must hold the snapshot's queries (same specifications,
         same registration order, same per-query windows, ``arena=True``) —
-        verified structurally through the merged-index
-        signature.  Registered handles are rewritten to the snapshot's
-        ids/names (see :meth:`QueryRegistry.restore_handles
+        verified query by query through their digests, memoised on the
+        compiled automata, so a restore into an engine that checkpointed or
+        restored the same automata before recomputes none.  Registered
+        handles are rewritten to the snapshot's ids/names (see
+        :meth:`QueryRegistry.restore_handles
         <repro.multi.registry.QueryRegistry.restore_handles>`), and every
         query is re-seated in the store, and from the position, the snapshot
         recorded for it.  Every section is read and checked before anything
@@ -457,17 +493,14 @@ class MultiQueryEngine:
         try:
             registry_snap = snapshot["registry"]
             runtime_snap = snapshot["runtime"]
+            recorded = snapshot["digests"]
             placement, lanes = snapshot["placement"], snapshot["lanes"]
         except KeyError as exc:
             raise SnapshotError(f"snapshot is missing the {exc} section") from exc
         queries = self._ordered()
-        if stable_signature(self._merged.signature()) != snapshot["merged_signature"]:
-            raise SnapshotError(
-                "snapshot was taken from an engine with different registered "
-                "queries (merged-index signatures differ)"
-            )
+        self._check_digests(queries, recorded)
         placement = self._check_seating(queries, placement, lanes)
-        stores = self._restored_stores(lanes)
+        stores = self._restored_stores(lanes, placement)
         runtime_state = StreamRuntime.parse(runtime_snap, len(stores))
         merged = MergedDispatchIndex(())
         for query, (where, since, slots) in zip(queries, placement):

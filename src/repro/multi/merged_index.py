@@ -604,8 +604,8 @@ class MergedDispatchIndex:
         def tokens(plan) -> Tup[Tup[int, int], ...]:
             return tuple(sorted(token for e in plan.flat() for token in stands_for(e)))
 
-        # Relations in name order: the summary (and the checkpoint bytes that
-        # carry it) must not depend on the order relations were first patched.
+        # Relations in name order: the summary must not depend on the order
+        # relations were first patched.
         relations = {relation: tokens(plan) for relation, plan in sorted(self.plans.items())}
         guards = {}
         for relation, (unguarded, positions) in sorted(self.guarded.items()):
@@ -620,9 +620,12 @@ class MergedDispatchIndex:
         entries = self.all_entries()
         predicates = {token: e.compiled.pred_key for e in entries for token in stands_for(e)}
         # Binary join predicates, so two query sets differing only in a join
-        # (same relations, same unary keys) cannot verify as equal — the
-        # snapshot protocol relies on this.
-        joins = {token: join_signature(e.compiled) for e in entries for token in stands_for(e)}
+        # (same relations, same unary keys) cannot compare equal.
+        joins = {
+            token: join_signature(e.compiled.joins, e.compiled.probes)
+            for e in entries
+            for token in stands_for(e)
+        }
         # Interning consistency: equal canonical keys must share one dense id
         # (the group-sharing soundness invariant), checked here so the tests'
         # signature comparison also certifies the intern tables.

@@ -134,8 +134,10 @@ class QueryRegistry:
 
         Queries themselves (compiled PCEA) are *not* serialised — the
         restoring side re-registers the same query specifications and the
-        engine verifies equivalence through the merged-index signature; what
-        the snapshot preserves is the handle table (ids, names, windows, in
+        engine verifies equivalence through one digest per query
+        (:meth:`TransitionDispatchIndex.digest
+        <repro.core.dispatch.TransitionDispatchIndex.digest>`); what the
+        snapshot preserves is the handle table (ids, names, windows, in
         registration order) and the id counter, so restored handles and all
         future registrations carry the same ids as the snapshotted run.
         """
@@ -157,7 +159,7 @@ class QueryRegistry:
 
         The registry must hold the same queries in the same registration
         order as the snapshotted one (the caller re-registered them; windows
-        are verified here, structural equivalence by the engine's signature
+        are verified here, structural equivalence by the engine's digest
         check).  Handles are rewritten in place — ids and names adopt the
         snapshot's, which is what keeps output routing and future handle
         allocation identical to the snapshotted run even when queries were

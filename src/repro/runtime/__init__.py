@@ -64,7 +64,7 @@ from repro.runtime.core import (
     StreamRuntime,
 )
 from repro.runtime.fire import fire
-from repro.runtime.snapshot import SNAPSHOT_VERSION, SnapshotError, stable_signature
+from repro.runtime.snapshot import SNAPSHOT_VERSION, SnapshotError
 from repro.runtime.statistics import EngineStatistics
 
 __all__ = [
@@ -76,5 +76,4 @@ __all__ = [
     "StreamRuntime",
     "EngineStatistics",
     "fire",
-    "stable_signature",
 ]

@@ -95,6 +95,14 @@ def _is_word(value) -> bool:
     return type(value) is int and 0 <= value < 1 << 62
 
 
+def _cursor(snapshot: Dict[str, object], name: str, low: int) -> int:
+    """The runtime section's ``name``, an int in ``[low, 2**62)``, or refused."""
+    value = snapshot[name]
+    if type(value) is not int or not low <= value < 1 << 62:
+        raise SnapshotError(f"runtime {name} {value!r} is not an int in [{low}, 2**62)")
+    return value
+
+
 def _check_entry(entry, scanned: bool) -> None:
     """A lane-table entry is ``(node, max_start)``, or under a scan slot a
     ``((tuple, node), position)`` run, each int in ``[0, 2**62)``."""
@@ -658,9 +666,6 @@ class StreamRuntime:
             "evicted": self.evicted,
             "swept_upto": self._swept_upto,
             "next_release_pass": self._next_release_pass,
-            # The cadence is a constant; the key stays because the
-            # checkpoint format carries it.
-            "release_interval": RELEASE_PASS_INTERVAL,
             "stats": dataclasses.asdict(self.stats),
             "buckets": buckets,
         }
@@ -674,14 +679,11 @@ class StreamRuntime:
         position would leak its entries (and their refcounts) forever — and
         hold whole ``(lane index, (slot, key), node)`` triples naming one of
         the snapshot's lanes; every counter must have its type; and the
-        release-pass cadence must be :data:`RELEASE_PASS_INTERVAL`.
+        cursors must be ints (not bools, not strings) in ``[0, 2**62)`` —
+        ``position`` and ``swept_upto`` from ``-1``, before the first tuple.
         """
-        if snapshot["release_interval"] != RELEASE_PASS_INTERVAL:
-            raise SnapshotError(
-                f"release pass interval {snapshot['release_interval']!r}: this build "
-                f"releases every {RELEASE_PASS_INTERVAL} positions"
-            )
-        swept_upto = int(snapshot["swept_upto"])
+        position, swept_upto = _cursor(snapshot, "position", -1), _cursor(snapshot, "swept_upto", -1)
+        evicted, next_release = _cursor(snapshot, "evicted", 0), _cursor(snapshot, "next_release_pass", 0)
         # An int stands for a float; a counter left out starts from zero.
         counters = dict(snapshot["stats"])
         for name, value in counters.items():
@@ -691,7 +693,8 @@ class StreamRuntime:
         buckets: Dict[int, List[object]] = {}
         # dict(): a file may hold any container here, and only a mapping has items().
         for expiry_position, entries in dict(snapshot["buckets"]).items():
-            expiry_position = int(expiry_position)
+            if type(expiry_position) is not int:
+                raise SnapshotError(f"expiry bucket {expiry_position!r} is not keyed by a position")
             if expiry_position <= swept_upto:
                 raise ValueError(
                     f"cannot restore expiry bucket {expiry_position}: the snapshot "
@@ -708,10 +711,10 @@ class StreamRuntime:
                 if type(node) is not int or not 0 <= node < 1 << 62:
                     raise SnapshotError(f"expiry bucket {expiry_position} names node {node!r}")
         return {
-            "position": int(snapshot["position"]),
-            "evicted": int(snapshot["evicted"]),
+            "position": position,
+            "evicted": evicted,
             "swept_upto": swept_upto,
-            "next_release_pass": int(snapshot["next_release_pass"]),
+            "next_release_pass": next_release,
             "stats": EngineStatistics(**counters),
             "buckets": buckets,
         }

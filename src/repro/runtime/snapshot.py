@@ -11,12 +11,14 @@ frozensets / :class:`~repro.cq.schema.Tuple` events):
   — the window, the run-index hash table and the enumeration structure;
 * :meth:`StreamRuntime.snapshot/restore <repro.runtime.StreamRuntime.snapshot>`
   — the stream cursor, sweep cursors, statistics and expiry buckets;
-* the engine composes those layers, adding its own verification header
-  run through :func:`stable_signature` — the merged-index ``signature()``
-  plus the :meth:`QueryRegistry.snapshot
-  <repro.multi.registry.QueryRegistry.snapshot>` entry table — so a snapshot
-  can only be restored into an engine evaluating the *same* queries.  There
-  is one kind of tree, ``multi`` (the K=1 ``StreamingEvaluator`` writes it
+* the engine composes those layers, adding its own verification header:
+  the :meth:`QueryRegistry.snapshot
+  <repro.multi.registry.QueryRegistry.snapshot>` entry table and one
+  32-byte SHA-256 per registered query, in registration order
+  (:meth:`TransitionDispatchIndex.digest
+  <repro.core.dispatch.TransitionDispatchIndex.digest>`), so a snapshot can
+  only be restored into an engine evaluating the *same* queries.  There is
+  one kind of tree, ``multi`` (the K=1 ``StreamingEvaluator`` writes it
   too); a store with scan slots carries their run lists as one more section
   of its lane.  The ``general`` kind earlier builds wrote scanned every join,
   equality joins included, where this build hashes those: it is refused by
@@ -27,10 +29,12 @@ mutable state with the live engine).  A checkpoint file — what
 ``repro-cer --checkpoint/--restore`` writes and reads — is one frame of the
 wire codec (:mod:`repro.runtime.frames`): a length prefix and the tree's
 typed value encoding, decoded under the same element, depth and size caps
-as a frame off a socket, since a file is untrusted input too.  The
-signature stays a tree compared by equality, not a digest: a digest needs a
-canonical byte form, and the encoding follows set and dict iteration
-order, which varies with the hash seed.
+as a frame off a socket, since a file is untrusted input too.  A query's
+digest hashes a canonical byte form of its compiled automaton
+(:func:`~repro.core.dispatch.canonical_bytes`: set members sorted by their
+own bytes, process-local ids stripped), so it does not depend on the hash
+seed of the process that wrote it; it is memoised on the compiled objects,
+its shape half shared by every query of one conjunction shape.
 """
 
 from __future__ import annotations
@@ -50,8 +54,11 @@ from repro.runtime.frames import FrameProtocolError, decode_frame, encode_frame
 #: numbered per automaton and are refused likewise.  Version 4: the file is a
 #: wire-codec frame instead of tagged-JSON text, an arena slab carries its
 #: record words verbatim, and a multi-query lane no longer says whether it is
-#: ``joinable`` (every store is its window's store).
-SNAPSHOT_VERSION = 4
+#: ``joinable`` (every store is its window's store).  Version 5: the engine is
+#: verified by one digest per query (``digests``) instead of the merged-index
+#: signature tree, and the constant ``release_interval`` and ``adaptive`` keys
+#: are gone; a version-4 tree is refused by name.
+SNAPSHOT_VERSION = 5
 
 
 class SnapshotError(ValueError):
@@ -95,37 +102,6 @@ def load(path: str) -> Any:
 
 
 # -------------------------------------------------------------- verification
-def stable_signature(signature: Any) -> Any:
-    """Strip process-specific atoms from a dispatch/merged-index signature.
-
-    Canonical predicate keys fall back to ``("lambda", id(func))`` /
-    ``("id", id(predicate))`` for callables the canonical-key protocol cannot
-    describe structurally; those ids are meaningless in another process, so a
-    checkpoint verified across processes replaces them with their bare tag.
-    Structurally-describable predicates (the whole standard hierarchy) keep
-    their full canonical keys, so the verification still catches restoring a
-    snapshot into an engine evaluating different queries.
-    """
-    if isinstance(signature, tuple):
-        if (
-            len(signature) == 2
-            and signature[0] in ("lambda", "id")
-            and isinstance(signature[1], int)
-        ):
-            return (signature[0],)
-        return tuple(stable_signature(item) for item in signature)
-    if isinstance(signature, list):
-        return [stable_signature(item) for item in signature]
-    if isinstance(signature, dict):
-        return {
-            stable_signature(key): stable_signature(value)
-            for key, value in signature.items()
-        }
-    if isinstance(signature, frozenset):
-        return frozenset(stable_signature(item) for item in signature)
-    return signature
-
-
 def check_snapshot_header(snapshot: Any, engine: str) -> Dict[str, Any]:
     """Validate the common engine-snapshot header, returning the snapshot.
 
@@ -133,7 +109,7 @@ def check_snapshot_header(snapshot: Any, engine: str) -> Dict[str, Any]:
     restoring engine passes its own kind so a checkpoint taken with one
     engine mode cannot be silently restored into another.  A query-subset
     tree (``kind`` ``"multi-partial"``, no ``engine``) is refused by name,
-    and so is a ``general`` tree.
+    and so are a ``general`` tree and a version-4 tree.
     """
     if not isinstance(snapshot, dict):
         raise SnapshotError(f"snapshot must be a mapping, got {type(snapshot).__name__}")
@@ -149,6 +125,12 @@ def check_snapshot_header(snapshot: Any, engine: str) -> Dict[str, Any]:
             "join scanned, where this build hashes the equality joins; re-run the stream"
         )
     version = snapshot.get("snapshot_version")
+    if version == 4:
+        raise SnapshotError(
+            "snapshot version 4 verified its queries by the merged-index signature tree; "
+            f"this build reads only the per-query digests of snapshot version {SNAPSHOT_VERSION}: "
+            "re-run the stream"
+        )
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(
             f"snapshot version {version!r} is not supported "

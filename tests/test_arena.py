@@ -310,14 +310,14 @@ class TestOneCopyPerRecordOperation:
             assert source.count(line) == 1, line
 
     @pytest.mark.parametrize("kernel", ARENAS)
-    def test_a_fixed_capacity_snapshot_is_refused(self, kernel):
+    def test_a_snapshot_carries_no_sizing_flag(self, kernel):
+        """Slab sizing is always adaptive, so snapshot version 5 dropped the
+        constant ``adaptive`` key version 4 carried."""
         ds = ArenaDataStructure(4, kernel=kernel)
         ds.extend({"a"}, 0, [])
         snap = ds.snapshot()
-        assert snap["adaptive"] is True
+        assert "adaptive" not in snap
         fresh = ArenaDataStructure(4, kernel=kernel)
-        with pytest.raises(ValueError):
-            fresh.restore(dict(snap, adaptive=False))
         fresh.restore(snap)
         assert fresh.snapshot() == snap
 

@@ -37,7 +37,6 @@ from repro.runtime import (
     RELEASE_PASS_INTERVAL,
     EngineStatistics,
     EvictionLane,
-    SnapshotError,
     SparseBatch,
     StreamRuntime,
 )
@@ -611,15 +610,14 @@ class TestCompactBucketProtocol:
         assert seen == [[0, 1], [0, 1], [0, 1], [1], [1], []]
         assert not lane.hash and runtime.evicted == 3
 
-    def test_release_pass_interval_is_the_constant_a_checkpoint_carries(self):
+    def test_release_pass_interval_is_a_constant_no_checkpoint_carries(self):
+        """Snapshot version 5 dropped the ``release_interval`` key: the
+        cadence is :data:`RELEASE_PASS_INTERVAL`, in every build."""
         runtime = StreamRuntime()
         assert runtime.memory_info()["release_interval"] == RELEASE_PASS_INTERVAL
         snap = runtime.snapshot({})
-        assert snap["release_interval"] == RELEASE_PASS_INTERVAL
+        assert "release_interval" not in snap
         assert StreamRuntime.parse(snap, 0)["position"] == -1
-        for other in (8, "256", None):
-            with pytest.raises(SnapshotError):
-                StreamRuntime.parse(dict(snap, release_interval=other), 0)
 
     def test_multi_engine_exposes_release_interval(self):
         assert MultiQueryEngine().memory_info()["release_interval"] == RELEASE_PASS_INTERVAL

@@ -43,6 +43,7 @@ from repro.engine import compiler
 from repro.engine.compiler import PatternCompilationError, compile_pattern
 from repro.engine.dsl import atom, conjunction
 from repro.multi import MergedDispatchIndex, MultiQueryEngine
+from repro.runtime import SnapshotError
 from repro.runtime import snapshot as snapshot_codec
 
 OPERATORS = ("<", "<=", ">", ">=", "==")
@@ -333,7 +334,9 @@ def test_compiling_builds_no_index_on_the_core_automaton():
 
 
 # ------------------------------------------------------ the pinned checkpoint
-PINNED = Path(__file__).parent / "data" / "multi_dsl_v4.snap"
+PINNED = Path(__file__).parent / "data" / "multi_dsl_v5.snap"
+#: The same run checkpointed by a version-4 build (merged-signature tree).
+PINNED_V4 = Path(__file__).parent / "data" / "multi_dsl_v4.snap"
 PINNED_LENGTH = 600
 SNAPSHOT_AT = 300
 UNREGISTER_AT = 150
@@ -389,17 +392,17 @@ def drive(engine, handles, stream, start, stop):
 
 
 def write_pinned_snapshot(path=PINNED):
-    """How ``multi_dsl_v4.snap`` was made (by the build before the memo)."""
+    """How ``multi_dsl_v5.snap`` was made (and, by a version-4 build before
+    the memo, ``multi_dsl_v4.snap``)."""
     engine, handles = pinned_engine()
     drive(engine, handles, pinned_stream(), 0, SNAPSHOT_AT)
     snapshot_codec.save(str(path), engine.snapshot())
 
 
 def test_a_pinned_multi_checkpoint_restores_through_the_warm_memo():
-    """``multi_dsl_v4.snap`` was written by :func:`write_pinned_snapshot` with
-    the build that compiled every pattern from scratch.  The same patterns,
-    compiled again through the warm memo, restore it and continue exactly
-    like an uninterrupted engine."""
+    """``multi_dsl_v5.snap`` was written by :func:`write_pinned_snapshot`.
+    The same patterns, compiled again through the warm memo, restore it and
+    continue exactly like an uninterrupted engine."""
     stream = pinned_stream()
     memo.cache_clear()
     continuous, handles = pinned_engine()
@@ -417,16 +420,29 @@ def test_a_pinned_multi_checkpoint_restores_through_the_warm_memo():
     assert drive(restored, None, stream, SNAPSHOT_AT, PINNED_LENGTH) == expected
 
 
+def test_the_version_4_checkpoint_is_refused_by_name():
+    """``multi_dsl_v4.snap`` verifies its queries by the merged-index
+    signature tree version 5 replaced with per-query digests: refused by
+    version, the engine left as it was."""
+    engine = MultiQueryEngine()
+    for k, (pattern, window) in enumerate(pinned_patterns()):
+        if k != UNREGISTERED:
+            engine.register(pattern, window)
+    untouched = snapshot_codec.dumps(engine.snapshot())
+    tree = snapshot_codec.load(str(PINNED_V4))
+    assert tree["snapshot_version"] == 4 and "merged_signature" in tree
+    with pytest.raises(SnapshotError, match="snapshot version 4 verified its queries by the merged-index"):
+        engine.restore(tree)
+    assert snapshot_codec.dumps(engine.snapshot()) == untouched
+
+
 CHURN_GROUPS, CHURN_ARMS, CHURN_QUERIES, CHURN_WINDOW = 4, 3, 16, 48
 CHURN_LENGTH, CHURN_EVERY = 480, 40
 
-#: SHA-256 of :func:`churned_checkpoint`, written by the build before shape
-#: templates and per-group plan patching.  That build inserted each relation's
-#: plan in the order its registration first touched the relation — a string
-#: set's, so its raw bytes varied with ``PYTHONHASHSEED`` — and the digest is
-#: of its bytes with the merged signature's per-relation maps in name order,
-#: which is how :meth:`MergedDispatchIndex.signature` now writes them.
-PINNED_CHURN_DIGEST = "2ef3f768e3c10e25c4c26833ac5731a31f137bcd4f715c81ca3ef12c77ded74b"
+#: SHA-256 of :func:`churned_checkpoint` in snapshot version 5, where each
+#: query is verified by its 32-byte digest; the same under every
+#: ``PYTHONHASHSEED``.
+PINNED_CHURN_DIGEST = "cf1dff58312dd1b5a197840b4d8d81253b4309ba37e111f03a08a10ec6934c88"
 
 
 def churn_pattern(query):

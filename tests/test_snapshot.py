@@ -38,9 +38,13 @@ Four layers of protection:
 Snapshot equality across the two kernels is ``tests/test_kernel.py``'s.
 """
 
+import ast
+import copy
+import os
 import pickle
 import random
 import struct
+import subprocess
 import sys
 from array import array
 from functools import lru_cache
@@ -52,12 +56,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.arena import ArenaDataStructure
+from repro.core.dispatch import TransitionDispatchIndex
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.hcq_to_pcea import hcq_to_pcea
 from repro.core.kernel import native_available
 from repro.cq.query import Atom, Variable, parse_query
 from repro.cq.schema import Tuple
-from repro.multi import MergedDispatchIndex
 from repro.multi.engine import MultiQueryEngine
 from repro.runtime import SNAPSHOT_VERSION, SnapshotError
 from repro.runtime import snapshot as snapshot_codec
@@ -123,7 +127,7 @@ class TestCodec:
 
     def test_a_tagged_json_checkpoint_is_refused_by_name(self):
         old = b'{"snapshot_version": 3, "engine": "streaming"}\n'
-        with pytest.raises(SnapshotError, match="snapshot version 3; .* snapshot version 4"):
+        with pytest.raises(SnapshotError, match="snapshot version 3; .* snapshot version 5"):
             snapshot_codec.loads(old)
 
 
@@ -262,7 +266,7 @@ class TestScanSlotSnapshot:
         assert ours == theirs and [list(runs) for runs in ours.values()] == [list(runs) for runs in theirs.values()]
 
     def test_hashed_and_scan_checkpoints_refuse_each_other(self):
-        """The signature names the join predicates, and the scanned members."""
+        """The query digest covers the join predicates and the scan flags."""
         pcea = hcq_to_pcea(parse_query(QUERY))
         for source, target in ((pcea, scanned(pcea)), (scanned(pcea), pcea)):
             donor = StreamingEvaluator(source, window=8)
@@ -298,14 +302,13 @@ class TestScanSlotSnapshot:
             engine.process(tup)
         snap = engine.snapshot()
         assert all("scan" not in lane for lane in snap["lanes"])
-        assert "scan" not in snap["merged_signature"]
-        assert "scan" in _mixed().snapshot()["merged_signature"]
+        assert "scan" in _mixed().snapshot()["lanes"][0]
 
     def test_a_general_tree_is_refused_by_name(self):
         """``general_v4.snap`` (``--general --checkpoint`` of an earlier build)
         holds scan state for joins this build hashes."""
         tree = snapshot_codec.load(str(Path(__file__).parent / "data" / "general_v4.snap"))
-        assert tree["engine"] == "general" and tree["snapshot_version"] == SNAPSHOT_VERSION
+        assert tree["engine"] == "general" and tree["snapshot_version"] == 4
         engine = StreamingEvaluator(hcq_to_pcea(parse_query(QUERY)), window=50)
         untouched = engine.snapshot()
         with pytest.raises(SnapshotError, match="a 'general' snapshot cannot be restored"):
@@ -494,7 +497,8 @@ class TestWrongValueTypesAreRefused:
         "bucket key is no pair", "bucket node is a string", "lane key is a list",
         "lane key holds a list", "lane anchor is a string", "lane anchor is negative",
         "lane node is a string", "lane node is past 2**62", "lane entry is no pair",
-        "lane run holds no tuple",
+        "lane run holds no tuple", "position is a string", "evicted is negative", "since is a float",
+        "bucket position is a string",
     ]  # fmt: skip
     #: Tampers of the ``scan`` section and of the entries' shapes by slot kind.
     SCAN_TAMPERS = [
@@ -543,6 +547,15 @@ class TestWrongValueTypesAreRefused:
         elif tamper == "lane run holds no tuple":
             node = entry[0][1] if type(entry[0]) is tuple else entry[0]
             lane["hash"][0] = (key, (("R", node), entry[1]))
+        elif tamper == "position is a string":
+            runtime["position"] = "29"
+        elif tamper == "evicted is negative":
+            runtime["evicted"] = -5
+        elif tamper == "since is a float":
+            where, _, slots = snap["placement"][0]
+            snap["placement"][0] = (where, 0.5, slots)
+        elif tamper == "bucket position is a string":
+            runtime["buckets"] = {str(due): flat for due, flat in runtime["buckets"].items()}
         else:
             TestWrongValueTypesAreRefused._scan_tampered(lane, tamper)
         return snap
@@ -593,6 +606,136 @@ class TestWrongValueTypesAreRefused:
         for tup in stream[:10]:
             untouched.process(tup)
         assert [engine.process(t) for t in stream[10:]] == [untouched.process(t) for t in stream[10:]]
+
+
+    def test_a_next_slot_on_live_slots_is_refused(self):
+        """A store's ``next_slot`` numbers the next registration's slots.  A
+        checkpoint whose ``next_slot`` is 0 after 30 tuples (restored
+        unchecked, 10 of the next 90 positions gave other outputs than the
+        donor's once a second query registered) or otherwise not an int above
+        every slot in use is refused, the engine left as it was."""
+        stream = sigma0_stream(120, seed=3)
+
+        def make():
+            engine = MultiQueryEngine()
+            engine.register(QUERY, window=8)
+            return engine
+
+        donor = make()
+        for tup in stream[:30]:
+            donor.process(tup)
+        snap = roundtrip(donor.snapshot(), "json")
+        next_slot = snap["lanes"][0]["next_slot"]
+        for bad in (0, next_slot - 1, -1, True, str(next_slot), 1 << 62):
+            tampered = roundtrip(snap, "json")
+            tampered["lanes"][0]["next_slot"] = bad
+            engine = make()
+            before = snapshot_codec.dumps(engine.snapshot())
+            with pytest.raises(SnapshotError, match="next slot"):
+                engine.restore(tampered)
+            assert snapshot_codec.dumps(engine.snapshot()) == before
+        restored = make()
+        restored.restore(snap)
+        for engine in (donor, restored):
+            engine.register("Q2(x, y) <- S(x, y), R(x, y)", window=8)
+        assert [restored.process(t) for t in stream[30:]] == [donor.process(t) for t in stream[30:]]
+
+
+def _seeded_engine():
+    """One query whose unaries dispatch on several relations — sets whose
+    iteration order follows the hash seed — joined on the first attribute."""
+    from repro.core.pcea import PCEA, PCEATransition
+    from repro.core.predicates import ProjectionEquality, RelationPredicate
+
+    arm = PCEATransition((), RelationPredicate({"A", "B", "C"}), {}, {"a"}, "q")
+    join = ProjectionEquality({"A": (0,), "B": (0,), "C": (0,)}, {"B": (0,), "D": (0,)})
+    close = PCEATransition({"q"}, RelationPredicate({"B", "D"}), {"q": join}, {"b"}, "f")
+    engine = MultiQueryEngine()
+    engine.register(PCEA(states={"q", "f"}, transitions=[arm, close], final={"f"}), window=6, name="Q")
+    return engine
+
+
+def _seeded_outputs(engine, tuples):
+    """What ``engine`` outputs on ``tuples``, as plain sorted data."""
+    return [
+        sorted(sorted((label, sorted(positions)) for label, positions in valuation.items())
+               for valuations in engine.process(tup).values() for valuation in valuations)
+        for tup in tuples
+    ]  # fmt: skip
+
+
+SEEDED_STREAM = [
+    Tuple(relation, (value, 0))
+    for relation, value in zip("ABCDBDACBDDBCA" * 6, [0, 1, 2, 0, 1, 2, 2] * 12)
+]
+
+
+def _seeded_leg(phase, path):
+    """One process's half of the hash-seed test: checkpoint after half the
+    stream, or restore and process the rest; prints the query's digest and
+    the outputs."""
+    engine = _seeded_engine()
+    half = len(SEEDED_STREAM) // 2
+    if phase == "checkpoint":
+        outputs = _seeded_outputs(engine, SEEDED_STREAM[:half])
+        snapshot_codec.save(path, engine.snapshot())
+    else:
+        engine.restore(snapshot_codec.load(path))
+        outputs = _seeded_outputs(engine, SEEDED_STREAM[half:])
+    print(repr((engine.snapshot()["digests"][0], "".join(frozenset("ABC")), outputs)))
+
+
+class TestQueryDigests:
+    """A checkpoint verifies each query by one 32-byte digest of its compiled
+    automaton, in a canonical byte form that does not follow the hash seed."""
+
+    def test_a_checkpoint_restores_under_another_hash_seed(self, tmp_path):
+        path = str(tmp_path / "seeded.snap")
+        tests = str(Path(__file__).parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(tests).parent / "src"), tests]))
+        legs = []
+        for phase, seed in (("checkpoint", "1"), ("restore", "2")):
+            child = subprocess.run(
+                [sys.executable, "-c", "import sys, test_snapshot; test_snapshot._seeded_leg(*sys.argv[1:])",
+                 phase, path],
+                env=dict(env, PYTHONHASHSEED=seed), capture_output=True, text=True, timeout=120,
+            )  # fmt: skip
+            assert child.returncode == 0, child.stderr
+            legs.append(ast.literal_eval(child.stdout))
+        (written, order_1, head), (read, order_2, tail) = legs
+        assert order_1 != order_2  # the two processes iterate the dispatch sets differently
+        assert written == read == _seeded_engine().snapshot()["digests"][0]
+        assert len(written) == 32
+        assert head + tail == _seeded_outputs(_seeded_engine(), SEEDED_STREAM)
+        assert any(tail)
+
+    def test_a_checkpoint_grows_by_a_bounded_size_per_query(self):
+        """Verification costs a digest per query, not a tree that grows with
+        each query's transitions: an idle engine's checkpoint grows by at most
+        ``PER_QUERY`` bytes per registered query."""
+        PER_QUERY = 192
+
+        def size(queries):
+            engine = MultiQueryEngine()
+            for k in range(queries):
+                engine.register(star_query(3 + k % 3), window=8, name=f"q{k}")
+            return len(snapshot_codec.dumps(engine.snapshot()))
+
+        assert size(33) - size(1) <= 32 * PER_QUERY
+
+    def test_a_restore_recomputes_no_digest(self):
+        """The digests are kept on the compiled objects: a restore into an
+        engine holding the checkpointed automata hashes nothing again."""
+        engine = _multi()
+        for tup in sigma0_stream(40, seed=5):
+            engine.process(tup)
+        snap = engine.snapshot()
+        fresh = MultiQueryEngine()
+        for entry in engine.registry.entries():
+            fresh.register(entry.pcea, window=entry.handle.window)
+        digests = [query.dispatch._digest for query in fresh._ordered()]
+        fresh.restore(snap)
+        assert [query.dispatch._digest for query in fresh._ordered()] == digests == snap["digests"]
 
 
 class TestSignatureStrictness:
@@ -651,7 +794,7 @@ class TestVersionOneIsRefused:
     a later version every probe of such a table would miss.  Version 2 kept one
     lane per registered query; version 3 keeps one per run store and says where
     each query sits.  Older trees are refused by version, and a table numbered
-    by a different slot assignment by signature."""
+    by a different slot assignment by digest."""
 
     WINDOW = 9
 
@@ -687,7 +830,7 @@ class TestVersionOneIsRefused:
         for tup in self._stream():
             original.process(tup)
         snap = original.snapshot()
-        assert snap["snapshot_version"] == 4 and original.hash_table_size() > 0
+        assert snap["snapshot_version"] == SNAPSHOT_VERSION and original.hash_table_size() > 0
         self._as_version_one(snap["lanes"][0], snap["runtime"]["buckets"], original.pcea.dispatch_index())
         snap["snapshot_version"] = 1
         assert len(snap["lanes"][0]["hash"]) == 2 * original.hash_table_size()  # k-1 readers each
@@ -718,7 +861,7 @@ class TestVersionOneIsRefused:
         for tup in self._stream():
             original.process(tup)
         full = original.snapshot()
-        assert full["snapshot_version"] == 4
+        assert full["snapshot_version"] == SNAPSHOT_VERSION
         assert full["placement"] == [(0, 0, (0, 1, 2))]
         self._as_version_two(full)
         if version == 1:
@@ -735,20 +878,28 @@ class TestVersionOneIsRefused:
             fresh.restore(roundtrip(full, "json"))
         assert fresh.snapshot() == untouched and fresh.hash_table_size() == 0
 
-    def test_a_different_slot_numbering_is_refused_by_signature(self):
+    def test_a_different_slot_numbering_is_refused_by_digest(self):
+        """The digest covers the ``H`` slot each join probes: the same
+        automaton bound onto a structure that numbers every probe one slot up
+        does not verify."""
         original = StreamingEvaluator(self._pcea(), window=self.WINDOW)
         for tup in self._stream():
             original.process(tup)
         snap = original.snapshot()
-        renumbered = roundtrip(snap, "json")
-        renumbered["merged_signature"]["joins"] = {
-            token: tuple(join[:2] + (join[2] + 1,) for join in joins)
-            for token, joins in renumbered["merged_signature"]["joins"].items()
-        }
         fresh = StreamingEvaluator(self._pcea(), window=self.WINDOW)
-        with pytest.raises(SnapshotError, match="signatures differ"):
-            fresh.restore(renumbered)
+        query = next(iter(fresh._queries.values()))
+        index = query.dispatch
+        renumbered = copy.copy(index.structure)
+        renumbered.shapes = tuple(
+            shape[:6] + (tuple((slot + 1, probe) for slot, probe in shape[6]),) + shape[7:]
+            for shape in renumbered.shapes
+        )
+        renumbered._digest = None
+        query.dispatch = TransitionDispatchIndex(fresh.pcea.transitions, structure=renumbered)
+        with pytest.raises(SnapshotError, match=r"signatures differ: query 0 \(q0\)"):
+            fresh.restore(roundtrip(snap, "json"))
         assert fresh.position == -1 and fresh.hash_table_size() == 0
+        query.dispatch = index
         fresh.restore(roundtrip(snap, "json"))
         assert fresh.snapshot() == snap
 
@@ -763,7 +914,7 @@ class TestQuerySubsetSnapshotsAreRefused:
     def _partial(self, engine):
         """The tree a query-subset extraction wrote: the placement and lanes of
         a full snapshot, a ``kind`` tag instead of ``engine``, the position,
-        the bucket triples and one dispatch signature per query."""
+        the bucket triples and one digest per query."""
         full = engine.snapshot()
         return {
             "snapshot_version": full["snapshot_version"],
@@ -772,12 +923,7 @@ class TestQuerySubsetSnapshotsAreRefused:
             "placement": full["placement"],
             "lanes": full["lanes"],
             "buckets": full["runtime"]["buckets"],
-            "signatures": [
-                snapshot_codec.stable_signature(
-                    MergedDispatchIndex([(0, engine._queries[handle.id].dispatch)]).signature()
-                )
-                for handle in engine.handles()
-            ],
+            "signatures": [engine._queries[handle.id].dispatch.digest() for handle in engine.handles()],
         }
 
     def _engine(self, stream):
