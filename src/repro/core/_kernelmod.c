@@ -9,8 +9,9 @@
  *
  *   - `extend`: pointer-bump allocation of one packed record;
  *   - `union`: the iterative descend-then-rebuild path copy;
- *   - `extend_onto`: `union(entry, extend(.., ()))` per label id of a run,
- *     each as its one final record, chained;
+ *   - `extend_onto`: `union(entry, extend(.., ()))` for the k label sets
+ *     one label id names (a label set, or a label run the arena interned),
+ *     as one record;
  *   - `release_scan`: the eviction sweep's slab head advance with
  *     external-refcount checks (plus `add_ref`/`drop_ref` themselves);
  *   - `walk`: the pruning enumeration walk over the union tree.
@@ -364,31 +365,38 @@ Kernel_extend(KernelObject *self, PyObject *const *args, Py_ssize_t nargs)
     return PyLong_FromLongLong(id);
 }
 
-/* union(entry, extend(label, position, ())) for each label id in turn, each
- * as the one record it ends in: a childless node's max_start is its
- * position, which dominates every stored entry, so the union is always
- * fresh-on-top (or the fresh node alone once the entry expired), and every
- * further record chains onto the live one before it.  Mirrors
+/* union(entry, extend(L, position, ())) for each of the k label sets a
+ * label id names (k = 1: a label set, k >= 2: a label run), as one record:
+ * a childless node's max_start is its position, which dominates every
+ * stored entry, so each union is fresh-on-top (or the fresh node alone once
+ * the entry expired).  The record carries the direction bit of the k-record
+ * chain's top; the counters but `allocated` count the chain.  Mirrors
  * ArenaDataStructure.extend_onto. */
 static PyObject *
 Kernel_extend_onto(KernelObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     int error = 0;
-    int64_t position, entry, label_id, dirn = 0, ul = 0, id = 0;
+    int64_t position, entry, label_id, k, dirn, ul = 0;
     KSlab *slab;
     int64_t *rec;
-    Py_ssize_t i;
 
-    if (nargs < 3) {
+    if (nargs != 4) {
         PyErr_SetString(PyExc_TypeError,
-                        "extend_onto expects (position, entry, label_id, ...)");
+                        "extend_onto expects (position, entry, label_id, k)");
         return NULL;
     }
     position = k_as_int64(args[0], &error);
     entry = k_as_int64(args[1], &error);
+    label_id = k_as_int64(args[2], &error);
+    k = k_as_int64(args[3], &error);
     if (error) {
         return NULL;
     }
+    if (k < 1) {
+        PyErr_SetString(PyExc_ValueError, "extend_onto needs k >= 1 label sets");
+        return NULL;
+    }
+    dirn = (k - 1) & 1; /* one flip per chain record above the first */
     if (entry) {
         /* Read the old top before k_alloc: request_slab runs python code. */
         KSlab *old = k_slab_for(self, entry);
@@ -396,37 +404,27 @@ Kernel_extend_onto(KernelObject *self, PyObject *const *args, Py_ssize_t nargs)
             int64_t *old_rec = old->data + (entry - old->base) * K_STRIDE;
             if (position - old_rec[1] <= self->window) {
                 ul = entry;
-                dirn = (old_rec[4] & 1) ? 0 : 1;
+                dirn ^= (old_rec[4] & 1) ^ 1;
             }
         }
     }
-    for (i = 2; i < nargs; i++) {
-        label_id = k_as_int64(args[i], &error);
-        if (error) {
-            return NULL;
-        }
-        slab = k_alloc(self, position, &rec);
-        if (slab == NULL) {
-            return NULL;
-        }
-        rec[0] = position;
-        rec[1] = position;
-        rec[2] = ul;
-        rec[3] = 0;
-        rec[4] = (label_id << 1) | dirn;
-        if (position > slab->max_ms) {
-            slab->max_ms = position;
-        }
-        self->union_calls += entry != 0;
-        self->union_copies += ul != 0;
-        self->nodes_created++;
-        self->allocated++;
-        id = slab->base + slab->count++;
-        /* The next record goes on top of this live one. */
-        entry = ul = id;
-        dirn ^= 1;
+    slab = k_alloc(self, position, &rec);
+    if (slab == NULL) {
+        return NULL;
     }
-    return PyLong_FromLongLong(id);
+    rec[0] = position;
+    rec[1] = position;
+    rec[2] = ul;
+    rec[3] = 0;
+    rec[4] = (label_id << 1) | dirn;
+    if (position > slab->max_ms) {
+        slab->max_ms = position;
+    }
+    self->union_calls += k - (entry == 0);
+    self->union_copies += k - (ul == 0);
+    self->nodes_created += k;
+    self->allocated++;
+    return PyLong_FromLongLong(slab->base + slab->count++);
 }
 
 typedef struct {
@@ -936,7 +934,7 @@ static PyMethodDef Kernel_methods[] = {
     {"union", (PyCFunction)Kernel_union, METH_FASTCALL,
      "union(left, fresh, position, fresh_ms) -> node id"},
     {"extend_onto", (PyCFunction)Kernel_extend_onto, METH_FASTCALL,
-     "extend_onto(position, entry, label_id, ...) -> the last node id"},
+     "extend_onto(position, entry, label_id, k) -> the node id"},
     {"add_ref", (PyCFunction)Kernel_add_ref, METH_O, "add_ref(node)"},
     {"drop_ref", (PyCFunction)Kernel_drop_ref, METH_O, "drop_ref(node)"},
     {"release_scan", (PyCFunction)Kernel_release_scan, METH_VARARGS,

@@ -17,8 +17,9 @@ node:
 * ``pos``  — the node's stream position ``i(n)``;
 * ``ms``   — ``max_start(n) = max{min(ν) | ν ∈ ⟦n⟧_prod}``;
 * ``ul`` / ``ur`` — union links as node ids (``0`` = no link / ``⊥``);
-* a label-set id (the distinct label sets come from the compiled transitions,
-  so interning makes ``extend`` free of per-call ``frozenset`` construction);
+* a label id: a label set's (the distinct label sets come from the compiled
+  transitions, so interning makes ``extend`` free of per-call ``frozenset``
+  construction), or a childless record's *label run* (below);
 * the union-balancing direction bit;
 * the node's product children as a tuple of node ids.  The tuple is allocated
   once per ``extend`` and *shared* by every union path copy of the node
@@ -41,6 +42,7 @@ reference — ``(prod_ref << 32) | (label_id << 1) | direction`` — where
 *non-empty* child tuples.  A union copy of a prod-carrying node re-appends
 the (shared) tuple into its own slab's ``prods`` — one list append, no
 re-materialisation — so product data never dangles across released slabs.
+A label id from :data:`_RUN_BASE` up names a *label run* (``extend_onto``).
 
 The write path is a single :func:`struct.Struct.pack_into` call per node
 (five machine words in one C call); the record array grows in
@@ -49,9 +51,12 @@ sealed slabs are exact-size.  One machine word per field, no boxed ``int``
 per value: :meth:`ArenaDataStructure.resident_bytes` is the footprint
 metric.  Both kernels (:mod:`repro.core.kernel`) read and write these same
 buffers, and each record operation is one method for both: its python-side
-work (label interning, the validation of an unhinted call, the slab-table
-upkeep) runs once, then the C ``Kernel`` or the inlined python write does the
-record write.
+work (label and label-run interning, the validation of an unhinted call, the
+slab-table upkeep) runs once, then the C ``Kernel`` or the inlined python
+write does the record write.  ``nodes_created`` / ``union_calls`` /
+``union_copies`` count as the object structure does (a label-run record as
+its chain); ``allocated``, ``live_node_count`` and ``resident_bytes`` count
+the records.
 
 Adaptive slab sizing
 --------------------
@@ -126,7 +131,9 @@ state in place (bound methods held by an :class:`~repro.runtime.EvictionLane`
 stay valid), after which allocation, reclamation and enumeration continue
 bit-identically to the snapshotted arena — the per-layer contract behind the
 engines' ``snapshot()`` / ``restore()`` protocol.  A snapshot is untrusted
-input: restore checks that the slabs tile the slots from the release cursor
+input: restore checks that the label table holds distinct frozensets and
+the run table (key ``runs``, written only when non-empty) distinct tuples of
+two or more label ids, that the slabs tile the slots from the release cursor
 to the allocation cursor and that every record's label id and product
 reference lie inside the restored tables before any slab is registered (the
 native kernel indexes ``prods`` unchecked), and that every walk terminates
@@ -142,15 +149,14 @@ the object traversal order exactly so that the two representations are
 interchangeable output-for-output (the differential tests in
 ``tests/test_arena.py`` and ``tests/test_enumeration.py`` rely on this).
 ``extend_onto(label_sets, position, entry)`` is ``union(entry, extend(L,
-position, ()))`` for each label set ``L`` in turn, each written as the single
-record that union always ends in — a childless node's ``max_start`` is its
-position, which dominates every stored entry — so the records of one call form
-a chain (each one's ``ul`` is the record before it).  It is how the fire loop
-stores a *leaf item*, the fresh leaf runs next to each other in a state's
-list: one call per ``H`` entry, however many labels.  Its first record is
-written by the same straight-line code as a one-run call (the common case),
-and counters, seals and each slab's ``count`` / ``max_ms`` come out as one
-call per label set would leave them.
+position, ()))`` for each label set ``L`` in turn: each union is
+fresh-on-top, so k of them would leave a chain of k records at ``position``.
+It writes one, whose label id (k >= 2) names the interned *label run* of the
+k label-set ids, newest first, and whose direction bit is the chain top's;
+the walk expands it into the chain's outputs, order, pruning and cut.  That
+is exact where no union descends into the record, as none does into a leaf
+state's entry: the fire loop's *leaf item* (the leaf runs one tuple fires
+into a leaf state) is one call and one record per ``H`` entry.
 
 Enumeration
 -----------
@@ -182,6 +188,7 @@ from operator import le, lt, rshift
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple as Tup
 
 from repro.core.kernel import native_module, resolve_kernel
+from repro.runtime.snapshot import SnapshotError
 from repro.valuation import Group, PackedValuations, Valuation, group_records
 
 
@@ -217,11 +224,15 @@ _STRIDE = 5
 _CHUNK_NODES = 256
 
 #: ``meta`` field encoding: low 32 bits hold ``label_id << 1 | direction``,
-#: the high bits ``1 + prods-index`` (0 = no children).  Keep the five
-#: encode sites (``extend``, the first and the chained record of
-#: ``extend_onto`` and the two ``union`` copies) in sync.
+#: the high bits ``1 + prods-index`` (0 = no children).  Keep the four
+#: encode sites (``extend``, ``extend_onto`` and the two ``union`` copies)
+#: in sync.
 _META_LOW = 0xFFFFFFFF
 _META_LABEL_DIRN = 0xFFFFFFFE
+
+#: Label ids from here up name a *label run* (see ``extend_onto``): run
+#: ``label_id - _RUN_BASE`` of the run table.  Every id below names a label set.
+_RUN_BASE = 1 << 30
 
 #: One packed record write: five machine words in a single C call.
 _PACK_RECORD = struct.Struct("5q").pack_into
@@ -320,21 +331,22 @@ class _KernelCounter:
 
 def _word(value: object) -> int:
     """A snapshot scalar as an int that fits one record word (what the
-    native kernel's arguments take), else ``ValueError``."""
+    native kernel's arguments take), else ``SnapshotError``."""
     value = int(value)
     if not -(1 << 63) <= value < 1 << 63:
-        raise ValueError(f"snapshot value {value} does not fit a 64-bit word")
+        raise SnapshotError(f"snapshot value {value} does not fit a 64-bit word")
     return value
 
 
-def _restored_slab(snap: Dict[str, object], slot: int, label_count: int) -> _Slab:
+def _restored_slab(snap: Dict[str, object], slot: int, label_count: int, run_count: int) -> _Slab:
     """A snapshot slab rebuilt at ``slot``: its record bytes taken verbatim,
     after checking what the kernels index without a bounds check and what
     makes an enumeration walk terminate.
 
-    ``ValueError`` unless the slab starts at ``slot``, owns a valid span,
+    ``SnapshotError`` unless the slab starts at ``slot``, owns a valid span,
     holds ``count × 40`` record bytes, and every record's product reference
-    lies inside the slab's ``prods`` and its label id inside the label table;
+    lies inside the slab's ``prods`` and its label id inside the label table
+    (a childless record's also inside the run table);
     unless every record but the bottom sentinel (record 0 of slab 0) has
     ``0 <= max_start <= position < 2**62`` (the C kernel subtracts both from
     the stream position) and links and product children that are older nodes
@@ -345,13 +357,13 @@ def _restored_slab(snap: Dict[str, object], slot: int, label_count: int) -> _Sla
     span, count, records = int(snap["span"]), int(snap["count"]), snap["records"]
     base = _word(snap["base"])
     if base != slot << _SLOT_BITS or not 0 < span <= MAX_SLAB_CAPACITY >> _SLOT_BITS:
-        raise ValueError(f"snapshot slab at {base} (span {span}) breaks the slot sequence")
+        raise SnapshotError(f"snapshot slab at {base} (span {span}) breaks the slot sequence")
     if not (
         type(records) is bytes
         and 0 <= count <= span << _SLOT_BITS
         and len(records) == count * _RECORD_BYTES
     ):
-        raise ValueError(f"snapshot slab at {base} does not hold {count} whole records in its record bytes")
+        raise SnapshotError(f"snapshot slab at {base} does not hold {count} whole records in its record bytes")
     slab = _Slab(base, span)
     slab.data.frombytes(records)
     if sys.byteorder != "little":
@@ -359,32 +371,36 @@ def _restored_slab(snap: Dict[str, object], slot: int, label_count: int) -> _Sla
     slab.prods = list(snap["prods"])
     metas = slab.data[4::_STRIDE]
     if metas and (min(metas) < 0 or max(metas) >> 32 > len(slab.prods)):
-        raise ValueError(f"a record of snapshot slab {base} has a product reference outside its prods")
+        raise SnapshotError(f"a record of snapshot slab {base} has a product reference outside its prods")
     first = 1 if base == BOTTOM_ID else 0  # the bottom sentinel is no node
     labelled = metas[first:]
     if labelled and max(map(_META_LOW.__and__, labelled)) >> 1 >= label_count:
-        raise ValueError(f"a record of snapshot slab {base} has a label id outside the label table")
+        # Past the label table, only a childless record's label run.
+        for meta in labelled:
+            label_id = (meta & _META_LOW) >> 1
+            if label_id >= label_count and (meta >> 32 or not 0 <= label_id - _RUN_BASE < run_count):
+                raise SnapshotError(f"a record of snapshot slab {base} has a label id outside the label and run tables")
     if labelled:
         data = slab.data
         ids = range(base + first, base + count)
         offset = first * _STRIDE
         starts, positions = data[offset + 1 :: _STRIDE], data[offset::_STRIDE]
         if min(starts) < 0 or max(positions) >= _POSITION_END or not all(map(le, starts, positions)):
-            raise ValueError(f"a record of snapshot slab {base} breaks 0 <= max_start <= position < 2**62")
+            raise SnapshotError(f"a record of snapshot slab {base} breaks 0 <= max_start <= position < 2**62")
         for links in (data[offset + 2 :: _STRIDE], data[offset + 3 :: _STRIDE]):
             if min(links) < 0 or not all(map(lt, links, ids)):
-                raise ValueError(f"a record of snapshot slab {base} has a union link to a node not older than it")
+                raise SnapshotError(f"a record of snapshot slab {base} has a union link to a node not older than it")
         refs = list(map(rshift, labelled, repeat(32)))
         if any(refs):
             # Per prods entry its smallest and largest child, index 0 for "no children".
             lows = [1, *map(min, slab.prods)]
             highs = [0, *map(max, slab.prods)]
             if min(map(lows.__getitem__, refs)) <= 0 or not all(map(lt, map(highs.__getitem__, refs), ids)):
-                raise ValueError(f"a record of snapshot slab {base} has a product child not older than it")
+                raise SnapshotError(f"a record of snapshot slab {base} has a product child not older than it")
     slab.count = slab.avail = count
     slab.max_ms = _word(snap["max_ms"])
     if not _NEVER <= slab.max_ms < _POSITION_END:
-        raise ValueError(f"snapshot slab at {base} has max_ms {slab.max_ms} outside [-2**62, 2**62)")
+        raise SnapshotError(f"snapshot slab at {base} has max_ms {slab.max_ms} outside [-2**62, 2**62)")
     slab.ext_refs = _word(snap["ext_refs"])
     return slab
 
@@ -453,9 +469,11 @@ class ArenaDataStructure:
         self.nodes_created = self.union_calls = self.union_copies = self.allocated = 0
         self.released_slabs = 0
         self.released_nodes = 0
-        # Label-set interning (:meth:`_intern`).
+        # Label-set and label-run interning (:meth:`_intern`, :meth:`_intern_run`).
         self._label_ids: Dict[frozenset, int] = {}
         self._labels: List[frozenset] = []
+        self._run_ids: Dict[Tup[frozenset, ...], int] = {}
+        self._label_runs: List[Tup[int, ...]] = []
 
     # ---------------------------------------------------------------- slabs
     def _new_slab(self, position: Optional[int] = None) -> _Slab:
@@ -556,7 +574,10 @@ class ArenaDataStructure:
         slab = self._slabs.get(node >> _SLOT_BITS)
         if slab is None:
             return frozenset()
-        return self._labels[self._label_id_of(slab, node - slab.base)]
+        label_id = self._label_id_of(slab, node - slab.base)
+        if label_id >= _RUN_BASE:  # a label run reads as its chain's top
+            label_id = self._label_runs[label_id - _RUN_BASE][0]
+        return self._labels[label_id]
 
     def _label_id_of(self, slab: _Slab, index: int) -> int:
         return (slab.data[index * _STRIDE + 4] & _META_LOW) >> 1
@@ -600,6 +621,17 @@ class ArenaDataStructure:
             label_id = self._label_ids[labels] = len(self._labels)
             self._labels.append(labels)
         return label_id
+
+    def _intern_run(self, label_sets: Tup[Iterable[Label], ...]) -> int:
+        """The id of the label run of ``label_sets`` (in ``extend_onto``'s
+        order), interned on first sight: ``_RUN_BASE`` plus its index in the
+        run table, which holds the runs' label ids newest first."""
+        key = tuple(map(frozenset, label_sets))
+        run_id = self._run_ids.get(key)
+        if run_id is None:
+            run_id = self._run_ids[key] = _RUN_BASE + len(self._label_runs)
+            self._label_runs.append(tuple(reversed(list(map(self._intern, key)))))
+        return run_id
 
     def extend(
         self,
@@ -811,38 +843,29 @@ class ArenaDataStructure:
 
     def extend_onto(self, label_sets: Sequence[Iterable[Label]], position: int, entry: Optional[int]) -> int:
         """``union(entry, extend(L, position, ()))`` for each label set ``L`` of
-        ``label_sets`` in turn (a run's ``entry`` is the union before it), each
-        written as the one record it ends in.  Returns the last.
-
-        A childless node's ``max_start`` is ``position``, which dominates
-        every stored entry: the union is always fresh-on-top.  The first record
-        is ``(position, position, ul, 0, label | ¬dirn(entry))`` with ``ul =
-        entry`` while the entry is alive, else ``0`` and the bit clear
-        (expired, released, ``None`` / ``⊥``); each further one chains onto
-        the record before it (alive: ``ul`` is that record, the bit its
-        negation).  The fresh records ``extend`` would leave are skipped;
-        counters, seals and slab ``max_ms``/``count`` come out as one call per
-        label set would leave them.
-        """
-        labels = label_sets[0]
-        try:
-            label_id = self._label_ids[labels]
-        except (KeyError, TypeError):  # not interned yet, or not a frozenset
-            label_id = self._intern(labels)
-        single = len(label_sets) == 1
-        if not single:
-            label_ids = self._label_ids
-            chained = []
-            for labels in label_sets[1:]:
-                try:
-                    chained.append(label_ids[labels])
-                except (KeyError, TypeError):
-                    chained.append(self._intern(labels))
+        ``label_sets`` in turn, written as one record (see the module
+        docstring): ``(position, position, ul, 0, id | dirn)`` with ``ul =
+        entry`` while the entry is alive, else ``0`` (expired, released,
+        ``None`` / ``⊥``), ``id`` the label set's or the label run's and
+        ``dirn`` the bit the chain's top record would carry.  Returns it."""
+        runs = len(label_sets)
+        if runs == 1:
+            labels = label_sets[0]
+            try:
+                label_id = self._label_ids[labels]
+            except (KeyError, TypeError):  # not interned yet, or not a frozenset
+                label_id = self._intern(labels)
+            meta = label_id << 1
+        else:
+            key = tuple(label_sets)
+            try:
+                label_id = self._run_ids[key]
+            except (KeyError, TypeError):
+                label_id = self._intern_run(key)
+            # The chain's top record: its bit flips once per record above the first.
+            meta = (label_id << 1) | ((runs - 1) & 1)
         if self._nk is not None:
-            if single:
-                return self._nk.extend_onto(position, entry or 0, label_id)
-            return self._nk.extend_onto(position, entry or 0, label_id, *chained)
-        meta = label_id << 1
+            return self._nk.extend_onto(position, entry or 0, label_id, runs)
         uleft = 0
         if entry:
             self._union_calls += 1
@@ -853,7 +876,7 @@ class ArenaDataStructure:
                 )
                 if position - entry_ms <= self.window:
                     uleft = entry
-                    meta |= ~old_meta & 1  # not dirn(entry)
+                    meta ^= ~old_meta & 1  # the first record's bit: not dirn(entry)
                     self._union_copies += 1
         # Allocation inlined, as in ``extend``.
         slab = self._cur
@@ -867,38 +890,13 @@ class ArenaDataStructure:
         slab.count = offset + 1
         if position > slab.max_ms:
             slab.max_ms = position
-        node = slab.base + offset
-        if single:
-            self._nodes_created += 1
-            self._allocated += 1
-            return node
-        # Each further record goes on top of the live one just written.  The
-        # count is written per record and a slab opened mid-run gets its
-        # max_ms at once, so a slab sealed mid-run reads as it would after
-        # one call per label set.
-        direction = meta & 1
-        cap = self._cap
-        deadline = self._seal_deadline
-        for label_id in chained:
-            offset += 1
-            if offset >= cap or position > deadline:
-                slab = self._new_slab(position)
-                slab.max_ms = position
-                cap = self._cap
-                deadline = self._seal_deadline
-                offset = 0
-            if offset >= slab.avail:
-                _grow_records(slab)
-            direction ^= 1
-            _PACK_RECORD(slab.data, offset * _RECORD_BYTES, position, position, node, 0, (label_id << 1) | direction)
-            slab.count = offset + 1
-            node = slab.base + offset
-        links = len(chained)
-        self._union_calls += links
-        self._union_copies += links
-        self._nodes_created += links + 1
-        self._allocated += links + 1
-        return node
+        if runs != 1:
+            # Each chain record above the first is one union onto a live node.
+            self._union_calls += runs - 1
+            self._union_copies += runs - 1
+        self._nodes_created += runs
+        self._allocated += 1
+        return slab.base + offset
 
     # ------------------------------------------------------------ reclamation
     def add_ref(self, node: int) -> None:
@@ -1042,7 +1040,7 @@ class ArenaDataStructure:
                     "prods": list(slab.prods),
                 }
             )
-        return {
+        tree = {
             "window": self.window,
             "cap": self._cap,
             "next_slot": self._next_slot,
@@ -1054,6 +1052,9 @@ class ArenaDataStructure:
             "slabs": slabs,
             "counters": {name: getattr(self, name) for name in _COUNTERS},
         }
+        if self._label_runs:  # an arena without runs keeps the bytes it always had
+            tree["runs"] = list(self._label_runs)
+        return tree
 
     def restore(self, snapshot: Dict[str, object]) -> None:
         """Replace this arena's entire state with ``snapshot``'s, in place.
@@ -1061,28 +1062,42 @@ class ArenaDataStructure:
         In-place so bound hooks (:class:`~repro.runtime.EvictionLane` binds
         ``add_ref``/``drop_ref``/``release_expired`` once) stay valid.  The
         window must match (it is the engine's configuration, not state).  A
-        snapshot is untrusted input, so every slab is rebuilt and checked
-        (:func:`_restored_slab`) before anything is replaced: the native
-        kernel never sees a record whose label id or product reference
-        points outside the restored tables.
+        snapshot is untrusted input, so the label table (distinct
+        frozensets), the run table (distinct tuples of two or more label
+        ids) and every slab (:func:`_restored_slab`) are checked before
+        anything is replaced: the native kernel never sees a record whose
+        label id or product reference points outside the restored tables.
         """
         if snapshot["window"] != self.window:
             raise ValueError(
                 f"snapshot was taken with window {snapshot['window']}, "
                 f"this arena has window {self.window}"
             )
-        labels = [frozenset(labels) for labels in snapshot["labels"]]
+        labels = list(snapshot["labels"])
+        label_ids = {label_set: index for index, label_set in enumerate(labels) if type(label_set) is frozenset}
+        if len(label_ids) != len(labels) or len(labels) > _RUN_BASE:
+            raise SnapshotError("the label table holds an entry that is no frozenset, or one twice")
+        runs = list(snapshot.get("runs", ()))
+        for run in runs:
+            if not (
+                type(run) is tuple and len(run) >= 2
+                and all(type(label_id) is int and 0 <= label_id < len(labels) for label_id in run)
+            ):
+                raise SnapshotError(f"the run table holds {run!r}, not two or more label ids")
+        run_ids = {tuple(map(labels.__getitem__, reversed(run))): _RUN_BASE + index for index, run in enumerate(runs)}
+        if len(run_ids) != len(runs) or len(runs) > _RUN_BASE:
+            raise SnapshotError("the run table holds a run twice")
         release_cursor = next_slot = int(snapshot["release_cursor"])
         restored: List[_Slab] = []
         for slab_snap in snapshot["slabs"]:
             # Retained slabs are released in allocation order, so they tile
             # the slots from the release cursor to the allocation cursor.
-            restored.append(_restored_slab(slab_snap, next_slot, len(labels)))
+            restored.append(_restored_slab(slab_snap, next_slot, len(labels), len(runs)))
             next_slot += restored[-1].span
         if not restored:
-            raise ValueError("snapshot holds no slabs (the current slab is never released)")
+            raise SnapshotError("snapshot holds no slabs (the current slab is never released)")
         if next_slot != snapshot["next_slot"]:
-            raise ValueError("snapshot slabs do not end at the allocation cursor")
+            raise SnapshotError("snapshot slabs do not end at the allocation cursor")
         cap = int(snapshot["cap"])
         slab_start = snapshot["slab_start"]
         slab_start = None if slab_start is None else int(slab_start)
@@ -1104,8 +1119,8 @@ class ArenaDataStructure:
         self._release_cursor = release_cursor
         self._slab_start = slab_start
         self._seal_deadline = seal_deadline
-        self._labels = labels
-        self._label_ids = {label_set: index for index, label_set in enumerate(labels)}
+        self._labels, self._label_ids = labels, label_ids
+        self._label_runs, self._run_ids = runs, run_ids
         self._slabs = {}
         for slab in restored:
             first_slot = slab.base >> _SLOT_BITS
@@ -1173,17 +1188,22 @@ class ArenaDataStructure:
         The union tree is walked iteratively and pruned where ``expired``
         would prune (a released slab certifies expiry); the native ``walk``
         does that walk in C and returns the surviving ``(label_id, pos,
-        children)`` emissions.  A live product node has no empty child (its
+        children)`` emissions.  A record naming a label run expands into its
+        label sets' records, newest first.  A live product node has no empty child (its
         ``max_start`` is the minimum over theirs): work is linear in the
         children's lists, and their product is only taken when read.
         """
         groups: List[Group] = []
         run: List[Tup[int, ...]] = []
         append = run.append
+        runs, run_base = self._label_runs, _RUN_BASE
         if self._nk is not None:
             for label_id, pos, prod in self._nk.walk(node, horizon + self.window):
                 if not prod:
-                    append((label_id, pos))
+                    if label_id < run_base:
+                        append((label_id, pos))
+                    else:  # a label run: its label sets at one position
+                        run += zip(runs[label_id - run_base], repeat(pos))
                     continue
                 fresh = self._put_product(groups, run, (label_id, pos), prod, horizon, flat)
                 if fresh is not run:
@@ -1216,7 +1236,10 @@ class ArenaDataStructure:
                             run = fresh
                             append = run.append
                     elif pos >= horizon:
-                        append((label_id, pos))
+                        if label_id < run_base:
+                            append((label_id, pos))
+                        else:
+                            run += zip(runs[label_id - run_base], repeat(pos))
                     if uleft:
                         if uright:
                             stack.append(uright)

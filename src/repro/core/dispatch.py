@@ -216,11 +216,12 @@ class EvalFamily:
             except TypeError:
                 pass
             else:
-                return EvalGroup(self.members[cut:] if self.suffix else self.members[:cut], _held)
+                held = self.members[cut:] if self.suffix else self.members[:cut]
+                return EvalGroup(held, _held) if held else _NONE_HELD
         # NaN (which a bisect would misplace) or a value that does not compare
         # with the constants: each group's own acceptor decides, as unfamilied.
         held = [member for group in self.groups if group.accepts(tup) for member in group.members]
-        return EvalGroup(held, _held)
+        return EvalGroup(held, _held) if held else _NONE_HELD
 
 
 class EvalPlan:
@@ -434,10 +435,13 @@ class CompiledTransition:
     straight onto that slot's entry (``DS_w.extend_onto``).  ``scan`` is
     ``None`` unless the transition has a scan probe or its target a scan
     slot; then it is ``(scanned, into)``: per probe whether it scans, and
-    the target's scan slot (``-1``: none).  ``index``, the transition's
-    position in the automaton, is its canonical candidate rank.
+    the target's scan slot (``-1``: none).  ``into_leaf`` says the target is
+    a leaf state (:meth:`DispatchStructure.leaves`): a store-through run
+    into it joins the leaf item before it, written as one record.
+    ``index``, the transition's position in the automaton, is its canonical
+    candidate rank.
 
-    Those fields up to ``scan`` are the transition's *shape*, taken whole
+    Those fields up to ``into_leaf`` are the transition's *shape*, taken whole
     from a :class:`DispatchStructure`; the rest are *bound* here from the
     transition's unary predicate.
     """
@@ -452,6 +456,7 @@ class CompiledTransition:
         "consumers",
         "store_through",
         "scan",
+        "into_leaf",
         "labels",
         "target",
         "target_id",
@@ -465,7 +470,7 @@ class CompiledTransition:
     def __init__(self, shape: Tup, transition: "PCEATransition", binding: Tup) -> None:
         # ``binding``: ``(accepts, relations, guard, pred_key, family)`` of the unary.
         (self.index, self.labels, self.target, self.target_id, self.is_final,
-         self.joins, self.probes, self.consumers, self.store_through, self.scan) = shape  # fmt: skip
+         self.joins, self.probes, self.consumers, self.store_through, self.scan, self.into_leaf) = shape  # fmt: skip
         self.transition = transition
         self.unary = transition.unary
         self.accepts, self.relations, self.guard, self.pred_key, self.family = binding
@@ -483,7 +488,8 @@ class DispatchStructure:
     labels and the final-state set: the interned state ids, the slot table,
     each state's readers and, per transition, its *shape* — ``(index,
     labels, target, target id, is final, joins, probes, consumers, store
-    through, scan)``, the :class:`CompiledTransition` fields no unary decides.
+    through, scan, into leaf)``, the :class:`CompiledTransition` fields no
+    unary decides.
     Automata equal but for their unaries share one structure: the pattern
     compiler keeps one per conjunction shape (:meth:`PCEA.with_unaries
     <repro.core.pcea.PCEA.with_unaries>`), and each index binds only its own
@@ -547,9 +553,25 @@ class DispatchStructure:
         }
         #: state id -> its scan slot, for the states some join scans.
         self.scan_slots = scan_slots
+        # The leaf states (see leaves()): a slot without a plan (a
+        # hand-written key, a scan) bars its state, and so does a transition
+        # into it that joins or is final.
+        barred = {source for source, plan in self.slots if plan is None or isinstance(plan, int)}
+        starting: Dict[int, List[int]] = {}  # state id -> the source-less transitions into it
+        for i, (transition, target_id, joins, _, _) in enumerate(shapes):
+            if joins or transition.target in final:
+                barred.add(target_id)
+            else:
+                starting.setdefault(target_id, []).append(i)
+        self._leaves: Dict[int, Tup[Tup[int, ...], Tup[Hashable, ...]]] = {
+            state_id: (tuple(starting[state_id]), tuple([self.slots[slot][1] for slot, _ in readers]))
+            for state_id, readers in consumers.items()
+            if state_id in starting and state_id not in barred
+        }
         self.shapes: Tup[Tup, ...] = tuple([
             (i, transition.labels, transition.target, target_id, is_final, joins, probes, into,
-             not joins and not is_final and len(into) == 1 and scan is None, scan)
+             not joins and not is_final and len(into) == 1 and scan is None, scan,
+             target_id in self._leaves)
             for i, (transition, target_id, joins, probes, scanned) in enumerate(shapes)
             for is_final, into, scan in [(
                 transition.target in final,
@@ -558,7 +580,6 @@ class DispatchStructure:
                 else (scanned, scan_slots.get(target_id, -1)),
             )]
         ])  # fmt: skip
-        self._leaves: Optional[Dict[int, Tup[Tup[int, ...], Tup[Hashable, ...]]]] = None
         self._digest: Optional[bytes] = None
 
     def digest(self) -> bytes:
@@ -570,31 +591,15 @@ class DispatchStructure:
         if digest is None:
             rows = tuple([
                 (labels, target_id, is_final, join_signature(joins, probes), scan)
-                for _, labels, _, target_id, is_final, joins, probes, _, _, scan in self.shapes
+                for _, labels, _, target_id, is_final, joins, probes, _, _, scan, _ in self.shapes
             ])  # fmt: skip
             digest = self._digest = sha256(canonical_bytes((rows, self.slots))).digest()
         return digest
 
     def leaves(self) -> Dict[int, Tup[Tup[int, ...], Tup[Hashable, ...]]]:
-        """The leaf-state candidates (see :meth:`TransitionDispatchIndex.leaf_states`):
-        state id -> (its incoming transitions, the left key plan of each slot).
-        Computed on first use: only a store two queries share reads them."""
-        leaves = self._leaves
-        if leaves is None:
-            # A slot without a plan (a hand-written key, a scan) bars its state.
-            barred = {source for source, plan in self.slots if plan is None or isinstance(plan, int)}
-            into: Dict[int, List[int]] = {}
-            for i, _, _, target_id, is_final, joins, *_ in self.shapes:
-                if joins or is_final:
-                    barred.add(target_id)
-                else:
-                    into.setdefault(target_id, []).append(i)
-            leaves = self._leaves = {
-                state_id: (tuple(into[state_id]), tuple(self.slots[slot][1] for slot, _ in readers))
-                for state_id, readers in self.consumers.items()
-                if state_id in into and state_id not in barred
-            }
-        return leaves
+        """The leaf states (see :meth:`TransitionDispatchIndex.leaf_states`):
+        state id -> (its incoming transitions, the left key plan of each slot)."""
+        return self._leaves
 
 
 class MergedEntry:

@@ -48,13 +48,16 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
     is inside the window *and* at or past ``since``.
 
     The runs a state receives at this position are listed in canonical
-    order.  A store-through member's fresh leaf run is not built first, and
-    leaf runs next to each other in the list form one *leaf item* — their
-    label sets, appended in place — that UpdateIndices writes onto the
-    entry with one ``extend_onto``: bag semantics turns one tuple satisfying
-    several atoms into such parallel transitions, and the entry pays one
-    call, not one per label.  A product run between two leaf runs splits
-    them, so the effects keep their order.
+    order.  A store-through member's fresh leaf run is not built first:
+    UpdateIndices writes it onto the entry with ``extend_onto``.  The runs
+    of a *leaf state* (``member.compiled.into_leaf``: every run into it is a
+    leaf run) form one *leaf item* — their label sets, appended in place —
+    written as one record naming their label run: bag semantics turns one
+    tuple satisfying several atoms into such parallel transitions, and the
+    entry pays one record, not one per label.  No union ever descends into
+    a leaf state's entry, so the walk reads the record as the chain of one
+    record per label set.  A state a product run also reaches takes one
+    ``extend_onto`` per leaf run, in list order.
 
     A join outside ``B_eq`` (Section 6's open case) is a *scan probe*, a
     ``(scan slot, holds)`` pair: it collects the source's live runs, oldest
@@ -156,30 +159,26 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
         stats.nodes_created += len(fired)
 
     # store -> target state id -> (slots of the state, [(node, max_start,
-    # labels)]); a leaf item is (None, position, [label sets]).
+    # labels)]); a leaf run or item is (None, position, [label sets]).
     new_nodes: Dict[object, Dict[int, tuple]] = {}
     finals: Optional[Dict[object, List]] = None
     for _, member, children, node_ms in fired:
         store = member.owner
         compiled = member.compiled
         if compiled.store_through:
-            # A fresh leaf run read through one slot (never final): its one
-            # record is written below, straight onto that slot's entry.
-            # Leaf runs next to each other in the state's list are one leaf
-            # item, chained onto the entry in one ``extend_onto``.
+            # A fresh leaf run read through one slot (never final): written
+            # below, straight onto that slot's entry.  A leaf state's runs
+            # are one leaf item, one record onto the entry.
             store_nodes = new_nodes.get(store)
             if store_nodes is None:
                 store_nodes = new_nodes[store] = {}
             bucket = store_nodes.get(member.target_id)
             if bucket is None:
                 store_nodes[member.target_id] = (member.consumers, [(None, position, [compiled.labels])])
+            elif compiled.into_leaf:
+                bucket[1][0][2].append(compiled.labels)
             else:
-                items = bucket[1]
-                last = items[-1]
-                if last[0] is None:
-                    last[2].append(compiled.labels)
-                else:
-                    items.append((None, position, [compiled.labels]))
+                bucket[1].append((None, position, [compiled.labels]))
             continue
         if member.scan:
             # Each join's compatible runs unioned into one child, in
@@ -255,8 +254,8 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
                     entry, entry_ms = pair
                 for node, node_ms, labels in nodes:
                     if node is None:
-                        # A leaf item: union(entry, extend(L, position, ()))
-                        # for each label set L in turn, one record each.
+                        # A leaf run or item: union(entry, extend(L, position,
+                        # ())) for each label set L in turn, in one record.
                         if stats is not None:
                             runs = len(labels)
                             stats.hash_updates += runs

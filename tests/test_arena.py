@@ -159,34 +159,38 @@ class TestArenaBasics:
         assert split.nodes_created == len(steps) + fused.union_copies == 12
 
     @pytest.mark.parametrize("kernel", ARENAS)
-    def test_a_run_of_label_sets_is_the_chain_of_single_calls(self, kernel):
-        """``extend_onto((L1, …, Lk), p, entry)`` leaves the records, ``prods``,
-        counters and per-slab ``count``/``max_ms`` that k chained one-set calls
-        leave — onto a live entry, an expired one, a released one and none,
-        across capacity seals and a deadline seal — and a seal mid-run never
-        lets ``release_expired`` free a slab early."""
+    def test_a_run_of_label_sets_is_one_record_naming_a_label_run(self, kernel):
+        """``extend_onto((L1, …, Lk), p, entry)`` writes one record, whose walk
+        lists what the object structure's chain of k unions lists, in its
+        order, and whose direction bit is that of the chain's top — onto a
+        live entry, an expired one, a released one and none, across capacity
+        seals and deadline seals.  The logical counters are the chain's;
+        ``allocated`` counts records, and ``release_expired`` never frees a
+        slab early."""
         window = 3
         fused = ArenaDataStructure(window, kernel=kernel)
         split = ArenaDataStructure(window, kernel=kernel)
         oracle = DataStructure(window)
-        seals = []  # (fill, capacity) of each slab a fused run seals
+        seals = []  # (fill, capacity) of each slab the fused arena seals
         fused.on_seal = lambda fill: seals.append((fill, fused._cur.span << 6))
         pool = [frozenset({name}) for name in "abcde"] + [frozenset({"a", "b"})]
         # (position, run length, entry): the top so far, none, or the top left
-        # at position 2.  The 100-, 70- and 64-record runs cross the 64-record
-        # capacity; at 9 the top has expired (9 - 2 > 3) and its slab, open
-        # since 1, is past its deadline; by 20 the slab of the top left at 2
+        # at position 2.  70 records at 0, 9 and 21 cross the 64-record
+        # capacity; at 9 the top has expired (9 - 2 > 3) and the slab open
+        # since 2 is past its deadline; by 20 the slab of the top left at 2
         # has been released.
-        script = [(0, 3, None), (0, 2, "top"), (1, 100, "top"), (2, 1, "top"), (9, 70, "top"),
-                  (9, 1, None), (10, 5, "top"), (20, 4, "early"), (21, 64, "top"), (21, 1, "top")]  # fmt: skip
+        script = [(0, 3, None), *[(0, 2 + i % 4, "top") for i in range(70)], (1, 100, "top"), (2, 1, "top"),
+                  *[(9, 2 + i % 3, "top") for i in range(70)], (9, 1, None), (10, 5, "top"), (20, 4, "early"),
+                  *[(21, 2 + i % 5, "top") for i in range(66)], (21, 1, "top")]  # fmt: skip
         tops = early = (None, None, None)
         crossed = {"capacity": 0, "deadline": 0}
+        bit = lambda ds, node: ds._slabs[node >> 6].data[(node - ds._slabs[node >> 6].base) * 5 + 4] & 1
         for position, length, onto in script:
             label_sets = [pool[i % len(pool)] for i in range(length)]
             entries = {"top": tops, "early": early, None: (None, None, None)}[onto]
             if onto == "early":
                 assert fused.max_start_of(entries[0]) < 0  # its slab was released
-            sealed_before = len(seals)
+            sealed_before, allocated = len(seals), fused.allocated
             top = fused.extend_onto(label_sets, position, entries[0])
             entry = entries[1]
             for labels in label_sets:
@@ -197,15 +201,20 @@ class TestArenaBasics:
                 early = tops
             for fill, capacity in seals[sealed_before:]:
                 crossed["capacity" if fill == capacity else "deadline"] += 1
-            assert fused.snapshot() == split.snapshot()
-            assert list(fused.enumerate(top, position)) == list(oracle.enumerate(node, position))
+            assert fused.allocated == allocated + 1
+            assert bit(fused, top) == bit(split, entry)
+            assert fused.labels_of(top) == split.labels_of(entry) == node.labels
+            outputs = list(fused.enumerate(top, position))
+            assert outputs == list(split.enumerate(entry, position)) == list(oracle.enumerate(node, position))
             assert (fused.nodes_created, fused.union_calls, fused.union_copies) == (
                 oracle.nodes_created, oracle.union_calls, oracle.union_copies
             )
             assert fused.check_heap_condition(top)
-            self._release_nothing_early(fused, split, position, window)
+            for ds in (fused, split):
+                self._release_nothing_early(ds, position, window)
         assert crossed["capacity"] >= 3 and crossed["deadline"] >= 2, seals
         assert fused.released_slabs >= 3
+        assert fused.live_node_count() < split.live_node_count()
 
     @pytest.mark.parametrize("kernel", ARENAS)
     def test_enumeration_order_matches_the_object_structure_on_two_link_trees(self, kernel):
@@ -237,13 +246,13 @@ class TestArenaBasics:
         assert both_links > 10
 
     @staticmethod
-    def _release_nothing_early(fused, split, position, window):
-        """Release at ``position`` on both arenas: the same slabs go, each
-        slab's ``max_ms`` is the largest ``max_start`` of its records, and
-        only slabs whose every record expired at ``position`` are freed."""
+    def _release_nothing_early(arena, position, window):
+        """Release at ``position``: each slab's ``max_ms`` is the largest
+        ``max_start`` of its records, and only slabs whose every record
+        expired at ``position`` are freed."""
         from array import array
 
-        slabs = fused.snapshot()["slabs"]
+        slabs = arena.snapshot()["slabs"]
         expirable = set()
         for slab in slabs:
             records = array("q", slab["records"])
@@ -252,9 +261,8 @@ class TestArenaBasics:
                 assert slab["max_ms"] == max(starts), slab["base"]
             if not starts or position - max(starts) > window:
                 expirable.add(slab["base"])
-        released = fused.release_expired(position)
-        assert split.release_expired(position) == released
-        kept = {slab["base"] for slab in fused.snapshot()["slabs"]}
+        released = arena.release_expired(position)
+        kept = {slab["base"] for slab in arena.snapshot()["slabs"]}
         assert {slab["base"] for slab in slabs} - kept <= expirable
         assert len(slabs) - len(kept) == released
 

@@ -237,6 +237,18 @@ def test_nan_under_a_non_strict_operator_accepts_nothing(operator):
     assert [len(outputs) for outputs in process(Tuple("E", (0, 2)))] == [2, 2, 2]
 
 
+@pytest.mark.parametrize("operator", ["<", "<=", ">", ">="])
+def test_a_family_that_holds_no_member_returns_the_shared_empty_group(operator):
+    """A bisect that selects no member, and a fallback no group accepts,
+    hand ``fire`` the one shared empty group instead of building a fresh one."""
+    pcea = single_atom_thresholds(operator, [1, 2, 3])
+    outside = Tuple("E", (0, 9 if operator.startswith("<") else -9))
+    (family,) = one_member(pcea).plan_for(outside).families
+    assert family.held(outside) is dispatch._NONE_HELD
+    assert family.held(Tuple("E", (0, NAN))) is dispatch._NONE_HELD
+    assert family.held(Tuple("E", (0, 2))).members
+
+
 @pytest.mark.parametrize("value", ["a", None, (1,)])
 def test_a_value_that_does_not_compare_is_rejected_by_every_member(value):
     pcea = single_atom_thresholds("<", [1, 2, 3])

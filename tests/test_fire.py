@@ -13,9 +13,10 @@ it consumes (``repro.core.dispatch``).
   across kernels, and slot numbering that survives a cleared extractor cache;
 * write amplification as counts: a k-arm star's leaf tuple costs one hash
   update, one expiry triple and one arena record, whatever k;
-* leaf items: leaf runs next to each other in a state's list are written in
-  one ``extend_onto``, a product run between them splits them, and node ids,
-  outputs and statistics keep a digest pinned on the one-call-per-run build;
+* leaf runs into a state a product run also reaches are one ``extend_onto``
+  each, and node ids, outputs and statistics keep a digest pinned on the
+  one-call-per-run build (a leaf state's runs, one record for the lot, are
+  ``tests/test_label_runs.py``'s);
 * the build-time "one guard per predicate group" check;
 * structure guards: the per-probe counter and the arena's fresh-node union
   fast path each live in exactly one module; ``H`` is not keyed by reader and
@@ -269,10 +270,10 @@ def leaf_product_leaf_digest(kernel):
 
 @pytest.mark.parametrize("kernel", ARENAS)
 def test_leaf_product_leaf_runs_into_one_state_keep_the_pinned_digest(kernel):
-    """Leaf runs next to each other in canonical order are one leaf item — one
-    ``extend_onto`` of their label sets — and a product run between them
-    splits them, so the effects keep their order: node ids, outputs and
-    statistics are those of one call per leaf run."""
+    """``q`` is reached by leaf runs and by a product run, so it is no leaf
+    state: each leaf run into it is its own ``extend_onto``, in canonical
+    order with the product run, and node ids, outputs and statistics are
+    those of the build that made one call per leaf run."""
     assert leaf_product_leaf_digest(kernel) == PINNED_LEAF_PRODUCT_LEAF_DIGEST
     engine = StreamingEvaluator(leaf_product_leaf_pcea(), WINDOW, kernel=kernel)
     (lane,) = engine._runtime.lanes()
@@ -284,10 +285,9 @@ def test_leaf_product_leaf_runs_into_one_state_keep_the_pinned_digest(kernel):
     stream = leaf_product_leaf_stream()
     for tup in stream:
         engine.process(tup)
-    # An ``A`` tuple is one leaf run; a ``B`` tuple four, as one item, or as
-    # two of two where the product run fires between them.
-    assert sorted(set(runs)) == [1, 2, 4]
-    assert sum(runs) == sum(4 if tup.relation == "B" else tup.relation == "A" for tup in stream)
+    # An ``A`` tuple is one leaf run; a ``B`` tuple four, one call each.
+    assert set(runs) == {1}
+    assert len(runs) == sum(4 if tup.relation == "B" else tup.relation == "A" for tup in stream)
 
 
 def test_leaf_product_leaf_runs_match_the_naive_oracle_and_the_object_structure():

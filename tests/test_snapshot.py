@@ -489,8 +489,10 @@ class TestRefusedRestoreChangesNothing:
 class TestWrongValueTypesAreRefused:
     """A checkpoint whose values have the wrong types is refused with
     ``SnapshotError`` — the engine's snapshot bytes unchanged — instead of
-    restoring into an engine that fails on its next tuple or sweep; the
-    engine then processes the rest of the stream like one never offered it."""
+    restoring into an engine that fails on its next tuple or sweep, or that
+    names its outputs by other labels (an arena label-table entry that is no
+    frozenset, or repeats one); the engine then processes the rest of the
+    stream like one never offered it."""
 
     TAMPERS = [
         "counter holds a string", "counter holds a bool", "bucket key is a list",
@@ -498,7 +500,8 @@ class TestWrongValueTypesAreRefused:
         "lane key holds a list", "lane anchor is a string", "lane anchor is negative",
         "lane node is a string", "lane node is past 2**62", "lane entry is no pair",
         "lane run holds no tuple", "position is a string", "evicted is negative", "since is a float",
-        "bucket position is a string",
+        "bucket position is a string", "label entry is a string", "label entry is a list",
+        "label entry repeats",
     ]  # fmt: skip
     #: Tampers of the ``scan`` section and of the entries' shapes by slot kind.
     SCAN_TAMPERS = [
@@ -556,6 +559,15 @@ class TestWrongValueTypesAreRefused:
             snap["placement"][0] = (where, 0.5, slots)
         elif tamper == "bucket position is a string":
             runtime["buckets"] = {str(due): flat for due, flat in runtime["buckets"].items()}
+        elif tamper.startswith("label entry"):
+            # Restored unchecked, a string entry "g0v0" read as {'g', '0', 'v'}
+            # and a repeated one renamed the outputs of its records.
+            labels = lane["ds"]["labels"]
+            labels[-1] = {
+                "label entry is a string": "".join(map(str, labels[-1])),
+                "label entry is a list": sorted(labels[-1]),
+                "label entry repeats": labels[0],
+            }[tamper]
         else:
             TestWrongValueTypesAreRefused._scan_tampered(lane, tamper)
         return snap
