@@ -27,7 +27,7 @@ or processes — with outputs, positions, and ``--stats`` counters
 bit-identical to one uninterrupted run.  The restoring invocation must pass
 the same ``--query`` (same queries in the same order for ``multi``) and
 window; mismatches are rejected through the snapshot's per-query digests
-(snapshot version 5), which do not depend on ``PYTHONHASHSEED``.
+(since snapshot version 5), which do not depend on ``PYTHONHASHSEED``.
 
 Observability: every mode accepts ``--metrics-file PATH`` (Prometheus text
 exposition of the run's counters, gauges and latency histograms),

@@ -12,8 +12,8 @@
  *   - `extend_onto`: `union(entry, extend(.., ()))` for the k label sets
  *     one label id names (a label set, or a label run the arena interned),
  *     as one record;
- *   - `release_scan`: the eviction sweep's slab head advance with
- *     external-refcount checks (plus `add_ref`/`drop_ref` themselves);
+ *   - `release_scan`: the eviction sweep's slab head advance over the
+ *     expired sealed slabs;
  *   - `walk`: the pruning enumeration walk over the union tree.
  *
  * The contract with `repro.core.arena` (keep the two sides in sync):
@@ -26,7 +26,7 @@
  *   - registered buffers are preallocated to full slab capacity and never
  *     resized while registered (the export holds a buffer, so a resize
  *     attempt would raise `BufferError` — by design);
- *   - slab fill (`count`), `max_ms` and `ext_refs` are canonical *here*
+ *   - slab fill (`count`) and `max_ms` are canonical *here*
  *     while a kernel is attached; the arena mirrors them back at seal /
  *     snapshot time via `slab_meta`;
  *   - when the current slab fills (or passes its seal deadline) mid
@@ -65,7 +65,6 @@ typedef struct {
     int64_t cap;      /* records the buffer can hold */
     int64_t count;
     int64_t max_ms;
-    int64_t ext_refs;
 } KSlab;
 
 typedef struct {
@@ -186,13 +185,13 @@ k_as_int64(PyObject *value, int *error)
 static PyObject *
 Kernel_register_slab(KernelObject *self, PyObject *args)
 {
-    long long first_slot, span, base, count, max_ms, ext_refs;
+    long long first_slot, span, base, count, max_ms;
     PyObject *array_obj, *prods;
     KSlab *slab;
     Py_ssize_t rel, j;
 
-    if (!PyArg_ParseTuple(args, "LLLOOLLL", &first_slot, &span, &base,
-                          &array_obj, &prods, &count, &max_ms, &ext_refs)) {
+    if (!PyArg_ParseTuple(args, "LLLOOLL", &first_slot, &span, &base,
+                          &array_obj, &prods, &count, &max_ms)) {
         return NULL;
     }
     if (!PyList_Check(prods)) {
@@ -223,7 +222,6 @@ Kernel_register_slab(KernelObject *self, PyObject *args)
     slab->cap = slab->view.len / K_RECORD_BYTES;
     slab->count = count;
     slab->max_ms = max_ms;
-    slab->ext_refs = ext_refs;
 
     if (self->used == 0) {
         self->floor = first_slot;
@@ -608,38 +606,6 @@ fail:
 /* --------------------------------------------------------- reclamation */
 
 static PyObject *
-Kernel_add_ref(KernelObject *self, PyObject *arg)
-{
-    int error = 0;
-    int64_t node = k_as_int64(arg, &error);
-    KSlab *slab;
-    if (error) {
-        return NULL;
-    }
-    slab = k_slab_for(self, node);
-    if (slab != NULL) {
-        slab->ext_refs++;
-    }
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Kernel_drop_ref(KernelObject *self, PyObject *arg)
-{
-    int error = 0;
-    int64_t node = k_as_int64(arg, &error);
-    KSlab *slab;
-    if (error) {
-        return NULL;
-    }
-    slab = k_slab_for(self, node);
-    if (slab != NULL) {
-        slab->ext_refs--;
-    }
-    Py_RETURN_NONE;
-}
-
-static PyObject *
 Kernel_release_scan(KernelObject *self, PyObject *args)
 {
     long long cursor, position;
@@ -654,7 +620,7 @@ Kernel_release_scan(KernelObject *self, PyObject *args)
         if (slab == NULL || slab == self->cur) {
             break;
         }
-        if (position - slab->max_ms <= self->window || slab->ext_refs > 0) {
+        if (position - slab->max_ms <= self->window) {
             break;
         }
         span = slab->span;
@@ -806,8 +772,7 @@ Kernel_slab_meta(KernelObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "no slab registered at that slot");
         return NULL;
     }
-    return Py_BuildValue("(LLL)", (long long)slab->count,
-                         (long long)slab->max_ms, (long long)slab->ext_refs);
+    return Py_BuildValue("(LL)", (long long)slab->count, (long long)slab->max_ms);
 }
 
 static PyObject *
@@ -922,7 +887,7 @@ Kernel_init(KernelObject *self, PyObject *args, PyObject *kwargs)
 
 static PyMethodDef Kernel_methods[] = {
     {"register_slab", (PyCFunction)Kernel_register_slab, METH_VARARGS,
-     "register_slab(first_slot, span, base, array, prods, count, max_ms, ext_refs)"},
+     "register_slab(first_slot, span, base, array, prods, count, max_ms)"},
     {"set_current", (PyCFunction)Kernel_set_current, METH_VARARGS,
      "set_current(first_slot, seal_deadline)"},
     {"set_request_slab", (PyCFunction)Kernel_set_request_slab, METH_O,
@@ -935,14 +900,12 @@ static PyMethodDef Kernel_methods[] = {
      "union(left, fresh, position, fresh_ms) -> node id"},
     {"extend_onto", (PyCFunction)Kernel_extend_onto, METH_FASTCALL,
      "extend_onto(position, entry, label_id, k) -> the node id"},
-    {"add_ref", (PyCFunction)Kernel_add_ref, METH_O, "add_ref(node)"},
-    {"drop_ref", (PyCFunction)Kernel_drop_ref, METH_O, "drop_ref(node)"},
     {"release_scan", (PyCFunction)Kernel_release_scan, METH_VARARGS,
      "release_scan(cursor_slot, position) -> slabs released"},
     {"walk", (PyCFunction)Kernel_walk, METH_FASTCALL,
      "walk(node, position) -> [(label_id, position, children), ...]"},
     {"slab_meta", (PyCFunction)Kernel_slab_meta, METH_VARARGS,
-     "slab_meta(first_slot) -> (count, max_ms, ext_refs)"},
+     "slab_meta(first_slot) -> (count, max_ms)"},
     {"counters", (PyCFunction)Kernel_counters, METH_NOARGS,
      "counters() -> (nodes_created, union_calls, union_copies, allocated)"},
     {"set_counters", (PyCFunction)Kernel_set_counters, METH_VARARGS,

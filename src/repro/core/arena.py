@@ -25,8 +25,7 @@ node:
   once per ``extend`` and *shared* by every union path copy of the node
   (copies never re-materialise their child list), so union cost stays a
   constant number of appends per copied level; a live copy keeps the
-  originating slab alive transitively through the expiry argument below, never
-  through refcounts.
+  originating slab alive transitively through the expiry argument below.
 
 Node id ``0`` is the bottom node ``⊥`` (empty bag): it never carries links or
 children and every traversal treats it as expired.
@@ -78,44 +77,41 @@ allocation time and — because ``max_start`` of any allocatable node is within
 one window of its allocation position — effectively bucketed by ``max_start``
 too.  Each slab tracks ``max_ms``, the largest ``max_start`` it contains.  A
 sealed slab is *released wholesale* (its arrays dropped in one dict deletion
-per owned slot, O(1) amortised, no graph traversal) once
-
-1. it has **expired**: ``position - max_ms > window``, i.e. every node in it
-   enumerates nothing and is pruned by every union, forever (positions only
-   grow); and
-2. its **external-reference count is zero**: no surviving run-index hash entry
-   points into it.  The count is maintained by the evaluator's existing
-   eviction sweep — incremented when an entry is registered in an expiry
-   bucket, decremented when that bucket is popped — so by the time a slab
-   expires, the sweep (which pops the bucket of the same ``max_start`` at the
-   same threshold) has already dropped every count it will ever drop.
+per owned slot, O(1) amortised, no graph traversal) once it has **expired**:
+``position - max_ms > window``, i.e. every node in it enumerates nothing and
+is pruned by every union, forever (positions only grow).  Nothing is
+counted: expiry alone makes the release safe (below).
 
 Slabs are released strictly in allocation order; because ``max_ms`` across
 slabs can lag the allocation position by at most one window, an expired slab
-waits at most ``O(window)`` positions behind a blocked predecessor, keeping
-total retained storage ``O(active window)``.
+waits at most ``O(window)`` positions behind an unexpired predecessor,
+keeping total retained storage ``O(active window)``.
 
-The external-reference invariant
---------------------------------
-References *into* a slab come from three places, each handled differently:
+Why expiry alone suffices
+-------------------------
+References *into* a slab come from three places; none needs a count:
 
-* **product children of live nodes** — always safe without counting: a product
-  node's ``max_start`` is ≤ every child's ``max_start``, so a live (non-expired)
-  node implies live children, which implies their slabs have not expired and
-  therefore have not been released.  The *tuple* holding the child ids lives
-  in the node's own slab (copies re-append it, see above), so reading it never
-  crosses into another slab at all;
+* **product children of live nodes** — a product node's ``max_start`` is ≤
+  every child's ``max_start``, so a live (non-expired) node implies live
+  children, which implies their slabs have not expired and therefore have
+  not been released.  The *tuple* holding the child ids lives in the node's
+  own slab (copies re-append it, see above), so reading it never crosses
+  into another slab at all;
 * **union links of live nodes** — may legitimately point at expired nodes (the
   heap condition only bounds ``max_start`` from above).  Traversals read one
   level into such a subtree purely to observe "expired, prune".  These reads
   are guarded at dereference time: a missing slab *means* expired, so the
   lookup ``slabs.get(id >> 6)`` returning ``None`` takes exactly the branch
-  the pruning check would have taken.  Counting these references instead would
-  chain-pin the entire history (every union top links to the previous top), so
-  they are deliberately *not* counted;
-* **run-index hash entries** — counted (``ext_refs`` above), so an entry that
-  survives in ``H`` never dangles; the count reaches zero exactly when the
-  sweep retires the entry's expiry bucket.
+  the pruning check would have taken.  (Pinning these instead would
+  chain-pin the entire history: every union top links to the previous top);
+* **run-index entries** — a hash-slot entry caches its node's ``max_start``,
+  and the node's slab has ``max_ms`` at least that, so the slab expires no
+  earlier than the entry.  The evaluator's sweep deletes an expired entry
+  when it pops the entry's key, and it releases slabs only after popping
+  every bucket due, so no ``H`` entry into a released slab survives a sweep.
+  A scan-slot run is anchored at its own position and may outlive its node's
+  slab; every read of it asks :meth:`ArenaDataStructure.expired` first,
+  which the missing slab answers "expired", as a union link's does.
 
 Snapshot / restore
 ------------------
@@ -273,7 +269,7 @@ class _Slab:
     slab-local non-empty child tuples.
     """
 
-    __slots__ = ("base", "span", "data", "avail", "prods", "count", "max_ms", "ext_refs")
+    __slots__ = ("base", "span", "data", "avail", "prods", "count", "max_ms")
 
     def __init__(self, base: int, span: int) -> None:
         self.base = base
@@ -283,7 +279,6 @@ class _Slab:
         self.prods: List[Tup[int, ...]] = []
         self.count = 0
         self.max_ms = _NEVER
-        self.ext_refs = 0
 
 
 def _round_capacity(value: float) -> int:
@@ -401,7 +396,6 @@ def _restored_slab(snap: Dict[str, object], slot: int, label_count: int, run_cou
     slab.max_ms = _word(snap["max_ms"])
     if not _NEVER <= slab.max_ms < _POSITION_END:
         raise SnapshotError(f"snapshot slab at {base} has max_ms {slab.max_ms} outside [-2**62, 2**62)")
-    slab.ext_refs = _word(snap["ext_refs"])
     return slab
 
 
@@ -414,8 +408,7 @@ class ArenaDataStructure:
     structure: :meth:`extend`, :meth:`union`, :meth:`extend_onto`, :meth:`enumerate`,
     :meth:`enumerate_all`, :meth:`expired`, the validation helpers and the
     ``nodes_created`` / ``union_calls`` / ``union_copies`` counters, plus the
-    reclamation hooks the streaming evaluators call (:meth:`add_ref`,
-    :meth:`drop_ref`, :meth:`release_expired`), the snapshot protocol
+    reclamation the eviction sweep calls (:meth:`release_expired`), the snapshot protocol
     (:meth:`snapshot` / :meth:`restore`) and the memory introspection used by
     ``--stats`` and the benchmarks (:meth:`memory_stats`,
     :meth:`resident_bytes`).
@@ -446,13 +439,10 @@ class ArenaDataStructure:
             raise ValueError("window size must be non-negative")
         self.window = window
         self.kernel = resolve_kernel(kernel)
-        # One C kernel per arena, created once and *reused* across restore()
-        # (the eviction lanes hold its bound add_ref/drop_ref).
+        # One C kernel per arena, created once and *reused* across restore().
         self._nk = native_module().Kernel(window) if self.kernel == "native" else None
         if self._nk is not None:
             self._nk.set_request_slab(self._new_slab)
-            self.add_ref = self._nk.add_ref
-            self.drop_ref = self._nk.drop_ref
         self._cap = _round_capacity(min(4096, max(MIN_SLAB_CAPACITY, window + 1)))
         self._slabs: Dict[int, _Slab] = {}
         self._slab_count = 0
@@ -497,9 +487,7 @@ class ArenaDataStructure:
                 # full capacity: it is pinned by the kernel's buffer export
                 # (a trim would raise ``BufferError``), and the unfilled
                 # tail is zeroed so cold readers see the same records.
-                sealed.count, sealed.max_ms, sealed.ext_refs = native.slab_meta(
-                    sealed.base >> _SLOT_BITS
-                )
+                sealed.count, sealed.max_ms = native.slab_meta(sealed.base >> _SLOT_BITS)
             else:
                 fill = sealed.count * _STRIDE
                 if len(sealed.data) > fill:
@@ -540,9 +528,7 @@ class ArenaDataStructure:
             # callback (the kernel ignores the returned slab).
             slab.data = array("q", bytes(_RECORD_BYTES * (span << _SLOT_BITS)))
             slab.avail = span << _SLOT_BITS
-            native.register_slab(
-                slot, span, slab.base, slab.data, slab.prods, 0, _NEVER, 0
-            )
+            native.register_slab(slot, span, slab.base, slab.data, slab.prods, 0, _NEVER)
             native.set_current(slot, self._seal_deadline)
         return slab
 
@@ -899,27 +885,14 @@ class ArenaDataStructure:
         return slab.base + offset
 
     # ------------------------------------------------------------ reclamation
-    def add_ref(self, node: int) -> None:
-        """Count one external (hash-entry) reference into ``node``'s slab."""
-        slab = self._slabs.get(node >> _SLOT_BITS)
-        if slab is not None:
-            slab.ext_refs += 1
-
-    def drop_ref(self, node: int) -> None:
-        """Drop one external reference (the eviction sweep calls this once per
-        popped expiry-bucket registration, balancing :meth:`add_ref`)."""
-        slab = self._slabs.get(node >> _SLOT_BITS)
-        if slab is not None:
-            slab.ext_refs -= 1
-
     def release_expired(self, position: int) -> int:
-        """Release every leading sealed slab that expired and is unreferenced.
+        """Release every leading sealed slab that expired.
 
         Returns the number of slabs released.  O(1) per call when nothing is
         releasable; releasing is one dict deletion per owned slot (pointer
         bump undo), never a graph traversal.  The native kernel makes the
-        decisions itself (its ``max_ms``/``ext_refs`` are the canonical ones
-        while it is attached) and frees its buffer holds; either way the
+        decisions itself (its ``max_ms`` is the canonical one while it is
+        attached) and frees its buffer holds; either way the
         slab-table entries and the release counters are kept here — a sealed
         slab's ``count`` was mirrored at seal time.
         """
@@ -937,7 +910,7 @@ class ArenaDataStructure:
                 slab = slabs.get(scan)
                 if slab is None or slab is current:
                     break  # never release the unsealed current slab
-                if position - slab.max_ms <= window or slab.ext_refs > 0:
+                if position - slab.max_ms <= window:
                     break
                 released += 1
                 scan += slab.span
@@ -1017,13 +990,11 @@ class ArenaDataStructure:
         nk = self._nk
         if nk is not None:
             # Pull the kernel-authoritative per-slab meta (the current slab's
-            # fill, every slab's live ``ext_refs``) into the python mirrors
-            # the loop below reads.  Record *data* needs no sync: the kernel
-            # writes the shared buffers in place.
+            # fill and ``max_ms``) into the python mirrors the loop below
+            # reads.  Record *data* needs no sync: the kernel writes the
+            # shared buffers in place.
             for slab in self._retained_slabs():
-                slab.count, slab.max_ms, slab.ext_refs = nk.slab_meta(
-                    slab.base >> _SLOT_BITS
-                )
+                slab.count, slab.max_ms = nk.slab_meta(slab.base >> _SLOT_BITS)
         slabs = []
         for slab in self._retained_slabs():
             records = slab.data[: slab.count * _STRIDE]
@@ -1035,7 +1006,6 @@ class ArenaDataStructure:
                     "span": slab.span,
                     "count": slab.count,
                     "max_ms": slab.max_ms,
-                    "ext_refs": slab.ext_refs,
                     "records": records.tobytes(),
                     "prods": list(slab.prods),
                 }
@@ -1059,8 +1029,8 @@ class ArenaDataStructure:
     def restore(self, snapshot: Dict[str, object]) -> None:
         """Replace this arena's entire state with ``snapshot``'s, in place.
 
-        In-place so bound hooks (:class:`~repro.runtime.EvictionLane` binds
-        ``add_ref``/``drop_ref``/``release_expired`` once) stay valid.  The
+        In-place so bound methods (:class:`~repro.runtime.EvictionLane` binds
+        ``release_expired`` and ``extend_onto`` once) stay valid.  The
         window must match (it is the engine's configuration, not state).  A
         snapshot is untrusted input, so the label table (distinct
         frozensets), the run table (distinct tuples of two or more label
@@ -1109,9 +1079,8 @@ class ArenaDataStructure:
             # Drop every buffer hold *before* rebuilding: restored slot
             # ranges may overlap the old ones, and releasing the views lets
             # the old arrays die with the old slab table.  The kernel object
-            # itself is reused (never replaced), so the bound ``add_ref`` /
-            # ``drop_ref`` held by eviction lanes survive the restore — the
-            # same in-place contract the python path gives.
+            # itself is reused (never replaced) — the same in-place contract
+            # the python path gives.
             nk.close()
             nk.set_request_slab(self._new_slab)
         self._cap = cap
@@ -1132,7 +1101,7 @@ class ArenaDataStructure:
             # Re-register the restored slabs: pad every record array back to
             # full slab capacity (the kernel's exported buffers never grow)
             # and hand the meta over — the kernel is authoritative for
-            # count/max_ms/ext_refs again from here on.
+            # count/max_ms again from here on.
             for slab in restored:
                 capacity = slab.span << _SLOT_BITS
                 slab.data.extend(array("q", bytes(_RECORD_BYTES * (capacity - slab.count))))
@@ -1145,7 +1114,6 @@ class ArenaDataStructure:
                     slab.prods,
                     slab.count,
                     slab.max_ms,
-                    slab.ext_refs,
                 )
             nk.set_current(current.base >> _SLOT_BITS, seal_deadline)
         self.allocated = allocated

@@ -27,13 +27,13 @@ dataclass per node, fully persistent, nothing ever reclaimed explicitly.  The
 production default is the arena-backed :class:`~repro.core.arena.ArenaDataStructure`
 (``arena=True`` on the evaluators), which stores nodes as dense integer ids in
 flat per-slab arrays and releases whole expired slabs in O(1) — see
-``repro/core/arena.py`` for the slab lifecycle and the external-reference
-invariant.  Both structures implement the same surface (``extend`` / ``union``
+``repro/core/arena.py`` for the slab lifecycle and why expiry alone makes a
+release safe.  Both structures implement the same surface (``extend`` / ``union``
 / ``enumerate`` / ``expired`` / the validation helpers), plus the small hook
 set the evaluators use to stay representation-agnostic: ``max_start_of`` (node
 -> ``max_start``, an attribute read here, a slab-array read in the arena) and
-the reclamation hooks ``add_ref`` / ``drop_ref`` / ``release_expired``, which
-are no-ops here because the object graph relies on Python's GC.  The
+the reclamation hook ``release_expired``, a no-op here because the object
+graph relies on Python's GC.  The
 validation helpers (:meth:`DataStructure.check_heap_condition`,
 :meth:`DataStructure.check_simple`, :meth:`DataStructure.union_depth`) are
 iterative: a single-relation stream builds union chains as deep as the
@@ -178,18 +178,12 @@ class DataStructure:
 
     # Representation-agnostic hooks shared with the arena structure, so
     # callers can stay oblivious to whether nodes are objects or integer ids
-    # (the evaluators hoist the reclamation hooks once; ``max_start_of`` is
+    # (the evaluators hoist ``release_expired`` once; ``max_start_of`` is
     # for introspection/tests — the hot loops read the max_start they cache
     # in the hash-table pairs instead).
     def max_start_of(self, node: Node) -> int:
         """``max_start`` of ``node`` (attribute read; array read in the arena)."""
         return node.max_start
-
-    def add_ref(self, node: Node) -> None:
-        """No-op: the object graph is reclaimed by Python's GC."""
-
-    def drop_ref(self, node: Node) -> None:
-        """No-op counterpart of :meth:`add_ref`."""
 
     def release_expired(self, position: int) -> int:
         """No-op: nothing to release explicitly (returns 0 slabs released)."""

@@ -501,7 +501,7 @@ class MultiQueryEngine:
         self._check_digests(queries, recorded)
         placement = self._check_seating(queries, placement, lanes)
         stores = self._restored_stores(lanes, placement)
-        runtime_state = StreamRuntime.parse(runtime_snap, len(stores))
+        runtime_state = StreamRuntime.parse(runtime_snap, stores)
         merged = MergedDispatchIndex(())
         for query, (where, since, slots) in zip(queries, placement):
             merged.add_query(query, query.dispatch, stores[where], since, slots)

@@ -23,9 +23,8 @@ times and the copies drifted.  The runtime holds exactly one of each:
   (:class:`~repro.core.dispatch.EvalPlan`), so relation and constant-guard
   dispatch are the same code.
 * :class:`EvictionLane` — one evictable run store: a sliding window, a
-  run-index table (``hash``), an enumeration structure (``ds``), and the
-  representation-agnostic reclamation hooks (``add_ref`` / ``drop_ref`` /
-  ``release``) bound once at construction.  ``MultiQueryEngine`` owns one
+  run-index table (``hash``), an enumeration structure (``ds``), and its
+  ``release`` and ``extend_onto`` bound once at construction.  ``MultiQueryEngine`` owns one
   lane per distinct window, serving every query registered under it (the
   single-query evaluators: one lane, one query).
 * :class:`StreamRuntime` — the per-stream core: the global position, the
@@ -41,14 +40,15 @@ times and the copies drifted.  The runtime holds exactly one of each:
   modes.
 
 What stays in the engine is its merged index of every registered query and
-its output routing.  Everything an engine registers into the runtime is a flat
-``lane_id, key, node`` int triple appended to the expiry bucket (lanes are
-interned to dense small ints; no per-entry tuple is allocated — see
-:meth:`StreamRuntime.register_entry` for the reference implementation); the
-sweep pops the bucket, drops the arena reference, and deletes the entry from
-``lane.hash`` when the cached ``max_start`` (the second element of the
-stored pair) is out of the lane's window — the exact protocol PRs 1–3
-proved out per engine, now in one place.
+its output routing.  Everything an engine registers into the runtime is one
+flat ``lane_id, key`` pair per key it *creates*, appended to the expiry
+bucket of ``(lane, key, expiry)`` (lanes are interned to dense small ints; no
+per-entry tuple is allocated — see :meth:`StreamRuntime.register_entry` for
+the reference implementation).  The sweep pops the bucket and deletes the
+entry from ``lane.hash`` when the cached ``max_start`` (the second element
+of the stored pair) is out of the lane's window, or else re-arms the key
+where its last write expires — so the pending registrations are the keys of
+``H``, each once, and no arena reference is ever counted.
 
 The runtime also anchors the cross-layer **snapshot/restore protocol**
 (:mod:`repro.runtime.snapshot`): every layer — arena slabs, lanes, the

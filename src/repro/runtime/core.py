@@ -13,29 +13,36 @@ whose one update loop is :func:`~repro.runtime.fire.fire`):
   are keyed by ``(scan slot, sequence number)`` — one entry per run,
   anchored at the run's own position — and also listed, oldest first, in the
   lane's ``scans`` (see :class:`EvictionLane`);
-* when the engine stores an entry it appends the *flat int triple*
-  ``lane.lane_id, key, node`` (three plain appends, no per-entry tuple) to
+* when the engine *creates* a key it appends the *flat pair*
+  ``lane.lane_id, key`` (two plain appends, no per-entry tuple) to
   ``buckets[max_start + lane.window + 1]`` (the absolute position at which
-  the entry expires) and calls ``lane.add_ref(node)`` — the lines
+  the entry expires unless written again) — the lines
   :func:`~repro.runtime.fire.fire` inlines, everything else lives here.
-  :meth:`StreamRuntime.register_entry` is the reference implementation;
-* the sweep pops due buckets, drops the arena reference exactly once per
-  registration, and deletes the hash entry iff it is genuinely out of the
-  window *now* (an entry superseded by a younger node was re-registered in a
-  later bucket and survives) — and a scan-slot key's run from its scan slot
-  with it.
+  :meth:`StreamRuntime.register_entry` is the reference implementation of
+  one ``(lane, key, expiry)`` registration.  A write onto a key the table
+  already holds registers nothing;
+* the sweep pops due buckets and, for each key still in its lane's table,
+  deletes the entry iff it is out of the window *now* — and a scan-slot
+  key's run from its scan slot with it — or else re-arms the key at
+  ``max_start + window + 1`` of its last write: the lazy re-arm of a timing
+  wheel (Varghese & Lauck, "Hashed and Hierarchical Timing Wheels").  The
+  key's ``max_start`` only grows, so its one registration is never later
+  than its expiry and every entry leaves ``H`` at exactly the sweep its
+  last write expires at.  Pending registrations are therefore exactly the
+  keys of the tables, each once (plus, for up to a window, the runs a
+  leaving query's scan slots took along).
 
 Compact bucket representation
 -----------------------------
 Lanes are interned to dense small ints at :meth:`StreamRuntime.add_lane`
 (``lane.lane_id``), and each expiry bucket is one flat list
-``[lane_id, key, node, lane_id, key, node, ...]`` instead of a list of
-``(lane, key, node)`` tuples.  Registration therefore allocates *nothing*
+``[lane_id, key, lane_id, key, ...]`` instead of a list of
+``(lane, key)`` tuples.  Registration therefore allocates *nothing*
 beyond the (amortised) list growth — the key object already lives in the
-lane's hash table, the node is an arena int — and the steady-state sweep
-walks the flat list with a stride-3 index loop, so the dominant steady-state
-allocation of the tuple layout (one 3-tuple per stored entry per window) is
-gone entirely.
+lane's hash table — and the sweep walks the flat list with a stride-2 index
+loop.  No arena reference is taken: a slab is released once it has expired,
+after the sweep that deleted every ``H`` entry into it (see
+:mod:`repro.core.arena`).
 
 Expired arena slabs are released by the same sweep: popping a bucket releases
 the lanes it touched, and a periodic full pass (every
@@ -125,10 +132,9 @@ class EvictionLane:
     window, serving every query registered under that window.
 
     ``hash`` is the lane's run-index table (``(key) -> (value, max_start)``
-    pairs); ``ds`` its enumeration structure.  The reclamation hooks and
+    pairs); ``ds`` its enumeration structure.  ``release`` and
     ``extend_onto`` are bound once so the per-tuple loops and the sweep never
-    branch on the node representation (the object-graph ``DS_w`` exposes the
-    hooks as no-ops).
+    branch on the node representation.
     ``lane_id`` is the dense int the owning runtime interned the lane to —
     the id the engines append to expiry buckets.
 
@@ -151,8 +157,6 @@ class EvictionLane:
         "scans",
         "next_seq",
         "nodes_scanned",
-        "add_ref",
-        "drop_ref",
         "release",
         "extend_onto",
     )
@@ -166,8 +170,6 @@ class EvictionLane:
         self.scans: Optional[Dict[Hashable, Dict[int, Tup[object, object]]]] = None
         self.next_seq = 0
         self.nodes_scanned = 0
-        self.add_ref = ds.add_ref
-        self.drop_ref = ds.drop_ref
         self.release = ds.release_expired
         self.extend_onto = ds.extend_onto
 
@@ -177,15 +179,12 @@ class EvictionLane:
         Stale expiry-bucket entries may still reference the lane's id for up
         to a window; the sweep skips ids that no longer resolve to an active
         lane instead of scrubbing every bucket eagerly.  Clearing the bound
-        hooks matters: they are bound methods and would otherwise pin the
-        enumeration structure until the lane's last expiry bucket is popped.
+        methods matters: they would otherwise pin the enumeration structure.
         """
         self.active = False
         self.hash.clear()
         self.ds = None
         self.scans = None
-        self.add_ref = None
-        self.drop_ref = None
         self.release = None
         self.extend_onto = None
 
@@ -311,8 +310,8 @@ class StreamRuntime:
 
     One runtime serves one engine (which may own one lane or thousands).
     Engines advance the position with :meth:`advance`, call :meth:`sweep`
-    once per sweeping update, register stored entries into :attr:`buckets`
-    (inlined, see the module docstring for the flat-triple protocol), and
+    once per sweeping update, register new keys into :attr:`buckets`
+    (inlined, see the module docstring for the flat-pair protocol), and
     route their ``process_many`` through :meth:`drive_batch` so the
     one-sweep-per-batch policy exists exactly once.
     """
@@ -361,8 +360,8 @@ class StreamRuntime:
         # the sweep keys its (timed, slab-accounting) sampled branch off this
         # single flag instead of re-deriving the sampling grid.
         self.obs_sweep_sampled = False
-        # Absolute expiry position -> flat [lane_id, key, node, ...] triples.
-        # Entries always register in strictly future buckets (a storable
+        # Absolute expiry position -> flat [lane_id, key, ...] pairs.  Keys
+        # always register (and re-arm) in strictly future buckets (a storable
         # entry satisfies max_start >= position - lane.window), so the sweep
         # can pop the dense range of newly due positions instead of scanning
         # every bucket key.
@@ -370,7 +369,7 @@ class StreamRuntime:
         self._swept_upto = -1
         self._next_release_pass = 0
         # Keyed by the dense interned lane id, which is also what the bucket
-        # triples carry — drop_lane stays O(1) (unregistration latency must
+        # pairs carry — drop_lane stays O(1) (unregistration latency must
         # be independent of how many lanes are registered) and the sweep
         # resolves ids with one small-int dict lookup.
         self._lanes: Dict[int, EvictionLane] = {}
@@ -380,7 +379,7 @@ class StreamRuntime:
     def add_lane(self, lane: EvictionLane) -> EvictionLane:
         """Intern ``lane`` to a dense id and track it for release/reporting.
 
-        Ids are never reused: a stale bucket triple of a dropped lane must
+        Ids are never reused: a stale bucket pair of a dropped lane must
         not resolve to a different lane later (the one-slot-per-ever-
         registered-lane residue this avoids is the dict entry removed by
         :meth:`drop_lane`, i.e. nothing).
@@ -429,21 +428,21 @@ class StreamRuntime:
         return target
 
     # ------------------------------------------------------------ registration
-    def register_entry(self, lane: EvictionLane, key: Hashable, node: object, expiry_position: int) -> None:
-        """Register a stored entry for eviction at ``expiry_position``.
+    def register_entry(self, lane: EvictionLane, key: Hashable, expiry_position: int) -> None:
+        """Register ``lane``'s new ``key`` for eviction at ``expiry_position``.
 
-        The reference implementation of the registration protocol — three
-        flat appends plus the arena reference — which ``fire`` inlines for
-        hash and scan probes alike (keep those copies in sync with this).
+        The reference implementation of one ``(lane, key, expiry)``
+        registration — two flat appends — which ``fire`` inlines for a key
+        it creates, hash and scan slots alike (keep those copies in sync with
+        this).  The sweep re-arms a key written since; nothing registers it
+        again.
         """
         expiry = self.buckets.get(expiry_position)
         if expiry is None:
-            self.buckets[expiry_position] = [lane.lane_id, key, node]
+            self.buckets[expiry_position] = [lane.lane_id, key]
         else:
             expiry.append(lane.lane_id)
             expiry.append(key)
-            expiry.append(node)
-        lane.add_ref(node)
 
     # ------------------------------------------------------------------ sweep
     def sweep(self, position: int) -> None:
@@ -453,7 +452,7 @@ class StreamRuntime:
         a gap (updates ran with the sweep deferred, or the position was
         reseated) falls back to the batched range sweep so no bucket is ever
         skipped for good.  Also runs the periodic full arena-release pass.
-        The stride-3 loop over the flat bucket allocates no per-entry
+        The stride-2 loop over the flat bucket allocates no per-entry
         objects.
         """
         if position == self._swept_upto + 1 and not self.obs_sweep_sampled:
@@ -466,25 +465,35 @@ class StreamRuntime:
                 evicted = 0
                 touched = set()
                 lanes = self._lanes
-                for index in range(0, len(expired), 3):
-                    lane = lanes.get(expired[index])
+                buckets = self.buckets
+                for index in range(0, len(expired), 2):
+                    lane_id = expired[index]
+                    lane = lanes.get(lane_id)
                     if lane is None or not lane.active:
                         continue
-                    key = expired[index + 1]
-                    lane.drop_ref(expired[index + 2])
                     touched.add(lane)
+                    key = expired[index + 1]
                     pair = lane.hash.get(key)
-                    # The entry may have been superseded by a younger node
-                    # (re-registered in a later bucket) — only drop it if it
-                    # is genuinely out of the window now.
-                    if pair is not None and position - pair[1] > lane.window:
-                        del lane.hash[key]
-                        evicted += 1
-                        scans = lane.scans
-                        if scans is not None:
-                            runs = scans.get(key[0])
-                            if runs is not None:
-                                del runs[key[1]]
+                    if pair is None:
+                        continue  # a run its leaving query's scan slot took along
+                    due = pair[1] + lane.window + 1
+                    if due > position:
+                        # Written since it registered: re-armed where its
+                        # last write leaves the window.
+                        rearm = buckets.get(due)
+                        if rearm is None:
+                            buckets[due] = [lane_id, key]
+                        else:
+                            rearm.append(lane_id)
+                            rearm.append(key)
+                        continue
+                    del lane.hash[key]
+                    evicted += 1
+                    scans = lane.scans
+                    if scans is not None:
+                        runs = scans.get(key[0])
+                        if runs is not None:
+                            del runs[key[1]]
                 self.evicted += evicted
                 if self.count_stats:
                     stats = self.stats
@@ -501,22 +510,23 @@ class StreamRuntime:
             self.sweep_upto(position)
 
     def _drain(self, due: Iterable[List[object]], position: int, touched: set) -> int:
-        """Retire the ``lane_id, key, node`` triples of the popped buckets
-        ``due`` at ``position``; returns how many entries were evicted.
+        """Retire the ``lane_id, key`` pairs of the popped buckets ``due`` at
+        ``position``; returns how many entries were evicted.
 
-        Every triple of an active lane drops its arena reference; its entry
-        goes only if it is genuinely out of the window now (one superseded by
-        a younger node was re-registered in a later bucket and survives),
-        and a scan-slot key's run from its scan slot with it.  Triples of one lane
-        tend to sit together, so the lane is looked up — and added to
-        ``touched`` — once per run of same-lane triples, not per triple.
+        A key of an active lane goes if it is out of the window now — and a
+        scan-slot key's run from its scan slot with it — and is re-armed at
+        ``max_start + window + 1`` of its last write otherwise (always past
+        ``position``, so never into ``due``).  Pairs of one lane tend to sit
+        together, so the lane is looked up — and added to ``touched`` — once
+        per run of same-lane pairs, not per pair.
         """
         evicted = 0
         lanes = self._lanes
+        buckets = self.buckets
         run_id = None
         live = False
         for expired in due:
-            for index in range(0, len(expired), 3):
+            for index in range(0, len(expired), 2):
                 lane_id = expired[index]
                 if lane_id != run_id:
                     run_id = lane_id
@@ -524,22 +534,30 @@ class StreamRuntime:
                     live = lane is not None and lane.active
                     if live:
                         touched.add(lane)
-                        drop_ref = lane.drop_ref
                         table = lane.hash
                         window = lane.window
                         scans = lane.scans
                 if not live:
                     continue
                 key = expired[index + 1]
-                drop_ref(expired[index + 2])
                 pair = table.get(key)
-                if pair is not None and position - pair[1] > window:
-                    del table[key]
-                    evicted += 1
-                    if scans is not None:
-                        runs = scans.get(key[0])
-                        if runs is not None:
-                            del runs[key[1]]
+                if pair is None:
+                    continue
+                rearm = pair[1] + window + 1
+                if rearm > position:
+                    bucket = buckets.get(rearm)
+                    if bucket is None:
+                        buckets[rearm] = [lane_id, key]
+                    else:
+                        bucket.append(lane_id)
+                        bucket.append(key)
+                    continue
+                del table[key]
+                evicted += 1
+                if scans is not None:
+                    runs = scans.get(key[0])
+                    if runs is not None:
+                        del runs[key[1]]
         return evicted
 
     def sweep_upto(self, position: int) -> None:
@@ -649,16 +667,16 @@ class StreamRuntime:
         """The runtime's state.
 
         ``lane_index`` maps interned lane ids to the dense indexes the caller
-        assigns (the engine's lanes in snapshot order); bucket triples of
+        assigns (the engine's lanes in snapshot order); bucket pairs of
         other — or dropped — lanes are left out, the sweep would skip them.
         """
         buckets: Dict[int, List[object]] = {}
         for expiry_position, entries in self.buckets.items():
             flat: List[object] = []
-            for index in range(0, len(entries), 3):
+            for index in range(0, len(entries), 2):
                 mapped = lane_index.get(entries[index])
                 if mapped is not None:
-                    flat += (mapped, entries[index + 1], entries[index + 2])
+                    flat += (mapped, entries[index + 1])
             if flat:
                 buckets[expiry_position] = flat
         return {
@@ -671,14 +689,19 @@ class StreamRuntime:
         }
 
     @staticmethod
-    def parse(snapshot: Dict[str, object], lanes: int) -> Dict[str, object]:
-        """Read and check the runtime section of a snapshot of ``lanes``
-        stores, changing nothing: what :meth:`restore` then adopts.
+    def parse(snapshot: Dict[str, object], lanes: Sequence[EvictionLane]) -> Dict[str, object]:
+        """Read and check the runtime section of a snapshot whose stores are
+        ``lanes`` (restored, in snapshot order, not yet tracked), changing
+        nothing: what :meth:`restore` then adopts.
 
         Every bucket must still be in the future — an already-swept expiry
-        position would leak its entries (and their refcounts) forever — and
-        hold whole ``(lane index, (slot, key), node)`` triples naming one of
-        the snapshot's lanes; every counter must have its type; and the
+        position would leak its keys forever — and hold whole
+        ``(lane index, (slot, key))`` pairs naming one of the snapshot's
+        lanes, no pair twice; every key of every lane's table must be named
+        by a bucket (nothing else would ever evict it: a write onto a held
+        key registers nothing) no later than its entry leaves the window at,
+        ``max_start + window + 1`` (a later one would keep it in ``H`` past
+        the window); every counter must have its type; and the
         cursors must be ints (not bools, not strings) in ``[0, 2**62)`` —
         ``position`` and ``swept_upto`` from ``-1``, before the first tuple.
         """
@@ -691,6 +714,7 @@ class StreamRuntime:
             if kind is None or type(value) is not kind and (kind, type(value)) != (float, int):
                 raise SnapshotError(f"statistics {name!r} = {value!r}: no such counter, or not of its type")
         buckets: Dict[int, List[object]] = {}
+        named: Dict[Tup[int, Hashable], int] = {}
         # dict(): a file may hold any container here, and only a mapping has items().
         for expiry_position, entries in dict(snapshot["buckets"]).items():
             if type(expiry_position) is not int:
@@ -700,16 +724,26 @@ class StreamRuntime:
                     f"cannot restore expiry bucket {expiry_position}: the snapshot "
                     f"was swept up to {swept_upto}"
                 )
-            if len(entries) % 3:
-                raise ValueError(f"expiry bucket {expiry_position} does not hold whole triples")
+            if len(entries) % 2:
+                raise ValueError(f"expiry bucket {expiry_position} does not hold whole pairs")
             flat = buckets[expiry_position] = list(entries)
-            for index in flat[0::3]:
-                if type(index) is not int or not 0 <= index < lanes:
+            for index, key in zip(flat[0::2], flat[1::2]):
+                if type(index) is not int or not 0 <= index < len(lanes):
                     raise KeyError(f"expiry bucket {expiry_position} names lane {index!r}, not a restored one")
-            for key, node in zip(flat[1::3], flat[2::3]):
                 _check_key(key, f"expiry bucket {expiry_position}")
-                if type(node) is not int or not 0 <= node < 1 << 62:
-                    raise SnapshotError(f"expiry bucket {expiry_position} names node {node!r}")
+                if (index, key) in named:
+                    raise SnapshotError(f"expiry bucket {expiry_position} names key {key!r} of lane {index} twice")
+                named[index, key] = expiry_position
+        for index, lane in enumerate(lanes):
+            for key, (_, anchor) in lane.hash.items():
+                due = named.get((index, key))
+                if due is None:
+                    raise SnapshotError(f"lane {index} holds key {key!r}, which no expiry bucket names")
+                if due > anchor + lane.window + 1:
+                    raise SnapshotError(
+                        f"expiry bucket {due} names key {key!r} of lane {index} past its expiry "
+                        f"at {anchor + lane.window + 1}"
+                    )
         return {
             "position": position,
             "evicted": evicted,
@@ -723,12 +757,11 @@ class StreamRuntime:
         """Replace the runtime's state with what :meth:`parse` read.
 
         ``lanes_by_index`` positions must mirror the ``lane_index`` mapping
-        the snapshot was taken with.  No arena references are taken here: the
-        lanes' enumeration-structure snapshots carry their refcounts.
+        the snapshot was taken with.
         """
         lane_ids = [lane.lane_id for lane in lanes_by_index]
         for flat in parsed["buckets"].values():
-            flat[0::3] = [lane_ids[index] for index in flat[0::3]]
+            flat[0::2] = [lane_ids[index] for index in flat[0::2]]
         self.position = parsed["position"]
         self.evicted = parsed["evicted"]
         self._swept_upto = parsed["swept_upto"]

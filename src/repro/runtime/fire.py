@@ -23,7 +23,7 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
     :class:`~repro.core.dispatch.CompiledTransition`), its ``probes`` /
     ``consumers`` / ``target_id`` in that store's slot space, the ``handle``
     its final nodes are collected for, ``since`` and ``index``.  ``buckets``
-    is the runtime's expiry-bucket map every stored entry is registered in;
+    is the runtime's expiry-bucket map every new key is registered in, once;
     ``stats`` the
     :class:`~repro.runtime.EngineStatistics` to count into, or ``None``.
     Returns ``{handle: [final-state nodes]}`` for the handles that produced
@@ -206,11 +206,10 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
                 store.scans[slot][seq] = run
                 if stats is not None:
                     stats.hash_updates += 1
-                # Flat-triple registration (StreamRuntime.register_entry,
+                # A new key's one registration (StreamRuntime.register_entry,
                 # inlined), due when the run's position leaves the window.
                 expiry = buckets.setdefault(position + store.window + 1, [])
-                expiry += (store.lane_id, entry_key, node)
-                store.add_ref(node)
+                expiry += (store.lane_id, entry_key)
         else:
             node = store.ds.extend(compiled.labels, position, children, node_ms)
         consumers = member.consumers
@@ -235,7 +234,6 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
         hash_table = store.hash
         ds = store.ds
         window = store.window
-        add_ref = store.add_ref
         extend_onto = store.extend_onto
         lane_id = store.lane_id
         for consumers, nodes in store_nodes.values():
@@ -279,15 +277,15 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
                         if node_ms > entry_ms:
                             entry_ms = node_ms
                 hash_table[entry_key] = (entry, entry_ms)
-                # Flat-triple registration (StreamRuntime.register_entry,
-                # inlined): due when the entry leaves the store's window.
-                expiry_position = entry_ms + window + 1
-                expiry = buckets.get(expiry_position)
-                if expiry is None:
-                    buckets[expiry_position] = [lane_id, entry_key, entry]
-                else:
-                    expiry.append(lane_id)
-                    expiry.append(entry_key)
-                    expiry.append(entry)
-                add_ref(entry)
+                if pair is None:
+                    # A new key's one registration (StreamRuntime.register_entry,
+                    # inlined), due when the entry leaves the store's window; a
+                    # write onto a live key registers nothing, the sweep re-arms it.
+                    expiry_position = entry_ms + window + 1
+                    expiry = buckets.get(expiry_position)
+                    if expiry is None:
+                        buckets[expiry_position] = [lane_id, entry_key]
+                    else:
+                        expiry.append(lane_id)
+                        expiry.append(entry_key)
     return finals

@@ -57,8 +57,12 @@ from repro.runtime.frames import FrameProtocolError, decode_frame, encode_frame
 #: ``joinable`` (every store is its window's store).  Version 5: the engine is
 #: verified by one digest per query (``digests``) instead of the merged-index
 #: signature tree, and the constant ``release_interval`` and ``adaptive`` keys
-#: are gone; a version-4 tree is refused by name.
-SNAPSHOT_VERSION = 5
+#: are gone; a version-4 tree is refused by name.  Version 6: an expiry bucket
+#: holds one ``(lane, key)`` pair per key of ``H`` (the sweep re-arms a key
+#: written since it registered) instead of a ``(lane, key, node)`` triple per
+#: write, and an arena slab carries no reference count; a version-5 tree is
+#: refused by name.
+SNAPSHOT_VERSION = 6
 
 
 class SnapshotError(ValueError):
@@ -109,7 +113,7 @@ def check_snapshot_header(snapshot: Any, engine: str) -> Dict[str, Any]:
     restoring engine passes its own kind so a checkpoint taken with one
     engine mode cannot be silently restored into another.  A query-subset
     tree (``kind`` ``"multi-partial"``, no ``engine``) is refused by name,
-    and so are a ``general`` tree and a version-4 tree.
+    and so are a ``general`` tree, a version-4 tree and a version-5 tree.
     """
     if not isinstance(snapshot, dict):
         raise SnapshotError(f"snapshot must be a mapping, got {type(snapshot).__name__}")
@@ -130,6 +134,12 @@ def check_snapshot_header(snapshot: Any, engine: str) -> Dict[str, Any]:
             "snapshot version 4 verified its queries by the merged-index signature tree; "
             f"this build reads only the per-query digests of snapshot version {SNAPSHOT_VERSION}: "
             "re-run the stream"
+        )
+    if version == 5:
+        raise SnapshotError(
+            "snapshot version 5 registered every write of a key for expiry, with an arena "
+            f"reference count per slab; this build reads only the one registration per key of "
+            f"snapshot version {SNAPSHOT_VERSION}: re-run the stream"
         )
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(

@@ -26,12 +26,15 @@ from repro.core.arena import ArenaDataStructure, BOTTOM_ID
 from repro.core.datastructure import DataStructure
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.hcq_to_pcea import hcq_to_pcea
+from repro.core.pcea import PCEA, PCEATransition
+from repro.core.predicates import LambdaBinaryPredicate, RelationPredicate
 from repro.cq.schema import Tuple
 from repro.multi.engine import MultiQueryEngine
 from repro.runtime import StreamRuntime
 from repro.valuation import Valuation
 
 from helpers import ARENAS, mixed_join_pcea, mixed_stream, star_query, star_schema, streams_strategy
+from test_extensions import _shifted
 
 
 def collect(ds, node, position):
@@ -330,6 +333,20 @@ class TestOneCopyPerRecordOperation:
         assert fresh.snapshot() == snap
 
 
+def held_past_release_pcea():
+    """``A`` starts a run in ``p``; ``B`` extends a ``p`` run of its ``x`` into
+    ``q``; ``C`` closes a ``q`` run whose ``y`` is its ``x`` in the final
+    ``f``.  Both joins are callables, so ``p`` and ``q`` are scan slots."""
+    same_x = LambdaBinaryPredicate(lambda earlier, later: earlier.values[0] == later.values[0], "same x")
+    y_is_x = LambdaBinaryPredicate(lambda earlier, later: earlier.values[1] == later.values[0], "y is x")
+    transitions = [
+        PCEATransition(frozenset(), RelationPredicate("A"), {}, {"a"}, "p"),
+        PCEATransition({"p"}, RelationPredicate("B"), {"p": same_x}, {"b"}, "q"),
+        PCEATransition({"q"}, RelationPredicate("C"), {"q": y_is_x}, {"c"}, "f"),
+    ]
+    return PCEA({"p", "q", "f"}, transitions, {"f"})
+
+
 @pytest.mark.parametrize("kernel", ARENAS)
 class TestSlabRelease:
     """Small windows start (and, at these rates, keep) 64-node slabs."""
@@ -352,25 +369,39 @@ class TestSlabRelease:
             Valuation({"a": {p}}) for p in range(1_991, 2_000)
         }
 
-    def test_external_reference_blocks_release(self, kernel):
-        ds = ArenaDataStructure(window=4, kernel=kernel)
-        pinned = ds.extend({"a"}, 0, [])
-        ds.add_ref(pinned)
-        filler = None
-        for position in range(1, 500):
-            fresh = ds.extend({"a"}, position, [])
-            filler = fresh if filler is None else ds.union(filler, fresh)
-            ds.release_expired(position)
-        # The first slab is expired but referenced: nothing may be released
-        # (release is strictly in allocation order behind it).
-        assert ds.released_slabs == 0
-        assert ds.max_start_of(pinned) == 0
-        ds.drop_ref(pinned)
-        ds.release_expired(499)
-        assert ds.released_slabs > 0
-        # The released id now reads as expired-forever, never as garbage.
-        assert ds.expired(pinned, 499)
-        assert ds.max_start_of(pinned) < 0
+    def test_a_scan_run_outlives_its_released_slab(self, kernel):
+        """A scan-slot run is anchored at its own position, its node at the
+        older run it extends, so the node's slab can leave the window while
+        the run is still in ``H``.  Nothing pins the slab: it is released
+        then, the run reads as expired through the missing slab, and every
+        output is the naive oracle's."""
+        window = 4
+        pcea = held_past_release_pcea()
+        # 63 ``A`` records fill the first 64-node slab (record 0 is ⊥); the
+        # ``B`` runs go into the next one, every node there joining A@62.
+        stream = [Tuple("A", (k,)) for k in range(63)]
+        stream += [Tuple(*event) for event in (
+            ("B", (62, 0)), ("C", (0,)), ("B", (62, 0)), ("B", (62, 0)), ("D", (0,)),
+            ("D", (0,)), ("A", (100,)), ("C", (0,)), ("D", (0,)), ("D", (0,)),
+        )]  # fmt: skip
+        engine = StreamingEvaluator(pcea, window, kernel=kernel)
+        ds = engine.ds
+        (lane,) = engine._runtime.lanes()
+        outlived = []
+        for position, tup in enumerate(stream):
+            outputs = engine.process(tup)
+            start = max(0, position - window)
+            naive = pcea.outputs_upto(stream[start : position + 1], position - start, window=window)
+            assert set(outputs) == _shifted(naive[position - start], start), position
+            for runs in lane.scans.values():
+                for run, node in runs.values():
+                    if ds.max_start_of(node) < 0:  # its slab is released
+                        assert ds.expired(node, position)
+                        outlived.append((position, run))
+        assert ds.released_slabs >= 2
+        assert outlived and all(run.relation == "B" for _, run in outlived), outlived
+        # A ``C`` tuple scanned ``q`` while it held such a run.
+        assert any(stream[position].relation == "C" for position, _ in outlived), outlived
 
     def test_check_simple_parity(self, kernel):
         arena = ArenaDataStructure(window=10, kernel=kernel)

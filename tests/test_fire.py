@@ -199,7 +199,8 @@ def test_slots_are_numbered_by_structure_not_by_extractor_identity(pcea):
 def test_a_leaf_run_is_stored_once_whatever_the_fan_in(arms, arena):
     """Every leaf state of a k-arm star is read by k-1 closing transitions, all
     through the shared variable: one slot, so one accepted tuple costs one hash
-    update, one expiry triple (one ``add_ref``) and one record — not k-1."""
+    update and one record — not k-1 — and at most one expiry registration,
+    none onto a key the table already held."""
     window = 20
     engine = StreamingEvaluator(hcq_to_pcea(star_query(arms)), window, arena=arena, collect_stats=True)
     rng = random.Random(arms)
@@ -208,17 +209,21 @@ def test_a_leaf_run_is_stored_once_whatever_the_fan_in(arms, arena):
         for _ in range(300)
     ]
     stats, ds, buckets = engine.stats, engine.ds, engine._expiry_buckets
-    triples = lambda: sum(map(len, buckets.values())) // 3
+    (lane,) = engine._runtime.lanes()
+    registered = lambda: {key for flat in buckets.values() for key in flat[1::2]}
     closed = 0
     for tup in stream:
-        before = (stats.hash_updates, stats.unions, ds.nodes_created, triples())
+        before = (stats.hash_updates, stats.unions, ds.nodes_created, registered(), set(lane.hash))
         finals = engine.update(tup, sweep=False)  # unswept: buckets only grow
         assert len(finals) <= 1
         closed += len(finals)
         assert stats.hash_updates - before[0] == 1
         assert stats.unions - before[1] <= 1
         assert ds.nodes_created - before[2] == 1 + len(finals)  # the leaf run + the closing node
-        assert triples() - before[3] == 1
+        new = registered() - before[3]
+        assert len(new) <= 1 and not new & before[4]
+        # Unswept, every key ever created is held and registered, once.
+        assert sum(map(len, buckets.values())) == 2 * len(lane.hash) and registered() == set(lane.hash)
     assert closed > 50 and stats.transitions_fired == len(stream) + closed
     engine._runtime.sweep_upto(engine.position)
     live = {(tup.relation, tup.values[0]) for tup in stream[-(window + 1) :]}
@@ -244,8 +249,10 @@ def leaf_product_leaf_pcea():
 
 
 #: :func:`leaf_product_leaf_digest`, as written by the build whose fire loop
-#: made one ``extend_onto`` call per leaf run.
-PINNED_LEAF_PRODUCT_LEAF_DIGEST = "416025038aa0700596c55d47e0c2fd1b871f392571d3e4666db6251f2dd8d1a1"
+#: made one ``extend_onto`` call per leaf run — re-pinned when a key got one
+#: expiry registration: only ``stats.sweeps`` moved (the digest without it
+#: is unchanged).
+PINNED_LEAF_PRODUCT_LEAF_DIGEST = "54c6cf8d1bddfb7fe2e62fedc3fb12db9e6b252f4b6d795bbb8397e2659c27cd"
 
 
 def leaf_product_leaf_stream():
@@ -490,6 +497,15 @@ def test_each_run_is_stored_once_through_one_code_path():
     assert len(re.findall(r"^Kernel_extend_onto\(", kernel, flags=re.M)) == 1
 
 
+def test_no_slab_reference_count_is_left():
+    """Expiry alone releases a slab: no ``add_ref`` / ``drop_ref`` /
+    ``ext_refs`` is left in the python sources or the C kernel."""
+    source_root = Path(__file__).resolve().parent.parent / "src" / "repro"
+    counted = re.compile(r"\b(?:add_ref|drop_ref|ext_refs)\b")
+    for path in [*source_root.rglob("*.py"), source_root / "core" / "_kernelmod.c"]:
+        assert not counted.search(path.read_text()), path
+
+
 def test_one_arena_layout_and_no_ablation_knobs():
     """The retired axes stay retired: no engine accepts ``columnar`` /
     ``incremental`` / ``guards`` (nor ``MultiQueryEngine`` a
@@ -503,9 +519,7 @@ def test_one_arena_layout_and_no_ablation_knobs():
         accepted = set(inspect.signature(engine).parameters)
         assert not accepted & {"columnar", "incremental", "guards"}, engine
     assert "release_interval" not in inspect.signature(MultiQueryEngine).parameters
-    assert set(_Slab.__slots__) == {
-        "base", "span", "data", "avail", "prods", "count", "max_ms", "ext_refs"
-    }
+    assert set(_Slab.__slots__) == {"base", "span", "data", "avail", "prods", "count", "max_ms"}
     list_column = re.compile(r"\bcolumnar\b|\.(?:pos|ms|ul|ur|lab|dirn|prod)\b")
     for method in ("extend", "union", "extend_onto", "_groups"):
         source = inspect.getsource(getattr(ArenaDataStructure, method))

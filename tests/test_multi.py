@@ -551,8 +551,9 @@ class TestOneStorePerWindow:
     @pytest.mark.parametrize("arena", [True, False], ids=["arena", "object"])
     @pytest.mark.parametrize("sharers", [1, 4, 16])
     def test_a_leaf_run_is_stored_once_whatever_the_number_of_readers(self, sharers, arena):
-        """An accepted arm-2 tuple costs one hash update, one expiry triple, one
-        record and at most one union — for 1, 4 or 16 queries reading it."""
+        """An accepted arm-2 tuple costs one hash update, one record, at most
+        one union and at most one expiry registration, none onto a key a
+        table already held — for 1, 4 or 16 queries reading it."""
         engine = MultiQueryEngine(collect_stats=True, arena=arena)
         for query in range(sharers):
             engine.register(shared_star(query), window=20)
@@ -563,16 +564,19 @@ class TestOneStorePerWindow:
         # per query: arm 1's leaf state + the final state; per store: the shared arms
         assert info["state_classes"] == 2 * sharers + 2 + 2 + 1
         stats, buckets = engine.stats, engine._expiry_buckets
-        triples = lambda: sum(map(len, buckets.values())) // 3
+        registered = lambda: {pair for flat in buckets.values() for pair in zip(flat[0::2], flat[1::2])}
+        held = lambda: {(lane.lane_id, key) for lane in engine._runtime.lanes() for key in lane.hash}
         rng = random.Random(sharers)
         for _ in range(200):
             tup = Tuple("R3", (rng.randrange(3), rng.randrange(40)))
-            before = (stats.hash_updates, stats.unions, engine.memory_info()["nodes_created"], triples())
+            before = (stats.hash_updates, stats.unions, engine.memory_info()["nodes_created"], registered(), held())
             assert engine._process(tup, sweep=False) == {}  # unswept: buckets only grow
             assert stats.hash_updates - before[0] == 1
             assert stats.unions - before[1] <= 1
             assert engine.memory_info()["nodes_created"] - before[2] == 1
-            assert triples() - before[3] == 1
+            new = registered() - before[3]
+            assert len(new) <= 1 and not new & before[4]
+            assert sum(map(len, buckets.values())) == 2 * len(held()) and registered() == held()
         assert stats.transitions_fired == 200
 
     def test_a_store_s_first_query_forms_its_classes_when_a_second_arrives(self):

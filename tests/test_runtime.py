@@ -159,7 +159,7 @@ class TestStreamRuntimeUnits:
         runtime.advance()  # position 0
         runtime.sweep(0)
         lane.hash["k"] = (node, 0)
-        runtime.register_entry(lane, "k", node, 0 + 3 + 1)
+        runtime.register_entry(lane, "k", 0 + 3 + 1)
         for position in range(1, 4):
             assert runtime.advance() == position
             runtime.sweep(position)
@@ -170,27 +170,34 @@ class TestStreamRuntimeUnits:
         assert runtime.evicted == 1
         assert not runtime.buckets
 
-    def test_superseded_entry_survives_old_bucket(self):
+    @pytest.mark.parametrize("ranged", (False, True), ids=["per-tuple", "range"])
+    def test_a_written_key_is_re_armed_where_its_last_write_expires(self, ranged):
+        """A key registers once, when created; written again before its bucket
+        pops, it is re-armed there — not evicted — at ``max_start + w + 1`` of
+        the last write, and evicted exactly at that position, by the
+        per-tuple sweep or by a range sweep over it."""
         runtime = StreamRuntime()
         lane = runtime.add_lane(self._lane(window=2))
         old = lane.ds.extend({"a"}, 0, [])
         runtime.position = 0
         runtime._swept_upto = 0
         lane.hash["k"] = (old, 0)
-        runtime.register_entry(lane, "k", old, 3)
-        # Re-registered with a younger node before the old bucket pops.
+        runtime.register_entry(lane, "k", 3)
+        # Written with a younger node before the old bucket pops: no second registration.
         young = lane.ds.extend({"a"}, 2, [])
         lane.hash["k"] = (young, 2)
-        runtime.register_entry(lane, "k", young, 5)
-        for position in range(1, 5):
-            runtime.position = position
-            runtime.sweep(position)
-            if position < 5:
-                assert "k" in lane.hash, position
+        if ranged:
+            runtime.position = 4
+            runtime.sweep_upto(4)
+        else:
+            for position in range(1, 5):
+                runtime.position = position
+                runtime.sweep(position)
+        assert lane.hash["k"] == (young, 2) and runtime.buckets == {5: [lane.lane_id, "k"]}
         runtime.position = 5
         runtime.sweep(5)
-        assert "k" not in lane.hash
-        assert runtime.evicted == 1  # the superseded pop evicted nothing
+        assert "k" not in lane.hash and not runtime.buckets
+        assert runtime.evicted == 1  # the re-arming pop evicted nothing
 
     def test_catchup_sweep_covers_gap(self):
         runtime = StreamRuntime()
@@ -198,7 +205,7 @@ class TestStreamRuntimeUnits:
         node = lane.ds.extend({"a"}, 0, [])
         runtime.position = 0
         lane.hash["k"] = (node, 0)
-        runtime.register_entry(lane, "k", node, 2)
+        runtime.register_entry(lane, "k", 2)
         # Jump several positions without sweeping (deferred batch), then one
         # sweep call must cover the whole overdue range.
         runtime.position = 6
@@ -211,7 +218,7 @@ class TestStreamRuntimeUnits:
         lane = runtime.add_lane(self._lane(window=1))
         node = lane.ds.extend({"a"}, 0, [])
         lane.hash["k"] = (node, 0)
-        runtime.register_entry(lane, "k", node, 2)
+        runtime.register_entry(lane, "k", 2)
         runtime.drop_lane(lane)
         assert not lane.active and lane.ds is None
         for position in range(3):
@@ -270,7 +277,7 @@ class TestStreamRuntimeUnits:
             cross(runtime, 2)
             node = lane.ds.extend({"a"}, runtime.position, [])
             lane.hash["k"] = (node, runtime.position)
-            runtime.register_entry(lane, "k", node, runtime.position + 3 + 1)
+            runtime.register_entry(lane, "k", runtime.position + 3 + 1)
             for gap in (1, 3, 7, 1, 12):
                 cross(runtime, gap)
                 due = sorted(bucket for bucket in runtime.buckets if bucket <= runtime.position)
@@ -548,7 +555,7 @@ class TestRegistrationChurnDifferential:
 
 
 class TestCompactBucketProtocol:
-    """Lane interning, flat int-triple buckets, knobs, and eviction hooks."""
+    """Lane interning, flat ``lane_id, key`` pair buckets, knobs, and eviction hooks."""
 
     def _lane(self, window):
         return EvictionLane(window, ArenaDataStructure(window))
@@ -562,23 +569,23 @@ class TestCompactBucketProtocol:
         third = runtime.add_lane(self._lane(3))
         assert third.lane_id == 2  # dropped ids are never reused
 
-    def test_buckets_hold_flat_triples(self):
+    def test_buckets_hold_flat_pairs(self):
         runtime = StreamRuntime()
         lane = runtime.add_lane(self._lane(4))
         node = lane.ds.extend({"a"}, 0, [])
-        lane.hash["k"] = (node, 0)
-        runtime.register_entry(lane, "k", node, 5)
-        runtime.register_entry(lane, "k2", node, 5)
-        assert runtime.buckets[5] == [lane.lane_id, "k", node, lane.lane_id, "k2", node]
+        lane.hash["k"] = lane.hash["k2"] = (node, 0)
+        runtime.register_entry(lane, "k", 5)
+        runtime.register_entry(lane, "k2", 5)
+        assert runtime.buckets[5] == [lane.lane_id, "k", lane.lane_id, "k2"]
 
-    def test_stale_triples_of_dropped_lane_are_skipped(self):
+    def test_stale_pairs_of_dropped_lane_are_skipped(self):
         runtime = StreamRuntime()
         keep = runtime.add_lane(self._lane(1))
         drop = runtime.add_lane(self._lane(1))
         for lane in (keep, drop):
             node = lane.ds.extend({"a"}, 0, [])
             lane.hash["k"] = (node, 0)
-            runtime.register_entry(lane, "k", node, 2)
+            runtime.register_entry(lane, "k", 2)
         runtime.drop_lane(drop)
         runtime.position = 2
         runtime.sweep_upto(2)
@@ -595,14 +602,13 @@ class TestCompactBucketProtocol:
         seen = []
         old = lane.ds.extend({"a"}, 0, [])
         lane.hash[(3, "k")] = (old, 0)
-        runtime.register_entry(lane, (3, "k"), old, 3)
+        runtime.register_entry(lane, (3, "k"), 3)
         for seq in (0, 1):
             lane.hash[(7, seq)] = lane.scans[7][seq] = (old, 0)
-            runtime.register_entry(lane, (7, seq), old, 3)
-        # Superseded entry: re-registered young, the old bucket must not evict it.
+            runtime.register_entry(lane, (7, seq), 3)
+        # Written young since: the old bucket re-arms it, it must not evict it.
         young = lane.ds.extend({"a"}, 2, [])
         lane.hash[(7, 1)] = (young, 2)
-        runtime.register_entry(lane, (7, 1), young, 5)
         for position in range(6):
             runtime.position = position
             runtime.sweep(position)
@@ -617,7 +623,7 @@ class TestCompactBucketProtocol:
         assert runtime.memory_info()["release_interval"] == RELEASE_PASS_INTERVAL
         snap = runtime.snapshot({})
         assert "release_interval" not in snap
-        assert StreamRuntime.parse(snap, 0)["position"] == -1
+        assert StreamRuntime.parse(snap, [])["position"] == -1
 
     def test_multi_engine_exposes_release_interval(self):
         assert MultiQueryEngine().memory_info()["release_interval"] == RELEASE_PASS_INTERVAL
@@ -628,16 +634,16 @@ class TestCompactBucketProtocol:
         node = lane.ds.extend({"a"}, 0, [])
         key = (0, ("k",))  # (slot, key): what a checkpoint's tables must hold
         lane.hash[key] = (node, 0)
-        runtime.register_entry(lane, key, node, 4)
+        runtime.register_entry(lane, key, 4)
         runtime.position = 0
         snap = runtime.snapshot({lane.lane_id: 0})
         fresh = StreamRuntime()
         fresh_lane = fresh.add_lane(self._lane(3))
         fresh_lane.restore(lane.snapshot())
-        fresh.restore(StreamRuntime.parse(snap, 1), [fresh_lane])
+        fresh.restore(StreamRuntime.parse(snap, [fresh_lane]), [fresh_lane])
         assert type(fresh.stats) is EngineStatistics
         assert fresh.position == runtime.position
-        assert fresh.buckets == {4: [fresh_lane.lane_id, key, node]}
+        assert fresh.buckets == {4: [fresh_lane.lane_id, key]}
         for position in range(1, 5):
             fresh.position = position
             fresh.sweep(position)

@@ -334,8 +334,11 @@ def test_compiling_builds_no_index_on_the_core_automaton():
 
 
 # ------------------------------------------------------ the pinned checkpoint
-PINNED = Path(__file__).parent / "data" / "multi_dsl_v5.snap"
-#: The same run checkpointed by a version-4 build (merged-signature tree).
+PINNED = Path(__file__).parent / "data" / "multi_dsl_v6.snap"
+#: The same run checkpointed by a version-5 build (a triple per write in the
+#: expiry buckets, slab reference counts) and by a version-4 build
+#: (merged-signature tree).
+PINNED_V5 = Path(__file__).parent / "data" / "multi_dsl_v5.snap"
 PINNED_V4 = Path(__file__).parent / "data" / "multi_dsl_v4.snap"
 PINNED_LENGTH = 600
 SNAPSHOT_AT = 300
@@ -392,15 +395,16 @@ def drive(engine, handles, stream, start, stop):
 
 
 def write_pinned_snapshot(path=PINNED):
-    """How ``multi_dsl_v5.snap`` was made (and, by a version-4 build before
-    the memo, ``multi_dsl_v4.snap``)."""
+    """How ``multi_dsl_v6.snap`` was made (and, by a version-5 build,
+    ``multi_dsl_v5.snap``; by a version-4 build before the memo,
+    ``multi_dsl_v4.snap``)."""
     engine, handles = pinned_engine()
     drive(engine, handles, pinned_stream(), 0, SNAPSHOT_AT)
     snapshot_codec.save(str(path), engine.snapshot())
 
 
 def test_a_pinned_multi_checkpoint_restores_through_the_warm_memo():
-    """``multi_dsl_v5.snap`` was written by :func:`write_pinned_snapshot`.
+    """``multi_dsl_v6.snap`` was written by :func:`write_pinned_snapshot`.
     The same patterns, compiled again through the warm memo, restore it and
     continue exactly like an uninterrupted engine."""
     stream = pinned_stream()
@@ -418,6 +422,22 @@ def test_a_pinned_multi_checkpoint_restores_through_the_warm_memo():
     restored.restore(snapshot_codec.load(str(PINNED)))
     assert restored.handles() == continuous.handles()
     assert drive(restored, None, stream, SNAPSHOT_AT, PINNED_LENGTH) == expected
+
+
+def test_the_version_5_checkpoint_is_refused_by_name():
+    """``multi_dsl_v5.snap`` registers every write of a key in its expiry
+    buckets and carries slab reference counts, where version 6 holds one
+    registration per key: refused by version, the engine left as it was."""
+    engine = MultiQueryEngine()
+    for k, (pattern, window) in enumerate(pinned_patterns()):
+        if k != UNREGISTERED:
+            engine.register(pattern, window)
+    untouched = snapshot_codec.dumps(engine.snapshot())
+    tree = snapshot_codec.load(str(PINNED_V5))
+    assert tree["snapshot_version"] == 5 and "ext_refs" in tree["lanes"][0]["ds"]["slabs"][0]
+    with pytest.raises(SnapshotError, match="snapshot version 5 registered every write of a key"):
+        engine.restore(tree)
+    assert snapshot_codec.dumps(engine.snapshot()) == untouched
 
 
 def test_the_version_4_checkpoint_is_refused_by_name():
@@ -439,10 +459,10 @@ def test_the_version_4_checkpoint_is_refused_by_name():
 CHURN_GROUPS, CHURN_ARMS, CHURN_QUERIES, CHURN_WINDOW = 4, 3, 16, 48
 CHURN_LENGTH, CHURN_EVERY = 480, 40
 
-#: SHA-256 of :func:`churned_checkpoint` in snapshot version 5, where each
-#: query is verified by its 32-byte digest; the same under every
-#: ``PYTHONHASHSEED``.
-PINNED_CHURN_DIGEST = "cf1dff58312dd1b5a197840b4d8d81253b4309ba37e111f03a08a10ec6934c88"
+#: SHA-256 of :func:`churned_checkpoint` in snapshot version 6, where each
+#: query is verified by its 32-byte digest and each key of ``H`` is named by
+#: one expiry registration; the same under every ``PYTHONHASHSEED``.
+PINNED_CHURN_DIGEST = "92dfd9c812b656396a099b4685ec304a2ce6860a0ea5ccf6788327fee7a4b6da"
 
 
 def churn_pattern(query):

@@ -127,7 +127,7 @@ class TestCodec:
 
     def test_a_tagged_json_checkpoint_is_refused_by_name(self):
         old = b'{"snapshot_version": 3, "engine": "streaming"}\n'
-        with pytest.raises(SnapshotError, match="snapshot version 3; .* snapshot version 5"):
+        with pytest.raises(SnapshotError, match=f"snapshot version 3; .* snapshot version {SNAPSHOT_VERSION}"):
             snapshot_codec.loads(old)
 
 
@@ -448,7 +448,7 @@ class TestRefusedRestoreChangesNothing:
         runtime = snap["runtime"]
         expiry, flat = next(iter(runtime["buckets"].items()))
         if tamper == "bucket at swept_upto":
-            runtime["buckets"][runtime["swept_upto"]] = list(flat[:3])
+            runtime["buckets"][runtime["swept_upto"]] = list(flat[:2])
         elif tamper == "unknown lane index":
             runtime["buckets"][expiry] = [len(snap["lanes"])] + flat[1:]
         elif tamper == "bad stats":
@@ -496,7 +496,8 @@ class TestWrongValueTypesAreRefused:
 
     TAMPERS = [
         "counter holds a string", "counter holds a bool", "bucket key is a list",
-        "bucket key is no pair", "bucket node is a string", "lane key is a list",
+        "bucket key is no pair", "bucket names a key twice", "lane key no bucket names",
+        "bucket past its key's expiry", "lane key is a list",
         "lane key holds a list", "lane anchor is a string", "lane anchor is negative",
         "lane node is a string", "lane node is past 2**62", "lane entry is no pair",
         "lane run holds no tuple", "position is a string", "evicted is negative", "since is a float",
@@ -521,7 +522,7 @@ class TestWrongValueTypesAreRefused:
     def _tampered(snap, tamper):
         runtime = snap["runtime"]
         flat = next(iter(runtime["buckets"].values()))
-        lane = next(lane for lane in snap["lanes"] if lane["hash"])
+        where, lane = next((where, lane) for where, lane in enumerate(snap["lanes"]) if lane["hash"])
         key, entry = lane["hash"][0]
         if tamper == "counter holds a string":
             runtime["stats"]["tuples_processed"] = "many"
@@ -531,8 +532,18 @@ class TestWrongValueTypesAreRefused:
             flat[1] = [1, 2]
         elif tamper == "bucket key is no pair":
             flat[1] = (flat[1][0],)
-        elif tamper == "bucket node is a string":
-            flat[2] = "node"
+        elif tamper == "bucket names a key twice":
+            flat += flat[:2]
+        elif tamper in ("lane key no bucket names", "bucket past its key's expiry"):
+            # A key registers once, when created: unnamed, nothing would evict
+            # it; named past its entry's expiry, it would outlive the window.
+            for due, pairs in list(runtime["buckets"].items()):
+                named = [pair for pair in zip(pairs[0::2], pairs[1::2]) if pair != (where, key)]
+                runtime["buckets"][due] = [word for pair in named for word in pair]
+                if not named:
+                    del runtime["buckets"][due]
+            if tamper == "bucket past its key's expiry":
+                runtime["buckets"].setdefault(entry[1] + lane["window"] + 2, []).extend((where, key))
         elif tamper == "lane key is a list":
             lane["hash"][0] = (list(key), entry)
         elif tamper == "lane key holds a list":
@@ -1111,7 +1122,7 @@ class TestUntrustedRecords:
                 self._engine(kernel).restore(tampered)
         self._engine(kernel).restore(snap)
 
-    def test_bucket_triples_must_name_a_restored_lane(self):
+    def test_bucket_pairs_must_name_a_restored_lane(self):
         snap = self._snapshot("python")
         expiry, flat = next(iter(snap["runtime"]["buckets"].items()))
         other_lane = roundtrip(snap, "json")
@@ -1120,7 +1131,7 @@ class TestUntrustedRecords:
         cut["runtime"]["buckets"][expiry] = flat[:-1]
         with pytest.raises(KeyError):
             self._engine("python").restore(other_lane)
-        with pytest.raises(ValueError, match="whole triples"):
+        with pytest.raises(ValueError, match="whole pairs"):
             self._engine("python").restore(cut)
 
 

@@ -24,16 +24,29 @@ queries share is one member), checked on the ``multi_churn`` shape — 64
 threshold queries over 4 groups, window 128.  The union storm's arm tuple
 writes its 8 leaf runs as one arena record: ``allocated`` grows by exactly
 one per arm tuple, ``nodes_created`` by 8.
+
+Space: a key of ``H`` registers for expiry once, when created, and the sweep
+re-arms it while writes keep it live, so after every batch sweep each store's
+pending registrations are exactly the keys of its table, each once — however
+often the keys were written.  Checked on the four shapes above plus a mixed
+(scanned) star, and as a property over hashed and scanned queries registered
+and unregistered mid-stream, where the runs a leaving query's scan slots took
+along may stay pending, once each, until their bucket pops.
 """
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.hcq_to_pcea import hcq_to_pcea
+from repro.cq.schema import Tuple
 from repro.multi.engine import MultiQueryEngine
 from repro.streams.generators import HCQWorkloadGenerator
 
-from helpers import ARENAS, shared_star_queries, union_storm_workload
+from helpers import ARENAS, scanned, shared_star_queries, union_storm_workload
+from test_extensions import GENERAL_RELATIONS, mixed_store_schedules
 
 COUNTERS = ("transitions_fired", "nodes_created", "hash_lookups", "unions")
 LENGTH = 1_500
@@ -151,3 +164,124 @@ def test_an_arm_tuple_writes_one_record(kernel):
             arms += 1
             assert (ds.allocated - allocated, ds.nodes_created - created) == (1, 8)
     assert arms > LENGTH // 2
+
+
+# ------------------------------------------------------------ the space bound
+def pending_registrations(engine):
+    """``{lane id: Counter of the keys its pending expiry registrations name}``."""
+    pending = {}
+    for flat in engine._runtime.buckets.values():
+        for lane_id, key in zip(flat[0::2], flat[1::2]):
+            pending.setdefault(lane_id, Counter())[key] += 1
+    return pending
+
+
+def check_registrations(engine):
+    """After a sweep, every active store's pending registrations name each key
+    of its table once, and nothing else but runs of scan slots no query holds
+    any more; returns how many are pending."""
+    pending = pending_registrations(engine)
+    total = 0
+    for lane in engine._runtime.lanes():
+        counted = pending.get(lane.lane_id, Counter())
+        assert set(counted.values()) <= {1}, lane
+        assert counted.keys() >= lane.hash.keys(), lane
+        held = set(lane.scans or ()) | {slot for slot, _ in lane.hash}
+        assert not {slot for slot, _ in counted.keys() - lane.hash.keys()} & held, lane
+        total += len(counted)
+    return total
+
+
+def mixed_star():
+    """The 3-arm star with its first join scanned: its source state is read
+    through a scan slot and its other readers' hash slots."""
+    pcea, stream, window = star()
+    first = next((index, source) for index, t in enumerate(pcea.transitions) for source in t.binaries)
+    return scanned(pcea, joins={first}), stream, 64
+
+
+def most_pending(make, stream, key_domain, batch=37):
+    """Drive ``stream`` in batches, checking the registrations after every
+    batch sweep against ``|H|`` and the static bound — a hash slot holds at
+    most one key per join-key value, a scan slot one run per position of
+    the window; returns the most ever pending."""
+    engine = make()
+    largest = 0
+    for start in range(0, len(stream), batch):
+        engine.process_many(stream[start : start + batch])
+        pending = check_registrations(engine)
+        assert pending == engine.hash_table_size()
+        bound = 0
+        for lane in engine._runtime.lanes():
+            scan_slots = len(lane.scans or ())
+            bound += (lane.next_slot - scan_slots) * key_domain + scan_slots * (lane.window + 1)
+        assert pending <= bound, (start, pending, bound)
+        largest = max(largest, pending)
+    return largest
+
+
+@pytest.mark.parametrize("kernel", ARENAS)
+@pytest.mark.parametrize("workload", ["star", "union_storm", "multi_churn", "mixed"])
+def test_pending_registrations_are_exactly_the_keys_of_h(workload, kernel):
+    """One registration per key of ``H`` at L and at 4L tuples, within a bound
+    the stream length does not enter.  (A registration per write left up to
+    57 pending for the union storm's 8 keys.  Only those 8 are all live at
+    once on these streams, so only its maxima at L and 4L are asserted
+    equal; elsewhere a longer stream has more of the key space live at once
+    somewhere: star 94 -> 95, ``multi_churn`` 206 -> 215, mixed 76 -> 79.)"""
+    if workload == "multi_churn":
+        queries, stream = multi_churn_shaped(4 * LENGTH)
+        key_domain = 5
+
+        def make():
+            engine = MultiQueryEngine(kernel=kernel)
+            for pcea in queries:
+                engine.register(pcea, 128)
+            return engine
+
+    else:
+        pcea, stream, window = {"star": star, "union_storm": union_storm, "mixed": mixed_star}[workload]()
+        key_domain = 8 if workload == "union_storm" else 32
+        make = lambda: StreamingEvaluator(pcea, window, kernel=kernel)  # noqa: E731
+    short = most_pending(make, stream[:LENGTH], key_domain)
+    long = most_pending(make, stream, key_domain)
+    assert 0 < short <= long
+    if workload == "union_storm":
+        assert short == long == 8
+
+
+# No ``max_examples`` here: tier-1 runs the default budget, CI the ``fuzz`` profile.
+@settings(deadline=None)
+@given(
+    queries=mixed_store_schedules(),
+    stream=st.lists(
+        st.builds(Tuple, st.sampled_from(GENERAL_RELATIONS), st.tuples(st.integers(0, 2), st.integers(0, 2))),
+        max_size=40,
+    ),
+    window=st.integers(0, 6),
+    batch=st.integers(1, 5),
+)
+def test_registrations_stay_one_per_key_under_churn(queries, stream, window, batch):
+    """Hashed and scanned queries share one store, registered and
+    unregistered mid-stream, the stream ingested in batches: after every
+    batch sweep the pending registrations are one per key of ``H``."""
+    engine = MultiQueryEngine()
+    handles, held = {}, []
+
+    def flush():
+        engine.process_many(held)
+        held.clear()
+        check_registrations(engine)
+
+    for position, tup in enumerate(stream):
+        for index, (pcea, joins, leaves) in enumerate(queries):
+            if joins == position:
+                flush()
+                handles[index] = engine.register(pcea, window)
+            elif leaves == position and index in handles:
+                flush()
+                engine.unregister(handles.pop(index))
+        held.append(tup)
+        if len(held) == batch:
+            flush()
+    flush()
