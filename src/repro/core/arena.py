@@ -116,21 +116,25 @@ References *into* a slab come from three places; none needs a count:
 Snapshot / restore
 ------------------
 :meth:`ArenaDataStructure.snapshot` captures the complete arena state — the
-retained slab set (each slab's filled records verbatim, as one little-endian
-``bytes`` value of ``count × 40`` bytes, plus its ``prods`` list), the
-allocation cursor, the adaptive-sizing state and the interned label table —
-as a plain-Python tree (dicts / lists / tuples / ints / bytes / frozensets)
+retained slab set (each slab's span, ``max_ms``, filled records verbatim as
+one little-endian ``bytes`` value of ``count × 40`` bytes, and ``prods``
+list), the release cursor, the current slab's start, the counters and the
+label table — as a plain-Python tree (dicts / lists / tuples / ints / bytes / frozensets)
 that pickles directly and encodes as one wire-codec frame through
 :mod:`repro.runtime.snapshot`; either kernel restores a snapshot taken under
-the other.  :meth:`ArenaDataStructure.restore` replaces the arena's entire
-state in place (bound methods held by an :class:`~repro.runtime.EvictionLane`
+the other.  Restore derives the rest: each slab's base (the slabs tile the
+slots from the release cursor) and count (its bytes over 40), the
+allocation cursor, the capacity (the current slab's) and the seal deadline
+(from the current slab's start).  :meth:`ArenaDataStructure.restore`
+replaces the arena's entire state in place (bound methods held by an :class:`~repro.runtime.EvictionLane`
 stay valid), after which allocation, reclamation and enumeration continue
 bit-identically to the snapshotted arena — the per-layer contract behind the
 engines' ``snapshot()`` / ``restore()`` protocol.  A snapshot is untrusted
 input: restore checks that the label table holds distinct frozensets and
 the run table (key ``runs``, written only when non-empty) distinct tuples of
-two or more label ids, that the slabs tile the slots from the release cursor
-to the allocation cursor and that every record's label id and product
+two or more label ids, that every scalar is an int (not a bool or a
+string) in its range, that each slab holds whole records within its span,
+and that every record's label id and product
 reference lie inside the restored tables before any slab is registered (the
 native kernel indexes ``prods`` unchecked), and that every walk terminates
 and stays inside 64-bit arithmetic: links and product children point at
@@ -324,42 +328,45 @@ class _KernelCounter:
             nk.set_counters(*words)
 
 
-def _word(value: object) -> int:
-    """A snapshot scalar as an int that fits one record word (what the
-    native kernel's arguments take), else ``SnapshotError``."""
-    value = int(value)
-    if not -(1 << 63) <= value < 1 << 63:
-        raise SnapshotError(f"snapshot value {value} does not fit a 64-bit word")
+def _int(value: object, name: str, low: int, high: int) -> int:
+    """A snapshot scalar that must be an int — not a bool, a float or a
+    string — in ``[low, high)``, else ``SnapshotError``."""
+    if type(value) is not int or not low <= value < high:
+        raise SnapshotError(f"snapshot {name} {value!r} is not an int in [{low}, {high})")
     return value
 
 
-def _restored_slab(snap: Dict[str, object], slot: int, label_count: int, run_count: int) -> _Slab:
-    """A snapshot slab rebuilt at ``slot``: its record bytes taken verbatim,
-    after checking what the kernels index without a bounds check and what
-    makes an enumeration walk terminate.
+#: A restored release cursor lies below this: the slabs after it (at most a
+#: frame's element cap of them, each a bounded span) keep node ids in a word.
+_SLOT_END = _POSITION_END >> _SLOT_BITS
 
-    ``SnapshotError`` unless the slab starts at ``slot``, owns a valid span,
-    holds ``count × 40`` record bytes, and every record's product reference
+
+def _restored_slab(snap: Dict[str, object], slot: int, label_count: int, run_count: int) -> _Slab:
+    """A snapshot slab rebuilt at ``slot`` — its base, since retained slabs
+    tile the slots — with its record bytes taken verbatim and its record
+    count read off their length, after checking what the kernels index
+    without a bounds check and what makes an enumeration walk terminate.
+
+    ``SnapshotError`` unless the slab owns a valid span, holds whole 40-byte
+    records no more than its capacity, and every record's product reference
     lies inside the slab's ``prods`` and its label id inside the label table
     (a childless record's also inside the run table);
     unless every record but the bottom sentinel (record 0 of slab 0) has
     ``0 <= max_start <= position < 2**62`` (the C kernel subtracts both from
-    the stream position) and links and product children that are older nodes
+    the stream position) and at most the slab's ``max_ms`` (else the slab is
+    released while the record is live), and links and product children that are older nodes
     (``0 <= link < id``, ``0 < child < id``: a walk then always reaches older
-    ids, so it cannot cycle); and unless the slab's ``max_ms`` lies in
+    ids, so it cannot cycle); and unless the slab's ``max_ms`` is an int in
     ``[_NEVER, 2**62)``.
     """
-    span, count, records = int(snap["span"]), int(snap["count"]), snap["records"]
-    base = _word(snap["base"])
-    if base != slot << _SLOT_BITS or not 0 < span <= MAX_SLAB_CAPACITY >> _SLOT_BITS:
-        raise SnapshotError(f"snapshot slab at {base} (span {span}) breaks the slot sequence")
-    if not (
-        type(records) is bytes
-        and 0 <= count <= span << _SLOT_BITS
-        and len(records) == count * _RECORD_BYTES
-    ):
-        raise SnapshotError(f"snapshot slab at {base} does not hold {count} whole records in its record bytes")
+    base = slot << _SLOT_BITS
+    span = _int(snap["span"], f"slab {base} span", 1, (MAX_SLAB_CAPACITY >> _SLOT_BITS) + 1)
+    records = snap["records"]
+    count = len(records) // _RECORD_BYTES if type(records) is bytes else -1
+    if not 0 <= count <= span << _SLOT_BITS or len(records) % _RECORD_BYTES:
+        raise SnapshotError(f"snapshot slab at {base} does not hold whole records within its span in its record bytes")
     slab = _Slab(base, span)
+    slab.max_ms = _int(snap["max_ms"], f"slab {base} max_ms", _NEVER, _POSITION_END)
     slab.data.frombytes(records)
     if sys.byteorder != "little":
         slab.data.byteswap()
@@ -382,6 +389,9 @@ def _restored_slab(snap: Dict[str, object], slot: int, label_count: int, run_cou
         starts, positions = data[offset + 1 :: _STRIDE], data[offset::_STRIDE]
         if min(starts) < 0 or max(positions) >= _POSITION_END or not all(map(le, starts, positions)):
             raise SnapshotError(f"a record of snapshot slab {base} breaks 0 <= max_start <= position < 2**62")
+        if max(starts) > slab.max_ms:
+            # The slab would be released while the record is live.
+            raise SnapshotError(f"a record of snapshot slab {base} has a max_start past the slab's max_ms")
         for links in (data[offset + 2 :: _STRIDE], data[offset + 3 :: _STRIDE]):
             if min(links) < 0 or not all(map(lt, links, ids)):
                 raise SnapshotError(f"a record of snapshot slab {base} has a union link to a node not older than it")
@@ -393,9 +403,6 @@ def _restored_slab(snap: Dict[str, object], slot: int, label_count: int, run_cou
             if min(map(lows.__getitem__, refs)) <= 0 or not all(map(lt, map(highs.__getitem__, refs), ids)):
                 raise SnapshotError(f"a record of snapshot slab {base} has a product child not older than it")
     slab.count = slab.avail = count
-    slab.max_ms = _word(snap["max_ms"])
-    if not _NEVER <= slab.max_ms < _POSITION_END:
-        raise SnapshotError(f"snapshot slab at {base} has max_ms {slab.max_ms} outside [-2**62, 2**62)")
     return slab
 
 
@@ -592,6 +599,14 @@ class ArenaDataStructure:
         if slab is None:
             return True
         return position - slab.data[(node - slab.base) * _STRIDE + 1] > self.window
+
+    def allocated_max_start(self, node: int) -> Optional[int]:
+        """``max_start`` of ``node`` if allocated (``_NEVER`` if released), else
+        ``None``: what a restore checks the run index's nodes against."""
+        slab = self._slabs.get(node >> _SLOT_BITS)
+        if slab is None:
+            return _NEVER if 0 <= node < self._release_cursor << _SLOT_BITS else None
+        return slab.data[(node - slab.base) * _STRIDE + 1] if node - slab.base < slab.count else None
 
     # ----------------------------------------------------------------- nodes
     def _intern(self, labels: Iterable[Label]) -> int:
@@ -1002,21 +1017,15 @@ class ArenaDataStructure:
                 records.byteswap()
             slabs.append(
                 {
-                    "base": slab.base,
                     "span": slab.span,
-                    "count": slab.count,
                     "max_ms": slab.max_ms,
                     "records": records.tobytes(),
                     "prods": list(slab.prods),
                 }
             )
         tree = {
-            "window": self.window,
-            "cap": self._cap,
-            "next_slot": self._next_slot,
             "release_cursor": self._release_cursor,
             "slab_start": self._slab_start,
-            "seal_deadline": self._seal_deadline,
             "allocated": self.allocated,
             "labels": list(self._labels),
             "slabs": slabs,
@@ -1030,19 +1039,16 @@ class ArenaDataStructure:
         """Replace this arena's entire state with ``snapshot``'s, in place.
 
         In-place so bound methods (:class:`~repro.runtime.EvictionLane` binds
-        ``release_expired`` and ``extend_onto`` once) stay valid.  The
-        window must match (it is the engine's configuration, not state).  A
-        snapshot is untrusted input, so the label table (distinct
+        ``release_expired`` and ``extend_onto`` once) stay valid.  The tree
+        carries no window: that is the engine's configuration, and its lane's
+        (:meth:`EvictionLane.restore <repro.runtime.EvictionLane.restore>`)
+        to check.  A snapshot is untrusted input, so the label table (distinct
         frozensets), the run table (distinct tuples of two or more label
-        ids) and every slab (:func:`_restored_slab`) are checked before
-        anything is replaced: the native kernel never sees a record whose
-        label id or product reference points outside the restored tables.
+        ids), the scalars (ints in range, as :func:`_int` reads them) and
+        every slab (:func:`_restored_slab`) are checked before anything is
+        replaced: the native kernel never sees a record whose label id or
+        product reference points outside the restored tables.
         """
-        if snapshot["window"] != self.window:
-            raise ValueError(
-                f"snapshot was taken with window {snapshot['window']}, "
-                f"this arena has window {self.window}"
-            )
         labels = list(snapshot["labels"])
         label_ids = {label_set: index for index, label_set in enumerate(labels) if type(label_set) is frozenset}
         if len(label_ids) != len(labels) or len(labels) > _RUN_BASE:
@@ -1057,7 +1063,7 @@ class ArenaDataStructure:
         run_ids = {tuple(map(labels.__getitem__, reversed(run))): _RUN_BASE + index for index, run in enumerate(runs)}
         if len(run_ids) != len(runs) or len(runs) > _RUN_BASE:
             raise SnapshotError("the run table holds a run twice")
-        release_cursor = next_slot = int(snapshot["release_cursor"])
+        release_cursor = next_slot = _int(snapshot["release_cursor"], "release_cursor", 0, _SLOT_END)
         restored: List[_Slab] = []
         for slab_snap in snapshot["slabs"]:
             # Retained slabs are released in allocation order, so they tile
@@ -1066,14 +1072,14 @@ class ArenaDataStructure:
             next_slot += restored[-1].span
         if not restored:
             raise SnapshotError("snapshot holds no slabs (the current slab is never released)")
-        if next_slot != snapshot["next_slot"]:
-            raise SnapshotError("snapshot slabs do not end at the allocation cursor")
-        cap = int(snapshot["cap"])
         slab_start = snapshot["slab_start"]
-        slab_start = None if slab_start is None else int(slab_start)
-        seal_deadline = _word(snapshot["seal_deadline"])
-        allocated = _word(snapshot["allocated"])
-        counters = [_word(snapshot["counters"][name]) for name in _COUNTERS]
+        if slab_start is not None:
+            _int(slab_start, "slab_start", 0, _POSITION_END)
+        # What ``_new_slab`` set when it opened the current slab.
+        cap = restored[-1].span << _SLOT_BITS
+        seal_deadline = 1 << 62 if slab_start is None else slab_start + self.window + 1
+        allocated = _int(snapshot["allocated"], "allocated", 0, 1 << 63)
+        counters = [_int(snapshot["counters"][name], name, 0, 1 << 63) for name in _COUNTERS]
         nk = self._nk
         if nk is not None:
             # Drop every buffer hold *before* rebuilding: restored slot

@@ -358,9 +358,8 @@ class MultiQueryEngine:
     def _check_seating(self, queries: Sequence[_Registered], placement, lanes) -> List[tuple]:
         """The snapshot's placement rows as ``(store index, since, slot
         table)``, with everything re-seating ``queries`` relies on checked:
-        each value is an int (``since`` and the slots in ``[0, 2**62)``), a
-        store's ``scan`` section lists exactly the scan slots of the queries
-        placed in it, and a store without any has none."""
+        each value is an int (``since`` and the slots in ``[0, 2**62)``) and
+        each query fits the window of the store it is placed in."""
         if not self._arena:
             raise SnapshotError(
                 "restoring run stores requires the arena-backed enumeration "
@@ -374,7 +373,6 @@ class MultiQueryEngine:
         if len(set(windows)) != len(windows):
             raise SnapshotError("snapshot holds two run stores for one window")
         rows = []
-        scanned = [set() for _ in lanes]
         for query, (where, since, slots) in zip(queries, placement):
             slots = tuple(slots)
             if type(where) is not int or not _is_word(since) or not all(map(_is_word, slots)):
@@ -389,25 +387,27 @@ class MultiQueryEngine:
                 )
             if len(slots) != len(query.dispatch.slots):
                 raise SnapshotError(f"query {query.handle} does not fit its snapshot slot table")
-            scanned[where].update(slots[slot] for slot in query.dispatch.structure.scan_slots.values())
             rows.append((where, since, slots))
-        for where, lane in enumerate(lanes):
-            listed = set(dict(lane["scan"]["runs"])) if "scan" in lane else set()
-            if listed != scanned[where] or "scan" in lane and not listed:
-                raise SnapshotError(f"run store {where} does not list the scan slots of its queries")
         return rows
 
-    def _restored_stores(self, lanes, placement: Sequence[tuple]) -> List[_Store]:
+    def _restored_stores(self, queries: Sequence[_Registered], lanes, placement, runtime_state):
         """The snapshot's stores, restored in snapshot order but not yet the
-        engine's: a store whose records fail the checks raises here, before
-        anything is replaced.  A store's ``next_slot`` must be an int in
-        ``[0, 2**62)`` above every slot placed in it and every slot its table
-        holds entries under: a lower one would number the next registration
-        onto live slots."""
-        stores = []
+        engine's, with what each store's restore returned (its keys by due
+        position): a store whose records fail the checks raises here, before
+        anything is replaced.  A store's scan slots are those of the queries
+        placed in it.  Its ``next_slot`` must be an int in ``[0, 2**62)``
+        above every slot placed in it and every slot its table holds entries
+        under: a lower one would number the next registration onto live
+        slots."""
+        scan_slots: List[set] = [set() for _ in lanes]
+        for query, (where, _, slots) in zip(queries, placement):
+            scan_slots[where].update(slots[slot] for slot in query.dispatch.structure.scan_slots.values())
+        stores, pending = [], []
         for where, lane in enumerate(lanes):
             store = self._open_store(lane["window"])
-            store.restore(lane)
+            pending.append(
+                store.restore(lane, runtime_state["position"], runtime_state["swept_upto"], scan_slots[where])
+            )
             next_slot = lane["next_slot"]
             used = max(
                 (slot for at, _, slots in placement if at == where for slot in slots), default=-1
@@ -420,7 +420,7 @@ class MultiQueryEngine:
                 )
             store.next_slot = next_slot
             stores.append(store)
-        return stores
+        return stores, pending
 
     def snapshot(self) -> Dict[str, object]:
         """The engine's complete evaluation state (see :mod:`repro.runtime.snapshot`).
@@ -439,9 +439,10 @@ class MultiQueryEngine:
         queries = self._ordered()
         stores = list(dict.fromkeys(query.store for query in queries))
         where = {store: index for index, store in enumerate(stores)}
+        dues = self._runtime.dues()
         lanes = []
         for store in stores:
-            lane = store.snapshot()
+            lane = store.snapshot(dues[store.lane_id])
             lane["next_slot"] = store.next_slot
             lanes.append(lane)
         return {
@@ -451,9 +452,7 @@ class MultiQueryEngine:
             "digests": [query.dispatch.digest() for query in queries],
             "placement": [(where[query.store], query.since, query.slots) for query in queries],
             "lanes": lanes,
-            "runtime": self._runtime.snapshot(
-                {store.lane_id: index for store, index in where.items()}
-            ),
+            "runtime": self._runtime.snapshot(),
         }
 
     def _check_digests(self, queries: Sequence[_Registered], recorded) -> None:
@@ -500,8 +499,8 @@ class MultiQueryEngine:
         queries = self._ordered()
         self._check_digests(queries, recorded)
         placement = self._check_seating(queries, placement, lanes)
-        stores = self._restored_stores(lanes, placement)
-        runtime_state = StreamRuntime.parse(runtime_snap, stores)
+        runtime_state = StreamRuntime.parse(runtime_snap)
+        stores, pending = self._restored_stores(queries, lanes, placement, runtime_state)
         merged = MergedDispatchIndex(())
         for query, (where, since, slots) in zip(queries, placement):
             merged.add_query(query, query.dispatch, stores[where], since, slots)
@@ -522,7 +521,7 @@ class MultiQueryEngine:
             query.store, query.since, query.slots = stores[where], since, slots
             query.store.queries += 1
         self._merged = merged
-        self._runtime.restore(runtime_state, stores)
+        self._runtime.restore(runtime_state, stores, pending)
 
     # ------------------------------------------------------------ introspection
     @property

@@ -181,16 +181,20 @@ class QueryRegistry:
                     f"query {entry.handle} has window {entry.handle.window}, "
                     f"snapshot recorded {entry_snap['window']}"
                 )
+        ids = [entry_snap["id"] for entry_snap in recorded]
+        next_id, version = snapshot["next_id"], snapshot["version"]
+        # Registration order is id order, every id below the counter.
+        if not all(type(value) is int and value >= 0 for value in (*ids, next_id, version)) or not all(
+            map(int.__lt__, ids, [*ids[1:], next_id])
+        ):
+            raise ValueError(f"snapshot handle ids {ids!r} are not ascending ints below next_id {next_id!r}")
         handles = [
-            QueryHandle(int(entry_snap["id"]), entry_snap["name"], int(entry_snap["window"]))
-            for entry_snap in recorded
+            QueryHandle(entry_snap["id"], entry_snap["name"], entry.handle.window)
+            for entry, entry_snap in zip(entries, recorded)
         ]
-        next_id, version = int(snapshot["next_id"]), int(snapshot["version"])
         remapped: Dict[int, RegisteredQuery] = {
             handle.id: entry for handle, entry in zip(handles, entries)
         }
-        if len(remapped) != len(entries):
-            raise ValueError("snapshot gives two registered queries one id")
         for handle, entry in zip(handles, entries):
             entry.handle = handle
         self._entries = remapped

@@ -56,14 +56,16 @@ Snapshot / restore
 :meth:`EvictionLane.snapshot` / :meth:`EvictionLane.restore` are the
 runtime's layers of the cross-layer checkpoint protocol (see
 :mod:`repro.runtime.snapshot`): the runtime serialises the stream cursor,
-the sweep cursors, the statistics and the expiry buckets (lane ids remapped
-through a dense snapshot index, because a restored engine assigns fresh lane
-ids); a lane — one run store — serialises its window, its hash table and its
-enumeration structure (which must expose ``snapshot``/``restore`` — the arena does, the
-object-graph oracle does not), and a store with scan slots those as one
-more section.  The runtime's layer is read in two steps, :meth:`StreamRuntime.parse`
-(every check, nothing changed) then :meth:`StreamRuntime.restore`, so an
-engine can check every section of a snapshot before it changes anything.
+the sweep cursors and the statistics; a lane — one run store — serialises
+its window, its hash table — each row with its key's due position
+(:meth:`StreamRuntime.dues`), from which restore rebuilds the buckets, so
+each key is registered once by construction — and its enumeration
+structure (the arena; the object-graph oracle has none), and a store that
+has held scan slots its two scan counters (the runs are its rows under its
+queries' scan slots).  The runtime's layer is read
+in two steps, :meth:`StreamRuntime.parse` (every check, nothing changed)
+then :meth:`StreamRuntime.restore`, so an engine can check every section of
+a snapshot before it changes anything.
 """
 
 from __future__ import annotations
@@ -189,10 +191,12 @@ class EvictionLane:
         self.extend_onto = None
 
     # ------------------------------------------------------- snapshot protocol
-    def snapshot(self) -> Dict[str, object]:
-        """The lane's state (window, hash table, enumeration structure, and
-        with scan slots a ``scan`` section: each slot's sequence numbers
-        oldest first, ``next_seq`` and ``nodes_scanned``).
+    def snapshot(self, dues: Dict[Hashable, int]) -> Dict[str, object]:
+        """The lane's state: window, hash table — one ``(key, value, due)``
+        row per entry, ``due`` its key's pending expiry position from
+        ``dues`` — and enumeration structure, plus, once the store has held
+        scan slots, a ``scan`` section with ``next_seq`` and
+        ``nodes_scanned``.
 
         Requires a snapshotable enumeration structure — the arena-backed
         ``DS_w``; the object-graph oracle (``arena=False``) has no explicit
@@ -207,72 +211,75 @@ class EvictionLane:
             )
         snapshot = {
             "window": self.window,
-            "hash": [(key, value) for key, value in self.hash.items()],
+            "hash": [(key, value, dues[key]) for key, value in self.hash.items()],
             "ds": ds_snapshot(),
         }
-        if self.scans is not None:
-            snapshot["scan"] = {
-                "runs": {slot: list(runs) for slot, runs in self.scans.items()},
-                "next_seq": self.next_seq,
-                "nodes_scanned": self.nodes_scanned,
-            }
+        if self.scans is not None or self.next_seq:
+            snapshot["scan"] = {"next_seq": self.next_seq, "nodes_scanned": self.nodes_scanned}
         return snapshot
 
-    def restore(self, snapshot: Dict[str, object]) -> None:
-        """Replace the lane's state with ``snapshot``'s, in place.
+    def restore(
+        self, snapshot: Dict[str, object], position: int, swept_upto: int, scan_slots: Iterable[int] = ()
+    ) -> Dict[int, List[Hashable]]:
+        """Replace the lane's state with ``snapshot``'s, in place, and return
+        its keys grouped by due position (what the runtime's buckets hold).
+        The engine opens the lane at the snapshot's window, on an arena.
 
-        Table keys must be hashable ``(slot, key)`` pairs, entries
-        ``(node, max_start)`` — under a scan slot (one the ``scan`` section
-        lists) ``((tuple, node), position)`` runs — and the section must name
-        exactly the table's runs, its counters be ints in ``[0, 2**62)`` and
-        ``next_seq`` exceed every run's sequence number (a smaller one would
-        overwrite live runs).
+        ``position``/``swept_upto`` are the restored runtime's cursors,
+        ``scan_slots`` the store's (its queries'), each one's runs rebuilt
+        from its rows oldest first.  Keys must be distinct hashable ``(slot,
+        key)`` pairs, entries ``(node, max_start)`` — under a scan slot
+        ``(slot, seq)`` and ``((tuple, node), position)`` — with ints in
+        ``[0, 2**62)``, anchored no later than ``position``, each node
+        allocated and a hash entry's anchor its node's ``max_start`` (a live
+        entry on a released node fails the next write onto it); each due an
+        int in ``(swept_upto, max_start + window + 1]`` (a swept due never
+        pops, a later one outlives the window); the scan counters ints in
+        ``[0, 2**62)``, ``next_seq`` above every run's seq.
         """
-        if snapshot["window"] != self.window:
-            raise ValueError(
-                f"snapshot was taken with window {snapshot['window']}, "
-                f"this lane has window {self.window}"
-            )
-        ds_restore = getattr(self.ds, "restore", None)
-        if ds_restore is None:
-            raise ValueError(
-                "restore requires the arena-backed enumeration structure "
-                "(construct the engine with arena=True)"
-            )
-        section = snapshot.get("scan")
-        # dict(): a file may hold any container here.
-        listed = {} if section is None else dict(section["runs"])
+        window = self.window
+        runs: Dict[int, list] = {slot: [] for slot in scan_slots}
         table = {}
-        for key, entry in snapshot["hash"]:
+        pending: Dict[int, List[Hashable]] = {}
+        rows = list(snapshot["hash"])
+        for row in rows:
+            if type(row) is not tuple or len(row) != 3:
+                raise SnapshotError(f"the lane table holds {row!r}, not a (key, entry, due) row")
+            key, entry, due = row
             _check_key(key, "the lane table")
-            _check_entry(entry, key[0] in listed)
-            table[key] = entry
-        scans = None
-        next_seq = scanned = 0
-        if section is not None:
-            scans = {}
-            for slot, seqs in listed.items():
-                runs = scans[slot] = {}
-                for seq in seqs:
-                    entry = table.get((slot, seq)) if _is_word(seq) else None
-                    if entry is None:
-                        raise SnapshotError(
-                            f"scan slot {slot!r} names run {seq!r}, which the lane table does not hold"
-                        )
-                    runs[seq] = entry[0]
-            if sum(map(len, scans.values())) != sum(1 for slot, _ in table if slot in scans):
-                raise SnapshotError("the lane table holds runs its scan slots do not name")
-            next_seq, scanned = section["next_seq"], section["nodes_scanned"]
-            if not _is_word(next_seq) or not _is_word(scanned):
+            scanned = runs.get(key[0])
+            _check_entry(entry, scanned is not None)
+            if entry[1] > position or not (_is_word(due) and swept_upto < due <= entry[1] + window + 1):
                 raise SnapshotError(
-                    f"scan counters next_seq={next_seq!r}, nodes_scanned={scanned!r}: not ints in [0, 2**62)"
+                    f"key {key!r} anchored at {entry[1]} (position {position}) is due at {due!r}, "
+                    f"not an int in ({swept_upto}, {entry[1] + window + 1}]"
                 )
-            if any(seq >= next_seq for runs in scans.values() for seq in runs):
-                raise SnapshotError(f"next_seq {next_seq} does not exceed every stored run's sequence number")
-        ds_restore(snapshot["ds"])
+            if scanned is not None:
+                if not _is_word(key[1]):
+                    raise SnapshotError(f"scan slot {key[0]} holds run {key[1]!r}, not a sequence number")
+                scanned.append((key[1], entry[0]))
+            table[key] = entry
+            pending.setdefault(due, []).append(key)
+        if len(table) != len(rows):
+            raise SnapshotError("the lane table holds a key twice")
+        section = snapshot.get("scan") or {"next_seq": 0, "nodes_scanned": 0}
+        next_seq, read = section["next_seq"], section["nodes_scanned"]
+        if not _is_word(next_seq) or not _is_word(read):
+            raise SnapshotError(f"scan counters next_seq={next_seq!r}, nodes_scanned={read!r}: not ints in [0, 2**62)")
+        if any(seq >= next_seq for slot_runs in runs.values() for seq, _ in slot_runs):
+            raise SnapshotError(f"next_seq {next_seq} does not exceed every stored run's sequence number")
+        self.ds.restore(snapshot["ds"])
+        recorded = self.ds.allocated_max_start
+        for key, (value, anchor) in table.items():
+            if key[0] in runs:
+                if recorded(value[1]) is None:
+                    raise SnapshotError(f"scan run {key!r} names node {value[1]}, which is not allocated")
+            elif recorded(value) != anchor:
+                raise SnapshotError(f"key {key!r} is anchored at {anchor}, its node {value} is not")
         self.hash = table
-        self.scans = scans
-        self.next_seq, self.nodes_scanned = next_seq, scanned
+        self.scans = {slot: dict(sorted(slot_runs)) for slot, slot_runs in runs.items()} if runs else None
+        self.next_seq, self.nodes_scanned = next_seq, read
+        return pending
 
     def __repr__(self) -> str:
         state = "active" if self.active else "inactive"
@@ -564,17 +571,19 @@ class StreamRuntime:
         """Pop every expiry bucket due at or before ``position`` (batch sweep).
 
         Iterates the dense range of positions not yet swept, so the cost is
-        O(positions advanced since the last sweep), not O(live buckets).
+        O(positions advanced since the last sweep), not O(live buckets) —
+        unless the range is longer than the buckets pending (a restored
+        ``swept_upto`` far behind its position), where it visits those.
         """
         if position <= self._swept_upto:
             return
         obs = self.obs
         start = _perf() if obs is not None else 0.0
-        due = [
-            expired
-            for expired in map(self.buckets.pop, range(self._swept_upto + 1, position + 1), repeat(None))
-            if expired
-        ]
+        buckets = self.buckets
+        positions = range(self._swept_upto + 1, position + 1)
+        if len(positions) > len(buckets):
+            positions = sorted(due for due in buckets if due <= position)
+        due = [expired for expired in map(buckets.pop, positions, repeat(None)) if expired]
         swept = len(due)
         touched = set()
         evicted = self._drain(due, position, touched)
@@ -663,49 +672,43 @@ class StreamRuntime:
         return results
 
     # ------------------------------------------------------- snapshot protocol
-    def snapshot(self, lane_index: Dict[int, int]) -> Dict[str, object]:
-        """The runtime's state.
-
-        ``lane_index`` maps interned lane ids to the dense indexes the caller
-        assigns (the engine's lanes in snapshot order); bucket pairs of
-        other — or dropped — lanes are left out, the sweep would skip them.
-        """
-        buckets: Dict[int, List[object]] = {}
+    def dues(self) -> Dict[int, Dict[Hashable, int]]:
+        """Per lane id, each registered key's pending due position: the
+        buckets inverted, which is what a lane writes on its table rows.
+        A pair whose key has left its table is not read there."""
+        dues: Dict[int, Dict[Hashable, int]] = {lane_id: {} for lane_id in self._lanes}
         for expiry_position, entries in self.buckets.items():
-            flat: List[object] = []
             for index in range(0, len(entries), 2):
-                mapped = lane_index.get(entries[index])
-                if mapped is not None:
-                    flat += (mapped, entries[index + 1])
-            if flat:
-                buckets[expiry_position] = flat
+                keys = dues.get(entries[index])
+                if keys is not None:
+                    keys[entries[index + 1]] = expiry_position
+        return dues
+
+    def snapshot(self) -> Dict[str, object]:
+        """The runtime's state: cursors and statistics (the buckets travel
+        as the due position on each lane-table row)."""
         return {
             "position": self.position,
             "evicted": self.evicted,
             "swept_upto": self._swept_upto,
             "next_release_pass": self._next_release_pass,
             "stats": dataclasses.asdict(self.stats),
-            "buckets": buckets,
         }
 
     @staticmethod
-    def parse(snapshot: Dict[str, object], lanes: Sequence[EvictionLane]) -> Dict[str, object]:
-        """Read and check the runtime section of a snapshot whose stores are
-        ``lanes`` (restored, in snapshot order, not yet tracked), changing
+    def parse(snapshot: Dict[str, object]) -> Dict[str, object]:
+        """Read and check the runtime section of a snapshot, changing
         nothing: what :meth:`restore` then adopts.
 
-        Every bucket must still be in the future — an already-swept expiry
-        position would leak its keys forever — and hold whole
-        ``(lane index, (slot, key))`` pairs naming one of the snapshot's
-        lanes, no pair twice; every key of every lane's table must be named
-        by a bucket (nothing else would ever evict it: a write onto a held
-        key registers nothing) no later than its entry leaves the window at,
-        ``max_start + window + 1`` (a later one would keep it in ``H`` past
-        the window); every counter must have its type; and the
-        cursors must be ints (not bools, not strings) in ``[0, 2**62)`` —
-        ``position`` and ``swept_upto`` from ``-1``, before the first tuple.
+        Every counter must have its type, and the cursors must be ints (not
+        bools, not strings) in ``[0, 2**62)`` — ``position`` and
+        ``swept_upto`` from ``-1``, before the first tuple — with
+        ``swept_upto`` not past ``position`` (the sweep would skip the
+        buckets of keys registered in between).
         """
         position, swept_upto = _cursor(snapshot, "position", -1), _cursor(snapshot, "swept_upto", -1)
+        if swept_upto > position:
+            raise SnapshotError(f"runtime swept_upto {swept_upto} is past the position {position}")
         evicted, next_release = _cursor(snapshot, "evicted", 0), _cursor(snapshot, "next_release_pass", 0)
         # An int stands for a float; a counter left out starts from zero.
         counters = dict(snapshot["stats"])
@@ -713,61 +716,36 @@ class StreamRuntime:
             kind = _COUNTER_TYPES.get(name)
             if kind is None or type(value) is not kind and (kind, type(value)) != (float, int):
                 raise SnapshotError(f"statistics {name!r} = {value!r}: no such counter, or not of its type")
-        buckets: Dict[int, List[object]] = {}
-        named: Dict[Tup[int, Hashable], int] = {}
-        # dict(): a file may hold any container here, and only a mapping has items().
-        for expiry_position, entries in dict(snapshot["buckets"]).items():
-            if type(expiry_position) is not int:
-                raise SnapshotError(f"expiry bucket {expiry_position!r} is not keyed by a position")
-            if expiry_position <= swept_upto:
-                raise ValueError(
-                    f"cannot restore expiry bucket {expiry_position}: the snapshot "
-                    f"was swept up to {swept_upto}"
-                )
-            if len(entries) % 2:
-                raise ValueError(f"expiry bucket {expiry_position} does not hold whole pairs")
-            flat = buckets[expiry_position] = list(entries)
-            for index, key in zip(flat[0::2], flat[1::2]):
-                if type(index) is not int or not 0 <= index < len(lanes):
-                    raise KeyError(f"expiry bucket {expiry_position} names lane {index!r}, not a restored one")
-                _check_key(key, f"expiry bucket {expiry_position}")
-                if (index, key) in named:
-                    raise SnapshotError(f"expiry bucket {expiry_position} names key {key!r} of lane {index} twice")
-                named[index, key] = expiry_position
-        for index, lane in enumerate(lanes):
-            for key, (_, anchor) in lane.hash.items():
-                due = named.get((index, key))
-                if due is None:
-                    raise SnapshotError(f"lane {index} holds key {key!r}, which no expiry bucket names")
-                if due > anchor + lane.window + 1:
-                    raise SnapshotError(
-                        f"expiry bucket {due} names key {key!r} of lane {index} past its expiry "
-                        f"at {anchor + lane.window + 1}"
-                    )
         return {
             "position": position,
             "evicted": evicted,
             "swept_upto": swept_upto,
             "next_release_pass": next_release,
             "stats": EngineStatistics(**counters),
-            "buckets": buckets,
         }
 
-    def restore(self, parsed: Dict[str, object], lanes_by_index: Sequence[EvictionLane]) -> None:
-        """Replace the runtime's state with what :meth:`parse` read.
-
-        ``lanes_by_index`` positions must mirror the ``lane_index`` mapping
-        the snapshot was taken with.
-        """
-        lane_ids = [lane.lane_id for lane in lanes_by_index]
-        for flat in parsed["buckets"].values():
-            flat[0::2] = [lane_ids[index] for index in flat[0::2]]
+    def restore(
+        self,
+        parsed: Dict[str, object],
+        lanes: Sequence[EvictionLane],
+        pending: Sequence[Dict[int, List[Hashable]]],
+    ) -> None:
+        """Replace the runtime's state with what :meth:`parse` read, and
+        rebuild the buckets: ``pending[i]`` is what restoring ``lanes[i]``
+        returned, its keys grouped by due position, each registered under
+        the lane's id."""
+        buckets: Dict[int, List[object]] = {}
+        for lane, dues in zip(lanes, pending):
+            for expiry_position, keys in dues.items():
+                flat = buckets.setdefault(expiry_position, [])
+                for key in keys:
+                    flat += (lane.lane_id, key)
         self.position = parsed["position"]
         self.evicted = parsed["evicted"]
         self._swept_upto = parsed["swept_upto"]
         self._next_release_pass = parsed["next_release_pass"]
         self.stats = parsed["stats"]
-        self.buckets = parsed["buckets"]
+        self.buckets = buckets
 
     # ----------------------------------------------------------- introspection
     def hash_table_size(self) -> int:

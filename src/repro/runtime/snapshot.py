@@ -8,9 +8,11 @@ frozensets / :class:`~repro.cq.schema.Tuple` events):
   — the retained slab set (each slab's filled records as one ``bytes``
   value), allocation cursor and label table;
 * :meth:`EvictionLane.snapshot/restore <repro.runtime.EvictionLane.snapshot>`
-  — the window, the run-index hash table and the enumeration structure;
+  — the window, the run-index hash table (each row with its key's pending
+  expiry position) and the enumeration structure;
 * :meth:`StreamRuntime.snapshot/restore <repro.runtime.StreamRuntime.snapshot>`
-  — the stream cursor, sweep cursors, statistics and expiry buckets;
+  — the stream cursor, sweep cursors and statistics (restore rebuilds the
+  expiry buckets from the lanes' rows);
 * the engine composes those layers, adding its own verification header:
   the :meth:`QueryRegistry.snapshot
   <repro.multi.registry.QueryRegistry.snapshot>` entry table and one
@@ -19,8 +21,8 @@ frozensets / :class:`~repro.cq.schema.Tuple` events):
   <repro.core.dispatch.TransitionDispatchIndex.digest>`), so a snapshot can
   only be restored into an engine evaluating the *same* queries.  There is
   one kind of tree, ``multi`` (the K=1 ``StreamingEvaluator`` writes it
-  too); a store with scan slots carries their run lists as one more section
-  of its lane.  The ``general`` kind earlier builds wrote scanned every join,
+  too); a store that has held scan slots carries its scan counters as one
+  more section of its lane (the runs are table rows under the scan slots).  The ``general`` kind earlier builds wrote scanned every join,
   equality joins included, where this build hashes those: it is refused by
   name (:func:`check_snapshot_header`).
 
@@ -61,8 +63,18 @@ from repro.runtime.frames import FrameProtocolError, decode_frame, encode_frame
 #: holds one ``(lane, key)`` pair per key of ``H`` (the sweep re-arms a key
 #: written since it registered) instead of a ``(lane, key, node)`` triple per
 #: write, and an arena slab carries no reference count; a version-5 tree is
-#: refused by name.
-SNAPSHOT_VERSION = 6
+#: refused by name.  Version 7: each fact once — a lane-table row is
+#: ``(key, value, due)`` and there are no ``buckets``, no scan run lists, no
+#: arena ``window``/``next_slot``/``cap``/``seal_deadline`` and no slab
+#: ``base``/``count``: restore derives them; a version-6 tree is refused.
+SNAPSHOT_VERSION = 7
+
+#: Retired versions refused by name, each with why this build cannot read it.
+_RETIRED = {
+    4: "verified its queries by the merged-index signature tree",
+    5: "registered every write of a key for expiry, with an arena reference count per slab",
+    6: "wrote every key of the run index twice, in its lane table and in the expiry buckets",
+}
 
 
 class SnapshotError(ValueError):
@@ -113,7 +125,7 @@ def check_snapshot_header(snapshot: Any, engine: str) -> Dict[str, Any]:
     restoring engine passes its own kind so a checkpoint taken with one
     engine mode cannot be silently restored into another.  A query-subset
     tree (``kind`` ``"multi-partial"``, no ``engine``) is refused by name,
-    and so are a ``general`` tree, a version-4 tree and a version-5 tree.
+    and so are a ``general`` tree and a tree of each version in ``_RETIRED``.
     """
     if not isinstance(snapshot, dict):
         raise SnapshotError(f"snapshot must be a mapping, got {type(snapshot).__name__}")
@@ -129,16 +141,9 @@ def check_snapshot_header(snapshot: Any, engine: str) -> Dict[str, Any]:
             "join scanned, where this build hashes the equality joins; re-run the stream"
         )
     version = snapshot.get("snapshot_version")
-    if version == 4:
+    if version in _RETIRED:
         raise SnapshotError(
-            "snapshot version 4 verified its queries by the merged-index signature tree; "
-            f"this build reads only the per-query digests of snapshot version {SNAPSHOT_VERSION}: "
-            "re-run the stream"
-        )
-    if version == 5:
-        raise SnapshotError(
-            "snapshot version 5 registered every write of a key for expiry, with an arena "
-            f"reference count per slab; this build reads only the one registration per key of "
+            f"snapshot version {version} {_RETIRED[version]}; this build reads only "
             f"snapshot version {SNAPSHOT_VERSION}: re-run the stream"
         )
     if version != SNAPSHOT_VERSION:

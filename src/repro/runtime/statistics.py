@@ -27,7 +27,11 @@ class EngineStatistics:
     (reset the statistics per batch to attribute it per batch): ``sweeps``
     counts non-empty expiry buckets popped, ``sweep_evicted`` the entries
     those pops genuinely evicted — both deterministic, so they participate
-    in snapshot equality like every other counter.  Like every other
+    in snapshot equality like every other counter.  A restored engine's
+    buckets hold only registrations of keys in ``H``: a bucket whose every
+    registration had gone stale by the checkpoint (a key of a dropped store,
+    a run an unregistered query's scan slot took along) is popped and
+    counted by the uninterrupted engine alone.  Like every other
     counter here they are gated on the engine's ``collect_stats`` (mirrored
     into ``StreamRuntime.count_stats``); fast mode pays no per-sweep
     attribute writes.  ``sweep_seconds``

@@ -255,18 +255,24 @@ class TestArenaBasics:
         expired at ``position`` are freed."""
         from array import array
 
-        slabs = arena.snapshot()["slabs"]
+        def by_base(snap):  # the slabs tile the slots from the release cursor
+            slot = snap["release_cursor"]
+            for slab in snap["slabs"]:
+                yield slot << 6, slab
+                slot += slab["span"]
+
+        slabs = dict(by_base(arena.snapshot()))
         expirable = set()
-        for slab in slabs:
+        for base, slab in slabs.items():
             records = array("q", slab["records"])
-            starts = records[1::5][1:] if slab["base"] == 0 else records[1::5]
+            starts = records[1::5][1:] if base == 0 else records[1::5]
             if starts:
-                assert slab["max_ms"] == max(starts), slab["base"]
+                assert slab["max_ms"] == max(starts), base
             if not starts or position - max(starts) > window:
-                expirable.add(slab["base"])
+                expirable.add(base)
         released = arena.release_expired(position)
-        kept = {slab["base"] for slab in arena.snapshot()["slabs"]}
-        assert {slab["base"] for slab in slabs} - kept <= expirable
+        kept = set(dict(by_base(arena.snapshot())))
+        assert set(slabs) - kept <= expirable
         assert len(slabs) - len(kept) == released
 
     def test_matches_object_structure_on_random_interleavings(self):

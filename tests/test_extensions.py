@@ -231,8 +231,9 @@ class TestScanRuntimeParity:
 
     def test_unregistering_a_scanned_query_takes_its_scan_slots(self):
         """A scanned state is its query's alone: unregistering drops its
-        slots and runs at once, and a store left with hashed queries only
-        has no scan section."""
+        slots and runs at once.  A store left with hashed queries only has
+        no scan slots; its scan section keeps the two counters, which a
+        restored store goes on from."""
         engine = MultiQueryEngine()
         kept = engine.register(example_pcea_p0(), window=8)
         gone = engine.register(increasing_price_pcea(), window=8)
@@ -242,7 +243,8 @@ class TestScanRuntimeParity:
             [key for key in store.hash if key[0] not in store.scans]
         )
         engine.unregister(gone)
-        assert store.scans is None and "scan" not in engine.snapshot()["lanes"][0]
+        assert store.scans is None
+        assert engine.snapshot()["lanes"][0]["scan"] == {"next_seq": store.next_seq, "nodes_scanned": store.nodes_scanned}
         engine.run(self._stream(30, seed=8))
 
 

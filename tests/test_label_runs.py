@@ -129,7 +129,7 @@ def _tampered(snap, tamper):
     else:  # a record whose run id lies past the run table
         slab = arena["slabs"][-1]
         records = _records_of(slab)
-        at = next(i for i in range(slab["count"]) if (records[5 * i + 4] & 0xFFFFFFFF) >> 1 >= _RUN_BASE)
+        at = next(i for i in range(len(records) // 5) if (records[5 * i + 4] & 0xFFFFFFFF) >> 1 >= _RUN_BASE)
         records[5 * at + 4] = ((_RUN_BASE + len(runs)) << 1) | (records[5 * at + 4] & 1)
         _set_records(slab, records)
     return snap

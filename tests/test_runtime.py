@@ -621,29 +621,36 @@ class TestCompactBucketProtocol:
         cadence is :data:`RELEASE_PASS_INTERVAL`, in every build."""
         runtime = StreamRuntime()
         assert runtime.memory_info()["release_interval"] == RELEASE_PASS_INTERVAL
-        snap = runtime.snapshot({})
+        snap = runtime.snapshot()
         assert "release_interval" not in snap
-        assert StreamRuntime.parse(snap, [])["position"] == -1
+        assert StreamRuntime.parse(snap)["position"] == -1
 
     def test_multi_engine_exposes_release_interval(self):
         assert MultiQueryEngine().memory_info()["release_interval"] == RELEASE_PASS_INTERVAL
 
     def test_runtime_snapshot_roundtrip(self):
+        """The buckets travel as each table row's due position and come back
+        grouped under the restored lane's own id."""
         runtime = StreamRuntime()
+        runtime.add_lane(self._lane(3))  # a lane id the restoring side does not reuse
         lane = runtime.add_lane(self._lane(3))
         node = lane.ds.extend({"a"}, 0, [])
         key = (0, ("k",))  # (slot, key): what a checkpoint's tables must hold
         lane.hash[key] = (node, 0)
         runtime.register_entry(lane, key, 4)
         runtime.position = 0
-        snap = runtime.snapshot({lane.lane_id: 0})
+        snap = runtime.snapshot()
+        assert "buckets" not in snap
+        rows = lane.snapshot(runtime.dues()[lane.lane_id])["hash"]
+        assert rows == [(key, (node, 0), 4)]
         fresh = StreamRuntime()
         fresh_lane = fresh.add_lane(self._lane(3))
-        fresh_lane.restore(lane.snapshot())
-        fresh.restore(StreamRuntime.parse(snap, [fresh_lane]), [fresh_lane])
+        pending = fresh_lane.restore(lane.snapshot(runtime.dues()[lane.lane_id]), 0, -1)
+        assert pending == {4: [key]}
+        fresh.restore(StreamRuntime.parse(snap), [fresh_lane], [pending])
         assert type(fresh.stats) is EngineStatistics
         assert fresh.position == runtime.position
-        assert fresh.buckets == {4: [fresh_lane.lane_id, key]}
+        assert fresh.buckets == {4: [fresh_lane.lane_id, key]} and fresh_lane.lane_id != lane.lane_id
         for position in range(1, 5):
             fresh.position = position
             fresh.sweep(position)

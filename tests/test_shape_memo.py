@@ -334,10 +334,12 @@ def test_compiling_builds_no_index_on_the_core_automaton():
 
 
 # ------------------------------------------------------ the pinned checkpoint
-PINNED = Path(__file__).parent / "data" / "multi_dsl_v6.snap"
-#: The same run checkpointed by a version-5 build (a triple per write in the
-#: expiry buckets, slab reference counts) and by a version-4 build
-#: (merged-signature tree).
+PINNED = Path(__file__).parent / "data" / "multi_dsl_v7.snap"
+#: The same run checkpointed by a version-6 build (every key of ``H`` written
+#: twice, in its lane table and as a pair in the expiry buckets), by a
+#: version-5 build (a triple per write in the expiry buckets, slab reference
+#: counts) and by a version-4 build (merged-signature tree).
+PINNED_V6 = Path(__file__).parent / "data" / "multi_dsl_v6.snap"
 PINNED_V5 = Path(__file__).parent / "data" / "multi_dsl_v5.snap"
 PINNED_V4 = Path(__file__).parent / "data" / "multi_dsl_v4.snap"
 PINNED_LENGTH = 600
@@ -395,16 +397,16 @@ def drive(engine, handles, stream, start, stop):
 
 
 def write_pinned_snapshot(path=PINNED):
-    """How ``multi_dsl_v6.snap`` was made (and, by a version-5 build,
-    ``multi_dsl_v5.snap``; by a version-4 build before the memo,
-    ``multi_dsl_v4.snap``)."""
+    """How ``multi_dsl_v7.snap`` was made (and, by a version-6 build,
+    ``multi_dsl_v6.snap``; by a version-5 build, ``multi_dsl_v5.snap``; by a
+    version-4 build before the memo, ``multi_dsl_v4.snap``)."""
     engine, handles = pinned_engine()
     drive(engine, handles, pinned_stream(), 0, SNAPSHOT_AT)
     snapshot_codec.save(str(path), engine.snapshot())
 
 
 def test_a_pinned_multi_checkpoint_restores_through_the_warm_memo():
-    """``multi_dsl_v6.snap`` was written by :func:`write_pinned_snapshot`.
+    """``multi_dsl_v7.snap`` was written by :func:`write_pinned_snapshot`.
     The same patterns, compiled again through the warm memo, restore it and
     continue exactly like an uninterrupted engine."""
     stream = pinned_stream()
@@ -424,9 +426,25 @@ def test_a_pinned_multi_checkpoint_restores_through_the_warm_memo():
     assert drive(restored, None, stream, SNAPSHOT_AT, PINNED_LENGTH) == expected
 
 
+def test_the_version_6_checkpoint_is_refused_by_name():
+    """``multi_dsl_v6.snap`` writes every key of ``H`` twice — a lane-table
+    row and an expiry-bucket pair — where version 7 carries each key's due
+    position on its row: refused by version, the engine left as it was."""
+    engine = MultiQueryEngine()
+    for k, (pattern, window) in enumerate(pinned_patterns()):
+        if k != UNREGISTERED:
+            engine.register(pattern, window)
+    untouched = snapshot_codec.dumps(engine.snapshot())
+    tree = snapshot_codec.load(str(PINNED_V6))
+    assert tree["snapshot_version"] == 6 and "buckets" in tree["runtime"]
+    with pytest.raises(SnapshotError, match="snapshot version 6 wrote every key of the run index twice"):
+        engine.restore(tree)
+    assert snapshot_codec.dumps(engine.snapshot()) == untouched
+
+
 def test_the_version_5_checkpoint_is_refused_by_name():
     """``multi_dsl_v5.snap`` registers every write of a key in its expiry
-    buckets and carries slab reference counts, where version 6 holds one
+    buckets and carries slab reference counts, where later versions hold one
     registration per key: refused by version, the engine left as it was."""
     engine = MultiQueryEngine()
     for k, (pattern, window) in enumerate(pinned_patterns()):
@@ -459,10 +477,11 @@ def test_the_version_4_checkpoint_is_refused_by_name():
 CHURN_GROUPS, CHURN_ARMS, CHURN_QUERIES, CHURN_WINDOW = 4, 3, 16, 48
 CHURN_LENGTH, CHURN_EVERY = 480, 40
 
-#: SHA-256 of :func:`churned_checkpoint` in snapshot version 6, where each
-#: query is verified by its 32-byte digest and each key of ``H`` is named by
-#: one expiry registration; the same under every ``PYTHONHASHSEED``.
-PINNED_CHURN_DIGEST = "92dfd9c812b656396a099b4685ec304a2ce6860a0ea5ccf6788327fee7a4b6da"
+#: SHA-256 of :func:`churned_checkpoint` in snapshot version 7, where each
+#: query is verified by its 32-byte digest and each key of ``H`` is written
+#: once, its row carrying its due position; the same under every
+#: ``PYTHONHASHSEED``.
+PINNED_CHURN_DIGEST = "7fa81bce312bc35ea28acd6cd37626d8911d88d392e97f9f9494e6af19ae933e"
 
 
 def churn_pattern(query):

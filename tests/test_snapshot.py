@@ -21,19 +21,21 @@ Four layers of protection:
   before it became the K=1 multi engine, a table numbered by other slots, a
   query-subset (``multi-partial``) tree, a tagged-JSON checkpoint of an older
   build, a ``general`` tree of the build that scanned every join, two run
-  stores under one window, a ``scan`` section that does not name exactly
-  its lane table's runs or whose counters are no ints in ``[0, 2**62)`` or
-  would renumber a live run, a run under a hash slot or an entry under a
-  scan slot, and arena records whose label id or
+  stores under one window, a lane-table row whose due position is swept or
+  past its key's expiry, a ``scan`` section whose counters are no ints in
+  ``[0, 2**62)`` or would renumber a live run, a run under a hash slot or
+  an entry under a scan slot, and arena records whose label id or
   product reference lies outside the restored tables, whose union link or
   product child is not an older node, or whose positions could overflow the
   kernel's window arithmetic (on both kernels);
-* atomicity — a restore refused on its runtime buckets, statistics or
+* atomicity — a restore refused on its lane-table rows, statistics or
   placement rows leaves the engine's snapshot bytes as they were;
 * fuzzing — every truncation and byte mutation of a single, mixed
   (hashed and scanned slots in one store) or multi-engine checkpoint restores into an engine that has processed
   tuples, or raises one of the exceptions the CLI's ``--restore`` catches
-  (and nothing else) and leaves that engine's snapshot bytes unchanged.
+  (and nothing else) and leaves that engine's snapshot bytes unchanged; a
+  restored engine then processes tuples one at a time and in batches, and
+  its next checkpoint restores into a fresh engine.
 
 Snapshot equality across the two kernels is ``tests/test_kernel.py``'s.
 """
@@ -47,6 +49,7 @@ import struct
 import subprocess
 import sys
 from array import array
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -55,7 +58,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.arena import ArenaDataStructure
 from repro.core.dispatch import TransitionDispatchIndex
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.hcq_to_pcea import hcq_to_pcea
@@ -76,6 +78,12 @@ QUERY = "Q(x, y) <- T(x), S(x, y), R(x, y)"
 
 def sigma0_stream(length, seed, domain_size=3):
     return random_stream(SIGMA0, length=length, domain_size=domain_size, seed=seed).materialise()
+
+
+def _scan_seqs(lane_snap):
+    """The sequence numbers of a lane snapshot's scan runs: its table rows
+    whose value is a ``(tuple, node)`` run."""
+    return [key[1] for key, (value, _), _ in lane_snap["hash"] if type(value) is tuple]
 
 
 def roundtrip(snapshot, how):
@@ -202,12 +210,20 @@ class TestSingleEngineSnapshot:
             fresh.restore(roundtrip(old, "json"))
         assert fresh.snapshot() == untouched
 
-    def test_arena_restore_rejects_wrong_window(self):
-        ds = ArenaDataStructure(5)
-        ds.extend({"a"}, 0, [])
-        snap = ds.snapshot()
-        with pytest.raises(ValueError):
-            ArenaDataStructure(6).restore(snap)
+    def test_the_window_is_written_once_per_store(self):
+        """The arena is configured with its lane's window, so its tree does
+        not repeat it; the lane's window is checked on restore."""
+        engine = self._engine()
+        for tup in sigma0_stream(30, seed=1):
+            engine.process(tup)
+        snap = roundtrip(engine.snapshot(), "json")
+        assert "window" not in snap["lanes"][0]["ds"] and snap["lanes"][0]["window"] == self.WINDOW
+        snap["lanes"][0]["window"] += 1
+        fresh = self._engine()
+        untouched = fresh.snapshot()
+        with pytest.raises(SnapshotError, match="window"):
+            fresh.restore(snap)
+        assert fresh.snapshot() == untouched
 
     def test_object_graph_engine_cannot_snapshot(self):
         engine = self._engine(arena=False)
@@ -278,23 +294,63 @@ class TestScanSlotSnapshot:
                 fresh.restore(roundtrip(donor.snapshot(), "json"))
             assert fresh.snapshot() == untouched
 
-    @pytest.mark.parametrize("tamper", ["unknown run", "left-out run"])
-    def test_rings_must_name_exactly_the_lane_table(self, tamper):
+    def test_scan_runs_are_rebuilt_from_the_table_rows(self):
+        """A lane writes its scan runs once, as table rows; restore rebuilds
+        each scan slot's run dict from them in sequence order, whatever the
+        order of the rows."""
+        stream = sigma0_stream(260, seed=13)
         original = _mixed()
-        for tup in sigma0_stream(150, seed=13):
+        for tup in stream[:150]:
             original.process(tup)
         snap = roundtrip(original.snapshot(), "json")
-        scan = snap["lanes"][0]["scan"]
-        seqs = next(seqs for seqs in scan["runs"].values() if seqs)
-        if tamper == "unknown run":
-            seqs.append(scan["next_seq"])
-        else:
-            seqs.pop()
-        fresh = _mixed()
-        untouched = fresh.snapshot()
-        with pytest.raises(SnapshotError, match="lane table"):
-            fresh.restore(snap)
-        assert fresh.snapshot() == untouched
+        assert set(snap["lanes"][0]["scan"]) == {"next_seq", "nodes_scanned"}
+        assert _scan_seqs(snap["lanes"][0])
+        random.Random(5).shuffle(snap["lanes"][0]["hash"])
+        restored = _mixed()
+        restored.restore(snap)
+        ours, theirs = self._store(restored).scans, self._store(original).scans
+        assert [list(runs.items()) for runs in ours.values()] == [list(runs.items()) for runs in theirs.values()]
+        assert [restored.process(t) for t in stream[150:]] == [original.process(t) for t in stream[150:]]
+
+    def test_sweeps_after_a_restore_skip_the_buckets_that_went_stale(self):
+        """A checkpoint writes the keys of ``H``, each with its due, and no
+        stale registration.  After a scanned query left, a restored engine's
+        bucket at each later position holds exactly the uninterrupted
+        engine's registrations of keys still in ``H``; a bucket that held
+        only stale ones is popped by the uninterrupted engine alone, and
+        ``stats.sweeps`` falls short by exactly those pops (the definition on
+        ``EngineStatistics.sweeps``).  Outputs, ``evicted``,
+        ``hash_table_size()``, the scan counters and every other counter
+        agree at every later position."""
+        stream = sigma0_stream(200, seed=6)
+        original = MultiQueryEngine(collect_stats=True)
+        original.register(QUERY, window=8)
+        gone = original.register(mixed_pcea(), window=8)
+        for tup in stream[:100]:
+            original.process(tup)
+        original.unregister(gone)
+        for tup in stream[100:103]:
+            original.process(tup)
+        theirs_store = self._store(original)
+        assert theirs_store.scans is None and theirs_store.next_seq > 0
+        restored = MultiQueryEngine(collect_stats=True)
+        restored.register(QUERY, window=8)
+        restored.restore(roundtrip(original.snapshot(), "json"))
+        skipped = 0
+        for tup in stream[103:]:
+            due = original.position + 1
+            theirs = original._expiry_buckets.get(due, [])
+            live = Counter(key for key in theirs[1::2] if key in theirs_store.hash)
+            assert Counter(restored._expiry_buckets.get(due, [])[1::2]) == live
+            skipped += bool(theirs) and not live
+            assert restored.process(tup) == original.process(tup)
+            assert restored.hash_table_size() == original.hash_table_size()
+            assert restored.evicted == original.evicted
+        assert original.stats.sweeps - restored.stats.sweeps == skipped > 0
+        assert restored.nodes_scanned == original.nodes_scanned > 0
+        ours, theirs = restored.snapshot(), original.snapshot()
+        ours["runtime"]["stats"]["sweeps"] = theirs["runtime"]["stats"]["sweeps"]
+        assert ours == theirs
 
     def test_a_hashed_store_writes_no_scan_section(self):
         engine = _multi()
@@ -328,12 +384,11 @@ class TestScanSlotSnapshot:
                 continue
             snap = roundtrip(donor.snapshot(), "json")
             scan = snap["lanes"][0]["scan"]
-            for seqs in scan["runs"].values():
-                for seq in seqs:
-                    scan["next_seq"] = seq
-                    with pytest.raises(SnapshotError, match="next_seq"):
-                        _mixed().restore(snap)
-                    tried += 1
+            for seq in _scan_seqs(snap["lanes"][0]):
+                scan["next_seq"] = seq
+                with pytest.raises(SnapshotError, match="next_seq"):
+                    _mixed().restore(snap)
+                tried += 1
         assert tried > 20
 
 
@@ -438,19 +493,20 @@ class TestRejectedRestoreLeavesEngineUntouched:
 
 class TestRefusedRestoreChangesNothing:
     """Every section is read and checked before anything changes: a restore
-    refused on its runtime buckets, its statistics or its placement rows
+    refused on a lane-table row, its statistics or its placement rows
     leaves the engine's snapshot bytes as they were."""
 
-    TAMPERS = ["bucket at swept_upto", "unknown lane index", "bad stats", "bad since", "bad slots"]
+    TAMPERS = ["due at swept_upto", "key twice", "bad stats", "bad since", "bad slots"]
 
     @staticmethod
     def _tampered(snap, tamper):
         runtime = snap["runtime"]
-        expiry, flat = next(iter(runtime["buckets"].items()))
-        if tamper == "bucket at swept_upto":
-            runtime["buckets"][runtime["swept_upto"]] = list(flat[:2])
-        elif tamper == "unknown lane index":
-            runtime["buckets"][expiry] = [len(snap["lanes"])] + flat[1:]
+        table = next(lane["hash"] for lane in reversed(snap["lanes"]) if lane["hash"])
+        if tamper == "due at swept_upto":
+            key, entry, _ = table[-1]
+            table[-1] = (key, entry, runtime["swept_upto"])
+        elif tamper == "key twice":
+            table.append(table[0])
         elif tamper == "bad stats":
             runtime["stats"]["no_such_counter"] = 1
         else:
@@ -495,20 +551,21 @@ class TestWrongValueTypesAreRefused:
     stream like one never offered it."""
 
     TAMPERS = [
-        "counter holds a string", "counter holds a bool", "bucket key is a list",
-        "bucket key is no pair", "bucket names a key twice", "lane key no bucket names",
-        "bucket past its key's expiry", "lane key is a list",
+        "counter holds a string", "counter holds a bool", "due at swept_upto", "due past its key's expiry",
+        "due is a string", "due is a float", "lane key twice", "lane row is no triple", "lane key is a list",
         "lane key holds a list", "lane anchor is a string", "lane anchor is negative",
         "lane node is a string", "lane node is past 2**62", "lane entry is no pair",
         "lane run holds no tuple", "position is a string", "evicted is negative", "since is a float",
-        "bucket position is a string", "label entry is a string", "label entry is a list",
-        "label entry repeats",
+        "swept past the position", "label entry is a string", "label entry is a list",
+        "label entry repeats", "allocated is a string", "release_cursor is a string", "slab_start is a bool",
+        "slab span is a string", "slab max_ms is a float", "handle id past next_id", "anchor past the position",
+        "lane node not allocated", "anchor is not its node's", "slab max_ms below a record",
     ]  # fmt: skip
     #: Tampers of the ``scan`` section and of the entries' shapes by slot kind.
     SCAN_TAMPERS = [
         "next_seq is a string", "next_seq is a float", "next_seq is a bool", "next_seq is negative",
         "nodes_scanned is a string", "nodes_scanned is negative", "next_seq at the newest run",
-        "run under a hash slot", "entry under a scan slot",
+        "run under a hash slot", "entry under a scan slot", "run seq is a string",
     ]  # fmt: skip
 
     @staticmethod
@@ -521,46 +578,43 @@ class TestWrongValueTypesAreRefused:
     @staticmethod
     def _tampered(snap, tamper):
         runtime = snap["runtime"]
-        flat = next(iter(runtime["buckets"].values()))
-        where, lane = next((where, lane) for where, lane in enumerate(snap["lanes"]) if lane["hash"])
-        key, entry = lane["hash"][0]
+        lane = next(lane for lane in snap["lanes"] if lane["hash"])
+        table, arena = lane["hash"], lane["ds"]
+        key, entry, due = table[0]
         if tamper == "counter holds a string":
             runtime["stats"]["tuples_processed"] = "many"
         elif tamper == "counter holds a bool":
             runtime["stats"]["hash_updates"] = True
-        elif tamper == "bucket key is a list":
-            flat[1] = [1, 2]
-        elif tamper == "bucket key is no pair":
-            flat[1] = (flat[1][0],)
-        elif tamper == "bucket names a key twice":
-            flat += flat[:2]
-        elif tamper in ("lane key no bucket names", "bucket past its key's expiry"):
-            # A key registers once, when created: unnamed, nothing would evict
-            # it; named past its entry's expiry, it would outlive the window.
-            for due, pairs in list(runtime["buckets"].items()):
-                named = [pair for pair in zip(pairs[0::2], pairs[1::2]) if pair != (where, key)]
-                runtime["buckets"][due] = [word for pair in named for word in pair]
-                if not named:
-                    del runtime["buckets"][due]
-            if tamper == "bucket past its key's expiry":
-                runtime["buckets"].setdefault(entry[1] + lane["window"] + 2, []).extend((where, key))
+        elif tamper.startswith("due"):
+            table[0] = (key, entry, {
+                "due at swept_upto": runtime["swept_upto"],
+                # Past its entry's expiry, the key would outlive the window.
+                "due past its key's expiry": entry[1] + lane["window"] + 2,
+                "due is a string": str(due),
+                "due is a float": float(due),
+            }[tamper])  # fmt: skip
+        elif tamper == "lane key twice":
+            # Two rows of one key would register it twice.
+            table.append(table[0])
+        elif tamper == "lane row is no triple":
+            table[0] = (key, entry)
         elif tamper == "lane key is a list":
-            lane["hash"][0] = (list(key), entry)
+            table[0] = (list(key), entry, due)
         elif tamper == "lane key holds a list":
-            lane["hash"][0] = ((key[0], [key[1]]), entry)
+            table[0] = ((key[0], [key[1]]), entry, due)
         elif tamper == "lane anchor is a string":
-            lane["hash"][0] = (key, (entry[0], "x"))
+            table[0] = (key, (entry[0], "x"), due)
         elif tamper == "lane anchor is negative":
-            lane["hash"][0] = (key, (entry[0], -1))
+            table[0] = (key, (entry[0], -1), due)
         elif tamper == "lane node is a string":
-            lane["hash"][0] = (key, TestWrongValueTypesAreRefused._with_node(entry, "node"))
+            table[0] = (key, TestWrongValueTypesAreRefused._with_node(entry, "node"), due)
         elif tamper == "lane node is past 2**62":
-            lane["hash"][0] = (key, TestWrongValueTypesAreRefused._with_node(entry, 1 << 62))
+            table[0] = (key, TestWrongValueTypesAreRefused._with_node(entry, 1 << 62), due)
         elif tamper == "lane entry is no pair":
-            lane["hash"][0] = (key, entry[:1])
+            table[0] = (key, entry[:1], due)
         elif tamper == "lane run holds no tuple":
             node = entry[0][1] if type(entry[0]) is tuple else entry[0]
-            lane["hash"][0] = (key, (("R", node), entry[1]))
+            table[0] = (key, (("R", node), entry[1]), due)
         elif tamper == "position is a string":
             runtime["position"] = "29"
         elif tamper == "evicted is negative":
@@ -568,17 +622,46 @@ class TestWrongValueTypesAreRefused:
         elif tamper == "since is a float":
             where, _, slots = snap["placement"][0]
             snap["placement"][0] = (where, 0.5, slots)
-        elif tamper == "bucket position is a string":
-            runtime["buckets"] = {str(due): flat for due, flat in runtime["buckets"].items()}
+        elif tamper == "swept past the position":
+            runtime["swept_upto"] = runtime["position"] + 1
         elif tamper.startswith("label entry"):
             # Restored unchecked, a string entry "g0v0" read as {'g', '0', 'v'}
             # and a repeated one renamed the outputs of its records.
-            labels = lane["ds"]["labels"]
+            labels = arena["labels"]
             labels[-1] = {
                 "label entry is a string": "".join(map(str, labels[-1])),
                 "label entry is a list": sorted(labels[-1]),
                 "label entry repeats": labels[0],
             }[tamper]
+        elif tamper == "allocated is a string":
+            arena["allocated"] = str(arena["allocated"])
+        elif tamper == "release_cursor is a string":
+            arena["release_cursor"] = str(arena["release_cursor"])
+        elif tamper == "slab_start is a bool":
+            arena["slab_start"] = True
+        elif tamper == "slab span is a string":
+            arena["slabs"][-1]["span"] = str(arena["slabs"][-1]["span"])
+        elif tamper == "slab max_ms is a float":
+            arena["slabs"][-1]["max_ms"] += 0.5
+        # Found by the checkpoint fuzz: each restored, and the engine then
+        # failed a later write (a live entry on a node that was never
+        # allocated or whose slab was released), or wrote a checkpoint that
+        # does not restore (a registration re-armed at a future anchor, the
+        # queries re-ordered by their ids).
+        elif tamper == "handle id past next_id":
+            snap["registry"]["entries"][0]["id"] = snap["registry"]["next_id"]
+        elif tamper == "anchor past the position":
+            table[0] = (key, (entry[0], runtime["position"] + 1), due)
+        elif tamper == "lane node not allocated":
+            table[0] = (key, TestWrongValueTypesAreRefused._with_node(entry, 1 << 40), due)
+        elif tamper == "anchor is not its node's":
+            at, (key, (node, anchor), due) = next(
+                (at, row) for at, row in enumerate(table) if type(row[1][0]) is int and row[1][1] < runtime["position"]
+            )
+            table[at] = (key, (node, anchor + 1), due)
+        elif tamper == "slab max_ms below a record":
+            slab = arena["slabs"][-1]
+            slab["max_ms"] = max(_records_of(slab)[1::5]) - 1
         else:
             TestWrongValueTypesAreRefused._scan_tampered(lane, tamper)
         return snap
@@ -593,15 +676,19 @@ class TestWrongValueTypesAreRefused:
             "next_seq is negative": ("next_seq", -1),
             "nodes_scanned is a string": ("nodes_scanned", "3"),
             "nodes_scanned is negative": ("nodes_scanned", -1),
-            "next_seq at the newest run": ("next_seq", max(max(seqs) for seqs in scan["runs"].values())),
+            "next_seq at the newest run": ("next_seq", max(_scan_seqs(lane))),
         }.get(tamper, (None, None))
         if field is not None:
             scan[field] = value
             return
-        scanning = tamper == "entry under a scan slot"
-        at = next(i for i, (key, _) in enumerate(lane["hash"]) if (key[0] in scan["runs"]) == scanning)
-        key, (value, anchor) = lane["hash"][at]
-        lane["hash"][at] = (key, (value[1], anchor) if scanning else ((Tuple("T", (0,)), value), anchor))
+        table = lane["hash"]
+        scanning = tamper != "run under a hash slot"
+        at = next(i for i, (_, (value, _), _) in enumerate(table) if (type(value) is tuple) == scanning)
+        key, (value, anchor), due = table[at]
+        if tamper == "run seq is a string":
+            table[at] = ((key[0], str(key[1])), (value, anchor), due)
+        else:
+            table[at] = (key, (value[1], anchor) if scanning else ((Tuple("T", (0,)), value), anchor), due)
 
     @pytest.mark.parametrize(
         "kind, tamper",
@@ -828,25 +915,18 @@ class TestVersionOneIsRefused:
         rng = random.Random(2)
         return [Tuple(f"A{rng.randrange(1, 4)}", (rng.randrange(2), rng.randrange(9))) for _ in range(30)]
 
-    def _as_version_one(self, lane_snap, runtime_buckets, index):
-        """Re-key one lane's table and bucket triples the version-1 way: once
-        per reading transition."""
+    def _as_version_one(self, lane_snap, index):
+        """Re-key one lane's table rows the version-1 way: once per reading
+        transition."""
         readers = {}
         for compiled in index.all_transitions():
             for (_, source_id, _), (slot, _) in zip(compiled.joins, compiled.probes):
                 readers.setdefault(slot, []).append((compiled.index, source_id))
         lane_snap["hash"] = [
-            ((reader, source_id, key), value)
-            for (slot, key), value in lane_snap["hash"]
+            ((reader, source_id, key), value, due)
+            for (slot, key), value, due in lane_snap["hash"]
             for reader, source_id in readers[slot]
         ]
-        for expiry_position, flat in runtime_buckets.items():
-            runtime_buckets[expiry_position] = [
-                item
-                for lane, (slot, key), node in zip(flat[0::3], flat[1::3], flat[2::3])
-                for reader, source_id in readers[slot]
-                for item in (lane, (reader, source_id, key), node)
-            ]
 
     def test_single_engine_restore(self):
         original = StreamingEvaluator(self._pcea(), window=self.WINDOW)
@@ -854,7 +934,7 @@ class TestVersionOneIsRefused:
             original.process(tup)
         snap = original.snapshot()
         assert snap["snapshot_version"] == SNAPSHOT_VERSION and original.hash_table_size() > 0
-        self._as_version_one(snap["lanes"][0], snap["runtime"]["buckets"], original.pcea.dispatch_index())
+        self._as_version_one(snap["lanes"][0], original.pcea.dispatch_index())
         snap["snapshot_version"] = 1
         assert len(snap["lanes"][0]["hash"]) == 2 * original.hash_table_size()  # k-1 readers each
         fresh = StreamingEvaluator(self._pcea(), window=self.WINDOW)
@@ -889,7 +969,7 @@ class TestVersionOneIsRefused:
         self._as_version_two(full)
         if version == 1:
             dispatch = original._queries[handle.id].dispatch
-            self._as_version_one(full["lanes"][0], full["runtime"]["buckets"], dispatch)
+            self._as_version_one(full["lanes"][0], dispatch)
             full["snapshot_version"] = 1
 
         fresh = MultiQueryEngine()
@@ -936,8 +1016,9 @@ class TestQuerySubsetSnapshotsAreRefused:
 
     def _partial(self, engine):
         """The tree a query-subset extraction wrote: the placement and lanes of
-        a full snapshot, a ``kind`` tag instead of ``engine``, the position,
-        the bucket triples and one digest per query."""
+        a full snapshot, a ``kind`` tag instead of ``engine``, the position
+        and one digest per query (its bucket triples are left out: a current
+        lane carries each key's due on its table row)."""
         full = engine.snapshot()
         return {
             "snapshot_version": full["snapshot_version"],
@@ -945,7 +1026,6 @@ class TestQuerySubsetSnapshotsAreRefused:
             "position": engine.position,
             "placement": full["placement"],
             "lanes": full["lanes"],
-            "buckets": full["runtime"]["buckets"],
             "signatures": [engine._queries[handle.id].dispatch.digest() for handle in engine.handles()],
         }
 
@@ -1028,6 +1108,16 @@ def _records_of(slab_snap):
     return records
 
 
+def _slab_bases(arena_snap):
+    """Each snapshot slab's first node id: the slabs tile the slots from the
+    release cursor, 64 ids a slot."""
+    bases, slot = [], arena_snap["release_cursor"]
+    for slab in arena_snap["slabs"]:
+        bases.append(slot << 6)
+        slot += slab["span"]
+    return bases
+
+
 def _set_records(slab_snap, records):
     if sys.byteorder != "little":
         records.byteswap()
@@ -1050,18 +1140,18 @@ class TestUntrustedRecords:
     def _tampered(self, kernel, field):
         snap = self._snapshot(kernel)
         arena = snap["lanes"][0]["ds"]
-        slab = next(slab for slab in arena["slabs"] if slab["prods"])
+        base, slab = next((base, slab) for base, slab in zip(_slab_bases(arena), arena["slabs"]) if slab["prods"])
         records = _records_of(slab)
-        node = next(index for index in range(slab["count"]) if records[5 * index + 4] >> 32)
+        node = next(index for index in range(len(records) // 5) if records[5 * index + 4] >> 32)
         meta = records[5 * node + 4]
         if field == "product":
             records[5 * node + 4] = ((len(slab["prods"]) + 1) << 32) | (meta & 0xFFFFFFFF)
         elif field == "label":
             records[5 * node + 4] = (meta & ~0xFFFFFFFE) | (len(arena["labels"]) << 1)
         elif field == "link":  # a union link to itself: a walk would cycle
-            records[5 * node + 2] = slab["base"] + node
+            records[5 * node + 2] = base + node
         elif field == "child":  # a product child that is the node itself
-            slab["prods"][(meta >> 32) - 1] = (slab["base"] + node,)
+            slab["prods"][(meta >> 32) - 1] = (base + node,)
         elif field == "max_start":  # the C kernel's position - max_start overflows
             records[5 * node + 1] = -(1 << 63) + 1
         elif field == "position":
@@ -1110,29 +1200,23 @@ class TestUntrustedRecords:
         assert fresh.snapshot() == untouched
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_slabs_must_tile_the_slots(self, kernel):
+    def test_a_slab_holds_whole_records_within_its_span(self, kernel):
+        """A slab's base and record count are derived — from the tiling and
+        from its record bytes — so what is left to refuse is a span that is
+        no valid slot count, and more records than the span holds."""
         snap = self._snapshot(kernel)
-        assert len(snap["lanes"][0]["ds"]["slabs"]) >= 2
-        moved = roundtrip(snap, "json")
-        moved["lanes"][0]["ds"]["slabs"][1]["base"] += 64  # a gap after the first slab
-        shrunk = roundtrip(snap, "json")
-        shrunk["lanes"][0]["ds"]["next_slot"] += 1
-        for tampered, reason in ((moved, "slot sequence"), (shrunk, "allocation cursor")):
-            with pytest.raises(ValueError, match=reason):
-                self._engine(kernel).restore(tampered)
+        for span, records in ((0, None), (1025, None), (1, bytes(40 * 65))):
+            tampered = roundtrip(snap, "json")
+            slab = tampered["lanes"][0]["ds"]["slabs"][-1]
+            slab["span"] = span
+            if records is not None:
+                slab["records"] = records
+            fresh = self._engine(kernel)
+            untouched = fresh.snapshot()
+            with pytest.raises(SnapshotError, match="span|whole records"):
+                fresh.restore(tampered)
+            assert fresh.snapshot() == untouched
         self._engine(kernel).restore(snap)
-
-    def test_bucket_pairs_must_name_a_restored_lane(self):
-        snap = self._snapshot("python")
-        expiry, flat = next(iter(snap["runtime"]["buckets"].items()))
-        other_lane = roundtrip(snap, "json")
-        other_lane["runtime"]["buckets"][expiry] = [1] + flat[1:]  # the engine has lane 0 only
-        cut = roundtrip(snap, "json")
-        cut["runtime"]["buckets"][expiry] = flat[:-1]
-        with pytest.raises(KeyError):
-            self._engine("python").restore(other_lane)
-        with pytest.raises(ValueError, match="whole pairs"):
-            self._engine("python").restore(cut)
 
 
 # ---------------------------------------------------------------- fuzzing
@@ -1200,10 +1284,17 @@ def _checkpoint(kind):
     return make, blob
 
 
+#: What an engine processes after an accepted restore: half one tuple at a
+#: time, half through ``process_many``.
+AFTER_RESTORE = sigma0_stream(100, seed=37)
+
+
 def restores_or_refuses(make, blob):
     """``blob`` restores into an engine that has processed tuples, or raises
     one of RESTORE_ERRORS and leaves that engine's snapshot bytes as they
-    were; any other exception escapes and fails the test."""
+    were.  A restored engine goes on: it processes ``AFTER_RESTORE`` one
+    tuple at a time and in batches, and its next checkpoint restores into a
+    fresh engine.  Any other exception, anywhere, escapes and fails the test."""
     engine = make()
     for tup in sigma0_stream(20, seed=31):
         engine.process(tup)
@@ -1212,6 +1303,13 @@ def restores_or_refuses(make, blob):
         engine.restore(snapshot_codec.loads(blob))
     except RESTORE_ERRORS:
         assert snapshot_codec.dumps(engine.snapshot()) == before
+        return
+    half = len(AFTER_RESTORE) // 2
+    for tup in AFTER_RESTORE[:half]:
+        engine.process(tup)
+    for start in range(half, len(AFTER_RESTORE), 16):
+        engine.process_many(AFTER_RESTORE[start : start + 16])
+    make().restore(snapshot_codec.loads(snapshot_codec.dumps(engine.snapshot())))
 
 
 #: The engines a checkpoint is fuzzed from: one query, one store of a hashed
@@ -1222,6 +1320,36 @@ KINDS = ["single", "mixed", "multi"]
 class TestCheckpointFuzz:
     # No test here fixes ``max_examples``: tier-1 runs the default budget, CI
     # the ``fuzz`` profile (conftest.py).
+    def test_a_long_sweep_gap_visits_the_pending_buckets(self):
+        """Found by this fuzz: a checkpoint whose position a mutation moved
+        2**40 past its ``swept_upto`` restored, and the next sweep walked
+        every position in between.  Across a gap longer than the buckets
+        pending, the sweep pops those buckets alone."""
+
+        class Counting(dict):
+            pops = 0
+
+            def pop(self, *args):
+                Counting.pops += 1
+                return super().pop(*args)
+
+        stream = sigma0_stream(60, seed=3)
+        donor = _single()
+        for tup in stream[:40]:
+            donor.process(tup)
+        snap = roundtrip(donor.snapshot(), "json")
+        snap["runtime"]["position"] += 1 << 20
+        engine = _single()
+        engine.restore(snap)
+        runtime = engine._runtime
+        pending = len(runtime.buckets)
+        assert pending and engine.hash_table_size()
+        runtime.buckets = Counting(runtime.buckets)
+        for tup in stream[40:]:
+            engine.process(tup)
+        assert Counting.pops <= pending + len(stream[40:])
+
+
     @pytest.mark.parametrize("kind", KINDS)
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
