@@ -45,7 +45,10 @@ Candidates are evaluated as **plans** (:class:`EvalPlan`): pre-grouped by
 the canonical key of their unary predicate, so the fire loop
 (:func:`repro.runtime.fire`) evaluates one predicate per group — or, for
 groups differing only in the ``c`` of an ``attr ⋈ c`` conjunct, one per
-**threshold family** (:class:`EvalFamily`).  The plans live in the
+**threshold family** (:class:`EvalFamily`).  A group runs *fire items*:
+its members, but for the parallel transitions into one leaf state that one
+predicate key decides, folded into one :class:`LeafItem` when the group is
+built.  The plans live in the
 multi-query engine's merged index
 (:class:`~repro.multi.merged_index.MergedDispatchIndex`), which every engine
 reads through its ``plan_for``: one per relation, one for the wildcards and
@@ -140,13 +143,85 @@ class EvalGroup:
 
     Equal canonical keys accept exactly the same tuples, so one ``accepts``
     call — the first member's, unless one is given — decides the whole group.
+
+    ``items`` is what :func:`repro.runtime.fire` runs when the group accepts:
+    its members, in order, but for the *leaf items*.  The members whose
+    compiled transition ``folds`` (store-through into one leaf state, every
+    transition into which has this one predicate key) are one
+    :class:`LeafItem` per ``(store, leaf state)``, in the place of the first;
+    a lone one stays a member.  They are folded here, when a plan is built
+    (:func:`plan_of` and :meth:`PlanCell.patch` both build groups through
+    this constructor), so no tuple pays for it; ``items`` is ``members``
+    itself where nothing folds.  A threshold family's held group is handed
+    its ``items`` precomputed.
     """
 
-    __slots__ = ("accepts", "members")
+    __slots__ = ("accepts", "members", "items")
 
-    def __init__(self, members: Sequence, accepts: Optional[Any] = None) -> None:
+    def __init__(
+        self, members: Sequence, accepts: Optional[Any] = None, items: Optional[Sequence] = None
+    ) -> None:
         self.accepts = members[0].accepts if accepts is None else accepts
         self.members = members
+        self.items = fire_items(members) if items is None else items
+
+
+class LeafItem:
+    """The store-through members into one leaf state of one store, as one fire item.
+
+    Under bag semantics one tuple satisfying several atoms fires parallel
+    source-less transitions into one leaf state; when they share one
+    predicate key they fire together or not at all, so :func:`repro.runtime.fire`
+    handles them as one: one fired entry, one new-node bucket and one
+    ``extend_onto(label_sets, …)``.  The item ranks at its first member's
+    ``index``, carries the members' label sets in index order and takes the
+    target's ``owner``, ``consumers`` and ``target_id``; ``compiled`` is the
+    first member's, whose shape — store-through, into a leaf, never final —
+    every member shares.  It stands for one transition per label set (the
+    statistics count each).
+    """
+
+    __slots__ = ("index", "owner", "compiled", "consumers", "target_id", "label_sets")
+
+    #: Source-less: a leaf item joins nothing.
+    probes = ()
+
+    def __init__(self, members: Sequence) -> None:
+        first = members[0]
+        self.index = first.index
+        self.owner = first.owner
+        self.compiled = first.compiled
+        self.consumers = first.consumers
+        self.target_id = first.target_id
+        self.label_sets = tuple([member.compiled.labels for member in members])
+
+    def __repr__(self) -> str:
+        return f"LeafItem(#{self.index}, width={len(self.label_sets)}, owner={self.owner!r})"
+
+
+def fire_items(members: Sequence) -> Sequence:
+    """``members`` (one predicate group, in canonical order) with the members
+    that fold into one leaf state of one store replaced by one
+    :class:`LeafItem`, at the first one's place; ``members`` itself when no
+    two fold together."""
+    runs: Dict[Tup[int, int], List] = {}  # (id(store), leaf state) -> its members
+    items: List = []  # the members, a leaf state's as one list
+    for member in members:
+        if member.compiled.folds:
+            key = (id(member.owner), member.target_id)
+            run = runs.get(key)
+            if run is None:
+                runs[key] = run = []
+                items.append(run)
+            run.append(member)
+        else:
+            items.append(member)
+    if len(items) == len(members):
+        return members
+    return tuple([
+        item if type(item) is not list else item[0] if len(item) == 1 else LeafItem(item)
+        for item in items
+    ])
 
 
 #: How the sorted constants of a ``v ⋈ c`` family split on the value ``v``:
@@ -182,7 +257,7 @@ def _held(tup) -> bool:
     return True
 
 
-_NONE_HELD = EvalGroup((), _held)
+_NONE_HELD = EvalGroup((), _held, ())
 
 
 class EvalFamily:
@@ -190,18 +265,39 @@ class EvalFamily:
     relation, position and ``⋈ ∈ {<, ≤, >, ≥}``: one ``base`` call and one bisect
     of ``v`` into the sorted constants decide them all — the accepting members
     are a prefix or a suffix of ``members``, which are listed by constant (the
-    ``groups`` given must be)."""
+    ``groups`` given must be).
+
+    ``items`` are the groups' fire items side by side, built with the family.
+    A group's members share one constant, so every cut falls on a group
+    boundary: :meth:`held` slices the precomputed items there (``item_cuts``
+    maps a cut of ``members`` to the cut of ``items``, ``None`` when no group
+    folds) and builds none per tuple."""
 
     __slots__ = ("accepts", "relation", "position", "cut", "suffix", "constants", "members",
-                 "groups")  # fmt: skip
+                 "groups", "items", "item_cuts")  # fmt: skip
 
     def __init__(self, groups: Sequence[EvalGroup]) -> None:
         self.groups = tuple(groups)
         key, _, self.accepts, _ = groups[0].members[0].family
         _, self.relation, self.position, operator, _ = key
         self.cut, self.suffix = _CUTS[operator]
-        self.members = tuple([member for group in self.groups for member in group.members])
+        members: List = []
+        folded = False
+        for group in self.groups:
+            members += group.members
+            folded = folded or group.items is not group.members
+        self.members = tuple(members)
         self.constants = [member.family[1] for member in self.members]
+        if not folded:
+            self.items, self.item_cuts = self.members, None
+        else:
+            self.items = tuple([item for group in self.groups for item in group.items])
+            cuts = self.item_cuts = [0] * (len(self.members) + 1)
+            member_cut = item_cut = 0
+            for group in self.groups:
+                member_cut += len(group.members)
+                item_cut += len(group.items)
+                cuts[member_cut] = item_cut
 
     def held(self, tup) -> EvalGroup:
         """The members whose predicate accepts ``tup``, as a group already accepted."""
@@ -217,11 +313,21 @@ class EvalFamily:
                 pass
             else:
                 held = self.members[cut:] if self.suffix else self.members[:cut]
-                return EvalGroup(held, _held) if held else _NONE_HELD
+                if not held:
+                    return _NONE_HELD
+                cuts = self.item_cuts
+                if cuts is None:
+                    return EvalGroup(held, _held, held)
+                cut = cuts[cut]
+                return EvalGroup(held, _held, self.items[cut:] if self.suffix else self.items[:cut])
         # NaN (which a bisect would misplace) or a value that does not compare
         # with the constants: each group's own acceptor decides, as unfamilied.
-        held = [member for group in self.groups if group.accepts(tup) for member in group.members]
-        return EvalGroup(held, _held) if held else _NONE_HELD
+        held, items = [], []
+        for group in self.groups:
+            if group.accepts(tup):
+                held += group.members
+                items += group.items
+        return EvalGroup(held, _held, items) if held else _NONE_HELD
 
 
 class EvalPlan:
@@ -258,8 +364,9 @@ member_order = attrgetter("index")
 
 def plan_of(members: Sequence) -> EvalPlan:
     """Group canonically ordered members by predicate key (first-member order),
-    then gather the groups of each threshold family key into an
-    :class:`EvalFamily` where there are two or more (a lone one stays a group)."""
+    each group folding its leaf items (:class:`EvalGroup`), then gather the
+    groups of each threshold family key into an :class:`EvalFamily` where
+    there are two or more (a lone one stays a group)."""
     grouped: Dict[Hashable, List] = {}
     for member in members:
         bucket = grouped.get(member.pred_key)
@@ -338,8 +445,14 @@ class PlanCell:
     :meth:`patch` rebuilds only the groups its members belong to and their
     families, then assembles :attr:`plan` from the cached ones: what
     :func:`plan_of` builds over the cell's members, but for the order of the
-    groups (which decides nothing the fire loop applies).  Plans handed out
-    are never mutated.
+    groups (which decides nothing the fire loop applies).  A rebuilt group
+    folds its leaf items as it is built (:class:`EvalGroup`: a leaf state
+    folds only where one predicate key decides every transition into it, so
+    all of them lie in that one group) — looking only at the members coming
+    in when the group folded nothing before, so a registration does not walk
+    a large group that cannot fold — and a rebuilt family takes its groups'
+    items; a group left alone keeps its own.  Plans handed out are never
+    mutated.
     """
 
     __slots__ = ("groups", "loose", "kin", "families", "total", "plan")
@@ -370,7 +483,16 @@ class PlanCell:
             if plus and len(members) > 1:
                 members.sort(key=member_order)
             self.total += len(plus) - len(minus)
-            group = EvalGroup(tuple(members)) if members else None
+            if members:
+                members = tuple(members)
+                # Only a member coming in can fold with another: a group
+                # that folded nothing, joined by none that folds, folds nothing.
+                folds = old is not None and old.items is not old.members
+                for member in plus:
+                    folds = folds or member.compiled.folds
+                group = EvalGroup(members) if folds else EvalGroup(members, None, members)
+            else:
+                group = None
             if group is None:
                 del groups[pred_id]
             else:
@@ -443,7 +565,13 @@ class CompiledTransition:
 
     Those fields up to ``into_leaf`` are the transition's *shape*, taken whole
     from a :class:`DispatchStructure`; the rest are *bound* here from the
-    transition's unary predicate.
+    transition's unary predicate.  ``folds``, bound by the index, says the
+    transition is store-through into a leaf state every transition into
+    which has one predicate key: they fire together or not at all, so a plan
+    group folds them into one :class:`LeafItem`.  Where the transitions into
+    a leaf state span predicate groups nothing folds — the fire loop then
+    joins their runs into the leaf item per tuple, in rank order, which a
+    per-group fold would not keep.
     """
 
     __slots__ = (
@@ -465,6 +593,7 @@ class CompiledTransition:
         "guard",
         "pred_key",
         "family",
+        "folds",
     )
 
     def __init__(self, shape: Tup, transition: "PCEATransition", binding: Tup) -> None:
@@ -474,6 +603,7 @@ class CompiledTransition:
         self.transition = transition
         self.unary = transition.unary
         self.accepts, self.relations, self.guard, self.pred_key, self.family = binding
+        self.folds = False
 
     def __repr__(self) -> str:
         key = "*" if self.relations is None else "|".join(sorted(self.relations))
@@ -620,12 +750,14 @@ class MergedEntry:
     rank, named as on :class:`CompiledTransition` (a counter in registration
     order, then transition order within a query), ``family`` its
     threshold family and ``scan`` the compiled transition's, its target's
-    scan slot renumbered into the store's slot space.
+    scan slot renumbered into the store's slot space.  As a fire item (see
+    :class:`EvalGroup`) it stands for its one transition: ``label_sets`` is
+    its label set alone, as on a :class:`LeafItem`.
     """
 
     __slots__ = (
         "owner", "handle", "compiled", "accepts", "pred_key", "family", "guard", "index",
-        "probes", "consumers", "target_id", "since", "scan",
+        "probes", "consumers", "target_id", "since", "scan", "label_sets",
     )  # fmt: skip
 
     def __init__(
@@ -653,6 +785,7 @@ class MergedEntry:
         self.consumers = consumers
         self.target_id = consumers[0][0] if consumers else -1
         self.scan = scan
+        self.label_sets = (compiled.labels,)
 
     def __repr__(self) -> str:
         return f"MergedEntry(owner={self.owner!r}, {self.compiled!r})"
@@ -720,6 +853,15 @@ class TransitionDispatchIndex:
                     threshold_family(unary),
                 )
             compiled.append(CompiledTransition(shape, transition, binding))
+        # A leaf state's parallel transitions fold into one fire item only
+        # where one predicate key decides them all.
+        for into, _ in structure.leaves().values():
+            first = compiled[into[0]]
+            if len(into) > 1 and first.store_through and all(
+                compiled[i].pred_key == first.pred_key for i in into
+            ):
+                for i in into:
+                    compiled[i].folds = True
         self._all: Tup[CompiledTransition, ...] = tuple(compiled)
         self._leaves: Optional[Dict[int, Hashable]] = None  # see leaf_states()
         self._digest: Optional[bytes] = None  # see digest()

@@ -30,14 +30,16 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
     output at this position (``None`` when none did).
 
     One acceptor call decides each predicate group, one base call and one
-    bisect each threshold family (its held members then run as a group's); a
-    held member fires when every join probe finds a live entry in its store's
-    table.  This phase only reads the tables, so the fired *set* does not depend on the order groups
+    bisect each threshold family (its held members then run as a group's);
+    an accepted group runs its fire items (``group.items``): its members, a
+    leaf state's folded ones as one :class:`~repro.core.dispatch.LeafItem`.
+    A held item fires when every join probe finds a live entry in its
+    store's table.  This phase only reads the tables, so the fired *set* does not depend on the order groups
     are evaluated in; sorting it back to canonical order before the effects
     makes node creation, table updates and final collection — hence node ids
     and outputs — independent of plan order too.  A fired entry is
-    ``(member.index, member, children, max_start)``: indexes are unique
-    within a plan, so the sort compares ints and never reaches a member.
+    ``(item.index, item, children, max_start)``: indexes are unique
+    within a plan, so the sort compares ints and never reaches an item.
 
     A store's table is the paper's ``H[e, p, k]`` with ``e`` folded into a
     *slot*, the store's id of one ``(p, left key plan)`` pair: transitions
@@ -48,15 +50,19 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
     is inside the window *and* at or past ``since``.
 
     The runs a state receives at this position are listed in canonical
-    order.  A store-through member's fresh leaf run is not built first:
-    UpdateIndices writes it onto the entry with ``extend_onto``.  The runs
-    of a *leaf state* (``member.compiled.into_leaf``: every run into it is a
-    leaf run) form one *leaf item* — their label sets, appended in place —
-    written as one record naming their label run: bag semantics turns one
-    tuple satisfying several atoms into such parallel transitions, and the
-    entry pays one record, not one per label.  No union ever descends into
-    a leaf state's entry, so the walk reads the record as the chain of one
-    record per label set.  A state a product run also reaches takes one
+    order.  A store-through item's fresh leaf runs are not built first:
+    UpdateIndices writes them onto the entry with ``extend_onto``.  The runs
+    of a *leaf state* (``item.compiled.into_leaf``: every run into it is a
+    leaf run) form one *leaf item*, written as one record naming their label
+    run: bag semantics turns one tuple satisfying several atoms into such
+    parallel transitions, and the entry pays one record, not one per label.
+    Where one predicate key decides every transition into the state, the
+    plan already holds them as one :class:`~repro.core.dispatch.LeafItem` —
+    one fired entry, one bucket, its ``label_sets`` in rank order, one
+    transition counted per label set; else each member's label set joins
+    the item here, in rank order.  No union ever descends into a leaf
+    state's entry, so the walk reads the record as the chain of one record
+    per label set.  A state a product run also reaches takes one
     ``extend_onto`` per leaf run, in list order.
 
     A join outside ``B_eq`` (Section 6's open case) is a *scan probe*, a
@@ -82,7 +88,7 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
     for group in groups:
         if not group.accepts(tup):
             continue
-        for member in group.members:
+        for member in group.items:
             probes = member.probes
             if not probes:
                 fired.append((member.index, member, (), position))
@@ -155,18 +161,20 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
         # Plan members have distinct indexes, so this compares ints only.
         fired.sort()
     if stats is not None:
-        stats.transitions_fired += len(fired)
-        stats.nodes_created += len(fired)
+        # A leaf item counts the transitions it stands for, one per label set.
+        width = sum([len(entry[1].label_sets) for entry in fired])
+        stats.transitions_fired += width
+        stats.nodes_created += width
 
     # store -> target state id -> (slots of the state, [(node, max_start,
-    # labels)]); a leaf run or item is (None, position, [label sets]).
+    # labels)]); a leaf run or item is (None, position, (label sets)).
     new_nodes: Dict[object, Dict[int, tuple]] = {}
     finals: Optional[Dict[object, List]] = None
     for _, member, children, node_ms in fired:
         store = member.owner
         compiled = member.compiled
         if compiled.store_through:
-            # A fresh leaf run read through one slot (never final): written
+            # Fresh leaf runs read through one slot (never final): written
             # below, straight onto that slot's entry.  A leaf state's runs
             # are one leaf item, one record onto the entry.
             store_nodes = new_nodes.get(store)
@@ -174,11 +182,13 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
                 store_nodes = new_nodes[store] = {}
             bucket = store_nodes.get(member.target_id)
             if bucket is None:
-                store_nodes[member.target_id] = (member.consumers, [(None, position, [compiled.labels])])
+                store_nodes[member.target_id] = (member.consumers, [(None, position, member.label_sets)])
             elif compiled.into_leaf:
-                bucket[1][0][2].append(compiled.labels)
+                # A leaf state whose transitions span predicate groups folded
+                # nothing: its runs join the leaf item here, in rank order.
+                bucket[1][0] = (None, position, bucket[1][0][2] + member.label_sets)
             else:
-                bucket[1].append((None, position, [compiled.labels]))
+                bucket[1].append((None, position, member.label_sets))
             continue
         if member.scan:
             # Each join's compatible runs unioned into one child, in

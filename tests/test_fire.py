@@ -25,7 +25,10 @@ it consumes (``repro.core.dispatch``).
   single-query evaluator is its K=1 case) and one engine skeleton (every
   automaton is admitted, the probe kind chosen per join), one function walks a plan's groups to fire them, a plan
   member's rank has one name, nothing imports ``pickle``, and adaptive
-  dispatch left no residue.
+  dispatch left no residue;
+* a leaf state's folded transitions are one fire item built with the plan:
+  a threshold family's held group slices the items the family was built
+  with, and no tuple builds one.
 """
 
 import ast
@@ -40,15 +43,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import dispatch
 from repro.core.arena import ArenaDataStructure, _Slab
 from repro.core.dispatch import (
-    CompiledTransition, DispatchStructure, EvalGroup, EvalPlan, MergedEntry, TransitionDispatchIndex,
-    _split_by_guard,
+    CompiledTransition, DispatchStructure, EvalGroup, EvalPlan, LeafItem, MergedEntry,
+    TransitionDispatchIndex, _split_by_guard,
 )
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.pcea import PCEA, PCEATransition
 from repro.core.hcq_to_pcea import hcq_to_pcea
-from repro.core.predicates import ProjectionEquality, RelationPredicate, UnaryPredicate, compile_key_plan
+from repro.core.predicates import (
+    AttributeFilter, ProjectionEquality, RelationPredicate, UnaryPredicate, compile_key_plan,
+)
 from repro.cq.schema import Tuple
 from repro.engine.compiler import compile_pattern
 from repro.engine.dsl import atom, conjunction, disjunction
@@ -593,6 +599,58 @@ def test_there_is_one_engine_skeleton():
     assert shadowed == {"_enumerate", "snapshot", "restore"}
 
 
+def folded_family_pcea(operator):
+    """Leaf states ``p`` and ``r``, each reached by two ``E`` transitions of
+    one threshold unary (``y ⋈ 1`` into ``p``, ``y ⋈ 2`` into ``r``), each
+    read by an ``F`` tuple joining on the first attribute."""
+    into = lambda threshold, label, state: PCEATransition(  # noqa: E731
+        frozenset(), AttributeFilter("E", 1, operator, threshold), {}, {label}, state
+    )
+    join = ProjectionEquality({"E": (0,)}, {"F": (0,)})
+    transitions = [
+        into(1, "a", "p"), into(1, "b", "p"), into(2, "c", "r"), into(2, "d", "r"),
+        PCEATransition({"p"}, RelationPredicate("F"), {"p": join}, {"x"}, "f"),
+        PCEATransition({"r"}, RelationPredicate("F"), {"r": join}, {"y"}, "f"),
+    ]  # fmt: skip
+    return PCEA({"p", "r", "f"}, transitions, {"f"})
+
+
+@pytest.mark.parametrize("operator", ["<", ">"])
+def test_a_family_slices_the_fire_items_it_was_built_with(operator, monkeypatch):
+    """The two leaf states fold into one fire item each, held by one
+    threshold family (``<`` holds a suffix of it, ``>`` a prefix).  Once the
+    plans are built nothing builds a fire item: ``held`` hands back slices of
+    the family's own items (the bisect and the NaN / no-compare fallback
+    alike) and the engine processes a stream."""
+    engine = StreamingEvaluator(folded_family_pcea(operator), 8, collect_stats=True)
+    holds = {"<": lambda y, c: y < c, ">": lambda y, c: y > c}[operator]
+    (family,) = engine._merged.plan_for(Tuple("E", (0, 0))).families
+    assert [(type(item), len(item.label_sets)) for item in family.items] == [(LeafItem, 2), (LeafItem, 2)]
+
+    def built(*args):
+        raise AssertionError("a fire item was built per tuple")
+
+    monkeypatch.setattr(dispatch, "fire_items", built)
+    monkeypatch.setattr(LeafItem, "__init__", built)
+    for value in (0, 1, 2, 5):
+        items = family.held(Tuple("E", (0, value))).items
+        # The item into p ranks at transition 0 (y ⋈ 1), the one into r at 2 (y ⋈ 2).
+        assert [item.index for item in items] == [i for i, c in ((0, 1), (2, 2)) if holds(value, c)]
+        assert all(any(item is own for own in family.items) for item in items)
+    assert not family.held(Tuple("E", (0, float("nan")))).items
+    assert not family.held(Tuple("E", (0, "s"))).items
+    rng = random.Random(3)
+    stream = [Tuple(rng.choice("EEF"), (rng.randrange(2), rng.randrange(4))) for _ in range(200)]
+    outputs = 0
+    for tup in stream:
+        fired = engine.stats.transitions_fired
+        outputs += len(engine.process(tup))
+        if tup.relation == "E":  # an item counts its width: 2 transitions into p, 2 into r
+            y = tup.values[1]
+            assert engine.stats.transitions_fired - fired == 2 * holds(y, 1) + 2 * holds(y, 2)
+    assert outputs > 0
+
+
 def test_a_plan_member_has_one_rank_name():
     """Compiled transitions and merged entries both expose their canonical
     candidate rank as ``index``, and nothing else carries it."""
@@ -623,11 +681,12 @@ def test_pickle_is_imported_nowhere():
 def test_adaptive_dispatch_left_no_residue():
     """Every engine reads its plans straight from its index: plan members
     carry no hit counter, plans no probe count, groups no representative or
-    reorder rank, the runtime no flush clock, and nothing imports the retired
-    module."""
+    reorder rank (only their members and the fire items folded from them when
+    the group is built), the runtime no flush clock, and nothing imports the
+    retired module."""
     assert "hits" not in CompiledTransition.__slots__ + MergedEntry.__slots__
     assert "probes" not in EvalPlan.__slots__
-    assert set(EvalGroup.__slots__) == {"accepts", "members"}
+    assert set(EvalGroup.__slots__) == {"accepts", "members", "items"}
     assert not {"arm_adapt", "disarm_adapt", "adapt_hook", "_next_adapt"} & set(dir(StreamRuntime))
     source_root = Path(__file__).resolve().parent.parent / "src" / "repro"
     assert not (source_root / "core" / "adaptive.py").exists()

@@ -11,6 +11,15 @@ reaches, as one record per label set.  Covered here:
   reaches: the arena on every kernel built and the object structure list
   equal outputs, in equal order, at every position, and their sets equal
   the naive ``pcea.outputs_upto``'s;
+* the order of those outputs, pinned: the object structure shares the fire
+  loop, so equal order above cannot catch a fire loop that reorders a leaf
+  state's label run.  The transitions into the leaf state may carry unaries
+  of different predicate groups on one relation (a relation predicate, a
+  ``!=`` filter, members of a threshold family, a constant-guarded filter);
+  a leaf state folds into one fire item only where one predicate key
+  decides every transition into it, since a fold per group reorders the
+  run.  Output-order digests of seeded automata and streams, and of one
+  named automaton, are pinned as the build before the fold wrote them;
 * the run table of a checkpoint is untrusted input: a run naming a label id
   outside the label table, a run of fewer than two ids, a repeated run, a
   run that is not a tuple of ints and a record whose run id lies past the
@@ -21,14 +30,18 @@ reaches, as one record per label set.  Covered here:
   run table.
 """
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.arena import _RUN_BASE
+from repro.core.dispatch import LeafItem
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.pcea import PCEA, PCEATransition
-from repro.core.predicates import ProjectionEquality, RelationPredicate
+from repro.core.predicates import AttributeFilter, ProjectionEquality, RelationPredicate
 from repro.cq.schema import Tuple
 from repro.runtime import SnapshotError
 from repro.runtime import snapshot as snapshot_codec
@@ -40,22 +53,34 @@ from test_snapshot import _records_of, _set_records
 WINDOW = 6
 
 
-@st.composite
-def parallel_leaf_pceas(draw):
-    """A leaf state ``p`` reached by 1–4 source-less transitions on ``A`` or
-    ``B``; a state ``q`` reached by 1–4 source-less transitions on ``B`` or
-    ``C`` and by a product run from ``p`` on ``B``; a final ``f`` closed by
-    ``C`` from ``q`` and from ``p``.  Every label set is distinct."""
-    into_p = draw(st.lists(st.sampled_from("AB"), min_size=1, max_size=4))
-    into_q = draw(st.lists(st.sampled_from("BC"), min_size=1, max_size=4))
-    shared = draw(st.booleans())  # every label set also holds one shared label
+#: The unaries a transition into ``p`` may carry, by kind: each kind is its
+#: own predicate group.  On tuples over ``{0, 1}`` a relation predicate, the
+#: ``!=`` filter and ``< 2`` accept alike; ``< 1`` and ``< 2`` are one
+#: threshold family; ``== 1`` at position 0 is constant-guarded.
+UNARIES = {
+    "relation": lambda relation: RelationPredicate(relation),
+    "not nine": lambda relation: AttributeFilter(relation, 1, "!=", 9),
+    "below one": lambda relation: AttributeFilter(relation, 1, "<", 1),
+    "below two": lambda relation: AttributeFilter(relation, 1, "<", 2),
+    "first is one": lambda relation: AttributeFilter(relation, 0, "==", 1),
+}
+#: The kinds drawn, a relation predicate twice as often (two on one relation fold).
+KINDS = ["relation", "relation", "not nine", "below one", "below two", "first is one"]
+
+
+def parallel_leaf_pcea(into_p, into_q, shared):
+    """A leaf state ``p`` reached by a source-less transition per ``(relation,
+    unary kind)`` of ``into_p``; a state ``q`` reached by a source-less
+    transition on each relation of ``into_q`` and by a product run from ``p``
+    on ``B``; a final ``f`` closed by ``C`` from ``q`` and from ``p``.  Every
+    label set is distinct (with ``shared``, each also holds ``s``)."""
     extra = {"s"} if shared else set()
     on = lambda earlier, at, reader: ProjectionEquality(  # noqa: E731
         {relation: (at,) for relation in earlier}, {reader: (at,)}
     )
     transitions = [
-        PCEATransition(frozenset(), RelationPredicate(relation), {}, {f"p{i}"} | extra, "p")
-        for i, relation in enumerate(into_p)
+        PCEATransition(frozenset(), UNARIES[kind](relation), {}, {f"p{i}"} | extra, "p")
+        for i, (relation, kind) in enumerate(into_p)
     ]
     transitions += [
         PCEATransition(frozenset(), RelationPredicate(relation), {}, {f"q{i}"} | extra, "q")
@@ -67,6 +92,16 @@ def parallel_leaf_pceas(draw):
         PCEATransition({"p"}, RelationPredicate("C"), {"p": on("AB", 0, "C")}, {"d"}, "f"),
     ]
     return PCEA({"p", "q", "f"}, transitions, {"f"})
+
+
+@st.composite
+def parallel_leaf_pceas(draw):
+    """:func:`parallel_leaf_pcea` of 1–4 transitions into ``p`` on ``A`` or
+    ``B`` under any unary kind, and 1–4 into ``q`` on ``B`` or ``C``."""
+    transition = st.tuples(st.sampled_from("AB"), st.sampled_from(KINDS))
+    into_p = draw(st.lists(transition, min_size=1, max_size=4))
+    into_q = draw(st.lists(st.sampled_from("BC"), min_size=1, max_size=4))
+    return parallel_leaf_pcea(into_p, into_q, draw(st.booleans()))
 
 
 def streams(length):
@@ -96,6 +131,98 @@ def test_label_runs_match_the_chain_and_the_naive_oracle(pcea, stream):
         assert (ds.nodes_created, ds.union_calls, ds.union_copies) == (
             oracle.ds.nodes_created, oracle.ds.union_calls, oracle.ds.union_copies
         )
+
+
+def seeded_case(seed):
+    """A :func:`parallel_leaf_pcea` and an 80-tuple stream drawn from ``seed``."""
+    rng = random.Random(seed)
+    into_p = [(rng.choice("AB"), rng.choice(KINDS)) for _ in range(rng.randint(2, 5))]
+    into_q = [rng.choice("BC") for _ in range(rng.randint(1, 3))]
+    pcea = parallel_leaf_pcea(into_p, into_q, rng.random() < 0.5)
+    stream = [Tuple(rng.choice("AABBC"), (rng.randrange(2), rng.randrange(2))) for _ in range(80)]
+    return pcea, stream
+
+
+def named_case():
+    """``p`` reached on ``A`` by a relation predicate, a ``!=`` filter that
+    accepts what it does and the relation predicate again, then on ``B``:
+    one group holds the first and the third, so a fold per group would write
+    the run ``p0, p2, p1`` where the transitions list ``p0, p1, p2``."""
+    into_p = [("A", "relation"), ("A", "not nine"), ("A", "relation"), ("B", "relation")]
+    rng = random.Random(47)
+    stream = [Tuple(rng.choice("AABBC"), (rng.randrange(2), rng.randrange(2))) for _ in range(200)]
+    return parallel_leaf_pcea(into_p, ["B", "C"], False), stream
+
+
+def output_order_digest(pcea, stream, kernel):
+    """SHA-256 over the outputs of every position in the order the engine
+    lists them, and how many there were."""
+    engine = StreamingEvaluator(pcea, WINDOW, kernel=kernel)
+    digest = hashlib.sha256()
+    count = 0
+    for tup in stream:
+        outputs = [repr(valuation) for valuation in engine.process(tup)]
+        count += len(outputs)
+        digest.update(repr(outputs).encode())
+    return digest.hexdigest(), count
+
+
+#: :func:`output_order_digest` of :func:`seeded_case`, as written by the build
+#: that joined a leaf state's runs in the fire loop, tuple by tuple.  Seed 31
+#: reaches ``p`` by one predicate key only (it folds), seed 16 by one key per
+#: relation; every other seed by two or more groups on one relation.
+PINNED_ORDER_DIGESTS = {
+    0: ("0708745ca3ce4b0b0f52b41d652e36d632ef011d4c1c8a8a36e8ce4b89bb8dd1", 98),
+    7: ("809221d90d6cc11e212e29e82201c388e487604601fd1b405c7db81d935c61d3", 100),
+    9: ("ddefcfea683e67abd2d7db76855dad42b86c50d126d9b327ce0457ad4653d229", 184),
+    12: ("45f0a7f286b2884e12d4d466d77d6900e0a8ab023b55b32350480a29416d42b3", 121),
+    15: ("82abb7b3ac34fcdca23c5a6dabe221f07611ad599aa87aba3240f73e5aa26a24", 99),
+    16: ("f63ebf7dad4b6b1ae1f2a5dcb1e7492725bafb4baa9c14df1f9e22801bf30de4", 112),
+    24: ("532dbb33237fb69f108e16aac301a757be067ded43c8ce6998d027b60bb5eb6c", 127),
+    31: ("218cc54aee51440db7cf9f8852fdeb5fbc7095f2badd6e287e92a20a6dab9deb", 90),
+}
+
+#: The same, of :func:`named_case`.
+PINNED_NAMED_DIGEST = ("cfe04cd8e293d8d1926f8ae2dfbb553e261b86952827e152e87da91984e43688", 360)
+
+
+@pytest.mark.parametrize("kernel", ARENAS)
+@pytest.mark.parametrize("seed", sorted(PINNED_ORDER_DIGESTS))
+def test_leaf_runs_keep_the_pinned_output_order(seed, kernel):
+    pcea, stream = seeded_case(seed)
+    assert output_order_digest(pcea, stream, kernel) == PINNED_ORDER_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("kernel", ARENAS)
+def test_a_leaf_state_across_predicate_groups_keeps_its_run_order(kernel):
+    """Nothing folds for ``p``: its transitions span two predicate groups on
+    ``A``.  Its runs are still one leaf item per tuple, in transition order."""
+    pcea, stream = named_case()
+    index = pcea.dispatch_index()
+    into_p = [c for c in index.all_transitions() if c.target == "p"]
+    assert all(c.into_leaf and c.store_through and not c.folds for c in into_p)
+    assert output_order_digest(pcea, stream, kernel) == PINNED_NAMED_DIGEST
+    engine = StreamingEvaluator(pcea, WINDOW, kernel=kernel)
+    (lane,) = engine._runtime.lanes()
+    runs = []
+    write = lane.extend_onto
+    lane.extend_onto = lambda label_sets, position, entry: runs.append(tuple(label_sets)) or write(
+        label_sets, position, entry
+    )
+    engine.update(Tuple("A", (0, 0)))
+    labels = [c.labels for c in into_p[:3]]
+    assert runs == [tuple(labels)]
+
+
+def test_one_predicate_key_folds_a_leaf_state():
+    """Transitions into ``p`` all of one predicate key fold: the plan of an
+    ``A`` tuple holds one fire item for them, as wide as they are many."""
+    pcea = parallel_leaf_pcea([("A", "relation")] * 3, ["B"], False)
+    engine = StreamingEvaluator(pcea, WINDOW)
+    assert all(c.folds for c in pcea.dispatch_index().all_transitions() if c.target == "p")
+    (group,) = engine._merged.plan_for(Tuple("A", (0, 0))).groups
+    (item,) = group.items
+    assert (type(item), len(item.label_sets), len(group.members)) == (LeafItem, 3, 3)
 
 
 def storm(variants=3, length=300, seed=5):

@@ -29,7 +29,9 @@ from repro.core.arena import ArenaDataStructure
 from repro.core.dispatch import EvalGroup, _split_by_guard, plan_of
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.pcea import PCEA, PCEATransition
-from repro.core.predicates import LambdaUnaryPredicate, TruePredicate
+from repro.core.predicates import (
+    AttributeFilter, LambdaUnaryPredicate, ProjectionEquality, RelationPredicate, TruePredicate,
+)
 from repro.cq.schema import Tuple
 from repro.engine.dsl import atom, conjunction, sequence
 from repro.multi import MergedDispatchIndex, MultiQueryEngine, compile_query
@@ -73,19 +75,27 @@ def rebuilt_index(engine):
 
 
 def plan_structure(plan):
-    """What a plan decides, independent of list order: its groups and, per
-    threshold family, the family's groups, members and constants (as entry
-    indexes), and the total.  A family's constants must be sorted and line up
-    with its members, or its bisect would cut in the wrong place."""
+    """What a plan decides, independent of list order: its groups with their
+    fire items and, per threshold family, the family's groups, members and
+    constants (as entry indexes), and the total.  A family's constants must
+    be sorted and line up with its members, or its bisect would cut in the
+    wrong place; its items must be its groups' and ``item_cuts`` land on their
+    boundaries, or its held slices would take the wrong items."""
     indexes = lambda members: tuple(sorted(member.index for member in members))
+    items = lambda group: tuple((item.index, len(item.label_sets)) for item in group.items)
     families = []
     for family in plan.families:
         assert family.constants == [member.family[1] for member in family.members]
         assert family.constants == sorted(family.constants)
-        families.append(
-            (sorted(indexes(group.members) for group in family.groups), indexes(family.members), family.constants)
-        )
-    return sorted(indexes(group.members) for group in plan.groups), sorted(families), plan.total
+        assert list(family.items) == [item for group in family.groups for item in group.items]
+        cuts, member_cut, item_cut = family.item_cuts, 0, 0
+        for group in family.groups:
+            member_cut, item_cut = member_cut + len(group.members), item_cut + len(group.items)
+            assert (member_cut if cuts is None else cuts[member_cut]) == item_cut
+        groups = sorted((indexes(group.members), items(group)) for group in family.groups)
+        families.append((groups, indexes(family.members), family.constants))
+    groups = sorted((indexes(group.members), items(group)) for group in plan.groups)
+    return groups, sorted(families), plan.total
 
 
 def assert_plans_are_rebuilt(merged):
@@ -127,14 +137,32 @@ SHARED_WILDCARD = LambdaUnaryPredicate(lambda tup: tup.values[0] == 1)
 THRESHOLDS = ("<", "<=", ">", ">=")
 
 
+def parallel_query(unary, relation, width):
+    """A leaf state reached by ``width`` source-less ``relation`` transitions
+    under one ``unary`` (they fold into one fire item), read by the other
+    relation joining on the first attribute."""
+    other = "B" if relation == "A" else "A"
+    join = ProjectionEquality({relation: (0,)}, {other: (0,)})
+    transitions = [PCEATransition({}, unary, {}, {f"p{i}"}, "p") for i in range(width)]
+    transitions.append(PCEATransition({"p"}, RelationPredicate(other), {"p": join}, {"r"}, "f"))
+    return PCEA(["p", "f"], transitions, ["f"])
+
+
 @st.composite
 def churn_queries(draw):
     """A query over relations ``A``/``B``: a threshold-family atom, an ``==``
     guarded one (with or without a threshold on top), a two-atom conjunction
-    whose leaf states stores may share, or a wildcard."""
-    kind = draw(st.sampled_from(["family", "guarded", "conjunction", "wildcard"]))
+    whose leaf states stores may share, a wildcard, or a leaf state reached
+    by parallel transitions under one plain, threshold or guarded unary."""
+    kind = draw(st.sampled_from(["family", "guarded", "conjunction", "wildcard", "parallel"]))
     relation = draw(st.sampled_from("AB"))
     threshold = st.tuples(st.just("y"), st.sampled_from(THRESHOLDS), st.integers(0, 3))
+    if kind == "parallel":
+        # Thresholds of two operators mostly, so parallel queries form families.
+        threshold = AttributeFilter(relation, 1, draw(st.sampled_from(["<", ">="])), draw(st.integers(0, 3)))
+        guarded = AttributeFilter(relation, 0, "==", draw(st.integers(0, 2)))
+        unary = draw(st.sampled_from([threshold, threshold, RelationPredicate(relation), guarded]))
+        return parallel_query(unary, relation, draw(st.integers(2, 3)))
     if kind == "family":
         return atom(relation, "x", "y", filters=[draw(threshold)])
     if kind == "guarded":
@@ -363,6 +391,23 @@ class TestIncrementalMergedIndex:
             assert_plans_are_rebuilt(engine._merged)
             assert engine._merged.signature() == rebuilt_index(engine).signature()
 
+    def test_folded_leaf_items_follow_churn(self):
+        """Parallel-transition queries whose thresholds form families, in two
+        stores: after every registration and unregistration each stored plan
+        holds the fire items :func:`plan_of` folds, and each family's item
+        cuts fall on its group boundaries."""
+        engine = MultiQueryEngine()
+        handles = [
+            engine.register(parallel_query(AttributeFilter("A", 1, operator, constant), "A", width), window)
+            for operator in ("<", ">=")
+            for constant, width, window in ((1, 2, 2), (2, 3, 3), (3, 2, 2), (2, 3, 2))
+        ]
+        assert_plans_are_rebuilt(engine._merged)
+        assert all(family.item_cuts for family in engine._merged.plans["A"].families)
+        for handle in handles[::3] + handles[1::3]:
+            engine.unregister(handle)
+            assert_plans_are_rebuilt(engine._merged)
+
     def test_a_registration_regroups_what_it_joins_not_the_relation(self, monkeypatch):
         """K queries on one relation, each with a predicate of its own (no
         family, no guard): registering one more, or unregistering one,
@@ -370,9 +415,9 @@ class TestIncrementalMergedIndex:
         regrouped = []
         build = EvalGroup.__init__
 
-        def counted(group, members, accepts=None):
+        def counted(group, members, accepts=None, items=None):
             regrouped.append(len(members))
-            build(group, members, accepts)
+            build(group, members, accepts, items)
 
         monkeypatch.setattr(EvalGroup, "__init__", counted)
 

@@ -45,11 +45,13 @@ import copy
 import os
 import pickle
 import random
+import signal
 import struct
 import subprocess
 import sys
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -1288,28 +1290,61 @@ def _checkpoint(kind):
 #: time, half through ``process_many``.
 AFTER_RESTORE = sigma0_stream(100, seed=37)
 
+#: Wall seconds a restore and the engine's going on may take (they take milliseconds).
+CONTINUATION_SECONDS = 10.0
+
+
+class ContinuationTimedOut(AssertionError):
+    """A restore, or the restored engine going on, ran past ``CONTINUATION_SECONDS``."""
+
+
+@contextmanager
+def continuation_bound():
+    """Raise :class:`ContinuationTimedOut` in the block once it has run for
+    ``CONTINUATION_SECONDS`` (a ``SIGALRM`` timer, where the platform has
+    one): a restored engine that loops fails its example instead of hanging
+    the run."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+    seconds = CONTINUATION_SECONDS
+
+    def expire(signum, frame):
+        raise ContinuationTimedOut(f"the restored engine was still going on after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 def restores_or_refuses(make, blob):
     """``blob`` restores into an engine that has processed tuples, or raises
     one of RESTORE_ERRORS and leaves that engine's snapshot bytes as they
     were.  A restored engine goes on: it processes ``AFTER_RESTORE`` one
     tuple at a time and in batches, and its next checkpoint restores into a
-    fresh engine.  Any other exception, anywhere, escapes and fails the test."""
+    fresh engine.  The restore and all that follows run within
+    :func:`continuation_bound`.  Any other exception, anywhere, escapes and
+    fails the test."""
     engine = make()
     for tup in sigma0_stream(20, seed=31):
         engine.process(tup)
     before = snapshot_codec.dumps(engine.snapshot())
-    try:
-        engine.restore(snapshot_codec.loads(blob))
-    except RESTORE_ERRORS:
-        assert snapshot_codec.dumps(engine.snapshot()) == before
-        return
-    half = len(AFTER_RESTORE) // 2
-    for tup in AFTER_RESTORE[:half]:
-        engine.process(tup)
-    for start in range(half, len(AFTER_RESTORE), 16):
-        engine.process_many(AFTER_RESTORE[start : start + 16])
-    make().restore(snapshot_codec.loads(snapshot_codec.dumps(engine.snapshot())))
+    with continuation_bound():
+        try:
+            engine.restore(snapshot_codec.loads(blob))
+        except RESTORE_ERRORS:
+            assert snapshot_codec.dumps(engine.snapshot()) == before
+            return
+        half = len(AFTER_RESTORE) // 2
+        for tup in AFTER_RESTORE[:half]:
+            engine.process(tup)
+        for start in range(half, len(AFTER_RESTORE), 16):
+            engine.process_many(AFTER_RESTORE[start : start + 16])
+        make().restore(snapshot_codec.loads(snapshot_codec.dumps(engine.snapshot())))
 
 
 #: The engines a checkpoint is fuzzed from: one query, one store of a hashed
@@ -1349,6 +1384,22 @@ class TestCheckpointFuzz:
             engine.process(tup)
         assert Counting.pops <= pending + len(stream[40:])
 
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timer on this platform")
+    def test_a_restored_engine_that_loops_fails_its_example(self, monkeypatch):
+        """The continuation after an accepted restore is bounded: an engine
+        that loops raises ``ContinuationTimedOut`` — a failed example, not
+        a hung run."""
+        make, blob = _checkpoint("single")
+
+        def looping():
+            engine = make()
+            engine.process_many = lambda tuples: [None for _ in iter(int, 1)]
+            return engine
+
+        monkeypatch.setattr(sys.modules[__name__], "CONTINUATION_SECONDS", 0.2)
+        with pytest.raises(ContinuationTimedOut):
+            restores_or_refuses(looping, blob)
+        restores_or_refuses(make, blob)  # the timer is off again
 
     @pytest.mark.parametrize("kind", KINDS)
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -23,7 +23,8 @@ For K>1 the bound is read off the merged index: the members of
 queries share is one member), checked on the ``multi_churn`` shape — 64
 threshold queries over 4 groups, window 128.  The union storm's arm tuple
 writes its 8 leaf runs as one arena record: ``allocated`` grows by exactly
-one per arm tuple, ``nodes_created`` by 8.
+one per arm tuple, ``nodes_created`` by 8; its plan holds them as one fire
+item, whatever their number (2, 8 or 32), the statistics counting each.
 
 Space: a key of ``H`` registers for expiry once, when created, and the sweep
 re-arms it while writes keep it live, so after every batch sweep each store's
@@ -164,6 +165,26 @@ def test_an_arm_tuple_writes_one_record(kernel):
             arms += 1
             assert (ds.allocated - allocated, ds.nodes_created - created) == (1, 8)
     assert arms > LENGTH // 2
+
+
+@pytest.mark.parametrize("variants", [2, 8, 32])
+def test_an_arm_tuple_is_one_fire_item(variants):
+    pcea, stream = union_storm_workload(1, 200, variants=variants, key_domain=8, seed=3)
+    engine = StreamingEvaluator(pcea, 64, collect_stats=True)
+    stats = engine.stats
+    arms = 0
+    for tup in stream:
+        plan = engine._merged.plan_for(tup)
+        items = [item for group in plan.groups for item in group.items]
+        items += [item for family in plan.families for item in family.items]
+        fired = stats.transitions_fired, stats.nodes_created
+        engine.process(tup)
+        if tup.relation == "G0A":
+            arms += 1
+            assert len(items) == 1 and len(items[0].label_sets) == plan.total == variants
+            steps = (stats.transitions_fired - fired[0], stats.nodes_created - fired[1])
+            assert steps == (variants, variants)
+    assert arms > len(stream) // 2
 
 
 # ------------------------------------------------------------ the space bound
