@@ -152,8 +152,8 @@ class EvalGroup:
     a lone one stays a member.  They are folded here, when a plan is built
     (:func:`plan_of` and :meth:`PlanCell.patch` both build groups through
     this constructor), so no tuple pays for it; ``items`` is ``members``
-    itself where nothing folds.  A threshold family's held group is handed
-    its ``items`` precomputed.
+    itself where nothing folds.  A threshold family's held group is a slice
+    of the family's precomputed items, handed in as both.
     """
 
     __slots__ = ("accepts", "members", "items")
@@ -267,40 +267,27 @@ class EvalFamily:
     are a prefix or a suffix of ``members``, which are listed by constant (the
     ``groups`` given must be).
 
-    ``items`` are the groups' fire items side by side, built with the family.
-    A group's members share one constant, so every cut falls on a group
-    boundary: :meth:`held` slices the precomputed items there (``item_cuts``
-    maps a cut of ``members`` to the cut of ``items``, ``None`` when no group
-    folds) and builds none per tuple."""
+    ``items`` are the groups' fire items side by side, built with the family,
+    and ``constants`` has one entry per item, its group's constant.  A
+    group's items share one constant, so the bisect cuts ``items`` on a group
+    boundary: :meth:`held` slices the precomputed items and builds none per
+    tuple."""
 
     __slots__ = ("accepts", "relation", "position", "cut", "suffix", "constants", "members",
-                 "groups", "items", "item_cuts")  # fmt: skip
+                 "groups", "items")  # fmt: skip
 
     def __init__(self, groups: Sequence[EvalGroup]) -> None:
         self.groups = tuple(groups)
         key, _, self.accepts, _ = groups[0].members[0].family
         _, self.relation, self.position, operator, _ = key
         self.cut, self.suffix = _CUTS[operator]
-        members: List = []
-        folded = False
-        for group in self.groups:
-            members += group.members
-            folded = folded or group.items is not group.members
-        self.members = tuple(members)
-        self.constants = [member.family[1] for member in self.members]
-        if not folded:
-            self.items, self.item_cuts = self.members, None
-        else:
-            self.items = tuple([item for group in self.groups for item in group.items])
-            cuts = self.item_cuts = [0] * (len(self.members) + 1)
-            member_cut = item_cut = 0
-            for group in self.groups:
-                member_cut += len(group.members)
-                item_cut += len(group.items)
-                cuts[member_cut] = item_cut
+        self.members = tuple([member for group in self.groups for member in group.members])
+        self.items = tuple([item for group in self.groups for item in group.items])
+        self.constants = [_constant(group) for group in self.groups for _ in group.items]
 
     def held(self, tup) -> EvalGroup:
-        """The members whose predicate accepts ``tup``, as a group already accepted."""
+        """The fire items whose predicate accepts ``tup``, as a group already
+        accepted (they are its ``members`` and its ``items``)."""
         values = tup.values
         position = self.position
         if not self.accepts(tup) or tup.relation != self.relation or position >= len(values):
@@ -312,22 +299,12 @@ class EvalFamily:
             except TypeError:
                 pass
             else:
-                held = self.members[cut:] if self.suffix else self.members[:cut]
-                if not held:
-                    return _NONE_HELD
-                cuts = self.item_cuts
-                if cuts is None:
-                    return EvalGroup(held, _held, held)
-                cut = cuts[cut]
-                return EvalGroup(held, _held, self.items[cut:] if self.suffix else self.items[:cut])
+                held = self.items[cut:] if self.suffix else self.items[:cut]
+                return EvalGroup(held, _held, held) if held else _NONE_HELD
         # NaN (which a bisect would misplace) or a value that does not compare
         # with the constants: each group's own acceptor decides, as unfamilied.
-        held, items = [], []
-        for group in self.groups:
-            if group.accepts(tup):
-                held += group.members
-                items += group.items
-        return EvalGroup(held, _held, items) if held else _NONE_HELD
+        held = [item for group in self.groups if group.accepts(tup) for item in group.items]
+        return EvalGroup(held, _held, held) if held else _NONE_HELD
 
 
 class EvalPlan:
@@ -448,11 +425,9 @@ class PlanCell:
     groups (which decides nothing the fire loop applies).  A rebuilt group
     folds its leaf items as it is built (:class:`EvalGroup`: a leaf state
     folds only where one predicate key decides every transition into it, so
-    all of them lie in that one group) — looking only at the members coming
-    in when the group folded nothing before, so a registration does not walk
-    a large group that cannot fold — and a rebuilt family takes its groups'
-    items; a group left alone keeps its own.  Plans handed out are never
-    mutated.
+    all of them lie in that one group), and a rebuilt family takes its
+    groups' items; a group left alone keeps its own.  Plans handed out are
+    never mutated.
     """
 
     __slots__ = ("groups", "loose", "kin", "families", "total", "plan")
@@ -483,16 +458,7 @@ class PlanCell:
             if plus and len(members) > 1:
                 members.sort(key=member_order)
             self.total += len(plus) - len(minus)
-            if members:
-                members = tuple(members)
-                # Only a member coming in can fold with another: a group
-                # that folded nothing, joined by none that folds, folds nothing.
-                folds = old is not None and old.items is not old.members
-                for member in plus:
-                    folds = folds or member.compiled.folds
-                group = EvalGroup(members) if folds else EvalGroup(members, None, members)
-            else:
-                group = None
+            group = EvalGroup(tuple(members)) if members else None
             if group is None:
                 del groups[pred_id]
             else:

@@ -30,7 +30,7 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
     output at this position (``None`` when none did).
 
     One acceptor call decides each predicate group, one base call and one
-    bisect each threshold family (its held members then run as a group's);
+    bisect each threshold family (its held fire items then run as a group's);
     an accepted group runs its fire items (``group.items``): its members, a
     leaf state's folded ones as one :class:`~repro.core.dispatch.LeafItem`.
     A held item fires when every join probe finds a live entry in its
@@ -167,7 +167,7 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
         stats.nodes_created += width
 
     # store -> target state id -> (slots of the state, [(node, max_start,
-    # labels)]); a leaf run or item is (None, position, (label sets)).
+    # labels)]); a leaf run or item is (None, position, label sets).
     new_nodes: Dict[object, Dict[int, tuple]] = {}
     finals: Optional[Dict[object, List]] = None
     for _, member, children, node_ms in fired:
@@ -185,8 +185,13 @@ def fire(plan, tup, position: int, buckets: Dict[int, list], stats) -> Optional[
                 store_nodes[member.target_id] = (member.consumers, [(None, position, member.label_sets)])
             elif compiled.into_leaf:
                 # A leaf state whose transitions span predicate groups folded
-                # nothing: its runs join the leaf item here, in rank order.
-                bucket[1][0] = (None, position, bucket[1][0][2] + member.label_sets)
+                # nothing: its runs join the leaf item here, in rank order,
+                # appended to one list from the first join on.
+                label_sets = bucket[1][0][2]
+                if type(label_sets) is tuple:
+                    label_sets = list(label_sets)
+                    bucket[1][0] = (None, position, label_sets)
+                label_sets += member.label_sets
             else:
                 bucket[1].append((None, position, member.label_sets))
             continue

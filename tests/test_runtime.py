@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.arena import ArenaDataStructure
-from repro.core.dispatch import EvalGroup, _split_by_guard, plan_of
+from repro.core.dispatch import EvalGroup, LeafItem, _split_by_guard, plan_of
 from repro.core.evaluation import StreamingEvaluator
 from repro.core.pcea import PCEA, PCEATransition
 from repro.core.predicates import (
@@ -77,21 +77,20 @@ def rebuilt_index(engine):
 def plan_structure(plan):
     """What a plan decides, independent of list order: its groups with their
     fire items and, per threshold family, the family's groups, members and
-    constants (as entry indexes), and the total.  A family's constants must
-    be sorted and line up with its members, or its bisect would cut in the
-    wrong place; its items must be its groups' and ``item_cuts`` land on their
-    boundaries, or its held slices would take the wrong items."""
+    constants (as entry indexes), and the total.  A family's items must be
+    its groups' and its constants sorted, one per item and its group's (every
+    member of a group has it), or its bisect would cut in the wrong place and
+    its held slices take the wrong items."""
     indexes = lambda members: tuple(sorted(member.index for member in members))
     items = lambda group: tuple((item.index, len(item.label_sets)) for item in group.items)
     families = []
     for family in plan.families:
-        assert family.constants == [member.family[1] for member in family.members]
-        assert family.constants == sorted(family.constants)
         assert list(family.items) == [item for group in family.groups for item in group.items]
-        cuts, member_cut, item_cut = family.item_cuts, 0, 0
+        constants = []
         for group in family.groups:
-            member_cut, item_cut = member_cut + len(group.members), item_cut + len(group.items)
-            assert (member_cut if cuts is None else cuts[member_cut]) == item_cut
+            (constant,) = {member.family[1] for member in group.members}
+            constants += [constant] * len(group.items)
+        assert family.constants == constants == sorted(constants)
         groups = sorted((indexes(group.members), items(group)) for group in family.groups)
         families.append((groups, indexes(family.members), family.constants))
     groups = sorted((indexes(group.members), items(group)) for group in plan.groups)
@@ -394,8 +393,8 @@ class TestIncrementalMergedIndex:
     def test_folded_leaf_items_follow_churn(self):
         """Parallel-transition queries whose thresholds form families, in two
         stores: after every registration and unregistration each stored plan
-        holds the fire items :func:`plan_of` folds, and each family's item
-        cuts fall on its group boundaries."""
+        holds the fire items :func:`plan_of` folds, and each family's items
+        and constants line up with its groups."""
         engine = MultiQueryEngine()
         handles = [
             engine.register(parallel_query(AttributeFilter("A", 1, operator, constant), "A", width), window)
@@ -403,7 +402,8 @@ class TestIncrementalMergedIndex:
             for constant, width, window in ((1, 2, 2), (2, 3, 3), (3, 2, 2), (2, 3, 2))
         ]
         assert_plans_are_rebuilt(engine._merged)
-        assert all(family.item_cuts for family in engine._merged.plans["A"].families)
+        families = engine._merged.plans["A"].families
+        assert families and all(any(type(item) is LeafItem for item in family.items) for family in families)
         for handle in handles[::3] + handles[1::3]:
             engine.unregister(handle)
             assert_plans_are_rebuilt(engine._merged)
